@@ -22,6 +22,15 @@ are treated as entries - anything else in the directory (receipts,
 notes) is ignored.  An optional byte-size cap turns the directory into an
 LRU: reads touch the entry's mtime and :meth:`evict` drops the
 least-recently-used entries until the cache fits.
+
+Entry and sidecar files are *immutable*: every write lands as a
+temporary sibling renamed over the destination
+(:func:`repro.atomicio.atomic_write`), so a file's bytes never change
+under its inode.  Concurrent writers of one key converge on one intact
+payload, a crash leaves no torn entry, and ``fleet merge`` may hard-link
+entries between directories instead of copying them.  The one thing
+links do share is the inode's mtime, so a hit in a merged cache also
+refreshes the LRU recency of the shard directory it was linked from.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
+from ..atomicio import TMP_SUFFIX, atomic_write
 from ..browser.environment import ClientEnvironment
 from ..obs.metrics import get_registry
 from .experiment import ExperimentResult
@@ -60,11 +70,91 @@ def _completeness(payload: Dict) -> "tuple[int, int]":
     return (0, int(payload.get("duration_usec", 0)))
 
 
+def _read_json(path: Path) -> Optional[Dict]:
+    """The JSON payload at ``path``, or ``None`` when no such file."""
+    try:
+        return json.loads(path.read_text())
+    except FileNotFoundError:
+        return None
+
+
 def is_cache_key(text: str) -> bool:
     """True when ``text`` has the shape of a trial cache key."""
     if len(text) != _KEY_HEX_LENGTH:
         return False
     return all(c in "0123456789abcdef" for c in text)
+
+
+def scan_cache_dir(
+    directory: "str | os.PathLike[str]",
+) -> "tuple[List[str], Dict[str, List[str]]]":
+    """One listing of a cache directory: entry keys and their sidecars.
+
+    Returns the sorted entry keys (``<64-hex>.json``) and, per key, the
+    sorted sidecar file names (``<key>.<name>.json``).  Everything else
+    - receipts, notes, ``*.tmp`` leftovers - is not part of the cache.
+    """
+    keys: List[str] = []
+    sidecars: Dict[str, List[str]] = {}
+    for name in sorted(os.listdir(directory)):
+        if not name.endswith(".json"):
+            continue
+        stem = name[: -len(".json")]
+        if is_cache_key(stem):
+            keys.append(stem)
+        elif (
+            len(stem) > _KEY_HEX_LENGTH + 1
+            and stem[_KEY_HEX_LENGTH] == "."
+            and is_cache_key(stem[:_KEY_HEX_LENGTH])
+        ):
+            sidecars.setdefault(stem[:_KEY_HEX_LENGTH], []).append(name)
+    return keys, sidecars
+
+
+#: Memo behind :func:`config_fields` / :func:`config_canonical_json`.
+_CONFIG_MEMO: Dict[str, "tuple[Dict, str]"] = {}
+_CONFIG_MEMO_MAX = 512
+
+_TAIL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _config_memo(config) -> "tuple[Dict, str]":
+    """``(asdict, canonical JSON)`` of one frozen config dataclass.
+
+    A cycle derives thousands of keys over a handful of distinct
+    configs, so both forms are computed once per distinct value.  The
+    memo is keyed on ``repr``, not on the dataclass itself: ``==``/
+    ``hash`` conflate ``8e6`` with ``8000000`` and ``True`` with ``1``,
+    whose JSON - and therefore cache key - differ, while ``repr`` is
+    type-exact.  Bounded: at the cap the memo simply starts over.
+    """
+    token = repr(config)
+    memo = _CONFIG_MEMO.get(token)
+    if memo is None:
+        fields = dataclasses.asdict(config)
+        memo = (
+            fields,
+            json.dumps(fields, sort_keys=True, separators=(",", ":")),
+        )
+        if len(_CONFIG_MEMO) >= _CONFIG_MEMO_MAX:
+            _CONFIG_MEMO.clear()
+        _CONFIG_MEMO[token] = memo
+    return memo
+
+
+def config_fields(config) -> Dict:
+    """``dataclasses.asdict`` of a frozen config dataclass, memoised.
+
+    Returns a fresh dict per call (field order preserved), so callers
+    may embed and mutate it freely; the config dataclasses hold only
+    scalar fields, so the copy is shallow.
+    """
+    return dict(_config_memo(config)[0])
+
+
+def config_canonical_json(config) -> str:
+    """Sorted-key compact JSON of a frozen config dataclass, memoised."""
+    return _config_memo(config)[1]
 
 
 def trial_cache_key(
@@ -77,17 +167,30 @@ def trial_cache_key(
     and experiment configs, the trial seed, the client environment
     (``None`` normalises to the faithful testbed, which is what service
     factories substitute for it), and the cache schema version.
+
+    The digest is over the sorted-key compact JSON of those six fields;
+    the three config objects contribute memoised fragments (see
+    :func:`config_canonical_json`) spliced in at their sorted positions,
+    ahead of the per-trial tail (``schema`` < ``seed`` < ``service_ids``).
     """
     resolved_env = env or ClientEnvironment.faithful_testbed()
-    payload = {
-        "schema": CACHE_SCHEMA_VERSION,
-        "service_ids": list(spec.service_ids),
-        "network": dataclasses.asdict(spec.network),
-        "config": dataclasses.asdict(spec.config),
-        "seed": spec.seed,
-        "env": dataclasses.asdict(resolved_env),
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    tail = _TAIL_ENCODER.encode(
+        {
+            "schema": CACHE_SCHEMA_VERSION,
+            "seed": spec.seed,
+            "service_ids": list(spec.service_ids),
+        }
+    )
+    canonical = (
+        '{"config":'
+        + config_canonical_json(spec.config)
+        + ',"env":'
+        + config_canonical_json(resolved_env)
+        + ',"network":'
+        + config_canonical_json(spec.network)
+        + ","
+        + tail[1:]
+    )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -143,10 +246,10 @@ class TrialCache:
         """
         key = trial_cache_key(spec, env)
         payload = self._memory.get(key)
-        if payload is None and self.cache_dir is not None:
-            path = self._path(key)
-            if path.exists():
-                payload = json.loads(path.read_text())
+        path = self._path(key) if self.cache_dir is not None else None
+        if payload is None and path is not None:
+            payload = _read_json(path)
+            if payload is not None:
                 self._memory[key] = payload
         if payload is not None and not allow_truncated:
             meta = payload.get("earlystop")
@@ -156,10 +259,11 @@ class TrialCache:
             self.misses += 1
             get_registry().counter("cache.misses").inc()
             return None
-        if self.cache_dir is not None:
-            path = self._path(key)
-            if path.exists():
+        if path is not None:
+            try:
                 os.utime(path)  # touch: LRU recency for evict()
+            except FileNotFoundError:  # memory hit, file evicted since
+                pass
         self.hits += 1
         get_registry().counter("cache.hits").inc()
         return ExperimentResult.from_json(payload)
@@ -181,10 +285,9 @@ class TrialCache:
         key = trial_cache_key(spec, env)
         payload = result.to_json()
         existing = self._memory.get(key)
-        if existing is None and self.cache_dir is not None:
-            path = self._path(key)
-            if path.exists():
-                existing = json.loads(path.read_text())
+        path = self._path(key) if self.cache_dir is not None else None
+        if existing is None and path is not None:
+            existing = _read_json(path)
         if existing is not None and _completeness(payload) < _completeness(
             existing
         ):
@@ -193,9 +296,9 @@ class TrialCache:
         self.stores += 1
         registry = get_registry()
         registry.counter("cache.stores").inc()
-        if self.cache_dir is not None:
+        if path is not None:
             encoded = json.dumps(payload, indent=1)
-            self._path(key).write_text(encoded)
+            atomic_write(path, encoded)
             registry.counter("cache.bytes_written").inc(len(encoded))
             if self.max_bytes is not None:
                 self.evict()
@@ -206,8 +309,7 @@ class TrialCache:
     #
     # A sidecar lives at ``<key>.<name>.json``; its stem is longer than
     # 64 hex chars, so ``is_cache_key`` rejects it and every entry scan
-    # (``_entry_paths`` here, ``fleet.status._entry_keys``) ignores it by
-    # construction.  Flight recordings (repro.obs.flight) are the first
+    # (``scan_cache_dir``'s key list) ignores it by construction.  Flight recordings (repro.obs.flight) are the first
     # sidecar kind; payloads carry their own schema version.
 
     def put_sidecar(self, key: str, name: str, payload: Dict) -> None:
@@ -217,7 +319,7 @@ class TrialCache:
         self._sidecar_memory[(key, name)] = payload
         if self.cache_dir is not None:
             encoded = json.dumps(payload, indent=1, sort_keys=True)
-            self._sidecar_path(key, name).write_text(encoded)
+            atomic_write(self._sidecar_path(key, name), encoded)
             get_registry().counter("cache.sidecar_bytes_written").inc(
                 len(encoded)
             )
@@ -228,9 +330,8 @@ class TrialCache:
         """The sidecar payload for ``key``, or ``None`` if absent."""
         payload = self._sidecar_memory.get((key, name))
         if payload is None and self.cache_dir is not None:
-            path = self._sidecar_path(key, name)
-            if path.exists():
-                payload = json.loads(path.read_text())
+            payload = _read_json(self._sidecar_path(key, name))
+            if payload is not None:
                 self._sidecar_memory[(key, name)] = payload
         return payload
 
@@ -291,11 +392,13 @@ class TrialCache:
         cap = self.max_bytes if max_bytes is None else max_bytes
         if cap is None or self.cache_dir is None:
             return []
-        sidecars: Dict[str, List[Path]] = {}
-        for path in self._sidecar_paths():
-            sidecars.setdefault(path.name[:_KEY_HEX_LENGTH], []).append(path)
+        keys, sidecar_names = scan_cache_dir(self.cache_dir)
+        sidecars = {
+            key: [self.cache_dir / name for name in names]
+            for key, names in sidecar_names.items()
+        }
         entries = []
-        for path in self._entry_paths():
+        for path in map(self._path, keys):
             stat = path.stat()
             extra = sum(
                 p.stat().st_size for p in sidecars.pop(path.stem, [])
@@ -354,9 +457,7 @@ class TrialCache:
         if key in self._memory:
             return self._memory[key]
         if self.cache_dir is not None:
-            path = self._path(key)
-            if path.exists():
-                return json.loads(path.read_text())
+            return _read_json(self._path(key))
         return None
 
     def keys(self) -> Iterator[str]:
@@ -389,6 +490,10 @@ class TrialCache:
             path.unlink()
         for key in {k for k, _n in self._sidecar_memory}:
             self._drop_sidecars(key)
+        if self.cache_dir is not None:
+            # Temporaries a killed writer left behind (repro.atomicio).
+            for path in self.cache_dir.glob(f"*{TMP_SUFFIX}"):
+                path.unlink()
         self._memory.clear()
         self.hits = self.misses = self.stores = self.evictions = 0
 
@@ -396,23 +501,19 @@ class TrialCache:
         """The on-disk entry files (receipts and strays excluded)."""
         if self.cache_dir is None:
             return []
-        return sorted(
-            path
-            for path in self.cache_dir.glob("*.json")
-            if is_cache_key(path.stem)
-        )
+        keys, _sidecars = scan_cache_dir(self.cache_dir)
+        return [self._path(key) for key in keys]
 
     def _sidecar_paths(self) -> List[Path]:
         """The on-disk sidecar files (``<key>.<name>.json``)."""
         if self.cache_dir is None:
             return []
-        return sorted(
-            path
-            for path in self.cache_dir.glob("*.json")
-            if len(path.stem) > _KEY_HEX_LENGTH + 1
-            and path.stem[_KEY_HEX_LENGTH] == "."
-            and is_cache_key(path.stem[:_KEY_HEX_LENGTH])
-        )
+        _keys, sidecars = scan_cache_dir(self.cache_dir)
+        return [
+            self.cache_dir / name
+            for names in sidecars.values()
+            for name in names
+        ]
 
     def _path(self, key: str) -> Path:
         assert self.cache_dir is not None

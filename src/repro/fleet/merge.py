@@ -17,6 +17,12 @@ single-host run or silently is not - so it verifies everything it can:
   and extras (unplanned entries, e.g. from a pre-warmed shared cache)
   are counted but tolerated.
 
+New entries - and the ``<key>.<name>.json`` sidecars that belong to
+them - are hard-linked into the destination (copied where the OS will
+not link), never re-written: cache files are immutable, so sharing an
+inode with the shard directory is safe, and bytes are read only to
+adjudicate a key that is already present.
+
 Shard receipts' :class:`~repro.core.runner.RunnerStats` are summed, so
 the merged cache knows how much total simulation the fleet performed.
 """
@@ -24,11 +30,13 @@ the merged cache knows how much total simulation the fleet performed.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..core.cache import CACHE_SCHEMA_VERSION, _completeness, is_cache_key
+from ..atomicio import atomic_write
+from ..core.cache import CACHE_SCHEMA_VERSION, _completeness, scan_cache_dir
 from ..core.runner import RunnerStats
 from ..obs.metrics import merge_snapshots
 from .plan import FleetError, FleetPlan
@@ -81,12 +89,41 @@ class MergeReport:
         }
 
 
-def _shard_entries(shard_dir: Path) -> List[Path]:
-    return sorted(
-        path
-        for path in shard_dir.glob("*.json")
-        if is_cache_key(path.stem)
-    )
+def _link_or_copy(source: Path, target: Path) -> None:
+    """Materialise ``source`` at ``target``; ``FileExistsError`` if taken.
+
+    Cache files are immutable (:mod:`repro.atomicio`), so on one
+    filesystem the merged cache shares the shard's inode instead of
+    re-writing its bytes.  Wherever the OS refuses the link (``EXDEV``
+    across filesystems, ``EPERM``, no hard-link support) the bytes are
+    copied into an exclusively-created file instead.
+    """
+    try:
+        os.link(source, target)
+    except FileExistsError:
+        raise
+    except OSError:
+        with open(target, "xb") as handle:
+            handle.write(source.read_bytes())
+
+
+def _carry_sidecars(
+    names: Sequence[str], shard: Path, dest: Path, replace: bool = False
+) -> None:
+    """Bring an entry's sidecars along with it.
+
+    Sidecars already in ``dest`` stay unless ``replace`` (their entry
+    was just superseded by this shard's): recordings are as
+    deterministic as the entries they describe.
+    """
+    for name in names:
+        if replace:
+            atomic_write(dest / name, (shard / name).read_bytes())
+            continue
+        try:
+            _link_or_copy(shard / name, dest / name)
+        except FileExistsError:
+            pass
 
 
 def _resolve_divergent(challenger: bytes, incumbent: bytes) -> Optional[str]:
@@ -167,6 +204,7 @@ def merge_shards(
     dest = Path(dest_dir)
     dest.mkdir(parents=True, exist_ok=True)
     expected = set(plan.expected_keys())
+    merged_keys = set(scan_cache_dir(dest)[0])  # pre-populated dest
     report = MergeReport(shards=len(shard_dirs))
     shard_metrics: List[Dict] = []
     winners: Dict[int, ShardReceipt] = {}
@@ -203,36 +241,45 @@ def merge_shards(
                     winners[receipt.shard_index] = receipt
             if receipt.metrics is not None:
                 shard_metrics.append(receipt.metrics)
-        for entry in _shard_entries(shard):
-            data = entry.read_bytes()
+        keys, sidecars = scan_cache_dir(shard)
+        for key in keys:
+            carried = sidecars.get(key, ())
+            entry = shard / f"{key}.json"
             target = dest / entry.name
-            if target.exists():
+            try:
+                _link_or_copy(entry, target)
+            except FileExistsError:
+                data = entry.read_bytes()
                 existing = target.read_bytes()
                 if existing != data:
                     verdict = _resolve_divergent(data, existing)
                     if verdict is None:
                         raise FleetError(
                             f"divergent duplicate for key "
-                            f"{entry.stem[:12]}... ({entry} vs {target}) - "
+                            f"{key[:12]}... ({entry} vs {target}) - "
                             "deterministic trials cannot legitimately "
                             "differ; suspect version skew or corruption"
                         )
                     if verdict == "replace":
-                        target.write_bytes(data)
+                        # Replace, never rewrite: target may share its
+                        # inode with the shard directory it came from.
+                        atomic_write(target, data)
+                        _carry_sidecars(carried, shard, dest, replace=True)
                     report.superseded_entries += 1
                     continue
                 report.duplicates += 1
+                _carry_sidecars(carried, shard, dest)
                 continue
-            target.write_bytes(data)
+            merged_keys.add(key)
             report.entries_merged += 1
-            if entry.stem not in expected:
+            if key not in expected:
                 report.extras += 1
+            _carry_sidecars(carried, shard, dest)
     report.per_shard_stats = {
         index: receipt.stats for index, receipt in winners.items()
     }
     if shard_metrics:
         report.metrics = merge_snapshots(shard_metrics)
-    merged_keys = {path.stem for path in _shard_entries(dest)}
     report.gaps = sorted(expected - merged_keys)
     if report.gaps and not allow_gaps:
         preview = ", ".join(k[:12] + "..." for k in report.gaps[:5])

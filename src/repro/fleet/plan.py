@@ -29,7 +29,12 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import units
 from ..config import ExperimentConfig, NetworkConfig
-from ..core.cache import CACHE_SCHEMA_VERSION, trial_cache_key
+from ..core.cache import (
+    CACHE_SCHEMA_VERSION,
+    config_canonical_json,
+    config_fields,
+    trial_cache_key,
+)
 from ..core.runner import TrialSpec
 from ..core.scheduler import fixed_trial_scheduler
 from ..core.sweep import expand_sweep_networks, pair_sweep_trials
@@ -63,14 +68,14 @@ def _dataclass_from_json(cls, payload: Dict):
 def network_fingerprint(network: NetworkConfig) -> str:
     """Stable digest of one network setting (manifest cross-checks)."""
     return hashlib.sha256(
-        _canonical(dataclasses.asdict(network)).encode("utf-8")
+        config_canonical_json(network).encode("utf-8")
     ).hexdigest()
 
 
 def config_fingerprint(config: ExperimentConfig) -> str:
     """Stable digest of one experiment protocol (manifest cross-checks)."""
     return hashlib.sha256(
-        _canonical(dataclasses.asdict(config)).encode("utf-8")
+        config_canonical_json(config).encode("utf-8")
     ).hexdigest()
 
 
@@ -91,8 +96,8 @@ def spec_to_json(spec: TrialSpec, cache_key: str) -> Dict:
     """Serialise one planned trial (spec + expected cache key)."""
     return {
         "service_ids": list(spec.service_ids),
-        "network": dataclasses.asdict(spec.network),
-        "config": dataclasses.asdict(spec.config),
+        "network": config_fields(spec.network),
+        "config": config_fields(spec.config),
         "seed": spec.seed,
         "cache_key": cache_key,
     }

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Union
 
-from ..core.cache import is_cache_key
+from ..core.cache import scan_cache_dir
 from .plan import FleetPlan
 from .worker import RECEIPT_FILENAME, ShardReceipt
 
@@ -239,11 +239,7 @@ class FleetStatus:
 
 
 def _entry_keys(directory: Path) -> Set[str]:
-    return {
-        path.stem
-        for path in directory.glob("*.json")
-        if is_cache_key(path.stem)
-    }
+    return set(scan_cache_dir(directory)[0])
 
 
 def _looks_like_shard_dir(directory: Path) -> bool:

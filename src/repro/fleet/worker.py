@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from ..atomicio import atomic_write
 from ..core.cache import CACHE_SCHEMA_VERSION, TrialCache, trial_cache_key
 from ..core.runner import ExecutionBackend, RunnerStats, build_backend
 from ..obs import tracing
@@ -114,9 +115,13 @@ class ShardReceipt:
         return cls.from_json(json.loads(path.read_text()))
 
     def write(self, cache_dir: Union[str, Path]) -> Path:
-        """Write the receipt into ``cache_dir`` so it ships with the cache."""
+        """Write the receipt into ``cache_dir`` so it ships with the cache.
+
+        The receipt is the shard's completion marker, so it appears
+        atomically: a reader sees no receipt or a whole one.
+        """
         path = Path(cache_dir) / RECEIPT_FILENAME
-        path.write_text(json.dumps(self.to_json(), indent=1))
+        atomic_write(path, json.dumps(self.to_json(), indent=1))
         return path
 
 

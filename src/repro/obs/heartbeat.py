@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from ..atomicio import atomic_write
+
 #: Heartbeat payload schema; bump on incompatible layout changes.
 HEARTBEAT_SCHEMA_VERSION = 1
 
@@ -146,9 +148,9 @@ class HeartbeatWriter:
             progress=progress,
             eta_sec=eta,
         )
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        tmp.write_text(json.dumps(beat.to_json(), indent=1, sort_keys=True))
-        os.replace(tmp, self.path)
+        atomic_write(
+            self.path, json.dumps(beat.to_json(), indent=1, sort_keys=True)
+        )
 
 
 def describe(beat: Heartbeat, now: Optional[float] = None) -> str:

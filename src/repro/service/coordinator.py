@@ -55,6 +55,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
+from ..atomicio import atomic_write
 from ..config import (
     ExperimentConfig,
     NetworkConfig,
@@ -95,12 +96,6 @@ def _fault(point: str) -> None:
     """Die by SIGKILL at a named crash point (fault-injection tests)."""
     if os.environ.get(FAULT_ENV) == point:
         os.kill(os.getpid(), signal.SIGKILL)
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 @dataclass
@@ -193,7 +188,7 @@ class WatchdogService:
         }
 
     def _save_state(self) -> None:
-        _atomic_write(
+        atomic_write(
             self.state_path,
             json.dumps(self.state, indent=1, sort_keys=True),
         )
@@ -399,7 +394,7 @@ class WatchdogService:
             dest_dir = self.out / "diagnoses" / bandwidth_tag(float(bandwidth))
             dest_dir.mkdir(parents=True, exist_ok=True)
             dest = dest_dir / f"{ids[0]}__{ids[-1]}.json"
-            _atomic_write(
+            atomic_write(
                 dest, json.dumps(diagnosis, indent=1, sort_keys=True)
             )
             written += 1

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Union
 
 from ..analysis.site import assemble_page, render_bandwidth_section
+from ..atomicio import atomic_write
 from ..core.results import ResultStore
 
 #: State filename inside the site directory.
@@ -43,12 +43,6 @@ SITE_STATE_SCHEMA_VERSION = 1
 def bandwidth_tag(bandwidth_bps: float) -> str:
     """Filesystem-safe tag for one bandwidth (``8mbps``, ``2.5mbps``)."""
     return f"{bandwidth_bps / 1e6:g}mbps".replace(".", "_")
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 def _service_ids_at(store: ResultStore, bandwidth_bps: float) -> List[str]:
@@ -147,7 +141,7 @@ class SiteRenderer:
             entry = known.get(bandwidth)
             if entry is not None and entry["sha256"] == digest:
                 continue
-            _atomic_write(path, section + "\n")
+            atomic_write(path, section + "\n")
             known[bandwidth] = {
                 "bandwidth_bps": bandwidth,
                 "tag": tag,
@@ -159,7 +153,7 @@ class SiteRenderer:
             state["sections"] = [
                 known[bw] for bw in sorted(known)
             ]
-            _atomic_write(
+            atomic_write(
                 self.state_path,
                 json.dumps(state, indent=1, sort_keys=True),
             )
@@ -171,6 +165,6 @@ class SiteRenderer:
         for bandwidth in sorted(known):
             path = self.sections_dir / f"bw-{known[bandwidth]['tag']}.md"
             sections.append(path.read_text().rstrip("\n"))
-        _atomic_write(
+        atomic_write(
             self.index_path, assemble_page(sections, title=self.title) + "\n"
         )

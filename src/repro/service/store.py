@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Set, Union
 
+from ..atomicio import atomic_write
 from ..core.experiment import ExperimentResult
 from ..core.results import ResultStore
 
@@ -92,13 +93,6 @@ class CycleRecord:
     def experiment_results(self) -> List[ExperimentResult]:
         """The cycle's trials as live result objects."""
         return [ExperimentResult.from_json(r) for r in self.results]
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    """Write-temp-then-rename so readers never see a torn file."""
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 def _canonical_line(payload: Dict) -> str:
@@ -273,10 +267,10 @@ class RollingResultStore:
             "kind": "service-snapshot",
             "cycles": [record.to_json() for record in self._cycles],
         }
-        _atomic_write(
+        atomic_write(
             self.snapshot_path, json.dumps(snapshot, indent=1, sort_keys=True)
         )
-        _atomic_write(self.journal_path, "")
+        atomic_write(self.journal_path, "")
 
     # ------------------------------------------------------------------
     # Views

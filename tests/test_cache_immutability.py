@@ -1,0 +1,386 @@
+"""Cache entries are immutable files: link merges, replace-only writes.
+
+``fleet merge`` hard-links shard entries into the merged cache (copying
+only where the OS refuses the link), which is sound because every writer
+into a cache directory replaces files atomically and never rewrites
+them.  These tests pin the link/copy equivalence, the isolation between
+linked directories, the sidecars travelling with their entries, and the
+invisibility of leftover ``*.tmp`` files.
+"""
+
+import errno
+import json
+import os
+import sys
+import threading
+
+import pytest
+
+from repro.atomicio import atomic_write
+from repro.config import ExperimentConfig, highly_constrained
+from repro.core.cache import TrialCache, trial_cache_key
+from repro.core.experiment import ExperimentResult
+from repro.core.runner import TrialSpec
+from repro.fleet import (
+    FleetError,
+    fleet_status,
+    merge_shards,
+    plan_cycle,
+    run_shard,
+)
+from repro.fleet.worker import ShardReceipt
+
+NET = highly_constrained()
+FAST = ExperimentConfig().scaled(10)
+IDS = ["iperf_cubic", "iperf_reno", "iperf_bbr"]
+
+
+def synthetic_result(spec, truncated_at=None):
+    """A plausible result for ``spec`` without simulating anything."""
+    a, b = spec.service_ids[0], spec.service_ids[-1]
+    result = ExperimentResult(
+        contender_id=a,
+        incumbent_id=b,
+        bandwidth_bps=spec.network.bandwidth_bps,
+        buffer_packets=spec.network.queue_packets,
+        seed=spec.seed,
+        duration_usec=truncated_at or spec.config.duration_usec,
+        throughput_bps={a: 3e6, b: 5e6},
+        mmf_share={a: 0.75, b: 1.25},
+        utilization=0.97,
+    )
+    if truncated_at is not None:
+        result.earlystop = {"truncated": True, "model_id": "m"}
+    return result
+
+
+def plan_and_shards(root, shards=2, overlap=False):
+    """A plan plus receipt-carrying shard caches of synthetic results.
+
+    With ``overlap`` every shard holds every trial (identical bytes).
+    """
+    plan = plan_cycle(
+        IDS, [NET], FAST, trials_per_pair=2, num_shards=shards, base_seed=3
+    )
+    dirs = []
+    for shard in range(shards):
+        directory = root / f"shard{shard}"
+        cache = TrialCache(directory)
+        owned = plan.trials if overlap else plan.shard_trials(shard)
+        for trial in owned:
+            cache.put(trial.spec, synthetic_result(trial.spec))
+        ShardReceipt(
+            plan_id=plan.plan_id,
+            shard_index=shard,
+            num_shards=shards,
+            cache_schema=plan.cache_schema,
+            completed_keys=[t.cache_key for t in owned],
+        ).write(directory)
+        dirs.append(directory)
+    return plan, dirs
+
+
+def tree_bytes(directory):
+    return {
+        path.name: path.read_bytes() for path in sorted(directory.iterdir())
+    }
+
+
+def refuse_links(monkeypatch):
+    def exdev(_src, _dst, **_kwargs):
+        raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+    monkeypatch.setattr(os, "link", exdev)
+
+
+class TestLinkMerge:
+    def test_merged_entries_share_inodes_with_shards(self, tmp_path):
+        plan, dirs = plan_and_shards(tmp_path)
+        report = merge_shards(plan, dirs, tmp_path / "merged")
+        assert report.entries_merged == len(plan.trials)
+        for shard, directory in enumerate(dirs):
+            owned = plan.shard_trials(shard)
+            assert owned, "partition left a shard empty; widen the plan"
+            for trial in owned:
+                name = f"{trial.cache_key}.json"
+                assert os.path.samefile(
+                    directory / name, tmp_path / "merged" / name
+                )
+
+    def test_copy_fallback_is_byte_and_report_identical(
+        self, tmp_path, monkeypatch
+    ):
+        plan, dirs = plan_and_shards(tmp_path, overlap=True)
+        linked = merge_shards(plan, dirs, tmp_path / "linked")
+        refuse_links(monkeypatch)
+        copied = merge_shards(plan, dirs, tmp_path / "copied")
+        assert json.dumps(copied.to_json()) == json.dumps(linked.to_json())
+        assert copied.duplicates == len(plan.trials)
+        assert tree_bytes(tmp_path / "copied") == tree_bytes(
+            tmp_path / "linked"
+        )
+        name = f"{plan.trials[0].cache_key}.json"
+        assert not os.path.samefile(
+            dirs[0] / name, tmp_path / "copied" / name
+        )
+
+    @pytest.mark.parametrize("links", [True, False])
+    def test_divergent_duplicates_still_fatal(
+        self, tmp_path, monkeypatch, links
+    ):
+        plan, dirs = plan_and_shards(tmp_path, overlap=True)
+        victim = dirs[1] / f"{plan.trials[0].cache_key}.json"
+        payload = json.loads(victim.read_text())
+        payload["utilization"] = -1.0
+        atomic_write(victim, json.dumps(payload, indent=1))
+        if not links:
+            refuse_links(monkeypatch)
+        with pytest.raises(FleetError, match="divergent duplicate"):
+            merge_shards(plan, dirs, tmp_path / "merged")
+
+    @pytest.mark.parametrize("links", [True, False])
+    @pytest.mark.parametrize("truncated_first", [True, False])
+    def test_truncated_vs_full_resolves_and_loser_is_untouched(
+        self, tmp_path, monkeypatch, links, truncated_first
+    ):
+        plan, dirs = plan_and_shards(tmp_path, overlap=True)
+        trial = plan.trials[0]
+        name = f"{trial.cache_key}.json"
+        loser_dir = dirs[0] if truncated_first else dirs[1]
+        winner_dir = dirs[1] if truncated_first else dirs[0]
+        (loser_dir / name).unlink()
+        TrialCache(loser_dir).put(
+            trial.spec, synthetic_result(trial.spec, truncated_at=4_000_000)
+        )
+        loser_bytes = (loser_dir / name).read_bytes()
+        full_bytes = (winner_dir / name).read_bytes()
+        if not links:
+            refuse_links(monkeypatch)
+        report = merge_shards(plan, dirs, tmp_path / "merged")
+        assert report.superseded_entries == 1
+        assert report.duplicates == len(plan.trials) - 1
+        assert (tmp_path / "merged" / name).read_bytes() == full_bytes
+        assert (loser_dir / name).read_bytes() == loser_bytes
+        assert (winner_dir / name).read_bytes() == full_bytes
+
+    def test_prepopulated_dest_counts_duplicates_and_closes_gaps(
+        self, tmp_path
+    ):
+        plan, dirs = plan_and_shards(tmp_path)
+        merged = tmp_path / "merged"
+        first = merge_shards(plan, dirs[:1], merged, allow_gaps=True)
+        assert sorted(first.gaps) == sorted(
+            t.cache_key for t in plan.shard_trials(1)
+        )
+        second = merge_shards(plan, dirs, merged)
+        assert second.duplicates == len(plan.shard_trials(0))
+        assert second.entries_merged == len(plan.shard_trials(1))
+        assert second.gaps == []
+        # A later merge of nothing new still sees the whole plan covered.
+        third = merge_shards(plan, dirs[1:], merged)
+        assert third.entries_merged == 0 and third.gaps == []
+
+
+class TestLinkIsolation:
+    def merged_pair(self, tmp_path):
+        plan = plan_cycle(
+            IDS[:2], [NET], FAST, 1, num_shards=1, include_self_pairs=False
+        )
+        trial = plan.trials[0]
+        shard = tmp_path / "shard"
+        TrialCache(shard).put(
+            trial.spec, synthetic_result(trial.spec, truncated_at=4_000_000)
+        )
+        merged = tmp_path / "merged"
+        merge_shards(plan, [shard], merged, require_receipts=False)
+        name = f"{trial.cache_key}.json"
+        assert os.path.samefile(shard / name, merged / name)
+        return trial, shard / name, merged / name
+
+    @pytest.mark.parametrize("write_into", ["merged", "shard"])
+    def test_supersede_on_one_side_never_reaches_the_other(
+        self, tmp_path, write_into
+    ):
+        trial, shard_file, merged_file = self.merged_pair(tmp_path)
+        truncated_bytes = shard_file.read_bytes()
+        written, other = (
+            (merged_file, shard_file)
+            if write_into == "merged"
+            else (shard_file, merged_file)
+        )
+        cache = TrialCache(written.parent)
+        cache.put(trial.spec, synthetic_result(trial.spec))
+        assert not cache.get(trial.spec).truncated
+        assert other.read_bytes() == truncated_bytes
+        assert written.read_bytes() != truncated_bytes
+        assert not os.path.samefile(shard_file, merged_file)
+
+    def test_sidecar_rewrite_is_a_replace_too(self, tmp_path):
+        cache = TrialCache(tmp_path / "a")
+        key = "ab" * 32
+        cache.put_sidecar(key, "flight", {"v": 1})
+        source = tmp_path / "a" / f"{key}.flight.json"
+        alias = tmp_path / "alias.json"
+        os.link(source, alias)
+        cache.put_sidecar(key, "flight", {"v": 2})
+        assert json.loads(alias.read_text()) == {"v": 1}
+        assert json.loads(source.read_text()) == {"v": 2}
+
+
+class TestConcurrentWriters:
+    def test_racing_writers_of_one_key_converge_on_an_intact_entry(
+        self, tmp_path
+    ):
+        """More writers than cores, preempted mid-write: the entry is
+        always one whole payload and no temporary outlives its writer."""
+
+        spec = TrialSpec(("a", "b"), NET, FAST, seed=1)
+        result = synthetic_result(spec)
+        expected = json.dumps(result.to_json(), indent=1)
+        errors = []
+
+        def writer():
+            try:
+                cache = TrialCache(tmp_path)
+                for _ in range(50):
+                    cache.put(spec, result)
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        path = tmp_path / f"{trial_cache_key(spec)}.json"
+        assert path.read_text() == expected
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
+class TestStaleTemporaries:
+    def test_stale_tmp_is_invisible_and_cleared(self, tmp_path):
+        plan, dirs = plan_and_shards(tmp_path, shards=1)
+        shard = dirs[0]
+        key = plan.trials[0].cache_key
+        strays = [
+            shard / f"{key}.json.4242.deadbeef.tmp",
+            shard / f"{key}.flight.json.4242.deadbeef.tmp",
+            shard / f"{'f' * 64}.json.4242.deadbeef.tmp",
+        ]
+        for stray in strays:
+            stray.write_text('{"torn": ')
+        cache = TrialCache(shard, max_bytes=10**9)
+        assert len(cache) == len(plan.trials)
+        assert sorted(cache.keys()) == sorted(plan.expected_keys())
+        assert cache.sidecar_keys("flight") == []
+        assert cache.evict() == []
+        assert cache.evict(max_bytes=0) and all(s.exists() for s in strays)
+
+        plan, dirs = plan_and_shards(tmp_path / "again", shards=1)
+        shard = dirs[0]
+        stray = shard / f"{'f' * 64}.json.4242.deadbeef.tmp"
+        stray.write_text('{"torn": ')
+        status = fleet_status(plan, [shard])
+        assert status.shards[0].completed == len(plan.trials)
+        assert status.foreign_dirs == []
+        report = merge_shards(plan, [shard], tmp_path / "merged")
+        assert report.entries_merged == len(plan.trials)
+        assert report.extras == 0
+        assert not list((tmp_path / "merged").glob("*.tmp"))
+
+        TrialCache(shard).clear()
+        assert not stray.exists()
+        assert [p.name for p in shard.iterdir()] == ["shard-receipt.json"]
+
+    def test_failed_write_leaves_no_temporary(self, tmp_path):
+        target = tmp_path / "entry.json"
+        atomic_write(target, "old")
+        with pytest.raises(TypeError):
+            atomic_write(target, 12345)
+        assert target.read_text() == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["entry.json"]
+
+
+class TestSidecarsTravelWithEntries:
+    def test_two_shard_record_flight_cycle_publishes_diagnoses(
+        self, tmp_path
+    ):
+        """fleet merge used to drop ``<key>.flight.json``, so a merged
+        multi-shard ``--record-flight`` cycle published no diagnosis."""
+        from repro.service.coordinator import WatchdogService
+
+        config = ExperimentConfig().scaled(3)
+        plan = plan_cycle(
+            ["iperf_cubic", "iperf_bbr"],
+            [NET],
+            config,
+            trials_per_pair=2,
+            num_shards=2,
+            include_self_pairs=True,
+        )
+        plan.write(tmp_path / "plan")
+        shard_dirs = []
+        for shard in range(2):
+            assert plan.shard_trials(shard)
+            shard_dir = tmp_path / f"shard{shard}"
+            run_shard(
+                tmp_path / "plan" / f"shard-{shard}.json",
+                shard_dir,
+                record_flight=True,
+            )
+            shard_dirs.append(shard_dir)
+        entry = tmp_path / "spool" / "incoming" / "cycle-a"
+        entry.mkdir(parents=True)
+        (entry / "plan.json").write_text(
+            (tmp_path / "plan" / "plan.json").read_text()
+        )
+        merge_shards(plan, shard_dirs, entry / "cache")
+        merged = TrialCache(entry / "cache")
+        assert merged.sidecar_keys("flight") == sorted(plan.expected_keys())
+        for shard, shard_dir in enumerate(shard_dirs):
+            for trial in plan.shard_trials(shard):
+                name = f"{trial.cache_key}.flight.json"
+                assert os.path.samefile(
+                    shard_dir / name, entry / "cache" / name
+                )
+
+        service = WatchdogService(
+            tmp_path / "spool",
+            tmp_path / "out",
+            networks=[NET],
+            plan_config=config,
+            plan_shards=1,
+        )
+        report = service.ingest_once()["ingested"][0]
+        assert report["diagnosed"] > 0
+        assert "### Why is this unfair?" in service.site.index_path.read_text()
+
+    def test_superseding_entry_brings_its_own_sidecars(self, tmp_path):
+        plan, dirs = plan_and_shards(tmp_path, overlap=True)
+        trial = plan.trials[0]
+        key = trial.cache_key
+        (dirs[0] / f"{key}.json").unlink()
+        truncated = TrialCache(dirs[0])
+        truncated.put(
+            trial.spec, synthetic_result(trial.spec, truncated_at=4_000_000)
+        )
+        truncated.put_sidecar(key, "flight", {"run": "truncated"})
+        TrialCache(dirs[1]).put_sidecar(key, "flight", {"run": "full"})
+        other = plan.trials[1].cache_key
+        TrialCache(dirs[1]).put_sidecar(other, "flight", {"run": "late"})
+
+        merge_shards(plan, dirs, tmp_path / "merged")
+        merged = TrialCache(tmp_path / "merged")
+        assert merged.get_sidecar(key, "flight") == {"run": "full"}
+        # An identical duplicate still contributes sidecars dest lacks.
+        assert merged.get_sidecar(other, "flight") == {"run": "late"}
+        assert TrialCache(dirs[0]).get_sidecar(key, "flight") == {
+            "run": "truncated"
+        }
