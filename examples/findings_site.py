@@ -14,7 +14,7 @@ from pathlib import Path
 
 import repro
 from repro.analysis.site import render_markdown_report
-from repro.core.parallel import ParallelRunner, all_pairs_trials
+from repro.core.runner import ProcessPoolBackend, all_pairs_trials
 
 SERVICES = ["youtube", "mega", "dropbox", "iperf_cubic", "iperf_reno"]
 
@@ -26,7 +26,7 @@ def main() -> None:
         SERVICES, network, config, trials_per_pair=2, base_seed=17
     )
     print(f"running {len(trials)} trials in parallel...")
-    store = ParallelRunner().run_into_store(trials)
+    store = ProcessPoolBackend().run_into_store(trials)
 
     page = render_markdown_report(
         store, SERVICES, [network.bandwidth_bps]

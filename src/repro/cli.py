@@ -150,8 +150,7 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend", choices=list(BACKEND_KINDS), default=None,
         help="execution substrate (default: process when --workers is "
-             "set, else inline; async interleaves trials in-process for "
-             "platforms without fork/process pools)",
+             "set, else inline)",
     )
     parser.add_argument(
         "--cache-dir", default=None,
@@ -421,6 +420,7 @@ def cmd_earlystop_fit(args) -> int:
     corpus = []
     window_usec = 0
     skipped_truncated = 0
+    skipped_no_window = 0
     for key in cache.sidecar_keys("flight"):
         payload = cache.payload_for(key)
         if payload is None:
@@ -431,34 +431,40 @@ def cmd_earlystop_fit(args) -> int:
         flight = cache.get_sidecar(key, "flight")
         if flight is None:
             continue
+        if (flight.get("queue") or {}).get("window_row") is None:
+            skipped_no_window += 1  # recorded before the window-open field
+            continue
         corpus.append((flight, payload["throughput_bps"]))
         window_usec = max(window_usec, int(payload["duration_usec"]))
     if not corpus:
         print(
-            f"no full-length flight-recorded trials in {args.cache_dir}; "
-            "warm a cache with a flight-recorded run first "
+            f"no full-length flight-recorded trials in {args.cache_dir} "
+            f"({skipped_truncated} truncated, {skipped_no_window} without a "
+            "recorded window-open skipped); warm a cache with a "
+            "flight-recorded run first "
             "(e.g. 'repro fleet run-shard ... --record-flight')",
             file=sys.stderr,
         )
         return 1
-    grid_usec = (
-        int(args.grid_ms * 1000) if args.grid_ms is not None else None
-    )
-    if grid_usec is None:
-        times = corpus[0][0].get("queue", {}).get("times_usec", [])
-        grid_usec = times[1] - times[0] if len(times) > 1 else 100_000
-    model = fit_model(
-        corpus,
-        grid_usec=grid_usec,
-        window_usec=window_usec,
-        target_share_error=args.target_share_error,
-        target_mispredict_rate=args.target_mispredict_rate,
-    )
+    try:
+        model = fit_model(
+            corpus,
+            # The recorded grid, never one inferred from sample spacing:
+            # the model is served on exactly the grid it names.
+            grid_usec=corpus[0][0]["grid_usec"],
+            window_usec=window_usec,
+            target_share_error=args.target_share_error,
+            target_mispredict_rate=args.target_mispredict_rate,
+        )
+    except ValueError as exc:  # the corpus mixes sampling grids
+        print(f"cannot fit from {args.cache_dir}: {exc}", file=sys.stderr)
+        return 1
     model.save(args.out)
     summary = {
         "model_id": model.model_id,
         "trained_on": model.trained_on,
         "skipped_truncated": skipped_truncated,
+        "skipped_no_window": skipped_no_window,
         "grid_usec": model.grid_usec,
         "min_horizon_usec": model.min_horizon_usec,
         "epsilon_share": model.epsilon_share,
@@ -470,7 +476,8 @@ def cmd_earlystop_fit(args) -> int:
         return 0
     print(
         f"fit model {model.model_id} from {model.trained_on} full-length "
-        f"trial(s) ({skipped_truncated} truncated skipped) -> {args.out}"
+        f"trial(s) ({skipped_truncated} truncated, {skipped_no_window} "
+        f"without a recorded window-open skipped) -> {args.out}"
     )
     print(
         f"  grid {model.grid_usec / 1000:.0f} ms, min horizon "
@@ -618,11 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--out", required=True, metavar="MODEL.json",
         help="where to write the versioned model artifact",
-    )
-    p.add_argument(
-        "--grid-ms", type=float, default=None,
-        help="checkpoint grid in milliseconds (default: the corpus's "
-             "flight sample spacing)",
     )
     p.add_argument(
         "--target-share-error", type=float, default=0.05,

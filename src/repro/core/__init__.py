@@ -36,7 +36,6 @@ from .sweep import (
 )
 from .cache import TrialCache, trial_cache_key
 from .runner import (
-    AsyncioBackend,
     CacheMissError,
     ExecutionBackend,
     InlineBackend,
@@ -48,7 +47,6 @@ from .runner import (
     run_trial,
 )
 from .experiment import derive_service_seed, run_service_specs
-from .parallel import ParallelRunner
 from .policy import (
     PolicyDecision,
     TrialPolicy,
@@ -88,12 +86,10 @@ __all__ = [
     "buffer_sweep",
     "render_sweep",
     "rtt_sweep",
-    "ParallelRunner",
     "TrialSpec",
     "all_pairs_trials",
     "TrialCache",
     "trial_cache_key",
-    "AsyncioBackend",
     "CacheMissError",
     "ExecutionBackend",
     "InlineBackend",

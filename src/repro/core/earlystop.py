@@ -2,24 +2,23 @@
 
 Adaptive rounds (PR 6) stop scheduling *trials* once a pair converges;
 this module stops a *running trial* the moment its fairness outcome is
-determined.  A :class:`EarlyStopMonitor` piggybacks on the flight
-recorder's grid gate (`repro.obs.flight`): the bottleneck link re-checks
-``now >= link._earlystop_next`` on existing send events only - zero new
-engine events, and the :data:`EARLYSTOP_NEVER` sentinel keeps the
-disabled hot path to a single integer compare, so runs without the
-feature are byte-identical to the seed.
+determined.  A :class:`EarlyStopMonitor` is a subscriber of the
+bottleneck link's probe (:class:`repro.netsim.trace.Probe`), exactly like
+the flight recorder: it runs on existing send events only - zero new
+engine events - and an unsubscribed link pays one integer compare, so
+runs without the feature are byte-identical to the seed.
 
 The stop decision is a *pure function* of (versioned model JSON, the
-prefix of grid samples): at each checkpoint inside the measurement
-window the monitor records windowed throughput shares, the share
-derivative, the drop (retransmit-proxy) delta and the standing-queue
-occupancy delta - the very same features the flight recorder samples -
-and stops once the model's threshold rule holds for ``consecutive``
-checkpoints after ``min_horizon_usec`` of evidence.  Pure means:
-replaying the same prefix against the same model always reproduces the
-same truncation point, so truncated results are content-addressable
-cache entries like any other, just annotated with ``horizon_sim_sec``
-and ``model_id``.
+prefix of grid samples): each checkpoint inside the measurement window
+is one :class:`~repro.obs.flight.QueueChannel` row - windowed delivered
+bytes, drops (the retransmit proxy) and standing-queue occupancy - and
+the trial stops once the model's threshold rule holds for
+``consecutive`` checkpoints after ``min_horizon_usec`` of evidence.  The
+monitor and :func:`fit_model` read those rows through the same
+``QueueChannel.window_rows``, live or from a flight sidecar, so replaying
+a recording against the same model reproduces the same truncation point
+and truncated results are content-addressable cache entries like any
+other, just annotated with ``horizon_sim_sec`` and ``model_id``.
 
 Truncation semantics: the measurement window simply closes early, so
 every windowed metric (throughput, loss rate, queueing delay) becomes a
@@ -41,8 +40,10 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..atomicio import atomic_write
+from ..obs.flight import QueueChannel, Row
+
 __all__ = [
-    "EARLYSTOP_NEVER",
     "EARLYSTOP_SCHEMA_VERSION",
     "EarlyStopConfig",
     "EarlyStopModel",
@@ -54,18 +55,13 @@ __all__ = [
     "stop_index",
 ]
 
-#: Same "effectively never" sentinel the flight recorder uses: far enough
-#: in the future that ``now >= EARLYSTOP_NEVER`` is false for any
-#: representable sim clock, so the disabled gate costs one compare.
-EARLYSTOP_NEVER = 1 << 62
-
 EARLYSTOP_SCHEMA_VERSION = 1
 
 
 class EarlyStopped(Exception):
     """Control-flow signal: the stop rule fired at ``stop_usec``.
 
-    Raised from the link-side checkpoint, it unwinds through
+    Raised from the monitor's probe checkpoint, it unwinds through
     ``engine.run`` (both engines reset their running flag in a
     ``finally``) and is caught by ``Testbed.run_window``, which closes
     the measurement window at the truncation point.
@@ -160,10 +156,8 @@ class EarlyStopModel:
 
     def save(self, path: Path) -> None:
         """Write the artifact JSON (sorted keys, trailing newline)."""
-        path = Path(path)
-        path.write_text(
-            json.dumps(self.to_json(), indent=1, sort_keys=True) + "\n",
-            encoding="utf-8",
+        atomic_write(
+            path, json.dumps(self.to_json(), indent=1, sort_keys=True) + "\n"
         )
 
     @classmethod
@@ -213,12 +207,6 @@ def audit_decision(cache_key: str, audit_fraction: float) -> bool:
 # ----------------------------------------------------------------------
 # The pure stop rule
 # ----------------------------------------------------------------------
-
-#: One checkpoint row: (time_usec, {service: delivered_bytes},
-#: total_drops, queue_occupancy_fraction).  ``delivered_bytes`` is
-#: cumulative since the measurement window opened, exactly the counter
-#: the flight recorder's queue channel samples.
-Row = Tuple[int, Dict[str, int], int, float]
 
 
 def _shares(delivered: Dict[str, int]) -> Optional[Dict[str, float]]:
@@ -276,72 +264,52 @@ def stop_index(
 
 
 class EarlyStopMonitor:
-    """One trial's checkpoint state machine; attach like a FlightRecorder.
+    """One trial's stop rule, live; attach like a FlightRecorder.
 
-    ``attach`` arms the bottleneck link's gate; ``window_opened`` starts
-    recording (pre-window samples carry warmup transients and are never
-    part of the decision prefix).  In normal mode the rule firing raises
-    :class:`EarlyStopped`; in audit mode the trial runs full-length and
-    only the *would-stop* point plus predicted shares are recorded, so
-    the final result can grade the prediction.
+    ``attach`` subscribes to the link's probe on the model's grid.  Each
+    checkpoint inside the measurement window (pre-window samples carry
+    warmup transients and are never part of the decision prefix) adds a
+    row to the monitor's :class:`~repro.obs.flight.QueueChannel` and
+    evaluates :func:`stop_index` over the rule's look-back.  In normal
+    mode the rule firing raises :class:`EarlyStopped`; in audit mode the
+    trial runs full-length and only the *would-stop* point plus predicted
+    shares are recorded, so the final result can grade the prediction.
     """
 
     def __init__(self, model: EarlyStopModel, audit: bool = False) -> None:
         self.model = model
         self.audit = audit
-        self.rows: List[Row] = []
+        self.channel: Optional[QueueChannel] = None
         self.triggered = False
         self.would_stop_usec: Optional[int] = None
         self.predicted_shares: Optional[Dict[str, float]] = None
-        self._window_open_usec: Optional[int] = None
-        self._settled_run = 0
 
     def attach(self, link: Any) -> None:
-        """Arm the link's grid gate (zero engine events scheduled)."""
-        link.earlystop = self
-        link._earlystop_next = 0
+        """Subscribe to the link's probe (zero engine events scheduled)."""
+        self.channel = QueueChannel(link.queue.capacity_packets)
+        link.subscribe(self.model.grid_usec, self.checkpoint)
 
-    def window_opened(self, now: int) -> None:
-        """The measurement window opened: start the decision prefix."""
-        self._window_open_usec = now
-
-    def checkpoint(self, now: int, link: Any) -> int:
-        """Record one grid sample; fire the rule if it holds.  Returns
-        the next grid threshold (or the never-sentinel once resolved)."""
-        grid = self.model.grid_usec
-        nxt = (now // grid + 1) * grid
-        opened = self._window_open_usec
-        if opened is None:
-            return nxt
-        queue = link.queue
-        row: Row = (
-            now,
-            dict(link.delivered_bytes),
-            sum(queue.drops.values()),
-            len(queue._queue) / queue.capacity_packets,
-        )
-        rows = self.rows
-        rows.append(row)
-        if len(rows) < 2:
-            return nxt
-        if _row_settled(self.model, rows[-2], row):
-            self._settled_run += 1
-        else:
-            self._settled_run = 0
+    def checkpoint(self, now: int, link: Any) -> None:
+        """Probe subscriber: record one window row; fire the rule if it
+        holds.  A no-op before the window opens and once resolved."""
         if (
-            self._settled_run >= self.model.consecutive
-            and now - opened >= self.model.min_horizon_usec
+            link.probe.window_open_usec is None
+            or self.would_stop_usec is not None
         ):
-            self.would_stop_usec = now
-            self.predicted_shares = _shares(row[1])
-            if self.audit:
-                # Keep simulating full-length; the prediction is graded
-                # against the final result.  Disarm the gate - the
-                # decision prefix is complete.
-                return EARLYSTOP_NEVER
+            return
+        self.channel.sample(now, link)
+        # ``consecutive`` settled steps span ``consecutive + 1`` rows, so
+        # over that look-back the rule can only fire at the newest row.
+        opened, rows = self.channel.window_rows(
+            last=self.model.consecutive + 1
+        )
+        if stop_index(self.model, opened, rows) is None:
+            return
+        self.would_stop_usec = now
+        self.predicted_shares = _shares(rows[-1][1])
+        if not self.audit:
             self.triggered = True
             raise EarlyStopped(now)
-        return nxt
 
     def result_metadata(
         self,
@@ -364,10 +332,9 @@ class EarlyStopMonitor:
                 "sim_sec_saved": round(
                     (planned_window_usec - window_usec) / 1e6, 6
                 ),
-                "checkpoints": len(self.rows),
+                "checkpoints": len(self.channel),
             }
         if self.audit and self.would_stop_usec is not None:
-            opened = self._window_open_usec or 0
             total = sum(throughput_bps.values())
             final = (
                 {sid: bps / total for sid, bps in throughput_bps.items()}
@@ -385,7 +352,9 @@ class EarlyStopMonitor:
                 "truncated": False,
                 "audit": True,
                 "would_stop_sim_sec": round(
-                    (self.would_stop_usec - opened) / 1e6, 6
+                    (self.would_stop_usec - self.channel.window_open_usec)
+                    / 1e6,
+                    6,
                 ),
                 "planned_sim_sec": round(planned_window_usec / 1e6, 6),
                 "share_error": round(error, 6),
@@ -428,48 +397,6 @@ def fold_earlystop(totals: Dict[str, Any], meta: Optional[Dict]) -> None:
 # ----------------------------------------------------------------------
 
 
-def _window_rows_from_flight(payload: Dict) -> Optional[Tuple[int, List[Row]]]:
-    """Measurement-window checkpoint rows from one flight sidecar.
-
-    The queue channel's ``delivered_bytes`` columns are cumulative since
-    the last counter reset, and the only reset is the window opening -
-    so the window boundary is the last sample where the total delivered
-    count decreases, and everything from there on is window-scoped.
-    """
-    queue = payload.get("queue")
-    if not queue or not queue.get("times_usec"):
-        return None
-    times = queue["times_usec"]
-    delivered = queue["delivered_bytes"]
-    drops = queue["drops"]
-    occupancy = queue["occupancy"]
-    capacity = max(1, queue.get("capacity_packets", 1))
-    n = len(times)
-    totals = [
-        sum(delivered[sid][i] for sid in delivered) for i in range(n)
-    ]
-    start = 0
-    for i in range(1, n):
-        if totals[i] < totals[i - 1]:
-            start = i
-    if start == 0:
-        # No reset observed: the recording never spanned the warmup
-        # boundary, so the window cannot be located.
-        return None
-    rows: List[Row] = []
-    drop_base = {sid: drops[sid][start] for sid in drops}
-    for i in range(start, n):
-        rows.append(
-            (
-                times[i],
-                {sid: delivered[sid][i] for sid in delivered},
-                sum(drops[sid][i] - drop_base[sid] for sid in drops),
-                occupancy[i] / capacity,
-            )
-        )
-    return times[start], rows
-
-
 def fit_model(
     corpus: List[Tuple[Dict, Dict[str, float]]],
     grid_usec: int,
@@ -485,10 +412,24 @@ def fit_model(
     the rule saving the most simulated time whose fraction of
     mispredicted trials (share error above ``target_share_error``) stays
     within ``target_mispredict_rate``.  Stdlib-only by design.
+
+    Every recording must have been sampled on ``grid_usec`` (a model is
+    served on its own grid, so training on another one is skew) -
+    ``ValueError`` otherwise.  Recordings without a recorded window-open
+    instant (sidecars older than the field) are skipped, not guessed at.
     """
     trials: List[Tuple[int, List[Row], Dict[str, float]]] = []
     for payload, throughput_bps in corpus:
-        extracted = _window_rows_from_flight(payload)
+        if payload["grid_usec"] != grid_usec:
+            raise ValueError(
+                f"corpus mixes sampling grids: a recording sampled every "
+                f"{payload['grid_usec']} usec cannot train a {grid_usec} "
+                "usec stop rule"
+            )
+        queue = payload.get("queue")
+        if not queue:
+            continue
+        extracted = QueueChannel.from_json(queue).window_rows()
         if extracted is None:
             continue
         opened, rows = extracted

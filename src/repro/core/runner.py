@@ -25,7 +25,6 @@ module-level factory path (``catalog_factory="pkg.module:func"``).
 
 from __future__ import annotations
 
-import asyncio
 import importlib
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -570,62 +569,8 @@ class ProcessPoolBackend(ExecutionBackend):
         return [ExperimentResult.from_json(entry) for entry in raw]
 
 
-class AsyncioBackend(ExecutionBackend):
-    """Async in-process execution over one asyncio event loop.
-
-    For platforms where ``fork``/process pools are unavailable (restricted
-    sandboxes, embedded interpreters, Windows spawn limitations): trials
-    are interleaved as coroutines bounded by ``max_concurrency``, each
-    simulated in a worker thread via :func:`asyncio.to_thread`.  No
-    subprocesses, no pickling - so, like :class:`InlineBackend`, it
-    supports custom catalogs and client environments.  Results are
-    bit-identical to every other backend (each trial is an isolated,
-    seeded simulation); only the interleaving changes.
-    """
-
-    DEFAULT_CONCURRENCY = 8
-
-    def __init__(
-        self,
-        max_concurrency: Optional[int] = None,
-        catalog: Optional[ServiceCatalog] = None,
-        env: Optional[ClientEnvironment] = None,
-        cache: Optional[TrialCache] = None,
-        earlystop: Optional[EarlyStopConfig] = None,
-    ) -> None:
-        super().__init__(cache=cache, earlystop=earlystop)
-        self.max_concurrency = max_concurrency or self.DEFAULT_CONCURRENCY
-        self.catalog = catalog
-        self.env = env
-
-    def _execute(self, trials: Sequence[TrialSpec]) -> List[ExperimentResult]:
-        """Run every trial on a private event loop, preserving order."""
-        return asyncio.run(self._gather(list(trials)))
-
-    async def _gather(
-        self, trials: List[TrialSpec]
-    ) -> List[ExperimentResult]:
-        semaphore = asyncio.Semaphore(self.max_concurrency)
-
-        async def one(spec: TrialSpec) -> ExperimentResult:
-            async with semaphore:
-                return await asyncio.to_thread(
-                    run_trial,
-                    spec,
-                    catalog=self.catalog,
-                    env=self.env,
-                    earlystop=self.earlystop,
-                )
-
-        return list(await asyncio.gather(*(one(spec) for spec in trials)))
-
-    def _cache_env(self) -> Optional[ClientEnvironment]:
-        """Cache keys include this backend's client environment."""
-        return self.env
-
-
 #: CLI / fleet-manifest names for the execution substrates.
-BACKEND_KINDS = ("inline", "process", "async")
+BACKEND_KINDS = ("inline", "process")
 
 
 def build_backend(
@@ -640,9 +585,9 @@ def build_backend(
 
     ``kind=None`` keeps the historic behaviour: ``workers`` selects the
     process pool, otherwise execution is inline.  Explicit kinds pick the
-    substrate directly, with ``workers`` bounding pool size / async
-    concurrency.  The process pool rebuilds the default catalog by name,
-    so ``catalog``/``env`` apply only to the in-process substrates.
+    substrate directly, with ``workers`` bounding the pool size.  The
+    process pool rebuilds the default catalog by name, so
+    ``catalog``/``env`` apply only to the inline substrate.
     ``earlystop`` arms every substrate's trials with the stop-rule
     monitor (the pool ships the model JSON to its workers).
     """
@@ -651,14 +596,6 @@ def build_backend(
     if kind == "process":
         return ProcessPoolBackend(
             max_workers=workers, cache=cache, earlystop=earlystop
-        )
-    if kind == "async":
-        return AsyncioBackend(
-            max_concurrency=workers,
-            catalog=catalog,
-            env=env,
-            cache=cache,
-            earlystop=earlystop,
         )
     if kind == "inline":
         return InlineBackend(

@@ -35,11 +35,10 @@ class Testbed:
         self.bell = Dumbbell(
             network, seed=seed, trace_packets=trace_packets, engine=engine
         )
+        # Subscription order on the link's probe is sampling order
+        # within one firing: queue log (Dumbbell), flight, stop rule.
         if flight is not None:
-            # Arm the recorder before any service attaches, so every
-            # connection created from here on registers its channel.
             flight.attach(self.bell.link)
-        self.earlystop = earlystop
         if earlystop is not None:
             earlystop.attach(self.bell.link)
         self.services: List[Service] = []
@@ -89,8 +88,6 @@ class Testbed:
         """Begin the measurement window: reset all windowed counters."""
         self._window_start_usec = self.bell.engine.now
         self.bell.link.reset_stats()
-        if self.earlystop is not None:
-            self.earlystop.window_opened(self._window_start_usec)
         for service in self.services:
             service.on_measure_start()
 

@@ -46,6 +46,7 @@ import json
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
+from ..atomicio import atomic_write
 from ..config import (
     ExperimentConfig,
     NetworkConfig,
@@ -453,7 +454,7 @@ class AdaptiveCycleState:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         path = out / STATE_FILENAME
-        path.write_text(json.dumps(self.to_json(), indent=1))
+        atomic_write(path, json.dumps(self.to_json(), indent=1))
         return path
 
     @classmethod
@@ -719,7 +720,7 @@ def run_adaptive_cycle(
     registry.counter("planner.trials_saved").inc(state.trials_saved())
     state.save(out)
     assembly = state.assembly_plan(num_shards)
-    (out / ASSEMBLY_PLAN_FILENAME).write_text(
-        json.dumps(assembly.to_json(), indent=1)
+    atomic_write(
+        out / ASSEMBLY_PLAN_FILENAME, json.dumps(assembly.to_json(), indent=1)
     )
     return state

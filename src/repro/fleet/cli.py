@@ -431,7 +431,7 @@ def register(sub: argparse._SubParsersAction) -> None:
                    help="execution substrate (default: process when "
                         "--workers is set, else inline)")
     p.add_argument("--workers", type=int, default=None,
-                   help="pool size / async concurrency")
+                   help="process-pool size")
     p.add_argument("--cache-max-bytes", type=int, default=None,
                    help="LRU-evict the shard cache above this many bytes")
     p.add_argument("--record-flight", action="store_true",
@@ -517,7 +517,7 @@ def register(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--backend", choices=list(BACKEND_KINDS), default=None,
                    help="execution substrate for shard workers")
     p.add_argument("--workers", type=int, default=None,
-                   help="pool size / async concurrency per shard")
+                   help="process-pool size per shard")
     p.add_argument("--max-retries", type=int, default=2,
                    help="receipt-recovery re-dispatches per shard per "
                         "round (default: 2)")

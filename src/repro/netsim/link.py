@@ -17,14 +17,13 @@ rate conversions per packet.  Events carry the packet as the engine's
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from .. import units
-from ..obs.flight import FLIGHT_NEVER
 from .engine import Engine
 from .packet import Packet
 from .queue import DropTailQueue
-from .trace import PacketTrace
+from .trace import PacketTrace, Probe
 
 
 class BottleneckLink:
@@ -36,6 +35,8 @@ class BottleneckLink:
         queue: the attached :class:`DropTailQueue`.
         delivered_bytes: per-service delivered-byte counters (wire bytes,
             including retransmissions) since the last ``reset_stats``.
+        probe: the :class:`~repro.netsim.trace.Probe` every sim-clock
+            observer of this link subscribes to.
     """
 
     __slots__ = (
@@ -46,13 +47,11 @@ class BottleneckLink:
         "trace",
         "delivered_bytes",
         "busy_usec",
-        "flight",
-        "earlystop",
+        "probe",
         "_busy",
         "_last_busy_start",
         "_ser_usec",
-        "_flight_next",
-        "_earlystop_next",
+        "_probe_next",
     )
 
     def __init__(
@@ -74,20 +73,21 @@ class BottleneckLink:
         self.busy_usec = 0
         self._busy = False
         self._last_busy_start = 0
-        # Flight-recorder gate (see repro.obs.flight): armed by
-        # FlightRecorder.attach; the sentinel keeps the disabled send
-        # path to one integer compare.
-        self.flight = None
-        self._flight_next = FLIGHT_NEVER
-        # Early-stop gate (see repro.core.earlystop): same shape as the
-        # flight gate - armed by EarlyStopMonitor.attach, one integer
-        # compare when disabled, zero events either way.
-        self.earlystop = None
-        self._earlystop_next = FLIGHT_NEVER
+        # The probe's next deadline: ``send`` pays one integer compare
+        # against it per packet, whatever is (or is not) subscribed.
+        self.probe = Probe()
+        self._probe_next = Probe.IDLE
         # size_bytes -> serialisation time in usec.  One or two packet
         # sizes dominate any trial, so this is effectively a constant fold
         # of ``units.serialization_time_usec`` for the drain loop.
         self._ser_usec: Dict[int, int] = {}
+
+    def subscribe(
+        self, period_usec: int, fn: Callable[[int, "BottleneckLink"], None]
+    ) -> None:
+        """Run ``fn(now, link)`` at the first send at or after each
+        ``period_usec`` boundary (see :class:`~repro.netsim.trace.Probe`)."""
+        self._probe_next = self.probe.subscribe(period_usec, fn)
 
     def serialization_usec(self, size_bytes: int) -> int:
         """Cached integer serialisation time for a packet of this size."""
@@ -103,13 +103,8 @@ class BottleneckLink:
         now = self.engine.now
         queue = self.queue
         accepted = queue.offer(packet, now)
-        log = queue.log
-        if log is not None:
-            log.maybe_sample(now, len(queue))
-        if now >= self._flight_next:
-            self._flight_next = self.flight.sample_queue(now, self)
-        if now >= self._earlystop_next:
-            self._earlystop_next = self.earlystop.checkpoint(now, self)
+        if now >= self._probe_next:
+            self._probe_next = self.probe.fire(now, self)
         if not accepted:
             packet.flow.on_packet_dropped(packet)
             return
@@ -175,8 +170,10 @@ class BottleneckLink:
 
     def reset_stats(self) -> None:
         """Clear delivery counters (when the measurement window opens)."""
+        now = self.engine.now
         self.delivered_bytes.clear()
         self.queue.reset_stats()
         self.busy_usec = 0
         if self._busy:
-            self._last_busy_start = self.engine.now
+            self._last_busy_start = now
+        self.probe.window_open_usec = now

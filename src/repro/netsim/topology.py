@@ -162,6 +162,7 @@ class Dumbbell:
             post_delay_usec=self.POST_DELAY_USEC,
             trace=self.trace,
         )
+        self.link.subscribe(queue_log_period_usec, self.queue_log.sample)
         self._seed = seed
         self._paths: Dict[str, Path] = {}
 

@@ -1,27 +1,87 @@
-"""Experiment artifacts: queue logs and per-packet traces.
+"""Experiment artifacts and the sim-clock probe that samples them.
 
 The Prudentia website publishes "bottleneck queue logs and client PCAPs for
-every experiment"; these classes are the in-simulator equivalents.  Both
-store their records **columnar** - parallel ``array('q')`` buffers plus an
-interned service-id table - so the per-packet hot path appends machine
-integers instead of allocating a Python tuple per record.  Rows are only
-materialised when something asks for them (``to_json()``, the ``records``
-property, the series helpers), which is once per trial rather than once
-per packet.
+every experiment"; :class:`QueueLog` and :class:`PacketTrace` are the
+in-simulator equivalents.  Both store their records **columnar** - parallel
+``array('q')`` buffers plus an interned service-id table - so the per-packet
+hot path appends machine integers instead of allocating a Python tuple per
+record.  Rows are only materialised when something asks for them
+(``to_json()``, the ``records`` property, the series helpers), which is
+once per trial rather than once per packet.
+
+:class:`Probe` is the single answer to "when is the simulator observed":
+the queue log, the flight recorder and the early-stop rule are all
+subscribers of the bottleneck link's probe, and nothing else samples on
+the sim clock.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
+
+
+class Probe:
+    """Periodic observation of one bottleneck link, with zero engine events.
+
+    Subscribers are ``fn(now, link)`` callables with a period each.  The
+    link holds one deadline integer and calls :meth:`fire` from ``send``
+    once the clock reaches it, so a subscriber runs at the first send at
+    or after each boundary of *its own* period grid (``0, P, 2P, ...``).
+    Re-arming on the grid rather than at ``now + P`` is what keeps a
+    sampler from drifting forward by one inter-arrival gap per sample
+    under bursty arrivals.  Subscribers run in subscription order and only
+    read, so heap sequence numbers, tie-breaks and RNG draws - and with
+    them every simulation output - are the same whoever is subscribed.
+
+    Attributes:
+        connections: every flow created on a path through this link, in
+            creation order (flows register themselves; subscribers that
+            sample per-flow state iterate this).
+        window_open_usec: when the measurement window opened
+            (``BottleneckLink.reset_stats``), ``None`` before that.
+    """
+
+    __slots__ = ("connections", "window_open_usec", "_subscribers")
+
+    #: Deadline of a probe with nothing subscribed: later than any
+    #: representable sim time, so the link's gate stays one false compare.
+    IDLE = 1 << 62
+
+    def __init__(self) -> None:
+        self.connections: List[Any] = []
+        self.window_open_usec: Optional[int] = None
+        # [due_usec, period_usec, fn] per subscriber, in subscription order.
+        self._subscribers: List[list] = []
+
+    def subscribe(self, period_usec: int, fn: Callable[[int, Any], None]) -> int:
+        """Add a subscriber, due at once; returns the new deadline, like
+        :meth:`fire` (``BottleneckLink.subscribe`` stores it)."""
+        if period_usec < 1:
+            raise ValueError("probe period must be positive")
+        self._subscribers.append([0, period_usec, fn])
+        return 0
+
+    def fire(self, now: int, link: Any) -> int:
+        """Run every due subscriber; return the next deadline."""
+        deadline = self.IDLE
+        for sub in self._subscribers:
+            if now >= sub[0]:
+                period = sub[1]
+                sub[0] = (now // period + 1) * period
+                sub[2](now, link)
+            if sub[0] < deadline:
+                deadline = sub[0]
+        return deadline
 
 
 class QueueLog:
     """Sampled bottleneck-queue occupancy plus drop events.
 
-    Occupancy is sampled on a fixed period (default 10 ms) by the link's
-    serialiser loop; this keeps the log size bounded regardless of packet
-    rate while still resolving the burst/drain dynamics shown in Fig 8.
+    Occupancy is sampled on a fixed period (default 10 ms) as a
+    :class:`Probe` subscriber; this keeps the log size bounded regardless
+    of packet rate while still resolving the burst/drain dynamics shown in
+    Fig 8.
     """
 
     __slots__ = (
@@ -29,7 +89,6 @@ class QueueLog:
         "drop_events",
         "_sample_times",
         "_sample_occs",
-        "_next_sample_usec",
     )
 
     def __init__(self, sample_period_usec: int = 10_000) -> None:
@@ -39,27 +98,16 @@ class QueueLog:
         self._sample_times = array("q")
         self._sample_occs = array("q")
         self.drop_events: List[Tuple[int, str]] = []
-        self._next_sample_usec = 0
 
     @property
     def samples(self) -> List[Tuple[int, int]]:
         """Materialised ``(time_usec, occupancy)`` rows, oldest first."""
         return list(zip(self._sample_times, self._sample_occs))
 
-    def maybe_sample(self, now: int, occupancy: int) -> None:
-        """Record occupancy if the sampling period has elapsed.
-
-        The next sample time is aligned to the fixed period grid
-        (``0, P, 2P, ...``) rather than ``now + P``: anchoring on ``now``
-        let the grid slide forward by one inter-arrival gap per sample
-        under bursty arrivals, so a nominal 10 ms log drifted measurably
-        over a long trial.
-        """
-        if now >= self._next_sample_usec:
-            self._sample_times.append(now)
-            self._sample_occs.append(occupancy)
-            period = self.sample_period_usec
-            self._next_sample_usec = (now // period + 1) * period
+    def sample(self, now: int, link: Any) -> None:
+        """Probe subscriber: record the queue's current occupancy."""
+        self._sample_times.append(now)
+        self._sample_occs.append(len(link.queue))
 
     def record_drop(self, now: int, service_id: str) -> None:
         """Log one tail-drop event."""

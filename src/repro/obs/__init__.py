@@ -23,7 +23,6 @@ of it cannot perturb simulation output (`tests/test_obs.py` and
 
 from .flight import (  # noqa: F401
     DIAGNOSIS_SCHEMA_VERSION,
-    FLIGHT_NEVER,
     FLIGHT_SCHEMA_VERSION,
     FlightRecorder,
     diagnose,

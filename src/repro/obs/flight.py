@@ -10,27 +10,26 @@ in PROBE_BW holding 70% of the queue") instead of just scored.
 
 Zero-new-events invariant
 -------------------------
-The recorder schedules nothing and mutates nothing.  Sampling is
-grid-gated at two existing boundaries - the end of per-ACK processing in
-``Connection._handle_ack`` and ``BottleneckLink.send`` (the same spot
-``QueueLog.maybe_sample`` already uses) - with the idiom::
+The recorder schedules nothing and mutates nothing.  It is one subscriber
+of the bottleneck link's :class:`~repro.netsim.trace.Probe`
+(``link.subscribe(grid_usec, recorder.sample)``): at the first send at or
+after each grid boundary it samples the queue channel and, in the same
+firing, every flow registered on the probe that was ACKed since its last
+row.  ``sample`` performs pure attribute reads, so heap sequence numbers,
+tie-breaks and RNG draws are untouched and recorded simulations are
+bit-identical to unrecorded ones (``tests/test_golden_identity.py`` runs
+with the recorder enabled).
 
-    if now >= self._flight_next:
-        self._flight_next = self._flight.sample(now, self)
-
-``sample`` performs pure attribute reads and returns the next grid
-boundary (``(now // grid + 1) * grid``, anchored to the grid so sampling
-never drifts).  When no recorder is attached ``_flight_next`` holds the
-:data:`FLIGHT_NEVER` sentinel and the hot path pays exactly one integer
-compare.  Heap sequence numbers, tie-breaks and RNG draws are untouched,
-so recorded simulations are bit-identical to unrecorded ones
-(``tests/test_golden_identity.py`` runs with the recorder enabled).
+:class:`QueueChannel` is the one link-side row store: ``sample`` is the
+only code that reads delivered bytes, drops and occupancy off a link, and
+``window_rows`` is the only way the early-stop rule sees them - the live
+monitor and offline ``fit_model`` both call it, so a model is served on
+exactly the features it was trained on.
 
 Storage is columnar (``array``-backed, like
 :class:`~repro.netsim.trace.PacketTrace`) with interned phase strings.
-This module deliberately imports nothing from ``transport``/``netsim`` -
-channels read duck-typed attributes - so those packages can import the
-sentinel without a cycle.
+This module imports nothing from ``transport``/``netsim`` - channels read
+duck-typed attributes - and those packages import nothing from here.
 """
 
 from __future__ import annotations
@@ -44,18 +43,17 @@ FLIGHT_SCHEMA_VERSION = 1
 #: Version stamp for diagnosis summaries derived from recordings.
 DIAGNOSIS_SCHEMA_VERSION = 1
 
-#: Sentinel "next sample time" when no recorder is attached: far enough
-#: in the future that ``now >= FLIGHT_NEVER`` is false for any
-#: representable simulation time, so the disabled hot path is a single
-#: integer compare.
-FLIGHT_NEVER = 1 << 62
-
 #: Default sampling grid: 100 ms of simulated time.  Coarse enough that
 #: a 60 s trial stays around 600 points per connection, fine enough to
 #: see state-machine phases and queue standing waves.
 DEFAULT_GRID_USEC = 100_000
 
 _USEC_PER_SEC = 1_000_000
+
+#: One stop-rule checkpoint: (time_usec, {service: delivered_bytes},
+#: total_drops, queue_occupancy_fraction), counters cumulative since the
+#: measurement window opened.
+Row = Tuple[int, Dict[str, int], int, float]
 
 
 class ConnChannel:
@@ -65,7 +63,7 @@ class ConnChannel:
         "service_id",
         "flow_id",
         "cca_name",
-        "_grid",
+        "acked",
         "times_usec",
         "cwnd_packets",
         "pacing_rate_bps",
@@ -81,12 +79,14 @@ class ConnChannel:
         "_code_of",
     )
 
-    def __init__(self, grid_usec: int, service_id: str, flow_id: str,
-                 cca_name: str) -> None:
+    def __init__(self, service_id: str, flow_id: str, cca_name: str) -> None:
         self.service_id = service_id
         self.flow_id = flow_id
         self.cca_name = cca_name
-        self._grid = grid_usec
+        #: The flow's ``packets_acked`` at its last row: a flow gets a row
+        #: only for grid cells in which it was ACKed, so idle and finished
+        #: flows stop growing the recording.
+        self.acked = 0
         self.times_usec = array("q")
         self.cwnd_packets = array("d")
         self.pacing_rate_bps = array("d")   # -1.0 encodes "unpaced"
@@ -104,9 +104,10 @@ class ConnChannel:
     def __len__(self) -> int:
         return len(self.times_usec)
 
-    def sample(self, now: int, conn: Any) -> int:
-        """Record one grid point from pure reads; return the next grid time."""
+    def sample(self, now: int, conn: Any) -> None:
+        """Record one grid point from pure reads."""
         self.times_usec.append(now)
+        self.acked = conn.packets_acked
         cca = conn.cca
         self.cwnd_packets.append(cca.cwnd_packets)
         pacing = cca.pacing_rate_bps
@@ -127,8 +128,6 @@ class ConnChannel:
         self.phase_codes.append(code)
         self.aux1.append(aux1)
         self.aux2.append(aux2)
-        grid = self._grid
-        return (now // grid + 1) * grid
 
     def to_json(self) -> Dict:
         """Columnar arrays as plain JSON lists (one key per column)."""
@@ -150,9 +149,8 @@ class ConnChannel:
         }
 
     @classmethod
-    def from_json(cls, flow_id: str, payload: Dict,
-                  grid_usec: int) -> "ConnChannel":
-        ch = cls(grid_usec, payload["service_id"], flow_id, payload["cca"])
+    def from_json(cls, flow_id: str, payload: Dict) -> "ConnChannel":
+        ch = cls(payload["service_id"], flow_id, payload["cca"])
         ch.times_usec.extend(payload["times_usec"])
         ch.cwnd_packets.extend(payload["cwnd_packets"])
         ch.pacing_rate_bps.extend(payload["pacing_rate_bps"])
@@ -175,11 +173,19 @@ class QueueChannel:
     Per-service series (queued packets, cumulative drops, delivered
     bytes) are parallel arrays zero-backfilled when a service first
     appears, so every column stays aligned with ``times_usec``.
+
+    The link's counters restart when the measurement window opens; the
+    channel notes that instant (``window_open_usec``, as the probe
+    recorded it) and the index of the first row sampled after it
+    (``window_row``), so window-scoped readers never have to guess the
+    boundary from the data.  Both stay ``None`` in a recording that never
+    saw the window open (and in sidecars older than the fields).
     """
 
     __slots__ = (
         "capacity_packets",
-        "_grid",
+        "window_open_usec",
+        "window_row",
         "times_usec",
         "occupancy",
         "queued_packets",
@@ -187,9 +193,10 @@ class QueueChannel:
         "delivered_bytes",
     )
 
-    def __init__(self, grid_usec: int, capacity_packets: int) -> None:
+    def __init__(self, capacity_packets: int) -> None:
         self.capacity_packets = capacity_packets
-        self._grid = grid_usec
+        self.window_open_usec: Optional[int] = None
+        self.window_row: Optional[int] = None
         self.times_usec = array("q")
         self.occupancy = array("q")
         self.queued_packets: Dict[str, array] = {}
@@ -212,9 +219,13 @@ class QueueChannel:
                 if len(col) <= row:
                     col.append(0)
 
-    def sample(self, now: int, link: Any) -> int:
-        """Record one grid point from pure reads; return the next grid time."""
+    def sample(self, now: int, link: Any) -> None:
+        """Record one grid point from pure reads."""
         row = len(self.times_usec)
+        opened = link.probe.window_open_usec
+        if opened != self.window_open_usec:
+            self.window_open_usec = opened
+            self.window_row = row
         self.times_usec.append(now)
         queue = link.queue
         self.occupancy.append(len(queue._queue))
@@ -225,12 +236,39 @@ class QueueChannel:
         self._append_row(self.queued_packets, counts, row)
         self._append_row(self.drops, dict(queue.drops), row)
         self._append_row(self.delivered_bytes, dict(link.delivered_bytes), row)
-        grid = self._grid
-        return (now // grid + 1) * grid
+
+    def window_rows(
+        self, last: Optional[int] = None
+    ) -> Optional[Tuple[int, List[Row]]]:
+        """``(window_open_usec, rows sampled since)`` for the stop rule.
+
+        ``last`` keeps only that many trailing rows (the live monitor
+        needs just the rule's look-back, not the whole window).  ``None``
+        when the channel never saw the window open.
+        """
+        if self.window_row is None:
+            return None
+        n = len(self.times_usec)
+        start = self.window_row
+        if last is not None:
+            start = max(start, n - last)
+        delivered = self.delivered_bytes
+        drops = self.drops.values()
+        capacity = self.capacity_packets
+        rows: List[Row] = [
+            (
+                self.times_usec[i],
+                {sid: col[i] for sid, col in delivered.items()},
+                sum(col[i] for col in drops),
+                self.occupancy[i] / capacity,
+            )
+            for i in range(start, n)
+        ]
+        return self.window_open_usec, rows
 
     def to_json(self) -> Dict:
         """Columnar arrays as plain JSON (per-service columns sorted)."""
-        return {
+        payload = {
             "capacity_packets": self.capacity_packets,
             "times_usec": list(self.times_usec),
             "occupancy": list(self.occupancy),
@@ -243,10 +281,16 @@ class QueueChannel:
                 for sid, col in sorted(self.delivered_bytes.items())
             },
         }
+        if self.window_row is not None:
+            payload["window_open_usec"] = self.window_open_usec
+            payload["window_row"] = self.window_row
+        return payload
 
     @classmethod
-    def from_json(cls, payload: Dict, grid_usec: int) -> "QueueChannel":
-        ch = cls(grid_usec, payload["capacity_packets"])
+    def from_json(cls, payload: Dict) -> "QueueChannel":
+        ch = cls(payload["capacity_packets"])
+        ch.window_open_usec = payload.get("window_open_usec")
+        ch.window_row = payload.get("window_row")
         ch.times_usec.extend(payload["times_usec"])
         ch.occupancy.extend(payload["occupancy"])
         for name in ("queued_packets", "drops", "delivered_bytes"):
@@ -257,12 +301,11 @@ class QueueChannel:
 
 
 class FlightRecorder:
-    """Grid-sampled telemetry for one trial; attach before services build.
+    """Grid-sampled telemetry for one trial.
 
     Usage: construct, pass to ``run_trial_artifacts(..., flight=rec)``;
-    the testbed arms the bottleneck link and every subsequently created
-    connection arms itself.  After the run, ``to_json()`` is the
-    versioned sidecar payload.
+    the testbed subscribes it to the bottleneck link's probe.  After the
+    run, ``to_json()`` is the versioned sidecar payload.
     """
 
     def __init__(self, grid_usec: int = DEFAULT_GRID_USEC,
@@ -275,22 +318,22 @@ class FlightRecorder:
         self.queue: Optional[QueueChannel] = None
 
     def attach(self, link: Any) -> None:
-        """Arm the bottleneck link's grid gate (zero events scheduled)."""
-        self.queue = QueueChannel(self.grid_usec, link.queue.capacity_packets)
-        link.flight = self
-        link._flight_next = 0
+        """Subscribe to the link's probe (zero events scheduled)."""
+        self.queue = QueueChannel(link.queue.capacity_packets)
+        link.subscribe(self.grid_usec, self.sample)
 
-    def register_connection(self, conn: Any) -> ConnChannel:
-        """Create (and return) the channel a connection samples into."""
-        channel = ConnChannel(
-            self.grid_usec, conn.service_id, conn.flow_id, conn.cca.name
-        )
-        self.connections[conn.flow_id] = channel
-        return channel
-
-    def sample_queue(self, now: int, link: Any) -> int:
-        """Sample the armed queue; return the next grid threshold."""
-        return self.queue.sample(now, link)
+    def sample(self, now: int, link: Any) -> None:
+        """Probe subscriber: one queue row, plus one row per active flow."""
+        self.queue.sample(now, link)
+        channels = self.connections
+        for conn in link.probe.connections:
+            channel = channels.get(conn.flow_id)
+            if channel is None:
+                channel = channels[conn.flow_id] = ConnChannel(
+                    conn.service_id, conn.flow_id, conn.cca.name
+                )
+            if conn.packets_acked != channel.acked:
+                channel.sample(now, conn)
 
     def to_json(self) -> Dict:
         """The versioned sidecar payload (schema, meta, all channels)."""
@@ -313,11 +356,11 @@ class FlightRecorder:
         rec = cls(payload["grid_usec"], meta=payload.get("meta"))
         for flow_id, conn_payload in payload.get("connections", {}).items():
             rec.connections[flow_id] = ConnChannel.from_json(
-                flow_id, conn_payload, rec.grid_usec
+                flow_id, conn_payload
             )
         queue_payload = payload.get("queue")
         if queue_payload is not None:
-            rec.queue = QueueChannel.from_json(queue_payload, rec.grid_usec)
+            rec.queue = QueueChannel.from_json(queue_payload)
         return rec
 
 

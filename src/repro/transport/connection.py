@@ -46,7 +46,6 @@ from .. import units
 from ..netsim.engine import Engine
 from ..netsim.packet import Packet
 from ..netsim.topology import Path
-from ..obs.flight import FLIGHT_NEVER
 from .rate_sampler import RateSampler
 from .rtt import RttEstimator
 
@@ -139,17 +138,9 @@ class Connection:
         self._pool: list = []
         self._pool_max = self.PACKET_POOL_SIZE
 
-        # Flight-recorder gate (see repro.obs.flight): when the path's
-        # bottleneck carries a recorder this flow samples into its own
-        # channel at grid boundaries; otherwise the sentinel keeps the
-        # per-ACK check to a single integer compare.
-        flight = getattr(path.link, "flight", None)
-        if flight is not None:
-            self._flight = flight.register_connection(self)
-            self._flight_next = 0
-        else:
-            self._flight = None
-            self._flight_next = FLIGHT_NEVER
+        # Per-flow telemetry is sampled off the bottleneck link's probe
+        # (repro.netsim.trace.Probe), never from this flow's own events.
+        path.link.probe.connections.append(self)
 
         cca.on_connection_init(self)
 
@@ -490,10 +481,6 @@ class Connection:
             pool = self._pool
             if len(pool) < self._pool_max:
                 pool.append(packet)
-        # Flight-recorder grid gate: pure reads, no events, no state
-        # changes - disabled connections pay only this compare.
-        if now >= self._flight_next:
-            self._flight_next = self._flight.sample(now, self)
 
     def _detect_losses(self) -> None:
         """SACK-style loss marking in *transmission* order.

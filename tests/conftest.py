@@ -24,6 +24,20 @@ def catalog():
 
 
 @pytest.fixture
+def kill_before_rename(monkeypatch):
+    """Every ``atomic_write`` dies after its temp file is written and
+    before the rename, as a SIGKILL at that instant would (undo with
+    ``monkeypatch.undo()``)."""
+    import os
+
+    def killed(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "replace", killed)
+    return monkeypatch
+
+
+@pytest.fixture
 def fast_config():
     """A 20-second experiment (4 s warmup/cooldown trims)."""
     return ExperimentConfig().scaled(20)

@@ -8,6 +8,9 @@ Covers the PR's guarantees:
 - purity: the stop rule is a pure function of its checkpoint prefix -
   incremental (monitor-style) evaluation equals batch evaluation, and
   appending rows never rewrites an earlier decision;
+- serve == replay: the live monitor and a replay of the trial's flight
+  sidecar read the same rows through ``QueueChannel.window_rows`` and so
+  agree on the stop instant, and truncation points are pinned;
 - cache supersede: full-length results always replace truncated ones,
   never the reverse, and truncated entries are misses unless opted in;
 - audit determinism: the audit draw is a pure function of the trial's
@@ -23,10 +26,14 @@ import json
 
 import pytest
 
-from repro.config import ExperimentConfig, TrialPolicyConfig, highly_constrained
+from repro.config import (
+    ExperimentConfig,
+    TrialPolicyConfig,
+    highly_constrained,
+    moderately_constrained,
+)
 from repro.core.cache import TrialCache
 from repro.core.earlystop import (
-    EARLYSTOP_NEVER,
     EarlyStopConfig,
     EarlyStopModel,
     EarlyStopMonitor,
@@ -37,6 +44,7 @@ from repro.core.earlystop import (
 from repro.core.experiment import run_trial_artifacts
 from repro.core.runner import RunnerStats, TrialSpec, trial_cache_key
 from repro.core.watchdog import Prudentia
+from repro.obs.flight import FlightRecorder, QueueChannel
 from repro.services.catalog import default_catalog
 
 from tests import test_golden_identity as golden
@@ -80,6 +88,17 @@ class TestModelArtifact:
             dataclasses.replace(model, consecutive=4).model_id
             != model.model_id
         )
+
+    def test_save_is_atomic(self, tmp_path, request):
+        """A kill between temp-write and rename leaves the previous
+        model loadable (and no half-written file under its name)."""
+        path = tmp_path / "model.json"
+        old = EarlyStopModel(consecutive=3)
+        old.save(path)
+        request.getfixturevalue("kill_before_rename")
+        with pytest.raises(KeyboardInterrupt):
+            EarlyStopModel(consecutive=5).save(path)
+        assert EarlyStopModel.load(path) == old
 
     def test_schema_skew_rejected(self):
         payload = EarlyStopModel().to_json()
@@ -195,6 +214,80 @@ class TestStopRulePurity:
                     assert stop_index(model, 0, rows[:j]) == full
 
         check()
+
+
+class TestServeEqualsReplay:
+    """The model is served on the rows it is trained on: one sampler
+    (``QueueChannel.sample``), one accessor (``window_rows``)."""
+
+    PAIRS = [
+        ("iperf_cubic", "iperf_bbr"),
+        ("iperf_cubic", "iperf_reno"),
+        ("netflix", "iperf_bbr"),
+        ("mega", "iperf_cubic"),
+        ("meet", "iperf_reno"),
+    ]
+
+    def test_replaying_a_sidecar_lands_on_the_monitors_stop(self):
+        """20 flight-recorded audit trials, both bandwidths: replaying
+        the sidecar through the pure rule reproduces the live monitor's
+        would-stop instant on every one.  (Before the single seam, fit
+        measured the horizon from the first post-reset sample and serving
+        from the true window open; 6 of these 20 disagreed.)"""
+        catalog = default_catalog()
+        model = EarlyStopModel()
+        stops = set()
+        for a, b in self.PAIRS:
+            for network in (highly_constrained(), moderately_constrained()):
+                for seed in (1, 2):
+                    recorder = FlightRecorder()
+                    monitor = EarlyStopMonitor(model, audit=True)
+                    run_trial_artifacts(
+                        [catalog.get(a), catalog.get(b)],
+                        network,
+                        ExperimentConfig().scaled(10.0),
+                        seed=seed,
+                        flight=recorder,
+                        earlystop=monitor,
+                    )
+                    sidecar = json.loads(json.dumps(recorder.to_json()))
+                    opened, rows = QueueChannel.from_json(
+                        sidecar["queue"]
+                    ).window_rows()
+                    index = stop_index(model, opened, rows)
+                    replayed = None if index is None else rows[index][0]
+                    assert replayed == monitor.would_stop_usec, (a, b, seed)
+                    stops.add(replayed)
+        assert len(stops) > 10  # the rule really fired, at varied instants
+
+    #: (contender, incumbent, network, seed) -> (horizon_sim_sec,
+    #: checkpoints) as truncated by the commit before the probe seam.
+    PINNED_MODEL = {
+        "schema": 1, "grid_usec": 100000, "min_horizon_usec": 2000000,
+        "epsilon_share": 0.01, "consecutive": 5, "max_drop_burst": 4,
+        "queue_epsilon": 0.1, "share_tolerance": 0.05, "trained_on": 0,
+    }
+    PINNED = [
+        ("iperf_cubic", "iperf_reno", moderately_constrained, 2, 4.600236, 47),
+        ("netflix", "iperf_bbr", highly_constrained, 3, 2.801435, 29),
+        ("mega", "iperf_cubic", moderately_constrained, 4, 2.200078, 23),
+    ]
+
+    @pytest.mark.parametrize("a,b,network,seed,horizon,checkpoints", PINNED)
+    def test_truncation_points_are_pinned(
+        self, a, b, network, seed, horizon, checkpoints
+    ):
+        catalog = default_catalog()
+        monitor = EarlyStopMonitor(EarlyStopModel.from_json(self.PINNED_MODEL))
+        result, _testbed = run_trial_artifacts(
+            [catalog.get(a), catalog.get(b)],
+            network(),
+            ExperimentConfig().scaled(12.0),
+            seed=seed,
+            earlystop=monitor,
+        )
+        assert result.earlystop["horizon_sim_sec"] == horizon
+        assert result.earlystop["checkpoints"] == checkpoints
 
 
 class TestTrialTruncation:
@@ -352,6 +445,45 @@ class TestFitOffline:
         assert model_a == model_b
         assert model_a.model_id == model_b.model_id
         assert model_a.trained_on == len(corpus)
+
+    def test_fit_rejects_a_corpus_on_another_grid(self):
+        corpus = self._corpus()[:1]
+        with pytest.raises(ValueError, match="mixes sampling grids"):
+            fit_model(corpus, grid_usec=50_000, window_usec=6_000_000)
+
+    def test_cli_fit_takes_the_recorded_grid(self, tmp_path, capsys):
+        """`repro earlystop fit` names the grid the corpus was recorded
+        on (it used to infer ~52 ms from the first two sample times),
+        skips pre-window-open sidecars with a count, and refuses a corpus
+        that mixes grids."""
+        from repro.cli import main
+        from repro.core.runner import RecordingInlineBackend
+
+        cache = TrialCache(tmp_path / "cache")
+        backend = RecordingInlineBackend(cache=cache)
+        specs = [_pair_spec(seed=seed) for seed in (1, 2)]
+        backend.run(specs)
+        # One sidecar as an older commit wrote it: no recorded window.
+        old_key = trial_cache_key(specs[1])
+        old = cache.get_sidecar(old_key, "flight")
+        del old["queue"]["window_open_usec"], old["queue"]["window_row"]
+        cache.put_sidecar(old_key, "flight", old)
+        out = tmp_path / "model.json"
+        argv = ["earlystop", "fit", "--cache-dir", str(tmp_path / "cache"),
+                "--out", str(out), "--json"]
+        assert main(argv) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["grid_usec"] == 100_000
+        assert summary["trained_on"] == 1
+        assert summary["skipped_no_window"] == 1
+        assert EarlyStopModel.load(out).grid_usec == 100_000
+        # A second recording on another grid: refuse, specifically.
+        other = RecordingInlineBackend(cache=cache, grid_usec=50_000)
+        other.run([_pair_spec(seed=3)])
+        out.unlink()
+        assert main(argv) == 1
+        assert "mixes sampling grids" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fit_empty_corpus_falls_back_to_base(self):
         model = fit_model([], grid_usec=100_000, window_usec=6_000_000)

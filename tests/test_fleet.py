@@ -13,7 +13,6 @@ from repro.config import (
 )
 from repro.core.cache import CACHE_SCHEMA_VERSION, TrialCache
 from repro.core.runner import (
-    AsyncioBackend,
     InlineBackend,
     build_backend,
 )
@@ -424,45 +423,24 @@ class TestCacheEviction:
 
 
 class TestAsyncioBackend:
-    def test_bit_identical_to_inline(self):
-        from repro.core.runner import TrialSpec
-
-        trials = [
-            TrialSpec.pair("iperf_cubic", "iperf_reno", NET, FAST, seed=s)
-            for s in (1, 2, 3)
-        ]
-        inline = InlineBackend(catalog=CATALOG).run(trials)
-        async_results = AsyncioBackend(
-            max_concurrency=2, catalog=CATALOG
-        ).run(trials)
-        assert [r.to_json() for r in inline] == [
-            r.to_json() for r in async_results
-        ]
+    """The asyncio substrate is gone (GIL-bound ``to_thread``, no
+    committed number showed a win): the kind is rejected like any other
+    unknown one, with the valid choices."""
 
     def test_build_backend_kinds(self):
         from repro.core.runner import (
+            BACKEND_KINDS,
             InlineBackend as IB,
             ProcessPoolBackend as PB,
         )
 
+        assert BACKEND_KINDS == ("inline", "process")
         assert isinstance(build_backend(), IB)
         assert isinstance(build_backend(workers=2), PB)
-        assert isinstance(build_backend("async", workers=3), AsyncioBackend)
-        assert build_backend("async", workers=3).max_concurrency == 3
         assert isinstance(build_backend("inline", workers=2), IB)
-        with pytest.raises(ValueError):
-            build_backend("quantum")
-
-    def test_async_backend_caches(self):
-        cache = TrialCache()
-        backend = AsyncioBackend(catalog=CATALOG, cache=cache)
-        from repro.core.runner import TrialSpec
-
-        spec = TrialSpec.pair("iperf_cubic", "iperf_reno", NET, FAST, seed=9)
-        backend.run([spec])
-        backend.run([spec])
-        assert backend.stats.trials_run == 1
-        assert backend.stats.cache_hits == 1
+        for kind in ("async", "quantum"):
+            with pytest.raises(ValueError, match="inline.*process"):
+                build_backend(kind)
 
 
 class TestReportStats:

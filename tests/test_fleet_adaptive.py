@@ -205,6 +205,26 @@ class TestCycleStateSerialisation:
         with pytest.raises(FleetError, match=STATE_FILENAME):
             AdaptiveCycleState.load(tmp_path)
 
+    def test_kill_mid_save_keeps_the_previous_state(self, tmp_path, request):
+        """cycle-state.json is the resume point (and what the service
+        ingests): a kill between temp-write and rename must leave the
+        previous round's state loadable, not a truncated file."""
+        state = make_state()
+        state.save(tmp_path)
+        before = (tmp_path / STATE_FILENAME).read_bytes()
+        plan = state.plan_round(num_shards=1)
+        TestFoldRound().run_round(state, plan, tmp_path)
+        state.fold_round(plan, TrialCache(tmp_path / "merged"))
+        killer = request.getfixturevalue("kill_before_rename")
+        with pytest.raises(KeyboardInterrupt):
+            state.save(tmp_path)
+        killer.undo()
+        assert (tmp_path / STATE_FILENAME).read_bytes() == before
+        assert AdaptiveCycleState.load(tmp_path).round_index == 0
+        assert list(tmp_path.glob("*.tmp")) == []
+        state.save(tmp_path)
+        assert AdaptiveCycleState.load(tmp_path).round_index == 1
+
 
 class TestReceiptRecovery:
     def test_retry_manifests_bump_attempts(self, tmp_path):

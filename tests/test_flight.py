@@ -18,11 +18,12 @@ from repro.core.cache import TrialCache, trial_cache_key
 from repro.core.experiment import run_trial_artifacts
 from repro.core.runner import RecordingInlineBackend, TrialSpec
 from repro.core.testbed import Testbed
+from repro.netsim.trace import Probe
 from repro.obs.flight import (
     DIAGNOSIS_SCHEMA_VERSION,
-    FLIGHT_NEVER,
     FLIGHT_SCHEMA_VERSION,
     FlightRecorder,
+    QueueChannel,
     diagnose,
     dwell_times,
     explain_unfairness,
@@ -93,35 +94,105 @@ class TestZeroNewEvents:
         assert recorded.to_json() == plain.to_json()
 
     def test_disabled_path_uses_sentinel(self):
+        """Nothing subscribed: the link's one gate holds the idle
+        sentinel, and flows carry no gate of their own at all."""
         from repro.cca.reno import NewReno
+        from repro.netsim.link import BottleneckLink
+        from repro.netsim.queue import DropTailQueue
         from repro.services.iperf import IperfService
 
+        bare = BottleneckLink(None, NET.bandwidth_bps, DropTailQueue(4))
+        assert bare._probe_next == Probe.IDLE
+        assert bare.probe.fire(0, bare) == Probe.IDLE
+        # A testbed's only standing subscriber is the queue log.
         bed = Testbed(NET)
-        assert bed.bell.link.flight is None
-        assert bed.bell.link._flight_next == FLIGHT_NEVER
+        subscribers = bed.bell.link.probe._subscribers
+        assert [sub[2] for sub in subscribers] == [bed.bell.queue_log.sample]
         service = bed.add_service(
             IperfService("x", cca_factory=lambda i: NewReno())
         )
         service.start()
         conn = service.connections[0]
-        assert conn._flight is None
-        assert conn._flight_next == FLIGHT_NEVER
+        assert not hasattr(conn, "_flight")
+        assert not hasattr(conn, "_flight_next")
 
     def test_attached_recorder_arms_connections(self):
+        """Attaching subscribes once, after the queue log and due at
+        once; flows register on the probe at construction and are
+        sampled by the recorder in the link's firing."""
         from repro.cca.reno import NewReno
         from repro.services.iperf import IperfService
 
         recorder = FlightRecorder()
         bed = Testbed(NET, flight=recorder)
-        assert bed.bell.link.flight is recorder
-        assert bed.bell.link._flight_next == 0
+        link = bed.bell.link
+        assert [sub[1:] for sub in link.probe._subscribers] == [
+            [bed.bell.queue_log.sample_period_usec, bed.bell.queue_log.sample],
+            [recorder.grid_usec, recorder.sample],
+        ]
+        assert link._probe_next == 0
         service = bed.add_service(
             IperfService("x", cca_factory=lambda i: NewReno())
         )
         service.start()
         conn = service.connections[0]
-        assert conn._flight is recorder.connections[conn.flow_id]
-        assert conn._flight_next == 0
+        assert link.probe.connections == [conn]
+        bed.bell.run(units.seconds(1))
+        channel = recorder.connections[conn.flow_id]
+        assert len(channel) > 3
+        # Flow rows are taken in the same firing as queue rows.
+        assert set(channel.times_usec) <= set(recorder.queue.times_usec)
+
+    def test_idle_flows_stop_growing_the_recording(self):
+        """A flow gets a row only for grid cells it was ACKed in, so a
+        finished flow does not accumulate rows (or dwell time)."""
+        from repro.cca.reno import NewReno
+        from repro.services.iperf import IperfService
+
+        recorder = FlightRecorder()
+        bed = Testbed(NET, flight=recorder)
+        done = bed.add_service(
+            IperfService("done", cca_factory=lambda i: NewReno())
+        )
+        busy = bed.add_service(
+            IperfService("busy", cca_factory=lambda i: NewReno())
+        )
+        busy.start()
+        conn = done.connections[0]
+        conn.request(20 * conn.mss_bytes)
+        bed.bell.run(units.seconds(3))
+        finished = recorder.connections[conn.flow_id]
+        assert 0 < len(finished) < 10
+        assert len(recorder.connections[busy.connections[0].flow_id]) > 20
+
+    def test_armed_monitor_and_recorder_together_change_nothing(self):
+        """Golden artifacts with the recorder AND an armed, never-firing
+        stop monitor subscribed (queue log -> flight -> stop rule)."""
+        from repro.core.earlystop import EarlyStopModel, EarlyStopMonitor
+
+        specs = [CATALOG.get(s) for s in golden.SCENARIO["services"]]
+        recorder = FlightRecorder()
+        monitor = EarlyStopMonitor(EarlyStopModel())
+        result, testbed = run_trial_artifacts(
+            specs,
+            highly_constrained(),
+            ExperimentConfig().scaled(golden.SCENARIO["duration_sec"]),
+            seed=golden.SCENARIO["seed"],
+            trace_packets=True,
+            flight=recorder,
+            earlystop=monitor,
+        )
+        payload = {
+            "scenario": golden.SCENARIO,
+            "report": result.to_json(),
+            "trace": testbed.bell.trace.to_json(),
+            "queue_log": testbed.bell.queue_log.to_json(),
+        }
+        assert golden.serialize(payload) == golden.FIXTURE.read_bytes()
+        assert not monitor.triggered and len(monitor.channel) > 10
+        # Same grid, same firing: the monitor's rows ARE the recorder's
+        # window rows.
+        assert monitor.channel.window_rows() == recorder.queue.window_rows()
 
     def test_rejects_nonpositive_grid(self):
         with pytest.raises(ValueError):
@@ -144,8 +215,8 @@ class TestRecordingSchema:
         grid = 250_000
         payload, _ = record_pair(grid_usec=grid)
         for conn in payload["connections"].values():
-            # A sample lands at the first ACK at/after each grid
-            # boundary, so times are not *on* the grid - but no two
+            # A sample lands at the first bottleneck send at/after each
+            # grid boundary, so times are not *on* the grid - but no two
             # samples ever share a grid cell.
             cells = [t // grid for t in conn["times_usec"]]
             assert cells == sorted(set(cells))
@@ -157,12 +228,61 @@ class TestRecordingSchema:
         with pytest.raises(ValueError):
             FlightRecorder.from_json(payload)
 
+    def test_window_open_is_recorded_not_inferred(self):
+        payload, result = record_pair()
+        queue = payload["queue"]
+        config = ExperimentConfig().scaled(3.0)
+        assert queue["window_open_usec"] == config.measure_start_usec
+        row = queue["window_row"]
+        assert queue["times_usec"][row - 1] < queue["window_open_usec"]
+        assert queue["times_usec"][row] >= queue["window_open_usec"]
+        opened, rows = QueueChannel.from_json(queue).window_rows()
+        assert opened == config.measure_start_usec
+        assert [r[0] for r in rows] == queue["times_usec"][row:]
+        # The final row's windowed counters are the result's throughput.
+        assert set(rows[-1][1]) == set(result.throughput_bps)
+
     def test_meta_carries_trial_identity(self):
         payload, _ = record_pair()
         meta = payload["meta"]
         assert meta["service_ids"] == ["iperf_cubic", "iperf_bbr"]
         assert meta["bandwidth_bps"] == NET.bandwidth_bps
         assert meta["seed"] == 1
+
+
+class TestOldSidecars:
+    """A sidecar written by PR 14 - before the window-open instant was
+    recorded - still loads, diagnoses and renders exactly as it did;
+    only the stop-rule fit declines to guess its window."""
+
+    FIXTURE = json.loads(
+        (golden.FIXTURE.parent / "flight_sidecar_pr14.json").read_text()
+    )
+
+    def test_loads_and_round_trips_unchanged(self):
+        sidecar = self.FIXTURE["sidecar"]
+        assert "window_open_usec" not in sidecar["queue"]
+        assert FlightRecorder.from_json(sidecar).to_json() == sidecar
+
+    def test_diagnosis_and_rendering_unchanged(self):
+        sidecar = self.FIXTURE["sidecar"]
+        diagnosis = diagnose(sidecar)
+        # Through JSON: the fixture stores tuples as lists.
+        assert json.loads(json.dumps(diagnosis)) == self.FIXTURE["diagnosis"]
+        assert render_summary(diagnosis) == self.FIXTURE["summary"]
+        assert render_timeline(sidecar, width=40) == self.FIXTURE["timeline"]
+
+    def test_window_is_not_guessed(self):
+        from repro.core.earlystop import fit_model
+
+        sidecar = self.FIXTURE["sidecar"]
+        assert QueueChannel.from_json(sidecar["queue"]).window_rows() is None
+        model = fit_model(
+            [(sidecar, self.FIXTURE["throughput_bps"])],
+            grid_usec=sidecar["grid_usec"],
+            window_usec=2_400_000,
+        )
+        assert model.trained_on == 0
 
 
 def synthetic_recording():

@@ -1,0 +1,48 @@
+"""Layering: the simulator core does not know who observes it.
+
+``repro.netsim`` and ``repro.transport`` expose the probe seam
+(``BottleneckLink.subscribe``); the observers - flight recorder, stop
+rule - live above them in ``repro.obs`` / ``repro.core`` and subscribe.
+An import in the other direction is how a second sampler gets wired
+into the hot path again.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import repro
+
+SRC = Path(repro.__file__).parent
+FORBIDDEN = ("repro.obs", "repro.core")
+
+
+def imported_modules(path: Path):
+    """Absolute dotted names of everything ``path`` imports."""
+    package = path.relative_to(SRC.parent).parts[:-1]  # ("repro", "netsim")
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parent = package[: len(package) - node.level + 1]
+                base = ".".join([*parent, *([base] if base else [])])
+            yield base
+            for alias in node.names:
+                yield f"{base}.{alias.name}"
+
+
+@pytest.mark.parametrize("package", ["netsim", "transport"])
+def test_simulator_core_imports_no_observer(package):
+    files = sorted((SRC / package).glob("*.py"))
+    assert files
+    offenders = [
+        (path.name, name)
+        for path in files
+        for name in imported_modules(path)
+        if any(name == f or name.startswith(f + ".") for f in FORBIDDEN)
+    ]
+    assert offenders == []

@@ -5,7 +5,7 @@ import pytest
 from repro import units
 from repro.config import ExperimentConfig, highly_constrained
 from repro.core.experiment import run_pair_experiment
-from repro.core.parallel import ParallelRunner, TrialSpec, all_pairs_trials
+from repro.core.runner import ProcessPoolBackend, TrialSpec, all_pairs_trials
 from repro.services.catalog import default_catalog
 
 FAST = ExperimentConfig().scaled(15)
@@ -38,13 +38,13 @@ class TestTrialPlanning:
 
 class TestParallelExecution:
     def test_empty_is_noop(self):
-        assert ParallelRunner(max_workers=2).run([]) == []
+        assert ProcessPoolBackend(max_workers=2).run([]) == []
 
     def test_results_match_sequential(self):
         """Parallel execution is a pure wall-clock optimisation: the
         seeded simulations produce bit-identical results."""
         trial = make_trial(seed=9)
-        parallel = ParallelRunner(max_workers=2).run([trial, trial])
+        parallel = ProcessPoolBackend(max_workers=2).run([trial, trial])
         catalog = default_catalog()
         sequential = run_pair_experiment(
             catalog.get(trial.contender_id),
@@ -59,7 +59,7 @@ class TestParallelExecution:
 
     def test_submission_order_preserved(self):
         trials = [make_trial(seed=s) for s in (1, 2, 3)]
-        results = ParallelRunner(max_workers=3).run(trials)
+        results = ProcessPoolBackend(max_workers=3).run(trials)
         assert [r.seed for r in results] == [1, 2, 3]
 
     def test_run_into_store(self):
@@ -70,12 +70,12 @@ class TestParallelExecution:
             trials_per_pair=2,
             include_self_pairs=False,
         )
-        store = ParallelRunner(max_workers=2).run_into_store(trials)
+        store = ProcessPoolBackend(max_workers=2).run_into_store(trials)
         shares = store.shares("iperf_reno", "iperf_cubic", NET.bandwidth_bps)
         assert len(shares) == 2
 
     def test_bad_catalog_factory_raises(self):
-        runner = ParallelRunner(
+        runner = ProcessPoolBackend(
             max_workers=1, catalog_factory="no.such.module:nope"
         )
         with pytest.raises(Exception):

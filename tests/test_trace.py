@@ -1,8 +1,31 @@
-"""Queue logs and packet traces (the published experiment artifacts)."""
+"""Queue logs, packet traces and the sim-clock probe that samples them."""
+
+from types import SimpleNamespace
 
 import pytest
 
-from repro.netsim.trace import PacketTrace, QueueLog
+from repro import units
+from repro.netsim.engine import Engine
+from repro.netsim.link import BottleneckLink
+from repro.netsim.queue import DropTailQueue
+from repro.netsim.trace import PacketTrace, Probe, QueueLog
+
+
+def drive(probe, arrivals, deadline=0):
+    """Replay ``(now, occupancy)`` sends through ``probe`` exactly the way
+    ``BottleneckLink.send`` gates it: one compare, ``fire`` when due."""
+    for now, occupancy in arrivals:
+        if now >= deadline:
+            deadline = probe.fire(now, SimpleNamespace(queue=[None] * occupancy))
+    return deadline
+
+
+def logged(period, arrivals):
+    """A queue log subscribed at ``period`` and driven over ``arrivals``."""
+    probe = Probe()
+    log = QueueLog(sample_period_usec=period)
+    drive(probe, arrivals, probe.subscribe(period, log.sample))
+    return log
 
 
 class TestQueueLog:
@@ -11,12 +34,13 @@ class TestQueueLog:
             QueueLog(sample_period_usec=0)
 
     def test_samples_on_period(self):
-        log = QueueLog(sample_period_usec=100)
-        log.maybe_sample(0, 5)
-        log.maybe_sample(50, 6)   # skipped: within period
-        log.maybe_sample(100, 7)  # taken
-        log.maybe_sample(150, 8)  # skipped
-        log.maybe_sample(250, 9)  # taken
+        log = logged(100, [
+            (0, 5),
+            (50, 6),   # skipped: within period
+            (100, 7),  # taken
+            (150, 8),  # skipped
+            (250, 9),  # taken
+        ])
         times, occs = log.occupancy_series()
         assert times == [0, 100, 250]
         assert occs == [5, 7, 9]
@@ -29,30 +53,102 @@ class TestQueueLog:
         # grid (0, P, 2P, ...).  Anchoring on the arrival time instead let
         # the grid slide forward by one inter-arrival gap per sample, so a
         # nominal 10 ms log drifted under bursty arrivals.
-        log = QueueLog(sample_period_usec=100)
-        log.maybe_sample(105, 1)   # taken; next grid point is 200, not 205
-        log.maybe_sample(201, 2)   # taken; next grid point is 300, not 301
-        log.maybe_sample(299, 3)   # skipped: before the 300 grid point
-        log.maybe_sample(300, 4)   # taken, exactly on grid
+        log = logged(100, [
+            (105, 1),   # taken; next grid point is 200, not 205
+            (201, 2),   # taken; next grid point is 300, not 301
+            (299, 3),   # skipped: before the 300 grid point
+            (300, 4),   # taken, exactly on grid
+        ])
         times, _occs = log.occupancy_series()
         assert times == [105, 201, 300]
 
     def test_grid_alignment_over_many_offset_arrivals(self):
         # Arrivals always 1us past each grid point: with drift this took
         # progressively later samples; aligned, it samples every period.
-        log = QueueLog(sample_period_usec=100)
-        for i in range(50):
-            log.maybe_sample(i * 100 + 1, i)
+        log = logged(100, [(i * 100 + 1, i) for i in range(50)])
         times, _occs = log.occupancy_series()
         assert times == [i * 100 + 1 for i in range(50)]
 
     def test_json_roundtrippable(self):
-        log = QueueLog(sample_period_usec=10)
-        log.maybe_sample(0, 1)
+        log = logged(10, [(0, 1)])
         log.record_drop(5, "svc")
         payload = log.to_json()
         assert payload["samples"] == [(0, 1)]
         assert payload["drop_events"] == [(5, "svc")]
+
+
+class TestProbe:
+    def test_rejects_bad_period(self):
+        with pytest.raises(ValueError):
+            Probe().subscribe(0, lambda now, link: None)
+
+    def test_nothing_subscribed_is_idle(self):
+        probe = Probe()
+        assert probe.fire(0, None) == Probe.IDLE
+        link = BottleneckLink(Engine(), units.mbps(8), DropTailQueue(4))
+        assert link._probe_next == Probe.IDLE
+
+    def test_subscribing_makes_the_link_due_at_once(self):
+        link = BottleneckLink(Engine(), units.mbps(8), DropTailQueue(4))
+        link.subscribe(100, lambda now, link: None)
+        assert link._probe_next == 0
+
+    def test_each_subscriber_keeps_its_own_grid(self):
+        # A 100us and a 250us subscriber behind one deadline: each runs
+        # at the first send at/after its *own* boundaries, as if it had
+        # a private gate.
+        probe = Probe()
+        seen = {100: [], 250: []}
+        probe.subscribe(100, lambda now, link: seen[100].append(now))
+        probe.subscribe(250, lambda now, link: seen[250].append(now))
+        drive(probe, [(t, 0) for t in range(0, 1000, 30)])
+        assert seen[100] == [0, 120, 210, 300, 420, 510, 600, 720, 810, 900]
+        assert seen[250] == [0, 270, 510, 750]
+
+    def test_due_subscribers_run_in_subscription_order(self):
+        probe = Probe()
+        order = []
+        for name in ("queue-log", "flight", "stop-rule"):
+            probe.subscribe(
+                100, lambda now, link, name=name: order.append((now, name))
+            )
+        drive(probe, [(0, 0), (100, 0)])
+        assert order == [
+            (0, "queue-log"), (0, "flight"), (0, "stop-rule"),
+            (100, "queue-log"), (100, "flight"), (100, "stop-rule"),
+        ]
+
+    def test_deadline_is_the_earliest_boundary(self):
+        probe = Probe()
+        probe.subscribe(100, lambda now, link: None)
+        probe.subscribe(250, lambda now, link: None)
+        assert probe.fire(0, None) == 100
+        assert probe.fire(230, None) == 250   # 100-grid re-armed to 300
+        assert probe.fire(250, None) == 300
+
+    def test_raising_subscriber_is_already_rearmed(self):
+        # The stop rule raises out of fire(); the subscriber list must
+        # not be left due forever.
+        probe = Probe()
+        calls = []
+
+        def boom(now, link):
+            calls.append(now)
+            raise RuntimeError("stop")
+
+        probe.subscribe(100, boom)
+        with pytest.raises(RuntimeError):
+            probe.fire(5, None)
+        assert drive(probe, [(50, 0)], deadline=0) == 100
+        assert calls == [5]
+
+    def test_reset_stats_records_the_window_open_instant(self):
+        engine = Engine()
+        link = BottleneckLink(engine, units.mbps(8), DropTailQueue(4))
+        assert link.probe.window_open_usec is None
+        engine.run(1234)
+        link.reset_stats()
+        assert link.probe.window_open_usec == 1234
 
 
 class TestPacketTrace:
