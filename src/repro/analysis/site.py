@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.report import FairnessReport
 from ..core.results import ResultStore
 from ..obs.flight import explain_unfairness
-from .heatmap import mmf_share_grid, render_grid
+from .heatmap import render_grid
 
 
 #: Opening paragraph of the findings page (shared with the incremental
@@ -57,10 +57,9 @@ def render_bandwidth_section(
     lines: List[str] = [f"## {label} bottleneck"]
     lines.append("")
     lines.append("```")
-    grid = mmf_share_grid(store, service_ids, bandwidth_bps)
     lines.append(
         render_grid(
-            grid,
+            report.heatmap(),
             service_ids,
             "median % of incumbent MmF share (rows = contender)",
             scale=100,

@@ -10,8 +10,9 @@ definitions), and the Table-3 non-transitivity search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..obs.metrics import get_registry
 from .results import ResultStore
 from .runner import RunnerStats
 from .stats import median
@@ -54,6 +55,8 @@ class FairnessReport:
         self.service_ids = list(service_ids)
         self.bandwidth_bps = bandwidth_bps
         self.runner_stats = runner_stats
+        self._cells: Dict[Tuple[str, str], Optional[float]] = {}
+        self._cells_key: Optional[Tuple[int, float]] = None
 
     def to_json(self) -> Dict:
         """Serialise the published view of this report.
@@ -86,11 +89,25 @@ class FairnessReport:
     def median_share(
         self, incumbent: str, contender: str
     ) -> Optional[float]:
-        """Median MmF share of ``incumbent`` when fighting ``contender``."""
-        shares = self.store.shares(incumbent, contender, self.bandwidth_bps)
-        if not shares:
-            return None
-        return median(shares)
+        """Median MmF share of ``incumbent`` when fighting ``contender``.
+
+        Every published view below reads its cells through here, and a
+        cell is derived from the raw trials once: the memo is keyed on
+        the store's mutation counter, so a trial added after a read
+        drops it and the next read sees the new data.
+        """
+        key = (self.store.version, self.bandwidth_bps)
+        if key != self._cells_key:
+            self._cells = {}
+            self._cells_key = key
+        cell = (incumbent, contender)
+        if cell not in self._cells:
+            shares = self.store.shares(
+                incumbent, contender, self.bandwidth_bps
+            )
+            self._cells[cell] = median(shares) if shares else None
+            get_registry().counter("core.report.cells_derived").inc()
+        return self._cells[cell]
 
     def heatmap(self) -> Dict[Tuple[str, str], Optional[float]]:
         """(contender, incumbent) -> median MmF share (rows = contender)."""
@@ -226,41 +243,45 @@ class FairnessReport:
     ) -> List[TransitivityTriple]:
         """Triples where alpha hurts beta, beta hurts gamma, yet gamma is
         fine against alpha (and the fair/fair/unfair mirror case)."""
+        ids = self.service_ids
+        position = {sid: index for index, sid in enumerate(ids)}
+        # Per contender: the incumbents it leaves below / keeps above
+        # the thresholds, so each (alpha, beta) intersects two small
+        # sets instead of scanning every gamma.
+        below: Dict[str, Set[str]] = {sid: set() for sid in ids}
+        above: Dict[str, Set[str]] = {sid: set() for sid in ids}
+        for contender in ids:
+            for incumbent in ids:
+                if incumbent == contender:
+                    continue
+                share = self.median_share(incumbent, contender)
+                if share is None:
+                    continue
+                if share < unfair_below:
+                    below[contender].add(incumbent)
+                if share >= fair_above:
+                    above[contender].add(incumbent)
         triples: List[TransitivityTriple] = []
-        for alpha in self.service_ids:
-            for beta in self.service_ids:
+        for alpha in ids:
+            for beta in ids:
                 if beta == alpha:
                     continue
-                b_vs_a = self.median_share(beta, alpha)
-                if b_vs_a is None:
-                    continue
-                for gamma in self.service_ids:
-                    if gamma in (alpha, beta):
-                        continue
-                    g_vs_b = self.median_share(gamma, beta)
-                    g_vs_a = self.median_share(gamma, alpha)
-                    if g_vs_b is None or g_vs_a is None:
-                        continue
-                    unfair_chain = (
-                        b_vs_a < unfair_below
-                        and g_vs_b < unfair_below
-                        and g_vs_a >= fair_above
-                    )
-                    fair_chain = (
-                        b_vs_a >= fair_above
-                        and g_vs_b >= fair_above
-                        and g_vs_a < unfair_below
-                    )
-                    if unfair_chain or fair_chain:
-                        triples.append(
-                            TransitivityTriple(
-                                alpha=alpha,
-                                beta=beta,
-                                gamma=gamma,
-                                bandwidth_bps=self.bandwidth_bps,
-                                beta_vs_alpha=b_vs_a,
-                                gamma_vs_beta=g_vs_b,
-                                gamma_vs_alpha=g_vs_a,
-                            )
+                gammas: Set[str] = set()
+                if beta in below[alpha]:  # unfair, unfair, yet fair
+                    gammas |= below[beta] & above[alpha]
+                if beta in above[alpha]:  # fair, fair, yet unfair
+                    gammas |= above[beta] & below[alpha]
+                gammas -= {alpha, beta}
+                for gamma in sorted(gammas, key=position.__getitem__):
+                    triples.append(
+                        TransitivityTriple(
+                            alpha=alpha,
+                            beta=beta,
+                            gamma=gamma,
+                            bandwidth_bps=self.bandwidth_bps,
+                            beta_vs_alpha=self.median_share(beta, alpha),
+                            gamma_vs_beta=self.median_share(gamma, beta),
+                            gamma_vs_alpha=self.median_share(gamma, alpha),
                         )
+                    )
         return triples

@@ -25,9 +25,14 @@ class ResultStore:
 
     def __init__(self) -> None:
         self._results: Dict[SettingKey, List[ExperimentResult]] = {}
+        #: Mutation counter: bumped by every :meth:`add`, so a view
+        #: derived from the store (``FairnessReport``'s median matrix)
+        #: can tell whether it is still current.
+        self.version = 0
 
     def add(self, result: ExperimentResult) -> None:
         """Record one trial under its (pair, bandwidth) bucket."""
+        self.version += 1
         base_a = result.contender_id.split("#")[0]
         base_b = result.incumbent_id.split("#")[0]
         a, b = _pair_key(base_a, base_b)

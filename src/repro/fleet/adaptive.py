@@ -70,6 +70,7 @@ from .plan import (
     _dataclass_from_json,
     _planned,
     network_fingerprint,
+    write_manifest,
 )
 from .status import DEFAULT_STALL_SEC, fleet_status
 from .worker import run_shard
@@ -636,9 +637,7 @@ def run_adaptive_cycle(
             break
         round_dir = out / f"round-{state.round_index:03d}"
         round_dir.mkdir(parents=True, exist_ok=True)
-        (round_dir / "plan.json").write_text(
-            json.dumps(plan.to_json(), indent=1)
-        )
+        write_manifest(round_dir / "plan.json", plan.to_json())
         with tracing.span(
             "cycle.round",
             cycle=state.cycle_id[:12],
@@ -649,9 +648,7 @@ def run_adaptive_cycle(
             shard_dirs: List[Path] = []
             for shard in range(num_shards):
                 manifest = plan.manifest_for(shard)
-                (round_dir / f"shard-{shard}.json").write_text(
-                    json.dumps(manifest, indent=1)
-                )
+                write_manifest(round_dir / f"shard-{shard}.json", manifest)
                 shard_cache = round_dir / f"shard-{shard}"
                 shard_cache.mkdir(exist_ok=True)
                 shard_dirs.append(shard_cache)
@@ -676,9 +673,7 @@ def run_adaptive_cycle(
                 for shard in lagging:
                     manifest = plan.manifest_for(shard, attempt=attempt)
                     name = f"shard-{shard}-attempt{attempt}"
-                    (round_dir / f"{name}.json").write_text(
-                        json.dumps(manifest, indent=1)
-                    )
+                    write_manifest(round_dir / f"{name}.json", manifest)
                     shard_cache = round_dir / name
                     shard_cache.mkdir(exist_ok=True)
                     shard_dirs.append(shard_cache)
@@ -720,7 +715,5 @@ def run_adaptive_cycle(
     registry.counter("planner.trials_saved").inc(state.trials_saved())
     state.save(out)
     assembly = state.assembly_plan(num_shards)
-    atomic_write(
-        out / ASSEMBLY_PLAN_FILENAME, json.dumps(assembly.to_json(), indent=1)
-    )
+    write_manifest(out / ASSEMBLY_PLAN_FILENAME, assembly.to_json())
     return state

@@ -47,7 +47,13 @@ from .adaptive import (
 )
 from .assemble import assemble_reports, assemble_sweep
 from .merge import merge_shards
-from .plan import FleetError, load_plan, plan_cycle, plan_sweep
+from .plan import (
+    FleetError,
+    load_plan,
+    plan_cycle,
+    plan_sweep,
+    write_manifest,
+)
 from .status import DEFAULT_STALL_SEC, fleet_status, retry_manifests
 from .worker import run_shard
 
@@ -232,7 +238,7 @@ def cmd_fleet_retry(args) -> int:
             / f"shard-{manifest['shard_index']}"
               f"-attempt{manifest['attempt']}.json"
         )
-        path.write_text(json.dumps(manifest, indent=1))
+        write_manifest(path, manifest)
         print(
             f"shard {manifest['shard_index']} attempt "
             f"{manifest['attempt']}: {path}"

@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import units
+from ..atomicio import atomic_write
 from ..config import ExperimentConfig, NetworkConfig
 from ..core.cache import (
     CACHE_SCHEMA_VERSION,
@@ -79,6 +80,26 @@ def config_fingerprint(config: ExperimentConfig) -> str:
     ).hexdigest()
 
 
+def _per_object(fn):
+    """``fn`` memoised on argument *identity* for one pass over a plan.
+
+    A planned cycle shares a handful of config objects across thousands
+    of trials, and expanding or fingerprinting one costs a dataclass
+    ``repr`` each time.  Identity, not ``==`` (which conflates ``8e6``
+    with ``8000000``, whose JSON differs); the trials being walked keep
+    the objects alive, so an id cannot be reused mid-pass.
+    """
+    memo: Dict[int, object] = {}
+
+    def lookup(obj):
+        key = id(obj)
+        if key not in memo:
+            memo[key] = fn(obj)
+        return memo[key]
+
+    return lookup
+
+
 def shard_for_key(cache_key: str, num_shards: int) -> int:
     """The shard owning one cache key: stable hash partitioning.
 
@@ -94,10 +115,14 @@ def shard_for_key(cache_key: str, num_shards: int) -> int:
 
 def spec_to_json(spec: TrialSpec, cache_key: str) -> Dict:
     """Serialise one planned trial (spec + expected cache key)."""
+    return _spec_row(spec, cache_key, config_fields)
+
+
+def _spec_row(spec: TrialSpec, cache_key: str, fields) -> Dict:
     return {
         "service_ids": list(spec.service_ids),
-        "network": config_fields(spec.network),
-        "config": config_fields(spec.config),
+        "network": dict(fields(spec.network)),
+        "config": dict(fields(spec.config)),
         "seed": spec.seed,
         "cache_key": cache_key,
     }
@@ -121,6 +146,12 @@ class PlannedTrial:
     spec: TrialSpec
     cache_key: str
     shard: int
+
+
+def _trial_rows(trials: Sequence[PlannedTrial]) -> List[Dict]:
+    """The manifest rows of ``trials``, in order."""
+    fields = _per_object(config_fields)
+    return [_spec_row(t.spec, t.cache_key, fields) for t in trials]
 
 
 class FleetPlan:
@@ -208,6 +239,7 @@ class FleetPlan:
 
     def to_json(self) -> Dict:
         """Schema-versioned plan payload, round-trippable via from_json."""
+        rows = _trial_rows(self.trials)
         payload = {
             "schema": self.schema,
             "kind": "fleet-plan",
@@ -217,8 +249,8 @@ class FleetPlan:
             "num_shards": self.num_shards,
             "params": self.params,
             "trials": [
-                {**spec_to_json(t.spec, t.cache_key), "shard": t.shard}
-                for t in self.trials
+                {**row, "shard": t.shard}
+                for t, row in zip(self.trials, rows)
             ],
         }
         if self.cycle_id is not None:
@@ -276,6 +308,8 @@ class FleetPlan:
         if attempt < 0:
             raise ValueError("attempt must be >= 0")
         owned = self.shard_trials(shard_index)
+        network_of = _per_object(network_fingerprint)
+        config_of = _per_object(config_fingerprint)
         manifest = {
             "schema": self.schema,
             "kind": "shard-manifest",
@@ -286,12 +320,12 @@ class FleetPlan:
             "num_shards": self.num_shards,
             "attempt": attempt,
             "network_fingerprints": sorted(
-                {network_fingerprint(t.spec.network) for t in owned}
+                {network_of(t.spec.network) for t in owned}
             ),
             "config_fingerprints": sorted(
-                {config_fingerprint(t.spec.config) for t in owned}
+                {config_of(t.spec.config) for t in owned}
             ),
-            "trials": [spec_to_json(t.spec, t.cache_key) for t in owned],
+            "trials": _trial_rows(owned),
         }
         # The early-termination model artifact travels with every shard
         # manifest so workers arm identical monitors (plan identity is
@@ -315,12 +349,24 @@ class FleetPlan:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         paths = [out / "plan.json"]
-        paths[0].write_text(json.dumps(self.to_json(), indent=1))
+        write_manifest(paths[0], self.to_json())
         for shard in range(self.num_shards):
             path = out / f"shard-{shard}.json"
-            path.write_text(json.dumps(self.manifest_for(shard), indent=1))
+            write_manifest(path, self.manifest_for(shard))
             paths.append(path)
         return paths
+
+
+def write_manifest(path: Union[str, Path], payload: Dict) -> None:
+    """Publish a plan or shard manifest: compact JSON, atomically.
+
+    Workers poll the directories these land in (``out/next-plan/``,
+    ``spool/retry/``, adaptive round directories), so a manifest must
+    never be readable half-written; and a plan is thousands of trial
+    rows nobody reads by eye, so it takes the C encoder's compact form
+    rather than the pure-Python indented one.
+    """
+    atomic_write(path, json.dumps(payload, separators=(",", ":")))
 
 
 def load_plan(path: Union[str, Path]) -> FleetPlan:

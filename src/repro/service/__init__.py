@@ -8,8 +8,9 @@ trial.  This package turns those one-shot artifacts into the paper's
 - watches a spool directory and ingests each merged cycle as it lands
   (:mod:`repro.service.coordinator`),
 - maintains a durable rolling result store - an append-only JSONL
-  journal with atomic snapshot + compaction and crash recovery by
-  replay (:mod:`repro.service.store`),
+  journal compacted into one immutable segment file per cycle plus a
+  manifest, with crash recovery by replay
+  (:mod:`repro.service.store`),
 - incrementally regenerates the findings site per ingested cycle
   (:mod:`repro.service.site`), and
 - exposes the ops surface: spool-file submissions folded into the next

@@ -26,7 +26,8 @@ Spool layout (created on startup)::
 Output layout::
 
     out/
-      store/                  - journal + snapshot (repro.service.store)
+      store/                  - journal + per-cycle segments + manifest
+                                (repro.service.store)
       site/                   - findings site (repro.service.site)
       next-plan/              - next cycle's plan + shard manifests
       service-state.json      - ingest ledger, submissions, timestamps
@@ -66,7 +67,7 @@ from ..core.cache import TrialCache
 from ..core.runner import CacheMissError, InlineBackend, TrialSpec
 from ..core.submission import SubmissionError, SubmissionPortal
 from ..fleet.adaptive import AdaptiveCycleState, ASSEMBLY_PLAN_FILENAME, STATE_FILENAME
-from ..fleet.plan import FleetPlan, load_plan
+from ..fleet.plan import FleetPlan, load_plan, write_manifest
 from ..obs import tracing
 from ..obs.flight import FLIGHT_SCHEMA_VERSION, diagnose
 from ..obs.heartbeat import Heartbeat, HeartbeatWriter
@@ -355,7 +356,7 @@ class WatchdogService:
         for shard in missing_shards:
             manifest = plan.manifest_for(shard, attempt=1)
             path = retry_dir / f"shard-{shard}-attempt1.json"
-            path.write_text(json.dumps(manifest, indent=1))
+            write_manifest(path, manifest)
             written.append(str(path))
         return written
 

@@ -2,30 +2,50 @@
 
 The live deployment accumulates three years of trial results; ours
 accumulates cycles at software speed.  Either way the store must survive
-the process dying at any instruction, so it is built as an append-only
-JSONL **journal** plus an atomic **snapshot**:
+the process dying at any instruction, and folding one more cycle into it
+must cost what that cycle costs, not what the history costs.  So it is an
+append-only JSONL **journal**, one immutable **segment** file per
+compacted cycle, and a small **manifest** (``snapshot.json``) ordering
+the segments - all flat in the store directory:
 
-- Every ingested cycle is one journal *segment*: a ``begin`` record
-  (cycle identity + provenance), one ``trial`` record per result, and a
-  ``commit`` record sealing the segment.  The trial records are flushed
-  and fsynced *before* the commit is written, so a commit on disk
-  guarantees its trials are too.
+- Every ingested cycle is first one journal *segment*: a ``begin``
+  record (cycle identity + provenance), one ``trial`` record per result,
+  and a ``commit`` record sealing it.  The trial records are flushed and
+  fsynced *before* the commit is written, so a commit on disk guarantees
+  its trials are too.
+- :meth:`RollingResultStore.compact` moves each journalled cycle into
+  its own ``segment-<sha256(cycle id) prefix>.jsonl`` - the cycle's
+  journal segment verbatim (the bytes encoded once, at append), written
+  through :func:`~repro.atomicio.atomic_write` and never opened for
+  writing again - then rewrites the manifest (schema 2: ``file``,
+  ``cycle_id``, ``trials`` and ``sha256`` per segment, oldest first),
+  then truncates the journal, then unlinks every segment file the manifest no longer
+  names (cycles retired from the rolling window, orphans of an earlier
+  crash).  Compaction therefore writes the new cycle's bytes plus one
+  manifest row per stored cycle, however long the history.
+- A crash between any two of those steps is harmless: a segment without
+  a manifest row is ignored by replay (its cycle is still in the
+  journal) and overwritten or swept by the next compaction; a manifest
+  ahead of the journal truncation lists cycles the journal also holds,
+  and replay deduplicates by cycle id.
 - Replay (:meth:`RollingResultStore.replay`) tolerates everything a
-  kill can leave behind: a torn final line is dropped, and any segment
-  without its commit record is discarded - an interrupted ingest simply
-  never happened, and re-ingesting the same spool entry reproduces the
-  exact same committed bytes (results are deterministic simulations).
-- :meth:`RollingResultStore.compact` folds every committed segment into
-  ``snapshot.json`` (write-temp-then-rename) and then truncates the
-  journal (also via rename).  A crash between the two renames leaves
-  the same cycles in both files; replay deduplicates by cycle id, so
-  the merged view is unchanged.
+  kill can leave behind in the *journal*: a torn final line is dropped,
+  and any segment without its commit record is discarded - an
+  interrupted ingest simply never happened, and re-ingesting the same
+  spool entry reproduces the exact same committed bytes (results are
+  deterministic simulations).  Manifest and segment files are only ever
+  renamed into place, so damage there is not a crash artefact: a
+  missing, truncated, bit-flipped or miscounted segment, or a manifest
+  of an unknown or newer schema, raises :class:`StoreError` naming the
+  file rather than yielding a silently shorter store.
+- A schema-1 ``snapshot.json`` (one indented file embedding every
+  cycle) still loads; the next compaction converts it.
 
-Nothing in the journal or snapshot carries wall-clock time: the store's
-bytes are a pure function of the ingested data and order, which is what
-makes the kill-and-restart acceptance test ("replay yields a store
-byte-identical to an uninterrupted run") checkable at all.  Operational
-timestamps live in the coordinator's state file instead.
+Nothing in the journal, manifest or segments carries wall-clock time:
+the store's bytes are a pure function of the ingested data and order,
+which is what makes the kill-and-restart acceptance test ("replay yields
+a store byte-identical to an uninterrupted run") checkable at all.
+Operational timestamps live in the coordinator's state file instead.
 
 Windowed views (:meth:`RollingResultStore.store_view`) rebuild a plain
 :class:`~repro.core.results.ResultStore` over the last N cycles or a
@@ -35,24 +55,39 @@ can be rendered over a rolling window rather than all of history.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Set, Union
 
 from ..atomicio import atomic_write
 from ..core.experiment import ExperimentResult
 from ..core.results import ResultStore
+from ..obs.metrics import get_registry
 
 #: Journal filename inside the store directory.
 JOURNAL_FILENAME = "journal.jsonl"
 
-#: Snapshot filename inside the store directory.
+#: Manifest filename inside the store directory.
 SNAPSHOT_FILENAME = "snapshot.json"
 
-#: Bump when the journal/snapshot record layout changes incompatibly.
-STORE_SCHEMA_VERSION = 1
+#: Segment files are ``segment-<hex>.jsonl`` beside the journal.
+SEGMENT_PREFIX = "segment-"
+SEGMENT_SUFFIX = ".jsonl"
+
+#: Journal record layout version (stamped on ``begin`` records).
+JOURNAL_SCHEMA_VERSION = 1
+
+#: Manifest layout version.  Schema 1 was a single indented file
+#: embedding every cycle; it is still read, never written.
+STORE_SCHEMA_VERSION = 2
+
+
+class StoreError(ValueError):
+    """A store file cannot be trusted; the message names the file."""
 
 
 @dataclass
@@ -69,6 +104,9 @@ class CycleRecord:
     kind: str  # "adaptive" | "fixed"
     partial: bool = False
     results: List[Dict] = field(default_factory=list)
+    _parsed: Optional[List[ExperimentResult]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def to_json(self) -> Dict:
         """Return the record as a JSON-serialisable dict."""
@@ -91,27 +129,125 @@ class CycleRecord:
         )
 
     def experiment_results(self) -> List[ExperimentResult]:
-        """The cycle's trials as live result objects."""
-        return [ExperimentResult.from_json(r) for r in self.results]
+        """The cycle's trials as live result objects, parsed once.
+
+        A committed cycle never changes, so every windowed view shares
+        these objects instead of re-parsing the whole window per ingest.
+        """
+        if self._parsed is None:
+            self._parsed = [
+                ExperimentResult.from_json(r) for r in self.results
+            ]
+        return self._parsed
 
 
 def _canonical_line(payload: Dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _segment_filename(cycle_id: str) -> str:
+    """A cycle's segment file: a pure, filesystem-safe function of its id."""
+    digest = hashlib.sha256(cycle_id.encode("utf-8")).hexdigest()
+    return f"{SEGMENT_PREFIX}{digest[:24]}{SEGMENT_SUFFIX}"
+
+
+def _encode_segment(record: CycleRecord) -> "tuple[str, str]":
+    """A cycle's journal segment as ``(begin + trial lines, commit line)``.
+
+    Canonical (sorted keys, no whitespace), so the same record always
+    encodes to the same bytes - whether at append or, for a cycle
+    replayed after a restart, again at compaction.
+    """
+    lines = [
+        _canonical_line(
+            {
+                "record": "begin",
+                "schema": JOURNAL_SCHEMA_VERSION,
+                "cycle_id": record.cycle_id,
+                "source": record.source,
+                "kind": record.kind,
+                "partial": record.partial,
+            }
+        )
+    ]
+    for index, result in enumerate(record.results):
+        lines.append(
+            _canonical_line(
+                {
+                    "record": "trial",
+                    "cycle_id": record.cycle_id,
+                    "seq": index,
+                    "result": result,
+                }
+            )
+        )
+    commit = _canonical_line(
+        {
+            "record": "commit",
+            "cycle_id": record.cycle_id,
+            "trials": len(record.results),
+        }
+    )
+    return "\n".join(lines) + "\n", commit + "\n"
+
+
+def _committed_segments(raw: bytes) -> Iterable[CycleRecord]:
+    """Committed cycles in journal-format bytes, tolerating torn tails."""
+    pending: Optional[CycleRecord] = None
+    for line in raw.split(b"\n"):
+        if not line:
+            continue
+        try:
+            payload = json.loads(line)
+        except ValueError:
+            # A kill mid-append tears at most the final line; any
+            # segment it belonged to is uncommitted either way.
+            break
+        kind = payload.get("record")
+        if kind == "begin":
+            # A new begin while a segment is open means the previous
+            # ingest died before committing: discard it.
+            pending = CycleRecord(
+                cycle_id=payload["cycle_id"],
+                source=payload.get("source", ""),
+                kind=payload.get("kind", "fixed"),
+                partial=payload.get("partial", False),
+            )
+        elif kind == "trial":
+            if (
+                pending is not None
+                and payload.get("cycle_id") == pending.cycle_id
+            ):
+                pending.results.append(payload["result"])
+        elif kind == "commit":
+            if (
+                pending is not None
+                and payload.get("cycle_id") == pending.cycle_id
+                and payload.get("trials") == len(pending.results)
+            ):
+                yield pending
+            pending = None
+
+
 class RollingResultStore:
     """Durable, windowed store of per-cycle trial results.
 
     ``root`` is the store directory (created if missing) holding the
-    journal and snapshot.  Construction replays both, so a freshly
-    opened store always reflects every *committed* ingest - and nothing
-    an interrupted one left behind.
+    journal, the manifest and the segment files.  Construction replays
+    them, so a freshly opened store always reflects every *committed*
+    ingest - and nothing an interrupted one left behind.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._cycles: List[CycleRecord] = []
+        #: cycle id -> manifest row of every cycle that has a segment.
+        self._segments: Dict[str, Dict] = {}
+        #: cycle id -> journal segment text of cycles appended by this
+        #: process and not yet compacted (so compaction re-encodes
+        #: nothing it has just written).
+        self._encoded: Dict[str, str] = {}
         self.replay()
 
     @property
@@ -127,73 +263,92 @@ class RollingResultStore:
     # ------------------------------------------------------------------
 
     def replay(self) -> List[CycleRecord]:
-        """Rebuild the committed-cycle list from snapshot + journal.
+        """Rebuild the committed-cycle list from manifest + journal.
 
-        Order is snapshot cycles first (they were committed earlier),
+        Order is manifest segments first (they were committed earlier),
         then journal segments in append order; a cycle id present in
-        both (crash between snapshot rename and journal truncation)
+        both (crash between manifest rename and journal truncation)
         keeps its first occurrence.
         """
         cycles: List[CycleRecord] = []
         seen: Set[str] = set()
-        if self.snapshot_path.exists():
-            payload = json.loads(self.snapshot_path.read_text())
-            if payload.get("schema") != STORE_SCHEMA_VERSION:
-                raise ValueError(
-                    f"snapshot schema {payload.get('schema')!r} != "
-                    f"supported {STORE_SCHEMA_VERSION}"
-                )
-            for entry in payload.get("cycles", []):
-                record = CycleRecord.from_json(entry)
-                if record.cycle_id not in seen:
-                    seen.add(record.cycle_id)
-                    cycles.append(record)
-        for record in self._replay_journal():
+        self._segments = {}
+        for record in chain(self._replay_snapshot(), self._replay_journal()):
             if record.cycle_id not in seen:
                 seen.add(record.cycle_id)
                 cycles.append(record)
         self._cycles = cycles
         return list(cycles)
 
-    def _replay_journal(self) -> Iterable[CycleRecord]:
-        """Committed segments from the journal, tolerating torn tails."""
-        if not self.journal_path.exists():
+    def _replay_snapshot(self) -> Iterable[CycleRecord]:
+        """Compacted cycles, oldest first, each verified against its row."""
+        path = self.snapshot_path
+        if not path.exists():
             return
-        raw = self.journal_path.read_bytes()
-        pending: Optional[CycleRecord] = None
-        for line in raw.split(b"\n"):
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except ValueError:
-                # A kill mid-append tears at most the final line; any
-                # segment it belonged to is uncommitted either way.
-                break
-            kind = payload.get("record")
-            if kind == "begin":
-                # A new begin while a segment is open means the previous
-                # ingest died before committing: discard it.
-                pending = CycleRecord(
-                    cycle_id=payload["cycle_id"],
-                    source=payload.get("source", ""),
-                    kind=payload.get("kind", "fixed"),
-                    partial=payload.get("partial", False),
-                )
-            elif kind == "trial":
-                if (
-                    pending is not None
-                    and payload.get("cycle_id") == pending.cycle_id
-                ):
-                    pending.results.append(payload["result"])
-            elif kind == "commit":
-                if (
-                    pending is not None
-                    and payload.get("cycle_id") == pending.cycle_id
-                    and payload.get("trials") == len(pending.results)
-                ):
-                    yield pending
-                pending = None
+        try:
+            manifest = json.loads(path.read_bytes())
+            schema = manifest["schema"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise StoreError(f"{path}: not a store manifest ({exc})") from exc
+        if schema == 1:
+            for entry in manifest.get("cycles", []):
+                yield CycleRecord.from_json(entry)
+            return
+        if isinstance(schema, int) and schema > STORE_SCHEMA_VERSION:
+            raise StoreError(
+                f"{path}: manifest schema {schema} is newer than the "
+                f"{STORE_SCHEMA_VERSION} this library writes - upgrade "
+                "before opening this store"
+            )
+        if schema != STORE_SCHEMA_VERSION:
+            raise StoreError(f"{path}: unknown manifest schema {schema!r}")
+        for row in manifest.get("segments", []):
+            record = self._load_segment(row)
+            self._segments[record.cycle_id] = row
+            yield record
+
+    def _load_segment(self, row: Dict) -> CycleRecord:
+        """One manifest row's cycle; any disagreement is a StoreError."""
+        try:
+            name, cycle_id = row["file"], row["cycle_id"]
+            trials, digest = row["trials"], row["sha256"]
+        except (KeyError, TypeError) as exc:
+            raise StoreError(
+                f"{self.snapshot_path}: malformed segment row {row!r}"
+            ) from exc
+        if name != _segment_filename(cycle_id):
+            raise StoreError(
+                f"{self.snapshot_path}: row for cycle {cycle_id[:12]} "
+                f"names {name!r}, not that cycle's segment file"
+            )
+        path = self.root / name
+        try:
+            raw = path.read_bytes()
+        except FileNotFoundError:
+            raise StoreError(
+                f"{path}: segment named by the manifest is missing"
+            ) from None
+        if hashlib.sha256(raw).hexdigest() != digest:
+            raise StoreError(
+                f"{path}: sha256 differs from the manifest's "
+                "(truncated or corrupted segment)"
+            )
+        try:
+            records = list(_committed_segments(raw))
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise StoreError(f"{path}: not a cycle segment ({exc!r})") from exc
+        held = [(r.cycle_id, len(r.results)) for r in records]
+        if held != [(cycle_id, trials)]:
+            raise StoreError(
+                f"{path}: holds {held or 'no committed cycle'}; the "
+                f"manifest says {cycle_id[:12]} with {trials} trial(s)"
+            )
+        return records[0]
+
+    def _replay_journal(self) -> Iterable[CycleRecord]:
+        """Committed cycles still in the journal, in append order."""
+        if self.journal_path.exists():
+            yield from _committed_segments(self.journal_path.read_bytes())
 
     # ------------------------------------------------------------------
     # Ingest
@@ -218,59 +373,71 @@ class RollingResultStore:
             raise ValueError(
                 f"cycle {record.cycle_id[:12]}... already ingested"
             )
-        begin = {
-            "record": "begin",
-            "schema": STORE_SCHEMA_VERSION,
-            "cycle_id": record.cycle_id,
-            "source": record.source,
-            "kind": record.kind,
-            "partial": record.partial,
-        }
+        body, commit = _encode_segment(record)
         with open(self.journal_path, "a", encoding="utf-8") as fh:
-            fh.write(_canonical_line(begin) + "\n")
-            for index, result in enumerate(record.results):
-                line = {
-                    "record": "trial",
-                    "cycle_id": record.cycle_id,
-                    "seq": index,
-                    "result": result,
-                }
-                fh.write(_canonical_line(line) + "\n")
+            fh.write(body)
             fh.flush()
             os.fsync(fh.fileno())
             if pre_commit is not None:
                 pre_commit()
-            commit = {
-                "record": "commit",
-                "cycle_id": record.cycle_id,
-                "trials": len(record.results),
-            }
-            fh.write(_canonical_line(commit) + "\n")
+            fh.write(commit)
             fh.flush()
             os.fsync(fh.fileno())
+        self._encoded[record.cycle_id] = body + commit
         self._cycles.append(record)
 
     def compact(self, max_cycles: Optional[int] = None) -> None:
-        """Fold committed segments into the snapshot; truncate the journal.
+        """Move journalled cycles into segments; truncate the journal.
 
-        ``max_cycles`` bounds retention: older cycles beyond the window
-        are dropped from the snapshot (the rolling half of "rolling
-        result store").  Both writes are atomic renames; a crash between
-        them only duplicates cycles, which replay deduplicates.
+        Only cycles without a segment are encoded and written, so the
+        cost is the new cycle's plus one manifest row per stored cycle.
+        ``max_cycles`` bounds retention: cycles beyond the window lose
+        their manifest row and then their file (the rolling half of
+        "rolling result store").  Every write is an atomic rename, in
+        the order segment -> manifest -> journal -> unlink, so a crash
+        at any point leaves a store that replays to the same cycles.
         """
         if max_cycles is not None:
             self._cycles = (
                 self._cycles[-max_cycles:] if max_cycles > 0 else []
             )
-        snapshot = {
-            "schema": STORE_SCHEMA_VERSION,
-            "kind": "service-snapshot",
-            "cycles": [record.to_json() for record in self._cycles],
-        }
-        atomic_write(
-            self.snapshot_path, json.dumps(snapshot, indent=1, sort_keys=True)
-        )
+        rows: List[Dict] = []
+        written = 0
+        for record in self._cycles:
+            row = self._segments.get(record.cycle_id)
+            if row is None:
+                text = self._encoded.get(record.cycle_id) or "".join(
+                    _encode_segment(record)
+                )
+                data = text.encode("utf-8")
+                name = _segment_filename(record.cycle_id)
+                atomic_write(self.root / name, data)
+                written += len(data)
+                row = {
+                    "file": name,
+                    "cycle_id": record.cycle_id,
+                    "trials": len(record.results),
+                    "sha256": hashlib.sha256(data).hexdigest(),
+                }
+            rows.append(row)
+        manifest = _canonical_line(
+            {
+                "schema": STORE_SCHEMA_VERSION,
+                "kind": "service-snapshot",
+                "segments": rows,
+            }
+        ) + "\n"
+        atomic_write(self.snapshot_path, manifest)
+        self._segments = {row["cycle_id"]: row for row in rows}
+        self._encoded.clear()
         atomic_write(self.journal_path, "")
+        live = {row["file"] for row in rows}
+        for path in self.root.glob(f"{SEGMENT_PREFIX}*{SEGMENT_SUFFIX}"):
+            if path.name not in live:
+                path.unlink()
+        get_registry().counter("service.store.compact_bytes").inc(
+            written + len(manifest)
+        )
 
     # ------------------------------------------------------------------
     # Views

@@ -46,3 +46,19 @@ def test_simulator_core_imports_no_observer(package):
         if any(name == f or name.startswith(f + ".") for f in FORBIDDEN)
     ]
     assert offenders == []
+
+
+@pytest.mark.parametrize("package", ["fleet", "service"])
+def test_control_plane_rewrites_files_only_atomically(package):
+    """Workers poll ``out/next-plan/`` and ``spool/retry/``; a manifest
+    published with ``Path.write_text`` can be read half-written.  Every
+    rewrite in these packages goes through ``atomicio.atomic_write``."""
+    files = sorted((SRC / package).glob("*.py"))
+    assert files
+    offenders = [
+        (path.name, number)
+        for path in files
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if ".write_text(" in line
+    ]
+    assert offenders == []

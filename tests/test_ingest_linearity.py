@@ -1,0 +1,88 @@
+"""Ingest costs O(new cycle), checked by counts rather than a stopwatch.
+
+Six equal synthetic cycles go through ``WatchdogService.ingest_once``;
+two exact counters from ``repro.obs.metrics`` must not depend on how
+many cycles the store already holds:
+
+- ``core.report.cells_derived`` - median-share cells derived from raw
+  trials: n^2 per rendered section (each cell once, whatever reads it);
+- ``service.store.compact_bytes`` - bytes written by compaction: the new
+  cycle's segment plus the manifest, never the history again.
+"""
+
+import dataclasses
+import random
+
+from repro import units
+from repro.config import ExperimentConfig, NetworkConfig
+from repro.core.cache import TrialCache
+from repro.fleet.plan import plan_cycle
+from repro.obs.metrics import get_registry
+from repro.service import WatchdogService
+
+from tests.test_report import fake_result
+
+IDS = ["iperf_cubic", "iperf_reno", "iperf_bbr", "netflix", "meet"]
+NETWORKS = [
+    NetworkConfig(bandwidth_bps=units.mbps(8)),
+    NetworkConfig(bandwidth_bps=units.mbps(50)),
+]
+CONFIG = ExperimentConfig().scaled(4)
+CYCLES = 6
+
+
+def synthetic_result(spec, rng):
+    """A plausible valid full-length result for ``spec`` (no simulation)."""
+    a, b = spec.service_ids
+    return dataclasses.replace(
+        fake_result(
+            a, b, rng.uniform(0.1, 1.9), rng.uniform(0.1, 1.9), spec.seed
+        ),
+        bandwidth_bps=spec.network.bandwidth_bps,
+    )
+
+
+def deliver_cycle(spool, index):
+    """Drop one merged fixed cycle (plan + filled cache) into the spool."""
+    plan = plan_cycle(
+        IDS, NETWORKS, CONFIG, trials_per_pair=2, num_shards=1,
+        base_seed=100 + index,
+    )
+    entry = spool / "incoming" / f"cycle-{index:02d}"
+    plan.write(entry)
+    cache = TrialCache(entry / "cache")
+    rng = random.Random(index)
+    for planned in plan.trials:
+        cache.put(planned.spec, synthetic_result(planned.spec, rng))
+    return len(plan.trials)
+
+
+def test_six_equal_ingests_cost_the_same_by_count(tmp_path):
+    service = WatchdogService(
+        tmp_path / "spool", tmp_path / "out",
+        networks=NETWORKS, plan_config=CONFIG, plan_trials=1,
+    )
+    registry = get_registry()
+    cells = registry.counter("core.report.cells_derived")
+    compacted = registry.counter("service.store.compact_bytes")
+    cells_per_ingest, bytes_per_ingest = [], []
+    for index in range(CYCLES):
+        trials = deliver_cycle(tmp_path / "spool", index)
+        cells_before, bytes_before = cells.value, compacted.value
+        summary = service.ingest_once()
+        assert summary["ingested"][0]["trials"] == trials
+        assert len(summary["site_sections_changed"]) == len(NETWORKS)
+        cells_per_ingest.append(cells.value - cells_before)
+        bytes_per_ingest.append(compacted.value - bytes_before)
+    assert summary["cycles_total"] == CYCLES
+
+    # One n x n matrix per rendered section, on the first ingest and on
+    # the sixth (it was ~37 n^2 when every consumer re-derived its cells).
+    assert cells_per_ingest == [len(NETWORKS) * len(IDS) ** 2] * CYCLES
+
+    # Compaction writes the arriving cycle, not the history: the sixth
+    # ingest's bytes are the second's plus four short manifest rows.
+    assert bytes_per_ingest[5] >= bytes_per_ingest[1]
+    assert bytes_per_ingest[5] - bytes_per_ingest[1] < (
+        0.05 * bytes_per_ingest[1]
+    )

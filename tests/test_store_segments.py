@@ -1,0 +1,316 @@
+"""The rolling store's segment + manifest layout (DESIGN section 9).
+
+Three properties of compaction, each checked on the bytes on disk:
+
+- **O(new cycle)**: a compacted cycle's segment file is never opened
+  for writing again, and compaction writes the new cycle's bytes plus a
+  manifest row per stored cycle.
+- **Crash windows**: dying after the segment write, after the manifest
+  write, or before the journal truncation leaves a store that reopens
+  to the same cycles in the same order, and that one more ``compact()``
+  makes byte-identical to an uninterrupted run.
+- **Hostile artifacts**: a damaged segment or an unreadable manifest
+  raises :class:`StoreError` naming the file - never a bare
+  ``JSONDecodeError``/``KeyError``, never a silently shorter store.
+"""
+
+import hashlib
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+from repro.obs.metrics import get_registry
+from repro.service import store as store_module
+from repro.service.store import (
+    SNAPSHOT_FILENAME,
+    STORE_SCHEMA_VERSION,
+    RollingResultStore,
+    StoreError,
+)
+
+from tests.test_service import make_record
+
+SCHEMA1_FIXTURE = Path(__file__).parent / "data" / "store_snapshot_schema1.json"
+
+
+def tree_bytes(root):
+    return {
+        path.name: path.read_bytes() for path in sorted(Path(root).iterdir())
+    }
+
+
+def segment_files(root):
+    return sorted(Path(root).glob("segment-*.jsonl"))
+
+
+def compacted_store(root, cycles=("c1", "c2")):
+    store = RollingResultStore(root)
+    for cycle_id in cycles:
+        store.append_cycle(make_record(cycle_id))
+    store.compact()
+    return store
+
+
+def read_manifest(root):
+    return json.loads((Path(root) / SNAPSHOT_FILENAME).read_text())
+
+
+def write_manifest(root, manifest):
+    (Path(root) / SNAPSHOT_FILENAME).write_text(json.dumps(manifest))
+
+
+class TestSegmentLayout:
+    def test_manifest_lists_one_verified_segment_per_cycle(self, tmp_path):
+        compacted_store(tmp_path)
+        manifest = read_manifest(tmp_path)
+        assert manifest["schema"] == STORE_SCHEMA_VERSION == 2
+        rows = manifest["segments"]
+        assert [row["cycle_id"] for row in rows] == ["c1", "c2"]
+        assert [row["trials"] for row in rows] == [2, 2]
+        for row in rows:
+            data = (tmp_path / row["file"]).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == row["sha256"]
+        # Flat beside the journal: nothing but files in the store dir.
+        assert all(path.is_file() for path in tmp_path.iterdir())
+
+    def test_segment_is_the_journal_segment_verbatim(self, tmp_path):
+        store = RollingResultStore(tmp_path)
+        store.append_cycle(make_record("c1"))
+        journalled = store.journal_path.read_bytes()
+        store.compact()
+        (segment,) = segment_files(tmp_path)
+        assert segment.read_bytes() == journalled
+
+    def test_later_ingests_never_rewrite_a_compacted_segment(self, tmp_path):
+        store = compacted_store(tmp_path, cycles=("c1",))
+        (first,) = segment_files(tmp_path)
+        before = (first.stat().st_ino, first.read_bytes())
+        for cycle_id in ("c2", "c3"):
+            store.append_cycle(make_record(cycle_id))
+            store.compact()
+        assert (first.stat().st_ino, first.read_bytes()) == before
+        assert len(segment_files(tmp_path)) == 3
+
+    def test_compaction_bytes_do_not_grow_with_history(self, tmp_path):
+        counter = get_registry().counter("service.store.compact_bytes")
+        store = RollingResultStore(tmp_path)
+        written = []
+        for index in range(6):
+            store.append_cycle(make_record(f"cycle-{index}", trials=40))
+            before = counter.value
+            store.compact()
+            written.append(counter.value - before)
+        segment = segment_files(tmp_path)[0].stat().st_size
+        assert written[0] > segment
+        # Only the manifest's new row separates the sixth from the second.
+        assert written[5] - written[1] < 0.05 * written[1]
+
+    def test_window_retirement_unlinks_segments(self, tmp_path):
+        store = compacted_store(tmp_path, cycles=("c0", "c1", "c2", "c3"))
+        assert len(segment_files(tmp_path)) == 4
+        store.compact(max_cycles=2)
+        live = {row["file"] for row in read_manifest(tmp_path)["segments"]}
+        assert {path.name for path in segment_files(tmp_path)} == live
+        assert [r.cycle_id for r in RollingResultStore(tmp_path).cycles()] \
+            == ["c2", "c3"]
+
+    def test_store_bytes_are_a_function_of_data_and_order(self, tmp_path):
+        """Compacting per ingest or once at the end, reopening in between
+        or not: the same cycles in the same order give the same tree."""
+        compacted_store(tmp_path / "batch", cycles=("c1", "c2", "c3"))
+        for cycle_id in ("c1", "c2", "c3"):
+            store = RollingResultStore(tmp_path / "stepwise")
+            store.append_cycle(make_record(cycle_id))
+            store.compact()
+        assert tree_bytes(tmp_path / "stepwise") == tree_bytes(
+            tmp_path / "batch"
+        )
+
+    def test_cycle_record_parses_its_results_once(self, tmp_path):
+        store = compacted_store(tmp_path)
+        first = [id(r) for r in store.store_view().all_results()]
+        second = [id(r) for r in store.store_view().all_results()]
+        assert first == second
+
+
+class TestSchema1Upgrade:
+    def test_schema1_snapshot_loads_and_next_compaction_converts(
+        self, tmp_path
+    ):
+        upgraded = tmp_path / "upgraded"
+        upgraded.mkdir()
+        shutil.copy(SCHEMA1_FIXTURE, upgraded / SNAPSHOT_FILENAME)
+        assert json.loads(SCHEMA1_FIXTURE.read_text())["schema"] == 1
+        store = RollingResultStore(upgraded)
+        assert [r.cycle_id for r in store.cycles()] == ["c1", "c2"]
+        assert len(store) == 5
+        store.append_cycle(make_record("c3"))
+        store.compact()
+        assert read_manifest(upgraded)["schema"] == 2
+        # The converted store is the store a schema-2 history would be.
+        native = RollingResultStore(tmp_path / "native")
+        for record in store.cycles():
+            native.append_cycle(record)
+        native.compact()
+        assert tree_bytes(upgraded) == tree_bytes(tmp_path / "native")
+
+
+class _Crash(RuntimeError):
+    pass
+
+
+def crash_on_write(monkeypatch, index):
+    """Make the ``index``-th ``atomic_write`` of a compaction the first
+    one that does not happen (the process "dies" just before it)."""
+    real = store_module.atomic_write
+    calls = []
+
+    def dying(path, data):
+        if len(calls) == index:
+            raise _Crash(str(path))
+        calls.append(path)
+        real(path, data)
+
+    monkeypatch.setattr(store_module, "atomic_write", dying)
+
+
+class TestCrashWindows:
+    """One new cycle compacts in three writes: segment, manifest,
+    journal.  Index n = crash with n of them done."""
+
+    @pytest.mark.parametrize(
+        "writes_done, window",
+        [
+            (0, "before the segment write"),
+            (1, "after the segment write"),
+            (2, "after the manifest write, before journal truncation"),
+        ],
+    )
+    def test_crash_then_reopen_then_compact_is_byte_identical(
+        self, tmp_path, monkeypatch, writes_done, window
+    ):
+        control = compacted_store(tmp_path / "control", cycles=("c1",))
+        control.append_cycle(make_record("c2"))
+        control.compact()
+
+        store = compacted_store(tmp_path / "crashed", cycles=("c1",))
+        store.append_cycle(make_record("c2"))
+        crash_on_write(monkeypatch, writes_done)
+        with pytest.raises(_Crash):
+            store.compact()
+        monkeypatch.undo()
+
+        reopened = RollingResultStore(tmp_path / "crashed")
+        assert [r.cycle_id for r in reopened.cycles()] == ["c1", "c2"], window
+        assert len(reopened) == 4
+        reopened.compact()
+        assert tree_bytes(tmp_path / "crashed") == tree_bytes(
+            tmp_path / "control"
+        )
+
+    def test_crash_during_window_retirement(self, tmp_path, monkeypatch):
+        """Manifest written without the retired row, crash before the
+        unlink: the retired file is an orphan the next compaction sweeps."""
+        control = compacted_store(tmp_path / "control", cycles=("c1", "c2"))
+        control.append_cycle(make_record("c3"))
+        control.compact(max_cycles=2)
+
+        store = compacted_store(tmp_path / "crashed", cycles=("c1", "c2"))
+        store.append_cycle(make_record("c3"))
+        crash_on_write(monkeypatch, 2)
+        with pytest.raises(_Crash):
+            store.compact(max_cycles=2)
+        monkeypatch.undo()
+        assert len(segment_files(tmp_path / "crashed")) == 3
+
+        reopened = RollingResultStore(tmp_path / "crashed")
+        assert [r.cycle_id for r in reopened.cycles()] == ["c2", "c3"]
+        reopened.compact(max_cycles=2)
+        assert tree_bytes(tmp_path / "crashed") == tree_bytes(
+            tmp_path / "control"
+        )
+
+    def test_orphan_segment_is_ignored_then_swept(self, tmp_path):
+        compacted_store(tmp_path, cycles=("c1",))
+        orphan = tmp_path / "segment-0123456789abcdef01234567.jsonl"
+        orphan.write_text("left by a crash before the manifest write\n")
+        reopened = RollingResultStore(tmp_path)
+        assert [r.cycle_id for r in reopened.cycles()] == ["c1"]
+        reopened.append_cycle(make_record("c2"))
+        reopened.compact()
+        assert not orphan.exists()
+        assert len(segment_files(tmp_path)) == 2
+
+
+class TestHostileArtifacts:
+    def _segment(self, root, index=0):
+        row = read_manifest(root)["segments"][index]
+        return root / row["file"]
+
+    def _assert_store_error_names(self, root, path):
+        with pytest.raises(StoreError) as excinfo:
+            RollingResultStore(root)
+        assert str(path) in str(excinfo.value)
+
+    def test_truncated_segment(self, tmp_path):
+        compacted_store(tmp_path)
+        segment = self._segment(tmp_path)
+        data = segment.read_bytes()
+        segment.write_bytes(data[: len(data) // 2])
+        self._assert_store_error_names(tmp_path, segment)
+
+    def test_bit_flipped_segment(self, tmp_path):
+        compacted_store(tmp_path)
+        segment = self._segment(tmp_path, index=1)
+        data = bytearray(segment.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        segment.write_bytes(bytes(data))
+        self._assert_store_error_names(tmp_path, segment)
+
+    def test_missing_segment(self, tmp_path):
+        compacted_store(tmp_path)
+        segment = self._segment(tmp_path)
+        segment.unlink()
+        self._assert_store_error_names(tmp_path, segment)
+
+    def test_count_mismatched_segment(self, tmp_path):
+        """A segment that is intact by hash but holds fewer trials than
+        its manifest row promises (a stale row, a swapped file)."""
+        compacted_store(tmp_path)
+        manifest = read_manifest(tmp_path)
+        manifest["segments"][0]["trials"] += 1
+        write_manifest(tmp_path, manifest)
+        self._assert_store_error_names(tmp_path, self._segment(tmp_path))
+
+    def test_manifest_of_unknown_schema(self, tmp_path):
+        compacted_store(tmp_path)
+        manifest = read_manifest(tmp_path)
+        manifest["schema"] = "two"
+        write_manifest(tmp_path, manifest)
+        with pytest.raises(StoreError, match="unknown manifest schema") as e:
+            RollingResultStore(tmp_path)
+        assert str(tmp_path / SNAPSHOT_FILENAME) in str(e.value)
+
+    def test_manifest_from_a_future_version(self, tmp_path):
+        compacted_store(tmp_path)
+        manifest = read_manifest(tmp_path)
+        manifest["schema"] = STORE_SCHEMA_VERSION + 1
+        write_manifest(tmp_path, manifest)
+        with pytest.raises(StoreError, match="newer than") as e:
+            RollingResultStore(tmp_path)
+        assert str(tmp_path / SNAPSHOT_FILENAME) in str(e.value)
+
+    def test_truncated_manifest(self, tmp_path):
+        compacted_store(tmp_path)
+        path = tmp_path / SNAPSHOT_FILENAME
+        path.write_bytes(path.read_bytes()[:40])
+        self._assert_store_error_names(tmp_path, path)
+
+    def test_manifest_row_naming_a_foreign_file(self, tmp_path):
+        compacted_store(tmp_path)
+        manifest = read_manifest(tmp_path)
+        manifest["segments"][0]["file"] = "../journal.jsonl"
+        write_manifest(tmp_path, manifest)
+        self._assert_store_error_names(tmp_path, tmp_path / SNAPSHOT_FILENAME)
