@@ -460,14 +460,38 @@ class AdaptiveCycleState:
 
     @classmethod
     def load(cls, out_dir: Union[str, Path]) -> "AdaptiveCycleState":
-        """Read ``cycle-state.json`` from a cycle's output directory."""
+        """Read ``cycle-state.json`` from a cycle's output directory.
+
+        A file that is not this library's cycle state - cut short,
+        corrupted, another JSON shape, missing fields, written by a
+        newer schema - raises :class:`FleetError` naming the file and
+        the defect, never a raw decode or lookup error.
+        """
         path = Path(out_dir) / STATE_FILENAME
         if not path.exists():
             raise FleetError(
                 f"no {STATE_FILENAME} in {out_dir} - not an adaptive "
                 "cycle directory"
             )
-        return cls.from_json(json.loads(path.read_text()))
+        try:
+            # JSONDecodeError and UnicodeDecodeError are ValueErrors.
+            payload = json.loads(path.read_text())
+        except ValueError as exc:
+            raise FleetError(f"{path}: not valid JSON ({exc})") from exc
+        if not isinstance(payload, dict):
+            raise FleetError(
+                f"{path}: expected a JSON object, found "
+                f"{type(payload).__name__}"
+            )
+        try:
+            return cls.from_json(payload)
+        except FleetError as exc:
+            raise FleetError(f"{path}: {exc}") from exc
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise FleetError(
+                f"{path}: malformed cycle state "
+                f"({type(exc).__name__}: {exc})"
+            ) from exc
 
     # ------------------------------------------------------------------
     # Progress rendering (fleet status)

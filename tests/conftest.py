@@ -38,6 +38,24 @@ def kill_before_rename(monkeypatch):
 
 
 @pytest.fixture
+def summaries_since():
+    """Empties ``summarize_trials``' memo; the returned callable reads
+    how many summaries were (computed, reused) since."""
+    from repro.core import stats
+    from repro.obs.metrics import get_registry
+
+    def read():
+        return tuple(
+            get_registry().counter(f"core.convergence.summaries_{kind}").value
+            for kind in ("computed", "reused")
+        )
+
+    stats._SUMMARY_MEMO.clear()
+    start = read()
+    return lambda: tuple(now - then for now, then in zip(read(), start))
+
+
+@pytest.fixture
 def fast_config():
     """A 20-second experiment (4 s warmup/cooldown trims)."""
     return ExperimentConfig().scaled(20)

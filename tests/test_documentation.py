@@ -5,6 +5,8 @@ public item)."""
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -81,3 +83,24 @@ def test_public_classes_document_public_methods():
                 continue
             undocumented.append(f"{key}.{name}")
     assert not undocumented, f"undocumented public methods: {undocumented}"
+
+
+def _cited_test_ids():
+    """Every ``tests/<file>.py::<name>[::<name>]`` a design document
+    cites as the test that executes one of its sentences."""
+    root = Path(__file__).parent.parent
+    pattern = re.compile(r"tests/(test_\w+)\.py((?:::\w+)+)")
+    for document in ("DESIGN.md", "README.md"):
+        for module, names in pattern.findall((root / document).read_text()):
+            yield f"{document}: tests/{module}.py{names}", module, names
+
+
+@pytest.mark.parametrize(
+    "module,names",
+    [pytest.param(m, n, id=label) for label, m, n in sorted(set(_cited_test_ids()))],
+)
+def test_cited_test_exists(module, names):
+    """A claim's test id is only evidence while the test exists."""
+    target = importlib.import_module(f"tests.{module}")
+    for name in names.split("::")[1:]:
+        target = getattr(target, name)

@@ -19,6 +19,7 @@ from repro.config import (
     TrialPolicyConfig,
     highly_constrained,
 )
+from repro.core import stats
 from repro.core.cache import TrialCache
 from repro.core.runner import CacheMissError, InlineBackend
 from repro.core.watchdog import Prudentia
@@ -167,6 +168,18 @@ class TestFoldRound:
             state.fold_round(plan, TrialCache(tmp_path / "empty"))
 
 
+def _without_trackers(text):
+    payload = json.loads(text)
+    del payload["trackers"]
+    return json.dumps(payload)
+
+
+def _with_future_tracker(text):
+    payload = json.loads(text)
+    payload["trackers"][0]["schema"] = 99
+    return json.dumps(payload)
+
+
 class TestCycleStateSerialisation:
     def test_state_round_trips_mid_cycle(self, tmp_path):
         state = make_state()
@@ -204,6 +217,45 @@ class TestCycleStateSerialisation:
     def test_load_requires_state_file(self, tmp_path):
         with pytest.raises(FleetError, match=STATE_FILENAME):
             AdaptiveCycleState.load(tmp_path)
+
+    @pytest.mark.parametrize(
+        "damage, complaint",
+        [
+            (lambda text: text[: len(text) // 2], "not valid JSON"),
+            (lambda text: text.replace('"schema":', '"schema"?', 1), "not valid JSON"),
+            (lambda text: f"[{text}]", "expected a JSON object, found list"),
+            (_without_trackers, "malformed cycle state (KeyError: 'trackers')"),
+            (_with_future_tracker, "convergence tracker schema 99"),
+        ],
+        ids=["truncated", "bit-flipped", "top-level-list", "no-trackers",
+             "future-tracker-schema"],
+    )
+    def test_hostile_state_file_is_a_named_fleet_error(
+        self, tmp_path, damage, complaint
+    ):
+        """A damaged ``cycle-state.json`` never escapes as a raw
+        JSONDecodeError / KeyError / AttributeError: ``fleet status``
+        prints one line naming the file and the defect, and exits 1."""
+        make_state().save(tmp_path)
+        path = tmp_path / STATE_FILENAME
+        path.write_text(damage(path.read_text()))
+        with pytest.raises(FleetError) as caught:
+            AdaptiveCycleState.load(tmp_path)
+        assert str(path) in str(caught.value)
+        assert complaint in str(caught.value)
+
+    def test_fleet_status_reports_a_hostile_state_cleanly(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        make_state().save(tmp_path)
+        path = tmp_path / STATE_FILENAME
+        path.write_text(path.read_text()[:100])
+        assert main(["fleet", "status", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fleet error: ")
+        assert STATE_FILENAME in err and "not valid JSON" in err
 
     def test_kill_mid_save_keeps_the_previous_state(self, tmp_path, request):
         """cycle-state.json is the resume point (and what the service
@@ -412,6 +464,28 @@ class TestAdaptiveCycleAcceptance:
         watchdog.run_cycle(service_ids=MIXED_IDS)
         assert watchdog.last_cycle_stats.trials_run == 0
         assert watchdog.last_cycle_stats.cache_hits > 0
+
+    def test_assembly_replay_recomputes_no_summary(
+        self, tmp_path, summaries_since
+    ):
+        """The folds already summarised every series the assembly
+        replay evaluates: within one process the replay is served from
+        ``summarize_trials``' memo, and emits the plan it would have
+        recomputed from scratch."""
+        state = run_adaptive_cycle(
+            tmp_path / "cycle", IDS, [NET], FAST,
+            policies=[make_policy(ci_mbps=0.0)], num_shards=2, base_seed=7,
+        )
+        # 3 pairs x 2 series x 3 rounds, each computed by its fold and
+        # served once to run_adaptive_cycle's own assembly replay.
+        assert summaries_since() == (18, 18)
+        served = state.assembly_plan(num_shards=2)
+        assert summaries_since() == (18, 36)
+        stats._SUMMARY_MEMO.clear()
+        recomputed = state.assembly_plan(num_shards=2)
+        assert summaries_since() == (36, 36)
+        written = load_plan(tmp_path / "cycle" / ASSEMBLY_PLAN_FILENAME)
+        assert served.to_json() == recomputed.to_json() == written.to_json()
 
     def test_state_file_tracks_progress(self, converged):
         out, state = converged

@@ -1,8 +1,11 @@
 """Medians, quantiles, bootstrap CIs, trial summaries."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core import stats
 from repro.core.stats import (
     bootstrap_median_ci,
     iqr,
@@ -92,6 +95,11 @@ class TestBootstrap:
         with pytest.raises(ValueError):
             bootstrap_median_ci([1.0, 2.0], confidence=1.5)
 
+    @pytest.mark.parametrize("n_resamples", [0, -3])
+    def test_rejects_no_resamples(self, n_resamples):
+        with pytest.raises(ValueError, match="n_resamples must be positive"):
+            bootstrap_median_ci([1.0, 2.0], n_resamples=n_resamples)
+
 
 class TestTrialSummary:
     def test_fields(self):
@@ -106,6 +114,65 @@ class TestTrialSummary:
     def test_stable_series_tiny_halfwidth(self):
         summary = summarize_trials([10.0] * 20)
         assert summary.ci_halfwidth == 0.0
+
+
+class TestSummaryMemo:
+    """``summarize_trials`` computes each distinct summary once per
+    process, keyed type-exactly on every argument."""
+
+    def test_second_call_is_served_not_computed(self, summaries_since):
+        first = summarize_trials([3.0, 1.0, 2.0, 5.0], key="a|b|a")
+        assert summaries_since() == (1, 0)
+        again = summarize_trials([3.0, 1.0, 2.0, 5.0], key="a|b|a")
+        assert summaries_since() == (1, 1)
+        assert again is first
+
+    def test_shared_record_is_frozen(self):
+        summary = summarize_trials([3.0, 1.0, 2.0])
+        assert isinstance(summary, stats.TrialSummary)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            summary.median = 0.0
+
+    def test_every_argument_is_part_of_the_key(self, summaries_since):
+        data = [3.0, 1.0, 2.0, 5.0]
+        base = summarize_trials(data, key="k")
+        assert summarize_trials(data, key="other") is not base
+        assert summarize_trials(data, 0.9, key="k") is not base
+        assert summarize_trials(data, seed=4, key="k") is not base
+        assert summarize_trials(data + [4.0], key="k") is not base
+        assert summarize_trials(tuple(data), key="k") is base
+        assert summaries_since() == (5, 1)
+
+    @pytest.mark.parametrize(
+        "one, other",
+        [([1, 2, 3], [1.0, 2.0, 3.0]), ([0.0, 0.0, 0.0], [-0.0, -0.0, -0.0])],
+    )
+    def test_equal_valued_series_of_other_types_get_their_own_entry(
+        self, one, other, summaries_since
+    ):
+        """``1 == 1.0`` and ``0.0 == -0.0`` (and they hash alike), but
+        their summaries differ in type or sign: a tuple key would serve
+        one series the other's record."""
+        assert one == other
+        first, second = summarize_trials(one), summarize_trials(other)
+        assert summaries_since() == (2, 0)
+        assert first == second
+        assert repr(first) != repr(second)
+        assert repr(summarize_trials(one)) == repr(first)
+        assert repr(summarize_trials(other)) == repr(second)
+
+    def test_memo_is_bounded(self, monkeypatch, summaries_since):
+        monkeypatch.setattr(stats, "_SUMMARY_MEMO_MAX", 8)
+        for index in range(30):
+            summarize_trials([1.0, 2.0, float(index)])
+            assert len(stats._SUMMARY_MEMO) <= 8
+        assert summaries_since() == (30, 0)
+
+    def test_failed_summary_is_not_remembered(self, summaries_since):
+        with pytest.raises(ValueError):
+            summarize_trials([])
+        assert stats._SUMMARY_MEMO == {}
+        assert summaries_since() == (0, 0)
 
 
 class TestDerivedBootstrapSeed:
