@@ -26,6 +26,16 @@ class CongestionControl:
 
     name = "fixed"
 
+    #: Whether this controller reads delivery-rate samples.  A subclass
+    #: that sets it ``False`` promises that none of its methods touches
+    #: the ``rate_sample`` argument of :meth:`on_ack` (it receives
+    #: ``None``), ``conn.sampler`` (also ``None``), or a packet's
+    #: ``delivered`` / ``delivered_time`` / ``first_sent_time`` /
+    #: ``is_app_limited`` snapshot (never written): the connection then
+    #: skips the sampler on every send and ACK.  The default is the safe
+    #: one; ``tests/test_rate_sample_optout.py`` holds controllers to it.
+    uses_rate_samples = True
+
     def __init__(self, cwnd_packets: float = 10.0) -> None:
         #: Congestion window in packets.  A plain attribute rather than a
         #: property: the connection send loop reads it on every ACK, and a
@@ -58,6 +68,10 @@ class CongestionControl:
 
     def on_sent(self, conn: "Connection", packet: "Packet") -> None:
         """A data packet entered the network."""
+
+    #: Lets the connection skip the per-packet call while no subclass
+    #: overrides the hook (an override does not carry the marker).
+    on_sent.is_noop = True
 
     def on_ack(
         self,

@@ -106,9 +106,6 @@ class BBRv1(CongestionControl):
         self._conservation_until_round = -1
         self._drain_start_usec: Optional[int] = None
         self._mss = units.MSS_BYTES
-        # True when _update_cwnd is not overridden: on_ack then runs the
-        # base body inline instead of paying a virtual dispatch per ACK.
-        self._update_cwnd_is_base = type(self)._update_cwnd is BBRv1._update_cwnd
 
     # ------------------------------------------------------------------
     # Control outputs
@@ -178,23 +175,20 @@ class BBRv1(CongestionControl):
         self._min_rtt_stamp = conn.engine.now
 
     def on_ack(self, conn, packet, rtt_usec: int, rate_sample: RateSample) -> None:
-        """Flattened per-ACK update (see DESIGN.md, "Per-ACK CCA path").
+        """The whole per-ACK update in one call frame.
 
-        One call frame performs the whole
-        round/btlbw/min-rtt/full-pipe/state-machine sequence that the
-        ``_update_*`` methods below express step by step; those methods
-        are kept as the readable reference and for white-box tests, and
-        each one's logic appears here verbatim, in the same order, so the
-        simulation stays bit-identical with the unflattened chain.
-        ``_update_cwnd`` is inlined too when the subclass does not
-        override it (``_update_cwnd_is_base``); BBRv3's override takes a
-        real virtual call.  A subclass overriding any *other*
-        ``_update_*`` step must override ``on_ack`` as well.
+        Round accounting, the bandwidth and min-RTT filters, full-pipe
+        detection and the state machine run back to back here (DESIGN.md,
+        "Per-ACK CCA path": the frame per step this saves is worth over
+        2% of a cold cycle).  This is the only implementation in ``src/``;
+        the step-by-step chain it was flattened from lives in
+        ``tests/naive_bbr.py`` and must stay bit-identical with it, ACK
+        for ACK.  ``_update_cwnd`` stays a method: BBRv3 overrides it.
         """
         now = conn.engine.now
         params = self.params
 
-        # --- round accounting (_update_round) ---
+        # --- round accounting ---
         if packet.delivered >= self._next_round_delivered:
             self._next_round_delivered = conn.sampler.delivered
             self._round_count += 1
@@ -203,7 +197,7 @@ class BBRv1(CongestionControl):
             round_start = False
         self._round_start = round_start
 
-        # --- bottleneck-bandwidth filter (_update_btlbw) ---
+        # --- bottleneck-bandwidth filter ---
         btlbw = self._btlbw
         state = self._state
         rate = rate_sample.delivery_rate_bps
@@ -217,14 +211,17 @@ class BBRv1(CongestionControl):
             elif rate >= current_bw or not rate_sample.is_app_limited:
                 btlbw.update(rate, self._round_count)
 
-        # --- min-RTT filter (_update_min_rtt) ---
+        # --- min-RTT filter ---
+        # Window expiry both accepts the (likely inflated) current sample
+        # and, below, triggers PROBE_RTT so the queue drains and a genuine
+        # propagation sample is taken, as in Linux.
         min_rtt = self._min_rtt_usec
         min_rtt_expired = now - self._min_rtt_stamp > params.min_rtt_window_usec
         if min_rtt is None or rtt_usec <= min_rtt or min_rtt_expired:
             self._min_rtt_usec = rtt_usec
             self._min_rtt_stamp = now
 
-        # --- full-pipe detection (_check_full_pipe) ---
+        # --- full-pipe detection ---
         if not self._filled_pipe and round_start and not rate_sample.is_app_limited:
             bw = btlbw.best
             if bw >= self._full_bw * params.full_bw_threshold:
@@ -235,7 +232,7 @@ class BBRv1(CongestionControl):
                 if self._full_bw_count >= params.full_bw_rounds:
                     self._filled_pipe = True
 
-        # --- state machine (_update_state_machine) ---
+        # --- state machine ---
         if state == STARTUP and self._filled_pipe:
             self._state = state = DRAIN
             self._drain_start_usec = now
@@ -252,7 +249,7 @@ class BBRv1(CongestionControl):
                 state = self._state
         if state == PROBE_BW:
             self._advance_cycle_if_due(conn, now)
-        # --- ProbeRTT entry/exit (_maybe_enter_probe_rtt / _handle_probe_rtt) ---
+        # --- ProbeRTT entry/exit ---
         if state != PROBE_RTT:
             if self._min_rtt_usec is not None and min_rtt_expired:
                 self._state = PROBE_RTT
@@ -262,105 +259,7 @@ class BBRv1(CongestionControl):
         if self._state == PROBE_RTT:
             self._handle_probe_rtt(conn, now)
 
-        # --- cwnd (_update_cwnd) ---
-        if not self._update_cwnd_is_base:
-            # Subclass override (BBRv3's inflight_hi bound): virtual call.
-            self._update_cwnd(conn)
-        elif self._state == PROBE_RTT:
-            # BBRv1._update_cwnd inlined below — kept in lockstep with the
-            # method; edit both together.
-            self.cwnd_packets = params.min_cwnd_packets
-        else:
-            bw = btlbw.best
-            min_rtt = self._min_rtt_usec
-            if bw <= 0 or min_rtt is None:
-                scaled_bdp = float(INITIAL_WINDOW)
-            else:
-                scaled_bdp = self._cwnd_gain * (
-                    bw * min_rtt / units.USEC_PER_SEC / 8.0 / self._mss
-                )
-            target = max(scaled_bdp, params.min_cwnd_packets)
-            if (
-                params.recovery_packet_conservation
-                and self._round_count <= self._conservation_until_round
-            ):
-                target = min(
-                    target,
-                    max(float(conn.inflight_packets + 1), params.min_cwnd_packets),
-                )
-            self.cwnd_packets = target
-
-    def _update_round(self, conn, packet) -> None:
-        if packet.delivered >= self._next_round_delivered:
-            self._next_round_delivered = conn.sampler.delivered
-            self._round_count += 1
-            self._round_start = True
-        else:
-            self._round_start = False
-
-    def _update_btlbw(self, rate_sample: RateSample) -> None:
-        if rate_sample.delivery_rate_bps <= 0:
-            return
-        if self._state == DRAIN and (
-            rate_sample.delivery_rate_bps < self._btlbw.get()
-        ):
-            # Drain deliberately under-paces; letting its low samples age
-            # the max filter out collapses the model before PROBE_BW ever
-            # starts (the window is only 10 rounds).
-            return
-        if (
-            rate_sample.delivery_rate_bps >= self._btlbw.get()
-            or not rate_sample.is_app_limited
-        ):
-            self._btlbw.update(rate_sample.delivery_rate_bps, self._round_count)
-
-    def _update_min_rtt(self, now: int, rtt_usec: int) -> bool:
-        """Update the RTprop filter; returns True if the window expired.
-
-        Expiry both accepts the (likely inflated) current sample and - via
-        the caller - triggers PROBE_RTT so the queue is drained and a
-        genuine propagation sample taken, exactly as in Linux.
-        """
-        expired = now - self._min_rtt_stamp > self.params.min_rtt_window_usec
-        if self._min_rtt_usec is None or rtt_usec <= self._min_rtt_usec or expired:
-            self._min_rtt_usec = rtt_usec
-            self._min_rtt_stamp = now
-        return expired
-
-    def _check_full_pipe(self, rate_sample: RateSample) -> None:
-        if self._filled_pipe or not self._round_start or rate_sample.is_app_limited:
-            return
-        bw = self._btlbw.get()
-        if bw >= self._full_bw * self.params.full_bw_threshold:
-            self._full_bw = bw
-            self._full_bw_count = 0
-            return
-        self._full_bw_count += 1
-        if self._full_bw_count >= self.params.full_bw_rounds:
-            self._filled_pipe = True
-
-    def _update_state_machine(
-        self, conn, now: int, min_rtt_expired: bool = False
-    ) -> None:
-        params = self.params
-        if self._state == STARTUP and self._filled_pipe:
-            self._state = DRAIN
-            self._drain_start_usec = now
-            self._pacing_gain = params.drain_gain
-            self._cwnd_gain = params.high_gain
-        if self._state == DRAIN:
-            srtt = conn.rtt.srtt_usec or units.msec(100)
-            drain_timed_out = (
-                self._drain_start_usec is not None
-                and now - self._drain_start_usec > 3 * srtt
-            )
-            if conn.inflight_packets <= self._bdp_packets() or drain_timed_out:
-                self._enter_probe_bw(now)
-        if self._state == PROBE_BW:
-            self._advance_cycle_if_due(conn, now)
-        self._maybe_enter_probe_rtt(min_rtt_expired)
-        if self._state == PROBE_RTT:
-            self._handle_probe_rtt(conn, now)
+        self._update_cwnd(conn)
 
     def _enter_probe_bw(self, now: int) -> None:
         self._state = PROBE_BW
@@ -404,17 +303,6 @@ class BBRv1(CongestionControl):
         self._cycle_index = (self._cycle_index + 1) % self.params.cycle_length
         self._cycle_stamp = now
         self._set_cycle_gain()
-
-    def _maybe_enter_probe_rtt(self, min_rtt_expired: bool) -> None:
-        if self._state == PROBE_RTT:
-            return
-        if self._min_rtt_usec is None:
-            return
-        if min_rtt_expired:
-            self._state = PROBE_RTT
-            self._pacing_gain = 1.0
-            self._cwnd_gain = 1.0
-            self._probe_rtt_done_stamp = None
 
     def _handle_probe_rtt(self, conn, now: int) -> None:
         if self._probe_rtt_done_stamp is None:

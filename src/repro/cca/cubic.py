@@ -22,6 +22,7 @@ class Cubic(CongestionControl):
     """Cubic window growth: W(t) = C*(t-K)^3 + W_max."""
 
     name = "cubic"
+    uses_rate_samples = False
 
     #: RFC 8312 constants.
     C = 0.4

@@ -19,6 +19,7 @@ class NewReno(CongestionControl):
     """Classic loss-based AIMD congestion control."""
 
     name = "newreno"
+    uses_rate_samples = False
 
     def __init__(self, initial_cwnd: float = INITIAL_WINDOW) -> None:
         super().__init__(initial_cwnd)

@@ -27,6 +27,7 @@ class Vegas(CongestionControl):
     """
 
     name = "vegas"
+    uses_rate_samples = False
 
     def __init__(
         self,

@@ -69,6 +69,7 @@ from .plan import (
     _canonical,
     _dataclass_from_json,
     _planned,
+    load_json_artifact,
     network_fingerprint,
     write_manifest,
 )
@@ -473,25 +474,7 @@ class AdaptiveCycleState:
                 f"no {STATE_FILENAME} in {out_dir} - not an adaptive "
                 "cycle directory"
             )
-        try:
-            # JSONDecodeError and UnicodeDecodeError are ValueErrors.
-            payload = json.loads(path.read_text())
-        except ValueError as exc:
-            raise FleetError(f"{path}: not valid JSON ({exc})") from exc
-        if not isinstance(payload, dict):
-            raise FleetError(
-                f"{path}: expected a JSON object, found "
-                f"{type(payload).__name__}"
-            )
-        try:
-            return cls.from_json(payload)
-        except FleetError as exc:
-            raise FleetError(f"{path}: {exc}") from exc
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise FleetError(
-                f"{path}: malformed cycle state "
-                f"({type(exc).__name__}: {exc})"
-            ) from exc
+        return load_json_artifact(path, cls.from_json, "cycle state")
 
     # ------------------------------------------------------------------
     # Progress rendering (fleet status)

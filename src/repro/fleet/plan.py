@@ -25,7 +25,9 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union,
+)
 
 from .. import units
 from ..atomicio import atomic_write
@@ -50,6 +52,9 @@ MANIFEST_SCHEMA_VERSION = 2
 #: computed under schema 1, and :attr:`FleetPlan.plan_id` recomputes
 #: with the file's own schema so the identity check still holds.
 SUPPORTED_MANIFEST_SCHEMAS = (1, 2)
+
+
+T = TypeVar("T")
 
 
 class FleetError(RuntimeError):
@@ -369,9 +374,37 @@ def write_manifest(path: Union[str, Path], payload: Dict) -> None:
     atomic_write(path, json.dumps(payload, separators=(",", ":")))
 
 
+def load_json_artifact(path: Path, parse: Callable[[Dict], T], what: str) -> T:
+    """Read a JSON-object artifact and ``parse`` it.
+
+    A file that is not what it should be - cut short, corrupted, another
+    JSON shape, missing fields, written by a newer schema - raises
+    :class:`FleetError` naming the file and the defect, never a raw
+    decode or lookup error.  A missing file stays an ``OSError``.
+    """
+    try:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors.
+        payload = json.loads(path.read_text())
+    except ValueError as exc:
+        raise FleetError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise FleetError(
+            f"{path}: expected a JSON object, found "
+            f"{type(payload).__name__}"
+        )
+    try:
+        return parse(payload)
+    except FleetError as exc:
+        raise FleetError(f"{path}: {exc}") from exc
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise FleetError(
+            f"{path}: malformed {what} ({type(exc).__name__}: {exc})"
+        ) from exc
+
+
 def load_plan(path: Union[str, Path]) -> FleetPlan:
-    """Read a ``plan.json`` from disk."""
-    return FleetPlan.from_json(json.loads(Path(path).read_text()))
+    """Read a ``plan.json`` from disk (:func:`load_json_artifact`)."""
+    return load_json_artifact(Path(path), FleetPlan.from_json, "plan")
 
 
 def load_manifest(path: Union[str, Path]) -> Dict:

@@ -92,6 +92,8 @@ class HeapEngine:
         When ``until_usec`` is given the clock is left exactly there, so
         consecutive ``run`` calls resume seamlessly.
         """
+        if self._running:
+            raise RuntimeError("engine.run is not reentrant")
         heap = self._heap
         pop = heapq.heappop
         no_arg = _NO_ARG
@@ -200,22 +202,28 @@ class CalendarEngine:
     #: Bucket-count exponent: 256 buckets balances rotation bookkeeping
     #: against horizon span (at the default width, a 65 ms year).
     NBUCKETS_LOG2 = 8
-    #: Initial bucket width exponent: 256 us, sized for the 50 Mbps
-    #: regime (~3-4 events per day); the adaptive resize takes it from
-    #: there for other regimes.
+    #: Initial bucket width exponent: 256 us, which holds only ~3-4
+    #: events per day even at 50 Mbps - well under ``TARGET_PER_DAY`` -
+    #: so every trial starts narrow and the adaptive resize widens it
+    #: within the first rotations.
     INITIAL_SHIFT = 8
     #: Bounds for the adaptive width (16 us .. 65.5 ms).
     MIN_SHIFT = 4
     MAX_SHIFT = 16
-    #: Events per *busy* day the resize policy aims for.  Small enough
-    #: that the per-day sort stays trivial, large enough to amortize the
-    #: per-day bookkeeping (bucket fetch, horizon advance, overflow probe).
-    TARGET_PER_DAY = 4
-    #: A day opening with this many events means the bucket width is at
-    #: least ~4 shift steps too wide (e.g. a quiet-period upshift met a
-    #: traffic burst): narrow immediately at day close rather than
-    #: waiting out the rest of a - now very long - rotation.
-    OVERFULL_PER_DAY = 64
+    #: Events per *busy* day the resize policy aims for.  The dispatch
+    #: loop itself is ~20 bytecodes an event; opening and closing a day
+    #: (sort call, cursor stores, clear, rotation counters, horizon
+    #: advance, overflow probe) is a fixed cost this many events share,
+    #: while the near-sorted per-day Timsort stays linear.  Measured
+    #: best of {4, 16, 32, 64, 128} on ``cold-cycle`` (DESIGN.md,
+    #: "Event scheduler").
+    TARGET_PER_DAY = 64
+    #: A day opening with this many events (16x the target) means the
+    #: bucket width is at least ~4 shift steps too wide (e.g. a
+    #: quiet-period upshift met a traffic burst): narrow immediately at
+    #: day close rather than waiting out the rest of a - now very long -
+    #: rotation.
+    OVERFULL_PER_DAY = 1024
 
     def __init__(self, shift: Optional[int] = None) -> None:
         self.now: int = 0

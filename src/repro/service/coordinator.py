@@ -67,7 +67,7 @@ from ..core.cache import TrialCache
 from ..core.runner import CacheMissError, InlineBackend, TrialSpec
 from ..core.submission import SubmissionError, SubmissionPortal
 from ..fleet.adaptive import AdaptiveCycleState, ASSEMBLY_PLAN_FILENAME, STATE_FILENAME
-from ..fleet.plan import FleetPlan, load_plan, write_manifest
+from ..fleet.plan import FleetError, FleetPlan, load_plan, write_manifest
 from ..obs import tracing
 from ..obs.flight import FLIGHT_SCHEMA_VERSION, diagnose
 from ..obs.heartbeat import Heartbeat, HeartbeatWriter
@@ -432,6 +432,19 @@ class WatchdogService:
             dest = self.spool / bucket / f"{entry.name}.{stamp}"
         os.replace(entry, dest)
 
+    def _retire_unreadable(
+        self, entry: Path, cause: Exception
+    ) -> ServiceError:
+        """Move an entry whose own files cannot be read to ``failed/``.
+
+        Left in ``incoming/`` it would fail every pass and every
+        restart; the caller raises the returned error.
+        """
+        self._move_entry(entry, "failed")
+        return ServiceError(
+            f"spool entry {entry.name}: {cause}; entry moved to failed/"
+        )
+
     def ingest_entry(self, entry: Path) -> IngestReport:
         """Ingest one spool entry: fold, journal, commit, requeue, move.
 
@@ -441,14 +454,17 @@ class WatchdogService:
         """
         requeued: List[str] = []
         if (entry / STATE_FILENAME).exists():
-            state = AdaptiveCycleState.load(entry)
+            try:
+                state = AdaptiveCycleState.load(entry)
+                assembly = entry / ASSEMBLY_PLAN_FILENAME
+                if state.done and assembly.exists():
+                    specs = [t.spec for t in load_plan(assembly).trials]
+                else:
+                    specs = self._adaptive_specs(state)
+            except (FleetError, LookupError) as exc:
+                raise self._retire_unreadable(entry, exc) from exc
             kind = "adaptive"
             partial = not state.done
-            assembly = entry / ASSEMBLY_PLAN_FILENAME
-            if state.done and assembly.exists():
-                specs = [t.spec for t in load_plan(assembly).trials]
-            else:
-                specs = self._adaptive_specs(state)
             cycle_id = state.cycle_id
             if partial:
                 cycle_id = f"{state.cycle_id}+{len(specs)}"
@@ -460,7 +476,10 @@ class WatchdogService:
                 if (entry / ASSEMBLY_PLAN_FILENAME).exists()
                 else entry / "plan.json"
             )
-            plan = load_plan(plan_path)
+            try:
+                plan = load_plan(plan_path)
+            except FleetError as exc:
+                raise self._retire_unreadable(entry, exc) from exc
             kind = "fixed"
             cache = TrialCache(self._entry_cache_dir(entry))
             covered = [
@@ -633,8 +652,15 @@ class WatchdogService:
         accepted = self.process_submissions()
         reports: List[IngestReport] = []
         changed: set = set()
+        failures: List[ServiceError] = []
         for entry in self.scan_spool():
-            report = self.ingest_entry(entry)
+            try:
+                report = self.ingest_entry(entry)
+            except ServiceError as exc:
+                # That entry is in failed/ now; the ones behind it must
+                # not wait for an operator.  Raised once the pass is done.
+                failures.append(exc)
+                continue
             reports.append(report)
             changed.update(report.bandwidths_bps)
             if not report.skipped:
@@ -654,6 +680,10 @@ class WatchdogService:
         get_registry().gauge("service.cycles_total").set(
             len(self.store.cycles())
         )
+        if failures:
+            raise ServiceError(
+                "; ".join(str(exc) for exc in failures)
+            ) from failures[0]
         return {
             "ingested": [r.to_json() for r in reports],
             "submissions_accepted": accepted,

@@ -14,16 +14,25 @@ Hot-path notes (see DESIGN.md, "simulator hot path"):
 * The RTO uses the engine's lazy-cancellation :class:`~repro.netsim.engine.Timer`
   handle, so rearming on every ACK is two attribute stores instead of a
   heap push.
-* ``_handle_ack`` / ``_send_loop`` / ``_transmit_one`` hoist loop-invariant
-  reads (cwnd, pacing rate, counter dicts) into locals; the pacing gap is
-  cached keyed on the pacing rate, which only changes when the CCA moves
-  it.
-* ``_handle_ack`` batches the whole per-ACK sequence into one frame: the
-  RTT-estimator and rate-sampler updates are inlined from their reference
-  methods, the CCA callback goes through a bound method cached at init
-  (``cca`` is never reassigned), and loss detection is inlined, so a
-  delivered packet costs one call into the CCA instead of a frame per
-  sub-step.
+* ``Connection`` declares ``__slots__``: it carries more instance
+  attributes than CPython's shared-key table holds (30 on 3.11), so
+  without them every ``self.x`` here would miss the inline-values path.
+* ``_handle_ack`` / ``_send_loop`` hoist loop-invariant reads (cwnd,
+  pacing rate, the clock) into locals; the pacing gap is cached keyed on
+  the pacing rate, which only changes when the CCA moves it.  A packet
+  is built, registered and handed to the path inside ``_send_loop``'s
+  own frame, and ``cca.on_sent`` is called only when the controller
+  overrides the base no-op.
+* Delivery-rate sampling runs only for controllers that read it
+  (``CongestionControl.uses_rate_samples``): otherwise the connection
+  has no sampler, packets carry no snapshot and ``on_ack`` receives
+  ``None`` for its rate sample.
+* ``_handle_ack`` runs the per-ACK sequence in one frame: loss
+  detection and the RTO rearm are written out in it, and the CCA
+  callback goes through a bound method cached at init (``cca`` is never
+  reassigned).  The RTT estimator and the rate sampler are plain calls:
+  inlining either bought under 2% of a cold cycle (DESIGN.md section 6),
+  so ``src/`` keeps one copy of each.
 * Retired :class:`~repro.netsim.packet.Packet` objects are recycled
   through a flow-owned free list (``PACKET_POOL_SIZE``; set to 0 to
   disable).  A packet is recycled only once its network/ACK event chain
@@ -71,6 +80,50 @@ class Connection:
     #: Maximum retired packets kept for reuse (0 disables the free list).
     PACKET_POOL_SIZE = 2048
 
+    __slots__ = (
+        "engine",
+        "path",
+        "cca",
+        "service_id",
+        "flow_id",
+        "mss_bytes",
+        "server_rate_cap_bps",
+        "_next_seq",
+        "_pending_packets",
+        "_committed_packets",
+        "_inflight",
+        "_order",
+        "_rtx_queue",
+        "_tx_counter",
+        "_highest_acked_tx",
+        "highest_acked",
+        "_recovery_until_tx",
+        "rtt",
+        "sampler",
+        "_rcv_cum",
+        "_ooo",
+        "_requests",
+        "packets_sent",
+        "packets_acked",
+        "packets_marked_lost",
+        "packets_received_unique",
+        "rto_count",
+        "bytes_acked",
+        "_next_request_arrival",
+        "_rto_timer",
+        "_next_send_time",
+        "_send_event_pending",
+        "_last_activity",
+        "_gap_rate",
+        "_gap_usec",
+        "_ack_cb",
+        "_send_loop_cb",
+        "_cca_on_ack",
+        "_cca_on_sent",
+        "_pool",
+        "_pool_max",
+    )
+
     def __init__(
         self,
         engine: Engine,
@@ -101,7 +154,9 @@ class Connection:
         self.highest_acked = -1
         self._recovery_until_tx = -1
         self.rtt = RttEstimator()
-        self.sampler = RateSampler()
+        #: Delivery-rate sampler, or None when the controller reads no
+        #: rate samples (decided here, once per connection).
+        self.sampler = RateSampler() if cca.uses_rate_samples else None
 
         # --- receiver state ---
         self._rcv_cum = -1
@@ -133,6 +188,9 @@ class Connection:
         self._ack_cb = self._handle_ack
         self._send_loop_cb = self._send_loop
         self._cca_on_ack = cca.on_ack
+        # None when ``on_sent`` is the base class's empty hook.
+        on_sent = cca.on_sent
+        self._cca_on_sent = None if getattr(on_sent, "is_noop", False) else on_sent
 
         # Free list of retired packets (see module docstring).
         self._pool: list = []
@@ -204,18 +262,6 @@ class Connection:
     # Sending
     # ------------------------------------------------------------------
 
-    def _effective_pacing_rate(self) -> Optional[float]:
-        rate = self.cca.pacing_rate_bps
-        cap = self.server_rate_cap_bps
-        if rate is None:
-            return cap
-        if cap is None:
-            return rate
-        return min(rate, cap)
-
-    def _window_open(self) -> bool:
-        return len(self._inflight) < self.cca.cwnd_packets
-
     def _try_send(self) -> None:
         if self._send_event_pending:
             return
@@ -225,13 +271,13 @@ class Connection:
         self._send_event_pending = False
         inflight = self._inflight
         rtx_queue = self._rtx_queue
-        engine = self.engine
-        # cwnd and the pacing rate only move in CCA callbacks (ACK, loss,
-        # RTO), none of which can run inside this loop, so hoist them.
+        # The clock, cwnd and the pacing rate only move between events and
+        # in CCA callbacks (ACK, loss, RTO), none of which can run inside
+        # this loop, so hoist them.
+        now = self.engine.now
         cca = self.cca
         cwnd = cca.cwnd_packets
-        # Inlined _effective_pacing_rate (one call frame per ACK saved;
-        # min(rate, cap) written out so equal values pick the same operand).
+        # min(rate, cap) written out so equal values pick the same operand.
         pacing = cca.pacing_rate_bps
         cap = self.server_rate_cap_bps
         if pacing is None:
@@ -245,65 +291,68 @@ class Connection:
                     self.mss_bytes, pacing
                 )
             gap = self._gap_usec
-            while (self._pending_packets or rtx_queue) and len(inflight) < cwnd:
-                now = engine.now
+        else:
+            # Unpaced; a real gap is at least 1 usec.
+            gap = 0
+        mss = self.mss_bytes
+        sampler = self.sampler
+        pool = self._pool
+        while (self._pending_packets or rtx_queue) and len(inflight) < cwnd:
+            if gap:
                 next_send = self._next_send_time
                 if now < next_send:
                     self._send_event_pending = True
-                    engine.schedule_at(next_send, self._send_loop_cb)
+                    self.engine.schedule_at(next_send, self._send_loop_cb)
                     return
-                self._transmit_one()
                 self._next_send_time = (
                     next_send if next_send > now else now
                 ) + gap
-        else:
-            while (self._pending_packets or rtx_queue) and len(inflight) < cwnd:
-                self._transmit_one()
-        if not (self._pending_packets or rtx_queue) and len(inflight) < cwnd:
+            if rtx_queue:
+                seq = rtx_queue.popleft()
+                is_rtx = True
+            else:
+                seq = self._next_seq
+                self._next_seq = seq + 1
+                self._pending_packets -= 1
+                is_rtx = False
+            if pool:
+                # Recycle a retired packet: only fields the free list does
+                # not guarantee are reset (flow/size are invariant per
+                # connection; tx_index and, where sampled, the sampler
+                # snapshot are written below).
+                packet = pool.pop()
+                packet.seq = seq
+                packet.sent_time = now
+                packet.is_retransmit = is_rtx
+                packet.arrival_time = None
+                packet.dequeue_time = None
+                packet._chain_done = False
+            else:
+                packet = Packet(self, seq, mss, now, is_retransmit=is_rtx)
+            tx = self._tx_counter
+            packet.tx_index = tx
+            self._tx_counter = tx + 1
+            if sampler is not None:
+                sampler.on_sent(packet, now, len(inflight) * mss)
+            inflight[seq] = packet
+            packet._in_order = True
+            self._order.append(packet)
+            self.packets_sent += 1
+            self._last_activity = now
+            if self._cca_on_sent is not None:
+                self._cca_on_sent(self, packet)
+            self.path.transmit(packet)
+            rto_timer = self._rto_timer
+            if rto_timer.deadline is None:
+                rto_timer.schedule_at(now + self.rtt.rto_usec)
+        if (
+            sampler is not None
+            and not (self._pending_packets or rtx_queue)
+            and len(inflight) < cwnd
+        ):
             # The sender ran out of data with the window open: mark the
             # sampler app-limited so BBR ignores the lull.
-            self.sampler.mark_app_limited(len(inflight) * self.mss_bytes)
-
-    def _transmit_one(self) -> None:
-        now = self.engine.now
-        rtx_queue = self._rtx_queue
-        if rtx_queue:
-            seq = rtx_queue.popleft()
-            is_rtx = True
-        else:
-            seq = self._next_seq
-            self._next_seq = seq + 1
-            self._pending_packets -= 1
-            is_rtx = False
-        pool = self._pool
-        if pool:
-            # Recycle a retired packet: only fields the free list does not
-            # guarantee are reset (flow/size are invariant per connection;
-            # tx_index and the sampler snapshot are written below).
-            packet = pool.pop()
-            packet.seq = seq
-            packet.sent_time = now
-            packet.is_retransmit = is_rtx
-            packet.arrival_time = None
-            packet.dequeue_time = None
-            packet._chain_done = False
-        else:
-            packet = Packet(self, seq, self.mss_bytes, now, is_retransmit=is_rtx)
-        tx = self._tx_counter
-        packet.tx_index = tx
-        self._tx_counter = tx + 1
-        inflight = self._inflight
-        self.sampler.on_sent(packet, now, len(inflight) * self.mss_bytes)
-        inflight[seq] = packet
-        packet._in_order = True
-        self._order.append(packet)
-        self.packets_sent += 1
-        self._last_activity = now
-        self.cca.on_sent(self, packet)
-        self.path.transmit(packet)
-        rto_timer = self._rto_timer
-        if rto_timer.deadline is None:
-            rto_timer.schedule_at(now + self.rtt.rto_usec)
+            sampler.mark_app_limited(len(inflight) * mss)
 
     # ------------------------------------------------------------------
     # Receiver side (client)
@@ -353,17 +402,13 @@ class Connection:
     # ------------------------------------------------------------------
 
     def _handle_ack(self, packet: Packet) -> None:
-        """Per-ACK bookkeeping, batched into one frame.
+        """Per-ACK bookkeeping: RTT sample, rate sample, CCA callback,
+        loss detection, RTO rearm, send restart.
 
-        The sub-steps the seed code expressed as separate calls (RTT
-        sample, rate sample, CCA callback, loss detection, RTO rearm,
-        send restart) run here back to back: the RTT-estimator and
-        rate-sampler updates are inlined from their reference methods
-        (``RttEstimator.on_rtt_sample`` / ``RateSampler.on_ack``, kept in
-        lockstep), and ``_detect_losses`` is inlined verbatim because
-        every in-order ACK walks it to retire its own packet.  One
-        delivered packet therefore costs exactly one call into the CCA
-        (``cca.on_ack``, itself flattened) plus the send loop.
+        Loss detection and the RTO rearm are written out in this frame
+        and exist nowhere else in ``src/``
+        (``tests/naive_loss_detection.py`` holds the differential oracle
+        for the former).
         """
         now = self.engine.now
         self._last_activity = now
@@ -376,52 +421,13 @@ class Connection:
             self.bytes_acked += packet.size_bytes
             rtt_sample = now - packet.sent_time
             if not packet.is_retransmit:
-                # RttEstimator.on_rtt_sample inlined (lockstep with
-                # rtt.py).  rtt_sample > 0 by construction - the path's
-                # propagation delay is positive - so the reference
-                # method's ValueError guard cannot fire here.
-                rtt = self.rtt
-                rtt.latest_rtt_usec = rtt_sample
-                if rtt.min_rtt_usec is None or rtt_sample < rtt.min_rtt_usec:
-                    rtt.min_rtt_usec = rtt_sample
-                srtt = rtt.srtt_usec
-                if srtt is None:
-                    rtt.srtt_usec = srtt = float(rtt_sample)
-                    rtt.rttvar_usec = rtt_sample / 2.0
-                else:
-                    delta = abs(srtt - rtt_sample)
-                    rtt.rttvar_usec = (
-                        1 - rtt.BETA
-                    ) * rtt.rttvar_usec + rtt.BETA * delta
-                    rtt.srtt_usec = srtt = (
-                        1 - rtt.ALPHA
-                    ) * srtt + rtt.ALPHA * rtt_sample
-                rtt._backoff = 1
-                base = int(srtt + max(4 * rtt.rttvar_usec, 1000))
-                rto = max(rtt.MIN_RTO_USEC, base)
-                rtt.rto_usec = rto if rto < rtt.MAX_RTO_USEC else rtt.MAX_RTO_USEC
-            # RateSampler.on_ack inlined (lockstep with rate_sampler.py);
-            # the sampler's single reused RateSample is mutated in place.
+                # rtt_sample > 0: the path's propagation delay is positive.
+                self.rtt.on_rtt_sample(rtt_sample)
             sampler = self.sampler
-            delivered = sampler.delivered + packet.size_bytes
-            sampler.delivered = delivered
-            sampler.delivered_time = now
-            sent_time = packet.sent_time
-            send_elapsed = sent_time - packet.first_sent_time
-            ack_elapsed = now - packet.delivered_time
-            sampler.first_sent_time = sent_time
-            interval = send_elapsed if send_elapsed >= ack_elapsed else ack_elapsed
-            delivered_bytes = delivered - packet.delivered
-            if interval <= 0:
-                rate = 0.0
-            else:
-                rate = delivered_bytes * 8 * units.USEC_PER_SEC / interval
-            rate_sample = sampler._sample
-            rate_sample.delivery_rate_bps = rate
-            rate_sample.delivered_bytes = delivered_bytes
-            rate_sample.interval_usec = interval
-            rate_sample.is_app_limited = packet.is_app_limited
-            rate_sample.rtt_usec = rtt_sample
+            rate_sample = (
+                None if sampler is None
+                else sampler.on_ack(packet, now, rtt_sample)
+            )
             self._cca_on_ack(self, packet, rtt_sample, rate_sample)
         if seq > self.highest_acked:
             self.highest_acked = seq
@@ -431,8 +437,12 @@ class Connection:
         # This ACK is the end of the packet's event chain.
         packet._chain_done = True
         was_in_order = packet._in_order
-        # Loss detection (inlined _detect_losses; see that method for the
-        # algorithm notes - the bodies are kept in lockstep).
+        # SACK-style loss marking in *transmission* order.  The path is
+        # FIFO, so once a transmission is acknowledged every earlier one
+        # has either arrived or been dropped; the classic 3-packet
+        # reordering tolerance (dupthresh) applies before a hole is
+        # declared lost, matching fast-retransmit timing.  Every in-order
+        # ACK walks this loop to retire its own packet.
         order = self._order
         if order:
             threshold = self._highest_acked_tx - DUPTHRESH
@@ -456,6 +466,11 @@ class Connection:
                     self._rtx_queue.append(pkt_seq)
                     self.packets_marked_lost += 1
                     self._on_loss(pkt_seq)
+                    # A marked-lost packet with a finished chain was
+                    # dropped at the bottleneck; nothing else can
+                    # reference it.  (A chain still in flight - ACK-dither
+                    # reordering or an upstream loss - keeps the packet
+                    # out of the pool.)
                     if pkt._chain_done and len(pool) < pool_max:
                         pool.append(pkt)
                 else:
@@ -481,52 +496,6 @@ class Connection:
             pool = self._pool
             if len(pool) < self._pool_max:
                 pool.append(packet)
-
-    def _detect_losses(self) -> None:
-        """SACK-style loss marking in *transmission* order.
-
-        The path is FIFO, so once a transmission is acknowledged every
-        earlier transmission must have either arrived or been dropped.  We
-        keep the classic 3-packet reordering tolerance (dupthresh) before
-        declaring a hole lost, matching fast-retransmit timing.
-
-        ``_handle_ack`` inlines this body on the per-ACK hot path; the
-        method remains the canonical statement of the algorithm (and the
-        entry point for white-box tests), so keep the two in lockstep.
-        """
-        order = self._order
-        if not order:
-            return
-        threshold = self._highest_acked_tx - DUPTHRESH
-        inflight = self._inflight
-        pool = self._pool
-        pool_max = self._pool_max
-        while order:
-            pkt = order[0]
-            pkt_seq = pkt.seq
-            live = inflight.get(pkt_seq)
-            if live is not pkt:
-                # Already acknowledged (or superseded by a retransmission).
-                order.popleft()
-                pkt._in_order = False
-                if pkt._chain_done and len(pool) < pool_max:
-                    pool.append(pkt)
-                continue
-            if pkt.tx_index <= threshold:
-                order.popleft()
-                pkt._in_order = False
-                del inflight[pkt_seq]
-                self._rtx_queue.append(pkt_seq)
-                self.packets_marked_lost += 1
-                self._on_loss(pkt_seq)
-                # A marked-lost packet with a finished chain was dropped at
-                # the bottleneck; nothing else can reference it.  (A chain
-                # still in flight - ACK-dither reordering or an upstream
-                # loss - keeps the packet out of the pool.)
-                if pkt._chain_done and len(pool) < pool_max:
-                    pool.append(pkt)
-            else:
-                break
 
     def _on_loss(self, seq: int) -> None:
         if not self.in_recovery:

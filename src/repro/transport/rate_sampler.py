@@ -75,20 +75,17 @@ class RateSampler:
         self.app_limited_until = self.delivered + max(inflight_bytes, 1)
 
     def on_ack(self, packet: Packet, now: int, rtt_usec: int) -> RateSample:
-        """Compute the rate sample for a freshly ACKed packet.
-
-        ``Connection._handle_ack`` inlines this body on the per-ACK hot
-        path; keep the two in lockstep.
-        """
-        self.delivered += packet.size_bytes
+        """Compute the rate sample for a freshly ACKed packet."""
+        self.delivered = delivered = self.delivered + packet.size_bytes
         self.delivered_time = now
-        send_elapsed = packet.sent_time - packet.first_sent_time
-        ack_elapsed = self.delivered_time - packet.delivered_time
+        sent_time = packet.sent_time
+        send_elapsed = sent_time - packet.first_sent_time
+        ack_elapsed = now - packet.delivered_time
         # Per the draft: the next sample's send interval starts at this
         # packet's send time.
-        self.first_sent_time = packet.sent_time
-        interval = max(send_elapsed, ack_elapsed)
-        delivered_bytes = self.delivered - packet.delivered
+        self.first_sent_time = sent_time
+        interval = send_elapsed if send_elapsed >= ack_elapsed else ack_elapsed
+        delivered_bytes = delivered - packet.delivered
         if interval <= 0:
             rate = 0.0
         else:

@@ -30,27 +30,39 @@ class RttEstimator:
     def on_rtt_sample(self, rtt_usec: int) -> None:
         """Feed one RTT measurement (never from retransmitted packets).
 
-        ``Connection._handle_ack`` inlines this body on the per-ACK hot
-        path; keep the two in lockstep.
+        Runs once per ACK: state is read into locals once and the clamps
+        are written as comparisons (same operands, same results as
+        ``abs`` / ``max`` / ``min``, without the builtin calls).
         """
         if rtt_usec <= 0:
             raise ValueError("RTT samples must be positive")
         self.latest_rtt_usec = rtt_usec
-        if self.min_rtt_usec is None or rtt_usec < self.min_rtt_usec:
+        min_rtt = self.min_rtt_usec
+        if min_rtt is None or rtt_usec < min_rtt:
             self.min_rtt_usec = rtt_usec
-        if self.srtt_usec is None:
-            self.srtt_usec = float(rtt_usec)
-            self.rttvar_usec = rtt_usec / 2.0
+        srtt = self.srtt_usec
+        if srtt is None:
+            srtt = float(rtt_usec)
+            rttvar = rtt_usec / 2.0
         else:
-            delta = abs(self.srtt_usec - rtt_usec)
-            self.rttvar_usec = (1 - self.BETA) * self.rttvar_usec + self.BETA * delta
-            self.srtt_usec = (1 - self.ALPHA) * self.srtt_usec + self.ALPHA * rtt_usec
+            delta = srtt - rtt_usec
+            if delta < 0:
+                delta = -delta
+            alpha = self.ALPHA
+            beta = self.BETA
+            rttvar = (1 - beta) * self.rttvar_usec + beta * delta
+            srtt = (1 - alpha) * srtt + alpha * rtt_usec
+        self.srtt_usec = srtt
+        self.rttvar_usec = rttvar
         self._backoff = 1
-        # Inlined _compute_rto (per-ACK path; backoff is 1 right here and
-        # srtt is non-None, so the clamp chain simplifies accordingly).
-        base = int(self.srtt_usec + max(4 * self.rttvar_usec, 1000))
-        rto = max(self.MIN_RTO_USEC, base)
-        self.rto_usec = rto if rto < self.MAX_RTO_USEC else self.MAX_RTO_USEC
+        # _compute_rto with backoff 1 and srtt set.
+        spread = 4 * rttvar
+        rto = int(srtt + (spread if spread > 1000 else 1000))
+        if rto < self.MIN_RTO_USEC:
+            rto = self.MIN_RTO_USEC
+        elif rto > self.MAX_RTO_USEC:
+            rto = self.MAX_RTO_USEC
+        self.rto_usec = rto
 
     def _compute_rto(self) -> int:
         if self.srtt_usec is None:

@@ -17,6 +17,8 @@ from repro.cca.bbr import (
 from repro.cca.bbrv3 import BBRv3, LOSS_BETA
 from repro.transport.rate_sampler import RateSample
 
+from tests.naive_bbr import reference_on_ack
+
 
 class FakeEngine:
     def __init__(self):
@@ -204,18 +206,6 @@ class TestStateMachineLifecycle:
         assert cca.state == PROBE_BW
 
 
-def _reference_on_ack(cca, conn, packet, rtt_usec, rate_sample):
-    """The seed code's per-ACK chain, driven through the reference
-    ``_update_*`` methods that ``BBRv1.on_ack`` inlines."""
-    now = conn.engine.now
-    cca._update_round(conn, packet)
-    cca._update_btlbw(rate_sample)
-    expired = cca._update_min_rtt(now, rtt_usec)
-    cca._check_full_pipe(rate_sample)
-    cca._update_state_machine(conn, now, expired)
-    cca._update_cwnd(conn)
-
-
 def _model_snapshot(cca):
     return {
         "state": cca._state,
@@ -266,7 +256,7 @@ class TestFlatOnAckMatchesReference:
         for step_index, (rate, rtt_ms, step, inflight, app) in enumerate(script):
             for cca, conn, drive in (
                 (flat, conn_flat, BBRv1.on_ack),
-                (ref, conn_ref, _reference_on_ack),
+                (ref, conn_ref, reference_on_ack),
             ):
                 conn.engine.now += step
                 conn.inflight_packets = inflight

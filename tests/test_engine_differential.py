@@ -12,6 +12,10 @@ interchangeable:
 * calendar internals unit tests: bucket rollover, overflow rebucketing,
   adaptive-resize thresholds, and run(until) resume at an exact bucket
   boundary;
+* the same programs and internals at the day geometry the engine had up
+  to PR 17 (``LEGACY_GEOMETRY``): dispatch order depends on ``(time,
+  seq)`` and never on how many events a day is sized for, so every case
+  runs at both;
 * an 11-scenario fixed-seed grid of real trials (every artifact the
   simulator publishes, hashed) in test_engine_grid.py.
 """
@@ -90,20 +94,24 @@ def _drive(make_engine, program):
     return record
 
 
+def _assert_calendar_matches_heap(program, shift=None):
+    heap_record = _drive(HeapEngine, program)
+    cal_record = _drive(lambda: CalendarEngine(shift=shift), program)
+    assert cal_record == heap_record
+
+
 class TestRandomizedDifferential:
     @settings(max_examples=200, deadline=None)
     @given(program=_program, shift=st.integers(4, 10))
     def test_calendar_matches_heap(self, program, shift):
         # A narrow fixed initial width forces frequent day rollovers and
         # overflow traffic; the adaptive resize stays enabled on top.
-        heap_record = _drive(HeapEngine, program)
-        cal_record = _drive(lambda: CalendarEngine(shift=shift), program)
-        assert cal_record == heap_record
+        _assert_calendar_matches_heap(program, shift)
 
     @settings(max_examples=50, deadline=None)
     @given(program=_program)
     def test_default_width_matches_heap(self, program):
-        assert _drive(CalendarEngine, program) == _drive(HeapEngine, program)
+        _assert_calendar_matches_heap(program)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +221,59 @@ class TestAdaptiveResize:
         )
 
 
+    def test_day_one_short_of_overfull_waits_for_the_rotation(self):
+        # OVERFULL_PER_DAY events in one day narrow at that day's close,
+        # by log2(count / TARGET_PER_DAY) steps; one event fewer leaves
+        # the width alone until the rotation's ordinary resize.
+        def shift_seen_next_day(count):
+            eng = CalendarEngine(shift=12)  # 4 ms days
+            for i in range(count):
+                eng.schedule_at(10 + (i % 4_000), lambda: None)
+            seen = []
+            eng.schedule_at((1 << 12) + 5, lambda: seen.append(eng._shift))
+            eng.run()
+            return seen[0]
+
+        overfull = CalendarEngine.OVERFULL_PER_DAY
+        steps = (overfull // CalendarEngine.TARGET_PER_DAY).bit_length() - 1
+        assert shift_seen_next_day(overfull) == 12 - steps
+        assert shift_seen_next_day(overfull - 1) == 12
+
+    def test_day_of_same_microsecond_events_stays_fifo(self):
+        # More events in one microsecond than any day is sized for: no
+        # width can split them, the forced narrowing must not reorder
+        # them, and events they schedule at the same instant (insorted
+        # into the live day) run after all of them, in scheduling order.
+        def run(make_engine):
+            eng = make_engine()
+            log = []
+
+            def first_wave(i):
+                log.append(("first", i, eng.now))
+                if i % 100 == 0:
+                    eng.schedule(0, second_wave, i)
+
+            def second_wave(i):
+                log.append(("second", i, eng.now))
+
+            for i in range(1_500):
+                eng.schedule_at(777, first_wave, i)
+            eng.schedule_at(778, second_wave, -1)
+            eng.run()
+            return log, eng.now, eng.pending()
+
+        assert CalendarEngine.OVERFULL_PER_DAY < 1_500
+        calendar = run(CalendarEngine)
+        assert calendar == run(HeapEngine)
+        log = calendar[0]
+        assert [entry[:2] for entry in log[:1_500]] == [
+            ("first", i) for i in range(1_500)
+        ]
+        assert [entry[:2] for entry in log[1_500:]] == [
+            ("second", i) for i in range(0, 1_500, 100)
+        ] + [("second", -1)]
+
+
 class TestRunUntilBoundary:
     def test_resume_exactly_at_bucket_boundary(self):
         eng = CalendarEngine(shift=8)  # day width 256
@@ -248,6 +309,102 @@ class TestRunUntilBoundary:
         eng.run(until_usec=4_000)
         assert seen == [100]
         assert eng.now == 4_000
+
+
+# ---------------------------------------------------------------------------
+# The same cases at the old day geometry
+# ---------------------------------------------------------------------------
+
+#: ``TARGET_PER_DAY`` / ``OVERFULL_PER_DAY`` up to PR 17.
+LEGACY_GEOMETRY = {"TARGET_PER_DAY": 4, "OVERFULL_PER_DAY": 64}
+
+
+@pytest.fixture(scope="class")
+def legacy_geometry():
+    # Class-scoped (hypothesis rejects function-scoped fixtures): the
+    # engine reads both attributes through the class on every run().
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in LEGACY_GEOMETRY.items():
+            patch.setattr(CalendarEngine, name, value)
+        yield
+
+
+@pytest.mark.usefixtures("legacy_geometry")
+class TestRandomizedDifferentialLegacyGeometry:
+    # Its own @given methods: hypothesis refuses one test function run
+    # from two classes.
+    @settings(max_examples=200, deadline=None)
+    @given(program=_program, shift=st.integers(4, 10))
+    def test_calendar_matches_heap(self, program, shift):
+        _assert_calendar_matches_heap(program, shift)
+
+    @settings(max_examples=50, deadline=None)
+    @given(program=_program)
+    def test_default_width_matches_heap(self, program):
+        _assert_calendar_matches_heap(program)
+
+
+@pytest.mark.usefixtures("legacy_geometry")
+class TestBucketRolloverLegacyGeometry(TestBucketRollover):
+    pass
+
+
+@pytest.mark.usefixtures("legacy_geometry")
+class TestOverflowRebucketingLegacyGeometry(TestOverflowRebucketing):
+    pass
+
+
+@pytest.mark.usefixtures("legacy_geometry")
+class TestAdaptiveResizeLegacyGeometry(TestAdaptiveResize):
+    def test_the_patch_is_in_force(self):
+        assert CalendarEngine.TARGET_PER_DAY == 4
+        assert CalendarEngine().OVERFULL_PER_DAY == 64
+
+
+@pytest.mark.usefixtures("legacy_geometry")
+class TestRunUntilBoundaryLegacyGeometry(TestRunUntilBoundary):
+    pass
+
+
+@pytest.mark.usefixtures("legacy_geometry")
+class TestGoldenFixtureLegacyGeometry:
+    def test_golden_pair_is_byte_identical(self):
+        # A whole trial (report, packet trace, queue log), not an op
+        # program: the bytes do not depend on the day size either.
+        from tests import test_golden_identity as golden
+
+        assert CalendarEngine.TARGET_PER_DAY == 4
+        assert golden.serialize(golden.compute_payload()) == (
+            golden.FIXTURE.read_bytes()
+        )
+
+
+def test_default_geometry_is_restored_after_the_legacy_classes():
+    assert CalendarEngine.TARGET_PER_DAY == 64
+    assert CalendarEngine.OVERFULL_PER_DAY == 16 * CalendarEngine.TARGET_PER_DAY
+
+
+# ---------------------------------------------------------------------------
+# Reentrancy
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("make", [HeapEngine, CalendarEngine])
+def test_run_from_inside_a_callback_is_refused(make):
+    """Oracle and default fail alike, and recover alike."""
+    eng = make()
+    seen = []
+
+    def reenter():
+        with pytest.raises(RuntimeError, match="engine.run is not reentrant"):
+            eng.run()
+        seen.append(eng.now)
+
+    eng.schedule(5, reenter)
+    eng.schedule(9, lambda: seen.append(eng.now))
+    eng.run()
+    assert seen == [5, 9]
+    eng.run(until_usec=20)  # the guard was released
+    assert eng.now == 20
 
 
 # ---------------------------------------------------------------------------

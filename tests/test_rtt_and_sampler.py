@@ -66,6 +66,42 @@ class TestRttEstimator:
         assert min(samples) <= est.srtt_usec <= max(samples)
 
 
+def rfc6298_update(state, rtt_usec):
+    """RFC 6298 section 2 with the builtins spelled out - the body
+    ``on_rtt_sample`` had before its clamps became comparisons."""
+    srtt, rttvar = state
+    if srtt is None:
+        srtt, rttvar = float(rtt_usec), rtt_usec / 2.0
+    else:
+        delta = abs(srtt - rtt_usec)
+        rttvar = (1 - RttEstimator.BETA) * rttvar + RttEstimator.BETA * delta
+        srtt = (1 - RttEstimator.ALPHA) * srtt + RttEstimator.ALPHA * rtt_usec
+    base = int(srtt + max(4 * rttvar, 1000))
+    rto = min(max(RttEstimator.MIN_RTO_USEC, base), RttEstimator.MAX_RTO_USEC)
+    return (srtt, rttvar), rto
+
+
+class TestRttEstimatorMatchesTheRfcFormulas:
+    @given(st.lists(
+        st.one_of(
+            st.integers(min_value=1, max_value=10**6),
+            st.integers(min_value=1, max_value=10**9),  # drives the RTO cap
+            st.sampled_from([1, 250, 1000, 199_000, 200_000]),  # clamp edges
+        ),
+        min_size=1, max_size=60,
+    ))
+    def test_bit_identical_to_abs_max_min(self, samples):
+        est = RttEstimator()
+        state = (None, 0.0)
+        for sample in samples:
+            est.on_rtt_sample(sample)
+            state, rto = rfc6298_update(state, sample)
+            assert (est.srtt_usec, est.rttvar_usec) == state
+            assert est.rto_usec == rto and type(est.rto_usec) is int
+        assert est.min_rtt_usec == min(samples)
+        assert est.latest_rtt_usec == samples[-1]
+
+
 class FakeFlow:
     service_id = "svc"
 
@@ -122,3 +158,40 @@ class TestRateSampler:
             sampler.on_sent(pkt, now=i * 100, inflight_bytes=0)
             sampler.on_ack(pkt, now=i * 100 + 50_000, rtt_usec=50_000)
         assert sampler.delivered == 6000
+
+    @given(st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 2_000)),
+        min_size=1, max_size=80,
+    ))
+    def test_sample_matches_the_draft_formulas(self, steps):
+        """Against the draft's definitions with ``max`` spelled out: send
+        1-3 packets, let time pass, ACK the oldest."""
+        sampler = RateSampler()
+        inflight = []
+        now = 0
+        for seq, (burst, wait) in enumerate(steps):
+            for k in range(burst):
+                pkt = make_pkt(seq * 4 + k)
+                pkt.sent_time = now
+                sampler.on_sent(pkt, now, len(inflight) * 1500)
+                inflight.append(pkt)
+            now += wait
+            if not inflight:
+                continue
+            pkt = inflight.pop(0)
+            delivered_before = sampler.delivered
+            delivered_time_before = sampler.delivered_time
+            rs = sampler.on_ack(pkt, now, rtt_usec=max(now - pkt.sent_time, 1))
+            interval = max(
+                pkt.sent_time - pkt.first_sent_time, now - pkt.delivered_time
+            )
+            delivered = delivered_before + 1500 - pkt.delivered
+            assert rs.interval_usec == interval
+            assert rs.delivered_bytes == delivered
+            assert rs.delivery_rate_bps == (
+                0.0 if interval <= 0
+                else delivered * 8 * units.USEC_PER_SEC / interval
+            )
+            assert sampler.delivered == delivered_before + 1500
+            assert sampler.delivered_time == now >= delivered_time_before
+            assert sampler.first_sent_time == pkt.sent_time

@@ -375,6 +375,102 @@ class TestServiceIngest:
         assert heartbeat["phase"] == "done"
 
 
+def _truncate(path):
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+
+
+def _wrong_type(path):
+    path.write_text("[1, 2, 3]")
+
+
+def _future_schema(path):
+    payload = json.loads(path.read_text())
+    payload["schema"] = 999
+    path.write_text(json.dumps(payload))
+
+
+def make_poisoned_entry(entry, filename, corrupt):
+    """A spool entry whose ``filename`` has been damaged by ``corrupt``."""
+    if filename == "cycle-state.json":
+        policy = TrialPolicyConfig(
+            min_trials=2, max_trials=2, batch_size=2,
+            ci_halfwidth_bps=units.mbps(100),
+        )
+        entry.mkdir(parents=True)
+        AdaptiveCycleState.create(
+            IDS, [NET], FAST, policies=[policy], base_seed=3
+        ).save(entry)
+    else:
+        make_fixed_entry(entry)
+    corrupt(entry / filename)
+
+
+class TestPoisonedEntries:
+    """A spool entry whose own files cannot be read is retired to
+    ``failed/`` with a named cause; it neither blocks the entries behind
+    it nor takes the coordinator down (and so cannot crash-loop it)."""
+
+    @pytest.mark.parametrize(
+        "filename", ["cycle-state.json", "plan.json"]
+    )
+    @pytest.mark.parametrize(
+        "corrupt, cause",
+        [
+            (_truncate, "not valid JSON"),
+            (_wrong_type, "expected a JSON object"),
+            (_future_schema, "schema 999"),
+        ],
+        ids=["truncated", "wrong-type", "future-schema"],
+    )
+    def test_entry_is_retired_and_the_next_one_still_ingests(
+        self, tmp_path, filename, corrupt, cause
+    ):
+        service = make_service(tmp_path)
+        incoming = tmp_path / "spool" / "incoming"
+        make_poisoned_entry(incoming / "cycle-0-bad", filename, corrupt)
+        make_fixed_entry(incoming / "cycle-1-good")
+        with pytest.raises(ServiceError) as raised:
+            service.ingest_once()
+        message = str(raised.value)
+        assert "cycle-0-bad" in message and filename in message
+        assert cause in message and "moved to failed/" in message
+        assert (tmp_path / "spool" / "failed" / "cycle-0-bad").exists()
+        # The entry behind it was folded, published and retired normally.
+        assert (tmp_path / "spool" / "done" / "cycle-1-good").exists()
+        assert [c.source for c in service.store.cycles()] == ["cycle-1-good"]
+        assert (tmp_path / "out" / "site" / "index.md").exists()
+        assert service.scan_spool() == []
+
+    def test_service_run_survives_and_does_not_meet_the_entry_again(
+        self, tmp_path
+    ):
+        from repro.cli import main
+
+        incoming = tmp_path / "spool" / "incoming"
+        make_poisoned_entry(
+            incoming / "cycle-0-bad", "cycle-state.json", _truncate
+        )
+        make_poisoned_entry(incoming / "cycle-1-bad", "plan.json", _truncate)
+        make_fixed_entry(incoming / "cycle-2-good")
+        run = [
+            "service", "run", "--max-loops", "1",
+            "--spool", str(tmp_path / "spool"), "--out", str(tmp_path / "out"),
+            "--plan-bandwidths", "8", "--plan-duration", "4",
+            "--plan-trials", "1", "--poll-sec", "0.1",
+        ]
+        assert main(run) == 0
+        failed = sorted(p.name for p in (tmp_path / "spool" / "failed").iterdir())
+        assert failed == ["cycle-0-bad", "cycle-1-bad"]
+        assert list(incoming.iterdir()) == []
+        status = make_service(tmp_path).status()
+        assert status["cycles_ingested"] == 1
+        # A restart finds nothing poisoned left to trip over.
+        assert main(run) == 0
+        heartbeat = json.loads((tmp_path / "out" / "heartbeat.json").read_text())
+        assert heartbeat["phase"] == "done"
+
+
 def _run_cli(args, env_extra=None, **kwargs):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_SRC)
