@@ -23,6 +23,13 @@ notes) is ignored.  An optional byte-size cap turns the directory into an
 LRU: reads touch the entry's mtime and :meth:`evict` drops the
 least-recently-used entries until the cache fits.
 
+A hit costs what it must: the key is derived once per spec object
+(:func:`trial_cache_key`), the entry's path is one string concatenation,
+and the file is read as bytes and decoded once (``cache.keys_derived`` /
+``cache.entries_parsed`` count both).  A file that is not a UTF-8 JSON
+object raises :class:`CacheEntryError` - it is never a miss and never a
+result.
+
 Entry and sidecar files are *immutable*: every write lands as a
 temporary sibling renamed over the destination
 (:func:`repro.atomicio.atomic_write`), so a file's bytes never change
@@ -70,19 +77,41 @@ def _completeness(payload: Dict) -> "tuple[int, int]":
     return (0, int(payload.get("duration_usec", 0)))
 
 
-def _read_json(path: Path) -> Optional[Dict]:
-    """The JSON payload at ``path``, or ``None`` when no such file."""
+class CacheEntryError(RuntimeError):
+    """An entry or sidecar file is not a UTF-8 JSON object.
+
+    Writes are atomic, so a file in this state was damaged after it
+    landed (truncated copy, flipped bits, foreign writer).  The message
+    names the file and the defect; nothing is ever folded from it.
+    """
+
+
+def _read_json(path: str) -> Optional[Dict]:
+    """The JSON object at ``path``, or ``None`` when no such file."""
     try:
-        return json.loads(path.read_text())
+        with open(path, "rb") as handle:
+            data = handle.read()
     except FileNotFoundError:
         return None
+    try:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors.
+        payload = json.loads(data.decode("utf-8"))
+    except ValueError as exc:
+        raise CacheEntryError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise CacheEntryError(
+            f"{path}: expected a JSON object, found {type(payload).__name__}"
+        )
+    get_registry().counter("cache.entries_parsed").inc()
+    return payload
+
+
+_KEY_ALPHABET = frozenset("0123456789abcdef")
 
 
 def is_cache_key(text: str) -> bool:
     """True when ``text`` has the shape of a trial cache key."""
-    if len(text) != _KEY_HEX_LENGTH:
-        return False
-    return all(c in "0123456789abcdef" for c in text)
+    return len(text) == _KEY_HEX_LENGTH and _KEY_ALPHABET.issuperset(text)
 
 
 def scan_cache_dir(
@@ -111,9 +140,14 @@ def scan_cache_dir(
     return keys, sidecars
 
 
-#: Memo behind :func:`config_fields` / :func:`config_canonical_json`.
+#: Memo behind :func:`config_fields` / :func:`config_canonical_json`, by
+#: ``repr`` and, in front of it, by object identity.
 _CONFIG_MEMO: Dict[str, "tuple[Dict, str]"] = {}
+_CONFIG_BY_ID: Dict[int, "tuple[object, tuple[Dict, str]]"] = {}
 _CONFIG_MEMO_MAX = 512
+
+#: What ``env=None`` stands for in a cache key.
+_FAITHFUL_ENV = ClientEnvironment.faithful_testbed()
 
 _TAIL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
@@ -126,8 +160,14 @@ def _config_memo(config) -> "tuple[Dict, str]":
     memo is keyed on ``repr``, not on the dataclass itself: ``==``/
     ``hash`` conflate ``8e6`` with ``8000000`` and ``True`` with ``1``,
     whose JSON - and therefore cache key - differ, while ``repr`` is
-    type-exact.  Bounded: at the cap the memo simply starts over.
+    type-exact.  A cycle also passes the *same* few objects thousands of
+    times, so an identity table sits in front: it holds each object it
+    indexes, so an id in it cannot be reused (and frozen configs do not
+    change under their id).  Bounded: at the cap a table starts over.
     """
+    pinned = _CONFIG_BY_ID.get(id(config))
+    if pinned is not None:
+        return pinned[1]
     token = repr(config)
     memo = _CONFIG_MEMO.get(token)
     if memo is None:
@@ -139,6 +179,9 @@ def _config_memo(config) -> "tuple[Dict, str]":
         if len(_CONFIG_MEMO) >= _CONFIG_MEMO_MAX:
             _CONFIG_MEMO.clear()
         _CONFIG_MEMO[token] = memo
+    if len(_CONFIG_BY_ID) >= _CONFIG_MEMO_MAX:
+        _CONFIG_BY_ID.clear()
+    _CONFIG_BY_ID[id(config)] = (config, memo)
     return memo
 
 
@@ -172,8 +215,17 @@ def trial_cache_key(
     the three config objects contribute memoised fragments (see
     :func:`config_canonical_json`) spliced in at their sorted positions,
     ahead of the per-trial tail (``schema`` < ``seed`` < ``service_ids``).
+
+    The faithful-environment key is derived once per spec *object* and
+    kept on it (:attr:`TrialSpec._cache_key`; the spec is immutable, so
+    the memo cannot go stale).  An explicit ``env`` neither reads nor
+    writes the memo.
     """
-    resolved_env = env or ClientEnvironment.faithful_testbed()
+    if env is None:
+        key = spec._cache_key
+        if key is not None:
+            return key
+    resolved_env = env or _FAITHFUL_ENV
     tail = _TAIL_ENCODER.encode(
         {
             "schema": CACHE_SCHEMA_VERSION,
@@ -191,7 +243,11 @@ def trial_cache_key(
         + ","
         + tail[1:]
     )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    key = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    get_registry().counter("cache.keys_derived").inc()
+    if env is None:
+        object.__setattr__(spec, "_cache_key", key)
+    return key
 
 
 class TrialCache:
@@ -202,7 +258,8 @@ class TrialCache:
     one the cache is a per-process dictionary (useful for tests and for
     deduplicating within a single sweep).  An in-memory index is kept in
     front of the directory either way, so repeated hits never re-read
-    files.
+    files (``test_repeated_hits_never_reread_files`` in
+    ``tests/test_control_plane_budget.py``).
 
     ``max_bytes`` caps the on-disk footprint: every :meth:`put` evicts
     least-recently-used entries (mtime order; :meth:`get` touches the
@@ -218,6 +275,8 @@ class TrialCache:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
+            #: ``<cache_dir>/``: an entry's path is one concatenation.
+            self._prefix = os.path.join(self.cache_dir, "")
         self.max_bytes = max_bytes
         self._memory: Dict[str, Dict] = {}
         self._sidecar_memory: Dict["tuple[str, str]", Dict] = {}
@@ -346,9 +405,9 @@ class TrialCache:
                     keys.add(stem)
         return sorted(keys)
 
-    def _sidecar_path(self, key: str, name: str) -> Path:
+    def _sidecar_path(self, key: str, name: str) -> str:
         assert self.cache_dir is not None
-        return self.cache_dir / f"{key}.{name}.json"
+        return f"{self._prefix}{key}.{name}.json"
 
     def _drop_sidecars(self, key: str) -> None:
         for pair in [p for p in self._sidecar_memory if p[0] == key]:
@@ -398,13 +457,11 @@ class TrialCache:
             for key, names in sidecar_names.items()
         }
         entries = []
-        for path in map(self._path, keys):
-            stat = path.stat()
-            extra = sum(
-                p.stat().st_size for p in sidecars.pop(path.stem, [])
-            )
+        for key in keys:
+            stat = os.stat(self._path(key))
+            extra = sum(p.stat().st_size for p in sidecars.pop(key, []))
             entries.append(
-                (stat.st_mtime_ns, path.name, path.stem, stat.st_size + extra)
+                (stat.st_mtime_ns, f"{key}.json", key, stat.st_size + extra)
             )
         for key, orphaned in sidecars.items():
             stats = [p.stat() for p in orphaned]
@@ -423,8 +480,8 @@ class TrialCache:
             if total <= cap:
                 break
             entry_path = self._path(key)
-            if entry_path.exists():
-                entry_path.unlink()
+            if os.path.exists(entry_path):
+                os.unlink(entry_path)
             self._memory.pop(key, None)
             self._drop_sidecars(key)
             total -= size
@@ -445,7 +502,7 @@ class TrialCache:
         """True when an entry for this precomputed key is present."""
         if key in self._memory:
             return True
-        return self.cache_dir is not None and self._path(key).exists()
+        return self.cache_dir is not None and os.path.exists(self._path(key))
 
     def payload_for(self, key: str) -> Optional[Dict]:
         """The raw cached payload for ``key``, or ``None`` if absent.
@@ -476,7 +533,9 @@ class TrialCache:
         for path in self._entry_paths():
             if path.stem in seen:
                 continue
-            yield ExperimentResult.from_json(json.loads(path.read_text()))
+            payload = _read_json(str(path))
+            if payload is not None:  # else evicted since the listing
+                yield ExperimentResult.from_json(payload)
 
     def __len__(self) -> int:
         entries = set(self._memory)
@@ -502,7 +561,7 @@ class TrialCache:
         if self.cache_dir is None:
             return []
         keys, _sidecars = scan_cache_dir(self.cache_dir)
-        return [self._path(key) for key in keys]
+        return [self.cache_dir / f"{key}.json" for key in keys]
 
     def _sidecar_paths(self) -> List[Path]:
         """The on-disk sidecar files (``<key>.<name>.json``)."""
@@ -515,6 +574,6 @@ class TrialCache:
             for name in names
         ]
 
-    def _path(self, key: str) -> Path:
+    def _path(self, key: str) -> str:
         assert self.cache_dir is not None
-        return self.cache_dir / f"{key}.json"
+        return self._prefix + key + ".json"

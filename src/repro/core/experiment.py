@@ -137,8 +137,14 @@ class ExperimentResult:
         newer schema versions, so any key this dataclass does not know is
         dropped rather than crashing the constructor.
         """
-        known = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in payload.items() if k in known})
+        if payload.keys() <= _RESULT_FIELDS:
+            return cls(**payload)
+        return cls(
+            **{k: v for k, v in payload.items() if k in _RESULT_FIELDS}
+        )
+
+
+_RESULT_FIELDS = frozenset(f.name for f in dataclasses.fields(ExperimentResult))
 
 
 def _allocation_caps(

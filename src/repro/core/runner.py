@@ -29,7 +29,7 @@ import importlib
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields as dataclasses_fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from ..browser.environment import ClientEnvironment
 from ..config import ExperimentConfig, NetworkConfig
@@ -52,12 +52,22 @@ class TrialSpec:
     ``contender_id=...``/``incumbent_id=...`` keyword arguments is
     supported for backward compatibility with the original pair-only
     spec.
+
+    A spec is immutable, so its faithful-environment cache key is a
+    constant of the object: :func:`~repro.core.cache.trial_cache_key`
+    derives it on first use and keeps it in ``_cache_key``.  That name
+    is a class-level default, not a dataclass field, so ``==``, ``hash``,
+    ``repr``, ``asdict`` and ``replace`` never see it; ``copy`` and
+    ``pickle`` carry it along with the (equal) fields it was derived
+    from.
     """
 
     service_ids: Tuple[str, ...]
     network: NetworkConfig
     config: ExperimentConfig
     seed: int
+
+    _cache_key: ClassVar[Optional[str]] = None
 
     def __init__(
         self,
@@ -278,8 +288,12 @@ class RunnerStats:
     @classmethod
     def from_json(cls, payload: Dict) -> "RunnerStats":
         """Deserialise, ignoring unknown keys (forward compatibility)."""
-        known = {f.name for f in dataclasses_fields(cls)}
-        return cls(**{k: v for k, v in payload.items() if k in known})
+        return cls(
+            **{k: v for k, v in payload.items() if k in _STATS_FIELDS}
+        )
+
+
+_STATS_FIELDS = frozenset(f.name for f in dataclasses_fields(RunnerStats))
 
 
 class ExecutionBackend:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..core.cache import TrialCache
+from ..core.cache import CacheEntryError, TrialCache
 from ..core.report import FairnessReport
 from ..core.results import ResultStore
 from ..core.runner import CacheMissError, InlineBackend, RunnerStats
@@ -71,6 +71,8 @@ def assemble_store(
         )
         try:
             results = backend.run([t.spec for t in plan.trials])
+        except CacheEntryError as exc:
+            raise FleetError(f"damaged cache entry: {exc}") from exc
         except CacheMissError as exc:
             raise FleetError(
                 f"assembly would have to simulate {len(exc.misses)} "

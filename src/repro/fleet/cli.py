@@ -34,7 +34,7 @@ from pathlib import Path
 
 from .. import units
 from ..config import ExperimentConfig, NetworkConfig, TrialPolicyConfig
-from ..core.cache import TrialCache
+from ..core.cache import CacheEntryError, TrialCache
 from ..core.runner import BACKEND_KINDS
 from ..core.sweep import render_sweep
 from ..services.catalog import default_catalog
@@ -373,12 +373,12 @@ def cmd_fleet_report(args) -> int:
 
 
 def _wrap(func):
-    """Surface FleetError as exit code 1 with a clean message."""
+    """Surface fleet and cache-entry errors as exit 1, one clean line."""
 
     def runner(args) -> int:
         try:
             return func(args)
-        except FleetError as exc:
+        except (FleetError, CacheEntryError) as exc:
             print(f"fleet error: {exc}", file=sys.stderr)
             return 1
 

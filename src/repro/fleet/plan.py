@@ -16,11 +16,18 @@ re-planning - even after adding services or sweep points - never moves
 previously-planned work between shards.  Plans and per-shard manifests
 are schema-versioned JSON, forward-compatible in the same
 ignore-unknown-keys style as ``ExperimentResult.from_json``.
+
+A plan holds thousands of trials over a handful of configs, and what it
+derives it derives once: one key per spec (the planner's; a worker
+rebuilding the rows derives its own, see ``run_shard``), one config
+object per distinct manifest payload (:func:`_dataclass_from_json`), one
+``plan_id`` per plan.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -61,14 +68,47 @@ class FleetError(RuntimeError):
     """A fleet invariant was violated (skew, gaps, duplicates, schema)."""
 
 
+def supported_schema(payload: Dict, what: str) -> int:
+    """The schema version of a plan, manifest or receipt this library
+    reads; :class:`FleetError` for any other."""
+    schema = payload.get("schema")
+    if schema not in SUPPORTED_MANIFEST_SCHEMAS:
+        raise FleetError(
+            f"{what} schema {schema!r} not in supported "
+            f"{SUPPORTED_MANIFEST_SCHEMAS}"
+        )
+    return schema
+
+
 def _canonical(payload: Dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+#: Configs rebuilt by :func:`_dataclass_from_json`, by class and payload.
+_INTERNED: Dict[Tuple[type, str], object] = {}
+_INTERNED_MAX = 512
+
+
 def _dataclass_from_json(cls, payload: Dict):
-    """Rebuild a config dataclass, ignoring unknown keys (fwd compat)."""
-    known = {f.name for f in dataclasses.fields(cls)}
-    return cls(**{k: v for k, v in payload.items() if k in known})
+    """Rebuild a config dataclass, ignoring unknown keys (fwd compat).
+
+    A manifest repeats a handful of configs across thousands of rows, so
+    equal payloads share one frozen object.  "Equal" is *type-exact*, by
+    the payload's ``repr`` - the rule of
+    :func:`~repro.core.cache.config_canonical_json`, for its reason:
+    ``8e6`` and ``8000000`` compare equal but serialise, and therefore
+    key, differently.  Bounded the same way: at the cap the table starts
+    over.
+    """
+    token = (cls, repr(payload))
+    config = _INTERNED.get(token)
+    if config is None:
+        known = {f.name for f in dataclasses.fields(cls)}
+        config = cls(**{k: v for k, v in payload.items() if k in known})
+        if len(_INTERNED) >= _INTERNED_MAX:
+            _INTERNED.clear()
+        _INTERNED[token] = config
+    return config
 
 
 def network_fingerprint(network: NetworkConfig) -> str:
@@ -83,26 +123,6 @@ def config_fingerprint(config: ExperimentConfig) -> str:
     return hashlib.sha256(
         config_canonical_json(config).encode("utf-8")
     ).hexdigest()
-
-
-def _per_object(fn):
-    """``fn`` memoised on argument *identity* for one pass over a plan.
-
-    A planned cycle shares a handful of config objects across thousands
-    of trials, and expanding or fingerprinting one costs a dataclass
-    ``repr`` each time.  Identity, not ``==`` (which conflates ``8e6``
-    with ``8000000``, whose JSON differs); the trials being walked keep
-    the objects alive, so an id cannot be reused mid-pass.
-    """
-    memo: Dict[int, object] = {}
-
-    def lookup(obj):
-        key = id(obj)
-        if key not in memo:
-            memo[key] = fn(obj)
-        return memo[key]
-
-    return lookup
 
 
 def shard_for_key(cache_key: str, num_shards: int) -> int:
@@ -120,14 +140,10 @@ def shard_for_key(cache_key: str, num_shards: int) -> int:
 
 def spec_to_json(spec: TrialSpec, cache_key: str) -> Dict:
     """Serialise one planned trial (spec + expected cache key)."""
-    return _spec_row(spec, cache_key, config_fields)
-
-
-def _spec_row(spec: TrialSpec, cache_key: str, fields) -> Dict:
     return {
         "service_ids": list(spec.service_ids),
-        "network": dict(fields(spec.network)),
-        "config": dict(fields(spec.config)),
+        "network": config_fields(spec.network),
+        "config": config_fields(spec.config),
         "seed": spec.seed,
         "cache_key": cache_key,
     }
@@ -151,12 +167,6 @@ class PlannedTrial:
     spec: TrialSpec
     cache_key: str
     shard: int
-
-
-def _trial_rows(trials: Sequence[PlannedTrial]) -> List[Dict]:
-    """The manifest rows of ``trials``, in order."""
-    fields = _per_object(config_fields)
-    return [_spec_row(t.spec, t.cache_key, fields) for t in trials]
 
 
 class FleetPlan:
@@ -204,9 +214,10 @@ class FleetPlan:
 
     # -- identity ------------------------------------------------------
 
-    @property
+    @functools.cached_property
     def plan_id(self) -> str:
-        """Content identity of the planned work.
+        """Content identity of the planned work (derived once: nothing
+        edits a plan after it is built).
 
         Covers the sorted cache-key set (which itself covers every trial
         input) and the schema versions - *not* the shard count, so the
@@ -244,7 +255,6 @@ class FleetPlan:
 
     def to_json(self) -> Dict:
         """Schema-versioned plan payload, round-trippable via from_json."""
-        rows = _trial_rows(self.trials)
         payload = {
             "schema": self.schema,
             "kind": "fleet-plan",
@@ -254,8 +264,8 @@ class FleetPlan:
             "num_shards": self.num_shards,
             "params": self.params,
             "trials": [
-                {**row, "shard": t.shard}
-                for t, row in zip(self.trials, rows)
+                {**spec_to_json(t.spec, t.cache_key), "shard": t.shard}
+                for t in self.trials
             ],
         }
         if self.cycle_id is not None:
@@ -273,12 +283,7 @@ class FleetPlan:
         plan (pre-adaptive) loads with no cycle identity and keeps its
         v1-computed plan id valid.
         """
-        schema = payload.get("schema")
-        if schema not in SUPPORTED_MANIFEST_SCHEMAS:
-            raise FleetError(
-                f"plan schema {schema!r} not in supported "
-                f"{SUPPORTED_MANIFEST_SCHEMAS}"
-            )
+        schema = supported_schema(payload, "plan")
         trials = []
         for entry in payload["trials"]:
             spec, key = spec_from_json(entry)
@@ -313,8 +318,10 @@ class FleetPlan:
         if attempt < 0:
             raise ValueError("attempt must be >= 0")
         owned = self.shard_trials(shard_index)
-        network_of = _per_object(network_fingerprint)
-        config_of = _per_object(config_fingerprint)
+        # Distinct objects, not distinct values: ``==`` conflates ``8e6``
+        # with ``8000000``, whose fingerprints differ.
+        networks = {id(t.spec.network): t.spec.network for t in owned}
+        configs = {id(t.spec.config): t.spec.config for t in owned}
         manifest = {
             "schema": self.schema,
             "kind": "shard-manifest",
@@ -325,12 +332,12 @@ class FleetPlan:
             "num_shards": self.num_shards,
             "attempt": attempt,
             "network_fingerprints": sorted(
-                {network_of(t.spec.network) for t in owned}
+                {network_fingerprint(n) for n in networks.values()}
             ),
             "config_fingerprints": sorted(
-                {config_of(t.spec.config) for t in owned}
+                {config_fingerprint(c) for c in configs.values()}
             ),
-            "trials": _trial_rows(owned),
+            "trials": [spec_to_json(t.spec, t.cache_key) for t in owned],
         }
         # The early-termination model artifact travels with every shard
         # manifest so workers arm identical monitors (plan identity is
@@ -413,17 +420,18 @@ def load_manifest(path: Union[str, Path]) -> Dict:
     v1 manifests (no ``attempt``/``cycle`` fields) load unchanged;
     consumers treat a missing attempt as 0.
     """
-    payload = json.loads(Path(path).read_text())
-    schema = payload.get("schema")
-    if schema not in SUPPORTED_MANIFEST_SCHEMAS:
-        raise FleetError(
-            f"manifest schema {schema!r} not in supported "
-            f"{SUPPORTED_MANIFEST_SCHEMAS}"
-        )
+    return load_json_artifact(Path(path), _checked_manifest, "shard manifest")
+
+
+def _checked_manifest(payload: Dict) -> Dict:
+    supported_schema(payload, "manifest")
     if payload.get("kind") != "shard-manifest":
         raise FleetError(
             f"not a shard manifest: kind={payload.get('kind')!r}"
         )
+    missing = {"plan_id", "shard_index", "num_shards", "trials"} - set(payload)
+    if missing:
+        raise FleetError(f"manifest lacks {', '.join(sorted(missing))}")
     return payload
 
 

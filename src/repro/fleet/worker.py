@@ -26,8 +26,10 @@ from ..obs.metrics import diff_snapshots, get_registry
 from .plan import (
     MANIFEST_SCHEMA_VERSION,
     FleetError,
+    load_json_artifact,
     load_manifest,
     spec_from_json,
+    supported_schema,
 )
 
 #: Receipt filename inside a shard's cache directory.  The cache treats
@@ -91,6 +93,7 @@ class ShardReceipt:
         Pre-retry receipts carry no ``attempt``; they load as attempt 0,
         so the merge's supersede rule treats them as the first try.
         """
+        supported_schema(payload, "receipt")
         return cls(
             plan_id=payload["plan_id"],
             shard_index=payload["shard_index"],
@@ -112,7 +115,7 @@ class ShardReceipt:
                 f"no {RECEIPT_FILENAME} in {cache_dir} - shard incomplete "
                 "or not a shard cache directory"
             )
-        return cls.from_json(json.loads(path.read_text()))
+        return load_json_artifact(path, cls.from_json, "shard receipt")
 
     def write(self, cache_dir: Union[str, Path]) -> Path:
         """Write the receipt into ``cache_dir`` so it ships with the cache.
@@ -142,7 +145,12 @@ def run_shard(
     shard resumes from what it already simulated).  Each spec's cache key
     is recomputed and checked against the manifest before anything runs -
     a mismatch means the planning and executing hosts disagree about
-    trial semantics, which would poison the merge.
+    trial semantics, which would poison the merge.  That derivation is
+    from the row's contents, never from its ``cache_key``
+    (``tests/test_cache_keys.py::test_edited_manifest_key_never_seeds_the_memo``),
+    and it is the last one the trial costs: later lookups read the memo
+    it left on the spec (``test_two_derivations_two_parses_per_trial`` in
+    ``tests/test_control_plane_budget.py``).
 
     ``cache_max_bytes`` enables LRU eviction on the shard cache; note a
     cap smaller than the shard's own output will surface as gaps at merge

@@ -63,7 +63,7 @@ from ..config import (
     highly_constrained,
     moderately_constrained,
 )
-from ..core.cache import TrialCache
+from ..core.cache import CacheEntryError, TrialCache
 from ..core.runner import CacheMissError, InlineBackend, TrialSpec
 from ..core.submission import SubmissionError, SubmissionPortal
 from ..fleet.adaptive import AdaptiveCycleState, ASSEMBLY_PLAN_FILENAME, STATE_FILENAME
@@ -516,6 +516,8 @@ class WatchdogService:
         ):
             try:
                 results = backend.run(specs)
+            except CacheEntryError as exc:
+                raise self._retire_unreadable(entry, exc) from exc
             except CacheMissError as exc:
                 self._move_entry(entry, "failed")
                 raise ServiceError(

@@ -18,9 +18,9 @@ import pytest
 
 from repro.atomicio import atomic_write
 from repro.config import ExperimentConfig, highly_constrained
-from repro.core.cache import TrialCache, trial_cache_key
+from repro.core.cache import CacheEntryError, TrialCache, trial_cache_key
 from repro.core.experiment import ExperimentResult
-from repro.core.runner import TrialSpec
+from repro.core.runner import InlineBackend, TrialSpec
 from repro.fleet import (
     FleetError,
     fleet_status,
@@ -384,3 +384,78 @@ class TestSidecarsTravelWithEntries:
         assert TrialCache(dirs[0]).get_sidecar(key, "flight") == {
             "run": "truncated"
         }
+
+
+#: Ways a cache file arrives damaged: name -> (bytes -> bytes, the defect
+#: its reader names).  Shared with the assembly and spool-ingest tests.
+ENTRY_DAMAGE = {
+    "truncated": (lambda data: data[:100], "not valid JSON"),
+    "bit-flipped": (
+        lambda data: data[:9] + bytes([data[9] | 0x80]) + data[10:],
+        "not valid JSON",
+    ),
+    "empty": (lambda data: b"", "not valid JSON"),
+    "list": (lambda data: b"[]", "expected a JSON object, found list"),
+    "utf-16": (lambda data: data.decode().encode("utf-16"), "not valid JSON"),
+}
+
+
+class TestDamagedFiles:
+    """An entry or sidecar that is not a UTF-8 JSON object is a named
+    ``CacheEntryError`` from every reader - never a raw decode error,
+    never a silent miss, never a folded result."""
+
+    @pytest.fixture(params=sorted(ENTRY_DAMAGE))
+    def damaged(self, request, tmp_path):
+        """(spec, key, entry path, sidecar path, defect named) with both
+        files damaged."""
+        spec = TrialSpec.pair("iperf_cubic", "iperf_reno", NET, FAST, seed=1)
+        writer = TrialCache(tmp_path)
+        writer.put(spec, synthetic_result(spec))
+        key = trial_cache_key(spec)
+        writer.put_sidecar(key, "flight", {"schema": 1, "rows": list(range(40))})
+        entry = tmp_path / f"{key}.json"
+        sidecar = tmp_path / f"{key}.flight.json"
+        damage, complaint = ENTRY_DAMAGE[request.param]
+        for path in (entry, sidecar):
+            path.write_bytes(damage(path.read_bytes()))
+        return spec, key, entry, sidecar, complaint
+
+    def test_every_reader_names_the_file(self, damaged, tmp_path):
+        spec, key, entry, sidecar, complaint = damaged
+        readers = {
+            "get": lambda c: c.get(spec),
+            "get-truncated-ok": lambda c: c.get(spec, allow_truncated=True),
+            "put": lambda c: c.put(spec, synthetic_result(spec)),
+            "payload_for": lambda c: c.payload_for(key),
+            "results": lambda c: list(c.results()),
+        }
+        for name, read in readers.items():
+            cache = TrialCache(tmp_path)
+            with pytest.raises(CacheEntryError) as caught:
+                read(cache)
+            assert str(entry) in str(caught.value), name
+            assert complaint in str(caught.value), name
+            assert (cache.hits, cache.misses, cache.stores) == (0, 0, 0), name
+        with pytest.raises(CacheEntryError) as caught:
+            TrialCache(tmp_path).get_sidecar(key, "flight")
+        assert str(sidecar) in str(caught.value)
+        # The damaged bytes are still there for an operator to look at.
+        assert entry.exists() and sidecar.exists()
+
+    def test_a_cache_only_backend_refuses_rather_than_misses(self, damaged, tmp_path):
+        spec, _key, entry, _sidecar, _complaint = damaged
+        backend = InlineBackend(cache=TrialCache(tmp_path), cache_only=True)
+        with pytest.raises(CacheEntryError, match=entry.name):
+            backend.run([spec])
+        assert backend.stats.cache_hits == backend.stats.cache_misses == 0
+
+    def test_a_truncated_result_is_still_a_miss_not_an_error(self, tmp_path):
+        """Early-terminated is a property of an intact entry; it keeps
+        its rule (a miss for an unarmed reader, a hit for an armed one)."""
+        spec = TrialSpec.pair("iperf_cubic", "iperf_reno", NET, FAST, seed=1)
+        TrialCache(tmp_path).put(spec, synthetic_result(spec, truncated_at=4_000_000))
+        cache = TrialCache(tmp_path)
+        assert cache.get(spec) is None
+        assert cache.get(spec, allow_truncated=True).truncated
+        assert (cache.hits, cache.misses) == (1, 1)

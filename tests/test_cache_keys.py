@@ -8,9 +8,11 @@ oracle - for every input, including values that compare ``==`` but
 serialise differently (``8e6`` vs ``8000000``, ``True`` vs ``1``).
 """
 
+import copy
 import dataclasses
 import hashlib
 import json
+import pickle
 
 import pytest
 
@@ -24,14 +26,21 @@ from repro.core.cache import (
     CACHE_SCHEMA_VERSION,
     config_canonical_json,
     config_fields,
+    is_cache_key,
     trial_cache_key,
 )
 from repro.core.runner import TrialSpec
+from repro.fleet import plan as plan_module
 from repro.fleet.plan import (
+    FleetError,
     config_fingerprint,
     network_fingerprint,
+    plan_cycle,
+    spec_from_json,
     spec_to_json,
 )
+from repro.fleet.worker import run_shard
+from repro.obs.metrics import get_registry
 
 
 def reference_trial_cache_key(spec, env=None):
@@ -169,3 +178,158 @@ def test_config_fields_hands_out_private_copies():
     first = config_fields(network)
     first["bandwidth_bps"] = -1
     assert config_fields(network) == dataclasses.asdict(network)
+
+
+# ----------------------------------------------------------------------
+# The key memo on TrialSpec, the config intern table, is_cache_key
+# ----------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=_specs, env=_envs)
+def test_memo_never_changes_a_key_and_never_shows(spec, env):
+    reference = reference_trial_cache_key(spec)
+    before = (repr(spec), hash(spec), dataclasses.asdict(spec))
+    twin = TrialSpec(spec.service_ids, spec.network, spec.config, spec.seed)
+    assert spec._cache_key is None
+    assert trial_cache_key(spec) == reference  # fresh
+    assert spec._cache_key == reference
+    assert trial_cache_key(spec) == reference  # memo-warm
+    # Invisible: not a field, so none of the generated methods see it.
+    assert (repr(spec), hash(spec), dataclasses.asdict(spec)) == before
+    assert spec == twin and twin._cache_key is None
+    assert "_cache_key" not in {f.name for f in dataclasses.fields(spec)}
+    # Copies carry fields the memo was derived from, or start without it.
+    for clone in (
+        pickle.loads(pickle.dumps(spec)),
+        copy.copy(spec),
+        copy.deepcopy(spec),
+        dataclasses.replace(spec),
+    ):
+        assert clone == spec
+        assert trial_cache_key(clone) == reference
+    moved = dataclasses.replace(spec, seed=12345)
+    assert moved._cache_key is None
+    assert trial_cache_key(moved) == reference_trial_cache_key(moved)
+    # An explicit environment neither reads the memo nor writes it.
+    if env is not None:
+        assert trial_cache_key(spec, env) == reference_trial_cache_key(spec, env)
+        assert spec._cache_key == reference
+        assert trial_cache_key(twin, env) == reference_trial_cache_key(twin, env)
+        assert twin._cache_key is None
+
+
+def test_counter_counts_real_derivations_only():
+    derived = get_registry().counter("cache.keys_derived")
+    spec = TrialSpec(("a", "b"), NetworkConfig(8e6), ExperimentConfig(), 1)
+    start = derived.value
+    for _ in range(3):
+        trial_cache_key(spec)
+    assert derived.value - start == 1
+    for _ in range(2):
+        trial_cache_key(spec, ClientEnvironment.headless_automation())
+    assert derived.value - start == 3
+
+
+def test_edited_manifest_key_never_seeds_the_memo(tmp_path):
+    """The worker recomputes from the row's contents: the row's own
+    ``cache_key`` is a claim to check, never a value to trust."""
+    plan = plan_cycle(
+        ["iperf_cubic", "iperf_reno"], [NetworkConfig(8e6)],
+        ExperimentConfig().scaled(10), trials_per_pair=1, num_shards=1,
+    )
+    manifest = plan.manifest_for(0)
+    honest = manifest["trials"][0]["cache_key"]
+    manifest["trials"][0]["cache_key"] = "f" * 64
+    spec, claimed = spec_from_json(manifest["trials"][0])
+    assert claimed == "f" * 64 and spec._cache_key is None
+    assert trial_cache_key(spec) == honest == reference_trial_cache_key(spec)
+    with pytest.raises(FleetError, match="version skew"):
+        run_shard(manifest, tmp_path / "cache")
+    assert not list((tmp_path / "cache").glob("*"))
+
+
+def test_equal_but_differently_typed_payloads_intern_apart():
+    base = dataclasses.asdict(NetworkConfig(bandwidth_bps=8e6))
+    spellings = [
+        base,
+        {**base, "bandwidth_bps": 8000000},
+        {**base, "power_of_two_queue": 1},
+        {**base, "external_loss_rate": -0.0},
+    ]
+    row = {"service_ids": ["a", "b"], "seed": 1, "cache_key": "",
+           "config": dataclasses.asdict(ExperimentConfig())}
+    for order in (spellings, spellings[::-1]):
+        plan_module._INTERNED.clear()
+        specs = [spec_from_json({**row, "network": dict(p)})[0] for p in order]
+        again = [spec_from_json({**row, "network": dict(p)})[0] for p in order]
+        assert all(a == b for a in specs for b in specs)  # == conflates them
+        assert len({id(s.network) for s in specs}) == len(spellings)
+        assert [id(s.network) for s in specs] == [id(s.network) for s in again]
+        assert len({id(s.config) for s in specs + again}) == 1
+        keys = [trial_cache_key(s) for s in specs]
+        assert keys == [reference_trial_cache_key(s) for s in specs]
+        assert len(set(keys)) == len(spellings)
+        for spec, payload in zip(specs, order):
+            assert json.dumps(dataclasses.asdict(spec.network)) == json.dumps(payload)
+
+
+def test_unknown_payload_keys_are_still_dropped_when_interning():
+    payload = {**dataclasses.asdict(NetworkConfig(8e6)), "from_the_future": 1}
+    network = plan_module._dataclass_from_json(NetworkConfig, payload)
+    assert network == NetworkConfig(8e6)
+    assert plan_module._dataclass_from_json(NetworkConfig, dict(payload)) is network
+
+
+def test_intern_and_identity_tables_are_bounded():
+    plan_module._INTERNED.clear()
+    cache_module._CONFIG_BY_ID.clear()
+    for bandwidth in range(plan_module._INTERNED_MAX * 2 + 5):
+        payload = dataclasses.asdict(NetworkConfig(bandwidth_bps=bandwidth))
+        config_canonical_json(
+            plan_module._dataclass_from_json(NetworkConfig, payload)
+        )
+    assert len(plan_module._INTERNED) <= plan_module._INTERNED_MAX
+    assert len(cache_module._CONFIG_BY_ID) <= cache_module._CONFIG_MEMO_MAX
+    # Every id in the identity table belongs to the object stored with it.
+    assert all(
+        id(config) == key
+        for key, (config, _memo) in cache_module._CONFIG_BY_ID.items()
+    )
+
+
+def _reference_is_cache_key(text):
+    """The character loop ``is_cache_key`` used to be."""
+    if len(text) != 64:
+        return False
+    return all(c in "0123456789abcdef" for c in text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.one_of(
+        st.text(alphabet="0123456789abcdef", min_size=62, max_size=66),
+        st.text(alphabet="0123456789abcdefABCDEFg٠١０ ", min_size=63, max_size=65),
+        st.text(max_size=70),
+    )
+)
+def test_is_cache_key_equals_the_character_loop(text):
+    assert is_cache_key(text) == _reference_is_cache_key(text)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("a" * 64, True),
+        ("0123456789abcdef" * 4, True),
+        ("A" * 64, False),
+        ("a" * 63, False),
+        ("a" * 65, False),
+        ("a" * 63 + "١", False),  # ARABIC-INDIC DIGIT ONE: isdigit(), not hex
+        ("a" * 63 + "１", False),  # FULLWIDTH DIGIT ONE: int(.., 16) accepts it
+        ("a" * 63 + "\n", False),
+        ("", False),
+    ],
+)
+def test_is_cache_key_edge_cases(text, expected):
+    assert is_cache_key(text) is expected

@@ -1,0 +1,192 @@
+"""A deterministic budget for the warm control plane.
+
+A re-planned cycle whose trials are all cached simulates nothing, so
+what it costs is the fixed price per planned trial: identify it, find
+its entry, decode it.  Wall clock cannot gate that in tier-1, but the
+*work* is exact.  On a fixed warm cycle (every default-catalog pair,
+8 and 50 Mbps, two trials per pair, four shards, synthetic results)
+this file pins:
+
+* ``cache.keys_derived`` - real SHA-256 key derivations - at two per
+  planned trial: the planner's and the worker's skew check.  The
+  worker's lookup and the assembler's lookup read the memo on the spec
+  (four derivations per trial before the memo);
+* ``cache.entries_parsed`` - entry files decoded - at two per trial:
+  once in the shard's cache, once in the merged one;
+* ``TrialCache``'s "repeated hits never re-read files": a second
+  ``get`` of the same spec moves neither counter, and still touches the
+  entry for the LRU;
+* the config objects behind one manifest's specs: one per distinct
+  config, not two per row;
+* Python frames entered per planned trial over ``run_shard`` x4 +
+  ``merge_shards`` + ``assemble_reports``: identical across two runs
+  and under a ceiling (296.1 before this budget existed);
+* the same two counters over one ``WatchdogService.ingest_once``.
+"""
+
+import json
+import os
+import random
+import sys
+
+from repro import units
+from repro.config import ExperimentConfig, NetworkConfig
+from repro.core.cache import TrialCache
+from repro.fleet import assemble_reports, merge_shards, plan_cycle, run_shard
+from repro.fleet.plan import spec_from_json
+from repro.obs.metrics import get_registry
+from repro.service import WatchdogService
+from repro.services.catalog import default_catalog
+
+from tests.test_ingest_linearity import synthetic_result
+
+NETWORKS = [
+    NetworkConfig(bandwidth_bps=units.mbps(8)),
+    NetworkConfig(bandwidth_bps=units.mbps(50)),
+]
+CONFIG = ExperimentConfig().scaled(3)
+SHARDS = 4
+
+#: Ceiling on Python frames per planned trial (run_shard x4 + merge +
+#: assemble).
+FRAMES_PER_TRIAL_BUDGET = 110
+
+
+def plan():
+    return plan_cycle(
+        default_catalog().ids(), NETWORKS, CONFIG,
+        trials_per_pair=2, num_shards=SHARDS, base_seed=7,
+    )
+
+
+def fill(cache_dir, trials, rng):
+    cache = TrialCache(cache_dir)
+    for planned in trials:
+        cache.put(planned.spec, synthetic_result(planned.spec, rng))
+
+
+def counters():
+    registry = get_registry()
+    return (
+        registry.counter("cache.keys_derived").value,
+        registry.counter("cache.entries_parsed").value,
+    )
+
+
+def warm_cycle(root, rep):
+    """Plan and write one warm cycle; return the closure that runs it
+    (``run_shard`` x4 + ``merge_shards`` + ``assemble_reports``)."""
+    fresh = plan()
+    paths = fresh.write(rep / "plan")
+    shard_dirs = [root / f"shard-{s}" for s in range(SHARDS)]
+
+    def run():
+        for manifest, shard_dir in zip(paths[1:], shard_dirs):
+            receipt = run_shard(manifest, shard_dir, backend_kind="inline")
+            assert receipt.stats.trials_run == 0
+        merge_shards(fresh, shard_dirs, rep / "merged")
+        reports = assemble_reports(fresh, TrialCache(rep / "merged"))
+        assert reports[0].runner_stats.cache_hits == len(fresh.trials)
+
+    return run
+
+
+def filled_shards(root):
+    first = plan()
+    rng = random.Random(7)
+    for shard in range(SHARDS):
+        fill(root / f"shard-{shard}", first.shard_trials(shard), rng)
+    return len(first.trials)
+
+
+def count_frames(fn):
+    frames = [0]
+
+    def profiler(_frame, event, _arg):
+        if event == "call":
+            frames[0] += 1
+
+    sys.setprofile(profiler)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return frames[0]
+
+
+def test_two_derivations_two_parses_per_trial(tmp_path):
+    trials = filled_shards(tmp_path)
+    keys_before, parsed_before = counters()
+    warm_cycle(tmp_path, tmp_path / "rep")()
+    keys, parsed = counters()
+    # Plan + worker skew check; the two lookups per trial hit the memo.
+    assert keys - keys_before == 2 * trials
+    # Once per shard cache, once in the merged cache.
+    assert parsed - parsed_before == 2 * trials
+
+
+def test_repeated_hits_never_reread_files(tmp_path):
+    trials = plan().shard_trials(0)[:50]
+    fill(tmp_path, trials, random.Random(3))
+    cache = TrialCache(tmp_path)
+    for planned in trials:
+        assert cache.get(planned.spec) is not None  # disk hits
+    entry = tmp_path / f"{trials[0].cache_key}.json"
+    before = counters()
+    for _ in range(3):
+        os.utime(entry, (1, 1))
+        for planned in trials:
+            assert cache.get(planned.spec) is not None  # memory hits
+        assert entry.stat().st_mtime > 1  # LRU recency on every hit
+    assert counters() == before
+    assert (cache.hits, cache.misses) == (4 * len(trials), 0)
+
+
+def test_specs_of_one_manifest_share_their_config_objects(tmp_path):
+    fresh = plan()
+    manifest = json.loads(fresh.write(tmp_path)[1].read_text())
+    specs = [spec_from_json(row)[0] for row in manifest["trials"]]
+    assert len(specs) > 100
+    distinct = {(s.network, s.config) for s in specs}
+    assert len({id(s.network) for s in specs}) == len(NETWORKS)
+    assert len({id(s.config) for s in specs}) == 1
+    assert len(distinct) == len(NETWORKS)
+    # Rebuilt rows carry no memo: the worker derives its own keys.
+    assert all(s._cache_key is None for s in specs)
+
+
+def test_frames_per_planned_trial_repeat_and_stay_under_budget(tmp_path):
+    trials = filled_shards(tmp_path)
+    warm_cycle(tmp_path, tmp_path / "rep0")()  # imports, lazy set-up
+    counts = [
+        count_frames(warm_cycle(tmp_path, tmp_path / f"rep{index}"))
+        for index in (1, 2)
+    ]
+    assert counts[0] == counts[1]
+    assert counts[0] / trials <= FRAMES_PER_TRIAL_BUDGET
+
+
+def test_ingest_derives_at_most_one_key_per_folded_and_planned_trial(
+    tmp_path,
+):
+    service = WatchdogService(
+        tmp_path / "spool", tmp_path / "out",
+        networks=NETWORKS, plan_config=CONFIG, plan_trials=1,
+    )
+    delivered = plan_cycle(
+        default_catalog().heatmap_ids(), NETWORKS, CONFIG,
+        trials_per_pair=2, num_shards=1, base_seed=11,
+    )
+    entry = tmp_path / "spool" / "incoming" / "cycle-00"
+    delivered.write(entry)
+    fill(entry / "cache", delivered.trials, random.Random(11))
+    keys_before, parsed_before = counters()
+    summary = service.ingest_once()
+    keys, parsed = counters()
+    folded = summary["ingested"][0]["trials"]
+    assert folded == len(delivered.trials)
+    next_plan = json.loads(
+        (tmp_path / "out" / "next-plan" / "plan.json").read_text()
+    )
+    assert keys - keys_before <= folded + len(next_plan["trials"])
+    assert parsed - parsed_before == folded

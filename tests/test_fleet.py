@@ -34,6 +34,8 @@ from repro.fleet import (
 from repro.fleet.worker import RECEIPT_FILENAME
 from repro.services.catalog import default_catalog
 
+from tests.test_cache_immutability import ENTRY_DAMAGE
+
 CATALOG = default_catalog()
 FAST = ExperimentConfig().scaled(10)
 NET = highly_constrained()
@@ -660,3 +662,116 @@ class TestReceiptTelemetry:
         payload = json.loads(json.dumps(report.to_json()))
         assert payload["per_shard_stats"]["0"]["trials_run"] \
             == report.per_shard_stats[0].trials_run
+
+
+def _edited(**changes):
+    """A damage function: re-serialise the JSON object with ``changes``
+    applied (``None`` drops the key)."""
+
+    def damage(text):
+        payload = json.loads(text)
+        for name, value in changes.items():
+            if value is None:
+                del payload[name]
+            else:
+                payload[name] = value
+        return json.dumps(payload)
+
+    return damage
+
+
+_HOSTILE = [
+    (lambda text: text[: len(text) // 2], "not valid JSON"),
+    (lambda text: text.replace('"schema":', '"schema"?', 1), "not valid JSON"),
+    (lambda text: f"[{text}]", "expected a JSON object, found list"),
+    (_edited(schema=999), "schema 999"),
+]
+_HOSTILE_IDS = ["truncated", "bit-flipped", "top-level-list", "future-schema"]
+
+
+class TestHostileManifestsAndReceipts:
+    """The two fleet artifacts a worker and the merger read from another
+    host: damaged, they raise ``FleetError`` naming the file and the
+    defect - never a raw JSONDecodeError / AttributeError / KeyError."""
+
+    @pytest.mark.parametrize(
+        "damage, complaint",
+        _HOSTILE + [
+            (_edited(trials=None), "manifest lacks trials"),
+            (_edited(plan_id=None, num_shards=None),
+             "manifest lacks num_shards, plan_id"),
+            (_edited(kind="fleet-plan"), "not a shard manifest"),
+        ],
+        ids=_HOSTILE_IDS + ["no-trials", "two-fields-missing", "wrong-kind"],
+    )
+    def test_hostile_shard_manifest_is_a_named_fleet_error(
+        self, tmp_path, damage, complaint
+    ):
+        path = small_plan(num_shards=1).write(tmp_path / "plan")[1]
+        path.write_text(damage(path.read_text()))
+        with pytest.raises(FleetError) as caught:
+            run_shard(path, tmp_path / "cache")
+        assert str(path) in str(caught.value)
+        assert complaint in str(caught.value)
+        # Refused before anything ran: no cache directory, no receipt.
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize(
+        "damage, complaint",
+        _HOSTILE + [
+            (_edited(plan_id=None),
+             "malformed shard receipt (KeyError: 'plan_id')"),
+            (_edited(stats=[1, 2]), "malformed shard receipt"),
+        ],
+        ids=_HOSTILE_IDS + ["no-plan-id", "stats-not-an-object"],
+    )
+    def test_hostile_receipt_is_a_named_fleet_error(
+        self, tmp_path, damage, complaint
+    ):
+        plan = small_plan(num_shards=1)
+        shard = tmp_path / "s0"
+        shard.mkdir()
+        ShardReceipt(
+            plan.plan_id, 0, 1, CACHE_SCHEMA_VERSION,
+            completed_keys=plan.expected_keys(),
+        ).write(shard)
+        path = shard / RECEIPT_FILENAME
+        path.write_text(damage(path.read_text()))
+        for load in (
+            lambda: ShardReceipt.load(shard),
+            lambda: merge_shards(plan, [shard], tmp_path / "merged"),
+        ):
+            with pytest.raises(FleetError) as caught:
+                load()
+            assert str(path) in str(caught.value)
+            assert complaint in str(caught.value)
+
+    def test_fleet_status_still_treats_a_torn_receipt_as_absent(
+        self, tmp_path
+    ):
+        plan = small_plan(num_shards=1)
+        shard = tmp_path / "s0"
+        shard.mkdir()
+        (shard / RECEIPT_FILENAME).write_text('{"schema": 2, "kind": "sh')
+        status = fleet_status(plan, [shard])
+        assert not status.complete
+
+
+class TestDamagedEntryAtAssembly:
+    """A damaged entry in a merged cache aborts assembly with the file's
+    name; no report is built from the entries around it."""
+
+    @pytest.mark.parametrize("kind", sorted(ENTRY_DAMAGE))
+    def test_assembly_names_the_damaged_file(self, tmp_path, kind):
+        damage, complaint = ENTRY_DAMAGE[kind]
+        plan = small_plan(num_shards=1, trials=1)
+        run_shard(plan.manifest_for(0), tmp_path / "s0")
+        merge_shards(plan, [tmp_path / "s0"], tmp_path / "merged")
+        victim = tmp_path / "merged" / f"{plan.trials[-1].cache_key}.json"
+        data = victim.read_bytes()
+        victim.unlink()  # the merge hard-linked it: damage only this copy
+        victim.write_bytes(damage(data))
+        with pytest.raises(FleetError) as caught:
+            assemble_reports(plan, TrialCache(tmp_path / "merged"))
+        assert str(victim) in str(caught.value)
+        assert complaint in str(caught.value)

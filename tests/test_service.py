@@ -34,6 +34,8 @@ from repro.service import (
 from repro.service.coordinator import FAULT_ENV
 from repro.core.submission import DEFAULT_ACCESS_CODES
 
+from tests.test_cache_immutability import ENTRY_DAMAGE
+
 FAST = ExperimentConfig().scaled(4)
 NET = highly_constrained()
 IDS = ["iperf_cubic", "iperf_reno"]
@@ -441,6 +443,36 @@ class TestPoisonedEntries:
         assert [c.source for c in service.store.cycles()] == ["cycle-1-good"]
         assert (tmp_path / "out" / "site" / "index.md").exists()
         assert service.scan_spool() == []
+
+    @pytest.mark.parametrize("kind", sorted(ENTRY_DAMAGE))
+    def test_damaged_cache_entry_retires_the_spool_entry_by_name(
+        self, tmp_path, kind
+    ):
+        """A cache entry damaged in transit: nothing of its cycle is
+        folded, the error names the file, the entry behind it ingests in
+        the same pass, and the next pass has nothing left to trip on."""
+        damage, cause = ENTRY_DAMAGE[kind]
+        service = make_service(tmp_path)
+        incoming = tmp_path / "spool" / "incoming"
+        plan = make_fixed_entry(incoming / "cycle-0-bad")
+        make_fixed_entry(incoming / "cycle-1-good")
+        victim = (
+            incoming / "cycle-0-bad" / "cache"
+            / f"{plan.trials[1].cache_key}.json"
+        )
+        victim.write_bytes(damage(victim.read_bytes()))
+        with pytest.raises(ServiceError) as raised:
+            service.ingest_once()
+        message = str(raised.value)
+        assert "cycle-0-bad" in message and victim.name in message
+        assert cause in message and "moved to failed/" in message
+        assert (tmp_path / "spool" / "failed" / "cycle-0-bad").exists()
+        assert (tmp_path / "spool" / "done" / "cycle-1-good").exists()
+        assert [c.source for c in service.store.cycles()] == ["cycle-1-good"]
+        assert len(service.store) == len(plan.trials)
+        # The second pass is clean.
+        again = service.ingest_once()
+        assert again["ingested"] == [] and again["cycles_total"] == 1
 
     def test_service_run_survives_and_does_not_meet_the_entry_again(
         self, tmp_path
