@@ -19,14 +19,21 @@ token (so concurrent writers of one destination never share a temp
 file), and are created exclusively.  A writer killed mid-write leaves
 its ``*.tmp`` behind; those are inert and ``TrialCache.clear`` sweeps
 them.
+
+The read side of the same contract is :func:`load_json_artifact`: a
+file that did not come out of such a write intact is an error naming
+the file, never a raw decode or lookup error.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import secrets
 from pathlib import Path
-from typing import Union
+from typing import Callable, Dict, Type, TypeVar, Union
+
+T = TypeVar("T")
 
 #: Suffix of in-flight temporaries (see module docstring).
 TMP_SUFFIX = ".tmp"
@@ -46,3 +53,33 @@ def atomic_write(path: Union[str, Path], data: Union[str, bytes]) -> None:
         except FileNotFoundError:
             pass
         raise
+
+
+def load_json_artifact(
+    path: Path, parse: Callable[[Dict], T], what: str, error: Type[Exception]
+) -> T:
+    """Read a JSON-object artifact and ``parse`` it.
+
+    A file that is not what it should be - cut short, corrupted, another
+    JSON shape, missing fields, written by a newer schema - raises
+    ``error`` naming the file and the defect, never a raw decode or
+    lookup error.  A missing file stays an ``OSError``.
+    """
+    try:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors.
+        payload = json.loads(path.read_text("utf-8"))
+    except ValueError as exc:
+        raise error(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise error(
+            f"{path}: expected a JSON object, found "
+            f"{type(payload).__name__}"
+        )
+    try:
+        return parse(payload)
+    except error as exc:
+        raise error(f"{path}: {exc}") from exc
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise error(
+            f"{path}: malformed {what} ({type(exc).__name__}: {exc})"
+        ) from exc

@@ -87,15 +87,22 @@ class CacheEntryError(RuntimeError):
 
 
 def _read_json(path: str) -> Optional[Dict]:
-    """The JSON object at ``path``, or ``None`` when no such file."""
+    """The JSON object at ``path``, or ``None`` when no such file (read
+    through a bare descriptor: no ``BufferedReader`` built per entry)."""
     try:
-        with open(path, "rb") as handle:
-            data = handle.read()
+        fd = os.open(path, os.O_RDONLY)
     except FileNotFoundError:
         return None
     try:
+        chunks = []
+        # Entries are a few KiB: one read, and one more that finds EOF.
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    try:
         # JSONDecodeError and UnicodeDecodeError are ValueErrors.
-        payload = json.loads(data.decode("utf-8"))
+        payload = json.loads(b"".join(chunks).decode("utf-8"))
     except ValueError as exc:
         raise CacheEntryError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):

@@ -40,13 +40,14 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..atomicio import atomic_write
+from ..atomicio import atomic_write, load_json_artifact
 from ..obs.flight import QueueChannel, Row
 
 __all__ = [
     "EARLYSTOP_SCHEMA_VERSION",
     "EarlyStopConfig",
     "EarlyStopModel",
+    "EarlyStopModelError",
     "EarlyStopMonitor",
     "EarlyStopped",
     "audit_decision",
@@ -70,6 +71,10 @@ class EarlyStopped(Exception):
     def __init__(self, stop_usec: int) -> None:
         super().__init__(f"early stop at {stop_usec} usec")
         self.stop_usec = stop_usec
+
+
+class EarlyStopModelError(ValueError):
+    """A model file is cut short, corrupted, or not a model at all."""
 
 
 @dataclass(frozen=True)
@@ -162,7 +167,11 @@ class EarlyStopModel:
 
     @classmethod
     def load(cls, path: Path) -> "EarlyStopModel":
-        return cls.from_json(json.loads(Path(path).read_text("utf-8")))
+        """Read a model artifact; a file that is not one raises
+        :class:`EarlyStopModelError` naming the file and the defect."""
+        return load_json_artifact(
+            Path(path), cls.from_json, "earlystop model", EarlyStopModelError
+        )
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from pathlib import Path
 from .. import units
 from ..config import ExperimentConfig, NetworkConfig, TrialPolicyConfig
 from ..core.cache import CacheEntryError, TrialCache
+from ..core.earlystop import EarlyStopModelError
 from ..core.runner import BACKEND_KINDS
 from ..core.sweep import render_sweep
 from ..services.catalog import default_catalog
@@ -378,7 +379,7 @@ def _wrap(func):
     def runner(args) -> int:
         try:
             return func(args)
-        except (FleetError, CacheEntryError) as exc:
+        except (FleetError, CacheEntryError, EarlyStopModelError) as exc:
             print(f"fleet error: {exc}", file=sys.stderr)
             return 1
 

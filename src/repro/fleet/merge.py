@@ -21,7 +21,9 @@ New entries - and the ``<key>.<name>.json`` sidecars that belong to
 them - are hard-linked into the destination (copied where the OS will
 not link), never re-written: cache files are immutable, so sharing an
 inode with the shard directory is safe, and bytes are read only to
-adjudicate a key that is already present.
+adjudicate a key that is already present.  The link loop runs once per
+planned trial, so its paths are strings (``<dir>/`` + file name): no
+``Path`` is built per entry.
 
 Shard receipts' :class:`~repro.core.runner.RunnerStats` are summed, so
 the merged cache knows how much total simulation the fleet performed.
@@ -89,7 +91,7 @@ class MergeReport:
         }
 
 
-def _link_or_copy(source: Path, target: Path) -> None:
+def _link_or_copy(source: str, target: str) -> None:
     """Materialise ``source`` at ``target``; ``FileExistsError`` if taken.
 
     Cache files are immutable (:mod:`repro.atomicio`), so on one
@@ -104,13 +106,14 @@ def _link_or_copy(source: Path, target: Path) -> None:
         raise
     except OSError:
         with open(target, "xb") as handle:
-            handle.write(source.read_bytes())
+            handle.write(Path(source).read_bytes())
 
 
 def _carry_sidecars(
-    names: Sequence[str], shard: Path, dest: Path, replace: bool = False
+    names: Sequence[str], shard: str, dest: str, replace: bool = False
 ) -> None:
-    """Bring an entry's sidecars along with it.
+    """Bring an entry's sidecars along with it (``shard`` and ``dest``
+    are directory prefixes, as in :func:`merge_shards`).
 
     Sidecars already in ``dest`` stay unless ``replace`` (their entry
     was just superseded by this shard's): recordings are as
@@ -118,10 +121,10 @@ def _carry_sidecars(
     """
     for name in names:
         if replace:
-            atomic_write(dest / name, (shard / name).read_bytes())
+            atomic_write(dest + name, Path(shard + name).read_bytes())
             continue
         try:
-            _link_or_copy(shard / name, dest / name)
+            _link_or_copy(shard + name, dest + name)
         except FileExistsError:
             pass
 
@@ -203,6 +206,7 @@ def merge_shards(
         )
     dest = Path(dest_dir)
     dest.mkdir(parents=True, exist_ok=True)
+    dest_prefix = os.path.join(dest, "")
     expected = set(plan.expected_keys())
     merged_keys = set(scan_cache_dir(dest)[0])  # pre-populated dest
     report = MergeReport(shards=len(shard_dirs))
@@ -242,15 +246,16 @@ def merge_shards(
             if receipt.metrics is not None:
                 shard_metrics.append(receipt.metrics)
         keys, sidecars = scan_cache_dir(shard)
+        shard_prefix = os.path.join(shard, "")
         for key in keys:
             carried = sidecars.get(key, ())
-            entry = shard / f"{key}.json"
-            target = dest / entry.name
+            entry = shard_prefix + key + ".json"
+            target = dest_prefix + key + ".json"
             try:
                 _link_or_copy(entry, target)
             except FileExistsError:
-                data = entry.read_bytes()
-                existing = target.read_bytes()
+                data = Path(entry).read_bytes()
+                existing = Path(target).read_bytes()
                 if existing != data:
                     verdict = _resolve_divergent(data, existing)
                     if verdict is None:
@@ -264,17 +269,19 @@ def merge_shards(
                         # Replace, never rewrite: target may share its
                         # inode with the shard directory it came from.
                         atomic_write(target, data)
-                        _carry_sidecars(carried, shard, dest, replace=True)
+                        _carry_sidecars(
+                            carried, shard_prefix, dest_prefix, replace=True
+                        )
                     report.superseded_entries += 1
                     continue
                 report.duplicates += 1
-                _carry_sidecars(carried, shard, dest)
+                _carry_sidecars(carried, shard_prefix, dest_prefix)
                 continue
             merged_keys.add(key)
             report.entries_merged += 1
             if key not in expected:
                 report.extras += 1
-            _carry_sidecars(carried, shard, dest)
+            _carry_sidecars(carried, shard_prefix, dest_prefix)
     report.per_shard_stats = {
         index: receipt.stats for index, receipt in winners.items()
     }

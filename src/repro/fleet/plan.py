@@ -18,10 +18,13 @@ are schema-versioned JSON, forward-compatible in the same
 ignore-unknown-keys style as ``ExperimentResult.from_json``.
 
 A plan holds thousands of trials over a handful of configs, and what it
-derives it derives once: one key per spec (the planner's; a worker
-rebuilding the rows derives its own, see ``run_shard``), one config
-object per distinct manifest payload (:func:`_dataclass_from_json`), one
-``plan_id`` per plan.
+derives or states it derives or states once: one key per spec (the
+planner's; a worker rebuilding the rows derives its own, see
+``run_shard``), one ``plan_id`` per plan, and - manifest schema 3 - each
+config once per *file*: ``plan.json`` and every ``shard-<i>.json`` carry
+``networks`` / ``configs`` tables and a trial row's ``network`` /
+``config`` is an index into them (:func:`_tabulate` writes,
+:func:`trial_rows` reads; DESIGN section 2.1 "Manifest layout").
 """
 
 from __future__ import annotations
@@ -33,10 +36,11 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
-    Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union,
+    Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
 )
 
 from .. import units
+from .. import atomicio
 from ..atomicio import atomic_write
 from ..config import ExperimentConfig, NetworkConfig
 from ..core.cache import (
@@ -51,17 +55,16 @@ from ..core.sweep import expand_sweep_networks, pair_sweep_trials
 
 #: Bump when the plan/manifest JSON layout changes incompatibly.
 #: v2 adds adaptive-round identity (``cycle`` block: parent cycle id +
-#: round index) and retry attempts on shard manifests.
-MANIFEST_SCHEMA_VERSION = 2
+#: round index) and retry attempts on shard manifests; v3 states each
+#: config once, in per-file tables that trial rows index.
+MANIFEST_SCHEMA_VERSION = 3
 
-#: Plan/manifest schema versions this library still reads.  v1 files
-#: (pre-adaptive, no cycle block) load unchanged: their plan ids were
-#: computed under schema 1, and :attr:`FleetPlan.plan_id` recomputes
-#: with the file's own schema so the identity check still holds.
-SUPPORTED_MANIFEST_SCHEMAS = (1, 2)
-
-
-T = TypeVar("T")
+#: Plan/manifest schema versions this library still reads.  v1 and v2
+#: files (every row repeating its configs inline) load through the same
+#: reader: their plan ids were computed under their own schema, and
+#: :attr:`FleetPlan.plan_id` recomputes with the file's schema so the
+#: identity check - and every receipt naming that id - still holds.
+SUPPORTED_MANIFEST_SCHEMAS = (1, 2, 3)
 
 
 class FleetError(RuntimeError):
@@ -80,35 +83,43 @@ def supported_schema(payload: Dict, what: str) -> int:
     return schema
 
 
+def load_json_artifact(path: Path, parse: Callable, what: str):
+    """:func:`repro.atomicio.load_json_artifact` raising :class:`FleetError`."""
+    return atomicio.load_json_artifact(path, parse, what, FleetError)
+
+
 def _canonical(payload: Dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-#: Configs rebuilt by :func:`_dataclass_from_json`, by class and payload.
-_INTERNED: Dict[Tuple[type, str], object] = {}
-_INTERNED_MAX = 512
-
-
 def _dataclass_from_json(cls, payload: Dict):
-    """Rebuild a config dataclass, ignoring unknown keys (fwd compat).
+    """Rebuild a config dataclass, ignoring unknown keys (fwd compat)."""
+    if not isinstance(payload, dict):
+        raise FleetError(f"no {cls.__name__} object or table entry {payload!r}")
+    known = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{k: v for k, v in payload.items() if k in known})
 
-    A manifest repeats a handful of configs across thousands of rows, so
-    equal payloads share one frozen object.  "Equal" is *type-exact*, by
-    the payload's ``repr`` - the rule of
-    :func:`~repro.core.cache.config_canonical_json`, for its reason:
-    ``8e6`` and ``8000000`` compare equal but serialise, and therefore
-    key, differently.  Bounded the same way: at the cap the table starts
-    over.
-    """
-    token = (cls, repr(payload))
-    config = _INTERNED.get(token)
-    if config is None:
-        known = {f.name for f in dataclasses.fields(cls)}
-        config = cls(**{k: v for k, v in payload.items() if k in known})
-        if len(_INTERNED) >= _INTERNED_MAX:
-            _INTERNED.clear()
-        _INTERNED[token] = config
-    return config
+
+def _config_reader(cls, table: Optional[List]) -> Callable:
+    """``row value -> config`` for one file's ``network`` or ``config``:
+    an index into the file's table, built here once per entry (schema
+    3), or the config itself (schema 1/2), interned for this load.  Both
+    are looked up by ``repr``, which is *type-exact*: ``true`` is not
+    index 1, and ``8e6`` / ``8000000`` compare equal but serialise, and
+    therefore key, differently (as ``config_canonical_json``)."""
+    configs = {
+        repr(index): _dataclass_from_json(cls, entry)
+        for index, entry in enumerate(table or ())
+    }
+
+    def resolve(ref):
+        token = repr(ref)
+        config = configs.get(token)
+        if config is None:
+            config = configs[token] = _dataclass_from_json(cls, ref)
+        return config
+
+    return resolve
 
 
 def network_fingerprint(network: NetworkConfig) -> str:
@@ -138,26 +149,32 @@ def shard_for_key(cache_key: str, num_shards: int) -> int:
     return int(cache_key[:16], 16) % num_shards
 
 
-def spec_to_json(spec: TrialSpec, cache_key: str) -> Dict:
-    """Serialise one planned trial (spec + expected cache key)."""
-    return {
-        "service_ids": list(spec.service_ids),
-        "network": config_fields(spec.network),
-        "config": config_fields(spec.config),
-        "seed": spec.seed,
-        "cache_key": cache_key,
-    }
+#: A schema-3 trial row is a list in this order; a shard manifest's rows
+#: stop before ``shard``.  Schema-1/2 rows were objects naming the same
+#: fields.
+ROW_COLUMNS = ("service_ids", "network", "config", "seed", "cache_key", "shard")
 
 
-def spec_from_json(payload: Dict) -> Tuple[TrialSpec, str]:
-    """Rebuild ``(TrialSpec, expected cache key)`` from manifest JSON."""
-    spec = TrialSpec(
-        service_ids=tuple(payload["service_ids"]),
-        network=_dataclass_from_json(NetworkConfig, payload["network"]),
-        config=_dataclass_from_json(ExperimentConfig, payload["config"]),
-        seed=payload["seed"],
-    )
-    return spec, payload["cache_key"]
+def trial_rows(
+    payload: Dict, with_shard: bool
+) -> Iterator[Tuple[TrialSpec, List]]:
+    """``(TrialSpec, row)`` per trial of a plan or manifest payload,
+    whatever schema wrote it: a row arrives as a list or is made one
+    (:data:`ROW_COLUMNS` order).  The spec is built from the row's
+    contents only; ``row[4]``, its ``cache_key``, is a claim to check."""
+    columns = ROW_COLUMNS if with_shard else ROW_COLUMNS[:-1]
+    network_of = _config_reader(NetworkConfig, payload.get("networks"))
+    config_of = _config_reader(ExperimentConfig, payload.get("configs"))
+    for row in payload["trials"]:
+        if isinstance(row, dict):
+            row = [row[name] for name in columns]
+        spec = TrialSpec(
+            service_ids=tuple(row[0]),
+            network=network_of(row[1]),
+            config=config_of(row[2]),
+            seed=row[3],
+        )
+        yield spec, row
 
 
 @dataclass(frozen=True)
@@ -167,6 +184,36 @@ class PlannedTrial:
     spec: TrialSpec
     cache_key: str
     shard: int
+
+
+def _tabulate(
+    trials: Sequence[PlannedTrial], with_shard: bool
+) -> Tuple[List[NetworkConfig], List[ExperimentConfig], List[List]]:
+    """``(networks, configs, rows)`` of a plan or manifest file: each
+    distinct config *object* once (``==`` would conflate ``8e6`` with
+    ``8000000``, whose keys and fingerprints differ) and
+    :data:`ROW_COLUMNS` rows holding its table index."""
+    networks: Dict[int, Tuple[int, NetworkConfig]] = {}
+    configs: Dict[int, Tuple[int, ExperimentConfig]] = {}
+    rows = []
+    for trial in trials:
+        spec = trial.spec
+        network, config = spec.network, spec.config
+        row = [
+            list(spec.service_ids),
+            networks.setdefault(id(network), (len(networks), network))[0],
+            configs.setdefault(id(config), (len(configs), config))[0],
+            spec.seed,
+            trial.cache_key,
+        ]
+        if with_shard:
+            row.append(trial.shard)
+        rows.append(row)
+    return (
+        [network for _index, network in networks.values()],
+        [config for _index, config in configs.values()],
+        rows,
+    )
 
 
 class FleetPlan:
@@ -255,6 +302,7 @@ class FleetPlan:
 
     def to_json(self) -> Dict:
         """Schema-versioned plan payload, round-trippable via from_json."""
+        networks, configs, rows = _tabulate(self.trials, with_shard=True)
         payload = {
             "schema": self.schema,
             "kind": "fleet-plan",
@@ -263,10 +311,9 @@ class FleetPlan:
             "cache_schema": self.cache_schema,
             "num_shards": self.num_shards,
             "params": self.params,
-            "trials": [
-                {**spec_to_json(t.spec, t.cache_key), "shard": t.shard}
-                for t in self.trials
-            ],
+            "networks": [config_fields(n) for n in networks],
+            "configs": [config_fields(c) for c in configs],
+            "trials": rows,
         }
         if self.cycle_id is not None:
             payload["cycle"] = {
@@ -284,10 +331,10 @@ class FleetPlan:
         v1-computed plan id valid.
         """
         schema = supported_schema(payload, "plan")
-        trials = []
-        for entry in payload["trials"]:
-            spec, key = spec_from_json(entry)
-            trials.append(PlannedTrial(spec, key, entry["shard"]))
+        trials = [
+            PlannedTrial(spec, row[4], row[5])
+            for spec, row in trial_rows(payload, with_shard=True)
+        ]
         cycle = payload.get("cycle") or {}
         plan = cls(
             kind=payload["plan_kind"],
@@ -317,13 +364,11 @@ class FleetPlan:
         """
         if attempt < 0:
             raise ValueError("attempt must be >= 0")
-        owned = self.shard_trials(shard_index)
-        # Distinct objects, not distinct values: ``==`` conflates ``8e6``
-        # with ``8000000``, whose fingerprints differ.
-        networks = {id(t.spec.network): t.spec.network for t in owned}
-        configs = {id(t.spec.config): t.spec.config for t in owned}
+        networks, configs, rows = _tabulate(
+            self.shard_trials(shard_index), with_shard=False
+        )
         manifest = {
-            "schema": self.schema,
+            "schema": MANIFEST_SCHEMA_VERSION,
             "kind": "shard-manifest",
             "plan_id": self.plan_id,
             "plan_kind": self.kind,
@@ -332,12 +377,14 @@ class FleetPlan:
             "num_shards": self.num_shards,
             "attempt": attempt,
             "network_fingerprints": sorted(
-                {network_fingerprint(n) for n in networks.values()}
+                {network_fingerprint(n) for n in networks}
             ),
             "config_fingerprints": sorted(
-                {config_fingerprint(c) for c in configs.values()}
+                {config_fingerprint(c) for c in configs}
             ),
-            "trials": [spec_to_json(t.spec, t.cache_key) for t in owned],
+            "networks": [config_fields(n) for n in networks],
+            "configs": [config_fields(c) for c in configs],
+            "trials": rows,
         }
         # The early-termination model artifact travels with every shard
         # manifest so workers arm identical monitors (plan identity is
@@ -379,34 +426,6 @@ def write_manifest(path: Union[str, Path], payload: Dict) -> None:
     rather than the pure-Python indented one.
     """
     atomic_write(path, json.dumps(payload, separators=(",", ":")))
-
-
-def load_json_artifact(path: Path, parse: Callable[[Dict], T], what: str) -> T:
-    """Read a JSON-object artifact and ``parse`` it.
-
-    A file that is not what it should be - cut short, corrupted, another
-    JSON shape, missing fields, written by a newer schema - raises
-    :class:`FleetError` naming the file and the defect, never a raw
-    decode or lookup error.  A missing file stays an ``OSError``.
-    """
-    try:
-        # JSONDecodeError and UnicodeDecodeError are ValueErrors.
-        payload = json.loads(path.read_text())
-    except ValueError as exc:
-        raise FleetError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise FleetError(
-            f"{path}: expected a JSON object, found "
-            f"{type(payload).__name__}"
-        )
-    try:
-        return parse(payload)
-    except FleetError as exc:
-        raise FleetError(f"{path}: {exc}") from exc
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise FleetError(
-            f"{path}: malformed {what} ({type(exc).__name__}: {exc})"
-        ) from exc
 
 
 def load_plan(path: Union[str, Path]) -> FleetPlan:

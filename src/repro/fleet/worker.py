@@ -24,11 +24,10 @@ from ..core.runner import ExecutionBackend, RunnerStats, build_backend
 from ..obs import tracing
 from ..obs.metrics import diff_snapshots, get_registry
 from .plan import (
-    MANIFEST_SCHEMA_VERSION,
     FleetError,
+    _checked_manifest,
     load_json_artifact,
-    load_manifest,
-    spec_from_json,
+    trial_rows,
     supported_schema,
 )
 
@@ -36,6 +35,11 @@ from .plan import (
 #: only ``<64-hex>.json`` files as entries, so the receipt can live
 #: alongside them and travel with the directory.
 RECEIPT_FILENAME = "shard-receipt.json"
+
+#: The receipt layout, unchanged since manifest schema 2 (manifest
+#: schema 3 moved plan and manifest rows only), so a merger one version
+#: behind still reads what this worker writes.
+RECEIPT_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -68,7 +72,7 @@ class ShardReceipt:
     def to_json(self) -> Dict:
         """Schema-versioned receipt payload, round-trippable via from_json."""
         payload = {
-            "schema": MANIFEST_SCHEMA_VERSION,
+            "schema": RECEIPT_SCHEMA_VERSION,
             "kind": "shard-receipt",
             "plan_id": self.plan_id,
             "shard_index": self.shard_index,
@@ -128,6 +132,31 @@ class ShardReceipt:
         return path
 
 
+def _checked_specs(payload: Dict) -> "tuple[Dict, List]":
+    """``(manifest, its specs)``, refused on manifest-schema,
+    cache-schema or cache-key skew."""
+    manifest = _checked_manifest(payload)
+    if manifest.get("cache_schema") != CACHE_SCHEMA_VERSION:
+        raise FleetError(
+            f"manifest cache schema {manifest.get('cache_schema')!r} != "
+            f"this library's {CACHE_SCHEMA_VERSION} - re-plan with a "
+            "matching version"
+        )
+    specs = []
+    for spec, row in trial_rows(manifest, with_shard=False):
+        expected_key = row[4]
+        actual_key = trial_cache_key(spec)
+        if actual_key != expected_key:
+            raise FleetError(
+                "cache-key mismatch for seed "
+                f"{spec.seed} ({'+'.join(spec.service_ids)}): manifest "
+                f"says {expected_key[:12]}..., this library computes "
+                f"{actual_key[:12]}... - planner/worker version skew"
+            )
+        specs.append(spec)
+    return manifest, specs
+
+
 def run_shard(
     manifest: Union[Dict, str, Path],
     cache_dir: Union[str, Path],
@@ -170,26 +199,14 @@ def run_shard(
     ``stats`` then report trials truncated, sim-seconds saved, and the
     audited mispredict counters.
     """
-    if not isinstance(manifest, dict):
-        manifest = load_manifest(manifest)
-    if manifest.get("cache_schema") != CACHE_SCHEMA_VERSION:
-        raise FleetError(
-            f"manifest cache schema {manifest.get('cache_schema')!r} != "
-            f"this library's {CACHE_SCHEMA_VERSION} - re-plan with a "
-            "matching version"
+    if isinstance(manifest, dict):
+        manifest, specs = _checked_specs(manifest)
+    else:
+        # Rows are rebuilt inside the load, so a defect in one names the
+        # file like any other.
+        manifest, specs = load_json_artifact(
+            Path(manifest), _checked_specs, "shard manifest"
         )
-    specs = []
-    for entry in manifest["trials"]:
-        spec, expected_key = spec_from_json(entry)
-        actual_key = trial_cache_key(spec)
-        if actual_key != expected_key:
-            raise FleetError(
-                "cache-key mismatch for seed "
-                f"{spec.seed} ({'+'.join(spec.service_ids)}): manifest "
-                f"says {expected_key[:12]}..., this library computes "
-                f"{actual_key[:12]}... - planner/worker version skew"
-            )
-        specs.append(spec)
     cache = TrialCache(Path(cache_dir), max_bytes=cache_max_bytes)
     earlystop = None
     earlystop_json = manifest.get("earlystop")
@@ -241,7 +258,7 @@ def run_shard(
         shard_index=manifest["shard_index"],
         num_shards=manifest["num_shards"],
         cache_schema=manifest["cache_schema"],
-        completed_keys=[entry["cache_key"] for entry in manifest["trials"]],
+        completed_keys=[trial_cache_key(spec) for spec in specs],
         stats=backend.stats,
         metrics=diff_snapshots(metrics_before, get_registry().snapshot()),
         attempt=manifest.get("attempt", 0),

@@ -182,6 +182,11 @@ class MetricsRegistry:
     returns the same :class:`Counter` every time, so instrumented code
     never checks for existence.  Requesting an existing name as a
     different instrument type is a programming error and raises.
+
+    An instrument that exists is found without the lock (one atomic
+    ``dict.get``: instruments are only ever added or, by :meth:`clear`,
+    all dropped) - this runs on every cache lookup.  Creation, the type
+    conflict, :meth:`clear` and :meth:`snapshot` take it.
     """
 
     def __init__(self) -> None:
@@ -189,6 +194,9 @@ class MetricsRegistry:
         self._lock = threading.Lock()
 
     def _get(self, name: str, cls, *args) -> Instrument:
+        existing = self._instruments.get(name)
+        if isinstance(existing, cls):
+            return existing
         with self._lock:
             existing = self._instruments.get(name)
             if existing is not None:

@@ -32,6 +32,9 @@ from typing import Dict, List, Optional, Sequence, Set, Union
 from ..analysis.site import assemble_page, render_bandwidth_section
 from ..atomicio import atomic_write
 from ..core.results import ResultStore
+from ..obs.log import get_logger
+
+_log = get_logger("service.site")
 
 #: State filename inside the site directory.
 SITE_STATE_FILENAME = "site-state.json"
@@ -76,13 +79,23 @@ class SiteRenderer:
     def index_path(self) -> Path:
         return self.site_dir / "index.md"
 
-    def _load_state(self) -> Dict:
-        if not self.state_path.exists():
-            return {"schema": SITE_STATE_SCHEMA_VERSION, "sections": []}
-        payload = json.loads(self.state_path.read_text())
-        if payload.get("schema") != SITE_STATE_SCHEMA_VERSION:
-            return {"schema": SITE_STATE_SCHEMA_VERSION, "sections": []}
-        return payload
+    def _load_state(self) -> Optional[Dict]:
+        """The section-hash ledger; ``None`` (absent, damaged, another
+        schema) means render everything, which rebuilds it."""
+        try:
+            payload = json.loads(self.state_path.read_text("utf-8"))
+            if payload["schema"] == SITE_STATE_SCHEMA_VERSION:
+                return payload
+            defect = f"schema {payload['schema']!r}"
+        except FileNotFoundError:
+            return None
+        except (LookupError, TypeError, ValueError) as exc:
+            defect = repr(exc)
+        _log.warning(
+            "service.site_state_discarded", defect=defect,
+            path=str(self.state_path),
+        )
+        return None
 
     def regenerate(
         self,
@@ -106,6 +119,9 @@ class SiteRenderer:
         section exactly like new trial data would.
         """
         state = self._load_state()
+        if state is None:
+            state = {"schema": SITE_STATE_SCHEMA_VERSION, "sections": []}
+            changed_bandwidths = None
         known: Dict[float, Dict] = {
             entry["bandwidth_bps"]: entry for entry in state["sections"]
         }

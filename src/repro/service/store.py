@@ -33,7 +33,9 @@ the segments - all flat in the store directory:
   and any segment without its commit record is discarded - an
   interrupted ingest simply never happened, and re-ingesting the same
   spool entry reproduces the exact same committed bytes (results are
-  deterministic simulations).  Manifest and segment files are only ever
+  deterministic simulations).  The next append first cuts the torn line
+  away; an unparsable line anywhere *but* last is damage and raises
+  :class:`StoreError`.  Manifest and segment files are only ever
   renamed into place, so damage there is not a crash artefact: a
   missing, truncated, bit-flipped or miscounted segment, or a manifest
   of an unknown or newer schema, raises :class:`StoreError` naming the
@@ -191,17 +193,24 @@ def _encode_segment(record: CycleRecord) -> "tuple[str, str]":
     return "\n".join(lines) + "\n", commit + "\n"
 
 
-def _committed_segments(raw: bytes) -> Iterable[CycleRecord]:
-    """Committed cycles in journal-format bytes, tolerating torn tails."""
+def _committed_segments(raw: bytes, source: Path) -> Iterable[CycleRecord]:
+    """Committed cycles in journal-format bytes, tolerating a torn tail."""
     pending: Optional[CycleRecord] = None
-    for line in raw.split(b"\n"):
+    lines = raw.split(b"\n")
+    for number, line in enumerate(lines, 1):
         if not line:
             continue
         try:
             payload = json.loads(line)
-        except ValueError:
-            # A kill mid-append tears at most the final line; any
-            # segment it belonged to is uncommitted either way.
+        except ValueError as exc:
+            # A kill mid-append tears at most the final line, and any
+            # segment it belonged to is uncommitted either way.  Anywhere
+            # else it is damage, with committed cycles possibly behind it.
+            if any(lines[number:]):
+                raise StoreError(
+                    f"{source}: line {number} is not valid JSON ({exc}) "
+                    "and is not the last, so not a torn append"
+                ) from exc
             break
         kind = payload.get("record")
         if kind == "begin":
@@ -334,7 +343,7 @@ class RollingResultStore:
                 "(truncated or corrupted segment)"
             )
         try:
-            records = list(_committed_segments(raw))
+            records = list(_committed_segments(raw, path))
         except (KeyError, TypeError, AttributeError) as exc:
             raise StoreError(f"{path}: not a cycle segment ({exc!r})") from exc
         held = [(r.cycle_id, len(r.results)) for r in records]
@@ -347,8 +356,9 @@ class RollingResultStore:
 
     def _replay_journal(self) -> Iterable[CycleRecord]:
         """Committed cycles still in the journal, in append order."""
-        if self.journal_path.exists():
-            yield from _committed_segments(self.journal_path.read_bytes())
+        path = self.journal_path
+        if path.exists():
+            yield from _committed_segments(path.read_bytes(), path)
 
     # ------------------------------------------------------------------
     # Ingest
@@ -374,13 +384,22 @@ class RollingResultStore:
                 f"cycle {record.cycle_id[:12]}... already ingested"
             )
         body, commit = _encode_segment(record)
-        with open(self.journal_path, "a", encoding="utf-8") as fh:
-            fh.write(body)
+        with open(self.journal_path, "a+b") as fh:
+            # A journal not ending in a newline ends in the fragment of
+            # a killed append: uncommitted, ignored by replay - and the
+            # ``begin`` record glued onto it would take this whole cycle
+            # with it.  Cut it back to the last newline first.
+            if fh.tell():  # append mode opens at the end
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    fh.seek(0)
+                    fh.truncate(fh.read().rfind(b"\n") + 1)
+            fh.write(body.encode("utf-8"))
             fh.flush()
             os.fsync(fh.fileno())
             if pre_commit is not None:
                 pre_commit()
-            fh.write(commit)
+            fh.write(commit.encode("utf-8"))
             fh.flush()
             os.fsync(fh.fileno())
         self._encoded[record.cycle_id] = body + commit

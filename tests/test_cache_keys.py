@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 import pickle
+import weakref
 
 import pytest
 
@@ -30,14 +31,15 @@ from repro.core.cache import (
     trial_cache_key,
 )
 from repro.core.runner import TrialSpec
-from repro.fleet import plan as plan_module
 from repro.fleet.plan import (
     FleetError,
+    FleetPlan,
+    PlannedTrial,
     config_fingerprint,
     network_fingerprint,
     plan_cycle,
-    spec_from_json,
-    spec_to_json,
+    ROW_COLUMNS,
+    trial_rows,
 )
 from repro.fleet.worker import run_shard
 from repro.obs.metrics import get_registry
@@ -135,12 +137,17 @@ def test_fingerprints_and_manifest_fields_equal_reference(network, config):
     assert network_fingerprint(network) == _reference_fingerprint(network)
     assert config_fingerprint(config) == _reference_fingerprint(config)
     spec = TrialSpec(("a", "b"), network, config, seed=1)
-    payload = spec_to_json(spec, "k")
-    for name, source in (("network", network), ("config", config)):
-        fields = dataclasses.asdict(source)
-        # Same values, same *types*, same field order (manifest bytes
-        # depend on all three).
-        assert json.dumps(payload[name]) == json.dumps(fields)
+    plan = FleetPlan("cycle", 1, [PlannedTrial(spec, "k", 0)], {})
+    for payload in (plan.to_json(), plan.manifest_for(0)):
+        assert payload["trials"][0][:5] == [["a", "b"], 0, 0, 1, "k"]
+        for name, source in (("networks", network), ("configs", config)):
+            fields = dataclasses.asdict(source)
+            # Same values, same *types*, same field order (manifest
+            # bytes depend on all three).
+            assert json.dumps(payload[name]) == json.dumps([fields])
+    assert plan.manifest_for(0)["network_fingerprints"] == [
+        _reference_fingerprint(network)
+    ]
 
 
 def _key(network):
@@ -239,57 +246,157 @@ def test_edited_manifest_key_never_seeds_the_memo(tmp_path):
         ExperimentConfig().scaled(10), trials_per_pair=1, num_shards=1,
     )
     manifest = plan.manifest_for(0)
-    honest = manifest["trials"][0]["cache_key"]
-    manifest["trials"][0]["cache_key"] = "f" * 64
-    spec, claimed = spec_from_json(manifest["trials"][0])
-    assert claimed == "f" * 64 and spec._cache_key is None
+    column = ROW_COLUMNS.index("cache_key")
+    honest = manifest["trials"][0][column]
+    manifest["trials"][0][column] = "f" * 64
+    spec, row = next(trial_rows(manifest, with_shard=False))
+    assert row[column] == "f" * 64 and spec._cache_key is None
     assert trial_cache_key(spec) == honest == reference_trial_cache_key(spec)
     with pytest.raises(FleetError, match="version skew"):
         run_shard(manifest, tmp_path / "cache")
     assert not list((tmp_path / "cache").glob("*"))
 
 
-def test_equal_but_differently_typed_payloads_intern_apart():
+def _spellings():
     base = dataclasses.asdict(NetworkConfig(bandwidth_bps=8e6))
-    spellings = [
+    return [
         base,
         {**base, "bandwidth_bps": 8000000},
         {**base, "power_of_two_queue": 1},
         {**base, "external_loss_rate": -0.0},
     ]
+
+
+def _read(payload, rows):
+    return [
+        spec
+        for spec, _row in trial_rows({**payload, "trials": rows}, with_shard=False)
+    ]
+
+
+def test_equal_but_differently_typed_payloads_intern_apart():
+    """Schema-1/2 rows state their configs inline: one load interns them
+    type-exactly, and the table does not outlive the load."""
+    spellings = _spellings()
     row = {"service_ids": ["a", "b"], "seed": 1, "cache_key": "",
            "config": dataclasses.asdict(ExperimentConfig())}
     for order in (spellings, spellings[::-1]):
-        plan_module._INTERNED.clear()
-        specs = [spec_from_json({**row, "network": dict(p)})[0] for p in order]
-        again = [spec_from_json({**row, "network": dict(p)})[0] for p in order]
+        rows = [{**row, "network": dict(p)} for p in order]
+        both = _read({}, rows + copy.deepcopy(rows))
+        specs, again = both[: len(rows)], both[len(rows):]
         assert all(a == b for a in specs for b in specs)  # == conflates them
         assert len({id(s.network) for s in specs}) == len(spellings)
         assert [id(s.network) for s in specs] == [id(s.network) for s in again]
-        assert len({id(s.config) for s in specs + again}) == 1
+        assert len({id(s.config) for s in both}) == 1
         keys = [trial_cache_key(s) for s in specs]
         assert keys == [reference_trial_cache_key(s) for s in specs]
         assert len(set(keys)) == len(spellings)
         for spec, payload in zip(specs, order):
             assert json.dumps(dataclasses.asdict(spec.network)) == json.dumps(payload)
+        (other_load,) = _read({}, rows[:1])
+        assert other_load.network is not specs[0].network
+
+
+def test_table_entries_are_built_once_and_never_conflated():
+    """Schema-3 rows index the file's tables: one object per entry, and
+    ``==``-equal entries of different types stay different objects."""
+    spellings = _spellings()
+    tables = {
+        "networks": spellings,
+        "configs": [dataclasses.asdict(ExperimentConfig())],
+    }
+    rows = [
+        [["a", "b"], index % len(spellings), 0, 1, ""]
+        for index in range(3 * len(spellings))
+    ]
+    specs = _read(tables, rows)
+    assert len({id(s.network) for s in specs}) == len(spellings)
+    assert len({id(s.config) for s in specs}) == 1
+    firsts = specs[: len(spellings)]
+    keys = [trial_cache_key(s) for s in firsts]
+    assert keys == [reference_trial_cache_key(s) for s in firsts]
+    assert len(set(keys)) == len(spellings)
+    for spec, fields in zip(firsts, spellings):
+        assert json.dumps(dataclasses.asdict(spec.network)) == json.dumps(fields)
 
 
 def test_unknown_payload_keys_are_still_dropped_when_interning():
     payload = {**dataclasses.asdict(NetworkConfig(8e6)), "from_the_future": 1}
-    network = plan_module._dataclass_from_json(NetworkConfig, payload)
-    assert network == NetworkConfig(8e6)
-    assert plan_module._dataclass_from_json(NetworkConfig, dict(payload)) is network
+    config = dataclasses.asdict(ExperimentConfig())
+    inline = {"service_ids": ["a"], "seed": 1, "cache_key": "",
+              "network": payload, "config": config, "from_the_future": 2}
+    tabled = [["a"], 0, 0, 1, "", "a-future-column"]
+    specs = _read(
+        {"networks": [payload], "configs": [config]},
+        [tabled, inline, list(tabled), copy.deepcopy(inline)],
+    )
+    assert {s.network for s in specs} == {NetworkConfig(8e6)}
+    assert specs[0].network is specs[2].network
+    assert specs[1].network is specs[3].network
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    specs=st.lists(_specs, min_size=1, max_size=6),
+    picks=st.lists(st.integers(min_value=0, max_value=5), max_size=12),
+    num_shards=st.integers(min_value=1, max_value=3),
+)
+def test_plan_layout_round_trips_type_exactly(specs, picks, num_shards):
+    """Any plan - repeated config objects, ``==``-equal ones of other
+    types - writes one table entry per config object, loads back to
+    ``repr``-equal specs with reference keys, and re-serialises to the
+    same bytes."""
+    # Reuse some config objects across trials, as a real plan does.
+    specs = specs + [
+        TrialSpec(("x",), specs[i % len(specs)].network,
+                  specs[(i + 1) % len(specs)].config, seed=i)
+        for i in picks
+    ]
+    plan = FleetPlan(
+        "cycle", num_shards,
+        [
+            PlannedTrial(spec, trial_cache_key(spec), index % num_shards)
+            for index, spec in enumerate(specs)
+        ],
+        {},
+    )
+    payload = plan.to_json()
+    assert len(payload["networks"]) == len({id(s.network) for s in specs})
+    assert len(payload["configs"]) == len({id(s.config) for s in specs})
+    text = json.dumps(payload, separators=(",", ":"))
+    loaded = FleetPlan.from_json(json.loads(text))
+    assert [repr(t.spec) for t in loaded.trials] == [repr(s) for s in specs]
+    assert [t.shard for t in loaded.trials] == [t.shard for t in plan.trials]
+    assert all(t.spec._cache_key is None for t in loaded.trials)
+    assert [trial_cache_key(t.spec) for t in loaded.trials] == [
+        reference_trial_cache_key(s) for s in specs
+    ]
+    assert json.dumps(loaded.to_json(), separators=(",", ":")) == text
+    for shard in range(num_shards):
+        manifest = json.loads(json.dumps(plan.manifest_for(shard)))
+        rebuilt = [spec for spec, _row in trial_rows(manifest, with_shard=False)]
+        assert [repr(s) for s in rebuilt] == [
+            repr(t.spec) for t in plan.shard_trials(shard)
+        ]
 
 
 def test_intern_and_identity_tables_are_bounded():
-    plan_module._INTERNED.clear()
+    # What a load interns lives as long as the load's specs: no
+    # module-level table pins it.
+    rows = [
+        {"service_ids": ["a"], "seed": 1, "cache_key": "",
+         "network": dataclasses.asdict(NetworkConfig(bandwidth_bps=bandwidth)),
+         "config": dataclasses.asdict(ExperimentConfig())}
+        for bandwidth in range(cache_module._CONFIG_MEMO_MAX + 5)
+    ]
+    specs = _read({}, rows)
+    interned = weakref.ref(specs[0].network)
+    assert interned() is not None
+    del specs
+    assert interned() is None
     cache_module._CONFIG_BY_ID.clear()
-    for bandwidth in range(plan_module._INTERNED_MAX * 2 + 5):
-        payload = dataclasses.asdict(NetworkConfig(bandwidth_bps=bandwidth))
-        config_canonical_json(
-            plan_module._dataclass_from_json(NetworkConfig, payload)
-        )
-    assert len(plan_module._INTERNED) <= plan_module._INTERNED_MAX
+    for bandwidth in range(cache_module._CONFIG_MEMO_MAX * 2 + 5):
+        config_canonical_json(NetworkConfig(bandwidth_bps=bandwidth))
     assert len(cache_module._CONFIG_BY_ID) <= cache_module._CONFIG_MEMO_MAX
     # Every id in the identity table belongs to the object stored with it.
     assert all(

@@ -16,11 +16,16 @@ this file pins:
 * ``TrialCache``'s "repeated hits never re-read files": a second
   ``get`` of the same spec moves neither counter, and still touches the
   entry for the LRU;
-* the config objects behind one manifest's specs: one per distinct
-  config, not two per row;
+* the config objects behind one manifest's specs: one per table entry
+  (schema 3) or per distinct inline payload (schema 1/2), not two per
+  row;
 * Python frames entered per planned trial over ``run_shard`` x4 +
   ``merge_shards`` + ``assemble_reports``: identical across two runs
-  and under a ceiling (296.1 before this budget existed);
+  and under a ceiling (296.1 before this budget existed, 90.7 before
+  the merge linked on string paths);
+* ``pathlib`` parses over the same body: the same number whether the
+  plan holds 380 trials or 760 - none is per planned trial;
+* bytes per planned trial in ``plan.json`` and in the shard manifests;
 * the same two counters over one ``WatchdogService.ingest_once``.
 """
 
@@ -33,8 +38,8 @@ from repro import units
 from repro.config import ExperimentConfig, NetworkConfig
 from repro.core.cache import TrialCache
 from repro.fleet import assemble_reports, merge_shards, plan_cycle, run_shard
-from repro.fleet.plan import spec_from_json
-from repro.obs.metrics import get_registry
+from repro.fleet.plan import ROW_COLUMNS, trial_rows
+from repro.obs.metrics import get_registry, reset_registry
 from repro.service import WatchdogService
 from repro.services.catalog import default_catalog
 
@@ -48,14 +53,19 @@ CONFIG = ExperimentConfig().scaled(3)
 SHARDS = 4
 
 #: Ceiling on Python frames per planned trial (run_shard x4 + merge +
-#: assemble).
-FRAMES_PER_TRIAL_BUDGET = 110
+#: assemble): 71.0 today, plus ~10%.
+FRAMES_PER_TRIAL_BUDGET = 78
+
+#: Ceiling on bytes per planned trial, in ``plan.json`` and across the
+#: shard manifests (110 and 111 today; 440 and 431 when every row
+#: repeated its configs).
+BYTES_PER_TRIAL_BUDGET = 160
 
 
-def plan():
+def plan(trials_per_pair=2):
     return plan_cycle(
         default_catalog().ids(), NETWORKS, CONFIG,
-        trials_per_pair=2, num_shards=SHARDS, base_seed=7,
+        trials_per_pair=trials_per_pair, num_shards=SHARDS, base_seed=7,
     )
 
 
@@ -73,10 +83,10 @@ def counters():
     )
 
 
-def warm_cycle(root, rep):
+def warm_cycle(root, rep, trials_per_pair=2):
     """Plan and write one warm cycle; return the closure that runs it
     (``run_shard`` x4 + ``merge_shards`` + ``assemble_reports``)."""
-    fresh = plan()
+    fresh = plan(trials_per_pair)
     paths = fresh.write(rep / "plan")
     shard_dirs = [root / f"shard-{s}" for s in range(SHARDS)]
 
@@ -91,8 +101,8 @@ def warm_cycle(root, rep):
     return run
 
 
-def filled_shards(root):
-    first = plan()
+def filled_shards(root, trials_per_pair=2):
+    first = plan(trials_per_pair)
     rng = random.Random(7)
     for shard in range(SHARDS):
         fill(root / f"shard-{shard}", first.shard_trials(shard), rng)
@@ -100,18 +110,24 @@ def filled_shards(root):
 
 
 def count_frames(fn):
-    frames = [0]
+    """``(Python frames entered, pathlib path parses)`` over ``fn()``."""
+    frames = [0, 0]
 
-    def profiler(_frame, event, _arg):
+    def profiler(frame, event, _arg):
         if event == "call":
             frames[0] += 1
+            code = frame.f_code
+            if code.co_name in ("_parse_args", "_parse_path") and (
+                code.co_filename.endswith("pathlib.py")
+            ):
+                frames[1] += 1
 
     sys.setprofile(profiler)
     try:
         fn()
     finally:
         sys.setprofile(None)
-    return frames[0]
+    return tuple(frames)
 
 
 def test_two_derivations_two_parses_per_trial(tmp_path):
@@ -145,25 +161,63 @@ def test_repeated_hits_never_reread_files(tmp_path):
 def test_specs_of_one_manifest_share_their_config_objects(tmp_path):
     fresh = plan()
     manifest = json.loads(fresh.write(tmp_path)[1].read_text())
-    specs = [spec_from_json(row)[0] for row in manifest["trials"]]
-    assert len(specs) > 100
-    distinct = {(s.network, s.config) for s in specs}
-    assert len({id(s.network) for s in specs}) == len(NETWORKS)
-    assert len({id(s.config) for s in specs}) == 1
-    assert len(distinct) == len(NETWORKS)
-    # Rebuilt rows carry no memo: the worker derives its own keys.
-    assert all(s._cache_key is None for s in specs)
+    assert len(manifest["networks"]) == len(NETWORKS)
+    assert len(manifest["configs"]) == 1
+    # The same rows as schemas 1 and 2 laid them out: named fields,
+    # configs inline.
+    inline = []
+    for row in manifest["trials"]:
+        fields = dict(zip(ROW_COLUMNS, row))
+        fields["network"] = manifest["networks"][fields["network"]]
+        fields["config"] = manifest["configs"][fields["config"]]
+        inline.append(fields)
+    for payload in (manifest, {"trials": inline}):
+        specs = [s for s, _row in trial_rows(payload, with_shard=False)]
+        assert len(specs) > 100
+        distinct = {(s.network, s.config) for s in specs}
+        assert len({id(s.network) for s in specs}) == len(NETWORKS)
+        assert len({id(s.config) for s in specs}) == 1
+        assert len(distinct) == len(NETWORKS)
+        # Rebuilt rows carry no memo: the worker derives its own keys.
+        assert all(s._cache_key is None for s in specs)
 
 
 def test_frames_per_planned_trial_repeat_and_stay_under_budget(tmp_path):
+    # Receipts embed the registry's delta, encoded instrument by
+    # instrument: start from an empty registry so the count does not
+    # depend on what earlier tests registered.
+    reset_registry()
     trials = filled_shards(tmp_path)
     warm_cycle(tmp_path, tmp_path / "rep0")()  # imports, lazy set-up
     counts = [
-        count_frames(warm_cycle(tmp_path, tmp_path / f"rep{index}"))
+        count_frames(warm_cycle(tmp_path, tmp_path / f"rep{index}"))[0]
         for index in (1, 2)
     ]
     assert counts[0] == counts[1]
     assert counts[0] / trials <= FRAMES_PER_TRIAL_BUDGET
+
+
+def test_no_pathlib_parse_per_planned_trial(tmp_path):
+    """A warm body builds ``Path`` objects per shard and per file it
+    writes, never per trial: twice the trials, the same parses."""
+    parses = []
+    for trials_per_pair in (1, 2):
+        root = tmp_path / str(trials_per_pair)
+        filled_shards(root, trials_per_pair)
+        warm_cycle(root, root / "rep0", trials_per_pair)()
+        parses.append(
+            count_frames(warm_cycle(root, root / "rep1", trials_per_pair))[1]
+        )
+    assert 0 < parses[0] == parses[1]
+
+
+def test_plan_and_manifest_bytes_per_planned_trial(tmp_path):
+    fresh = plan()
+    paths = fresh.write(tmp_path)
+    plan_bytes = os.path.getsize(paths[0])
+    manifest_bytes = sum(os.path.getsize(path) for path in paths[1:])
+    assert plan_bytes / len(fresh.trials) <= BYTES_PER_TRIAL_BUDGET
+    assert manifest_bytes / len(fresh.trials) <= BYTES_PER_TRIAL_BUDGET
 
 
 def test_ingest_derives_at_most_one_key_per_folded_and_planned_trial(

@@ -36,6 +36,7 @@ from repro.core.cache import TrialCache
 from repro.core.earlystop import (
     EarlyStopConfig,
     EarlyStopModel,
+    EarlyStopModelError,
     EarlyStopMonitor,
     audit_decision,
     fit_model,
@@ -48,6 +49,7 @@ from repro.obs.flight import FlightRecorder, QueueChannel
 from repro.services.catalog import default_catalog
 
 from tests import test_golden_identity as golden
+from tests.test_cache_immutability import ENTRY_DAMAGE
 
 PAIR = ["iperf_cubic", "iperf_bbr"]
 
@@ -105,6 +107,76 @@ class TestModelArtifact:
         payload["schema"] = 999
         with pytest.raises(ValueError):
             EarlyStopModel.from_json(payload)
+
+
+def _rewritten(edit):
+    """A damage function: re-serialise the model JSON after ``edit``."""
+
+    def damage(data):
+        payload = json.loads(data)
+        edit(payload)
+        return json.dumps(payload).encode()
+
+    return damage
+
+
+MODEL_DAMAGE = {
+    **ENTRY_DAMAGE,
+    "missing-field": (
+        _rewritten(lambda p: p.pop("grid_usec")),
+        "malformed earlystop model (KeyError: 'grid_usec')",
+    ),
+    "wrong-type": (
+        _rewritten(lambda p: p.update(consecutive=[3])),
+        "malformed earlystop model (TypeError",
+    ),
+    "other-schema": (
+        _rewritten(lambda p: p.update(schema=999)),
+        "unsupported earlystop schema 999",
+    ),
+}
+
+
+class TestDamagedModelFile:
+    """A model file that is not a model raises one named error carrying
+    the path and the defect - never a bare JSONDecodeError / KeyError -
+    and the fleet CLI reports it as a ``fleet error:``."""
+
+    @pytest.fixture(params=sorted(MODEL_DAMAGE))
+    def damaged(self, request, tmp_path):
+        damage, complaint = MODEL_DAMAGE[request.param]
+        path = tmp_path / "model.json"
+        EarlyStopModel(consecutive=3).save(path)
+        path.write_bytes(damage(path.read_bytes()))
+        return path, complaint
+
+    def test_load_names_file_and_defect(self, damaged):
+        path, complaint = damaged
+        with pytest.raises(EarlyStopModelError) as caught:
+            EarlyStopModel.load(path)
+        assert str(path) in str(caught.value)
+        assert complaint in str(caught.value)
+
+    def test_fleet_cli_exits_1_with_a_fleet_error(
+        self, damaged, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        path, complaint = damaged
+        code = main([
+            "fleet", "plan", "cycle", "--services", *PAIR, "--trials", "1",
+            "--duration", "10", "--shards", "1", "--earlystop", str(path),
+            "--out-dir", str(tmp_path / "plan"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("fleet error:")
+        assert str(path) in err and complaint in err
+        assert not (tmp_path / "plan").exists()
+
+    def test_a_missing_model_file_stays_an_oserror(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            EarlyStopModel.load(tmp_path / "absent.json")
 
 
 class TestGoldenByteIdentity:

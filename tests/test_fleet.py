@@ -1,13 +1,18 @@
 """repro.fleet: sharded planning, workers, cache merge, report assembly."""
 
+import dataclasses
+import hashlib
 import json
 import os
+import shutil
+from pathlib import Path
 
 import pytest
 
 from repro import units
 from repro.config import (
     ExperimentConfig,
+    NetworkConfig,
     TrialPolicyConfig,
     highly_constrained,
 )
@@ -31,6 +36,8 @@ from repro.fleet import (
     run_shard,
     shard_for_key,
 )
+from repro.fleet.adaptive import AdaptiveCycleState
+from repro.fleet.plan import MANIFEST_SCHEMA_VERSION, ROW_COLUMNS
 from repro.fleet.worker import RECEIPT_FILENAME
 from repro.services.catalog import default_catalog
 
@@ -40,6 +47,7 @@ CATALOG = default_catalog()
 FAST = ExperimentConfig().scaled(10)
 NET = highly_constrained()
 IDS = ["iperf_cubic", "iperf_reno"]
+KEY = ROW_COLUMNS.index("cache_key")
 
 
 def small_plan(num_shards=2, trials=2, include_self_pairs=False, ids=None):
@@ -102,9 +110,9 @@ class TestShardPlanning:
         seen = []
         for shard in range(3):
             manifest = plan.manifest_for(shard)
-            for entry in manifest["trials"]:
-                assert shard_for_key(entry["cache_key"], 3) == shard
-                seen.append(entry["cache_key"])
+            for row in manifest["trials"]:
+                assert shard_for_key(row[KEY], 3) == shard
+                seen.append(row[KEY])
         assert sorted(seen) == sorted(plan.expected_keys())
         assert len(set(seen)) == len(seen)
 
@@ -291,7 +299,7 @@ class TestShardExecutionMergeAssembly:
         (planner/worker version skew) is refused before any simulation."""
         plan, _dirs, _merged, _receipts, _report = pipeline
         manifest = plan.manifest_for(0)
-        manifest["trials"][0]["cache_key"] = "f" * 64
+        manifest["trials"][0][KEY] = "f" * 64
         with pytest.raises(FleetError, match="version skew"):
             run_shard(manifest, tmp_path / "c")
 
@@ -775,3 +783,326 @@ class TestDamagedEntryAtAssembly:
             assemble_reports(plan, TrialCache(tmp_path / "merged"))
         assert str(victim) in str(caught.value)
         assert complaint in str(caught.value)
+
+
+# ----------------------------------------------------------------------
+# Manifest schema 3: config tables + index rows (DESIGN section 2.1)
+# ----------------------------------------------------------------------
+
+
+def _typed_configs_cycle():
+    """``==``-equal configs of different types: each is its own trial
+    identity, so each must stay its own table entry."""
+    return plan_cycle(
+        IDS,
+        [
+            NetworkConfig(bandwidth_bps=8e6),
+            NetworkConfig(bandwidth_bps=8000000),
+            NetworkConfig(bandwidth_bps=8e6, power_of_two_queue=1),
+            NetworkConfig(bandwidth_bps=8e6, external_loss_rate=-0.0),
+        ],
+        ExperimentConfig(
+            duration_usec=10_000_000.0, warmup_usec=2_000_000,
+            cooldown_usec=2_000_000, seed=False,
+        ),
+        trials_per_pair=2, num_shards=3, base_seed=5,
+    )
+
+
+def _adaptive_round():
+    policy = TrialPolicyConfig(
+        min_trials=2, max_trials=4, batch_size=2,
+        ci_halfwidth_bps=units.mbps(0.5),
+    )
+    state = AdaptiveCycleState.create(
+        IDS + ["iperf_bbr"], [NetworkConfig(units.mbps(8))], FAST,
+        policies=[policy], base_seed=7,
+    )
+    return state.plan_round(num_shards=2)
+
+
+#: name -> (builder, sha256 over every trial's ids / configs / seed / key
+#: / shard in plan order, plan_id) - the last two as the commit before
+#: schema 3 computed them (under schema 2).
+PLAN_SHAPES = {
+    "default-catalog-cycle": (
+        lambda: plan_cycle(
+            CATALOG.ids(),
+            [NetworkConfig(units.mbps(8)), NetworkConfig(units.mbps(50))],
+            ExperimentConfig().scaled(3),
+            trials_per_pair=2, num_shards=4, base_seed=7,
+        ),
+        "4fadda313f248db3c795cc9af3fec2a74d43e75c42a5d15d6e5ea01bbbd974f1",
+        "1016fc125487",
+    ),
+    "typed-configs-cycle": (
+        _typed_configs_cycle,
+        "b93e5899613f60edd16290bdcacb9ff23c877fd1224c13c96a8d6a19deb31757",
+        "d1bea5d7a832",
+    ),
+    "sweep": (
+        lambda: plan_sweep(
+            "bandwidth", "iperf_cubic", "iperf_reno", [8, 30, 50], FAST,
+            num_shards=2, trials=3, base_seed=1,
+        ),
+        "e41dd9001dce466474eb78a48257ac05ffd90fb92524ec6c161828842058bcc7",
+        "be39d15af69a",
+    ),
+    "adaptive-round": (
+        _adaptive_round,
+        "274a21c5601ab72176d4412212180922b63a70d2ff48dad6cb82edd2f9d0e38c",
+        "56139541ed7a",
+    ),
+}
+
+
+def _trials_digest(plan):
+    rows = [
+        [list(t.spec.service_ids), repr(t.spec.network), repr(t.spec.config),
+         t.spec.seed, t.cache_key, t.shard]
+        for t in plan.trials
+    ]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def _distinct(configs):
+    return list({id(config): config for config in configs}.values())
+
+
+class TestNormalizedLayout:
+    @pytest.fixture(params=sorted(PLAN_SHAPES))
+    def shape(self, request):
+        build, digest, schema2_id = PLAN_SHAPES[request.param]
+        return build(), digest, schema2_id
+
+    def test_planned_work_equals_the_pre_change_values(self, shape):
+        """Keys, seeds, spec order and shard assignment are what they
+        were; a new plan's id moves only through the schema number it
+        has always hashed."""
+        plan, digest, schema2_id = shape
+        assert _trials_digest(plan) == digest
+        assert plan.schema == MANIFEST_SCHEMA_VERSION == 3
+        as_schema2 = FleetPlan(
+            plan.kind, plan.num_shards, plan.trials, plan.params,
+            cycle_id=plan.cycle_id, round_index=plan.round_index, schema=2,
+        )
+        assert as_schema2.plan_id.startswith(schema2_id)
+        assert plan.plan_id != as_schema2.plan_id
+
+    def test_write_load_reserialise_is_byte_stable(self, shape, tmp_path):
+        plan, digest, _schema2_id = shape
+        paths = plan.write(tmp_path / "first")
+        loaded = load_plan(paths[0])
+        assert loaded.plan_id == plan.plan_id
+        assert _trials_digest(loaded) == digest
+        assert loaded.expected_keys() == plan.expected_keys()
+        again = loaded.write(tmp_path / "second")
+        assert [p.read_bytes() for p in again] == [
+            p.read_bytes() for p in paths
+        ]
+
+    def test_tables_hold_each_distinct_config_object_once(self, shape):
+        plan, _digest, _schema2_id = shape
+        payloads = [(plan.to_json(), plan.trials)] + [
+            (plan.manifest_for(shard), plan.shard_trials(shard))
+            for shard in range(plan.num_shards)
+        ]
+        for payload, trials in payloads:
+            networks = _distinct(t.spec.network for t in trials)
+            configs = _distinct(t.spec.config for t in trials)
+            assert payload["networks"] == [
+                dataclasses.asdict(n) for n in networks
+            ]
+            assert payload["configs"] == [
+                dataclasses.asdict(c) for c in configs
+            ]
+            assert len(payload["trials"]) == len(trials)
+            for row, trial in zip(payload["trials"], trials):
+                assert networks[row[1]] is trial.spec.network
+                assert configs[row[2]] is trial.spec.config
+
+    def test_equal_values_of_different_types_never_share_an_entry(self):
+        plan = _typed_configs_cycle()
+        tables = json.loads(json.dumps(plan.to_json()))["networks"]
+        assert len(tables) == 4
+        assert [json.dumps(t) for t in tables] == [
+            json.dumps(dataclasses.asdict(n))
+            for n in _distinct(t.spec.network for t in plan.trials)
+        ]
+        # 8e6 / 8000000, True / 1 and 0.0 / -0.0 compare equal ...
+        assert all(a == b for a in tables for b in tables)
+        # ... and survive a write and a load as four identities.
+        loaded = FleetPlan.from_json(json.loads(json.dumps(plan.to_json())))
+        assert len({id(t.spec.network) for t in loaded.trials}) == 4
+        assert [repr(t.spec) for t in loaded.trials] == [
+            repr(t.spec) for t in plan.trials
+        ]
+
+
+V2_FIXTURE = Path(__file__).parent / "data" / "fleet_plan_v2"
+V2_PLAN_ID = "1f8011affbb79e934d40045e1dc594d4194d1188e55fca36cb19d7b7c7dd1e3c"
+
+
+def _v2_replanned():
+    """What ``fleet plan cycle --services iperf_cubic iperf_reno --trials
+    2 --duration 10 --shards 2`` plans today: the fixture's command."""
+    return plan_cycle(
+        IDS, [NetworkConfig(bandwidth_bps=units.mbps(8))],
+        ExperimentConfig().scaled(10),
+        trials_per_pair=2, num_shards=2, base_seed=1,
+    )
+
+
+class TestSchema2FilesKeepWorking:
+    """``tests/data/fleet_plan_v2/`` was written by the commit before
+    schema 3 (every row repeating its configs inline).  Such files sit
+    in spools and round directories; they load through the same reader,
+    keep the plan id they were written with, and assemble to the report
+    a plan written today does."""
+
+    def test_fixture_loads_with_its_recorded_plan_id(self):
+        payload = json.loads((V2_FIXTURE / "plan.json").read_text())
+        assert payload["schema"] == 2 and "networks" not in payload
+        assert isinstance(payload["trials"][0]["network"], dict)
+        plan = load_plan(V2_FIXTURE / "plan.json")
+        assert plan.schema == 2 and plan.plan_id == V2_PLAN_ID
+        today = _v2_replanned()
+        assert plan.expected_keys() == today.expected_keys()
+        assert [t.spec for t in plan.trials] == [t.spec for t in today.trials]
+        assert [t.shard for t in plan.trials] == [t.shard for t in today.trials]
+        assert plan.plan_id != today.plan_id
+        # One config object per distinct inline payload, not per row.
+        assert len({id(t.spec.network) for t in plan.trials}) == 1
+        assert len({id(t.spec.config) for t in plan.trials}) == 1
+
+    def test_fixture_runs_merges_and_assembles_like_todays_plan(
+        self, tmp_path
+    ):
+        old = load_plan(V2_FIXTURE / "plan.json")
+        shard_dirs = [tmp_path / "s0", tmp_path / "s1"]
+        for index, shard_dir in enumerate(shard_dirs):
+            receipt = run_shard(V2_FIXTURE / f"shard-{index}.json", shard_dir)
+            assert receipt.plan_id == V2_PLAN_ID
+            assert receipt.completed_keys == [
+                t.cache_key for t in old.shard_trials(index)
+            ]
+        merge = merge_shards(old, shard_dirs, tmp_path / "merged-old")
+        assert (merge.entries_merged, merge.gaps) == (len(old.trials), [])
+        (old_report,) = assemble_reports(
+            old, TrialCache(tmp_path / "merged-old")
+        )
+
+        new = _v2_replanned()
+        for manifest, shard_dir in zip(new.write(tmp_path / "new")[1:], shard_dirs):
+            assert run_shard(manifest, shard_dir).stats.trials_run == 0
+        merge_shards(new, shard_dirs, tmp_path / "merged-new")
+        (new_report,) = assemble_reports(
+            new, TrialCache(tmp_path / "merged-new")
+        )
+        old_json, new_json = old_report.to_json(), new_report.to_json()
+        assert old_json.pop("runner_stats") == new_json.pop("runner_stats")
+        assert old_json == new_json
+
+    def test_fixture_ingests_to_the_site_todays_plan_ingests_to(
+        self, tmp_path
+    ):
+        from repro.service import WatchdogService
+
+        cache = tmp_path / "cache"
+        for index in range(2):
+            run_shard(V2_FIXTURE / f"shard-{index}.json", cache)
+        sites = []
+        for name in ("old", "new"):
+            entry = tmp_path / name / "spool" / "incoming" / "cycle-0"
+            if name == "old":
+                shutil.copytree(V2_FIXTURE, entry)
+            else:
+                _v2_replanned().write(entry)
+            shutil.copytree(cache, entry / "cache")
+            service = WatchdogService(
+                tmp_path / name / "spool", tmp_path / name / "out",
+                networks=[NetworkConfig(bandwidth_bps=units.mbps(8))],
+                plan_config=FAST, plan_trials=1,
+            )
+            summary = service.ingest_once()
+            assert summary["ingested"][0]["trials"] == 6
+            assert (summary["ingested"][0]["cycle_id"] == V2_PLAN_ID) == (
+                name == "old"
+            )
+            site = tmp_path / name / "out" / "site"
+            sites.append({
+                str(path.relative_to(site)): path.read_bytes()
+                for path in sorted(site.rglob("*")) if path.is_file()
+            })
+            # What the coordinator publishes is always today's layout.
+            published = json.loads(
+                (tmp_path / name / "out" / "next-plan" / "plan.json").read_text()
+            )
+            assert published["schema"] == MANIFEST_SCHEMA_VERSION
+        assert sites[0] == sites[1] and "index.md" in sites[0]
+
+
+def _edit_plan_row(column, value):
+    def damage(payload):
+        payload["trials"][0][ROW_COLUMNS.index(column)] = value
+
+    return damage
+
+
+#: Defects only a schema-3 file can have: name -> (edit of the parsed
+#: plan or manifest, what the error must say).
+HOSTILE_V3 = {
+    "index-out-of-range": (
+        _edit_plan_row("network", 7),
+        "no NetworkConfig object or table entry 7",
+    ),
+    "negative-index": (
+        _edit_plan_row("config", -1),
+        "no ExperimentConfig object or table entry -1",
+    ),
+    "true-as-index": (
+        _edit_plan_row("network", True),
+        "no NetworkConfig object or table entry True",
+    ),
+    "table-missing": (
+        lambda payload: payload.pop("networks"),
+        "no NetworkConfig object or table entry 0",
+    ),
+    "table-entry-not-an-object": (
+        lambda payload: payload["configs"].__setitem__(0, [1, 2]),
+        "no ExperimentConfig object or table entry [1, 2]",
+    ),
+    "row-too-short": (
+        lambda payload: payload["trials"].__setitem__(0, [["a", "b"], 0]),
+        "IndexError",
+    ),
+}
+
+
+def damage_v3(path, kind):
+    """Apply one :data:`HOSTILE_V3` defect to the JSON file at ``path``;
+    returns what the error must say."""
+    edit, complaint = HOSTILE_V3[kind]
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    return complaint
+
+
+class TestHostileSchema3Files:
+    @pytest.mark.parametrize("kind", sorted(HOSTILE_V3))
+    def test_load_plan_and_run_shard_name_file_and_defect(
+        self, tmp_path, kind
+    ):
+        paths = small_plan(num_shards=1).write(tmp_path / "plan")
+        for path, load in (
+            (paths[0], load_plan),
+            (paths[1], lambda p: run_shard(p, tmp_path / "cache")),
+        ):
+            complaint = damage_v3(path, kind)
+            with pytest.raises(FleetError) as caught:
+                load(path)
+            assert str(path) in str(caught.value)
+            assert complaint in str(caught.value)
+        # Refused before anything ran: no cache directory, no receipt.
+        assert not (tmp_path / "cache").exists()

@@ -7,6 +7,7 @@ stays byte-identical with tracing and metrics turned on).
 
 import io
 import json
+import sys
 import threading
 
 import pytest
@@ -113,6 +114,52 @@ class TestMetricsRegistry:
         assert get_registry().counter("k").value == 1
         reset_registry()
         assert "k" not in get_registry().names()
+
+
+    def test_threads_racing_to_create_one_counter_share_it(self):
+        """An existing instrument is returned without the registry lock;
+        creation still takes it, so racing first callers get one object
+        and no increment lands on a lost twin."""
+        threads, rounds = 16, 200
+        start = threading.Barrier(threads)
+        seen = [[] for _ in range(threads)]
+        reg = MetricsRegistry()
+
+        def work(mine):
+            start.wait(timeout=30)
+            for index in range(rounds):
+                counter = reg.counter(f"c{index}")
+                counter.inc()
+                mine.append(counter)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=work, args=(mine,)) for mine in seen
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        for index in range(rounds):
+            assert len({id(mine[index]) for mine in seen}) == 1
+            assert reg.counter(f"c{index}").value == threads
+        # Found without the lock, the type check still holds.
+        with pytest.raises(ValueError, match="already registered"):
+            reg.gauge("c0")
+
+    def test_a_read_after_reset_creates_a_fresh_instrument(self):
+        stale = get_registry().counter("c")
+        stale.inc(3)
+        reset_registry()
+        fresh = get_registry().counter("c")
+        assert fresh is not stale and fresh.value == 0
+        assert get_registry().counter("c") is fresh
+        assert get_registry().snapshot()["metrics"]["c"]["value"] == 0
 
 
 class TestTracing:

@@ -23,7 +23,7 @@ from repro import units
 from repro.config import ExperimentConfig, TrialPolicyConfig, highly_constrained
 from repro.core.cache import TrialCache
 from repro.fleet.adaptive import AdaptiveCycleState, run_adaptive_cycle
-from repro.fleet.plan import plan_cycle
+from repro.fleet.plan import load_plan, plan_cycle
 from repro.fleet.worker import run_shard
 from repro.service import (
     CycleRecord,
@@ -35,6 +35,7 @@ from repro.service.coordinator import FAULT_ENV
 from repro.core.submission import DEFAULT_ACCESS_CODES
 
 from tests.test_cache_immutability import ENTRY_DAMAGE
+from tests.test_fleet import HOSTILE_V3, damage_v3
 
 FAST = ExperimentConfig().scaled(4)
 NET = highly_constrained()
@@ -323,11 +324,9 @@ class TestServiceIngest:
         summary = service.ingest_once()
         accepted = summary["submissions_accepted"]
         assert [s["service_id"] for s in accepted] == ["ext_example_net"]
-        plan = json.loads(
-            (tmp_path / "out" / "next-plan" / "plan.json").read_text()
-        )
+        plan = load_plan(tmp_path / "out" / "next-plan" / "plan.json")
         planned_ids = {
-            sid for t in plan["trials"] for sid in t["service_ids"]
+            sid for t in plan.trials for sid in t.spec.service_ids
         }
         assert "ext_example_net" in planned_ids
 
@@ -443,6 +442,25 @@ class TestPoisonedEntries:
         assert [c.source for c in service.store.cycles()] == ["cycle-1-good"]
         assert (tmp_path / "out" / "site" / "index.md").exists()
         assert service.scan_spool() == []
+
+    @pytest.mark.parametrize("kind", sorted(HOSTILE_V3))
+    def test_hostile_schema3_plan_retires_the_spool_entry_by_name(
+        self, tmp_path, kind
+    ):
+        """Defects only an index-row plan can have (bad index, missing
+        table, ...) are named like any other unreadable plan."""
+        service = make_service(tmp_path)
+        incoming = tmp_path / "spool" / "incoming"
+        make_fixed_entry(incoming / "cycle-0-bad")
+        cause = damage_v3(incoming / "cycle-0-bad" / "plan.json", kind)
+        make_fixed_entry(incoming / "cycle-1-good")
+        with pytest.raises(ServiceError) as raised:
+            service.ingest_once()
+        message = str(raised.value)
+        assert "cycle-0-bad" in message and "plan.json" in message
+        assert cause in message and "moved to failed/" in message
+        assert (tmp_path / "spool" / "failed" / "cycle-0-bad").exists()
+        assert [c.source for c in service.store.cycles()] == ["cycle-1-good"]
 
     @pytest.mark.parametrize("kind", sorted(ENTRY_DAMAGE))
     def test_damaged_cache_entry_retires_the_spool_entry_by_name(

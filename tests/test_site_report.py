@@ -1,5 +1,6 @@
 """The website-style markdown findings report."""
 
+import logging
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,8 @@ from repro.analysis.site import (
 from repro.core.experiment import ExperimentResult
 from repro.core.results import ResultStore
 from repro.service.site import SiteRenderer, bandwidth_tag
+
+from tests.test_cache_immutability import ENTRY_DAMAGE
 
 BW = units.mbps(8)
 BW50 = units.mbps(50)
@@ -137,3 +140,46 @@ class TestIncrementalSite:
         index_before = renderer.index_path.read_bytes()
         assert renderer.regenerate(store, None) == []
         assert renderer.index_path.read_bytes() == index_before
+
+    @pytest.mark.parametrize("kind", sorted(ENTRY_DAMAGE) + ["other-schema"])
+    def test_damaged_state_file_is_rebuilt_by_a_full_render(
+        self, store, tmp_path, kind
+    ):
+        """``site-state.json`` is only a ledger of section hashes: one
+        that cannot be read is treated as absent - every section is
+        rendered again, the ledger comes back byte-identical, and the
+        discard is logged once - even when the caller asked for an
+        incremental pass.  (At the parent: a JSONDecodeError from every
+        ingest, after the journal commit.)"""
+        damage = (
+            (lambda data: data.replace(b'"schema": 1', b'"schema": 99'))
+            if kind == "other-schema"
+            else ENTRY_DAMAGE[kind][0]
+        )
+        for seed in range(3):
+            store.add(synth("bully", "peer", 1.6, 0.4, seed, bw=BW50))
+        renderer = SiteRenderer(tmp_path / "site")
+        renderer.regenerate(store, None)
+        healthy = {
+            path: path.read_bytes()
+            for path in (tmp_path / "site").rglob("*") if path.is_file()
+        }
+        renderer.state_path.write_bytes(damage(healthy[renderer.state_path]))
+        logged = []
+        handler = logging.Handler()
+        handler.emit = lambda record: logged.append(record.getMessage())
+        logger = logging.getLogger("repro.service.site")
+        logger.addHandler(handler)
+        try:
+            changed = SiteRenderer(tmp_path / "site").regenerate(
+                store, changed_bandwidths=[BW50]
+            )
+            assert changed == [BW, BW50]
+            assert renderer.regenerate(store, changed_bandwidths=[]) == []
+        finally:
+            logger.removeHandler(handler)
+        assert {
+            path: path.read_bytes()
+            for path in (tmp_path / "site").rglob("*") if path.is_file()
+        } == healthy
+        assert logged == ["service.site_state_discarded"]

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import stats
-from repro.fleet import AdaptiveCycleState
+from repro.fleet import AdaptiveCycleState, FleetPlan
 
 from tests import naive_stats
 
@@ -165,7 +165,8 @@ class TestParentCycleState:
     (per-draw bootstrap): 3 rounds, 2 pairs converged at 2 trials, 4
     unstable at the 6-trial cap."""
 
-    #: ``plan_id`` of the ``assembly-plan.json`` that run wrote.
+    #: ``plan_id`` of the ``assembly-plan.json`` that run wrote (under
+    #: manifest schema 2, which the id hashes).
     ASSEMBLY_PLAN_ID = (
         "07e571c31e0ec938c4247d6cfb66802d66eac92e747433151a680e5cfd887fe3"
     )
@@ -190,4 +191,8 @@ class TestParentCycleState:
     def test_replay_emits_the_parents_assembly_plan(self, payload):
         state = AdaptiveCycleState.from_json(payload)
         assert state.round_index == 3
-        assert state.assembly_plan(num_shards=2).plan_id == self.ASSEMBLY_PLAN_ID
+        plan = state.assembly_plan(num_shards=2)
+        as_written = FleetPlan(
+            plan.kind, plan.num_shards, plan.trials, plan.params, schema=2
+        )
+        assert as_written.plan_id == self.ASSEMBLY_PLAN_ID

@@ -12,6 +12,9 @@ Three properties of compaction, each checked on the bytes on disk:
 - **Hostile artifacts**: a damaged segment or an unreadable manifest
   raises :class:`StoreError` naming the file - never a bare
   ``JSONDecodeError``/``KeyError``, never a silently shorter store.
+- **Journal lines**: only the final line may be unparsable (a killed
+  append); the next append cuts it away instead of gluing its own
+  first record onto it, and an unparsable line anywhere else raises.
 """
 
 import hashlib
@@ -314,3 +317,54 @@ class TestHostileArtifacts:
         manifest["segments"][0]["file"] = "../journal.jsonl"
         write_manifest(tmp_path, manifest)
         self._assert_store_error_names(tmp_path, tmp_path / SNAPSHOT_FILENAME)
+
+
+class TestJournalLines:
+    TORN = b'{"cycle_id":"c2","record":"tri'
+
+    def test_append_after_a_torn_tail_keeps_the_next_cycle(self, tmp_path):
+        """A kill mid-append leaves a fragment without a newline; the
+        next committed cycle must not be glued onto it and lost."""
+        store = RollingResultStore(tmp_path)
+        store.append_cycle(make_record("c1"))
+        with open(store.journal_path, "ab") as fh:
+            fh.write(self.TORN)
+        store = RollingResultStore(tmp_path)
+        assert [r.cycle_id for r in store.cycles()] == ["c1"]
+        store.append_cycle(make_record("c2"))
+        # Killed before compaction: the journal is all there is.
+        reopened = RollingResultStore(tmp_path)
+        assert [r.cycle_id for r in reopened.cycles()] == ["c1", "c2"]
+        # The fragment is gone and the bytes are an uninterrupted run's.
+        control = RollingResultStore(tmp_path / "control")
+        control.append_cycle(make_record("c1"))
+        control.append_cycle(make_record("c2"))
+        assert (
+            store.journal_path.read_bytes()
+            == control.journal_path.read_bytes()
+        )
+
+    def test_torn_final_line_still_replays_clean(self, tmp_path):
+        store = RollingResultStore(tmp_path)
+        store.append_cycle(make_record("c1"))
+        store.append_cycle(make_record("c2"))
+        with open(store.journal_path, "ab") as fh:
+            fh.write(self.TORN)
+        reopened = RollingResultStore(tmp_path)
+        assert [r.cycle_id for r in reopened.cycles()] == ["c1", "c2"]
+
+    def test_unparsable_middle_line_raises_naming_file_and_line(
+        self, tmp_path
+    ):
+        """A bit-flipped line with a committed cycle behind it is not a
+        torn append: dropping everything after it would lose ``c2``."""
+        store = RollingResultStore(tmp_path)
+        store.append_cycle(make_record("c1"))
+        store.append_cycle(make_record("c2"))
+        lines = store.journal_path.read_bytes().split(b"\n")
+        lines[1] = lines[1].replace(b'"record":', b'"record"?', 1)
+        store.journal_path.write_bytes(b"\n".join(lines))
+        with pytest.raises(StoreError) as excinfo:
+            RollingResultStore(tmp_path)
+        assert str(store.journal_path) in str(excinfo.value)
+        assert "line 2" in str(excinfo.value)
