@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Publish a findings page the way internetfairness.net does.
 
-Runs a small all-pairs sweep (in parallel across CPU cores - the
-Section 9 scaling feature) and renders the website-style Markdown
-findings report to ``findings.md``.
+Runs a small all-pairs watchdog cycle (a fixed two trials per pair, in
+parallel across worker processes - the Section 9 scaling feature) and
+renders the website-style Markdown findings report to ``findings.md``.
 
 Usage::
 
@@ -14,7 +14,6 @@ from pathlib import Path
 
 import repro
 from repro.analysis.site import render_markdown_report
-from repro.core.runner import ProcessPoolBackend, all_pairs_trials
 
 SERVICES = ["youtube", "mega", "dropbox", "iperf_cubic", "iperf_reno"]
 
@@ -22,11 +21,17 @@ SERVICES = ["youtube", "mega", "dropbox", "iperf_cubic", "iperf_reno"]
 def main() -> None:
     network = repro.highly_constrained()
     config = repro.ExperimentConfig().scaled(40)
-    trials = all_pairs_trials(
-        SERVICES, network, config, trials_per_pair=2, base_seed=17
+    watchdog = repro.Prudentia(
+        networks=[network],
+        experiment_config=config,
+        policy_overrides={
+            network.bandwidth_bps: repro.TrialPolicyConfig.fixed(2)
+        },
+        base_seed=17,
     )
-    print(f"running {len(trials)} trials in parallel...")
-    store = ProcessPoolBackend().run_into_store(trials)
+    print("running the cycle in parallel...")
+    store = watchdog.run_cycle(service_ids=SERVICES, parallel_workers=2)
+    print(f"{watchdog.last_cycle_stats.trials_run} trials simulated")
 
     page = render_markdown_report(
         store, SERVICES, [network.bandwidth_bps]

@@ -42,16 +42,24 @@ from .cca.classifier import CCAClassifier
 from .cca.cubic import Cubic
 from .cca.reno import NewReno
 from .cca.vegas import Vegas
-from .config import (
-    ExperimentConfig,
-    NetworkConfig,
-    TrialPolicyConfig,
+from .cliargs import (
+    add_backend_arg,
+    add_earlystop_args,
+    add_network_args,
+    add_policy_args,
+    add_workers_arg,
+    config_from_args,
+    earlystop_from_args,
+    network_from_args,
+    policy_from_args,
+    print_heatmap,
 )
+from .config import TrialPolicyConfig
 from .core.cache import TrialCache
 from .core.experiment import run_solo_experiment
 from .core.runner import (
-    BACKEND_KINDS,
     ExecutionBackend,
+    RunnerStats,
     TrialSpec,
     build_backend,
 )
@@ -76,46 +84,10 @@ CCA_FACTORIES = {
 }
 
 
-def _network(args) -> NetworkConfig:
-    return NetworkConfig(
-        bandwidth_bps=units.mbps(args.bandwidth),
-        buffer_bdp_multiple=args.buffer_bdp,
-    )
-
-
-def _config(args) -> ExperimentConfig:
-    return ExperimentConfig().scaled(args.duration)
-
-
 def _cache(args) -> "TrialCache | None":
     if getattr(args, "cache_dir", None):
         return TrialCache(args.cache_dir)
     return None
-
-
-def _earlystop(args):
-    """:class:`EarlyStopConfig` from ``--earlystop`` knobs, or ``None``."""
-    if getattr(args, "earlystop", None) is None:
-        return None
-    from .core.earlystop import EarlyStopConfig, EarlyStopModel
-
-    return EarlyStopConfig(
-        model=EarlyStopModel.load(args.earlystop),
-        audit_fraction=args.earlystop_audit,
-    )
-
-
-def _add_earlystop_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--earlystop", default=None, metavar="MODEL.json",
-        help="arm trial-level early termination with this model "
-             "artifact (train one with 'repro earlystop fit')",
-    )
-    parser.add_argument(
-        "--earlystop-audit", type=float, default=0.05,
-        help="fraction of armed trials audited at full length to "
-             "measure the mispredict rate (default: 0.05)",
-    )
 
 
 def _backend(args) -> ExecutionBackend:
@@ -125,15 +97,14 @@ def _backend(args) -> ExecutionBackend:
         workers=getattr(args, "workers", None),
         cache=_cache(args),
         catalog=default_catalog(),
-        earlystop=_earlystop(args),
+        earlystop=earlystop_from_args(args),
     )
 
 
-def _print_runner_stats(args, backend: ExecutionBackend) -> None:
+def _print_runner_stats(args, stats: Optional[RunnerStats]) -> None:
     """One structured summary of execution counters (only when caching)."""
-    if not getattr(args, "cache_dir", None):
+    if not getattr(args, "cache_dir", None) or stats is None:
         return
-    stats = backend.stats
     _log.info(
         "runner.stats",
         trials_run=stats.trials_run,
@@ -143,14 +114,13 @@ def _print_runner_stats(args, backend: ExecutionBackend) -> None:
 
 
 def _add_runner_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="fan trials out over N worker processes (default: inline)",
+    add_workers_arg(
+        parser, "fan trials out over N worker processes (default: inline)"
     )
-    parser.add_argument(
-        "--backend", choices=list(BACKEND_KINDS), default=None,
-        help="execution substrate (default: process when --workers is "
-             "set, else inline)",
+    add_backend_arg(
+        parser,
+        "execution substrate (default: process when --workers is set, "
+        "else inline)",
     )
     parser.add_argument(
         "--cache-dir", default=None,
@@ -160,19 +130,7 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--bandwidth", type=float, default=8.0,
-        help="bottleneck bandwidth in Mbps (default: 8)",
-    )
-    parser.add_argument(
-        "--buffer-bdp", type=float, default=4.0,
-        help="queue size as a BDP multiple (default: 4)",
-    )
-    parser.add_argument(
-        "--duration", type=float, default=60.0,
-        help="experiment duration in seconds (default: 60)",
-    )
-    parser.add_argument("--seed", type=int, default=1)
+    add_network_args(parser)
     parser.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON"
     )
@@ -209,7 +167,10 @@ def cmd_solo(args) -> int:
     """Calibrate one service uncontended."""
     catalog = default_catalog()
     result = run_solo_experiment(
-        catalog.get(args.service), _network(args), _config(args), seed=args.seed
+        catalog.get(args.service),
+        network_from_args(args),
+        config_from_args(args),
+        seed=args.seed,
     )
     if args.json:
         print(json.dumps(result.to_json(), indent=1))
@@ -228,12 +189,12 @@ def cmd_pair(args) -> int:
     spec = TrialSpec.pair(
         args.service_a,
         args.service_b,
-        _network(args),
-        _config(args),
+        network_from_args(args),
+        config_from_args(args),
         seed=args.seed,
     )
     result = backend.run([spec])[0]
-    _print_runner_stats(args, backend)
+    _print_runner_stats(args, backend.stats)
     if args.json:
         print(json.dumps(result.to_json(), indent=1))
         return 0
@@ -258,66 +219,38 @@ def _cycle_policy_overrides(args) -> "dict | None":
     ``--max-trials`` / ``--batch-size`` / ``--ci-mbps``; ``None`` lets
     :class:`Prudentia` pick :func:`trial_policy_for` per network.
     """
-    if not getattr(args, "adaptive", False):
-        return {
-            units.mbps(args.bandwidth): TrialPolicyConfig(
-                min_trials=args.trials,
-                max_trials=args.trials,
-                batch_size=args.trials,
-                ci_halfwidth_bps=units.mbps(1e9),  # fixed trial count
-            )
-        }
-    knobs = (args.min_trials, args.max_trials, args.batch_size, args.ci_mbps)
-    if all(value is None for value in knobs):
-        return None  # paper policy for this bandwidth
-    base = TrialPolicyConfig()
-    return {
-        units.mbps(args.bandwidth): TrialPolicyConfig(
-            min_trials=args.min_trials or base.min_trials,
-            max_trials=args.max_trials or base.max_trials,
-            batch_size=args.batch_size or base.batch_size,
-            ci_halfwidth_bps=(
-                units.mbps(args.ci_mbps)
-                if args.ci_mbps is not None
-                else base.ci_halfwidth_bps
-            ),
-        )
-    }
+    if args.adaptive:
+        policy = policy_from_args(args)
+    else:
+        policy = TrialPolicyConfig.fixed(args.trials)
+    return {units.mbps(args.bandwidth): policy} if policy else None
 
 
 def cmd_cycle(args) -> int:
     """Run an all-pairs watchdog cycle and print the heatmap."""
-    earlystop = _earlystop(args)
+    earlystop = earlystop_from_args(args)
     watchdog = Prudentia(
-        networks=[_network(args)],
-        experiment_config=_config(args),
+        networks=[network_from_args(args)],
+        experiment_config=config_from_args(args),
         policy_overrides=_cycle_policy_overrides(args),
         base_seed=args.seed,
         cache=_cache(args),
         earlystop=earlystop,
     )
     ids = args.services or watchdog.catalog.heatmap_ids()
-    backend = None
-    if getattr(args, "backend", None):
-        backend = build_backend(
+    watchdog.run_cycle(
+        service_ids=ids,
+        backend=build_backend(
             kind=args.backend,
             workers=args.workers,
             cache=watchdog.cache,
             catalog=watchdog.catalog,
             env=watchdog.env,
             earlystop=earlystop,
-        )
-    watchdog.run_cycle(
-        service_ids=ids, parallel_workers=args.workers, backend=backend
+        ),
     )
     stats = watchdog.last_cycle_stats
-    if args.cache_dir and stats is not None:
-        _log.info(
-            "runner.stats",
-            trials_run=stats.trials_run,
-            cache_hits=stats.cache_hits,
-            wall_clock_sec=round(stats.wall_clock_sec, 2),
-        )
+    _print_runner_stats(args, stats)
     if stats is not None and (stats.trials_truncated or stats.trials_audited):
         rate = stats.audit_mispredict_rate
         print(
@@ -327,17 +260,11 @@ def cmd_cycle(args) -> int:
             + (f", mispredict rate {rate:.2%}" if rate is not None else ""),
             file=sys.stderr,
         )
-    report = watchdog.report(_network(args), service_ids=ids)
+    report = watchdog.report(network_from_args(args), service_ids=ids)
     if args.json:
         print(json.dumps(report.to_json(), indent=1))
         return 0
-    print(report.render_heatmap())
-    stats = report.losing_service_stats()
-    if stats:
-        print(f"\nmedian losing share: "
-              f"{stats['median_losing_share'] * 100:.0f}%")
-        print(f"most contentious: {report.most_contentious()}  |  "
-              f"least contentious: {report.least_contentious()}")
+    print_heatmap(report)
     return 0
 
 
@@ -513,7 +440,7 @@ def cmd_sweep(args) -> int:
     catalog = default_catalog()
     spec_a = catalog.get(args.service_a)
     spec_b = catalog.get(args.service_b)
-    config = _config(args)
+    config = config_from_args(args)
     backend = _backend(args)
     values = [float(v) for v in args.values.split(",")]
     if args.kind == "bandwidth":
@@ -524,17 +451,17 @@ def cmd_sweep(args) -> int:
         name = "bandwidth Mbps"
     elif args.kind == "buffer":
         points = buffer_sweep(
-            spec_a, spec_b, values, _network(args), config,
+            spec_a, spec_b, values, network_from_args(args), config,
             trials=args.trials, base_seed=args.seed, backend=backend,
         )
         name = "buffer xBDP"
     else:
         points = rtt_sweep(
-            spec_a, spec_b, values, _network(args), config,
+            spec_a, spec_b, values, network_from_args(args), config,
             trials=args.trials, base_seed=args.seed, backend=backend,
         )
         name = "RTT ms"
-    _print_runner_stats(args, backend)
+    _print_runner_stats(args, backend.stats)
     print(render_sweep(points, args.service_a, args.service_b, name))
     return 0
 
@@ -574,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("service_b")
     _add_common(p)
     _add_runner_args(p)
-    _add_earlystop_args(p)
+    add_earlystop_args(p)
     p.set_defaults(func=cmd_pair)
 
     p = sub.add_parser("cycle", help="run an all-pairs watchdog cycle")
@@ -588,26 +515,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="use the paper's CI-gated stopping rule (min 10 trials, "
              "batches of 10 up to 30) instead of a fixed --trials count",
     )
-    p.add_argument(
-        "--min-trials", type=int, default=None,
-        help="adaptive: trials before the first convergence check",
-    )
-    p.add_argument(
-        "--max-trials", type=int, default=None,
-        help="adaptive: cap before a pair is flagged unstable",
-    )
-    p.add_argument(
-        "--batch-size", type=int, default=None,
-        help="adaptive: trials added per round while a pair is open",
-    )
-    p.add_argument(
-        "--ci-mbps", type=float, default=None,
-        help="adaptive: 95%% CI half-width (Mbps) that counts as "
-             "converged",
+    add_policy_args(
+        p,
+        "adaptive: trials before the first convergence check",
+        "adaptive: cap before a pair is flagged unstable",
+        "adaptive: trials added per round while a pair is open",
+        "adaptive: 95%% CI half-width (Mbps) that counts as converged",
     )
     _add_common(p)
     _add_runner_args(p)
-    _add_earlystop_args(p)
+    add_earlystop_args(p)
     p.set_defaults(func=cmd_cycle)
 
     p = sub.add_parser(

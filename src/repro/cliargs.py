@@ -1,0 +1,141 @@
+"""Arguments several ``repro`` commands share, declared once.
+
+``repro pair|cycle|sweep``, ``repro fleet plan|run-shard|cycle`` and
+``repro obs flight record`` take the same network, protocol, backend,
+early-termination and trial-policy flags.  Each group is added by one
+function here and turned into its config object by one builder, so a
+flag has one type, one default and one meaning everywhere.  (A module of
+its own because :mod:`repro.cli` imports the sub-CLIs at load time.)
+Where commands word a flag's help differently, the caller passes the
+wording; everything else about the flag lives here.
+"""
+
+from __future__ import annotations
+
+import argparse
+from typing import Optional
+
+from . import units
+from .config import ExperimentConfig, NetworkConfig, TrialPolicyConfig
+from .core.earlystop import EarlyStopConfig, EarlyStopModel
+from .core.report import FairnessReport
+from .core.runner import BACKEND_KINDS
+
+
+def add_network_args(parser: argparse.ArgumentParser) -> None:
+    """``--bandwidth --buffer-bdp --duration --seed``: one trial setting."""
+    parser.add_argument(
+        "--bandwidth", type=float, default=8.0,
+        help="bottleneck bandwidth in Mbps (default: 8)",
+    )
+    parser.add_argument(
+        "--buffer-bdp", type=float, default=4.0,
+        help="queue size as a BDP multiple (default: 4)",
+    )
+    parser.add_argument(
+        "--duration", type=float, default=60.0,
+        help="experiment duration in seconds (default: 60)",
+    )
+    parser.add_argument("--seed", type=int, default=1)
+
+
+def network_from_args(args) -> NetworkConfig:
+    """The bottleneck ``--bandwidth`` / ``--buffer-bdp`` describe."""
+    return NetworkConfig(
+        bandwidth_bps=units.mbps(args.bandwidth),
+        buffer_bdp_multiple=args.buffer_bdp,
+    )
+
+
+def config_from_args(args) -> ExperimentConfig:
+    """The paper's protocol scaled to ``--duration`` seconds."""
+    return ExperimentConfig().scaled(args.duration)
+
+
+def add_backend_arg(parser: argparse.ArgumentParser, text: str) -> None:
+    """``--backend``: the execution substrate by name."""
+    parser.add_argument(
+        "--backend", choices=list(BACKEND_KINDS), default=None, help=text
+    )
+
+
+def add_workers_arg(parser: argparse.ArgumentParser, text: str) -> None:
+    """``--workers``: the process-pool size."""
+    parser.add_argument("--workers", type=int, default=None, help=text)
+
+
+def add_earlystop_args(parser: argparse.ArgumentParser) -> None:
+    """``--earlystop --earlystop-audit``: arm trial-level early stop."""
+    parser.add_argument(
+        "--earlystop", default=None, metavar="MODEL.json",
+        help="arm trial-level early termination with this model "
+             "artifact (train one with 'repro earlystop fit')",
+    )
+    parser.add_argument(
+        "--earlystop-audit", type=float, default=0.05,
+        help="fraction of armed trials audited at full length to "
+             "measure the mispredict rate (default: 0.05)",
+    )
+
+
+def earlystop_from_args(args) -> Optional[EarlyStopConfig]:
+    """The armed configuration from the ``--earlystop`` knobs, or
+    ``None`` when the command is unarmed (or has no such flags)."""
+    if getattr(args, "earlystop", None) is None:
+        return None
+    return EarlyStopConfig(
+        model=EarlyStopModel.load(args.earlystop),
+        audit_fraction=args.earlystop_audit,
+    )
+
+
+def add_policy_args(
+    parser: argparse.ArgumentParser,
+    min_help: str,
+    max_help: str,
+    batch_help: str,
+    ci_help: str,
+) -> None:
+    """``--min-trials --max-trials --batch-size --ci-mbps``: the Section
+    3.4 stopping rule's knobs, all defaulting to the paper's."""
+    for flag, kind, text in (
+        ("--min-trials", int, min_help),
+        ("--max-trials", int, max_help),
+        ("--batch-size", int, batch_help),
+        ("--ci-mbps", float, ci_help),
+    ):
+        parser.add_argument(flag, type=kind, default=None, help=text)
+
+
+def policy_from_args(args) -> Optional[TrialPolicyConfig]:
+    """An explicit trial policy from the knobs, or ``None`` - the paper's
+    per-bandwidth policy - when none was given."""
+    if all(
+        value is None
+        for value in (
+            args.min_trials, args.max_trials, args.batch_size, args.ci_mbps
+        )
+    ):
+        return None
+    base = TrialPolicyConfig()
+    return TrialPolicyConfig(
+        min_trials=args.min_trials or base.min_trials,
+        max_trials=args.max_trials or base.max_trials,
+        batch_size=args.batch_size or base.batch_size,
+        ci_halfwidth_bps=(
+            units.mbps(args.ci_mbps)
+            if args.ci_mbps is not None
+            else base.ci_halfwidth_bps
+        ),
+    )
+
+
+def print_heatmap(report: FairnessReport) -> None:
+    """A report as commands print it: the heatmap, then who loses."""
+    print(report.render_heatmap())
+    stats = report.losing_service_stats()
+    if stats:
+        print(f"\nmedian losing share: "
+              f"{stats['median_losing_share'] * 100:.0f}%")
+        print(f"most contentious: {report.most_contentious()}  |  "
+              f"least contentious: {report.least_contentious()}")

@@ -141,6 +141,20 @@ class TrialPolicyConfig:
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
 
+    @classmethod
+    def fixed(cls, trials: int) -> "TrialPolicyConfig":
+        """Exactly ``trials`` per pair, no early stop: one batch that is
+        floor and cap, and an infinite half-width so the CI test always
+        passes.  The whole cycle is then one round, enumerable before
+        anything runs (fixed-count fleet plans, ``repro cycle --trials``).
+        """
+        return cls(
+            min_trials=trials,
+            max_trials=trials,
+            batch_size=trials,
+            ci_halfwidth_bps=math.inf,
+        )
+
     def to_json(self) -> Dict:
         """Strict-JSON payload for plans/cycle-state files.
 

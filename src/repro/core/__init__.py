@@ -42,7 +42,6 @@ from .runner import (
     ProcessPoolBackend,
     RunnerStats,
     TrialSpec,
-    all_pairs_trials,
     build_backend,
     run_trial,
 )
@@ -54,8 +53,7 @@ from .policy import (
     VERDICT_OPEN,
     VERDICT_UNSTABLE,
 )
-from .convergence import ConvergenceTracker
-from .scheduler import RoundRobinScheduler, PairState, fixed_trial_scheduler
+from .convergence import ConvergenceTracker, CycleState, PairState
 from .artifacts import ArtifactPublisher, PublishedExperiment
 from .calibration import SoloCalibration, calibrate_catalog
 from .results import ResultStore
@@ -87,7 +85,6 @@ __all__ = [
     "render_sweep",
     "rtt_sweep",
     "TrialSpec",
-    "all_pairs_trials",
     "TrialCache",
     "trial_cache_key",
     "CacheMissError",
@@ -105,9 +102,8 @@ __all__ = [
     "VERDICT_CONVERGED",
     "VERDICT_UNSTABLE",
     "ConvergenceTracker",
-    "RoundRobinScheduler",
+    "CycleState",
     "PairState",
-    "fixed_trial_scheduler",
     "ArtifactPublisher",
     "PublishedExperiment",
     "SoloCalibration",

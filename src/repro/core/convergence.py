@@ -1,12 +1,27 @@
-"""The shared convergence authority behind every execution path.
+"""The shared convergence authority, the one trial enumeration and the
+one cycle loop behind every execution path.
 
 One question drives the whole stack - *has this pair's measurement
 converged, and if not, how many more trials does it get?* - and exactly
-one object answers it: the :class:`ConvergenceTracker`.  The round-robin
-scheduler (local cycles), the fleet round planner (sharded multi-host
-cycles), and ``fleet status`` all consult the same tracker, so the
-Section 3.4 stopping rule behaves identically whether a cycle runs in one
-process or across a fleet of hosts in plan/run/merge/re-plan rounds.
+one object answers it: the :class:`ConvergenceTracker`.  It also owns
+the only enumeration of a cycle's trials: ``window_specs`` is where the
+Section 3.4 round-robin order (trial *k* of every pair before trial
+*k+1* of any) and :meth:`ConvergenceTracker.seed_for` meet
+:meth:`TrialSpec.pair`; ``queued_specs`` (what to run next) and
+``executed_specs`` (what the rounds ran) are views of it.
+
+:class:`CycleState` holds one tracker per network setting and is the
+state every driver advances::
+
+    while specs := state.next_specs():
+        state.record(specs, execute(specs))
+
+``Prudentia.run_cycle`` executes through its backend, the adaptive fleet
+driver through plan -> dispatch -> merge -> cache-only replay, and the
+fixed planner enumerates the single round of a
+:meth:`TrialPolicyConfig.fixed` policy without executing at all - so
+the stopping rule, the trial order and the seeds are the same whether a
+cycle runs in one process or across a fleet of hosts.
 
 The tracker is round-aware and serialisable: it owns per-pair state
 (trials so far, the per-service throughput series, the latest
@@ -33,7 +48,13 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..config import TrialPolicyConfig
+from ..config import (
+    ExperimentConfig,
+    NetworkConfig,
+    TrialPolicyConfig,
+    trial_policy_for,
+)
+from .experiment import ExperimentResult
 from .policy import (
     VERDICT_CONVERGED,
     VERDICT_OPEN,
@@ -41,8 +62,13 @@ from .policy import (
     PolicyDecision,
     TrialPolicy,
 )
+from .runner import TrialSpec
 
 PairKey = Tuple[str, str]
+
+#: pair -> (start trial index, count): one contiguous run of a pair's
+#: trials, the unit :meth:`ConvergenceTracker.window_specs` enumerates.
+Windows = Dict[PairKey, Tuple[int, int]]
 
 #: Bump when the tracker's JSON layout changes incompatibly.
 CONVERGENCE_SCHEMA_VERSION = 1
@@ -145,8 +171,8 @@ class ConvergenceTracker:
     the next batch for still-open pairs, marking converged pairs done,
     and flagging pairs that hit the cap without converging as unstable
     (Observation 15).  :meth:`next_batches` exposes the currently queued
-    work as explicit ``(start trial index, count)`` windows, which is the
-    unit round-scoped fleet plans are built from.
+    work as explicit ``(start trial index, count)`` windows and
+    :meth:`queued_specs` as the executable trials every driver runs.
     """
 
     def __init__(
@@ -176,8 +202,6 @@ class ConvergenceTracker:
         base_seed: int = 0,
     ) -> "ConvergenceTracker":
         """All-pairs tracker over a service set (the watchdog's shape)."""
-        if not service_ids:
-            raise ValueError("need at least one service")
         pairs: List[PairKey] = list(
             itertools.combinations(sorted(service_ids), 2)
         )
@@ -258,7 +282,7 @@ class ConvergenceTracker:
         """True while any pair still has queued trials."""
         return any(s.trials_queued > 0 for s in self.states.values())
 
-    def next_batches(self) -> Dict[PairKey, Tuple[int, int]]:
+    def next_batches(self) -> Windows:
         """The next round's work: pair -> (start trial index, count).
 
         Only still-open pairs appear; the window's trial indices feed
@@ -270,6 +294,74 @@ class ConvergenceTracker:
             for pair, state in self.states.items()
             if state.trials_queued > 0
         }
+
+    def window_specs(
+        self,
+        network: NetworkConfig,
+        config: ExperimentConfig,
+        windows: Windows,
+    ) -> List[TrialSpec]:
+        """The trials of ``windows`` as executable specs, round-robin.
+
+        Section 3.4's order - the windows' first trials pair by pair,
+        then their second trials, ... - with each trial seeded by
+        :meth:`seed_for` from its absolute index.  This is the only
+        enumerator of a cycle's trials: every cycle plan, round and
+        replay is some set of windows passed through it, which is why
+        they agree spec for spec (and so cache key for cache key).
+        """
+        specs: List[TrialSpec] = []
+        depth = max((count for _start, count in windows.values()), default=0)
+        for offset in range(depth):
+            for pair, (start, count) in windows.items():
+                if offset < count:
+                    specs.append(
+                        TrialSpec.pair(
+                            pair[0],
+                            pair[1],
+                            network,
+                            config,
+                            seed=self.seed_for(pair, start + offset),
+                        )
+                    )
+        return specs
+
+    def queued_specs(
+        self, network: NetworkConfig, config: ExperimentConfig
+    ) -> List[TrialSpec]:
+        """The currently queued trials (:meth:`next_batches`), in
+        execution order; feed each outcome back through
+        :meth:`record_trial` and ask again until nothing is queued."""
+        return self.window_specs(network, config, self.next_batches())
+
+    def executed_specs(
+        self, network: NetworkConfig, config: ExperimentConfig
+    ) -> List[TrialSpec]:
+        """Every recorded trial, in the order the rounds ran them.
+
+        A pair is queued in every round from round 0 until it retires,
+        and the size of each batch is a function of the trials before it
+        (:meth:`TrialPolicy.next_batch_size`), so a pair's *k*-th batch
+        window - cut from ``trials_done`` alone - is what round *k* ran
+        for it.  No verdict is re-derived: the recorded trial counts
+        already are the stopping rule's decisions.
+        """
+        specs: List[TrialSpec] = []
+        cursor = dict.fromkeys(self.states, 0)
+        while True:
+            windows: Windows = {}
+            for pair, state in self.states.items():
+                start = cursor[pair]
+                count = min(
+                    self.policy.next_batch_size(start),
+                    state.trials_done - start,
+                )
+                if count > 0:
+                    windows[pair] = (start, count)
+                    cursor[pair] = start + count
+            if not windows:
+                return specs
+            specs.extend(self.window_specs(network, config, windows))
 
     # ------------------------------------------------------------------
     # Verdicts and accounting
@@ -286,14 +378,6 @@ class ConvergenceTracker:
     def open_pairs(self) -> List[PairKey]:
         """Pairs the policy has not retired yet."""
         return [p for p, s in self.states.items() if not s.done]
-
-    def converged_pairs(self) -> List[PairKey]:
-        """Pairs whose CI fell inside the band."""
-        return [
-            p
-            for p, s in self.states.items()
-            if s.verdict == VERDICT_CONVERGED
-        ]
 
     def unstable_pairs(self) -> List[PairKey]:
         """Pairs that hit the trial cap without converging (Fig 10)."""
@@ -359,3 +443,112 @@ class ConvergenceTracker:
         tracker.base_seed = payload["base_seed"]
         tracker.states = {state.pair: state for state in states}
         return tracker
+
+
+class CycleState:
+    """One all-pairs cycle: the state every driver's loop advances
+    (module docstring).
+
+    Holds the cycle's inputs (services, network settings, protocol, one
+    trial policy per network, base seed) and one
+    :class:`ConvergenceTracker` per network.  ``policies`` default to
+    the paper's per-setting CI thresholds
+    (:func:`~repro.config.trial_policy_for`).
+    """
+
+    def __init__(
+        self,
+        service_ids: Sequence[str],
+        networks: Sequence[NetworkConfig],
+        config: ExperimentConfig,
+        policies: Optional[Sequence[TrialPolicyConfig]] = None,
+        base_seed: int = 0,
+        include_self_pairs: bool = True,
+    ) -> None:
+        if policies is None:
+            policies = [trial_policy_for(network) for network in networks]
+        if len(policies) != len(networks):
+            raise ValueError("need one trial policy per network")
+        if len(set(networks)) != len(networks):
+            # record() finds a trial's tracker by its network.
+            raise ValueError("network settings must be distinct")
+        self.service_ids = sorted(service_ids)
+        self.networks = list(networks)
+        self.config = config
+        self.policies = list(policies)
+        self.base_seed = base_seed
+        self.include_self_pairs = include_self_pairs
+        self.trackers: List[ConvergenceTracker] = [
+            ConvergenceTracker.for_services(
+                self.service_ids,
+                TrialPolicy(policy),
+                include_self_pairs=include_self_pairs,
+                base_seed=base_seed,
+            )
+            for policy in self.policies
+        ]
+        #: Rounds recorded so far.
+        self.round_index = 0
+
+    # ------------------------------------------------------------------
+    # The loop
+    # ------------------------------------------------------------------
+
+    def next_specs(self) -> List[TrialSpec]:
+        """The next round: every network's queued trials, network-major.
+        Empty once the cycle is done."""
+        return [
+            spec
+            for network, tracker in zip(self.networks, self.trackers)
+            for spec in tracker.queued_specs(network, self.config)
+        ]
+
+    def record(
+        self,
+        specs: Sequence[TrialSpec],
+        results: Sequence[ExperimentResult],
+    ) -> None:
+        """Fold one executed round into the trackers, which retire
+        converged/unstable pairs and queue the next batches."""
+        tracker_for = dict(zip(self.networks, self.trackers))
+        for spec, result in zip(specs, results):
+            tracker_for[spec.network].record_trial(
+                spec.pair_key,
+                result.throughput_bps,
+                truncated=result.truncated,
+            )
+        self.round_index += 1
+
+    def executed_specs(self) -> List[TrialSpec]:
+        """Every recorded trial, network-major and in round order within
+        a network (:meth:`ConvergenceTracker.executed_specs`)."""
+        return [
+            spec
+            for network, tracker in zip(self.networks, self.trackers)
+            for spec in tracker.executed_specs(network, self.config)
+        ]
+
+    # ------------------------------------------------------------------
+    # Convergence rollups
+    # ------------------------------------------------------------------
+
+    @property
+    def done(self) -> bool:
+        """True once no tracker has queued trials left."""
+        return not any(tracker.pending() for tracker in self.trackers)
+
+    def open_pairs_total(self) -> int:
+        """Pairs not yet retired, across every network setting."""
+        return sum(len(t.open_pairs()) for t in self.trackers)
+
+    def trials_done_total(self) -> int:
+        """Trials executed so far, across every network setting."""
+        return sum(t.trials_done_total() for t in self.trackers)
+
+    def trials_cap_total(self) -> int:
+        """What a fixed max-trial plan would run for the same matrix."""
+        return sum(t.trials_cap_total() for t in self.trackers)
+
+    def trials_saved(self) -> int:
+        """Trials the stopping rule skipped (retired pairs only)."""
+        return sum(t.trials_saved() for t in self.trackers)

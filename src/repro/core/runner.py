@@ -10,7 +10,10 @@ work, and interchangeable :class:`ExecutionBackend` implementations decide
 or (future work) sharded across hosts.  Every orchestration layer - the
 watchdog, calibration, sweeps, benchmarks, the CLI - submits specs
 through a backend rather than calling an experiment function directly, so
-adding a new execution substrate never adds a new execution path.
+adding a new execution substrate never adds a new execution path.  This
+module only executes: which trials a cycle runs, in what order and under
+which seeds is :mod:`repro.core.convergence`'s business (sweeps:
+:mod:`repro.core.sweep`).
 
 Backends share a :class:`~repro.core.cache.TrialCache` hook: trials whose
 content hash is already cached are returned without simulating (the
@@ -25,11 +28,12 @@ module-level factory path (``catalog_factory="pkg.module:func"``).
 
 from __future__ import annotations
 
+import functools
 import importlib
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields as dataclasses_fields
-from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..browser.environment import ClientEnvironment
 from ..config import ExperimentConfig, NetworkConfig
@@ -39,7 +43,6 @@ from ..services.catalog import ServiceCatalog
 from .cache import TrialCache, trial_cache_key
 from .earlystop import EarlyStopConfig, EarlyStopMonitor, audit_decision
 from .experiment import ExperimentResult, run_service_specs
-from .results import ResultStore
 
 
 @dataclass(frozen=True, init=False)
@@ -233,10 +236,11 @@ class RunnerStats:
         return self.trials_run + self.cache_hits
 
     @property
-    def audit_mispredict_rate(self) -> float:
-        """Fraction of audited full-length trials the rule mispredicted."""
+    def audit_mispredict_rate(self) -> Optional[float]:
+        """Fraction of audited full-length trials the rule mispredicted;
+        ``None`` until one has been audited (no audits is not 0%)."""
         if self.trials_audited == 0:
-            return 0.0
+            return None
         return self.audit_mispredicts / self.trials_audited
 
     def record_earlystop(self, meta: Optional[Dict]) -> None:
@@ -254,16 +258,31 @@ class RunnerStats:
     def merged_with(self, other: "RunnerStats") -> "RunnerStats":
         """Element-wise sum of two counter sets."""
         return RunnerStats(
-            trials_run=self.trials_run + other.trials_run,
-            cache_hits=self.cache_hits + other.cache_hits,
-            cache_misses=self.cache_misses + other.cache_misses,
-            wall_clock_sec=self.wall_clock_sec + other.wall_clock_sec,
-            trials_truncated=self.trials_truncated + other.trials_truncated,
-            sim_sec_saved=self.sim_sec_saved + other.sim_sec_saved,
-            trials_audited=self.trials_audited + other.trials_audited,
-            audit_mispredicts=self.audit_mispredicts
-            + other.audit_mispredicts,
+            **{
+                name: getattr(self, name) + getattr(other, name)
+                for name in _STATS_FIELDS
+            }
         )
+
+    @classmethod
+    def total(cls, parts: Iterable["RunnerStats"]) -> "RunnerStats":
+        """Every counter set in ``parts`` summed, in order."""
+        return functools.reduce(cls.merged_with, parts, cls())
+
+    def earlystop_rollup(self) -> Dict:
+        """The early-termination counters as status roll-ups publish
+        them (``fleet status``, ``fleet cycle``): rounded, the rate
+        ``null`` until an audit has run."""
+        rate = self.audit_mispredict_rate
+        return {
+            "trials_truncated": self.trials_truncated,
+            "sim_sec_saved": round(self.sim_sec_saved, 3),
+            "trials_audited": self.trials_audited,
+            "audit_mispredicts": self.audit_mispredicts,
+            "audit_mispredict_rate": (
+                None if rate is None else round(rate, 4)
+            ),
+        }
 
     def to_json(self) -> Dict:
         """Serialise the counters (report/receipt publication)."""
@@ -408,16 +427,6 @@ class ExecutionBackend:
         """Submit and drain in one call."""
         self.submit(trials)
         return self.drain()
-
-    def run_into_store(
-        self,
-        trials: Sequence[TrialSpec],
-        store: Optional[ResultStore] = None,
-    ) -> ResultStore:
-        """Execute trials and collect the valid ones into a result store."""
-        store = store or ResultStore()
-        store.extend(self.run(trials), valid_only=True)
-        return store
 
     # -- substrate hooks -----------------------------------------------
 
@@ -618,33 +627,3 @@ def build_backend(
     raise ValueError(
         f"unknown backend kind {kind!r}; choices: {BACKEND_KINDS}"
     )
-
-
-def all_pairs_trials(
-    service_ids: Sequence[str],
-    network: NetworkConfig,
-    config: ExperimentConfig,
-    trials_per_pair: int = 3,
-    include_self_pairs: bool = True,
-    base_seed: int = 1,
-) -> List[TrialSpec]:
-    """Build the trial list for an all-pairs sweep (backend-friendly)."""
-    specs: List[TrialSpec] = []
-    ids = sorted(service_ids)
-    pairs: List[Tuple[str, str]] = []
-    for i, a in enumerate(ids):
-        start = i if include_self_pairs else i + 1
-        for b in ids[start:]:
-            pairs.append((a, b))
-    for index, (a, b) in enumerate(pairs):
-        for trial in range(trials_per_pair):
-            specs.append(
-                TrialSpec.pair(
-                    a,
-                    b,
-                    network,
-                    config,
-                    seed=base_seed + index * 101 + trial,
-                )
-            )
-    return specs

@@ -1,11 +1,16 @@
 """Prudentia itself: the continuously-running fairness watchdog.
 
 Ties the pieces together: the service catalog, the two bandwidth settings,
-solo calibration, the all-pairs round-robin scheduler with the CI trial
-policy, the result store, and report generation.  One ``run_cycle`` is the
-simulated equivalent of the paper's two-week sweep over all pairs in both
-settings; ``run_continuously`` repeats cycles the way the live deployment
-has since 2022.
+solo calibration, the result store, and report generation.  One
+``run_cycle`` is the simulated equivalent of the paper's two-week sweep
+over all pairs in both settings: it advances a
+:class:`~repro.core.convergence.CycleState` - the round-robin order, the
+seeds and the CI stopping rule all live there - and its only own part is
+*executing* a round, through an in-process or process-pool backend into
+the result store.  The adaptive fleet driver
+(:func:`repro.fleet.adaptive.run_adaptive_cycle`) is the same loop with
+a different ``execute``.  ``run_continuously`` repeats cycles the way the
+live deployment has since 2022.
 """
 
 from __future__ import annotations
@@ -28,16 +33,10 @@ from ..obs.metrics import get_registry
 from ..services.catalog import ServiceCatalog, default_catalog
 from .cache import TrialCache
 from .calibration import SoloCalibration, calibrate_catalog, format_table1
-from .policy import TrialPolicy
+from .convergence import CycleState
 from .report import FairnessReport
 from .results import ResultStore
-from .runner import (
-    ExecutionBackend,
-    InlineBackend,
-    ProcessPoolBackend,
-    RunnerStats,
-)
-from .scheduler import RoundRobinScheduler
+from .runner import ExecutionBackend, RunnerStats, build_backend
 
 
 class Prudentia:
@@ -112,7 +111,11 @@ class Prudentia:
         network: Optional[NetworkConfig] = None,
         service_ids: Optional[List[str]] = None,
     ) -> Dict[str, SoloCalibration]:
-        """Solo-run services to find max rates / upstream throttles."""
+        """Solo-run services to find max rates / upstream throttles.
+
+        Runs in the client environment the cycles run in, unarmed: a
+        solo ceiling is a full-length measurement.
+        """
         net = network or self.networks[-1]
         calibrations = calibrate_catalog(
             self.catalog,
@@ -120,7 +123,7 @@ class Prudentia:
             self.experiment_config,
             service_ids=service_ids,
             seed=self.base_seed,
-            backend=InlineBackend(catalog=self.catalog, cache=self.cache),
+            backend=self._backend(),
         )
         self.calibrations[net.bandwidth_bps] = calibrations
         return calibrations
@@ -137,26 +140,18 @@ class Prudentia:
     # All-pairs sweeps
     # ------------------------------------------------------------------
 
-    def _policy_for(self, network: NetworkConfig) -> TrialPolicy:
-        override = self.policy_overrides.get(network.bandwidth_bps)
-        config = override if override is not None else trial_policy_for(network)
-        return TrialPolicy(config)
-
     def _backend(
-        self, parallel_workers: Optional[int]
+        self, parallel_workers: Optional[int] = None, earlystop=None
     ) -> ExecutionBackend:
-        """The execution backend one cycle dispatches through."""
-        if parallel_workers:
-            return ProcessPoolBackend(
-                max_workers=parallel_workers,
-                cache=self.cache,
-                earlystop=self.earlystop,
-            )
-        return InlineBackend(
+        """This watchdog's backend: its cache, and - inline - its catalog
+        and client environment (pool workers rebuild the default catalog
+        and run the faithful environment)."""
+        return build_backend(
+            workers=parallel_workers,
+            cache=self.cache,
             catalog=self.catalog,
             env=self.env,
-            cache=self.cache,
-            earlystop=self.earlystop,
+            earlystop=earlystop,
         )
 
     def run_cycle(
@@ -170,70 +165,58 @@ class Prudentia:
         """One full all-pairs sweep over every configured setting.
 
         Sequential and parallel execution share one code path: the
-        scheduler emits declarative trial batches (``next_batch``), an
-        :class:`ExecutionBackend` runs them, and outcomes feed the trial
-        policy.  ``parallel_workers`` selects a process-pool backend (the
-        Section-9 scaling direction) - the policy and its re-queueing
-        behaviour are unchanged since each policy batch completes before
-        the next is scheduled.  Pool mode requires the default catalog
-        (worker processes rebuild it by name) and uses the faithful
-        client environment.  An explicit ``backend`` overrides both.
-        Execution counters for the cycle (trials simulated, cache
+        :class:`CycleState` emits each round's trials (every setting's
+        queued batches, round-robin), an :class:`ExecutionBackend` runs
+        them, valid results land in the store and every outcome feeds
+        the trial policy.  ``parallel_workers`` selects a process-pool
+        backend (the Section-9 scaling direction) - the policy and its
+        re-queueing behaviour are unchanged since each round completes
+        before the next is planned.  Pool mode requires the default
+        catalog (worker processes rebuild it by name) and uses the
+        faithful client environment.  An explicit ``backend`` overrides
+        both.  Execution counters for the cycle (trials simulated, cache
         hits/misses, simulation wall-clock) land in
         ``self.last_cycle_stats``.
         """
-        runner = backend or self._backend(parallel_workers)
+        runner = backend or self._backend(parallel_workers, self.earlystop)
         ids = service_ids or self.catalog.heatmap_ids()
+        settings = list(networks or self.networks)
+        state = CycleState(
+            ids,
+            settings,
+            self.experiment_config,
+            [
+                self.policy_overrides.get(network.bandwidth_bps)
+                or trial_policy_for(network)
+                for network in settings
+            ],
+            base_seed=self.base_seed + self.cycles_completed,
+            include_self_pairs=include_self_pairs,
+        )
         registry = get_registry()
         with tracing.span(
             "cycle.run",
             cycle=self.cycles_completed,
             services=len(ids),
         ) as cycle_span:
-            cycle_trials = 0
-            for network in networks or self.networks:
-                scheduler = RoundRobinScheduler(
-                    ids,
-                    self._policy_for(network),
-                    include_self_pairs=include_self_pairs,
-                    base_seed=self.base_seed + self.cycles_completed,
+            while specs := state.next_specs():
+                with tracing.span(
+                    "cycle.round",
+                    cycle=self.cycles_completed,
+                    round=state.round_index,
+                    trials=len(specs),
+                    pairs_open=state.open_pairs_total(),
+                ):
+                    results = runner.run(specs)
+                    self.store.extend(results, valid_only=True)
+                    state.record(specs, results)
+                registry.gauge("planner.pairs_open").set(
+                    state.open_pairs_total()
                 )
-                tracker = scheduler.tracker
-                round_index = 0
-                while scheduler.pending():
-                    # Each pass over the queued batches is one adaptive
-                    # round: the same plan -> run -> evaluate -> re-plan
-                    # loop the fleet driver executes across hosts.
-                    with tracing.span(
-                        "cycle.round",
-                        cycle=self.cycles_completed,
-                        round=round_index,
-                        bandwidth_bps=network.bandwidth_bps,
-                        pairs_open=len(tracker.open_pairs()),
-                    ) as round_span:
-                        batch = scheduler.next_batch(
-                            network, self.experiment_config
-                        )
-                        for spec, result in zip(batch, runner.run(batch)):
-                            if result.valid:
-                                self.store.add(result)
-                            scheduler.record_result(
-                                spec.pair_key,
-                                result.throughput_bps,
-                                truncated=result.truncated,
-                            )
-                        round_span.set(trials=len(batch))
-                    registry.gauge("planner.pairs_open").set(
-                        len(tracker.open_pairs())
-                    )
-                    cycle_trials += len(batch)
-                    round_index += 1
-                    if self.heartbeat is not None:
-                        self.heartbeat.batch_done(len(batch))
-                registry.counter("planner.trials_saved").inc(
-                    tracker.trials_saved()
-                )
-            cycle_span.set(trials=cycle_trials)
+                if self.heartbeat is not None:
+                    self.heartbeat.batch_done(len(specs))
+            registry.counter("planner.trials_saved").inc(state.trials_saved())
+            cycle_span.set(trials=state.trials_done_total())
         self.cycles_completed += 1
         self.last_cycle_stats = runner.stats
         if self.heartbeat is not None:

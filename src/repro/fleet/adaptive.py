@@ -2,16 +2,17 @@
 
 The fixed-count fleet pipeline (:func:`~repro.fleet.plan.plan_cycle`)
 enumerates every trial up front, so the Section 3.4 stopping rule never
-saves a simulation at fleet scale.  This module closes that gap: an
-:class:`AdaptiveCycleState` owns one
-:class:`~repro.core.convergence.ConvergenceTracker` per network setting -
-the same convergence authority ``Prudentia.run_cycle`` uses locally - and
-iterates rounds:
+saves a simulation at fleet scale.  This module closes that gap by
+running the library's one cycle loop
+(:class:`~repro.core.convergence.CycleState`: ``while specs :=
+state.next_specs(): state.record(specs, execute(specs))``) with an
+``execute`` that spans hosts.  :class:`AdaptiveCycleState` is that state
+plus what a cycle spread over hosts needs - an identity, a history, a
+JSON form - and :func:`run_adaptive_cycle` executes each round as:
 
-1. **plan**   - :meth:`AdaptiveCycleState.plan_round` emits a
-   round-scoped :class:`~repro.fleet.plan.FleetPlan` covering only the
-   still-open pairs' next batches (round index + parent cycle id in the
-   schema);
+1. **plan**   - :meth:`AdaptiveCycleState.plan_round` wraps the round's
+   specs in a round-scoped :class:`~repro.fleet.plan.FleetPlan` (round
+   index + parent cycle id in the schema);
 2. **run**    - shard manifests dispatch through the ordinary
    :func:`~repro.fleet.worker.run_shard` worker (or any dispatcher);
    shards whose receipts never arrive are re-dispatched with
@@ -19,10 +20,10 @@ iterates rounds:
    decides who is missing, the merge's supersede rule resolves the
    duplicate receipts);
 3. **merge**  - receipts fold into one cumulative cycle cache;
-4. **evaluate / re-plan** - :meth:`AdaptiveCycleState.fold_round`
-   replays the round's trials from the cache (``cache_only`` - folding
-   never simulates) into the trackers, which retire converged/unstable
-   pairs and queue the next batches.
+4. **fold**   - :meth:`AdaptiveCycleState.fold_round` replays the
+   round's trials from the cache (``cache_only`` - folding never
+   simulates) and records them, which retires converged/unstable pairs
+   and queues the next batches.
 
 Rounds repeat until every pair is converged or at the max-trial cap.
 Because per-trial seeds are pure functions of (base seed, pair, trial
@@ -31,33 +32,29 @@ a fixed-count plan would have used - re-planning on a warm cache is free,
 and a fully-converged adaptive cycle assembles into a report
 bit-identical to the fixed-policy path for the pairs it measured.
 
-Deterministic replay is the trick behind :meth:`assembly_plan`: verdicts
-are pure functions of the recorded throughputs (data-derived bootstrap
-seeds), so the full executed trial list - in single-host execution
-order - can be reconstructed from the trackers' recorded series and
+:meth:`AdaptiveCycleState.assembly_plan` needs no replay of the stopping
+rule: how many trials each pair ran *is* the rule's recorded decision,
+and batch sizes are a function of the trials before them, so the full
+executed trial list - in single-host execution order - is cut from
+``trials_done`` alone
+(:meth:`~repro.core.convergence.ConvergenceTracker.executed_specs`) and
 handed to the standard zero-simulation assembler.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..atomicio import atomic_write
-from ..config import (
-    ExperimentConfig,
-    NetworkConfig,
-    TrialPolicyConfig,
-    trial_policy_for,
-)
+from ..config import ExperimentConfig, NetworkConfig, TrialPolicyConfig
 from ..core.cache import CACHE_SCHEMA_VERSION, TrialCache
-from ..core.convergence import ConvergenceTracker
-from ..core.policy import TrialPolicy
-from ..core.runner import InlineBackend, RunnerStats, TrialSpec
-from ..core.scheduler import RoundRobinScheduler
+from ..core.convergence import ConvergenceTracker, CycleState
+from ..core.runner import InlineBackend, RunnerStats
 from ..obs import tracing
 from ..obs.log import get_logger
 from ..obs.metrics import get_registry
@@ -70,7 +67,6 @@ from .plan import (
     _dataclass_from_json,
     _planned,
     load_json_artifact,
-    network_fingerprint,
     write_manifest,
 )
 from .status import DEFAULT_STALL_SEC, fleet_status
@@ -93,14 +89,15 @@ ADAPTIVE_STATE_SCHEMA_VERSION = 1
 Dispatcher = Callable[[Dict, Path], None]
 
 
-class AdaptiveCycleState:
+class AdaptiveCycleState(CycleState):
     """Cross-round state of one adaptive fleet cycle.
 
-    One :class:`ConvergenceTracker` per network setting accumulates
-    per-pair trial series across rounds; ``round_index`` counts folded
-    rounds and ``history`` keeps one summary entry per round.  The whole
-    object round-trips through strict JSON (:meth:`save`/:meth:`load`),
-    so a cycle can be resumed - or its next round planned - on any host.
+    The :class:`~repro.core.convergence.CycleState` every driver
+    advances, plus what a cycle spread over hosts needs: a content
+    identity (``cycle_id``) binding every round's plan, one ``history``
+    entry per folded round, and a strict-JSON form
+    (:meth:`save`/:meth:`load`), so a cycle can be resumed - or its next
+    round planned - on any host.
     """
 
     def __init__(
@@ -108,59 +105,24 @@ class AdaptiveCycleState:
         service_ids: Sequence[str],
         networks: Sequence[NetworkConfig],
         config: ExperimentConfig,
-        policies: Sequence[TrialPolicyConfig],
-        base_seed: int = 0,
-        include_self_pairs: bool = True,
-        earlystop: Optional[Dict] = None,
-    ) -> None:
-        if len(policies) != len(networks):
-            raise ValueError("need one trial policy per network")
-        self.service_ids = sorted(service_ids)
-        self.networks = list(networks)
-        self.config = config
-        self.policies = list(policies)
-        self.base_seed = base_seed
-        self.include_self_pairs = include_self_pairs
-        #: Optional earlystop config JSON (model artifact + audit
-        #: fraction); rides into every round's manifests and binds the
-        #: cycle identity (truncated samples change the recorded series).
-        self.earlystop = earlystop
-        self.trackers: List[ConvergenceTracker] = [
-            ConvergenceTracker.for_services(
-                self.service_ids,
-                TrialPolicy(policy),
-                include_self_pairs=include_self_pairs,
-                base_seed=base_seed,
-            )
-            for policy in self.policies
-        ]
-        self.round_index = 0
-        self.history: List[Dict] = []
-
-    @classmethod
-    def create(
-        cls,
-        service_ids: Sequence[str],
-        networks: Sequence[NetworkConfig],
-        config: ExperimentConfig,
         policies: Optional[Sequence[TrialPolicyConfig]] = None,
         base_seed: int = 0,
         include_self_pairs: bool = True,
         earlystop: Optional[Dict] = None,
-    ) -> "AdaptiveCycleState":
-        """New cycle state; policies default to the paper's per-setting
-        CI thresholds (:func:`~repro.config.trial_policy_for`)."""
-        if policies is None:
-            policies = [trial_policy_for(network) for network in networks]
-        return cls(
+    ) -> None:
+        super().__init__(
             service_ids,
             networks,
             config,
             policies,
             base_seed=base_seed,
             include_self_pairs=include_self_pairs,
-            earlystop=earlystop,
         )
+        #: Optional earlystop config JSON (model artifact + audit
+        #: fraction); rides into every round's manifests and binds the
+        #: cycle identity (truncated samples change the recorded series).
+        self.earlystop = earlystop
+        self.history: List[Dict] = []
 
     # ------------------------------------------------------------------
     # Identity
@@ -174,83 +136,30 @@ class AdaptiveCycleState:
         protocol, policies, seed) - not of any execution state - so
         every round's plan binds to the same parent id.
         """
+        # Truncated samples change the recorded series, so an armed
+        # cycle is a different cycle; the block is omitted when disabled
+        # so pre-earlystop cycle ids are unchanged.
         payload = {
             "kind": "adaptive-cycle",
             "cache_schema": CACHE_SCHEMA_VERSION,
-            "service_ids": self.service_ids,
-            "networks": [dataclasses.asdict(n) for n in self.networks],
-            "config": dataclasses.asdict(self.config),
-            "policies": [p.to_json() for p in self.policies],
-            "base_seed": self.base_seed,
-            "include_self_pairs": self.include_self_pairs,
+            **self._inputs_json(),
+            **self._earlystop_json(),
         }
-        if self.earlystop is not None:
-            # Truncated samples change the recorded series, so an armed
-            # cycle is a different cycle; omitted when disabled so
-            # pre-earlystop cycle ids are unchanged.
-            payload["earlystop"] = self.earlystop
         return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
-
-    # ------------------------------------------------------------------
-    # Convergence rollups
-    # ------------------------------------------------------------------
-
-    @property
-    def done(self) -> bool:
-        """True once no tracker has queued trials left."""
-        return not any(tracker.pending() for tracker in self.trackers)
-
-    def open_pairs_total(self) -> int:
-        """Pairs not yet retired, across every network setting."""
-        return sum(len(t.open_pairs()) for t in self.trackers)
-
-    def trials_done_total(self) -> int:
-        """Trials executed so far, across every network setting."""
-        return sum(t.trials_done_total() for t in self.trackers)
-
-    def trials_cap_total(self) -> int:
-        """What a fixed max-trial plan would run for the same matrix."""
-        return sum(t.trials_cap_total() for t in self.trackers)
-
-    def trials_saved(self) -> int:
-        """Trials the stopping rule skipped (retired pairs only)."""
-        return sum(t.trials_saved() for t in self.trackers)
 
     # ------------------------------------------------------------------
     # Round planning
     # ------------------------------------------------------------------
 
     def plan_round(self, num_shards: int) -> Optional[FleetPlan]:
-        """The next round's work as a round-scoped fleet plan.
+        """The next round (:meth:`next_specs`) as a round-scoped fleet
+        plan, or ``None`` when the cycle is done.
 
-        Covers only still-open pairs' queued batches, in the same
-        network-major, offset-major (round-robin) order the local
-        scheduler would execute them.  Seeds come from
-        :meth:`ConvergenceTracker.seed_for`, so every planned trial's
-        cache key equals the one the fixed-count path would compute for
-        the same trial index.  Returns ``None`` when the cycle is done.
+        Every planned trial's cache key equals the one the fixed-count
+        path computes for the same trial index, so re-planning on a warm
+        cache is free.
         """
-        specs: List[TrialSpec] = []
-        for net_index, network in enumerate(self.networks):
-            states = self.trackers[net_index].states
-            tracker = self.trackers[net_index]
-            max_queued = max(
-                (s.trials_queued for s in states.values()), default=0
-            )
-            for offset in range(max_queued):
-                for pair, state in states.items():
-                    if offset < state.trials_queued:
-                        specs.append(
-                            TrialSpec.pair(
-                                pair[0],
-                                pair[1],
-                                network,
-                                self.config,
-                                seed=tracker.seed_for(
-                                    pair, state.trials_done + offset
-                                ),
-                            )
-                        )
+        specs = self.next_specs()
         if not specs:
             return None
         return FleetPlan(
@@ -262,17 +171,29 @@ class AdaptiveCycleState:
             round_index=self.round_index,
         )
 
-    def _plan_params(self) -> Dict:
-        params = {
+    def _inputs_json(self) -> Dict:
+        """The cycle's inputs, as its id and its state file state them."""
+        return {
             "service_ids": list(self.service_ids),
             "networks": [dataclasses.asdict(n) for n in self.networks],
             "config": dataclasses.asdict(self.config),
+            "policies": [p.to_json() for p in self.policies],
             "base_seed": self.base_seed,
             "include_self_pairs": self.include_self_pairs,
-            "adaptive": True,
         }
-        if self.earlystop is not None:
-            params["earlystop"] = self.earlystop
+
+    def _earlystop_json(self) -> Dict:
+        if self.earlystop is None:
+            return {}
+        return {"earlystop": self.earlystop}
+
+    def _plan_params(self) -> Dict:
+        params = {
+            **self._inputs_json(),
+            "adaptive": True,
+            **self._earlystop_json(),
+        }
+        del params["policies"]  # a plan's trials already embody them
         return params
 
     # ------------------------------------------------------------------
@@ -291,9 +212,8 @@ class AdaptiveCycleState:
         Replays the round plan's trials from the cumulative cache
         through a ``cache_only`` backend - folding never simulates; a
         missing entry raises :class:`~repro.core.runner.CacheMissError`
-        - and feeds every outcome to the owning tracker, which retires
-        converged/unstable pairs and queues next batches.  Returns the
-        round's history entry.
+        - and records them (:meth:`record`).  Returns the round's
+        history entry.
         """
         if plan.cycle_id != self.cycle_id:
             raise FleetError(
@@ -305,27 +225,17 @@ class AdaptiveCycleState:
                 f"round plan is round {plan.round_index}, state expects "
                 f"round {self.round_index} (fold rounds in order)"
             )
-        tracker_for = {
-            network_fingerprint(network): self.trackers[index]
-            for index, network in enumerate(self.networks)
-        }
         backend = InlineBackend(
             catalog=catalog,
             cache=cache,
             cache_only=True,
             accept_truncated=self.earlystop is not None,
         )
-        results = backend.run([t.spec for t in plan.trials])
-        for planned, result in zip(plan.trials, results):
-            tracker = tracker_for[network_fingerprint(planned.spec.network)]
-            tracker.record_trial(
-                planned.spec.pair_key,
-                result.throughput_bps,
-                truncated=result.truncated,
-            )
+        specs = [t.spec for t in plan.trials]
+        self.record(specs, backend.run(specs))
         entry = {
-            "round": self.round_index,
-            "trials": len(plan.trials),
+            "round": plan.round_index,
+            "trials": len(specs),
             "plan_id": plan.plan_id,
             "verdicts": [t.counts() for t in self.trackers],
             "pairs_open_after": self.open_pairs_total(),
@@ -333,7 +243,6 @@ class AdaptiveCycleState:
         if merge_report is not None:
             entry["fleet_stats"] = merge_report.stats.to_json()
         self.history.append(entry)
-        self.round_index += 1
         return entry
 
     # ------------------------------------------------------------------
@@ -343,13 +252,11 @@ class AdaptiveCycleState:
     def assembly_plan(self, num_shards: int = 1) -> FleetPlan:
         """The converged cycle's full trial list as an ordinary plan.
 
-        Replays a fresh :class:`RoundRobinScheduler` per network against
-        the *recorded* throughputs: because bootstrap seeds derive from
-        the data, the replayed stopping decisions are identical to the
-        live ones, and the emitted trial list equals - in single-host
-        execution order - exactly what the rounds executed.  Feeding the
-        result to :func:`~repro.fleet.assemble.assemble_reports` against
-        the cycle cache rebuilds the report with zero simulations,
+        :meth:`executed_specs` cuts it from the recorded trial counts -
+        no stopping decision is re-derived, no summary asked for - in
+        single-host (network-major) execution order.  Feeding the result
+        to :func:`~repro.fleet.assemble.assemble_reports` against the
+        cycle cache rebuilds the report with zero simulations,
         bit-identical to a local adaptive ``run_cycle``.
         """
         if not self.done:
@@ -357,32 +264,10 @@ class AdaptiveCycleState:
                 "cycle still has open pairs; finish its rounds before "
                 "assembling"
             )
-        specs: List[TrialSpec] = []
-        for net_index, network in enumerate(self.networks):
-            scheduler = RoundRobinScheduler(
-                list(self.service_ids),
-                TrialPolicy(self.policies[net_index]),
-                include_self_pairs=self.include_self_pairs,
-                base_seed=self.base_seed,
-            )
-            recorded = self.trackers[net_index].states
-            cursor = {pair: 0 for pair in scheduler.pairs}
-            while scheduler.pending():
-                batch = scheduler.next_batch(network, self.config)
-                specs.extend(batch)
-                for spec in batch:
-                    pair = spec.pair_key
-                    index = cursor[pair]
-                    cursor[pair] += 1
-                    series = recorded[pair].throughputs_bps
-                    scheduler.record_result(
-                        pair,
-                        {sid: values[index] for sid, values in series.items()},
-                    )
         return FleetPlan(
             "cycle",
             num_shards,
-            _planned(specs, num_shards),
+            _planned(self.executed_specs(), num_shards),
             params=self._plan_params(),
         )
 
@@ -396,20 +281,11 @@ class AdaptiveCycleState:
             "schema": ADAPTIVE_STATE_SCHEMA_VERSION,
             "kind": "adaptive-cycle-state",
             "cycle_id": self.cycle_id,
-            "service_ids": list(self.service_ids),
-            "networks": [dataclasses.asdict(n) for n in self.networks],
-            "config": dataclasses.asdict(self.config),
-            "policies": [p.to_json() for p in self.policies],
-            "base_seed": self.base_seed,
-            "include_self_pairs": self.include_self_pairs,
+            **self._inputs_json(),
             "round_index": self.round_index,
             "history": list(self.history),
             "trackers": [t.to_json() for t in self.trackers],
-            **(
-                {"earlystop": self.earlystop}
-                if self.earlystop is not None
-                else {}
-            ),
+            **self._earlystop_json(),
         }
 
     @classmethod
@@ -489,8 +365,7 @@ class AdaptiveCycleState:
         ``cycle-state.json``, not a status probe.
         """
         networks = []
-        for index, network in enumerate(self.networks):
-            tracker = self.trackers[index]
+        for network, tracker in zip(self.networks, self.trackers):
             counts = tracker.counts()
             networks.append(
                 {
@@ -516,28 +391,15 @@ class AdaptiveCycleState:
             "rounds": list(self.history),
         }
         if self.earlystop is not None:
-            stats = [
-                entry["fleet_stats"]
-                for entry in self.history
-                if "fleet_stats" in entry
-            ]
-            audited = sum(s.get("trials_audited", 0) for s in stats)
-            mispredicts = sum(s.get("audit_mispredicts", 0) for s in stats)
             progress["earlystop"] = {
                 "model_id": (self.earlystop.get("model") or {}).get(
                     "model_id"
                 ),
-                "trials_truncated": sum(
-                    s.get("trials_truncated", 0) for s in stats
-                ),
-                "sim_sec_saved": round(
-                    sum(s.get("sim_sec_saved", 0.0) for s in stats), 3
-                ),
-                "trials_audited": audited,
-                "audit_mispredicts": mispredicts,
-                "audit_mispredict_rate": (
-                    round(mispredicts / audited, 4) if audited else None
-                ),
+                **RunnerStats.total(
+                    RunnerStats.from_json(entry["fleet_stats"])
+                    for entry in self.history
+                    if "fleet_stats" in entry
+                ).earlystop_rollup(),
             }
         return progress
 
@@ -548,17 +410,15 @@ class AdaptiveCycleState:
             f"{'converged' if self.done else 'in progress'} after "
             f"{self.round_index} round(s)"
         ]
-        for index, network in enumerate(self.networks):
-            tracker = self.trackers[index]
-            counts = tracker.counts()
-            mbps = network.bandwidth_bps / 1e6
+        for row in self.progress_json()["networks"]:
             lines.append(
-                f"  {mbps:g} Mbps: {counts['converged']} converged, "
-                f"{counts['unstable']} unstable, {counts['open']} open "
-                f"of {len(tracker.states)} pairs; "
-                f"{tracker.trials_done_total()} trials run, "
-                f"{tracker.trials_saved()} saved vs the "
-                f"{tracker.policy.config.max_trials}-trial cap"
+                f"  {row['bandwidth_bps'] / 1e6:g} Mbps: "
+                f"{row['converged']} converged, "
+                f"{row['unstable']} unstable, {row['open']} open "
+                f"of {row['pairs']} pairs; "
+                f"{row['trials_done']} trials run, "
+                f"{row['trials_saved']} saved vs the "
+                f"{row['max_trials_per_pair']}-trial cap"
             )
         for entry in self.history:
             after = entry.get("pairs_open_after")
@@ -611,11 +471,11 @@ def run_adaptive_cycle(
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    state = AdaptiveCycleState.create(
+    state = AdaptiveCycleState(
         service_ids,
         networks,
         config,
-        policies=policies,
+        policies,
         base_seed=base_seed,
         include_self_pairs=include_self_pairs,
         earlystop=earlystop,
@@ -624,24 +484,16 @@ def run_adaptive_cycle(
     registry = get_registry()
 
     if dispatch is None:
+        dispatch = functools.partial(
+            run_shard, backend_kind=backend_kind, workers=workers
+        )
 
-        def dispatch(manifest: Dict, shard_cache: Path) -> None:
-            run_shard(
-                manifest,
-                shard_cache,
-                backend_kind=backend_kind,
-                workers=workers,
-            )
-
-    while True:
+    while (plan := state.plan_round(num_shards)) is not None:
         if max_rounds is not None and state.round_index >= max_rounds:
             raise FleetError(
                 f"cycle did not converge within {max_rounds} rounds "
                 f"({state.open_pairs_total()} pair(s) still open)"
             )
-        plan = state.plan_round(num_shards)
-        if plan is None:
-            break
         round_dir = out / f"round-{state.round_index:03d}"
         round_dir.mkdir(parents=True, exist_ok=True)
         write_manifest(round_dir / "plan.json", plan.to_json())
@@ -652,17 +504,29 @@ def run_adaptive_cycle(
             trials=len(plan.trials),
             pairs_open=state.open_pairs_total(),
         ):
+            # Attempt 0 dispatches every shard; each later attempt
+            # re-dispatches, with attempt-bumped manifests into fresh
+            # directories, the shards whose receipt has not landed.
             shard_dirs: List[Path] = []
-            for shard in range(num_shards):
-                manifest = plan.manifest_for(shard)
-                write_manifest(round_dir / f"shard-{shard}.json", manifest)
-                shard_cache = round_dir / f"shard-{shard}"
-                shard_cache.mkdir(exist_ok=True)
-                shard_dirs.append(shard_cache)
-                dispatch(manifest, shard_cache)
-            # Receipt recovery: re-dispatch attempt-bumped manifests for
-            # every shard whose receipt has not landed.
-            for attempt in range(1, max_retries + 1):
+            lagging = list(range(num_shards))
+            for attempt in range(max_retries + 1):
+                if attempt:
+                    _log.warning(
+                        "fleet.retry",
+                        round=state.round_index,
+                        attempt=attempt,
+                        shards=lagging,
+                    )
+                for shard in lagging:
+                    name = f"shard-{shard}" + (
+                        f"-attempt{attempt}" if attempt else ""
+                    )
+                    manifest = plan.manifest_for(shard, attempt)
+                    write_manifest(round_dir / f"{name}.json", manifest)
+                    shard_cache = round_dir / name
+                    shard_cache.mkdir(exist_ok=True)
+                    shard_dirs.append(shard_cache)
+                    dispatch(manifest, shard_cache)
                 status = fleet_status(plan, shard_dirs, stall_sec=stall_sec)
                 lagging = [
                     row.shard_index
@@ -671,29 +535,9 @@ def run_adaptive_cycle(
                 ]
                 if not lagging:
                     break
-                _log.warning(
-                    "fleet.retry",
-                    round=state.round_index,
-                    attempt=attempt,
-                    shards=lagging,
-                )
-                for shard in lagging:
-                    manifest = plan.manifest_for(shard, attempt=attempt)
-                    name = f"shard-{shard}-attempt{attempt}"
-                    write_manifest(round_dir / f"{name}.json", manifest)
-                    shard_cache = round_dir / name
-                    shard_cache.mkdir(exist_ok=True)
-                    shard_dirs.append(shard_cache)
-                    dispatch(manifest, shard_cache)
-            status = fleet_status(plan, shard_dirs, stall_sec=stall_sec)
-            if not status.complete:
-                missing = [
-                    row.shard_index
-                    for row in status.shards
-                    if row.state != "done"
-                ]
+            if lagging:
                 raise FleetError(
-                    f"round {state.round_index}: shard(s) {missing} "
+                    f"round {state.round_index}: shard(s) {lagging} "
                     f"still have no receipt after {max_retries} "
                     "retries - aborting the cycle"
                 )

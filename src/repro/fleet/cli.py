@@ -32,11 +32,20 @@ import json
 import sys
 from pathlib import Path
 
-from .. import units
-from ..config import ExperimentConfig, NetworkConfig, TrialPolicyConfig
+from ..cliargs import (
+    add_backend_arg,
+    add_earlystop_args,
+    add_network_args,
+    add_policy_args,
+    add_workers_arg,
+    config_from_args,
+    earlystop_from_args,
+    network_from_args,
+    policy_from_args,
+    print_heatmap,
+)
 from ..core.cache import CacheEntryError, TrialCache
 from ..core.earlystop import EarlyStopModelError
-from ..core.runner import BACKEND_KINDS
 from ..core.sweep import render_sweep
 from ..services.catalog import default_catalog
 from ..obs.log import get_logger
@@ -61,37 +70,10 @@ from .worker import run_shard
 _log = get_logger("fleet")
 
 
-def _network(args) -> NetworkConfig:
-    return NetworkConfig(
-        bandwidth_bps=units.mbps(args.bandwidth),
-        buffer_bdp_multiple=args.buffer_bdp,
-    )
-
-
-def _config(args) -> ExperimentConfig:
-    return ExperimentConfig().scaled(args.duration)
-
-
 def _earlystop(args):
     """Earlystop config JSON from ``--earlystop`` knobs, or ``None``."""
-    if getattr(args, "earlystop", None) is None:
-        return None
-    from ..core.earlystop import EarlyStopConfig, EarlyStopModel
-
-    model = EarlyStopModel.load(args.earlystop)
-    return EarlyStopConfig(
-        model=model, audit_fraction=args.earlystop_audit
-    ).to_json()
-
-
-def _add_earlystop_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--earlystop", default=None, metavar="MODEL.json",
-                   help="arm trial-level early termination with this "
-                        "model artifact (train one with "
-                        "'repro earlystop fit')")
-    p.add_argument("--earlystop-audit", type=float, default=0.05,
-                   help="fraction of armed trials audited at full length "
-                        "to measure the mispredict rate (default: 0.05)")
+    config = earlystop_from_args(args)
+    return config.to_json() if config is not None else None
 
 
 def cmd_fleet_plan(args) -> int:
@@ -100,8 +82,8 @@ def cmd_fleet_plan(args) -> int:
         ids = args.services or default_catalog().heatmap_ids()
         plan = plan_cycle(
             ids,
-            [_network(args)],
-            _config(args),
+            [network_from_args(args)],
+            config_from_args(args),
             trials_per_pair=args.trials,
             num_shards=args.shards,
             base_seed=args.seed,
@@ -115,9 +97,9 @@ def cmd_fleet_plan(args) -> int:
             args.service_a,
             args.service_b,
             values,
-            _config(args),
+            config_from_args(args),
             num_shards=args.shards,
-            base_network=_network(args),
+            base_network=network_from_args(args),
             trials=args.trials,
             base_seed=args.seed,
         )
@@ -249,35 +231,15 @@ def cmd_fleet_retry(args) -> int:
     return 0
 
 
-def _fleet_policy(args) -> "TrialPolicyConfig | None":
-    """An explicit trial policy from CLI knobs, or None for the paper's."""
-    if not any(
-        getattr(args, name) is not None
-        for name in ("min_trials", "max_trials", "batch_size", "ci_mbps")
-    ):
-        return None
-    base = TrialPolicyConfig()
-    return TrialPolicyConfig(
-        min_trials=args.min_trials or base.min_trials,
-        max_trials=args.max_trials or base.max_trials,
-        batch_size=args.batch_size or base.batch_size,
-        ci_halfwidth_bps=(
-            units.mbps(args.ci_mbps)
-            if args.ci_mbps is not None
-            else base.ci_halfwidth_bps
-        ),
-    )
-
-
 def cmd_fleet_cycle(args) -> int:
     """Run an adaptive multi-round cycle to convergence."""
     ids = args.services or default_catalog().heatmap_ids()
-    policy = _fleet_policy(args)
+    policy = policy_from_args(args)
     state = run_adaptive_cycle(
         args.out_dir,
         ids,
-        [_network(args)],
-        _config(args),
+        [network_from_args(args)],
+        config_from_args(args),
         policies=[policy] if policy is not None else None,
         num_shards=args.shards,
         base_seed=args.seed,
@@ -357,13 +319,7 @@ def cmd_fleet_report(args) -> int:
                          indent=1))
     else:
         for report in reports:
-            print(report.render_heatmap())
-            stats = report.losing_service_stats()
-            if stats:
-                print(f"\nmedian losing share: "
-                      f"{stats['median_losing_share'] * 100:.0f}%")
-                print(f"most contentious: {report.most_contentious()}  |  "
-                      f"least contentious: {report.least_contentious()}")
+            print_heatmap(report)
     assembly = reports[0].runner_stats
     _log.info(
         "fleet.assembled",
@@ -404,19 +360,13 @@ def register(sub: argparse._SubParsersAction) -> None:
         p.add_argument("--out-dir", required=True,
                        help="directory for plan.json + shard manifests")
         p.add_argument("--trials", type=int, default=3)
-        p.add_argument("--bandwidth", type=float, default=8.0,
-                       help="bottleneck bandwidth in Mbps (default: 8)")
-        p.add_argument("--buffer-bdp", type=float, default=4.0,
-                       help="queue size as a BDP multiple (default: 4)")
-        p.add_argument("--duration", type=float, default=60.0,
-                       help="experiment duration in seconds (default: 60)")
-        p.add_argument("--seed", type=int, default=1)
+        add_network_args(p)
 
     p = plan_sub.add_parser("cycle", help="all-pairs watchdog cycle")
     p.add_argument("--services", nargs="*", default=None)
     p.add_argument("--no-self-pairs", action="store_true")
     add_plan_common(p)
-    _add_earlystop_args(p)
+    add_earlystop_args(p)
     p.set_defaults(func=_wrap(cmd_fleet_plan))
 
     p = plan_sub.add_parser("sweep", help="pair parameter sweep")
@@ -434,11 +384,9 @@ def register(sub: argparse._SubParsersAction) -> None:
     p.add_argument("manifest", help="shard-<i>.json written by fleet plan")
     p.add_argument("--cache-dir", required=True,
                    help="cache directory to execute into")
-    p.add_argument("--backend", choices=list(BACKEND_KINDS), default=None,
-                   help="execution substrate (default: process when "
-                        "--workers is set, else inline)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="process-pool size")
+    add_backend_arg(p, "execution substrate (default: process when "
+                       "--workers is set, else inline)")
+    add_workers_arg(p, "process-pool size")
     p.add_argument("--cache-max-bytes", type=int, default=None,
                    help="LRU-evict the shard cache above this many bytes")
     p.add_argument("--record-flight", action="store_true",
@@ -504,31 +452,21 @@ def register(sub: argparse._SubParsersAction) -> None:
                    help="shards per round (default: 2)")
     p.add_argument("--out-dir", required=True,
                    help="cycle directory (state, round plans, cache)")
-    p.add_argument("--min-trials", type=int, default=None,
-                   help="trial policy floor (default: paper's 10)")
-    p.add_argument("--max-trials", type=int, default=None,
-                   help="trial policy cap (default: paper's 30)")
-    p.add_argument("--batch-size", type=int, default=None,
-                   help="trials added per round past the floor "
-                        "(default: paper's 10)")
-    p.add_argument("--ci-mbps", type=float, default=None,
-                   help="CI half-width threshold in Mbps (default: the "
-                        "paper's per-bandwidth threshold)")
-    p.add_argument("--bandwidth", type=float, default=8.0,
-                   help="bottleneck bandwidth in Mbps (default: 8)")
-    p.add_argument("--buffer-bdp", type=float, default=4.0,
-                   help="queue size as a BDP multiple (default: 4)")
-    p.add_argument("--duration", type=float, default=60.0,
-                   help="experiment duration in seconds (default: 60)")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--backend", choices=list(BACKEND_KINDS), default=None,
-                   help="execution substrate for shard workers")
-    p.add_argument("--workers", type=int, default=None,
-                   help="process-pool size per shard")
+    add_policy_args(
+        p,
+        "trial policy floor (default: paper's 10)",
+        "trial policy cap (default: paper's 30)",
+        "trials added per round past the floor (default: paper's 10)",
+        "CI half-width threshold in Mbps (default: the paper's "
+        "per-bandwidth threshold)",
+    )
+    add_network_args(p)
+    add_backend_arg(p, "execution substrate for shard workers")
+    add_workers_arg(p, "process-pool size per shard")
     p.add_argument("--max-retries", type=int, default=2,
                    help="receipt-recovery re-dispatches per shard per "
                         "round (default: 2)")
-    _add_earlystop_args(p)
+    add_earlystop_args(p)
     p.add_argument("--json", action="store_true",
                    help="emit a machine-readable cycle summary")
     p.set_defaults(func=_wrap(cmd_fleet_cycle))

@@ -42,15 +42,16 @@ from typing import (
 from .. import units
 from .. import atomicio
 from ..atomicio import atomic_write
-from ..config import ExperimentConfig, NetworkConfig
+from ..config import ExperimentConfig, NetworkConfig, TrialPolicyConfig
 from ..core.cache import (
     CACHE_SCHEMA_VERSION,
     config_canonical_json,
     config_fields,
     trial_cache_key,
 )
+from ..core.convergence import ConvergenceTracker
+from ..core.policy import TrialPolicy
 from ..core.runner import TrialSpec
-from ..core.scheduler import fixed_trial_scheduler
 from ..core.sweep import expand_sweep_networks, pair_sweep_trials
 
 #: Bump when the plan/manifest JSON layout changes incompatibly.
@@ -474,27 +475,29 @@ def plan_cycle(
 ) -> FleetPlan:
     """Plan one all-pairs watchdog cycle as a shardable trial matrix.
 
-    Enumerates through the same :func:`fixed_trial_scheduler` +
-    ``next_batch`` path a fixed-policy single-host cycle executes, so the
-    plan's specs, seeds, and round-robin order are identical to what
-    ``Prudentia.run_cycle`` (cycle 0) would run - which is what lets the
-    assembler rebuild a bit-identical report.
+    A fixed-count cycle is the single round of a
+    :meth:`TrialPolicyConfig.fixed` policy, so the plan is what
+    :meth:`ConvergenceTracker.queued_specs` queues before anything has
+    run, network by network: the specs, seeds and round-robin order
+    ``Prudentia.run_cycle`` (cycle 0) hands its backend under the same
+    policy - which is what lets the assembler rebuild a bit-identical
+    report.
 
     ``earlystop`` (an :class:`~repro.core.earlystop.EarlyStopConfig`
     encoded via ``to_json``) rides in the plan params and every shard
     manifest, so workers arm identical early-termination monitors.
     """
-    if trials_per_pair < 1:
-        raise ValueError("need at least one trial per pair")
-    specs: List[TrialSpec] = []
-    for network in networks:
-        scheduler = fixed_trial_scheduler(
-            list(service_ids),
-            trials_per_pair,
-            include_self_pairs=include_self_pairs,
-            base_seed=base_seed,
-        )
-        specs.extend(scheduler.next_batch(network, config))
+    tracker = ConvergenceTracker.for_services(
+        service_ids,
+        TrialPolicy(TrialPolicyConfig.fixed(trials_per_pair)),
+        include_self_pairs=include_self_pairs,
+        base_seed=base_seed,
+    )
+    specs = [
+        spec
+        for network in networks
+        for spec in tracker.queued_specs(network, config)
+    ]
     params = {
         "service_ids": sorted(service_ids),
         "networks": [dataclasses.asdict(n) for n in networks],

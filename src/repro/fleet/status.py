@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Union
 
 from ..core.cache import scan_cache_dir
+from ..core.runner import RunnerStats
 from .plan import FleetPlan
 from .worker import RECEIPT_FILENAME, ShardReceipt
 
@@ -118,37 +119,20 @@ class FleetStatus:
             for s in self.shards
             if s.receipt is not None and s.age_sec is not None
         ]
-        trials_audited = sum(r.stats.trials_audited for r in receipts)
-        audit_mispredicts = sum(
-            r.stats.audit_mispredicts for r in receipts
-        )
+        stats = RunnerStats.total(r.stats for r in receipts)
         return {
             "receipts": len(receipts),
             "trials_folded": sum(len(r.completed_keys) for r in receipts),
-            "trials_simulated": sum(r.stats.trials_run for r in receipts),
-            "cache_hits": sum(r.stats.cache_hits for r in receipts),
-            "cache_misses": sum(r.stats.cache_misses for r in receipts),
-            "wall_clock_sec": round(
-                sum(r.stats.wall_clock_sec for r in receipts), 3
-            ),
+            "trials_simulated": stats.trials_run,
+            "cache_hits": stats.cache_hits,
+            "cache_misses": stats.cache_misses,
+            "wall_clock_sec": round(stats.wall_clock_sec, 3),
             "flight_recorded": sum(
                 len(r.flight_prefix)
                 for r in receipts
                 if r.flight_prefix is not None
             ),
-            "trials_truncated": sum(
-                r.stats.trials_truncated for r in receipts
-            ),
-            "sim_sec_saved": round(
-                sum(r.stats.sim_sec_saved for r in receipts), 3
-            ),
-            "trials_audited": trials_audited,
-            "audit_mispredicts": audit_mispredicts,
-            "audit_mispredict_rate": (
-                round(audit_mispredicts / trials_audited, 4)
-                if trials_audited
-                else None
-            ),
+            **stats.earlystop_rollup(),
             "newest_receipt_age_sec": (
                 round(min(ages), 1) if ages else None
             ),

@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 
+from ..cliargs import add_network_args, config_from_args, network_from_args
 from . import flight as flight_mod
 from .heartbeat import Heartbeat, describe
 from .tracing import read_spans, render_summary, summarize, to_chrome_trace
@@ -111,8 +112,6 @@ def _load_flight(path: str):
 
 def cmd_obs_flight_record(args) -> int:
     """Run one flight-recorded pair trial and write the recording JSON."""
-    from .. import units
-    from ..config import ExperimentConfig, NetworkConfig
     from ..core.experiment import run_trial_artifacts
     from ..services.catalog import default_catalog
 
@@ -122,15 +121,11 @@ def cmd_obs_flight_record(args) -> int:
     except KeyError as exc:
         print(f"obs error: {exc}", file=sys.stderr)
         return 1
-    network = NetworkConfig(
-        bandwidth_bps=units.mbps(args.bandwidth),
-        buffer_bdp_multiple=args.buffer_bdp,
-    )
     recorder = flight_mod.FlightRecorder(grid_usec=args.grid_usec)
     run_trial_artifacts(
         specs,
-        network,
-        ExperimentConfig().scaled(args.duration),
+        network_from_args(args),
+        config_from_args(args),
         seed=args.seed,
         flight=recorder,
     )
@@ -239,13 +234,7 @@ def register(sub: argparse._SubParsersAction) -> None:
     )
     p.add_argument("services", nargs="+",
                    help="service ids to contend (one = solo run)")
-    p.add_argument("--bandwidth", type=float, default=8.0,
-                   help="bottleneck bandwidth in Mbps (default: 8)")
-    p.add_argument("--buffer-bdp", type=float, default=4.0,
-                   help="queue size as a BDP multiple (default: 4)")
-    p.add_argument("--duration", type=float, default=60.0,
-                   help="experiment duration in seconds (default: 60)")
-    p.add_argument("--seed", type=int, default=1)
+    add_network_args(p)
     p.add_argument("--grid-usec", type=int,
                    default=flight_mod.DEFAULT_GRID_USEC,
                    help="sampling grid in simulated usec (default: 100000)")

@@ -304,27 +304,21 @@ class WatchdogService:
     def _adaptive_specs(
         self, state: AdaptiveCycleState
     ) -> List[TrialSpec]:
-        """Every executed trial of an adaptive cycle, from its trackers.
+        """Every executed trial of an adaptive cycle, pair by pair, from
+        its trackers.
 
         Works for partial cycles too: ``trials_done`` counts only folded
         rounds, whose results are all in the cumulative cache, and seeds
         are pure functions of (pair, index) - no round plans needed.
         """
-        specs: List[TrialSpec] = []
-        for net_index, network in enumerate(state.networks):
-            tracker = state.trackers[net_index]
-            for pair, pair_state in tracker.states.items():
-                for index in range(pair_state.trials_done):
-                    specs.append(
-                        TrialSpec.pair(
-                            pair[0],
-                            pair[1],
-                            network,
-                            state.config,
-                            seed=tracker.seed_for(pair, index),
-                        )
-                    )
-        return specs
+        return [
+            spec
+            for network, tracker in zip(state.networks, state.trackers)
+            for pair, pair_state in tracker.states.items()
+            for spec in tracker.window_specs(
+                network, state.config, {pair: (0, pair_state.trials_done)}
+            )
+        ]
 
     def _requeue_open_rounds(
         self, state: AdaptiveCycleState

@@ -467,6 +467,8 @@ class TestRunnerAccounting:
         stats.record_earlystop(
             {"truncated": True, "sim_sec_saved": 4.0}
         )
+        assert stats.audit_mispredict_rate is None  # nothing audited yet
+        assert stats.earlystop_rollup()["audit_mispredict_rate"] is None
         stats.record_earlystop(
             {"truncated": False, "audit": True, "mispredict": True}
         )
@@ -623,6 +625,24 @@ class TestCycleEquivalence:
             earlystop=EarlyStopConfig(model=self.MODEL, audit_fraction=0.0)
         )
         assert armed.last_cycle_stats.trials_truncated > 0
+
+    def test_cli_reports_no_mispredict_rate_without_an_audit(
+        self, tmp_path, capsys
+    ):
+        """``--earlystop-audit 0`` audits nothing: the summary line says
+        so and carries no rate (it used to read "0.00%")."""
+        from repro.cli import main
+
+        self.MODEL.save(tmp_path / "model.json")
+        assert main([
+            "cycle", "--services", *self.CYCLE_PAIR, "--trials", "1",
+            "--duration", "10", "--earlystop", str(tmp_path / "model.json"),
+            "--earlystop-audit", "0", "--json",
+        ]) == 0
+        line = capsys.readouterr().err.strip().splitlines()[-1]
+        assert line.startswith("earlystop: ")
+        assert line.endswith("0 audited full-length")
+        assert "mispredict" not in line
 
 
 class TestFleetPlumbing:

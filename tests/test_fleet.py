@@ -66,14 +66,7 @@ def single_host_watchdog(trials=2):
     return Prudentia(
         networks=[NET],
         experiment_config=FAST,
-        policy_overrides={
-            NET.bandwidth_bps: TrialPolicyConfig(
-                min_trials=trials,
-                max_trials=trials,
-                batch_size=trials,
-                ci_halfwidth_bps=units.mbps(1e9),
-            )
-        },
+        policy_overrides={NET.bandwidth_bps: TrialPolicyConfig.fixed(trials)},
         base_seed=7,
     )
 
@@ -141,17 +134,26 @@ class TestShardPlanning:
             FleetPlan.from_json(payload)
 
     def test_cycle_plan_matches_single_host_trial_list(self):
-        """The planner enumerates exactly the specs a fixed-policy
-        single-host cycle would execute, in the same order."""
-        from repro.core.scheduler import fixed_trial_scheduler
+        """The planner emits, in order, exactly the specs
+        ``Prudentia.run_cycle`` hands its backend under the same fixed
+        policy - over two settings, so network-major order counts."""
+        from tests.test_cycle_loop import RecordingBackend
 
-        plan = small_plan(include_self_pairs=True)
-        scheduler = fixed_trial_scheduler(
-            IDS, 2, include_self_pairs=True, base_seed=7
+        networks = [NET, NetworkConfig(units.mbps(50))]
+        plan = plan_cycle(
+            IDS, networks, FAST, trials_per_pair=2, num_shards=2, base_seed=7
         )
-        assert [t.spec for t in plan.trials] == scheduler.next_batch(
-            NET, FAST
-        )
+        backend = RecordingBackend()
+        Prudentia(
+            networks=networks,
+            experiment_config=FAST,
+            policy_overrides={
+                network.bandwidth_bps: TrialPolicyConfig.fixed(2)
+                for network in networks
+            },
+            base_seed=7,
+        ).run_cycle(service_ids=IDS, backend=backend)
+        assert backend.rounds == [[t.spec for t in plan.trials]]
 
 
 class TestShardExecutionMergeAssembly:
@@ -814,7 +816,7 @@ def _adaptive_round():
         min_trials=2, max_trials=4, batch_size=2,
         ci_halfwidth_bps=units.mbps(0.5),
     )
-    state = AdaptiveCycleState.create(
+    state = AdaptiveCycleState(
         IDS + ["iperf_bbr"], [NetworkConfig(units.mbps(8))], FAST,
         policies=[policy], base_seed=7,
     )

@@ -18,6 +18,7 @@ from repro.config import (
     ExperimentConfig,
     TrialPolicyConfig,
     highly_constrained,
+    moderately_constrained,
 )
 from repro.core import stats
 from repro.core.cache import TrialCache
@@ -62,7 +63,7 @@ def make_policy(min_trials=2, max_trials=6, batch=2, ci_mbps=1.0):
 
 
 def make_state(ids=None, policy=None, base_seed=7):
-    return AdaptiveCycleState.create(
+    return AdaptiveCycleState(
         ids or IDS,
         [NET],
         FAST,
@@ -201,6 +202,32 @@ class TestCycleStateSerialisation:
             assert theirs is None
         else:
             assert ours.plan_id == theirs.plan_id
+
+    def test_resumed_cycle_ends_where_an_uninterrupted_one_does(
+        self, tmp_path
+    ):
+        """Saved and re-loaded between every round - each round planned
+        and folded by a fresh object, as after a restart on another host
+        - the cycle ends with the ``cycle-state.json`` and the assembly
+        plan of one driven straight through."""
+        folder = TestFoldRound()
+
+        def drive(directory, resume):
+            state = make_state(policy=make_policy(ci_mbps=0.0))  # 3 rounds
+            while (plan := state.plan_round(num_shards=2)) is not None:
+                folder.run_round(state, plan, directory)
+                state.fold_round(plan, TrialCache(directory / "merged"))
+                state.save(directory)
+                if resume:
+                    state = AdaptiveCycleState.load(directory)
+            assert state.round_index > 1
+            return (
+                (directory / STATE_FILENAME).read_bytes(),
+                state.assembly_plan(num_shards=2).to_json(),
+            )
+
+        straight = drive(tmp_path / "straight", resume=False)
+        assert drive(tmp_path / "resumed", resume=True) == straight
 
     def test_state_rejects_schema_skew(self):
         payload = make_state().to_json()
@@ -371,6 +398,51 @@ class TestReceiptRecovery:
             )
 
 
+    def test_clean_round_asks_for_status_once(self, tmp_path, monkeypatch):
+        """The first dispatch is attempt 0 of the retry loop: a round
+        whose receipts all land reads them once, one with a lost shard
+        once more per retry."""
+        from repro.fleet import adaptive
+
+        calls = []
+
+        def counted(plan, dirs, **kwargs):
+            calls.append(plan.round_index)
+            return fleet_status(plan, dirs, **kwargs)
+
+        monkeypatch.setattr(adaptive, "fleet_status", counted)
+        state = run_adaptive_cycle(
+            tmp_path / "clean", IDS, [NET], FAST, policies=[make_policy()],
+            num_shards=2, base_seed=7,
+        )
+        assert calls == list(range(state.round_index))
+
+        def flaky(manifest, shard_cache):
+            if manifest["shard_index"] == 0 and manifest["attempt"] == 0:
+                return
+            run_shard(manifest, shard_cache)
+
+        del calls[:]
+        run_adaptive_cycle(
+            tmp_path / "flaky", IDS, [NET], FAST, policies=[make_policy()],
+            num_shards=2, base_seed=7, dispatch=flaky,
+        )
+        assert calls == sorted(2 * list(range(state.round_index)))
+
+    def test_max_rounds_bounds_the_cycle(self, tmp_path):
+        kwargs = dict(
+            policies=[make_policy(ci_mbps=0.0)], num_shards=2, base_seed=7
+        )
+        with pytest.raises(FleetError, match="within 2 rounds"):
+            run_adaptive_cycle(
+                tmp_path / "short", IDS, [NET], FAST, max_rounds=2, **kwargs
+            )
+        state = run_adaptive_cycle(
+            tmp_path / "enough", IDS, [NET], FAST, max_rounds=3, **kwargs
+        )
+        assert state.done and state.round_index == 3
+
+
 class TestAdaptiveCycleAcceptance:
     @pytest.fixture(scope="class")
     def converged(self, tmp_path_factory):
@@ -465,27 +537,77 @@ class TestAdaptiveCycleAcceptance:
         assert watchdog.last_cycle_stats.trials_run == 0
         assert watchdog.last_cycle_stats.cache_hits > 0
 
+    def test_two_network_report_bit_identical_to_single_host_adaptive(
+        self, tmp_path
+    ):
+        """Acceptance over two settings with different policies, where
+        the fleet's rounds span both settings (round-major) and assembly
+        is network-major: the local driver, re-running the cycle from
+        the fleet's cache, simulates nothing, fills its store in the
+        assembled order and publishes the same two reports."""
+        ids = ["iperf_cubic", "iperf_bbr", "netflix"]
+        networks = [NET, moderately_constrained()]
+        policies = [
+            make_policy(min_trials=2, max_trials=6, batch=2, ci_mbps=1.0),
+            make_policy(min_trials=2, max_trials=5, batch=3, ci_mbps=1.5),
+        ]
+        out = tmp_path / "cycle"
+        state = run_adaptive_cycle(
+            out, ids, networks, FAST, policies=policies, num_shards=2,
+            base_seed=7,
+        )
+        assert state.round_index == 3
+        for tracker in state.trackers:  # both settings ran several rounds
+            counts = tracker.counts()
+            assert counts["converged"] and counts["unstable"]
+        fleet_reports = assemble_reports(
+            load_plan(out / ASSEMBLY_PLAN_FILENAME), TrialCache(out / "cache")
+        )
+
+        watchdog = Prudentia(
+            networks=networks,
+            experiment_config=FAST,
+            policy_overrides={
+                network.bandwidth_bps: policy
+                for network, policy in zip(networks, policies)
+            },
+            base_seed=7,
+            cache=TrialCache(out / "cache"),
+        )
+        watchdog.run_cycle(service_ids=ids)
+        assert watchdog.last_cycle_stats.trials_run == 0
+        assert watchdog.last_cycle_stats.cache_hits == state.trials_done_total()
+        assert [r.to_json() for r in watchdog.store.all_results()] == [
+            r.to_json() for r in fleet_reports[0].store.all_results()
+        ]
+        for network, fleet_report in zip(networks, fleet_reports):
+            single = watchdog.report(network, service_ids=sorted(ids))
+            assert fleet_report.render_heatmap() == single.render_heatmap()
+            fleet_json, single_json = fleet_report.to_json(), single.to_json()
+            fleet_json.pop("runner_stats")
+            single_json.pop("runner_stats")
+            assert fleet_json == single_json
+
     def test_assembly_replay_recomputes_no_summary(
         self, tmp_path, summaries_since
     ):
-        """The folds already summarised every series the assembly
-        replay evaluates: within one process the replay is served from
-        ``summarize_trials``' memo, and emits the plan it would have
-        recomputed from scratch."""
+        """Assembly asks for no summary at all: the executed trial list
+        is cut from the recorded trial counts, not re-derived through
+        the stopping rule - in this process or a later one - and it is
+        the plan the cycle wrote."""
         state = run_adaptive_cycle(
             tmp_path / "cycle", IDS, [NET], FAST,
             policies=[make_policy(ci_mbps=0.0)], num_shards=2, base_seed=7,
         )
-        # 3 pairs x 2 series x 3 rounds, each computed by its fold and
-        # served once to run_adaptive_cycle's own assembly replay.
-        assert summaries_since() == (18, 18)
-        served = state.assembly_plan(num_shards=2)
-        assert summaries_since() == (18, 36)
+        # 3 pairs x 2 series x 3 rounds, each computed once, by its fold
+        # (run_adaptive_cycle's own assembly included).
+        assert summaries_since() == (18, 0)
+        here = state.assembly_plan(num_shards=2)
         stats._SUMMARY_MEMO.clear()
-        recomputed = state.assembly_plan(num_shards=2)
-        assert summaries_since() == (36, 36)
+        later = AdaptiveCycleState.load(tmp_path / "cycle").assembly_plan(2)
+        assert summaries_since() == (18, 0)
         written = load_plan(tmp_path / "cycle" / ASSEMBLY_PLAN_FILENAME)
-        assert served.to_json() == recomputed.to_json() == written.to_json()
+        assert here.to_json() == later.to_json() == written.to_json()
 
     def test_state_file_tracks_progress(self, converged):
         out, state = converged

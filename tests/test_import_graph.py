@@ -62,3 +62,32 @@ def test_control_plane_rewrites_files_only_atomically(package):
         if ".write_text(" in line
     ]
     assert offenders == []
+
+
+def test_one_function_turns_a_trial_index_into_a_spec():
+    """``TrialSpec.pair(..., seed=<x>.seed_for(...))`` is the trial
+    enumeration: where the Section 3.4 order meets the seed rule.  A
+    second place that spells it is a second enumerator, free to drift
+    from the first in order or seeds (there were four)."""
+
+    def is_call_to(node, name):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == name
+        )
+
+    enumerators = []
+    for path in sorted(SRC.rglob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if any(
+                is_call_to(call, "pair")
+                and any(is_call_to(arg, "seed_for") for arg in ast.walk(call))
+                for call in ast.walk(function)
+            ):
+                enumerators.append(
+                    f"{path.relative_to(SRC)}::{function.name}"
+                )
+    assert enumerators == ["core/convergence.py::window_specs"]

@@ -5,7 +5,9 @@ import pytest
 from repro import units
 from repro.config import ExperimentConfig, highly_constrained
 from repro.core.experiment import run_pair_experiment
-from repro.core.runner import ProcessPoolBackend, TrialSpec, all_pairs_trials
+from repro.core.results import ResultStore
+from repro.core.runner import ProcessPoolBackend, TrialSpec
+from repro.fleet import plan_cycle
 from repro.services.catalog import default_catalog
 
 FAST = ExperimentConfig().scaled(15)
@@ -18,20 +20,23 @@ def make_trial(a="iperf_cubic", b="iperf_reno", seed=1):
     )
 
 
+def planned_trials(service_ids, trials_per_pair, **kwargs):
+    """The trial list a pool is handed: a fixed-count cycle plan's."""
+    plan = plan_cycle(
+        service_ids, [NET], FAST, trials_per_pair, num_shards=1, **kwargs
+    )
+    return [planned.spec for planned in plan.trials]
+
+
 class TestTrialPlanning:
     def test_all_pairs_enumeration(self):
-        trials = all_pairs_trials(
-            ["a", "b", "c"], NET, FAST, trials_per_pair=2
-        )
+        trials = planned_trials(["a", "b", "c"], 2)
         # 3 cross pairs + 3 self pairs, 2 trials each.
         assert len(trials) == 12
-        seeds = [t.seed for t in trials]
-        assert len(set(seeds)) == len(seeds)
+        assert len({(t.pair_key, t.seed) for t in trials}) == 12
 
     def test_no_self_pairs(self):
-        trials = all_pairs_trials(
-            ["a", "b"], NET, FAST, trials_per_pair=1, include_self_pairs=False
-        )
+        trials = planned_trials(["a", "b"], 1, include_self_pairs=False)
         assert len(trials) == 1
         assert (trials[0].contender_id, trials[0].incumbent_id) == ("a", "b")
 
@@ -63,14 +68,14 @@ class TestParallelExecution:
         assert [r.seed for r in results] == [1, 2, 3]
 
     def test_run_into_store(self):
-        trials = all_pairs_trials(
-            ["iperf_cubic", "iperf_reno"],
-            NET,
-            FAST,
-            trials_per_pair=2,
-            include_self_pairs=False,
+        """Pool results fill a store the way ``run_cycle`` fills its."""
+        trials = planned_trials(
+            ["iperf_cubic", "iperf_reno"], 2, include_self_pairs=False
         )
-        store = ProcessPoolBackend(max_workers=2).run_into_store(trials)
+        store = ResultStore()
+        store.extend(
+            ProcessPoolBackend(max_workers=2).run(trials), valid_only=True
+        )
         shares = store.shares("iperf_reno", "iperf_cubic", NET.bandwidth_bps)
         assert len(shares) == 2
 

@@ -1,11 +1,14 @@
-"""Trial policy (Section 3.4 stopping rule) and round-robin scheduler."""
+"""Trial policy (Section 3.4 stopping rule) and round-robin scheduling."""
 
 import pytest
 
 from repro import units
-from repro.config import TrialPolicyConfig
+from repro.config import ExperimentConfig, TrialPolicyConfig, highly_constrained
+from repro.core.convergence import ConvergenceTracker
 from repro.core.policy import TrialPolicy
-from repro.core.scheduler import RoundRobinScheduler
+
+NET = highly_constrained()
+FAST = ExperimentConfig().scaled(10)
 
 
 def make_policy(min_trials=3, max_trials=9, batch=3, ci_mbps=0.5):
@@ -60,10 +63,23 @@ class TestTrialPolicy:
         assert policy.next_batch_size(30) == 0
 
 
+def run_queued(tracker, throughputs):
+    """The cycle loop over one tracker with a fake ``execute``: every
+    queued spec, in execution order, answered by ``throughputs(spec)``."""
+    executed = []
+    while specs := tracker.queued_specs(NET, FAST):
+        for spec in specs:
+            executed.append(spec)
+            tracker.record_trial(spec.pair_key, throughputs(spec))
+    return executed
+
+
 class TestScheduler:
     def test_pair_enumeration(self):
-        sched = RoundRobinScheduler(["a", "b", "c"], make_policy())
-        pairs = set(sched.pairs)
+        tracker = ConvergenceTracker.for_services(
+            ["a", "b", "c"], make_policy()
+        )
+        pairs = set(tracker.pairs())
         assert ("a", "b") in pairs
         assert ("a", "c") in pairs
         assert ("b", "c") in pairs
@@ -71,27 +87,27 @@ class TestScheduler:
         assert len(pairs) == 6
 
     def test_no_self_pairs(self):
-        sched = RoundRobinScheduler(
+        tracker = ConvergenceTracker.for_services(
             ["a", "b"], make_policy(), include_self_pairs=False
         )
-        assert sched.pairs == [("a", "b")]
+        assert tracker.pairs() == [("a", "b")]
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            RoundRobinScheduler([], make_policy())
+            ConvergenceTracker.for_services([], make_policy())
 
     def test_round_robin_interleaving(self):
         """Trial k of every pair runs before trial k+1 of any pair."""
         policy = make_policy(min_trials=3, max_trials=3, batch=3)
-        sched = RoundRobinScheduler(
+        tracker = ConvergenceTracker.for_services(
             ["a", "b", "c"], policy, include_self_pairs=False
         )
-        order = []
-        for pair, seed in sched.work_items():
-            order.append(pair)
-            sched.record_result(
-                pair, {pair[0]: 10e6, pair[1]: 10e6}
+        order = [
+            spec.pair_key
+            for spec in run_queued(
+                tracker, lambda spec: dict.fromkeys(spec.pair_key, 10e6)
             )
+        ]
         # 3 pairs x 3 trials, interleaved.
         assert len(order) == 9
         assert order[:3] == [("a", "b"), ("a", "c"), ("b", "c")]
@@ -99,44 +115,38 @@ class TestScheduler:
 
     def test_stable_pair_stops_at_min_trials(self):
         policy = make_policy(min_trials=3, max_trials=9, batch=3)
-        sched = RoundRobinScheduler(
+        tracker = ConvergenceTracker.for_services(
             ["a", "b"], policy, include_self_pairs=False
         )
-        count = 0
-        for pair, _seed in sched.work_items():
-            count += 1
-            sched.record_result(pair, {"a": 10e6, "b": 10e6})
-        assert count == 3
-        assert sched.states[("a", "b")].done
-        assert sched.unstable_pairs() == []
+        executed = run_queued(tracker, lambda spec: {"a": 10e6, "b": 10e6})
+        assert len(executed) == 3
+        assert tracker.states[("a", "b")].done
+        assert tracker.unstable_pairs() == []
 
     def test_noisy_pair_requeued_to_cap(self):
         policy = make_policy(min_trials=3, max_trials=9, batch=3)
-        sched = RoundRobinScheduler(
+        tracker = ConvergenceTracker.for_services(
             ["a", "b"], policy, include_self_pairs=False
         )
         import random
 
         rng = random.Random(0)
-        count = 0
-        for pair, _seed in sched.work_items():
-            count += 1
-            sched.record_result(
-                pair, {"a": rng.uniform(1e6, 50e6), "b": 10e6}
-            )
-        assert count == 9
-        assert sched.unstable_pairs() == [("a", "b")]
+        executed = run_queued(
+            tracker, lambda spec: {"a": rng.uniform(1e6, 50e6), "b": 10e6}
+        )
+        assert len(executed) == 9
+        assert [spec.seed for spec in executed] == [
+            tracker.seed_for(("a", "b"), index) for index in range(9)
+        ]
+        assert tracker.unstable_pairs() == [("a", "b")]
 
     def test_seeds_distinct_per_trial(self):
         policy = make_policy(min_trials=3, max_trials=3, batch=3)
-        sched = RoundRobinScheduler(
+        tracker = ConvergenceTracker.for_services(
             ["a", "b"], policy, include_self_pairs=False
         )
-        seeds = []
-        for pair, seed in sched.work_items():
-            seeds.append(seed)
-            sched.record_result(pair, {"a": 1e6, "b": 1e6})
-        assert len(set(seeds)) == 3
+        executed = run_queued(tracker, lambda spec: {"a": 1e6, "b": 1e6})
+        assert len({spec.seed for spec in executed}) == 3
 
 
 class TestPolicyBandEdge:
@@ -192,6 +202,7 @@ class TestPolicyBandEdge:
             batch_size=2,
             ci_halfwidth_bps=float("inf"),
         )
+        assert TrialPolicyConfig.fixed(2) == config
         payload = jsonlib.loads(jsonlib.dumps(config.to_json()))
         assert TrialPolicyConfig.from_json(payload) == config
 
@@ -281,24 +292,6 @@ class TestConvergenceTracker:
 
         with pytest.raises(ValueError, match="schema"):
             ConvergenceTracker.from_json(payload)
-
-    def test_scheduler_delegates_to_tracker(self):
-        """The scheduler is a thin view over the shared tracker: seeds,
-        states, and verdicts are the same object."""
-        sched = RoundRobinScheduler(
-            ["a", "b"],
-            make_policy(min_trials=3, max_trials=3, batch=3),
-            include_self_pairs=False,
-            base_seed=5,
-        )
-        tracker = sched.tracker
-        assert sched.states is tracker.states
-        pair = ("a", "b")
-        assert sched._seed_for(pair, 2) == tracker.seed_for(pair, 2)
-        for offset in range(3):
-            sched.record_result(pair, {"a": 10e6, "b": 10e6})
-        assert tracker.counts()["converged"] == 1
-        assert sched.unstable_pairs() == tracker.unstable_pairs()
 
     def test_rejects_duplicate_pairs(self):
         from repro.core.convergence import ConvergenceTracker

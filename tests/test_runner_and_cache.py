@@ -17,14 +17,12 @@ from repro.core.experiment import (
     run_pair_experiment,
     run_solo_experiment,
 )
-from repro.core.policy import TrialPolicy
 from repro.core.runner import (
     InlineBackend,
     ProcessPoolBackend,
     TrialSpec,
     run_trial,
 )
-from repro.core.scheduler import RoundRobinScheduler
 from repro.core.watchdog import Prudentia
 from repro.services.catalog import default_catalog
 
@@ -143,8 +141,17 @@ class TestBackendEquivalence:
         assert backend.stats.wall_clock_sec > 0
 
     def test_run_into_store_filters_valid(self):
-        backend = InlineBackend(catalog=CATALOG)
-        store = backend.run_into_store([pair_spec(seed=1)])
+        """What ``run_cycle`` does with a round's results: the store
+        keeps only trials that pass the external-loss discard rule."""
+        import dataclasses
+
+        from repro.core.results import ResultStore
+
+        result = InlineBackend(catalog=CATALOG).run([pair_spec(seed=1)])[0]
+        noisy = dataclasses.replace(result, external_loss_fraction=0.5)
+        assert result.valid and not noisy.valid
+        store = ResultStore()
+        store.extend([result, noisy], valid_only=True)
         assert len(store) == 1
 
 
@@ -185,30 +192,6 @@ class TestTrialCache:
         cache.clear()
         assert len(cache) == 0
         assert not list(tmp_path.glob("*.json"))
-
-
-class TestSchedulerBatches:
-    def test_next_batch_matches_work_items_seeds(self):
-        """The public batch API yields exactly the seeds and round-robin
-        order the sequential iterator would have produced."""
-        policy = TrialPolicy(
-            TrialPolicyConfig(
-                min_trials=3, max_trials=3, batch_size=3,
-                ci_halfwidth_bps=units.mbps(100),
-            )
-        )
-        batch_sched = RoundRobinScheduler(
-            ["a", "b"], policy, include_self_pairs=False, base_seed=2
-        )
-        batch = batch_sched.next_batch(NET, FAST)
-        seq_sched = RoundRobinScheduler(
-            ["a", "b"], policy, include_self_pairs=False, base_seed=2
-        )
-        sequential = []
-        for pair, seed in seq_sched.work_items():
-            sequential.append((pair, seed))
-            seq_sched.record_result(pair, {"a": 1e6, "b": 1e6})
-        assert [(s.pair_key, s.seed) for s in batch] == sequential
 
 
 class TestWatchdogCaching:

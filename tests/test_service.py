@@ -257,7 +257,7 @@ class TestServiceIngest:
             min_trials=2, max_trials=6, batch_size=2,
             ci_halfwidth_bps=1.0,  # ~never converges in 2 trials
         )
-        state = AdaptiveCycleState.create(
+        state = AdaptiveCycleState(
             IDS, [NET], FAST, policies=[policy], base_seed=3,
         )
         entry = tmp_path / "spool" / "incoming" / "cycle-partial"
@@ -299,7 +299,7 @@ class TestServiceIngest:
             min_trials=2, max_trials=2, batch_size=2,
             ci_halfwidth_bps=units.mbps(100),
         )
-        state = AdaptiveCycleState.create(
+        state = AdaptiveCycleState(
             IDS, [NET], FAST, policies=[policy], base_seed=3,
         )
         round_plan = state.plan_round(num_shards=1)
@@ -399,7 +399,7 @@ def make_poisoned_entry(entry, filename, corrupt):
             ci_halfwidth_bps=units.mbps(100),
         )
         entry.mkdir(parents=True)
-        AdaptiveCycleState.create(
+        AdaptiveCycleState(
             IDS, [NET], FAST, policies=[policy], base_seed=3
         ).save(entry)
     else:

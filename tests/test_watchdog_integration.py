@@ -154,3 +154,27 @@ class TestCalibration:
         assert calibs["iperf_bbr"].is_link_limited
         assert calibs["youtube"].is_application_limited
         assert calibs["onedrive"].is_upstream_throttled
+
+    def test_calibration_runs_in_the_watchdogs_client_environment(self):
+        """Table 1 and the cycles describe the same client (Section
+        3.3): a watchdog on a headless client reads the render-capped
+        solo ceiling its cycles see, not the faithful testbed's."""
+        from repro.browser.environment import ClientEnvironment
+        from repro.core.calibration import calibrate_catalog
+        from repro.core.runner import InlineBackend
+
+        net = NetworkConfig(bandwidth_bps=units.mbps(50))
+        config = ExperimentConfig().scaled(20)
+        env = ClientEnvironment.headless_automation()
+        catalog = default_catalog()
+
+        def solo_bps(**kwargs):
+            dog = Prudentia(networks=[net], experiment_config=config, **kwargs)
+            return dog.calibrate(net, ["youtube"])["youtube"].solo_throughput_bps
+
+        headless = solo_bps(env=env)
+        assert headless == calibrate_catalog(
+            catalog, net, config, ["youtube"],
+            backend=InlineBackend(catalog, env=env),
+        )["youtube"].solo_throughput_bps
+        assert headless < 0.5 * solo_bps()
