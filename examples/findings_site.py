@@ -30,7 +30,9 @@ def main() -> None:
         base_seed=17,
     )
     print("running the cycle in parallel...")
-    store = watchdog.run_cycle(service_ids=SERVICES, parallel_workers=2)
+    store = watchdog.run_cycle(
+        service_ids=SERVICES, backend=watchdog.backend(workers=2)
+    )
     print(f"{watchdog.last_cycle_stats.trials_run} trials simulated")
 
     page = render_markdown_report(

@@ -10,24 +10,11 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.results import ResultStore
+from ..core.results import ResultStore, incumbent_key
 from ..core.experiment import ExperimentResult
 from ..core.stats import median
 
 Grid = Dict[Tuple[str, str], Optional[float]]
-
-
-def _incumbent_key(
-    trial: ExperimentResult, incumbent: str, contender: str
-) -> Optional[str]:
-    ids = list(trial.throughput_bps)
-    if incumbent == contender:
-        suffixed = [sid for sid in ids if sid.endswith("#2")]
-        return suffixed[0] if suffixed else ids[0]
-    for sid in ids:
-        if sid.split("#")[0] == incumbent:
-            return sid
-    return None
 
 
 def grid_from_store(
@@ -46,7 +33,7 @@ def grid_from_store(
         for incumbent in service_ids:
             samples: List[float] = []
             for trial in store.valid_trials(contender, incumbent, bandwidth_bps):
-                key = _incumbent_key(trial, incumbent, contender)
+                key = incumbent_key(trial, incumbent, contender)
                 if key is not None:
                     samples.append(value(trial, key))
             grid[(contender, incumbent)] = (

@@ -56,7 +56,6 @@ from .cliargs import (
 )
 from .config import TrialPolicyConfig
 from .core.cache import TrialCache
-from .core.experiment import run_solo_experiment
 from .core.runner import (
     ExecutionBackend,
     RunnerStats,
@@ -165,13 +164,13 @@ def cmd_services(args) -> int:
 
 def cmd_solo(args) -> int:
     """Calibrate one service uncontended."""
-    catalog = default_catalog()
-    result = run_solo_experiment(
-        catalog.get(args.service),
+    spec = TrialSpec.solo(
+        args.service,
         network_from_args(args),
         config_from_args(args),
         seed=args.seed,
     )
+    result = _backend(args).run([spec])[0]
     if args.json:
         print(json.dumps(result.to_json(), indent=1))
         return 0
@@ -228,38 +227,23 @@ def _cycle_policy_overrides(args) -> "dict | None":
 
 def cmd_cycle(args) -> int:
     """Run an all-pairs watchdog cycle and print the heatmap."""
-    earlystop = earlystop_from_args(args)
     watchdog = Prudentia(
         networks=[network_from_args(args)],
         experiment_config=config_from_args(args),
         policy_overrides=_cycle_policy_overrides(args),
         base_seed=args.seed,
         cache=_cache(args),
-        earlystop=earlystop,
+        earlystop=earlystop_from_args(args),
     )
     ids = args.services or watchdog.catalog.heatmap_ids()
     watchdog.run_cycle(
         service_ids=ids,
-        backend=build_backend(
-            kind=args.backend,
-            workers=args.workers,
-            cache=watchdog.cache,
-            catalog=watchdog.catalog,
-            env=watchdog.env,
-            earlystop=earlystop,
-        ),
+        backend=watchdog.backend(args.backend, args.workers),
     )
     stats = watchdog.last_cycle_stats
     _print_runner_stats(args, stats)
     if stats is not None and (stats.trials_truncated or stats.trials_audited):
-        rate = stats.audit_mispredict_rate
-        print(
-            f"earlystop: {stats.trials_truncated} trials truncated, "
-            f"{stats.sim_sec_saved:.1f} sim-seconds saved; "
-            f"{stats.trials_audited} audited full-length"
-            + (f", mispredict rate {rate:.2%}" if rate is not None else ""),
-            file=sys.stderr,
-        )
+        print(stats.earlystop_summary(), file=sys.stderr)
     report = watchdog.report(network_from_args(args), service_ids=ids)
     if args.json:
         print(json.dumps(report.to_json(), indent=1))

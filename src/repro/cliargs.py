@@ -13,6 +13,7 @@ wording; everything else about the flag lives here.
 from __future__ import annotations
 
 import argparse
+import sys
 from typing import Optional
 
 from . import units
@@ -20,6 +21,23 @@ from .config import ExperimentConfig, NetworkConfig, TrialPolicyConfig
 from .core.earlystop import EarlyStopConfig, EarlyStopModel
 from .core.report import FairnessReport
 from .core.runner import BACKEND_KINDS
+
+
+def reporting_errors(label: str, *errors: type):
+    """Wrap a command function so each of ``errors`` ends it with exit 1
+    and one ``<label> error: ...`` line on stderr, not a traceback."""
+
+    def wrap(func):
+        def runner(args) -> int:
+            try:
+                return func(args)
+            except errors as exc:
+                print(f"{label} error: {exc}", file=sys.stderr)
+                return 1
+
+        return runner
+
+    return wrap
 
 
 def add_network_args(parser: argparse.ArgumentParser) -> None:

@@ -43,6 +43,7 @@ from .runner import (
     RunnerStats,
     TrialSpec,
     build_backend,
+    replay,
     run_trial,
 )
 from .experiment import derive_service_seed, run_service_specs
@@ -93,6 +94,7 @@ __all__ = [
     "ProcessPoolBackend",
     "RunnerStats",
     "build_backend",
+    "replay",
     "run_trial",
     "run_service_specs",
     "derive_service_seed",

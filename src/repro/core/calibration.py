@@ -10,14 +10,12 @@ testbed or by an encoding cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..config import ExperimentConfig, NetworkConfig
 from ..services.catalog import ServiceCatalog, ServiceSpec
-from .experiment import ExperimentResult, run_solo_experiment
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .runner import ExecutionBackend
+from .experiment import ExperimentResult
+from .runner import ExecutionBackend, TrialSpec, build_backend
 
 
 @dataclass
@@ -75,24 +73,13 @@ def _calibration_from_result(
     )
 
 
-def calibrate_service(
-    spec: ServiceSpec,
-    network: NetworkConfig,
-    config: ExperimentConfig,
-    seed: int = 0,
-) -> SoloCalibration:
-    """Measure one service solo and classify its ceiling."""
-    result = run_solo_experiment(spec, network, config, seed=seed)
-    return _calibration_from_result(spec, network, result)
-
-
 def calibrate_catalog(
     catalog: ServiceCatalog,
     network: NetworkConfig,
     config: ExperimentConfig,
     service_ids: Optional[List[str]] = None,
     seed: int = 0,
-    backend: Optional["ExecutionBackend"] = None,
+    backend: Optional[ExecutionBackend] = None,
 ) -> Dict[str, SoloCalibration]:
     """Solo-run every service; returns per-service calibrations.
 
@@ -100,10 +87,8 @@ def calibrate_catalog(
     catalog by default), so calibration sweeps parallelise and cache the
     same way pair cycles do.
     """
-    from .runner import InlineBackend, TrialSpec
-
     ids = service_ids if service_ids is not None else catalog.ids()
-    runner = backend or InlineBackend(catalog=catalog)
+    runner = backend or build_backend(catalog=catalog)
     trials = [
         TrialSpec.solo(service_id, network, config, seed=seed + index)
         for index, service_id in enumerate(ids)

@@ -52,7 +52,6 @@ __all__ = [
     "EarlyStopped",
     "audit_decision",
     "fit_model",
-    "fold_earlystop",
     "stop_index",
 ]
 
@@ -370,35 +369,6 @@ class EarlyStopMonitor:
                 "mispredict": error > self.model.share_tolerance,
             }
         return None
-
-
-# ----------------------------------------------------------------------
-# Receipt / status accounting
-# ----------------------------------------------------------------------
-
-
-def fold_earlystop(totals: Dict[str, Any], meta: Optional[Dict]) -> None:
-    """Fold one result's ``earlystop`` block into an accounting dict.
-
-    Keys: ``trials_truncated``, ``sim_sec_saved``, ``trials_audited``,
-    ``audit_mispredicts`` (all created on demand, so an empty dict is a
-    valid accumulator).
-    """
-    if not meta:
-        return
-    if meta.get("truncated"):
-        totals["trials_truncated"] = totals.get("trials_truncated", 0) + 1
-        totals["sim_sec_saved"] = round(
-            totals.get("sim_sec_saved", 0.0)
-            + float(meta.get("sim_sec_saved", 0.0)),
-            6,
-        )
-    elif meta.get("audit"):
-        totals["trials_audited"] = totals.get("trials_audited", 0) + 1
-        if meta.get("mispredict"):
-            totals["audit_mispredicts"] = (
-                totals.get("audit_mispredicts", 0) + 1
-            )
 
 
 # ----------------------------------------------------------------------

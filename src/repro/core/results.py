@@ -20,6 +20,22 @@ def _pair_key(a: str, b: str) -> Tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
+def incumbent_key(
+    trial: ExperimentResult, incumbent: str, contender: str
+) -> Optional[str]:
+    """The key ``incumbent`` has in ``trial``'s per-service mappings
+    when read against ``contender`` (a self-pair's second instance is
+    ``<id>#2``); ``None`` when the trial did not measure it."""
+    ids = list(trial.mmf_share)
+    if incumbent == contender:
+        suffixed = [sid for sid in ids if sid.endswith("#2")]
+        return suffixed[0] if suffixed else ids[0]
+    for sid in ids:
+        if sid.split("#")[0] == incumbent:
+            return sid
+    return None
+
+
 class ResultStore:
     """In-memory store of trial results with JSON persistence."""
 
@@ -75,7 +91,7 @@ class ResultStore:
         """
         values = []
         for trial in self.valid_trials(incumbent, contender, bandwidth_bps):
-            key = self._resolve_id(trial, incumbent, contender)
+            key = incumbent_key(trial, incumbent, contender)
             if key is not None:
                 values.append(trial.mmf_share[key])
         return values
@@ -86,23 +102,10 @@ class ResultStore:
         """Per-trial throughputs of ``incumbent`` against ``contender``."""
         values = []
         for trial in self.valid_trials(incumbent, contender, bandwidth_bps):
-            key = self._resolve_id(trial, incumbent, contender)
+            key = incumbent_key(trial, incumbent, contender)
             if key is not None:
                 values.append(trial.throughput_bps[key])
         return values
-
-    @staticmethod
-    def _resolve_id(
-        trial: ExperimentResult, incumbent: str, contender: str
-    ) -> Optional[str]:
-        ids = list(trial.mmf_share)
-        if incumbent == contender:
-            suffixed = [sid for sid in ids if sid.endswith("#2")]
-            return suffixed[0] if suffixed else ids[0]
-        for sid in ids:
-            if sid.split("#")[0] == incumbent:
-                return sid
-        return None
 
     def pairs(self) -> List[SettingKey]:
         """All (service_a, service_b, bandwidth) buckets with data."""

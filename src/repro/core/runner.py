@@ -7,18 +7,23 @@ modification, structured the way harness-style evaluation frameworks
 (CoCo-Beholder and kin) do it: a declarative :class:`TrialSpec` names the
 work, and interchangeable :class:`ExecutionBackend` implementations decide
 *how* it runs - inline in this process, fanned out over a process pool,
-or (future work) sharded across hosts.  Every orchestration layer - the
-watchdog, calibration, sweeps, benchmarks, the CLI - submits specs
-through a backend rather than calling an experiment function directly, so
-adding a new execution substrate never adds a new execution path.  This
-module only executes: which trials a cycle runs, in what order and under
-which seeds is :mod:`repro.core.convergence`'s business (sweeps:
+or sharded across hosts (:mod:`repro.fleet`).  Every orchestration layer
+in ``src/`` - the watchdog, calibration, sweeps, the CLI down to ``repro
+solo`` - submits specs through a backend rather than calling an
+experiment function directly, and gets that backend from
+:func:`build_backend`, the one place a backend is constructed, so adding
+a new execution substrate never adds a new execution path.  This module
+only executes: which trials a cycle runs, in what order and under which
+seeds is :mod:`repro.core.convergence`'s business (sweeps:
 :mod:`repro.core.sweep`).
 
 Backends share a :class:`~repro.core.cache.TrialCache` hook: trials whose
 content hash is already cached are returned without simulating (the
 simulator is deterministic, so cached results are bit-identical), with
 hit/miss/wall-clock counters surfaced through :class:`RunnerStats`.
+Re-reading recorded trials is not a backend's job at all: reports, round
+folds and service ingests go through :func:`replay`, the same cache
+lookup with nothing behind it that could simulate.
 
 Because the default service catalog uses closures (not picklable), pool
 worker processes rebuild the catalog locally and trials address services
@@ -38,6 +43,7 @@ from typing import ClassVar, Dict, Iterable, List, Optional, Sequence, Tuple
 from ..browser.environment import ClientEnvironment
 from ..config import ExperimentConfig, NetworkConfig
 from ..obs import tracing
+from ..obs.flight import FlightRecorder
 from ..obs.metrics import get_registry
 from ..services.catalog import ServiceCatalog
 from .cache import TrialCache, trial_cache_key
@@ -51,10 +57,7 @@ class TrialSpec:
 
     Solo calibration is one service, a pair experiment is two, N-way
     contention is many - the same spec type describes all of them, and
-    every backend executes them through the same core.  Constructing with
-    ``contender_id=...``/``incumbent_id=...`` keyword arguments is
-    supported for backward compatibility with the original pair-only
-    spec.
+    every backend executes them through the same core.
 
     A spec is immutable, so its faithful-environment cache key is a
     constant of the object: :func:`~repro.core.cache.trial_cache_key`
@@ -74,27 +77,11 @@ class TrialSpec:
 
     def __init__(
         self,
-        service_ids: Optional[Sequence[str]] = None,
-        network: Optional[NetworkConfig] = None,
-        config: Optional[ExperimentConfig] = None,
+        service_ids: Sequence[str],
+        network: NetworkConfig,
+        config: ExperimentConfig,
         seed: int = 0,
-        *,
-        contender_id: Optional[str] = None,
-        incumbent_id: Optional[str] = None,
     ) -> None:
-        """Build a spec from ``service_ids`` or legacy pair keywords."""
-        if service_ids is None:
-            if contender_id is None or incumbent_id is None:
-                raise TypeError(
-                    "need service_ids or contender_id+incumbent_id"
-                )
-            service_ids = (contender_id, incumbent_id)
-        elif contender_id is not None or incumbent_id is not None:
-            raise TypeError(
-                "pass service_ids or contender/incumbent ids, not both"
-            )
-        if network is None or config is None:
-            raise TypeError("network and config are required")
         ids = tuple(service_ids)
         if not ids:
             raise ValueError("need at least one service id")
@@ -192,19 +179,18 @@ def run_trial(
 
 
 class CacheMissError(RuntimeError):
-    """A cache-only backend was asked to simulate.
+    """A :func:`replay` met trials that are not in the cache.
 
-    Raised by :meth:`ExecutionBackend.drain` when ``cache_only`` is set
-    and one or more submitted trials are not in the cache.  Replay paths
-    (fleet assembly, adaptive round folding) use this to guarantee they
-    never silently re-simulate: replay must be pure cache reads.
+    ``misses`` lists them in submission order.  Replay paths (fleet
+    assembly, adaptive round folding, service ingest) rely on this to
+    never silently re-simulate: replay is pure cache reads.
     """
 
     def __init__(self, misses: Sequence["TrialSpec"]) -> None:
         self.misses = list(misses)
         super().__init__(
-            f"cache-only backend missing {len(self.misses)} trial(s); "
-            "replay requires every trial to already be cached"
+            f"replay is missing {len(self.misses)} trial(s); it reads "
+            "recorded trials and never simulates"
         )
 
 
@@ -284,6 +270,19 @@ class RunnerStats:
             ),
         }
 
+    def earlystop_summary(self, audits: bool = True) -> str:
+        """The one-line early-termination summary ``repro cycle`` and
+        ``fleet status`` print; ``fleet cycle`` prints it without the
+        audit count (``audits=False``)."""
+        rate = self.audit_mispredict_rate
+        audited = f"; {self.trials_audited} audited full-length"
+        return (
+            f"earlystop: {self.trials_truncated} trials truncated, "
+            f"{self.sim_sec_saved:.1f} sim-seconds saved"
+            + (audited if audits else "")
+            + (f", mispredict rate {rate:.2%}" if rate is not None else "")
+        )
+
     def to_json(self) -> Dict:
         """Serialise the counters (report/receipt publication)."""
         payload = {
@@ -315,6 +314,62 @@ class RunnerStats:
 _STATS_FIELDS = frozenset(f.name for f in dataclasses_fields(RunnerStats))
 
 
+def _lookup(
+    cache: Optional[TrialCache],
+    trials: Sequence[TrialSpec],
+    env: Optional[ClientEnvironment],
+    allow_truncated: bool,
+    stats: RunnerStats,
+) -> Tuple[List[Optional[ExperimentResult]], List[Tuple[int, TrialSpec]]]:
+    """Serve ``trials`` from ``cache``, counting into ``stats``.
+
+    Returns the results in submission order (``None`` where the cache
+    had nothing admissible) and the ``(index, spec)`` of every such
+    miss.  The one lookup loop: :meth:`ExecutionBackend.drain` simulates
+    the misses, :func:`replay` refuses them.
+    """
+    results: List[Optional[ExperimentResult]] = [None] * len(trials)
+    if cache is None or not trials:
+        return results, list(enumerate(trials))
+    misses: List[Tuple[int, TrialSpec]] = []
+    with tracing.span("cache.lookup", trials=len(trials)) as lookup_span:
+        for index, spec in enumerate(trials):
+            cached = cache.get(spec, env=env, allow_truncated=allow_truncated)
+            if cached is not None:
+                results[index] = cached
+            else:
+                misses.append((index, spec))
+        hits = len(trials) - len(misses)
+        lookup_span.set(hits=hits, misses=len(misses))
+    stats.cache_hits += hits
+    stats.cache_misses += len(misses)
+    registry = get_registry()
+    registry.counter("runner.cache_hits").inc(hits)
+    registry.counter("runner.cache_misses").inc(len(misses))
+    return results, misses
+
+
+def replay(
+    cache: TrialCache, specs: Sequence[TrialSpec], allow_truncated: bool
+) -> Tuple[List[ExperimentResult], RunnerStats]:
+    """Re-read recorded trials: every spec from ``cache``, none simulated.
+
+    Returns the results in ``specs`` order and the lookup's
+    :class:`RunnerStats` (``trials_run == 0``, ``cache_hits ==
+    len(specs)``).  Raises :class:`CacheMissError` naming every spec the
+    cache cannot serve.  ``allow_truncated`` admits early-terminated
+    entries as the measurements they are - pass it exactly where the run
+    that wrote the cache was armed (a plan or cycle carrying an
+    ``earlystop`` block; a service ingest folds whatever the fleet
+    measured); anywhere else a truncated entry is a miss.
+    """
+    stats = RunnerStats()
+    results, misses = _lookup(cache, specs, None, allow_truncated, stats)
+    if misses:
+        raise CacheMissError([spec for _index, spec in misses])
+    return results, stats  # type: ignore[return-value]
+
+
 class ExecutionBackend:
     """Common submit/drain interface every execution substrate implements.
 
@@ -323,34 +378,23 @@ class ExecutionBackend:
     The base class owns cache consultation and statistics; subclasses
     implement :meth:`_execute` for the trials that missed the cache.
 
-    ``cache_only=True`` turns the backend into a pure replay device:
-    every submitted trial must hit the cache, and any miss raises
-    :class:`CacheMissError` instead of simulating.
-
     ``earlystop`` arms every simulated trial with the stop-rule monitor
-    (see :mod:`repro.core.earlystop`); ``accept_truncated`` controls
-    whether truncated cache entries count as hits (defaults to True
-    exactly when earlystop is armed, so plain runs re-simulate
-    full-length and supersede truncations).
+    (see :mod:`repro.core.earlystop`); truncated cache entries count as
+    hits exactly when it is armed, so plain runs re-simulate full-length
+    and supersede truncations.
     """
+
+    #: Client environment folded into cache keys (``None`` = faithful);
+    #: only the inline substrate can run - and so key - another one.
+    env: Optional[ClientEnvironment] = None
 
     def __init__(
         self,
         cache: Optional[TrialCache] = None,
-        cache_only: bool = False,
         earlystop: Optional[EarlyStopConfig] = None,
-        accept_truncated: Optional[bool] = None,
     ) -> None:
-        if cache_only and cache is None:
-            raise ValueError("cache_only requires a cache")
         self.cache = cache
-        self.cache_only = cache_only
         self.earlystop = earlystop
-        self.accept_truncated = (
-            accept_truncated
-            if accept_truncated is not None
-            else earlystop is not None
-        )
         self.stats = RunnerStats()
         self._pending: List[TrialSpec] = []
 
@@ -363,46 +407,12 @@ class ExecutionBackend:
     def drain(self) -> List[ExperimentResult]:
         """Execute everything submitted; results in submission order."""
         trials, self._pending = self._pending, []
-        if not trials:
-            return []
-        registry = get_registry()
-        results: List[Optional[ExperimentResult]] = [None] * len(trials)
-        misses: List[Tuple[int, TrialSpec]] = []
-        env = self._cache_env()
-        hits_before = self.stats.cache_hits
-        lookup = (
-            tracing.span("cache.lookup", trials=len(trials))
-            if self.cache is not None
-            else tracing.null_span()
+        env = self.env
+        results, misses = _lookup(
+            self.cache, trials, env, self.earlystop is not None, self.stats
         )
-        with lookup as lookup_span:
-            for index, spec in enumerate(trials):
-                cached = (
-                    self.cache.get(
-                        spec, env=env, allow_truncated=self.accept_truncated
-                    )
-                    if self.cache is not None
-                    else None
-                )
-                if cached is not None:
-                    self.stats.cache_hits += 1
-                    results[index] = cached
-                else:
-                    if self.cache is not None:
-                        self.stats.cache_misses += 1
-                    misses.append((index, spec))
-            lookup_span.set(
-                hits=self.stats.cache_hits - hits_before,
-                misses=len(misses),
-            )
-        registry.counter("runner.cache_hits").inc(
-            self.stats.cache_hits - hits_before
-        )
-        if self.cache is not None:
-            registry.counter("runner.cache_misses").inc(len(misses))
-        if misses and self.cache_only:
-            raise CacheMissError([spec for _i, spec in misses])
         if misses:
+            registry = get_registry()
             start = time.perf_counter()
             with tracing.span(
                 "backend.dispatch",
@@ -434,10 +444,6 @@ class ExecutionBackend:
         """Simulate the given trials; subclasses supply the substrate."""
         raise NotImplementedError
 
-    def _cache_env(self) -> Optional[ClientEnvironment]:
-        """Client environment folded into cache keys (None = faithful)."""
-        return None
-
 
 class InlineBackend(ExecutionBackend):
     """Sequential in-process execution (the default substrate).
@@ -445,6 +451,17 @@ class InlineBackend(ExecutionBackend):
     Carries an explicit catalog and client environment, so it supports
     custom/ephemeral catalogs and Section-3.3 environment studies that
     the process pool (which rebuilds catalogs by name) cannot.
+
+    ``record_flight`` runs each cache miss under a fresh
+    :class:`~repro.obs.flight.FlightRecorder`: the recording payload is
+    kept in :attr:`recordings` (keyed by trial cache key; ``None`` when
+    not recording) and - when the backend has a directory cache -
+    persisted as a ``<key>.flight.json`` sidecar next to the result
+    entry.  Cache hits skip simulation AND recording: the sidecar from
+    the original run remains the recording of record, so merges across
+    cache hits are loss-free.  Recording changes nothing about the
+    results (the recorder is pure reads at existing event boundaries;
+    see :mod:`repro.obs.flight`).
     """
 
     def __init__(
@@ -452,75 +469,22 @@ class InlineBackend(ExecutionBackend):
         catalog: Optional[ServiceCatalog] = None,
         env: Optional[ClientEnvironment] = None,
         cache: Optional[TrialCache] = None,
-        cache_only: bool = False,
         earlystop: Optional[EarlyStopConfig] = None,
-        accept_truncated: Optional[bool] = None,
+        record_flight: bool = False,
     ) -> None:
-        super().__init__(
-            cache=cache,
-            cache_only=cache_only,
-            earlystop=earlystop,
-            accept_truncated=accept_truncated,
-        )
+        super().__init__(cache=cache, earlystop=earlystop)
         self.catalog = catalog
         self.env = env
+        self.recordings: Optional[Dict[str, Dict]] = (
+            {} if record_flight else None
+        )
 
     def _execute(self, trials: Sequence[TrialSpec]) -> List[ExperimentResult]:
         """Run each trial sequentially in this process."""
-        return [
-            run_trial(
-                spec,
-                catalog=self.catalog,
-                env=self.env,
-                earlystop=self.earlystop,
-            )
-            for spec in trials
-        ]
-
-    def _cache_env(self) -> Optional[ClientEnvironment]:
-        """Cache keys include this backend's client environment."""
-        return self.env
-
-
-class RecordingInlineBackend(InlineBackend):
-    """Inline execution that flight-records every simulated trial.
-
-    Each cache miss runs with a fresh
-    :class:`~repro.obs.flight.FlightRecorder`; the recording payload is
-    kept in :attr:`recordings` (keyed by trial cache key) and - when the
-    backend has a directory cache - persisted as a ``<key>.flight.json``
-    sidecar next to the result entry.  Cache hits skip simulation AND
-    recording, exactly like the plain inline backend: the sidecar from
-    the original run remains the recording of record, so merges across
-    cache hits are loss-free.
-
-    Recording changes nothing about the results (the recorder is pure
-    reads at existing event boundaries; see :mod:`repro.obs.flight`), so
-    this backend is bit-identical to :class:`InlineBackend`.
-    """
-
-    def __init__(
-        self,
-        catalog: Optional[ServiceCatalog] = None,
-        env: Optional[ClientEnvironment] = None,
-        cache: Optional[TrialCache] = None,
-        grid_usec: Optional[int] = None,
-        earlystop: Optional[EarlyStopConfig] = None,
-    ) -> None:
-        super().__init__(
-            catalog=catalog, env=env, cache=cache, earlystop=earlystop
-        )
-        from ..obs.flight import DEFAULT_GRID_USEC
-
-        self.grid_usec = grid_usec or DEFAULT_GRID_USEC
-        self.recordings: Dict[str, Dict] = {}
-
-    def _execute(self, trials: Sequence[TrialSpec]) -> List[ExperimentResult]:
-        from ..obs.flight import FlightRecorder
-
         results: List[ExperimentResult] = []
+        recording = self.recordings is not None
         for spec in trials:
-            recorder = FlightRecorder(self.grid_usec)
+            recorder = FlightRecorder() if recording else None
             results.append(
                 run_trial(
                     spec,
@@ -530,11 +494,12 @@ class RecordingInlineBackend(InlineBackend):
                     earlystop=self.earlystop,
                 )
             )
-            key = trial_cache_key(spec, self.env)
-            payload = recorder.to_json()
-            self.recordings[key] = payload
-            if self.cache is not None:
-                self.cache.put_sidecar(key, "flight", payload)
+            if recorder is not None:
+                key = trial_cache_key(spec, self.env)
+                payload = recorder.to_json()
+                self.recordings[key] = payload
+                if self.cache is not None:
+                    self.cache.put_sidecar(key, "flight", payload)
         return results
 
 
@@ -603,8 +568,9 @@ def build_backend(
     catalog: Optional[ServiceCatalog] = None,
     env: Optional[ClientEnvironment] = None,
     earlystop: Optional[EarlyStopConfig] = None,
+    record_flight: bool = False,
 ) -> ExecutionBackend:
-    """Construct an execution backend from CLI-ish knobs.
+    """Construct an execution backend - the one place ``src/`` does.
 
     ``kind=None`` keeps the historic behaviour: ``workers`` selects the
     process pool, otherwise execution is inline.  Explicit kinds pick the
@@ -613,8 +579,19 @@ def build_backend(
     ``catalog``/``env`` apply only to the inline substrate.
     ``earlystop`` arms every substrate's trials with the stop-rule
     monitor (the pool ships the model JSON to its workers).
+    ``record_flight`` flight-records every simulated trial (see
+    :class:`InlineBackend`); recorders live in this process, so it runs
+    inline whatever ``workers`` says and an explicit ``process`` kind is
+    a :class:`ValueError`.
     """
-    if kind is None:
+    if record_flight:
+        if kind == "process":
+            raise ValueError(
+                "record_flight forces the inline recording backend - "
+                "drop the explicit backend/backend_kind"
+            )
+        kind = "inline"
+    elif kind is None:
         kind = "process" if workers else "inline"
     if kind == "process":
         return ProcessPoolBackend(
@@ -622,7 +599,11 @@ def build_backend(
         )
     if kind == "inline":
         return InlineBackend(
-            catalog=catalog, env=env, cache=cache, earlystop=earlystop
+            catalog=catalog,
+            env=env,
+            cache=cache,
+            earlystop=earlystop,
+            record_flight=record_flight,
         )
     raise ValueError(
         f"unknown backend kind {kind!r}; choices: {BACKEND_KINDS}"

@@ -16,7 +16,7 @@ from .. import units
 from ..config import ExperimentConfig, NetworkConfig
 from ..services.catalog import ServiceCatalog, ServiceSpec
 from .experiment import ExperimentResult
-from .runner import ExecutionBackend, InlineBackend, TrialSpec
+from .runner import ExecutionBackend, TrialSpec, build_backend
 from .stats import median
 
 
@@ -135,7 +135,7 @@ def _pair_backend(
     catalog.register(spec_a)
     if spec_b.service_id != spec_a.service_id:
         catalog.register(spec_b)
-    return InlineBackend(catalog=catalog)
+    return build_backend(catalog=catalog)
 
 
 def _run_points(
@@ -148,7 +148,7 @@ def _run_points(
     backend: Optional[ExecutionBackend] = None,
 ) -> List[SweepPoint]:
     runner = _pair_backend(spec_a, spec_b, backend)
-    runner.submit(
+    all_results = runner.run(
         pair_sweep_trials(
             spec_a.service_id,
             spec_b.service_id,
@@ -158,7 +158,6 @@ def _run_points(
             base_seed,
         )
     )
-    all_results = runner.drain()
     points = []
     for index, (parameter, _network) in enumerate(networks):
         results = all_results[index * trials:(index + 1) * trials]

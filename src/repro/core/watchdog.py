@@ -6,8 +6,8 @@ solo calibration, the result store, and report generation.  One
 over all pairs in both settings: it advances a
 :class:`~repro.core.convergence.CycleState` - the round-robin order, the
 seeds and the CI stopping rule all live there - and its only own part is
-*executing* a round, through an in-process or process-pool backend into
-the result store.  The adaptive fleet driver
+*executing* a round, through an execution backend
+(:meth:`Prudentia.backend`) into the result store.  The adaptive fleet driver
 (:func:`repro.fleet.adaptive.run_adaptive_cycle`) is the same loop with
 a different ``execute``.  ``run_continuously`` repeats cycles the way the
 live deployment has since 2022.
@@ -123,7 +123,7 @@ class Prudentia:
             self.experiment_config,
             service_ids=service_ids,
             seed=self.base_seed,
-            backend=self._backend(),
+            backend=self.backend(armed=False),
         )
         self.calibrations[net.bandwidth_bps] = calibrations
         return calibrations
@@ -140,18 +140,26 @@ class Prudentia:
     # All-pairs sweeps
     # ------------------------------------------------------------------
 
-    def _backend(
-        self, parallel_workers: Optional[int] = None, earlystop=None
+    def backend(
+        self,
+        kind: Optional[str] = None,
+        workers: Optional[int] = None,
+        armed: bool = True,
     ) -> ExecutionBackend:
-        """This watchdog's backend: its cache, and - inline - its catalog
+        """An execution backend over this watchdog's cache and stop rule
+        (``armed=False`` leaves the rule off) and - inline - its catalog
         and client environment (pool workers rebuild the default catalog
-        and run the faithful environment)."""
+        and run the faithful environment).  ``kind``/``workers`` pick
+        the substrate as in :func:`~repro.core.runner.build_backend`;
+        pass the result to :meth:`run_cycle` for a process-pool cycle
+        (the Section-9 scaling direction)."""
         return build_backend(
-            workers=parallel_workers,
+            kind,
+            workers,
             cache=self.cache,
             catalog=self.catalog,
             env=self.env,
-            earlystop=earlystop,
+            earlystop=self.earlystop if armed else None,
         )
 
     def run_cycle(
@@ -159,7 +167,6 @@ class Prudentia:
         service_ids: Optional[List[str]] = None,
         include_self_pairs: bool = True,
         networks: Optional[Sequence[NetworkConfig]] = None,
-        parallel_workers: Optional[int] = None,
         backend: Optional[ExecutionBackend] = None,
     ) -> ResultStore:
         """One full all-pairs sweep over every configured setting.
@@ -168,17 +175,14 @@ class Prudentia:
         :class:`CycleState` emits each round's trials (every setting's
         queued batches, round-robin), an :class:`ExecutionBackend` runs
         them, valid results land in the store and every outcome feeds
-        the trial policy.  ``parallel_workers`` selects a process-pool
-        backend (the Section-9 scaling direction) - the policy and its
-        re-queueing behaviour are unchanged since each round completes
-        before the next is planned.  Pool mode requires the default
-        catalog (worker processes rebuild it by name) and uses the
-        faithful client environment.  An explicit ``backend`` overrides
-        both.  Execution counters for the cycle (trials simulated, cache
-        hits/misses, simulation wall-clock) land in
-        ``self.last_cycle_stats``.
+        the trial policy.  ``backend`` defaults to :meth:`backend`'s
+        inline one; a process pool (``self.backend(workers=4)``) leaves
+        the policy and its re-queueing behaviour unchanged, since each
+        round completes before the next is planned.  Execution counters
+        for the cycle (trials simulated, cache hits/misses, simulation
+        wall-clock) land in ``self.last_cycle_stats``.
         """
-        runner = backend or self._backend(parallel_workers, self.earlystop)
+        runner = backend or self.backend()
         ids = service_ids or self.catalog.heatmap_ids()
         settings = list(networks or self.networks)
         state = CycleState(

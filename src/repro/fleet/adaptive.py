@@ -20,10 +20,10 @@ JSON form - and :func:`run_adaptive_cycle` executes each round as:
    decides who is missing, the merge's supersede rule resolves the
    duplicate receipts);
 3. **merge**  - receipts fold into one cumulative cycle cache;
-4. **fold**   - :meth:`AdaptiveCycleState.fold_round` replays the
-   round's trials from the cache (``cache_only`` - folding never
-   simulates) and records them, which retires converged/unstable pairs
-   and queues the next batches.
+4. **fold**   - :meth:`AdaptiveCycleState.fold_round` re-reads the
+   round's trials from the cache (:func:`~repro.core.runner.replay` -
+   folding never simulates) and records them, which retires
+   converged/unstable pairs and queues the next batches.
 
 Rounds repeat until every pair is converged or at the max-trial cap.
 Because per-trial seeds are pure functions of (base seed, pair, trial
@@ -54,11 +54,10 @@ from ..atomicio import atomic_write
 from ..config import ExperimentConfig, NetworkConfig, TrialPolicyConfig
 from ..core.cache import CACHE_SCHEMA_VERSION, TrialCache
 from ..core.convergence import ConvergenceTracker, CycleState
-from ..core.runner import InlineBackend, RunnerStats
+from ..core.runner import RunnerStats, replay
 from ..obs import tracing
 from ..obs.log import get_logger
 from ..obs.metrics import get_registry
-from ..services.catalog import ServiceCatalog
 from .merge import MergeReport, merge_shards
 from .plan import (
     FleetError,
@@ -204,15 +203,15 @@ class AdaptiveCycleState(CycleState):
         self,
         plan: FleetPlan,
         cache: TrialCache,
-        catalog: Optional[ServiceCatalog] = None,
         merge_report: Optional[MergeReport] = None,
     ) -> Dict:
         """Fold one merged round into the trackers; advance the round.
 
-        Replays the round plan's trials from the cumulative cache
-        through a ``cache_only`` backend - folding never simulates; a
-        missing entry raises :class:`~repro.core.runner.CacheMissError`
-        - and records them (:meth:`record`).  Returns the round's
+        Re-reads the round plan's trials from the cumulative cache
+        (:func:`~repro.core.runner.replay`: folding never simulates; a
+        missing entry raises :class:`~repro.core.runner.CacheMissError`,
+        and truncated entries are admissible exactly when the cycle is
+        armed) and records them (:meth:`record`).  Returns the round's
         history entry.
         """
         if plan.cycle_id != self.cycle_id:
@@ -225,14 +224,11 @@ class AdaptiveCycleState(CycleState):
                 f"round plan is round {plan.round_index}, state expects "
                 f"round {self.round_index} (fold rounds in order)"
             )
-        backend = InlineBackend(
-            catalog=catalog,
-            cache=cache,
-            cache_only=True,
-            accept_truncated=self.earlystop is not None,
-        )
         specs = [t.spec for t in plan.trials]
-        self.record(specs, backend.run(specs))
+        results, _stats = replay(
+            cache, specs, allow_truncated=self.earlystop is not None
+        )
+        self.record(specs, results)
         entry = {
             "round": plan.round_index,
             "trials": len(specs),
@@ -440,7 +436,6 @@ def run_adaptive_cycle(
     include_self_pairs: bool = True,
     backend_kind: Optional[str] = None,
     workers: Optional[int] = None,
-    catalog: Optional[ServiceCatalog] = None,
     dispatch: Optional[Dispatcher] = None,
     max_retries: int = 2,
     max_rounds: Optional[int] = None,
@@ -550,10 +545,7 @@ def run_adaptive_cycle(
                 cache_dir,
             )
             state.fold_round(
-                plan,
-                TrialCache(cache_dir),
-                catalog=catalog,
-                merge_report=merge_report,
+                plan, TrialCache(cache_dir), merge_report=merge_report
             )
         registry.gauge("planner.pairs_open").set(state.open_pairs_total())
         state.save(out)

@@ -1,36 +1,33 @@
 """Report assembly: rebuild published artifacts from a merged cache.
 
-The last fleet stage proves the round trip: replaying the plan's trial
-list through an :class:`~repro.core.runner.InlineBackend` wired to the
-merged cache rebuilds the :class:`~repro.core.results.ResultStore` in
-single-host execution order *without simulating anything* - every trial
-must be a cache hit, and the assembler refuses to silently re-simulate
-if one is not.  The resulting :class:`~repro.core.report.FairnessReport`
-(or sweep curve) is therefore bit-identical to what one host running the
-whole cycle would have published, and its attached
+The last fleet stage proves the round trip: re-reading the plan's trial
+list from the merged cache (:func:`~repro.core.runner.replay`) rebuilds
+the :class:`~repro.core.results.ResultStore` in single-host execution
+order *without simulating anything* - every trial must be a cache hit,
+and replay has nothing behind it that could simulate one that is not.
+The resulting :class:`~repro.core.report.FairnessReport` (or sweep
+curve) is therefore bit-identical to what one host running the whole
+cycle would have published, and its attached
 :class:`~repro.core.runner.RunnerStats` proves it: ``trials_run == 0``,
 ``cache_hits == len(plan.trials)``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..core.cache import CacheEntryError, TrialCache
 from ..core.report import FairnessReport
 from ..core.results import ResultStore
-from ..core.runner import CacheMissError, InlineBackend, RunnerStats
+from ..core.runner import CacheMissError, RunnerStats, replay
 from ..core.sweep import SweepPoint, aggregate_pair_results
 from ..obs import tracing
-from ..services.catalog import ServiceCatalog
 from .plan import FleetError, FleetPlan, _dataclass_from_json
 from ..config import NetworkConfig
 
 
 def assemble_store(
-    plan: FleetPlan,
-    cache: TrialCache,
-    catalog: Optional[ServiceCatalog] = None,
+    plan: FleetPlan, cache: TrialCache
 ) -> Tuple[ResultStore, RunnerStats, List]:
     """Replay the plan against the cache: zero simulations, full store.
 
@@ -63,14 +60,10 @@ def assemble_store(
                 "assembling"
             )
         armed = (plan.params or {}).get("earlystop") is not None
-        backend = InlineBackend(
-            catalog=catalog,
-            cache=cache,
-            cache_only=True,
-            accept_truncated=True if armed else None,
-        )
         try:
-            results = backend.run([t.spec for t in plan.trials])
+            results, stats = replay(
+                cache, [t.spec for t in plan.trials], allow_truncated=armed
+            )
         except CacheEntryError as exc:
             raise FleetError(f"damaged cache entry: {exc}") from exc
         except CacheMissError as exc:
@@ -82,13 +75,11 @@ def assemble_store(
             ) from exc
         store = ResultStore()
         store.extend(results, valid_only=True)
-        return store, backend.stats, results
+        return store, stats, results
 
 
 def assemble_reports(
-    plan: FleetPlan,
-    cache: TrialCache,
-    catalog: Optional[ServiceCatalog] = None,
+    plan: FleetPlan, cache: TrialCache
 ) -> List[FairnessReport]:
     """Rebuild the cycle's fairness report(s), one per network setting.
 
@@ -98,7 +89,7 @@ def assemble_reports(
     if plan.kind != "cycle":
         raise FleetError(f"plan kind {plan.kind!r} does not assemble "
                          "into fairness reports; use assemble_sweep")
-    store, stats, _results = assemble_store(plan, cache, catalog=catalog)
+    store, stats, _results = assemble_store(plan, cache)
     service_ids = list(plan.params["service_ids"])
     reports = []
     for payload in plan.params["networks"]:
@@ -114,11 +105,7 @@ def assemble_reports(
     return reports
 
 
-def assemble_sweep(
-    plan: FleetPlan,
-    cache: TrialCache,
-    catalog: Optional[ServiceCatalog] = None,
-) -> List[SweepPoint]:
+def assemble_sweep(plan: FleetPlan, cache: TrialCache) -> List[SweepPoint]:
     """Rebuild a sweep's (parameter -> shares) curve from the cache.
 
     Aggregates per sweep point exactly like the in-process sweep
@@ -127,7 +114,7 @@ def assemble_sweep(
     """
     if plan.kind != "sweep":
         raise FleetError(f"plan kind {plan.kind!r} is not a sweep")
-    _store, _stats, results = assemble_store(plan, cache, catalog=catalog)
+    _store, _stats, results = assemble_store(plan, cache)
     values = plan.params["values"]
     trials = plan.params["trials"]
     id_a = plan.params["service_id_a"]

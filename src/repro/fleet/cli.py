@@ -43,9 +43,11 @@ from ..cliargs import (
     network_from_args,
     policy_from_args,
     print_heatmap,
+    reporting_errors,
 )
 from ..core.cache import CacheEntryError, TrialCache
 from ..core.earlystop import EarlyStopModelError
+from ..core.runner import RunnerStats
 from ..core.sweep import render_sweep
 from ..services.catalog import default_catalog
 from ..obs.log import get_logger
@@ -269,12 +271,10 @@ def cmd_fleet_cycle(args) -> int:
         return 0
     print(state.render_progress())
     if earlystop_rollup is not None:
-        rate = earlystop_rollup["audit_mispredict_rate"]
         print(
-            f"earlystop: {earlystop_rollup['trials_truncated']} trials "
-            f"truncated, {earlystop_rollup['sim_sec_saved']:.1f} "
-            f"sim-seconds saved"
-            + (f", mispredict rate {rate:.2%}" if rate is not None else "")
+            RunnerStats.from_json(earlystop_rollup).earlystop_summary(
+                audits=False
+            )
         )
     print(
         f"converged in {state.round_index} round(s): "
@@ -329,17 +329,9 @@ def cmd_fleet_report(args) -> int:
     return 0
 
 
-def _wrap(func):
-    """Surface fleet and cache-entry errors as exit 1, one clean line."""
-
-    def runner(args) -> int:
-        try:
-            return func(args)
-        except (FleetError, CacheEntryError, EarlyStopModelError) as exc:
-            print(f"fleet error: {exc}", file=sys.stderr)
-            return 1
-
-    return runner
+_wrap = reporting_errors(
+    "fleet", FleetError, CacheEntryError, EarlyStopModelError
+)
 
 
 def register(sub: argparse._SubParsersAction) -> None:

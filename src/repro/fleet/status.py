@@ -201,17 +201,8 @@ class FleetStatus:
                 line += f"; newest receipt {age:.0f}s old"
             lines.append(line)
             if telemetry["trials_truncated"] or telemetry["trials_audited"]:
-                rate = telemetry["audit_mispredict_rate"]
                 lines.append(
-                    f"earlystop: {telemetry['trials_truncated']} trials "
-                    f"truncated, {telemetry['sim_sec_saved']:.1f} "
-                    f"sim-seconds saved; {telemetry['trials_audited']} "
-                    "audited full-length"
-                    + (
-                        f", mispredict rate {rate:.2%}"
-                        if rate is not None
-                        else ""
-                    )
+                    RunnerStats.from_json(telemetry).earlystop_summary()
                 )
         if self.foreign_dirs:
             lines.append(

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Union
 
 from ..atomicio import atomic_write
 from ..core.cache import CACHE_SCHEMA_VERSION, TrialCache, trial_cache_key
-from ..core.runner import ExecutionBackend, RunnerStats, build_backend
+from ..core.runner import RunnerStats, build_backend
 from ..obs import tracing
 from ..obs.metrics import diff_snapshots, get_registry
 from .plan import (
@@ -160,7 +160,6 @@ def _checked_specs(payload: Dict) -> "tuple[Dict, List]":
 def run_shard(
     manifest: Union[Dict, str, Path],
     cache_dir: Union[str, Path],
-    backend: Optional[ExecutionBackend] = None,
     backend_kind: Optional[str] = None,
     workers: Optional[int] = None,
     cache_max_bytes: Optional[int] = None,
@@ -190,8 +189,9 @@ def run_shard(
     ``<key>.flight.json`` sidecars in ``cache_dir``, and the receipt's
     ``flight_prefix`` carries the first ``flight_prefix_points`` grid
     points per trial so the merge sees diagnosis features without the
-    sidecars.  Recording forces the inline backend, so it conflicts with
-    an explicit ``backend``/``backend_kind``.
+    sidecars.  Recording runs inline
+    (:func:`~repro.core.runner.build_backend`), so it conflicts with an
+    explicit ``process`` ``backend_kind``.
 
     A manifest carrying an ``earlystop`` block (the model artifact plus
     audit fraction; see :mod:`repro.core.earlystop`) arms every simulated
@@ -214,29 +214,16 @@ def run_shard(
         from ..core.earlystop import EarlyStopConfig
 
         earlystop = EarlyStopConfig.from_json(earlystop_json)
-    recording_backend = None
-    if record_flight:
-        if backend is not None or backend_kind is not None:
-            raise FleetError(
-                "record_flight forces the inline recording backend - "
-                "drop the explicit backend/backend_kind"
-            )
-        from ..core.runner import RecordingInlineBackend
-
-        recording_backend = RecordingInlineBackend(
-            cache=cache, earlystop=earlystop
-        )
-        backend = recording_backend
-    if backend is None:
+    try:
         backend = build_backend(
-            backend_kind, workers, cache=cache, earlystop=earlystop
+            backend_kind,
+            workers,
+            cache=cache,
+            earlystop=earlystop,
+            record_flight=record_flight,
         )
-    else:
-        if backend.cache is None:
-            backend.cache = cache
-        if earlystop is not None and backend.earlystop is None:
-            backend.earlystop = earlystop
-            backend.accept_truncated = True
+    except ValueError as exc:
+        raise FleetError(str(exc)) from exc
     metrics_before = get_registry().snapshot()
     with tracing.span(
         "shard.run",
@@ -246,12 +233,12 @@ def run_shard(
         backend.run(specs)
     cycle = manifest.get("cycle") or {}
     flight_prefix = None
-    if recording_backend is not None:
+    if record_flight:
         from ..obs.flight import prefix_summary
 
         flight_prefix = {
             key: prefix_summary(payload, max_points=flight_prefix_points)
-            for key, payload in sorted(recording_backend.recordings.items())
+            for key, payload in sorted(backend.recordings.items())
         }
     receipt = ShardReceipt(
         plan_id=manifest["plan_id"],

@@ -19,6 +19,7 @@ import json
 from pathlib import Path
 
 from .. import units
+from ..cliargs import reporting_errors
 from ..config import ExperimentConfig, NetworkConfig
 from ..obs.log import get_logger
 from .coordinator import ServiceError, WatchdogService
@@ -85,6 +86,11 @@ def cmd_service_submit(args) -> int:
     return 0
 
 
+#: A service error raised outside a pass (an unreadable
+#: ``service-state.json`` at start-up) is exit 1 and one clean line.
+_wrap = reporting_errors("service", ServiceError)
+
+
 def _add_service_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--spool", required=True,
@@ -141,17 +147,17 @@ def register(sub) -> None:
         "--max-loops", type=int, default=None,
         help="stop after N passes (default: run until signalled)",
     )
-    p.set_defaults(func=cmd_service_run)
+    p.set_defaults(func=_wrap(cmd_service_run))
 
     p = ssub.add_parser(
         "ingest-once", help="one coordinator pass, then exit"
     )
     _add_service_args(p)
-    p.set_defaults(func=cmd_service_ingest_once)
+    p.set_defaults(func=_wrap(cmd_service_ingest_once))
 
     p = ssub.add_parser("status", help="print service status as JSON")
     _add_service_args(p)
-    p.set_defaults(func=cmd_service_status)
+    p.set_defaults(func=_wrap(cmd_service_status))
 
     p = ssub.add_parser(
         "submit", help="queue a third-party URL submission"

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..atomicio import atomic_write
+from ..atomicio import atomic_write, load_json_artifact
 from ..config import (
     ExperimentConfig,
     NetworkConfig,
@@ -64,7 +64,7 @@ from ..config import (
     moderately_constrained,
 )
 from ..core.cache import CacheEntryError, TrialCache
-from ..core.runner import CacheMissError, InlineBackend, TrialSpec
+from ..core.runner import CacheMissError, TrialSpec, replay
 from ..core.submission import SubmissionError, SubmissionPortal
 from ..fleet.adaptive import AdaptiveCycleState, ASSEMBLY_PLAN_FILENAME, STATE_FILENAME
 from ..fleet.plan import FleetError, FleetPlan, load_plan, write_manifest
@@ -91,6 +91,22 @@ FAULT_ENV = "REPRO_SERVICE_FAULT"
 
 class ServiceError(RuntimeError):
     """The coordinator hit an invariant violation it cannot ingest past."""
+
+
+def _checked_state(payload: Dict) -> Dict:
+    """``payload`` if it is a service state this version reads."""
+    schema = payload.get("schema")
+    if schema != SERVICE_STATE_SCHEMA_VERSION:
+        raise ServiceError(
+            f"service state schema {schema!r} != supported "
+            f"{SERVICE_STATE_SCHEMA_VERSION}"
+        )
+    # A missing section is a LookupError here, which the loader reports
+    # with the file's name, rather than a KeyError mid-ingest.
+    payload["cycles"]
+    for section in ("accepted", "rejected", "processed_lines"):
+        payload["submissions"][section]
+    return payload
 
 
 def _fault(point: str) -> None:
@@ -174,10 +190,17 @@ class WatchdogService:
         return self.out / SERVICE_STATE_FILENAME
 
     def _load_state(self) -> Dict:
+        """The durable ledger; a fresh one when the file is absent.
+
+        A file that is there but is not this library's service state -
+        cut short, corrupted, another JSON shape or schema - raises
+        :class:`ServiceError` naming it: starting from an empty ledger
+        instead would silently drop every accepted submission.
+        """
         if self.state_path.exists():
-            payload = json.loads(self.state_path.read_text())
-            if payload.get("schema") == SERVICE_STATE_SCHEMA_VERSION:
-                return payload
+            return load_json_artifact(
+                self.state_path, _checked_state, "service state", ServiceError
+            )
         return {
             "schema": SERVICE_STATE_SCHEMA_VERSION,
             "cycles": [],
@@ -211,14 +234,6 @@ class WatchdogService:
                     error=str(exc),
                 )
 
-    def ingest_timestamps(self) -> Dict[str, float]:
-        """Cycle-id -> ingest unix time (the since-timestamp window key)."""
-        return {
-            entry["cycle_id"]: entry["ingested_unix"]
-            for entry in self.state["cycles"]
-            if entry.get("ingested_unix") is not None
-        }
-
     # ------------------------------------------------------------------
     # Submissions
     # ------------------------------------------------------------------
@@ -233,25 +248,35 @@ class WatchdogService:
         Each line of ``submissions.jsonl`` is ``{"url": ...,
         "access_code": ...}``.  Lines are processed exactly once (a
         durable line cursor); accepted submissions join the catalog now
-        and the next plan at its next write.  Invalid lines are recorded
-        as rejections, never fatal - the portal's job is to say no.
+        and the next plan at its next write.  Invalid lines - not UTF-8,
+        not JSON, not an object of strings, refused by the portal - are
+        recorded as rejections, never fatal: the portal's job is to say
+        no, and the cursor moves past them.
         """
         if not self.submissions_path.exists():
             return []
-        lines = self.submissions_path.read_text().splitlines()
+        lines = self.submissions_path.read_bytes().splitlines()
         ledger = self.state["submissions"]
         start = ledger["processed_lines"]
         accepted: List[Dict] = []
-        for line in lines[start:]:
-            line = line.strip()
-            if not line:
+        for raw in lines[start:]:
+            if not raw.strip():
                 continue
             try:
-                payload = json.loads(line)
-                submission = self.portal.submit(
-                    payload["url"], payload.get("access_code", "")
-                )
+                # UnicodeDecodeError and JSONDecodeError are ValueErrors.
+                payload = json.loads(raw.decode("utf-8"))
+                if not isinstance(payload, dict):
+                    raise ValueError(
+                        "expected a JSON object, found "
+                        f"{type(payload).__name__}"
+                    )
+                url = payload["url"]
+                access_code = payload.get("access_code", "")
+                if not isinstance(url, str) or not isinstance(access_code, str):
+                    raise ValueError("url and access_code must be strings")
+                submission = self.portal.submit(url, access_code)
             except (ValueError, KeyError, SubmissionError) as exc:
+                line = raw.decode("utf-8", "replace").strip()
                 ledger["rejected"].append(
                     {"line": line[:200], "error": str(exc)}
                 )
@@ -442,9 +467,10 @@ class WatchdogService:
     def ingest_entry(self, entry: Path) -> IngestReport:
         """Ingest one spool entry: fold, journal, commit, requeue, move.
 
-        Folding is pure cache replay (``cache_only``); the journal
-        commit is the linearisation point; the entry moves to ``done/``
-        only after its commit, so a crash anywhere re-runs idempotently.
+        Folding is pure cache replay (:func:`~repro.core.runner.replay`,
+        which cannot simulate); the journal commit is the linearisation
+        point; the entry moves to ``done/`` only after its commit, so a
+        crash anywhere re-runs idempotently.
         """
         requeued: List[str] = []
         if (entry / STATE_FILENAME).exists():
@@ -498,18 +524,15 @@ class WatchdogService:
                 skipped=True,
                 diagnosed=diagnosed,
             )
-        # accept_truncated: fleet caches may hold early-terminated
-        # trials (repro.core.earlystop); folding replays whatever the
-        # fleet measured, so truncated entries are valid results here,
-        # not misses.
-        backend = InlineBackend(
-            cache=cache, cache_only=True, accept_truncated=True
-        )
         with tracing.span(
             "service.ingest", source=entry.name, trials=len(specs)
         ):
             try:
-                results = backend.run(specs)
+                # Fleet caches may hold early-terminated trials
+                # (repro.core.earlystop); folding replays whatever the
+                # fleet measured, so truncated entries are results here,
+                # not misses.
+                results, stats = replay(cache, specs, allow_truncated=True)
             except CacheEntryError as exc:
                 raise self._retire_unreadable(entry, exc) from exc
             except CacheMissError as exc:
@@ -545,7 +568,7 @@ class WatchdogService:
             "totals",
             {"cache_hits": 0, "trials_folded": 0, "flight_diagnosed": 0},
         )
-        totals["cache_hits"] += backend.stats.cache_hits
+        totals["cache_hits"] += stats.cache_hits
         totals["trials_folded"] += len(record.results)
         totals["flight_diagnosed"] += diagnosed
         truncated = [r for r in results if r.truncated]

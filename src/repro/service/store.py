@@ -470,20 +470,11 @@ class RollingResultStore:
         """Total trials across every committed cycle."""
         return sum(len(record.results) for record in self._cycles)
 
-    def store_view(
-        self,
-        last_cycles: Optional[int] = None,
-        since_unix: Optional[float] = None,
-        timestamps: Optional[Dict[str, float]] = None,
-    ) -> ResultStore:
+    def store_view(self, last_cycles: Optional[int] = None) -> ResultStore:
         """A plain :class:`ResultStore` over a window of cycles.
 
-        ``last_cycles`` keeps only the N most recent ingests;
-        ``since_unix`` keeps cycles whose ingest timestamp (looked up in
-        ``timestamps``, the coordinator's cycle-id -> unix map) is at or
-        after the cutoff - cycles with no recorded timestamp are kept,
-        erring on the side of showing data.  Invalid trials are dropped,
-        matching the watchdog's hygiene rule.
+        ``last_cycles`` keeps only the N most recent ingests.  Invalid
+        trials are dropped, matching the watchdog's hygiene rule.
 
         Partial-cycle ingests carry ``<base>+<trials>`` ids; when a
         fuller delivery of the same base cycle is later ingested, the
@@ -493,14 +484,6 @@ class RollingResultStore:
         window = self._cycles
         if last_cycles is not None:
             window = window[-last_cycles:] if last_cycles > 0 else []
-        if since_unix is not None:
-            stamps = timestamps or {}
-            window = [
-                record
-                for record in window
-                if stamps.get(record.cycle_id) is None
-                or stamps[record.cycle_id] >= since_unix
-            ]
         latest: Dict[str, tuple] = {}
         for index, record in enumerate(window):
             base = record.cycle_id.split("+", 1)[0]
@@ -510,15 +493,12 @@ class RollingResultStore:
             store.extend(record.experiment_results(), valid_only=True)
         return store
 
-    def bandwidths_bps(self, last_cycles: Optional[int] = None) -> List[float]:
-        """Distinct bandwidth settings with data in the window."""
-        window = (
-            self._cycles[-last_cycles:]
-            if last_cycles is not None and last_cycles > 0
-            else self._cycles
+    def bandwidths_bps(self) -> List[float]:
+        """Distinct bandwidth settings any committed cycle has data at."""
+        return sorted(
+            {
+                result["bandwidth_bps"]
+                for record in self._cycles
+                for result in record.results
+            }
         )
-        out: Set[float] = set()
-        for record in window:
-            for result in record.results:
-                out.add(result["bandwidth_bps"])
-        return sorted(out)

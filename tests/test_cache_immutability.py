@@ -20,7 +20,7 @@ from repro.atomicio import atomic_write
 from repro.config import ExperimentConfig, highly_constrained
 from repro.core.cache import CacheEntryError, TrialCache, trial_cache_key
 from repro.core.experiment import ExperimentResult
-from repro.core.runner import InlineBackend, TrialSpec
+from repro.core.runner import TrialSpec, replay
 from repro.fleet import (
     FleetError,
     fleet_status,
@@ -444,11 +444,13 @@ class TestDamagedFiles:
         assert entry.exists() and sidecar.exists()
 
     def test_a_cache_only_backend_refuses_rather_than_misses(self, damaged, tmp_path):
+        """``replay`` (what the cache-only backend became) names the
+        damaged entry; it is not one of its ``CacheMissError`` misses."""
         spec, _key, entry, _sidecar, _complaint = damaged
-        backend = InlineBackend(cache=TrialCache(tmp_path), cache_only=True)
+        cache = TrialCache(tmp_path)
         with pytest.raises(CacheEntryError, match=entry.name):
-            backend.run([spec])
-        assert backend.stats.cache_hits == backend.stats.cache_misses == 0
+            replay(cache, [spec], False)
+        assert cache.hits == cache.misses == 0
 
     def test_a_truncated_result_is_still_a_miss_not_an_error(self, tmp_path):
         """Early-terminated is a property of an intact entry; it keeps

@@ -531,10 +531,11 @@ class TestFitOffline:
         skips pre-window-open sidecars with a count, and refuses a corpus
         that mixes grids."""
         from repro.cli import main
-        from repro.core.runner import RecordingInlineBackend
+        from repro.core.runner import build_backend, run_trial
+        from repro.obs.flight import FlightRecorder
 
         cache = TrialCache(tmp_path / "cache")
-        backend = RecordingInlineBackend(cache=cache)
+        backend = build_backend(cache=cache, record_flight=True)
         specs = [_pair_spec(seed=seed) for seed in (1, 2)]
         backend.run(specs)
         # One sidecar as an older commit wrote it: no recorded window.
@@ -552,8 +553,9 @@ class TestFitOffline:
         assert summary["skipped_no_window"] == 1
         assert EarlyStopModel.load(out).grid_usec == 100_000
         # A second recording on another grid: refuse, specifically.
-        other = RecordingInlineBackend(cache=cache, grid_usec=50_000)
-        other.run([_pair_spec(seed=3)])
+        other, recorder = _pair_spec(seed=3), FlightRecorder(50_000)
+        cache.put(other, run_trial(other, flight=recorder))
+        cache.put_sidecar(trial_cache_key(other), "flight", recorder.to_json())
         out.unlink()
         assert main(argv) == 1
         assert "mixes sampling grids" in capsys.readouterr().err

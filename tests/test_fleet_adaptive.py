@@ -22,7 +22,7 @@ from repro.config import (
 )
 from repro.core import stats
 from repro.core.cache import TrialCache
-from repro.core.runner import CacheMissError, InlineBackend
+from repro.core.runner import CacheMissError, InlineBackend, replay
 from repro.core.watchdog import Prudentia
 from repro.fleet import (
     ASSEMBLY_PLAN_FILENAME,
@@ -691,15 +691,18 @@ class TestManifestMigration:
 
 
 class TestCacheOnlyBackend:
+    """Replay used to be ``InlineBackend(cache_only=True)``; it is
+    :func:`repro.core.runner.replay` now."""
+
     def test_cache_only_requires_cache(self):
-        with pytest.raises(ValueError, match="cache_only requires"):
+        """No backend can be switched into a mode that needs a cache it
+        was not given: the mode is gone, ``replay`` is handed the cache."""
+        with pytest.raises(TypeError):
             InlineBackend(cache_only=True)
 
     def test_cache_only_raises_on_miss(self, tmp_path):
-        backend = InlineBackend(
-            cache=TrialCache(tmp_path), cache_only=True
-        )
         plan = make_state().plan_round(num_shards=1)
+        spec = plan.trials[0].spec
         with pytest.raises(CacheMissError) as exc:
-            backend.run([plan.trials[0].spec])
-        assert exc.value.misses
+            replay(TrialCache(tmp_path), [spec], False)
+        assert exc.value.misses == [spec]

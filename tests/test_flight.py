@@ -16,7 +16,7 @@ from repro import units
 from repro.config import ExperimentConfig, NetworkConfig, highly_constrained
 from repro.core.cache import TrialCache, trial_cache_key
 from repro.core.experiment import run_trial_artifacts
-from repro.core.runner import RecordingInlineBackend, TrialSpec
+from repro.core.runner import TrialSpec, build_backend
 from repro.core.testbed import Testbed
 from repro.netsim.trace import Probe
 from repro.obs.flight import (
@@ -467,7 +467,7 @@ class TestSidecars:
 
     def test_recording_backend_writes_sidecars(self, tmp_path):
         cache = TrialCache(tmp_path)
-        backend = RecordingInlineBackend(cache=cache)
+        backend = build_backend(cache=cache, record_flight=True)
         spec = self.spec()
         backend.run([spec])
         key = trial_cache_key(spec)
@@ -481,10 +481,10 @@ class TestSidecars:
         cache simulates nothing and the original sidecar survives."""
         spec = self.spec()
         key = trial_cache_key(spec)
-        first = RecordingInlineBackend(cache=TrialCache(tmp_path))
+        first = build_backend(cache=TrialCache(tmp_path), record_flight=True)
         first.run([spec])
         original = TrialCache(tmp_path).get_sidecar(key, "flight")
-        second = RecordingInlineBackend(cache=TrialCache(tmp_path))
+        second = build_backend(cache=TrialCache(tmp_path), record_flight=True)
         second.run([spec])
         assert second.stats.trials_run == 0
         assert second.stats.cache_hits == 1

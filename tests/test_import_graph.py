@@ -91,3 +91,35 @@ def test_one_function_turns_a_trial_index_into_a_spec():
                     f"{path.relative_to(SRC)}::{function.name}"
                 )
     assert enumerators == ["core/convergence.py::window_specs"]
+
+
+def test_backends_are_constructed_only_in_the_runner():
+    """``build_backend`` is where a caller's knobs become a backend;
+    a second construction site is a second reading of those knobs (there
+    were seven, three of them the replay mode below)."""
+    sites = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name in ("InlineBackend", "ProcessPoolBackend"):
+                sites.add(str(path.relative_to(SRC)))
+    assert sites == {"core/runner.py"}
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["cache_only", "RecordingInlineBackend", "since_unix", "parallel_workers"],
+)
+def test_deleted_execution_knob_stays_deleted(name):
+    """Replay is ``core.runner.replay``, recording a ``build_backend``
+    argument, the store's window ``last_cycles``, the pool a backend
+    handed to ``run_cycle``: none of the old spellings comes back."""
+    offenders = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        if name in path.read_text()
+    ]
+    assert offenders == []

@@ -15,9 +15,7 @@ NET = highly_constrained()
 
 
 def make_trial(a="iperf_cubic", b="iperf_reno", seed=1):
-    return TrialSpec(
-        contender_id=a, incumbent_id=b, network=NET, config=FAST, seed=seed
-    )
+    return TrialSpec.pair(a, b, NET, FAST, seed=seed)
 
 
 def planned_trials(service_ids, trials_per_pair, **kwargs):
@@ -107,7 +105,7 @@ class TestParallelWatchdog:
         )
         dog.run_cycle(
             service_ids=["iperf_cubic", "iperf_reno"],
-            parallel_workers=2,
+            backend=dog.backend(workers=2),
         )
         shares = dog.store.shares(
             "iperf_reno", "iperf_cubic", NET.bandwidth_bps

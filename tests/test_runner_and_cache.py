@@ -1,8 +1,10 @@
 """The unified trial runner: backends, caching, seed derivation."""
 
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import units
 from repro.config import (
@@ -17,10 +19,13 @@ from repro.core.experiment import (
     run_pair_experiment,
     run_solo_experiment,
 )
+from repro.core.earlystop import EarlyStopConfig
 from repro.core.runner import (
+    CacheMissError,
     InlineBackend,
     ProcessPoolBackend,
     TrialSpec,
+    replay,
     run_trial,
 )
 from repro.core.watchdog import Prudentia
@@ -47,19 +52,9 @@ class TestTrialSpec:
         many = TrialSpec(("a", "b", "c"), NET, FAST, seed=1)
         assert many.pair_key == ("a", "c")
 
-    def test_legacy_pair_kwargs(self):
-        spec = TrialSpec(
-            contender_id="a", incumbent_id="b", network=NET, config=FAST,
-            seed=2,
-        )
-        assert spec.service_ids == ("a", "b")
-        assert spec == TrialSpec.pair("a", "b", NET, FAST, seed=2)
-
     def test_rejects_empty_and_conflicting(self):
         with pytest.raises(ValueError):
             TrialSpec((), NET, FAST)
-        with pytest.raises(TypeError):
-            TrialSpec(("a",), NET, FAST, contender_id="a", incumbent_id="b")
         with pytest.raises(TypeError):
             TrialSpec(("a",))
 
@@ -153,6 +148,67 @@ class TestBackendEquivalence:
         store = ResultStore()
         store.extend([result, noisy], valid_only=True)
         assert len(store) == 1
+
+
+class TestReplay:
+    """``replay`` is the backend's cache lookup with nothing behind it
+    that could simulate."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        fates=st.lists(
+            st.sampled_from(["full", "truncated", "absent"]),
+            min_size=0,
+            max_size=6,
+        ),
+        allow_truncated=st.booleans(),
+    )
+    def test_replay_is_the_warm_backend_or_names_its_misses(
+        self, fates, allow_truncated
+    ):
+        """On a warm cache ``replay(cache, specs, t)`` returns what an
+        inline backend armed iff ``t`` returns, with equal stats and no
+        trial run; with entries absent or (``t`` false) truncated it
+        raises ``CacheMissError`` whose ``.misses`` are exactly those
+        specs, in order - and nothing is ever simulated."""
+        from tests.test_cache_immutability import synthetic_result
+
+        specs = [pair_spec(seed=seed) for seed in range(len(fates))]
+        cache = TrialCache()
+        for spec, fate in zip(specs, fates):
+            if fate != "absent":
+                cache.put(
+                    spec,
+                    synthetic_result(
+                        spec, 4_000_000 if fate == "truncated" else None
+                    ),
+                )
+        expected_misses = [
+            spec
+            for spec, fate in zip(specs, fates)
+            if fate == "absent"
+            or (fate == "truncated" and not allow_truncated)
+        ]
+        with mock.patch(
+            "repro.core.runner.run_trial", side_effect=AssertionError
+        ) as simulate:
+            if expected_misses:
+                with pytest.raises(CacheMissError) as raised:
+                    replay(cache, specs, allow_truncated)
+                assert raised.value.misses == expected_misses
+            else:
+                results, stats = replay(cache, specs, allow_truncated)
+                backend = InlineBackend(
+                    cache=cache,
+                    earlystop=EarlyStopConfig() if allow_truncated else None,
+                )
+                assert [r.to_json() for r in results] == [
+                    r.to_json() for r in backend.run(specs)
+                ]
+                assert stats == backend.stats
+                assert stats.trials_run == 0
+                assert stats.cache_hits == len(specs)
+            assert not simulate.called
 
 
 class TestTrialCache:

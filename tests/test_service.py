@@ -160,12 +160,8 @@ class TestRollingResultStore:
             store.append_cycle(make_record(f"c{index}"))
         assert len(list(store.store_view().all_results())) == 6
         assert len(list(store.store_view(last_cycles=1).all_results())) == 2
-        stamps = {"c0": 10.0, "c1": 20.0, "c2": 30.0}
-        view = store.store_view(since_unix=15.0, timestamps=stamps)
-        assert len(list(view.all_results())) == 4
-        # Unknown timestamps err on the side of inclusion.
-        view = store.store_view(since_unix=15.0, timestamps={})
-        assert len(list(view.all_results())) == 6
+        assert len(list(store.store_view(last_cycles=2).all_results())) == 4
+        assert len(list(store.store_view(last_cycles=0).all_results())) == 0
 
     def test_partial_then_full_cycle_supersedes_in_view(self, tmp_path):
         """A fuller re-delivery of the same base cycle replaces the
@@ -351,6 +347,91 @@ class TestServiceIngest:
         summary = service.ingest_once()
         assert len(summary["submissions_accepted"]) == 1
         assert len(service.state["submissions"]["rejected"]) == 2
+
+    @pytest.mark.parametrize(
+        "poison",
+        [
+            b"[1, 2]",
+            b"3",
+            b'"x"',
+            b"null",
+            b'{"url": 5, "access_code": "%s"}' % DEFAULT_ACCESS_CODES[0].encode(),
+            b'{"url": "https://\xff.example"}',
+        ],
+        ids=["list", "number", "string", "null", "url-not-a-string", "not-utf-8"],
+    )
+    def test_poisoned_submission_line_is_rejected_and_passed(
+        self, tmp_path, poison
+    ):
+        """A line that is JSON but no object, or no UTF-8 at all, is a
+        rejection like any other and the cursor moves past it.  (At the
+        parent: an uncaught TypeError / UnicodeDecodeError before the
+        cursor advanced, so every later pass died on the same line.)"""
+        service = make_service(tmp_path)
+        good = json.dumps(
+            {"url": "https://example.net/app",
+             "access_code": DEFAULT_ACCESS_CODES[0]}
+        ).encode()
+        (tmp_path / "spool" / "submissions.jsonl").write_bytes(
+            poison + b"\n" + good + b"\n"
+        )
+        summary = service.ingest_once()
+        accepted = summary["submissions_accepted"]
+        assert [s["service_id"] for s in accepted] == ["ext_example_net"]
+        ledger = service.state["submissions"]
+        assert len(ledger["rejected"]) == 1 and ledger["processed_lines"] == 2
+        plan = load_plan(tmp_path / "out" / "next-plan" / "plan.json")
+        assert "ext_example_net" in {
+            sid for t in plan.trials for sid in t.spec.service_ids
+        }
+        # The second pass, and a restarted service's, are clean.
+        assert service.ingest_once()["submissions_accepted"] == []
+        restarted = make_service(tmp_path)
+        assert restarted.ingest_once()["submissions_accepted"] == []
+        assert len(restarted.state["submissions"]["rejected"]) == 1
+
+    @pytest.mark.parametrize("kind", sorted(ENTRY_DAMAGE) + ["schema 99"])
+    def test_damaged_service_state_is_a_named_error_not_an_empty_ledger(
+        self, tmp_path, kind, capsys
+    ):
+        """``service-state.json`` that is there but unreadable stops the
+        start-up with a ``ServiceError`` naming file and defect.  (At the
+        parent: a bare JSONDecodeError, and a file of another schema was
+        silently replaced by an empty ledger - accepted submissions
+        gone.)"""
+        from repro.cli import main
+
+        service = make_service(tmp_path)
+        (tmp_path / "spool" / "submissions.jsonl").write_text(
+            json.dumps({"url": "https://example.net/app",
+                        "access_code": DEFAULT_ACCESS_CODES[0]}) + "\n"
+        )
+        service.ingest_once()
+        if kind == "schema 99":
+            damage = lambda data: data.replace(b'"schema": 1', b'"schema": 99')
+            cause = "schema 99 != supported 1"
+        else:
+            damage, cause = ENTRY_DAMAGE[kind]
+        healthy = service.state_path.read_bytes()
+        service.state_path.write_bytes(damage(healthy))
+        with pytest.raises(ServiceError) as raised:
+            make_service(tmp_path)
+        assert str(service.state_path) in str(raised.value)
+        assert cause in str(raised.value)
+        argv = ["service", "status", "--spool", str(tmp_path / "spool"),
+                "--out", str(tmp_path / "out")]
+        capsys.readouterr()  # whatever the set-up logged
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("service error: ")
+        assert cause in captured.err and captured.out == ""
+        # Nothing rewrote the file; absent is a fresh ledger, restored
+        # is the old one.
+        assert service.state_path.read_bytes() == damage(healthy)
+        service.state_path.unlink()
+        assert make_service(tmp_path).state["submissions"]["accepted"] == []
+        service.state_path.write_bytes(healthy)
+        assert "ext_example_net" in make_service(tmp_path).catalog
 
     def test_status_shape(self, tmp_path):
         service = make_service(tmp_path)
