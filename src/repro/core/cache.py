@@ -15,6 +15,16 @@ schema changes.  Values are ``ExperimentResult.to_json()`` payloads - the
 same serialisation :class:`~repro.core.results.ResultStore` persists, so
 cached trials round-trip through the store unchanged.
 
+A trial record has one encoding, :func:`canonical_json` (sorted keys, no
+whitespace, one ASCII line), and it is produced once:
+:meth:`TrialCache.put` writes it as the entry file, and the rolling
+store's journal and segments (:mod:`repro.service.store`) carry those
+bytes on unchanged (:meth:`TrialCache.keep_entry_bytes` hands them
+over).  Reading is laxer than writing: any file holding one JSON object
+is an entry - the indented entries of caches written before this
+format, a foreign writer's - and only its layout differs, which
+``fleet merge`` treats as a duplicate, not as divergence.
+
 Directory caches are also the unit of *transport* for fleet operation
 (:mod:`repro.fleet`): shard workers write disjoint cache directories that
 the merger unions back together, so only ``<64-hex-digest>.json`` files
@@ -24,11 +34,12 @@ LRU: reads touch the entry's mtime and :meth:`evict` drops the
 least-recently-used entries until the cache fits.
 
 A hit costs what it must: the key is derived once per spec object
-(:func:`trial_cache_key`), the entry's path is one string concatenation,
-and the file is read as bytes and decoded once (``cache.keys_derived`` /
-``cache.entries_parsed`` count both).  A file that is not a UTF-8 JSON
-object raises :class:`CacheEntryError` - it is never a miss and never a
-result.
+(:func:`trial_cache_key`, which hashes only the seed and service ids on
+top of a memoised SHA-256 state), the entry's path is one string
+concatenation, and the file is read as bytes and decoded once
+(``cache.keys_derived`` / ``cache.entries_parsed`` count both).  A file
+that is not a UTF-8 JSON object raises :class:`CacheEntryError` - it is
+never a miss and never a result.
 
 Entry and sidecar files are *immutable*: every write lands as a
 temporary sibling renamed over the destination
@@ -86,9 +97,10 @@ class CacheEntryError(RuntimeError):
     """
 
 
-def _read_json(path: str) -> Optional[Dict]:
-    """The JSON object at ``path``, or ``None`` when no such file (read
-    through a bare descriptor: no ``BufferedReader`` built per entry)."""
+def _read_entry(path: str) -> "Optional[tuple[Dict, bytes]]":
+    """The JSON object at ``path`` and the bytes it was parsed from, or
+    ``None`` when no such file (read through a bare descriptor: no
+    ``BufferedReader`` built per entry)."""
     try:
         fd = os.open(path, os.O_RDONLY)
     except FileNotFoundError:
@@ -100,9 +112,10 @@ def _read_json(path: str) -> Optional[Dict]:
             chunks.append(chunk)
     finally:
         os.close(fd)
+    raw = b"".join(chunks)
     try:
         # JSONDecodeError and UnicodeDecodeError are ValueErrors.
-        payload = json.loads(b"".join(chunks).decode("utf-8"))
+        payload = json.loads(raw.decode("utf-8"))
     except ValueError as exc:
         raise CacheEntryError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
@@ -110,7 +123,13 @@ def _read_json(path: str) -> Optional[Dict]:
             f"{path}: expected a JSON object, found {type(payload).__name__}"
         )
     get_registry().counter("cache.entries_parsed").inc()
-    return payload
+    return payload, raw
+
+
+def _read_json(path: str) -> Optional[Dict]:
+    """The JSON object at ``path``, or ``None`` when no such file."""
+    entry = _read_entry(path)
+    return None if entry is None else entry[0]
 
 
 _KEY_ALPHABET = frozenset("0123456789abcdef")
@@ -156,7 +175,20 @@ _CONFIG_MEMO_MAX = 512
 #: What ``env=None`` stands for in a cache key.
 _FAITHFUL_ENV = ClientEnvironment.faithful_testbed()
 
-_TAIL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def canonical_json(payload) -> str:
+    """The one encoding of a trial record: sorted keys, no whitespace,
+    ASCII, one line, through the C encoder.
+
+    A cache entry, the ``result`` of its journal ``trial`` line and that
+    line again in a store segment are these same bytes
+    (:meth:`TrialCache.put`, :mod:`repro.service.store`); key derivation
+    hashes the same form.  Type-exact (``1``, ``1.0`` and ``true`` stay apart) and
+    deterministic, so equal payloads give equal bytes.
+    """
+    return _CANONICAL_ENCODER.encode(payload)
 
 
 def _config_memo(config) -> "tuple[Dict, str]":
@@ -179,10 +211,7 @@ def _config_memo(config) -> "tuple[Dict, str]":
     memo = _CONFIG_MEMO.get(token)
     if memo is None:
         fields = dataclasses.asdict(config)
-        memo = (
-            fields,
-            json.dumps(fields, sort_keys=True, separators=(",", ":")),
-        )
+        memo = (fields, canonical_json(fields))
         if len(_CONFIG_MEMO) >= _CONFIG_MEMO_MAX:
             _CONFIG_MEMO.clear()
         _CONFIG_MEMO[token] = memo
@@ -207,6 +236,48 @@ def config_canonical_json(config) -> str:
     return _config_memo(config)[1]
 
 
+#: Memos behind :func:`trial_cache_key`: the SHA-256 state of a key's
+#: prefix per ``(config, env, network)`` object triple - each entry holds
+#: the three objects, so an id in it cannot be reused - and the encoded
+#: tail per service-id tuple.  Bounded like the config memo.
+_PREFIX_BY_IDS: Dict["tuple[int, int, int]", tuple] = {}
+_IDS_TAILS: Dict["tuple[str, ...]", bytes] = {}
+_IDS_TAILS_MAX = 4096
+
+
+def _key_prefix(config, env: ClientEnvironment, network) -> tuple:
+    """``(sha256 of a key's canonical JSON up to its seed, the three
+    objects)``, memoised under their ids."""
+    prefix = (
+        '{"config":'
+        + config_canonical_json(config)
+        + ',"env":'
+        + config_canonical_json(env)
+        + ',"network":'
+        + config_canonical_json(network)
+        + f',"schema":{CACHE_SCHEMA_VERSION},"seed":'
+    )
+    pinned = (hashlib.sha256(prefix.encode("utf-8")), config, env, network)
+    if len(_PREFIX_BY_IDS) >= _CONFIG_MEMO_MAX:
+        _PREFIX_BY_IDS.clear()
+    _PREFIX_BY_IDS[(id(config), id(env), id(network))] = pinned
+    return pinned
+
+
+def _ids_tail(service_ids: "tuple[str, ...]") -> bytes:
+    """``,"service_ids":[...]}`` - what follows the seed in a key's
+    canonical JSON.  Only all-``str`` tuples are memoised: nothing but a
+    string equals one, so a hit cannot conflate ``1`` with ``True``."""
+    tail = (
+        ',"service_ids":' + canonical_json(list(service_ids)) + "}"
+    ).encode("utf-8")
+    if all(type(sid) is str for sid in service_ids):
+        if len(_IDS_TAILS) >= _IDS_TAILS_MAX:
+            _IDS_TAILS.clear()
+        _IDS_TAILS[service_ids] = tail
+    return tail
+
+
 def trial_cache_key(
     spec: "TrialSpec", env: Optional[ClientEnvironment] = None
 ) -> str:
@@ -218,10 +289,13 @@ def trial_cache_key(
     (``None`` normalises to the faithful testbed, which is what service
     factories substitute for it), and the cache schema version.
 
-    The digest is over the sorted-key compact JSON of those six fields;
-    the three config objects contribute memoised fragments (see
-    :func:`config_canonical_json`) spliced in at their sorted positions,
-    ahead of the per-trial tail (``schema`` < ``seed`` < ``service_ids``).
+    The digest is over the sorted-key compact JSON of those six fields
+    (``tests/naive_cache_key.py`` builds that string whole).  Sorted,
+    the three config objects and the schema come first, so their part is
+    hashed once per object triple and every key resumes a copy of that
+    SHA-256 state with the seed and the service ids
+    (``config`` < ``env`` < ``network`` < ``schema`` < ``seed`` <
+    ``service_ids``).
 
     The faithful-environment key is derived once per spec *object* and
     kept on it (:attr:`TrialSpec._cache_key`; the spec is immutable, so
@@ -233,24 +307,19 @@ def trial_cache_key(
         if key is not None:
             return key
     resolved_env = env or _FAITHFUL_ENV
-    tail = _TAIL_ENCODER.encode(
-        {
-            "schema": CACHE_SCHEMA_VERSION,
-            "seed": spec.seed,
-            "service_ids": list(spec.service_ids),
-        }
-    )
-    canonical = (
-        '{"config":'
-        + config_canonical_json(spec.config)
-        + ',"env":'
-        + config_canonical_json(resolved_env)
-        + ',"network":'
-        + config_canonical_json(spec.network)
-        + ","
-        + tail[1:]
-    )
-    key = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    config, network = spec.config, spec.network
+    pinned = _PREFIX_BY_IDS.get((id(config), id(resolved_env), id(network)))
+    if pinned is None:
+        pinned = _key_prefix(config, resolved_env, network)
+    service_ids, seed = spec.service_ids, spec.seed
+    tail = _IDS_TAILS.get(service_ids)
+    if tail is None:
+        tail = _ids_tail(service_ids)
+    digest = pinned[0].copy()
+    # ``str`` of an ``int`` is its JSON; a bool or float seed is not one.
+    seed_json = str(seed) if type(seed) is int else canonical_json(seed)
+    digest.update(seed_json.encode("ascii") + tail)
+    key = digest.hexdigest()
     get_registry().counter("cache.keys_derived").inc()
     if env is None:
         object.__setattr__(spec, "_cache_key", key)
@@ -286,6 +355,9 @@ class TrialCache:
             self._prefix = os.path.join(self.cache_dir, "")
         self.max_bytes = max_bytes
         self._memory: Dict[str, Dict] = {}
+        #: key -> the bytes ``_memory[key]`` was parsed from; ``None``
+        #: until a caller asks (:meth:`keep_entry_bytes`).
+        self._entry_bytes: Optional[Dict[str, bytes]] = None
         self._sidecar_memory: Dict["tuple[str, str]", Dict] = {}
         self.hits = 0
         self.misses = 0
@@ -314,9 +386,11 @@ class TrialCache:
         payload = self._memory.get(key)
         path = self._path(key) if self.cache_dir is not None else None
         if payload is None and path is not None:
-            payload = _read_json(path)
-            if payload is not None:
-                self._memory[key] = payload
+            entry = _read_entry(path)
+            if entry is not None:
+                payload = self._memory[key] = entry[0]
+                if self._entry_bytes is not None:
+                    self._entry_bytes[key] = entry[1]
         if payload is not None and not allow_truncated:
             meta = payload.get("earlystop")
             if meta and meta.get("truncated"):
@@ -342,6 +416,9 @@ class TrialCache:
     ) -> None:
         """Record one simulated trial under its content address.
 
+        The entry is the result's :func:`canonical_json`: one line, the
+        bytes a service journal later adopts as they are.
+
         Full-length results always supersede truncated ones: a put never
         replaces an existing entry with a *less* complete result for the
         same key (truncated over full, or a shorter truncation horizon
@@ -359,11 +436,13 @@ class TrialCache:
         ):
             return
         self._memory[key] = payload
+        if self._entry_bytes:
+            self._entry_bytes.pop(key, None)
         self.stores += 1
         registry = get_registry()
         registry.counter("cache.stores").inc()
         if path is not None:
-            encoded = json.dumps(payload, indent=1)
+            encoded = canonical_json(payload)
             atomic_write(path, encoded)
             registry.counter("cache.bytes_written").inc(len(encoded))
             if self.max_bytes is not None:
@@ -490,6 +569,8 @@ class TrialCache:
             if os.path.exists(entry_path):
                 os.unlink(entry_path)
             self._memory.pop(key, None)
+            if self._entry_bytes:
+                self._entry_bytes.pop(key, None)
             self._drop_sidecars(key)
             total -= size
             evicted_bytes += size
@@ -510,6 +591,21 @@ class TrialCache:
         if key in self._memory:
             return True
         return self.cache_dir is not None and os.path.exists(self._path(key))
+
+    def keep_entry_bytes(self) -> Dict[str, bytes]:
+        """From here on keep, beside each payload read from disk, the
+        bytes it was parsed from; returns that live ``key -> bytes``
+        table.
+
+        For a caller that persists the records it reads
+        (:meth:`repro.service.coordinator.WatchdogService.ingest_entry`):
+        with :meth:`payload_for` it has the parsed payload and its
+        encoding from one read.  A payload served from memory alone
+        (this process ``put`` it) has no bytes here.
+        """
+        if self._entry_bytes is None:
+            self._entry_bytes = {}
+        return self._entry_bytes
 
     def payload_for(self, key: str) -> Optional[Dict]:
         """The raw cached payload for ``key``, or ``None`` if absent.
@@ -561,6 +657,8 @@ class TrialCache:
             for path in self.cache_dir.glob(f"*{TMP_SUFFIX}"):
                 path.unlink()
         self._memory.clear()
+        if self._entry_bytes:
+            self._entry_bytes.clear()
         self.hits = self.misses = self.stores = self.evictions = 0
 
     def _entry_paths(self) -> List[Path]:

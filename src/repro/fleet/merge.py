@@ -5,9 +5,11 @@ single-host run or silently is not - so it verifies everything it can:
 
 - every shard directory carries a completion receipt for *this* plan
   (plan-id match) at *this* cache schema version (skew rejected);
-- entries present in several shards must be byte-identical (the
+- entries present in several shards must hold the same record (the
   simulator is deterministic - divergent duplicates mean version skew or
-  a corrupted transfer, never legitimate data).  The one sanctioned
+  a corrupted transfer, never legitimate data).  The same record in
+  another layout - the indented entry of an older cache beside today's
+  one-line entry - is a duplicate like any other.  The one sanctioned
   exception is early termination (:mod:`repro.core.earlystop`): a
   truncated trial and its full-length sibling share a cache key by
   design, and the merge resolves that pair with the cache's own
@@ -38,7 +40,12 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..atomicio import atomic_write
-from ..core.cache import CACHE_SCHEMA_VERSION, _completeness, scan_cache_dir
+from ..core.cache import (
+    CACHE_SCHEMA_VERSION,
+    _completeness,
+    canonical_json,
+    scan_cache_dir,
+)
 from ..core.runner import RunnerStats
 from ..obs.metrics import merge_snapshots
 from .plan import FleetError, FleetPlan
@@ -138,15 +145,19 @@ def _resolve_divergent(challenger: bytes, incumbent: bytes) -> Optional[str]:
     (or an audit trial) wrote the full-length one.  Both payloads must
     parse and differ *in completeness* (full beats truncated, longer
     truncated horizon beats shorter - :func:`repro.core.cache._completeness`);
-    anything else is real divergence and stays a hard error.  Returns
-    ``"replace"`` / ``"keep"``, or ``None`` when the conflict is not an
-    earlystop supersede.
+    anything else is real divergence and stays a hard error.  Bytes
+    that differ only in layout - both parse to one payload, type for
+    type - are no divergence at all.  Returns ``"same"`` / ``"replace"``
+    / ``"keep"``, or ``None`` when the conflict is neither format skew
+    nor an earlystop supersede.
     """
     try:
         challenger_payload = json.loads(challenger)
         incumbent_payload = json.loads(incumbent)
     except ValueError:
         return None
+    if canonical_json(challenger_payload) == canonical_json(incumbent_payload):
+        return "same"
     challenger_rank = _completeness(challenger_payload)
     incumbent_rank = _completeness(incumbent_payload)
     if challenger_rank == incumbent_rank:
@@ -173,12 +184,9 @@ def _supersedes(challenger: ShardReceipt, incumbent: ShardReceipt) -> bool:
     incumbent_rank = (incumbent.attempt, len(incumbent.completed_keys))
     if challenger_rank != incumbent_rank:
         return challenger_rank > incumbent_rank
-    def canon(receipt: ShardReceipt) -> str:
-        return json.dumps(
-            receipt.to_json(), sort_keys=True, separators=(",", ":")
-        )
-
-    return canon(challenger) < canon(incumbent)
+    return canonical_json(challenger.to_json()) < canonical_json(
+        incumbent.to_json()
+    )
 
 
 def merge_shards(
@@ -272,8 +280,9 @@ def merge_shards(
                         _carry_sidecars(
                             carried, shard_prefix, dest_prefix, replace=True
                         )
-                    report.superseded_entries += 1
-                    continue
+                    if verdict != "same":
+                        report.superseded_entries += 1
+                        continue
                 report.duplicates += 1
                 _carry_sidecars(carried, shard_prefix, dest_prefix)
                 continue

@@ -63,7 +63,7 @@ from ..config import (
     highly_constrained,
     moderately_constrained,
 )
-from ..core.cache import CacheEntryError, TrialCache
+from ..core.cache import CacheEntryError, TrialCache, trial_cache_key
 from ..core.runner import CacheMissError, TrialSpec, replay
 from ..core.submission import SubmissionError, SubmissionPortal
 from ..fleet.adaptive import AdaptiveCycleState, ASSEMBLY_PLAN_FILENAME, STATE_FILENAME
@@ -527,6 +527,9 @@ class WatchdogService:
         with tracing.span(
             "service.ingest", source=entry.name, trials=len(specs)
         ):
+            # One read per entry serves all three forms the store wants:
+            # the payload, the result object and the journal line.
+            entry_bytes = cache.keep_entry_bytes()
             try:
                 # Fleet caches may hold early-terminated trials
                 # (repro.core.earlystop); folding replays whatever the
@@ -542,12 +545,15 @@ class WatchdogService:
                     "trial(s) missing from its cache - folding never "
                     "simulates; entry moved to failed/"
                 ) from exc
-            record = CycleRecord(
-                cycle_id=cycle_id,
-                source=entry.name,
-                kind=kind,
-                partial=partial,
-                results=[result.to_json() for result in results],
+            keys = [trial_cache_key(spec) for spec in specs]
+            record = CycleRecord.from_cache_reads(
+                cycle_id,
+                entry.name,
+                kind,
+                partial,
+                payloads=[cache.payload_for(key) for key in keys],
+                parsed=results,
+                entry_bytes=[entry_bytes.get(key) for key in keys],
             )
             self.store.append_cycle(
                 record, pre_commit=lambda: _fault("pre-commit")

@@ -12,12 +12,23 @@ the segments - all flat in the store directory:
   record (cycle identity + provenance), one ``trial`` record per result,
   and a ``commit`` record sealing it.  The trial records are flushed and
   fsynced *before* the commit is written, so a commit on disk guarantees
-  its trials are too.
+  its trials are too.  Every record is one line of
+  :func:`~repro.core.cache.canonical_json`; a ``trial`` line is built
+  around its ``result`` without encoding it again when the record
+  brings the cache entry's bytes (:meth:`CycleRecord.from_cache_reads`):
+  ``{"cycle_id":...,"record":"trial","result":`` + the entry +
+  ``,"seq":N}``.  For an entry this library wrote that is the canonical
+  line; a foreign one-line entry is adopted as it is (the same JSON
+  value, perhaps not canonical); anything that is not one line is
+  encoded from its payload.  The store keeps none of those bytes once
+  the cycle is appended - only where in the journal the cycle lies.
 - :meth:`RollingResultStore.compact` moves each journalled cycle into
   its own ``segment-<sha256(cycle id) prefix>.jsonl`` - the cycle's
-  journal segment verbatim (the bytes encoded once, at append), written
-  through :func:`~repro.atomicio.atomic_write` and never opened for
-  writing again - then rewrites the manifest (schema 2: ``file``,
+  journal segment verbatim, *copied* out of the journal file (whether
+  this process appended it a moment ago or replayed it after a restart,
+  so the two cannot differ even for lines that are not canonical),
+  written through :func:`~repro.atomicio.atomic_write` and never opened
+  for writing again - then rewrites the manifest (schema 2: ``file``,
   ``cycle_id``, ``trials`` and ``sha256`` per segment, oldest first),
   then truncates the journal, then unlinks every segment file the manifest no longer
   names (cycles retired from the rolling window, orphans of an earlier
@@ -33,10 +44,15 @@ the segments - all flat in the store directory:
   and any segment without its commit record is discarded - an
   interrupted ingest simply never happened, and re-ingesting the same
   spool entry reproduces the exact same committed bytes (results are
-  deterministic simulations).  The next append first cuts the torn line
-  away; an unparsable line anywhere *but* last is damage and raises
-  :class:`StoreError`.  Manifest and segment files are only ever
-  renamed into place, so damage there is not a crash artefact: a
+  deterministic simulations).  A line counts once its newline is on
+  disk: what follows the last newline is a torn append even when it
+  happens to parse, and the next append first cuts it away.  An
+  unparsable line anywhere *but* last is damage and raises
+  :class:`StoreError`, as does a line that parses but is no journal
+  record (``3``, ``[1]``, a ``trial`` without its ``result``) wherever
+  it sits - both name the file and the line.  Manifest and segment
+  files are only ever renamed into place, so damage there is not a
+  crash artefact: a
   missing, truncated, bit-flipped or miscounted segment, or a manifest
   of an unknown or newer schema, raises :class:`StoreError` naming the
   file rather than yielding a silently shorter store.
@@ -63,9 +79,10 @@ import os
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Set, Union
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from ..atomicio import atomic_write
+from ..core.cache import canonical_json
 from ..core.experiment import ExperimentResult
 from ..core.results import ResultStore
 from ..obs.metrics import get_registry
@@ -98,7 +115,9 @@ class CycleRecord:
 
     ``results`` holds raw ``ExperimentResult.to_json()`` payloads (the
     same serialisation the cache and ``ResultStore.save`` use), kept as
-    dicts so journal round-trips are byte-exact.
+    dicts so journal round-trips are byte-exact.  A cycle built from
+    cache reads (:meth:`from_cache_reads`) also brings what those reads
+    already produced, so nothing is decoded or encoded a second time.
     """
 
     cycle_id: str
@@ -109,6 +128,36 @@ class CycleRecord:
     _parsed: Optional[List[ExperimentResult]] = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: Per trial, the bytes ``results[i]`` was parsed from (or ``None``);
+    #: :meth:`RollingResultStore.append_cycle` takes the list.
+    _entry_bytes: Optional[List[Optional[bytes]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @classmethod
+    def from_cache_reads(
+        cls,
+        cycle_id: str,
+        source: str,
+        kind: str,
+        partial: bool,
+        payloads: List[Dict],
+        parsed: List[ExperimentResult],
+        entry_bytes: List[Optional[bytes]],
+    ) -> "CycleRecord":
+        """A cycle whose trials one cache read just produced.
+
+        Per trial: the payload as parsed, the result object built from
+        it, and the entry bytes it was parsed from (``None`` when the
+        cache did not keep them).  An entry that is one line becomes the
+        ``result`` of its journal line byte for byte.
+        """
+        if not len(payloads) == len(parsed) == len(entry_bytes):
+            raise ValueError("one payload, result and bytes slot per trial")
+        record = cls(cycle_id, source, kind, partial, payloads)
+        record._parsed = parsed
+        record._entry_bytes = entry_bytes
+        return record
 
     def to_json(self) -> Dict:
         """Return the record as a JSON-serialisable dict."""
@@ -143,25 +192,24 @@ class CycleRecord:
         return self._parsed
 
 
-def _canonical_line(payload: Dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def _segment_filename(cycle_id: str) -> str:
     """A cycle's segment file: a pure, filesystem-safe function of its id."""
     digest = hashlib.sha256(cycle_id.encode("utf-8")).hexdigest()
     return f"{SEGMENT_PREFIX}{digest[:24]}{SEGMENT_SUFFIX}"
 
 
-def _encode_segment(record: CycleRecord) -> "tuple[str, str]":
+def _encode_segment(record: CycleRecord) -> "tuple[bytes, bytes]":
     """A cycle's journal segment as ``(begin + trial lines, commit line)``.
 
-    Canonical (sorted keys, no whitespace), so the same record always
-    encodes to the same bytes - whether at append or, for a cycle
-    replayed after a restart, again at compaction.
+    Every line is :func:`~repro.core.cache.canonical_json` of its record.
+    A trial line is assembled around its ``result``: the bytes the
+    payload was parsed from when the record brought them and they are
+    one line (for an entry this library wrote, exactly the canonical
+    encoding; for a foreign one-line entry, whatever it holds - still
+    the same JSON value), the payload's canonical encoding otherwise.
     """
     lines = [
-        _canonical_line(
+        canonical_json(
             {
                 "record": "begin",
                 "schema": JOURNAL_SCHEMA_VERSION,
@@ -170,34 +218,46 @@ def _encode_segment(record: CycleRecord) -> "tuple[str, str]":
                 "kind": record.kind,
                 "partial": record.partial,
             }
-        )
+        ).encode("ascii")
     ]
-    for index, result in enumerate(record.results):
-        lines.append(
-            _canonical_line(
-                {
-                    "record": "trial",
-                    "cycle_id": record.cycle_id,
-                    "seq": index,
-                    "result": result,
-                }
-            )
-        )
-    commit = _canonical_line(
+    # Sorted, a trial record reads cycle_id, record, result, seq.
+    head = (
+        '{"cycle_id":%s,"record":"trial","result":'
+        % canonical_json(record.cycle_id)
+    ).encode("ascii")
+    entry_bytes = record._entry_bytes or [None] * len(record.results)
+    for index, (result, raw) in enumerate(zip(record.results, entry_bytes)):
+        encoded = raw.strip() if raw is not None else None
+        # Bytes that are not one line would split the journal record.
+        if encoded is None or b"\n" in encoded:
+            encoded = canonical_json(result).encode("ascii")
+        lines.append(b'%b%b,"seq":%d}' % (head, encoded, index))
+    commit = canonical_json(
         {
             "record": "commit",
             "cycle_id": record.cycle_id,
             "trials": len(record.results),
         }
-    )
-    return "\n".join(lines) + "\n", commit + "\n"
+    ).encode("ascii")
+    return b"\n".join(lines) + b"\n", commit + b"\n"
 
 
-def _committed_segments(raw: bytes, source: Path) -> Iterable[CycleRecord]:
-    """Committed cycles in journal-format bytes, tolerating a torn tail."""
+def _committed_segments(
+    raw: bytes, source: Path
+) -> Iterable[Tuple[CycleRecord, int, int]]:
+    """Committed cycles in journal-format bytes, each with the byte span
+    ``[start, end)`` of its segment, tolerating a torn tail.
+
+    A line counts once its newline is on disk: what follows the last
+    newline is the fragment of a killed append - even when it happens to
+    parse - and :meth:`RollingResultStore.append_cycle` cuts it away.
+    """
     pending: Optional[CycleRecord] = None
+    begin_at = offset = 0
     lines = raw.split(b"\n")
+    torn_tail = lines.pop()
     for number, line in enumerate(lines, 1):
+        start, offset = offset, offset + len(line) + 1
         if not line:
             continue
         try:
@@ -206,36 +266,53 @@ def _committed_segments(raw: bytes, source: Path) -> Iterable[CycleRecord]:
             # A kill mid-append tears at most the final line, and any
             # segment it belonged to is uncommitted either way.  Anywhere
             # else it is damage, with committed cycles possibly behind it.
-            if any(lines[number:]):
+            if torn_tail or any(lines[number:]):
                 raise StoreError(
                     f"{source}: line {number} is not valid JSON ({exc}) "
                     "and is not the last, so not a torn append"
                 ) from exc
             break
-        kind = payload.get("record")
-        if kind == "begin":
-            # A new begin while a segment is open means the previous
-            # ingest died before committing: discard it.
-            pending = CycleRecord(
-                cycle_id=payload["cycle_id"],
-                source=payload.get("source", ""),
-                kind=payload.get("kind", "fixed"),
-                partial=payload.get("partial", False),
+        if not isinstance(payload, dict):
+            raise StoreError(
+                f"{source}: line {number} is JSON but not a journal "
+                f"record (found {type(payload).__name__})"
             )
-        elif kind == "trial":
-            if (
-                pending is not None
-                and payload.get("cycle_id") == pending.cycle_id
-            ):
-                pending.results.append(payload["result"])
-        elif kind == "commit":
-            if (
-                pending is not None
-                and payload.get("cycle_id") == pending.cycle_id
-                and payload.get("trials") == len(pending.results)
-            ):
-                yield pending
-            pending = None
+        kind = payload.get("record")
+        try:
+            if kind == "begin":
+                # A new begin while a segment is open means the previous
+                # ingest died before committing: discard it.
+                pending = CycleRecord(
+                    cycle_id=payload["cycle_id"],
+                    source=payload.get("source", ""),
+                    kind=payload.get("kind", "fixed"),
+                    partial=payload.get("partial", False),
+                )
+                begin_at = start
+            elif kind == "trial":
+                if (
+                    pending is not None
+                    and payload.get("cycle_id") == pending.cycle_id
+                ):
+                    result = payload["result"]
+                    if not isinstance(result, dict):
+                        raise StoreError(
+                            f"{source}: line {number}: trial result is "
+                            f"not an object ({type(result).__name__})"
+                        )
+                    pending.results.append(result)
+            elif kind == "commit":
+                if (
+                    pending is not None
+                    and payload.get("cycle_id") == pending.cycle_id
+                    and payload.get("trials") == len(pending.results)
+                ):
+                    yield pending, begin_at, offset
+                pending = None
+        except KeyError as exc:
+            raise StoreError(
+                f"{source}: line {number}: {kind} record without {exc}"
+            ) from exc
 
 
 class RollingResultStore:
@@ -253,10 +330,10 @@ class RollingResultStore:
         self._cycles: List[CycleRecord] = []
         #: cycle id -> manifest row of every cycle that has a segment.
         self._segments: Dict[str, Dict] = {}
-        #: cycle id -> journal segment text of cycles appended by this
-        #: process and not yet compacted (so compaction re-encodes
-        #: nothing it has just written).
-        self._encoded: Dict[str, str] = {}
+        #: cycle id -> byte span of its segment in the journal file, for
+        #: every journalled cycle (appended by this process or replayed):
+        #: compaction copies those bytes, it never encodes them again.
+        self._journal_spans: Dict[str, Tuple[int, int]] = {}
         self.replay()
 
     @property
@@ -282,6 +359,7 @@ class RollingResultStore:
         cycles: List[CycleRecord] = []
         seen: Set[str] = set()
         self._segments = {}
+        self._journal_spans = {}
         for record in chain(self._replay_snapshot(), self._replay_journal()):
             if record.cycle_id not in seen:
                 seen.add(record.cycle_id)
@@ -342,10 +420,7 @@ class RollingResultStore:
                 f"{path}: sha256 differs from the manifest's "
                 "(truncated or corrupted segment)"
             )
-        try:
-            records = list(_committed_segments(raw, path))
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise StoreError(f"{path}: not a cycle segment ({exc!r})") from exc
+        records = [r for r, _s, _e in _committed_segments(raw, path)]
         held = [(r.cycle_id, len(r.results)) for r in records]
         if held != [(cycle_id, trials)]:
             raise StoreError(
@@ -358,7 +433,11 @@ class RollingResultStore:
         """Committed cycles still in the journal, in append order."""
         path = self.journal_path
         if path.exists():
-            yield from _committed_segments(path.read_bytes(), path)
+            for record, start, end in _committed_segments(
+                path.read_bytes(), path
+            ):
+                self._journal_spans.setdefault(record.cycle_id, (start, end))
+                yield record
 
     # ------------------------------------------------------------------
     # Ingest
@@ -384,32 +463,68 @@ class RollingResultStore:
                 f"cycle {record.cycle_id[:12]}... already ingested"
             )
         body, commit = _encode_segment(record)
+        record._entry_bytes = None  # in the journal now; not kept twice
         with open(self.journal_path, "a+b") as fh:
             # A journal not ending in a newline ends in the fragment of
             # a killed append: uncommitted, ignored by replay - and the
             # ``begin`` record glued onto it would take this whole cycle
             # with it.  Cut it back to the last newline first.
-            if fh.tell():  # append mode opens at the end
+            start = fh.tell()  # append mode opens at the end
+            if start:
                 fh.seek(-1, os.SEEK_END)
                 if fh.read(1) != b"\n":
                     fh.seek(0)
-                    fh.truncate(fh.read().rfind(b"\n") + 1)
-            fh.write(body.encode("utf-8"))
+                    start = fh.read().rfind(b"\n") + 1
+                    fh.truncate(start)
+            fh.write(body)
             fh.flush()
             os.fsync(fh.fileno())
             if pre_commit is not None:
                 pre_commit()
-            fh.write(commit.encode("utf-8"))
+            fh.write(commit)
             fh.flush()
             os.fsync(fh.fileno())
-        self._encoded[record.cycle_id] = body + commit
+        self._journal_spans[record.cycle_id] = (
+            start,
+            start + len(body) + len(commit),
+        )
         self._cycles.append(record)
+
+    def _journal_segment(self, journal: bytes, record: CycleRecord) -> bytes:
+        """``record``'s segment as the journal holds it, checked to begin
+        and commit that cycle (the span was taken from this process's
+        own append or replay; a journal another writer changed since
+        must not become a segment)."""
+        start, end = self._journal_spans[record.cycle_id]
+        data = journal[start:end]
+        try:
+            begin = json.loads(data[: data.index(b"\n")])
+            commit = json.loads(data[data.rindex(b"\n", 0, -1) + 1 :])
+            intact = (
+                begin["record"] == "begin"
+                and commit["record"] == "commit"
+                and begin["cycle_id"] == commit["cycle_id"] == record.cycle_id
+                and commit["trials"] == len(record.results)
+            )
+        except (ValueError, LookupError, TypeError):
+            intact = False
+        if not intact:
+            raise StoreError(
+                f"{self.journal_path}: bytes {start}-{end} are no longer "
+                f"cycle {record.cycle_id[:12]}'s segment; the journal "
+                "changed under this process"
+            )
+        return data
 
     def compact(self, max_cycles: Optional[int] = None) -> None:
         """Move journalled cycles into segments; truncate the journal.
 
-        Only cycles without a segment are encoded and written, so the
-        cost is the new cycle's plus one manifest row per stored cycle.
+        Only cycles without a segment are written, so the cost is the
+        new cycle's plus one manifest row per stored cycle - and what is
+        written is the cycle's journal bytes, copied: a cycle appended a
+        moment ago and one replayed after a restart take the same path,
+        and no line is encoded twice.  (Only a cycle that was never
+        journalled - a schema-1 snapshot's - is encoded here.)
         ``max_cycles`` bounds retention: cycles beyond the window lose
         their manifest row and then their file (the rolling half of
         "rolling result store").  Every write is an atomic rename, in
@@ -422,13 +537,16 @@ class RollingResultStore:
             )
         rows: List[Dict] = []
         written = 0
+        journal: Optional[bytes] = None
         for record in self._cycles:
             row = self._segments.get(record.cycle_id)
             if row is None:
-                text = self._encoded.get(record.cycle_id) or "".join(
-                    _encode_segment(record)
-                )
-                data = text.encode("utf-8")
+                if record.cycle_id in self._journal_spans:
+                    if journal is None:
+                        journal = self.journal_path.read_bytes()
+                    data = self._journal_segment(journal, record)
+                else:
+                    data = b"".join(_encode_segment(record))
                 name = _segment_filename(record.cycle_id)
                 atomic_write(self.root / name, data)
                 written += len(data)
@@ -439,7 +557,7 @@ class RollingResultStore:
                     "sha256": hashlib.sha256(data).hexdigest(),
                 }
             rows.append(row)
-        manifest = _canonical_line(
+        manifest = canonical_json(
             {
                 "schema": STORE_SCHEMA_VERSION,
                 "kind": "service-snapshot",
@@ -448,7 +566,7 @@ class RollingResultStore:
         ) + "\n"
         atomic_write(self.snapshot_path, manifest)
         self._segments = {row["cycle_id"]: row for row in rows}
-        self._encoded.clear()
+        self._journal_spans = {}
         atomic_write(self.journal_path, "")
         live = {row["file"] for row in rows}
         for path in self.root.glob(f"{SEGMENT_PREFIX}*{SEGMENT_SUFFIX}"):

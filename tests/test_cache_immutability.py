@@ -18,7 +18,12 @@ import pytest
 
 from repro.atomicio import atomic_write
 from repro.config import ExperimentConfig, highly_constrained
-from repro.core.cache import CacheEntryError, TrialCache, trial_cache_key
+from repro.core.cache import (
+    CacheEntryError,
+    TrialCache,
+    canonical_json,
+    trial_cache_key,
+)
 from repro.core.experiment import ExperimentResult
 from repro.core.runner import TrialSpec, replay
 from repro.fleet import (
@@ -236,7 +241,7 @@ class TestConcurrentWriters:
 
         spec = TrialSpec(("a", "b"), NET, FAST, seed=1)
         result = synthetic_result(spec)
-        expected = json.dumps(result.to_json(), indent=1)
+        expected = canonical_json(result.to_json())
         errors = []
 
         def writer():

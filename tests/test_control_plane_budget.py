@@ -26,9 +26,14 @@ this file pins:
 * ``pathlib`` parses over the same body: the same number whether the
   plan holds 380 trials or 760 - none is per planned trial;
 * bytes per planned trial in ``plan.json`` and in the shard manifests;
-* the same two counters over one ``WatchdogService.ingest_once``.
+* the same two counters over one ``WatchdogService.ingest_once``;
+* what folding one delivered trial into the store costs (``ingest_entry``
+  + ``compact``): one entry parse, no JSON encoder call - the journal
+  line is the entry's own bytes, the segment the journal's - and a
+  ceiling on Python frames (45.0 when every trial was re-encoded).
 """
 
+import gc
 import json
 import os
 import random
@@ -36,6 +41,7 @@ import sys
 
 from repro import units
 from repro.config import ExperimentConfig, NetworkConfig
+from repro.core import cache as cache_module
 from repro.core.cache import TrialCache
 from repro.fleet import assemble_reports, merge_shards, plan_cycle, run_shard
 from repro.fleet.plan import ROW_COLUMNS, trial_rows
@@ -55,6 +61,11 @@ SHARDS = 4
 #: Ceiling on Python frames per planned trial (run_shard x4 + merge +
 #: assemble): 71.0 today, plus ~10%.
 FRAMES_PER_TRIAL_BUDGET = 78
+
+#: Ceiling on Python frames per delivered trial over ``ingest_entry`` +
+#: ``compact``, measured as the slope between two delivery sizes (33.0
+#: today, plus ~10%; 45.0 before the journal adopted entry bytes).
+FRAMES_PER_INGESTED_TRIAL_BUDGET = 36
 
 #: Ceiling on bytes per planned trial, in ``plan.json`` and across the
 #: shard manifests (110 and 111 today; 440 and 431 when every row
@@ -110,8 +121,9 @@ def filled_shards(root, trials_per_pair=2):
 
 
 def count_frames(fn):
-    """``(Python frames entered, pathlib path parses)`` over ``fn()``."""
-    frames = [0, 0]
+    """``(Python frames entered, pathlib path parses, JSON encoder
+    calls)`` over ``fn()``."""
+    frames = [0, 0, 0]
 
     def profiler(frame, event, _arg):
         if event == "call":
@@ -121,12 +133,21 @@ def count_frames(fn):
                 code.co_filename.endswith("pathlib.py")
             ):
                 frames[1] += 1
+            elif code.co_name in ("encode", "iterencode") and (
+                code.co_filename.endswith("encoder.py")
+            ):
+                frames[2] += 1
 
+    # A collection landing inside ``fn`` runs whatever finalizers earlier
+    # tests left behind, as Python frames: collect first, then hold off.
+    gc.collect()
+    gc.disable()
     sys.setprofile(profiler)
     try:
         fn()
     finally:
         sys.setprofile(None)
+        gc.enable()
     return tuple(frames)
 
 
@@ -187,6 +208,11 @@ def test_frames_per_planned_trial_repeat_and_stay_under_budget(tmp_path):
     # instrument: start from an empty registry so the count does not
     # depend on what earlier tests registered.
     reset_registry()
+    # The id-keyed key memos start over at their cap: begin empty, so no
+    # rep pays for a refill the other does not (how full earlier tests
+    # left them is up to hypothesis).
+    cache_module._CONFIG_BY_ID.clear()
+    cache_module._PREFIX_BY_IDS.clear()
     trials = filled_shards(tmp_path)
     warm_cycle(tmp_path, tmp_path / "rep0")()  # imports, lazy set-up
     counts = [
@@ -244,3 +270,51 @@ def test_ingest_derives_at_most_one_key_per_folded_and_planned_trial(
     )
     assert keys - keys_before <= folded + len(next_plan["trials"])
     assert parsed - parsed_before == folded
+
+
+def test_folding_a_delivered_trial_parses_once_and_encodes_nothing(tmp_path):
+    """Twice the delivered trials: the same encoder calls (begin, commit,
+    manifest - per cycle, never per trial), one more parse and a bounded
+    number of frames per added trial."""
+    measured = []
+    for trials_per_pair in (1, 1, 2):  # the first run pays the imports
+        root = tmp_path / str(len(measured))
+        service = WatchdogService(
+            root / "spool", root / "out",
+            networks=NETWORKS, plan_config=CONFIG, plan_trials=1,
+        )
+        delivered = plan_cycle(
+            default_catalog().heatmap_ids(), NETWORKS, CONFIG,
+            trials_per_pair=trials_per_pair, num_shards=1, base_seed=11,
+        )
+        entry = root / "spool" / "incoming" / "cycle-00"
+        delivered.write(entry)
+        fill(entry / "cache", delivered.trials, random.Random(11))
+
+        def fold():
+            report = service.ingest_entry(entry)
+            assert report.trials == len(delivered.trials)
+            service.store.compact()
+
+        parsed_before = counters()[1]
+        frames, _pathlib, encoder_calls = count_frames(fold)
+        measured.append(
+            (
+                len(delivered.trials), frames, encoder_calls,
+                counters()[1] - parsed_before,
+            )
+        )
+        # Every journal line is the entry file's bytes in its frame.
+        (segment,) = (root / "out" / "store").glob("segment-*.jsonl")
+        lines = segment.read_bytes().split(b"\n")[1:-2]
+        for seq, (line, planned) in enumerate(zip(lines, delivered.trials)):
+            done = root / "spool" / "done" / "cycle-00" / "cache"
+            stored = (done / f"{planned.cache_key}.json").read_bytes()
+            assert line.endswith(b'"result":%b,"seq":%d}' % (stored, seq))
+    # Rows of (trials, frames, encoder calls, entries parsed).
+    _warm_up, small, large = measured
+    assert large[0] == 2 * small[0]
+    assert small[2] == large[2] > 0  # encoder calls: O(1) per cycle
+    assert (small[3], large[3]) == (small[0], large[0])  # one parse each
+    per_trial = (large[1] - small[1]) / (large[0] - small[0])
+    assert per_trial <= FRAMES_PER_INGESTED_TRIAL_BUDGET

@@ -291,6 +291,44 @@ class TestShardExecutionMergeAssembly:
         assert report.duplicates == len(plan.shard_trials(0))
         assert report.gaps == []
 
+    @pytest.mark.parametrize("layout", [{"indent": 1}, {}, {"indent": 4}])
+    def test_mixed_generation_duplicates_are_format_skew_not_divergence(
+        self, pipeline, tmp_path, layout
+    ):
+        """An older cache's indented entry (``indent=1``) and today's
+        one-line entry of one trial differ in bytes, not in what they
+        record - as does any other layout of the same JSON value."""
+        plan, shard_dirs, _merged, _receipts, _report = pipeline
+        older = tmp_path / "older"
+        older.mkdir()
+        for entry in shard_dirs[0].glob("*.json"):
+            if entry.name != RECEIPT_FILENAME:
+                (older / entry.name).write_text(
+                    json.dumps(json.loads(entry.read_text()), **layout)
+                )
+                assert (older / entry.name).read_bytes() != entry.read_bytes()
+        key = plan.shard_trials(0)[0].cache_key
+        for order in ([older, *shard_dirs], [*shard_dirs, older]):
+            dest = tmp_path / f"m-{order[0].name}"
+            report = merge_shards(plan, order, dest, require_receipts=False)
+            assert report.duplicates == len(plan.shard_trials(0))
+            assert report.superseded_entries == 0 and report.gaps == []
+            # First come stays: nothing is rewritten for a duplicate.
+            assert (dest / f"{key}.json").read_bytes() == (
+                order[0] / f"{key}.json"
+            ).read_bytes()
+            reports = assemble_reports(plan, TrialCache(dest))
+            assert reports[0].runner_stats.trials_run == 0
+        # The same layout with one value of another *type*: divergent.
+        payload = json.loads((older / f"{key}.json").read_text())
+        payload["seed"] = float(payload["seed"])
+        (older / f"{key}.json").write_text(json.dumps(payload, **layout))
+        with pytest.raises(FleetError, match="divergent duplicate"):
+            merge_shards(
+                plan, [older, *shard_dirs], tmp_path / "m-typed",
+                require_receipts=False,
+            )
+
     def test_assemble_refuses_incomplete_cache(self, pipeline):
         plan, shard_dirs, _merged, _receipts, _report = pipeline
         with pytest.raises(FleetError, match="missing"):

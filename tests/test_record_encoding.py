@@ -1,0 +1,256 @@
+"""One encoding per trial record, one derivation per cache key.
+
+A trial is persisted as a cache entry, as the ``result`` of a journal
+line and again in a store segment.  All three are the same bytes:
+``TrialCache.put`` writes ``canonical_json`` of the payload, the service
+adopts the entry's bytes as read, compaction copies the journal.  Checked
+here on bytes: against the encoding the store used before (every record
+dumped whole), across entry layouts, and for entries this library did
+not write.  The key half: ``trial_cache_key`` resumes a memoised SHA-256
+prefix state and must equal the whole-string oracle for every input.
+"""
+
+import json
+import random
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from repro.browser.environment import ClientEnvironment
+from repro.config import ExperimentConfig, NetworkConfig
+from repro.core import cache as cache_module
+from repro.core.cache import TrialCache, canonical_json, trial_cache_key
+from repro.core.runner import TrialSpec, replay
+from repro.fleet.plan import load_plan
+from repro.service import WatchdogService
+from repro.service.store import RollingResultStore
+
+from tests.naive_cache_key import naive_trial_cache_key
+from tests.test_cache_keys import _envs, _specs, reference_trial_cache_key
+from tests.test_ingest_linearity import (
+    CONFIG,
+    NETWORKS,
+    deliver_cycle,
+    synthetic_result,
+)
+
+# ----------------------------------------------------------------------
+# Keys by prefix hash
+# ----------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_specs, env=_envs)
+def test_prefix_hashed_key_equals_the_whole_string_oracles(spec, env):
+    """``_specs`` draws bool / huge / negative / float seeds, non-ASCII
+    and quote-bearing ids and ``8e6`` beside ``8000000`` in the configs;
+    ``_envs`` an explicit environment or none."""
+    key = trial_cache_key(spec, env)
+    assert key == naive_trial_cache_key(spec, env)
+    assert key == reference_trial_cache_key(spec, env)
+
+
+def test_equal_ids_and_seeds_of_other_types_keep_distinct_keys():
+    """The traps of a memo keyed on ``==``: ``1 == True == 1.0``."""
+    network, config = NetworkConfig(8e6), ExperimentConfig()
+    specs = [
+        TrialSpec(ids, network, config, seed)
+        for ids in (("a", "b"), (1, 2), (True, 2), (1.0, 2))
+        for seed in (1, True, 1.0, -1, 2**70)
+    ]
+    for _round in range(2):  # cold tables, then warm ones
+        keys = [trial_cache_key(spec, ClientEnvironment()) for spec in specs]
+        assert keys == [
+            naive_trial_cache_key(spec, ClientEnvironment()) for spec in specs
+        ]
+        assert len(set(keys)) == len(specs)
+    assert all(
+        type(sid) is str for ids in cache_module._IDS_TAILS for sid in ids
+    )
+
+
+def test_prefix_and_tail_tables_are_bounded_and_pin_their_objects():
+    cache_module._PREFIX_BY_IDS.clear()
+    config = ExperimentConfig()
+    for bandwidth in range(cache_module._CONFIG_MEMO_MAX * 2 + 5):
+        spec = TrialSpec(
+            (f"s{bandwidth}", "b"), NetworkConfig(bandwidth), config, 1
+        )
+        # The network dies with this iteration: an unpinned id would be
+        # handed to the next one, with the old prefix still under it.
+        assert trial_cache_key(spec) == naive_trial_cache_key(spec)
+    assert len(cache_module._PREFIX_BY_IDS) <= cache_module._CONFIG_MEMO_MAX
+    assert all(
+        ids == tuple(id(obj) for obj in pinned[1:])
+        for ids, pinned in cache_module._PREFIX_BY_IDS.items()
+    )
+    cache_module._IDS_TAILS.clear()
+    for index in range(cache_module._IDS_TAILS_MAX + 5):
+        cache_module._ids_tail((f"s{index}",))
+    assert len(cache_module._IDS_TAILS) <= cache_module._IDS_TAILS_MAX
+
+
+# ----------------------------------------------------------------------
+# Entries
+# ----------------------------------------------------------------------
+
+SPEC = TrialSpec(("vidéo", 'q"uo\\te'), NETWORKS[0], CONFIG, seed=3)
+
+
+def test_an_entry_is_the_canonical_line_and_any_json_object_still_reads(
+    tmp_path,
+):
+    result = synthetic_result(SPEC, random.Random(1))
+    cache = TrialCache(tmp_path)
+    cache.put(SPEC, result)
+    path = tmp_path / f"{trial_cache_key(SPEC)}.json"
+    text = path.read_text()
+    assert text == canonical_json(result.to_json())
+    assert text == json.dumps(
+        result.to_json(), sort_keys=True, separators=(",", ":")
+    )
+    assert "\n" not in text and text.isascii()
+    for layout in ({"indent": 1}, {"indent": 4, "sort_keys": True}, {}):
+        path.write_text(json.dumps(result.to_json(), **layout) + "\n")
+        assert TrialCache(tmp_path).get(SPEC) == result
+
+
+def test_entry_bytes_are_kept_only_when_asked_and_never_go_stale(tmp_path):
+    first = synthetic_result(SPEC, random.Random(1))
+    TrialCache(tmp_path).put(SPEC, first)
+    key = trial_cache_key(SPEC)
+    stored = (tmp_path / f"{key}.json").read_bytes()
+
+    plain = TrialCache(tmp_path)
+    assert plain.get(SPEC) == first
+    assert plain._entry_bytes is None
+
+    asked = TrialCache(tmp_path)
+    kept = asked.keep_entry_bytes()
+    assert kept == {} and asked.keep_entry_bytes() is kept
+    assert asked.get(SPEC) == first
+    assert kept == {key: stored}
+    assert json.loads(kept[key]) == asked.payload_for(key)
+    # A put replaces the payload: the old bytes must not outlive it.
+    asked.put(SPEC, synthetic_result(SPEC, random.Random(2)))
+    assert kept == {}
+    # Written by this process, served from memory: no bytes to adopt.
+    assert asked.get(SPEC) is not None and kept == {}
+    asked.get(SPEC)
+    asked.clear()
+    assert kept == {}
+
+
+# ----------------------------------------------------------------------
+# Store bytes
+# ----------------------------------------------------------------------
+
+
+def ingest_two(root, relayout=None, compact=True):
+    """Two merged fixed cycles through the service; ``relayout``
+    rewrites every delivered entry file first."""
+    service = WatchdogService(
+        root / "spool", root / "out",
+        networks=NETWORKS, plan_config=CONFIG, plan_trials=1,
+    )
+    for index in range(2):
+        deliver_cycle(root / "spool", index)
+        cache = root / "spool" / "incoming" / f"cycle-{index:02d}" / "cache"
+        for path in cache.glob("*.json") if relayout else ():
+            path.write_text(relayout(json.loads(path.read_text())))
+    if compact:
+        for _index in range(2):
+            service.ingest_once()
+    else:
+        for entry in service.scan_spool():
+            service.ingest_entry(entry)
+    return service
+
+
+def whole_record_journal(root):
+    """The journal as the store encoded it before it adopted entry
+    bytes: every record a dict, dumped whole."""
+
+    def line(record):
+        return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+    lines = []
+    for index in range(2):
+        done = root / "spool" / "done" / f"cycle-{index:02d}"
+        plan = load_plan(done / "plan.json")
+        results, _stats = replay(
+            TrialCache(done / "cache"), [t.spec for t in plan.trials], True
+        )
+        lines.append(line({
+            "record": "begin", "schema": 1, "cycle_id": plan.plan_id,
+            "source": done.name, "kind": "fixed", "partial": False,
+        }))
+        lines += [
+            line({
+                "record": "trial", "cycle_id": plan.plan_id, "seq": seq,
+                "result": result.to_json(),
+            })
+            for seq, result in enumerate(results)
+        ]
+        lines.append(line({
+            "record": "commit", "cycle_id": plan.plan_id,
+            "trials": len(results),
+        }))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_journal_bytes_equal_the_whole_record_encoding(tmp_path):
+    service = ingest_two(tmp_path, compact=False)
+    journal = service.store.journal_path.read_bytes()
+    assert journal == whole_record_journal(tmp_path)
+    service.store.compact()
+    segments = b"".join(
+        (service.store.root / row["file"]).read_bytes()
+        for row in json.loads(service.store.snapshot_path.read_text())[
+            "segments"
+        ]
+    )
+    assert segments == journal
+
+
+def files(root):
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+@pytest.mark.parametrize(
+    "relayout, same_store",
+    [
+        (lambda payload: json.dumps(payload, indent=1), True),  # older cache
+        (lambda payload: json.dumps(payload, indent=4) + "\n", True),
+        # One line, spaced, keys unsorted: adopted as it is.
+        (lambda payload: json.dumps(payload), False),
+    ],
+    ids=["indent-1", "indent-4", "spaced-one-line"],
+)
+def test_store_and_site_bytes_do_not_depend_on_the_entry_layout(
+    tmp_path, relayout, same_store
+):
+    """Indented entries are re-encoded, one-line entries adopted: for
+    records this library wrote that is the same store.  A foreign
+    one-line entry is adopted spaces and all - a store that differs in
+    bytes, never in content."""
+    ingest_two(tmp_path / "one-line")
+    ingest_two(tmp_path / "other", relayout)
+    ours, theirs = (tmp_path / name / "out" for name in ("one-line", "other"))
+    assert (files(theirs / "store") == files(ours / "store")) is same_store
+    assert files(theirs / "site") == files(ours / "site")
+    views = [
+        [
+            result.to_json()
+            for result in RollingResultStore(out / "store")
+            .store_view().all_results()
+        ]
+        for out in (ours, theirs)
+    ]
+    assert views[0] == views[1] and len(views[0]) > 20

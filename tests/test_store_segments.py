@@ -14,7 +14,11 @@ Three properties of compaction, each checked on the bytes on disk:
   ``JSONDecodeError``/``KeyError``, never a silently shorter store.
 - **Journal lines**: only the final line may be unparsable (a killed
   append); the next append cuts it away instead of gluing its own
-  first record onto it, and an unparsable line anywhere else raises.
+  first record onto it, and an unparsable line anywhere else raises -
+  as does a line that is JSON but not a journal record.
+- **Adopted lines**: a record built from cache reads journals each
+  one-line entry byte for byte, canonical or not, and compaction copies
+  the journal's bytes, so a restart between the two changes nothing.
 """
 
 import hashlib
@@ -26,14 +30,16 @@ import pytest
 
 from repro.obs.metrics import get_registry
 from repro.service import store as store_module
+from repro.core.experiment import ExperimentResult
 from repro.service.store import (
     SNAPSHOT_FILENAME,
     STORE_SCHEMA_VERSION,
+    CycleRecord,
     RollingResultStore,
     StoreError,
 )
 
-from tests.test_service import make_record
+from tests.test_service import fake_result, make_record
 
 SCHEMA1_FIXTURE = Path(__file__).parent / "data" / "store_snapshot_schema1.json"
 
@@ -54,6 +60,21 @@ def compacted_store(root, cycles=("c1", "c2")):
         store.append_cycle(make_record(cycle_id))
     store.compact()
     return store
+
+
+def foreign_record(cycle_id, trials=2):
+    """A cycle read from one-line entries this library did not write:
+    keys in insertion order, not sorted - valid, never canonical."""
+    payloads = [fake_result(seed) for seed in range(trials)]
+    return CycleRecord.from_cache_reads(
+        cycle_id, f"entry-{cycle_id}", "fixed", False,
+        payloads=payloads,
+        parsed=[ExperimentResult.from_json(p) for p in payloads],
+        entry_bytes=[
+            json.dumps(p, separators=(",", ":")).encode() + b"\n"
+            for p in payloads
+        ],
+    )
 
 
 def read_manifest(root):
@@ -194,12 +215,44 @@ class TestCrashWindows:
     def test_crash_then_reopen_then_compact_is_byte_identical(
         self, tmp_path, monkeypatch, writes_done, window
     ):
+        self._crash_reopen_compact(
+            tmp_path, monkeypatch, writes_done, window, make_record
+        )
+
+    @pytest.mark.parametrize("writes_done", [0, 1, 2])
+    def test_adopted_foreign_lines_survive_the_same_crashes(
+        self, tmp_path, monkeypatch, writes_done
+    ):
+        """The restarted store holds parsed payloads, not the foreign
+        bytes: only copying the journal gives the uninterrupted run's
+        segment (re-encoding would sort the keys)."""
+        self._crash_reopen_compact(
+            tmp_path, monkeypatch, writes_done, "adopted", foreign_record
+        )
+        crashed = tmp_path / "crashed"
+        segment = crashed / read_manifest(crashed)["segments"][1]["file"]
+        (line,) = [
+            line
+            for line in segment.read_bytes().split(b"\n")
+            if b'"seq":0' in line
+        ]
+        entry = json.dumps(fake_result(0), separators=(",", ":")).encode()
+        assert line == (
+            b'{"cycle_id":"c2","record":"trial","result":%b,"seq":0}' % entry
+        )
+        assert entry != json.dumps(
+            fake_result(0), separators=(",", ":"), sort_keys=True
+        ).encode()
+
+    def _crash_reopen_compact(
+        self, tmp_path, monkeypatch, writes_done, window, record_of
+    ):
         control = compacted_store(tmp_path / "control", cycles=("c1",))
-        control.append_cycle(make_record("c2"))
+        control.append_cycle(record_of("c2"))
         control.compact()
 
         store = compacted_store(tmp_path / "crashed", cycles=("c1",))
-        store.append_cycle(make_record("c2"))
+        store.append_cycle(record_of("c2"))
         crash_on_write(monkeypatch, writes_done)
         with pytest.raises(_Crash):
             store.compact()
@@ -368,3 +421,68 @@ class TestJournalLines:
             RollingResultStore(tmp_path)
         assert str(store.journal_path) in str(excinfo.value)
         assert "line 2" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b"3",
+            b"[1]",
+            b'"x"',
+            b"null",
+            b'{"cycle_id":"c1","record":"trial","seq":0}',
+            b'{"cycle_id":"c1","record":"trial","result":[],"seq":0}',
+            b'{"record":"begin"}',
+        ],
+    )
+    @pytest.mark.parametrize("last", [False, True])
+    def test_json_that_is_not_a_record_raises_naming_file_and_line(
+        self, tmp_path, line, last
+    ):
+        """Valid JSON is no torn append, wherever it sits: it used to
+        escape as a bare AttributeError / KeyError."""
+        store = RollingResultStore(tmp_path)
+        store.append_cycle(make_record("c1"))
+        store.append_cycle(make_record("c2"))
+        lines = store.journal_path.read_bytes().split(b"\n")
+        if last:
+            # A begin opens the segment the stray trial line claims.
+            lines[-1:] = [lines[0], line, b""]
+            number = len(lines) - 1
+        else:
+            lines[1] = line
+            number = 2
+        store.journal_path.write_bytes(b"\n".join(lines))
+        with pytest.raises(StoreError) as excinfo:
+            RollingResultStore(tmp_path)
+        assert str(store.journal_path) in str(excinfo.value)
+        assert f"line {number}" in str(excinfo.value)
+
+    def test_a_commit_without_its_newline_is_not_a_commit(self, tmp_path):
+        """The kill fell between the commit record and its newline: the
+        next append cuts that fragment away, so replay must not count
+        it either - or the cycle is lost while its entry sits in done/."""
+        store = RollingResultStore(tmp_path)
+        store.append_cycle(make_record("c1"))
+        store.append_cycle(make_record("c2"))
+        whole = store.journal_path.read_bytes()
+        store.journal_path.write_bytes(whole[:-1])
+        reopened = RollingResultStore(tmp_path)
+        assert [r.cycle_id for r in reopened.cycles()] == ["c1"]
+        reopened.append_cycle(make_record("c2"))
+        again = RollingResultStore(tmp_path)
+        assert [r.cycle_id for r in again.cycles()] == ["c1", "c2"]
+        reopened.compact()
+        assert tree_bytes(tmp_path) == tree_bytes(
+            compacted_store(tmp_path / "control").root
+        )
+
+    def test_compaction_refuses_a_journal_changed_under_it(self, tmp_path):
+        store = RollingResultStore(tmp_path)
+        store.append_cycle(make_record("c1"))
+        store.append_cycle(make_record("c2"))
+        journal = store.journal_path.read_bytes()
+        store.journal_path.write_bytes(journal[40:])
+        with pytest.raises(StoreError, match="changed under this process"):
+            store.compact()
+        assert segment_files(tmp_path) == []
+        assert not store.snapshot_path.exists()
