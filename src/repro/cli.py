@@ -11,8 +11,6 @@ watchdog is driven:
 - ``sweep``     - fairness vs bandwidth/buffer/RTT for one pair
 - ``fleet``     - sharded multi-host execution: plan / run-shard /
   merge / status / report (see :mod:`repro.fleet.cli`)
-- ``bench``     - hot-path benchmark suite, writing ``BENCH_netsim.json``
-  (see :mod:`repro.bench`)
 - ``earlystop`` - train the trial-level early-termination stop rule from
   a cached corpus; arm it via ``--earlystop`` on ``pair``/``cycle`` and
   the fleet commands (see :mod:`repro.core.earlystop`)
@@ -21,6 +19,10 @@ watchdog is driven:
 - ``service``   - long-running watchdog coordinator: spool ingestion,
   rolling result store, incremental findings site, submissions
   (see :mod:`repro.service.cli`)
+
+Performance has no subcommand: ``python3 benchmarks/pipeline/run.py``
+measures whole cycles, and the tier-1 budget tests pin exact per-packet
+and per-trial work counts.
 
 Global flags (before the subcommand): ``--log-level``/``--log-json``
 route the library's structured diagnostics to stderr, ``--trace-file``
@@ -252,69 +254,6 @@ def cmd_cycle(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    """Run the netsim hot-path benchmark suite and write BENCH_netsim.json."""
-    from .bench import compare, profile_scenario, run_benchmark
-
-    if args.profile:
-        profile_scenario(args.profile)
-        return 0
-    payload = run_benchmark(
-        quick=args.quick,
-        duration_sec=args.duration,
-        repeats=args.repeats,
-        seed=args.seed,
-    )
-    with open(args.output, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    if args.json:
-        print(json.dumps(payload, indent=1, sort_keys=True))
-    else:
-        for name, row in payload["scenarios"].items():
-            print(
-                f"{name:<24} {row['pkts_per_sec']:>9,.0f} pkts/s  "
-                f"{row['sim_sec_per_wall_sec']:>6.1f} sim-sec/wall-sec  "
-                f"({row['packets']:,} pkts in {row['wall_sec']:.2f}s)"
-            )
-        print(f"wrote {args.output}")
-    if args.baseline:
-        # Informational delta: tolerate a missing/corrupt baseline.
-        try:
-            with open(args.baseline) as fh:
-                baseline = json.load(fh)
-        except (OSError, ValueError) as exc:
-            print(f"baseline {args.baseline!r} unreadable: {exc}",
-                  file=sys.stderr)
-            return 0  # non-blocking by design
-        lines, _regressions = compare(baseline, payload)
-        for line in lines:
-            print(f"  delta {line}")
-    if args.compare:
-        # Blocking gate: an unreadable baseline is an error here, and a
-        # regression beyond --fail-threshold fails the run (CI uses this).
-        try:
-            with open(args.compare) as fh:
-                baseline = json.load(fh)
-        except (OSError, ValueError) as exc:
-            print(f"compare baseline {args.compare!r} unreadable: {exc}",
-                  file=sys.stderr)
-            return 2
-        lines, regressions = compare(baseline, payload, args.fail_threshold)
-        for line in lines:
-            print(f"  delta {line}")
-        if regressions:
-            print(
-                f"FAIL: {len(regressions)} scenario(s) regressed more than "
-                f"{args.fail_threshold * 100:.0f}% vs {args.compare}:",
-                file=sys.stderr,
-            )
-            for regression in regressions:
-                print(f"  {regression}", file=sys.stderr)
-            return 1
-    return 0
-
-
 def cmd_earlystop_fit(args) -> int:
     """Train the early-termination stop rule from a cached corpus.
 
@@ -539,52 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_earlystop_fit)
-
-    p = sub.add_parser(
-        "bench", help="run the netsim hot-path benchmark suite"
-    )
-    p.add_argument(
-        "--quick", action="store_true",
-        help="short CI-smoke variant (10 sim-sec, 3 repeats)",
-    )
-    p.add_argument(
-        "--duration", type=float, default=None,
-        help="sim-seconds per scenario (default: 15, or 3 with --quick)",
-    )
-    p.add_argument(
-        "--repeats", type=int, default=None,
-        help="repetitions per scenario, best kept (default: 3, or 1 "
-             "with --quick)",
-    )
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument(
-        "--output", default="BENCH_netsim.json",
-        help="result file (default: BENCH_netsim.json in the CWD)",
-    )
-    p.add_argument(
-        "--baseline", default=None,
-        help="print non-blocking per-scenario deltas vs this baseline "
-             "file (e.g. the committed BENCH_netsim.json)",
-    )
-    p.add_argument(
-        "--compare", default=None, metavar="BASELINE",
-        help="blocking variant of --baseline: exit 1 if any scenario's "
-             "p50 pkts/sec drops more than --fail-threshold, exit 2 if "
-             "the baseline file is unreadable (CI's bench-smoke gate)",
-    )
-    p.add_argument(
-        "--fail-threshold", type=float, default=0.15, metavar="FRACTION",
-        help="fractional pkts/sec drop that fails --compare "
-             "(default: 0.15)",
-    )
-    p.add_argument(
-        "--profile", nargs="?", const="pair-50mbps-trace-off",
-        metavar="SCENARIO",
-        help="cProfile one scenario instead of benchmarking (default "
-             "scenario: pair-50mbps-trace-off)",
-    )
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("classify", help="classify a congestion controller")
     p.add_argument("cca", help=f"one of {sorted(CCA_FACTORIES)}")

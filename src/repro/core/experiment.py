@@ -94,10 +94,6 @@ class ExperimentResult:
         """False when upstream noise invalidates the trial."""
         return self.external_loss_fraction <= EXTERNAL_LOSS_LIMIT
 
-    def share_of(self, service_id: str) -> float:
-        """This service's achieved fraction of its MmF allocation."""
-        return self.mmf_share[service_id]
-
     def throughput_mbps(self, service_id: str) -> float:
         """This service's measured throughput in Mbps."""
         return self.throughput_bps[service_id] / 1e6

@@ -6,14 +6,7 @@ send packets through a shared, rate-limited bottleneck link with a
 drop-tail FIFO queue, with per-service delay insertion to normalise RTTs.
 """
 
-from .engine import (
-    CalendarEngine,
-    Engine,
-    HeapEngine,
-    Timer,
-    build_engine,
-    engine_kind_from_env,
-)
+from .engine import CalendarEngine, Timer, build_engine
 from .packet import Packet
 from .queue import DropTailQueue
 from .link import BottleneckLink
@@ -22,11 +15,8 @@ from .trace import PacketTrace, QueueLog
 
 __all__ = [
     "CalendarEngine",
-    "Engine",
-    "HeapEngine",
     "Timer",
     "build_engine",
-    "engine_kind_from_env",
     "Packet",
     "DropTailQueue",
     "BottleneckLink",

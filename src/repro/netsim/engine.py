@@ -5,18 +5,12 @@ number makes ordering of same-time events deterministic (FIFO in
 scheduling order), which keeps whole simulations bit-reproducible for a
 given seed.
 
-Two interchangeable scheduler cores implement the same public API and the
-same total dispatch order ``(time, seq)``:
-
-* :class:`HeapEngine` - the original binary heap (``heapq``).  Kept as
-  the dispatch-order oracle: simple, obviously correct, O(log n) per op.
-* :class:`CalendarEngine` - a calendar queue (rotating array of time
-  buckets, per-day sorted dispatch, overflow list for far-future events,
-  adaptive bucket width).  O(1) amortized per op; the default.
-
-:func:`build_engine` selects between them (``REPRO_ENGINE=heap|calendar``)
-and is the seam every simulation construction path goes through; see
-DESIGN.md ("Event scheduler").
+:class:`CalendarEngine` is the one scheduler core: a calendar queue
+(rotating array of time buckets, per-day sorted dispatch, overflow heap
+for far-future events, adaptive bucket width), O(1) amortized per op.
+It dispatches in exactly the ``(time, seq)`` order of a binary heap; the
+heap it replaced is kept as the test oracle in ``tests/naive_engine.py``
+(see DESIGN.md, "Event scheduler").
 
 The 4-tuple form exists for the simulator hot path: schedulers pass a
 pre-existing bound method plus its argument (typically a
@@ -29,7 +23,6 @@ loop; see DESIGN.md ("simulator hot path").
 from __future__ import annotations
 
 import heapq
-import os
 from bisect import insort
 from math import log2
 from typing import Any, Callable, List, Optional, Tuple
@@ -41,111 +34,6 @@ _NO_ARG = object()
 #: Public alias for callers (e.g. ``Service.schedule``) that forward the
 #: optional-arg form without wanting to import an underscored name.
 NO_ARG = _NO_ARG
-
-
-class HeapEngine:
-    """The original binary-heap event loop (dispatch-order oracle).
-
-    The hot path (one bottleneck-packet lifetime) schedules roughly four
-    events, so this class is deliberately small: a heap, a clock, and a
-    monotone sequence counter.
-    """
-
-    __slots__ = ("now", "_heap", "_seq", "_running", "_stale")
-
-    def __init__(self) -> None:
-        self.now: int = 0
-        self._heap: List[Tuple[int, int, Callable, Any]] = []
-        self._seq = 0
-        self._running = False
-        #: In-structure events that are no longer dispatchable work: a
-        #: lazily-cancelled Timer's wakeup stays in the heap as a no-op
-        #: until it drains.  ``pending()`` subtracts these.
-        self._stale = 0
-
-    def schedule(
-        self, delay_usec: int, callback: Callable, arg: Any = _NO_ARG
-    ) -> None:
-        """Run ``callback`` ``delay_usec`` microseconds from now.
-
-        When ``arg`` is given the event dispatches as ``callback(arg)``;
-        pass a bound method plus its operand to avoid allocating a closure
-        per event on hot paths.
-        """
-        if delay_usec < 0:
-            raise ValueError("cannot schedule into the past")
-        self._seq = seq = self._seq + 1
-        heapq.heappush(self._heap, (self.now + delay_usec, seq, callback, arg))
-
-    def schedule_at(
-        self, when_usec: int, callback: Callable, arg: Any = _NO_ARG
-    ) -> None:
-        """Run ``callback`` at absolute time ``when_usec``."""
-        if when_usec < self.now:
-            raise ValueError("cannot schedule into the past")
-        self._seq = seq = self._seq + 1
-        heapq.heappush(self._heap, (when_usec, seq, callback, arg))
-
-    def run(self, until_usec: Optional[int] = None) -> None:
-        """Process events until the heap drains or the clock passes ``until_usec``.
-
-        When ``until_usec`` is given the clock is left exactly there, so
-        consecutive ``run`` calls resume seamlessly.
-        """
-        if self._running:
-            raise RuntimeError("engine.run is not reentrant")
-        heap = self._heap
-        pop = heapq.heappop
-        no_arg = _NO_ARG
-        self._running = True
-        try:
-            if until_usec is None:
-                while heap:
-                    when, _seq, callback, arg = pop(heap)
-                    self.now = when
-                    if arg is no_arg:
-                        callback()
-                    else:
-                        callback(arg)
-            else:
-                while heap:
-                    if heap[0][0] > until_usec:
-                        break
-                    when, _seq, callback, arg = pop(heap)
-                    self.now = when
-                    if arg is no_arg:
-                        callback()
-                    else:
-                        callback(arg)
-        finally:
-            self._running = False
-        if until_usec is not None and self.now < until_usec:
-            self.now = until_usec
-
-    def timer(self, callback: Callable[[], None]) -> "Timer":
-        """A lazy-cancellation timer handle firing ``callback`` on expiry."""
-        return Timer(self, callback)
-
-    def pending(self) -> int:
-        """Number of scheduled events that still represent dispatchable work.
-
-        Lazily-cancelled :class:`Timer` wakeups sit in the heap until they
-        drain as no-ops; they are *not* pending work and are excluded here
-        (each live Timer contributes exactly one event - the
-        one-event-per-Timer invariant - and that event counts only while
-        the timer is armed).
-        """
-        return len(self._heap) - self._stale
-
-    @property
-    def events_scheduled(self) -> int:
-        """Total events ever scheduled (the monotone sequence counter).
-
-        Read by post-trial instrumentation (repro.obs) as a measure of
-        event-loop work; maintaining it costs nothing extra because the
-        counter already exists for deterministic tie-breaking.
-        """
-        return self._seq
 
 
 class CalendarEngine:
@@ -592,8 +480,7 @@ class CalendarEngine:
 
         Computed on demand (this is introspection, not the hot path) as
         everything still sitting in the wheel plus the overflow, minus
-        lazily-cancelled Timer wakeups - the same accounting as
-        :meth:`HeapEngine.pending`.  Exact whenever called outside a
+        lazily-cancelled Timer wakeups.  Exact whenever called outside a
         dispatch callback (every caller in the tree).  From *inside* a
         callback the hot loop leaves consumed events in the live bucket
         until the day closes, so the count can transiently include up to
@@ -610,42 +497,9 @@ class CalendarEngine:
         return self._seq
 
 
-#: Engine kinds selectable via ``REPRO_ENGINE`` / :func:`build_engine`.
-ENGINE_KINDS = {
-    "heap": HeapEngine,
-    "calendar": CalendarEngine,
-}
-
-#: The default scheduler core.
-DEFAULT_ENGINE_KIND = "calendar"
-
-
-def engine_kind_from_env() -> str:
-    """The engine kind selected by ``REPRO_ENGINE`` (default calendar)."""
-    kind = os.environ.get("REPRO_ENGINE", DEFAULT_ENGINE_KIND).strip().lower()
-    if kind not in ENGINE_KINDS:
-        raise ValueError(
-            f"REPRO_ENGINE={kind!r}: expected one of {sorted(ENGINE_KINDS)}"
-        )
-    return kind
-
-
-def build_engine(kind: Optional[str] = None):
-    """Construct an event engine.
-
-    ``kind`` is ``"heap"`` or ``"calendar"``; when omitted the
-    ``REPRO_ENGINE`` environment variable decides (default
-    ``"calendar"``).  Every simulation construction path
-    (:class:`~repro.netsim.topology.Dumbbell`, and through it
-    ``run_trial_artifacts``) funnels through here, so one env var flips
-    the whole system between the calendar queue and the heap oracle.
-    """
-    return ENGINE_KINDS[kind or engine_kind_from_env()]()
-
-
-#: Backwards-compatible name: the default engine class.  Code that needs
-#: runtime selection should call :func:`build_engine` instead.
-Engine = CalendarEngine
+def build_engine() -> CalendarEngine:
+    """A fresh event engine (the pipeline benchmark's engine probe)."""
+    return CalendarEngine()
 
 
 class Timer:
@@ -669,8 +523,8 @@ class Timer:
     virtually always move forward; keeping this semantic also preserves
     bit-identical schedules with the pre-handle implementation.)
 
-    Works against either engine kind - it only uses ``schedule_at``,
-    ``now``, and the ``_stale`` counter.
+    It only uses the engine's ``schedule_at``, ``now`` and ``_stale``
+    counter, so the heap oracle in ``tests/naive_engine.py`` drives it too.
     """
 
     __slots__ = ("_engine", "_callback", "deadline", "_event_at")

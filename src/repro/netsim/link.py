@@ -20,7 +20,7 @@ from collections import defaultdict
 from typing import Callable, Dict, Optional
 
 from .. import units
-from .engine import Engine
+from .engine import CalendarEngine
 from .packet import Packet
 from .queue import DropTailQueue
 from .trace import PacketTrace, Probe
@@ -56,7 +56,7 @@ class BottleneckLink:
 
     def __init__(
         self,
-        engine: Engine,
+        engine: CalendarEngine,
         rate_bps: float,
         queue: DropTailQueue,
         post_delay_usec: int = 0,

@@ -15,7 +15,7 @@ from typing import Dict, Optional
 
 from .. import units
 from ..config import NetworkConfig
-from .engine import _NO_ARG, build_engine
+from .engine import _NO_ARG, CalendarEngine
 from .link import BottleneckLink
 from .packet import Packet
 from .queue import DropTailQueue
@@ -45,7 +45,7 @@ class Path:
 
     def __init__(
         self,
-        engine: Engine,
+        engine: CalendarEngine,
         link: BottleneckLink,
         pre_delay_usec: int,
         rev_delay_usec: int,
@@ -145,13 +145,11 @@ class Dumbbell:
         seed: int = 0,
         trace_packets: bool = False,
         queue_log_period_usec: int = 10_000,
-        engine=None,
+        engine: Optional[CalendarEngine] = None,
     ) -> None:
         self.network = network
-        # The engine seam: callers (tests, the differential harness) may
-        # inject a specific scheduler core; everyone else gets the
-        # REPRO_ENGINE-selected default.
-        self.engine = engine if engine is not None else build_engine()
+        # Tests inject the heap oracle here (tests/naive_engine.py).
+        self.engine = engine if engine is not None else CalendarEngine()
         self.queue_log = QueueLog(sample_period_usec=queue_log_period_usec)
         self.trace = PacketTrace(enabled=trace_packets)
         self.queue = DropTailQueue(network.queue_packets, log=self.queue_log)

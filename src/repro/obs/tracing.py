@@ -102,11 +102,6 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
-def null_span() -> _NullSpan:
-    """The shared no-op span (for conditionally-instrumented regions)."""
-    return _NULL_SPAN
-
-
 class Tracer:
     """Appends closed spans to a JSONL file, thread-safely."""
 

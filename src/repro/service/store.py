@@ -30,9 +30,10 @@ the segments - all flat in the store directory:
   written through :func:`~repro.atomicio.atomic_write` and never opened
   for writing again - then rewrites the manifest (schema 2: ``file``,
   ``cycle_id``, ``trials`` and ``sha256`` per segment, oldest first),
-  then truncates the journal, then unlinks every segment file the manifest no longer
-  names (cycles retired from the rolling window, orphans of an earlier
-  crash).  Compaction therefore writes the new cycle's bytes plus one
+  fsyncs the new segments, the manifest and the store directory, then
+  truncates the journal, then unlinks every segment file the manifest no
+  longer names (cycles retired from the rolling window, orphans of an
+  earlier crash).  Compaction therefore writes the new cycle's bytes plus one
   manifest row per stored cycle, however long the history.
 - A crash between any two of those steps is harmless: a segment without
   a manifest row is ignored by replay (its cycle is still in the
@@ -190,6 +191,15 @@ class CycleRecord:
                 ExperimentResult.from_json(r) for r in self.results
             ]
         return self._parsed
+
+
+def _fsync(path: Path) -> None:
+    """Flush a file's bytes, or a directory's entries, to disk."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _segment_filename(cycle_id: str) -> str:
@@ -529,7 +539,10 @@ class RollingResultStore:
         their manifest row and then their file (the rolling half of
         "rolling result store").  Every write is an atomic rename, in
         the order segment -> manifest -> journal -> unlink, so a crash
-        at any point leaves a store that replays to the same cycles.
+        at any point leaves a store that replays to the same cycles; new
+        segments, the manifest and the directory are fsynced before the
+        journal is emptied, so a power loss does not trade the journal
+        for files that never reached the disk.
         """
         if max_cycles is not None:
             self._cycles = (
@@ -549,6 +562,7 @@ class RollingResultStore:
                     data = b"".join(_encode_segment(record))
                 name = _segment_filename(record.cycle_id)
                 atomic_write(self.root / name, data)
+                _fsync(self.root / name)
                 written += len(data)
                 row = {
                     "file": name,
@@ -565,6 +579,10 @@ class RollingResultStore:
             }
         ) + "\n"
         atomic_write(self.snapshot_path, manifest)
+        # The journal is fsynced; what replaces it must be on disk - file
+        # bytes and directory entries - before it is emptied.
+        _fsync(self.snapshot_path)
+        _fsync(self.root)
         self._segments = {row["cycle_id"]: row for row in rows}
         self._journal_spans = {}
         atomic_write(self.journal_path, "")

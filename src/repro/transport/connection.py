@@ -52,7 +52,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, Optional, Set, Tuple
 
 from .. import units
-from ..netsim.engine import Engine
+from ..netsim.engine import CalendarEngine
 from ..netsim.packet import Packet
 from ..netsim.topology import Path
 from .rate_sampler import RateSampler
@@ -126,7 +126,7 @@ class Connection:
 
     def __init__(
         self,
-        engine: Engine,
+        engine: CalendarEngine,
         path: Path,
         cca: "CongestionControl",
         service_id: str,
@@ -253,10 +253,6 @@ class Connection:
     @property
     def in_recovery(self) -> bool:
         return self._highest_acked_tx < self._recovery_until_tx
-
-    @property
-    def has_data(self) -> bool:
-        return bool(self._pending_packets or self._rtx_queue)
 
     # ------------------------------------------------------------------
     # Sending

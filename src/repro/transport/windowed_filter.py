@@ -6,13 +6,14 @@ standard three-estimate implementation: the best value plus two runners-up
 that take over as the best value ages out.
 
 Hot-path notes (see DESIGN.md, "Per-ACK CCA path"): BBR calls
-``WindowedMaxFilter.update`` once per delivered packet, so the concrete
-filters carry a flattened ``update`` with two early-exit fast paths —
+``WindowedMaxFilter.update`` once per delivered packet, so each concrete
+filter carries a flattened ``update`` with two early-exit fast paths —
 a new-best sample is a straight three-slot reset, and a non-improving
 sample inside the first quarter-subwindow provably changes nothing and
 returns immediately.  Both exits reproduce exactly what the generic
-reference algorithm (kept on :class:`_WindowedFilter`) would do; the
-property test in ``tests/test_windowed_filter.py`` pins the equivalence.
+algorithm (the reference in ``tests/naive_windowed_filter.py``) would
+do; the property test in ``tests/test_windowed_filter.py`` pins the
+equivalence.
 """
 
 from __future__ import annotations
@@ -21,14 +22,7 @@ from typing import List, Tuple
 
 
 class _WindowedFilter:
-    """Shared machinery; ``_better`` orders candidate samples.
-
-    ``update`` here is the straightforward reference implementation
-    (one virtual ``_better`` call per comparison).  The concrete
-    subclasses override it with a flattened fast-path version whose
-    observable behaviour is identical; tests drive this generic version
-    against the overrides to prove it.
-    """
+    """Shared state, ``get`` and ``reset``; each subclass owns ``update``."""
 
     __slots__ = ("window", "_quarter", "_estimates", "best")
 
@@ -43,56 +37,6 @@ class _WindowedFilter:
         #: (0.0 when empty).  A plain attribute so per-ACK readers (BBR's
         #: pacing/BDP math) skip the ``get()`` call frame.
         self.best = 0.0
-
-    def _better(self, a: float, b: float) -> bool:
-        raise NotImplementedError
-
-    def update(self, value: float, now: int) -> float:
-        """Insert a sample and return the current windowed best.
-
-        Mirrors Linux ``minmax_running_max``/``minmax_subwin_update``: a
-        full reset when the new sample beats the best or the *oldest*
-        runner-up has aged out, otherwise runner-up maintenance plus
-        quarter/half-window promotion.
-        """
-        est = self._estimates
-        if not est or self._better(value, est[0][0]):
-            sample = (value, now)
-            self._estimates = [sample, sample, sample]
-            self.best = value
-            return value
-        return self._update_slow(value, now)
-
-    def _update_slow(self, value: float, now: int) -> float:
-        """Everything past the empty/new-best checks: aged-out reset,
-        runner-up maintenance, and subwindow promotion.  Shared verbatim
-        by the reference ``update`` and the subclass fast paths."""
-        est = self._estimates
-        window = self.window
-        sample = (value, now)
-        if now - est[2][1] > window:
-            est[0] = est[1] = est[2] = sample
-            self.best = value
-            return value
-        if self._better(value, est[1][0]):
-            est[1] = sample
-            est[2] = sample
-        elif self._better(value, est[2][0]):
-            est[2] = sample
-        dt = now - est[0][1]
-        if dt > window:
-            # Best entry aged out: promote the runners-up.
-            est[0], est[1], est[2] = est[1], est[2], sample
-            if now - est[0][1] > window:
-                est[0], est[1], est[2] = est[1], est[2], sample
-        elif est[1][1] == est[0][1] and dt > self._quarter:
-            est[1] = sample
-            est[2] = sample
-        elif est[2][1] == est[1][1] and dt > window // 2:
-            est[2] = sample
-        best = est[0][0]
-        self.best = best
-        return best
 
     def get(self) -> float:
         """Current best value (0.0 when empty)."""
@@ -109,10 +53,8 @@ class WindowedMaxFilter(_WindowedFilter):
 
     __slots__ = ()
 
-    def _better(self, a: float, b: float) -> bool:
-        return a >= b
-
     def update(self, value: float, now: int) -> float:
+        """Insert a sample and return the current windowed best."""
         est = self._estimates
         if not est:
             sample = (value, now)
@@ -134,9 +76,9 @@ class WindowedMaxFilter(_WindowedFilter):
             # estimates and no promotion deadline has passed, so the
             # reference algorithm would leave the structure untouched.
             return e0[0]
-        # Slow path: ``_WindowedFilter._update_slow`` inlined with the
-        # virtual ``_better`` comparisons specialised to ``>=``.  Kept in
-        # lockstep with the reference — edit both together.
+        # Slow path: the reference ``_update_slow``
+        # (tests/naive_windowed_filter.py) with its ``_better``
+        # comparisons specialised to ``>=``.
         sample = (value, now)
         if now - e2[1] > window:
             est[0] = est[1] = est[2] = sample
@@ -167,10 +109,8 @@ class WindowedMinFilter(_WindowedFilter):
 
     __slots__ = ()
 
-    def _better(self, a: float, b: float) -> bool:
-        return a <= b
-
     def update(self, value: float, now: int) -> float:
+        """Insert a sample and return the current windowed best."""
         est = self._estimates
         if not est:
             sample = (value, now)

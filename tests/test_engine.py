@@ -3,12 +3,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.netsim.engine import Engine, Timer
+from repro.netsim.engine import CalendarEngine, Timer
 
 
 class TestScheduling:
     def test_runs_in_time_order(self):
-        engine = Engine()
+        engine = CalendarEngine()
         seen = []
         engine.schedule(30, lambda: seen.append("c"))
         engine.schedule(10, lambda: seen.append("a"))
@@ -17,7 +17,7 @@ class TestScheduling:
         assert seen == ["a", "b", "c"]
 
     def test_same_time_fifo(self):
-        engine = Engine()
+        engine = CalendarEngine()
         seen = []
         for label in "abcde":
             engine.schedule(5, lambda l=label: seen.append(l))
@@ -25,21 +25,21 @@ class TestScheduling:
         assert seen == list("abcde")
 
     def test_clock_advances_to_event_time(self):
-        engine = Engine()
+        engine = CalendarEngine()
         times = []
         engine.schedule(100, lambda: times.append(engine.now))
         engine.run()
         assert times == [100]
 
     def test_schedule_at_absolute(self):
-        engine = Engine()
+        engine = CalendarEngine()
         seen = []
         engine.schedule_at(42, lambda: seen.append(engine.now))
         engine.run()
         assert seen == [42]
 
     def test_nested_scheduling(self):
-        engine = Engine()
+        engine = CalendarEngine()
         seen = []
 
         def outer():
@@ -51,12 +51,12 @@ class TestScheduling:
         assert seen == [("outer", 10), ("inner", 15)]
 
     def test_rejects_negative_delay(self):
-        engine = Engine()
+        engine = CalendarEngine()
         with pytest.raises(ValueError):
             engine.schedule(-1, lambda: None)
 
     def test_rejects_past_absolute_time(self):
-        engine = Engine()
+        engine = CalendarEngine()
         engine.schedule(10, lambda: None)
         engine.run()
         with pytest.raises(ValueError):
@@ -67,7 +67,7 @@ class TestArgEvents:
     """The 4-tuple event form: ``schedule(delay, fn, arg)`` -> ``fn(arg)``."""
 
     def test_arg_is_passed_through(self):
-        engine = Engine()
+        engine = CalendarEngine()
         seen = []
         engine.schedule(10, seen.append, "payload")
         engine.run()
@@ -76,14 +76,14 @@ class TestArgEvents:
     def test_none_is_a_valid_arg(self):
         # The no-arg sentinel is identity-checked, so scheduling fn(None)
         # must dispatch with the explicit None, not as a zero-arg call.
-        engine = Engine()
+        engine = CalendarEngine()
         seen = []
         engine.schedule(10, seen.append, None)
         engine.run()
         assert seen == [None]
 
     def test_schedule_at_takes_arg(self):
-        engine = Engine()
+        engine = CalendarEngine()
         seen = []
         engine.schedule_at(42, seen.append, "abs")
         engine.run()
@@ -93,7 +93,7 @@ class TestArgEvents:
         # Closure-form and arg-form events scheduled at the same instant
         # must interleave in scheduling order (seq tie-break), since
         # bit-reproducibility rests on exactly this.
-        engine = Engine()
+        engine = CalendarEngine()
         seen = []
         engine.schedule(5, lambda: seen.append("closure-1"))
         engine.schedule(5, seen.append, "arg-1")
@@ -105,7 +105,7 @@ class TestArgEvents:
 
 class TestRunUntil:
     def test_stops_at_boundary(self):
-        engine = Engine()
+        engine = CalendarEngine()
         seen = []
         engine.schedule(10, lambda: seen.append(10))
         engine.schedule(30, lambda: seen.append(30))
@@ -114,14 +114,14 @@ class TestRunUntil:
         assert engine.now == 20
 
     def test_boundary_event_included(self):
-        engine = Engine()
+        engine = CalendarEngine()
         seen = []
         engine.schedule(20, lambda: seen.append(20))
         engine.run(until_usec=20)
         assert seen == [20]
 
     def test_resume_after_boundary(self):
-        engine = Engine()
+        engine = CalendarEngine()
         seen = []
         engine.schedule(10, lambda: seen.append(10))
         engine.schedule(30, lambda: seen.append(30))
@@ -130,14 +130,14 @@ class TestRunUntil:
         assert seen == [10, 30]
 
     def test_clock_jumps_to_until_when_idle(self):
-        engine = Engine()
+        engine = CalendarEngine()
         engine.run(until_usec=500)
         assert engine.now == 500
 
     def test_resume_preserves_relative_scheduling(self):
         # After an idle jump to the boundary, relative delays are anchored
         # at the boundary time, not at the last processed event.
-        engine = Engine()
+        engine = CalendarEngine()
         seen = []
         engine.run(until_usec=100)
         engine.schedule(10, lambda: seen.append(engine.now))
@@ -146,7 +146,7 @@ class TestRunUntil:
         assert engine.now == 200
 
     def test_resume_runs_boundary_event_exactly_once(self):
-        engine = Engine()
+        engine = CalendarEngine()
         seen = []
         engine.schedule(20, lambda: seen.append(engine.now))
         engine.run(until_usec=20)
@@ -154,7 +154,7 @@ class TestRunUntil:
         assert seen == [20]
 
     def test_pending_count(self):
-        engine = Engine()
+        engine = CalendarEngine()
         engine.schedule(10, lambda: None)
         engine.schedule(20, lambda: None)
         assert engine.pending() == 2
@@ -166,7 +166,7 @@ class TestTimer:
     """Lazy-cancellation timer handles (the RTO fast path)."""
 
     def test_fires_at_deadline(self):
-        engine = Engine()
+        engine = CalendarEngine()
         fired = []
         timer = engine.timer(lambda: fired.append(engine.now))
         timer.schedule(100)
@@ -176,7 +176,7 @@ class TestTimer:
         assert not timer.armed
 
     def test_cancel_suppresses_callback(self):
-        engine = Engine()
+        engine = CalendarEngine()
         fired = []
         timer = engine.timer(lambda: fired.append(engine.now))
         timer.schedule(100)
@@ -189,7 +189,7 @@ class TestTimer:
     def test_rearm_forward_keeps_one_heap_event(self):
         # Rearming must not push a second event: the stale wakeup notices
         # the moved deadline and chases it.
-        engine = Engine()
+        engine = CalendarEngine()
         fired = []
         timer = engine.timer(lambda: fired.append(engine.now))
         timer.schedule(100)
@@ -204,7 +204,7 @@ class TestTimer:
     def test_repeated_rearm_is_heap_free(self):
         # The common RTO pattern: the deadline moves on every ACK but the
         # heap only ever holds the original wakeup.
-        engine = Engine()
+        engine = CalendarEngine()
         fired = []
         timer = engine.timer(lambda: fired.append(engine.now))
         timer.schedule(100)
@@ -218,7 +218,7 @@ class TestTimer:
         # Documented semantic: the timer never chases a deadline that
         # moved *earlier*; the callback fires (late) at the pending wakeup
         # time.  This mirrors the pre-handle RTO implementation exactly.
-        engine = Engine()
+        engine = CalendarEngine()
         fired = []
         timer = engine.timer(lambda: fired.append(engine.now))
         timer.schedule_at(200)
@@ -228,7 +228,7 @@ class TestTimer:
         assert fired == [200]
 
     def test_rearm_after_fire(self):
-        engine = Engine()
+        engine = CalendarEngine()
         fired = []
         timer = engine.timer(lambda: fired.append(engine.now))
         timer.schedule(10)
@@ -240,7 +240,7 @@ class TestTimer:
     def test_cancel_then_rearm_reuses_pending_event(self):
         # cancel() leaves the heap event in place; a rearm before it
         # drains just sets the deadline again.
-        engine = Engine()
+        engine = CalendarEngine()
         fired = []
         timer = engine.timer(lambda: fired.append(engine.now))
         timer.schedule_at(100)
@@ -252,7 +252,7 @@ class TestTimer:
         assert fired == [100]
 
     def test_timer_factory_returns_timer(self):
-        engine = Engine()
+        engine = CalendarEngine()
         assert isinstance(engine.timer(lambda: None), Timer)
 
 
@@ -260,7 +260,7 @@ class TestDeterminism:
     @given(st.lists(st.integers(min_value=0, max_value=1000), max_size=50))
     def test_identical_schedules_run_identically(self, delays):
         def run_once():
-            engine = Engine()
+            engine = CalendarEngine()
             seen = []
             for i, d in enumerate(delays):
                 engine.schedule(d, lambda i=i: seen.append((engine.now, i)))
@@ -271,7 +271,7 @@ class TestDeterminism:
 
     @given(st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=50))
     def test_events_never_run_out_of_order(self, delays):
-        engine = Engine()
+        engine = CalendarEngine()
         stamps = []
         for d in delays:
             engine.schedule(d, lambda: stamps.append(engine.now))

@@ -1,8 +1,8 @@
 """Differential tests: CalendarEngine must match HeapEngine exactly.
 
-The calendar queue is the default scheduler core; the binary heap is kept
-as the dispatch-order oracle.  Three layers of evidence that they are
-interchangeable:
+The calendar queue is the simulator's one scheduler core; the binary
+heap in ``tests/naive_engine.py`` is the dispatch-order oracle.  Layers
+of evidence that they are interchangeable:
 
 * randomized op programs (hypothesis): arbitrary mixes of schedule /
   schedule_at / Timer rearm / cancel / nested scheduling from inside
@@ -23,13 +23,9 @@ interchangeable:
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.netsim.engine import (
-    NO_ARG,
-    CalendarEngine,
-    HeapEngine,
-    build_engine,
-    engine_kind_from_env,
-)
+from repro.netsim.engine import CalendarEngine, build_engine
+
+from tests.naive_engine import HeapEngine
 
 
 # ---------------------------------------------------------------------------
@@ -407,28 +403,11 @@ def test_run_from_inside_a_callback_is_refused(make):
     assert eng.now == 20
 
 
-# ---------------------------------------------------------------------------
-# Engine selection seam
-# ---------------------------------------------------------------------------
-
 class TestBuildEngine:
-    def test_default_is_calendar(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert engine_kind_from_env() == "calendar"
-        assert isinstance(build_engine(), CalendarEngine)
-
-    def test_env_selects_heap(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "heap")
-        assert isinstance(build_engine(), HeapEngine)
-
-    def test_explicit_kind_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "heap")
-        assert isinstance(build_engine("calendar"), CalendarEngine)
-
-    def test_invalid_kind_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "fibheap")
-        with pytest.raises(ValueError, match="REPRO_ENGINE"):
-            engine_kind_from_env()
+    def test_default_is_calendar(self):
+        # The one scheduler core; benchmarks/pipeline's engine probe
+        # constructs it through build_engine().
+        assert type(build_engine()) is CalendarEngine
 
 
 class TestPendingAccounting:

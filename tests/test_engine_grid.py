@@ -1,8 +1,9 @@
 """11-scenario fixed-seed grid: heap and calendar produce identical bytes.
 
 Each scenario is a complete short trial through the real
-``run_trial_artifacts`` code path, run twice in this process - once per
-engine kind - and every published artifact (experiment report, packet
+``run_trial_artifacts`` code path, run twice in this process - once on
+the calendar queue, once on the heap oracle (``tests/naive_engine.py``)
+injected through ``engine=`` - and every published artifact (experiment report, packet
 trace, queue log, final clock, event count) is serialized and hashed.
 The two hashes must match exactly: the calendar queue's promise is not
 "statistically equivalent", it is the *same simulation*.
@@ -26,8 +27,10 @@ from repro.config import (
     moderately_constrained,
 )
 from repro.core.experiment import run_trial_artifacts
-from repro.netsim.engine import build_engine
+from repro.netsim.engine import CalendarEngine
 from repro.services.catalog import default_catalog
+
+from tests.naive_engine import HeapEngine
 
 DURATION_SEC = 2.0
 
@@ -47,7 +50,7 @@ GRID = {
 }
 
 
-def _artifact_hash(kind: str, name: str) -> str:
+def _artifact_hash(make_engine, name: str) -> str:
     network_factory, service_ids, seed, trace = GRID[name]
     catalog = default_catalog()
     specs = [catalog.get(sid) for sid in service_ids]
@@ -58,7 +61,7 @@ def _artifact_hash(kind: str, name: str) -> str:
         config,
         seed=seed,
         trace_packets=trace,
-        engine=build_engine(kind),
+        engine=make_engine(),
     )
     payload = {
         "report": result.to_json(),
@@ -77,4 +80,6 @@ class TestEngineGrid:
 
     @pytest.mark.parametrize("name", sorted(GRID))
     def test_heap_and_calendar_hashes_match(self, name):
-        assert _artifact_hash("heap", name) == _artifact_hash("calendar", name)
+        assert _artifact_hash(HeapEngine, name) == _artifact_hash(
+            CalendarEngine, name
+        )

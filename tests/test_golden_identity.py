@@ -34,8 +34,12 @@ SCENARIO = {
 }
 
 
-def compute_payload() -> dict:
-    """Run the pinned scenario and collect every published artifact."""
+def compute_payload(engine=None) -> dict:
+    """Run the pinned scenario and collect every published artifact.
+
+    ``engine`` substitutes the scheduler core (the heap oracle); the
+    default is the simulator's own.
+    """
     catalog = default_catalog()
     specs = [catalog.get(sid) for sid in SCENARIO["services"]]
     config = ExperimentConfig().scaled(SCENARIO["duration_sec"])
@@ -45,6 +49,7 @@ def compute_payload() -> dict:
         config,
         seed=SCENARIO["seed"],
         trace_packets=True,
+        engine=engine,
     )
     return {
         "scenario": SCENARIO,
@@ -70,6 +75,14 @@ class TestGoldenIdentity:
             "golden fixture missing; regenerate per the module docstring"
         )
         assert serialize(compute_payload()) == FIXTURE.read_bytes()
+
+    def test_artifacts_byte_identical_at_the_heap_oracle(self):
+        # The same bytes from the binary heap the calendar queue replaced:
+        # dispatch order is (time, seq) on both.
+        from tests.naive_engine import HeapEngine
+
+        payload = compute_payload(engine=HeapEngine())
+        assert serialize(payload) == FIXTURE.read_bytes()
 
     def test_fixture_is_loadable_json(self):
         payload = json.loads(FIXTURE.read_text())

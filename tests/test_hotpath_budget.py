@@ -5,13 +5,15 @@ percent), but the *work* one simulated packet costs is exact at a fixed
 seed.  On the golden pair (iperf_cubic vs iperf_bbr, 8 Mbps, 3 simulated
 seconds, seed 1) this file pins:
 
-* Python frames entered under ``repro/netsim``, ``repro/transport`` and
-  ``repro/cca`` per packet reaching the switch - counted with
-  ``sys.setprofile``, identical across two runs, under a ceiling;
+* Python frames entered under ``repro/netsim``, ``repro/transport``,
+  ``repro/cca`` and ``repro/obs/flight.py`` per packet reaching the
+  switch - counted with ``sys.setprofile``, identical across two runs,
+  under a ceiling, with and without a ``FlightRecorder`` attached;
 * engine events per packet sent - exactly the value the simulator had
   before the per-packet path was trimmed (DESIGN.md section 6: four
   events per packet is the byte-identical floor, and the trimming removed
-  frames and bytecodes, never an event);
+  frames and bytecodes, never an event) - and exactly the same with the
+  recorder attached, whose samples ride the link's probe;
 * the attribute layout the hot objects rely on: ``Connection`` has no
   ``__dict__`` (it has more attributes than CPython's shared-key table
   holds), and every other per-flow / per-packet object either declares
@@ -22,15 +24,22 @@ import sys
 
 from repro.config import ExperimentConfig, highly_constrained
 from repro.core.experiment import run_trial_artifacts
+from repro.obs.flight import FlightRecorder
 from repro.services.catalog import default_catalog
 from repro.transport.connection import Connection
 
 from tests.test_golden_identity import SCENARIO
 
-HOT_DIRS = ("/repro/netsim/", "/repro/transport/", "/repro/cca/")
+HOT_DIRS = (
+    "/repro/netsim/", "/repro/transport/", "/repro/cca/", "/repro/obs/flight.py"
+)
 
 #: Ceiling on hot-path Python frames per packet reaching the switch.
 FRAMES_PER_PACKET_BUDGET = 16.5
+
+#: The same ceiling with a FlightRecorder attached (16.567 measured,
+#: 16.422 detached): what the recorder costs per packet, as a count.
+FLIGHT_FRAMES_PER_PACKET_BUDGET = 16.65
 
 #: Engine events, packets sent and packets reaching the switch on the
 #: golden pair - the values the simulator had before PR 19 trimmed the
@@ -45,17 +54,18 @@ GOLDEN_PACKETS_AT_SWITCH = 1_808
 SHARED_KEY_LIMIT = 29
 
 
-def run_golden_pair():
+def run_golden_pair(flight=None):
     catalog = default_catalog()
     specs = [catalog.get(sid) for sid in SCENARIO["services"]]
     config = ExperimentConfig().scaled(SCENARIO["duration_sec"])
     _result, testbed = run_trial_artifacts(
-        specs, highly_constrained(), config, seed=SCENARIO["seed"]
+        specs, highly_constrained(), config, seed=SCENARIO["seed"],
+        flight=flight,
     )
     return testbed
 
 
-def count_hot_frames():
+def count_hot_frames(flight=None):
     """(frames under HOT_DIRS, packets reaching the switch, testbed)."""
     counts = {"frames": 0, "switch": 0}
     kinds = {}  # code object -> None (not hot), "frames" or "switch"
@@ -80,7 +90,7 @@ def count_hot_frames():
 
     sys.setprofile(profiler)
     try:
-        testbed = run_golden_pair()
+        testbed = run_golden_pair(flight)
     finally:
         sys.setprofile(None)
     return counts["frames"], counts["switch"], testbed
@@ -103,6 +113,14 @@ class TestFrameBudget:
         )
         events = testbed.bell.engine.events_scheduled
         assert (events, packets) == (GOLDEN_EVENTS, GOLDEN_PACKETS_SENT)
+
+    def test_an_attached_flight_recorder_costs_frames_not_events(self):
+        frames, at_switch, testbed = count_hot_frames(FlightRecorder())
+        again = count_hot_frames(FlightRecorder())[:2]
+        assert (frames, at_switch) == again
+        assert at_switch == GOLDEN_PACKETS_AT_SWITCH
+        assert testbed.bell.engine.events_scheduled == GOLDEN_EVENTS
+        assert frames / at_switch <= FLIGHT_FRAMES_PER_PACKET_BUDGET
 
 
 def hot_objects(testbed):

@@ -123,3 +123,30 @@ def test_deleted_execution_knob_stays_deleted(name):
         if name in path.read_text()
     ]
     assert offenders == []
+
+
+def test_only_the_coordinator_fault_seam_reads_the_environment():
+    """Production has no environment knob (``REPRO_ENGINE`` picked the
+    scheduler core until it went): the one ``os.environ`` read in
+    ``src/`` is the coordinator's ``REPRO_SERVICE_FAULT`` test seam."""
+    names = ("environ", "environb", "getenv", "getenvb")
+    readers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr in names) or (
+                isinstance(node, ast.Name) and node.id in names
+            ):
+                readers.add(str(path.relative_to(SRC)))
+    assert readers == {"service/coordinator.py"}
+
+
+def test_src_imports_nothing_from_tests():
+    """The oracles in ``tests/naive_*.py`` (the heap engine among them)
+    check ``src/``; ``src/`` never runs on one."""
+    offenders = [
+        (str(path.relative_to(SRC)), name)
+        for path in sorted(SRC.rglob("*.py"))
+        for name in imported_modules(path)
+        if name == "tests" or name.startswith("tests.")
+    ]
+    assert offenders == []

@@ -6,7 +6,7 @@ from repro import units
 from repro.config import ExperimentConfig, NetworkConfig, highly_constrained
 from repro.core.testbed import Testbed
 from repro.netsim.link import BottleneckLink
-from repro.netsim.engine import Engine
+from repro.netsim.engine import CalendarEngine
 from repro.netsim.packet import Packet
 from repro.netsim.queue import DropTailQueue
 from repro.services.base import Service, mbps_received
@@ -28,13 +28,13 @@ class SinkFlow:
 
 class TestBottleneckLink:
     def make_link(self, rate_mbps=8, capacity=16):
-        engine = Engine()
+        engine = CalendarEngine()
         queue = DropTailQueue(capacity)
         link = BottleneckLink(engine, units.mbps(rate_mbps), queue)
         return engine, link
 
     def test_rejects_bad_rate(self):
-        engine = Engine()
+        engine = CalendarEngine()
         with pytest.raises(ValueError):
             BottleneckLink(engine, 0, DropTailQueue(4))
 

@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cca import BBRv1, NewReno
-from repro.netsim.engine import HeapEngine
 from repro.transport.connection import Connection
 
+from tests.naive_engine import HeapEngine
 from tests.naive_loss_detection import ReferenceConnection
 
 

@@ -8,7 +8,9 @@ Three properties of compaction, each checked on the bytes on disk:
 - **Crash windows**: dying after the segment write, after the manifest
   write, or before the journal truncation leaves a store that reopens
   to the same cycles in the same order, and that one more ``compact()``
-  makes byte-identical to an uninterrupted run.
+  makes byte-identical to an uninterrupted run.  Against a power loss,
+  the fsynced journal is emptied only after the new segment, the
+  manifest and the store directory are fsynced.
 - **Hostile artifacts**: a damaged segment or an unreadable manifest
   raises :class:`StoreError` naming the file - never a bare
   ``JSONDecodeError``/``KeyError``, never a silently shorter store.
@@ -23,6 +25,7 @@ Three properties of compaction, each checked on the bytes on disk:
 
 import hashlib
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -287,6 +290,44 @@ class TestCrashWindows:
         assert tree_bytes(tmp_path / "crashed") == tree_bytes(
             tmp_path / "control"
         )
+
+    def test_segment_manifest_and_directory_reach_the_disk_before_the_journal_empties(
+        self, tmp_path, monkeypatch
+    ):
+        """A power loss, not a kill: the fsynced journal is only emptied
+        once the new segment, the manifest and the renames that put them
+        in place are fsynced too (and nothing already compacted is)."""
+        store = compacted_store(tmp_path, cycles=("c1",))
+        store.append_cycle(make_record("c2"))
+        events = []
+        real_fsync, real_write = os.fsync, store_module.atomic_write
+
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def write(path, data):
+            real_write(path, data)
+            events.append(("write", Path(path).name))
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(store_module, "atomic_write", write)
+        store.compact()
+        monkeypatch.undo()
+        names = {path.stat().st_ino: path.name for path in tmp_path.iterdir()}
+        names[tmp_path.stat().st_ino] = "<store directory>"
+        segment = store_module._segment_filename("c2")
+        assert [
+            (kind, names[what] if kind == "fsync" else what)
+            for kind, what in events
+        ] == [
+            ("write", segment),
+            ("fsync", segment),
+            ("write", SNAPSHOT_FILENAME),
+            ("fsync", SNAPSHOT_FILENAME),
+            ("fsync", "<store directory>"),
+            ("write", "journal.jsonl"),
+        ]
 
     def test_orphan_segment_is_ignored_then_swept(self, tmp_path):
         compacted_store(tmp_path, cycles=("c1",))

@@ -1,10 +1,14 @@
 """Dumbbell topology: RTT normalisation, link serialisation, external loss."""
 
+import typing
+
 import pytest
 
 from repro import units
 from repro.config import NetworkConfig, highly_constrained
-from repro.netsim.topology import Dumbbell
+from repro.netsim.engine import CalendarEngine
+from repro.netsim.link import BottleneckLink
+from repro.netsim.topology import Dumbbell, Path
 from repro.netsim.packet import Packet
 
 
@@ -147,3 +151,12 @@ class TestExternalLoss:
         # dither of at most one packet service time (1500 us at 8 Mbps).
         assert len(stamps) == 1
         assert path.rev_delay_usec <= stamps[0] <= path.rev_delay_usec + 1500
+
+
+@pytest.mark.parametrize(
+    "cls", [Dumbbell, Path, BottleneckLink], ids=lambda cls: cls.__name__
+)
+def test_engine_annotations_resolve_to_the_one_engine(cls):
+    assert typing.get_type_hints(cls.__init__)["engine"] in (
+        CalendarEngine, typing.Optional[CalendarEngine]
+    )

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro import units
-from repro.netsim.engine import Engine
+from repro.netsim.engine import CalendarEngine
 from repro.netsim.link import BottleneckLink
 from repro.netsim.queue import DropTailQueue
 from repro.netsim.trace import PacketTrace, Probe, QueueLog
@@ -85,11 +85,11 @@ class TestProbe:
     def test_nothing_subscribed_is_idle(self):
         probe = Probe()
         assert probe.fire(0, None) == Probe.IDLE
-        link = BottleneckLink(Engine(), units.mbps(8), DropTailQueue(4))
+        link = BottleneckLink(CalendarEngine(), units.mbps(8), DropTailQueue(4))
         assert link._probe_next == Probe.IDLE
 
     def test_subscribing_makes_the_link_due_at_once(self):
-        link = BottleneckLink(Engine(), units.mbps(8), DropTailQueue(4))
+        link = BottleneckLink(CalendarEngine(), units.mbps(8), DropTailQueue(4))
         link.subscribe(100, lambda now, link: None)
         assert link._probe_next == 0
 
@@ -143,7 +143,7 @@ class TestProbe:
         assert calls == [5]
 
     def test_reset_stats_records_the_window_open_instant(self):
-        engine = Engine()
+        engine = CalendarEngine()
         link = BottleneckLink(engine, units.mbps(8), DropTailQueue(4))
         assert link.probe.window_open_usec is None
         engine.run(1234)

@@ -3,25 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.transport.windowed_filter import (
-    _WindowedFilter,
-    WindowedMaxFilter,
-    WindowedMinFilter,
-)
+from repro.transport.windowed_filter import WindowedMaxFilter, WindowedMinFilter
 
-
-class _ReferenceMax(WindowedMaxFilter):
-    """Max filter driven through the generic reference ``update``."""
-
-    __slots__ = ()
-    update = _WindowedFilter.update
-
-
-class _ReferenceMin(WindowedMinFilter):
-    """Min filter driven through the generic reference ``update``."""
-
-    __slots__ = ()
-    update = _WindowedFilter.update
+from tests.naive_windowed_filter import ReferenceMaxFilter, ReferenceMinFilter
 
 
 class TestMaxFilter:
@@ -156,14 +140,15 @@ class TestFastPathEquivalence:
     """The flattened concrete ``update`` methods vs the generic reference.
 
     The concrete filters' early-exit fast paths and inlined slow path
-    must be *indistinguishable* from ``_WindowedFilter.update`` - same
-    return values and same internal estimate structure after every
-    sample - because BBR's bit-identity guarantee rests on it.
+    must be *indistinguishable* from the generic reference ``update``
+    (``tests/naive_windowed_filter.py``) - same return values and same
+    internal estimate structure after every sample - because BBR's
+    bit-identity guarantee rests on it.
     """
 
     @given(_SAMPLE_STREAMS)
     def test_max_matches_reference(self, samples):
-        fast, ref = WindowedMaxFilter(10), _ReferenceMax(10)
+        fast, ref = WindowedMaxFilter(10), ReferenceMaxFilter(10)
         now = 0
         for value, step in samples:
             now += step
@@ -173,7 +158,7 @@ class TestFastPathEquivalence:
 
     @given(_SAMPLE_STREAMS)
     def test_min_matches_reference(self, samples):
-        fast, ref = WindowedMinFilter(10), _ReferenceMin(10)
+        fast, ref = WindowedMinFilter(10), ReferenceMinFilter(10)
         now = 0
         for value, step in samples:
             now += step
