@@ -21,7 +21,7 @@ from repro.config import NetworkConfig
 from repro.core.experiment import run_pair_experiment
 from repro.core.stats import median
 from repro.core.testbed import Testbed
-from repro.services.abr import BufferRateABR, ConservativeABR
+from repro.services.abr import BitrateLadder, BufferRateABR, ConservativeABR
 from repro.services.catalog import YOUTUBE_LADDER
 from repro.services.filetransfer import MegaTransferService
 from repro.services.video import VideoOnDemandService
@@ -105,7 +105,7 @@ def _youtube_variant(abr, seed: int):
     video = VideoOnDemandService(
         "youtube_variant",
         cca_factory=lambda i: BBRv1(BBR_YOUTUBE_QUIC_2023, seed=seed * 3 + i),
-        ladder=YOUTUBE_LADDER,
+        ladder=BitrateLadder([units.mbps(m) for m in YOUTUBE_LADDER]),
         abr=abr,
         num_flows=1,
     )

@@ -97,7 +97,6 @@ def _backend(args) -> ExecutionBackend:
         kind=getattr(args, "backend", None),
         workers=getattr(args, "workers", None),
         cache=_cache(args),
-        catalog=default_catalog(),
         earlystop=earlystop_from_args(args),
     )
 

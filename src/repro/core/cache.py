@@ -287,7 +287,7 @@ def trial_cache_key(
     order - order decides per-service seed derivation), the full network
     and experiment configs, the trial seed, the client environment
     (``None`` normalises to the faithful testbed, which is what service
-    factories substitute for it), and the cache schema version.
+    builders substitute for it), and the cache schema version.
 
     The digest is over the sorted-key compact JSON of those six fields
     (``tests/naive_cache_key.py`` builds that string whole).  Sorted,

@@ -25,16 +25,18 @@ Re-reading recorded trials is not a backend's job at all: reports, round
 folds and service ingests go through :func:`replay`, the same cache
 lookup with nothing behind it that could simulate.
 
-Because the default service catalog uses closures (not picklable), pool
-worker processes rebuild the catalog locally and trials address services
-by *id* rather than by spec object.  Custom catalogs are supported via a
-module-level factory path (``catalog_factory="pkg.module:func"``).
+Trials address services by *id*; a backend resolves the ids through its
+catalog (the default Table-1 catalog unless the caller hands it another)
+and runs them in its client environment.  Catalog entries are data
+(:class:`~repro.services.catalog.ServiceSpec` recipes), so the process
+pool ships each trial's specs and environment to its workers as
+arguments: every substrate runs the caller's catalog - submitted
+services included - and keys its cache entries the same way.
 """
 
 from __future__ import annotations
 
 import functools
-import importlib
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields as dataclasses_fields
@@ -45,7 +47,7 @@ from ..config import ExperimentConfig, NetworkConfig
 from ..obs import tracing
 from ..obs.flight import FlightRecorder
 from ..obs.metrics import get_registry
-from ..services.catalog import ServiceCatalog
+from ..services.catalog import ServiceCatalog, ServiceSpec, default_catalog
 from .cache import TrialCache, trial_cache_key
 from .earlystop import EarlyStopConfig, EarlyStopMonitor, audit_decision
 from .experiment import ExperimentResult, run_service_specs
@@ -149,10 +151,26 @@ def run_trial(
     cache key) decides whether this trial runs full-length in audit mode.
     """
     if catalog is None:
-        from ..services.catalog import default_catalog
-
         catalog = default_catalog()
-    specs = [catalog.get(sid) for sid in spec.service_ids]
+    return _simulate(
+        spec,
+        [catalog.get(sid) for sid in spec.service_ids],
+        env,
+        trace_packets=trace_packets,
+        flight=flight,
+        earlystop=earlystop,
+    )
+
+
+def _simulate(
+    spec: TrialSpec,
+    services: Sequence[ServiceSpec],
+    env: Optional[ClientEnvironment],
+    trace_packets: bool = False,
+    flight=None,
+    earlystop: Optional[EarlyStopConfig] = None,
+) -> ExperimentResult:
+    """Run ``spec`` with its ids already resolved to ``services``."""
     monitor = None
     if earlystop is not None:
         monitor = EarlyStopMonitor(
@@ -167,7 +185,7 @@ def run_trial(
         seed=spec.seed,
     ):
         return run_service_specs(
-            specs,
+            services,
             spec.network,
             spec.config,
             seed=spec.seed,
@@ -378,21 +396,24 @@ class ExecutionBackend:
     The base class owns cache consultation and statistics; subclasses
     implement :meth:`_execute` for the trials that missed the cache.
 
-    ``earlystop`` arms every simulated trial with the stop-rule monitor
-    (see :mod:`repro.core.earlystop`); truncated cache entries count as
-    hits exactly when it is armed, so plain runs re-simulate full-length
-    and supersede truncations.
+    Trial ids resolve through ``catalog`` (the default Table-1 catalog
+    when omitted) and run in client environment ``env`` (``None`` = the
+    faithful testbed), which every substrate also folds into its cache
+    keys.  ``earlystop`` arms every simulated trial with the stop-rule
+    monitor (see :mod:`repro.core.earlystop`); truncated cache entries
+    count as hits exactly when it is armed, so plain runs re-simulate
+    full-length and supersede truncations.
     """
-
-    #: Client environment folded into cache keys (``None`` = faithful);
-    #: only the inline substrate can run - and so key - another one.
-    env: Optional[ClientEnvironment] = None
 
     def __init__(
         self,
+        catalog: Optional[ServiceCatalog] = None,
+        env: Optional[ClientEnvironment] = None,
         cache: Optional[TrialCache] = None,
         earlystop: Optional[EarlyStopConfig] = None,
     ) -> None:
+        self.catalog = catalog if catalog is not None else default_catalog()
+        self.env = env
         self.cache = cache
         self.earlystop = earlystop
         self.stats = RunnerStats()
@@ -448,10 +469,6 @@ class ExecutionBackend:
 class InlineBackend(ExecutionBackend):
     """Sequential in-process execution (the default substrate).
 
-    Carries an explicit catalog and client environment, so it supports
-    custom/ephemeral catalogs and Section-3.3 environment studies that
-    the process pool (which rebuilds catalogs by name) cannot.
-
     ``record_flight`` runs each cache miss under a fresh
     :class:`~repro.obs.flight.FlightRecorder`: the recording payload is
     kept in :attr:`recordings` (keyed by trial cache key; ``None`` when
@@ -472,9 +489,7 @@ class InlineBackend(ExecutionBackend):
         earlystop: Optional[EarlyStopConfig] = None,
         record_flight: bool = False,
     ) -> None:
-        super().__init__(cache=cache, earlystop=earlystop)
-        self.catalog = catalog
-        self.env = env
+        super().__init__(catalog, env, cache, earlystop)
         self.recordings: Optional[Dict[str, Dict]] = (
             {} if record_flight else None
         )
@@ -503,46 +518,38 @@ class InlineBackend(ExecutionBackend):
         return results
 
 
-def _resolve_catalog(catalog_factory: str) -> ServiceCatalog:
-    """Import and call a ``pkg.module:func`` catalog factory."""
-    module_name, _, attr = catalog_factory.partition(":")
-    module = importlib.import_module(module_name)
-    return getattr(module, attr)()
-
-
-def _run_trial_json(args: Tuple[TrialSpec, str, Optional[Dict]]) -> Dict:
-    """Pool-worker entry point: rebuild the catalog, run one trial."""
-    spec, catalog_factory, earlystop_json = args
-    catalog = _resolve_catalog(catalog_factory)
+def _run_trial_json(args: Tuple) -> Dict:
+    """Pool-worker entry point: run one trial from its shipped
+    ``(spec, service specs, env, earlystop JSON)``."""
+    spec, services, env, earlystop_json = args
     earlystop = (
         EarlyStopConfig.from_json(earlystop_json)
         if earlystop_json is not None
         else None
     )
-    return run_trial(spec, catalog=catalog, earlystop=earlystop).to_json()
+    return _simulate(spec, services, env, earlystop=earlystop).to_json()
 
 
 class ProcessPoolBackend(ExecutionBackend):
     """Fans seeded trials out over a process pool.
 
     Results are identical to :class:`InlineBackend` (each trial is an
-    isolated, seeded simulation); only the wall-clock changes.  Worker
-    processes rebuild the catalog from ``catalog_factory`` and run with
-    the default (faithful-testbed) client environment.
+    isolated, seeded simulation); only the wall-clock changes.  Each
+    trial travels to its worker with its resolved
+    :class:`~repro.services.catalog.ServiceSpec` recipes and the
+    backend's client environment, so workers build nothing from names.
     """
-
-    DEFAULT_CATALOG_FACTORY = "repro.services.catalog:default_catalog"
 
     def __init__(
         self,
         max_workers: Optional[int] = None,
-        catalog_factory: str = DEFAULT_CATALOG_FACTORY,
+        catalog: Optional[ServiceCatalog] = None,
+        env: Optional[ClientEnvironment] = None,
         cache: Optional[TrialCache] = None,
         earlystop: Optional[EarlyStopConfig] = None,
     ) -> None:
-        super().__init__(cache=cache, earlystop=earlystop)
+        super().__init__(catalog, env, cache, earlystop)
         self.max_workers = max_workers
-        self.catalog_factory = catalog_factory
 
     def _execute(self, trials: Sequence[TrialSpec]) -> List[ExperimentResult]:
         """Map trials over worker processes, preserving order."""
@@ -550,7 +557,13 @@ class ProcessPoolBackend(ExecutionBackend):
             self.earlystop.to_json() if self.earlystop is not None else None
         )
         payload = [
-            (spec, self.catalog_factory, earlystop_json) for spec in trials
+            (
+                spec,
+                [self.catalog.get(sid) for sid in spec.service_ids],
+                self.env,
+                earlystop_json,
+            )
+            for spec in trials
         ]
         with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
             raw = list(pool.map(_run_trial_json, payload))
@@ -574,11 +587,12 @@ def build_backend(
 
     ``kind=None`` keeps the historic behaviour: ``workers`` selects the
     process pool, otherwise execution is inline.  Explicit kinds pick the
-    substrate directly, with ``workers`` bounding the pool size.  The
-    process pool rebuilds the default catalog by name, so
-    ``catalog``/``env`` apply only to the inline substrate.
-    ``earlystop`` arms every substrate's trials with the stop-rule
-    monitor (the pool ships the model JSON to its workers).
+    substrate directly, with ``workers`` bounding the pool size.  Every
+    substrate runs ``catalog`` (default: the Table-1 catalog) in client
+    environment ``env`` (default: the faithful testbed); the pool ships
+    both to its workers with each trial.  ``earlystop`` arms every
+    substrate's trials with the stop-rule monitor (the pool ships the
+    model JSON to its workers).
     ``record_flight`` flight-records every simulated trial (see
     :class:`InlineBackend`); recorders live in this process, so it runs
     inline whatever ``workers`` says and an explicit ``process`` kind is
@@ -594,17 +608,9 @@ def build_backend(
     elif kind is None:
         kind = "process" if workers else "inline"
     if kind == "process":
-        return ProcessPoolBackend(
-            max_workers=workers, cache=cache, earlystop=earlystop
-        )
+        return ProcessPoolBackend(workers, catalog, env, cache, earlystop)
     if kind == "inline":
-        return InlineBackend(
-            catalog=catalog,
-            env=env,
-            cache=cache,
-            earlystop=earlystop,
-            record_flight=record_flight,
-        )
+        return InlineBackend(catalog, env, cache, earlystop, record_flight)
     raise ValueError(
         f"unknown backend kind {kind!r}; choices: {BACKEND_KINDS}"
     )

@@ -4,19 +4,16 @@ The Prudentia website lets service owners submit custom URLs for testing,
 gated by access codes.  This module reproduces that workflow: an access-
 code-validated portal that turns a submitted URL into a catalog entry (a
 web page load for ``http(s)`` URLs, a bulk download for file URLs) so the
-watchdog can schedule it like any first-party service.
+watchdog can schedule it like any first-party service.  The entry is a
+recipe, like every catalog entry, so it runs in process-pool workers too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
-from ..cca.base import CongestionControl
-from ..cca.cubic import Cubic
-from ..services.catalog import ServiceCatalog, ServiceSpec
-from ..services.filetransfer import FileTransferService
-from ..services.web import PageSpec, ResourceSpec, WebPageService
+from ..services.catalog import ServiceCatalog, ServiceSpec, recipe
 
 #: Access codes published in Appendix A of the paper.
 DEFAULT_ACCESS_CODES = (
@@ -69,15 +66,17 @@ class SubmissionPortal:
         self,
         url: str,
         access_code: str,
-        cca_factory: Optional[Callable[[int], CongestionControl]] = None,
         download_bytes: int = 10 * 10**9,
         page_bytes: int = 2_000_000,
     ) -> Submission:
         """Register a URL for testing; returns the accepted submission.
 
-        The CCA of a third-party service is unknown to the watchdog, so
-        unless a factory is given we assume Cubic (the most common server
-        default) - the classifier can refine this later.
+        The CCA of a third-party service is unknown to the watchdog, so we
+        assume Cubic (the most common server default) - the classifier
+        can refine this later.  The id derives from the URL's host:
+        re-submitting the same URL returns the original acceptance, while
+        another URL whose id is already taken is a :class:`SubmissionError`
+        naming the URL (or first-party service) that holds it.
         """
         if access_code not in self.access_codes:
             raise SubmissionError("invalid access code")
@@ -91,59 +90,40 @@ class SubmissionPortal:
         service_id = _service_id_from_url(url)
         if service_id in self.catalog:
             for prior in self.submissions:
-                if prior.service_id == service_id:
-                    # Re-submitting an already-registered URL is a no-op,
-                    # not an error: return the original acceptance.
+                if prior.service_id != service_id:
+                    continue
+                if prior.url == url:
+                    # Re-submitting a registered URL is a no-op, not an
+                    # error: return the original acceptance.
                     return prior
+                raise SubmissionError(
+                    f"{url!r} maps to service id {service_id!r}, already "
+                    f"held by submitted URL {prior.url!r}"
+                )
             raise SubmissionError(
                 f"{url!r} collides with first-party service "
                 f"{service_id!r}"
             )
 
-        factory = cca_factory or (lambda i: Cubic())
-        is_download = url.lower().endswith(DOWNLOAD_EXTENSIONS)
-        if is_download:
-            spec = ServiceSpec(
-                service_id=service_id,
-                display_name=url,
-                category="file-transfer",
-                cca_label="unknown (assumed Cubic)",
-                num_flows=1,
-                in_heatmap=False,
-                notes=f"third-party submission: {url}",
-                factory=lambda seed, env, f=factory, sid=service_id, n=download_bytes: (
-                    FileTransferService(
-                        sid, cca_factory=f, file_bytes=n, display_name=url
-                    )
-                ),
-            )
-            kind = "download"
+        if url.lower().endswith(DOWNLOAD_EXTENSIONS):
+            kind, category, num_flows = "download", "file-transfer", 1
+            recipe_kind = "file"
+            params = recipe(cca="cubic", file_bytes=download_bytes)
         else:
-            host = url.split("://", 1)[-1].split("/", 1)[0]
-            page = PageSpec(
-                name=url,
-                html=ResourceSpec("html", max(50_000, page_bytes // 10), host),
-                subresources=[
-                    ResourceSpec(
-                        f"asset-{i}", max(10_000, page_bytes // 12), host
-                    )
-                    for i in range(9)
-                ],
+            kind, category, num_flows = "web", "web", 6
+            recipe_kind = "web"
+            params = recipe(
+                cca="cubic", page="single-host", host=host,
+                page_bytes=page_bytes,
             )
-            spec = ServiceSpec(
-                service_id=service_id,
-                display_name=url,
-                category="web",
-                cca_label="unknown (assumed Cubic)",
-                num_flows=6,
+        self.catalog.register(
+            ServiceSpec(
+                service_id, url, category, "unknown (assumed Cubic)",
+                num_flows, recipe_kind, params,
                 in_heatmap=False,
                 notes=f"third-party submission: {url}",
-                factory=lambda seed, env, f=factory, sid=service_id, p=page: (
-                    WebPageService(sid, page=p, cca_factory=f, display_name=url)
-                ),
             )
-            kind = "web"
-        self.catalog.register(spec)
+        )
         submission = Submission(
             url=url, service_id=service_id, kind=kind, submitter_code=access_code
         )

@@ -146,11 +146,11 @@ class Prudentia:
         workers: Optional[int] = None,
         armed: bool = True,
     ) -> ExecutionBackend:
-        """An execution backend over this watchdog's cache and stop rule
-        (``armed=False`` leaves the rule off) and - inline - its catalog
-        and client environment (pool workers rebuild the default catalog
-        and run the faithful environment).  ``kind``/``workers`` pick
-        the substrate as in :func:`~repro.core.runner.build_backend`;
+        """An execution backend over this watchdog's catalog, client
+        environment, cache and stop rule (``armed=False`` leaves the rule
+        off) - on every substrate, pool workers included.
+        ``kind``/``workers`` pick the substrate as in
+        :func:`~repro.core.runner.build_backend`;
         pass the result to :meth:`run_cycle` for a process-pool cycle
         (the Section-9 scaling direction)."""
         return build_backend(

@@ -1,19 +1,31 @@
 """The Table-1 service catalog: every service Prudentia tests.
 
-Each entry couples the paper's documented facts about a service (CCA, flow
-count, bitrate caps, quirks) with a factory that builds a fresh instance
-for one experiment trial.  Extra entries used by specific figures (Linux
-4.15 iPerf BBR, the 2022-era YouTube/Google Drive stacks, five-flow iPerf
-BBR) live alongside the primary twelve plus three baselines.
+Each entry is plain data: the paper's documented facts about a service
+(CCA, flow count, bitrate caps, quirks) plus a *recipe* - a ``kind``
+naming one of the module-level builders below and the scalar/tuple
+``params`` that builder takes (CCA name, ladder, ABR knobs, page, file
+size, RTC controller and policy).  ``ServiceSpec.create`` hands the spec
+itself to its kind's builder, which reads the flow count and display name
+from it, so every fact is stated once.  A spec holds no code, so it
+pickles: the process pool ships the caller's specs to its workers instead
+of rebuilding a catalog there, and a submitted service runs on every
+substrate.  Params stay JSON-able, so a cache key can later hash a
+service's definition rather than its id.
+
+Extra entries used by specific figures (Linux 4.15 iPerf BBR, the
+2022-era YouTube/Google Drive stacks, five-flow iPerf BBR) live alongside
+the primary twelve plus three baselines.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .. import units
 from ..browser.environment import ClientEnvironment
+from ..cca.base import CongestionControl
 from ..cca.bbr import (
     BBRv1,
     BBR_LINUX_4_15,
@@ -39,28 +51,22 @@ from .video import VideoOnDemandService
 from .web import PageSpec, ResourceSpec, WebPageService
 
 # ---------------------------------------------------------------------------
-# Bitrate ladders (Table 1: available bitrates and caps)
+# Bitrate ladders in Mbps (Table 1: available bitrates and caps)
 # ---------------------------------------------------------------------------
 
-YOUTUBE_LADDER = BitrateLadder(
-    [units.mbps(m) for m in (0.7, 1.1, 1.8, 2.5, 4.5, 8.0, 13.0)]
-)
-NETFLIX_LADDER = BitrateLadder(
-    [units.mbps(m) for m in (0.35, 0.75, 1.75, 3.0, 5.0, 8.0)]
-)
-VIMEO_LADDER = BitrateLadder(
-    [units.mbps(m) for m in (0.6, 1.0, 1.7, 3.2, 5.5, 9.0, 14.0)]
-)
+YOUTUBE_LADDER = (0.7, 1.1, 1.8, 2.5, 4.5, 8.0, 13.0)
+NETFLIX_LADDER = (0.35, 0.75, 1.75, 3.0, 5.0, 8.0)
+VIMEO_LADDER = (0.6, 1.0, 1.7, 3.2, 5.5, 9.0, 14.0)
 
 # ---------------------------------------------------------------------------
 # Page specs (Table 1: web services and their flow counts)
 # ---------------------------------------------------------------------------
 
 
-def _wikipedia_page() -> PageSpec:
+def _wikipedia_page(name: str) -> PageSpec:
     """Mostly text with one or two images; >5 flows on one domain."""
     return PageSpec(
-        name="wikipedia.org",
+        name=name,
         html=ResourceSpec("html", 120_000, "wikipedia.org"),
         subresources=[
             ResourceSpec("css", 60_000, "wikipedia.org"),
@@ -73,7 +79,7 @@ def _wikipedia_page() -> PageSpec:
     )
 
 
-def _news_google_page() -> PageSpec:
+def _news_google_page(name: str) -> PageSpec:
     """Text plus many thumbnails; >20 flows across several domains."""
     thumbs = [
         ResourceSpec(
@@ -85,7 +91,7 @@ def _news_google_page() -> PageSpec:
         for i in range(22)
     ]
     return PageSpec(
-        name="news.google.com",
+        name=name,
         html=ResourceSpec("html", 450_000, "news.google.com"),
         subresources=[
             ResourceSpec("js-bundle", 700_000, "news.google.com"),
@@ -96,7 +102,7 @@ def _news_google_page() -> PageSpec:
     )
 
 
-def _youtube_web_page() -> PageSpec:
+def _youtube_web_page(name: str) -> PageSpec:
     """Image-heavy thumbnail grid; >10 flows; worst hit by contention."""
     thumbs = [
         ResourceSpec(
@@ -108,7 +114,7 @@ def _youtube_web_page() -> PageSpec:
         for i in range(30)
     ]
     return PageSpec(
-        name="youtube.com",
+        name=name,
         html=ResourceSpec("html", 600_000, "youtube.com"),
         subresources=[
             ResourceSpec("js-desktop", 1_200_000, "youtube.com"),
@@ -118,32 +124,197 @@ def _youtube_web_page() -> PageSpec:
     )
 
 
+def _single_host_page(name: str, host: str, page_bytes: int) -> PageSpec:
+    """A submitted URL's page: one HTML root and nine assets on its host."""
+    return PageSpec(
+        name=name,
+        html=ResourceSpec("html", max(50_000, page_bytes // 10), host),
+        subresources=[
+            ResourceSpec(f"asset-{i}", max(10_000, page_bytes // 12), host)
+            for i in range(9)
+        ],
+    )
+
+
+#: Page templates a ``web`` recipe names; each takes the page name
+#: (the spec's display name) plus the recipe's page params.
+PAGES = {
+    "wikipedia": _wikipedia_page,
+    "news_google": _news_google_page,
+    "youtube_web": _youtube_web_page,
+    "single-host": _single_host_page,
+}
+
+# ---------------------------------------------------------------------------
+# Building blocks a recipe names
+# ---------------------------------------------------------------------------
+
+#: BBRv1 parameter sets by recipe name (``cca="bbr-<name>"``).
+BBR_PARAMS = {
+    "linux-4.15": BBR_LINUX_4_15,
+    "linux-5.15": BBR_LINUX_5_15,
+    "quic-2022": BBR_YOUTUBE_QUIC_2022,
+    "quic-2023": BBR_YOUTUBE_QUIC_2023,
+}
+
+ABRS = {"conservative": ConservativeABR, "buffer-rate": BufferRateABR}
+RTC_CONTROLLERS = {
+    "gcc": GoogleCongestionControl,
+    "teams": TeamsRateController,
+}
+RTC_POLICIES = {"meet": MeetAdaptationPolicy, "teams": TeamsAdaptationPolicy}
+
+
+def _flow_seed(seed: int, index: int) -> int:
+    return seed * 1009 + index
+
+
+def flow_cca(cca: str, seed: int, index: int) -> CongestionControl:
+    """A fresh controller for flow ``index`` of a service seeded ``seed``.
+
+    ``cca`` is ``cubic``, ``newreno``, ``bbrv3`` or ``bbr-<set>`` with a
+    :data:`BBR_PARAMS` set; the BBR family draws a per-flow seed.
+    """
+    if cca == "cubic":
+        return Cubic()
+    if cca == "newreno":
+        return NewReno()
+    if cca == "bbrv3":
+        return BBRv3(seed=_flow_seed(seed, index))
+    family, _, params = cca.partition("-")
+    if family != "bbr" or params not in BBR_PARAMS:
+        raise ValueError(f"unknown cca {cca!r}")
+    return BBRv1(BBR_PARAMS[params], seed=_flow_seed(seed, index))
+
+
+# ---------------------------------------------------------------------------
+# One builder per kind: (spec, seed, env, **params) -> Service
+# ---------------------------------------------------------------------------
+
+
+def _video(spec, seed, env, cca, ladder, abr, abr_knobs=()) -> Service:
+    return VideoOnDemandService(
+        spec.service_id,
+        cca_factory=functools.partial(flow_cca, cca, seed),
+        ladder=BitrateLadder([units.mbps(m) for m in ladder]),
+        abr=ABRS[abr](**dict(abr_knobs)),
+        num_flows=spec.num_flows,
+        display_name=spec.display_name,
+        render_cap_bps=env.render_cap_bps,
+    )
+
+
+def _file(spec, seed, env, cca, **knobs) -> Service:
+    return FileTransferService(
+        spec.service_id,
+        cca_factory=functools.partial(flow_cca, cca, seed),
+        num_flows=spec.num_flows,
+        display_name=spec.display_name,
+        **knobs,
+    )
+
+
+def _throttled_file(spec, seed, env, cca) -> Service:
+    return ThrottledFileTransferService(
+        spec.service_id,
+        cca_factory=functools.partial(flow_cca, cca, seed),
+        num_flows=spec.num_flows,
+        display_name=spec.display_name,
+        throttle_seed=seed,
+    )
+
+
+def _mega(spec, seed, env, cca) -> Service:
+    return MegaTransferService(
+        spec.service_id,
+        cca_factory=functools.partial(flow_cca, cca, seed),
+        num_flows=spec.num_flows,
+        display_name=spec.display_name,
+    )
+
+
+def _rtc(spec, seed, env, controller, policy) -> Service:
+    return RtcService(
+        spec.service_id,
+        controller=RTC_CONTROLLERS[controller](
+            max_rate_bps=spec.max_throughput_bps
+        ),
+        policy=RTC_POLICIES[policy](),
+        display_name=spec.display_name,
+    )
+
+
+def _web(spec, seed, env, cca, page, **page_params) -> Service:
+    return WebPageService(
+        spec.service_id,
+        page=PAGES[page](spec.display_name, **page_params),
+        cca_factory=functools.partial(flow_cca, cca, seed),
+        display_name=spec.display_name,
+    )
+
+
+def _iperf(spec, seed, env, cca) -> Service:
+    return IperfService(
+        spec.service_id,
+        cca_factory=functools.partial(flow_cca, cca, seed),
+        num_flows=spec.num_flows,
+        display_name=spec.display_name,
+    )
+
+
+BUILDERS = {
+    "video": _video,
+    "file": _file,
+    "throttled-file": _throttled_file,
+    "mega": _mega,
+    "rtc": _rtc,
+    "web": _web,
+    "iperf": _iperf,
+}
+
 # ---------------------------------------------------------------------------
 # Catalog plumbing
 # ---------------------------------------------------------------------------
 
-Factory = Callable[[int, ClientEnvironment], Service]
+Params = Tuple[Tuple[str, object], ...]
+
+
+def recipe(**params) -> Params:
+    """A recipe's params in canonical (name-sorted) form."""
+    return tuple(sorted(params.items()))
 
 
 @dataclass(frozen=True)
 class ServiceSpec:
-    """Catalog entry: paper-documented facts plus a per-trial factory."""
+    """Catalog entry: paper-documented facts plus a per-trial recipe."""
 
     service_id: str
     display_name: str
     category: str
     cca_label: str
     num_flows: int
-    factory: Factory
+    kind: str
+    params: Params
     max_throughput_bps: Optional[float] = None
     notes: str = ""
     in_heatmap: bool = True
+
+    def __post_init__(self) -> None:
+        if self.kind not in BUILDERS:
+            raise ValueError(
+                f"unknown service kind {self.kind!r}; known: {sorted(BUILDERS)}"
+            )
 
     def create(
         self, seed: int = 0, env: Optional[ClientEnvironment] = None
     ) -> Service:
         """Build a fresh instance of this service for one trial."""
-        return self.factory(seed, env or ClientEnvironment.faithful_testbed())
+        return BUILDERS[self.kind](
+            self,
+            seed,
+            env or ClientEnvironment.faithful_testbed(),
+            **dict(self.params),
+        )
 
 
 class ServiceCatalog:
@@ -201,364 +372,138 @@ class ServiceCatalog:
 
 
 # ---------------------------------------------------------------------------
-# Default catalog construction
+# Default catalog (Table 1 + figure extras)
 # ---------------------------------------------------------------------------
 
-
-def _flow_seed(seed: int, index: int) -> int:
-    return seed * 1009 + index
+#: One row per service: id, display name, category, CCA label, flow
+#: count, recipe kind, recipe params, then the keyword facts.
+DEFAULT_SPECS = (
+    # --- on-demand video --------------------------------------------------
+    ServiceSpec(
+        "youtube", "YouTube", "video", "BBRv1.1 (QUIC)", 1,
+        "video",
+        recipe(cca="bbr-quic-2023", ladder=YOUTUBE_LADDER, abr="conservative"),
+        max_throughput_bps=units.mbps(13),
+        notes="7 bitrates up to 4K; QUIC-based; conservative ABR",
+    ),
+    ServiceSpec(
+        "netflix", "Netflix", "video", "NewReno", 4,
+        "video",
+        recipe(cca="newreno", ladder=NETFLIX_LADDER, abr="buffer-rate"),
+        max_throughput_bps=units.mbps(8),
+        notes="6 bitrates up to 4K; 4 concurrent flows; run on Safari",
+    ),
+    ServiceSpec(
+        "vimeo", "Vimeo", "video", "BBR*", 2,
+        "video",
+        recipe(
+            cca="bbr-linux-4.15",
+            ladder=VIMEO_LADDER,
+            abr="conservative",
+            abr_knobs=(("safety", 0.8), ("up_hysteresis", 1.15)),
+        ),
+        max_throughput_bps=units.mbps(14),
+        notes="7 bitrates up to 4K; CCA classified as BBR",
+    ),
+    # --- file transfer ----------------------------------------------------
+    ServiceSpec(
+        "dropbox", "Dropbox", "file-transfer", "BBRv1.0", 1,
+        "file", recipe(cca="bbr-linux-4.15"),
+    ),
+    ServiceSpec(
+        "gdrive", "Google Drive", "file-transfer", "BBRv3", 1,
+        "file", recipe(cca="bbrv3"),
+        notes="BBRv3 deployed 2023 (Observation 13)",
+    ),
+    ServiceSpec(
+        "onedrive", "OneDrive", "file-transfer", "Cubic (extended)", 1,
+        "throttled-file", recipe(cca="cubic"),
+        max_throughput_bps=units.mbps(45),
+        notes="upstream-throttled to ~45 Mbps; unstable across trials",
+    ),
+    ServiceSpec(
+        "mega", "Mega", "file-transfer", "BBR*", 5,
+        "mega", recipe(cca="bbr-linux-4.15"),
+        notes="5 concurrent flows, batch-of-5 chunks with barrier",
+    ),
+    # --- RTC --------------------------------------------------------------
+    ServiceSpec(
+        "meet", "Google Meet", "rtc", "GCC", 1,
+        "rtc", recipe(controller="gcc", policy="meet"),
+        max_throughput_bps=units.mbps(1.5),
+        in_heatmap=False,
+    ),
+    ServiceSpec(
+        "teams", "Microsoft Teams", "rtc", "Unknown", 1,
+        "rtc", recipe(controller="teams", policy="teams"),
+        max_throughput_bps=units.mbps(2.6),
+        in_heatmap=False,
+    ),
+    # --- web --------------------------------------------------------------
+    ServiceSpec(
+        "wikipedia", "wikipedia.org", "web", "BBRv1.0", 6,
+        "web", recipe(cca="bbr-linux-4.15", page="wikipedia"),
+        in_heatmap=False,
+    ),
+    ServiceSpec(
+        "news_google", "news.google.com", "web", "BBRv3.0", 21,
+        "web", recipe(cca="bbrv3", page="news_google"),
+        in_heatmap=False,
+    ),
+    ServiceSpec(
+        "youtube_web", "youtube.com", "web", "BBRv3.0", 12,
+        "web", recipe(cca="bbrv3", page="youtube_web"),
+        in_heatmap=False,
+        notes="thumbnail-heavy; different CCA than the video servers",
+    ),
+    # --- iPerf baselines --------------------------------------------------
+    ServiceSpec(
+        "iperf_bbr", "iPerf (BBR)", "baseline", "BBRv1.0 (Linux 5.15)", 1,
+        "iperf", recipe(cca="bbr-linux-5.15"),
+    ),
+    ServiceSpec(
+        "iperf_cubic", "iPerf (Cubic)", "baseline", "Cubic (Linux 5.15)", 1,
+        "iperf", recipe(cca="cubic"),
+    ),
+    ServiceSpec(
+        "iperf_reno", "iPerf (Reno)", "baseline", "NewReno (Linux 5.15)", 1,
+        "iperf", recipe(cca="newreno"),
+    ),
+    # --- figure extras (not part of the regular heatmap rotation) ---------
+    ServiceSpec(
+        "iperf_bbr_415", "iPerf (BBR, Linux 4.15)", "baseline",
+        "BBRv1.0 (Linux 4.15)", 1,
+        "iperf", recipe(cca="bbr-linux-4.15"),
+        in_heatmap=False,
+        notes="Fig 9 comparison kernel",
+    ),
+    ServiceSpec(
+        "iperf_bbr_x5", "iPerf (5 x BBR)", "baseline", "BBRv1.0 x5", 5,
+        "iperf", recipe(cca="bbr-linux-4.15"),
+        in_heatmap=False,
+        notes="Observation 4 comparator for Mega",
+    ),
+    ServiceSpec(
+        "gdrive_2022", "Google Drive (2022)", "file-transfer", "BBRv1", 1,
+        "file", recipe(cca="bbr-linux-4.15"),
+        in_heatmap=False,
+        notes="pre-BBRv3 deployment (Fig 9a 'before')",
+    ),
+    ServiceSpec(
+        "youtube_2022", "YouTube (2022)", "video",
+        "BBRv1 (QUIC, 2022 tuning)", 1,
+        "video",
+        recipe(cca="bbr-quic-2022", ladder=YOUTUBE_LADDER, abr="conservative"),
+        max_throughput_bps=units.mbps(13),
+        in_heatmap=False,
+        notes="pre-tuning QUIC stack (Fig 9a 'before')",
+    ),
+)
 
 
 def default_catalog() -> ServiceCatalog:
     """Build the full Prudentia service catalog (Table 1 + figure extras)."""
     catalog = ServiceCatalog()
-
-    # --- on-demand video --------------------------------------------------
-    catalog.register(
-        ServiceSpec(
-            service_id="youtube",
-            display_name="YouTube",
-            category="video",
-            cca_label="BBRv1.1 (QUIC)",
-            num_flows=1,
-            max_throughput_bps=units.mbps(13),
-            notes="7 bitrates up to 4K; QUIC-based; conservative ABR",
-            factory=lambda seed, env: VideoOnDemandService(
-                "youtube",
-                cca_factory=lambda i: BBRv1(
-                    BBR_YOUTUBE_QUIC_2023, seed=_flow_seed(seed, i)
-                ),
-                ladder=YOUTUBE_LADDER,
-                abr=ConservativeABR(),
-                num_flows=1,
-                display_name="YouTube",
-                render_cap_bps=env.render_cap_bps,
-            ),
-        )
-    )
-    catalog.register(
-        ServiceSpec(
-            service_id="netflix",
-            display_name="Netflix",
-            category="video",
-            cca_label="NewReno",
-            num_flows=4,
-            max_throughput_bps=units.mbps(8),
-            notes="6 bitrates up to 4K; 4 concurrent flows; run on Safari",
-            factory=lambda seed, env: VideoOnDemandService(
-                "netflix",
-                cca_factory=lambda i: NewReno(),
-                ladder=NETFLIX_LADDER,
-                abr=BufferRateABR(),
-                num_flows=4,
-                display_name="Netflix",
-                render_cap_bps=env.render_cap_bps,
-            ),
-        )
-    )
-    catalog.register(
-        ServiceSpec(
-            service_id="vimeo",
-            display_name="Vimeo",
-            category="video",
-            cca_label="BBR*",
-            num_flows=2,
-            max_throughput_bps=units.mbps(14),
-            notes="7 bitrates up to 4K; CCA classified as BBR",
-            factory=lambda seed, env: VideoOnDemandService(
-                "vimeo",
-                cca_factory=lambda i: BBRv1(
-                    BBR_LINUX_4_15, seed=_flow_seed(seed, i)
-                ),
-                ladder=VIMEO_LADDER,
-                abr=ConservativeABR(safety=0.8, up_hysteresis=1.15),
-                num_flows=2,
-                display_name="Vimeo",
-                render_cap_bps=env.render_cap_bps,
-            ),
-        )
-    )
-
-    # --- file transfer ----------------------------------------------------
-    catalog.register(
-        ServiceSpec(
-            service_id="dropbox",
-            display_name="Dropbox",
-            category="file-transfer",
-            cca_label="BBRv1.0",
-            num_flows=1,
-            factory=lambda seed, env: FileTransferService(
-                "dropbox",
-                cca_factory=lambda i: BBRv1(
-                    BBR_LINUX_4_15, seed=_flow_seed(seed, i)
-                ),
-                display_name="Dropbox",
-            ),
-        )
-    )
-    catalog.register(
-        ServiceSpec(
-            service_id="gdrive",
-            display_name="Google Drive",
-            category="file-transfer",
-            cca_label="BBRv3",
-            num_flows=1,
-            notes="BBRv3 deployed 2023 (Observation 13)",
-            factory=lambda seed, env: FileTransferService(
-                "gdrive",
-                cca_factory=lambda i: BBRv3(seed=_flow_seed(seed, i)),
-                display_name="Google Drive",
-            ),
-        )
-    )
-    catalog.register(
-        ServiceSpec(
-            service_id="onedrive",
-            display_name="OneDrive",
-            category="file-transfer",
-            cca_label="Cubic (extended)",
-            num_flows=1,
-            max_throughput_bps=units.mbps(45),
-            notes="upstream-throttled to ~45 Mbps; unstable across trials",
-            factory=lambda seed, env: ThrottledFileTransferService(
-                "onedrive",
-                cca_factory=lambda i: Cubic(),
-                display_name="OneDrive",
-                throttle_seed=seed,
-            ),
-        )
-    )
-    catalog.register(
-        ServiceSpec(
-            service_id="mega",
-            display_name="Mega",
-            category="file-transfer",
-            cca_label="BBR*",
-            num_flows=5,
-            notes="5 concurrent flows, batch-of-5 chunks with barrier",
-            factory=lambda seed, env: MegaTransferService(
-                "mega",
-                cca_factory=lambda i: BBRv1(
-                    BBR_LINUX_4_15, seed=_flow_seed(seed, i)
-                ),
-            ),
-        )
-    )
-
-    # --- RTC ----------------------------------------------------------------
-    catalog.register(
-        ServiceSpec(
-            service_id="meet",
-            display_name="Google Meet",
-            category="rtc",
-            cca_label="GCC",
-            num_flows=1,
-            max_throughput_bps=units.mbps(1.5),
-            in_heatmap=False,
-            factory=lambda seed, env: RtcService(
-                "meet",
-                controller=GoogleCongestionControl(
-                    max_rate_bps=units.mbps(1.5)
-                ),
-                policy=MeetAdaptationPolicy(),
-                display_name="Google Meet",
-            ),
-        )
-    )
-    catalog.register(
-        ServiceSpec(
-            service_id="teams",
-            display_name="Microsoft Teams",
-            category="rtc",
-            cca_label="Unknown",
-            num_flows=1,
-            max_throughput_bps=units.mbps(2.6),
-            in_heatmap=False,
-            factory=lambda seed, env: RtcService(
-                "teams",
-                controller=TeamsRateController(max_rate_bps=units.mbps(2.6)),
-                policy=TeamsAdaptationPolicy(),
-                display_name="Microsoft Teams",
-            ),
-        )
-    )
-
-    # --- web ----------------------------------------------------------------
-    catalog.register(
-        ServiceSpec(
-            service_id="wikipedia",
-            display_name="wikipedia.org",
-            category="web",
-            cca_label="BBRv1.0",
-            num_flows=6,
-            in_heatmap=False,
-            factory=lambda seed, env: WebPageService(
-                "wikipedia",
-                page=_wikipedia_page(),
-                cca_factory=lambda i: BBRv1(
-                    BBR_LINUX_4_15, seed=_flow_seed(seed, i)
-                ),
-                display_name="wikipedia.org",
-            ),
-        )
-    )
-    catalog.register(
-        ServiceSpec(
-            service_id="news_google",
-            display_name="news.google.com",
-            category="web",
-            cca_label="BBRv3.0",
-            num_flows=21,
-            in_heatmap=False,
-            factory=lambda seed, env: WebPageService(
-                "news_google",
-                page=_news_google_page(),
-                cca_factory=lambda i: BBRv3(seed=_flow_seed(seed, i)),
-                display_name="news.google.com",
-            ),
-        )
-    )
-    catalog.register(
-        ServiceSpec(
-            service_id="youtube_web",
-            display_name="youtube.com",
-            category="web",
-            cca_label="BBRv3.0",
-            num_flows=12,
-            in_heatmap=False,
-            notes="thumbnail-heavy; different CCA than the video servers",
-            factory=lambda seed, env: WebPageService(
-                "youtube_web",
-                page=_youtube_web_page(),
-                cca_factory=lambda i: BBRv3(seed=_flow_seed(seed, i)),
-                display_name="youtube.com",
-            ),
-        )
-    )
-
-    # --- iPerf baselines ----------------------------------------------------
-    catalog.register(
-        ServiceSpec(
-            service_id="iperf_bbr",
-            display_name="iPerf (BBR)",
-            category="baseline",
-            cca_label="BBRv1.0 (Linux 5.15)",
-            num_flows=1,
-            factory=lambda seed, env: IperfService(
-                "iperf_bbr",
-                cca_factory=lambda i: BBRv1(
-                    BBR_LINUX_5_15, seed=_flow_seed(seed, i)
-                ),
-                display_name="iPerf (BBR)",
-            ),
-        )
-    )
-    catalog.register(
-        ServiceSpec(
-            service_id="iperf_cubic",
-            display_name="iPerf (Cubic)",
-            category="baseline",
-            cca_label="Cubic (Linux 5.15)",
-            num_flows=1,
-            factory=lambda seed, env: IperfService(
-                "iperf_cubic",
-                cca_factory=lambda i: Cubic(),
-                display_name="iPerf (Cubic)",
-            ),
-        )
-    )
-    catalog.register(
-        ServiceSpec(
-            service_id="iperf_reno",
-            display_name="iPerf (Reno)",
-            category="baseline",
-            cca_label="NewReno (Linux 5.15)",
-            num_flows=1,
-            factory=lambda seed, env: IperfService(
-                "iperf_reno",
-                cca_factory=lambda i: NewReno(),
-                display_name="iPerf (Reno)",
-            ),
-        )
-    )
-
-    # --- figure extras (not part of the regular heatmap rotation) ----------
-    catalog.register(
-        ServiceSpec(
-            service_id="iperf_bbr_415",
-            display_name="iPerf (BBR, Linux 4.15)",
-            category="baseline",
-            cca_label="BBRv1.0 (Linux 4.15)",
-            num_flows=1,
-            in_heatmap=False,
-            notes="Fig 9 comparison kernel",
-            factory=lambda seed, env: IperfService(
-                "iperf_bbr_415",
-                cca_factory=lambda i: BBRv1(
-                    BBR_LINUX_4_15, seed=_flow_seed(seed, i)
-                ),
-                display_name="iPerf (BBR, Linux 4.15)",
-            ),
-        )
-    )
-    catalog.register(
-        ServiceSpec(
-            service_id="iperf_bbr_x5",
-            display_name="iPerf (5 x BBR)",
-            category="baseline",
-            cca_label="BBRv1.0 x5",
-            num_flows=5,
-            in_heatmap=False,
-            notes="Observation 4 comparator for Mega",
-            factory=lambda seed, env: IperfService(
-                "iperf_bbr_x5",
-                cca_factory=lambda i: BBRv1(
-                    BBR_LINUX_4_15, seed=_flow_seed(seed, i)
-                ),
-                num_flows=5,
-                display_name="iPerf (5 x BBR)",
-            ),
-        )
-    )
-    catalog.register(
-        ServiceSpec(
-            service_id="gdrive_2022",
-            display_name="Google Drive (2022)",
-            category="file-transfer",
-            cca_label="BBRv1",
-            num_flows=1,
-            in_heatmap=False,
-            notes="pre-BBRv3 deployment (Fig 9a 'before')",
-            factory=lambda seed, env: FileTransferService(
-                "gdrive_2022",
-                cca_factory=lambda i: BBRv1(
-                    BBR_LINUX_4_15, seed=_flow_seed(seed, i)
-                ),
-                display_name="Google Drive (2022)",
-            ),
-        )
-    )
-    catalog.register(
-        ServiceSpec(
-            service_id="youtube_2022",
-            display_name="YouTube (2022)",
-            category="video",
-            cca_label="BBRv1 (QUIC, 2022 tuning)",
-            num_flows=1,
-            max_throughput_bps=units.mbps(13),
-            in_heatmap=False,
-            notes="pre-tuning QUIC stack (Fig 9a 'before')",
-            factory=lambda seed, env: VideoOnDemandService(
-                "youtube_2022",
-                cca_factory=lambda i: BBRv1(
-                    BBR_YOUTUBE_QUIC_2022, seed=_flow_seed(seed, i)
-                ),
-                ladder=YOUTUBE_LADDER,
-                abr=ConservativeABR(),
-                num_flows=1,
-                display_name="YouTube (2022)",
-                render_cap_bps=env.render_cap_bps,
-            ),
-        )
-    )
+    for spec in DEFAULT_SPECS:
+        catalog.register(spec)
     return catalog

@@ -1,13 +1,20 @@
-"""The Table-1 service catalog: completeness and buildability."""
+"""The Table-1 service catalog: completeness, buildability, and recipes
+that build what the lambda catalog (``tests/naive_catalog.py``) built."""
+
+import json
+import pickle
 
 import pytest
 
 from repro import units
 from repro.browser.environment import ClientEnvironment
-from repro.config import highly_constrained
+from repro.config import ExperimentConfig, highly_constrained, moderately_constrained
+from repro.core.experiment import run_pair_experiment
 from repro.core.testbed import Testbed
 from repro.services.catalog import ServiceCatalog, ServiceSpec, default_catalog
 from repro.services.base import Service
+
+from tests import naive_catalog
 
 #: The twelve Table-1 services plus the three iPerf baselines.
 TABLE1_IDS = {
@@ -93,3 +100,60 @@ class TestFactories:
         faithful = catalog.create("youtube", seed=1)
         assert headless.render_cap_bps == units.mbps(1.2)
         assert faithful.render_cap_bps is None
+
+
+class TestRecipesMatchTheLambdaCatalog:
+    """Each entry's recipe is the data its parent-era closure spelled as
+    code: same ids, same facts, byte-identical trials."""
+
+    ORACLE = naive_catalog.default_catalog()
+
+    def test_same_ids_and_facts(self, catalog):
+        assert catalog.ids() == self.ORACLE.ids()
+        facts = ("display_name", "category", "cca_label", "num_flows",
+                 "max_throughput_bps", "notes", "in_heatmap")
+        for sid in catalog.ids():
+            new, old = catalog.get(sid), self.ORACLE.get(sid)
+            assert [getattr(new, f) for f in facts] == [
+                getattr(old, f) for f in facts
+            ], sid
+
+    @pytest.mark.parametrize(
+        "network", [highly_constrained(), moderately_constrained()],
+        ids=["8mbps", "50mbps"],
+    )
+    def test_every_id_against_iperf_cubic_is_byte_identical(
+        self, catalog, network
+    ):
+        config = ExperimentConfig().scaled(4.0)
+        differing = []
+        for sid in catalog.ids():
+            results = [
+                run_pair_experiment(
+                    source.get(sid), source.get("iperf_cubic"), network,
+                    config, seed=1,
+                )
+                for source in (catalog, self.ORACLE)
+            ]
+            new, old = (
+                json.dumps(r.to_json(), sort_keys=True) for r in results
+            )
+            if new != old:
+                differing.append(sid)
+        assert differing == []
+
+
+class TestSpecsAreData:
+    def test_every_spec_survives_a_pickle_round_trip(self, catalog):
+        for sid in catalog.ids():
+            spec = catalog.get(sid)
+            assert pickle.loads(pickle.dumps(spec)) == spec
+
+    def test_unknown_kind_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown service kind"):
+            ServiceSpec("x", "X", "baseline", "?", 1, "nope", ())
+
+    def test_flow_count_and_name_come_from_the_spec(self, catalog):
+        service = catalog.create("iperf_bbr_x5", seed=1)
+        assert service.num_flows == 5
+        assert service.display_name == "iPerf (5 x BBR)"

@@ -104,3 +104,63 @@ def test_cited_test_exists(module, names):
     target = importlib.import_module(f"tests.{module}")
     for name in names.split("::")[1:]:
         target = getattr(target, name)
+
+
+ROOT = Path(__file__).parent.parent
+
+#: A path starting at one of the repository's top-level directories.
+_ROOTED_PATH = re.compile(
+    r"(?<![\w./-])((?:src|tests|benchmarks|examples|\.github)/"
+    r"[\w./-]*\w\.(?:py|json|jsonl|md|txt|yml|yaml|toml))"
+)
+#: A bare backticked ``bench_*`` file (it lives under ``benchmarks/``) or
+#: top-level document such as ``DESIGN.md`` / ``BENCHMARK.json``.
+_BARE_FILE = re.compile(r"`((?:bench_\w+|[A-Z]+)\.\w+)`")
+
+
+def _cited_files():
+    """Every repository file a document names, resolved from the root."""
+    for document in ("DESIGN.md", "README.md", "EXPERIMENTS.md"):
+        text = (ROOT / document).read_text()
+        for path in _ROOTED_PATH.findall(text):
+            yield f"{document}: {path}", path
+        for name in _BARE_FILE.findall(text):
+            where = f"benchmarks/{name}" if name.startswith("bench_") else name
+            yield f"{document}: {name}", where
+
+
+@pytest.mark.parametrize(
+    "path",
+    [pytest.param(p, id=label) for label, p in sorted(set(_cited_files()))],
+)
+def test_cited_file_exists(path):
+    """A document that sends the reader to a file names one that exists."""
+    assert (ROOT / path).is_file(), path
+
+
+def _implementing_modules():
+    """The dotted names in DESIGN section 3's "Implementing modules"
+    column, one backticked name each."""
+    text = (ROOT / "DESIGN.md").read_text()
+    section = text.split("\n## 3.", 1)[1].split("\n## 4.", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| ")]
+    header = [cell.strip() for cell in rows[0].split("|")]
+    column = header.index("Implementing modules")
+    for row in rows[1:]:
+        yield from re.findall(r"`([^`]+)`", row.split("|")[column])
+
+
+@pytest.mark.parametrize("name", sorted(set(_implementing_modules())))
+def test_implementing_module_imports(name):
+    """``<module>[.<attr>...]`` under ``repro.``: the longest importable
+    module prefix, then attributes."""
+    parts = f"repro.{name}".split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[split:]:
+            target = getattr(target, attr)
+        return
+    raise AssertionError(f"nothing of {name!r} imports")

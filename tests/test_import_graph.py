@@ -150,3 +150,32 @@ def test_src_imports_nothing_from_tests():
         if name == "tests" or name.startswith("tests.")
     ]
     assert offenders == []
+
+
+def test_the_catalog_stays_data():
+    """A catalog entry is a recipe - a kind plus scalar/tuple params - so
+    it pickles and the process pool can ship it to a worker.  A closure
+    in the catalog or the submission portal, a ``Callable`` field on
+    ``ServiceSpec``, or the runner importing catalogs by name is how a
+    worker goes back to rebuilding a default it was not asked to run."""
+    import dataclasses
+    import typing
+
+    from repro.services.catalog import ServiceSpec
+
+    lambdas = [
+        f"{name}:{node.lineno}"
+        for name in ("services/catalog.py", "core/submission.py")
+        for node in ast.walk(ast.parse((SRC / name).read_text()))
+        if isinstance(node, ast.Lambda)
+    ]
+    assert lambdas == []
+    hints = typing.get_type_hints(ServiceSpec)
+    callable_fields = [
+        field.name
+        for field in dataclasses.fields(ServiceSpec)
+        if "Callable" in str(hints[field.name])
+    ]
+    assert callable_fields == []
+    runner_imports = set(imported_modules(SRC / "core" / "runner.py"))
+    assert not {"importlib"} & {name.split(".")[0] for name in runner_imports}

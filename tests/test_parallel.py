@@ -3,10 +3,17 @@
 import pytest
 
 from repro import units
-from repro.config import ExperimentConfig, highly_constrained
+from repro.browser.environment import ClientEnvironment
+from repro.config import (
+    ExperimentConfig,
+    highly_constrained,
+    moderately_constrained,
+)
+from repro.core.cache import TrialCache, trial_cache_key
 from repro.core.experiment import run_pair_experiment
 from repro.core.results import ResultStore
-from repro.core.runner import ProcessPoolBackend, TrialSpec
+from repro.core.runner import ProcessPoolBackend, TrialSpec, build_backend
+from repro.core.submission import DEFAULT_ACCESS_CODES, SubmissionPortal
 from repro.fleet import plan_cycle
 from repro.services.catalog import default_catalog
 
@@ -77,12 +84,57 @@ class TestParallelExecution:
         shares = store.shares("iperf_reno", "iperf_cubic", NET.bandwidth_bps)
         assert len(shares) == 2
 
-    def test_bad_catalog_factory_raises(self):
-        runner = ProcessPoolBackend(
-            max_workers=1, catalog_factory="no.such.module:nope"
+    def test_unknown_service_raises_before_dispatch(self):
+        with pytest.raises(KeyError, match="nope"):
+            ProcessPoolBackend(max_workers=1).run([make_trial("nope")])
+
+
+class TestPoolRunsTheCallersInputs:
+    """The pool runs the caller's catalog and client environment, not a
+    default it rebuilt in the worker: same result bytes as inline, and
+    the same cache key."""
+
+    CONFIG = ExperimentConfig().scaled(4.0)
+
+    def both(self, spec, tmp_path, **kwargs):
+        results, entries = [], []
+        for kind in ("inline", "process"):
+            cache_dir = tmp_path / kind
+            backend = build_backend(
+                kind, workers=2, cache=TrialCache(cache_dir), **kwargs
+            )
+            results.append(backend.run([spec])[0].to_json())
+            entries.append(sorted(p.name for p in cache_dir.iterdir()))
+        return results, entries
+
+    def test_headless_client_matches_inline(self, tmp_path):
+        env = ClientEnvironment.headless_automation()
+        spec = TrialSpec.pair(
+            "youtube", "iperf_cubic", moderately_constrained(), self.CONFIG,
+            seed=3,
         )
-        with pytest.raises(Exception):
-            runner.run([make_trial()])
+        (inline, pooled), (inline_keys, pooled_keys) = self.both(
+            spec, tmp_path, env=env
+        )
+        assert pooled == inline
+        # The headless render cap binds (0.768 when workers dropped env).
+        assert inline["mmf_share"]["youtube"] == pytest.approx(0.284, abs=1e-3)
+        assert pooled_keys == inline_keys == [
+            trial_cache_key(spec, env) + ".json"
+        ]
+
+    def test_submitted_download_matches_inline(self, tmp_path):
+        catalog = default_catalog()
+        submission = SubmissionPortal(catalog).submit(
+            "https://downloads.example.com/dataset.zip",
+            DEFAULT_ACCESS_CODES[0],
+        )
+        spec = TrialSpec.pair(
+            submission.service_id, "iperf_cubic", NET, self.CONFIG, seed=2
+        )
+        (inline, pooled), _keys = self.both(spec, tmp_path, catalog=catalog)
+        assert pooled == inline
+        assert inline["throughput_bps"][submission.service_id] > 0
 
 
 class TestParallelWatchdog:

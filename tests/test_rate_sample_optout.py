@@ -24,7 +24,6 @@ from repro.cca import BBRv1, BBRv3, CongestionControl, Cubic, NewReno, Vegas
 from repro.cca.bbr import BBR_LINUX_5_15
 from repro.config import ExperimentConfig, highly_constrained
 from repro.core.experiment import run_trial_artifacts
-from repro.services.catalog import ServiceSpec
 from repro.services.iperf import IperfService
 
 #: What only the rate sampler writes: the per-packet snapshot fields and
@@ -92,23 +91,30 @@ class TestDeclarationsMatchTheCode:
         assert CongestionControl.uses_rate_samples
 
 
-def bulk_spec(service_id, cca_factory) -> ServiceSpec:
-    return ServiceSpec(
-        service_id=service_id,
-        display_name=service_id,
-        category="baseline",
-        cca_label=service_id,
-        num_flows=1,
-        factory=lambda seed, env: IperfService(
-            service_id, cca_factory=lambda i: cca_factory()
-        ),
-    )
+class BulkSpec:
+    """A one-flow bulk service over a test-only controller class.
+
+    A catalog recipe names only the library's controllers, so this is
+    the duck-typed spec ``run_trial_artifacts`` reads: an id, no cap, and
+    ``create``.
+    """
+
+    max_throughput_bps = None
+
+    def __init__(self, service_id, cca_factory):
+        self.service_id = service_id
+        self.cca_factory = cca_factory
+
+    def create(self, seed, env):
+        return IperfService(
+            self.service_id, cca_factory=lambda i: self.cca_factory()
+        )
 
 
 def run_pair(cca_a, cca_b):
     """(artifacts as one JSON string, finished testbed) of a bulk pair."""
     result, testbed = run_trial_artifacts(
-        [bulk_spec("bulk_a", cca_a), bulk_spec("bulk_b", cca_b)],
+        [BulkSpec("bulk_a", cca_a), BulkSpec("bulk_b", cca_b)],
         highly_constrained(),
         ExperimentConfig().scaled(3.0),
         seed=5,

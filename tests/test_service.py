@@ -348,6 +348,30 @@ class TestServiceIngest:
         assert len(summary["submissions_accepted"]) == 1
         assert len(service.state["submissions"]["rejected"]) == 2
 
+    def test_second_url_on_a_taken_host_is_a_rejection(self, tmp_path):
+        """Two URLs on one host derive one id: the second is filed under
+        ``rejected`` naming the first, and the first stays the accepted
+        one.  (At the parent: the line was consumed and recorded
+        nowhere.)"""
+        service = make_service(tmp_path)
+        urls = ["https://example.com/", "https://example.com/big.zip"]
+        (tmp_path / "spool" / "submissions.jsonl").write_text(
+            "".join(
+                json.dumps({"url": url, "access_code": DEFAULT_ACCESS_CODES[0]})
+                + "\n"
+                for url in urls
+            )
+        )
+        summary = service.ingest_once()
+        assert [s["url"] for s in summary["submissions_accepted"]] == urls[:1]
+        ledger = service.state["submissions"]
+        assert [s["url"] for s in ledger["accepted"]] == urls[:1]
+        assert len(ledger["rejected"]) == 1
+        rejection = ledger["rejected"][0]
+        assert "big.zip" in rejection["line"]
+        assert "'https://example.com/'" in rejection["error"]
+        assert ledger["processed_lines"] == 2
+
     @pytest.mark.parametrize(
         "poison",
         [

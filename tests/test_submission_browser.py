@@ -109,12 +109,19 @@ class TestSubmissionPortal:
         again = portal.submit("https://example.org", DEFAULT_ACCESS_CODES[1])
         assert again is first
         assert len(portal.submissions) == 1
-        # A different path on the same host is the same service id, so it
-        # is also a re-submission, not a collision.
-        same_host = portal.submit(
-            "https://example.org/other", DEFAULT_ACCESS_CODES[0]
-        )
-        assert same_host is first
+
+    def test_second_url_on_a_taken_host_is_rejected(self):
+        """Another URL on the same host derives the same id; it is not a
+        re-submission of the first.  (At the parent: the earlier *web*
+        acceptance came back for a download URL.)"""
+        portal = self.make_portal()
+        first = portal.submit("https://example.com/", DEFAULT_ACCESS_CODES[0])
+        with pytest.raises(SubmissionError) as raised:
+            portal.submit("https://example.com/big.zip", DEFAULT_ACCESS_CODES[0])
+        assert "'https://example.com/'" in str(raised.value)
+        assert first.service_id in str(raised.value)
+        assert portal.submissions == [first]
+        assert portal.catalog.get(first.service_id).category == "web"
 
     def test_catalog_collision_without_prior_submission_rejected(self):
         """An id already in the catalog that this portal never accepted
