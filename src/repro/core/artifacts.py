@@ -18,9 +18,7 @@ from typing import Optional
 from ..browser.environment import ClientEnvironment
 from ..config import ExperimentConfig, NetworkConfig
 from ..services.catalog import ServiceSpec
-from .experiment import ExperimentResult
-from .mmf import max_min_allocation
-from .metrics import mmf_share
+from .experiment import ExperimentResult, run_trial_artifacts
 from .testbed import Testbed
 
 
@@ -58,41 +56,15 @@ class ArtifactPublisher:
         seed: int = 0,
         env: Optional[ClientEnvironment] = None,
     ) -> PublishedExperiment:
-        """Run one traced trial and publish its artifacts."""
-        testbed = Testbed(network, seed=seed, trace_packets=True)
-        service_a = spec_a.create(seed=seed * 2 + 1, env=env)
-        service_b = spec_b.create(seed=seed * 2 + 2, env=env)
-        if service_a.service_id == service_b.service_id:
-            service_b.service_id += "#2"
-        testbed.add_service(service_a)
-        testbed.add_service(service_b)
-        testbed.start_all()
-        testbed.run_window(config)
-
-        caps = [spec_a.max_throughput_bps, spec_b.max_throughput_bps]
-        allocation = max_min_allocation(network.bandwidth_bps, caps)
-        ids = [service_a.service_id, service_b.service_id]
-        throughput = testbed.throughput_bps()
-        result = ExperimentResult(
-            contender_id=ids[0],
-            incumbent_id=ids[1],
-            bandwidth_bps=network.bandwidth_bps,
-            buffer_packets=network.queue_packets,
+        """Run one traced trial through the trial core and publish its
+        artifacts."""
+        result, testbed = run_trial_artifacts(
+            [spec_a, spec_b],
+            network,
+            config,
             seed=seed,
-            duration_usec=testbed.window_usec,
-            throughput_bps=throughput,
-            mmf_allocation_bps=dict(zip(ids, allocation)),
-            mmf_share={
-                sid: mmf_share(throughput[sid], alloc)
-                for sid, alloc in zip(ids, allocation)
-            },
-            loss_rate=testbed.loss_rates(),
-            queueing_delay_usec=testbed.queueing_delays_usec(),
-            service_metrics={
-                s.service_id: s.metrics() for s in testbed.services
-            },
-            utilization=testbed.utilization(),
-            external_loss_fraction=testbed.external_loss_fraction(),
+            env=env,
+            trace_packets=True,
         )
         return self._write(result, testbed)
 

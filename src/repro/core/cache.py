@@ -530,9 +530,11 @@ class TrialCache:
 
         Sidecar bytes are charged to their owning entry: evicting an
         entry drops its sidecars too, and both are credited against the
-        cap (and to ``cache.bytes_evicted``).  Sidecars whose entry has
-        not landed yet (a recording written mid-drain) form their own
-        evictable group keyed by the newest sidecar's mtime.
+        cap (and to ``cache.bytes_evicted``).  A backend's drain writes
+        a trial's sidecar just before its entry, so a sidecar has no
+        entry only between those two writes or after a kill between
+        them; such orphans form their own evictable group keyed by the
+        newest sidecar's mtime.
         """
         cap = self.max_bytes if max_bytes is None else max_bytes
         if cap is None or self.cache_dir is None:

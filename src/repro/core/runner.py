@@ -38,9 +38,10 @@ from __future__ import annotations
 
 import functools
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields as dataclasses_fields
-from typing import ClassVar, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields as dataclasses_fields
+from typing import (
+    ClassVar, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from ..browser.environment import ClientEnvironment
 from ..config import ExperimentConfig, NetworkConfig
@@ -219,7 +220,7 @@ class RunnerStats:
     ``trials_run`` counts actual simulations; cache hits skip simulation
     entirely, so ``trials_run + cache_hits`` equals the number of trials
     requested.  ``wall_clock_sec`` measures only time spent simulating
-    (cache lookups are not included).
+    (cache lookups and writes are not included).
     """
 
     trials_run: int = 0
@@ -388,6 +389,11 @@ def replay(
     return results, stats  # type: ignore[return-value]
 
 
+#: What a substrate yields per trial: the result and, when recording,
+#: the flight recorder's payload.
+Outcome = Tuple[ExperimentResult, Optional[Dict]]
+
+
 class ExecutionBackend:
     """Common submit/drain interface every execution substrate implements.
 
@@ -403,82 +409,15 @@ class ExecutionBackend:
     monitor (see :mod:`repro.core.earlystop`); truncated cache entries
     count as hits exactly when it is armed, so plain runs re-simulate
     full-length and supersede truncations.
-    """
 
-    def __init__(
-        self,
-        catalog: Optional[ServiceCatalog] = None,
-        env: Optional[ClientEnvironment] = None,
-        cache: Optional[TrialCache] = None,
-        earlystop: Optional[EarlyStopConfig] = None,
-    ) -> None:
-        self.catalog = catalog if catalog is not None else default_catalog()
-        self.env = env
-        self.cache = cache
-        self.earlystop = earlystop
-        self.stats = RunnerStats()
-        self._pending: List[TrialSpec] = []
-
-    # -- scheduling ----------------------------------------------------
-
-    def submit(self, trials: Sequence[TrialSpec]) -> None:
-        """Queue trials for the next :meth:`drain`."""
-        self._pending.extend(trials)
-
-    def drain(self) -> List[ExperimentResult]:
-        """Execute everything submitted; results in submission order."""
-        trials, self._pending = self._pending, []
-        env = self.env
-        results, misses = _lookup(
-            self.cache, trials, env, self.earlystop is not None, self.stats
-        )
-        if misses:
-            registry = get_registry()
-            start = time.perf_counter()
-            with tracing.span(
-                "backend.dispatch",
-                backend=type(self).__name__,
-                trials=len(misses),
-            ):
-                fresh = self._execute([spec for _i, spec in misses])
-            elapsed = time.perf_counter() - start
-            self.stats.wall_clock_sec += elapsed
-            self.stats.trials_run += len(fresh)
-            registry.counter("runner.trials_run").inc(len(fresh))
-            registry.histogram("runner.dispatch_sec").observe(elapsed)
-            for (index, spec), result in zip(misses, fresh):
-                results[index] = result
-                self.stats.record_earlystop(result.earlystop)
-                if self.cache is not None:
-                    self.cache.put(spec, result, env=env)
-        assert all(r is not None for r in results)
-        return results  # type: ignore[return-value]
-
-    def run(self, trials: Sequence[TrialSpec]) -> List[ExperimentResult]:
-        """Submit and drain in one call."""
-        self.submit(trials)
-        return self.drain()
-
-    # -- substrate hooks -----------------------------------------------
-
-    def _execute(self, trials: Sequence[TrialSpec]) -> List[ExperimentResult]:
-        """Simulate the given trials; subclasses supply the substrate."""
-        raise NotImplementedError
-
-
-class InlineBackend(ExecutionBackend):
-    """Sequential in-process execution (the default substrate).
-
-    ``record_flight`` runs each cache miss under a fresh
-    :class:`~repro.obs.flight.FlightRecorder`: the recording payload is
-    kept in :attr:`recordings` (keyed by trial cache key; ``None`` when
-    not recording) and - when the backend has a directory cache -
-    persisted as a ``<key>.flight.json`` sidecar next to the result
-    entry.  Cache hits skip simulation AND recording: the sidecar from
-    the original run remains the recording of record, so merges across
-    cache hits are loss-free.  Recording changes nothing about the
-    results (the recorder is pure reads at existing event boundaries;
-    see :mod:`repro.obs.flight`).
+    ``record_flight`` runs each cache miss, on either substrate, under a
+    fresh :class:`~repro.obs.flight.FlightRecorder`, whose payload is
+    kept in :attr:`recordings` (by trial cache key; ``None`` when not
+    recording) and persisted as the entry's ``<key>.flight.json``
+    sidecar.  Cache hits skip simulation AND recording: the original
+    sidecar stays the recording of record, so merges are loss-free.
+    Recording changes no result (the recorder only reads; see
+    :mod:`repro.obs.flight`).
     """
 
     def __init__(
@@ -489,55 +428,126 @@ class InlineBackend(ExecutionBackend):
         earlystop: Optional[EarlyStopConfig] = None,
         record_flight: bool = False,
     ) -> None:
-        super().__init__(catalog, env, cache, earlystop)
+        self.catalog = catalog if catalog is not None else default_catalog()
+        self.env = env
+        self.cache = cache
+        self.earlystop = earlystop
         self.recordings: Optional[Dict[str, Dict]] = (
             {} if record_flight else None
         )
+        self.stats = RunnerStats()
+        self._pending: List[TrialSpec] = []
 
-    def _execute(self, trials: Sequence[TrialSpec]) -> List[ExperimentResult]:
-        """Run each trial sequentially in this process."""
-        results: List[ExperimentResult] = []
-        recording = self.recordings is not None
+    # -- scheduling ----------------------------------------------------
+
+    def submit(self, trials: Sequence[TrialSpec]) -> None:
+        """Queue trials for the next :meth:`drain`."""
+        self._pending.extend(trials)
+
+    def drain(self) -> List[ExperimentResult]:
+        """Execute everything submitted; results in submission order.
+
+        The one place a simulated trial is completed, on any substrate:
+        as each comes back, its sidecar lands, then its entry (the
+        commit point: a kill between the two leaves an orphan sidecar
+        the re-run overwrites), then it is counted.  A trial that raises
+        ends the drain with every earlier trial on disk."""
+        trials, self._pending = self._pending, []
+        env, cache, stats = self.env, self.cache, self.stats
+        results, misses = _lookup(
+            cache, trials, env, self.earlystop is not None, stats
+        )
+        if not misses:
+            return results  # type: ignore[return-value]
+        registry = get_registry()
+        simulating = 0.0
+        outcomes = self._execute([spec for _i, spec in misses])
+        try:
+            with tracing.span(
+                "backend.dispatch",
+                backend=type(self).__name__,
+                trials=len(misses),
+            ):
+                for index, spec in misses:
+                    start = time.perf_counter()
+                    result, recording = next(outcomes)
+                    simulating += time.perf_counter() - start
+                    if recording is not None:
+                        key = trial_cache_key(spec, env)
+                        if cache is not None:
+                            cache.put_sidecar(key, "flight", recording)
+                    if cache is not None:
+                        cache.put(spec, result, env=env)
+                    stats.trials_run += 1
+                    stats.record_earlystop(result.earlystop)
+                    registry.counter("runner.trials_run").inc()
+                    if recording is not None:
+                        self.recordings[key] = recording
+                    results[index] = result
+        finally:
+            outcomes.close()
+            stats.wall_clock_sec += simulating
+            registry.histogram("runner.dispatch_sec").observe(simulating)
+        return results  # type: ignore[return-value]
+
+    def run(self, trials: Sequence[TrialSpec]) -> List[ExperimentResult]:
+        """Submit and drain in one call."""
+        self.submit(trials)
+        return self.drain()
+
+    # -- substrate hooks -----------------------------------------------
+
+    def _execute(self, trials: Sequence[TrialSpec]) -> Iterator[Outcome]:
+        """Simulate ``trials``, yielding an :data:`Outcome` per trial in
+        order; subclasses supply the substrate."""
+        raise NotImplementedError
+
+
+class InlineBackend(ExecutionBackend):
+    """Sequential in-process execution (the default substrate)."""
+
+    def _execute(self, trials: Sequence[TrialSpec]) -> Iterator[Outcome]:
+        """Run each trial in this process, one :func:`run_trial` at a
+        time."""
+        record = self.recordings is not None
         for spec in trials:
-            recorder = FlightRecorder() if recording else None
-            results.append(
-                run_trial(
-                    spec,
-                    catalog=self.catalog,
-                    env=self.env,
-                    flight=recorder,
-                    earlystop=self.earlystop,
-                )
+            recorder = FlightRecorder() if record else None
+            result = run_trial(
+                spec,
+                self.catalog,
+                self.env,
+                flight=recorder,
+                earlystop=self.earlystop,
             )
-            if recorder is not None:
-                key = trial_cache_key(spec, self.env)
-                payload = recorder.to_json()
-                self.recordings[key] = payload
-                if self.cache is not None:
-                    self.cache.put_sidecar(key, "flight", payload)
-        return results
+            yield result, None if recorder is None else recorder.to_json()
 
 
-def _run_trial_json(args: Tuple) -> Dict:
+def _run_trial_json(args: Tuple) -> Tuple[Dict, Optional[Dict]]:
     """Pool-worker entry point: run one trial from its shipped
-    ``(spec, service specs, env, earlystop JSON)``."""
-    spec, services, env, earlystop_json = args
+    ``(spec, service specs, env, earlystop JSON, record_flight)``;
+    returns its result JSON and flight recording (or ``None``)."""
+    spec, services, env, earlystop_json, record_flight = args
     earlystop = (
         EarlyStopConfig.from_json(earlystop_json)
         if earlystop_json is not None
         else None
     )
-    return _simulate(spec, services, env, earlystop=earlystop).to_json()
+    recorder = FlightRecorder() if record_flight else None
+    result = _simulate(
+        spec, services, env, flight=recorder, earlystop=earlystop
+    )
+    return result.to_json(), None if recorder is None else recorder.to_json()
 
 
 class ProcessPoolBackend(ExecutionBackend):
     """Fans seeded trials out over a process pool.
 
-    Results are identical to :class:`InlineBackend` (each trial is an
-    isolated, seeded simulation); only the wall-clock changes.  Each
-    trial travels to its worker with its resolved
+    Results, entries and sidecars are :class:`InlineBackend`'s (each
+    trial is an isolated, seeded simulation); only the wall-clock
+    changes.  Each trial travels to its worker with its resolved
     :class:`~repro.services.catalog.ServiceSpec` recipes and the
     backend's client environment, so workers build nothing from names.
+    When a trial raises, the trials not yet started are cancelled.
     """
 
     def __init__(
@@ -547,12 +557,16 @@ class ProcessPoolBackend(ExecutionBackend):
         env: Optional[ClientEnvironment] = None,
         cache: Optional[TrialCache] = None,
         earlystop: Optional[EarlyStopConfig] = None,
+        record_flight: bool = False,
     ) -> None:
-        super().__init__(catalog, env, cache, earlystop)
+        super().__init__(catalog, env, cache, earlystop, record_flight)
         self.max_workers = max_workers
 
-    def _execute(self, trials: Sequence[TrialSpec]) -> List[ExperimentResult]:
+    def _execute(self, trials: Sequence[TrialSpec]) -> Iterator[Outcome]:
         """Map trials over worker processes, preserving order."""
+        # Imported here: only a pool pays for loading multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         earlystop_json = (
             self.earlystop.to_json() if self.earlystop is not None else None
         )
@@ -562,12 +576,16 @@ class ProcessPoolBackend(ExecutionBackend):
                 [self.catalog.get(sid) for sid in spec.service_ids],
                 self.env,
                 earlystop_json,
+                self.recordings is not None,
             )
             for spec in trials
         ]
-        with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
-            raw = list(pool.map(_run_trial_json, payload))
-        return [ExperimentResult.from_json(entry) for entry in raw]
+        pool = ProcessPoolExecutor(max_workers=self.max_workers)
+        try:
+            for result_json, recording in pool.map(_run_trial_json, payload):
+                yield ExperimentResult.from_json(result_json), recording
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 #: CLI / fleet-manifest names for the execution substrates.
@@ -592,23 +610,17 @@ def build_backend(
     environment ``env`` (default: the faithful testbed); the pool ships
     both to its workers with each trial.  ``earlystop`` arms every
     substrate's trials with the stop-rule monitor (the pool ships the
-    model JSON to its workers).
-    ``record_flight`` flight-records every simulated trial (see
-    :class:`InlineBackend`); recorders live in this process, so it runs
-    inline whatever ``workers`` says and an explicit ``process`` kind is
-    a :class:`ValueError`.
+    model JSON to its workers), and ``record_flight`` flight-records
+    every simulated trial on either substrate (see
+    :class:`ExecutionBackend`): the pool writes the same entries and
+    sidecars as inline.
     """
-    if record_flight:
-        if kind == "process":
-            raise ValueError(
-                "record_flight forces the inline recording backend - "
-                "drop the explicit backend/backend_kind"
-            )
-        kind = "inline"
-    elif kind is None:
+    if kind is None:
         kind = "process" if workers else "inline"
     if kind == "process":
-        return ProcessPoolBackend(workers, catalog, env, cache, earlystop)
+        return ProcessPoolBackend(
+            workers, catalog, env, cache, earlystop, record_flight
+        )
     if kind == "inline":
         return InlineBackend(catalog, env, cache, earlystop, record_flight)
     raise ValueError(

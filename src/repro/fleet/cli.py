@@ -384,7 +384,7 @@ def register(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--record-flight", action="store_true",
                    help="flight-record simulated trials: full recordings "
                         "as cache sidecars, truncated prefixes in the "
-                        "receipt (forces the inline backend)")
+                        "receipt")
     p.add_argument("--flight-prefix-points", type=int, default=32,
                    help="grid points kept per channel in the receipt's "
                         "flight prefix (default: 32)")

@@ -169,12 +169,14 @@ def run_shard(
     """Execute one shard manifest into ``cache_dir``; write the receipt.
 
     The manifest's specs run through an execution backend wired to a
-    :class:`TrialCache` over ``cache_dir`` (so re-running an interrupted
-    shard resumes from what it already simulated).  Each spec's cache key
-    is recomputed and checked against the manifest before anything runs -
-    a mismatch means the planning and executing hosts disagree about
-    trial semantics, which would poison the merge.  That derivation is
-    from the row's contents, never from its ``cache_key``
+    :class:`TrialCache` over ``cache_dir``.  The backend writes each
+    trial's entry as the trial finishes, so re-running an interrupted
+    shard resumes from what it already simulated
+    (``tests/test_fleet.py::TestInterruptedShard::test_inline_rerun_resumes``).
+    Each spec's cache key is recomputed and checked against the manifest
+    before anything runs - a mismatch means the planning and executing
+    hosts disagree about trial semantics, which would poison the merge.
+    That derivation is from the row's contents, never from its ``cache_key``
     (``tests/test_cache_keys.py::test_edited_manifest_key_never_seeds_the_memo``),
     and it is the last one the trial costs: later lookups read the memo
     it left on the spec (``test_two_derivations_two_parses_per_trial`` in
@@ -189,9 +191,7 @@ def run_shard(
     ``<key>.flight.json`` sidecars in ``cache_dir``, and the receipt's
     ``flight_prefix`` carries the first ``flight_prefix_points`` grid
     points per trial so the merge sees diagnosis features without the
-    sidecars.  Recording runs inline
-    (:func:`~repro.core.runner.build_backend`), so it conflicts with an
-    explicit ``process`` ``backend_kind``.
+    sidecars.  Both substrates record, with the same bytes.
 
     A manifest carrying an ``earlystop`` block (the model artifact plus
     audit fraction; see :mod:`repro.core.earlystop`) arms every simulated
@@ -214,16 +214,13 @@ def run_shard(
         from ..core.earlystop import EarlyStopConfig
 
         earlystop = EarlyStopConfig.from_json(earlystop_json)
-    try:
-        backend = build_backend(
-            backend_kind,
-            workers,
-            cache=cache,
-            earlystop=earlystop,
-            record_flight=record_flight,
-        )
-    except ValueError as exc:
-        raise FleetError(str(exc)) from exc
+    backend = build_backend(
+        backend_kind,
+        workers,
+        cache=cache,
+        earlystop=earlystop,
+        record_flight=record_flight,
+    )
     metrics_before = get_registry().snapshot()
     with tracing.span(
         "shard.run",
@@ -233,7 +230,7 @@ def run_shard(
         backend.run(specs)
     cycle = manifest.get("cycle") or {}
     flight_prefix = None
-    if record_flight:
+    if backend.recordings is not None:
         from ..obs.flight import prefix_summary
 
         flight_prefix = {

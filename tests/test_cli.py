@@ -16,6 +16,28 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    @pytest.mark.parametrize("workers", ["0", "-3", "two"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["pair", "iperf_cubic", "iperf_reno"],
+            ["fleet", "run-shard", "shard-0.json", "--cache-dir", "c",
+             "--backend", "process"],
+            ["fleet", "cycle", "--out-dir", "d"],
+        ],
+        ids=["pair", "run-shard", "fleet-cycle"],
+    )
+    def test_pool_size_below_one_is_a_usage_error(
+        self, command, workers, capsys
+    ):
+        """A pool needs a worker: ``--workers 0`` used to run inline
+        silently, or die in ``concurrent.futures`` with a traceback."""
+        with pytest.raises(SystemExit) as raised:
+            main([*command, "--workers", workers])
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --workers: expected an integer >= 1" in err
+
 
 class TestServices:
     def test_lists_catalog(self, capsys):

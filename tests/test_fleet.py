@@ -16,7 +16,7 @@ from repro.config import (
     TrialPolicyConfig,
     highly_constrained,
 )
-from repro.core.cache import CACHE_SCHEMA_VERSION, TrialCache
+from repro.core.cache import CACHE_SCHEMA_VERSION, TrialCache, scan_cache_dir
 from repro.core.runner import (
     InlineBackend,
     build_backend,
@@ -668,6 +668,66 @@ class TestFleetStatus:
             str(tmp_path / "s0"), str(tmp_path / "s1"),
         ]) == 0
         assert "2 done" in capsys.readouterr().out
+
+
+class TestInterruptedShard:
+    """A drain puts each trial on disk as it finishes, on either
+    substrate: a shard interrupted at its third of four trials leaves
+    two entries, ``fleet status`` sees it running, and a re-run
+    simulates only the other two."""
+
+    def _interrupted(self, tmp_path, monkeypatch, exc, **backend):
+        from repro.core import runner
+
+        plan = plan_cycle(
+            IDS, [NET], ExperimentConfig().scaled(3), trials_per_pair=4,
+            num_shards=1, base_seed=7, include_self_pairs=False,
+        )
+        plan.write(tmp_path / "plan")
+        doomed = plan.shard_trials(0)[2].spec
+        simulate = runner._simulate
+
+        def failing(spec, *args, **kwargs):
+            if spec == doomed:
+                raise exc
+            return simulate(spec, *args, **kwargs)
+
+        # Pool workers are forked after the patch, so they raise too.
+        monkeypatch.setattr(runner, "_simulate", failing)
+        with pytest.raises(type(exc)):
+            run_shard(tmp_path / "plan" / "shard-0.json", tmp_path / "s0",
+                      **backend)
+        monkeypatch.undo()
+        assert not (tmp_path / "s0" / RECEIPT_FILENAME).exists()
+        return plan
+
+    def _rerun(self, tmp_path, plan):
+        keys = [t.cache_key for t in plan.shard_trials(0)]
+        assert set(scan_cache_dir(tmp_path / "s0")[0]) == set(keys[:2])
+        receipt = run_shard(tmp_path / "plan" / "shard-0.json",
+                            tmp_path / "s0")
+        assert (receipt.stats.trials_run, receipt.stats.cache_hits) == (2, 2)
+        assert len(receipt.completed_keys) == 4
+
+    def test_inline_rerun_resumes(self, tmp_path, monkeypatch):
+        plan = self._interrupted(
+            tmp_path, monkeypatch, KeyboardInterrupt(), backend_kind="inline"
+        )
+        self._rerun(tmp_path, plan)
+
+    def test_pool_rerun_resumes(self, tmp_path, monkeypatch):
+        plan = self._interrupted(
+            tmp_path, monkeypatch, RuntimeError("trial 3 of 4 fails"),
+            backend_kind="process", workers=2,
+        )
+        self._rerun(tmp_path, plan)
+
+    def test_status_sees_the_interrupted_shard(self, tmp_path, monkeypatch):
+        plan = self._interrupted(tmp_path, monkeypatch, KeyboardInterrupt())
+        row = fleet_status(plan, [tmp_path / "s0"]).shards[0]
+        assert (row.state, row.completed, row.planned) == ("running", 2, 4)
+        row = fleet_status(plan, [tmp_path / "s0"], stall_sec=0).shards[0]
+        assert (row.state, row.completed) == ("stalled", 2)
 
 
 class TestReceiptTelemetry:

@@ -548,18 +548,40 @@ class TestFleetFlight:
 
         assert ShardReceipt.load(cache_dir).flight_prefix is not None
 
-    def test_record_flight_conflicts_with_backend_kind(self, tmp_path):
-        from repro.fleet.plan import FleetError
-        from repro.fleet.worker import run_shard
+    def test_pool_records_like_inline(self, tmp_path):
+        """``record_flight`` under a two-worker pool: the workers record
+        and one drain writes what inline writes - entries, sidecars and
+        the receipt's flight prefix, byte for byte."""
+        from repro.fleet.worker import RECEIPT_FILENAME, run_shard
 
-        small_plan(tmp_path / "plan")
-        with pytest.raises(FleetError):
+        plan = small_plan(tmp_path / "plan", trials=2)
+        written = []
+        for kind, workers in (("inline", None), ("process", 2)):
+            cache_dir = tmp_path / kind
             run_shard(
                 tmp_path / "plan" / "shard-0.json",
-                tmp_path / "cache0",
-                backend_kind="process",
+                cache_dir,
+                backend_kind=kind,
+                workers=workers,
                 record_flight=True,
             )
+            receipt = json.loads((cache_dir / RECEIPT_FILENAME).read_text())
+            written.append((
+                {
+                    path.name: path.read_bytes()
+                    for path in cache_dir.glob("*.json")
+                    if path.name != RECEIPT_FILENAME
+                },
+                json.dumps(receipt["flight_prefix"], sort_keys=True),
+            ))
+        (inline_files, inline_prefix), (pool_files, pool_prefix) = written
+        keys = sorted(t.cache_key for t in plan.trials)
+        assert sorted(inline_files) == sorted(
+            [f"{key}.json" for key in keys]
+            + [f"{key}.flight.json" for key in keys]
+        )
+        assert pool_files == inline_files
+        assert pool_prefix == inline_prefix
 
     def test_fleet_status_telemetry_totals(self, tmp_path):
         from repro.fleet.status import fleet_status

@@ -8,6 +8,9 @@ into the hot path again.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -179,3 +182,38 @@ def test_the_catalog_stays_data():
     assert callable_fields == []
     runner_imports = set(imported_modules(SRC / "core" / "runner.py"))
     assert not {"importlib"} & {name.split(".")[0] for name in runner_imports}
+
+
+def test_importing_the_package_loads_no_process_pool():
+    """``concurrent.futures`` pulls in ``multiprocessing`` (over 1 MB of
+    peak RSS on every pipeline workload); only a pool that runs trials
+    imports it, inside ``ProcessPoolBackend._execute``."""
+    code = (
+        "import sys, repro, repro.fleet, repro.service.coordinator, repro.cli\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"
+
+
+def test_published_artifacts_run_through_the_trial_core():
+    """``ArtifactPublisher`` publishes what ``run_trial_artifacts`` ran; a
+    ``Testbed`` or service built in ``core/artifacts.py`` is a second
+    trial core, free to drift from the first in seeds or allocation."""
+    calls = []
+    tree = ast.parse((SRC / "core" / "artifacts.py").read_text())
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        if name in ("Testbed", "create"):
+            calls.append(f"{name}:{node.lineno}")
+    assert calls == []
