@@ -15,44 +15,17 @@ reproduction claims are load-bearing:
 
 from dataclasses import replace
 
-from repro import units
-from repro.cca.bbr import BBRv1, BBR_LINUX_4_15, BBR_YOUTUBE_QUIC_2023
-from repro.config import NetworkConfig
-from repro.core.experiment import run_pair_experiment
-from repro.core.stats import median
-from repro.core.testbed import Testbed
-from repro.services.abr import BitrateLadder, BufferRateABR, ConservativeABR
-from repro.services.catalog import YOUTUBE_LADDER
-from repro.services.filetransfer import MegaTransferService
-from repro.services.video import VideoOnDemandService
-
-from .harness import CATALOG, CONFIG, HIGHLY, MODERATELY, TRIALS, report
-
-
-def _mega_run(fresh: bool, seed: int):
-    testbed = Testbed(MODERATELY, seed=seed)
-    mega = MegaTransferService(
-        "mega",
-        cca_factory=lambda i: BBRv1(BBR_LINUX_4_15, seed=seed * 7 + i),
-        fresh_connections_per_batch=fresh,
-    )
-    testbed.add_service(mega)
-    testbed.add_service(CATALOG.create("iperf_reno", seed=seed + 100))
-    testbed.start_all()
-    testbed.run_window(CONFIG)
-    thr = testbed.throughput_bps()
-    return thr["mega"] / 1e6, testbed.loss_rates()["iperf_reno"]
+from .harness import HIGHLY, LONG_CONFIG, MODERATELY, median_share, median_throughput_mbps, report, run_trials
 
 
 def test_ablation_mega_batching(benchmark):
     def run():
-        rows = {}
-        for fresh in (True, False):
-            megas = [
-                _mega_run(fresh, seed)[0] for seed in range(1, TRIALS + 1)
-            ]
-            rows[fresh] = median(megas)
-        return rows
+        return {
+            fresh: median_throughput_mbps(
+                run_trials(mega, "iperf_reno", MODERATELY), mega
+            )
+            for fresh, mega in ((True, "mega"), (False, "mega_persistent"))
+        }
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     report(
@@ -70,19 +43,10 @@ def test_ablation_power_of_two_queue(benchmark):
         shares = {}
         for quirk in (True, False):
             network = replace(HIGHLY, power_of_two_queue=quirk)
-            results = [
-                run_pair_experiment(
-                    CATALOG.get("iperf_cubic"),
-                    CATALOG.get("iperf_reno"),
-                    network,
-                    CONFIG,
-                    seed=seed,
-                )
-                for seed in range(1, TRIALS + 1)
-            ]
+            results = run_trials("iperf_cubic", "iperf_reno", network)
             shares[quirk] = (
                 network.queue_packets,
-                median([r.mmf_share["iperf_reno"] for r in results]),
+                median_share(results, "iperf_reno"),
             )
         return shares
 
@@ -100,35 +64,20 @@ def test_ablation_power_of_two_queue(benchmark):
     assert shares[True][1] < 1.0 and shares[False][1] < 1.0
 
 
-def _youtube_variant(abr, seed: int):
-    testbed = Testbed(HIGHLY, seed=seed)
-    video = VideoOnDemandService(
-        "youtube_variant",
-        cca_factory=lambda i: BBRv1(BBR_YOUTUBE_QUIC_2023, seed=seed * 3 + i),
-        ladder=BitrateLadder([units.mbps(m) for m in YOUTUBE_LADDER]),
-        abr=abr,
-        num_flows=1,
-    )
-    competitor = CATALOG.create("iperf_cubic", seed=seed + 200)
-    testbed.add_service(video)
-    testbed.add_service(competitor)
-    testbed.start_all()
-    testbed.run_window(CONFIG)
-    thr = testbed.throughput_bps()
-    return thr["iperf_cubic"] / (HIGHLY.bandwidth_bps / 2)
-
-
 def test_ablation_abr_conservatism(benchmark):
+    # The two ABRs part ways only once the playback buffer has filled, so
+    # this is a steady-state comparison (LONG_CONFIG, as for calibration).
     def run():
-        rows = {}
-        for label, abr in (
-            ("conservative (YouTube)", ConservativeABR()),
-            ("aggressive (buffer-rate)", BufferRateABR()),
-        ):
-            rows[label] = median(
-                [_youtube_variant(abr, seed) for seed in range(1, TRIALS + 1)]
+        return {
+            label: median_share(
+                run_trials(video, "iperf_cubic", HIGHLY, config=LONG_CONFIG),
+                "iperf_cubic",
             )
-        return rows
+            for label, video in (
+                ("conservative (YouTube)", "youtube"),
+                ("aggressive (buffer-rate)", "youtube_buffer_rate"),
+            )
+        }
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     lines = [

@@ -6,23 +6,13 @@ Dropbox / NewReno / Cubic against Mega and against five persistent iPerf
 BBR flows, in the moderately-constrained setting.
 """
 
-from repro import units
 from repro.analysis.timeseries import render_sparkline, throughput_timeseries
-from repro.config import ExperimentConfig
-from repro.core.experiment import run_pair_experiment
 
-from .harness import CATALOG, CONFIG, MODERATELY, TRIALS, median_share, report, run_trials
+from .harness import CONFIG, MODERATELY, median_share, report, run_artifacts, run_trials
 
 
 def _timeseries_run():
-    return run_pair_experiment(
-        CATALOG.get("mega"),
-        CATALOG.get("dropbox"),
-        MODERATELY,
-        CONFIG,
-        seed=11,
-        trace_packets=True,
-    )
+    return run_artifacts(("mega", "dropbox"), MODERATELY, seed=11, trace_packets=True)
 
 
 def _comparison_table():
@@ -38,18 +28,7 @@ def _comparison_table():
 
 
 def test_fig04_dropbox_vs_mega_timeseries(benchmark):
-    result = benchmark.pedantic(_timeseries_run, rounds=1, iterations=1)
-    # Rebuild the testbed trace is embedded in the result? No - rerun with
-    # trace and inspect via the experiment's artifacts: simplest is a
-    # dedicated traced run through the Testbed API.
-    from repro.core.testbed import Testbed
-
-    testbed = Testbed(MODERATELY, seed=11, trace_packets=True)
-    testbed.add_service(CATALOG.create("mega", seed=23))
-    testbed.add_service(CATALOG.create("dropbox", seed=24))
-    testbed.start_all()
-    testbed.bell.run(CONFIG.measure_end_usec)
-
+    result, testbed = benchmark.pedantic(_timeseries_run, rounds=1, iterations=1)
     lines = []
     for sid in ("mega", "dropbox"):
         _t, rates = throughput_timeseries(
@@ -63,7 +42,7 @@ def test_fig04_dropbox_vs_mega_timeseries(benchmark):
         )
     lines.append("")
     lines.append(
-        f"shares in traced pair run: "
+        f"shares in the same run: "
         + "  ".join(
             f"{sid}={share * 100:.0f}%"
             for sid, share in result.mmf_share.items()

@@ -7,10 +7,7 @@ packets over the delay bound; single-flow BBR contenders almost none
 (Obs 6); Meet degrades resolution first, Teams FPS first (Obs 5).
 """
 
-from repro import units
-from repro.core.experiment import run_pair_experiment, run_solo_experiment
-
-from .harness import CATALOG, CONFIG, SETTINGS, report
+from .harness import SETTINGS, report, run_trials
 
 CONTENDERS = [
     None,  # solo baseline
@@ -29,18 +26,7 @@ def _measure(rtc_id):
     for setting, network in SETTINGS.items():
         rows = {}
         for contender in CONTENDERS:
-            if contender is None:
-                result = run_solo_experiment(
-                    CATALOG.get(rtc_id), network, CONFIG, seed=5
-                )
-            else:
-                result = run_pair_experiment(
-                    CATALOG.get(rtc_id),
-                    CATALOG.get(contender),
-                    network,
-                    CONFIG,
-                    seed=5,
-                )
+            [result] = run_trials(rtc_id, contender, network, trials=1, base_seed=5)
             rows[contender or "(solo)"] = result.service_metrics[rtc_id]
         table[setting] = rows
     return table

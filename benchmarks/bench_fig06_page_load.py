@@ -8,51 +8,38 @@ case; the image-heavy youtube.com page suffers most, text-heavy wikipedia
 least; BBR contenders hurt least at 50 Mbps.
 """
 
-from repro import units
-from repro.core.stats import median
-from repro.core.testbed import Testbed
+from repro.config import ExperimentConfig
 
-from .harness import CATALOG, DURATION_SEC, SETTINGS, report
+from .harness import DURATION_SEC, FIG06_PAGES, SETTINGS, report, run_trials
 
-PAGES = ["wikipedia", "news_google", "youtube_web"]
+PAGES = list(FIG06_PAGES)
 CONTENDERS = [None, "mega", "netflix", "iperf_cubic", "dropbox"]
 
-#: Scaled Section 5.2 protocol.
-HEAD_START_USEC = units.seconds(6)
-LOAD_GAP_USEC = units.seconds(8)
-RUN_USEC = units.seconds(max(DURATION_SEC, 100.0))
+#: Long enough for several loads in the measurement window at any scale.
+PLT_CONFIG = ExperimentConfig().scaled(max(DURATION_SEC, 100.0))
 
 
-def _load_page(page_id, contender_id, seed=7):
-    testbed = Testbed(SETTINGS[_setting], seed=seed)
-    web = CATALOG.create(page_id, seed=seed + 1)
-    web.initial_delay_usec = HEAD_START_USEC
-    web.load_gap_usec = LOAD_GAP_USEC
-    testbed.add_service(web)
-    if contender_id is not None:
-        testbed.add_service(CATALOG.create(contender_id, seed=seed + 2))
-    testbed.start_all()
-    testbed.bell.run(RUN_USEC)
-    samples = web.plt_samples_sec()
-    return median(samples) if samples else float("nan")
-
-
-_setting = None
+def _median_plt(page, contender_id, network):
+    """Median PLT of the loads in the window: one trial of the page's
+    Fig 6 variant (6 s head start, 8 s gap) against ``contender_id``."""
+    variant = FIG06_PAGES[page]
+    [result] = run_trials(
+        variant, contender_id, network, trials=1, config=PLT_CONFIG, base_seed=7
+    )
+    return result.service_metrics[variant].get("median_plt_sec", float("nan"))
 
 
 def _measure_all():
-    global _setting
-    table = {}
-    for setting in SETTINGS:
-        _setting = setting
-        rows = {}
-        for page in PAGES:
-            rows[page] = {
-                contender or "(solo)": _load_page(page, contender)
+    return {
+        setting: {
+            page: {
+                contender or "(solo)": _median_plt(page, contender, network)
                 for contender in CONTENDERS
             }
-        table[setting] = rows
-    return table
+            for page in PAGES
+        }
+        for setting, network in SETTINGS.items()
+    }
 
 
 def test_fig06_page_load_times(benchmark):

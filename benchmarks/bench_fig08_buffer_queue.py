@@ -6,34 +6,20 @@ series plus utilization/share table.  (b) The Obs-11 counterpoint: Reno
 vs Cubic at 8 Mbps gets *worse* with the bigger buffer.
 """
 
-from repro import units
 from repro.analysis.timeseries import queue_occupancy_timeseries, render_sparkline
-from repro.core.testbed import Testbed
 
-from .harness import (
-    CATALOG,
-    CONFIG,
-    HIGHLY,
-    MODERATELY,
-    median_share,
-    report,
-    run_trials,
-)
+from .harness import HIGHLY, MODERATELY, median_share, report, run_artifacts, run_trials
 
 
 def _traced_queue_run(buffer_multiple):
     network = MODERATELY.with_buffer_multiple(buffer_multiple)
-    testbed = Testbed(network, seed=13)
-    testbed.add_service(CATALOG.create("mega", seed=41))
-    testbed.add_service(CATALOG.create("iperf_reno", seed=42))
-    testbed.start_all()
-    testbed.run_window(CONFIG)
-    times, occ = queue_occupancy_timeseries(testbed.bell.queue_log)
+    result, testbed = run_artifacts(("mega", "iperf_reno"), network, seed=13)
+    _times, occ = queue_occupancy_timeseries(testbed.bell.queue_log)
     return {
         "capacity": network.queue_packets,
         "occupancy": occ,
-        "utilization": testbed.utilization(),
-        "throughput": testbed.throughput_bps(),
+        "utilization": result.utilization,
+        "throughput": result.throughput_bps,
     }
 
 

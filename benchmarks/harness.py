@@ -11,16 +11,37 @@ harness finishes in tens of minutes on one core.  Override with::
 
     PRUDENTIA_BENCH_DURATION=600 PRUDENTIA_BENCH_TRIALS=10 pytest benchmarks/
 
-Trials dispatch through the unified execution backend; point
+Every trial is a :class:`~repro.core.runner.TrialSpec` run by
+:data:`BACKEND` (from ``build_backend``); point
 ``PRUDENTIA_BENCH_CACHE_DIR`` at a directory to make repeated harness
 runs skip every already-simulated trial (content-addressed caching).
+Figures that plot raw artifacts (packet trace, queue log) take them from
+:func:`run_artifacts`, the trial core the backend runs.
+
+The conditions a figure varies are catalog rows too.  :data:`CATALOG` is
+the default catalog plus these variants, each a copy of a default row
+with its own id and overridden recipe params:
+
+- ``mega_persistent``: Mega over one persistent five-flow pool instead
+  of fresh connections per batch (the Mega ablation);
+- ``youtube_buffer_rate``: YouTube with the aggressive buffer-rate ABR
+  (the ABR ablation, Observation 2);
+- ``wikipedia_fig06``, ``news_google_fig06``, ``youtube_web_fig06``: the
+  Fig 6 pages under the scaled Section 5.2 protocol, a 6 s head start
+  for the contender and an 8 s gap between loads.
+
+They live here, not in the default catalog, because they are
+experimental conditions rather than services the watchdog tests: a
+default row joins every all-pairs cycle, the published site and the
+pipeline benchmark's trial counts.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import units
 from repro.config import (
@@ -30,15 +51,12 @@ from repro.config import (
     moderately_constrained,
 )
 from repro.core.cache import TrialCache
-from repro.core.experiment import (
-    ExperimentResult,
-    run_pair_experiment,
-    run_solo_experiment,
-)
+from repro.core.experiment import ExperimentResult, run_trial_artifacts
 from repro.core.results import ResultStore
-from repro.core.runner import InlineBackend, TrialSpec
+from repro.core.runner import TrialSpec, build_backend
 from repro.core.stats import median
-from repro.services.catalog import default_catalog
+from repro.core.testbed import Testbed
+from repro.services.catalog import ServiceSpec, default_catalog, recipe
 
 DURATION_SEC = float(os.environ.get("PRUDENTIA_BENCH_DURATION", "80"))
 TRIALS = int(os.environ.get("PRUDENTIA_BENCH_TRIALS", "3"))
@@ -55,11 +73,44 @@ SETTINGS: Dict[str, NetworkConfig] = {
     "moderately-constrained (50 Mbps)": MODERATELY,
 }
 
+#: Fig 6's pages by variant id (see the module docstring).
+FIG06_PAGES = {
+    page: f"{page}_fig06" for page in ("wikipedia", "news_google", "youtube_web")
+}
+
 CATALOG = default_catalog()
+
+
+def _variant(base_id: str, variant_id: str, **params) -> ServiceSpec:
+    base = CATALOG.get(base_id)
+    return dataclasses.replace(
+        base,
+        service_id=variant_id,
+        params=recipe(**{**dict(base.params), **params}),
+        in_heatmap=False,
+    )
+
+
+#: The figure variants, registered in :data:`CATALOG`.
+VARIANTS = (
+    _variant("mega", "mega_persistent", fresh_connections_per_batch=False),
+    _variant("youtube", "youtube_buffer_rate", abr="buffer-rate"),
+    *(
+        _variant(
+            page,
+            variant_id,
+            initial_delay_usec=units.seconds(6),
+            load_gap_usec=units.seconds(8),
+        )
+        for page, variant_id in FIG06_PAGES.items()
+    ),
+)
+for _spec in VARIANTS:
+    CATALOG.register(_spec)
 
 #: Every benchmark trial flows through this backend (with optional
 #: content-addressed caching), never a direct experiment call.
-BACKEND = InlineBackend(
+BACKEND = build_backend(
     catalog=CATALOG,
     cache=TrialCache(Path(_CACHE_DIR)) if _CACHE_DIR else None,
 )
@@ -81,43 +132,43 @@ def report(title: str, body: str) -> None:
 
 def run_trials(
     contender_id: str,
-    incumbent_id: str,
+    incumbent_id: Optional[str],
     network: NetworkConfig,
     trials: int = TRIALS,
     config: Optional[ExperimentConfig] = None,
     base_seed: int = 1,
-    **kwargs,
 ) -> List[ExperimentResult]:
-    """Run several seeded trials of one pair.
-
-    Trials dispatch through the shared execution backend (and so hit the
-    trial cache, when enabled).  Extra keyword arguments (``env``,
-    ``trace_packets``, cap overrides) describe conditions the declarative
-    spec does not carry, so those fall back to the direct experiment call.
-    """
-    if kwargs:
-        return [
-            run_pair_experiment(
-                CATALOG.get(contender_id),
-                CATALOG.get(incumbent_id),
-                network,
-                config or CONFIG,
-                seed=base_seed + trial,
-                **kwargs,
-            )
-            for trial in range(trials)
-        ]
+    """Run several seeded trials of one pair through :data:`BACKEND`
+    (and so through the trial cache, when enabled); with no
+    ``incumbent_id``, solo trials of ``contender_id``."""
+    service_ids = (
+        (contender_id,) if incumbent_id is None else (contender_id, incumbent_id)
+    )
     return BACKEND.run(
         [
-            TrialSpec.pair(
-                contender_id,
-                incumbent_id,
-                network,
-                config or CONFIG,
-                seed=base_seed + trial,
+            TrialSpec(
+                service_ids, network, config or CONFIG, seed=base_seed + trial
             )
             for trial in range(trials)
         ]
+    )
+
+
+def run_artifacts(
+    service_ids: Sequence[str],
+    network: NetworkConfig,
+    seed: int,
+    trace_packets: bool = False,
+) -> Tuple[ExperimentResult, Testbed]:
+    """One trial's result and its finished testbed (queue log, and the
+    packet trace with ``trace_packets``): the trial core the backend
+    runs, for figures that plot what a result does not keep."""
+    return run_trial_artifacts(
+        [CATALOG.get(sid) for sid in service_ids],
+        network,
+        CONFIG,
+        seed=seed,
+        trace_packets=trace_packets,
     )
 
 

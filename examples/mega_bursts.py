@@ -17,19 +17,27 @@ from repro.analysis.timeseries import (
     render_sparkline,
     throughput_timeseries,
 )
-from repro.core.testbed import Testbed
+from repro.core.experiment import run_trial_artifacts
 
 
 def main() -> None:
     catalog = repro.default_catalog()
     network = repro.moderately_constrained()
-    testbed = Testbed(network, seed=7, trace_packets=True)
-    testbed.add_service(catalog.create("mega", seed=1))
-    testbed.add_service(catalog.create("iperf_reno", seed=2))
-    testbed.start_all()
+    # 60 simulated seconds, the last 48 of them scored.
+    config = repro.ExperimentConfig(
+        duration_usec=units.seconds(60),
+        warmup_usec=units.seconds(12),
+        cooldown_usec=0,
+    )
 
     print("simulating 60 seconds of Mega vs iPerf (NewReno) at 50 Mbps...")
-    testbed.bell.run(units.seconds(60))
+    result, testbed = run_trial_artifacts(
+        [catalog.get("mega"), catalog.get("iperf_reno")],
+        network,
+        config,
+        seed=7,
+        trace_packets=True,
+    )
 
     for sid in ("mega", "iperf_reno"):
         times, rates = throughput_timeseries(
@@ -46,6 +54,10 @@ def main() -> None:
 
     drops = testbed.bell.queue.drops
     print(f"\ndrops: {drops}")
+    shares = "  ".join(
+        f"{sid}={share * 100:.0f}%" for sid, share in result.mmf_share.items()
+    )
+    print(f"MmF shares over the scored window: {shares}")
     print("Each Mega batch opens with five synchronized flows bursting "
           "into the queue; the barrier and decrypt gap between batches "
           "drains it again (Observation 4).")

@@ -27,7 +27,7 @@ def main() -> None:
           f"({submission.kind})\n")
 
     # The watchdog does not trust the submitter's CCA claim: classify it.
-    label = classify_cca(lambda: Cubic(), duration_sec=25.0)
+    label = classify_cca(Cubic, duration_sec=25.0)
     print(f"CCA classifier verdict for the submitted server: {label}\n")
 
     config = repro.ExperimentConfig().scaled(60)

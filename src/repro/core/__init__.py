@@ -46,7 +46,7 @@ from .runner import (
     replay,
     run_trial,
 )
-from .experiment import derive_service_seed, run_service_specs
+from .experiment import derive_service_seed
 from .policy import (
     PolicyDecision,
     TrialPolicy,
@@ -96,7 +96,6 @@ __all__ = [
     "build_backend",
     "replay",
     "run_trial",
-    "run_service_specs",
     "derive_service_seed",
     "TrialPolicy",
     "PolicyDecision",

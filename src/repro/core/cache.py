@@ -530,7 +530,7 @@ class TrialCache:
 
         Sidecar bytes are charged to their owning entry: evicting an
         entry drops its sidecars too, and both are credited against the
-        cap (and to ``cache.bytes_evicted``).  A backend's drain writes
+        cap (and to ``cache.bytes_evicted``).  A backend's ``run`` writes
         a trial's sidecar just before its entry, so a sidecar has no
         entry only between those two writes or after a kill between
         them; such orphans form their own evictable group keyed by the

@@ -3,10 +3,10 @@
 Every experiment produces per-service numbers - the MmF share attained by
 each competing service (Section 2.2) - plus the network-level and QoE
 metrics the Beyond-Throughput sections use.  One core executor,
-:func:`run_service_specs`, handles any number of services; the historic
+:func:`run_trial_artifacts`, handles any number of services; the historic
 ``run_solo_experiment`` / ``run_pair_experiment`` / ``run_multi_experiment``
-entry points are thin wrappers over it.  Results serialise to JSON for the
-result store, the trial cache, and the website artifacts.
+entry points are result-only wrappers over it.  Results serialise to JSON
+for the result store, the trial cache, and the website artifacts.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..browser.environment import ClientEnvironment
 from ..config import ExperimentConfig, NetworkConfig
@@ -143,14 +143,6 @@ class ExperimentResult:
 _RESULT_FIELDS = frozenset(f.name for f in dataclasses.fields(ExperimentResult))
 
 
-def _allocation_caps(
-    spec: ServiceSpec, override: Optional[float]
-) -> Optional[float]:
-    if override is not None:
-        return override
-    return spec.max_throughput_bps
-
-
 #: Bucket edges for the per-trial simulated-packet-rate histogram.
 _PKTS_PER_SEC_EDGES = (
     1e3, 5e3, 1e4, 2.5e4, 5e4, 7.5e4, 1e5, 1.5e5, 2.5e5, 5e5, 1e6,
@@ -197,7 +189,6 @@ def run_trial_artifacts(
     seed: int = 0,
     env: Optional[ClientEnvironment] = None,
     trace_packets: bool = False,
-    cap_overrides: Optional[Sequence[Optional[float]]] = None,
     engine=None,
     flight=None,
     earlystop=None,
@@ -214,14 +205,12 @@ def run_trial_artifacts(
 
     Returns both the result and the finished :class:`Testbed`, so callers
     that need the raw artifacts (packet trace, queue log - the golden
-    bit-identity test and the benchmark suite) share this exact code path
-    with the ordinary result-only wrappers.
+    bit-identity test, artifact publication and the figure benchmarks)
+    share this exact code path with the ordinary result-only wrappers.
+    ``trace_packets`` keeps the packet trace only this function returns.
     """
     if len(specs) < 1:
         raise ValueError("need at least one service")
-    caps_in = list(cap_overrides) if cap_overrides is not None else [None] * len(specs)
-    if len(caps_in) != len(specs):
-        raise ValueError("cap_overrides must match specs")
     testbed = Testbed(
         network,
         seed=seed,
@@ -258,11 +247,9 @@ def run_trial_artifacts(
         sim_wall_sec = time.perf_counter() - wall_start
         _record_sim_metrics(testbed, services, sim_wall_sec, sim_span)
 
-    caps = [
-        _allocation_caps(spec, cap)
-        for spec, cap in zip(specs, caps_in)
-    ]
-    allocation = max_min_allocation(network.bandwidth_bps, caps)
+    allocation = max_min_allocation(
+        network.bandwidth_bps, [spec.max_throughput_bps for spec in specs]
+    )
     ids = [service.service_id for service in services]
     throughput = testbed.throughput_bps()
     result = ExperimentResult(
@@ -295,55 +282,19 @@ def run_trial_artifacts(
     return result, testbed
 
 
-def run_service_specs(
-    specs: Sequence[ServiceSpec],
-    network: NetworkConfig,
-    config: ExperimentConfig,
-    seed: int = 0,
-    env: Optional[ClientEnvironment] = None,
-    trace_packets: bool = False,
-    cap_overrides: Optional[Sequence[Optional[float]]] = None,
-    flight=None,
-    earlystop=None,
-) -> ExperimentResult:
-    """Result-only wrapper over :func:`run_trial_artifacts`."""
-    result, _testbed = run_trial_artifacts(
-        specs,
-        network,
-        config,
-        seed=seed,
-        env=env,
-        trace_packets=trace_packets,
-        cap_overrides=cap_overrides,
-        flight=flight,
-        earlystop=earlystop,
-    )
-    return result
-
-
 def run_multi_experiment(
     specs: "list[ServiceSpec]",
     network: NetworkConfig,
     config: ExperimentConfig,
     seed: int = 0,
     env: Optional[ClientEnvironment] = None,
-    trace_packets: bool = False,
-    cap_overrides: Optional["list[Optional[float]]"] = None,
 ) -> ExperimentResult:
     """N-way contention: every service in ``specs`` competes at once.
 
     A service that is fair against one competitor may not stay fair
-    against several.  Thin wrapper over :func:`run_service_specs`.
+    against several.  Result-only wrapper over :func:`run_trial_artifacts`.
     """
-    return run_service_specs(
-        specs,
-        network,
-        config,
-        seed=seed,
-        env=env,
-        trace_packets=trace_packets,
-        cap_overrides=cap_overrides,
-    )
+    return run_trial_artifacts(specs, network, config, seed=seed, env=env)[0]
 
 
 def run_pair_experiment(
@@ -353,26 +304,17 @@ def run_pair_experiment(
     config: ExperimentConfig,
     seed: int = 0,
     env: Optional[ClientEnvironment] = None,
-    trace_packets: bool = False,
-    cap_override_a: Optional[float] = None,
-    cap_override_b: Optional[float] = None,
 ) -> ExperimentResult:
     """One trial of ``spec_a`` vs ``spec_b`` at the given network setting.
 
     Self-competition (spec_a is spec_b) is supported: the second instance
     gets a distinct service id suffix so that bottleneck accounting can
     tell the two apart, exactly like running two OneDrive downloads.
-    Thin wrapper over :func:`run_service_specs`.
+    Result-only wrapper over :func:`run_trial_artifacts`.
     """
-    return run_service_specs(
-        [spec_a, spec_b],
-        network,
-        config,
-        seed=seed,
-        env=env,
-        trace_packets=trace_packets,
-        cap_overrides=[cap_override_a, cap_override_b],
-    )
+    return run_trial_artifacts(
+        [spec_a, spec_b], network, config, seed=seed, env=env
+    )[0]
 
 
 def run_solo_experiment(
@@ -381,19 +323,11 @@ def run_solo_experiment(
     config: ExperimentConfig,
     seed: int = 0,
     env: Optional[ClientEnvironment] = None,
-    trace_packets: bool = False,
 ) -> ExperimentResult:
     """One uncontended run (calibration / throttle detection).
 
-    Thin wrapper over :func:`run_service_specs` with a single service;
-    the service RNG seed is the trial seed unchanged (see
+    Result-only wrapper over :func:`run_trial_artifacts` with a single
+    service; the service RNG seed is the trial seed unchanged (see
     :func:`derive_service_seed`).
     """
-    return run_service_specs(
-        [spec],
-        network,
-        config,
-        seed=seed,
-        env=env,
-        trace_packets=trace_packets,
-    )
+    return run_trial_artifacts([spec], network, config, seed=seed, env=env)[0]

@@ -51,7 +51,7 @@ from ..obs.metrics import get_registry
 from ..services.catalog import ServiceCatalog, ServiceSpec, default_catalog
 from .cache import TrialCache, trial_cache_key
 from .earlystop import EarlyStopConfig, EarlyStopMonitor, audit_decision
-from .experiment import ExperimentResult, run_service_specs
+from .experiment import ExperimentResult, run_trial_artifacts
 
 
 @dataclass(frozen=True, init=False)
@@ -132,46 +132,47 @@ class TrialSpec:
         return (self.service_ids[0], self.service_ids[-1])
 
 
+#: What a substrate yields per trial: the result and, when recording,
+#: the flight recorder's payload.
+Outcome = Tuple[ExperimentResult, Optional[Dict]]
+
+
 def run_trial(
     spec: TrialSpec,
     catalog: Optional[ServiceCatalog] = None,
     env: Optional[ClientEnvironment] = None,
-    trace_packets: bool = False,
-    flight=None,
     earlystop: Optional[EarlyStopConfig] = None,
 ) -> ExperimentResult:
-    """Execute one :class:`TrialSpec` - the single trial entry point.
+    """Execute one :class:`TrialSpec` outside any backend.
 
     Resolves service ids through the catalog (default Table-1 catalog when
-    omitted) and runs the N-way core; per-service seeds follow
+    omitted) and runs the per-trial function every backend runs, so the
+    result is the one a backend would cache.  Per-service seeds follow
     :func:`~repro.core.experiment.derive_service_seed`, so pair trials are
     bit-identical to the historic ``run_pair_experiment`` path.
-
-    With an ``earlystop`` config, each trial gets a fresh monitor; the
-    deterministic seed-hash audit draw (a pure function of the trial's
-    cache key) decides whether this trial runs full-length in audit mode.
     """
     if catalog is None:
         catalog = default_catalog()
-    return _simulate(
-        spec,
-        [catalog.get(sid) for sid in spec.service_ids],
-        env,
-        trace_packets=trace_packets,
-        flight=flight,
-        earlystop=earlystop,
-    )
+    services = [catalog.get(sid) for sid in spec.service_ids]
+    return _simulate(spec, services, env, earlystop, False)[0]
 
 
 def _simulate(
     spec: TrialSpec,
     services: Sequence[ServiceSpec],
     env: Optional[ClientEnvironment],
-    trace_packets: bool = False,
-    flight=None,
-    earlystop: Optional[EarlyStopConfig] = None,
-) -> ExperimentResult:
-    """Run ``spec`` with its ids already resolved to ``services``."""
+    earlystop: Optional[EarlyStopConfig],
+    record_flight: bool,
+) -> Outcome:
+    """What a trial is, on every substrate: ``spec`` with its ids
+    already resolved to ``services``, under a fresh flight recorder when
+    recording and a fresh stop monitor when armed, through the trial core.
+
+    The deterministic seed-hash audit draw (a pure function of the
+    trial's cache key) decides whether an armed trial runs full-length in
+    audit mode.
+    """
+    recorder = FlightRecorder() if record_flight else None
     monitor = None
     if earlystop is not None:
         monitor = EarlyStopMonitor(
@@ -185,16 +186,16 @@ def _simulate(
         services="+".join(spec.service_ids),
         seed=spec.seed,
     ):
-        return run_service_specs(
+        result, _testbed = run_trial_artifacts(
             services,
             spec.network,
             spec.config,
             seed=spec.seed,
             env=env,
-            trace_packets=trace_packets,
-            flight=flight,
+            flight=recorder,
             earlystop=monitor,
         )
+    return result, None if recorder is None else recorder.to_json()
 
 
 class CacheMissError(RuntimeError):
@@ -344,7 +345,7 @@ def _lookup(
 
     Returns the results in submission order (``None`` where the cache
     had nothing admissible) and the ``(index, spec)`` of every such
-    miss.  The one lookup loop: :meth:`ExecutionBackend.drain` simulates
+    miss.  The one lookup loop: :meth:`ExecutionBackend.run` simulates
     the misses, :func:`replay` refuses them.
     """
     results: List[Optional[ExperimentResult]] = [None] * len(trials)
@@ -389,18 +390,12 @@ def replay(
     return results, stats  # type: ignore[return-value]
 
 
-#: What a substrate yields per trial: the result and, when recording,
-#: the flight recorder's payload.
-Outcome = Tuple[ExperimentResult, Optional[Dict]]
-
-
 class ExecutionBackend:
-    """Common submit/drain interface every execution substrate implements.
+    """The :meth:`run` interface every execution substrate implements.
 
-    Usage is two-phase (``submit`` queues specs, ``drain`` executes the
-    queue and returns results in submission order) or one-shot (``run``).
-    The base class owns cache consultation and statistics; subclasses
-    implement :meth:`_execute` for the trials that missed the cache.
+    The base class owns cache consultation, completion and statistics;
+    subclasses implement :meth:`_execute` for the trials that missed the
+    cache, each trial through :func:`_simulate`.
 
     Trial ids resolve through ``catalog`` (the default Table-1 catalog
     when omitted) and run in client environment ``env`` (``None`` = the
@@ -436,23 +431,15 @@ class ExecutionBackend:
             {} if record_flight else None
         )
         self.stats = RunnerStats()
-        self._pending: List[TrialSpec] = []
 
-    # -- scheduling ----------------------------------------------------
-
-    def submit(self, trials: Sequence[TrialSpec]) -> None:
-        """Queue trials for the next :meth:`drain`."""
-        self._pending.extend(trials)
-
-    def drain(self) -> List[ExperimentResult]:
-        """Execute everything submitted; results in submission order.
+    def run(self, trials: Sequence[TrialSpec]) -> List[ExperimentResult]:
+        """Execute ``trials``; results in submission order.
 
         The one place a simulated trial is completed, on any substrate:
         as each comes back, its sidecar lands, then its entry (the
         commit point: a kill between the two leaves an orphan sidecar
         the re-run overwrites), then it is counted.  A trial that raises
-        ends the drain with every earlier trial on disk."""
-        trials, self._pending = self._pending, []
+        ends the run with every earlier trial on disk."""
         env, cache, stats = self.env, self.cache, self.stats
         results, misses = _lookup(
             cache, trials, env, self.earlystop is not None, stats
@@ -490,13 +477,6 @@ class ExecutionBackend:
             registry.histogram("runner.dispatch_sec").observe(simulating)
         return results  # type: ignore[return-value]
 
-    def run(self, trials: Sequence[TrialSpec]) -> List[ExperimentResult]:
-        """Submit and drain in one call."""
-        self.submit(trials)
-        return self.drain()
-
-    # -- substrate hooks -----------------------------------------------
-
     def _execute(self, trials: Sequence[TrialSpec]) -> Iterator[Outcome]:
         """Simulate ``trials``, yielding an :data:`Outcome` per trial in
         order; subclasses supply the substrate."""
@@ -507,19 +487,11 @@ class InlineBackend(ExecutionBackend):
     """Sequential in-process execution (the default substrate)."""
 
     def _execute(self, trials: Sequence[TrialSpec]) -> Iterator[Outcome]:
-        """Run each trial in this process, one :func:`run_trial` at a
-        time."""
+        """Run each trial in this process, one at a time."""
         record = self.recordings is not None
         for spec in trials:
-            recorder = FlightRecorder() if record else None
-            result = run_trial(
-                spec,
-                self.catalog,
-                self.env,
-                flight=recorder,
-                earlystop=self.earlystop,
-            )
-            yield result, None if recorder is None else recorder.to_json()
+            services = [self.catalog.get(sid) for sid in spec.service_ids]
+            yield _simulate(spec, services, self.env, self.earlystop, record)
 
 
 def _run_trial_json(args: Tuple) -> Tuple[Dict, Optional[Dict]]:
@@ -532,11 +504,10 @@ def _run_trial_json(args: Tuple) -> Tuple[Dict, Optional[Dict]]:
         if earlystop_json is not None
         else None
     )
-    recorder = FlightRecorder() if record_flight else None
-    result = _simulate(
-        spec, services, env, flight=recorder, earlystop=earlystop
+    result, recording = _simulate(
+        spec, services, env, earlystop, record_flight
     )
-    return result.to_json(), None if recorder is None else recorder.to_json()
+    return result.to_json(), recording
 
 
 class ProcessPoolBackend(ExecutionBackend):

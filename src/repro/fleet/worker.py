@@ -180,7 +180,10 @@ def run_shard(
     (``tests/test_cache_keys.py::test_edited_manifest_key_never_seeds_the_memo``),
     and it is the last one the trial costs: later lookups read the memo
     it left on the spec (``test_two_derivations_two_parses_per_trial`` in
-    ``tests/test_control_plane_budget.py``).
+    ``tests/test_control_plane_budget.py``).  Every service id is checked
+    against the backend's catalog before anything runs too: a plan naming
+    a service this host does not know (one submitted on the planning
+    host) is a :class:`FleetError`, with nothing simulated.
 
     ``cache_max_bytes`` enables LRU eviction on the shard cache; note a
     cap smaller than the shard's own output will surface as gaps at merge
@@ -201,9 +204,11 @@ def run_shard(
     """
     if isinstance(manifest, dict):
         manifest, specs = _checked_specs(manifest)
+        source = f"plan {manifest['plan_id']} shard {manifest['shard_index']}"
     else:
         # Rows are rebuilt inside the load, so a defect in one names the
         # file like any other.
+        source = str(manifest)
         manifest, specs = load_json_artifact(
             Path(manifest), _checked_specs, "shard manifest"
         )
@@ -221,6 +226,15 @@ def run_shard(
         earlystop=earlystop,
         record_flight=record_flight,
     )
+    unknown = sorted(
+        {sid for spec in specs for sid in spec.service_ids}
+        - set(backend.catalog.ids())
+    )
+    if unknown:
+        raise FleetError(
+            f"{source}: unknown service(s) {', '.join(unknown)} - this "
+            "host's catalog cannot run them; nothing was simulated"
+        )
     metrics_before = get_registry().snapshot()
     with tracing.span(
         "shard.run",

@@ -4,7 +4,8 @@ Each entry is plain data: the paper's documented facts about a service
 (CCA, flow count, bitrate caps, quirks) plus a *recipe* - a ``kind``
 naming one of the module-level builders below and the scalar/tuple
 ``params`` that builder takes (CCA name, ladder, ABR knobs, page, file
-size, RTC controller and policy).  ``ServiceSpec.create`` hands the spec
+size, RTC controller and policy, Mega's per-batch connection cycling, a
+page's start delay and load gap).  ``ServiceSpec.create`` hands the spec
 itself to its kind's builder, which reads the flow count and display name
 from it, so every fact is stated once.  A spec holds no code, so it
 pickles: the process pool ships the caller's specs to its workers instead
@@ -224,12 +225,13 @@ def _throttled_file(spec, seed, env, cca) -> Service:
     )
 
 
-def _mega(spec, seed, env, cca) -> Service:
+def _mega(spec, seed, env, cca, fresh_connections_per_batch=True) -> Service:
     return MegaTransferService(
         spec.service_id,
         cca_factory=functools.partial(flow_cca, cca, seed),
         num_flows=spec.num_flows,
         display_name=spec.display_name,
+        fresh_connections_per_batch=fresh_connections_per_batch,
     )
 
 
@@ -244,11 +246,22 @@ def _rtc(spec, seed, env, controller, policy) -> Service:
     )
 
 
-def _web(spec, seed, env, cca, page, **page_params) -> Service:
+def _web(
+    spec,
+    seed,
+    env,
+    cca,
+    page,
+    initial_delay_usec=units.seconds(30),
+    load_gap_usec=units.seconds(45),
+    **page_params,
+) -> Service:
     return WebPageService(
         spec.service_id,
         page=PAGES[page](spec.display_name, **page_params),
         cca_factory=functools.partial(flow_cca, cca, seed),
+        load_gap_usec=load_gap_usec,
+        initial_delay_usec=initial_delay_usec,
         display_name=spec.display_name,
     )
 

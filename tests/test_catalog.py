@@ -1,6 +1,8 @@
 """The Table-1 service catalog: completeness, buildability, and recipes
 that build what the lambda catalog (``tests/naive_catalog.py``) built."""
 
+import dataclasses
+import inspect
 import json
 import pickle
 
@@ -11,8 +13,15 @@ from repro.browser.environment import ClientEnvironment
 from repro.config import ExperimentConfig, highly_constrained, moderately_constrained
 from repro.core.experiment import run_pair_experiment
 from repro.core.testbed import Testbed
-from repro.services.catalog import ServiceCatalog, ServiceSpec, default_catalog
+from repro.services.catalog import (
+    ServiceCatalog,
+    ServiceSpec,
+    default_catalog,
+    recipe,
+)
 from repro.services.base import Service
+from repro.services.filetransfer import MegaTransferService
+from repro.services.web import WebPageService
 
 from tests import naive_catalog
 
@@ -141,6 +150,58 @@ class TestRecipesMatchTheLambdaCatalog:
             if new != old:
                 differing.append(sid)
         assert differing == []
+
+
+class TestFigureConditionsAreRecipeParams:
+    """Mega's connection cycling and a page's start delay and load gap
+    are recipe params; every default row leaves them at the service
+    constructor's defaults, and no row was added for them."""
+
+    def test_mega_connection_cycling(self, catalog):
+        base = catalog.get("mega")
+        persistent = dataclasses.replace(
+            base,
+            params=recipe(**dict(base.params), fresh_connections_per_batch=False),
+        )
+        assert persistent.create(seed=1).fresh_connections_per_batch is False
+
+    def test_web_start_delay_and_load_gap(self, catalog):
+        base = catalog.get("wikipedia")
+        page = dataclasses.replace(
+            base,
+            params=recipe(
+                **dict(base.params),
+                initial_delay_usec=units.seconds(6),
+                load_gap_usec=units.seconds(8),
+            ),
+        )
+        service = page.create(seed=1)
+        assert service.initial_delay_usec == units.seconds(6)
+        assert service.load_gap_usec == units.seconds(8)
+
+    def test_default_rows_build_with_constructor_defaults(self, catalog):
+        knobs = {
+            MegaTransferService: ("fresh_connections_per_batch",),
+            WebPageService: ("initial_delay_usec", "load_gap_usec"),
+        }
+        built = []
+        for sid in catalog.ids():
+            service = catalog.create(sid, seed=1)
+            for cls, names in knobs.items():
+                if isinstance(service, cls):
+                    defaults = inspect.signature(cls.__init__).parameters
+                    assert [getattr(service, n) for n in names] == [
+                        defaults[n].default for n in names
+                    ], sid
+                    built.append(sid)
+        assert sorted(built) == [
+            "mega", "news_google", "wikipedia", "youtube_web",
+        ]
+
+    def test_default_catalog_ids_unchanged(self, catalog):
+        extras = {"iperf_bbr_415", "iperf_bbr_x5", "gdrive_2022", "youtube_2022"}
+        assert catalog.ids() == sorted(TABLE1_IDS | extras)
+        assert len(catalog) == 19
 
 
 class TestSpecsAreData:

@@ -531,7 +531,7 @@ class TestFitOffline:
         skips pre-window-open sidecars with a count, and refuses a corpus
         that mixes grids."""
         from repro.cli import main
-        from repro.core.runner import build_backend, run_trial
+        from repro.core.runner import build_backend
         from repro.obs.flight import FlightRecorder
 
         cache = TrialCache(tmp_path / "cache")
@@ -554,7 +554,11 @@ class TestFitOffline:
         assert EarlyStopModel.load(out).grid_usec == 100_000
         # A second recording on another grid: refuse, specifically.
         other, recorder = _pair_spec(seed=3), FlightRecorder(50_000)
-        cache.put(other, run_trial(other, flight=recorder))
+        result, _testbed = run_trial_artifacts(
+            [default_catalog().get(sid) for sid in other.service_ids],
+            other.network, other.config, seed=other.seed, flight=recorder,
+        )
+        cache.put(other, result)
         cache.put_sidecar(trial_cache_key(other), "flight", recorder.to_json())
         out.unlink()
         assert main(argv) == 1

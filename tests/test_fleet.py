@@ -350,6 +350,23 @@ class TestShardExecutionMergeAssembly:
         with pytest.raises(FleetError, match="re-plan"):
             run_shard(manifest, tmp_path / "c")
 
+    def test_worker_refuses_unknown_services_before_simulating(self, tmp_path):
+        """A plan naming a service this host's catalog lacks (a
+        submission, ``ext_example_org``) is a named error with nothing on
+        disk - not a raw ``KeyError`` after the known trials ran."""
+        plan = small_plan(
+            num_shards=1, include_self_pairs=True,
+            ids=["iperf_cubic", "ext_example_org"],
+        )
+        plan.write(tmp_path / "plan")
+        manifest = tmp_path / "plan" / "shard-0.json"
+        with pytest.raises(FleetError) as raised:
+            run_shard(manifest, tmp_path / "s0")
+        assert "ext_example_org" in str(raised.value)
+        assert str(manifest) in str(raised.value)
+        assert scan_cache_dir(tmp_path / "s0")[0] == []
+        assert not (tmp_path / "s0" / RECEIPT_FILENAME).exists()
+
     def test_rerun_shard_is_all_cache_hits(self, pipeline):
         plan, shard_dirs, _merged, _receipts, _report = pipeline
         manifest = plan.manifest_for(0)

@@ -203,6 +203,55 @@ def test_importing_the_package_loads_no_process_pool():
     assert out.strip() == "[]"
 
 
+def _classes_defined_in(*packages):
+    import importlib
+    import inspect
+    import pkgutil
+
+    names = set()
+    for package in packages:
+        for info in pkgutil.iter_modules(importlib.import_module(package).__path__):
+            module = importlib.import_module(f"{package}.{info.name}")
+            names |= {
+                name
+                for name, value in vars(module).items()
+                if inspect.isclass(value) and value.__module__ == module.__name__
+            }
+    return names
+
+
+def test_figures_and_examples_run_trials_through_the_trial_core():
+    """A figure or example describes its trials - a ``TrialSpec`` run by
+    ``build_backend(...).run``, its conditions catalog rows, or
+    ``run_trial_artifacts`` when it plots a packet trace or queue log - and
+    never assembles one: a ``Testbed``, ``Dumbbell``, service or CCA
+    built there is a second trial core that skips the cache, the pool
+    and the fleet.  The figure benchmarks also call no result-only
+    ``run_*_experiment`` wrapper."""
+    repo = SRC.parents[1]
+    built = {"Testbed", "Dumbbell", "create"} | _classes_defined_in(
+        "repro.services", "repro.cca"
+    )
+    wrappers = {"run_pair_experiment", "run_solo_experiment", "run_multi_experiment"}
+    benches = [
+        path
+        for path in sorted((repo / "benchmarks").rglob("*.py"))
+        if "pipeline" not in path.relative_to(repo / "benchmarks").parts
+    ]
+    examples = sorted((repo / "examples").glob("*.py"))
+    assert benches and examples
+    calls = []
+    for path in benches + examples:
+        forbidden = built | (wrappers if path in benches else set())
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in forbidden:
+                calls.append(f"{path.relative_to(repo)}:{node.lineno}:{name}")
+    assert calls == []
+
+
 def test_published_artifacts_run_through_the_trial_core():
     """``ArtifactPublisher`` publishes what ``run_trial_artifacts`` ran; a
     ``Testbed`` or service built in ``core/artifacts.py`` is a second

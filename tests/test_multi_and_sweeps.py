@@ -54,15 +54,6 @@ class TestMultiExperiment:
         with pytest.raises(ValueError):
             run_multi_experiment([], highly_constrained(), FAST)
 
-    def test_rejects_mismatched_caps(self):
-        with pytest.raises(ValueError):
-            run_multi_experiment(
-                [CATALOG.get("iperf_reno")],
-                highly_constrained(),
-                FAST,
-                cap_overrides=[None, None],
-            )
-
     def test_bbr_flow_advantage_against_many_renos(self):
         """Section 9: a single BBR flow holds a large share even against
         several NewReno flows (the flow-count-disadvantage result)."""

@@ -136,6 +136,33 @@ class TestPoolRunsTheCallersInputs:
         assert pooled == inline
         assert inline["throughput_bps"][submission.service_id] > 0
 
+    def test_benchmark_figure_variants_match_inline(self, tmp_path):
+        """The figure conditions ``benchmarks/harness.py`` registers as
+        catalog rows (persistent-pool Mega, buffer-rate YouTube, the Fig 6
+        pages) run on a two-worker pool with inline's results and entry
+        bytes."""
+        from benchmarks import harness
+
+        config = ExperimentConfig().scaled(10.0)
+        specs = [
+            TrialSpec.pair(variant.service_id, "iperf_cubic", NET, config, seed)
+            for seed, variant in enumerate(harness.VARIANTS)
+        ]
+        results, entries = [], []
+        for kind in ("inline", "process"):
+            cache_dir = tmp_path / kind
+            backend = build_backend(
+                kind, workers=2, cache=TrialCache(cache_dir),
+                catalog=harness.CATALOG,
+            )
+            results.append([r.to_json() for r in backend.run(specs)])
+            entries.append(
+                {p.name: p.read_bytes() for p in sorted(cache_dir.iterdir())}
+            )
+        assert results[1] == results[0]
+        assert entries[1] == entries[0]
+        assert len(entries[0]) == len(specs) == 5
+
 
 class TestParallelWatchdog:
     def test_parallel_cycle_matches_pair_counts(self):

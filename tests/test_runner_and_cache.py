@@ -128,9 +128,10 @@ class TestBackendEquivalence:
         assert [r.to_json() for r in inline] == [r.to_json() for r in pooled]
 
     def test_submit_drain_preserves_order(self):
+        """``run`` returns results in submission order (it absorbed the
+        old two-phase submit/drain)."""
         backend = InlineBackend(catalog=CATALOG)
-        backend.submit([pair_spec(seed=s) for s in (3, 1, 2)])
-        results = backend.drain()
+        results = backend.run([pair_spec(seed=s) for s in (3, 1, 2)])
         assert [r.seed for r in results] == [3, 1, 2]
         assert backend.stats.trials_run == 3
         assert backend.stats.wall_clock_sec > 0
