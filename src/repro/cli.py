@@ -55,9 +55,11 @@ from .cliargs import (
     network_from_args,
     policy_from_args,
     print_heatmap,
+    reporting_errors,
 )
 from .config import TrialPolicyConfig
-from .core.cache import TrialCache
+from .core.cache import CacheEntryError, TrialCache
+from .core.earlystop import EarlyStopModelError
 from .core.runner import (
     ExecutionBackend,
     RunnerStats,
@@ -388,6 +390,11 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+#: A damaged cache entry or model file is exit 1 and one clean line, as
+#: under ``fleet`` and ``service``.
+_wrap = reporting_errors("repro", CacheEntryError, EarlyStopModelError)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse command tree."""
     parser = argparse.ArgumentParser(
@@ -411,12 +418,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("services", help="list the service catalog")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_services)
+    p.set_defaults(func=_wrap(cmd_services))
 
     p = sub.add_parser("solo", help="calibrate one service uncontended")
     p.add_argument("service")
     _add_common(p)
-    p.set_defaults(func=cmd_solo)
+    p.set_defaults(func=_wrap(cmd_solo))
 
     p = sub.add_parser("pair", help="run one pair experiment")
     p.add_argument("service_a")
@@ -424,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_runner_args(p)
     add_earlystop_args(p)
-    p.set_defaults(func=cmd_pair)
+    p.set_defaults(func=_wrap(cmd_pair))
 
     p = sub.add_parser("cycle", help="run an all-pairs watchdog cycle")
     p.add_argument("--services", nargs="*", default=None)
@@ -447,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_runner_args(p)
     add_earlystop_args(p)
-    p.set_defaults(func=cmd_cycle)
+    p.set_defaults(func=_wrap(cmd_cycle))
 
     p = sub.add_parser(
         "earlystop",
@@ -476,14 +483,14 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: 0 - the rule must be right on every trial)",
     )
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_earlystop_fit)
+    p.set_defaults(func=_wrap(cmd_earlystop_fit))
 
     p = sub.add_parser("classify", help="classify a congestion controller")
     p.add_argument("cca", help=f"one of {sorted(CCA_FACTORIES)}")
     p.add_argument("--duration", type=float, default=30.0)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_classify)
+    p.set_defaults(func=_wrap(cmd_classify))
 
     p = sub.add_parser("sweep", help="fairness vs a network parameter")
     p.add_argument("kind", choices=["bandwidth", "buffer", "rtt"])
@@ -494,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=3)
     _add_common(p)
     _add_runner_args(p)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=_wrap(cmd_sweep))
 
     register_fleet(sub)
     register_obs(sub)

@@ -19,11 +19,11 @@ A trial record has one encoding, :func:`canonical_json` (sorted keys, no
 whitespace, one ASCII line), and it is produced once:
 :meth:`TrialCache.put` writes it as the entry file, and the rolling
 store's journal and segments (:mod:`repro.service.store`) carry those
-bytes on unchanged (:meth:`TrialCache.keep_entry_bytes` hands them
-over).  Reading is laxer than writing: any file holding one JSON object
-is an entry - the indented entries of caches written before this
-format, a foreign writer's - and only its layout differs, which
-``fleet merge`` treats as a duplicate, not as divergence.
+bytes on unchanged (:meth:`TrialCache.read` hands them over).  Reading
+is laxer than writing: any file holding one JSON object is an entry -
+the indented entries of caches written before this format, a foreign
+writer's - and only its layout differs, which ``fleet merge`` treats as
+a duplicate, not as divergence.
 
 Directory caches are also the unit of *transport* for fleet operation
 (:mod:`repro.fleet`): shard workers write disjoint cache directories that
@@ -33,13 +33,14 @@ notes) is ignored.  An optional byte-size cap turns the directory into an
 LRU: reads touch the entry's mtime and :meth:`evict` drops the
 least-recently-used entries until the cache fits.
 
-A hit costs what it must: the key is derived once per spec object
+Every lookup is one batch :meth:`TrialCache.read` (``get`` reads one),
+and a hit costs what it must: the key is derived once per spec object
 (:func:`trial_cache_key`, which hashes only the seed and service ids on
 top of a memoised SHA-256 state), the entry's path is one string
 concatenation, and the file is read as bytes and decoded once
-(``cache.keys_derived`` / ``cache.entries_parsed`` count both).  A file
-that is not a UTF-8 JSON object raises :class:`CacheEntryError` - it is
-never a miss and never a result.
+(``cache.keys_derived`` / ``cache.entries_parsed`` count both, the
+latter once per batch).  A file that is not a UTF-8 JSON object raises
+:class:`CacheEntryError`: it is never a miss and never a result.
 
 Entry and sidecar files are *immutable*: every write lands as a
 temporary sibling renamed over the destination
@@ -58,7 +59,9 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
+from typing import (
+    TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional, Sequence,
+)
 
 from ..atomicio import TMP_SUFFIX, atomic_write
 from ..browser.environment import ClientEnvironment
@@ -100,7 +103,7 @@ class CacheEntryError(RuntimeError):
 def _read_entry(path: str) -> "Optional[tuple[Dict, bytes]]":
     """The JSON object at ``path`` and the bytes it was parsed from, or
     ``None`` when no such file (read through a bare descriptor: no
-    ``BufferedReader`` built per entry)."""
+    ``BufferedReader`` built per entry; the caller counts the parse)."""
     try:
         fd = os.open(path, os.O_RDONLY)
     except FileNotFoundError:
@@ -122,14 +125,16 @@ def _read_entry(path: str) -> "Optional[tuple[Dict, bytes]]":
         raise CacheEntryError(
             f"{path}: expected a JSON object, found {type(payload).__name__}"
         )
-    get_registry().counter("cache.entries_parsed").inc()
     return payload, raw
 
 
 def _read_json(path: str) -> Optional[Dict]:
     """The JSON object at ``path``, or ``None`` when no such file."""
     entry = _read_entry(path)
-    return None if entry is None else entry[0]
+    if entry is None:
+        return None
+    get_registry().counter("cache.entries_parsed").inc()
+    return entry[0]
 
 
 _KEY_ALPHABET = frozenset("0123456789abcdef")
@@ -326,6 +331,16 @@ def trial_cache_key(
     return key
 
 
+class CachedTrial(NamedTuple):
+    """A trial :meth:`TrialCache.read` served: key, payload, the bytes it
+    was parsed from (``None`` when served from memory), result object."""
+
+    key: str
+    payload: Dict
+    raw: Optional[bytes]
+    result: ExperimentResult
+
+
 class TrialCache:
     """Content-addressed store of simulated trial results.
 
@@ -338,9 +353,10 @@ class TrialCache:
     ``tests/test_control_plane_budget.py``).
 
     ``max_bytes`` caps the on-disk footprint: every :meth:`put` evicts
-    least-recently-used entries (mtime order; :meth:`get` touches the
+    least-recently-used entries (mtime order; every hit touches the
     entry file) until the directory fits.  The cap applies only to
-    directory caches - a memory-only cache ignores it.
+    directory caches - a memory-only cache ignores it.  The index holds
+    payloads, never the bytes :meth:`read` hands over with them.
     """
 
     def __init__(
@@ -355,9 +371,6 @@ class TrialCache:
             self._prefix = os.path.join(self.cache_dir, "")
         self.max_bytes = max_bytes
         self._memory: Dict[str, Dict] = {}
-        #: key -> the bytes ``_memory[key]`` was parsed from; ``None``
-        #: until a caller asks (:meth:`keep_entry_bytes`).
-        self._entry_bytes: Optional[Dict[str, bytes]] = None
         self._sidecar_memory: Dict["tuple[str, str]", Dict] = {}
         self.hits = 0
         self.misses = 0
@@ -368,45 +381,70 @@ class TrialCache:
     # Lookup / insert
     # ------------------------------------------------------------------
 
+    def read(
+        self,
+        specs: "Sequence[TrialSpec]",
+        env: Optional[ClientEnvironment] = None,
+        allow_truncated: bool = False,
+    ) -> List[Optional[CachedTrial]]:
+        """The recorded trial for each spec, in order, or ``None`` where
+        the cache has nothing admissible: the one loop that reads entries.
+
+        Early-terminated entries (``earlystop.truncated``; see
+        :mod:`repro.core.earlystop`) only count as hits when the caller
+        opts in with ``allow_truncated`` - a run without the feature
+        treats them as misses, re-simulates full-length, and the
+        resulting :meth:`put` supersedes the truncated entry.  Hits,
+        misses and parses are counted once per batch, exactly: a
+        :class:`CacheEntryError` leaves them counting the specs before it.
+        """
+        memory = self._memory
+        prefix = self._prefix if self.cache_dir is not None else None
+        records: List[Optional[CachedTrial]] = []
+        parsed = 0
+        try:
+            for spec in specs:
+                key = trial_cache_key(spec, env)
+                path = None if prefix is None else prefix + key + ".json"
+                payload, raw = memory.get(key), None
+                if payload is None and path is not None:
+                    entry = _read_entry(path)
+                    if entry is not None:
+                        payload, raw = entry
+                        memory[key] = payload
+                        parsed += 1
+                if payload is None or (
+                    not allow_truncated
+                    and (payload.get("earlystop") or {}).get("truncated")
+                ):
+                    records.append(None)
+                    continue
+                if path is not None:
+                    try:
+                        os.utime(path)  # touch: LRU recency for evict()
+                    except FileNotFoundError:  # memory hit, evicted since
+                        pass
+                result = ExperimentResult.from_json(payload)
+                records.append(CachedTrial(key, payload, raw, result))
+        finally:
+            misses = records.count(None)
+            self.hits += len(records) - misses
+            self.misses += misses
+            registry = get_registry()
+            registry.counter("cache.hits").inc(len(records) - misses)
+            registry.counter("cache.misses").inc(misses)
+            registry.counter("cache.entries_parsed").inc(parsed)
+        return records
+
     def get(
         self,
         spec: "TrialSpec",
         env: Optional[ClientEnvironment] = None,
         allow_truncated: bool = False,
     ) -> Optional[ExperimentResult]:
-        """The cached result for this trial, or ``None`` on a miss.
-
-        Early-terminated entries (``earlystop.truncated``; see
-        :mod:`repro.core.earlystop`) only count as hits when the caller
-        opts in with ``allow_truncated`` - a run without the feature
-        treats them as misses, re-simulates full-length, and the
-        resulting :meth:`put` supersedes the truncated entry.
-        """
-        key = trial_cache_key(spec, env)
-        payload = self._memory.get(key)
-        path = self._path(key) if self.cache_dir is not None else None
-        if payload is None and path is not None:
-            entry = _read_entry(path)
-            if entry is not None:
-                payload = self._memory[key] = entry[0]
-                if self._entry_bytes is not None:
-                    self._entry_bytes[key] = entry[1]
-        if payload is not None and not allow_truncated:
-            meta = payload.get("earlystop")
-            if meta and meta.get("truncated"):
-                payload = None
-        if payload is None:
-            self.misses += 1
-            get_registry().counter("cache.misses").inc()
-            return None
-        if path is not None:
-            try:
-                os.utime(path)  # touch: LRU recency for evict()
-            except FileNotFoundError:  # memory hit, file evicted since
-                pass
-        self.hits += 1
-        get_registry().counter("cache.hits").inc()
-        return ExperimentResult.from_json(payload)
+        """The result :meth:`read` serves for ``spec``, or ``None``."""
+        record = self.read([spec], env, allow_truncated)[0]
+        return None if record is None else record.result
 
     def put(
         self,
@@ -436,8 +474,6 @@ class TrialCache:
         ):
             return
         self._memory[key] = payload
-        if self._entry_bytes:
-            self._entry_bytes.pop(key, None)
         self.stores += 1
         registry = get_registry()
         registry.counter("cache.stores").inc()
@@ -571,8 +607,6 @@ class TrialCache:
             if os.path.exists(entry_path):
                 os.unlink(entry_path)
             self._memory.pop(key, None)
-            if self._entry_bytes:
-                self._entry_bytes.pop(key, None)
             self._drop_sidecars(key)
             total -= size
             evicted_bytes += size
@@ -593,21 +627,6 @@ class TrialCache:
         if key in self._memory:
             return True
         return self.cache_dir is not None and os.path.exists(self._path(key))
-
-    def keep_entry_bytes(self) -> Dict[str, bytes]:
-        """From here on keep, beside each payload read from disk, the
-        bytes it was parsed from; returns that live ``key -> bytes``
-        table.
-
-        For a caller that persists the records it reads
-        (:meth:`repro.service.coordinator.WatchdogService.ingest_entry`):
-        with :meth:`payload_for` it has the parsed payload and its
-        encoding from one read.  A payload served from memory alone
-        (this process ``put`` it) has no bytes here.
-        """
-        if self._entry_bytes is None:
-            self._entry_bytes = {}
-        return self._entry_bytes
 
     def payload_for(self, key: str) -> Optional[Dict]:
         """The raw cached payload for ``key``, or ``None`` if absent.
@@ -630,18 +649,6 @@ class TrialCache:
             if path.stem not in seen:
                 yield path.stem
 
-    def results(self) -> Iterator[ExperimentResult]:
-        """Iterate every cached result (disk entries included)."""
-        seen = set(self._memory)
-        for payload in self._memory.values():
-            yield ExperimentResult.from_json(payload)
-        for path in self._entry_paths():
-            if path.stem in seen:
-                continue
-            payload = _read_json(str(path))
-            if payload is not None:  # else evicted since the listing
-                yield ExperimentResult.from_json(payload)
-
     def __len__(self) -> int:
         entries = set(self._memory)
         entries.update(path.stem for path in self._entry_paths())
@@ -659,8 +666,6 @@ class TrialCache:
             for path in self.cache_dir.glob(f"*{TMP_SUFFIX}"):
                 path.unlink()
         self._memory.clear()
-        if self._entry_bytes:
-            self._entry_bytes.clear()
         self.hits = self.misses = self.stores = self.evictions = 0
 
     def _entry_paths(self) -> List[Path]:

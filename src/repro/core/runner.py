@@ -49,7 +49,7 @@ from ..obs import tracing
 from ..obs.flight import FlightRecorder
 from ..obs.metrics import get_registry
 from ..services.catalog import ServiceCatalog, ServiceSpec, default_catalog
-from .cache import TrialCache, trial_cache_key
+from .cache import CachedTrial, TrialCache, trial_cache_key
 from .earlystop import EarlyStopConfig, EarlyStopMonitor, audit_decision
 from .experiment import ExperimentResult, run_trial_artifacts
 
@@ -340,54 +340,46 @@ def _lookup(
     env: Optional[ClientEnvironment],
     allow_truncated: bool,
     stats: RunnerStats,
-) -> Tuple[List[Optional[ExperimentResult]], List[Tuple[int, TrialSpec]]]:
-    """Serve ``trials`` from ``cache``, counting into ``stats``.
-
-    Returns the results in submission order (``None`` where the cache
-    had nothing admissible) and the ``(index, spec)`` of every such
-    miss.  The one lookup loop: :meth:`ExecutionBackend.run` simulates
-    the misses, :func:`replay` refuses them.
-    """
-    results: List[Optional[ExperimentResult]] = [None] * len(trials)
+) -> List[Optional[CachedTrial]]:
+    """Serve ``trials`` from ``cache`` in one :meth:`TrialCache.read`,
+    counting into ``stats``: the records in submission order, ``None``
+    where the cache had nothing admissible (:meth:`ExecutionBackend.run`
+    simulates those misses, :func:`replay` refuses them)."""
     if cache is None or not trials:
-        return results, list(enumerate(trials))
-    misses: List[Tuple[int, TrialSpec]] = []
+        return [None] * len(trials)
     with tracing.span("cache.lookup", trials=len(trials)) as lookup_span:
-        for index, spec in enumerate(trials):
-            cached = cache.get(spec, env=env, allow_truncated=allow_truncated)
-            if cached is not None:
-                results[index] = cached
-            else:
-                misses.append((index, spec))
-        hits = len(trials) - len(misses)
-        lookup_span.set(hits=hits, misses=len(misses))
+        records = cache.read(trials, env, allow_truncated)
+        misses = records.count(None)
+        hits = len(trials) - misses
+        lookup_span.set(hits=hits, misses=misses)
     stats.cache_hits += hits
-    stats.cache_misses += len(misses)
+    stats.cache_misses += misses
     registry = get_registry()
     registry.counter("runner.cache_hits").inc(hits)
-    registry.counter("runner.cache_misses").inc(len(misses))
-    return results, misses
+    registry.counter("runner.cache_misses").inc(misses)
+    return records
 
 
 def replay(
     cache: TrialCache, specs: Sequence[TrialSpec], allow_truncated: bool
-) -> Tuple[List[ExperimentResult], RunnerStats]:
+) -> Tuple[List[CachedTrial], RunnerStats]:
     """Re-read recorded trials: every spec from ``cache``, none simulated.
 
-    Returns the results in ``specs`` order and the lookup's
-    :class:`RunnerStats` (``trials_run == 0``, ``cache_hits ==
-    len(specs)``).  Raises :class:`CacheMissError` naming every spec the
-    cache cannot serve.  ``allow_truncated`` admits early-terminated
-    entries as the measurements they are - pass it exactly where the run
-    that wrote the cache was armed (a plan or cycle carrying an
-    ``earlystop`` block; a service ingest folds whatever the fleet
-    measured); anywhere else a truncated entry is a miss.
+    Returns the :class:`~repro.core.cache.CachedTrial` records in
+    ``specs`` order and the lookup's :class:`RunnerStats` (``trials_run
+    == 0``, ``cache_hits == len(specs)``).  Raises :class:`CacheMissError`
+    naming every spec the cache cannot serve.  ``allow_truncated`` admits
+    early-terminated entries as the measurements they are - pass it
+    exactly where the run that wrote the cache was armed (a plan or cycle
+    carrying an ``earlystop`` block; a service ingest folds whatever the
+    fleet measured); anywhere else a truncated entry is a miss.
     """
     stats = RunnerStats()
-    results, misses = _lookup(cache, specs, None, allow_truncated, stats)
+    records = _lookup(cache, specs, None, allow_truncated, stats)
+    misses = [spec for spec, record in zip(specs, records) if record is None]
     if misses:
-        raise CacheMissError([spec for _index, spec in misses])
-    return results, stats  # type: ignore[return-value]
+        raise CacheMissError(misses)
+    return records, stats  # type: ignore[return-value]
 
 
 class ExecutionBackend:
@@ -441,9 +433,14 @@ class ExecutionBackend:
         the re-run overwrites), then it is counted.  A trial that raises
         ends the run with every earlier trial on disk."""
         env, cache, stats = self.env, self.cache, self.stats
-        results, misses = _lookup(
-            cache, trials, env, self.earlystop is not None, stats
-        )
+        armed = self.earlystop is not None
+        results = [
+            None if record is None else record.result
+            for record in _lookup(cache, trials, env, armed, stats)
+        ]
+        misses = [
+            (i, spec) for i, spec in enumerate(trials) if results[i] is None
+        ]
         if not misses:
             return results  # type: ignore[return-value]
         registry = get_registry()

@@ -225,10 +225,10 @@ class AdaptiveCycleState(CycleState):
                 f"round {self.round_index} (fold rounds in order)"
             )
         specs = [t.spec for t in plan.trials]
-        results, _stats = replay(
+        records, _stats = replay(
             cache, specs, allow_truncated=self.earlystop is not None
         )
-        self.record(specs, results)
+        self.record(specs, [r.result for r in records])
         entry = {
             "round": plan.round_index,
             "trials": len(specs),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from ..core.cache import CacheEntryError, TrialCache
+from ..core.cache import CacheEntryError, TrialCache, trial_cache_key
 from ..core.report import FairnessReport
 from ..core.results import ResultStore
 from ..core.runner import CacheMissError, RunnerStats, replay
@@ -31,12 +31,12 @@ def assemble_store(
 ) -> Tuple[ResultStore, RunnerStats, List]:
     """Replay the plan against the cache: zero simulations, full store.
 
-    Verifies completeness up front (so a gap fails fast instead of
-    triggering an hours-long accidental simulation), then replays every
-    planned spec in plan order.  Returns the store (valid trials only,
-    matching the watchdog's hygiene rule), the assembly
+    Replays every planned spec in plan order.  Returns the store (valid
+    trials only, matching the watchdog's hygiene rule), the assembly
     :class:`RunnerStats`, and the raw per-trial results in plan order
-    (sweep aggregation needs them positionally).
+    (sweep aggregation needs them positionally).  A miss aborts with a
+    :class:`FleetError` that tells a gap (entries absent: merge all
+    shards) from entries the replay may not admit.
 
     A plan whose params carry an ``earlystop`` block was executed with
     trial-level early termination armed, so its cache legitimately holds
@@ -47,32 +47,30 @@ def assemble_store(
     with tracing.span(
         "report.assemble", plan_kind=plan.kind, trials=len(plan.trials)
     ):
-        missing = [
-            t.cache_key
-            for t in plan.trials
-            if not cache.contains_key(t.cache_key)
-        ]
-        if missing:
-            preview = ", ".join(k[:12] + "..." for k in missing[:5])
-            raise FleetError(
-                f"cache is missing {len(missing)} of {len(plan.trials)} "
-                f"planned trials ({preview}) - merge all shards before "
-                "assembling"
-            )
         armed = (plan.params or {}).get("earlystop") is not None
         try:
-            results, stats = replay(
+            records, stats = replay(
                 cache, [t.spec for t in plan.trials], allow_truncated=armed
             )
         except CacheEntryError as exc:
             raise FleetError(f"damaged cache entry: {exc}") from exc
         except CacheMissError as exc:
+            keys = map(trial_cache_key, exc.misses)
+            missing = [k for k in keys if not cache.contains_key(k)]
+            if missing:
+                preview = ", ".join(k[:12] + "..." for k in missing[:5])
+                raise FleetError(
+                    f"cache is missing {len(missing)} of {len(plan.trials)} "
+                    f"planned trials ({preview}) - merge all shards before "
+                    "assembling"
+                ) from exc
             raise FleetError(
                 f"assembly would have to simulate {len(exc.misses)} "
                 "trial(s) - entries are truncated (early-terminated) or "
                 "disappeared mid-assembly; aborting rather than publish "
                 "mixed provenance"
             ) from exc
+        results = [record.result for record in records]
         store = ResultStore()
         store.extend(results, valid_only=True)
         return store, stats, results

@@ -63,7 +63,7 @@ from ..config import (
     highly_constrained,
     moderately_constrained,
 )
-from ..core.cache import CacheEntryError, TrialCache, trial_cache_key
+from ..core.cache import CacheEntryError, TrialCache
 from ..core.runner import CacheMissError, TrialSpec, replay
 from ..core.submission import SubmissionError, SubmissionPortal
 from ..fleet.adaptive import AdaptiveCycleState, ASSEMBLY_PLAN_FILENAME, STATE_FILENAME
@@ -527,15 +527,12 @@ class WatchdogService:
         with tracing.span(
             "service.ingest", source=entry.name, trials=len(specs)
         ):
-            # One read per entry serves all three forms the store wants:
-            # the payload, the result object and the journal line.
-            entry_bytes = cache.keep_entry_bytes()
             try:
                 # Fleet caches may hold early-terminated trials
                 # (repro.core.earlystop); folding replays whatever the
                 # fleet measured, so truncated entries are results here,
                 # not misses.
-                results, stats = replay(cache, specs, allow_truncated=True)
+                records, stats = replay(cache, specs, allow_truncated=True)
             except CacheEntryError as exc:
                 raise self._retire_unreadable(entry, exc) from exc
             except CacheMissError as exc:
@@ -545,16 +542,12 @@ class WatchdogService:
                     "trial(s) missing from its cache - folding never "
                     "simulates; entry moved to failed/"
                 ) from exc
-            keys = [trial_cache_key(spec) for spec in specs]
+            # One read per trial serves all three forms the store wants:
+            # the payload, the result object and the journal line.
             record = CycleRecord.from_cache_reads(
-                cycle_id,
-                entry.name,
-                kind,
-                partial,
-                payloads=[cache.payload_for(key) for key in keys],
-                parsed=results,
-                entry_bytes=[entry_bytes.get(key) for key in keys],
+                cycle_id, entry.name, kind, partial, records
             )
+            del records  # the entry bytes live in ``record`` until appended
             self.store.append_cycle(
                 record, pre_commit=lambda: _fault("pre-commit")
             )
@@ -577,7 +570,7 @@ class WatchdogService:
         totals["cache_hits"] += stats.cache_hits
         totals["trials_folded"] += len(record.results)
         totals["flight_diagnosed"] += diagnosed
-        truncated = [r for r in results if r.truncated]
+        truncated = [r for r in record.experiment_results() if r.truncated]
         if truncated:
             # Earlystop keys appear only once a truncated trial has been
             # folded, so pre-earlystop status payloads are unchanged.

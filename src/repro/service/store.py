@@ -83,7 +83,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from ..atomicio import atomic_write
-from ..core.cache import canonical_json
+from ..core.cache import CachedTrial, canonical_json
 from ..core.experiment import ExperimentResult
 from ..core.results import ResultStore
 from ..obs.metrics import get_registry
@@ -142,22 +142,21 @@ class CycleRecord:
         source: str,
         kind: str,
         partial: bool,
-        payloads: List[Dict],
-        parsed: List[ExperimentResult],
-        entry_bytes: List[Optional[bytes]],
+        reads: List[CachedTrial],
     ) -> "CycleRecord":
-        """A cycle whose trials one cache read just produced.
+        """A cycle whose trials one :meth:`TrialCache.read` just produced.
 
-        Per trial: the payload as parsed, the result object built from
-        it, and the entry bytes it was parsed from (``None`` when the
-        cache did not keep them).  An entry that is one line becomes the
-        ``result`` of its journal line byte for byte.
+        Each :class:`~repro.core.cache.CachedTrial` brings the payload
+        as parsed, the result object built from it, and the entry bytes
+        it was parsed from (``None`` when it came from memory).  An
+        entry that is one line becomes the ``result`` of its journal
+        line byte for byte.
         """
-        if not len(payloads) == len(parsed) == len(entry_bytes):
-            raise ValueError("one payload, result and bytes slot per trial")
-        record = cls(cycle_id, source, kind, partial, payloads)
-        record._parsed = parsed
-        record._entry_bytes = entry_bytes
+        record = cls(
+            cycle_id, source, kind, partial, [r.payload for r in reads]
+        )
+        record._parsed = [r.result for r in reads]
+        record._entry_bytes = [r.raw for r in reads]
         return record
 
     def to_json(self) -> Dict:

@@ -34,6 +34,7 @@ from repro.fleet import (
     run_shard,
 )
 from repro.fleet.worker import ShardReceipt
+from repro.obs.metrics import get_registry
 
 NET = highly_constrained()
 FAST = ExperimentConfig().scaled(10)
@@ -428,20 +429,33 @@ class TestDamagedFiles:
 
     def test_every_reader_names_the_file(self, damaged, tmp_path):
         spec, key, entry, sidecar, complaint = damaged
+        before, after = (
+            TrialSpec.pair("iperf_cubic", "iperf_reno", NET, FAST, seed=seed)
+            for seed in (0, 2)
+        )
+        writer = TrialCache(tmp_path)
+        for intact in (before, after):
+            writer.put(intact, synthetic_result(intact))
+        # Reader -> hits (and parses) it counts before the damaged entry.
         readers = {
-            "get": lambda c: c.get(spec),
-            "get-truncated-ok": lambda c: c.get(spec, allow_truncated=True),
-            "put": lambda c: c.put(spec, synthetic_result(spec)),
-            "payload_for": lambda c: c.payload_for(key),
-            "results": lambda c: list(c.results()),
+            "get": (lambda c: c.get(spec), 0),
+            "get-truncated-ok": (
+                lambda c: c.get(spec, allow_truncated=True), 0
+            ),
+            "put": (lambda c: c.put(spec, synthetic_result(spec)), 0),
+            "payload_for": (lambda c: c.payload_for(key), 0),
+            "read": (lambda c: c.read([before, spec, after]), 1),
         }
-        for name, read in readers.items():
+        parsed = get_registry().counter("cache.entries_parsed")
+        for name, (read, hits) in readers.items():
             cache = TrialCache(tmp_path)
+            parsed_before = parsed.value
             with pytest.raises(CacheEntryError) as caught:
                 read(cache)
             assert str(entry) in str(caught.value), name
             assert complaint in str(caught.value), name
-            assert (cache.hits, cache.misses, cache.stores) == (0, 0, 0), name
+            assert (cache.hits, cache.misses, cache.stores) == (hits, 0, 0), name
+            assert parsed.value - parsed_before == hits, name
         with pytest.raises(CacheEntryError) as caught:
             TrialCache(tmp_path).get_sidecar(key, "flight")
         assert str(sidecar) in str(caught.value)

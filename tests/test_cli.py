@@ -5,6 +5,9 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.cliargs import config_from_args, network_from_args
+from repro.core.cache import trial_cache_key
+from repro.core.runner import TrialSpec
 
 
 class TestParser:
@@ -108,6 +111,49 @@ class TestCycle:
         assert code == 0
         out = capsys.readouterr().out
         assert "median losing share" in out
+
+
+class TestDamagedArtifacts:
+    """A damaged cache entry or model file ends a top-level command with
+    exit 1 and one ``repro error: <file>: <defect>`` line, as under
+    ``fleet`` - not a traceback."""
+
+    PAIR = ["pair", "iperf_cubic", "iperf_reno", "--duration", "5"]
+
+    def test_pair_over_a_cut_short_cache_entry(self, tmp_path, capsys):
+        args = build_parser().parse_args(self.PAIR)
+        spec = TrialSpec.pair(
+            args.service_a, args.service_b, network_from_args(args),
+            config_from_args(args), seed=args.seed,
+        )
+        entry = tmp_path / f"{trial_cache_key(spec)}.json"
+        entry.write_bytes(b'{"contender_id": "iperf_cu')
+        assert main([*self.PAIR, "--cache-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro error: {entry}: not valid JSON")
+        assert "Traceback" not in err
+
+    def test_earlystop_fit_over_a_damaged_entry(self, tmp_path, capsys):
+        key = "ab" * 32
+        (tmp_path / f"{key}.flight.json").write_text("{}")
+        (tmp_path / f"{key}.json").write_bytes(b"[]")
+        code = main([
+            "earlystop", "fit", "--cache-dir", str(tmp_path),
+            "--out", str(tmp_path / "model.json"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"repro error: {tmp_path / key}.json: expected a JSON object, "
+            "found list\n"
+        )
+
+    def test_pair_with_a_future_schema_model(self, tmp_path, capsys):
+        model = tmp_path / "bad.json"
+        model.write_text(json.dumps({"schema": 99}))
+        assert main([*self.PAIR, "--earlystop", str(model)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro error: {model}: ")
+        assert "schema" in err and err.count("\n") == 1
 
 
 class TestSweep:

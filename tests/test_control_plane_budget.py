@@ -59,13 +59,16 @@ CONFIG = ExperimentConfig().scaled(3)
 SHARDS = 4
 
 #: Ceiling on Python frames per planned trial (run_shard x4 + merge +
-#: assemble): 71.0 today, plus ~10%.
-FRAMES_PER_TRIAL_BUDGET = 78
+#: assemble): 40.68 today, plus ~10% (61.2 when each spec was one
+#: ``get`` with its own counter bumps, and assembly checked every entry
+#: for existence before replaying).
+FRAMES_PER_TRIAL_BUDGET = 45
 
 #: Ceiling on Python frames per delivered trial over ``ingest_entry`` +
-#: ``compact``, measured as the slope between two delivery sizes (33.0
-#: today, plus ~10%; 45.0 before the journal adopted entry bytes).
-FRAMES_PER_INGESTED_TRIAL_BUDGET = 36
+#: ``compact``, measured as the slope between two delivery sizes (22.0
+#: today, plus ~10%; 33.0 when the ingest joined payloads and kept
+#: entry bytes by key, 45.0 before the journal adopted entry bytes).
+FRAMES_PER_INGESTED_TRIAL_BUDGET = 24
 
 #: Ceiling on bytes per planned trial, in ``plan.json`` and across the
 #: shard manifests (110 and 111 today; 440 and 431 when every row

@@ -41,7 +41,7 @@ from repro.fleet.plan import MANIFEST_SCHEMA_VERSION, ROW_COLUMNS
 from repro.fleet.worker import RECEIPT_FILENAME
 from repro.services.catalog import default_catalog
 
-from tests.test_cache_immutability import ENTRY_DAMAGE
+from tests.test_cache_immutability import ENTRY_DAMAGE, synthetic_result
 
 CATALOG = default_catalog()
 FAST = ExperimentConfig().scaled(10)
@@ -467,7 +467,7 @@ class TestCacheEviction:
         (tmp_path / RECEIPT_FILENAME).write_text("{}")
         fresh = TrialCache(tmp_path)
         assert len(fresh) == 1
-        assert len(list(fresh.results())) == 1
+        assert len(list(fresh.keys())) == 1
         fresh.clear()
         assert (tmp_path / RECEIPT_FILENAME).exists()
 
@@ -900,6 +900,44 @@ class TestDamagedEntryAtAssembly:
             assemble_reports(plan, TrialCache(tmp_path / "merged"))
         assert str(victim) in str(caught.value)
         assert complaint in str(caught.value)
+
+
+class TestAssemblyMisses:
+    """A replay miss aborts assembly with the message that says why: an
+    absent entry asks for the shards, an entry the plan may not admit
+    (truncated, under an unarmed plan) says so."""
+
+    @staticmethod
+    def filled(root, truncated):
+        """A one-shard plan and its cache of synthetic results in
+        ``root``; the trials at the ``truncated`` indexes were
+        early-terminated."""
+        plan = small_plan(num_shards=1, trials=1)
+        cache = TrialCache(root)
+        for index, trial in enumerate(plan.trials):
+            cut = 4_000_000 if index in truncated else None
+            cache.put(trial.spec, synthetic_result(trial.spec, cut))
+        return plan
+
+    def test_an_absent_entry_asks_to_merge_all_shards(self, tmp_path):
+        plan = self.filled(tmp_path, truncated=(0,))
+        gone = plan.trials[-1].cache_key
+        (tmp_path / f"{gone}.json").unlink()
+        with pytest.raises(FleetError) as caught:
+            assemble_reports(plan, TrialCache(tmp_path))
+        assert str(caught.value) == (
+            f"cache is missing 1 of {len(plan.trials)} planned trials "
+            f"({gone[:12]}...) - merge all shards before assembling"
+        )
+
+    def test_a_truncated_entry_under_an_unarmed_plan(self, tmp_path):
+        plan = self.filled(tmp_path, truncated=(0,))
+        with pytest.raises(FleetError) as caught:
+            assemble_reports(plan, TrialCache(tmp_path))
+        assert str(caught.value).startswith(
+            "assembly would have to simulate 1 trial(s) - entries are "
+            "truncated (early-terminated)"
+        )
 
 
 # ----------------------------------------------------------------------

@@ -117,30 +117,31 @@ def test_an_entry_is_the_canonical_line_and_any_json_object_still_reads(
         assert TrialCache(tmp_path).get(SPEC) == result
 
 
-def test_entry_bytes_are_kept_only_when_asked_and_never_go_stale(tmp_path):
+def test_entry_bytes_come_with_a_disk_read_and_never_go_stale(tmp_path):
     first = synthetic_result(SPEC, random.Random(1))
     TrialCache(tmp_path).put(SPEC, first)
     key = trial_cache_key(SPEC)
     stored = (tmp_path / f"{key}.json").read_bytes()
 
-    plain = TrialCache(tmp_path)
-    assert plain.get(SPEC) == first
-    assert plain._entry_bytes is None
-
-    asked = TrialCache(tmp_path)
-    kept = asked.keep_entry_bytes()
-    assert kept == {} and asked.keep_entry_bytes() is kept
-    assert asked.get(SPEC) == first
-    assert kept == {key: stored}
-    assert json.loads(kept[key]) == asked.payload_for(key)
-    # A put replaces the payload: the old bytes must not outlive it.
-    asked.put(SPEC, synthetic_result(SPEC, random.Random(2)))
-    assert kept == {}
-    # Written by this process, served from memory: no bytes to adopt.
-    assert asked.get(SPEC) is not None and kept == {}
-    asked.get(SPEC)
-    asked.clear()
-    assert kept == {}
+    cache = TrialCache(tmp_path)
+    (record,) = cache.read([SPEC])
+    assert record.key == key and record.result == first
+    assert record.raw == stored
+    assert json.loads(record.raw) == record.payload == cache.payload_for(key)
+    # The cache keeps the payload, never the bytes: a memory hit has none.
+    (again,) = cache.read([SPEC])
+    assert again.raw is None and again.payload is record.payload
+    # Written by this process, served from memory: no bytes to adopt,
+    # so the bytes the first read brought cannot be served for it.
+    second = synthetic_result(SPEC, random.Random(2))
+    assert second != first
+    cache.put(SPEC, second)
+    (fresh,) = cache.read([SPEC])
+    assert fresh.raw is None and fresh.result == second
+    # A new reader gets the bytes now on disk, not the first ones.
+    (reread,) = TrialCache(tmp_path).read([SPEC])
+    assert reread.raw == canonical_json(second.to_json()).encode()
+    assert reread.raw != stored
 
 
 # ----------------------------------------------------------------------
@@ -180,9 +181,10 @@ def whole_record_journal(root):
     for index in range(2):
         done = root / "spool" / "done" / f"cycle-{index:02d}"
         plan = load_plan(done / "plan.json")
-        results, _stats = replay(
+        records, _stats = replay(
             TrialCache(done / "cache"), [t.spec for t in plan.trials], True
         )
+        results = [record.result for record in records]
         lines.append(line({
             "record": "begin", "schema": 1, "cycle_id": plan.plan_id,
             "source": done.name, "kind": "fixed", "partial": False,

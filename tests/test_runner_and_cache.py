@@ -198,12 +198,12 @@ class TestReplay:
                     replay(cache, specs, allow_truncated)
                 assert raised.value.misses == expected_misses
             else:
-                results, stats = replay(cache, specs, allow_truncated)
+                records, stats = replay(cache, specs, allow_truncated)
                 backend = InlineBackend(
                     cache=cache,
                     earlystop=EarlyStopConfig() if allow_truncated else None,
                 )
-                assert [r.to_json() for r in results] == [
+                assert [r.result.to_json() for r in records] == [
                     r.to_json() for r in backend.run(specs)
                 ]
                 assert stats == backend.stats

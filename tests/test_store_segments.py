@@ -33,6 +33,7 @@ import pytest
 
 from repro.obs.metrics import get_registry
 from repro.service import store as store_module
+from repro.core.cache import CachedTrial
 from repro.core.experiment import ExperimentResult
 from repro.service.store import (
     SNAPSHOT_FILENAME,
@@ -71,11 +72,14 @@ def foreign_record(cycle_id, trials=2):
     payloads = [fake_result(seed) for seed in range(trials)]
     return CycleRecord.from_cache_reads(
         cycle_id, f"entry-{cycle_id}", "fixed", False,
-        payloads=payloads,
-        parsed=[ExperimentResult.from_json(p) for p in payloads],
-        entry_bytes=[
-            json.dumps(p, separators=(",", ":")).encode() + b"\n"
-            for p in payloads
+        [
+            CachedTrial(
+                f"{seed:064x}",
+                payload,
+                json.dumps(payload, separators=(",", ":")).encode() + b"\n",
+                ExperimentResult.from_json(payload),
+            )
+            for seed, payload in enumerate(payloads)
         ],
     )
 
