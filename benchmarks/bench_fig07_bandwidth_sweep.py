@@ -6,27 +6,24 @@ contention) and only recovers at ~70+ Mbps where even the contended share
 exceeds the top bitrate.  Contentiousness is not monotone in bandwidth.
 """
 
-from repro import units
-from repro.config import NetworkConfig
+from repro.core.sweep import run_sweep
 
-from .harness import CONFIG, LONG_CONFIG, TRIALS, median_share, median_throughput_mbps, report, run_trials
+from .harness import BACKEND, LONG_CONFIG, TRIALS, report
 
 BANDWIDTHS_MBPS = [8, 20, 30, 50, 70, 100]
 
 
 def _sweep():
-    rows = {}
-    for bw in BANDWIDTHS_MBPS:
-        network = NetworkConfig(bandwidth_bps=units.mbps(bw))
-        results = run_trials(
-            "youtube", "dropbox", network, config=LONG_CONFIG, base_seed=31
+    points = run_sweep(
+        "bandwidth", "youtube", "dropbox", BANDWIDTHS_MBPS, LONG_CONFIG,
+        trials=TRIALS, base_seed=31, backend=BACKEND,
+    )
+    return {
+        p.parameter: (
+            p.share_a, p.throughput_a_bps / 1e6, p.throughput_b_bps / 1e6
         )
-        rows[bw] = (
-            median_share(results, "youtube"),
-            median_throughput_mbps(results, "youtube"),
-            median_throughput_mbps(results, "dropbox"),
-        )
-    return rows
+        for p in points
+    }
 
 
 def test_fig07_bandwidth_sweep(benchmark):

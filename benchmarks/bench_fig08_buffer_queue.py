@@ -7,8 +7,9 @@ vs Cubic at 8 Mbps gets *worse* with the bigger buffer.
 """
 
 from repro.analysis.timeseries import queue_occupancy_timeseries, render_sparkline
+from repro.core.sweep import run_sweep
 
-from .harness import HIGHLY, MODERATELY, median_share, report, run_artifacts, run_trials
+from .harness import BACKEND, CONFIG, HIGHLY, MODERATELY, TRIALS, report, run_artifacts
 
 
 def _traced_queue_run(buffer_multiple):
@@ -56,12 +57,11 @@ def test_fig08_buffer_doubling(benchmark):
 
 def test_obs11_reno_vs_cubic_worse_with_big_buffer(benchmark):
     def measure():
-        shares = {}
-        for multiple in (4.0, 8.0):
-            network = HIGHLY.with_buffer_multiple(multiple)
-            results = run_trials("iperf_cubic", "iperf_reno", network, base_seed=17)
-            shares[multiple] = median_share(results, "iperf_reno")
-        return shares
+        points = run_sweep(
+            "buffer", "iperf_cubic", "iperf_reno", [4.0, 8.0], CONFIG,
+            base_network=HIGHLY, trials=TRIALS, base_seed=17, backend=BACKEND,
+        )
+        return {p.parameter: p.share_b for p in points}
 
     shares = benchmark.pedantic(measure, rounds=1, iterations=1)
     report(

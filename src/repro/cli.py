@@ -8,7 +8,7 @@ watchdog is driven:
 - ``pair``      - run one pair experiment and print both MmF shares
 - ``cycle``     - run an all-pairs watchdog cycle and print the heatmap
 - ``classify``  - run the CCA classifier on a named controller
-- ``sweep``     - fairness vs bandwidth/buffer/RTT for one pair
+- ``sweep``     - fairness vs bandwidth/buffer/RTT/loss for one pair
 - ``fleet``     - sharded multi-host execution: plan / run-shard /
   merge / status / report (see :mod:`repro.fleet.cli`)
 - ``earlystop`` - train the trial-level early-termination stop rule from
@@ -49,12 +49,14 @@ from .cliargs import (
     add_earlystop_args,
     add_network_args,
     add_policy_args,
+    add_sweep_args,
     add_workers_arg,
     config_from_args,
     earlystop_from_args,
     network_from_args,
     policy_from_args,
     print_heatmap,
+    print_sweep,
     reporting_errors,
 )
 from .config import TrialPolicyConfig
@@ -66,7 +68,7 @@ from .core.runner import (
     TrialSpec,
     build_backend,
 )
-from .core.sweep import bandwidth_sweep, buffer_sweep, render_sweep, rtt_sweep
+from .core.sweep import run_sweep
 from .core.watchdog import Prudentia
 from .fleet.cli import register as register_fleet
 from .obs import tracing
@@ -360,33 +362,22 @@ def cmd_classify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    """Fairness vs bandwidth/buffer/RTT for one pair."""
-    catalog = default_catalog()
-    spec_a = catalog.get(args.service_a)
-    spec_b = catalog.get(args.service_b)
-    config = config_from_args(args)
+    """Fairness vs one network setting for one pair: the trials ``fleet
+    plan sweep`` plans for the same arguments."""
     backend = _backend(args)
-    values = [float(v) for v in args.values.split(",")]
-    if args.kind == "bandwidth":
-        points = bandwidth_sweep(
-            spec_a, spec_b, values, config,
-            trials=args.trials, base_seed=args.seed, backend=backend,
-        )
-        name = "bandwidth Mbps"
-    elif args.kind == "buffer":
-        points = buffer_sweep(
-            spec_a, spec_b, values, network_from_args(args), config,
-            trials=args.trials, base_seed=args.seed, backend=backend,
-        )
-        name = "buffer xBDP"
-    else:
-        points = rtt_sweep(
-            spec_a, spec_b, values, network_from_args(args), config,
-            trials=args.trials, base_seed=args.seed, backend=backend,
-        )
-        name = "RTT ms"
+    points = run_sweep(
+        args.kind,
+        args.service_a,
+        args.service_b,
+        args.values,
+        config_from_args(args),
+        base_network=network_from_args(args),
+        trials=args.trials,
+        base_seed=args.seed,
+        backend=backend,
+    )
     _print_runner_stats(args, backend.stats)
-    print(render_sweep(points, args.service_a, args.service_b, name))
+    print_sweep(points, args.kind, args.service_a, args.service_b, args.json)
     return 0
 
 
@@ -493,11 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_wrap(cmd_classify))
 
     p = sub.add_parser("sweep", help="fairness vs a network parameter")
-    p.add_argument("kind", choices=["bandwidth", "buffer", "rtt"])
-    p.add_argument("service_a")
-    p.add_argument("service_b")
-    p.add_argument("--values", required=True,
-                   help="comma-separated parameter values")
+    add_sweep_args(p)
     p.add_argument("--trials", type=int, default=3)
     _add_common(p)
     _add_runner_args(p)

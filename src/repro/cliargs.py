@@ -2,9 +2,11 @@
 
 ``repro pair|cycle|sweep``, ``repro fleet plan|run-shard|cycle`` and
 ``repro obs flight record`` take the same network, protocol, backend,
-early-termination and trial-policy flags.  Each group is added by one
+early-termination and trial-policy flags, and ``repro sweep`` / ``repro
+fleet plan sweep`` the same sweep arguments.  Each group is added by one
 function here and turned into its config object by one builder, so a
-flag has one type, one default and one meaning everywhere.  (A module of
+flag has one type, one default and one meaning everywhere; a heatmap or
+sweep curve is printed by one function too.  (A module of
 its own because :mod:`repro.cli` imports the sub-CLIs at load time.)
 Where commands word a flag's help differently, the caller passes the
 wording; everything else about the flag lives here.
@@ -13,14 +15,17 @@ wording; everything else about the flag lives here.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import sys
-from typing import Optional
+from typing import List, Optional, Sequence
 
 from . import units
 from .config import ExperimentConfig, NetworkConfig, TrialPolicyConfig
 from .core.earlystop import EarlyStopConfig, EarlyStopModel
 from .core.report import FairnessReport
 from .core.runner import BACKEND_KINDS
+from .core.sweep import SWEEP_KINDS, SweepPoint, render_sweep
 
 
 def reporting_errors(label: str, *errors: type):
@@ -68,6 +73,20 @@ def network_from_args(args) -> NetworkConfig:
 def config_from_args(args) -> ExperimentConfig:
     """The paper's protocol scaled to ``--duration`` seconds."""
     return ExperimentConfig().scaled(args.duration)
+
+
+def _values(text: str) -> List[float]:
+    """``--values``' type: comma-separated floats."""
+    return [float(v) for v in text.split(",")]
+
+
+def add_sweep_args(parser: argparse.ArgumentParser) -> None:
+    """``kind service_a service_b --values``: what one sweep varies."""
+    parser.add_argument("kind", choices=list(SWEEP_KINDS))
+    parser.add_argument("service_a")
+    parser.add_argument("service_b")
+    parser.add_argument("--values", type=_values, required=True,
+                        help="comma-separated parameter values")
 
 
 def add_backend_arg(parser: argparse.ArgumentParser, text: str) -> None:
@@ -164,3 +183,18 @@ def print_heatmap(report: FairnessReport) -> None:
               f"{stats['median_losing_share'] * 100:.0f}%")
         print(f"most contentious: {report.most_contentious()}  |  "
               f"least contentious: {report.least_contentious()}")
+
+
+def print_sweep(
+    points: Sequence[SweepPoint],
+    kind: str,
+    id_a: str,
+    id_b: str,
+    as_json: bool,
+) -> None:
+    """A sweep curve as commands print it: the points as JSON, or the
+    table on the kind's axis."""
+    if as_json:
+        print(json.dumps([dataclasses.asdict(p) for p in points], indent=1))
+        return
+    print(render_sweep(points, id_a, id_b, SWEEP_KINDS[kind].label))

@@ -28,11 +28,8 @@ from .experiment import (
 )
 from .sweep import (
     SweepPoint,
-    bandwidth_sweep,
-    background_loss_sweep,
-    buffer_sweep,
     render_sweep,
-    rtt_sweep,
+    run_sweep,
 )
 from .cache import TrialCache, trial_cache_key
 from .runner import (
@@ -80,11 +77,8 @@ __all__ = [
     "run_pair_experiment",
     "run_solo_experiment",
     "SweepPoint",
-    "bandwidth_sweep",
-    "background_loss_sweep",
-    "buffer_sweep",
     "render_sweep",
-    "rtt_sweep",
+    "run_sweep",
     "TrialSpec",
     "TrialCache",
     "trial_cache_key",

@@ -3,18 +3,21 @@
 Section 6 (Observations 11 and 12) and the Section 9 future-work list all
 point the same way: fairness outcomes depend on bottleneck bandwidth,
 buffer depth, RTT, and background loss, so a watchdog must be able to
-sweep them.  This module provides those sweeps as first-class operations
-producing (parameter -> shares) curves.
+sweep them.  A sweep is one description - a :data:`SWEEP_KINDS` kind, a
+pair, the swept values, a protocol, a base network, trials and a base
+seed - with one enumeration (:func:`pair_sweep_trials`), one reduction
+(:func:`sweep_points`) and one local runner (:func:`run_sweep`).  The
+fleet planner enumerates and reduces through the same two functions, so
+a sharded sweep and a local one publish the same curve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .. import units
 from ..config import ExperimentConfig, NetworkConfig
-from ..services.catalog import ServiceCatalog, ServiceSpec
 from .experiment import ExperimentResult
 from .runner import ExecutionBackend, TrialSpec, build_backend
 from .stats import median
@@ -32,33 +35,31 @@ class SweepPoint:
     utilization: float
 
 
-def aggregate_pair_results(
-    results: Sequence[ExperimentResult], id_a: str, id_b: str
-) -> Tuple[float, float, float, float, float]:
-    """Reduce one sweep point's trials to its plotted medians.
+class SweepKind(NamedTuple):
+    """How one swept value sets the network, and the axis it is plotted on."""
 
-    Returns ``(share_a, share_b, utilization, loss_rate, queueing_delay)``
-    medians over ``results``.  Shared by the in-process sweeps and the
-    fleet assembler so a reassembled curve matches a local one exactly.
-    """
+    network: Callable[[NetworkConfig, float], NetworkConfig]
+    label: str
 
-    def series(target: str, field: str) -> List[float]:
-        values = []
-        for result in results:
-            mapping = getattr(result, field)
-            for sid, value in mapping.items():
-                if sid.split("#")[0] == target:
-                    values.append(value)
-                    break
-        return values
 
-    return (
-        median(series(id_a, "mmf_share")),
-        median(series(id_b, "mmf_share")),
-        median(series(id_a, "throughput_bps")),
-        median(series(id_b, "throughput_bps")),
-        median([r.utilization for r in results]),
-    )
+#: Every sweep kind by name: the CLI choices, the planner's expansion and
+#: the rendered axis label all read this one table.
+SWEEP_KINDS: Dict[str, SweepKind] = {
+    "bandwidth": SweepKind(
+        lambda base, v: base.with_bandwidth(units.mbps(v)), "bandwidth Mbps"
+    ),
+    "buffer": SweepKind(
+        lambda base, v: base.with_buffer_multiple(v), "buffer xBDP"
+    ),
+    "rtt": SweepKind(
+        lambda base, v: replace(base, base_rtt_usec=units.msec(v)), "RTT ms"
+    ),
+    # Upstream loss would normally get a trial discarded by the hygiene
+    # rule; this sweep is the controlled study Section 9 proposes instead.
+    "loss": SweepKind(
+        lambda base, v: replace(base, external_loss_rate=v), "loss rate"
+    ),
+}
 
 
 def expand_sweep_networks(
@@ -68,27 +69,20 @@ def expand_sweep_networks(
 ) -> List[Tuple[float, NetworkConfig]]:
     """Expand one swept parameter into ``(value, NetworkConfig)`` points.
 
-    The single source of sweep-point truth: the in-process sweep runners
-    and the fleet planner both expand through here, so a sharded sweep
+    The single source of sweep-point truth: :func:`run_sweep` and the
+    fleet planner both expand through here, so a sharded sweep
     enumerates exactly the networks (and therefore cache keys) a local
-    sweep would execute.  ``kind`` is one of ``bandwidth`` (Mbps),
-    ``buffer`` (xBDP), ``rtt`` (ms), or ``loss`` (fraction).
+    sweep would execute.  ``kind`` is a :data:`SWEEP_KINDS` key:
+    ``bandwidth`` (Mbps), ``buffer`` (xBDP), ``rtt`` (ms), or ``loss``
+    (fraction).
     """
+    if kind not in SWEEP_KINDS:
+        raise ValueError(
+            f"unknown sweep kind {kind!r}; choices: {', '.join(SWEEP_KINDS)}"
+        )
     base = base_network or NetworkConfig(bandwidth_bps=units.mbps(8))
-    if kind == "bandwidth":
-        return [(v, base.with_bandwidth(units.mbps(v))) for v in values]
-    if kind == "buffer":
-        return [(v, base.with_buffer_multiple(v)) for v in values]
-    if kind == "rtt":
-        return [
-            (v, replace(base, base_rtt_usec=units.msec(v))) for v in values
-        ]
-    if kind == "loss":
-        return [(v, replace(base, external_loss_rate=v)) for v in values]
-    raise ValueError(
-        f"unknown sweep kind {kind!r}; "
-        "choices: bandwidth, buffer, rtt, loss"
-    )
+    network = SWEEP_KINDS[kind].network
+    return [(v, network(base, v)) for v in values]
 
 
 def pair_sweep_trials(
@@ -102,8 +96,9 @@ def pair_sweep_trials(
     """The full trial list for a pair sweep, in execution order.
 
     ``trials`` seeded repetitions per sweep point, point-major - the
-    exact submission order :func:`_run_points` uses, so planners that
-    enumerate through here stay index-aligned with sweep aggregation.
+    order :func:`sweep_points` slices results in, so :func:`run_sweep`
+    and the fleet planner, which both enumerate through here, reduce
+    index-aligned.
     """
     return [
         TrialSpec.pair(
@@ -118,129 +113,71 @@ def pair_sweep_trials(
     ]
 
 
-def _pair_backend(
-    spec_a: ServiceSpec,
-    spec_b: ServiceSpec,
-    backend: Optional[ExecutionBackend],
-) -> ExecutionBackend:
-    """The backend a sweep runs through.
-
-    When none is supplied, an inline backend over an ephemeral two-entry
-    catalog is built, so sweeps work with arbitrary (even unregistered)
-    service specs while still flowing through the unified runner.
-    """
-    if backend is not None:
-        return backend
-    catalog = ServiceCatalog()
-    catalog.register(spec_a)
-    if spec_b.service_id != spec_a.service_id:
-        catalog.register(spec_b)
-    return build_backend(catalog=catalog)
-
-
-def _run_points(
-    spec_a: ServiceSpec,
-    spec_b: ServiceSpec,
-    networks: Sequence[Tuple[float, NetworkConfig]],
-    config: ExperimentConfig,
+def sweep_points(
+    values: Sequence[float],
     trials: int,
-    base_seed: int,
-    backend: Optional[ExecutionBackend] = None,
+    results: Sequence[ExperimentResult],
+    id_a: str,
+    id_b: str,
 ) -> List[SweepPoint]:
-    runner = _pair_backend(spec_a, spec_b, backend)
-    all_results = runner.run(
-        pair_sweep_trials(
-            spec_a.service_id,
-            spec_b.service_id,
-            networks,
-            config,
-            trials,
-            base_seed,
-        )
-    )
+    """Reduce a sweep's results, in :func:`pair_sweep_trials` order, to
+    one :class:`SweepPoint` of medians per value.
+
+    Side a is each result's contender, side b its incumbent - for a
+    self-pair the ``#2`` instance.  A result that is not a trial of
+    ``id_a`` vs ``id_b`` is a ``ValueError``, not a mislabelled curve.
+    """
     points = []
-    for index, (parameter, _network) in enumerate(networks):
-        results = all_results[index * trials:(index + 1) * trials]
-        share_a, share_b, thr_a, thr_b, util = aggregate_pair_results(
-            results, spec_a.service_id, spec_b.service_id
-        )
+    for index, value in enumerate(values):
+        window = results[index * trials:(index + 1) * trials]
+        for result in window:
+            pair = (result.contender_id, result.incumbent_id.split("#")[0])
+            if pair != (id_a, id_b):
+                raise ValueError(
+                    f"a {' vs '.join(pair)} trial in a sweep of "
+                    f"{id_a} vs {id_b}"
+                )
         points.append(
-            SweepPoint(parameter, share_a, share_b, thr_a, thr_b, util)
+            SweepPoint(
+                value,
+                median([r.mmf_share[r.contender_id] for r in window]),
+                median([r.mmf_share[r.incumbent_id] for r in window]),
+                median([r.throughput_bps[r.contender_id] for r in window]),
+                median([r.throughput_bps[r.incumbent_id] for r in window]),
+                median([r.utilization for r in window]),
+            )
         )
     return points
 
 
-def bandwidth_sweep(
-    spec_a: ServiceSpec,
-    spec_b: ServiceSpec,
-    bandwidths_mbps: Sequence[float],
+def run_sweep(
+    kind: str,
+    id_a: str,
+    id_b: str,
+    values: Sequence[float],
     config: ExperimentConfig,
     base_network: Optional[NetworkConfig] = None,
     trials: int = 3,
     base_seed: int = 1,
     backend: Optional[ExecutionBackend] = None,
 ) -> List[SweepPoint]:
-    """Fairness vs bottleneck bandwidth (Fig 7 / Observation 12)."""
-    networks = expand_sweep_networks("bandwidth", bandwidths_mbps, base_network)
-    return _run_points(
-        spec_a, spec_b, networks, config, trials, base_seed, backend
-    )
+    """Fairness of ``id_a`` vs ``id_b`` as one network setting moves.
 
-
-def buffer_sweep(
-    spec_a: ServiceSpec,
-    spec_b: ServiceSpec,
-    bdp_multiples: Sequence[float],
-    network: NetworkConfig,
-    config: ExperimentConfig,
-    trials: int = 3,
-    base_seed: int = 1,
-    backend: Optional[ExecutionBackend] = None,
-) -> List[SweepPoint]:
-    """Fairness vs buffer depth (Observation 11)."""
-    networks = expand_sweep_networks("buffer", bdp_multiples, network)
-    return _run_points(
-        spec_a, spec_b, networks, config, trials, base_seed, backend
-    )
-
-
-def rtt_sweep(
-    spec_a: ServiceSpec,
-    spec_b: ServiceSpec,
-    rtts_ms: Sequence[float],
-    network: NetworkConfig,
-    config: ExperimentConfig,
-    trials: int = 3,
-    base_seed: int = 1,
-    backend: Optional[ExecutionBackend] = None,
-) -> List[SweepPoint]:
-    """Fairness vs normalised RTT (Section 9: network settings)."""
-    networks = expand_sweep_networks("rtt", rtts_ms, network)
-    return _run_points(
-        spec_a, spec_b, networks, config, trials, base_seed, backend
-    )
-
-
-def background_loss_sweep(
-    spec_a: ServiceSpec,
-    spec_b: ServiceSpec,
-    loss_rates: Sequence[float],
-    network: NetworkConfig,
-    config: ExperimentConfig,
-    trials: int = 3,
-    base_seed: int = 1,
-    backend: Optional[ExecutionBackend] = None,
-) -> List[SweepPoint]:
-    """Fairness vs random upstream loss (Section 9: background loss).
-
-    Note: trials with upstream loss would normally be *discarded* by the
-    watchdog's hygiene rule; this sweep is exactly the controlled study
-    the paper proposes instead.
+    Runs the sweep's trials through ``backend`` (default:
+    :func:`build_backend`, over the default catalog) and reduces them
+    with :func:`sweep_points`.  A service outside the default catalog
+    runs through a backend built over a catalog that registers it.
     """
-    networks = expand_sweep_networks("loss", loss_rates, network)
-    return _run_points(
-        spec_a, spec_b, networks, config, trials, base_seed, backend
+    specs = pair_sweep_trials(
+        id_a,
+        id_b,
+        expand_sweep_networks(kind, values, base_network),
+        config,
+        trials,
+        base_seed,
     )
+    results = (backend or build_backend()).run(specs)
+    return sweep_points(values, trials, results, id_a, id_b)
 
 
 def render_sweep(

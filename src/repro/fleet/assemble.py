@@ -20,7 +20,7 @@ from ..core.cache import CacheEntryError, TrialCache, trial_cache_key
 from ..core.report import FairnessReport
 from ..core.results import ResultStore
 from ..core.runner import CacheMissError, RunnerStats, replay
-from ..core.sweep import SweepPoint, aggregate_pair_results
+from ..core.sweep import SweepPoint, sweep_points
 from ..obs import tracing
 from .plan import FleetError, FleetPlan, _dataclass_from_json
 from ..config import NetworkConfig
@@ -106,22 +106,21 @@ def assemble_reports(
 def assemble_sweep(plan: FleetPlan, cache: TrialCache) -> List[SweepPoint]:
     """Rebuild a sweep's (parameter -> shares) curve from the cache.
 
-    Aggregates per sweep point exactly like the in-process sweep
-    runners: plan order is point-major with ``trials`` repetitions per
-    point, so results slice positionally.
+    Reduces with :func:`~repro.core.sweep.sweep_points`, as
+    :func:`~repro.core.sweep.run_sweep` does: plan order is the sweep's
+    own enumeration, so the curve is the local one.
     """
     if plan.kind != "sweep":
         raise FleetError(f"plan kind {plan.kind!r} is not a sweep")
     _store, _stats, results = assemble_store(plan, cache)
-    values = plan.params["values"]
-    trials = plan.params["trials"]
-    id_a = plan.params["service_id_a"]
-    id_b = plan.params["service_id_b"]
-    points = []
-    for index, value in enumerate(values):
-        window = results[index * trials:(index + 1) * trials]
-        share_a, share_b, thr_a, thr_b, util = aggregate_pair_results(window, id_a, id_b)
-        points.append(
-            SweepPoint(value, share_a, share_b, thr_a, thr_b, util)
+    params = plan.params
+    try:
+        return sweep_points(
+            params["values"],
+            params["trials"],
+            results,
+            params["service_id_a"],
+            params["service_id_b"],
         )
-    return points
+    except ValueError as exc:  # params and trials disagree: an edited plan
+        raise FleetError(f"plan params do not match its trials: {exc}") from exc

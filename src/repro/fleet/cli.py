@@ -37,18 +37,19 @@ from ..cliargs import (
     add_earlystop_args,
     add_network_args,
     add_policy_args,
+    add_sweep_args,
     add_workers_arg,
     config_from_args,
     earlystop_from_args,
     network_from_args,
     policy_from_args,
     print_heatmap,
+    print_sweep,
     reporting_errors,
 )
 from ..core.cache import CacheEntryError, TrialCache
 from ..core.earlystop import EarlyStopModelError
 from ..core.runner import RunnerStats
-from ..core.sweep import render_sweep
 from ..services.catalog import default_catalog
 from ..obs.log import get_logger
 from .adaptive import (
@@ -93,12 +94,11 @@ def cmd_fleet_plan(args) -> int:
             earlystop=_earlystop(args),
         )
     else:
-        values = [float(v) for v in args.values.split(",")]
         plan = plan_sweep(
             args.kind,
             args.service_a,
             args.service_b,
-            values,
+            args.values,
             config_from_args(args),
             num_shards=args.shards,
             base_network=network_from_args(args),
@@ -295,21 +295,12 @@ def cmd_fleet_report(args) -> int:
     plan = load_plan(args.plan)
     cache = TrialCache(Path(args.cache_dir))
     if plan.kind == "sweep":
-        points = assemble_sweep(plan, cache)
-        labels = {
-            "bandwidth": "bandwidth Mbps",
-            "buffer": "buffer xBDP",
-            "rtt": "RTT ms",
-            "loss": "loss rate",
-        }
-        kind = plan.params["sweep_kind"]
-        print(
-            render_sweep(
-                points,
-                plan.params["service_id_a"],
-                plan.params["service_id_b"],
-                labels.get(kind, kind),
-            )
+        print_sweep(
+            assemble_sweep(plan, cache),
+            plan.params["sweep_kind"],
+            plan.params["service_id_a"],
+            plan.params["service_id_b"],
+            args.json,
         )
         return 0
     reports = assemble_reports(plan, cache)
@@ -362,11 +353,7 @@ def register(sub: argparse._SubParsersAction) -> None:
     p.set_defaults(func=_wrap(cmd_fleet_plan))
 
     p = plan_sub.add_parser("sweep", help="pair parameter sweep")
-    p.add_argument("kind", choices=["bandwidth", "buffer", "rtt", "loss"])
-    p.add_argument("service_a")
-    p.add_argument("service_b")
-    p.add_argument("--values", required=True,
-                   help="comma-separated parameter values")
+    add_sweep_args(p)
     add_plan_common(p)
     p.set_defaults(func=_wrap(cmd_fleet_plan))
 

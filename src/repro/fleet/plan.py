@@ -525,9 +525,10 @@ def plan_sweep(
     """Plan a pair parameter sweep as a shardable trial matrix.
 
     Sweep points expand through
-    :func:`~repro.core.sweep.expand_sweep_networks`, the same expansion
-    the in-process sweep runners use, so a merged fleet sweep aggregates
-    to exactly the local ``bandwidth_sweep``/``buffer_sweep``/... curves.
+    :func:`~repro.core.sweep.expand_sweep_networks` and
+    :func:`~repro.core.sweep.pair_sweep_trials`, the enumeration
+    :func:`~repro.core.sweep.run_sweep` runs, so a merged fleet sweep
+    reduces to exactly the local curve for the same arguments.
     """
     base = base_network or NetworkConfig(bandwidth_bps=units.mbps(8))
     networks = expand_sweep_networks(sweep_kind, values, base)

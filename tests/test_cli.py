@@ -169,3 +169,26 @@ class TestSweep:
         assert code == 0
         out = capsys.readouterr().out
         assert "4.00" in out and "8.00" in out
+
+    SWEEP = ["bandwidth", "iperf_cubic", "iperf_reno", "--values", "4,8",
+             "--buffer-bdp", "8", "--trials", "1", "--duration", "5"]
+
+    def test_runs_the_trials_fleet_plan_sweep_plans(self, tmp_path):
+        """Every flag the planner honours, ``--buffer-bdp`` included."""
+        from repro.fleet import load_plan
+
+        cache = tmp_path / "cache"
+        assert main(["sweep", *self.SWEEP, "--cache-dir", str(cache)]) == 0
+        assert main(["fleet", "plan", "sweep", *self.SWEEP, "--shards", "1",
+                     "--out-dir", str(tmp_path / "plan")]) == 0
+        plan = load_plan(tmp_path / "plan" / "plan.json")
+        assert sorted(p.stem for p in cache.glob("*.json")) == sorted(
+            plan.expected_keys()
+        )
+
+    def test_json_is_the_points(self, capsys):
+        from repro.core.sweep import SweepPoint
+
+        assert main(["sweep", *self.SWEEP, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [SweepPoint(**p).parameter for p in payload] == [4.0, 8.0]

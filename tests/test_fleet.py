@@ -377,37 +377,89 @@ class TestShardExecutionMergeAssembly:
 
 class TestSweepPlans:
     def test_sharded_sweep_matches_local_sweep(self, tmp_path):
-        from repro.core.sweep import bandwidth_sweep
+        from repro.core.sweep import run_sweep
 
-        plan = plan_sweep(
-            "bandwidth",
-            "iperf_cubic",
-            "iperf_bbr",
-            [4.0, 8.0],
-            FAST,
-            num_shards=2,
-            trials=1,
-            base_seed=3,
-        )
-        plan.write(tmp_path / "plan")
-        dirs = []
+        for id_a, id_b in (("iperf_cubic", "iperf_bbr"),
+                           ("iperf_reno", "iperf_reno")):
+            root = tmp_path / f"{id_a}-{id_b}"
+            plan = plan_sweep(
+                "bandwidth",
+                id_a,
+                id_b,
+                [4.0, 8.0],
+                FAST,
+                num_shards=2,
+                trials=1,
+                base_seed=3,
+            )
+            plan.write(root / "plan")
+            dirs = []
+            for shard in range(2):
+                cache_dir = root / f"s{shard}"
+                run_shard(root / "plan" / f"shard-{shard}.json", cache_dir)
+                dirs.append(cache_dir)
+            merged = root / "merged"
+            merge_shards(plan, dirs, merged)
+            points = assemble_sweep(plan, TrialCache(merged))
+
+            local = run_sweep(
+                "bandwidth", id_a, id_b, [4.0, 8.0], FAST, trials=1,
+                base_seed=3,
+            )
+            assert points == local
+            # Two instances of one service do not split the link evenly
+            # to the bit: a curve with equal sides read one instance twice.
+            assert all(p.share_a != p.share_b for p in points)
+
+    def test_report_json_is_the_local_sweep_json(self, tmp_path, capsys):
+        """``fleet report --json`` on a sweep plan prints what ``repro
+        sweep --json`` prints for the same arguments (also the trials:
+        both honour ``--buffer-bdp``)."""
+        from repro.cli import main
+
+        sweep = ["bandwidth", "iperf_cubic", "iperf_reno", "--values", "4,8",
+                 "--buffer-bdp", "8", "--trials", "1", "--duration", "5"]
+        plan_dir = tmp_path / "plan"
+        assert main(["fleet", "plan", "sweep", *sweep, "--shards", "2",
+                     "--out-dir", str(plan_dir)]) == 0
         for shard in range(2):
-            cache_dir = tmp_path / f"s{shard}"
-            run_shard(tmp_path / "plan" / f"shard-{shard}.json", cache_dir)
-            dirs.append(cache_dir)
-        merged = tmp_path / "merged"
-        merge_shards(plan, dirs, merged)
-        points = assemble_sweep(plan, TrialCache(merged))
+            assert main(["fleet", "run-shard",
+                         str(plan_dir / f"shard-{shard}.json"),
+                         "--cache-dir", str(tmp_path / f"c{shard}")]) == 0
+        assert main(["fleet", "merge", "--plan", str(plan_dir / "plan.json"),
+                     "--into", str(tmp_path / "merged"),
+                     str(tmp_path / "c0"), str(tmp_path / "c1")]) == 0
+        capsys.readouterr()
+        assert main(["fleet", "report", "--plan", str(plan_dir / "plan.json"),
+                     "--cache-dir", str(tmp_path / "merged"), "--json"]) == 0
+        fleet = capsys.readouterr().out
+        assert main(["sweep", *sweep, "--json",
+                     "--cache-dir", str(tmp_path / "merged")]) == 0
+        assert capsys.readouterr().out == fleet
+        assert [p["parameter"] for p in json.loads(fleet)] == [4.0, 8.0]
 
-        local = bandwidth_sweep(
-            CATALOG.get("iperf_cubic"),
-            CATALOG.get("iperf_bbr"),
-            [4.0, 8.0],
-            FAST,
-            trials=1,
-            base_seed=3,
+    def test_plan_params_naming_another_pair_is_a_fleet_error(
+        self, tmp_path, capsys
+    ):
+        """Params are outside the plan id: an edited pair is refused, not
+        printed over the trials of another."""
+        from repro.cli import main
+
+        plan = plan_sweep("rtt", "iperf_cubic", "iperf_bbr", [20.0], FAST,
+                          num_shards=1, trials=1)
+        plan.write(tmp_path / "plan")
+        run_shard(tmp_path / "plan" / "shard-0.json", tmp_path / "c")
+        path = tmp_path / "plan" / "plan.json"
+        payload = json.loads(path.read_text())
+        payload["params"]["service_id_b"] = "iperf_reno"
+        path.write_text(json.dumps(payload))
+        assert main(["fleet", "report", "--plan", str(path),
+                     "--cache-dir", str(tmp_path / "c")]) == 1
+        assert capsys.readouterr().err == (
+            "fleet error: plan params do not match its trials: a "
+            "iperf_cubic vs iperf_bbr trial in a sweep of iperf_cubic vs "
+            "iperf_reno\n"
         )
-        assert points == local
 
 
 class TestCacheEviction:

@@ -4,15 +4,8 @@ import pytest
 
 from repro import units
 from repro.config import ExperimentConfig, NetworkConfig, highly_constrained
-from repro.core.experiment import run_multi_experiment
-from repro.core.sweep import (
-    SweepPoint,
-    background_loss_sweep,
-    bandwidth_sweep,
-    buffer_sweep,
-    render_sweep,
-    rtt_sweep,
-)
+from repro.core.experiment import ExperimentResult, run_multi_experiment
+from repro.core.sweep import SweepPoint, render_sweep, run_sweep, sweep_points
 from repro.services.catalog import default_catalog
 
 CATALOG = default_catalog()
@@ -88,12 +81,8 @@ class TestMultiExperiment:
 
 class TestSweeps:
     def test_bandwidth_sweep_points(self):
-        points = bandwidth_sweep(
-            CATALOG.get("iperf_cubic"),
-            CATALOG.get("iperf_reno"),
-            [4, 8],
-            FAST,
-            trials=2,
+        points = run_sweep(
+            "bandwidth", "iperf_cubic", "iperf_reno", [4, 8], FAST, trials=2
         )
         assert [p.parameter for p in points] == [4, 8]
         for point in points:
@@ -101,40 +90,60 @@ class TestSweeps:
             assert point.share_a > 0 and point.share_b > 0
 
     def test_buffer_sweep_changes_outcomes(self):
-        points = buffer_sweep(
-            CATALOG.get("iperf_cubic"),
-            CATALOG.get("iperf_reno"),
+        points = run_sweep(
+            "buffer",
+            "iperf_cubic",
+            "iperf_reno",
             [1.0, 16.0],
-            highly_constrained(),
             ExperimentConfig().scaled(40),
+            base_network=highly_constrained(),
             trials=2,
         )
         shares = {p.parameter: p.share_b for p in points}
         assert shares[1.0] != shares[16.0]
 
     def test_rtt_sweep_runs(self):
-        points = rtt_sweep(
-            CATALOG.get("iperf_bbr"),
-            CATALOG.get("iperf_cubic"),
+        points = run_sweep(
+            "rtt",
+            "iperf_bbr",
+            "iperf_cubic",
             [20, 50],
-            highly_constrained(),
             FAST,
+            base_network=highly_constrained(),
             trials=1,
         )
         assert len(points) == 2
 
     def test_background_loss_hurts_loss_based(self):
         """Section 9's prediction: random loss suppresses Reno."""
-        points = background_loss_sweep(
-            CATALOG.get("iperf_reno"),
-            CATALOG.get("iperf_bbr"),
+        points = run_sweep(
+            "loss",
+            "iperf_reno",
+            "iperf_bbr",
             [0.0, 0.02],
-            highly_constrained(),
             ExperimentConfig().scaled(40),
+            base_network=highly_constrained(),
             trials=2,
         )
         reno = {p.parameter: p.share_a for p in points}
         assert reno[0.02] < reno[0.0]
+
+    def test_self_pair_point_reads_both_instances(self):
+        """Side b of a self-pair is the ``#2`` instance, not side a again."""
+        result = ExperimentResult(
+            contender_id="iperf_reno",
+            incumbent_id="iperf_reno#2",
+            bandwidth_bps=units.mbps(8),
+            buffer_packets=128,
+            seed=1,
+            duration_usec=1,
+            throughput_bps={"iperf_reno": 6e6, "iperf_reno#2": 2e6},
+            mmf_share={"iperf_reno": 1.5, "iperf_reno#2": 0.5},
+            utilization=0.99,
+        )
+        assert sweep_points(
+            [8.0], 1, [result], "iperf_reno", "iperf_reno"
+        ) == [SweepPoint(8.0, 1.5, 0.5, 6e6, 2e6, 0.99)]
 
     def test_render_sweep_text(self):
         points = [SweepPoint(8.0, 0.5, 1.5, 2e6, 6e6, 0.99)]
