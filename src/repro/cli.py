@@ -55,6 +55,7 @@ from .cliargs import (
     earlystop_from_args,
     network_from_args,
     policy_from_args,
+    positive_int,
     print_heatmap,
     print_sweep,
     reporting_errors,
@@ -427,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cycle", help="run an all-pairs watchdog cycle")
     p.add_argument("--services", nargs="*", default=None)
     p.add_argument(
-        "--trials", type=int, default=3,
+        "--trials", type=positive_int, default=3,
         help="fixed trials per pair (ignored with --adaptive; default: 3)",
     )
     p.add_argument(
@@ -485,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="fairness vs a network parameter")
     add_sweep_args(p)
-    p.add_argument("--trials", type=int, default=3)
+    p.add_argument("--trials", type=positive_int, default=3)
     _add_common(p)
     _add_runner_args(p)
     p.set_defaults(func=_wrap(cmd_sweep))

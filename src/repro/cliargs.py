@@ -96,8 +96,9 @@ def add_backend_arg(parser: argparse.ArgumentParser, text: str) -> None:
     )
 
 
-def _pool_size(text: str) -> int:
-    """``--workers``' type: an integer >= 1 (else a usage error, exit 2)."""
+def positive_int(text: str) -> int:
+    """The type of every count flag (``--workers``, ``--trials``,
+    ``--shards``, ...): an integer >= 1, else a usage error (exit 2)."""
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1: {text!r}")
     return int(text)
@@ -105,7 +106,7 @@ def _pool_size(text: str) -> int:
 
 def add_workers_arg(parser: argparse.ArgumentParser, text: str) -> None:
     """``--workers``: the process-pool size."""
-    parser.add_argument("--workers", type=_pool_size, default=None, help=text)
+    parser.add_argument("--workers", type=positive_int, default=None, help=text)
 
 
 def add_earlystop_args(parser: argparse.ArgumentParser) -> None:

@@ -10,10 +10,10 @@ benchmarks, and watchdog cycles skip already-simulated trials entirely.
 
 Keys are stable SHA-256 digests over a canonical JSON encoding of the
 trial inputs plus a schema version, so a cache survives process restarts
-(when given a directory) and is automatically invalidated when the result
-schema changes.  Values are ``ExperimentResult.to_json()`` payloads - the
-same serialisation :class:`~repro.core.results.ResultStore` persists, so
-cached trials round-trip through the store unchanged.
+and is automatically invalidated when the result schema changes.  Values
+are ``ExperimentResult.to_json()`` payloads - the same serialisation
+:class:`~repro.core.results.ResultStore` persists, so cached trials
+round-trip through the store unchanged.
 
 A trial record has one encoding, :func:`canonical_json` (sorted keys, no
 whitespace, one ASCII line), and it is produced once:
@@ -25,13 +25,11 @@ the indented entries of caches written before this format, a foreign
 writer's - and only its layout differs, which ``fleet merge`` treats as
 a duplicate, not as divergence.
 
-Directory caches are also the unit of *transport* for fleet operation
-(:mod:`repro.fleet`): shard workers write disjoint cache directories that
-the merger unions back together, so only ``<64-hex-digest>.json`` files
-are treated as entries - anything else in the directory (receipts,
-notes) is ignored.  An optional byte-size cap turns the directory into an
-LRU: reads touch the entry's mtime and :meth:`evict` drops the
-least-recently-used entries until the cache fits.
+A cache is one directory, and directories are also the unit of
+*transport* for fleet operation (:mod:`repro.fleet`): shard workers write
+disjoint cache directories that the merger unions back together, so only
+``<64-hex-digest>.json`` files are treated as entries - anything else in
+the directory (receipts, notes) is ignored.
 
 Every lookup is one batch :meth:`TrialCache.read` (``get`` reads one),
 and a hit costs what it must: the key is derived once per spec object
@@ -47,9 +45,11 @@ temporary sibling renamed over the destination
 (:func:`repro.atomicio.atomic_write`), so a file's bytes never change
 under its inode.  Concurrent writers of one key converge on one intact
 payload, a crash leaves no torn entry, and ``fleet merge`` may hard-link
-entries between directories instead of copying them.  The one thing
-links do share is the inode's mtime, so a hit in a merged cache also
-refreshes the LRU recency of the shard directory it was linked from.
+entries between directories instead of copying them.  Nothing writes
+to an entry once it has landed, a read included: a hit touches neither
+the file nor its metadata, so it needs only read permission and a hit
+in a merged cache leaves the shard directory it was linked from as it
+was.
 """
 
 from __future__ import annotations
@@ -342,40 +342,31 @@ class CachedTrial(NamedTuple):
 
 
 class TrialCache:
-    """Content-addressed store of simulated trial results.
+    """Content-addressed store of simulated trial results: one directory
+    of immutable entries.
 
-    With a ``cache_dir`` every entry is one ``<digest>.json`` file, so
-    caches are shareable between processes and survive restarts; without
-    one the cache is a per-process dictionary (useful for tests and for
-    deduplicating within a single sweep).  An in-memory index is kept in
-    front of the directory either way, so repeated hits never re-read
-    files (``test_repeated_hits_never_reread_files`` in
-    ``tests/test_control_plane_budget.py``).
-
-    ``max_bytes`` caps the on-disk footprint: every :meth:`put` evicts
-    least-recently-used entries (mtime order; every hit touches the
-    entry file) until the directory fits.  The cap applies only to
-    directory caches - a memory-only cache ignores it.  The index holds
-    payloads, never the bytes :meth:`read` hands over with them.
+    Every entry is one ``<digest>.json`` file in ``cache_dir``, so
+    caches are shareable between processes and survive restarts.  An
+    in-memory index of the payloads this instance read or wrote sits in
+    front of the directory, so repeated hits never re-read files
+    (``test_repeated_hits_never_reread_files`` in
+    ``tests/test_control_plane_budget.py``); it holds payloads, never
+    the bytes :meth:`read` hands over with them.  Reading never writes:
+    a hit needs only read permission on the entry and leaves its
+    metadata as it was (``test_a_read_never_writes`` in
+    ``tests/test_runner_and_cache.py``).
     """
 
-    def __init__(
-        self,
-        cache_dir: Optional[Path] = None,
-        max_bytes: Optional[int] = None,
-    ) -> None:
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        if self.cache_dir is not None:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-            #: ``<cache_dir>/``: an entry's path is one concatenation.
-            self._prefix = os.path.join(self.cache_dir, "")
-        self.max_bytes = max_bytes
+    def __init__(self, cache_dir: "str | os.PathLike[str]") -> None:
+        self.cache_dir = Path(cache_dir)
+        self.cache_dir.mkdir(parents=True, exist_ok=True)
+        #: ``<cache_dir>/``: an entry's path is one concatenation.
+        self._prefix = os.path.join(self.cache_dir, "")
         self._memory: Dict[str, Dict] = {}
         self._sidecar_memory: Dict["tuple[str, str]", Dict] = {}
         self.hits = 0
         self.misses = 0
         self.stores = 0
-        self.evictions = 0
 
     # ------------------------------------------------------------------
     # Lookup / insert
@@ -399,16 +390,15 @@ class TrialCache:
         :class:`CacheEntryError` leaves them counting the specs before it.
         """
         memory = self._memory
-        prefix = self._prefix if self.cache_dir is not None else None
+        prefix = self._prefix
         records: List[Optional[CachedTrial]] = []
         parsed = 0
         try:
             for spec in specs:
                 key = trial_cache_key(spec, env)
-                path = None if prefix is None else prefix + key + ".json"
                 payload, raw = memory.get(key), None
-                if payload is None and path is not None:
-                    entry = _read_entry(path)
+                if payload is None:
+                    entry = _read_entry(prefix + key + ".json")
                     if entry is not None:
                         payload, raw = entry
                         memory[key] = payload
@@ -419,11 +409,6 @@ class TrialCache:
                 ):
                     records.append(None)
                     continue
-                if path is not None:
-                    try:
-                        os.utime(path)  # touch: LRU recency for evict()
-                    except FileNotFoundError:  # memory hit, evicted since
-                        pass
                 result = ExperimentResult.from_json(payload)
                 records.append(CachedTrial(key, payload, raw, result))
         finally:
@@ -465,9 +450,9 @@ class TrialCache:
         """
         key = trial_cache_key(spec, env)
         payload = result.to_json()
+        path = self._path(key)
         existing = self._memory.get(key)
-        path = self._path(key) if self.cache_dir is not None else None
-        if existing is None and path is not None:
+        if existing is None:
             existing = _read_json(path)
         if existing is not None and _completeness(payload) < _completeness(
             existing
@@ -475,14 +460,11 @@ class TrialCache:
             return
         self._memory[key] = payload
         self.stores += 1
+        encoded = canonical_json(payload)
+        atomic_write(path, encoded)
         registry = get_registry()
         registry.counter("cache.stores").inc()
-        if path is not None:
-            encoded = canonical_json(payload)
-            atomic_write(path, encoded)
-            registry.counter("cache.bytes_written").inc(len(encoded))
-            if self.max_bytes is not None:
-                self.evict()
+        registry.counter("cache.bytes_written").inc(len(encoded))
 
     # ------------------------------------------------------------------
     # Sidecars: auxiliary artifacts content-addressed to an entry
@@ -490,27 +472,23 @@ class TrialCache:
     #
     # A sidecar lives at ``<key>.<name>.json``; its stem is longer than
     # 64 hex chars, so ``is_cache_key`` rejects it and every entry scan
-    # (``scan_cache_dir``'s key list) ignores it by construction.  Flight recordings (repro.obs.flight) are the first
-    # sidecar kind; payloads carry their own schema version.
+    # (``scan_cache_dir``'s key list) ignores it by construction.  Flight
+    # recordings (repro.obs.flight) are the first sidecar kind; payloads
+    # carry their own schema version.
 
     def put_sidecar(self, key: str, name: str, payload: Dict) -> None:
         """Attach an auxiliary JSON artifact to a cache entry's key."""
         if not is_cache_key(key):
             raise ValueError(f"not a cache key: {key!r}")
         self._sidecar_memory[(key, name)] = payload
-        if self.cache_dir is not None:
-            encoded = json.dumps(payload, indent=1, sort_keys=True)
-            atomic_write(self._sidecar_path(key, name), encoded)
-            get_registry().counter("cache.sidecar_bytes_written").inc(
-                len(encoded)
-            )
-            if self.max_bytes is not None:
-                self.evict()
+        encoded = json.dumps(payload, indent=1, sort_keys=True)
+        atomic_write(self._sidecar_path(key, name), encoded)
+        get_registry().counter("cache.sidecar_bytes_written").inc(len(encoded))
 
     def get_sidecar(self, key: str, name: str) -> Optional[Dict]:
         """The sidecar payload for ``key``, or ``None`` if absent."""
         payload = self._sidecar_memory.get((key, name))
-        if payload is None and self.cache_dir is not None:
+        if payload is None:
             payload = _read_json(self._sidecar_path(key, name))
             if payload is not None:
                 self._sidecar_memory[(key, name)] = payload
@@ -518,105 +496,15 @@ class TrialCache:
 
     def sidecar_keys(self, name: str) -> List[str]:
         """Entry keys that carry a sidecar of this kind, sorted."""
-        keys = {k for k, n in self._sidecar_memory if n == name}
-        if self.cache_dir is not None:
-            suffix = f".{name}.json"
-            for path in self.cache_dir.glob(f"*{suffix}"):
-                stem = path.name[: -len(suffix)]
-                if is_cache_key(stem):
-                    keys.add(stem)
-        return sorted(keys)
+        suffix = f".{name}.json"
+        stems = (
+            path.name[: -len(suffix)]
+            for path in self.cache_dir.glob(f"*{suffix}")
+        )
+        return sorted(stem for stem in stems if is_cache_key(stem))
 
     def _sidecar_path(self, key: str, name: str) -> str:
-        assert self.cache_dir is not None
         return f"{self._prefix}{key}.{name}.json"
-
-    def _drop_sidecars(self, key: str) -> None:
-        for pair in [p for p in self._sidecar_memory if p[0] == key]:
-            del self._sidecar_memory[pair]
-        if self.cache_dir is not None:
-            for path in self.cache_dir.glob(f"{key}.*.json"):
-                path.unlink()
-
-    # ------------------------------------------------------------------
-    # Eviction (ROADMAP: size cap + LRU over the on-disk JSON entries)
-    # ------------------------------------------------------------------
-
-    def size_bytes(self) -> int:
-        """Total on-disk footprint: entries *plus* their sidecars.
-
-        Sidecar files live in the same directory and count toward the
-        ``max_bytes`` cap - a flight recording can dwarf its entry, so
-        excluding them would let the directory exceed the cap unboundedly.
-        (Memory-only caches report 0.)
-        """
-        if self.cache_dir is None:
-            return 0
-        return sum(
-            path.stat().st_size
-            for path in self._entry_paths() + self._sidecar_paths()
-        )
-
-    def evict(self, max_bytes: Optional[int] = None) -> List[str]:
-        """Drop least-recently-used disk entries until the cache fits.
-
-        ``max_bytes`` overrides the instance cap for this call.  Returns
-        the evicted keys, oldest first.  Memory-only caches (and caches
-        without a cap) evict nothing.
-
-        Sidecar bytes are charged to their owning entry: evicting an
-        entry drops its sidecars too, and both are credited against the
-        cap (and to ``cache.bytes_evicted``).  A backend's ``run`` writes
-        a trial's sidecar just before its entry, so a sidecar has no
-        entry only between those two writes or after a kill between
-        them; such orphans form their own evictable group keyed by the
-        newest sidecar's mtime.
-        """
-        cap = self.max_bytes if max_bytes is None else max_bytes
-        if cap is None or self.cache_dir is None:
-            return []
-        keys, sidecar_names = scan_cache_dir(self.cache_dir)
-        sidecars = {
-            key: [self.cache_dir / name for name in names]
-            for key, names in sidecar_names.items()
-        }
-        entries = []
-        for key in keys:
-            stat = os.stat(self._path(key))
-            extra = sum(p.stat().st_size for p in sidecars.pop(key, []))
-            entries.append(
-                (stat.st_mtime_ns, f"{key}.json", key, stat.st_size + extra)
-            )
-        for key, orphaned in sidecars.items():
-            stats = [p.stat() for p in orphaned]
-            entries.append(
-                (
-                    max(s.st_mtime_ns for s in stats),
-                    key,
-                    key,
-                    sum(s.st_size for s in stats),
-                )
-            )
-        total = sum(size for _m, _n, _k, size in entries)
-        evicted: List[str] = []
-        evicted_bytes = 0
-        for _mtime, _name, key, size in sorted(entries):
-            if total <= cap:
-                break
-            entry_path = self._path(key)
-            if os.path.exists(entry_path):
-                os.unlink(entry_path)
-            self._memory.pop(key, None)
-            self._drop_sidecars(key)
-            total -= size
-            evicted_bytes += size
-            evicted.append(key)
-        self.evictions += len(evicted)
-        if evicted:
-            registry = get_registry()
-            registry.counter("cache.evictions").inc(len(evicted))
-            registry.counter("cache.bytes_evicted").inc(evicted_bytes)
-        return evicted
 
     # ------------------------------------------------------------------
     # Introspection
@@ -624,9 +512,7 @@ class TrialCache:
 
     def contains_key(self, key: str) -> bool:
         """True when an entry for this precomputed key is present."""
-        if key in self._memory:
-            return True
-        return self.cache_dir is not None and os.path.exists(self._path(key))
+        return key in self._memory or os.path.exists(self._path(key))
 
     def payload_for(self, key: str) -> Optional[Dict]:
         """The raw cached payload for ``key``, or ``None`` if absent.
@@ -635,57 +521,30 @@ class TrialCache:
         by key to pair entries with their sidecars without re-deriving
         trial specs.
         """
-        if key in self._memory:
-            return self._memory[key]
-        if self.cache_dir is not None:
-            return _read_json(self._path(key))
-        return None
+        payload = self._memory.get(key)
+        return _read_json(self._path(key)) if payload is None else payload
 
     def keys(self) -> Iterator[str]:
-        """Iterate every entry key (disk entries included)."""
-        seen = set(self._memory)
-        yield from seen
-        for path in self._entry_paths():
-            if path.stem not in seen:
-                yield path.stem
+        """Iterate every entry key in the directory, sorted."""
+        return iter(scan_cache_dir(self.cache_dir)[0])
 
     def __len__(self) -> int:
-        entries = set(self._memory)
-        entries.update(path.stem for path in self._entry_paths())
-        return len(entries)
+        return len(scan_cache_dir(self.cache_dir)[0])
 
     def clear(self) -> None:
-        """Drop every entry (memory and disk) and reset counters."""
-        for path in self._entry_paths():
-            self._drop_sidecars(path.stem)
+        """Drop every entry and sidecar (memory and disk) and reset
+        counters."""
+        keys, sidecars = scan_cache_dir(self.cache_dir)
+        for name in [f"{key}.json" for key in keys] + [
+            name for names in sidecars.values() for name in names
+        ]:
+            os.unlink(self._prefix + name)
+        # Temporaries a killed writer left behind (repro.atomicio).
+        for path in self.cache_dir.glob(f"*{TMP_SUFFIX}"):
             path.unlink()
-        for key in {k for k, _n in self._sidecar_memory}:
-            self._drop_sidecars(key)
-        if self.cache_dir is not None:
-            # Temporaries a killed writer left behind (repro.atomicio).
-            for path in self.cache_dir.glob(f"*{TMP_SUFFIX}"):
-                path.unlink()
         self._memory.clear()
-        self.hits = self.misses = self.stores = self.evictions = 0
-
-    def _entry_paths(self) -> List[Path]:
-        """The on-disk entry files (receipts and strays excluded)."""
-        if self.cache_dir is None:
-            return []
-        keys, _sidecars = scan_cache_dir(self.cache_dir)
-        return [self.cache_dir / f"{key}.json" for key in keys]
-
-    def _sidecar_paths(self) -> List[Path]:
-        """The on-disk sidecar files (``<key>.<name>.json``)."""
-        if self.cache_dir is None:
-            return []
-        _keys, sidecars = scan_cache_dir(self.cache_dir)
-        return [
-            self.cache_dir / name
-            for names in sidecars.values()
-            for name in names
-        ]
+        self._sidecar_memory.clear()
+        self.hits = self.misses = self.stores = 0
 
     def _path(self, key: str) -> str:
-        assert self.cache_dir is not None
         return self._prefix + key + ".json"

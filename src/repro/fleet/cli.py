@@ -43,6 +43,7 @@ from ..cliargs import (
     earlystop_from_args,
     network_from_args,
     policy_from_args,
+    positive_int,
     print_heatmap,
     print_sweep,
     reporting_errors,
@@ -123,7 +124,6 @@ def cmd_fleet_run_shard(args) -> int:
         args.cache_dir,
         backend_kind=args.backend,
         workers=args.workers,
-        cache_max_bytes=args.cache_max_bytes,
         record_flight=args.record_flight,
         flight_prefix_points=args.flight_prefix_points,
     )
@@ -338,11 +338,11 @@ def register(sub: argparse._SubParsersAction) -> None:
     plan_sub = plan.add_subparsers(dest="plan_kind", required=True)
 
     def add_plan_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--shards", type=int, required=True,
+        p.add_argument("--shards", type=positive_int, required=True,
                        help="number of shards to partition into")
         p.add_argument("--out-dir", required=True,
                        help="directory for plan.json + shard manifests")
-        p.add_argument("--trials", type=int, default=3)
+        p.add_argument("--trials", type=positive_int, default=3)
         add_network_args(p)
 
     p = plan_sub.add_parser("cycle", help="all-pairs watchdog cycle")
@@ -366,8 +366,6 @@ def register(sub: argparse._SubParsersAction) -> None:
     add_backend_arg(p, "execution substrate (default: process when "
                        "--workers is set, else inline)")
     add_workers_arg(p, "process-pool size")
-    p.add_argument("--cache-max-bytes", type=int, default=None,
-                   help="LRU-evict the shard cache above this many bytes")
     p.add_argument("--record-flight", action="store_true",
                    help="flight-record simulated trials: full recordings "
                         "as cache sidecars, truncated prefixes in the "
@@ -414,7 +412,7 @@ def register(sub: argparse._SubParsersAction) -> None:
                    help="shard cache directories (or parents of them)")
     p.add_argument("--out-dir", required=True,
                    help="directory for the retry manifests")
-    p.add_argument("--attempt", type=int, default=None,
+    p.add_argument("--attempt", type=positive_int, default=None,
                    help="explicit attempt number (default: best seen + 1)")
     p.add_argument("--stall-sec", type=float, default=DEFAULT_STALL_SEC,
                    help="flag receipt-less shards with no write newer "
@@ -427,7 +425,7 @@ def register(sub: argparse._SubParsersAction) -> None:
                       "every pair"
     )
     p.add_argument("--services", nargs="*", default=None)
-    p.add_argument("--shards", type=int, default=2,
+    p.add_argument("--shards", type=positive_int, default=2,
                    help="shards per round (default: 2)")
     p.add_argument("--out-dir", required=True,
                    help="cycle directory (state, round plans, cache)")

@@ -301,7 +301,7 @@ def merge_shards(
         preview = ", ".join(k[:12] + "..." for k in report.gaps[:5])
         raise FleetError(
             f"merge leaves {len(report.gaps)} of {len(expected)} planned "
-            f"trials uncovered ({preview}) - a shard is missing, "
-            "incomplete, or was evicted below its own output size"
+            f"trials uncovered ({preview}) - a shard is missing or "
+            "incomplete"
         )
     return report

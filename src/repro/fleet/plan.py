@@ -45,7 +45,6 @@ from ..atomicio import atomic_write
 from ..config import ExperimentConfig, NetworkConfig, TrialPolicyConfig
 from ..core.cache import (
     CACHE_SCHEMA_VERSION,
-    config_canonical_json,
     config_fields,
     trial_cache_key,
 )
@@ -123,20 +122,6 @@ def _config_reader(cls, table: Optional[List]) -> Callable:
     return resolve
 
 
-def network_fingerprint(network: NetworkConfig) -> str:
-    """Stable digest of one network setting (manifest cross-checks)."""
-    return hashlib.sha256(
-        config_canonical_json(network).encode("utf-8")
-    ).hexdigest()
-
-
-def config_fingerprint(config: ExperimentConfig) -> str:
-    """Stable digest of one experiment protocol (manifest cross-checks)."""
-    return hashlib.sha256(
-        config_canonical_json(config).encode("utf-8")
-    ).hexdigest()
-
-
 def shard_for_key(cache_key: str, num_shards: int) -> int:
     """The shard owning one cache key: stable hash partitioning.
 
@@ -192,7 +177,7 @@ def _tabulate(
 ) -> Tuple[List[NetworkConfig], List[ExperimentConfig], List[List]]:
     """``(networks, configs, rows)`` of a plan or manifest file: each
     distinct config *object* once (``==`` would conflate ``8e6`` with
-    ``8000000``, whose keys and fingerprints differ) and
+    ``8000000``, whose keys differ) and
     :data:`ROW_COLUMNS` rows holding its table index."""
     networks: Dict[int, Tuple[int, NetworkConfig]] = {}
     configs: Dict[int, Tuple[int, ExperimentConfig]] = {}
@@ -377,12 +362,6 @@ class FleetPlan:
             "shard_index": shard_index,
             "num_shards": self.num_shards,
             "attempt": attempt,
-            "network_fingerprints": sorted(
-                {network_fingerprint(n) for n in networks}
-            ),
-            "config_fingerprints": sorted(
-                {config_fingerprint(c) for c in configs}
-            ),
             "networks": [config_fields(n) for n in networks],
             "configs": [config_fields(c) for c in configs],
             "trials": rows,

@@ -162,7 +162,6 @@ def run_shard(
     cache_dir: Union[str, Path],
     backend_kind: Optional[str] = None,
     workers: Optional[int] = None,
-    cache_max_bytes: Optional[int] = None,
     record_flight: bool = False,
     flight_prefix_points: int = 32,
 ) -> ShardReceipt:
@@ -184,10 +183,6 @@ def run_shard(
     against the backend's catalog before anything runs too: a plan naming
     a service this host does not know (one submitted on the planning
     host) is a :class:`FleetError`, with nothing simulated.
-
-    ``cache_max_bytes`` enables LRU eviction on the shard cache; note a
-    cap smaller than the shard's own output will surface as gaps at merge
-    time (the receipt still lists every completed key).
 
     ``record_flight`` runs every cache-missing trial under a flight
     recorder (:mod:`repro.obs.flight`): full recordings land as
@@ -212,7 +207,7 @@ def run_shard(
         manifest, specs = load_json_artifact(
             Path(manifest), _checked_specs, "shard manifest"
         )
-    cache = TrialCache(Path(cache_dir), max_bytes=cache_max_bytes)
+    cache = TrialCache(cache_dir)
     earlystop = None
     earlystop_json = manifest.get("earlystop")
     if earlystop_json is not None:

@@ -19,7 +19,7 @@ import json
 from pathlib import Path
 
 from .. import units
-from ..cliargs import reporting_errors
+from ..cliargs import positive_int, reporting_errors
 from ..config import ExperimentConfig, NetworkConfig
 from ..obs.log import get_logger
 from .coordinator import ServiceError, WatchdogService
@@ -106,11 +106,11 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
              "(default: keep everything)",
     )
     parser.add_argument(
-        "--plan-trials", type=int, default=3,
+        "--plan-trials", type=positive_int, default=3,
         help="trials per pair in the published next plan (default: 3)",
     )
     parser.add_argument(
-        "--plan-shards", type=int, default=2,
+        "--plan-shards", type=positive_int, default=2,
         help="shards in the published next plan (default: 2)",
     )
     parser.add_argument(

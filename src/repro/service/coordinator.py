@@ -64,7 +64,7 @@ from ..config import (
     moderately_constrained,
 )
 from ..core.cache import CacheEntryError, TrialCache
-from ..core.runner import CacheMissError, TrialSpec, replay
+from ..core.runner import CacheMissError, replay
 from ..core.submission import SubmissionError, SubmissionPortal
 from ..fleet.adaptive import AdaptiveCycleState, ASSEMBLY_PLAN_FILENAME, STATE_FILENAME
 from ..fleet.plan import FleetError, FleetPlan, load_plan, write_manifest
@@ -326,25 +326,6 @@ class WatchdogService:
         cache = entry / "cache"
         return cache if cache.is_dir() else entry
 
-    def _adaptive_specs(
-        self, state: AdaptiveCycleState
-    ) -> List[TrialSpec]:
-        """Every executed trial of an adaptive cycle, pair by pair, from
-        its trackers.
-
-        Works for partial cycles too: ``trials_done`` counts only folded
-        rounds, whose results are all in the cumulative cache, and seeds
-        are pure functions of (pair, index) - no round plans needed.
-        """
-        return [
-            spec
-            for network, tracker in zip(state.networks, state.trackers)
-            for pair, pair_state in tracker.states.items()
-            for spec in tracker.window_specs(
-                network, state.config, {pair: (0, pair_state.trials_done)}
-            )
-        ]
-
     def _requeue_open_rounds(
         self, state: AdaptiveCycleState
     ) -> List[str]:
@@ -357,18 +338,9 @@ class WatchdogService:
         return [str(path) for path in plan.write(retry_dir)]
 
     def _requeue_missing_shards(
-        self, plan: FleetPlan, cache: TrialCache
+        self, plan: FleetPlan, missing_shards: List[int]
     ) -> List[str]:
         """Attempt-bumped manifests for shards with uncovered trials."""
-        missing_shards = sorted(
-            {
-                trial.shard
-                for trial in plan.trials
-                if not cache.contains_key(trial.cache_key)
-            }
-        )
-        if not missing_shards:
-            return []
         retry_dir = self.spool / "retry" / plan.plan_id[:12]
         retry_dir.mkdir(parents=True, exist_ok=True)
         written = []
@@ -476,11 +448,9 @@ class WatchdogService:
         if (entry / STATE_FILENAME).exists():
             try:
                 state = AdaptiveCycleState.load(entry)
-                assembly = entry / ASSEMBLY_PLAN_FILENAME
-                if state.done and assembly.exists():
-                    specs = [t.spec for t in load_plan(assembly).trials]
-                else:
-                    specs = self._adaptive_specs(state)
+                # Every folded round's trials, in round order: for a done
+                # cycle that is its assembly plan.
+                specs = state.executed_specs()
             except (FleetError, LookupError) as exc:
                 raise self._retire_unreadable(entry, exc) from exc
             kind = "adaptive"
@@ -502,15 +472,19 @@ class WatchdogService:
                 raise self._retire_unreadable(entry, exc) from exc
             kind = "fixed"
             cache = TrialCache(self._entry_cache_dir(entry))
-            covered = [
-                t for t in plan.trials if cache.contains_key(t.cache_key)
-            ]
-            partial = len(covered) < len(plan.trials)
-            specs = [t.spec for t in covered]
+            specs, missing_shards = [], set()
+            for trial in plan.trials:
+                if cache.contains_key(trial.cache_key):
+                    specs.append(trial.spec)
+                else:
+                    missing_shards.add(trial.shard)
+            partial = bool(missing_shards)
             cycle_id = plan.plan_id
             if partial:
                 cycle_id = f"{plan.plan_id}+{len(specs)}"
-                requeued = self._requeue_missing_shards(plan, cache)
+                requeued = self._requeue_missing_shards(
+                    plan, sorted(missing_shards)
+                )
         if cycle_id in self.store.ingested_ids():
             # Re-diagnose before retiring: heals a crash that landed
             # between the journal commit and the diagnosis writes.

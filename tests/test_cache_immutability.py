@@ -282,12 +282,10 @@ class TestStaleTemporaries:
         ]
         for stray in strays:
             stray.write_text('{"torn": ')
-        cache = TrialCache(shard, max_bytes=10**9)
+        cache = TrialCache(shard)
         assert len(cache) == len(plan.trials)
         assert sorted(cache.keys()) == sorted(plan.expected_keys())
         assert cache.sidecar_keys("flight") == []
-        assert cache.evict() == []
-        assert cache.evict(max_bytes=0) and all(s.exists() for s in strays)
 
         plan, dirs = plan_and_shards(tmp_path / "again", shards=1)
         shard = dirs[0]

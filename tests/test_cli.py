@@ -41,6 +41,45 @@ class TestParser:
         err = capsys.readouterr().err
         assert "argument --workers: expected an integer >= 1" in err
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            (["fleet", "plan", "cycle", "--out-dir", "p"], "--shards", "0"),
+            (["fleet", "plan", "cycle", "--out-dir", "p"], "--shards", "-1"),
+            (["fleet", "plan", "cycle", "--out-dir", "p", "--shards", "2"],
+             "--trials", "0"),
+            (["fleet", "cycle", "--out-dir", "d"], "--shards", "0"),
+            (["cycle"], "--trials", "0"),
+            (["sweep", "bandwidth", "iperf_cubic", "iperf_reno",
+              "--values", "8"], "--trials", "0"),
+            (["fleet", "retry", "plan.json", "c0", "--out-dir", "r"],
+             "--attempt", "-1"),
+            (["service", "ingest-once", "--spool", "s", "--out", "o"],
+             "--plan-shards", "0"),
+            (["service", "ingest-once", "--spool", "s", "--out", "o"],
+             "--plan-trials", "0"),
+        ],
+        ids=[
+            "plan-shards-0", "plan-shards-neg", "plan-trials-0",
+            "fleet-cycle-shards-0", "cycle-trials-0", "sweep-trials-0",
+            "retry-attempt-neg", "service-plan-shards-0",
+            "service-plan-trials-0",
+        ],
+    )
+    def test_counts_below_one_are_usage_errors(
+        self, command, flag, value, capsys, tmp_path, monkeypatch
+    ):
+        """Every count flag is an integer >= 1 at parse time: these used
+        to die in a ``ValueError`` traceback (exit 1), or - for the
+        service's next-plan shape - only at the first ingest."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as raised:
+            main([*command, flag, value])
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected an integer >= 1" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestServices:
     def test_lists_catalog(self, capsys):

@@ -726,36 +726,3 @@ class TestFleetPlumbing:
             manifest["earlystop"]["model"]["model_id"]
             == EarlyStopModel().model_id
         )
-
-
-class TestSidecarByteCap:
-    def test_size_and_evict_charge_sidecars_to_entries(self, tmp_path):
-        cache = TrialCache(tmp_path)
-        spec_old = _pair_spec(seed=1)
-        spec_new = _pair_spec(seed=2)
-        result_old = _run_pair(duration_sec=3.0, seed=1)
-        result_new = _run_pair(duration_sec=3.0, seed=2)
-        cache.put(spec_old, result_old)
-        key_old = trial_cache_key(spec_old)
-        cache.put_sidecar(key_old, "flight", {"bulk": "x" * 4096})
-        base_size = cache.size_bytes()
-        sidecar_path = tmp_path / f"{key_old}.flight.json"
-        assert sidecar_path.exists()
-        # size_bytes() must include the sidecar, not just entries.
-        assert base_size > sidecar_path.stat().st_size
-
-        import os
-        import time
-
-        past = time.time() - 100
-        for path in tmp_path.glob("*.json"):
-            os.utime(path, (past, past))
-        cache.put(spec_new, result_new)
-        total_before = cache.size_bytes()
-        capped = TrialCache(tmp_path, max_bytes=total_before - 1)
-        evicted = capped.evict()
-        # LRU: the old entry goes first, and its sidecar goes with it.
-        assert key_old in evicted
-        assert not sidecar_path.exists()
-        assert not (tmp_path / f"{key_old}.json").exists()
-        assert capped.size_bytes() <= total_before - 1

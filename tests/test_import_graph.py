@@ -67,6 +67,19 @@ def test_control_plane_rewrites_files_only_atomically(package):
     assert offenders == []
 
 
+def test_a_cache_read_never_writes():
+    """The trial cache is a directory of immutable entries: nothing in
+    it touches an entry's metadata (there was a per-hit ``os.utime``
+    for an LRU cap no caller set)."""
+    tree = ast.parse((SRC / "core" / "cache.py").read_text())
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "utime"
+    ]
+    assert calls == []
+
+
 def test_one_function_turns_a_trial_index_into_a_spec():
     """``TrialSpec.pair(..., seed=<x>.seed_for(...))`` is the trial
     enumeration: where the Section 3.4 order meets the seed rule.  A

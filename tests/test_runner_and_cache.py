@@ -1,6 +1,8 @@
 """The unified trial runner: backends, caching, seed derivation."""
 
 import json
+import os
+import tempfile
 from unittest import mock
 
 import pytest
@@ -175,46 +177,45 @@ class TestReplay:
         from tests.test_cache_immutability import synthetic_result
 
         specs = [pair_spec(seed=seed) for seed in range(len(fates))]
-        cache = TrialCache()
-        for spec, fate in zip(specs, fates):
-            if fate != "absent":
-                cache.put(
-                    spec,
-                    synthetic_result(
-                        spec, 4_000_000 if fate == "truncated" else None
-                    ),
-                )
-        expected_misses = [
-            spec
-            for spec, fate in zip(specs, fates)
-            if fate == "absent"
-            or (fate == "truncated" and not allow_truncated)
-        ]
-        with mock.patch(
-            "repro.core.runner.run_trial", side_effect=AssertionError
-        ) as simulate:
-            if expected_misses:
-                with pytest.raises(CacheMissError) as raised:
-                    replay(cache, specs, allow_truncated)
-                assert raised.value.misses == expected_misses
-            else:
-                records, stats = replay(cache, specs, allow_truncated)
-                backend = InlineBackend(
-                    cache=cache,
-                    earlystop=EarlyStopConfig() if allow_truncated else None,
-                )
-                assert [r.result.to_json() for r in records] == [
-                    r.to_json() for r in backend.run(specs)
-                ]
-                assert stats == backend.stats
-                assert stats.trials_run == 0
-                assert stats.cache_hits == len(specs)
-            assert not simulate.called
+        with tempfile.TemporaryDirectory() as directory:
+            cache = TrialCache(directory)
+            for spec, fate in zip(specs, fates):
+                if fate != "absent":
+                    cache.put(
+                        spec,
+                        synthetic_result(
+                            spec, 4_000_000 if fate == "truncated" else None
+                        ),
+                    )
+            expected_misses = [
+                spec
+                for spec, fate in zip(specs, fates)
+                if fate == "absent"
+                or (fate == "truncated" and not allow_truncated)
+            ]
+            with mock.patch(
+                "repro.core.runner.run_trial", side_effect=AssertionError
+            ) as simulate:
+                if expected_misses:
+                    with pytest.raises(CacheMissError) as raised:
+                        replay(cache, specs, allow_truncated)
+                    assert raised.value.misses == expected_misses
+                else:
+                    records, stats = replay(cache, specs, allow_truncated)
+                    armed = EarlyStopConfig() if allow_truncated else None
+                    backend = InlineBackend(cache=cache, earlystop=armed)
+                    assert [r.result.to_json() for r in records] == [
+                        r.to_json() for r in backend.run(specs)
+                    ]
+                    assert stats == backend.stats
+                    assert stats.trials_run == 0
+                    assert stats.cache_hits == len(specs)
+                assert not simulate.called
 
 
 class TestTrialCache:
-    def test_memory_cache_hit_returns_equal_result(self):
-        cache = TrialCache()
+    def test_memory_cache_hit_returns_equal_result(self, tmp_path):
+        cache = TrialCache(tmp_path)
         backend = InlineBackend(catalog=CATALOG, cache=cache)
         first = backend.run([pair_spec(seed=2)])[0]
         second = backend.run([pair_spec(seed=2)])[0]
@@ -250,6 +251,34 @@ class TestTrialCache:
         assert len(cache) == 0
         assert not list(tmp_path.glob("*.json"))
 
+    def test_a_read_never_writes(self, tmp_path):
+        """Every way of reading a warm cache succeeds when entries cannot
+        be written (``os.utime`` refused, as for a reader with read-only
+        access to another user's spool) and leaves each entry's mtime
+        as it was."""
+        from tests.test_cache_immutability import synthetic_result
+
+        specs = [pair_spec(seed=seed) for seed in (1, 2)]
+        writer = TrialCache(tmp_path)
+        for spec in specs:
+            writer.put(spec, synthetic_result(spec))
+        entries = [tmp_path / f"{trial_cache_key(s)}.json" for s in specs]
+        for entry in entries:
+            os.utime(entry, ns=(10**9, 10**9))
+        cache = TrialCache(tmp_path)
+        refused = PermissionError("read-only entry")
+        with mock.patch("os.utime", side_effect=refused):
+            assert None not in cache.read(specs)  # disk hits
+            assert None not in cache.read(specs)  # memory hits
+            assert None not in [cache.get(spec) for spec in specs]
+            records, stats = replay(TrialCache(tmp_path), specs, False)
+            backend = InlineBackend(cache=TrialCache(tmp_path))
+            backend.run(specs)
+        assert len(records) == stats.cache_hits == len(specs)
+        assert backend.stats.cache_hits == len(specs)
+        assert backend.stats.trials_run == 0
+        assert [e.stat().st_mtime_ns for e in entries] == [10**9] * 2
+
 
 class TestWatchdogCaching:
     def _watchdog(self, cache):
@@ -261,10 +290,10 @@ class TestWatchdogCaching:
             cache=cache,
         )
 
-    def test_repeated_cycle_runs_zero_simulations(self):
+    def test_repeated_cycle_runs_zero_simulations(self, tmp_path):
         """Acceptance: a repeated all-pairs cycle over the same seeds
         re-runs nothing - cache hits == trial count, simulations == 0."""
-        cache = TrialCache()
+        cache = TrialCache(tmp_path)
         ids = ["iperf_cubic", "iperf_reno"]
         first = self._watchdog(cache)
         first.run_cycle(service_ids=ids)
