@@ -41,7 +41,6 @@ from .runner import (
     TrialSpec,
     build_backend,
     replay,
-    run_trial,
 )
 from .experiment import derive_service_seed
 from .policy import (
@@ -89,7 +88,6 @@ __all__ = [
     "RunnerStats",
     "build_backend",
     "replay",
-    "run_trial",
     "derive_service_seed",
     "TrialPolicy",
     "PolicyDecision",

@@ -137,26 +137,6 @@ class TrialSpec:
 Outcome = Tuple[ExperimentResult, Optional[Dict]]
 
 
-def run_trial(
-    spec: TrialSpec,
-    catalog: Optional[ServiceCatalog] = None,
-    env: Optional[ClientEnvironment] = None,
-    earlystop: Optional[EarlyStopConfig] = None,
-) -> ExperimentResult:
-    """Execute one :class:`TrialSpec` outside any backend.
-
-    Resolves service ids through the catalog (default Table-1 catalog when
-    omitted) and runs the per-trial function every backend runs, so the
-    result is the one a backend would cache.  Per-service seeds follow
-    :func:`~repro.core.experiment.derive_service_seed`, so pair trials are
-    bit-identical to the historic ``run_pair_experiment`` path.
-    """
-    if catalog is None:
-        catalog = default_catalog()
-    services = [catalog.get(sid) for sid in spec.service_ids]
-    return _simulate(spec, services, env, earlystop, False)[0]
-
-
 def _simulate(
     spec: TrialSpec,
     services: Sequence[ServiceSpec],

@@ -9,14 +9,15 @@ seeds and the CI stopping rule all live there - and its only own part is
 *executing* a round, through an execution backend
 (:meth:`Prudentia.backend`) into the result store.  The adaptive fleet driver
 (:func:`repro.fleet.adaptive.run_adaptive_cycle`) is the same loop with
-a different ``execute``.  ``run_continuously`` repeats cycles the way the
-live deployment has since 2022.
+a different ``execute``.  Successive ``run_cycle`` calls advance the
+seed; the live deployment - repeating cycles the way the paper's
+watchdog has since 2022 - is :class:`repro.service.WatchdogService`.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from ..browser.environment import ClientEnvironment
 from ..config import (
@@ -28,7 +29,6 @@ from ..config import (
     trial_policy_for,
 )
 from ..obs import tracing
-from ..obs.heartbeat import HeartbeatWriter
 from ..obs.metrics import get_registry
 from ..services.catalog import ServiceCatalog, default_catalog
 from .cache import TrialCache
@@ -59,11 +59,6 @@ class Prudentia:
             when set, every simulated trial is armed with the trial-level
             early-termination monitor and truncated samples feed the
             convergence tracker as windowed-rate estimates.
-        heartbeat_path: when set, a JSON heartbeat file is atomically
-            rewritten after every executed batch and at cycle boundaries
-            (progress, ETA, staleness), so long ``run_continuously``
-            deployments are inspectable from outside the process - read
-            it with ``repro obs heartbeat``.
     """
 
     def __init__(
@@ -75,7 +70,6 @@ class Prudentia:
         env: Optional[ClientEnvironment] = None,
         base_seed: int = 0,
         cache: Optional[Union[TrialCache, Path, str]] = None,
-        heartbeat_path: Optional[Union[Path, str]] = None,
         earlystop=None,
     ) -> None:
         self.catalog = catalog or default_catalog()
@@ -96,11 +90,6 @@ class Prudentia:
         self.calibrations: Dict[float, Dict[str, SoloCalibration]] = {}
         self.cycles_completed = 0
         self.last_cycle_stats: Optional[RunnerStats] = None
-        self.heartbeat: Optional[HeartbeatWriter] = (
-            HeartbeatWriter(heartbeat_path)
-            if heartbeat_path is not None
-            else None
-        )
 
     # ------------------------------------------------------------------
     # Calibration (Table 1)
@@ -217,60 +206,10 @@ class Prudentia:
                 registry.gauge("planner.pairs_open").set(
                     state.open_pairs_total()
                 )
-                if self.heartbeat is not None:
-                    self.heartbeat.batch_done(len(specs))
             registry.counter("planner.trials_saved").inc(state.trials_saved())
             cycle_span.set(trials=state.trials_done_total())
         self.cycles_completed += 1
         self.last_cycle_stats = runner.stats
-        if self.heartbeat is not None:
-            self.heartbeat.cycle_done()
-        return self.store
-
-    def run_continuously(
-        self,
-        cycles: Optional[int] = None,
-        service_ids: Optional[List[str]] = None,
-        stop: Optional[Callable[[], bool]] = None,
-        stop_file: Optional[Union[str, Path]] = None,
-    ) -> ResultStore:
-        """Repeat all-pairs sweeps (the live-deployment mode).
-
-        ``cycles=None`` runs open-ended - the deployment shape, where
-        the watchdog measures until told to stop - and then requires a
-        stop condition: a ``stop`` callback and/or a ``stop_file`` path
-        whose existence ends the loop, both checked *between* cycles so
-        a cycle is never abandoned mid-sweep.  With a bounded ``cycles``
-        the stop conditions are optional early exits.
-
-        With a ``heartbeat_path`` configured, the heartbeat file tracks
-        per-cycle progress; its ETA is ``None`` when the horizon is
-        unbounded rather than a fabricated number.
-        """
-        if cycles is not None and cycles < 1:
-            raise ValueError("need at least one cycle")
-        if cycles is None and stop is None and stop_file is None:
-            raise ValueError(
-                "open-ended run (cycles=None) needs a stop callback "
-                "or stop_file"
-            )
-        stop_path = Path(stop_file) if stop_file is not None else None
-
-        def _should_stop() -> bool:
-            if stop is not None and stop():
-                return True
-            return stop_path is not None and stop_path.exists()
-
-        if self.heartbeat is not None:
-            self.heartbeat.starting(cycles_total=cycles)
-        completed = 0
-        while cycles is None or completed < cycles:
-            if _should_stop():
-                break
-            self.run_cycle(service_ids=service_ids)
-            completed += 1
-        if self.heartbeat is not None and cycles is None:
-            self.heartbeat.finished()
         return self.store
 
     # ------------------------------------------------------------------

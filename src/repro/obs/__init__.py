@@ -7,8 +7,8 @@ Five small, composable pieces (see DESIGN.md §7):
 - :mod:`repro.obs.tracing`   - wall-clock spans to JSONL, Chrome
   ``trace_event`` export, per-kind percentile summaries
 - :mod:`repro.obs.log`       - structured (optionally JSON) logging
-- :mod:`repro.obs.heartbeat` - atomic per-cycle heartbeat file so
-  ``run_continuously`` is inspectable from outside the process
+- :mod:`repro.obs.heartbeat` - atomic heartbeat file so the running
+  ``repro service`` is inspectable from outside the process
 - :mod:`repro.obs.flight`    - simulation-time flight recorder:
   grid-sampled per-connection CCA state and queue telemetry, plus the
   per-trial diagnosis summaries the service site publishes
@@ -32,6 +32,7 @@ from .flight import (  # noqa: F401
 from .heartbeat import (  # noqa: F401
     HEARTBEAT_SCHEMA_VERSION,
     Heartbeat,
+    HeartbeatError,
     HeartbeatWriter,
 )
 from .log import configure as configure_logging  # noqa: F401

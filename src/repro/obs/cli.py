@@ -7,7 +7,7 @@ Three subcommands over the files the instrumented pipeline produces:
 - ``obs chrome <trace.jsonl>``    - export the trace in Chrome
   ``trace_event`` format for Perfetto / ``chrome://tracing``
 - ``obs heartbeat <file>``        - decode a watchdog heartbeat file
-  (phase, progress, ETA, staleness)
+  (phase, cycle and trial counts, staleness)
 - ``obs flight record|summarize|render`` - run a flight-recorded trial,
   print its diagnosis, or render the ASCII timeline / Chrome counters
 """
@@ -17,10 +17,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
+from ..atomicio import load_json_artifact
 from ..cliargs import add_network_args, config_from_args, network_from_args
 from . import flight as flight_mod
-from .heartbeat import Heartbeat, describe
+from .heartbeat import Heartbeat, HeartbeatError, describe
 from .tracing import read_spans, render_summary, summarize, to_chrome_trace
 
 
@@ -66,11 +68,8 @@ def cmd_obs_heartbeat(args) -> int:
     """Decode a watchdog heartbeat file; exit 1 when stale."""
     try:
         beat = Heartbeat.load(args.heartbeat)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(
-            f"obs error: cannot read heartbeat {args.heartbeat}: {exc}",
-            file=sys.stderr,
-        )
+    except (OSError, HeartbeatError) as exc:
+        print(f"obs error: {exc}", file=sys.stderr)
         return 1
     if args.json:
         payload = beat.to_json()
@@ -93,21 +92,18 @@ def cmd_obs_heartbeat(args) -> int:
 
 
 def _load_flight(path: str):
+    """A recording, as :class:`~repro.obs.flight.FlightRecorder` reads
+    and rewrites it, or ``None`` after naming what is wrong with it."""
     try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except (OSError, ValueError) as exc:
-        print(f"obs error: cannot read {path}: {exc}", file=sys.stderr)
-        return None
-    schema = payload.get("schema")
-    if schema != flight_mod.FLIGHT_SCHEMA_VERSION:
-        print(
-            f"obs error: {path} has flight schema {schema!r}, "
-            f"expected {flight_mod.FLIGHT_SCHEMA_VERSION}",
-            file=sys.stderr,
+        return load_json_artifact(
+            Path(path),
+            lambda raw: flight_mod.FlightRecorder.from_json(raw).to_json(),
+            "flight recording",
+            ValueError,
         )
+    except (OSError, ValueError) as exc:
+        print(f"obs error: {exc}", file=sys.stderr)
         return None
-    return payload
 
 
 def cmd_obs_flight_record(args) -> int:

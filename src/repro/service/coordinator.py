@@ -70,7 +70,7 @@ from ..fleet.adaptive import AdaptiveCycleState, ASSEMBLY_PLAN_FILENAME, STATE_F
 from ..fleet.plan import FleetError, FleetPlan, load_plan, write_manifest
 from ..obs import tracing
 from ..obs.flight import FLIGHT_SCHEMA_VERSION, diagnose
-from ..obs.heartbeat import Heartbeat, HeartbeatWriter
+from ..obs.heartbeat import Heartbeat, HeartbeatError, HeartbeatWriter
 from ..obs.log import get_logger
 from ..obs.metrics import get_registry
 from ..services.catalog import ServiceCatalog, default_catalog
@@ -788,7 +788,7 @@ class WatchdogService:
         try:
             beat = Heartbeat.load(self.out / "heartbeat.json")
             heartbeat_age = round(beat.age_sec(now), 1)
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, HeartbeatError):
             pass
         totals = self.state.get("totals") or {
             "cache_hits": 0,

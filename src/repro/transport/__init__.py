@@ -5,14 +5,13 @@ reliable byte stream whose congestion behaviour is delegated to a pluggable
 :class:`repro.cca.base.CongestionControl`.
 """
 
-from .windowed_filter import WindowedMaxFilter, WindowedMinFilter
+from .windowed_filter import WindowedMaxFilter
 from .rtt import RttEstimator
 from .rate_sampler import RateSample
 from .connection import Connection
 
 __all__ = [
     "WindowedMaxFilter",
-    "WindowedMinFilter",
     "RttEstimator",
     "RateSample",
     "Connection",

@@ -1,16 +1,16 @@
-"""Reference oracle: the generic windowed min/max ``update``.
+"""Reference oracle: the generic windowed max ``update``.
 
-``src/repro/transport/windowed_filter.py`` holds one ``update`` per
-concrete filter, flattened with two early-exit fast paths and the
-comparisons specialised to ``>=`` / ``<=``.  The straightforward
-algorithm they were flattened from - Linux ``minmax_running_max`` /
+``src/repro/transport/windowed_filter.py`` holds one ``update``,
+flattened with two early-exit fast paths and the comparisons
+specialised to ``>=``.  The straightforward algorithm it was flattened
+from - Linux ``minmax_running_max`` /
 ``minmax_subwin_update`` with one virtual ``_better`` call per
 comparison - lives here, verbatim, and
 ``tests/test_windowed_filter.py::TestFastPathEquivalence`` holds the
-flat versions to it sample for sample.
+flat version to it sample for sample.
 """
 
-from repro.transport.windowed_filter import WindowedMaxFilter, WindowedMinFilter
+from repro.transport.windowed_filter import WindowedMaxFilter
 
 
 class _ReferenceUpdate:
@@ -73,11 +73,3 @@ class ReferenceMaxFilter(_ReferenceUpdate, WindowedMaxFilter):
     def _better(self, a: float, b: float) -> bool:
         return a >= b
 
-
-class ReferenceMinFilter(_ReferenceUpdate, WindowedMinFilter):
-    """Min filter driven through the generic reference ``update``."""
-
-    __slots__ = ()
-
-    def _better(self, a: float, b: float) -> bool:
-        return a <= b

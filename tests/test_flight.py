@@ -777,6 +777,18 @@ class TestFlightCli:
         bad.write_text(json.dumps({"schema": 999}))
         assert main(["obs", "flight", "summarize", str(bad)]) == 1
 
+    @pytest.mark.parametrize("payload", ["[1]", '{"schema": 1}'])
+    @pytest.mark.parametrize("command", ["summarize", "render"])
+    def test_damaged_recording_is_named(
+        self, tmp_path, capsys, command, payload
+    ):
+        from repro.cli import main
+
+        bad = tmp_path / "bad.json"
+        bad.write_text(payload)
+        assert main(["obs", "flight", command, str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(f"obs error: {bad}: ")
+
     def test_fleet_run_shard_flag(self, tmp_path, capsys):
         from repro.cli import main
 

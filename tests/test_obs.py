@@ -250,10 +250,9 @@ class TestHeartbeat:
     def test_lifecycle_schema_and_progress(self, tmp_path):
         path = tmp_path / "heartbeat.json"
         writer = HeartbeatWriter(path)
-        writer.starting(cycles_total=2)
+        writer.starting()
         beat = Heartbeat.load(path)
         assert beat.phase == "starting"
-        assert beat.cycles_total == 2
         payload = json.loads(path.read_text())
         assert payload["schema"] == HEARTBEAT_SCHEMA_VERSION
 
@@ -261,20 +260,18 @@ class TestHeartbeat:
         beat = Heartbeat.load(path)
         assert (beat.phase, beat.trials_completed, beat.batches_completed) \
             == ("cycle", 6, 1)
-        assert beat.progress == 0.0 and beat.eta_sec is None
 
         writer.cycle_done()
         beat = Heartbeat.load(path)
         assert beat.phase == "idle"
         assert beat.cycle == 1
-        assert beat.progress == pytest.approx(0.5)
-        assert beat.eta_sec is not None and beat.eta_sec >= 0
 
         writer.batch_done(trials=6)
         writer.cycle_done()
+        writer.finished()
         beat = Heartbeat.load(path)
-        assert beat.phase == "done"
-        assert beat.progress == pytest.approx(1.0)
+        assert (beat.phase, beat.cycle, beat.trials_completed) \
+            == ("done", 2, 12)
         assert "phase=done" in describe(beat)
 
     def test_no_tmp_file_left_behind(self, tmp_path):
@@ -387,7 +384,7 @@ class TestObsCLI:
 
         path = tmp_path / "hb.json"
         writer = HeartbeatWriter(path)
-        writer.starting(cycles_total=3)
+        writer.starting()
         writer.batch_done(trials=4)
         assert main(["obs", "heartbeat", str(path)]) == 0
         assert "phase=cycle" in capsys.readouterr().out
@@ -407,6 +404,46 @@ class TestObsCLI:
         ]) == 1
         assert "stalled" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            "[1]",
+            "null",
+            '{"pid": 1, "phase": "cycle", "started_unix": 0, '
+            '"updated_unix": "x"}',
+            '{"pid": 1, "phase": "bogus", "started_unix": 0, '
+            '"updated_unix": 0}',
+        ],
+        ids=["list", "null", "stamp-not-a-number", "unknown-phase"],
+    )
+    def test_heartbeat_command_names_a_damaged_file(
+        self, tmp_path, capsys, payload
+    ):
+        from repro.cli import main
+
+        path = tmp_path / "hb.json"
+        path.write_text(payload)
+        assert main(["obs", "heartbeat", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"obs error: {path}: ")
+
+    def test_heartbeat_command_reads_an_older_file(self, tmp_path, capsys):
+        """A heartbeat written with the former horizon fields
+        (``cycles_total``, ``progress``, ``eta_sec``) still loads."""
+        from repro.cli import main
+
+        path = tmp_path / "hb.json"
+        path.write_text(json.dumps({
+            "batches_completed": 2, "cycle": 1, "cycles_total": 3,
+            "eta_sec": 40.0, "phase": "idle", "pid": 4242,
+            "progress": 0.333, "schema": 1, "started_unix": 1.0,
+            "trials_completed": 8, "updated_unix": 2.0,
+        }, indent=1, sort_keys=True))
+        assert main(["obs", "heartbeat", str(path)]) == 0
+        assert capsys.readouterr().out.startswith(
+            "phase=idle cycle=1 trials=8 batches=2 age="
+        )
+
     def test_log_flags_route_diagnostics(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -420,37 +457,3 @@ class TestObsCLI:
         record = json.loads(captured.err.strip().splitlines()[-1])
         assert record["event"] == "runner.stats"
         assert record["trials_run"] == 1
-
-
-class TestWatchdogHeartbeat:
-    def test_run_continuously_drives_heartbeat(self, tmp_path):
-        from repro import units
-        from repro.config import (
-            ExperimentConfig,
-            TrialPolicyConfig,
-            highly_constrained,
-        )
-        from repro.core.watchdog import Prudentia
-
-        net = highly_constrained()
-        path = tmp_path / "heartbeat.json"
-        watchdog = Prudentia(
-            networks=[net],
-            experiment_config=ExperimentConfig().scaled(2),
-            policy_overrides={
-                net.bandwidth_bps: TrialPolicyConfig(
-                    min_trials=1, max_trials=1, batch_size=1,
-                    ci_halfwidth_bps=units.mbps(1e9),
-                )
-            },
-            heartbeat_path=path,
-        )
-        watchdog.run_continuously(
-            cycles=2, service_ids=["iperf_cubic", "iperf_reno"]
-        )
-        beat = Heartbeat.load(path)
-        assert beat.phase == "done"
-        assert beat.cycle == 2
-        assert beat.cycles_total == 2
-        assert beat.progress == pytest.approx(1.0)
-        assert beat.trials_completed > 0

@@ -28,7 +28,6 @@ from repro.core.runner import (
     ProcessPoolBackend,
     TrialSpec,
     replay,
-    run_trial,
 )
 from repro.core.watchdog import Prudentia
 from repro.services.catalog import default_catalog
@@ -95,8 +94,9 @@ class TestSeedDerivation:
 
 class TestRunTrial:
     def test_pair_spec_matches_wrapper(self):
-        """run_trial and the run_pair_experiment wrapper are one path."""
-        via_spec = run_trial(pair_spec(seed=9), catalog=CATALOG)
+        """A backend's trial and the run_pair_experiment wrapper are one
+        path."""
+        via_spec = InlineBackend(catalog=CATALOG).run([pair_spec(seed=9)])[0]
         direct = run_pair_experiment(
             CATALOG.get("iperf_cubic"),
             CATALOG.get("iperf_reno"),
@@ -107,9 +107,9 @@ class TestRunTrial:
         assert via_spec.to_json() == direct.to_json()
 
     def test_solo_spec_matches_wrapper(self):
-        via_spec = run_trial(
-            TrialSpec.solo("iperf_bbr", NET, FAST, seed=4), catalog=CATALOG
-        )
+        via_spec = InlineBackend(catalog=CATALOG).run(
+            [TrialSpec.solo("iperf_bbr", NET, FAST, seed=4)]
+        )[0]
         direct = run_solo_experiment(
             CATALOG.get("iperf_bbr"), NET, FAST, seed=4
         )
@@ -194,7 +194,7 @@ class TestReplay:
                 or (fate == "truncated" and not allow_truncated)
             ]
             with mock.patch(
-                "repro.core.runner.run_trial", side_effect=AssertionError
+                "repro.core.runner._simulate", side_effect=AssertionError
             ) as simulate:
                 if expected_misses:
                     with pytest.raises(CacheMissError) as raised:
@@ -211,6 +211,10 @@ class TestReplay:
                     assert stats.trials_run == 0
                     assert stats.cache_hits == len(specs)
                 assert not simulate.called
+                # The patch bites: a cold backend run goes through it.
+                with pytest.raises(AssertionError):
+                    InlineBackend(catalog=CATALOG).run([pair_spec(seed=99)])
+                assert simulate.called
 
 
 class TestTrialCache:

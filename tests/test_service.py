@@ -467,6 +467,30 @@ class TestServiceIngest:
         assert status["pending_entries"] == []
         assert status["bandwidths_bps"] == [units.mbps(8)]
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            "[1]",
+            "null",
+            '{"pid": 1, "phase": "cycle", "started_unix": 0, '
+            '"updated_unix": "x"}',
+        ],
+        ids=["list", "null", "stamp-not-a-number"],
+    )
+    def test_status_survives_a_damaged_heartbeat(
+        self, tmp_path, capsys, payload
+    ):
+        from repro.cli import main
+
+        make_service(tmp_path)
+        (tmp_path / "out" / "heartbeat.json").write_text(payload)
+        argv = ["service", "status", "--spool", str(tmp_path / "spool"),
+                "--out", str(tmp_path / "out")]
+        capsys.readouterr()
+        assert main(argv) == 0
+        status = json.loads(capsys.readouterr().out)
+        assert status["observability"]["heartbeat_age_sec"] is None
+
     def test_run_loop_stops_on_stop_file(self, tmp_path):
         service = make_service(tmp_path, poll_sec=0.1)
         make_fixed_entry(tmp_path / "spool" / "incoming" / "cycle-a")

@@ -3,7 +3,6 @@
 import pytest
 
 from repro import units
-from repro.browser.automation import BrowserSession, ChromeDriver
 from repro.browser.environment import ClientEnvironment
 from repro.config import highly_constrained, ExperimentConfig
 from repro.core.experiment import run_solo_experiment
@@ -38,36 +37,6 @@ class TestClientEnvironment:
     def test_hd_monitor_caps_below_4k_bitrates(self):
         env = ClientEnvironment(monitor_4k=False)
         assert env.render_cap_bps == units.mbps(8.0)
-
-
-class TestChromeDriver:
-    def _factory(self, env):
-        return default_catalog().create("wikipedia", seed=0, env=env)
-
-    def test_open_session(self):
-        driver = ChromeDriver()
-        session = driver.open(self._factory)
-        assert isinstance(session, BrowserSession)
-        assert session.service.service_id == "wikipedia"
-
-    def test_dirty_profile_rejected(self):
-        """The methodology requires wiping cookies/cache between runs."""
-        driver = ChromeDriver()
-        driver.open(self._factory)
-        with pytest.raises(RuntimeError):
-            driver.open(self._factory)
-
-    def test_wipe_allows_next_session(self):
-        driver = ChromeDriver()
-        driver.open(self._factory)
-        driver.wipe_profile()
-        assert driver.open(self._factory)
-
-    def test_hygiene_can_be_disabled(self):
-        driver = ChromeDriver(require_clean_profile=False)
-        driver.open(self._factory)
-        driver.open(self._factory)
-        assert len(driver.sessions) == 2
 
 
 class TestSubmissionPortal:

@@ -10,7 +10,6 @@ from repro.config import (
     highly_constrained,
 )
 from repro.core.watchdog import Prudentia
-from repro.obs.heartbeat import Heartbeat
 from repro.services.catalog import default_catalog
 
 #: A tiny-but-real policy: 2 trials minimum, generous CI threshold so
@@ -72,62 +71,24 @@ class TestCycle:
         assert 0 < stats["median_losing_share"] <= 1.2
 
     def test_continuous_mode_accumulates(self):
+        """Successive cycles accumulate in one store, each under fresh
+        seeds (the cycle counter advances the base seed)."""
         dog = Prudentia(
             networks=[highly_constrained()],
             experiment_config=ExperimentConfig().scaled(20),
             policy_overrides={units.mbps(8): FAST_POLICY},
         )
-        dog.run_continuously(
-            cycles=2, service_ids=["iperf_cubic", "iperf_reno"]
-        )
+        ids = ["iperf_cubic", "iperf_reno"]
+        dog.run_cycle(service_ids=ids)
+        first = {r.seed for r in dog.store.all_results()}
+        dog.run_cycle(service_ids=ids)
         assert dog.cycles_completed == 2
+        seeds = [r.seed for r in dog.store.all_results()]
+        # No seed ran twice, and the second cycle added trials.
+        assert len(set(seeds)) == len(seeds)
+        assert first < set(seeds)
         shares = dog.store.shares("iperf_reno", "iperf_cubic", units.mbps(8))
         assert len(shares) >= 4
-
-    def test_rejects_zero_cycles(self):
-        dog = Prudentia()
-        with pytest.raises(ValueError):
-            dog.run_continuously(cycles=0)
-
-    def test_open_ended_requires_stop_condition(self):
-        dog = Prudentia()
-        with pytest.raises(ValueError, match="stop"):
-            dog.run_continuously(cycles=None)
-
-    def test_open_ended_runs_until_stop_callback(self):
-        dog = Prudentia(
-            networks=[highly_constrained()],
-            experiment_config=ExperimentConfig().scaled(20),
-            policy_overrides={units.mbps(8): FAST_POLICY},
-        )
-        dog.run_continuously(
-            cycles=None,
-            service_ids=["iperf_cubic", "iperf_reno"],
-            stop=lambda: dog.cycles_completed >= 2,
-        )
-        assert dog.cycles_completed == 2
-
-    def test_open_ended_stop_file_checked_between_cycles(self, tmp_path):
-        stop_path = tmp_path / "stop"
-        dog = Prudentia(
-            networks=[highly_constrained()],
-            experiment_config=ExperimentConfig().scaled(20),
-            policy_overrides={units.mbps(8): FAST_POLICY},
-            heartbeat_path=tmp_path / "heartbeat.json",
-        )
-        # The stop file exists before the first cycle: nothing runs, and
-        # the heartbeat still reaches a terminal phase.
-        stop_path.write_text("")
-        dog.run_continuously(
-            cycles=None,
-            service_ids=["iperf_cubic", "iperf_reno"],
-            stop_file=stop_path,
-        )
-        assert dog.cycles_completed == 0
-        heartbeat = Heartbeat.load(tmp_path / "heartbeat.json")
-        assert heartbeat.phase == "done"
-        # An unbounded horizon reports no fabricated ETA.
-        assert heartbeat.cycles_total is None
 
 
 class TestCalibration:

@@ -1,11 +1,11 @@
-"""Windowed min/max filters (BBR's btlbw and RTprop estimators)."""
+"""Windowed max filter (BBR's bottleneck-bandwidth estimator)."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.transport.windowed_filter import WindowedMaxFilter, WindowedMinFilter
+from repro.transport.windowed_filter import WindowedMaxFilter
 
-from tests.naive_windowed_filter import ReferenceMaxFilter, ReferenceMinFilter
+from tests.naive_windowed_filter import ReferenceMaxFilter
 
 
 class TestMaxFilter:
@@ -137,9 +137,9 @@ _SAMPLE_STREAMS = st.lists(
 
 
 class TestFastPathEquivalence:
-    """The flattened concrete ``update`` methods vs the generic reference.
+    """The flattened ``update`` vs the generic reference.
 
-    The concrete filters' early-exit fast paths and inlined slow path
+    The filter's early-exit fast paths and inlined slow path
     must be *indistinguishable* from the generic reference ``update``
     (``tests/naive_windowed_filter.py``) - same return values and same
     internal estimate structure after every sample - because BBR's
@@ -155,64 +155,3 @@ class TestFastPathEquivalence:
             assert fast.update(value, now) == ref.update(value, now)
             assert fast._estimates == ref._estimates
             assert fast.best == ref.best
-
-    @given(_SAMPLE_STREAMS)
-    def test_min_matches_reference(self, samples):
-        fast, ref = WindowedMinFilter(10), ReferenceMinFilter(10)
-        now = 0
-        for value, step in samples:
-            now += step
-            assert fast.update(value, now) == ref.update(value, now)
-            assert fast._estimates == ref._estimates
-            assert fast.best == ref.best
-
-    @given(_SAMPLE_STREAMS)
-    def test_min_max_symmetry(self, samples):
-        """A min filter is a max filter over negated samples.
-
-        Guards against the two concrete implementations drifting apart -
-        every comparison in one must be the exact mirror of the other.
-        """
-        fmin, fmax = WindowedMinFilter(10), WindowedMaxFilter(10)
-        now = 0
-        for value, step in samples:
-            now += step
-            assert fmin.update(value, now) == -fmax.update(-value, now)
-            assert fmin.best == -fmax.best
-
-
-class TestMinFilter:
-    def test_tracks_min(self):
-        f = WindowedMinFilter(10)
-        f.update(30.0, 0)
-        f.update(10.0, 1)
-        f.update(20.0, 2)
-        assert f.get() == 10.0
-
-    def test_old_min_expires(self):
-        f = WindowedMinFilter(10)
-        f.update(1.0, 0)
-        for t in range(1, 30):
-            f.update(50.0, t)
-        assert f.get() == 50.0
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=0.1, max_value=1e9),
-                st.integers(min_value=0, max_value=5),
-            ),
-            min_size=1,
-            max_size=100,
-        )
-    )
-    def test_value_bounded_by_window_samples(self, samples):
-        f = WindowedMinFilter(10)
-        now = 0
-        history = []
-        for value, step in samples:
-            now += step
-            f.update(value, now)
-            history.append((value, now))
-        window = [v for v, t in history if now - t <= 10]
-        assert min(window) - 1e-9 <= f.get() <= max(window) + 1e-9
