@@ -323,7 +323,7 @@ def _lookup(
 ) -> List[Optional[CachedTrial]]:
     """Serve ``trials`` from ``cache`` in one :meth:`TrialCache.read`,
     counting into ``stats``: the records in submission order, ``None``
-    where the cache had nothing admissible (:meth:`ExecutionBackend.run`
+    where the cache had nothing admissible (:meth:`ExecutionBackend.complete`
     simulates those misses, :func:`replay` refuses them)."""
     if cache is None or not trials:
         return [None] * len(trials)
@@ -365,9 +365,10 @@ def replay(
 class ExecutionBackend:
     """The :meth:`run` interface every execution substrate implements.
 
-    The base class owns cache consultation, completion and statistics;
-    subclasses implement :meth:`_execute` for the trials that missed the
-    cache, each trial through :func:`_simulate`.
+    The base class owns cache consultation, completion and statistics
+    (:meth:`complete`; :meth:`run` is that plus the results); subclasses
+    implement :meth:`_execute` for the trials that missed the cache,
+    each trial through :func:`_simulate`.
 
     Trial ids resolve through ``catalog`` (the default Table-1 catalog
     when omitted) and run in client environment ``env`` (``None`` = the
@@ -405,7 +406,25 @@ class ExecutionBackend:
         self.stats = RunnerStats()
 
     def run(self, trials: Sequence[TrialSpec]) -> List[ExperimentResult]:
-        """Execute ``trials``; results in submission order.
+        """Execute ``trials``; results in submission order: each cache
+        hit's built from its record, each miss's just simulated."""
+        records, simulated = self._complete(trials)
+        return [
+            simulated[i] if record is None else record.result
+            for i, record in enumerate(records)
+        ]
+
+    def complete(self, trials: Sequence[TrialSpec]) -> None:
+        """Make every trial in ``trials`` recorded, building no result
+        for a cache hit (what a shard worker needs: its trials on disk)."""
+        self._complete(trials)
+
+    def _complete(
+        self, trials: Sequence[TrialSpec]
+    ) -> Tuple[List[Optional[CachedTrial]], Dict[int, ExperimentResult]]:
+        """Serve ``trials`` from the cache and simulate the rest: the
+        :func:`_lookup` records (``None`` where a trial missed) and the
+        simulated results by index in ``trials``.
 
         The one place a simulated trial is completed, on any substrate:
         as each comes back, its sidecar lands, then its entry (the
@@ -414,15 +433,13 @@ class ExecutionBackend:
         ends the run with every earlier trial on disk."""
         env, cache, stats = self.env, self.cache, self.stats
         armed = self.earlystop is not None
-        results = [
-            None if record is None else record.result
-            for record in _lookup(cache, trials, env, armed, stats)
-        ]
+        records = _lookup(cache, trials, env, armed, stats)
         misses = [
-            (i, spec) for i, spec in enumerate(trials) if results[i] is None
+            (i, spec) for i, spec in enumerate(trials) if records[i] is None
         ]
+        simulated: Dict[int, ExperimentResult] = {}
         if not misses:
-            return results  # type: ignore[return-value]
+            return records, simulated
         registry = get_registry()
         simulating = 0.0
         outcomes = self._execute([spec for _i, spec in misses])
@@ -447,12 +464,12 @@ class ExecutionBackend:
                     registry.counter("runner.trials_run").inc()
                     if recording is not None:
                         self.recordings[key] = recording
-                    results[index] = result
+                    simulated[index] = result
         finally:
             outcomes.close()
             stats.wall_clock_sec += simulating
             registry.histogram("runner.dispatch_sec").observe(simulating)
-        return results  # type: ignore[return-value]
+        return records, simulated
 
     def _execute(self, trials: Sequence[TrialSpec]) -> Iterator[Outcome]:
         """Simulate ``trials``, yielding an :data:`Outcome` per trial in

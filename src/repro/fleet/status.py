@@ -249,7 +249,7 @@ def _newest_mtime(directory: Path) -> float:
     for path in directory.glob("*.json"):
         try:
             newest = max(newest, path.stat().st_mtime)
-        except OSError:  # entry evicted mid-scan
+        except OSError:  # deleted since the listing
             continue
     return newest
 

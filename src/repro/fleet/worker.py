@@ -236,7 +236,9 @@ def run_shard(
         shard=manifest["shard_index"],
         trials=len(specs),
     ):
-        backend.run(specs)
+        # Completion alone: the shard only records its trials, so a
+        # cache hit is read and checked but never built into a result.
+        backend.complete(specs)
     cycle = manifest.get("cycle") or {}
     flight_prefix = None
     if backend.recordings is not None:

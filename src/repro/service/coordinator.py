@@ -69,7 +69,9 @@ from ..core.submission import SubmissionError, SubmissionPortal
 from ..fleet.adaptive import AdaptiveCycleState, ASSEMBLY_PLAN_FILENAME, STATE_FILENAME
 from ..fleet.plan import FleetError, FleetPlan, load_plan, write_manifest
 from ..obs import tracing
-from ..obs.flight import FLIGHT_SCHEMA_VERSION, diagnose
+from ..obs.flight import (
+    FLIGHT_SCHEMA_VERSION, diagnose, explain_unfairness,
+)
 from ..obs.heartbeat import Heartbeat, HeartbeatError, HeartbeatWriter
 from ..obs.log import get_logger
 from ..obs.metrics import get_registry
@@ -395,7 +397,15 @@ class WatchdogService:
         return written
 
     def load_diagnoses(self) -> Dict[float, Dict]:
-        """Published diagnoses as bandwidth -> (a, b) pair -> payload."""
+        """Published diagnoses as bandwidth -> (a, b) pair -> payload.
+
+        A file that cannot be read as a diagnosis - not JSON, not an
+        object, a ``meta`` that is not one, a bandwidth that is not a
+        number, a body :func:`~repro.obs.flight.explain_unfairness`
+        cannot explain - is treated as absent and logged: diagnoses are
+        re-derived from the flight sidecars, and a damaged one must not
+        stop the site from rendering.
+        """
         root = self.out / "diagnoses"
         out: Dict[float, Dict] = {}
         if not root.is_dir():
@@ -403,15 +413,21 @@ class WatchdogService:
         for path in sorted(root.glob("*/*.json")):
             try:
                 payload = json.loads(path.read_text())
-            except (OSError, ValueError):  # torn write; skip
-                continue
-            meta = payload.get("meta") or {}
-            ids = meta.get("service_ids") or []
-            bandwidth = meta.get("bandwidth_bps")
-            if not ids or bandwidth is None:
-                continue
-            pair = (ids[0], ids[-1])
-            out.setdefault(float(bandwidth), {})[pair] = payload
+                meta = payload.get("meta") or {}
+                ids = meta.get("service_ids") or []
+                bandwidth = meta.get("bandwidth_bps")
+                if not ids or bandwidth is None:
+                    continue
+                pair = (ids[0], ids[-1])
+                bandwidth = float(bandwidth)
+                explain_unfairness(payload)
+                out.setdefault(bandwidth, {})[pair] = payload
+            except (OSError, AttributeError, LookupError, TypeError,
+                    ValueError) as exc:
+                _log.warning(
+                    "service.diagnosis_discarded", defect=repr(exc),
+                    path=str(path),
+                )
         return out
 
     def _move_entry(self, entry: Path, bucket: str) -> None:

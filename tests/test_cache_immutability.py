@@ -25,7 +25,7 @@ from repro.core.cache import (
     trial_cache_key,
 )
 from repro.core.experiment import ExperimentResult
-from repro.core.runner import TrialSpec, replay
+from repro.core.runner import TrialSpec, build_backend, replay
 from repro.fleet import (
     FleetError,
     fleet_status,
@@ -403,16 +403,31 @@ ENTRY_DAMAGE = {
     "utf-16": (lambda data: data.decode().encode("utf-16"), "not valid JSON"),
 }
 
+#: ``ENTRY_DAMAGE`` plus what only a cache entry can get wrong: a JSON
+#: object that is not a trial record (any object is a sidecar or a
+#: state file, so this kind is an entry's alone).  Shared with the
+#: worker, assembly and spool-ingest tests.
+TRIAL_DAMAGE = {
+    **ENTRY_DAMAGE,
+    "not-a-trial": (
+        lambda data: b'{"schema": 1}',
+        "not a trial record (missing bandwidth_bps, buffer_packets, "
+        "contender_id, duration_usec, incumbent_id, seed)",
+    ),
+}
+
 
 class TestDamagedFiles:
-    """An entry or sidecar that is not a UTF-8 JSON object is a named
-    ``CacheEntryError`` from every reader - never a raw decode error,
-    never a silent miss, never a folded result."""
+    """An entry or sidecar that is not a UTF-8 JSON object, or an entry
+    that is not a trial record, is a named ``CacheEntryError`` from
+    every reader - never a raw decode or type error, never a silent
+    miss, never a folded result."""
 
-    @pytest.fixture(params=sorted(ENTRY_DAMAGE))
+    @pytest.fixture(params=sorted(TRIAL_DAMAGE))
     def damaged(self, request, tmp_path):
-        """(spec, key, entry path, sidecar path, defect named) with both
-        files damaged."""
+        """(spec, key, entry path, sidecar path, defect named) with the
+        entry damaged, and the sidecar too where the damage is one a
+        sidecar can have (``None`` otherwise)."""
         spec = TrialSpec.pair("iperf_cubic", "iperf_reno", NET, FAST, seed=1)
         writer = TrialCache(tmp_path)
         writer.put(spec, synthetic_result(spec))
@@ -420,8 +435,10 @@ class TestDamagedFiles:
         writer.put_sidecar(key, "flight", {"schema": 1, "rows": list(range(40))})
         entry = tmp_path / f"{key}.json"
         sidecar = tmp_path / f"{key}.flight.json"
-        damage, complaint = ENTRY_DAMAGE[request.param]
-        for path in (entry, sidecar):
+        damage, complaint = TRIAL_DAMAGE[request.param]
+        if request.param not in ENTRY_DAMAGE:
+            sidecar = None
+        for path in filter(None, (entry, sidecar)):
             path.write_bytes(damage(path.read_bytes()))
         return spec, key, entry, sidecar, complaint
 
@@ -443,6 +460,12 @@ class TestDamagedFiles:
             "put": (lambda c: c.put(spec, synthetic_result(spec)), 0),
             "payload_for": (lambda c: c.payload_for(key), 0),
             "read": (lambda c: c.read([before, spec, after]), 1),
+            "complete": (
+                lambda c: build_backend(cache=c).complete(
+                    [before, spec, after]
+                ),
+                1,
+            ),
         }
         parsed = get_registry().counter("cache.entries_parsed")
         for name, (read, hits) in readers.items():
@@ -454,11 +477,13 @@ class TestDamagedFiles:
             assert complaint in str(caught.value), name
             assert (cache.hits, cache.misses, cache.stores) == (hits, 0, 0), name
             assert parsed.value - parsed_before == hits, name
-        with pytest.raises(CacheEntryError) as caught:
-            TrialCache(tmp_path).get_sidecar(key, "flight")
-        assert str(sidecar) in str(caught.value)
-        # The damaged bytes are still there for an operator to look at.
-        assert entry.exists() and sidecar.exists()
+        if sidecar is not None:
+            with pytest.raises(CacheEntryError) as caught:
+                TrialCache(tmp_path).get_sidecar(key, "flight")
+            assert str(sidecar) in str(caught.value)
+            # The damaged bytes are still there for an operator.
+            assert sidecar.exists()
+        assert entry.exists()
 
     def test_a_cache_only_backend_refuses_rather_than_misses(self, damaged, tmp_path):
         """``replay`` (what the cache-only backend became) names the

@@ -13,16 +13,20 @@ this file pins:
   (four derivations per trial before the memo);
 * ``cache.entries_parsed`` - entry files decoded - at two per trial:
   once in the shard's cache, once in the merged one;
+* ``ExperimentResult`` objects built - at one per planned trial, in
+  assembly: ``run_shard`` reads and checks its hits but never builds
+  their results (two per trial when it did);
 * ``TrialCache``'s "repeated hits never re-read files": a second
-  ``get`` of the same spec moves neither counter, and still touches the
-  entry for the LRU;
+  ``get`` of the same spec moves neither counter, and a read never
+  writes to the entry;
 * the config objects behind one manifest's specs: one per table entry
   (schema 3) or per distinct inline payload (schema 1/2), not two per
   row;
 * Python frames entered per planned trial over ``run_shard`` x4 +
   ``merge_shards`` + ``assemble_reports``: identical across two runs
   and under a ceiling (296.1 before this budget existed, 90.7 before
-  the merge linked on string paths);
+  the merge linked on string paths, 40.68 before ``run_shard`` stopped
+  building results);
 * ``pathlib`` parses over the same body: the same number whether the
   plan holds 380 trials or 760 - none is per planned trial;
 * bytes per planned trial in ``plan.json`` and in the shard manifests;
@@ -43,6 +47,7 @@ from repro import units
 from repro.config import ExperimentConfig, NetworkConfig
 from repro.core import cache as cache_module
 from repro.core.cache import TrialCache
+from repro.core.experiment import ExperimentResult
 from repro.fleet import assemble_reports, merge_shards, plan_cycle, run_shard
 from repro.fleet.plan import ROW_COLUMNS, trial_rows
 from repro.obs.metrics import get_registry, reset_registry
@@ -59,10 +64,11 @@ CONFIG = ExperimentConfig().scaled(3)
 SHARDS = 4
 
 #: Ceiling on Python frames per planned trial (run_shard x4 + merge +
-#: assemble): 40.68 today, plus ~10% (61.2 when each spec was one
-#: ``get`` with its own counter bumps, and assembly checked every entry
-#: for existence before replaying).
-FRAMES_PER_TRIAL_BUDGET = 45
+#: assemble): 39.6 today, plus ~10% (40.68 when ``run_shard`` built a
+#: result per hit; 61.2 when each spec was one ``get`` with its own
+#: counter bumps, and assembly checked every entry for existence before
+#: replaying).
+FRAMES_PER_TRIAL_BUDGET = 43
 
 #: Ceiling on Python frames per delivered trial over ``ingest_entry`` +
 #: ``compact``, measured as the slope between two delivery sizes (22.0
@@ -163,6 +169,23 @@ def test_two_derivations_two_parses_per_trial(tmp_path):
     assert keys - keys_before == 2 * trials
     # Once per shard cache, once in the merged cache.
     assert parsed - parsed_before == 2 * trials
+
+
+def test_one_result_built_per_planned_trial(tmp_path, monkeypatch):
+    """Assembly builds each trial's result; the shard workers record
+    theirs without building one."""
+    trials = filled_shards(tmp_path)
+    run = warm_cycle(tmp_path, tmp_path / "rep")
+    built = []
+    init = ExperimentResult.__init__
+
+    def counting_init(result, *args, **kwargs):
+        built.append(result)
+        init(result, *args, **kwargs)
+
+    monkeypatch.setattr(ExperimentResult, "__init__", counting_init)
+    run()
+    assert len(built) == trials
 
 
 def test_repeated_hits_never_reread_files(tmp_path):

@@ -15,7 +15,13 @@ from repro.config import (
     TrialPolicyConfig,
     highly_constrained,
 )
-from repro.core.cache import CACHE_SCHEMA_VERSION, TrialCache, scan_cache_dir
+from repro.core.cache import (
+    CACHE_SCHEMA_VERSION,
+    CacheEntryError,
+    TrialCache,
+    scan_cache_dir,
+)
+from repro.core.experiment import ExperimentResult
 from repro.core.runner import (
     InlineBackend,
     build_backend,
@@ -40,7 +46,7 @@ from repro.fleet.plan import MANIFEST_SCHEMA_VERSION, ROW_COLUMNS
 from repro.fleet.worker import RECEIPT_FILENAME
 from repro.services.catalog import default_catalog
 
-from tests.test_cache_immutability import ENTRY_DAMAGE, synthetic_result
+from tests.test_cache_immutability import TRIAL_DAMAGE, synthetic_result
 
 CATALOG = default_catalog()
 FAST = ExperimentConfig().scaled(10)
@@ -883,9 +889,9 @@ class TestDamagedEntryAtAssembly:
     """A damaged entry in a merged cache aborts assembly with the file's
     name; no report is built from the entries around it."""
 
-    @pytest.mark.parametrize("kind", sorted(ENTRY_DAMAGE))
+    @pytest.mark.parametrize("kind", sorted(TRIAL_DAMAGE))
     def test_assembly_names_the_damaged_file(self, tmp_path, kind):
-        damage, complaint = ENTRY_DAMAGE[kind]
+        damage, complaint = TRIAL_DAMAGE[kind]
         plan = small_plan(num_shards=1, trials=1)
         run_shard(plan.manifest_for(0), tmp_path / "s0")
         merge_shards(plan, [tmp_path / "s0"], tmp_path / "merged")
@@ -897,6 +903,59 @@ class TestDamagedEntryAtAssembly:
             assemble_reports(plan, TrialCache(tmp_path / "merged"))
         assert str(victim) in str(caught.value)
         assert complaint in str(caught.value)
+
+
+class TestRunShardKeepsItsChecks:
+    """``run_shard`` records its trials without building their results;
+    what it reads is checked all the same."""
+
+    @staticmethod
+    def filled(root, truncated=()):
+        """A one-shard plan and its cache of synthetic results in
+        ``root``; the trials at the ``truncated`` indexes were
+        early-terminated."""
+        plan = small_plan(num_shards=1, trials=1)
+        cache = TrialCache(root)
+        for index, trial in enumerate(plan.trials):
+            cut = 4_000_000 if index in truncated else None
+            cache.put(trial.spec, synthetic_result(trial.spec, cut))
+        return plan
+
+    def test_an_unarmed_shard_resimulates_a_truncated_entry(self, tmp_path):
+        plan = self.filled(tmp_path, truncated=(0,))
+        victim = tmp_path / f"{plan.trials[0].cache_key}.json"
+        receipt = run_shard(plan.manifest_for(0), tmp_path)
+        assert receipt.stats.trials_run == 1
+        assert receipt.stats.cache_hits == len(plan.trials) - 1
+        rewritten = ExperimentResult.from_json(json.loads(victim.read_text()))
+        assert not rewritten.truncated and rewritten.earlystop is None
+
+    @pytest.mark.parametrize("kind", sorted(TRIAL_DAMAGE))
+    def test_a_damaged_entry_stops_the_shard_by_name(self, tmp_path, kind):
+        damage, complaint = TRIAL_DAMAGE[kind]
+        plan = self.filled(tmp_path)
+        victim = tmp_path / f"{plan.trials[-1].cache_key}.json"
+        victim.write_bytes(damage(victim.read_bytes()))
+        with pytest.raises(CacheEntryError) as caught:
+            run_shard(plan.manifest_for(0), tmp_path)
+        assert str(victim) in str(caught.value)
+        assert complaint in str(caught.value)
+        assert not (tmp_path / RECEIPT_FILENAME).exists()
+
+    def test_a_warm_shard_builds_no_result(self, tmp_path, monkeypatch):
+        plan = self.filled(tmp_path)
+        built = []
+        init = ExperimentResult.__init__
+
+        def counting_init(result, *args, **kwargs):
+            built.append(result)
+            init(result, *args, **kwargs)
+
+        monkeypatch.setattr(ExperimentResult, "__init__", counting_init)
+        receipt = run_shard(plan.manifest_for(0), tmp_path)
+        assert receipt.stats.trials_run == 0
+        assert receipt.stats.cache_hits == len(plan.trials)
+        assert built == []
 
 
 class TestAssemblyMisses:

@@ -713,6 +713,65 @@ class TestServiceFlightPublication:
         page = service.site.index_path.read_text()
         assert "### Why is this unfair?" in page
 
+    def test_a_damaged_diagnosis_file_is_treated_as_absent(self, tmp_path):
+        """A published diagnosis that is JSON but no diagnosis is
+        skipped with a warning naming it, like one that does not parse,
+        and the site renders as without it.  That holds for a file
+        beside the real one and for the real one - whose pair the site
+        explains as a worst cell - with its body damaged.  (Unchecked,
+        such a file raised an ``AttributeError``, ``KeyError``,
+        ``TypeError`` or ``ValueError`` from every site refresh.)"""
+        import logging
+
+        service = self.run_service(tmp_path)
+        service.ingest_once()
+        healthy = service.site.index_path.read_bytes()
+        assert b"### Why is this unfair?" in healthy
+        diagnoses = service.load_diagnoses()
+        (published,) = (tmp_path / "out" / "diagnoses").glob("*/*.json")
+        original = json.loads(published.read_text())
+        logged = []
+        handler = logging.Handler()
+        handler.emit = lambda record: logged.append(
+            (record.getMessage(), record.repro_fields["path"])
+        )
+
+        def check(damaged, payload, page, loaded):
+            damaged.write_text(json.dumps(payload))
+            logged.clear()
+            service.ingest_once(full_site_refresh=True)
+            assert logged == [
+                ("service.diagnosis_discarded", str(damaged))
+            ], payload
+            assert service.site.index_path.read_bytes() == page, payload
+            assert service.load_diagnoses() == loaded, payload
+
+        logger = logging.getLogger("repro.service")
+        logger.addHandler(handler)
+        try:
+            for payload in (
+                [1],
+                {"meta": [1]},
+                {"meta": {"service_ids": ["zz", "yy"],
+                          "bandwidth_bps": "fast"}},
+            ):
+                check(published.parent / "zz__yy.json", payload, healthy,
+                      diagnoses)
+            (published.parent / "zz__yy.json").unlink()
+            published.unlink()
+            service.ingest_once(full_site_refresh=True)
+            bare = service.site.index_path.read_bytes()
+            assert b"### Why is this unfair?" not in bare
+            for body in (
+                {"throughput_share": [1]},
+                {"throughput_share": {"mean": {"a": "x", "b": 1}}},
+                {"dwell": {"f": {"x": 1}}},
+                {"retransmit_bursts": {"f": {"bursts": 1}}},
+            ):
+                check(published, {**original, **body}, bare, {})
+        finally:
+            logger.removeHandler(handler)
+
     def test_status_reports_observability(self, tmp_path):
         service = self.run_service(tmp_path)
         before = service.status()["observability"]

@@ -34,7 +34,7 @@ from repro.service import (
 from repro.service.coordinator import FAULT_ENV
 from repro.core.submission import DEFAULT_ACCESS_CODES
 
-from tests.test_cache_immutability import ENTRY_DAMAGE
+from tests.test_cache_immutability import ENTRY_DAMAGE, TRIAL_DAMAGE
 from tests.test_fleet import HOSTILE_V3, damage_v3
 
 FAST = ExperimentConfig().scaled(4)
@@ -591,14 +591,16 @@ class TestPoisonedEntries:
         assert (tmp_path / "spool" / "failed" / "cycle-0-bad").exists()
         assert [c.source for c in service.store.cycles()] == ["cycle-1-good"]
 
-    @pytest.mark.parametrize("kind", sorted(ENTRY_DAMAGE))
+    @pytest.mark.parametrize("kind", sorted(TRIAL_DAMAGE))
     def test_damaged_cache_entry_retires_the_spool_entry_by_name(
         self, tmp_path, kind
     ):
         """A cache entry damaged in transit: nothing of its cycle is
         folded, the error names the file, the entry behind it ingests in
-        the same pass, and the next pass has nothing left to trip on."""
-        damage, cause = ENTRY_DAMAGE[kind]
+        the same pass, and the next pass has nothing left to trip on.
+        (Unchecked, an object that is no trial record raised a bare
+        ``TypeError`` on every pass and never left ``incoming/``.)"""
+        damage, cause = TRIAL_DAMAGE[kind]
         service = make_service(tmp_path)
         incoming = tmp_path / "spool" / "incoming"
         plan = make_fixed_entry(incoming / "cycle-0-bad")
