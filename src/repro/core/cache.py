@@ -11,9 +11,7 @@ benchmarks, and watchdog cycles skip already-simulated trials entirely.
 Keys are stable SHA-256 digests over a canonical JSON encoding of the
 trial inputs plus a schema version, so a cache survives process restarts
 and is automatically invalidated when the result schema changes.  Values
-are ``ExperimentResult.to_json()`` payloads - the same serialisation
-:class:`~repro.core.results.ResultStore` persists, so cached trials
-round-trip through the store unchanged.
+are ``ExperimentResult.to_json()`` payloads.
 
 A trial record has one encoding, :func:`canonical_json` (sorted keys, no
 whitespace, one ASCII line), and it is produced once:
@@ -35,18 +33,21 @@ Every lookup is one batch :meth:`TrialCache.read` (``get`` reads one),
 and a hit costs what it must: the key is derived once per spec object
 (:func:`trial_cache_key`, which hashes only the seed and service ids on
 top of a memoised SHA-256 state), the entry's path is one string
-concatenation, and the file is read as bytes and decoded once
-(``cache.keys_derived`` / ``cache.entries_parsed`` count both, the
-latter once per batch).  A file that is not a UTF-8 JSON object, or
-an entry without a trial record's fields, raises
-:class:`CacheEntryError`: it is never a miss and never a result.  The
+concatenation, and the file is read as bytes and parsed once by
+:data:`decode_record`, the C parser (``cache.keys_derived`` /
+``cache.entries_parsed`` count both, the latter once per batch).  A
+file that is not a UTF-8 JSON object, or an entry without a trial
+record's fields, raises :class:`CacheEntryError`: it is never a miss
+and never a result.  The
 :class:`~repro.core.experiment.ExperimentResult` is built from the
 payload only when a caller asks for :attr:`CachedTrial.result` - a
-shard worker, which only needs its trials recorded, never does.  On a
-``warm-replan`` entry (972 B, one x86-64 core, best of seven reads of
-2 000 entries) a disk hit is ~14-15 us: ~1.8 us open + read + close,
-~9 us UTF-8 + JSON decode, ~0.4 us shape check and record; building
-the result adds ~2.1 us where it is asked for.
+shard worker, which only needs its trials recorded, never does.  On
+the ``warm-replan`` entries (1 006 B, one x86-64 core, best of seven
+reads of 2 280 entries) a disk hit is ~10.5-10.7 us (~20.5-21.2 when
+``json.loads`` parsed it): ~2.7 us open + read + close, ~3.3 us
+parse (UTF-8 + ``json.loads`` was ~13), ~4 us the loop around them
+(key memo, path, shape check, record, counters); building the result
+adds ~3.2 us where it is asked for.
 
 Entry and sidecar files are *immutable*: every write lands as a
 temporary sibling renamed over the destination
@@ -65,9 +66,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
+
+import orjson
 
 from ..atomicio import TMP_SUFFIX, atomic_write
 from ..browser.environment import ClientEnvironment
@@ -99,11 +103,16 @@ def _completeness(payload: Dict) -> "tuple[int, int]":
 
 class CacheEntryError(RuntimeError):
     """An entry or sidecar file is not a UTF-8 JSON object, or an entry
-    is one without the fields of a trial record.
+    is one without the fields of a trial record (or with a ``seed``,
+    ``duration_usec`` or ``buffer_packets`` that is not a signed 64-bit
+    integer, or an ``earlystop`` block that is not an object).
 
     Writes are atomic, so a file in this state was damaged after it
     landed (truncated copy, flipped bits, foreign writer).  The message
     names the file and the defect; nothing is ever folded from it.
+    :meth:`TrialCache.put` raises it too, naming the field, for a
+    result it refuses to write because no reader could read it back
+    as it was.
     """
 
 
@@ -115,42 +124,78 @@ _TRIAL_FIELDS = frozenset(
     and f.default_factory is dataclasses.MISSING
 )
 
+#: Trial-record fields that must decode as signed 64-bit integers: the
+#: decoder reads a wider integer as a float where ``json`` kept it exact.
+_INT64_FIELDS = ("seed", "duration_usec", "buffer_packets")
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+#: The one decoder of trial-record bytes - cache entries and sidecars,
+#: store journal and segment lines, merge adjudication: ``orjson``'s C
+#: parser, bound by name so a parse adds no Python frame.  It reads
+#: :func:`canonical_json`'s output back type for type (``1``, ``1.0``,
+#: ``-0.0`` and ``true`` stay apart, floats round-trip exactly) and
+#: validates UTF-8 itself, so bytes go in undecoded.  It refuses
+#: ``NaN``/``Infinity``, which records therefore never hold, and reads
+#: integers beyond 64 bits as floats, which the entry shape check
+#: refuses where a record has integers.
+decode_record = orjson.loads
+
 
 def _read_entry(
-    path: str, trial: bool = True
-) -> "Optional[tuple[Dict, bytes]]":
+    path: str, trial: bool = True, raw: "Optional[bytes | str]" = None
+) -> "Optional[tuple[Dict, bytes | str]]":
     """The JSON object at ``path`` and the bytes it was parsed from, or
     ``None`` when no such file (read through a bare descriptor: no
     ``BufferedReader`` built per entry; the caller counts the parse).
+    A caller that holds the bytes already (or the text: ``put``'s
+    check of what it is about to write) passes them as ``raw``, and
+    ``path`` only names them.
 
     A ``trial`` file (an entry, not a sidecar) must also hold every
-    field a result is built from; the result itself is not built."""
+    field a result is built from, its integer fields within signed 64
+    bits and its ``earlystop`` block, if any, an object; the result
+    itself is not built."""
+    if raw is None:
+        try:
+            fd = os.open(path, os.O_RDONLY)
+        except FileNotFoundError:
+            return None
+        try:
+            chunks = []
+            # Entries are a few KiB: one read, and one more that finds EOF.
+            while chunk := os.read(fd, 1 << 16):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+        raw = b"".join(chunks)
     try:
-        fd = os.open(path, os.O_RDONLY)
-    except FileNotFoundError:
-        return None
-    try:
-        chunks = []
-        # Entries are a few KiB: one read, and one more that finds EOF.
-        while chunk := os.read(fd, 1 << 16):
-            chunks.append(chunk)
-    finally:
-        os.close(fd)
-    raw = b"".join(chunks)
-    try:
-        # JSONDecodeError and UnicodeDecodeError are ValueErrors.
-        payload = json.loads(raw.decode("utf-8"))
+        # orjson.JSONDecodeError is a ValueError; bad UTF-8 is one too.
+        payload = decode_record(raw)
     except ValueError as exc:
         raise CacheEntryError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise CacheEntryError(
             f"{path}: expected a JSON object, found {type(payload).__name__}"
         )
-    if trial and not _TRIAL_FIELDS <= payload.keys():
-        missing = ", ".join(sorted(_TRIAL_FIELDS - payload.keys()))
-        raise CacheEntryError(
-            f"{path}: not a trial record (missing {missing})"
-        )
+    if trial:
+        if not _TRIAL_FIELDS <= payload.keys():
+            missing = ", ".join(sorted(_TRIAL_FIELDS - payload.keys()))
+            raise CacheEntryError(
+                f"{path}: not a trial record (missing {missing})"
+            )
+        for name in _INT64_FIELDS:
+            value = payload[name]
+            if type(value) is not int or not _INT64_MIN <= value <= _INT64_MAX:
+                raise CacheEntryError(
+                    f"{path}: not a trial record ({name} reads as "
+                    f"{value!r}, not a signed 64-bit integer)"
+                )
+        earlystop = payload.get("earlystop")
+        if earlystop is not None and type(earlystop) is not dict:
+            raise CacheEntryError(
+                f"{path}: not a trial record (earlystop is "
+                f"{type(earlystop).__name__}, not an object)"
+            )
     return payload, raw
 
 
@@ -207,7 +252,9 @@ _CONFIG_MEMO_MAX = 512
 #: What ``env=None`` stands for in a cache key.
 _FAITHFUL_ENV = ClientEnvironment.faithful_testbed()
 
-_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_CANONICAL_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False
+)
 
 
 def canonical_json(payload) -> str:
@@ -218,9 +265,29 @@ def canonical_json(payload) -> str:
     line again in a store segment are these same bytes
     (:meth:`TrialCache.put`, :mod:`repro.service.store`); key derivation
     hashes the same form.  Type-exact (``1``, ``1.0`` and ``true`` stay apart) and
-    deterministic, so equal payloads give equal bytes.
+    deterministic, so equal payloads give equal bytes.  A non-finite
+    float raises ``ValueError``: :data:`decode_record` could not read it
+    back.
     """
     return _CANONICAL_ENCODER.encode(payload)
+
+
+def _nonfinite_field(value, path: str = "") -> Optional[str]:
+    """Where in ``value`` the first non-finite float sits (``a.b``), or
+    ``None`` - names what :func:`canonical_json` refused."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, (list, tuple)):
+        items = enumerate(value)
+    else:
+        return None
+    for name, item in items:
+        found = _nonfinite_field(item, f"{path}.{name}" if path else str(name))
+        if found is not None:
+            return found
+    return None
 
 
 def _config_memo(config) -> "tuple[Dict, str]":
@@ -489,7 +556,11 @@ class TrialCache:
         """Record one simulated trial under its content address.
 
         The entry is the result's :func:`canonical_json`: one line, the
-        bytes a service journal later adopts as they are.
+        bytes a service journal later adopts as they are.  A result
+        :data:`decode_record` would not read back as written - a
+        non-finite float, an integer field beyond signed 64 bits - is
+        refused with a :class:`CacheEntryError` naming the field, and
+        nothing is written.
 
         Full-length results always supersede truncated ones: a put never
         replaces an existing entry with a *less* complete result for the
@@ -500,6 +571,16 @@ class TrialCache:
         key = trial_cache_key(spec, env)
         payload = result.to_json()
         path = self._path(key)
+        refused = f"{path} (not written)"
+        try:
+            encoded = canonical_json(payload)
+        except ValueError as exc:
+            raise CacheEntryError(
+                f"{refused}: {_nonfinite_field(payload)} is not a finite "
+                "float"
+            ) from exc
+        # What a reader would refuse or change is never written.
+        _read_entry(refused, raw=encoded)
         existing = self._memory.get(key)
         if existing is None:
             existing = _read_json(path)
@@ -509,7 +590,6 @@ class TrialCache:
             return
         self._memory[key] = payload
         self.stores += 1
-        encoded = canonical_json(payload)
         atomic_write(path, encoded)
         registry = get_registry()
         registry.counter("cache.stores").inc()
@@ -526,11 +606,15 @@ class TrialCache:
     # carry their own schema version.
 
     def put_sidecar(self, key: str, name: str, payload: Dict) -> None:
-        """Attach an auxiliary JSON artifact to a cache entry's key."""
+        """Attach an auxiliary JSON artifact to a cache entry's key
+        (``ValueError`` on a non-finite float, which no reader parses)."""
         if not is_cache_key(key):
             raise ValueError(f"not a cache key: {key!r}")
+        # Non-finite floats are refused: the reader could not parse them.
+        encoded = json.dumps(
+            payload, indent=1, sort_keys=True, allow_nan=False
+        )
         self._sidecar_memory[(key, name)] = payload
-        encoded = json.dumps(payload, indent=1, sort_keys=True)
         atomic_write(self._sidecar_path(key, name), encoded)
         get_registry().counter("cache.sidecar_bytes_written").inc(len(encoded))
 

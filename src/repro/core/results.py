@@ -1,14 +1,14 @@
-"""Result persistence: the data behind internetfairness.net.
+"""The results behind internetfairness.net, queryable in memory.
 
-Stores every trial's :class:`ExperimentResult`, queryable by pair and
-network setting, and serialises to JSON so experiment artifacts (queue
-logs, traces, per-trial metrics) can be published.
+Holds every trial's :class:`ExperimentResult`, queryable by pair and
+network setting.  It persists nothing itself: a trial record lives on
+disk as a cache entry (:mod:`repro.core.cache`) and in the service's
+store journal and segments (:mod:`repro.service.store`), the one
+encoding in both.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .experiment import ExperimentResult
@@ -37,7 +37,7 @@ def incumbent_key(
 
 
 class ResultStore:
-    """In-memory store of trial results with JSON persistence."""
+    """In-memory store of trial results."""
 
     def __init__(self) -> None:
         self._results: Dict[SettingKey, List[ExperimentResult]] = {}
@@ -118,20 +118,3 @@ class ResultStore:
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._results.values())
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-
-    def save(self, path: Path) -> None:
-        """Write the store to a JSON file."""
-        payload = [result.to_json() for result in self.all_results()]
-        Path(path).write_text(json.dumps(payload, indent=1))
-
-    @classmethod
-    def load(cls, path: Path) -> "ResultStore":
-        store = cls()
-        payload = json.loads(Path(path).read_text())
-        for entry in payload:
-            store.add(ExperimentResult.from_json(entry))
-        return store

@@ -33,7 +33,6 @@ the merged cache knows how much total simulation the fleet performed.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,7 +41,9 @@ from typing import Dict, List, Optional, Sequence, Union
 from ..atomicio import atomic_write
 from ..core.cache import (
     CACHE_SCHEMA_VERSION,
+    CacheEntryError,
     _completeness,
+    _read_entry,
     canonical_json,
     scan_cache_dir,
 )
@@ -142,19 +143,22 @@ def _resolve_divergent(challenger: bytes, incumbent: bytes) -> Optional[str]:
     Early termination is the one way two runs of a deterministic trial
     legitimately produce different bytes under one cache key: a shard
     that ran with the monitor armed wrote a truncated result, another
-    (or an audit trial) wrote the full-length one.  Both payloads must
-    parse and differ *in completeness* (full beats truncated, longer
-    truncated horizon beats shorter - :func:`repro.core.cache._completeness`);
-    anything else is real divergence and stays a hard error.  Bytes
-    that differ only in layout - both parse to one payload, type for
-    type - are no divergence at all.  Returns ``"same"`` / ``"replace"``
-    / ``"keep"``, or ``None`` when the conflict is neither format skew
-    nor an earlystop supersede.
+    (or an audit trial) wrote the full-length one.  Both sides must be
+    trial records - read as every cache read reads an entry
+    (:data:`~repro.core.cache.decode_record` and the entry shape check)
+    - and differ *in completeness* (full beats truncated, longer
+    truncated horizon beats shorter -
+    :func:`repro.core.cache._completeness`); anything else is real
+    divergence and stays a hard error.  Bytes that differ only in
+    layout - both parse to one payload, type for type - are no
+    divergence at all.  Returns ``"same"`` / ``"replace"`` / ``"keep"``,
+    or ``None`` when the conflict is neither format skew nor an
+    earlystop supersede.
     """
     try:
-        challenger_payload = json.loads(challenger)
-        incumbent_payload = json.loads(incumbent)
-    except ValueError:
+        challenger_payload = _read_entry("challenger", raw=challenger)[0]
+        incumbent_payload = _read_entry("incumbent", raw=incumbent)[0]
+    except CacheEntryError:
         return None
     if canonical_json(challenger_payload) == canonical_json(incumbent_payload):
         return "same"

@@ -533,9 +533,13 @@ class WatchdogService:
                     "simulates; entry moved to failed/"
                 ) from exc
             # One read per trial serves all three forms the store wants:
-            # the payload, the result object and the journal line.
+            # the payload, the result object and the journal line.  A
+            # spool name that is not UTF-8 (``os.listdir`` hands it over
+            # with lone surrogates, which the record decoder refuses) is
+            # journalled spelled out.
+            source = entry.name.encode("utf-8", "backslashreplace").decode()
             record = CycleRecord.from_cache_reads(
-                cycle_id, entry.name, kind, partial, records
+                cycle_id, source, kind, partial, records
             )
             del records  # the entry bytes live in ``record`` until appended
             self.store.append_cycle(

@@ -13,7 +13,8 @@ the segments - all flat in the store directory:
   and a ``commit`` record sealing it.  The trial records are flushed and
   fsynced *before* the commit is written, so a commit on disk guarantees
   its trials are too.  Every record is one line of
-  :func:`~repro.core.cache.canonical_json`; a ``trial`` line is built
+  :func:`~repro.core.cache.canonical_json`, parsed back by the cache's
+  :data:`~repro.core.cache.decode_record`; a ``trial`` line is built
   around its ``result`` without encoding it again when the record
   brings the cache entry's bytes (:meth:`CycleRecord.from_cache_reads`):
   ``{"cycle_id":...,"record":"trial","result":`` + the entry +
@@ -83,7 +84,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from ..atomicio import atomic_write
-from ..core.cache import CachedTrial, canonical_json
+from ..core.cache import CachedTrial, canonical_json, decode_record
 from ..core.experiment import ExperimentResult
 from ..core.results import ResultStore
 from ..obs.metrics import get_registry
@@ -115,10 +116,10 @@ class CycleRecord:
     """One ingested cycle: identity, provenance, and its trial payloads.
 
     ``results`` holds raw ``ExperimentResult.to_json()`` payloads (the
-    same serialisation the cache and ``ResultStore.save`` use), kept as
-    dicts so journal round-trips are byte-exact.  A cycle built from
-    cache reads (:meth:`from_cache_reads`) also brings what those reads
-    already produced, so nothing is decoded or encoded a second time.
+    serialisation the cache uses), kept as dicts so journal round-trips
+    are byte-exact.  A cycle built from cache reads
+    (:meth:`from_cache_reads`) also brings what those reads already
+    produced, so nothing is decoded or encoded a second time.
     """
 
     cycle_id: str
@@ -270,7 +271,7 @@ def _committed_segments(
         if not line:
             continue
         try:
-            payload = json.loads(line)
+            payload = decode_record(line)
         except ValueError as exc:
             # A kill mid-append tears at most the final line, and any
             # segment it belonged to is uncommitted either way.  Anywhere
@@ -507,8 +508,8 @@ class RollingResultStore:
         start, end = self._journal_spans[record.cycle_id]
         data = journal[start:end]
         try:
-            begin = json.loads(data[: data.index(b"\n")])
-            commit = json.loads(data[data.rindex(b"\n", 0, -1) + 1 :])
+            begin = decode_record(data[: data.index(b"\n")])
+            commit = decode_record(data[data.rindex(b"\n", 0, -1) + 1 :])
             intact = (
                 begin["record"] == "begin"
                 and commit["record"] == "commit"

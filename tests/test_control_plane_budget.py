@@ -26,7 +26,8 @@ this file pins:
   ``merge_shards`` + ``assemble_reports``: identical across two runs
   and under a ceiling (296.1 before this budget existed, 90.7 before
   the merge linked on string paths, 40.68 before ``run_shard`` stopped
-  building results);
+  building results, 39.6 before entries were parsed by the C decoder
+  ``decode_record`` instead of ``json.loads``);
 * ``pathlib`` parses over the same body: the same number whether the
   plan holds 380 trials or 760 - none is per planned trial;
 * bytes per planned trial in ``plan.json`` and in the shard manifests;
@@ -34,7 +35,8 @@ this file pins:
 * what folding one delivered trial into the store costs (``ingest_entry``
   + ``compact``): one entry parse, no JSON encoder call - the journal
   line is the entry's own bytes, the segment the journal's - and a
-  ceiling on Python frames (45.0 when every trial was re-encoded).
+  ceiling on Python frames (45.0 when every trial was re-encoded, 23.0
+  when the entry was parsed by ``json.loads``).
 """
 
 import gc
@@ -64,17 +66,19 @@ CONFIG = ExperimentConfig().scaled(3)
 SHARDS = 4
 
 #: Ceiling on Python frames per planned trial (run_shard x4 + merge +
-#: assemble): 39.6 today, plus ~10% (40.68 when ``run_shard`` built a
-#: result per hit; 61.2 when each spec was one ``get`` with its own
-#: counter bumps, and assembly checked every entry for existence before
-#: replaying).
-FRAMES_PER_TRIAL_BUDGET = 43
+#: assemble): 33.6 today, plus ~10% (39.6 when each of the two entry
+#: parses went through ``json.loads``' three Python frames; 40.68 when
+#: ``run_shard`` built a result per hit; 61.2 when each spec was one
+#: ``get`` with its own counter bumps, and assembly checked every entry
+#: for existence before replaying).
+FRAMES_PER_TRIAL_BUDGET = 37
 
 #: Ceiling on Python frames per delivered trial over ``ingest_entry`` +
-#: ``compact``, measured as the slope between two delivery sizes (22.0
-#: today, plus ~10%; 33.0 when the ingest joined payloads and kept
-#: entry bytes by key, 45.0 before the journal adopted entry bytes).
-FRAMES_PER_INGESTED_TRIAL_BUDGET = 24
+#: ``compact``, measured as the slope between two delivery sizes (20.0
+#: today, plus ~10%; 23.0 when the entry parse was ``json.loads``; 33.0
+#: when the ingest joined payloads and kept entry bytes by key, 45.0
+#: before the journal adopted entry bytes).
+FRAMES_PER_INGESTED_TRIAL_BUDGET = 22
 
 #: Ceiling on bytes per planned trial, in ``plan.json`` and across the
 #: shard manifests (110 and 111 today; 440 and 431 when every row

@@ -154,15 +154,6 @@ class TestResultStore:
         shares = store.shares("iperf_reno", "iperf_cubic", units.mbps(8))
         assert shares == [cubic_vs_reno.mmf_share["iperf_reno"]]
 
-    def test_save_and_load(self, cubic_vs_reno, tmp_path):
-        store = ResultStore()
-        store.add(cubic_vs_reno)
-        path = tmp_path / "results.json"
-        store.save(path)
-        loaded = ResultStore.load(path)
-        assert len(loaded) == 1
-        assert loaded.shares("iperf_reno", "iperf_cubic", units.mbps(8))
-
     def test_invalid_trials_filtered(self):
         store = ResultStore()
         result = ExperimentResult(

@@ -267,16 +267,41 @@ class TestShardExecutionMergeAssembly:
             t.cache_key for t in plan.shard_trials(1)
         )
 
-    def test_merge_rejects_divergent_duplicates(self, pipeline, tmp_path):
+    @pytest.mark.parametrize(
+        "forge",
+        [
+            lambda payload: json.dumps({**payload, "utilization": -1.0}),
+            lambda payload: "[1]",
+            lambda payload: '"str"',
+            lambda payload: '{"earlystop":5}',
+            lambda payload: json.dumps({**payload, "earlystop": 5}),
+            lambda payload: json.dumps(
+                {
+                    **payload,
+                    "earlystop": {"truncated": True},
+                    "duration_usec": "x",
+                }
+            ),
+            lambda payload: json.dumps({**payload, "seed": 2**64}),
+        ],
+        ids=[
+            "other-value", "list", "string", "earlystop-only",
+            "earlystop-not-an-object", "truncated-bad-duration",
+            "seed-beyond-64-bits",
+        ],
+    )
+    def test_merge_rejects_divergent_duplicates(
+        self, pipeline, tmp_path, forge
+    ):
         """Deterministic trials can never legitimately differ, so a key
-        present twice with different bytes aborts the merge."""
+        present twice with different bytes aborts the merge - with the
+        named error also when one side is JSON but no trial record."""
         plan, shard_dirs, _merged, _receipts, _report = pipeline
         key = plan.shard_trials(0)[0].cache_key
         evil = tmp_path / "evil"
         evil.mkdir()
         payload = json.loads((shard_dirs[0] / f"{key}.json").read_text())
-        payload["utilization"] = -1.0
-        (evil / f"{key}.json").write_text(json.dumps(payload))
+        (evil / f"{key}.json").write_text(forge(payload))
         with pytest.raises(FleetError, match="divergent duplicate"):
             merge_shards(
                 plan,

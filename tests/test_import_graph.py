@@ -80,6 +80,62 @@ def test_a_cache_read_never_writes():
     assert calls == []
 
 
+def test_one_module_imports_the_record_decoder():
+    """``orjson`` is imported by ``core/cache.py`` alone, which binds it
+    as ``decode_record``; every other module reads records through that
+    name, so the decoder and its contract live in one place."""
+    importers = sorted(
+        str(path.relative_to(SRC))
+        for path in SRC.rglob("*.py")
+        if any(
+            name == "orjson" or name.startswith("orjson.")
+            for name in imported_modules(path)
+        )
+    )
+    assert importers == [os.path.join("core", "cache.py")]
+
+
+def _functions_calling_json_loads(path: Path):
+    """Names of the functions in ``path`` that call ``json.loads`` or
+    ``json.load`` (``<module>`` for a call outside any function)."""
+    callers = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr in ("loads", "load")
+                and isinstance(child.func.value, ast.Name)
+                and child.func.value.id == "json"
+            ):
+                callers.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return sorted(callers)
+
+
+@pytest.mark.parametrize(
+    "module, allowed",
+    [
+        ("core/cache.py", []),
+        ("fleet/merge.py", []),
+        # The manifest is no trial record: it stays on ``json``.
+        ("service/store.py", ["_replay_snapshot"]),
+    ],
+)
+def test_record_paths_parse_with_decode_record_only(module, allowed):
+    """Entries, sidecars, journal and segment lines and merge
+    adjudication parse with ``decode_record``; a ``json.loads`` left on
+    one of these paths would read a record the writer's contract (no
+    non-finite floats, integers within 64 bits) does not cover."""
+    assert _functions_calling_json_loads(SRC / module) == allowed
+
+
 def test_one_function_turns_a_trial_index_into_a_spec():
     """``TrialSpec.pair(..., seed=<x>.seed_for(...))`` is the trial
     enumeration: where the Section 3.4 order meets the seed rule.  A

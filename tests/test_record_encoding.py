@@ -8,9 +8,15 @@ here on bytes: against the encoding the store used before (every record
 dumped whole), across entry layouts, and for entries this library did
 not write.  The key half: ``trial_cache_key`` resumes a memoised SHA-256
 prefix state and must equal the whole-string oracle for every input.
+The decoder half: ``decode_record`` reads every record back as
+``json.loads`` (the oracle, kept here) would, type for type, and what it
+would read differently - non-finite floats, integers beyond 64 bits - is
+refused when written and named when found.
 """
 
+import dataclasses
 import json
+import math
 import random
 
 import pytest
@@ -21,7 +27,13 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from repro.browser.environment import ClientEnvironment
 from repro.config import ExperimentConfig, NetworkConfig
 from repro.core import cache as cache_module
-from repro.core.cache import TrialCache, canonical_json, trial_cache_key
+from repro.core.cache import (
+    CacheEntryError,
+    TrialCache,
+    canonical_json,
+    decode_record,
+    trial_cache_key,
+)
 from repro.core.runner import TrialSpec, replay
 from repro.fleet.plan import load_plan
 from repro.service import WatchdogService
@@ -142,6 +154,174 @@ def test_entry_bytes_come_with_a_disk_read_and_never_go_stale(tmp_path):
     (reread,) = TrialCache(tmp_path).read([SPEC])
     assert reread.raw == canonical_json(second.to_json()).encode()
     assert reread.raw != stored
+
+
+# ----------------------------------------------------------------------
+# One decoder
+# ----------------------------------------------------------------------
+
+
+def same_value(a, b):
+    """Equal *and* of equal types all the way down (``1`` is not
+    ``1.0`` is not ``True``; ``-0.0`` is not ``0.0``)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_value(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_value, a, b))
+    if isinstance(a, float):
+        return repr(a) == repr(b)
+    return a == b
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+_ints = st.one_of(
+    st.integers(min_value=INT64_MIN, max_value=INT64_MAX),
+    st.sampled_from(
+        [INT64_MIN, INT64_MIN + 1, -1, 0, INT64_MAX - 1, INT64_MAX]
+    ),
+)
+_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+         1.7976931348623157e308, 1e16, 0.1, 1 / 3]
+    ),
+)
+_ids = st.text(min_size=1, max_size=12)
+_per_service = st.dictionaries(_ids, _floats, max_size=3)
+_payloads = st.builds(
+    lambda fields, earlystop: {
+        **fields, **({} if earlystop is None else {"earlystop": earlystop})
+    },
+    st.fixed_dictionaries(
+        {
+            "contender_id": _ids,
+            "incumbent_id": _ids,
+            "bandwidth_bps": _floats,
+            "buffer_packets": _ints,
+            "seed": _ints,
+            "duration_usec": _ints,
+            "throughput_bps": _per_service,
+            "mmf_allocation_bps": _per_service,
+            "mmf_share": _per_service,
+            "loss_rate": _per_service,
+            "queueing_delay_usec": _per_service,
+            "service_metrics": st.dictionaries(
+                _ids,
+                st.dictionaries(_ids, st.one_of(_floats, _ints), max_size=3),
+                max_size=2,
+            ),
+            "utilization": _floats,
+            "external_loss_fraction": _floats,
+        }
+    ),
+    st.one_of(
+        st.none(),
+        st.fixed_dictionaries(
+            {"truncated": st.booleans(), "horizon_usec": _ints}
+        ),
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(payload=_payloads)
+def test_decode_record_reads_canonical_bytes_as_json_loads_does(payload):
+    """Subnormals, ``-0.0``, ``1e308``, integers at the signed 64-bit
+    bounds, non-ASCII ids: the C decoder and the ``json`` oracle agree
+    type for type, and the record reads back as what was encoded."""
+    raw = canonical_json(payload).encode("ascii")
+    decoded = decode_record(raw)
+    assert same_value(decoded, json.loads(raw))
+    assert same_value(decoded, payload)
+
+
+def test_decode_record_is_the_c_parser_by_name():
+    """A parse adds no Python frame: the name is the C function."""
+    import orjson
+
+    assert decode_record is orjson.loads
+
+
+def _result_with(**changes):
+    return dataclasses.replace(
+        synthetic_result(SPEC, random.Random(1)), **changes
+    )
+
+
+@pytest.mark.parametrize(
+    "changes, named",
+    [
+        ({"utilization": math.nan}, "utilization is not a finite float"),
+        (
+            {"throughput_bps": {"vidéo": math.inf, "x": 1.0}},
+            "throughput_bps.vidéo is not a finite float",
+        ),
+        (
+            {"service_metrics": {"x": {"rtt": -math.inf}}},
+            "service_metrics.x.rtt is not a finite float",
+        ),
+        ({"seed": 2**64}, "seed reads as .*not a signed 64-bit integer"),
+        ({"seed": -(2**63) - 1}, "seed reads as .*not a signed 64-bit"),
+        ({"duration_usec": 10**19}, "duration_usec reads as"),
+        ({"buffer_packets": 64.0}, "buffer_packets reads as 64.0"),
+    ],
+    ids=[
+        "nan", "inf-nested", "-inf-deeper", "seed-2^64", "seed-below-int64",
+        "duration-20-digits", "float-buffer",
+    ],
+)
+def test_put_refuses_what_the_decoder_would_read_differently(
+    tmp_path, changes, named
+):
+    """``json`` would have written these and read them back; the C
+    decoder refuses ``NaN``/``Infinity`` and reads integers beyond 64
+    bits as floats.  So ``put`` refuses them by name and writes nothing."""
+    cache = TrialCache(tmp_path)
+    with pytest.raises(CacheEntryError, match=named):
+        cache.put(SPEC, _result_with(**changes))
+    assert list(tmp_path.iterdir()) == []
+    assert cache.read([SPEC]) == [None] and cache.stores == 0
+
+
+def test_put_accepts_the_signed_64_bit_bounds(tmp_path):
+    for seed in (INT64_MIN, INT64_MAX):
+        result = _result_with(seed=seed, duration_usec=INT64_MAX)
+        TrialCache(tmp_path).put(SPEC, result)
+        assert TrialCache(tmp_path).get(SPEC) == result
+
+
+@pytest.mark.parametrize(
+    "field, value, complaint",
+    [
+        ("utilization", math.nan, "not valid JSON"),
+        ("loss_rate", {"a": math.inf}, "not valid JSON"),
+        ("seed", 2**64, "seed reads as 1.8446744073709552e\\+19"),
+        ("seed", 10**19, "seed reads as 10000000000000000000"),
+        ("duration_usec", -(10**19), "duration_usec reads as"),
+        ("buffer_packets", True, "buffer_packets reads as True"),
+        ("earlystop", [1], "earlystop is list, not an object"),
+    ],
+    ids=[
+        "nan", "infinity", "seed-20-digits-float", "seed-20-digits-int",
+        "duration-20-digits", "bool-buffer", "earlystop-list",
+    ],
+)
+def test_a_foreign_entry_the_decoder_reads_differently_is_named(
+    tmp_path, field, value, complaint
+):
+    """An entry another writer made with ``json.dumps`` - ``NaN``, a
+    20-digit seed - is a ``CacheEntryError`` naming the file, never a
+    result with a silently changed value."""
+    payload = synthetic_result(SPEC, random.Random(1)).to_json()
+    payload[field] = value
+    path = tmp_path / f"{trial_cache_key(SPEC)}.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CacheEntryError, match=complaint) as raised:
+        TrialCache(tmp_path).get(SPEC)
+    assert str(path) in str(raised.value)
 
 
 # ----------------------------------------------------------------------

@@ -195,6 +195,25 @@ class TestServiceIngest:
         assert "8 Mbps bottleneck" in index
         assert (tmp_path / "out" / "next-plan" / "plan.json").exists()
 
+    def test_a_spool_name_that_is_not_utf8_is_journalled_readably(
+        self, tmp_path
+    ):
+        """``os.listdir`` returns such a name with a lone surrogate; the
+        journal's ``begin`` line spells it out, so the store the ingest
+        committed still opens (the record decoder, unlike ``json``,
+        refuses lone surrogates)."""
+        service = make_service(tmp_path)
+        incoming = os.fsencode(tmp_path / "spool" / "incoming")
+        make_fixed_entry(tmp_path / "built")
+        os.makedirs(incoming, exist_ok=True)
+        os.rename(tmp_path / "built", os.path.join(incoming, b"cycle-\xff"))
+        summary = service.ingest_once()
+        assert summary["ingested"][0]["trials"] == 3
+        reopened = RollingResultStore(tmp_path / "out" / "store")
+        (cycle,) = reopened.cycles()
+        assert cycle.source == "cycle-\\udcff"
+        assert len(reopened.store_view()) == 3
+
     def test_redelivery_is_idempotent(self, tmp_path):
         service = make_service(tmp_path)
         entry = tmp_path / "spool" / "incoming" / "cycle-a"
