@@ -4,13 +4,9 @@ queueing-delay (Fig 13) heatmaps, plus Observations 9 and 10.
 All three derive from the same all-pairs sweep as Fig 2.
 """
 
-from repro.analysis.heatmap import (
-    loss_grid,
-    queueing_delay_grid,
-    render_grid,
-    utilization_grid,
-)
 from repro.analysis.observations import observation9_utilization, observation10_loss
+from repro.core.report import FairnessReport, render_grid
+from repro.core.results import loss_rate, queueing_delay_ms, utilization
 
 from .harness import SETTINGS, full_sweep_store, heatmap_service_ids, report
 
@@ -19,7 +15,8 @@ def test_fig11_link_utilization(benchmark):
     store = benchmark.pedantic(full_sweep_store, rounds=1, iterations=1)
     ids = heatmap_service_ids()
     for name, network in SETTINGS.items():
-        grid = utilization_grid(store, ids, network.bandwidth_bps)
+        rep = FairnessReport(store, ids, network.bandwidth_bps)
+        grid = rep.grid(utilization)
         body = render_grid(
             grid, ids, "median total link utilization (%)", scale=100
         )
@@ -39,7 +36,8 @@ def test_fig12_loss_rates(benchmark):
     ids = heatmap_service_ids()
     hc = SETTINGS["highly-constrained (8 Mbps)"]
     for name, network in SETTINGS.items():
-        grid = loss_grid(store, ids, network.bandwidth_bps)
+        rep = FairnessReport(store, ids, network.bandwidth_bps)
+        grid = rep.grid(loss_rate)
         body = render_grid(
             grid, ids, "median loss rate of the incumbent (%)",
             scale=100, fmt="{:.1f}",
@@ -54,7 +52,7 @@ def test_fig12_loss_rates(benchmark):
         )
         report(f"Fig 12 - loss rate heatmap, {name}", body)
     # Single-flow BBR vs single-flow BBR: essentially no loss (Obs 10).
-    grid = loss_grid(store, ids, hc.bandwidth_bps)
+    grid = FairnessReport(store, ids, hc.bandwidth_bps).grid(loss_rate)
     assert grid[("dropbox", "gdrive")] < 0.005
     # Mega is among the worst loss inducers at 8 Mbps.
     worst = observation10_loss(store, ids, hc.bandwidth_bps)
@@ -66,7 +64,8 @@ def test_fig13_queueing_delay(benchmark):
     store = benchmark.pedantic(full_sweep_store, rounds=1, iterations=1)
     ids = heatmap_service_ids()
     for name, network in SETTINGS.items():
-        grid = queueing_delay_grid(store, ids, network.bandwidth_bps)
+        rep = FairnessReport(store, ids, network.bandwidth_bps)
+        grid = rep.grid(queueing_delay_ms)
         body = render_grid(
             grid, ids, "median mean queueing delay of incumbent (ms)",
             fmt="{:.0f}",
@@ -74,5 +73,5 @@ def test_fig13_queueing_delay(benchmark):
         report(f"Fig 13 - queueing delay heatmap, {name}", body)
     # Loss-based contenders stand far deeper queues than BBR ones.
     hc = SETTINGS["highly-constrained (8 Mbps)"]
-    grid = queueing_delay_grid(store, ids, hc.bandwidth_bps)
+    grid = FairnessReport(store, ids, hc.bandwidth_bps).grid(queueing_delay_ms)
     assert grid[("iperf_cubic", "iperf_reno")] > grid[("dropbox", "gdrive")]

@@ -5,9 +5,7 @@ sweep's result store is shared with the Fig 11/12/13 and Table 3 benches.
 """
 
 from repro import units
-from repro.analysis.heatmap import mmf_share_grid, render_grid
-from repro.analysis.observations import observation1_unfairness
-from repro.core.report import FairnessReport
+from repro.core.report import FairnessReport, render_grid
 
 from .harness import (
     SETTINGS,
@@ -21,22 +19,21 @@ def test_fig02_mmf_share_heatmaps(benchmark):
     store = benchmark.pedantic(full_sweep_store, rounds=1, iterations=1)
     ids = heatmap_service_ids()
     for name, network in SETTINGS.items():
-        grid = mmf_share_grid(store, ids, network.bandwidth_bps)
+        rep = FairnessReport(store, ids, network.bandwidth_bps)
         body = render_grid(
-            grid,
+            rep.heatmap(),
             ids,
             "rows = contender, cols = incumbent; "
             "cell = median % of incumbent's MmF share",
             scale=100,
         )
-        stats = observation1_unfairness(store, ids, network.bandwidth_bps)
+        stats = rep.losing_service_stats()
         obs = (
             f"\nObservation 1 ({name}): median losing share "
             f"{stats['median_losing_share'] * 100:.0f}%  |  "
             f"losers <=90%: {stats['fraction_below_90pct'] * 100:.0f}%  |  "
             f"losers <=50%: {stats['fraction_below_50pct'] * 100:.0f}%"
         )
-        rep = FairnessReport(store, ids, network.bandwidth_bps)
         selfs = rep.self_competition_shares()
         mean_self = sum(selfs.values()) / len(selfs) if selfs else 0
         obs += (

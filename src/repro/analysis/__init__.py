@@ -1,27 +1,20 @@
 """Post-processing and figure-regeneration helpers.
 
-Text heatmaps (Figs 2/11/12/13), throughput/queue time series (Figs 4, 8,
-10), and the paper's numbered Observations computed from a result store.
+Throughput/queue time series (Figs 4, 8, 10), the findings page, and the
+paper's numbered Observations computed from a result store.  The
+all-pairs grids (Figs 2/11/12/13) and their renderer are
+:class:`repro.core.report.FairnessReport` and
+:func:`repro.core.report.render_grid`.
 """
 
-from .heatmap import render_grid, grid_from_store
 from .timeseries import throughput_timeseries, queue_occupancy_timeseries
 from .site import render_markdown_report
-from .observations import (
-    observation1_unfairness,
-    observation2_cca_is_not_destiny,
-    observation10_loss,
-    observation9_utilization,
-)
+from .observations import observation10_loss, observation9_utilization
 
 __all__ = [
-    "render_grid",
     "render_markdown_report",
-    "grid_from_store",
     "throughput_timeseries",
     "queue_occupancy_timeseries",
-    "observation1_unfairness",
-    "observation2_cca_is_not_destiny",
     "observation9_utilization",
     "observation10_loss",
 ]

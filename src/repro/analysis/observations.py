@@ -3,6 +3,8 @@
 Each function distils one of the paper's findings (Section 4/5) from a
 :class:`~repro.core.results.ResultStore`, so benchmarks and tests can
 check the *shape* of the reproduction against the paper's claims.
+Observations 1 and 2 are :class:`~repro.core.report.FairnessReport`'s
+``losing_service_stats()`` and ``contentiousness()``.
 """
 
 from __future__ import annotations
@@ -10,41 +12,8 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from ..core.report import FairnessReport
-from ..core.results import ResultStore
-from ..core.stats import median
-from .heatmap import grid_from_store
-
-
-def observation1_unfairness(
-    store: ResultStore,
-    service_ids: Sequence[str],
-    bandwidth_bps: float,
-) -> Dict[str, float]:
-    """Obs 1: unfair outcomes are common; losing-service share statistics.
-
-    The paper reports (highly-constrained): median losing share 69%, 73%
-    of losers at <=90%, 22% at <=50%; and 86% median in the
-    moderately-constrained setting.
-    """
-    report = FairnessReport(store, service_ids, bandwidth_bps)
-    return report.losing_service_stats()
-
-
-def observation2_cca_is_not_destiny(
-    store: ResultStore,
-    service_ids: Sequence[str],
-    bandwidth_bps: float,
-    bbr_backed: Sequence[str] = ("mega", "youtube"),
-) -> Dict[str, float]:
-    """Obs 2: services sharing a CCA family diverge in contentiousness.
-
-    Returns each named BBR-backed service's contentiousness score (mean
-    share competitors achieve against it); the paper's point is that the
-    spread between them is large despite the common CCA.
-    """
-    report = FairnessReport(store, service_ids, bandwidth_bps)
-    scores = report.contentiousness()
-    return {sid: scores[sid] for sid in bbr_backed if sid in scores}
+from ..core.results import ResultStore, loss_rate, throughput_bps, utilization
+from ..core.stats import iqr, median
 
 
 def observation9_utilization(
@@ -57,9 +26,7 @@ def observation9_utilization(
     Returns {'min': ..., 'median': ..., 'fraction_above_95': ...} over the
     pairwise median utilizations.
     """
-    grid = grid_from_store(
-        store, service_ids, bandwidth_bps, lambda trial, key: trial.utilization
-    )
+    grid = FairnessReport(store, service_ids, bandwidth_bps).grid(utilization)
     values = [v for v in grid.values() if v is not None]
     if not values:
         return {}
@@ -83,10 +50,7 @@ def observation10_loss(
     (Mega itself) drop many of their own packets against any contender,
     and the max would credit that self-inflicted loss to the contender.
     """
-    grid = grid_from_store(
-        store, service_ids, bandwidth_bps,
-        lambda trial, key: trial.loss_rate[key],
-    )
+    grid = FairnessReport(store, service_ids, bandwidth_bps).grid(loss_rate)
     per_contender: Dict[str, List[float]] = {}
     for (contender, incumbent), value in grid.items():
         if value is None or contender == incumbent:
@@ -104,12 +68,12 @@ def instability_by_pair(
     bandwidth_bps: float,
 ) -> Dict[str, float]:
     """Obs 15 helper: per-pair spread (IQR width / median) of throughput."""
-    from ..core.stats import iqr
-
     spreads: Dict[str, float] = {}
     for incumbent in service_ids:
         for contender in service_ids:
-            samples = store.throughputs_bps(incumbent, contender, bandwidth_bps)
+            samples = store.samples(
+                incumbent, contender, bandwidth_bps, throughput_bps
+            )
             if len(samples) < 3:
                 continue
             q25, q75 = iqr(samples)

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.report import FairnessReport
+from ..core.report import FairnessReport, render_grid
 from ..core.results import ResultStore
 from ..obs.flight import explain_unfairness
-from .heatmap import render_grid
 
+
+#: Title of the findings page.
+PAGE_TITLE = "Prudentia - Internet Fairness Watchdog"
 
 #: Opening paragraph of the findings page (shared with the incremental
 #: renderer so stitched pages match one-shot renders byte for byte).
@@ -141,17 +143,14 @@ def _why_unfair_lines(
     return lines
 
 
-def assemble_page(
-    sections: Sequence[str],
-    title: str = "Prudentia - Internet Fairness Watchdog",
-) -> str:
+def assemble_page(sections: Sequence[str]) -> str:
     """Stitch rendered bandwidth sections into the full findings page.
 
     ``assemble_page([render_bandwidth_section(...), ...])`` is byte-
     identical to :func:`render_markdown_report` over the same inputs -
     the incremental site regenerator relies on this equivalence.
     """
-    lines: List[str] = [f"# {title}", "", PAGE_INTRO]
+    lines: List[str] = [f"# {PAGE_TITLE}", "", PAGE_INTRO]
     for section in sections:
         lines.append("")
         lines.append(section)
@@ -164,7 +163,6 @@ def render_markdown_report(
     store: ResultStore,
     service_ids: Sequence[str],
     bandwidths_bps: Sequence[float],
-    title: str = "Prudentia - Internet Fairness Watchdog",
 ) -> str:
     """Render a full findings page for the measured settings."""
     sections = []
@@ -172,7 +170,7 @@ def render_markdown_report(
         section = render_bandwidth_section(store, service_ids, bandwidth)
         if section is not None:
             sections.append(section)
-    return assemble_page(sections, title=title)
+    return assemble_page(sections)
 
 
 def _worst_cells(

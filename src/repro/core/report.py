@@ -2,9 +2,11 @@
 transitivity analysis.
 
 This module turns a :class:`ResultStore` into the paper's published
-artifacts: Fig-2-style MmF heatmaps, the Observation-1 losing-service
-statistics, contentiousness/sensitivity rankings (Section 2.3's working
-definitions), and the Table-3 non-transitivity search.
+artifacts: the all-pairs grids (Fig 2's MmF share, Appendix B's
+utilisation, loss and queueing delay) and their one text renderer, the
+Observation-1 losing-service statistics, contentiousness/sensitivity
+rankings (Section 2.3's working definitions), and the Table-3
+non-transitivity search.
 """
 
 from __future__ import annotations
@@ -13,12 +15,38 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..obs.metrics import get_registry
-from .results import ResultStore
+from .results import ResultStore, Value, mmf_share
 from .runner import RunnerStats
 from .stats import median
 
 #: Bump when the serialised report layout changes incompatibly.
 REPORT_SCHEMA_VERSION = 1
+
+#: (contender, incumbent) -> median cell value; ``None`` = unmeasured.
+Grid = Dict[Tuple[str, str], Optional[float]]
+
+
+def render_grid(
+    grid: Grid,
+    service_ids: Sequence[str],
+    title: str,
+    scale: float = 1.0,
+    fmt: str = "{:.0f}",
+) -> str:
+    """Render a grid as a fixed-width text table (rows = contender)."""
+    width = max(len(s) for s in service_ids) + 1
+    lines = [title]
+    lines.append(" " * width + "".join(f"{s[:9]:>10}" for s in service_ids))
+    for contender in service_ids:
+        cells = []
+        for incumbent in service_ids:
+            value = grid.get((contender, incumbent))
+            if value is None:
+                cells.append(f"{'---':>10}")
+            else:
+                cells.append(f"{fmt.format(value * scale):>10}")
+        lines.append(f"{contender:<{width}}" + "".join(cells))
+    return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -55,7 +83,7 @@ class FairnessReport:
         self.service_ids = list(service_ids)
         self.bandwidth_bps = bandwidth_bps
         self.runner_stats = runner_stats
-        self._cells: Dict[Tuple[str, str], Optional[float]] = {}
+        self._cells: Dict[Tuple[Value, str, str], Optional[float]] = {}
         self._cells_key: Optional[Tuple[int, float]] = None
 
     def to_json(self) -> Dict:
@@ -83,13 +111,14 @@ class FairnessReport:
         }
 
     # ------------------------------------------------------------------
-    # Heatmap (Fig 2)
+    # All-pairs grids (Figs 2, 11, 12, 13)
     # ------------------------------------------------------------------
 
-    def median_share(
-        self, incumbent: str, contender: str
+    def cell(
+        self, value: Value, incumbent: str, contender: str
     ) -> Optional[float]:
-        """Median MmF share of ``incumbent`` when fighting ``contender``.
+        """Median ``value`` of ``incumbent`` against ``contender`` over
+        the pair's valid trials; ``None`` when none measured it.
 
         Every published view below reads its cells through here, and a
         cell is derived from the raw trials once: the memo is keyed on
@@ -100,43 +129,45 @@ class FairnessReport:
         if key != self._cells_key:
             self._cells = {}
             self._cells_key = key
-        cell = (incumbent, contender)
+        cell = (value, incumbent, contender)
         if cell not in self._cells:
-            shares = self.store.shares(
-                incumbent, contender, self.bandwidth_bps
+            samples = self.store.samples(
+                incumbent, contender, self.bandwidth_bps, value
             )
-            self._cells[cell] = median(shares) if shares else None
+            self._cells[cell] = median(samples) if samples else None
             get_registry().counter("core.report.cells_derived").inc()
         return self._cells[cell]
 
-    def heatmap(self) -> Dict[Tuple[str, str], Optional[float]]:
-        """(contender, incumbent) -> median MmF share (rows = contender)."""
-        grid: Dict[Tuple[str, str], Optional[float]] = {}
-        for contender in self.service_ids:
-            for incumbent in self.service_ids:
-                grid[(contender, incumbent)] = self.median_share(
-                    incumbent, contender
-                )
-        return grid
+    def median_share(
+        self, incumbent: str, contender: str
+    ) -> Optional[float]:
+        """Median MmF share of ``incumbent`` when fighting ``contender``."""
+        return self.cell(mmf_share, incumbent, contender)
 
-    def render_heatmap(self, cell_from: str = "share") -> str:
+    def grid(self, value: Value) -> Grid:
+        """(contender, incumbent) -> median ``value`` (rows = contender):
+        any per-trial quantity of :mod:`repro.core.results` as an
+        all-pairs grid (Figs 11-13 are ``utilization``, ``loss_rate``
+        and ``queueing_delay_ms``)."""
+        return {
+            (contender, incumbent): self.cell(value, incumbent, contender)
+            for contender in self.service_ids
+            for incumbent in self.service_ids
+        }
+
+    def heatmap(self) -> Grid:
+        """(contender, incumbent) -> median MmF share (Fig 2)."""
+        return self.grid(mmf_share)
+
+    def render_heatmap(self) -> str:
         """Text rendering of the Fig 2 heatmap (values in % of MmF)."""
-        width = max(len(s) for s in self.service_ids) + 1
-        header = " " * width + "".join(
-            f"{s[:9]:>10}" for s in self.service_ids
-        )
-        lines = [
+        return render_grid(
+            self.heatmap(),
+            self.service_ids,
             f"rows = contender, cols = incumbent; cells = median % of "
             f"incumbent's MmF share @ {self.bandwidth_bps / 1e6:.0f} Mbps",
-            header,
-        ]
-        for contender in self.service_ids:
-            cells = []
-            for incumbent in self.service_ids:
-                value = self.median_share(incumbent, contender)
-                cells.append("       ---" if value is None else f"{value * 100:>10.0f}")
-            lines.append(f"{contender:<{width}}" + "".join(cells))
-        return "\n".join(lines)
+            scale=100,
+        )
 
     # ------------------------------------------------------------------
     # Winner/loser statistics (Observation 1)

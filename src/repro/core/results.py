@@ -9,11 +9,14 @@ encoding in both.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .experiment import ExperimentResult
 
 SettingKey = Tuple[str, str, float]  # (service_a, service_b, bandwidth)
+
+#: A per-trial quantity: ``value(trial, incumbent's key in trial)``.
+Value = Callable[[ExperimentResult, str], float]
 
 
 def _pair_key(a: str, b: str) -> Tuple[str, str]:
@@ -34,6 +37,34 @@ def incumbent_key(
         if sid.split("#")[0] == incumbent:
             return sid
     return None
+
+
+# The per-trial quantities the paper's grids publish, as ``value``
+# arguments of :meth:`ResultStore.samples` (``key`` is the incumbent's).
+
+def mmf_share(trial: ExperimentResult, key: str) -> float:
+    """Fig 2: the incumbent's share of its max-min fair allocation."""
+    return trial.mmf_share[key]
+
+
+def throughput_bps(trial: ExperimentResult, key: str) -> float:
+    """The incumbent's mean throughput."""
+    return trial.throughput_bps[key]
+
+
+def utilization(trial: ExperimentResult, key: str) -> float:
+    """Fig 11: total link utilisation (the same for both services)."""
+    return trial.utilization
+
+
+def loss_rate(trial: ExperimentResult, key: str) -> float:
+    """Fig 12: the loss rate the incumbent experienced."""
+    return trial.loss_rate[key]
+
+
+def queueing_delay_ms(trial: ExperimentResult, key: str) -> float:
+    """Fig 13: the incumbent's mean queueing delay, in ms."""
+    return trial.queueing_delay_usec[key] / 1000.0
 
 
 class ResultStore:
@@ -81,30 +112,23 @@ class ResultStore:
         """Trials that survive the external-loss discard rule."""
         return [t for t in self.trials(a, b, bandwidth_bps) if t.valid]
 
-    def shares(
-        self, incumbent: str, contender: str, bandwidth_bps: float
+    def samples(
+        self,
+        incumbent: str,
+        contender: str,
+        bandwidth_bps: float,
+        value: Value,
     ) -> List[float]:
-        """Per-trial MmF shares of ``incumbent`` against ``contender``.
-
-        Self-pairs resolve the ``#2`` suffixed instance as the incumbent
-        when the two ids are equal.
+        """``value(trial, key)`` of every valid trial of the pair, where
+        ``key`` is ``incumbent``'s key in that trial (the one place
+        :func:`incumbent_key` is resolved).  Trials that did not measure
+        ``incumbent`` contribute nothing.
         """
         values = []
         for trial in self.valid_trials(incumbent, contender, bandwidth_bps):
             key = incumbent_key(trial, incumbent, contender)
             if key is not None:
-                values.append(trial.mmf_share[key])
-        return values
-
-    def throughputs_bps(
-        self, incumbent: str, contender: str, bandwidth_bps: float
-    ) -> List[float]:
-        """Per-trial throughputs of ``incumbent`` against ``contender``."""
-        values = []
-        for trial in self.valid_trials(incumbent, contender, bandwidth_bps):
-            key = incumbent_key(trial, incumbent, contender)
-            if key is not None:
-                values.append(trial.throughput_bps[key])
+                values.append(value(trial, key))
         return values
 
     def pairs(self) -> List[SettingKey]:

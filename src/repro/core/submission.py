@@ -27,6 +27,12 @@ DEFAULT_ACCESS_CODES = (
 #: File extensions treated as direct downloads rather than page loads.
 DOWNLOAD_EXTENSIONS = (".zip", ".iso", ".bin", ".tar", ".gz", ".mp4", ".dmg")
 
+#: Size of a submitted download (the bulk transfer a download URL runs).
+DOWNLOAD_BYTES = 10 * 10**9
+
+#: Total size of a submitted web page (HTML plus its assets).
+PAGE_BYTES = 2_000_000
+
 
 class SubmissionError(ValueError):
     """Invalid submission: bad access code or malformed URL."""
@@ -62,13 +68,7 @@ class SubmissionPortal:
         )
         self.submissions: List[Submission] = []
 
-    def submit(
-        self,
-        url: str,
-        access_code: str,
-        download_bytes: int = 10 * 10**9,
-        page_bytes: int = 2_000_000,
-    ) -> Submission:
+    def submit(self, url: str, access_code: str) -> Submission:
         """Register a URL for testing; returns the accepted submission.
 
         The CCA of a third-party service is unknown to the watchdog, so we
@@ -108,13 +108,13 @@ class SubmissionPortal:
         if url.lower().endswith(DOWNLOAD_EXTENSIONS):
             kind, category, num_flows = "download", "file-transfer", 1
             recipe_kind = "file"
-            params = recipe(cca="cubic", file_bytes=download_bytes)
+            params = recipe(cca="cubic", file_bytes=DOWNLOAD_BYTES)
         else:
             kind, category, num_flows = "web", "web", 6
             recipe_kind = "web"
             params = recipe(
                 cca="cubic", page="single-host", host=host,
-                page_bytes=page_bytes,
+                page_bytes=PAGE_BYTES,
             )
         self.catalog.register(
             ServiceSpec(

@@ -125,7 +125,6 @@ def cmd_fleet_run_shard(args) -> int:
         backend_kind=args.backend,
         workers=args.workers,
         record_flight=args.record_flight,
-        flight_prefix_points=args.flight_prefix_points,
     )
     stats = receipt.stats
     print(
@@ -134,10 +133,12 @@ def cmd_fleet_run_shard(args) -> int:
         f"({stats.trials_run} simulated, {stats.cache_hits} cache hits, "
         f"{stats.wall_clock_sec:.1f}s simulating) -> {args.cache_dir}"
     )
-    if receipt.flight_prefix is not None:
+    if args.record_flight:
+        recorded = set(TrialCache(args.cache_dir).sidecar_keys("flight"))
         print(
-            f"  flight recordings: {len(receipt.flight_prefix)} trial(s) "
-            "(full sidecars in the cache dir, prefixes in the receipt)"
+            f"  flight recordings: "
+            f"{len(recorded.intersection(receipt.completed_keys))} trial(s) "
+            "(<key>.flight.json sidecars in the cache dir)"
         )
     if stats.trials_truncated or stats.trials_audited:
         print(
@@ -367,12 +368,8 @@ def register(sub: argparse._SubParsersAction) -> None:
                        "--workers is set, else inline)")
     add_workers_arg(p, "process-pool size")
     p.add_argument("--record-flight", action="store_true",
-                   help="flight-record simulated trials: full recordings "
-                        "as cache sidecars, truncated prefixes in the "
-                        "receipt")
-    p.add_argument("--flight-prefix-points", type=int, default=32,
-                   help="grid points kept per channel in the receipt's "
-                        "flight prefix (default: 32)")
+                   help="flight-record simulated trials: the recordings "
+                        "land as cache sidecars")
     p.set_defaults(func=_wrap(cmd_fleet_run_shard))
 
     p = fleet_sub.add_parser(

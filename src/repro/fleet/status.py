@@ -52,6 +52,9 @@ class ShardStatus:
     #: The parsed receipt backing a "done" row (not serialised per-shard;
     #: FleetStatus folds every receipt into its telemetry rollup).
     receipt: Optional[ShardReceipt] = None
+    #: Planned trials with a ``<key>.flight.json`` sidecar in the
+    #: directory (telemetry only, like ``receipt``).
+    flight_recorded: int = 0
 
     def to_json(self) -> Dict:
         """Plain-JSON row for ``fleet status --json``."""
@@ -101,10 +104,11 @@ class FleetStatus:
 
         ``None`` until at least one receipt exists.  Sums the receipts'
         :class:`RunnerStats` counters, unions their metrics snapshots
-        (:func:`~repro.obs.metrics.merge_snapshots`), counts
-        flight-recorded trials, rolls up the earlystop counters (trials
-        truncated, sim-seconds saved, audited mispredict rate - ``None``
-        until an audit trial has run), and reports the youngest
+        (:func:`~repro.obs.metrics.merge_snapshots`), counts the
+        flight-recorded trials (``<key>.flight.json`` sidecars on disk
+        in those shards' directories), rolls up the earlystop counters
+        (trials truncated, sim-seconds saved, audited mispredict rate -
+        ``None`` until an audit trial has run), and reports the youngest
         receipt's age -
         the fleet-side half of the observability rollup (the service
         side lives in ``repro service status``).
@@ -128,9 +132,7 @@ class FleetStatus:
             "cache_misses": stats.cache_misses,
             "wall_clock_sec": round(stats.wall_clock_sec, 3),
             "flight_recorded": sum(
-                len(r.flight_prefix)
-                for r in receipts
-                if r.flight_prefix is not None
+                s.flight_recorded for s in self.shards if s.receipt is not None
             ),
             **stats.earlystop_rollup(),
             "newest_receipt_age_sec": (
@@ -213,14 +215,10 @@ class FleetStatus:
         return "\n".join(lines)
 
 
-def _entry_keys(directory: Path) -> Set[str]:
-    return set(scan_cache_dir(directory)[0])
-
-
 def _looks_like_shard_dir(directory: Path) -> bool:
     if (directory / RECEIPT_FILENAME).exists():
         return True
-    return bool(_entry_keys(directory))
+    return bool(scan_cache_dir(directory)[0])
 
 
 def _expand_dirs(dirs: Sequence[Union[str, Path]]) -> List[Path]:
@@ -283,7 +281,8 @@ def fleet_status(
                 receipt = ShardReceipt.load(directory)
             except Exception:
                 receipt = None  # torn write mid-run; treat as receipt-less
-        entries = _entry_keys(directory)
+        keys, sidecars = scan_cache_dir(directory)
+        entries = set(keys)
         age = now - _newest_mtime(directory)
         if receipt is not None:
             if (
@@ -304,7 +303,7 @@ def fleet_status(
                 status.foreign_dirs.append(str(directory))
                 continue
             index = max(overlaps)[1]
-        completed = len(entries & shard_keys[index])
+        done_keys = entries & shard_keys[index]
         if receipt is not None:
             state = "done"
         elif age > stall_sec:
@@ -315,11 +314,15 @@ def fleet_status(
             shard_index=index,
             state=state,
             planned=len(shard_keys[index]),
-            completed=completed,
+            completed=len(done_keys),
             directory=str(directory),
             age_sec=max(age, 0.0),
             attempt=receipt.attempt if receipt is not None else None,
             receipt=receipt,
+            flight_recorded=sum(
+                f"{key}.flight.json" in sidecars.get(key, ())
+                for key in done_keys
+            ),
         )
         # Two dirs claiming one shard: keep the more advanced one -
         # done beats not-done, then a later retry attempt beats an

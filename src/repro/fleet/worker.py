@@ -63,11 +63,6 @@ class ShardReceipt:
     metrics: Optional[Dict] = None
     attempt: int = 0
     round_index: Optional[int] = None
-    #: Truncated flight-recorder summaries keyed by cache key (only when
-    #: the shard ran with ``record_flight``) - the first N grid points
-    #: per channel, so merges carry diagnosis features without shipping
-    #: the full ``<key>.flight.json`` sidecars.
-    flight_prefix: Optional[Dict] = None
 
     def to_json(self) -> Dict:
         """Schema-versioned receipt payload, round-trippable via from_json."""
@@ -86,8 +81,6 @@ class ShardReceipt:
             payload["round_index"] = self.round_index
         if self.metrics is not None:
             payload["metrics"] = self.metrics
-        if self.flight_prefix is not None:
-            payload["flight_prefix"] = self.flight_prefix
         return payload
 
     @classmethod
@@ -108,7 +101,6 @@ class ShardReceipt:
             metrics=payload.get("metrics"),
             attempt=payload.get("attempt", 0),
             round_index=payload.get("round_index"),
-            flight_prefix=payload.get("flight_prefix"),
         )
 
     @classmethod
@@ -163,7 +155,6 @@ def run_shard(
     backend_kind: Optional[str] = None,
     workers: Optional[int] = None,
     record_flight: bool = False,
-    flight_prefix_points: int = 32,
 ) -> ShardReceipt:
     """Execute one shard manifest into ``cache_dir``; write the receipt.
 
@@ -185,11 +176,9 @@ def run_shard(
     host) is a :class:`FleetError`, with nothing simulated.
 
     ``record_flight`` runs every cache-missing trial under a flight
-    recorder (:mod:`repro.obs.flight`): full recordings land as
-    ``<key>.flight.json`` sidecars in ``cache_dir``, and the receipt's
-    ``flight_prefix`` carries the first ``flight_prefix_points`` grid
-    points per trial so the merge sees diagnosis features without the
-    sidecars.  Both substrates record, with the same bytes.
+    recorder (:mod:`repro.obs.flight`): the recordings land as
+    ``<key>.flight.json`` sidecars in ``cache_dir``, which the merge
+    carries.  Both substrates record, with the same bytes.
 
     A manifest carrying an ``earlystop`` block (the model artifact plus
     audit fraction; see :mod:`repro.core.earlystop`) arms every simulated
@@ -240,14 +229,6 @@ def run_shard(
         # cache hit is read and checked but never built into a result.
         backend.complete(specs)
     cycle = manifest.get("cycle") or {}
-    flight_prefix = None
-    if backend.recordings is not None:
-        from ..obs.flight import prefix_summary
-
-        flight_prefix = {
-            key: prefix_summary(payload, max_points=flight_prefix_points)
-            for key, payload in sorted(backend.recordings.items())
-        }
     receipt = ShardReceipt(
         plan_id=manifest["plan_id"],
         shard_index=manifest["shard_index"],
@@ -258,7 +239,6 @@ def run_shard(
         metrics=diff_snapshots(metrics_before, get_registry().snapshot()),
         attempt=manifest.get("attempt", 0),
         round_index=cycle.get("round"),
-        flight_prefix=flight_prefix,
     )
     receipt.write(cache_dir)
     return receipt

@@ -27,7 +27,6 @@ from .flight import (  # noqa: F401
     FlightRecorder,
     diagnose,
     explain_unfairness,
-    prefix_summary,
 )
 from .heartbeat import (  # noqa: F401
     HEARTBEAT_SCHEMA_VERSION,

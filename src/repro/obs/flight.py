@@ -822,42 +822,3 @@ def to_chrome_counters(payload: Dict, pid: int = 1) -> List[Dict]:
                 "args": args,
             })
     return events
-
-
-def prefix_summary(payload: Dict, max_points: int = 32) -> Dict:
-    """Truncated first-N-grid-points view of a recording.
-
-    Small enough to embed in a :class:`~repro.fleet.worker.ShardReceipt`
-    so fleet merges carry early-trial features (TURBOTEST-style
-    early-termination predictors) without shipping full sidecars.
-    """
-    if max_points <= 0:
-        raise ValueError("prefix must keep at least one point")
-    conns = {}
-    for flow_id, conn in sorted(payload["connections"].items()):
-        n = min(max_points, len(conn["times_usec"]))
-        codes = conn["phase_codes"][:n]
-        conns[flow_id] = {
-            "service_id": conn["service_id"],
-            "cca": conn["cca"],
-            "times_usec": list(conn["times_usec"][:n]),
-            "cwnd_packets": list(conn["cwnd_packets"][:n]),
-            "inflight_bytes": list(conn["inflight_bytes"][:n]),
-            "packets_lost": list(conn["packets_lost"][:n]),
-            "phases": list(conn["phases"]),
-            "phase_codes": list(codes),
-        }
-    queue = payload.get("queue") or {}
-    qn = min(max_points, len(queue.get("times_usec", [])))
-    return {
-        "schema": FLIGHT_SCHEMA_VERSION,
-        "grid_usec": payload["grid_usec"],
-        "points": max_points,
-        "meta": dict(payload.get("meta") or {}),
-        "connections": conns,
-        "queue": {
-            "capacity_packets": queue.get("capacity_packets"),
-            "times_usec": list(queue.get("times_usec", [])[:qn]),
-            "occupancy": list(queue.get("occupancy", [])[:qn]),
-        },
-    }

@@ -5,8 +5,8 @@ for years.  Its operators' first question is always "is it still making
 progress?", asked from *outside* the process.  The heartbeat file
 answers it: a small JSON document rewritten atomically
 (write-temp-then-rename, so a reader never sees a torn write) at
-startup, after every ingested batch, at every cycle boundary and on
-exit.
+startup, after every ingested batch, at every cycle boundary, after
+every poll pass that finished no cycle, and on exit.
 
 The file records cumulative progress (trials, batches, cycles) and the
 current phase.  A reader decides liveness from ``age_sec``: a heartbeat
@@ -95,8 +95,9 @@ class HeartbeatWriter:
     """Maintains one heartbeat file for a running watchdog service.
 
     The service loop calls :meth:`starting` once, :meth:`batch_done`
-    after every ingested batch, :meth:`cycle_done` at cycle boundaries
-    and :meth:`finished` on the way out.
+    after every ingested batch, :meth:`cycle_done` at cycle boundaries,
+    :meth:`idle` after a pass that finished no cycle, and
+    :meth:`finished` on the way out.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
@@ -123,6 +124,10 @@ class HeartbeatWriter:
     def cycle_done(self) -> None:
         """One full cycle finished (phase ``idle``)."""
         self.cycles_completed += 1
+        self._write(phase="idle")
+
+    def idle(self) -> None:
+        """A pass that finished no cycle (phase ``idle``)."""
         self._write(phase="idle")
 
     def finished(self) -> None:

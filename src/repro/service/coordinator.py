@@ -153,7 +153,6 @@ class WatchdogService:
         access_codes: Optional[List[str]] = None,
         poll_sec: float = 2.0,
         stop_file: Optional[Union[str, Path]] = None,
-        site_title: str = "Prudentia - Internet Fairness Watchdog",
     ) -> None:
         self.spool = Path(spool_dir)
         self.out = Path(out_dir)
@@ -176,7 +175,7 @@ class WatchdogService:
             Path(stop_file) if stop_file is not None else self.out / "stop"
         )
         self.store = RollingResultStore(self.out / "store")
-        self.site = SiteRenderer(self.out / "site", title=site_title)
+        self.site = SiteRenderer(self.out / "site")
         self.portal = SubmissionPortal(self.catalog, access_codes=access_codes)
         self.heartbeat = HeartbeatWriter(self.out / "heartbeat.json")
         self._stop_requested = False
@@ -734,10 +733,14 @@ class WatchdogService:
         def _pass(**kwargs) -> None:
             # A poisoned entry (already moved to failed/) must not take
             # the whole service down.
+            cycles = self.heartbeat.cycles_completed
             try:
                 self.ingest_once(**kwargs)
             except ServiceError as exc:
                 _log.error("service.ingest_failed", error=str(exc))
+            # Every pass beats, so an idle service never looks stalled.
+            if self.heartbeat.cycles_completed == cycles:
+                self.heartbeat.idle()
 
         loops = 0
         try:

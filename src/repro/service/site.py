@@ -61,15 +61,10 @@ def _service_ids_at(store: ResultStore, bandwidth_bps: float) -> List[str]:
 class SiteRenderer:
     """Maintains the findings-site directory across ingests."""
 
-    def __init__(
-        self,
-        site_dir: Union[str, Path],
-        title: str = "Prudentia - Internet Fairness Watchdog",
-    ) -> None:
+    def __init__(self, site_dir: Union[str, Path]) -> None:
         self.site_dir = Path(site_dir)
         self.sections_dir = self.site_dir / "sections"
         self.sections_dir.mkdir(parents=True, exist_ok=True)
-        self.title = title
 
     @property
     def state_path(self) -> Path:
@@ -181,6 +176,4 @@ class SiteRenderer:
         for bandwidth in sorted(known):
             path = self.sections_dir / f"bw-{known[bandwidth]['tag']}.md"
             sections.append(path.read_text().rstrip("\n"))
-        atomic_write(
-            self.index_path, assemble_page(sections, title=self.title) + "\n"
-        )
+        atomic_write(self.index_path, assemble_page(sections) + "\n")

@@ -1,20 +1,55 @@
 """A deliberately naive fairness report: the oracle for ``core.report``.
 
-Every function here recomputes each cell from ``store.shares`` at the
-moment it needs it - no matrix, no memo, no pruning, the O(n^3) triple
+Every function here recomputes each cell from the raw trials at the
+moment it needs it - a scan of every stored trial, no buckets, no
+``incumbent_key``, no matrix, no memo, no pruning, the O(n^3) triple
 scan written out - which is how ``FairnessReport`` worked before its
 cells were derived once.  ``tests/test_report_oracle.py`` holds the real
-report (and the site section built on it) equal to this under
+report (its grids, and the site section built on it) equal to this under
 hypothesis, so the fast path can never publish a different number.
 """
 
-from repro.analysis.heatmap import render_grid
 from repro.core.report import REPORT_SCHEMA_VERSION, TransitivityTriple
 from repro.core.stats import median
 
+#: The Appendix B quantities, by their ``repro.core.results`` names.
+QUANTITIES = {
+    "utilization": lambda trial, key: trial.utilization,
+    "loss_rate": lambda trial, key: trial.loss_rate[key],
+    "queueing_delay_ms": lambda trial, key: (
+        trial.queueing_delay_usec[key] / 1000.0
+    ),
+}
+
+
+def samples(store, bandwidth, incumbent, contender, value):
+    """``value`` of every valid trial of the pair; a self pair's
+    incumbent is its ``#2`` instance."""
+    key = incumbent + "#2" if incumbent == contender else incumbent
+    return [
+        value(trial, key)
+        for trial in store.all_results()
+        if trial.bandwidth_bps == bandwidth
+        and trial.valid
+        and sorted(sid.split("#")[0] for sid in trial.mmf_share)
+        == sorted([incumbent, contender])
+    ]
+
+
+def grid(store, ids, bandwidth, value):
+    cells = {}
+    for contender in ids:
+        for incumbent in ids:
+            values = samples(store, bandwidth, incumbent, contender, value)
+            cells[(contender, incumbent)] = median(values) if values else None
+    return cells
+
 
 def cell(store, bandwidth, incumbent, contender):
-    shares = store.shares(incumbent, contender, bandwidth)
+    shares = samples(
+        store, bandwidth, incumbent, contender,
+        lambda trial, key: trial.mmf_share[key],
+    )
     return median(shares) if shares else None
 
 
@@ -135,22 +170,29 @@ def find_non_transitive_triples(
     return triples
 
 
-def render_heatmap(store, ids, bandwidth):
+def render(cells, ids, title, scale=100, fmt="{:.0f}"):
     width = max(len(s) for s in ids) + 1
-    lines = [
+    lines = [title, " " * width + "".join(f"{s[:9]:>10}" for s in ids)]
+    for contender in ids:
+        row = []
+        for incumbent in ids:
+            value = cells[(contender, incumbent)]
+            row.append(
+                "       ---"
+                if value is None
+                else f"{fmt.format(value * scale):>10}"
+            )
+        lines.append(f"{contender:<{width}}" + "".join(row))
+    return "\n".join(lines)
+
+
+def render_heatmap(store, ids, bandwidth):
+    return render(
+        heatmap(store, ids, bandwidth),
+        ids,
         f"rows = contender, cols = incumbent; cells = median % of "
         f"incumbent's MmF share @ {bandwidth / 1e6:.0f} Mbps",
-        " " * width + "".join(f"{s[:9]:>10}" for s in ids),
-    ]
-    for contender in ids:
-        cells = []
-        for incumbent in ids:
-            value = cell(store, bandwidth, incumbent, contender)
-            cells.append(
-                "       ---" if value is None else f"{value * 100:>10.0f}"
-            )
-        lines.append(f"{contender:<{width}}" + "".join(cells))
-    return "\n".join(lines)
+    )
 
 
 def render_bandwidth_section(store, ids, bandwidth):
@@ -160,11 +202,10 @@ def render_bandwidth_section(store, ids, bandwidth):
         return None
     lines = [f"## {bandwidth / 1e6:.0f} Mbps bottleneck", "", "```"]
     lines.append(
-        render_grid(
+        render(
             heatmap(store, ids, bandwidth),
             ids,
             "median % of incumbent MmF share (rows = contender)",
-            scale=100,
         )
     )
     lines.extend(["```", ""])

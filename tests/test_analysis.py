@@ -3,24 +3,20 @@
 import pytest
 
 from repro import units
-from repro.analysis.heatmap import (
-    grid_from_store,
-    loss_grid,
-    mmf_share_grid,
-    queueing_delay_grid,
-    render_grid,
-    utilization_grid,
-)
 from repro.analysis.observations import (
     instability_by_pair,
-    observation1_unfairness,
-    observation2_cca_is_not_destiny,
     observation9_utilization,
     observation10_loss,
 )
 from repro.analysis.timeseries import render_sparkline
 from repro.core.experiment import ExperimentResult
-from repro.core.results import ResultStore
+from repro.core.report import FairnessReport, render_grid
+from repro.core.results import (
+    ResultStore,
+    loss_rate,
+    queueing_delay_ms,
+    utilization,
+)
 
 BW = units.mbps(8)
 
@@ -58,26 +54,26 @@ IDS = ["mega", "youtube", "peer"]
 
 class TestGrids:
     def test_share_grid(self, store):
-        grid = mmf_share_grid(store, IDS, BW)
+        grid = FairnessReport(store, IDS, BW).heatmap()
         assert grid[("mega", "youtube")] == pytest.approx(0.3)
         assert grid[("youtube", "mega")] == pytest.approx(1.7)
         assert grid[("mega", "mega")] is None  # no self trials recorded
 
     def test_loss_grid(self, store):
-        grid = loss_grid(store, IDS, BW)
+        grid = FairnessReport(store, IDS, BW).grid(loss_rate)
         assert grid[("mega", "youtube")] == pytest.approx(0.08)
 
     def test_utilization_grid_symmetricish(self, store):
-        grid = utilization_grid(store, IDS, BW)
+        grid = FairnessReport(store, IDS, BW).grid(utilization)
         assert grid[("mega", "youtube")] == pytest.approx(0.84)
         assert grid[("youtube", "mega")] == pytest.approx(0.84)
 
     def test_queueing_delay_grid_in_ms(self, store):
-        grid = queueing_delay_grid(store, IDS, BW)
+        grid = FairnessReport(store, IDS, BW).grid(queueing_delay_ms)
         assert grid[("mega", "youtube")] == pytest.approx(10.0)
 
     def test_render_grid_text(self, store):
-        grid = mmf_share_grid(store, IDS, BW)
+        grid = FairnessReport(store, IDS, BW).heatmap()
         text = render_grid(grid, IDS, "title", scale=100)
         assert "title" in text
         assert "---" in text  # missing cells rendered
@@ -85,14 +81,12 @@ class TestGrids:
 
 class TestObservations:
     def test_obs1_losing_stats(self, store):
-        stats = observation1_unfairness(store, IDS, BW)
+        stats = FairnessReport(store, IDS, BW).losing_service_stats()
         assert stats["pairs"] == 3
         assert 0 < stats["median_losing_share"] < 1
 
     def test_obs2_contentiousness_gap(self, store):
-        scores = observation2_cca_is_not_destiny(
-            store, IDS, BW, bbr_backed=("mega", "youtube")
-        )
+        scores = FairnessReport(store, IDS, BW).contentiousness()
         # Mega contentious (competitors get little), YouTube not.
         assert scores["mega"] < scores["youtube"]
 

@@ -10,7 +10,7 @@ from repro.core.experiment import (
     run_pair_experiment,
     run_solo_experiment,
 )
-from repro.core.results import ResultStore
+from repro.core.results import ResultStore, mmf_share
 from repro.services.catalog import default_catalog
 
 CATALOG = default_catalog()
@@ -151,7 +151,9 @@ class TestResultStore:
     def test_shares_lookup(self, cubic_vs_reno):
         store = ResultStore()
         store.add(cubic_vs_reno)
-        shares = store.shares("iperf_reno", "iperf_cubic", units.mbps(8))
+        shares = store.samples(
+            "iperf_reno", "iperf_cubic", units.mbps(8), mmf_share
+        )
         assert shares == [cubic_vs_reno.mmf_share["iperf_reno"]]
 
     def test_invalid_trials_filtered(self):
@@ -181,5 +183,7 @@ class TestResultStore:
         )
         store = ResultStore()
         store.add(result)
-        shares = store.shares("iperf_reno", "iperf_reno", units.mbps(8))
+        shares = store.samples(
+            "iperf_reno", "iperf_reno", units.mbps(8), mmf_share
+        )
         assert len(shares) == 1

@@ -27,7 +27,6 @@ from repro.obs.flight import (
     diagnose,
     dwell_times,
     explain_unfairness,
-    prefix_summary,
     queue_share_series,
     render_summary,
     render_timeline,
@@ -425,16 +424,6 @@ class TestRendering:
         # 2 counters per conn sample + 1 per queue sample.
         assert len(events) == 2 * 7 + 7
 
-    def test_prefix_summary_truncates(self):
-        payload, _ = record_pair()
-        prefix = prefix_summary(payload, max_points=5)
-        for conn in prefix["connections"].values():
-            assert len(conn["times_usec"]) == 5
-            assert len(conn["cwnd_packets"]) == 5
-        assert len(prefix["queue"]["times_usec"]) == 5
-        with pytest.raises(ValueError):
-            prefix_summary(payload, max_points=0)
-
 
 class TestSidecars:
     def spec(self, seed=1):
@@ -508,26 +497,25 @@ def small_plan(tmp_path, trials=1, duration=3.0):
 
 
 class TestFleetFlight:
-    def test_receipt_flight_prefix_round_trips(self):
-        from repro.fleet.worker import ShardReceipt
+    def test_a_receipt_carrying_a_flight_prefix_still_loads(self, tmp_path):
+        """Receipts once embedded truncated recordings as
+        ``flight_prefix``; one written that way loads like any other,
+        and the field is not written again."""
+        from repro.fleet.worker import RECEIPT_FILENAME, ShardReceipt
 
         receipt = ShardReceipt(
             plan_id="p", shard_index=0, num_shards=1, cache_schema=1,
-            flight_prefix={"k" * 64: {"points": 4}},
+            completed_keys=["k" * 64],
         )
         payload = receipt.to_json()
-        assert "flight_prefix" in payload
-        again = ShardReceipt.from_json(payload)
-        assert again.flight_prefix == receipt.flight_prefix
-        # Absent stays absent (older receipts load cleanly).
-        bare = ShardReceipt(
-            plan_id="p", shard_index=0, num_shards=1, cache_schema=1
-        )
-        assert "flight_prefix" not in bare.to_json()
-        assert ShardReceipt.from_json(bare.to_json()).flight_prefix is None
+        payload["flight_prefix"] = {"k" * 64: {"points": 4}}
+        (tmp_path / RECEIPT_FILENAME).write_text(json.dumps(payload))
+        loaded = ShardReceipt.load(tmp_path)
+        assert loaded == receipt
+        assert "flight_prefix" not in loaded.to_json()
 
-    def test_run_shard_records_sidecars_and_prefixes(self, tmp_path):
-        from repro.fleet.worker import run_shard
+    def test_run_shard_records_sidecars(self, tmp_path):
+        from repro.fleet.worker import RECEIPT_FILENAME, run_shard
 
         plan = small_plan(tmp_path / "plan")
         cache_dir = tmp_path / "cache0"
@@ -535,23 +523,19 @@ class TestFleetFlight:
             tmp_path / "plan" / "shard-0.json",
             cache_dir,
             record_flight=True,
-            flight_prefix_points=4,
         )
-        keys = [t.cache_key for t in plan.trials]
-        assert sorted(receipt.flight_prefix) == sorted(keys)
-        for key, prefix in receipt.flight_prefix.items():
+        keys = sorted(t.cache_key for t in plan.trials)
+        assert sorted(receipt.completed_keys) == keys
+        for key in keys:
             assert (cache_dir / f"{key}.flight.json").exists()
-            for conn in prefix["connections"].values():
-                assert len(conn["times_usec"]) <= 4
-        # The receipt on disk carries the prefixes too.
-        from repro.fleet.worker import ShardReceipt
-
-        assert ShardReceipt.load(cache_dir).flight_prefix is not None
+        # The recordings travel as sidecars only, not in the receipt.
+        on_disk = json.loads((cache_dir / RECEIPT_FILENAME).read_text())
+        assert "flight_prefix" not in on_disk
 
     def test_pool_records_like_inline(self, tmp_path):
         """``record_flight`` under a two-worker pool: the workers record
-        and one drain writes what inline writes - entries, sidecars and
-        the receipt's flight prefix, byte for byte."""
+        and one drain writes what inline writes - entries and sidecars,
+        byte for byte."""
         from repro.fleet.worker import RECEIPT_FILENAME, run_shard
 
         plan = small_plan(tmp_path / "plan", trials=2)
@@ -565,23 +549,18 @@ class TestFleetFlight:
                 workers=workers,
                 record_flight=True,
             )
-            receipt = json.loads((cache_dir / RECEIPT_FILENAME).read_text())
-            written.append((
-                {
-                    path.name: path.read_bytes()
-                    for path in cache_dir.glob("*.json")
-                    if path.name != RECEIPT_FILENAME
-                },
-                json.dumps(receipt["flight_prefix"], sort_keys=True),
-            ))
-        (inline_files, inline_prefix), (pool_files, pool_prefix) = written
+            written.append({
+                path.name: path.read_bytes()
+                for path in cache_dir.glob("*.json")
+                if path.name != RECEIPT_FILENAME
+            })
+        inline_files, pool_files = written
         keys = sorted(t.cache_key for t in plan.trials)
         assert sorted(inline_files) == sorted(
             [f"{key}.json" for key in keys]
             + [f"{key}.flight.json" for key in keys]
         )
         assert pool_files == inline_files
-        assert pool_prefix == inline_prefix
 
     def test_fleet_status_telemetry_totals(self, tmp_path):
         from repro.fleet.status import fleet_status
@@ -858,5 +837,6 @@ class TestFlightCli:
             "--cache-dir", str(tmp_path / "cache0"), "--record-flight",
         ]) == 0
         out = capsys.readouterr().out
-        assert "flight recordings:" in out
-        assert list((tmp_path / "cache0").glob("*.flight.json"))
+        recorded = list((tmp_path / "cache0").glob("*.flight.json"))
+        assert recorded
+        assert f"flight recordings: {len(recorded)} trial(s)" in out

@@ -8,6 +8,7 @@ into the hot path again.
 """
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -335,3 +336,31 @@ def test_published_artifacts_run_through_the_trial_core():
         if name in ("Testbed", "create"):
             calls.append(f"{name}:{node.lineno}")
     assert calls == []
+
+
+def test_one_loop_resolves_the_incumbent_key():
+    """``ResultStore.samples`` is the one loop from a pair's valid
+    trials to a per-trial value, and the only caller of
+    ``incumbent_key``; every grid cell (Figs 2, 11-13) reads through it.
+    There were three such loops, one of them a second grid module
+    (``repro.analysis.heatmap``), which stays deleted."""
+    callers = []
+    for path in sorted(SRC.rglob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if any(
+                isinstance(node, ast.Call)
+                and "incumbent_key"
+                in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                for node in ast.walk(function)
+            ):
+                callers.append(f"{path.relative_to(SRC)}::{function.name}")
+    assert callers == ["core/results.py::samples"]
+    assert importlib.util.find_spec("repro.analysis.heatmap") is None
+    importers = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        if "repro.analysis.heatmap" in set(imported_modules(path))
+    ]
+    assert importers == []

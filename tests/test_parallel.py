@@ -11,7 +11,7 @@ from repro.config import (
 )
 from repro.core.cache import TrialCache, trial_cache_key
 from repro.core.experiment import run_pair_experiment
-from repro.core.results import ResultStore
+from repro.core.results import ResultStore, mmf_share
 from repro.core.runner import ProcessPoolBackend, TrialSpec, build_backend
 from repro.core.submission import DEFAULT_ACCESS_CODES, SubmissionPortal
 from repro.fleet import plan_cycle
@@ -81,7 +81,9 @@ class TestParallelExecution:
         store.extend(
             ProcessPoolBackend(max_workers=2).run(trials), valid_only=True
         )
-        shares = store.shares("iperf_reno", "iperf_cubic", NET.bandwidth_bps)
+        shares = store.samples(
+            "iperf_reno", "iperf_cubic", NET.bandwidth_bps, mmf_share
+        )
         assert len(shares) == 2
 
     def test_unknown_service_raises_before_dispatch(self):
@@ -186,9 +188,11 @@ class TestParallelWatchdog:
             service_ids=["iperf_cubic", "iperf_reno"],
             backend=dog.backend(workers=2),
         )
-        shares = dog.store.shares(
-            "iperf_reno", "iperf_cubic", NET.bandwidth_bps
+        shares = dog.store.samples(
+            "iperf_reno", "iperf_cubic", NET.bandwidth_bps, mmf_share
         )
         assert len(shares) == 2
         # Self pairs were also measured.
-        assert dog.store.shares("iperf_reno", "iperf_reno", NET.bandwidth_bps)
+        assert dog.store.samples(
+            "iperf_reno", "iperf_reno", NET.bandwidth_bps, mmf_share
+        )

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from repro import units
 from repro.analysis.site import render_bandwidth_section
 from repro.core.experiment import EXTERNAL_LOSS_LIMIT
-from repro.core.report import FairnessReport
+from repro.core import results
+from repro.core.report import FairnessReport, render_grid
 from repro.core.results import ResultStore
 from repro.obs.metrics import get_registry
 
@@ -27,18 +28,30 @@ POOL = ["netflix", "mega", "meet", "iperf_bbr", "vimeo", "zoom", "dropbox", "x"]
 share = st.integers(min_value=0, max_value=200).map(lambda n: n / 100)
 
 
-def trial(contender, incumbent, shares, seed, valid, bandwidth):
+def trial(
+    contender, incumbent, shares, seed, valid, bandwidth,
+    losses=(0.0, 0.0), delays_usec=(0.0, 0.0), utilization=None,
+):
+    result = fake_result(contender, incumbent, *shares, seed=seed)
+    ids = list(result.mmf_share)
     return dataclasses.replace(
-        fake_result(contender, incumbent, *shares, seed=seed),
+        result,
         bandwidth_bps=bandwidth,
         external_loss_fraction=0.0 if valid else EXTERNAL_LOSS_LIMIT * 2,
+        loss_rate=dict(zip(ids, losses)),
+        queueing_delay_usec=dict(zip(ids, delays_usec)),
+        utilization=(
+            result.utilization if utilization is None else utilization
+        ),
     )
 
 
 @st.composite
 def stores(draw):
     """A store over 2-8 services: self pairs (``#2`` ids), unmeasured
-    cells, invalid trials, and data at a second bandwidth to ignore."""
+    cells, invalid trials, and data at a second bandwidth to ignore;
+    every trial has its own loss rates, queueing delays and
+    utilisation."""
     ids = draw(
         st.lists(st.sampled_from(POOL), min_size=2, max_size=8, unique=True)
     )
@@ -55,6 +68,11 @@ def stores(draw):
                         seed,
                         valid=draw(st.integers(0, 5)) > 0,
                         bandwidth=BW if draw(st.integers(0, 7)) else OTHER_BW,
+                        losses=[draw(share) / 10, draw(share) / 10],
+                        delays_usec=[
+                            draw(st.integers(0, 300_000)) for _ in "ab"
+                        ],
+                        utilization=draw(share) / 2,
                     )
                 )
     return store, ids
@@ -79,6 +97,14 @@ def test_report_equals_naive_recomputation(case):
     assert render_bandwidth_section(store, ids, BW) == (
         naive_report.render_bandwidth_section(store, ids, BW)
     )
+    # Figs 11-13: the same grid path over the other per-trial quantities.
+    for name, naive_value in naive_report.QUANTITIES.items():
+        grid = report.grid(getattr(results, name))
+        naive_grid = naive_report.grid(store, ids, BW, naive_value)
+        assert grid == naive_grid, name
+        assert render_grid(grid, ids, name, scale=100, fmt="{:.1f}") == (
+            naive_report.render(naive_grid, ids, name, fmt="{:.1f}")
+        )
 
 
 def test_each_cell_is_derived_once_per_store_version():

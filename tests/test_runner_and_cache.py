@@ -29,6 +29,7 @@ from repro.core.runner import (
     TrialSpec,
     replay,
 )
+from repro.core.results import mmf_share
 from repro.core.watchdog import Prudentia
 from repro.services.catalog import default_catalog
 
@@ -311,10 +312,10 @@ class TestWatchdogCaching:
         assert stats.trials_run == 0
         assert stats.cache_hits == stats.trials_total == trials_first
         # The cached cycle reproduces the measured shares exactly.
-        assert second.store.shares(
-            "iperf_reno", "iperf_cubic", NET.bandwidth_bps
-        ) == first.store.shares(
-            "iperf_reno", "iperf_cubic", NET.bandwidth_bps
+        assert second.store.samples(
+            "iperf_reno", "iperf_cubic", NET.bandwidth_bps, mmf_share
+        ) == first.store.samples(
+            "iperf_reno", "iperf_cubic", NET.bandwidth_bps, mmf_share
         )
 
     def test_cycle_stats_surfaced_without_cache(self):

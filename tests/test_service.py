@@ -523,6 +523,24 @@ class TestServiceIngest:
         )
         assert heartbeat["phase"] == "done"
 
+    def test_an_idle_run_loop_beats_once_per_pass(self, tmp_path, monkeypatch):
+        """Over an empty spool every poll pass rewrites the heartbeat, so
+        ``obs heartbeat --stale-after`` a few poll intervals holds for a
+        live, idle service."""
+        from repro.obs.heartbeat import HeartbeatWriter
+
+        phases = []
+        write = HeartbeatWriter._write
+
+        def recording(writer, phase):
+            phases.append(phase)
+            write(writer, phase)
+
+        monkeypatch.setattr(HeartbeatWriter, "_write", recording)
+        service = make_service(tmp_path, poll_sec=0.05)
+        assert service.run(max_loops=3) == 0
+        assert phases == ["starting", "idle", "idle", "idle", "done"]
+
 
 def _truncate(path):
     text = path.read_text()

@@ -9,6 +9,7 @@ from repro.config import (
     TrialPolicyConfig,
     highly_constrained,
 )
+from repro.core.results import mmf_share
 from repro.core.watchdog import Prudentia
 from repro.services.catalog import default_catalog
 
@@ -41,7 +42,7 @@ class TestCycle:
     def test_all_pairs_measured(self, watchdog):
         for a in ("iperf_cubic", "iperf_reno", "iperf_bbr"):
             for b in ("iperf_cubic", "iperf_reno", "iperf_bbr"):
-                shares = watchdog.store.shares(a, b, units.mbps(8))
+                shares = watchdog.store.samples(a, b, units.mbps(8), mmf_share)
                 assert len(shares) >= 2, (a, b)
 
     def test_report_heatmap(self, watchdog):
@@ -87,7 +88,9 @@ class TestCycle:
         # No seed ran twice, and the second cycle added trials.
         assert len(set(seeds)) == len(seeds)
         assert first < set(seeds)
-        shares = dog.store.shares("iperf_reno", "iperf_cubic", units.mbps(8))
+        shares = dog.store.samples(
+            "iperf_reno", "iperf_cubic", units.mbps(8), mmf_share
+        )
         assert len(shares) >= 4
 
 
