@@ -6,13 +6,17 @@ Dropbox / NewReno / Cubic against Mega and against five persistent iPerf
 BBR flows, in the moderately-constrained setting.
 """
 
-from repro.analysis.timeseries import render_sparkline, throughput_timeseries
+from repro import units
+from repro.analysis.timeseries import render_sparkline
+from repro.netsim.trace import PacketTrace
 
 from .harness import CONFIG, MODERATELY, median_share, report, run_artifacts, run_trials
 
 
 def _timeseries_run():
-    return run_artifacts(("mega", "dropbox"), MODERATELY, seed=11, trace_packets=True)
+    trace = PacketTrace()
+    result = run_artifacts(("mega", "dropbox"), MODERATELY, 11, [trace])
+    return result, trace
 
 
 def _comparison_table():
@@ -28,12 +32,11 @@ def _comparison_table():
 
 
 def test_fig04_dropbox_vs_mega_timeseries(benchmark):
-    result, testbed = benchmark.pedantic(_timeseries_run, rounds=1, iterations=1)
+    result, trace = benchmark.pedantic(_timeseries_run, rounds=1, iterations=1)
     lines = []
     for sid in ("mega", "dropbox"):
-        _t, rates = throughput_timeseries(
-            testbed.bell.trace, sid, bin_ms=500,
-            start_usec=CONFIG.measure_start_usec,
+        _t, rates = trace.throughput_series(
+            sid, bin_usec=units.msec(500), start_usec=CONFIG.measure_start_usec,
         )
         lines.append(f"{sid:>8}: {render_sparkline(rates, width=90)}")
         lines.append(

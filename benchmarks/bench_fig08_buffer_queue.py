@@ -6,16 +6,18 @@ series plus utilization/share table.  (b) The Obs-11 counterpoint: Reno
 vs Cubic at 8 Mbps gets *worse* with the bigger buffer.
 """
 
-from repro.analysis.timeseries import queue_occupancy_timeseries, render_sparkline
+from repro.analysis.timeseries import render_sparkline
 from repro.core.sweep import run_sweep
+from repro.netsim.trace import QueueLog
 
 from .harness import BACKEND, CONFIG, HIGHLY, MODERATELY, TRIALS, report, run_artifacts
 
 
 def _traced_queue_run(buffer_multiple):
     network = MODERATELY.with_buffer_multiple(buffer_multiple)
-    result, testbed = run_artifacts(("mega", "iperf_reno"), network, seed=13)
-    _times, occ = queue_occupancy_timeseries(testbed.bell.queue_log)
+    log = QueueLog()
+    result = run_artifacts(("mega", "iperf_reno"), network, 13, [log])
+    _times, occ = log.occupancy_series()
     return {
         "capacity": network.queue_packets,
         "occupancy": occ,

@@ -15,8 +15,8 @@ Every trial is a :class:`~repro.core.runner.TrialSpec` run by
 :data:`BACKEND` (from ``build_backend``); point
 ``PRUDENTIA_BENCH_CACHE_DIR`` at a directory to make repeated harness
 runs skip every already-simulated trial (content-addressed caching).
-Figures that plot raw artifacts (packet trace, queue log) take them from
-:func:`run_artifacts`, the trial core the backend runs.
+Figures that plot raw artifacts (packet trace, queue log) attach those
+recorders to :func:`run_artifacts`, the trial core the backend runs.
 
 The conditions a figure varies are catalog rows too.  :data:`CATALOG` is
 the default catalog plus these variants, each a copy of a default row
@@ -55,7 +55,6 @@ from repro.core.experiment import ExperimentResult, run_trial_artifacts
 from repro.core.results import ResultStore
 from repro.core.runner import TrialSpec, build_backend
 from repro.core.stats import median
-from repro.core.testbed import Testbed
 from repro.services.catalog import ServiceSpec, default_catalog, recipe
 
 DURATION_SEC = float(os.environ.get("PRUDENTIA_BENCH_DURATION", "80"))
@@ -158,18 +157,19 @@ def run_artifacts(
     service_ids: Sequence[str],
     network: NetworkConfig,
     seed: int,
-    trace_packets: bool = False,
-) -> Tuple[ExperimentResult, Testbed]:
-    """One trial's result and its finished testbed (queue log, and the
-    packet trace with ``trace_packets``): the trial core the backend
-    runs, for figures that plot what a result does not keep."""
-    return run_trial_artifacts(
+    recorders: Sequence,
+) -> ExperimentResult:
+    """One trial's result, recorded by ``recorders`` (a queue log, a
+    packet trace): the trial core the backend runs, for figures that
+    plot what a result does not keep."""
+    result, _testbed = run_trial_artifacts(
         [CATALOG.get(sid) for sid in service_ids],
         network,
         CONFIG,
         seed=seed,
-        trace_packets=trace_packets,
+        recorders=recorders,
     )
+    return result
 
 
 def median_share(

@@ -12,12 +12,9 @@ Usage::
 
 import repro
 from repro import units
-from repro.analysis.timeseries import (
-    queue_occupancy_timeseries,
-    render_sparkline,
-    throughput_timeseries,
-)
+from repro.analysis.timeseries import render_sparkline
 from repro.core.experiment import run_trial_artifacts
+from repro.netsim.trace import PacketTrace, QueueLog
 
 
 def main() -> None:
@@ -31,23 +28,22 @@ def main() -> None:
     )
 
     print("simulating 60 seconds of Mega vs iPerf (NewReno) at 50 Mbps...")
+    queue_log, trace = QueueLog(), PacketTrace()
     result, testbed = run_trial_artifacts(
         [catalog.get("mega"), catalog.get("iperf_reno")],
         network,
         config,
         seed=7,
-        trace_packets=True,
+        recorders=[queue_log, trace],
     )
 
     for sid in ("mega", "iperf_reno"):
-        times, rates = throughput_timeseries(
-            testbed.bell.trace, sid, bin_ms=250
-        )
+        times, rates = trace.throughput_series(sid, bin_usec=units.msec(250))
         peak = max(rates)
         print(f"\n{sid} throughput (0..{peak:.0f} Mbps, 250 ms bins):")
         print(" " + render_sparkline(rates, width=100))
 
-    _t, occupancy = queue_occupancy_timeseries(testbed.bell.queue_log)
+    _t, occupancy = queue_log.occupancy_series()
     print(f"\nqueue occupancy (0..{max(occupancy)} of "
           f"{network.queue_packets} packets):")
     print(" " + render_sparkline(occupancy, width=100))

@@ -1,51 +1,13 @@
-"""Time-series extraction for the dynamics figures (Figs 4, 8, 10).
+"""Terminal rendering for the dynamics figures (Figs 4, 8, 10).
 
-Fig 4 plots per-service throughput over time (Mega's bursts vs Dropbox's
-ramps); Fig 8 plots bottleneck-queue occupancy under two buffer sizes.
-Both come straight from the testbed's packet trace and queue log.
+The series themselves come straight from the recorders a trial attached:
+``PacketTrace.throughput_series`` for Fig 4's per-service throughput,
+``QueueLog.occupancy_series`` for Fig 8's bottleneck-queue occupancy.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
-from .. import units
-from ..netsim.trace import PacketTrace, QueueLog
-
-
-def throughput_timeseries(
-    trace: PacketTrace,
-    service_id: str,
-    bin_ms: float = 500.0,
-    start_usec: int = 0,
-    end_usec: int = None,
-) -> Tuple[List[float], List[float]]:
-    """(seconds, Mbps) series for one service from a packet trace."""
-    return trace.throughput_series(
-        service_id,
-        bin_usec=units.msec(bin_ms),
-        start_usec=start_usec,
-        end_usec=end_usec,
-    )
-
-
-def queue_occupancy_timeseries(
-    log: QueueLog,
-    start_usec: int = 0,
-    end_usec: int = None,
-) -> Tuple[List[float], List[int]]:
-    """(seconds, packets) occupancy series from a queue log."""
-    times, occupancy = log.occupancy_series()
-    out_t: List[float] = []
-    out_o: List[int] = []
-    for t, occ in zip(times, occupancy):
-        if t < start_usec:
-            continue
-        if end_usec is not None and t >= end_usec:
-            break
-        out_t.append(t / units.USEC_PER_SEC)
-        out_o.append(occ)
-    return out_t, out_o
+from typing import List
 
 
 def render_sparkline(values: List[float], width: int = 80) -> str:

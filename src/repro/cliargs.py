@@ -104,6 +104,14 @@ def positive_int(text: str) -> int:
     return int(text)
 
 
+def non_negative_int(text: str) -> int:
+    """The type of every retry budget (``--max-retries``): an integer
+    >= 0, else a usage error (exit 2)."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0: {text!r}")
+    return int(text)
+
+
 def add_workers_arg(parser: argparse.ArgumentParser, text: str) -> None:
     """``--workers``: the process-pool size."""
     parser.add_argument("--workers", type=positive_int, default=None, help=text)

@@ -17,9 +17,9 @@ from typing import Optional
 
 from ..browser.environment import ClientEnvironment
 from ..config import ExperimentConfig, NetworkConfig
+from ..netsim.trace import PacketTrace, QueueLog
 from ..services.catalog import ServiceSpec
 from .experiment import ExperimentResult, run_trial_artifacts
-from .testbed import Testbed
 
 
 @dataclass(frozen=True)
@@ -58,18 +58,19 @@ class ArtifactPublisher:
     ) -> PublishedExperiment:
         """Run one traced trial through the trial core and publish its
         artifacts."""
-        result, testbed = run_trial_artifacts(
+        queue_log, trace = QueueLog(), PacketTrace()
+        result, _testbed = run_trial_artifacts(
             [spec_a, spec_b],
             network,
             config,
             seed=seed,
             env=env,
-            trace_packets=True,
+            recorders=[queue_log, trace],
         )
-        return self._write(result, testbed)
+        return self._write(result, queue_log, trace)
 
     def _write(
-        self, result: ExperimentResult, testbed: Testbed
+        self, result: ExperimentResult, queue_log: QueueLog, trace: PacketTrace
     ) -> PublishedExperiment:
         directory = self._experiment_dir(result)
         directory.mkdir(parents=True, exist_ok=True)
@@ -78,12 +79,10 @@ class ArtifactPublisher:
         result_path.write_text(json.dumps(result.to_json(), indent=1))
 
         queue_log_path = directory / "queue_log.json"
-        queue_log_path.write_text(
-            json.dumps(testbed.bell.queue_log.to_json())
-        )
+        queue_log_path.write_text(json.dumps(queue_log.to_json()))
 
         trace_path = directory / "packet_trace.json"
-        trace_path.write_text(json.dumps(testbed.bell.trace.to_json()))
+        trace_path.write_text(json.dumps(trace.to_json()))
 
         summary_path = directory / "SUMMARY.txt"
         lines = [

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -111,36 +111,18 @@ class EarlyStopModel:
             raise ValueError("consecutive must be >= 1")
 
     def to_json(self) -> Dict:
-        """The versioned artifact payload (includes the content hash)."""
-        return {
-            "schema": EARLYSTOP_SCHEMA_VERSION,
-            "grid_usec": self.grid_usec,
-            "min_horizon_usec": self.min_horizon_usec,
-            "epsilon_share": self.epsilon_share,
-            "consecutive": self.consecutive,
-            "max_drop_burst": self.max_drop_burst,
-            "queue_epsilon": self.queue_epsilon,
-            "share_tolerance": self.share_tolerance,
-            "trained_on": self.trained_on,
-            "model_id": self.model_id,
-        }
+        """The versioned artifact payload: every field, then
+        ``model_id``, the content hash of everything before it."""
+        payload = {"schema": EARLYSTOP_SCHEMA_VERSION, **asdict(self)}
+        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        payload["model_id"] = digest[:16]
+        return payload
 
     @property
     def model_id(self) -> str:
         """Content hash of the decision-relevant parameters."""
-        payload = {
-            "schema": EARLYSTOP_SCHEMA_VERSION,
-            "grid_usec": self.grid_usec,
-            "min_horizon_usec": self.min_horizon_usec,
-            "epsilon_share": self.epsilon_share,
-            "consecutive": self.consecutive,
-            "max_drop_burst": self.max_drop_burst,
-            "queue_epsilon": self.queue_epsilon,
-            "share_tolerance": self.share_tolerance,
-            "trained_on": self.trained_on,
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+        return self.to_json()["model_id"]
 
     @classmethod
     def from_json(cls, payload: Dict) -> "EarlyStopModel":

@@ -188,9 +188,8 @@ def run_trial_artifacts(
     config: ExperimentConfig,
     seed: int = 0,
     env: Optional[ClientEnvironment] = None,
-    trace_packets: bool = False,
+    recorders: Sequence = (),
     engine=None,
-    flight=None,
     earlystop=None,
 ) -> "tuple[ExperimentResult, Testbed]":
     """The single trial core: N services contend once through the testbed.
@@ -203,27 +202,29 @@ def run_trial_artifacts(
     funnels through here, so results are identical no matter which entry
     point or backend ran the trial.
 
-    Returns both the result and the finished :class:`Testbed`, so callers
-    that need the raw artifacts (packet trace, queue log - the golden
-    bit-identity test, artifact publication and the figure benchmarks)
-    share this exact code path with the ordinary result-only wrappers.
-    ``trace_packets`` keeps the packet trace only this function returns.
+    Returns both the result and the finished :class:`Testbed`, and
+    attaches ``recorders`` (queue log, packet trace, flight recorder; see
+    :class:`Testbed`) before the run, so callers that need raw artifacts -
+    the golden bit-identity test, artifact publication, flight recording
+    and the figure benchmarks - share this exact code path with the
+    ordinary result-only wrappers.  A recorder that labels its output
+    (``Probe.labels``) gets the trial's service ids, bandwidth, buffer
+    and seed.
     """
     if len(specs) < 1:
         raise ValueError("need at least one service")
     testbed = Testbed(
         network,
         seed=seed,
-        trace_packets=trace_packets,
         engine=engine,
-        flight=flight,
+        recorders=recorders,
         earlystop=earlystop,
     )
-    if flight is not None:
-        flight.meta.setdefault("service_ids", [spec.service_id for spec in specs])
-        flight.meta.setdefault("bandwidth_bps", network.bandwidth_bps)
-        flight.meta.setdefault("buffer_packets", network.queue_packets)
-        flight.meta.setdefault("seed", seed)
+    for meta in testbed.bell.link.probe.labels:
+        meta.setdefault("service_ids", [spec.service_id for spec in specs])
+        meta.setdefault("bandwidth_bps", network.bandwidth_bps)
+        meta.setdefault("buffer_packets", network.queue_packets)
+        meta.setdefault("seed", seed)
     seen: Dict[str, int] = {}
     services = []
     for index, spec in enumerate(specs):

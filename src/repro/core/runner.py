@@ -152,7 +152,7 @@ def _simulate(
     trial's cache key) decides whether an armed trial runs full-length in
     audit mode.
     """
-    recorder = FlightRecorder() if record_flight else None
+    recorders = [FlightRecorder()] if record_flight else []
     monitor = None
     if earlystop is not None:
         monitor = EarlyStopMonitor(
@@ -172,10 +172,10 @@ def _simulate(
             spec.config,
             seed=spec.seed,
             env=env,
-            flight=recorder,
+            recorders=recorders,
             earlystop=monitor,
         )
-    return result, None if recorder is None else recorder.to_json()
+    return result, recorders[0].to_json() if recorders else None
 
 
 class CacheMissError(RuntimeError):
@@ -334,9 +334,6 @@ def _lookup(
         lookup_span.set(hits=hits, misses=misses)
     stats.cache_hits += hits
     stats.cache_misses += misses
-    registry = get_registry()
-    registry.counter("runner.cache_hits").inc(hits)
-    registry.counter("runner.cache_misses").inc(misses)
     return records
 
 

@@ -7,7 +7,7 @@ measurement-window bookkeeping (reset at warmup end, snapshot at the end).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from .. import units
 from ..config import ExperimentConfig, NetworkConfig
@@ -17,7 +17,14 @@ from .earlystop import EarlyStopped
 
 
 class Testbed:
-    """One experiment's worth of emulated network plus services."""
+    """One experiment's worth of emulated network plus services.
+
+    ``recorders`` are what the trial records - any of
+    :class:`~repro.netsim.trace.QueueLog`,
+    :class:`~repro.netsim.trace.PacketTrace` and
+    :class:`~repro.obs.flight.FlightRecorder`, each with an
+    ``attach(link)``; with none, nothing is recorded.
+    """
 
     #: Not a pytest test class, despite the name.
     __test__ = False
@@ -26,19 +33,18 @@ class Testbed:
         self,
         network: NetworkConfig,
         seed: int = 0,
-        trace_packets: bool = False,
         engine=None,
-        flight=None,
+        recorders: Sequence = (),
         earlystop=None,
     ) -> None:
         self.network = network
-        self.bell = Dumbbell(
-            network, seed=seed, trace_packets=trace_packets, engine=engine
-        )
-        # Subscription order on the link's probe is sampling order
-        # within one firing: queue log (Dumbbell), flight, stop rule.
-        if flight is not None:
-            flight.attach(self.bell.link)
+        self.bell = Dumbbell(network, seed=seed, engine=engine)
+        # Attach order is subscription order on the link's probe, and so
+        # sampling order within one firing: the recorders as given, then
+        # the stop rule - last, because it ends the run, so every reader
+        # has sampled the instant it fires on.
+        for recorder in recorders:
+            recorder.attach(self.bell.link)
         if earlystop is not None:
             earlystop.attach(self.bell.link)
         self.services: List[Service] = []

@@ -464,6 +464,8 @@ def run_adaptive_cycle(
     truncated-vs-full duplicates, and fold feeds truncated samples to
     the trackers as windowed-rate estimates.
     """
+    if max_retries < 0:
+        raise ValueError(f"max_retries is a count >= 0, not {max_retries}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     state = AdaptiveCycleState(

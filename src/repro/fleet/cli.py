@@ -42,6 +42,7 @@ from ..cliargs import (
     config_from_args,
     earlystop_from_args,
     network_from_args,
+    non_negative_int,
     policy_from_args,
     positive_int,
     print_heatmap,
@@ -437,7 +438,7 @@ def register(sub: argparse._SubParsersAction) -> None:
     add_network_args(p)
     add_backend_arg(p, "execution substrate for shard workers")
     add_workers_arg(p, "process-pool size per shard")
-    p.add_argument("--max-retries", type=int, default=2,
+    p.add_argument("--max-retries", type=non_negative_int, default=2,
                    help="receipt-recovery re-dispatches per shard per "
                         "round (default: 2)")
     add_earlystop_args(p)

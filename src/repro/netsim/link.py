@@ -33,6 +33,8 @@ class BottleneckLink:
         rate_bps: serialisation rate.
         post_delay_usec: propagation delay from the switch to the client.
         queue: the attached :class:`DropTailQueue`.
+        trace: the :class:`~repro.netsim.trace.PacketTrace` recording
+            every delivered packet, ``None`` unless one is attached.
         delivered_bytes: per-service delivered-byte counters (wire bytes,
             including retransmissions) since the last ``reset_stats``.
         probe: the :class:`~repro.netsim.trace.Probe` every sim-clock
@@ -60,7 +62,6 @@ class BottleneckLink:
         rate_bps: float,
         queue: DropTailQueue,
         post_delay_usec: int = 0,
-        trace: Optional[PacketTrace] = None,
     ) -> None:
         if rate_bps <= 0:
             raise ValueError("link rate must be positive")
@@ -68,7 +69,7 @@ class BottleneckLink:
         self.rate_bps = rate_bps
         self.post_delay_usec = post_delay_usec
         self.queue = queue
-        self.trace = trace
+        self.trace: Optional[PacketTrace] = None
         self.delivered_bytes: Dict[str, int] = defaultdict(int)
         self.busy_usec = 0
         self._busy = False
@@ -143,7 +144,7 @@ class BottleneckLink:
         self.delivered_bytes[service_id] += size
         post = self.post_delay_usec
         trace = self.trace
-        if trace is not None and trace.enabled:
+        if trace is not None:
             trace.record(now + post, service_id, size)
         if post:
             engine.schedule(post, flow.on_packet_arrived, packet)

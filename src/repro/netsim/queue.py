@@ -27,6 +27,8 @@ class DropTailQueue:
         capacity_packets: maximum number of queued packets; arrivals beyond
             this are dropped (tail drop).
         arrivals / drops: per-service counters keyed by ``service_id``.
+        log: the :class:`~repro.netsim.trace.QueueLog` each tail drop is
+            logged to, ``None`` unless one is attached.
     """
 
     __slots__ = (
@@ -39,11 +41,7 @@ class DropTailQueue:
         "log",
     )
 
-    def __init__(
-        self,
-        capacity_packets: int,
-        log: Optional[QueueLog] = None,
-    ) -> None:
+    def __init__(self, capacity_packets: int) -> None:
         if capacity_packets < 1:
             raise ValueError("queue capacity must be at least one packet")
         self.capacity_packets = capacity_packets
@@ -52,7 +50,7 @@ class DropTailQueue:
         self.drops: Dict[str, int] = defaultdict(int)
         self.queue_delay_sum_usec: Dict[str, int] = defaultdict(int)
         self.queue_delay_samples: Dict[str, int] = defaultdict(int)
-        self.log = log
+        self.log: Optional[QueueLog] = None
 
     def __len__(self) -> int:
         return len(self._queue)

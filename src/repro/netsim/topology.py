@@ -19,7 +19,6 @@ from .engine import _NO_ARG, CalendarEngine
 from .link import BottleneckLink
 from .packet import Packet
 from .queue import DropTailQueue
-from .trace import PacketTrace, QueueLog
 
 
 class Path:
@@ -132,8 +131,9 @@ class Dumbbell:
     """The full emulated testbed for one experiment.
 
     Construction wires up the queue (power-of-two sized per the BESS
-    quirk), the bottleneck link, a queue log, and an optional packet trace.
-    Services then request paths via :meth:`path_for_service`.
+    quirk) and the bottleneck link; it records nothing - a queue log,
+    packet trace or flight recorder is attached to ``link`` by whoever
+    wants one.  Services then request paths via :meth:`path_for_service`.
     """
 
     #: Portion of the forward one-way delay placed downstream of the switch.
@@ -143,24 +143,18 @@ class Dumbbell:
         self,
         network: NetworkConfig,
         seed: int = 0,
-        trace_packets: bool = False,
-        queue_log_period_usec: int = 10_000,
         engine: Optional[CalendarEngine] = None,
     ) -> None:
         self.network = network
         # Tests inject the heap oracle here (tests/naive_engine.py).
         self.engine = engine if engine is not None else CalendarEngine()
-        self.queue_log = QueueLog(sample_period_usec=queue_log_period_usec)
-        self.trace = PacketTrace(enabled=trace_packets)
-        self.queue = DropTailQueue(network.queue_packets, log=self.queue_log)
+        self.queue = DropTailQueue(network.queue_packets)
         self.link = BottleneckLink(
             self.engine,
             rate_bps=network.bandwidth_bps,
             queue=self.queue,
             post_delay_usec=self.POST_DELAY_USEC,
-            trace=self.trace,
         )
-        self.link.subscribe(queue_log_period_usec, self.queue_log.sample)
         self._seed = seed
         self._paths: Dict[str, Path] = {}
 

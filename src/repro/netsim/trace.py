@@ -6,8 +6,12 @@ in-simulator equivalents.  Both store their records **columnar** - parallel
 ``array('q')`` buffers plus an interned service-id table - so the per-packet
 hot path appends machine integers instead of allocating a Python tuple per
 record.  Rows are only materialised when something asks for them
-(``to_json()``, the ``records`` property, the series helpers), which is
+(``to_json()``, the ``records`` property, ``occupancy_series``), which is
 once per trial rather than once per packet.
+
+Both are *recorders*: like the flight recorder, each has an
+``attach(link)`` and records only once a trial attaches it (the trial
+core's ``recorders=``); a trial with none records nothing.
 
 :class:`Probe` is the single answer to "when is the simulator observed":
 the queue log, the flight recorder and the early-stop rule are all
@@ -40,9 +44,13 @@ class Probe:
             sample per-flow state iterate this).
         window_open_usec: when the measurement window opened
             (``BottleneckLink.reset_stats``), ``None`` before that.
+        labels: the ``meta`` dicts of attached recorders that label their
+            output with the trial (the flight recorder's); the trial core
+            fills each with the trial's service ids, bandwidth, buffer and
+            seed, keeping any key a recorder already has.
     """
 
-    __slots__ = ("connections", "window_open_usec", "_subscribers")
+    __slots__ = ("connections", "window_open_usec", "labels", "_subscribers")
 
     #: Deadline of a probe with nothing subscribed: later than any
     #: representable sim time, so the link's gate stays one false compare.
@@ -51,6 +59,7 @@ class Probe:
     def __init__(self) -> None:
         self.connections: List[Any] = []
         self.window_open_usec: Optional[int] = None
+        self.labels: List[Dict[str, Any]] = []
         # [due_usec, period_usec, fn] per subscriber, in subscription order.
         self._subscribers: List[list] = []
 
@@ -99,6 +108,12 @@ class QueueLog:
         self._sample_occs = array("q")
         self.drop_events: List[Tuple[int, str]] = []
 
+    def attach(self, link: Any) -> None:
+        """Sample ``link``'s queue on this log's period (a probe
+        subscriber) and log its tail drops."""
+        link.queue.log = self
+        link.subscribe(self.sample_period_usec, self.sample)
+
     @property
     def samples(self) -> List[Tuple[int, int]]:
         """Materialised ``(time_usec, occupancy)`` rows, oldest first."""
@@ -129,9 +144,9 @@ class QueueLog:
 class PacketTrace:
     """Per-packet delivery records for one experiment ("client PCAP").
 
-    Recording every packet is expensive, so traces are opt-in (enabled for
-    the time-series figures and for artifact publication, disabled for bulk
-    heatmap sweeps).  Each logical record is
+    Recording every packet is expensive, so a trace records only on a link
+    it is attached to (the time-series figures and artifact publication
+    attach one; bulk heatmap sweeps do not).  Each logical record is
     ``(deliver_time_usec, service_id, size_bytes)``, stored as three
     parallel columns with service ids interned to small integers.
 
@@ -141,10 +156,9 @@ class PacketTrace:
     rebuilt in one pass.
     """
 
-    __slots__ = ("enabled", "_times", "_sizes", "_codes", "_sids", "_code_of", "_index")
+    __slots__ = ("_times", "_sizes", "_codes", "_sids", "_code_of", "_index")
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._times = array("q")
         self._sizes = array("q")
         self._codes = array("q")
@@ -156,6 +170,10 @@ class PacketTrace:
     def __len__(self) -> int:
         return len(self._times)
 
+    def attach(self, link: Any) -> None:
+        """Record every packet ``link`` delivers."""
+        link.trace = self
+
     @property
     def records(self) -> List[Tuple[int, str, int]]:
         """Materialised ``(time, service_id, size)`` rows, oldest first."""
@@ -166,9 +184,7 @@ class PacketTrace:
         ]
 
     def record(self, now: int, service_id: str, size_bytes: int) -> None:
-        """Record one delivered packet (no-op when disabled)."""
-        if not self.enabled:
-            return
+        """Record one delivered packet."""
         code = self._code_of.get(service_id)
         if code is None:
             code = self._code_of[service_id] = len(self._sids)

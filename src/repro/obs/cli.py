@@ -123,7 +123,7 @@ def cmd_obs_flight_record(args) -> int:
         network_from_args(args),
         config_from_args(args),
         seed=args.seed,
-        flight=recorder,
+        recorders=[recorder],
     )
     payload = recorder.to_json()
     encoded = json.dumps(payload, indent=1, sort_keys=True)

@@ -303,9 +303,10 @@ class QueueChannel:
 class FlightRecorder:
     """Grid-sampled telemetry for one trial.
 
-    Usage: construct, pass to ``run_trial_artifacts(..., flight=rec)``;
-    the testbed subscribes it to the bottleneck link's probe.  After the
-    run, ``to_json()`` is the versioned sidecar payload.
+    Usage: construct, pass to ``run_trial_artifacts(..., recorders=[rec])``;
+    the testbed attaches it to the bottleneck link's probe and the trial
+    core labels ``meta`` with the trial.  After the run, ``to_json()`` is
+    the versioned sidecar payload.
     """
 
     def __init__(self, grid_usec: int = DEFAULT_GRID_USEC,
@@ -318,8 +319,10 @@ class FlightRecorder:
         self.queue: Optional[QueueChannel] = None
 
     def attach(self, link: Any) -> None:
-        """Subscribe to the link's probe (zero events scheduled)."""
+        """Subscribe to the link's probe (zero events scheduled) and
+        have ``meta`` labelled with the trial."""
         self.queue = QueueChannel(link.queue.capacity_packets)
+        link.probe.labels.append(self.meta)
         link.subscribe(self.grid_usec, self.sample)
 
     def sample(self, now: int, link: Any) -> None:

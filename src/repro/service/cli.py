@@ -101,7 +101,7 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
         help="output directory (store/, site/, next-plan/, heartbeat)",
     )
     parser.add_argument(
-        "--window-cycles", type=int, default=None,
+        "--window-cycles", type=positive_int, default=None,
         help="rolling retention: keep only the last N ingested cycles "
              "(default: keep everything)",
     )

@@ -77,7 +77,7 @@ from ..obs.log import get_logger
 from ..obs.metrics import get_registry
 from ..services.catalog import ServiceCatalog, default_catalog
 from .site import SiteRenderer, bandwidth_tag
-from .store import CycleRecord, RollingResultStore
+from .store import CycleRecord, RollingResultStore, check_window
 
 _log = get_logger("service")
 
@@ -154,6 +154,8 @@ class WatchdogService:
         poll_sec: float = 2.0,
         stop_file: Optional[Union[str, Path]] = None,
     ) -> None:
+        if window_cycles is not None:
+            check_window(window_cycles)
         self.spool = Path(spool_dir)
         self.out = Path(out_dir)
         for sub in ("incoming", "done", "failed", "retry"):

@@ -202,6 +202,14 @@ def _fsync(path: Path) -> None:
         os.close(fd)
 
 
+def check_window(cycles: int) -> int:
+    """A retention window, checked: keeping fewer than one cycle would
+    drop every ingested trial, so it is an error, not an empty store."""
+    if cycles < 1:
+        raise ValueError(f"a cycle window keeps at least 1 cycle, not {cycles}")
+    return cycles
+
+
 def _segment_filename(cycle_id: str) -> str:
     """A cycle's segment file: a pure, filesystem-safe function of its id."""
     digest = hashlib.sha256(cycle_id.encode("utf-8")).hexdigest()
@@ -535,8 +543,8 @@ class RollingResultStore:
         moment ago and one replayed after a restart take the same path,
         and no line is encoded twice.  (Only a cycle that was never
         journalled - a schema-1 snapshot's - is encoded here.)
-        ``max_cycles`` bounds retention: cycles beyond the window lose
-        their manifest row and then their file (the rolling half of
+        ``max_cycles`` (>= 1) bounds retention: cycles beyond the window
+        lose their manifest row and then their file (the rolling half of
         "rolling result store").  Every write is an atomic rename, in
         the order segment -> manifest -> journal -> unlink, so a crash
         at any point leaves a store that replays to the same cycles; new
@@ -545,9 +553,7 @@ class RollingResultStore:
         for files that never reached the disk.
         """
         if max_cycles is not None:
-            self._cycles = (
-                self._cycles[-max_cycles:] if max_cycles > 0 else []
-            )
+            self._cycles = self._cycles[-check_window(max_cycles):]
         rows: List[Dict] = []
         written = 0
         journal: Optional[bytes] = None
@@ -609,7 +615,7 @@ class RollingResultStore:
     def store_view(self, last_cycles: Optional[int] = None) -> ResultStore:
         """A plain :class:`ResultStore` over a window of cycles.
 
-        ``last_cycles`` keeps only the N most recent ingests.  Invalid
+        ``last_cycles`` (>= 1) keeps only the N most recent ingests.  Invalid
         trials are dropped, matching the watchdog's hygiene rule.
 
         Partial-cycle ingests carry ``<base>+<trials>`` ids; when a
@@ -619,7 +625,7 @@ class RollingResultStore:
         """
         window = self._cycles
         if last_cycles is not None:
-            window = window[-last_cycles:] if last_cycles > 0 else []
+            window = window[-check_window(last_cycles):]
         latest: Dict[str, tuple] = {}
         for index, record in enumerate(window):
             base = record.cycle_id.split("+", 1)[0]

@@ -5,6 +5,7 @@ import pytest
 from repro import units
 from repro.config import NetworkConfig
 from repro.netsim.topology import Dumbbell
+from repro.netsim.trace import QueueLog
 from repro.transport.connection import Connection
 from repro.cca.bbr import (
     BBRv1,
@@ -23,6 +24,7 @@ def solo_run(cca, bw_mbps=10, seconds=30, seed=1, queue=None):
         bandwidth_bps=units.mbps(bw_mbps), queue_packets_override=queue
     )
     bell = Dumbbell(net, seed=seed)
+    QueueLog().attach(bell.link)  # read back as bell.queue.log
     conn = Connection(bell.engine, bell.path_for_service("s"), cca, "s", "s0")
     conn.request(10**12)
     bell.run(units.seconds(seconds))
@@ -87,7 +89,7 @@ class TestSoloBehaviour:
     def test_keeps_queue_small(self):
         """BBR is not a buffer-filler: occupancy stays far below capacity."""
         bell, _conn = solo_run(BBRv1(seed=2), seconds=20)
-        _t, occ = bell.queue_log.occupancy_series()
+        _t, occ = bell.queue.log.occupancy_series()
         tail = occ[len(occ) // 3:]
         assert sum(tail) / len(tail) < 0.3 * bell.queue.capacity_packets
 

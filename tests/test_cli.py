@@ -58,12 +58,17 @@ class TestParser:
              "--plan-shards", "0"),
             (["service", "ingest-once", "--spool", "s", "--out", "o"],
              "--plan-trials", "0"),
+            (["service", "ingest-once", "--spool", "s", "--out", "o"],
+             "--window-cycles", "0"),
+            (["service", "run", "--spool", "s", "--out", "o"],
+             "--window-cycles", "-1"),
         ],
         ids=[
             "plan-shards-0", "plan-shards-neg", "plan-trials-0",
             "fleet-cycle-shards-0", "cycle-trials-0", "sweep-trials-0",
             "retry-attempt-neg", "service-plan-shards-0",
-            "service-plan-trials-0",
+            "service-plan-trials-0", "service-window-cycles-0",
+            "service-run-window-cycles-neg",
         ],
     )
     def test_counts_below_one_are_usage_errors(
@@ -78,6 +83,20 @@ class TestParser:
         assert raised.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {flag}: expected an integer >= 1" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["-1", "one"])
+    def test_a_negative_retry_budget_is_a_usage_error(
+        self, value, capsys, tmp_path, monkeypatch
+    ):
+        """``fleet cycle --max-retries -1`` used to dispatch no shard and
+        abort with "no receipt after -1 retries"."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as raised:
+            main(["fleet", "cycle", "--out-dir", "d", "--max-retries", value])
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --max-retries: expected an integer >= 0" in err
         assert list(tmp_path.iterdir()) == []
 
 

@@ -91,6 +91,17 @@ class TestModelArtifact:
             != model.model_id
         )
 
+    def test_model_id_is_pinned(self):
+        """Every armed cycle id and manifest carries the id: it hashes
+        ``to_json()`` minus its own key, byte for byte as it always has."""
+        model = EarlyStopModel()
+        assert model.model_id == "28e420a9ab649a1f"
+        payload = model.to_json()
+        assert list(payload) == [
+            "schema", *(f.name for f in dataclasses.fields(model)), "model_id",
+        ]
+        assert payload["model_id"] == model.model_id
+
     def test_save_is_atomic(self, tmp_path, request):
         """A kill between temp-write and rename leaves the previous
         model loadable (and no half-written file under its name)."""
@@ -190,26 +201,10 @@ class TestGoldenByteIdentity:
         """The default model's 2 s minimum horizon exceeds the golden
         scenario's 1.8 s window, so the armed monitor never fires and
         the artifact set stays byte-identical."""
-        catalog = default_catalog()
-        specs = [catalog.get(sid) for sid in golden.SCENARIO["services"]]
-        config = ExperimentConfig().scaled(golden.SCENARIO["duration_sec"])
         monitor = EarlyStopMonitor(EarlyStopModel())
-        result, testbed = run_trial_artifacts(
-            specs,
-            highly_constrained(),
-            config,
-            seed=golden.SCENARIO["seed"],
-            trace_packets=True,
-            earlystop=monitor,
-        )
-        payload = {
-            "scenario": golden.SCENARIO,
-            "report": result.to_json(),
-            "trace": testbed.bell.trace.to_json(),
-            "queue_log": testbed.bell.queue_log.to_json(),
-        }
+        payload = golden.compute_payload(earlystop=monitor)
         assert not monitor.triggered
-        assert result.earlystop is None
+        assert "earlystop" not in payload["report"]
         assert golden.serialize(payload) == golden.FIXTURE.read_bytes()
 
 
@@ -319,7 +314,7 @@ class TestServeEqualsReplay:
                         network,
                         ExperimentConfig().scaled(10.0),
                         seed=seed,
-                        flight=recorder,
+                        recorders=[recorder],
                         earlystop=monitor,
                     )
                     sidecar = json.loads(json.dumps(recorder.to_json()))
@@ -507,7 +502,7 @@ class TestFitOffline:
                 highly_constrained(),
                 ExperimentConfig().scaled(10.0),
                 seed=seed,
-                flight=recorder,
+                recorders=[recorder],
             )
             corpus.append((recorder.to_json(), result.throughput_bps))
         return corpus
@@ -519,6 +514,7 @@ class TestFitOffline:
         assert model_a == model_b
         assert model_a.model_id == model_b.model_id
         assert model_a.trained_on == len(corpus)
+        assert model_a.model_id == "c63d320d7f454800"
 
     def test_fit_rejects_a_corpus_on_another_grid(self):
         corpus = self._corpus()[:1]
@@ -556,7 +552,7 @@ class TestFitOffline:
         other, recorder = _pair_spec(seed=3), FlightRecorder(50_000)
         result, _testbed = run_trial_artifacts(
             [default_catalog().get(sid) for sid in other.service_ids],
-            other.network, other.config, seed=other.seed, flight=recorder,
+            other.network, other.config, seed=other.seed, recorders=[recorder],
         )
         cache.put(other, result)
         cache.put_sidecar(trial_cache_key(other), "flight", recorder.to_json())

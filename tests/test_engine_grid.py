@@ -28,13 +28,14 @@ from repro.config import (
 )
 from repro.core.experiment import run_trial_artifacts
 from repro.netsim.engine import CalendarEngine
+from repro.netsim.trace import PacketTrace, QueueLog
 from repro.services.catalog import default_catalog
 
 from tests.naive_engine import HeapEngine
 
 DURATION_SEC = 2.0
 
-#: name -> (network factory, service ids, seed, trace_packets)
+#: name -> (network factory, service ids, seed, packet trace attached)
 GRID = {
     "8mbps-cubic-bbr-trace": (highly_constrained, ("iperf_cubic", "iperf_bbr"), 1, True),
     "8mbps-cubic-reno": (highly_constrained, ("iperf_cubic", "iperf_reno"), 2, False),
@@ -51,22 +52,23 @@ GRID = {
 
 
 def _artifact_hash(make_engine, name: str) -> str:
-    network_factory, service_ids, seed, trace = GRID[name]
+    network_factory, service_ids, seed, traced = GRID[name]
     catalog = default_catalog()
     specs = [catalog.get(sid) for sid in service_ids]
     config = ExperimentConfig().scaled(DURATION_SEC)
+    queue_log, trace = QueueLog(), PacketTrace()
     result, testbed = run_trial_artifacts(
         specs,
         network_factory(),
         config,
         seed=seed,
-        trace_packets=trace,
+        recorders=[queue_log, trace] if traced else [queue_log],
         engine=make_engine(),
     )
     payload = {
         "report": result.to_json(),
-        "trace": testbed.bell.trace.to_json(),
-        "queue_log": testbed.bell.queue_log.to_json(),
+        "trace": trace.to_json(),  # no records when it was not attached
+        "queue_log": queue_log.to_json(),
         "clock": testbed.bell.engine.now,
         "events_scheduled": testbed.bell.engine.events_scheduled,
     }

@@ -9,8 +9,11 @@ from repro.core.experiment import (
     ExperimentResult,
     run_pair_experiment,
     run_solo_experiment,
+    run_trial_artifacts,
 )
 from repro.core.results import ResultStore, mmf_share
+from repro.netsim.trace import PacketTrace, Probe, QueueLog
+from repro.obs.flight import FlightRecorder
 from repro.services.catalog import default_catalog
 
 CATALOG = default_catalog()
@@ -26,6 +29,47 @@ def cubic_vs_reno():
         FAST,
         seed=1,
     )
+
+
+class TestRecorders:
+    def test_a_trial_without_recorders_records_nothing(self):
+        """No queue log, packet trace or flight recorder unless asked:
+        the link's probe has no subscriber, so its gate stays idle."""
+        _result, testbed = run_trial_artifacts(
+            [CATALOG.get("iperf_cubic"), CATALOG.get("iperf_reno")],
+            highly_constrained(),
+            ExperimentConfig().scaled(3),
+            seed=1,
+        )
+        link = testbed.bell.link
+        assert link.probe._subscribers == []
+        assert link._probe_next == Probe.IDLE
+        assert link.queue.log is None
+        assert link.trace is None
+
+    def test_recorders_attach_in_order_and_flight_meta_is_labelled(self):
+        log, trace = QueueLog(), PacketTrace()
+        flight = FlightRecorder(meta={"seed": "kept"})
+        _result, testbed = run_trial_artifacts(
+            [CATALOG.get("iperf_cubic"), CATALOG.get("iperf_cubic")],
+            highly_constrained(),
+            ExperimentConfig().scaled(3),
+            seed=4,
+            recorders=[flight, log, trace],
+        )
+        link = testbed.bell.link
+        assert [sub[2] for sub in link.probe._subscribers] == [
+            flight.sample, log.sample,
+        ]
+        assert (link.queue.log, link.trace) == (log, trace)
+        assert len(trace) > 0 and log.samples
+        assert link.probe.labels == [flight.meta]
+        assert flight.meta == {
+            "seed": "kept",
+            "service_ids": ["iperf_cubic", "iperf_cubic"],
+            "bandwidth_bps": highly_constrained().bandwidth_bps,
+            "buffer_packets": highly_constrained().queue_packets,
+        }
 
 
 class TestPairExperiment:

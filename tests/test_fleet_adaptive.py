@@ -397,6 +397,20 @@ class TestReceiptRecovery:
                 max_retries=1,
             )
 
+    def test_a_negative_retry_budget_dispatches_nothing(self, tmp_path):
+        """``max_retries=-1`` used to skip every dispatch loop and fail
+        with "no receipt after -1 retries"; it is refused up front."""
+        dispatched = []
+        with pytest.raises(ValueError, match="max_retries"):
+            run_adaptive_cycle(
+                tmp_path / "cycle", IDS, [NET], FAST,
+                policies=[make_policy()], num_shards=2, base_seed=7,
+                dispatch=lambda manifest, cache: dispatched.append(manifest),
+                max_retries=-1,
+            )
+        assert dispatched == []
+        assert not (tmp_path / "cycle").exists()
+
 
     def test_clean_round_asks_for_status_once(self, tmp_path, monkeypatch):
         """The first dispatch is attempt 0 of the retry loop: a round

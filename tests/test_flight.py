@@ -18,7 +18,7 @@ from repro.core.cache import TrialCache, trial_cache_key
 from repro.core.experiment import run_trial_artifacts
 from repro.core.runner import TrialSpec, build_backend
 from repro.core.testbed import Testbed
-from repro.netsim.trace import Probe
+from repro.netsim.trace import Probe, QueueLog
 from repro.obs.flight import (
     DIAGNOSIS_SCHEMA_VERSION,
     FLIGHT_SCHEMA_VERSION,
@@ -53,7 +53,7 @@ def record_pair(seed=1, duration=3.0, grid_usec=100_000):
         NET,
         ExperimentConfig().scaled(duration),
         seed=seed,
-        flight=recorder,
+        recorders=[recorder],
     )
     return recorder.to_json(), result
 
@@ -61,25 +61,8 @@ def record_pair(seed=1, duration=3.0, grid_usec=100_000):
 class TestZeroNewEvents:
     def test_golden_byte_identical_with_recorder_enabled(self):
         """The tentpole invariant: recording changes nothing."""
-        specs = [
-            CATALOG.get(s) for s in golden.SCENARIO["services"]
-        ]
-        config = ExperimentConfig().scaled(golden.SCENARIO["duration_sec"])
         recorder = FlightRecorder()
-        result, testbed = run_trial_artifacts(
-            specs,
-            highly_constrained(),
-            config,
-            seed=golden.SCENARIO["seed"],
-            trace_packets=True,
-            flight=recorder,
-        )
-        payload = {
-            "scenario": golden.SCENARIO,
-            "report": result.to_json(),
-            "trace": testbed.bell.trace.to_json(),
-            "queue_log": testbed.bell.queue_log.to_json(),
-        }
+        payload = golden.compute_payload(recorders=[recorder])
         assert golden.serialize(payload) == golden.FIXTURE.read_bytes()
         # ... and the recorder actually recorded.
         assert len(recorder.connections) == 2
@@ -103,10 +86,10 @@ class TestZeroNewEvents:
         bare = BottleneckLink(None, NET.bandwidth_bps, DropTailQueue(4))
         assert bare._probe_next == Probe.IDLE
         assert bare.probe.fire(0, bare) == Probe.IDLE
-        # A testbed's only standing subscriber is the queue log.
+        # A testbed without recorders subscribes nothing either.
         bed = Testbed(NET)
-        subscribers = bed.bell.link.probe._subscribers
-        assert [sub[2] for sub in subscribers] == [bed.bell.queue_log.sample]
+        assert bed.bell.link.probe._subscribers == []
+        assert bed.bell.link._probe_next == Probe.IDLE
         service = bed.add_service(
             IperfService("x", cca_factory=lambda i: NewReno())
         )
@@ -116,17 +99,18 @@ class TestZeroNewEvents:
         assert not hasattr(conn, "_flight_next")
 
     def test_attached_recorder_arms_connections(self):
-        """Attaching subscribes once, after the queue log and due at
-        once; flows register on the probe at construction and are
-        sampled by the recorder in the link's firing."""
+        """Attaching subscribes once, in the order the recorders are
+        given and due at once; flows register on the probe at
+        construction and are sampled by the recorder in the link's
+        firing."""
         from repro.cca.reno import NewReno
         from repro.services.iperf import IperfService
 
-        recorder = FlightRecorder()
-        bed = Testbed(NET, flight=recorder)
+        log, recorder = QueueLog(), FlightRecorder()
+        bed = Testbed(NET, recorders=[log, recorder])
         link = bed.bell.link
         assert [sub[1:] for sub in link.probe._subscribers] == [
-            [bed.bell.queue_log.sample_period_usec, bed.bell.queue_log.sample],
+            [log.sample_period_usec, log.sample],
             [recorder.grid_usec, recorder.sample],
         ]
         assert link._probe_next == 0
@@ -149,7 +133,7 @@ class TestZeroNewEvents:
         from repro.services.iperf import IperfService
 
         recorder = FlightRecorder()
-        bed = Testbed(NET, flight=recorder)
+        bed = Testbed(NET, recorders=[recorder])
         done = bed.add_service(
             IperfService("done", cca_factory=lambda i: NewReno())
         )
@@ -169,24 +153,9 @@ class TestZeroNewEvents:
         stop monitor subscribed (queue log -> flight -> stop rule)."""
         from repro.core.earlystop import EarlyStopModel, EarlyStopMonitor
 
-        specs = [CATALOG.get(s) for s in golden.SCENARIO["services"]]
         recorder = FlightRecorder()
         monitor = EarlyStopMonitor(EarlyStopModel())
-        result, testbed = run_trial_artifacts(
-            specs,
-            highly_constrained(),
-            ExperimentConfig().scaled(golden.SCENARIO["duration_sec"]),
-            seed=golden.SCENARIO["seed"],
-            trace_packets=True,
-            flight=recorder,
-            earlystop=monitor,
-        )
-        payload = {
-            "scenario": golden.SCENARIO,
-            "report": result.to_json(),
-            "trace": testbed.bell.trace.to_json(),
-            "queue_log": testbed.bell.queue_log.to_json(),
-        }
+        payload = golden.compute_payload(recorders=[recorder], earlystop=monitor)
         assert golden.serialize(payload) == golden.FIXTURE.read_bytes()
         assert not monitor.triggered and len(monitor.channel) > 10
         # Same grid, same firing: the monitor's rows ARE the recorder's

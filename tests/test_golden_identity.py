@@ -20,6 +20,7 @@ import pathlib
 
 from repro.config import ExperimentConfig, highly_constrained
 from repro.core.experiment import run_trial_artifacts
+from repro.netsim.trace import PacketTrace, QueueLog
 from repro.services.catalog import default_catalog
 
 FIXTURE = pathlib.Path(__file__).parent / "data" / "golden_pair_8mbps_seed1.json"
@@ -34,28 +35,32 @@ SCENARIO = {
 }
 
 
-def compute_payload(engine=None) -> dict:
+def compute_payload(engine=None, recorders=(), earlystop=None) -> dict:
     """Run the pinned scenario and collect every published artifact.
 
     ``engine`` substitutes the scheduler core (the heap oracle); the
-    default is the simulator's own.
+    default is the simulator's own.  ``recorders`` attach after the
+    queue log and packet trace, and ``earlystop`` after them all; none
+    may change a byte.
     """
     catalog = default_catalog()
     specs = [catalog.get(sid) for sid in SCENARIO["services"]]
     config = ExperimentConfig().scaled(SCENARIO["duration_sec"])
-    result, testbed = run_trial_artifacts(
+    queue_log, trace = QueueLog(), PacketTrace()
+    result, _testbed = run_trial_artifacts(
         specs,
         highly_constrained(),
         config,
         seed=SCENARIO["seed"],
-        trace_packets=True,
+        recorders=[queue_log, trace, *recorders],
         engine=engine,
+        earlystop=earlystop,
     )
     return {
         "scenario": SCENARIO,
         "report": result.to_json(),
-        "trace": testbed.bell.trace.to_json(),
-        "queue_log": testbed.bell.queue_log.to_json(),
+        "trace": trace.to_json(),
+        "queue_log": queue_log.to_json(),
     }
 
 

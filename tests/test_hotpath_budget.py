@@ -34,12 +34,14 @@ HOT_DIRS = (
     "/repro/netsim/", "/repro/transport/", "/repro/cca/", "/repro/obs/flight.py"
 )
 
-#: Ceiling on hot-path Python frames per packet reaching the switch.
-FRAMES_PER_PACKET_BUDGET = 16.5
+#: Ceiling on hot-path Python frames per packet reaching the switch
+#: (15.951 measured: a trial without recorders samples nothing; an
+#: always-on queue log cost 0.471 more).
+FRAMES_PER_PACKET_BUDGET = 16.0
 
-#: The same ceiling with a FlightRecorder attached (16.567 measured,
-#: 16.422 detached): what the recorder costs per packet, as a count.
-FLIGHT_FRAMES_PER_PACKET_BUDGET = 16.65
+#: The same ceiling with a FlightRecorder attached (16.108 measured,
+#: 15.951 detached): what the recorder costs per packet, as a count.
+FLIGHT_FRAMES_PER_PACKET_BUDGET = 16.2
 
 #: Engine events, packets sent and packets reaching the switch on the
 #: golden pair - the values the simulator had before PR 19 trimmed the
@@ -54,18 +56,18 @@ GOLDEN_PACKETS_AT_SWITCH = 1_808
 SHARED_KEY_LIMIT = 29
 
 
-def run_golden_pair(flight=None):
+def run_golden_pair(recorders=()):
     catalog = default_catalog()
     specs = [catalog.get(sid) for sid in SCENARIO["services"]]
     config = ExperimentConfig().scaled(SCENARIO["duration_sec"])
     _result, testbed = run_trial_artifacts(
         specs, highly_constrained(), config, seed=SCENARIO["seed"],
-        flight=flight,
+        recorders=recorders,
     )
     return testbed
 
 
-def count_hot_frames(flight=None):
+def count_hot_frames(recorders=()):
     """(frames under HOT_DIRS, packets reaching the switch, testbed)."""
     counts = {"frames": 0, "switch": 0}
     kinds = {}  # code object -> None (not hot), "frames" or "switch"
@@ -90,7 +92,7 @@ def count_hot_frames(flight=None):
 
     sys.setprofile(profiler)
     try:
-        testbed = run_golden_pair(flight)
+        testbed = run_golden_pair(recorders)
     finally:
         sys.setprofile(None)
     return counts["frames"], counts["switch"], testbed
@@ -115,8 +117,8 @@ class TestFrameBudget:
         assert (events, packets) == (GOLDEN_EVENTS, GOLDEN_PACKETS_SENT)
 
     def test_an_attached_flight_recorder_costs_frames_not_events(self):
-        frames, at_switch, testbed = count_hot_frames(FlightRecorder())
-        again = count_hot_frames(FlightRecorder())[:2]
+        frames, at_switch, testbed = count_hot_frames([FlightRecorder()])
+        again = count_hot_frames([FlightRecorder()])[:2]
         assert (frames, at_switch) == again
         assert at_switch == GOLDEN_PACKETS_AT_SWITCH
         assert testbed.bell.engine.events_scheduled == GOLDEN_EVENTS

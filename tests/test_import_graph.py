@@ -10,6 +10,7 @@ into the hot path again.
 import ast
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -320,6 +321,41 @@ def test_figures_and_examples_run_trials_through_the_trial_core():
             if name in forbidden:
                 calls.append(f"{path.relative_to(repo)}:{node.lineno}:{name}")
     assert calls == []
+
+
+def test_topology_and_testbed_build_no_recorder():
+    """A trial records only what its caller attaches (``recorders=``):
+    the dumbbell built a queue log and a disabled packet trace for every
+    trial, so every simulated packet paid for a log nobody read."""
+    calls = []
+    for name in ("netsim/topology.py", "core/testbed.py"):
+        for node in ast.walk(ast.parse((SRC / name).read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = getattr(func, "id", None) or getattr(func, "attr", None)
+            if called in ("QueueLog", "PacketTrace"):
+                calls.append(f"{name}:{node.lineno}:{called}")
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [r"\btrace_packets\b", r"\bqueue_log_period_usec\b", r"\.enabled\b",
+     r"\bflight="],
+    ids=["trace_packets", "queue_log_period_usec", "enabled", "flight"],
+)
+def test_deleted_recorder_switch_stays_deleted(pattern):
+    """One way to record a trial: attach recorders.  The per-recorder
+    switches (``Dumbbell(trace_packets=, queue_log_period_usec=)``,
+    ``PacketTrace(enabled=)``, ``Testbed/run_trial_artifacts(flight=)``)
+    do not come back."""
+    offenders = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        if re.search(pattern, path.read_text())
+    ]
+    assert offenders == []
 
 
 def test_published_artifacts_run_through_the_trial_core():

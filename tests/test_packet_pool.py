@@ -14,6 +14,7 @@ from repro.cca.cubic import Cubic
 from repro.config import ExperimentConfig, NetworkConfig, highly_constrained
 from repro.core.experiment import run_trial_artifacts
 from repro.netsim.topology import Dumbbell
+from repro.netsim.trace import PacketTrace, QueueLog
 from repro.services.catalog import default_catalog
 from repro.transport.connection import Connection
 
@@ -33,7 +34,9 @@ def _run_lossy_bulk(seed=3):
         queue_packets_override=16,
         external_loss_rate=0.01,
     )
-    bell = Dumbbell(net, seed=seed, trace_packets=True)
+    bell = Dumbbell(net, seed=seed)
+    QueueLog().attach(bell.link)
+    PacketTrace().attach(bell.link)
     conn = Connection(
         bell.engine, bell.path_for_service("svc"), Cubic(), "svc", "svc-0"
     )
@@ -50,8 +53,8 @@ def _signature(conn, bell):
         "rto": conn.rto_count,
         "received": conn.packets_received_unique,
         "bytes_acked": conn.bytes_acked,
-        "trace": bell.trace.to_json(),
-        "queue_log": bell.queue_log.to_json(),
+        "trace": bell.link.trace.to_json(),
+        "queue_log": bell.queue.log.to_json(),
     }
 
 
@@ -72,10 +75,11 @@ class TestPoolEquivalence:
         config = ExperimentConfig().scaled(3.0)
 
         def run():
-            result, testbed = run_trial_artifacts(
-                specs, highly_constrained(), config, seed=2, trace_packets=True
+            trace = PacketTrace()
+            result, _testbed = run_trial_artifacts(
+                specs, highly_constrained(), config, seed=2, recorders=[trace]
             )
-            return result.to_json(), testbed.bell.trace.to_json()
+            return result.to_json(), trace.to_json()
 
         pool_size(0)
         report_off, trace_off = run()

@@ -3,6 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro import units
+from repro.netsim.engine import CalendarEngine
+from repro.netsim.link import BottleneckLink
 from repro.netsim.packet import Packet
 from repro.netsim.queue import DropTailQueue
 from repro.netsim.trace import QueueLog
@@ -84,7 +87,8 @@ class TestTailDrop:
 
     def test_drop_recorded_in_log(self):
         log = QueueLog()
-        q = DropTailQueue(1, log=log)
+        q = DropTailQueue(1)
+        log.attach(BottleneckLink(CalendarEngine(), units.mbps(8), q))
         flow = FakeFlow("x")
         q.offer(make_packet(flow), 5)
         q.offer(make_packet(flow), 7)

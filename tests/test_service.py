@@ -161,7 +161,20 @@ class TestRollingResultStore:
         assert len(list(store.store_view().all_results())) == 6
         assert len(list(store.store_view(last_cycles=1).all_results())) == 2
         assert len(list(store.store_view(last_cycles=2).all_results())) == 4
-        assert len(list(store.store_view(last_cycles=0).all_results())) == 0
+        with pytest.raises(ValueError, match="at least 1 cycle"):
+            store.store_view(last_cycles=0)
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_a_window_below_one_cycle_is_refused(self, tmp_path, window):
+        """``compact(max_cycles=0)`` used to drop every stored cycle."""
+        store = RollingResultStore(tmp_path / "store")
+        store.append_cycle(make_record("c1"))
+        with pytest.raises(ValueError, match="at least 1 cycle"):
+            store.compact(max_cycles=window)
+        assert [r.cycle_id for r in store.cycles()] == ["c1"]
+        with pytest.raises(ValueError, match="at least 1 cycle"):
+            make_service(tmp_path, window_cycles=window)
+        assert not (tmp_path / "spool").exists()
 
     def test_partial_then_full_cycle_supersedes_in_view(self, tmp_path):
         """A fuller re-delivery of the same base cycle replaces the
@@ -194,6 +207,19 @@ class TestServiceIngest:
         index = (tmp_path / "out" / "site" / "index.md").read_text()
         assert "8 Mbps bottleneck" in index
         assert (tmp_path / "out" / "next-plan" / "plan.json").exists()
+
+    def test_a_one_cycle_window_keeps_only_the_newer_cycle(self, tmp_path):
+        service = make_service(tmp_path, window_cycles=1)
+        incoming = tmp_path / "spool" / "incoming"
+        make_fixed_entry(incoming / "cycle-a", base_seed=7)
+        first = service.ingest_once()
+        assert (first["cycles_total"], first["trials_total"]) == (1, 3)
+        make_fixed_entry(incoming / "cycle-b", base_seed=8)
+        second = service.ingest_once()
+        assert (second["cycles_total"], second["trials_total"]) == (1, 3)
+        [kept] = service.store.cycles()
+        assert kept.source == "cycle-b"
+        assert len(list(service.windowed_store().all_results())) == 3
 
     def test_a_spool_name_that_is_not_utf8_is_journalled_readably(
         self, tmp_path

@@ -6,6 +6,7 @@ import pytest
 from repro import units
 from repro.config import moderately_constrained
 from repro.core.testbed import Testbed
+from repro.netsim.trace import QueueLog
 from repro.cca.bbr import BBRv1, BBR_LINUX_4_15
 from repro.cca.cubic import Cubic
 from repro.services.filetransfer import (
@@ -15,8 +16,10 @@ from repro.services.filetransfer import (
 )
 
 
-def run_service(service, seconds=30, seed=1, network=None):
-    testbed = Testbed(network or moderately_constrained(), seed=seed)
+def run_service(service, seconds=30, seed=1, network=None, recorders=()):
+    testbed = Testbed(
+        network or moderately_constrained(), seed=seed, recorders=recorders
+    )
     testbed.add_service(service)
     testbed.start_all()
     testbed.bell.run(units.seconds(seconds))
@@ -107,8 +110,9 @@ class TestMega:
     def test_bursty_traffic_pattern(self):
         """The batch gap shows up as on/off structure in the queue."""
         mega = self.make_mega(batch_gap_usec=units.msec(500))
-        testbed = run_service(mega, seconds=20)
-        _t, occ = testbed.bell.queue_log.occupancy_series()
+        log = QueueLog()
+        run_service(mega, seconds=20, recorders=[log])
+        _t, occ = log.occupancy_series()
         tail = occ[len(occ) // 4:]
         assert max(tail) > 50
         # The inter-batch gaps show up as deep dips in occupancy.

@@ -64,7 +64,8 @@ class TestDelivery:
         path.transmit(pkt)
         bell.run(units.seconds(1))
         assert len(flow.arrivals) == 1
-        assert bell.trace.enabled is False  # default off
+        # Nothing records unless a recorder is attached.
+        assert bell.link.trace is None and bell.queue.log is None
         # An uncontended packet starts serialising the instant it arrives.
         assert pkt.arrival_time == path.pre_delay_usec
         assert pkt.queueing_delay_usec == 0

@@ -151,12 +151,45 @@ class TestProbe:
         assert link.probe.window_open_usec == 1234
 
 
-class TestPacketTrace:
-    def test_disabled_trace_records_nothing(self):
-        trace = PacketTrace(enabled=False)
-        trace.record(0, "a", 1500)
-        assert trace.records == []
+class TestAttach:
+    """A queue log or packet trace records only on a link it is attached
+    to, the way a flight recorder does."""
 
+    def test_queue_log_samples_on_its_own_period_and_logs_drops(self):
+        engine = CalendarEngine()
+        queue = DropTailQueue(1)
+        link = BottleneckLink(engine, units.mbps(8), queue)
+        log = QueueLog(sample_period_usec=5_000)
+        log.attach(link)
+        assert queue.log is log
+        assert link.probe._subscribers == [[0, 5_000, log.sample]]
+        assert link.trace is None
+
+    def test_packet_trace_records_what_the_link_delivers(self):
+        from repro.config import highly_constrained
+        from repro.netsim.packet import Packet
+        from repro.netsim.topology import Dumbbell
+
+        bell = Dumbbell(highly_constrained())
+        trace = PacketTrace()
+        trace.attach(bell.link)
+        assert bell.link.trace is trace
+        assert bell.link.probe._subscribers == [] and bell.queue.log is None
+        path = bell.path_for_service("svc")
+        flow = SimpleNamespace(service_id="svc", on_packet_arrived=lambda p: None)
+        path.transmit(Packet(flow, 0, 1500, 0))
+        bell.run(units.seconds(1))
+        # Stamped when it reaches the client: upstream delay, one
+        # serialisation, the delay after the switch.
+        arrival = (
+            path.pre_delay_usec
+            + bell.link.serialization_usec(1500)
+            + bell.link.post_delay_usec
+        )
+        assert trace.records == [(arrival, "svc", 1500)]
+
+
+class TestPacketTrace:
     def test_bytes_delivered_window(self):
         trace = PacketTrace()
         trace.record(100, "a", 1500)

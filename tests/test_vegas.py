@@ -5,6 +5,7 @@ import pytest
 from repro import units
 from repro.config import NetworkConfig
 from repro.netsim.topology import Dumbbell
+from repro.netsim.trace import QueueLog
 from repro.transport.connection import Connection
 from repro.cca.vegas import Vegas
 from repro.cca.cubic import Cubic
@@ -14,6 +15,7 @@ from repro.cca.classifier import classify_cca
 def solo(cca, bw=10, seconds=25, seed=1):
     net = NetworkConfig(bandwidth_bps=units.mbps(bw))
     bell = Dumbbell(net, seed=seed)
+    QueueLog().attach(bell.link)  # read back as bell.queue.log
     conn = Connection(bell.engine, bell.path_for_service("s"), cca, "s", "s0")
     conn.request(10**12)
     bell.run(units.seconds(seconds))
@@ -36,7 +38,7 @@ class TestSoloBehaviour:
     def test_tiny_standing_queue(self):
         """Vegas targets 2-4 queued packets - no buffer filling."""
         bell, _conn = solo(Vegas())
-        _t, occ = bell.queue_log.occupancy_series()
+        _t, occ = bell.queue.log.occupancy_series()
         tail = occ[len(occ) // 3:]
         assert sum(tail) / len(tail) < 8
 
