@@ -17,9 +17,9 @@ def _find_triples():
     found = {}
     for name, network in SETTINGS.items():
         rep = FairnessReport(store, ids, network.bandwidth_bps)
-        found[name] = rep.find_non_transitive_triples(
+        found[name] = list(rep.find_non_transitive_triples(
             unfair_below=0.8, fair_above=0.92
-        )
+        ))
     return found
 
 

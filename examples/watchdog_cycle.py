@@ -50,9 +50,9 @@ def main() -> None:
     print(f"most contentious service:  {report.most_contentious()}")
     print(f"least contentious service: {report.least_contentious()}")
 
-    triples = report.find_non_transitive_triples(
+    triples = list(report.find_non_transitive_triples(
         unfair_below=0.8, fair_above=0.9
-    )
+    ))
     if triples:
         t = triples[0]
         print(f"\nnon-transitivity example (Observation 14): "

@@ -69,11 +69,10 @@ def instability_by_pair(
 ) -> Dict[str, float]:
     """Obs 15 helper: per-pair spread (IQR width / median) of throughput."""
     spreads: Dict[str, float] = {}
+    pair_samples = store.pair_samples(bandwidth_bps, throughput_bps)
     for incumbent in service_ids:
         for contender in service_ids:
-            samples = store.samples(
-                incumbent, contender, bandwidth_bps, throughput_bps
-            )
+            samples = pair_samples.get((incumbent, contender), [])
             if len(samples) < 3:
                 continue
             q25, q75 = iqr(samples)

@@ -96,11 +96,11 @@ def render_bandwidth_section(
                 f"    - {incumbent} gets {share * 100:.0f}% of its "
                 f"fair share against {contender}"
             )
-    triples = report.find_non_transitive_triples(
-        unfair_below=0.8, fair_above=0.92
+    t = next(
+        report.find_non_transitive_triples(unfair_below=0.8, fair_above=0.92),
+        None,
     )
-    if triples:
-        t = triples[0]
+    if t is not None:
         lines.append(
             f"- non-transitivity example: {t.alpha} vs {t.beta} "
             f"({t.beta_vs_alpha * 100:.0f}%), {t.beta} vs {t.gamma} "
@@ -179,13 +179,12 @@ def _worst_cells(
     limit: int = 3,
 ) -> List[tuple]:
     """The lowest incumbent shares across all cross pairs."""
-    cells = []
-    for contender in service_ids:
-        for incumbent in service_ids:
-            if contender == incumbent:
-                continue
-            share = report.median_share(incumbent, contender)
-            if share is not None:
-                cells.append((contender, incumbent, share))
+    shares = report.medians()
+    cells = [
+        (contender, incumbent, shares[(incumbent, contender)])
+        for contender in service_ids
+        for incumbent in service_ids
+        if contender != incumbent and (incumbent, contender) in shares
+    ]
     cells.sort(key=lambda cell: cell[2])
     return cells[:limit]

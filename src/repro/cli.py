@@ -52,6 +52,7 @@ from .cliargs import (
     add_sweep_args,
     add_workers_arg,
     config_from_args,
+    duration,
     earlystop_from_args,
     network_from_args,
     policy_from_args,
@@ -479,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify a congestion controller")
     p.add_argument("cca", help=f"one of {sorted(CCA_FACTORIES)}")
-    p.add_argument("--duration", type=float, default=30.0)
+    p.add_argument("--duration", type=duration, default=30.0)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_wrap(cmd_classify))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from typing import List, Optional, Sequence
 
@@ -48,7 +49,7 @@ def reporting_errors(label: str, *errors: type):
 def add_network_args(parser: argparse.ArgumentParser) -> None:
     """``--bandwidth --buffer-bdp --duration --seed``: one trial setting."""
     parser.add_argument(
-        "--bandwidth", type=float, default=8.0,
+        "--bandwidth", type=positive_float, default=8.0,
         help="bottleneck bandwidth in Mbps (default: 8)",
     )
     parser.add_argument(
@@ -56,7 +57,7 @@ def add_network_args(parser: argparse.ArgumentParser) -> None:
         help="queue size as a BDP multiple (default: 4)",
     )
     parser.add_argument(
-        "--duration", type=float, default=60.0,
+        "--duration", type=duration, default=60.0,
         help="experiment duration in seconds (default: 60)",
     )
     parser.add_argument("--seed", type=int, default=1)
@@ -102,6 +103,40 @@ def positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1: {text!r}")
     return int(text)
+
+
+def positive_float(text: str) -> float:
+    """The type of every rate and interval flag (``--bandwidth``,
+    ``--poll-sec``, each ``--plan-bandwidths`` item): a finite number
+    > 0, else a usage error (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a number > 0: {text!r}")
+    return value
+
+
+def positive_floats(text: str) -> List[float]:
+    """A comma-separated list of :func:`positive_float` values."""
+    return [positive_float(item) for item in text.split(",")]
+
+
+def duration(text: str) -> float:
+    """The type of every experiment-duration flag (``--duration``,
+    ``--plan-duration``): seconds > 0 that
+    :meth:`~repro.config.ExperimentConfig.scaled` turns into a positive
+    measurement window, else a usage error (exit 2)."""
+    seconds = positive_float(text)
+    try:
+        ExperimentConfig().scaled(seconds)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected seconds that leave a positive measurement window: "
+            f"{text!r}"
+        ) from None
+    return seconds
 
 
 def non_negative_int(text: str) -> int:

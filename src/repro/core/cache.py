@@ -105,7 +105,9 @@ class CacheEntryError(RuntimeError):
     """An entry or sidecar file is not a UTF-8 JSON object, or an entry
     is one without the fields of a trial record (or with a ``seed``,
     ``duration_usec`` or ``buffer_packets`` that is not a signed 64-bit
-    integer, or an ``earlystop`` block that is not an object).
+    integer, an ``earlystop`` block that is not an object, or an
+    ``mmf_share`` without a number for its ``contender_id`` and its
+    ``incumbent_id``).
 
     Writes are atomic, so a file in this state was damaged after it
     landed (truncated copy, flipped bits, foreign writer).  The message
@@ -128,6 +130,9 @@ _TRIAL_FIELDS = frozenset(
 #: decoder reads a wider integer as a float where ``json`` kept it exact.
 _INT64_FIELDS = ("seed", "duration_usec", "buffer_packets")
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+#: What a share decodes as (``bool`` is an ``int`` subclass, not one).
+_NUMBER_TYPES = (int, float)
 
 #: The one decoder of trial-record bytes - cache entries and sidecars,
 #: store journal and segment lines, merge adjudication: ``orjson``'s C
@@ -153,8 +158,9 @@ def _read_entry(
 
     A ``trial`` file (an entry, not a sidecar) must also hold every
     field a result is built from, its integer fields within signed 64
-    bits and its ``earlystop`` block, if any, an object; the result
-    itself is not built."""
+    bits, its ``earlystop`` block, if any, an object and its
+    ``mmf_share`` a number for both its ``contender_id`` and its
+    ``incumbent_id``; the result itself is not built."""
     if raw is None:
         try:
             fd = os.open(path, os.O_RDONLY)
@@ -195,6 +201,22 @@ def _read_entry(
             raise CacheEntryError(
                 f"{path}: not a trial record (earlystop is "
                 f"{type(earlystop).__name__}, not an object)"
+            )
+        # Both services' shares, as numbers: a grid cell reads them.
+        shares = payload.get("mmf_share")
+        try:
+            contender = shares[payload["contender_id"]]
+            incumbent = shares[payload["incumbent_id"]]
+        except (LookupError, TypeError):
+            contender = incumbent = None
+        if (
+            type(contender) not in _NUMBER_TYPES
+            or type(incumbent) not in _NUMBER_TYPES
+        ):
+            raise CacheEntryError(
+                f"{path}: not a trial record (mmf_share lacks a number "
+                f"for contender_id {payload['contender_id']!r} or "
+                f"incumbent_id {payload['incumbent_id']!r})"
             )
     return payload, raw
 

@@ -12,7 +12,7 @@ non-transitivity search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..obs.metrics import get_registry
 from .results import ResultStore, Value, mmf_share
@@ -24,6 +24,9 @@ REPORT_SCHEMA_VERSION = 1
 
 #: (contender, incumbent) -> median cell value; ``None`` = unmeasured.
 Grid = Dict[Tuple[str, str], Optional[float]]
+
+#: (incumbent, contender) -> median value, for every measured pair.
+Medians = Dict[Tuple[str, str], float]
 
 
 def render_grid(
@@ -83,8 +86,8 @@ class FairnessReport:
         self.service_ids = list(service_ids)
         self.bandwidth_bps = bandwidth_bps
         self.runner_stats = runner_stats
-        self._cells: Dict[Tuple[Value, str, str], Optional[float]] = {}
-        self._cells_key: Optional[Tuple[int, float]] = None
+        self._medians: Dict[Value, Medians] = {}
+        self._medians_key: Optional[Tuple[int, float]] = None
 
     def to_json(self) -> Dict:
         """Serialise the published view of this report.
@@ -114,29 +117,39 @@ class FairnessReport:
     # All-pairs grids (Figs 2, 11, 12, 13)
     # ------------------------------------------------------------------
 
+    def medians(self, value: Value = mmf_share) -> Medians:
+        """(incumbent, contender) -> median ``value`` over the pair's
+        valid trials, for every pair measured at this bandwidth - ids
+        outside :attr:`service_ids` included.
+
+        Every published view below reads these, and they come from one
+        :meth:`ResultStore.pair_samples` pass per ``value``: the memo is
+        keyed on the store's mutation counter, so a trial added after a
+        read drops it and the next read sees the new data.
+        """
+        key = (self.store.version, self.bandwidth_bps)
+        if key != self._medians_key:
+            self._medians = {}
+            self._medians_key = key
+        medians = self._medians.get(value)
+        if medians is None:
+            medians = self._medians[value] = {
+                pair: median(samples)
+                for pair, samples in self.store.pair_samples(
+                    self.bandwidth_bps, value
+                ).items()
+            }
+            get_registry().counter("core.report.cells_derived").inc(
+                len(medians)
+            )
+        return medians
+
     def cell(
         self, value: Value, incumbent: str, contender: str
     ) -> Optional[float]:
         """Median ``value`` of ``incumbent`` against ``contender`` over
-        the pair's valid trials; ``None`` when none measured it.
-
-        Every published view below reads its cells through here, and a
-        cell is derived from the raw trials once: the memo is keyed on
-        the store's mutation counter, so a trial added after a read
-        drops it and the next read sees the new data.
-        """
-        key = (self.store.version, self.bandwidth_bps)
-        if key != self._cells_key:
-            self._cells = {}
-            self._cells_key = key
-        cell = (value, incumbent, contender)
-        if cell not in self._cells:
-            samples = self.store.samples(
-                incumbent, contender, self.bandwidth_bps, value
-            )
-            self._cells[cell] = median(samples) if samples else None
-            get_registry().counter("core.report.cells_derived").inc()
-        return self._cells[cell]
+        the pair's valid trials; ``None`` when none measured it."""
+        return self.medians(value).get((incumbent, contender))
 
     def median_share(
         self, incumbent: str, contender: str
@@ -149,8 +162,9 @@ class FairnessReport:
         any per-trial quantity of :mod:`repro.core.results` as an
         all-pairs grid (Figs 11-13 are ``utilization``, ``loss_rate``
         and ``queueing_delay_ms``)."""
+        medians = self.medians(value)
         return {
-            (contender, incumbent): self.cell(value, incumbent, contender)
+            (contender, incumbent): medians.get((incumbent, contender))
             for contender in self.service_ids
             for incumbent in self.service_ids
         }
@@ -175,11 +189,12 @@ class FairnessReport:
 
     def losing_shares(self) -> List[float]:
         """The per-pair MmF share of whichever service lost (cross pairs)."""
+        shares = self.medians()
         losers: List[float] = []
         for i, a in enumerate(self.service_ids):
             for b in self.service_ids[i + 1:]:
-                share_a = self.median_share(a, b)
-                share_b = self.median_share(b, a)
+                share_a = shares.get((a, b))
+                share_b = shares.get((b, a))
                 if share_a is None or share_b is None:
                     continue
                 losers.append(min(share_a, share_b))
@@ -202,12 +217,12 @@ class FairnessReport:
 
     def self_competition_shares(self) -> Dict[str, float]:
         """Median share each service achieves against itself."""
-        shares = {}
-        for sid in self.service_ids:
-            value = self.median_share(sid, sid)
-            if value is not None:
-                shares[sid] = value
-        return shares
+        medians = self.medians()
+        return {
+            sid: medians[(sid, sid)]
+            for sid in self.service_ids
+            if (sid, sid) in medians
+        }
 
     # ------------------------------------------------------------------
     # Contentiousness & sensitivity (Section 2.3)
@@ -218,14 +233,13 @@ class FairnessReport:
 
         Lower = more contentious (the service's row in Fig 2 is red).
         """
+        shares = self.medians()
         scores = {}
         for contender in self.service_ids:
             values = [
-                share
+                shares[(incumbent, contender)]
                 for incumbent in self.service_ids
-                if incumbent != contender
-                for share in [self.median_share(incumbent, contender)]
-                if share is not None
+                if incumbent != contender and (incumbent, contender) in shares
             ]
             if values:
                 scores[contender] = sum(values) / len(values)
@@ -236,14 +250,13 @@ class FairnessReport:
 
         Lower = more sensitive (the service's column in Fig 2 is red).
         """
+        shares = self.medians()
         scores = {}
         for incumbent in self.service_ids:
             values = [
-                share
+                shares[(incumbent, contender)]
                 for contender in self.service_ids
-                if contender != incumbent
-                for share in [self.median_share(incumbent, contender)]
-                if share is not None
+                if contender != incumbent and (incumbent, contender) in shares
             ]
             if values:
                 scores[incumbent] = sum(values) / len(values)
@@ -271,10 +284,13 @@ class FairnessReport:
         self,
         unfair_below: float = 0.75,
         fair_above: float = 0.95,
-    ) -> List[TransitivityTriple]:
+    ) -> Iterator[TransitivityTriple]:
         """Triples where alpha hurts beta, beta hurts gamma, yet gamma is
-        fine against alpha (and the fair/fair/unfair mirror case)."""
+        fine against alpha (and the fair/fair/unfair mirror case), each
+        built when asked for: a reader that wants one example builds
+        one."""
         ids = self.service_ids
+        shares = self.medians()
         position = {sid: index for index, sid in enumerate(ids)}
         # Per contender: the incumbents it leaves below / keeps above
         # the thresholds, so each (alpha, beta) intersects two small
@@ -285,14 +301,13 @@ class FairnessReport:
             for incumbent in ids:
                 if incumbent == contender:
                     continue
-                share = self.median_share(incumbent, contender)
+                share = shares.get((incumbent, contender))
                 if share is None:
                     continue
                 if share < unfair_below:
                     below[contender].add(incumbent)
                 if share >= fair_above:
                     above[contender].add(incumbent)
-        triples: List[TransitivityTriple] = []
         for alpha in ids:
             for beta in ids:
                 if beta == alpha:
@@ -304,15 +319,12 @@ class FairnessReport:
                     gammas |= above[beta] & below[alpha]
                 gammas -= {alpha, beta}
                 for gamma in sorted(gammas, key=position.__getitem__):
-                    triples.append(
-                        TransitivityTriple(
-                            alpha=alpha,
-                            beta=beta,
-                            gamma=gamma,
-                            bandwidth_bps=self.bandwidth_bps,
-                            beta_vs_alpha=self.median_share(beta, alpha),
-                            gamma_vs_beta=self.median_share(gamma, beta),
-                            gamma_vs_alpha=self.median_share(gamma, alpha),
-                        )
+                    yield TransitivityTriple(
+                        alpha=alpha,
+                        beta=beta,
+                        gamma=gamma,
+                        bandwidth_bps=self.bandwidth_bps,
+                        beta_vs_alpha=shares[(beta, alpha)],
+                        gamma_vs_beta=shares[(gamma, beta)],
+                        gamma_vs_alpha=shares[(gamma, alpha)],
                     )
-        return triples

@@ -21,8 +21,9 @@ Backends share a :class:`~repro.core.cache.TrialCache` hook: trials whose
 content hash is already cached are returned without simulating (the
 simulator is deterministic, so cached results are bit-identical), with
 hit/miss/wall-clock counters surfaced through :class:`RunnerStats`.
-Re-reading recorded trials is not a backend's job at all: reports, round
-folds and service ingests go through :func:`replay`, the same cache
+Re-reading recorded trials is not a backend's job at all: reports and
+round folds go through :func:`replay`, service ingests through
+:func:`lookup` (which leaves misses to the caller) - the same cache
 lookup with nothing behind it that could simulate.
 
 Trials address services by *id*; a backend resolves the ids through its
@@ -337,22 +338,31 @@ def _lookup(
     return records
 
 
+def lookup(
+    cache: TrialCache, specs: Sequence[TrialSpec], allow_truncated: bool
+) -> Tuple[List[Optional[CachedTrial]], RunnerStats]:
+    """Re-read recorded trials, none simulated: the
+    :class:`~repro.core.cache.CachedTrial` records in ``specs`` order,
+    ``None`` where ``cache`` has nothing admissible, and the lookup's
+    :class:`RunnerStats` (``trials_run == 0``).  ``allow_truncated``
+    admits early-terminated entries as the measurements they are - pass
+    it exactly where the run that wrote the cache was armed (a plan or
+    cycle carrying an ``earlystop`` block; a service ingest folds
+    whatever the fleet measured); anywhere else a truncated entry is a
+    miss.
+    """
+    stats = RunnerStats()
+    return _lookup(cache, specs, None, allow_truncated, stats), stats
+
+
 def replay(
     cache: TrialCache, specs: Sequence[TrialSpec], allow_truncated: bool
 ) -> Tuple[List[CachedTrial], RunnerStats]:
-    """Re-read recorded trials: every spec from ``cache``, none simulated.
-
-    Returns the :class:`~repro.core.cache.CachedTrial` records in
-    ``specs`` order and the lookup's :class:`RunnerStats` (``trials_run
-    == 0``, ``cache_hits == len(specs)``).  Raises :class:`CacheMissError`
-    naming every spec the cache cannot serve.  ``allow_truncated`` admits
-    early-terminated entries as the measurements they are - pass it
-    exactly where the run that wrote the cache was armed (a plan or cycle
-    carrying an ``earlystop`` block; a service ingest folds whatever the
-    fleet measured); anywhere else a truncated entry is a miss.
+    """:func:`lookup` of every spec, refused when one misses: raises
+    :class:`CacheMissError` naming every spec the cache cannot serve,
+    else ``cache_hits == len(specs)``.
     """
-    stats = RunnerStats()
-    records = _lookup(cache, specs, None, allow_truncated, stats)
+    records, stats = lookup(cache, specs, allow_truncated)
     misses = [spec for spec, record in zip(specs, records) if record is None]
     if misses:
         raise CacheMissError(misses)

@@ -19,7 +19,9 @@ import json
 from pathlib import Path
 
 from .. import units
-from ..cliargs import positive_int, reporting_errors
+from ..cliargs import (
+    duration, positive_float, positive_floats, positive_int, reporting_errors,
+)
 from ..config import ExperimentConfig, NetworkConfig
 from ..obs.log import get_logger
 from .coordinator import ServiceError, WatchdogService
@@ -30,9 +32,7 @@ _log = get_logger("service.cli")
 def _service(args) -> WatchdogService:
     networks = [
         NetworkConfig(bandwidth_bps=units.mbps(mbps))
-        for mbps in (
-            float(v) for v in args.plan_bandwidths.split(",")
-        )
+        for mbps in args.plan_bandwidths
     ]
     return WatchdogService(
         args.spool,
@@ -114,17 +114,17 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
         help="shards in the published next plan (default: 2)",
     )
     parser.add_argument(
-        "--plan-bandwidths", default="8,50",
+        "--plan-bandwidths", type=positive_floats, default="8,50",
         help="comma-separated bottleneck Mbps for the next plan "
              "(default: 8,50 - the paper's two settings)",
     )
     parser.add_argument(
-        "--plan-duration", type=float, default=60.0,
+        "--plan-duration", type=duration, default=60.0,
         help="experiment duration (s) in the next plan (default: 60)",
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--poll-sec", type=float, default=2.0,
+        "--poll-sec", type=positive_float, default=2.0,
         help="spool poll interval for 'service run' (default: 2)",
     )
     parser.add_argument(
@@ -144,7 +144,7 @@ def register(sub) -> None:
     p = ssub.add_parser("run", help="run the coordinator loop")
     _add_service_args(p)
     p.add_argument(
-        "--max-loops", type=int, default=None,
+        "--max-loops", type=positive_int, default=None,
         help="stop after N passes (default: run until signalled)",
     )
     p.set_defaults(func=_wrap(cmd_service_run))

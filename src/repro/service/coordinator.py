@@ -54,7 +54,7 @@ import signal
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..atomicio import atomic_write, load_json_artifact
 from ..config import (
@@ -63,8 +63,11 @@ from ..config import (
     highly_constrained,
     moderately_constrained,
 )
-from ..core.cache import CacheEntryError, TrialCache
-from ..core.runner import CacheMissError, replay
+from ..core.cache import (
+    CacheEntryError, CachedTrial, TrialCache, trial_cache_key,
+)
+from ..core.results import ResultStore
+from ..core.runner import RunnerStats, TrialSpec, lookup
 from ..core.submission import SubmissionError, SubmissionPortal
 from ..fleet.adaptive import AdaptiveCycleState, ASSEMBLY_PLAN_FILENAME, STATE_FILENAME
 from ..fleet.plan import FleetError, FleetPlan, load_plan, write_manifest
@@ -440,6 +443,19 @@ class WatchdogService:
             dest = self.spool / bucket / f"{entry.name}.{stamp}"
         os.replace(entry, dest)
 
+    def _read_trials(
+        self, entry: Path, cache: TrialCache, specs: Sequence[TrialSpec]
+    ) -> Tuple[List[Optional[CachedTrial]], RunnerStats]:
+        """The entry's one cache read: a record per spec, ``None`` where
+        the cache has none.  Fleet caches may hold early-terminated
+        trials (:mod:`repro.core.earlystop`); folding takes whatever the
+        fleet measured, so truncated entries are results here, not
+        misses.  A damaged entry retires the spool entry."""
+        try:
+            return lookup(cache, specs, allow_truncated=True)
+        except CacheEntryError as exc:
+            raise self._retire_unreadable(entry, exc) from exc
+
     def _retire_unreadable(
         self, entry: Path, cause: Exception
     ) -> ServiceError:
@@ -453,15 +469,42 @@ class WatchdogService:
             f"spool entry {entry.name}: {cause}; entry moved to failed/"
         )
 
+    def _skip_ingested(
+        self, entry: Path, cycle_id: str, kind: str, partial: bool
+    ) -> IngestReport:
+        """Retire a re-delivered entry whose cycle is already ingested."""
+        # Re-diagnose before retiring: heals a crash that landed between
+        # the journal commit and the diagnosis writes.
+        diagnosed = self._ingest_flight_sidecars(entry)
+        self._move_entry(entry, "done")
+        return IngestReport(
+            source=entry.name,
+            cycle_id=cycle_id,
+            kind=kind,
+            partial=partial,
+            skipped=True,
+            diagnosed=diagnosed,
+        )
+
     def ingest_entry(self, entry: Path) -> IngestReport:
         """Ingest one spool entry: fold, journal, commit, requeue, move.
 
-        Folding is pure cache replay (:func:`~repro.core.runner.replay`,
-        which cannot simulate); the journal commit is the linearisation
-        point; the entry moves to ``done/`` only after its commit, so a
-        crash anywhere re-runs idempotently.
+        Folding is one cache read per delivered trial
+        (:func:`~repro.core.runner.lookup`, which cannot simulate), and
+        its records - payload, result and entry bytes - are what the
+        journal appends; the journal commit is the linearisation point;
+        the entry moves to ``done/`` only after its commit, so a crash
+        anywhere re-runs idempotently.  A fixed plan's trials the read
+        misses mark their shards missing; a plan row whose cache key is
+        not the one this library derives is version skew, and retires
+        the entry to ``failed/`` (otherwise every trial would miss and
+        every shard be requeued on every pass).  A re-delivered entry
+        whose cycle is already ingested is skipped to ``done/``: an
+        adaptive one before its read, a fixed one after it (its cycle id
+        counts the trials its cache holds).
         """
         requeued: List[str] = []
+        cache = TrialCache(self._entry_cache_dir(entry))
         if (entry / STATE_FILENAME).exists():
             try:
                 state = AdaptiveCycleState.load(entry)
@@ -476,7 +519,17 @@ class WatchdogService:
             if partial:
                 cycle_id = f"{state.cycle_id}+{len(specs)}"
                 requeued = self._requeue_open_rounds(state)
-            cache = TrialCache(self._entry_cache_dir(entry))
+            if cycle_id in self.store.ingested_ids():
+                return self._skip_ingested(entry, cycle_id, kind, partial)
+            records, stats = self._read_trials(entry, cache, specs)
+            missing = records.count(None)
+            if missing:
+                self._move_entry(entry, "failed")
+                raise ServiceError(
+                    f"spool entry {entry.name}: {missing} planned "
+                    "trial(s) missing from its cache - folding never "
+                    "simulates; entry moved to failed/"
+                )
         else:
             plan_path = (
                 entry / ASSEMBLY_PLAN_FILENAME
@@ -488,51 +541,43 @@ class WatchdogService:
             except FleetError as exc:
                 raise self._retire_unreadable(entry, exc) from exc
             kind = "fixed"
-            cache = TrialCache(self._entry_cache_dir(entry))
-            specs, missing_shards = [], set()
-            for trial in plan.trials:
-                if cache.contains_key(trial.cache_key):
-                    specs.append(trial.spec)
-                else:
+            records, stats = self._read_trials(
+                entry, cache, [trial.spec for trial in plan.trials]
+            )
+            missing_shards = set()
+            for trial, record in zip(plan.trials, records):
+                # The read derived every spec's key: a hit brings it, a
+                # miss's is memoised on its spec.
+                derived = (
+                    trial_cache_key(trial.spec) if record is None
+                    else record.key
+                )
+                if derived != trial.cache_key:
+                    raise self._retire_unreadable(
+                        entry,
+                        ServiceError(
+                            f"cache-key mismatch for seed {trial.spec.seed} "
+                            f"({'+'.join(trial.spec.service_ids)}): the "
+                            f"plan says {trial.cache_key[:12]}..., this "
+                            f"library computes {derived[:12]}... - "
+                            "planner/coordinator version skew"
+                        ),
+                    )
+                if record is None:
                     missing_shards.add(trial.shard)
+            records = [record for record in records if record is not None]
             partial = bool(missing_shards)
             cycle_id = plan.plan_id
             if partial:
-                cycle_id = f"{plan.plan_id}+{len(specs)}"
+                cycle_id = f"{plan.plan_id}+{len(records)}"
                 requeued = self._requeue_missing_shards(
                     plan, sorted(missing_shards)
                 )
-        if cycle_id in self.store.ingested_ids():
-            # Re-diagnose before retiring: heals a crash that landed
-            # between the journal commit and the diagnosis writes.
-            diagnosed = self._ingest_flight_sidecars(entry)
-            self._move_entry(entry, "done")
-            return IngestReport(
-                source=entry.name,
-                cycle_id=cycle_id,
-                kind=kind,
-                partial=partial,
-                skipped=True,
-                diagnosed=diagnosed,
-            )
+            if cycle_id in self.store.ingested_ids():
+                return self._skip_ingested(entry, cycle_id, kind, partial)
         with tracing.span(
-            "service.ingest", source=entry.name, trials=len(specs)
+            "service.ingest", source=entry.name, trials=len(records)
         ):
-            try:
-                # Fleet caches may hold early-terminated trials
-                # (repro.core.earlystop); folding replays whatever the
-                # fleet measured, so truncated entries are results here,
-                # not misses.
-                records, stats = replay(cache, specs, allow_truncated=True)
-            except CacheEntryError as exc:
-                raise self._retire_unreadable(entry, exc) from exc
-            except CacheMissError as exc:
-                self._move_entry(entry, "failed")
-                raise ServiceError(
-                    f"spool entry {entry.name}: {len(exc.misses)} planned "
-                    "trial(s) missing from its cache - folding never "
-                    "simulates; entry moved to failed/"
-                ) from exc
             # One read per trial serves all three forms the store wants:
             # the payload, the result object and the journal line.  A
             # spool name that is not UTF-8 (``os.listdir`` hands it over
@@ -609,9 +654,15 @@ class WatchdogService:
     # Site + next plan
     # ------------------------------------------------------------------
 
-    def windowed_store(self):
-        """The store view the site renders (rolling window applied)."""
-        return self.store.store_view(last_cycles=self.window_cycles)
+    def windowed_store(self) -> ResultStore:
+        """The store view the site renders (rolling window applied).
+
+        The view is live and read-only: it is the rolling store's own,
+        and the next pass extends it in place with the cycles committed
+        meanwhile (see :meth:`RollingResultStore.store_view`), so each
+        trial is added - and its keys resolved - once, not once per pass.
+        """
+        return self.store.store_view(self.window_cycles)
 
     def regenerate_site(
         self, changed_bandwidths: Optional[Sequence[float]] = None

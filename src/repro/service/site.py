@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Union
 
@@ -74,13 +75,27 @@ class SiteRenderer:
     def index_path(self) -> Path:
         return self.site_dir / "index.md"
 
-    def _load_state(self) -> Optional[Dict]:
-        """The section-hash ledger; ``None`` (absent, damaged, another
-        schema) means render everything, which rebuilds it."""
+    def _load_state(self) -> Optional[Dict[float, Dict]]:
+        """The section-hash ledger as bandwidth -> section entry;
+        ``None`` (absent, damaged, another schema) means render
+        everything, which rebuilds it.  Damaged is anything but a list
+        of ``{"bandwidth_bps": finite number, "tag": its bandwidth_tag,
+        "sha256": str}`` sections, and is logged as discarded."""
         try:
             payload = json.loads(self.state_path.read_text("utf-8"))
             if payload["schema"] == SITE_STATE_SCHEMA_VERSION:
-                return payload
+                known = {}
+                for entry in payload["sections"]:
+                    bandwidth = entry["bandwidth_bps"]
+                    if (
+                        type(bandwidth) not in (int, float)
+                        or not math.isfinite(bandwidth)
+                        or entry["tag"] != bandwidth_tag(bandwidth)
+                        or type(entry["sha256"]) is not str
+                    ):
+                        raise TypeError(f"malformed section {entry!r}")
+                    known[bandwidth] = entry
+                return known
             defect = f"schema {payload['schema']!r}"
         except FileNotFoundError:
             return None
@@ -113,13 +128,10 @@ class SiteRenderer:
         content hash covers it, so a new diagnosis re-renders the
         section exactly like new trial data would.
         """
-        state = self._load_state()
-        if state is None:
-            state = {"schema": SITE_STATE_SCHEMA_VERSION, "sections": []}
+        known = self._load_state()
+        if known is None:
+            known = {}
             changed_bandwidths = None
-        known: Dict[float, Dict] = {
-            entry["bandwidth_bps"]: entry for entry in state["sections"]
-        }
         present = {bw for _a, _b, bw in store.pairs()}
         if changed_bandwidths is None:
             targets = set(present) | set(known)
@@ -161,9 +173,10 @@ class SiteRenderer:
             changed.append(bandwidth)
         if changed or not self.index_path.exists():
             self._write_index(known)
-            state["sections"] = [
-                known[bw] for bw in sorted(known)
-            ]
+            state = {
+                "schema": SITE_STATE_SCHEMA_VERSION,
+                "sections": [known[bw] for bw in sorted(known)],
+            }
             atomic_write(
                 self.state_path,
                 json.dumps(state, indent=1, sort_keys=True),

@@ -67,10 +67,12 @@ which is what makes the kill-and-restart acceptance test ("replay yields
 a store byte-identical to an uninterrupted run") checkable at all.
 Operational timestamps live in the coordinator's state file instead.
 
-Windowed views (:meth:`RollingResultStore.store_view`) rebuild a plain
-:class:`~repro.core.results.ResultStore` over the last N cycles or a
-timestamp cutoff - the longitudinal angle: findings drift, so the site
-can be rendered over a rolling window rather than all of history.
+Windowed views (:meth:`RollingResultStore.store_view`) are a plain
+:class:`~repro.core.results.ResultStore` over the last N cycles - the
+longitudinal angle: findings drift, so the site can be rendered over a
+rolling window rather than all of history.  The view is live: each call
+extends it with the cycles committed since the last, and it is rebuilt
+only when the window is not the old one plus new cycles.
 """
 
 from __future__ import annotations
@@ -352,6 +354,8 @@ class RollingResultStore:
         #: every journalled cycle (appended by this process or replayed):
         #: compaction copies those bytes, it never encodes them again.
         self._journal_spans: Dict[str, Tuple[int, int]] = {}
+        #: The live view (see :meth:`store_view`) and the cycles it holds.
+        self._live: Optional[Tuple[ResultStore, List[CycleRecord]]] = None
         self.replay()
 
     @property
@@ -622,6 +626,16 @@ class RollingResultStore:
         fuller delivery of the same base cycle is later ingested, the
         later record supersedes the earlier one here, so the view never
         double-counts a cycle's trials.
+
+        The returned view is live and read-only: it is this store's one
+        view, and the next call extends that same object in place with
+        the cycles committed since, so each trial is added - and its
+        keys resolved - once.  Only when the new window is not the old
+        one plus new cycles (a cycle aged out, a fuller delivery
+        superseded a partial one, another ``last_cycles``) does a call
+        build a new view instead; a reopened store starts from none.
+        Either way the view holds the trials a fresh build would, bucket
+        for bucket in the same order.
         """
         window = self._cycles
         if last_cycles is not None:
@@ -630,9 +644,18 @@ class RollingResultStore:
         for index, record in enumerate(window):
             base = record.cycle_id.split("+", 1)[0]
             latest[base] = (index, record)
-        store = ResultStore()
-        for _index, record in sorted(latest.values()):
+        records = [record for _index, record in sorted(latest.values())]
+        store, held = self._live or (ResultStore(), [])
+        if len(held) > len(records) or any(
+            old is not new for old, new in zip(held, records)
+        ):
+            store, held = ResultStore(), []
+        # Dropped while extending: a call that raises part-way leaves no
+        # half-extended view for the next one to build on.
+        self._live = None
+        for record in records[len(held):]:
             store.extend(record.experiment_results(), valid_only=True)
+        self._live = (store, records)
         return store
 
     def bandwidths_bps(self) -> List[float]:

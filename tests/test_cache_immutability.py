@@ -407,12 +407,38 @@ ENTRY_DAMAGE = {
 #: object that is not a trial record (any object is a sidecar or a
 #: state file, so this kind is an entry's alone).  Shared with the
 #: worker, assembly and spool-ingest tests.
+def _reshared(shares):
+    """Damage that replaces a trial record's ``mmf_share`` with
+    ``shares(contender_id, incumbent_id)``."""
+
+    def damage(data):
+        payload = json.loads(data)
+        payload["mmf_share"] = shares(
+            payload["contender_id"], payload["incumbent_id"]
+        )
+        return json.dumps(payload).encode()
+
+    return damage
+
+
 TRIAL_DAMAGE = {
     **ENTRY_DAMAGE,
     "not-a-trial": (
         lambda data: b'{"schema": 1}',
         "not a trial record (missing bandwidth_bps, buffer_packets, "
         "contender_id, duration_usec, incumbent_id, seed)",
+    ),
+    # A record whose services have no share would read as unmeasured
+    # (or raise IndexError on a self pair) deep inside a grid.
+    "no-shares": (
+        _reshared(lambda contender, incumbent: {}),
+        "not a trial record (mmf_share lacks a number for contender_id",
+    ),
+    "bool-share": (
+        _reshared(lambda contender, incumbent: {
+            contender: True, incumbent: 0.5,
+        }),
+        "not a trial record (mmf_share lacks a number for contender_id",
     ),
 }
 

@@ -85,6 +85,52 @@ class TestParser:
         assert f"argument {flag}: expected an integer >= 1" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "command, flag, value, complaint",
+        [
+            (["pair", "iperf_cubic", "iperf_reno"], "--duration", "0",
+             "expected a number > 0"),
+            (["pair", "iperf_cubic", "iperf_reno"], "--duration", "1e-8",
+             "expected seconds that leave a positive measurement window"),
+            (["pair", "iperf_cubic", "iperf_reno"], "--bandwidth", "0",
+             "expected a number > 0"),
+            (["cycle"], "--bandwidth", "inf", "expected a number > 0"),
+            (["service", "ingest-once", "--spool", "s", "--out", "o"],
+             "--plan-duration", "0", "expected a number > 0"),
+            (["service", "ingest-once", "--spool", "s", "--out", "o"],
+             "--plan-bandwidths", ",", "expected a number > 0"),
+            (["service", "ingest-once", "--spool", "s", "--out", "o"],
+             "--plan-bandwidths", "0", "expected a number > 0"),
+            (["service", "ingest-once", "--spool", "s", "--out", "o"],
+             "--plan-bandwidths", "8,-8", "expected a number > 0"),
+            (["service", "run", "--spool", "s", "--out", "o"],
+             "--poll-sec", "-1", "expected a number > 0"),
+            (["service", "run", "--spool", "s", "--out", "o"],
+             "--max-loops", "0", "expected an integer >= 1"),
+        ],
+        ids=[
+            "pair-duration-0", "pair-duration-no-window", "pair-bandwidth-0",
+            "cycle-bandwidth-inf", "service-plan-duration-0",
+            "service-plan-bandwidths-empty", "service-plan-bandwidths-0",
+            "service-plan-bandwidths-neg", "service-poll-sec-neg",
+            "service-max-loops-0",
+        ],
+    )
+    def test_numbers_out_of_range_are_usage_errors(
+        self, command, flag, value, complaint, capsys, tmp_path, monkeypatch
+    ):
+        """A rate, duration or interval flag is checked at parse time:
+        these died in a ``ValueError`` traceback (exit 1), or were taken
+        - a zero-bandwidth next plan, a poll loop that never sleeps, a
+        ``--max-loops 0`` that still ran a pass."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as raised:
+            main([*command, f"{flag}={value}"])
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {complaint}" in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("value", ["-1", "one"])
     def test_a_negative_retry_budget_is_a_usage_error(
         self, value, capsys, tmp_path, monkeypatch

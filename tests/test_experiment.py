@@ -195,9 +195,9 @@ class TestResultStore:
     def test_shares_lookup(self, cubic_vs_reno):
         store = ResultStore()
         store.add(cubic_vs_reno)
-        shares = store.samples(
-            "iperf_reno", "iperf_cubic", units.mbps(8), mmf_share
-        )
+        shares = store.pair_samples(units.mbps(8), mmf_share)[
+            ("iperf_reno", "iperf_cubic")
+        ]
         assert shares == [cubic_vs_reno.mmf_share["iperf_reno"]]
 
     def test_invalid_trials_filtered(self):
@@ -227,7 +227,7 @@ class TestResultStore:
         )
         store = ResultStore()
         store.add(result)
-        shares = store.samples(
-            "iperf_reno", "iperf_reno", units.mbps(8), mmf_share
-        )
+        shares = store.pair_samples(units.mbps(8), mmf_share)[
+            ("iperf_reno", "iperf_reno")
+        ]
         assert len(shares) == 1

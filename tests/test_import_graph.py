@@ -375,10 +375,11 @@ def test_published_artifacts_run_through_the_trial_core():
 
 
 def test_one_loop_resolves_the_incumbent_key():
-    """``ResultStore.samples`` is the one loop from a pair's valid
-    trials to a per-trial value, and the only caller of
-    ``incumbent_key``; every grid cell (Figs 2, 11-13) reads through it.
-    There were three such loops, one of them a second grid module
+    """``ResultStore.extend`` is the only caller of ``incumbent_key``:
+    each trial's keys are resolved once, when it is added, and
+    ``ResultStore.pair_samples`` - the one loop from trials to per-trial
+    values, behind every grid cell (Figs 2, 11-13) - reads them.  There
+    were three such loops, one of them a second grid module
     (``repro.analysis.heatmap``), which stays deleted."""
     callers = []
     for path in sorted(SRC.rglob("*.py")):
@@ -392,7 +393,7 @@ def test_one_loop_resolves_the_incumbent_key():
                 for node in ast.walk(function)
             ):
                 callers.append(f"{path.relative_to(SRC)}::{function.name}")
-    assert callers == ["core/results.py::samples"]
+    assert callers == ["core/results.py::extend"]
     assert importlib.util.find_spec("repro.analysis.heatmap") is None
     importers = [
         str(path.relative_to(SRC))

@@ -1,9 +1,12 @@
 """Ingest costs O(new cycle), checked by counts rather than a stopwatch.
 
 Six equal synthetic cycles go through ``WatchdogService.ingest_once``;
-two exact counters from ``repro.obs.metrics`` must not depend on how
+three exact counters from ``repro.obs.metrics`` must not depend on how
 many cycles the store already holds:
 
+- ``core.results.trials_resolved`` - trials whose incumbent keys were
+  resolved (both services' at once): the new cycle's trials, because
+  the service's view is live and only extended by each pass;
 - ``core.report.cells_derived`` - median-share cells derived from raw
   trials: n^2 per rendered section (each cell once, whatever reads it);
 - ``service.store.compact_bytes`` - bytes written by compaction: the new
@@ -63,18 +66,29 @@ def test_six_equal_ingests_cost_the_same_by_count(tmp_path):
         networks=NETWORKS, plan_config=CONFIG, plan_trials=1,
     )
     registry = get_registry()
+    resolved = registry.counter("core.results.trials_resolved")
     cells = registry.counter("core.report.cells_derived")
     compacted = registry.counter("service.store.compact_bytes")
+    trials_per_ingest, resolved_per_ingest = [], []
     cells_per_ingest, bytes_per_ingest = [], []
     for index in range(CYCLES):
         trials = deliver_cycle(tmp_path / "spool", index)
+        resolved_before = resolved.value
         cells_before, bytes_before = cells.value, compacted.value
         summary = service.ingest_once()
         assert summary["ingested"][0]["trials"] == trials
         assert len(summary["site_sections_changed"]) == len(NETWORKS)
+        trials_per_ingest.append(trials)
+        resolved_per_ingest.append(resolved.value - resolved_before)
         cells_per_ingest.append(cells.value - cells_before)
         bytes_per_ingest.append(compacted.value - bytes_before)
     assert summary["cycles_total"] == CYCLES
+
+    # Each trial's keys are resolved once, when the live view takes it
+    # in: the sixth ingest resolves its own cycle, not all six (every
+    # stored trial was resolved twice, once per grid cell, on every
+    # pass when the view was rebuilt and each cell re-read its trials).
+    assert resolved_per_ingest == trials_per_ingest
 
     # One n x n matrix per rendered section, on the first ingest and on
     # the sixth (it was ~37 n^2 when every consumer re-derived its cells).

@@ -81,9 +81,9 @@ class TestParallelExecution:
         store.extend(
             ProcessPoolBackend(max_workers=2).run(trials), valid_only=True
         )
-        shares = store.samples(
-            "iperf_reno", "iperf_cubic", NET.bandwidth_bps, mmf_share
-        )
+        shares = store.pair_samples(NET.bandwidth_bps, mmf_share)[
+            ("iperf_reno", "iperf_cubic")
+        ]
         assert len(shares) == 2
 
     def test_unknown_service_raises_before_dispatch(self):
@@ -188,11 +188,7 @@ class TestParallelWatchdog:
             service_ids=["iperf_cubic", "iperf_reno"],
             backend=dog.backend(workers=2),
         )
-        shares = dog.store.samples(
-            "iperf_reno", "iperf_cubic", NET.bandwidth_bps, mmf_share
-        )
-        assert len(shares) == 2
+        shares = dog.store.pair_samples(NET.bandwidth_bps, mmf_share)
+        assert len(shares[("iperf_reno", "iperf_cubic")]) == 2
         # Self pairs were also measured.
-        assert dog.store.samples(
-            "iperf_reno", "iperf_reno", NET.bandwidth_bps, mmf_share
-        )
+        assert shares[("iperf_reno", "iperf_reno")]

@@ -125,7 +125,7 @@ class TestTransitivity:
             store.add(fake_result("beta", "gamma", 1.5, 0.5, seed))
             store.add(fake_result("alpha", "gamma", 0.95, 1.05, seed))
         report = FairnessReport(store, ["alpha", "beta", "gamma"], BW)
-        triples = report.find_non_transitive_triples()
+        triples = list(report.find_non_transitive_triples())
         assert any(
             t.alpha == "alpha" and t.beta == "beta" and t.gamma == "gamma"
             for t in triples
@@ -138,4 +138,4 @@ class TestTransitivity:
             store.add(fake_result("b", "c", 1.5, 0.5, seed))
             store.add(fake_result("a", "c", 1.7, 0.3, seed))
         report = FairnessReport(store, ["a", "b", "c"], BW)
-        assert report.find_non_transitive_triples() == []
+        assert list(report.find_non_transitive_triples()) == []

@@ -89,7 +89,7 @@ def test_report_equals_naive_recomputation(case):
         store, ids, BW
     )
     for thresholds in ({}, {"unfair_below": 0.8, "fair_above": 0.92}):
-        assert report.find_non_transitive_triples(**thresholds) == (
+        assert list(report.find_non_transitive_triples(**thresholds)) == (
             naive_report.find_non_transitive_triples(
                 store, ids, BW, **thresholds
             )
@@ -118,7 +118,7 @@ def test_each_cell_is_derived_once_per_store_version():
     report = FairnessReport(store, ids, BW)
     report.to_json()
     report.render_heatmap()
-    report.find_non_transitive_triples()
+    list(report.find_non_transitive_triples())
     render_bandwidth_section(store, ids, BW)  # its own report: n^2 more
     assert derived.value - before == 2 * len(ids) ** 2
 

@@ -312,11 +312,10 @@ class TestWatchdogCaching:
         assert stats.trials_run == 0
         assert stats.cache_hits == stats.trials_total == trials_first
         # The cached cycle reproduces the measured shares exactly.
-        assert second.store.samples(
-            "iperf_reno", "iperf_cubic", NET.bandwidth_bps, mmf_share
-        ) == first.store.samples(
-            "iperf_reno", "iperf_cubic", NET.bandwidth_bps, mmf_share
-        )
+        pair = ("iperf_reno", "iperf_cubic")
+        assert second.store.pair_samples(NET.bandwidth_bps, mmf_share)[
+            pair
+        ] == first.store.pair_samples(NET.bandwidth_bps, mmf_share)[pair]
 
     def test_cycle_stats_surfaced_without_cache(self):
         dog = self._watchdog(cache=None)

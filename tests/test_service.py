@@ -8,8 +8,10 @@ uninterrupted run over the same spool - with zero re-simulation, since
 ingestion only ever folds from the entry's cache.
 """
 
+import hashlib
 import json
 import os
+import random
 import shutil
 import signal
 import subprocess
@@ -21,8 +23,10 @@ import pytest
 
 from repro import units
 from repro.config import ExperimentConfig, TrialPolicyConfig, highly_constrained
+from repro.core import cache as cache_module
 from repro.core.cache import TrialCache
 from repro.fleet.adaptive import AdaptiveCycleState, run_adaptive_cycle
+from repro.fleet import plan as plan_module
 from repro.fleet.plan import load_plan, plan_cycle
 from repro.fleet.worker import run_shard
 from repro.service import (
@@ -36,6 +40,7 @@ from repro.core.submission import DEFAULT_ACCESS_CODES
 
 from tests.test_cache_immutability import ENTRY_DAMAGE, TRIAL_DAMAGE
 from tests.test_fleet import HOSTILE_V3, damage_v3
+from tests.test_ingest_linearity import synthetic_result
 
 FAST = ExperimentConfig().scaled(4)
 NET = highly_constrained()
@@ -290,6 +295,38 @@ class TestServiceIngest:
         assert report["kind"] == "adaptive"
         assert not report["partial"]
         assert report["trials"] == 6  # 3 pairs x 2 trials
+
+    def test_adaptive_redelivery_is_skipped_before_its_cache_is_read(
+        self, tmp_path
+    ):
+        """An ingested adaptive cycle delivered again is retired to done/
+        on its cycle id alone, even if its cache has since lost a trial."""
+        service = make_service(tmp_path)
+        entry = tmp_path / "spool" / "incoming" / "cycle-adaptive"
+        policy = TrialPolicyConfig(
+            min_trials=2, max_trials=2, batch_size=2,
+            ci_halfwidth_bps=units.mbps(100),
+        )
+        run_adaptive_cycle(
+            entry, IDS, [NET], FAST, policies=[policy],
+            num_shards=2, base_seed=3,
+        )
+        again = tmp_path / "spool" / "incoming" / "cycle-adaptive-again"
+        shutil.copytree(entry, tmp_path / "copy")
+        service.ingest_once()
+        shutil.copytree(tmp_path / "copy", again)
+        lost = next(
+            path for path in (again / "cache").glob("*.json")
+            if len(path.stem) == 64
+        )
+        lost.unlink()
+        summary = service.ingest_once()
+        assert summary["ingested"][0]["skipped"]
+        assert summary["cycles_total"] == 1
+        assert (tmp_path / "spool" / "done" / again.name).exists()
+        assert not (tmp_path / "spool" / "failed").exists() or not list(
+            (tmp_path / "spool" / "failed").iterdir()
+        )
 
     def test_partial_adaptive_cycle_ingests_and_requeues(self, tmp_path):
         """A cycle whose fleet died mid-run: folded rounds are ingested,
@@ -685,6 +722,48 @@ class TestPoisonedEntries:
         # The second pass is clean.
         again = service.ingest_once()
         assert again["ingested"] == [] and again["cycles_total"] == 1
+
+    def test_a_plan_keyed_by_another_derivation_is_retired_as_skew(
+        self, tmp_path, monkeypatch
+    ):
+        """Planner/coordinator version skew: plan rows and cache files
+        agree with each other, but not with the key this library
+        derives.  The ingest names the mismatch and retires the entry -
+        rather than reading every trial as missing, requeueing every
+        shard and ingesting an empty partial cycle on every pass."""
+        service = make_service(tmp_path)
+        incoming = tmp_path / "spool" / "incoming"
+        real = cache_module.trial_cache_key
+
+        def skewed(spec, env=None):
+            key = real(spec, env).encode()
+            return hashlib.sha256(b"v0:" + key).hexdigest()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(plan_module, "trial_cache_key", skewed)
+            patch.setattr(cache_module, "trial_cache_key", skewed)
+            plan = plan_cycle(
+                IDS, [NET], FAST, trials_per_pair=1, num_shards=2,
+                base_seed=7,
+            )
+            entry = incoming / "cycle-0-skewed"
+            plan.write(entry)
+            cache = TrialCache(entry / "cache")
+            rng = random.Random(7)
+            for planned in plan.trials:
+                cache.put(planned.spec, synthetic_result(planned.spec, rng))
+        assert {f"{t.cache_key}.json" for t in plan.trials} == {
+            path.name for path in (entry / "cache").glob("*.json")
+        }
+        make_fixed_entry(incoming / "cycle-1-good")
+        with pytest.raises(ServiceError) as raised:
+            service.ingest_once()
+        message = str(raised.value)
+        assert "cycle-0-skewed" in message and "cache-key mismatch" in message
+        assert "version skew" in message and "moved to failed/" in message
+        assert (tmp_path / "spool" / "failed" / "cycle-0-skewed").exists()
+        assert list((tmp_path / "spool" / "retry").iterdir()) == []
+        assert [c.source for c in service.store.cycles()] == ["cycle-1-good"]
 
     def test_service_run_survives_and_does_not_meet_the_entry_again(
         self, tmp_path

@@ -1,5 +1,6 @@
 """The website-style markdown findings report."""
 
+import json
 import logging
 from pathlib import Path
 
@@ -176,6 +177,53 @@ class TestIncrementalSite:
             )
             assert changed == [BW, BW50]
             assert renderer.regenerate(store, changed_bandwidths=[]) == []
+        finally:
+            logger.removeHandler(handler)
+        assert {
+            path: path.read_bytes()
+            for path in (tmp_path / "site").rglob("*") if path.is_file()
+        } == healthy
+        assert logged == ["service.site_state_discarded"]
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            {"schema": 1},
+            {"schema": 1, "sections": [{}]},
+            {"schema": 1, "sections": 5},
+            {"schema": 1, "sections": [{"bandwidth_bps": BW, "tag": "8mbps"}]},
+            {"schema": 1, "sections": [
+                {"bandwidth_bps": "8e6", "tag": "8mbps", "sha256": "0"}
+            ]},
+            {"schema": 1, "sections": [
+                {"bandwidth_bps": BW, "tag": "8mbps", "sha256": "0"},
+                {"bandwidth_bps": BW50, "tag": "../50mbps", "sha256": "0"},
+            ]},
+        ],
+        ids=["no-sections", "empty-section", "sections-not-a-list",
+             "no-sha256", "bandwidth-not-a-number", "foreign-tag"],
+    )
+    def test_a_schema_1_state_of_the_wrong_shape_is_discarded(
+        self, store, tmp_path, state
+    ):
+        """A ledger that says ``schema: 1`` but is not one is damaged
+        like any other: discarded with the warning and every section
+        rendered again - not a KeyError or TypeError from every
+        ``regenerate``."""
+        renderer = SiteRenderer(tmp_path / "site")
+        renderer.regenerate(store, None)
+        healthy = {
+            path: path.read_bytes()
+            for path in (tmp_path / "site").rglob("*") if path.is_file()
+        }
+        renderer.state_path.write_text(json.dumps(state))
+        logged = []
+        handler = logging.Handler()
+        handler.emit = lambda record: logged.append(record.getMessage())
+        logger = logging.getLogger("repro.service.site")
+        logger.addHandler(handler)
+        try:
+            assert renderer.regenerate(store, changed_bandwidths=[BW]) == [BW]
         finally:
             logger.removeHandler(handler)
         assert {
