@@ -46,6 +46,7 @@ from .cca.reno import NewReno
 from .cca.vegas import Vegas
 from .cliargs import (
     add_backend_arg,
+    add_cache_dir_arg,
     add_earlystop_args,
     add_network_args,
     add_policy_args,
@@ -128,10 +129,11 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
         "execution substrate (default: process when --workers is set, "
         "else inline)",
     )
-    parser.add_argument(
-        "--cache-dir", default=None,
-        help="content-addressed trial cache directory; re-runs skip "
-             "already-simulated trials",
+    add_cache_dir_arg(
+        parser,
+        "content-addressed trial cache directory; re-runs skip "
+        "already-simulated trials",
+        required=False,
     )
 
 
@@ -457,9 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = earlystop_sub.add_parser(
         "fit", help="calibrate the stop rule from a cached trial corpus"
     )
-    p.add_argument(
-        "--cache-dir", required=True,
-        help="cache directory holding full-length flight-recorded trials",
+    add_cache_dir_arg(
+        p, "cache directory holding full-length flight-recorded trials"
     )
     p.add_argument(
         "--out", required=True, metavar="MODEL.json",

@@ -2,11 +2,12 @@
 
 ``repro pair|cycle|sweep``, ``repro fleet plan|run-shard|cycle`` and
 ``repro obs flight record`` take the same network, protocol, backend,
-early-termination and trial-policy flags, and ``repro sweep`` / ``repro
-fleet plan sweep`` the same sweep arguments.  Each group is added by one
-function here and turned into its config object by one builder, so a
-flag has one type, one default and one meaning everywhere; a heatmap or
-sweep curve is printed by one function too.  (A module of
+early-termination and trial-policy flags, ``repro sweep`` / ``repro
+fleet plan sweep`` the same sweep arguments, and every command reading
+or writing a trial cache the same ``--cache-dir``.  Each group is added
+by one function here and turned into its config object by one builder,
+so a flag has one type, one default and one meaning everywhere; a
+heatmap or sweep curve is printed by one function too.  (A module of
 its own because :mod:`repro.cli` imports the sub-CLIs at load time.)
 Where commands word a flag's help differently, the caller passes the
 wording; everything else about the flag lives here.
@@ -145,6 +146,13 @@ def non_negative_int(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected an integer >= 0: {text!r}")
     return int(text)
+
+
+def add_cache_dir_arg(
+    parser: argparse.ArgumentParser, text: str, required: bool = True
+) -> None:
+    """``--cache-dir``: a trial cache directory."""
+    parser.add_argument("--cache-dir", required=required, help=text)
 
 
 def add_workers_arg(parser: argparse.ArgumentParser, text: str) -> None:

@@ -34,6 +34,7 @@ from pathlib import Path
 
 from ..cliargs import (
     add_backend_arg,
+    add_cache_dir_arg,
     add_earlystop_args,
     add_network_args,
     add_policy_args,
@@ -64,9 +65,11 @@ from .assemble import assemble_reports, assemble_sweep
 from .merge import merge_shards
 from .plan import (
     FleetError,
+    load_manifest,
     load_plan,
     plan_cycle,
     plan_sweep,
+    trial_rows,
     write_manifest,
 )
 from .status import DEFAULT_STALL_SEC, fleet_status, retry_manifests
@@ -130,15 +133,21 @@ def cmd_fleet_run_shard(args) -> int:
     stats = receipt.stats
     print(
         f"shard {receipt.shard_index}/{receipt.num_shards}: "
-        f"{len(receipt.completed_keys)} trials done "
+        f"{stats.trials_total} trials done "
         f"({stats.trials_run} simulated, {stats.cache_hits} cache hits, "
         f"{stats.wall_clock_sec:.1f}s simulating) -> {args.cache_dir}"
     )
     if args.record_flight:
         recorded = set(TrialCache(args.cache_dir).sidecar_keys("flight"))
+        planned = {
+            row[4]
+            for _spec, row in trial_rows(
+                load_manifest(args.manifest), with_shard=False
+            )
+        }
         print(
             f"  flight recordings: "
-            f"{len(recorded.intersection(receipt.completed_keys))} trial(s) "
+            f"{len(recorded & planned)} trial(s) "
             "(<key>.flight.json sidecars in the cache dir)"
         )
     if stats.trials_truncated or stats.trials_audited:
@@ -363,8 +372,7 @@ def register(sub: argparse._SubParsersAction) -> None:
         "run-shard", help="execute one shard manifest on this host"
     )
     p.add_argument("manifest", help="shard-<i>.json written by fleet plan")
-    p.add_argument("--cache-dir", required=True,
-                   help="cache directory to execute into")
+    add_cache_dir_arg(p, "cache directory to execute into")
     add_backend_arg(p, "execution substrate (default: process when "
                        "--workers is set, else inline)")
     add_workers_arg(p, "process-pool size")
@@ -450,8 +458,7 @@ def register(sub: argparse._SubParsersAction) -> None:
         "report", help="assemble the report from a merged cache"
     )
     p.add_argument("--plan", required=True, help="plan.json path")
-    p.add_argument("--cache-dir", required=True,
-                   help="merged cache directory")
+    add_cache_dir_arg(p, "merged cache directory")
     p.add_argument("--json", action="store_true",
                    help="emit machine-readable JSON")
     p.set_defaults(func=_wrap(cmd_fleet_report))

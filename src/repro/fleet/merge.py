@@ -178,16 +178,15 @@ def _resolve_divergent(challenger: bytes, incumbent: bytes) -> Optional[str]:
 def _supersedes(challenger: ShardReceipt, incumbent: ShardReceipt) -> bool:
     """Does ``challenger`` win the shard over ``incumbent``?
 
-    Retry semantics: a later attempt supersedes an earlier one, then a
-    more complete receipt wins.  A full tie falls back to comparing the
-    receipts' canonical JSON, so the winner is a deterministic function
-    of the receipt *contents* - independent of the order shard
-    directories were listed in.
+    Retry semantics: a later attempt supersedes an earlier one.  A tie
+    falls back to comparing the receipts' canonical JSON, so the winner
+    is a deterministic function of the receipt *contents* - independent
+    of the order shard directories were listed in.  (Every receipt of
+    one plan's shard covers the same trials: it is written only once
+    the whole manifest is recorded.)
     """
-    challenger_rank = (challenger.attempt, len(challenger.completed_keys))
-    incumbent_rank = (incumbent.attempt, len(incumbent.completed_keys))
-    if challenger_rank != incumbent_rank:
-        return challenger_rank > incumbent_rank
+    if challenger.attempt != incumbent.attempt:
+        return challenger.attempt > incumbent.attempt
     return canonical_json(challenger.to_json()) < canonical_json(
         incumbent.to_json()
     )
@@ -198,7 +197,6 @@ def merge_shards(
     shard_dirs: Sequence[Union[str, Path]],
     dest_dir: Union[str, Path],
     allow_gaps: bool = False,
-    require_receipts: bool = True,
 ) -> MergeReport:
     """Union shard cache directories into ``dest_dir`` for this plan.
 
@@ -228,35 +226,34 @@ def merge_shards(
         shard = Path(shard_dir)
         if not shard.is_dir():
             raise FleetError(f"shard cache {shard} is not a directory")
-        if require_receipts:
-            receipt = ShardReceipt.load(shard)
-            if receipt.plan_id != plan.plan_id:
-                raise FleetError(
-                    f"receipt in {shard} belongs to plan "
-                    f"{receipt.plan_id[:12]}..., not this plan "
-                    f"{plan.plan_id[:12]}..."
-                )
-            if receipt.cache_schema != plan.cache_schema:
-                raise FleetError(
-                    f"receipt in {shard} was produced at cache schema "
-                    f"{receipt.cache_schema}, plan expects "
-                    f"{plan.cache_schema} - rejected (results would not "
-                    "be comparable)"
-                )
-            report.stats = report.stats.merged_with(receipt.stats)
-            incumbent = winners.get(receipt.shard_index)
-            if incumbent is None:
+        receipt = ShardReceipt.load(shard)
+        if receipt.plan_id != plan.plan_id:
+            raise FleetError(
+                f"receipt in {shard} belongs to plan "
+                f"{receipt.plan_id[:12]}..., not this plan "
+                f"{plan.plan_id[:12]}..."
+            )
+        if receipt.cache_schema != plan.cache_schema:
+            raise FleetError(
+                f"receipt in {shard} was produced at cache schema "
+                f"{receipt.cache_schema}, plan expects "
+                f"{plan.cache_schema} - rejected (results would not "
+                "be comparable)"
+            )
+        report.stats = report.stats.merged_with(receipt.stats)
+        incumbent = winners.get(receipt.shard_index)
+        if incumbent is None:
+            winners[receipt.shard_index] = receipt
+        else:
+            # Duplicate receipts for one shard (retries): the
+            # supersede rule picks a deterministic winner for the
+            # per-shard breakdown; total stats keep both (they both
+            # really ran).
+            report.superseded_receipts += 1
+            if _supersedes(receipt, incumbent):
                 winners[receipt.shard_index] = receipt
-            else:
-                # Duplicate receipts for one shard (retries): the
-                # supersede rule picks a deterministic winner for the
-                # per-shard breakdown; total stats keep both (they both
-                # really ran).
-                report.superseded_receipts += 1
-                if _supersedes(receipt, incumbent):
-                    winners[receipt.shard_index] = receipt
-            if receipt.metrics is not None:
-                shard_metrics.append(receipt.metrics)
+        if receipt.metrics is not None:
+            shard_metrics.append(receipt.metrics)
         keys, sidecars = scan_cache_dir(shard)
         shard_prefix = os.path.join(shard, "")
         for key in keys:

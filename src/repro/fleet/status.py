@@ -126,7 +126,7 @@ class FleetStatus:
         stats = RunnerStats.total(r.stats for r in receipts)
         return {
             "receipts": len(receipts),
-            "trials_folded": sum(len(r.completed_keys) for r in receipts),
+            "trials_folded": stats.trials_total,
             "trials_simulated": stats.trials_run,
             "cache_hits": stats.cache_hits,
             "cache_misses": stats.cache_misses,

@@ -7,8 +7,10 @@ resulting cache directory back.  Everything flows through the existing
 :class:`~repro.core.runner.ExecutionBackend` machinery - the worker adds
 only validation (manifest schema, cache-schema, and per-spec key
 recomputation, so library version skew is caught before burning compute)
-and a completion receipt recording the executed keys and
-:class:`~repro.core.runner.RunnerStats`.
+and a completion receipt recording the plan, the shard and
+:class:`~repro.core.runner.RunnerStats`.  The receipt names no keys: it
+is written only once every one of the manifest's trials is recorded, so
+the manifest is its key list.
 """
 
 from __future__ import annotations
@@ -37,8 +39,9 @@ from .plan import (
 RECEIPT_FILENAME = "shard-receipt.json"
 
 #: The receipt layout, unchanged since manifest schema 2 (manifest
-#: schema 3 moved plan and manifest rows only), so a merger one version
-#: behind still reads what this worker writes.
+#: schema 3 moved plan and manifest rows only; ``completed_keys`` is no
+#: longer written, and readers have always defaulted it), so a merger
+#: one version behind still reads what this worker writes.
 RECEIPT_SCHEMA_VERSION = 2
 
 
@@ -58,7 +61,6 @@ class ShardReceipt:
     shard_index: int
     num_shards: int
     cache_schema: int
-    completed_keys: List[str] = field(default_factory=list)
     stats: RunnerStats = field(default_factory=RunnerStats)
     metrics: Optional[Dict] = None
     attempt: int = 0
@@ -73,7 +75,6 @@ class ShardReceipt:
             "shard_index": self.shard_index,
             "num_shards": self.num_shards,
             "cache_schema": self.cache_schema,
-            "completed_keys": list(self.completed_keys),
             "stats": self.stats.to_json(),
             "attempt": self.attempt,
         }
@@ -89,6 +90,8 @@ class ShardReceipt:
 
         Pre-retry receipts carry no ``attempt``; they load as attempt 0,
         so the merge's supersede rule treats them as the first try.
+        Older receipts' ``completed_keys`` (always the manifest's keys)
+        are ignored like any other unknown field.
         """
         supported_schema(payload, "receipt")
         return cls(
@@ -96,7 +99,6 @@ class ShardReceipt:
             shard_index=payload["shard_index"],
             num_shards=payload["num_shards"],
             cache_schema=payload["cache_schema"],
-            completed_keys=list(payload.get("completed_keys", [])),
             stats=RunnerStats.from_json(payload.get("stats", {})),
             metrics=payload.get("metrics"),
             attempt=payload.get("attempt", 0),
@@ -234,7 +236,6 @@ def run_shard(
         shard_index=manifest["shard_index"],
         num_shards=manifest["num_shards"],
         cache_schema=manifest["cache_schema"],
-        completed_keys=[trial_cache_key(spec) for spec in specs],
         stats=backend.stats,
         metrics=diff_snapshots(metrics_before, get_registry().snapshot()),
         attempt=manifest.get("attempt", 0),

@@ -30,7 +30,8 @@ Output layout::
                                 (repro.service.store)
       site/                   - findings site (repro.service.site)
       next-plan/              - next cycle's plan + shard manifests
-      service-state.json      - ingest ledger, submissions, timestamps
+      service-state.json      - submissions ledger, flight diagnoses
+                                counted, the last ingest's wall clock
       heartbeat.json          - repro.obs heartbeat
       stop                    - create this file for graceful shutdown
 
@@ -54,7 +55,7 @@ import signal
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from ..atomicio import atomic_write, load_json_artifact
 from ..config import (
@@ -108,9 +109,16 @@ def _checked_state(payload: Dict) -> Dict:
         )
     # A missing section is a LookupError here, which the loader reports
     # with the file's name, rather than a KeyError mid-ingest.
-    payload["cycles"]
     for section in ("accepted", "rejected", "processed_lines"):
         payload["submissions"][section]
+    # Older states also copied every cycle and the fold totals from the
+    # store; only what the store does not hold is carried over.
+    totals = payload.pop("totals", None) or {}
+    stamps = [c.get("ingested_unix") for c in payload.pop("cycles", ())]
+    payload.setdefault("flight_diagnosed", totals.get("flight_diagnosed", 0))
+    payload.setdefault(
+        "last_ingest_unix", max(filter(None, stamps), default=None)
+    )
     return payload
 
 
@@ -188,7 +196,7 @@ class WatchdogService:
         self._replay_submissions()
 
     # ------------------------------------------------------------------
-    # Durable operational state (timestamps, submissions ledger)
+    # Durable operational state: what the store does not hold
     # ------------------------------------------------------------------
 
     @property
@@ -196,7 +204,11 @@ class WatchdogService:
         return self.out / SERVICE_STATE_FILENAME
 
     def _load_state(self) -> Dict:
-        """The durable ledger; a fresh one when the file is absent.
+        """The submissions ledger, the count of flight diagnoses
+        published and the wall clock of the last ingest; a fresh state
+        when the file is absent.  Everything about the ingested cycles
+        themselves is read from the store (:meth:`status`), so the two
+        cannot disagree.
 
         A file that is there but is not this library's service state -
         cut short, corrupted, another JSON shape or schema - raises
@@ -209,12 +221,13 @@ class WatchdogService:
             )
         return {
             "schema": SERVICE_STATE_SCHEMA_VERSION,
-            "cycles": [],
             "submissions": {
                 "accepted": [],
                 "rejected": [],
                 "processed_lines": 0,
             },
+            "flight_diagnosed": 0,
+            "last_ingest_unix": None,
         }
 
     def _save_state(self) -> None:
@@ -445,14 +458,14 @@ class WatchdogService:
 
     def _read_trials(
         self, entry: Path, cache: TrialCache, specs: Sequence[TrialSpec]
-    ) -> Tuple[List[Optional[CachedTrial]], RunnerStats]:
+    ) -> List[Optional[CachedTrial]]:
         """The entry's one cache read: a record per spec, ``None`` where
         the cache has none.  Fleet caches may hold early-terminated
         trials (:mod:`repro.core.earlystop`); folding takes whatever the
         fleet measured, so truncated entries are results here, not
         misses.  A damaged entry retires the spool entry."""
         try:
-            return lookup(cache, specs, allow_truncated=True)
+            return lookup(cache, specs, allow_truncated=True)[0]
         except CacheEntryError as exc:
             raise self._retire_unreadable(entry, exc) from exc
 
@@ -469,6 +482,13 @@ class WatchdogService:
             f"spool entry {entry.name}: {cause}; entry moved to failed/"
         )
 
+    def _stamp_ingest(self, diagnosed: int = 0) -> None:
+        """Record that an entry's cycle is in the store now (committed,
+        or found committed) - before the entry leaves ``incoming/``."""
+        self.state["flight_diagnosed"] += diagnosed
+        self.state["last_ingest_unix"] = time.time()
+        self._save_state()
+
     def _skip_ingested(
         self, entry: Path, cycle_id: str, kind: str, partial: bool
     ) -> IngestReport:
@@ -476,6 +496,7 @@ class WatchdogService:
         # Re-diagnose before retiring: heals a crash that landed between
         # the journal commit and the diagnosis writes.
         diagnosed = self._ingest_flight_sidecars(entry)
+        self._stamp_ingest()
         self._move_entry(entry, "done")
         return IngestReport(
             source=entry.name,
@@ -521,7 +542,7 @@ class WatchdogService:
                 requeued = self._requeue_open_rounds(state)
             if cycle_id in self.store.ingested_ids():
                 return self._skip_ingested(entry, cycle_id, kind, partial)
-            records, stats = self._read_trials(entry, cache, specs)
+            records = self._read_trials(entry, cache, specs)
             missing = records.count(None)
             if missing:
                 self._move_entry(entry, "failed")
@@ -541,7 +562,7 @@ class WatchdogService:
             except FleetError as exc:
                 raise self._retire_unreadable(entry, exc) from exc
             kind = "fixed"
-            records, stats = self._read_trials(
+            records = self._read_trials(
                 entry, cache, [trial.spec for trial in plan.trials]
             )
             missing_shards = set()
@@ -593,38 +614,7 @@ class WatchdogService:
             )
         _fault("post-commit")
         diagnosed = self._ingest_flight_sidecars(entry)
-        self.state["cycles"].append(
-            {
-                "cycle_id": cycle_id,
-                "source": entry.name,
-                "kind": kind,
-                "partial": partial,
-                "trials": len(record.results),
-                "ingested_unix": time.time(),
-            }
-        )
-        totals = self.state.setdefault(
-            "totals",
-            {"cache_hits": 0, "trials_folded": 0, "flight_diagnosed": 0},
-        )
-        totals["cache_hits"] += stats.cache_hits
-        totals["trials_folded"] += len(record.results)
-        totals["flight_diagnosed"] += diagnosed
-        truncated = [r for r in record.experiment_results() if r.truncated]
-        if truncated:
-            # Earlystop keys appear only once a truncated trial has been
-            # folded, so pre-earlystop status payloads are unchanged.
-            totals["trials_truncated"] = (
-                totals.get("trials_truncated", 0) + len(truncated)
-            )
-            totals["sim_sec_saved"] = round(
-                totals.get("sim_sec_saved", 0.0)
-                + sum(
-                    r.earlystop.get("sim_sec_saved", 0.0) for r in truncated
-                ),
-                3,
-            )
-        self._save_state()
+        self._stamp_ingest(diagnosed)
         self._move_entry(entry, "done")
         registry = get_registry()
         registry.counter("service.cycles_ingested").inc()
@@ -827,10 +817,11 @@ class WatchdogService:
         """Machine-readable service status (CLI ``repro service status``)."""
         pending = [entry.name for entry in self.scan_spool()]
         ledger = self.state["submissions"]
+        cycles = self.store.cycles()
         return {
             "spool": str(self.spool),
             "out": str(self.out),
-            "cycles_ingested": len(self.store.cycles()),
+            "cycles_ingested": len(cycles),
             "trials_total": len(self.store),
             "window_cycles": self.window_cycles,
             "bandwidths_bps": self.store.bandwidths_bps(),
@@ -839,44 +830,62 @@ class WatchdogService:
                 "accepted": len(ledger["accepted"]),
                 "rejected": len(ledger["rejected"]),
             },
-            "last_cycles": self.state["cycles"][-5:],
-            "observability": self._observability_status(),
+            "last_cycles": [
+                {
+                    "cycle_id": record.cycle_id,
+                    "source": record.source,
+                    "kind": record.kind,
+                    "partial": record.partial,
+                    "trials": len(record.results),
+                }
+                for record in cycles[-5:]
+            ],
+            "observability": self._observability_status(cycles),
             "site_index": str(self.site.index_path),
             "next_plan": str(self.out / "next-plan" / "plan.json"),
         }
 
-    def _observability_status(self) -> Dict:
-        """Freshness ages and durable obs totals for ``status()``.
+    def _observability_status(self, cycles: List[CycleRecord]) -> Dict:
+        """Freshness ages and obs totals for ``status()``.
 
-        ``last_ingest_age_sec`` is how long since a cycle was folded,
-        ``heartbeat_age_sec`` how long since the service loop wrote its
-        heartbeat (``None`` before either happens) - the two staleness
-        signals an operator watches.  Totals accumulate across restarts
-        via the service state (legacy states report zeros).
+        ``last_ingest_age_sec`` is how long since an ingest pass last
+        committed (or found committed) a cycle, ``heartbeat_age_sec``
+        how long since the service loop wrote its heartbeat (``None``
+        before either happens) - the two staleness signals an operator
+        watches.  The fold totals are counted over the stored ``cycles``
+        (every folded trial is a cache hit: folding never simulates);
+        ``flight_diagnosed`` accumulates across restarts in the service
+        state.
         """
         now = time.time()
-        ingest_times = [
-            entry["ingested_unix"]
-            for entry in self.state["cycles"]
-            if entry.get("ingested_unix") is not None
-        ]
         heartbeat_age = None
         try:
             beat = Heartbeat.load(self.out / "heartbeat.json")
             heartbeat_age = round(beat.age_sec(now), 1)
         except (OSError, HeartbeatError):
             pass
-        totals = self.state.get("totals") or {
-            "cache_hits": 0,
-            "trials_folded": 0,
-            "flight_diagnosed": 0,
+        folded = sum(len(record.results) for record in cycles)
+        totals = {
+            "cache_hits": folded,
+            "trials_folded": folded,
+            "flight_diagnosed": self.state["flight_diagnosed"],
         }
+        earlystop = RunnerStats()
+        for record in cycles:
+            for result in record.results:
+                earlystop.record_earlystop(result.get("earlystop"))
+        if earlystop.trials_truncated:
+            # Earlystop keys appear only once a truncated trial has been
+            # folded, so pre-earlystop status payloads are unchanged.
+            totals["trials_truncated"] = earlystop.trials_truncated
+            totals["sim_sec_saved"] = round(earlystop.sim_sec_saved, 3)
+        last = self.state["last_ingest_unix"]
         return {
             "last_ingest_age_sec": (
-                round(now - max(ingest_times), 1) if ingest_times else None
+                round(now - last, 1) if last is not None else None
             ),
             "heartbeat_age_sec": heartbeat_age,
-            "totals": dict(totals),
+            "totals": totals,
             "diagnoses_published": len(
                 list((self.out / "diagnoses").glob("*/*.json"))
             )

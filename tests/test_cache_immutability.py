@@ -80,7 +80,6 @@ def plan_and_shards(root, shards=2, overlap=False):
             shard_index=shard,
             num_shards=shards,
             cache_schema=plan.cache_schema,
-            completed_keys=[t.cache_key for t in owned],
         ).write(directory)
         dirs.append(directory)
     return plan, dirs
@@ -197,8 +196,9 @@ class TestLinkIsolation:
         TrialCache(shard).put(
             trial.spec, synthetic_result(trial.spec, truncated_at=4_000_000)
         )
+        ShardReceipt(plan.plan_id, 0, 1, plan.cache_schema).write(shard)
         merged = tmp_path / "merged"
-        merge_shards(plan, [shard], merged, require_receipts=False)
+        merge_shards(plan, [shard], merged)
         name = f"{trial.cache_key}.json"
         assert os.path.samefile(shard / name, merged / name)
         return trial, shard / name, merged / name

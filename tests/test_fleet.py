@@ -186,10 +186,10 @@ class TestShardExecutionMergeAssembly:
         plan, shard_dirs, _merged, receipts, _report = pipeline
         for shard, receipt in enumerate(receipts):
             assert receipt.plan_id == plan.plan_id
-            assert sorted(receipt.completed_keys) == sorted(
-                t.cache_key for t in plan.shard_trials(shard)
-            )
-            assert receipt.stats.trials_run == len(receipt.completed_keys)
+            # The manifest is the receipt's key list: it names none.
+            assert "completed_keys" not in receipt.to_json()
+            assert receipt.stats.trials_run == len(plan.shard_trials(shard))
+            assert receipt.stats.trials_total == len(plan.shard_trials(shard))
             reloaded = ShardReceipt.load(shard_dirs[shard])
             assert reloaded.to_json() == receipt.to_json()
 
@@ -302,21 +302,14 @@ class TestShardExecutionMergeAssembly:
         evil.mkdir()
         payload = json.loads((shard_dirs[0] / f"{key}.json").read_text())
         (evil / f"{key}.json").write_text(forge(payload))
+        ShardReceipt(plan.plan_id, 0, 2, CACHE_SCHEMA_VERSION).write(evil)
         with pytest.raises(FleetError, match="divergent duplicate"):
-            merge_shards(
-                plan,
-                list(shard_dirs) + [evil],
-                tmp_path / "m",
-                require_receipts=False,
-            )
+            merge_shards(plan, list(shard_dirs) + [evil], tmp_path / "m")
 
     def test_identical_duplicates_are_deduplicated(self, pipeline, tmp_path):
         plan, shard_dirs, _merged, _receipts, _report = pipeline
         report = merge_shards(
-            plan,
-            list(shard_dirs) + [shard_dirs[0]],
-            tmp_path / "m",
-            require_receipts=False,
+            plan, list(shard_dirs) + [shard_dirs[0]], tmp_path / "m"
         )
         assert report.duplicates == len(plan.shard_trials(0))
         assert report.gaps == []
@@ -331,6 +324,7 @@ class TestShardExecutionMergeAssembly:
         plan, shard_dirs, _merged, _receipts, _report = pipeline
         older = tmp_path / "older"
         older.mkdir()
+        shutil.copy(shard_dirs[0] / RECEIPT_FILENAME, older)
         for entry in shard_dirs[0].glob("*.json"):
             if entry.name != RECEIPT_FILENAME:
                 (older / entry.name).write_text(
@@ -340,7 +334,7 @@ class TestShardExecutionMergeAssembly:
         key = plan.shard_trials(0)[0].cache_key
         for order in ([older, *shard_dirs], [*shard_dirs, older]):
             dest = tmp_path / f"m-{order[0].name}"
-            report = merge_shards(plan, order, dest, require_receipts=False)
+            report = merge_shards(plan, order, dest)
             assert report.duplicates == len(plan.shard_trials(0))
             assert report.superseded_entries == 0 and report.gaps == []
             # First come stays: nothing is rewritten for a duplicate.
@@ -354,10 +348,7 @@ class TestShardExecutionMergeAssembly:
         payload["seed"] = float(payload["seed"])
         (older / f"{key}.json").write_text(json.dumps(payload, **layout))
         with pytest.raises(FleetError, match="divergent duplicate"):
-            merge_shards(
-                plan, [older, *shard_dirs], tmp_path / "m-typed",
-                require_receipts=False,
-            )
+            merge_shards(plan, [older, *shard_dirs], tmp_path / "m-typed")
 
     def test_assemble_refuses_incomplete_cache(self, pipeline):
         plan, shard_dirs, _merged, _receipts, _report = pipeline
@@ -752,7 +743,7 @@ class TestInterruptedShard:
         receipt = run_shard(tmp_path / "plan" / "shard-0.json",
                             tmp_path / "s0")
         assert (receipt.stats.trials_run, receipt.stats.cache_hits) == (2, 2)
-        assert len(receipt.completed_keys) == 4
+        assert receipt.stats.trials_total == len(keys) == 4
 
     def test_inline_rerun_resumes(self, tmp_path, monkeypatch):
         plan = self._interrupted(
@@ -884,10 +875,7 @@ class TestHostileManifestsAndReceipts:
         plan = small_plan(num_shards=1)
         shard = tmp_path / "s0"
         shard.mkdir()
-        ShardReceipt(
-            plan.plan_id, 0, 1, CACHE_SCHEMA_VERSION,
-            completed_keys=plan.expected_keys(),
-        ).write(shard)
+        ShardReceipt(plan.plan_id, 0, 1, CACHE_SCHEMA_VERSION).write(shard)
         path = shard / RECEIPT_FILENAME
         path.write_text(damage(path.read_text()))
         for load in (
@@ -1219,9 +1207,7 @@ class TestSchema2FilesKeepWorking:
         for index, shard_dir in enumerate(shard_dirs):
             receipt = run_shard(V2_FIXTURE / f"shard-{index}.json", shard_dir)
             assert receipt.plan_id == V2_PLAN_ID
-            assert receipt.completed_keys == [
-                t.cache_key for t in old.shard_trials(index)
-            ]
+            assert receipt.stats.trials_total == len(old.shard_trials(index))
         merge = merge_shards(old, shard_dirs, tmp_path / "merged-old")
         assert (merge.entries_merged, merge.gaps) == (len(old.trials), [])
         (old_report,) = assemble_reports(
@@ -1252,9 +1238,10 @@ class TestSchema2FilesKeepWorking:
         path = tmp_path / "shard-0.json"
         path.write_text(json.dumps(manifest))
         receipt = run_shard(path, tmp_path / "s0")
-        assert receipt.completed_keys == [
+        assert receipt.stats.trials_total == len(old["trials"])
+        assert set(scan_cache_dir(tmp_path / "s0")[0]) == {
             row["cache_key"] for row in old["trials"]
-        ]
+        }
 
     def test_fixture_ingests_to_the_site_todays_plan_ingests_to(
         self, tmp_path

@@ -468,20 +468,22 @@ def small_plan(tmp_path, trials=1, duration=3.0):
 class TestFleetFlight:
     def test_a_receipt_carrying_a_flight_prefix_still_loads(self, tmp_path):
         """Receipts once embedded truncated recordings as
-        ``flight_prefix``; one written that way loads like any other,
-        and the field is not written again."""
+        ``flight_prefix`` and listed their manifest's keys as
+        ``completed_keys``; one written that way loads like any other,
+        and neither field is written again."""
         from repro.fleet.worker import RECEIPT_FILENAME, ShardReceipt
 
         receipt = ShardReceipt(
             plan_id="p", shard_index=0, num_shards=1, cache_schema=1,
-            completed_keys=["k" * 64],
         )
         payload = receipt.to_json()
         payload["flight_prefix"] = {"k" * 64: {"points": 4}}
+        payload["completed_keys"] = ["k" * 64]
         (tmp_path / RECEIPT_FILENAME).write_text(json.dumps(payload))
         loaded = ShardReceipt.load(tmp_path)
         assert loaded == receipt
         assert "flight_prefix" not in loaded.to_json()
+        assert "completed_keys" not in loaded.to_json()
 
     def test_run_shard_records_sidecars(self, tmp_path):
         from repro.fleet.worker import RECEIPT_FILENAME, run_shard
@@ -494,7 +496,7 @@ class TestFleetFlight:
             record_flight=True,
         )
         keys = sorted(t.cache_key for t in plan.trials)
-        assert sorted(receipt.completed_keys) == keys
+        assert receipt.stats.trials_total == len(keys)
         for key in keys:
             assert (cache_dir / f"{key}.flight.json").exists()
         # The recordings travel as sidecars only, not in the receipt.

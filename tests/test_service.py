@@ -548,6 +548,46 @@ class TestServiceIngest:
         assert status["trials_total"] == 3
         assert status["pending_entries"] == []
         assert status["bandwidths_bps"] == [units.mbps(8)]
+        assert status["last_cycles"] == [
+            {"cycle_id": service.store.cycles()[0].cycle_id,
+             "source": "cycle-a", "kind": "fixed", "partial": False,
+             "trials": 3}
+        ]
+        state = json.loads(service.state_path.read_text())
+        assert sorted(state) == [
+            "flight_diagnosed", "last_ingest_unix", "schema", "submissions"
+        ]
+
+    def test_a_state_listing_cycles_and_totals_still_loads(self, tmp_path):
+        """Service states once copied every ingested cycle and the fold
+        totals from the store.  Such a file loads: its diagnoses count
+        and latest ingest stamp carry over, the copies are dropped at
+        the next save, and status counts from the store."""
+        service = make_service(tmp_path)
+        make_fixed_entry(tmp_path / "spool" / "incoming" / "cycle-a")
+        service.ingest_once()
+        older = json.loads(service.state_path.read_text())
+        del older["flight_diagnosed"], older["last_ingest_unix"]
+        stamp = time.time() - 60
+        older["cycles"] = [{"cycle_id": "x", "source": "cycle-a",
+                            "kind": "fixed", "partial": False, "trials": 9,
+                            "ingested_unix": stamp}]
+        older["totals"] = {"cache_hits": 9, "trials_folded": 9,
+                           "flight_diagnosed": 4}
+        service.state_path.write_text(json.dumps(older))
+        restarted = make_service(tmp_path)
+        status = restarted.status()
+        assert status["cycles_ingested"] == len(status["last_cycles"]) == 1
+        totals = status["observability"]["totals"]
+        assert totals == {"cache_hits": 3, "trials_folded": 3,
+                          "flight_diagnosed": 4}
+        assert status["observability"]["last_ingest_age_sec"] >= 60
+        (tmp_path / "spool" / "submissions.jsonl").write_text("")
+        restarted.process_submissions()  # saves the state
+        saved = json.loads(service.state_path.read_text())
+        assert "cycles" not in saved and "totals" not in saved
+        assert saved["flight_diagnosed"] == 4
+        assert saved["last_ingest_unix"] == stamp
 
     @pytest.mark.parametrize(
         "payload",
@@ -888,6 +928,17 @@ class TestKillAndRestart:
         assert summary["ingested"][0]["skipped"]
         assert summary["cycles_total"] == 1
         assert (root / "spool" / "done" / "cycle-a").exists()
+
+        # Status reads the cycles from the store, so it agrees with it
+        # although the killed process never recorded its ingest.
+        shown = _run_cli(["service", "status", *args[2:6]])
+        assert shown.returncode == 0, shown.stderr
+        status = json.loads(shown.stdout)
+        assert len(status["last_cycles"]) == status["cycles_ingested"] == 1
+        assert status["last_cycles"][0]["trials"] == status["trials_total"]
+        observed = status["observability"]
+        assert observed["totals"]["trials_folded"] == status["trials_total"]
+        assert observed["last_ingest_age_sec"] is not None
 
     def test_service_run_exits_zero_on_sigterm(self, tmp_path):
         (tmp_path / "spool" / "incoming").mkdir(parents=True)

@@ -1,7 +1,6 @@
 """The website-style markdown findings report."""
 
-import json
-import logging
+import os
 from pathlib import Path
 
 import pytest
@@ -15,8 +14,6 @@ from repro.analysis.site import (
 from repro.core.experiment import ExperimentResult
 from repro.core.results import ResultStore
 from repro.service.site import SiteRenderer, bandwidth_tag
-
-from tests.test_cache_immutability import ENTRY_DAMAGE
 
 BW = units.mbps(8)
 BW50 = units.mbps(50)
@@ -142,92 +139,40 @@ class TestIncrementalSite:
         assert renderer.regenerate(store, None) == []
         assert renderer.index_path.read_bytes() == index_before
 
-    @pytest.mark.parametrize("kind", sorted(ENTRY_DAMAGE) + ["other-schema"])
-    def test_damaged_state_file_is_rebuilt_by_a_full_render(
-        self, store, tmp_path, kind
-    ):
-        """``site-state.json`` is only a ledger of section hashes: one
-        that cannot be read is treated as absent - every section is
-        rendered again, the ledger comes back byte-identical, and the
-        discard is logged once - even when the caller asked for an
-        incremental pass.  (At the parent: a JSONDecodeError from every
-        ingest, after the journal commit.)"""
-        damage = (
-            (lambda data: data.replace(b'"schema": 1', b'"schema": 99'))
-            if kind == "other-schema"
-            else ENTRY_DAMAGE[kind][0]
-        )
+    def test_a_full_refresh_heals_from_the_files_alone(self, store, tmp_path):
+        """The section files are the only record of what was published:
+        a full refresh rewrites a hand-truncated section, removes the
+        section of a bandwidth the store does not hold and a leftover
+        ``site-state.json`` ledger, leaves every other file's bytes and
+        mtime alone - over an unchanged store, every file's - and never
+        writes a ledger."""
         for seed in range(3):
             store.add(synth("bully", "peer", 1.6, 0.4, seed, bw=BW50))
-        renderer = SiteRenderer(tmp_path / "site")
-        renderer.regenerate(store, None)
-        healthy = {
-            path: path.read_bytes()
-            for path in (tmp_path / "site").rglob("*") if path.is_file()
-        }
-        renderer.state_path.write_bytes(damage(healthy[renderer.state_path]))
-        logged = []
-        handler = logging.Handler()
-        handler.emit = lambda record: logged.append(record.getMessage())
-        logger = logging.getLogger("repro.service.site")
-        logger.addHandler(handler)
-        try:
-            changed = SiteRenderer(tmp_path / "site").regenerate(
-                store, changed_bandwidths=[BW50]
-            )
-            assert changed == [BW, BW50]
-            assert renderer.regenerate(store, changed_bandwidths=[]) == []
-        finally:
-            logger.removeHandler(handler)
-        assert {
-            path: path.read_bytes()
-            for path in (tmp_path / "site").rglob("*") if path.is_file()
-        } == healthy
-        assert logged == ["service.site_state_discarded"]
+        site = tmp_path / "site"
+        renderer = SiteRenderer(site)
+        assert renderer.regenerate(store, None) == [BW, BW50]
 
-    @pytest.mark.parametrize(
-        "state",
-        [
-            {"schema": 1},
-            {"schema": 1, "sections": [{}]},
-            {"schema": 1, "sections": 5},
-            {"schema": 1, "sections": [{"bandwidth_bps": BW, "tag": "8mbps"}]},
-            {"schema": 1, "sections": [
-                {"bandwidth_bps": "8e6", "tag": "8mbps", "sha256": "0"}
-            ]},
-            {"schema": 1, "sections": [
-                {"bandwidth_bps": BW, "tag": "8mbps", "sha256": "0"},
-                {"bandwidth_bps": BW50, "tag": "../50mbps", "sha256": "0"},
-            ]},
-        ],
-        ids=["no-sections", "empty-section", "sections-not-a-list",
-             "no-sha256", "bandwidth-not-a-number", "foreign-tag"],
-    )
-    def test_a_schema_1_state_of_the_wrong_shape_is_discarded(
-        self, store, tmp_path, state
-    ):
-        """A ledger that says ``schema: 1`` but is not one is damaged
-        like any other: discarded with the warning and every section
-        rendered again - not a KeyError or TypeError from every
-        ``regenerate``."""
-        renderer = SiteRenderer(tmp_path / "site")
-        renderer.regenerate(store, None)
-        healthy = {
-            path: path.read_bytes()
-            for path in (tmp_path / "site").rglob("*") if path.is_file()
-        }
-        renderer.state_path.write_text(json.dumps(state))
-        logged = []
-        handler = logging.Handler()
-        handler.emit = lambda record: logged.append(record.getMessage())
-        logger = logging.getLogger("repro.service.site")
-        logger.addHandler(handler)
-        try:
-            assert renderer.regenerate(store, changed_bandwidths=[BW]) == [BW]
-        finally:
-            logger.removeHandler(handler)
-        assert {
-            path: path.read_bytes()
-            for path in (tmp_path / "site").rglob("*") if path.is_file()
-        } == healthy
-        assert logged == ["service.site_state_discarded"]
+        def files():
+            return {
+                path: (path.read_bytes(), path.stat().st_mtime_ns)
+                for path in sorted(site.rglob("*")) if path.is_file()
+            }
+
+        for path in files():
+            os.utime(path, ns=(10**9, 10**9))
+        healthy = files()
+        assert SiteRenderer(site).regenerate(store, None) == []
+        assert files() == healthy
+
+        section_8 = renderer.section_path(BW)
+        section_8.write_bytes(healthy[section_8][0][:100])
+        (renderer.sections_dir / "bw-2_5mbps.md").write_text("stale\n")
+        (site / "site-state.json").write_text('{"schema": 1}')
+        changed = SiteRenderer(site).regenerate(store, None)
+        assert changed == [units.mbps(2.5), BW]
+        after = files()
+        assert sorted(after) == sorted(healthy)
+        assert after[section_8][0] == healthy[section_8][0]
+        del after[section_8], healthy[section_8]
+        assert after == healthy
+        assert not (site / "site-state.json").exists()
