@@ -54,7 +54,7 @@ def add_network_args(parser: argparse.ArgumentParser) -> None:
         help="bottleneck bandwidth in Mbps (default: 8)",
     )
     parser.add_argument(
-        "--buffer-bdp", type=float, default=4.0,
+        "--buffer-bdp", type=positive_float, default=4.0,
         help="queue size as a BDP multiple (default: 4)",
     )
     parser.add_argument(
@@ -78,8 +78,9 @@ def config_from_args(args) -> ExperimentConfig:
 
 
 def _values(text: str) -> List[float]:
-    """``--values``' type: comma-separated floats."""
-    return [float(v) for v in text.split(",")]
+    """``--values``' type: comma-separated finite numbers, else a usage
+    error (exit 2)."""
+    return [finite_float(item) for item in text.split(",")]
 
 
 def add_sweep_args(parser: argparse.ArgumentParser) -> None:
@@ -106,10 +107,22 @@ def positive_int(text: str) -> int:
     return int(text)
 
 
+def finite_float(text: str) -> float:
+    """A finite number (each ``--values`` item), else a usage error
+    (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number: {text!r}")
+    return value
+
+
 def positive_float(text: str) -> float:
-    """The type of every rate and interval flag (``--bandwidth``,
-    ``--poll-sec``, each ``--plan-bandwidths`` item): a finite number
-    > 0, else a usage error (exit 2)."""
+    """The type of every rate, size and interval flag (``--bandwidth``,
+    ``--buffer-bdp``, ``--poll-sec``, each ``--plan-bandwidths`` item):
+    a finite number > 0, else a usage error (exit 2)."""
     try:
         value = float(text)
     except ValueError:
@@ -153,6 +166,15 @@ def add_cache_dir_arg(
 ) -> None:
     """``--cache-dir``: a trial cache directory."""
     parser.add_argument("--cache-dir", required=required, help=text)
+
+
+def add_record_flight_arg(parser: argparse.ArgumentParser) -> None:
+    """``--record-flight``: flight-record every simulated trial."""
+    parser.add_argument(
+        "--record-flight", action="store_true",
+        help="flight-record simulated trials: the recordings land as "
+             "cache sidecars",
+    )
 
 
 def add_workers_arg(parser: argparse.ArgumentParser, text: str) -> None:

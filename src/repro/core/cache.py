@@ -31,11 +31,11 @@ the directory (receipts, notes) is ignored.
 
 Every lookup is one batch :meth:`TrialCache.read` (``get`` reads one),
 and a hit costs what it must: the key is derived once per spec object
-(:func:`trial_cache_key`, which hashes only the seed and service ids on
+(:func:`trial_cache_keys`, which hashes only the seed and service ids on
 top of a memoised SHA-256 state), the entry's path is one string
-concatenation, and the file is read as bytes and parsed once by
+concatenation, and the file is one ``os.read`` parsed once by
 :data:`decode_record`, the C parser (``cache.keys_derived`` /
-``cache.entries_parsed`` count both, the latter once per batch).  A
+``cache.entries_parsed`` count both, once per batch).  A
 file that is not a UTF-8 JSON object, or an entry without a trial
 record's fields, raises :class:`CacheEntryError`: it is never a miss
 and never a result.  The
@@ -145,6 +145,29 @@ _NUMBER_TYPES = (int, float)
 #: refuses where a record has integers.
 decode_record = orjson.loads
 
+#: The encoder of plans and shard manifests (:mod:`repro.fleet.plan`),
+#: bound here so this module stays orjson's one importer.  Their bytes
+#: feed no cache key, so the C encoder may write them where it spells
+#: a payload as ``json`` does; records keep ``json``'s encoder
+#: (:func:`canonical_json`), whose spelling every key hashes.
+encode_manifest = orjson.dumps
+
+
+#: One read holds an entry whole (they are a few KiB); a buffer that
+#: comes back full may have more behind it.
+_READ_SIZE = 1 << 16
+
+#: What ``payload`` is before the bytes were parsed.
+_UNPARSED = object()
+
+
+def _read_on(fd: int, raw: bytes) -> bytes:
+    """``raw`` and whatever follows it in ``fd``, read to EOF."""
+    chunks = [raw]
+    while chunk := os.read(fd, _READ_SIZE):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
 
 def _read_entry(
     path: str, trial: bool = True, raw: "Optional[bytes | str]" = None
@@ -156,29 +179,38 @@ def _read_entry(
     check of what it is about to write) passes them as ``raw``, and
     ``path`` only names them.
 
+    The file is one ``os.read`` where it fits :data:`_READ_SIZE`; a full
+    buffer is read on to EOF, and so are bytes that do not parse before
+    they are called damaged, so a short read is never mistaken for a
+    damaged entry.
+
     A ``trial`` file (an entry, not a sidecar) must also hold every
     field a result is built from, its integer fields within signed 64
     bits, its ``earlystop`` block, if any, an object and its
     ``mmf_share`` a number for both its ``contender_id`` and its
     ``incumbent_id``; the result itself is not built."""
+    payload = _UNPARSED
     if raw is None:
         try:
             fd = os.open(path, os.O_RDONLY)
         except FileNotFoundError:
             return None
         try:
-            chunks = []
-            # Entries are a few KiB: one read, and one more that finds EOF.
-            while chunk := os.read(fd, 1 << 16):
-                chunks.append(chunk)
+            raw = os.read(fd, _READ_SIZE)
+            if len(raw) == _READ_SIZE:
+                raw = _read_on(fd, raw)
+            try:
+                payload = decode_record(raw)
+            except ValueError:
+                raw = _read_on(fd, raw)
         finally:
             os.close(fd)
-        raw = b"".join(chunks)
-    try:
-        # orjson.JSONDecodeError is a ValueError; bad UTF-8 is one too.
-        payload = decode_record(raw)
-    except ValueError as exc:
-        raise CacheEntryError(f"{path}: not valid JSON ({exc})") from exc
+    if payload is _UNPARSED:
+        try:
+            # orjson.JSONDecodeError is a ValueError; bad UTF-8 is one too.
+            payload = decode_record(raw)
+        except ValueError as exc:
+            raise CacheEntryError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise CacheEntryError(
             f"{path}: expected a JSON object, found {type(payload).__name__}"
@@ -189,13 +221,24 @@ def _read_entry(
             raise CacheEntryError(
                 f"{path}: not a trial record (missing {missing})"
             )
-        for name in _INT64_FIELDS:
-            value = payload[name]
-            if type(value) is not int or not _INT64_MIN <= value <= _INT64_MAX:
-                raise CacheEntryError(
-                    f"{path}: not a trial record ({name} reads as "
-                    f"{value!r}, not a signed 64-bit integer)"
-                )
+        seed = payload["seed"]
+        duration = payload["duration_usec"]
+        packets = payload["buffer_packets"]
+        if not (
+            type(seed) is type(duration) is type(packets) is int
+            and _INT64_MIN <= seed <= _INT64_MAX
+            and _INT64_MIN <= duration <= _INT64_MAX
+            and _INT64_MIN <= packets <= _INT64_MAX
+        ):
+            for name in _INT64_FIELDS:
+                value = payload[name]
+                if type(value) is not int or not (
+                    _INT64_MIN <= value <= _INT64_MAX
+                ):
+                    raise CacheEntryError(
+                        f"{path}: not a trial record ({name} reads as "
+                        f"{value!r}, not a signed 64-bit integer)"
+                    )
         earlystop = payload.get("earlystop")
         if earlystop is not None and type(earlystop) is not dict:
             raise CacheEntryError(
@@ -357,7 +400,7 @@ def config_canonical_json(config) -> str:
     return _config_memo(config)[1]
 
 
-#: Memos behind :func:`trial_cache_key`: the SHA-256 state of a key's
+#: Memos behind :func:`trial_cache_keys`: the SHA-256 state of a key's
 #: prefix per ``(config, env, network)`` object triple - each entry holds
 #: the three objects, so an id in it cannot be reused - and the encoded
 #: tail per service-id tuple.  Bounded like the config memo.
@@ -399,12 +442,12 @@ def _ids_tail(service_ids: "tuple[str, ...]") -> bytes:
     return tail
 
 
-def trial_cache_key(
-    spec: "TrialSpec", env: Optional[ClientEnvironment] = None
-) -> str:
-    """Stable content hash addressing one deterministic trial.
+def trial_cache_keys(
+    specs: "Sequence[TrialSpec]", env: Optional[ClientEnvironment] = None
+) -> List[str]:
+    """Stable content hash addressing each deterministic trial, in order.
 
-    The key covers everything that feeds the simulation: service ids (in
+    A key covers everything that feeds the simulation: service ids (in
     order - order decides per-service seed derivation), the full network
     and experiment configs, the trial seed, the client environment
     (``None`` normalises to the faithful testbed, which is what service
@@ -421,30 +464,51 @@ def trial_cache_key(
     The faithful-environment key is derived once per spec *object* and
     kept on it (:attr:`TrialSpec._cache_key`; the spec is immutable, so
     the memo cannot go stale).  An explicit ``env`` neither reads nor
-    writes the memo.
+    writes the memo.  ``cache.keys_derived`` moves once per batch, by
+    the keys actually derived (a memo hit is none).
     """
-    if env is None:
-        key = spec._cache_key
-        if key is not None:
-            return key
+    faithful = env is None
     resolved_env = env or _FAITHFUL_ENV
-    config, network = spec.config, spec.network
-    pinned = _PREFIX_BY_IDS.get((id(config), id(resolved_env), id(network)))
-    if pinned is None:
-        pinned = _key_prefix(config, resolved_env, network)
-    service_ids, seed = spec.service_ids, spec.seed
-    tail = _IDS_TAILS.get(service_ids)
-    if tail is None:
-        tail = _ids_tail(service_ids)
-    digest = pinned[0].copy()
-    # ``str`` of an ``int`` is its JSON; a bool or float seed is not one.
-    seed_json = str(seed) if type(seed) is int else canonical_json(seed)
-    digest.update(seed_json.encode("ascii") + tail)
-    key = digest.hexdigest()
-    get_registry().counter("cache.keys_derived").inc()
-    if env is None:
-        object.__setattr__(spec, "_cache_key", key)
-    return key
+    keys: List[str] = []
+    derived = 0
+    try:
+        for spec in specs:
+            if faithful:
+                key = spec._cache_key
+                if key is not None:
+                    keys.append(key)
+                    continue
+            config, network = spec.config, spec.network
+            pinned = _PREFIX_BY_IDS.get(
+                (id(config), id(resolved_env), id(network))
+            )
+            if pinned is None:
+                pinned = _key_prefix(config, resolved_env, network)
+            service_ids, seed = spec.service_ids, spec.seed
+            tail = _IDS_TAILS.get(service_ids)
+            if tail is None:
+                tail = _ids_tail(service_ids)
+            digest = pinned[0].copy()
+            # ``str`` of an ``int`` is its JSON; a bool or float seed is
+            # not one.
+            seed_json = str(seed) if type(seed) is int else canonical_json(seed)
+            digest.update(seed_json.encode("ascii") + tail)
+            key = digest.hexdigest()
+            derived += 1
+            if faithful:
+                object.__setattr__(spec, "_cache_key", key)
+            keys.append(key)
+    finally:
+        if derived:
+            get_registry().counter("cache.keys_derived").inc(derived)
+    return keys
+
+
+def trial_cache_key(
+    spec: "TrialSpec", env: Optional[ClientEnvironment] = None
+) -> str:
+    """The :func:`trial_cache_keys` key of one spec."""
+    return trial_cache_keys((spec,), env)[0]
 
 
 class CachedTrial:
@@ -532,9 +596,9 @@ class TrialCache:
         prefix = self._prefix
         records: List[Optional[CachedTrial]] = []
         parsed = 0
+        keys = trial_cache_keys(specs, env)
         try:
-            for spec in specs:
-                key = trial_cache_key(spec, env)
+            for key in keys:
                 payload, raw = memory.get(key), None
                 if payload is None:
                     entry = _read_entry(prefix + key + ".json")

@@ -38,6 +38,7 @@ from ..cliargs import (
     add_earlystop_args,
     add_network_args,
     add_policy_args,
+    add_record_flight_arg,
     add_sweep_args,
     add_workers_arg,
     config_from_args,
@@ -376,9 +377,7 @@ def register(sub: argparse._SubParsersAction) -> None:
     add_backend_arg(p, "execution substrate (default: process when "
                        "--workers is set, else inline)")
     add_workers_arg(p, "process-pool size")
-    p.add_argument("--record-flight", action="store_true",
-                   help="flight-record simulated trials: the recordings "
-                        "land as cache sidecars")
+    add_record_flight_arg(p)
     p.set_defaults(func=_wrap(cmd_fleet_run_shard))
 
     p = fleet_sub.add_parser(

@@ -99,22 +99,34 @@ class MergeReport:
         }
 
 
-def _link_or_copy(source: str, target: str) -> None:
-    """Materialise ``source`` at ``target``; ``FileExistsError`` if taken.
+def _copy_new(source: str, target: str) -> bool:
+    """Copy ``source`` into a new file ``target``; ``False`` if taken."""
+    try:
+        with open(target, "xb") as handle:
+            handle.write(Path(source).read_bytes())
+    except FileExistsError:
+        return False
+    return True
+
+
+def _link_new(source: str, target: str) -> bool:
+    """Materialise ``source`` at ``target``; ``False`` if taken.
 
     Cache files are immutable (:mod:`repro.atomicio`), so on one
     filesystem the merged cache shares the shard's inode instead of
     re-writing its bytes.  Wherever the OS refuses the link (``EXDEV``
     across filesystems, ``EPERM``, no hard-link support) the bytes are
-    copied into an exclusively-created file instead.
+    copied into an exclusively-created file instead.  (:func:`merge_shards`
+    spells this out in its entry loop, which runs once per planned
+    trial.)
     """
     try:
         os.link(source, target)
     except FileExistsError:
-        raise
+        return False
     except OSError:
-        with open(target, "xb") as handle:
-            handle.write(Path(source).read_bytes())
+        return _copy_new(source, target)
+    return True
 
 
 def _carry_sidecars(
@@ -130,11 +142,8 @@ def _carry_sidecars(
     for name in names:
         if replace:
             atomic_write(dest + name, Path(shard + name).read_bytes())
-            continue
-        try:
-            _link_or_copy(shard + name, dest + name)
-        except FileExistsError:
-            pass
+        else:
+            _link_new(shard + name, dest + name)
 
 
 def _resolve_divergent(challenger: bytes, incumbent: bytes) -> Optional[str]:
@@ -257,12 +266,18 @@ def merge_shards(
         keys, sidecars = scan_cache_dir(shard)
         shard_prefix = os.path.join(shard, "")
         for key in keys:
-            carried = sidecars.get(key, ())
+            carried = sidecars.get(key)
             entry = shard_prefix + key + ".json"
             target = dest_prefix + key + ".json"
+            # _link_new, inline: this loop runs once per planned trial.
             try:
-                _link_or_copy(entry, target)
+                os.link(entry, target)
+                linked = True
             except FileExistsError:
+                linked = False
+            except OSError:
+                linked = _copy_new(entry, target)
+            if not linked:
                 data = Path(entry).read_bytes()
                 existing = Path(target).read_bytes()
                 if existing != data:
@@ -278,20 +293,24 @@ def merge_shards(
                         # Replace, never rewrite: target may share its
                         # inode with the shard directory it came from.
                         atomic_write(target, data)
-                        _carry_sidecars(
-                            carried, shard_prefix, dest_prefix, replace=True
-                        )
+                        if carried:
+                            _carry_sidecars(
+                                carried, shard_prefix, dest_prefix,
+                                replace=True,
+                            )
                     if verdict != "same":
                         report.superseded_entries += 1
                         continue
                 report.duplicates += 1
-                _carry_sidecars(carried, shard_prefix, dest_prefix)
+                if carried:
+                    _carry_sidecars(carried, shard_prefix, dest_prefix)
                 continue
             merged_keys.add(key)
             report.entries_merged += 1
             if key not in expected:
                 report.extras += 1
-            _carry_sidecars(carried, shard_prefix, dest_prefix)
+            if carried:
+                _carry_sidecars(carried, shard_prefix, dest_prefix)
     report.per_shard_stats = {
         index: receipt.stats for index, receipt in winners.items()
     }

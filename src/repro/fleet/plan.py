@@ -33,7 +33,10 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
+import operator
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import (
     Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
@@ -45,8 +48,11 @@ from ..atomicio import atomic_write
 from ..config import ExperimentConfig, NetworkConfig, TrialPolicyConfig
 from ..core.cache import (
     CACHE_SCHEMA_VERSION,
+    _INT64_MAX,
+    _INT64_MIN,
     config_fields,
-    trial_cache_key,
+    encode_manifest,
+    trial_cache_keys,
 )
 from ..core.convergence import ConvergenceTracker
 from ..core.policy import TrialPolicy
@@ -100,26 +106,26 @@ def _dataclass_from_json(cls, payload: Dict):
     return cls(**{k: v for k, v in payload.items() if k in known})
 
 
-def _config_reader(cls, table: Optional[List]) -> Callable:
-    """``row value -> config`` for one file's ``network`` or ``config``:
-    an index into the file's table, built here once per entry (schema
-    3), or the config itself (schema 1/2), interned for this load.  Both
-    are looked up by ``repr``, which is *type-exact*: ``true`` is not
-    index 1, and ``8e6`` / ``8000000`` compare equal but serialise, and
-    therefore key, differently (as ``config_canonical_json``)."""
-    configs = {
-        repr(index): _dataclass_from_json(cls, entry)
-        for index, entry in enumerate(table or ())
-    }
+def _config_reader(cls, table: Optional[List]) -> "tuple[List, Callable]":
+    """``(entries, resolve)`` for one file's ``network`` or ``config``
+    column: the file's table, built here once per entry (schema 3; a
+    row's ``int`` is a position in it), and ``row value -> config`` for
+    any other value - the config itself (schema 1/2), interned for this
+    load, or a defect to name.  ``resolve`` interns by ``repr``, which
+    is *type-exact*: ``true`` is not index 1, and ``8e6`` / ``8000000``
+    compare equal but serialise, and therefore key, differently (as
+    ``config_canonical_json``)."""
+    entries = [_dataclass_from_json(cls, entry) for entry in table or ()]
+    interned: Dict[str, object] = {}
 
     def resolve(ref):
         token = repr(ref)
-        config = configs.get(token)
+        config = interned.get(token)
         if config is None:
-            config = configs[token] = _dataclass_from_json(cls, ref)
+            config = interned[token] = _dataclass_from_json(cls, ref)
         return config
 
-    return resolve
+    return entries, resolve
 
 
 def shard_for_key(cache_key: str, num_shards: int) -> int:
@@ -149,15 +155,25 @@ def trial_rows(
     (:data:`ROW_COLUMNS` order).  The spec is built from the row's
     contents only; ``row[4]``, its ``cache_key``, is a claim to check."""
     columns = ROW_COLUMNS if with_shard else ROW_COLUMNS[:-1]
-    network_of = _config_reader(NetworkConfig, payload.get("networks"))
-    config_of = _config_reader(ExperimentConfig, payload.get("configs"))
+    networks, network_of = _config_reader(
+        NetworkConfig, payload.get("networks")
+    )
+    configs, config_of = _config_reader(
+        ExperimentConfig, payload.get("configs")
+    )
+    num_networks, num_configs = len(networks), len(configs)
     for row in payload["trials"]:
         if isinstance(row, dict):
             row = [row[name] for name in columns]
+        network, config = row[1], row[2]
         spec = TrialSpec(
             service_ids=tuple(row[0]),
-            network=network_of(row[1]),
-            config=config_of(row[2]),
+            network=networks[network]
+            if type(network) is int and 0 <= network < num_networks
+            else network_of(network),
+            config=configs[config]
+            if type(config) is int and 0 <= config < num_configs
+            else config_of(config),
             seed=row[3],
         )
         yield spec, row
@@ -402,10 +418,91 @@ def write_manifest(path: Union[str, Path], payload: Dict) -> None:
     Workers poll the directories these land in (``out/next-plan/``,
     ``spool/retry/``, adaptive round directories), so a manifest must
     never be readable half-written; and a plan is thousands of trial
-    rows nobody reads by eye, so it takes the C encoder's compact form
+    rows nobody reads by eye, so it takes a C encoder's compact form
     rather than the pure-Python indented one.
+
+    ``payload`` is a :meth:`FleetPlan.to_json` or
+    :meth:`FleetPlan.manifest_for` payload, its rows :func:`_tabulate`'s.
+    The bytes are ``json.dumps(payload, separators=(",", ":"))``'s.
+    orjson (:data:`~repro.core.cache.encode_manifest`) writes them where
+    it spells the payload as ``json`` does - no float in exponent
+    notation, nothing but ASCII below DEL, only ``str`` keys - and
+    ``json`` where it does not.  A value that has no such spelling to
+    keep is refused with a :class:`FleetError` naming the field, and
+    nothing is written: a non-finite float (``json`` writes ``NaN``,
+    which is not JSON; orjson ``null``) and an integer beyond signed 64
+    bits (orjson cannot write it; a trial seed past it is one no cache
+    entry may hold).
     """
+    spelled = True
+    for name, value in payload.items():
+        if name != "trials":
+            spelled = _json_spelled(value, name) and spelled
+    rows = payload["trials"]
+    try:
+        plain = _plain_rows(rows)
+    except TypeError:
+        plain = False
+    if not plain:
+        spelled = _json_spelled(rows, "trials") and spelled
+    if spelled:
+        encoded = encode_manifest(payload)
+        if encoded.isascii() and b"\x7f" not in encoded:
+            atomic_write(path, encoded)
+            return
     atomic_write(path, json.dumps(payload, separators=(",", ":")))
+
+
+_ID, _SEED, _KEY, _SHARD = (
+    operator.itemgetter(ROW_COLUMNS.index(name))
+    for name in ("service_ids", "seed", "cache_key", "shard")
+)
+
+
+def _plain_rows(rows: List[List]) -> bool:
+    """Whether :func:`_tabulate`'s rows (a list, a list of ids, two
+    ``int`` indexes) hold what a planner puts in the rest - ``str``
+    service ids and cache key, an ``int`` seed and shard, the seeds
+    within signed 64 bits even summed - checked a column at a time in
+    C; ``TypeError`` for a column of another type.  Rows that do not
+    are for :func:`_json_spelled` to walk."""
+    "".join(chain.from_iterable(map(_ID, rows)))
+    "".join(map(_KEY, rows))
+    seeds = sum(map(abs, map(_SEED, rows)))
+    if rows and len(rows[0]) == len(ROW_COLUMNS):
+        if type(sum(map(_SHARD, rows))) is not int:
+            return False
+    return type(seeds) is int and seeds <= _INT64_MAX
+
+
+def _json_spelled(value, path: str) -> bool:
+    """Whether :data:`~repro.core.cache.encode_manifest` spells ``value``
+    as ``json.dumps`` does, strings aside (``write_manifest`` checks the
+    bytes for those); :class:`FleetError` naming ``path`` for a value
+    :func:`write_manifest` refuses."""
+    kind = type(value)
+    if kind is int:
+        if not _INT64_MIN <= value <= _INT64_MAX:
+            raise FleetError(
+                f"{path} is {value}, not a signed 64-bit integer"
+            )
+        return True
+    if kind is float:
+        if not math.isfinite(value):
+            raise FleetError(f"{path} is {value!r}, not a finite number")
+        return "e" not in repr(value)
+    if kind is dict:
+        items = value.items()
+        spelled = all(type(name) is str for name in value)
+    elif kind is list or kind is tuple:
+        items = enumerate(value)
+        spelled = True
+    else:
+        return kind is str or kind is bool or value is None
+    for name, item in items:
+        inner = f"{path}.{name}" if kind is dict else f"{path}[{name}]"
+        spelled = _json_spelled(item, inner) and spelled
+    return spelled
 
 
 def load_plan(path: Union[str, Path]) -> FleetPlan:
@@ -434,12 +531,33 @@ def _checked_manifest(payload: Dict) -> Dict:
     return payload
 
 
+def key_skew(
+    specs: Sequence[TrialSpec], claimed: List, claimant: str, reader: str
+) -> Optional[str]:
+    """Derive ``specs``' keys in one batch: ``None`` when they are the
+    ``claimed`` list, else what the first disagreement says - planner /
+    ``reader`` version skew, which a file's rows and the cache files
+    they name may share, so it is caught before any trial is read as
+    missing or run."""
+    derived = trial_cache_keys(specs)
+    if derived == claimed:
+        return None
+    spec, says, computes = next(
+        trial for trial in zip(specs, claimed, derived) if trial[1] != trial[2]
+    )
+    return (
+        f"cache-key mismatch for seed {spec.seed} "
+        f"({'+'.join(spec.service_ids)}): {claimant} says {says[:12]}..., "
+        f"this library computes {computes[:12]}... - planner/{reader} "
+        "version skew"
+    )
+
+
 def _planned(specs: Sequence[TrialSpec], num_shards: int) -> List[PlannedTrial]:
-    planned = []
-    for spec in specs:
-        key = trial_cache_key(spec)
-        planned.append(PlannedTrial(spec, key, shard_for_key(key, num_shards)))
-    return planned
+    return [
+        PlannedTrial(spec, key, shard_for_key(key, num_shards))
+        for spec, key in zip(specs, trial_cache_keys(specs))
+    ]
 
 
 def plan_cycle(

@@ -21,13 +21,14 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from ..atomicio import atomic_write
-from ..core.cache import CACHE_SCHEMA_VERSION, TrialCache, trial_cache_key
+from ..core.cache import CACHE_SCHEMA_VERSION, TrialCache
 from ..core.runner import RunnerStats, build_backend
 from ..obs import tracing
 from ..obs.metrics import diff_snapshots, get_registry
 from .plan import (
     FleetError,
     _checked_manifest,
+    key_skew,
     load_json_artifact,
     trial_rows,
     supported_schema,
@@ -136,18 +137,13 @@ def _checked_specs(payload: Dict) -> "tuple[Dict, List]":
             f"this library's {CACHE_SCHEMA_VERSION} - re-plan with a "
             "matching version"
         )
-    specs = []
+    specs, claimed = [], []
     for spec, row in trial_rows(manifest, with_shard=False):
-        expected_key = row[4]
-        actual_key = trial_cache_key(spec)
-        if actual_key != expected_key:
-            raise FleetError(
-                "cache-key mismatch for seed "
-                f"{spec.seed} ({'+'.join(spec.service_ids)}): manifest "
-                f"says {expected_key[:12]}..., this library computes "
-                f"{actual_key[:12]}... - planner/worker version skew"
-            )
         specs.append(spec)
+        claimed.append(row[4])
+    skew = key_skew(specs, claimed, "manifest", "worker")
+    if skew is not None:
+        raise FleetError(skew)
     return manifest, specs
 
 

@@ -64,14 +64,14 @@ from ..config import (
     highly_constrained,
     moderately_constrained,
 )
-from ..core.cache import (
-    CacheEntryError, CachedTrial, TrialCache, trial_cache_key,
-)
+from ..core.cache import CacheEntryError, CachedTrial, TrialCache
 from ..core.results import ResultStore
 from ..core.runner import RunnerStats, TrialSpec, lookup
 from ..core.submission import SubmissionError, SubmissionPortal
 from ..fleet.adaptive import AdaptiveCycleState, ASSEMBLY_PLAN_FILENAME, STATE_FILENAME
-from ..fleet.plan import FleetError, FleetPlan, load_plan, write_manifest
+from ..fleet.plan import (
+    FleetError, FleetPlan, key_skew, load_plan, write_manifest,
+)
 from ..obs import tracing
 from ..obs.flight import (
     FLIGHT_SCHEMA_VERSION, diagnose, explain_unfairness,
@@ -562,30 +562,19 @@ class WatchdogService:
             except FleetError as exc:
                 raise self._retire_unreadable(entry, exc) from exc
             kind = "fixed"
-            records = self._read_trials(
-                entry, cache, [trial.spec for trial in plan.trials]
+            specs = [trial.spec for trial in plan.trials]
+            records = self._read_trials(entry, cache, specs)
+            # The read left every key on its spec: this check derives none.
+            skew = key_skew(
+                specs, plan.expected_keys(), "the plan", "coordinator"
             )
-            missing_shards = set()
-            for trial, record in zip(plan.trials, records):
-                # The read derived every spec's key: a hit brings it, a
-                # miss's is memoised on its spec.
-                derived = (
-                    trial_cache_key(trial.spec) if record is None
-                    else record.key
-                )
-                if derived != trial.cache_key:
-                    raise self._retire_unreadable(
-                        entry,
-                        ServiceError(
-                            f"cache-key mismatch for seed {trial.spec.seed} "
-                            f"({'+'.join(trial.spec.service_ids)}): the "
-                            f"plan says {trial.cache_key[:12]}..., this "
-                            f"library computes {derived[:12]}... - "
-                            "planner/coordinator version skew"
-                        ),
-                    )
-                if record is None:
-                    missing_shards.add(trial.shard)
+            if skew is not None:
+                raise self._retire_unreadable(entry, ServiceError(skew))
+            missing_shards = {
+                trial.shard
+                for trial, record in zip(plan.trials, records)
+                if record is None
+            }
             records = [record for record in records if record is not None]
             partial = bool(missing_shards)
             cycle_id = plan.plan_id

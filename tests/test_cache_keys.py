@@ -12,8 +12,11 @@ import copy
 import dataclasses
 import hashlib
 import json
+import math
 import pickle
+import tempfile
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -29,18 +32,23 @@ from repro.core.cache import (
     config_fields,
     is_cache_key,
     trial_cache_key,
+    trial_cache_keys,
 )
 from repro.core.runner import TrialSpec
+from repro.fleet import plan as plan_module
 from repro.fleet.plan import (
     FleetError,
     FleetPlan,
     PlannedTrial,
+    _planned,
     plan_cycle,
     ROW_COLUMNS,
     trial_rows,
+    write_manifest,
 )
-from repro.fleet.worker import run_shard
+from repro.fleet.worker import _checked_specs, run_shard
 from repro.obs.metrics import get_registry
+from repro.services.catalog import default_catalog
 
 
 def reference_trial_cache_key(spec, env=None):
@@ -222,6 +230,39 @@ def test_counter_counts_real_derivations_only():
     for _ in range(2):
         trial_cache_key(spec, ClientEnvironment.headless_automation())
     assert derived.value - start == 3
+
+
+def test_a_batch_counts_exactly_the_keys_it_derives(tmp_path):
+    """``cache.keys_derived`` moves once per batch, by the derivations:
+    N fresh specs planned +N, the same objects re-planned +0, a worker's
+    skew check +rows (its specs are rebuilt from the rows), and a batch
+    that fails part-way counts what it derived before the failure."""
+    derived = get_registry().counter("cache.keys_derived")
+    network, config = NetworkConfig(8e6), ExperimentConfig().scaled(10)
+    specs = [TrialSpec(("a", "b"), network, config, seed) for seed in range(7)]
+    start = derived.value
+    planned = _planned(specs, 3)
+    assert derived.value - start == len(specs)
+    assert _planned(specs, 3) == planned
+    assert derived.value - start == len(specs)
+    assert trial_cache_keys(specs + specs[:2]) == [t.cache_key for t in planned] + [
+        t.cache_key for t in planned[:2]
+    ]
+    assert derived.value - start == len(specs)
+
+    manifest = FleetPlan("cycle", 1, planned, {}).manifest_for(0)
+    start = derived.value
+    _checked_specs(manifest)
+    assert derived.value - start == len(manifest["trials"])
+
+    poisoned = [
+        TrialSpec(("a",), network, config, 1),
+        TrialSpec(("a",), NetworkConfig(math.inf), config, 1),
+    ]
+    start = derived.value
+    with pytest.raises(ValueError):
+        trial_cache_keys(poisoned)
+    assert derived.value - start == 1
 
 
 def test_edited_manifest_key_never_seeds_the_memo(tmp_path):
@@ -426,3 +467,201 @@ def test_is_cache_key_equals_the_character_loop(text):
 )
 def test_is_cache_key_edge_cases(text, expected):
     assert is_cache_key(text) is expected
+
+
+# ----------------------------------------------------------------------
+# Plan and manifest bytes: orjson writes what ``json`` wrote
+# ----------------------------------------------------------------------
+
+
+def _json_bytes(payload):
+    return json.dumps(payload, separators=(",", ":")).encode()
+
+
+def _written(plan, out):
+    """``{path: bytes}`` of ``plan.write(out)``."""
+    return {path: path.read_bytes() for path in plan.write(out)}
+
+
+_params = st.dictionaries(
+    st.text(max_size=4),
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(min_value=-(2**63), max_value=2**63 - 1),
+        st.text(max_size=4),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=3),
+    ),
+    max_size=3,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    specs=st.lists(_specs, min_size=1, max_size=6),
+    num_shards=st.integers(min_value=1, max_value=3),
+    params=_params,
+)
+def test_plan_and_manifest_bytes_are_json_dumps(specs, num_shards, params):
+    """Whatever the configs, ids, seeds and params (``5e-324`` and
+    ``1e+16`` spelled as ``json`` spells them, non-ASCII escaped), every
+    file ``FleetPlan.write`` lands is ``json.dumps(payload,
+    separators=(",", ":"))``; a seed beyond signed 64 bits is refused,
+    naming its row, before any file is written."""
+    plan = FleetPlan("cycle", num_shards, _planned(specs, num_shards), params)
+    payloads = [plan.to_json()] + [
+        plan.manifest_for(shard) for shard in range(num_shards)
+    ]
+    with tempfile.TemporaryDirectory() as out:
+        if any(
+            type(spec.seed) is int and not -(2**63) <= spec.seed < 2**63
+            for spec in specs
+        ):
+            with pytest.raises(FleetError, match=r"trials\[\d+\]\[3\] is "):
+                plan.write(out)
+            assert list(Path(out).iterdir()) == []
+            return
+        written = _written(plan, out)
+    assert list(written.values()) == [_json_bytes(p) for p in payloads]
+
+
+def test_a_warm_replan_plan_is_encoded_by_orjson_as_json_would(
+    tmp_path, monkeypatch
+):
+    """The benchmark's ``warm-replan`` plan (2 280 trials, four shards)
+    takes the C encoder, not the ``json`` fallback, and its bytes are
+    ``json``'s."""
+    plan = plan_cycle(
+        default_catalog().ids(),
+        [NetworkConfig(bandwidth_bps=8e6), NetworkConfig(bandwidth_bps=50e6)],
+        ExperimentConfig().scaled(15),
+        trials_per_pair=6, num_shards=4, base_seed=1,
+    )
+    expected = [_json_bytes(plan.to_json())] + [
+        _json_bytes(plan.manifest_for(shard)) for shard in range(4)
+    ]
+
+    def no_fallback(*_args, **_kwargs):
+        raise AssertionError("write_manifest fell back to json.dumps")
+
+    monkeypatch.setattr(plan_module.json, "dumps", no_fallback)
+    assert list(_written(plan, tmp_path).values()) == expected
+    assert len(plan.trials) == 2280
+
+
+def _trial(seed=1, network=None):
+    spec = TrialSpec(("a", "b"), network or NetworkConfig(8e6),
+                     ExperimentConfig(), seed)
+    return PlannedTrial(spec, "k", 0)
+
+
+def _set(*path_and_value):
+    *path, name, value = path_and_value
+
+    def edit(payload):
+        """Apply the edit; ``False`` where the payload has no such part
+        (a shard manifest carries no ``params``)."""
+        if path[0] not in payload:
+            return False
+        target = payload
+        for step in path:
+            target = target[step]
+        target[name] = value
+        return True
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (_set("networks", 0, "bandwidth_bps", math.inf),
+         r"networks\[0\]\.bandwidth_bps is inf, not a finite number"),
+        (_set("configs", 0, "warmup_usec", math.nan),
+         r"configs\[0\]\.warmup_usec is nan, not a finite number"),
+        (_set("params", "values", [8.0, -math.inf]),
+         r"params\.values\[1\] is -inf, not a finite number"),
+        (_set("params", "base_seed", 10**20),
+         r"params\.base_seed is 10{20}, not a signed 64-bit integer"),
+        (_set("trials", 1, 3, 2**64 + 5),
+         r"trials\[1\]\[3\] is 18446744073709551621, not a signed 64-bit"),
+        (_set("trials", 0, 3, 2**63),
+         r"trials\[0\]\[3\] is 9223372036854775808, not a signed 64-bit"),
+        (_set("trials", 0, 3, -(2**63) - 1),
+         r"trials\[0\]\[3\] is -9223372036854775809, not a signed 64"),
+    ],
+    ids=[
+        "table-inf", "table-nan", "params-neg-inf", "params-beyond-64-bits",
+        "row-beyond-64-bits", "row-beyond-signed-64-bits",
+        "row-below-signed-64-bits",
+    ],
+)
+def test_a_plan_no_reader_would_get_back_is_refused_naming_the_field(
+    tmp_path, edit, field
+):
+    """orjson would write ``null`` for the float and raise a bare
+    ``TypeError`` for the wider integers (``json`` wrote ``Infinity``,
+    which is not JSON): each is a ``FleetError`` naming the field, and
+    nothing is written."""
+    plan = FleetPlan("cycle", 1, [_trial(1), _trial(2)], {})
+    for name, payload in (
+        ("plan.json", plan.to_json()), ("shard-0.json", plan.manifest_for(0))
+    ):
+        if edit(payload):
+            with pytest.raises(FleetError, match=field):
+                write_manifest(tmp_path / name, payload)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_plan_with_a_seed_past_64_bits_writes_no_file(tmp_path):
+    plan = FleetPlan("cycle", 2, [_trial(1), _trial(10**16 * 2**10)], {})
+    with pytest.raises(FleetError, match=r"trials\[1\]\[3\] is 1024"):
+        plan.write(tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def _odd_id(*ids):
+    return PlannedTrial(
+        TrialSpec(ids, NetworkConfig(8e6), ExperimentConfig(), 3), "k", 0
+    )
+
+
+@pytest.mark.parametrize(
+    "trials, params",
+    [
+        ([_trial(seed=2**63 - 1), _trial(seed=-(2**63))], {}),
+        ([_trial(seed=True)], {}),
+        ([_trial(seed=1e16)], {}),
+        ([_trial(seed=2.0)], {}),
+        ([_trial(network=NetworkConfig(1e-05))], {}),
+        ([_trial(network=NetworkConfig(5e-324))], {}),
+        ([_trial()], {"ratio": 1e-7}),
+        ([_trial()], {"rate": 1.5e300}),
+        ([_trial()], {7: "a non-str key"}),
+        ([_odd_id("vidéo", "a")], {}),
+        ([_odd_id("a\x7fb", "a")], {}),
+        ([_odd_id(1e16, "a")], {}),
+        ([_trial()], {"note": "直播"}),
+        ([PlannedTrial(_trial().spec, 1e16, 0)], {}),
+        ([_trial(), PlannedTrial(_trial().spec, "k", 1e16)], {}),
+    ],
+    ids=[
+        "seeds-at-the-bounds", "bool-seed", "exponent-seed", "float-seed",
+        "exponent-table-float", "subnormal-table-float",
+        "exponent-params-float", "huge-params-float", "int-params-key",
+        "non-ascii-id", "del-in-id", "float-id", "non-ascii-params",
+        "float-key",
+        "float-shard",
+    ],
+)
+def test_what_orjson_spells_otherwise_is_written_as_json_writes(
+    tmp_path, trials, params
+):
+    """One case each: seeds at the signed 64-bit bounds, a bool or float
+    seed, a float ``repr`` writes with an exponent (also where an edited
+    plan file put one in a row's id, key or shard), a non-``str`` key, a
+    non-ASCII or DEL character all land as ``json``'s bytes."""
+    plan = FleetPlan("cycle", 1, trials, params)
+    written = _written(plan, tmp_path)
+    assert list(written.values()) == [
+        _json_bytes(plan.to_json()), _json_bytes(plan.manifest_for(0))
+    ]

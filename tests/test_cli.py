@@ -10,6 +10,14 @@ from repro.core.cache import trial_cache_key
 from repro.core.runner import TrialSpec
 
 
+#: ``fleet plan`` commands short of the flag a case adds.
+PLAN_CYCLE = ["fleet", "plan", "cycle", "--out-dir", "p", "--shards", "2"]
+PLAN_SWEEP = [
+    "fleet", "plan", "sweep", "bandwidth", "iperf_cubic", "iperf_reno",
+    "--out-dir", "p", "--shards", "2",
+]
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -107,13 +115,26 @@ class TestParser:
              "--poll-sec", "-1", "expected a number > 0"),
             (["service", "run", "--spool", "s", "--out", "o"],
              "--max-loops", "0", "expected an integer >= 1"),
+            (PLAN_CYCLE, "--buffer-bdp", "inf", "expected a number > 0"),
+            (PLAN_CYCLE, "--buffer-bdp", "nan", "expected a number > 0"),
+            (PLAN_CYCLE, "--buffer-bdp", "0", "expected a number > 0"),
+            (PLAN_CYCLE, "--buffer-bdp", "-1", "expected a number > 0"),
+            (["pair", "iperf_cubic", "iperf_reno"], "--buffer-bdp", "inf",
+             "expected a number > 0"),
+            (PLAN_SWEEP, "--values", "8,nan", "expected a finite number"),
+            (PLAN_SWEEP, "--values", "inf", "expected a finite number"),
+            (["sweep", "bandwidth", "iperf_cubic", "iperf_reno"],
+             "--values", "8,-inf", "expected a finite number"),
         ],
         ids=[
             "pair-duration-0", "pair-duration-no-window", "pair-bandwidth-0",
             "cycle-bandwidth-inf", "service-plan-duration-0",
             "service-plan-bandwidths-empty", "service-plan-bandwidths-0",
             "service-plan-bandwidths-neg", "service-poll-sec-neg",
-            "service-max-loops-0",
+            "service-max-loops-0", "plan-buffer-bdp-inf",
+            "plan-buffer-bdp-nan", "plan-buffer-bdp-0", "plan-buffer-bdp-neg",
+            "pair-buffer-bdp-inf", "plan-sweep-values-nan",
+            "plan-sweep-values-inf", "sweep-values-neg-inf",
         ],
     )
     def test_numbers_out_of_range_are_usage_errors(
@@ -122,7 +143,8 @@ class TestParser:
         """A rate, duration or interval flag is checked at parse time:
         these died in a ``ValueError`` traceback (exit 1), or were taken
         - a zero-bandwidth next plan, a poll loop that never sleeps, a
-        ``--max-loops 0`` that still ran a pass."""
+        ``--max-loops 0`` that still ran a pass, a plan with a zero or
+        negative buffer."""
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as raised:
             main([*command, f"{flag}={value}"])

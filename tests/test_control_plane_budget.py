@@ -10,7 +10,8 @@ this file pins:
 * ``cache.keys_derived`` - real SHA-256 key derivations - at two per
   planned trial: the planner's and the worker's skew check.  The
   worker's lookup and the assembler's lookup read the memo on the spec
-  (four derivations per trial before the memo);
+  (four derivations per trial before the memo).  The counter moves
+  once per batch, by the derivations in it;
 * ``cache.entries_parsed`` - entry files decoded - at two per trial:
   once in the shard's cache, once in the merged one;
 * ``ExperimentResult`` objects built - at one per planned trial, in
@@ -27,7 +28,8 @@ this file pins:
   and under a ceiling (296.1 before this budget existed, 90.7 before
   the merge linked on string paths, 40.68 before ``run_shard`` stopped
   building results, 39.6 before entries were parsed by the C decoder
-  ``decode_record`` instead of ``json.loads``);
+  ``decode_record`` instead of ``json.loads``, 30.1 before keys were
+  derived and counted per batch);
 * ``pathlib`` parses over the same body: the same number whether the
   plan holds 380 trials or 760 - none is per planned trial;
 * bytes per planned trial in ``plan.json`` and in the shard manifests;
@@ -66,12 +68,15 @@ CONFIG = ExperimentConfig().scaled(3)
 SHARDS = 4
 
 #: Ceiling on Python frames per planned trial (run_shard x4 + merge +
-#: assemble): 33.6 today, plus ~10% (39.6 when each of the two entry
-#: parses went through ``json.loads``' three Python frames; 40.68 when
-#: ``run_shard`` built a result per hit; 61.2 when each spec was one
-#: ``get`` with its own counter bumps, and assembly checked every entry
-#: for existence before replaying).
-FRAMES_PER_TRIAL_BUDGET = 37
+#: assemble): 19.2 today, plus ~10% (30.1 when every key lookup was a
+#: ``trial_cache_key`` call and every derivation bumped its counter on
+#: its own, a table index went through a ``repr`` probe and the merge
+#: linked each entry through two helpers; 33.6 when the ceiling was
+#: last set, at 37; 39.6 when each of the two entry parses went through ``json.loads``'
+#: three Python frames; 40.68 when ``run_shard`` built a result per
+#: hit; 61.2 when each spec was one ``get`` with its own counter bumps,
+#: and assembly checked every entry for existence before replaying).
+FRAMES_PER_TRIAL_BUDGET = 21
 
 #: Ceiling on Python frames per delivered trial over ``ingest_entry`` +
 #: ``compact``, measured as the slope between two delivery sizes (20.0

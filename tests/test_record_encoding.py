@@ -17,6 +17,7 @@ refused when written and named when found.
 import dataclasses
 import json
 import math
+import os
 import random
 
 import pytest
@@ -154,6 +155,107 @@ def test_entry_bytes_come_with_a_disk_read_and_never_go_stale(tmp_path):
     (reread,) = TrialCache(tmp_path).read([SPEC])
     assert reread.raw == canonical_json(second.to_json()).encode()
     assert reread.raw != stored
+
+
+def _entry_of_size(size):
+    """An entry payload whose canonical line is exactly ``size`` bytes
+    (an unknown field pads it; readers ignore it)."""
+    payload = synthetic_result(SPEC, random.Random(1)).to_json()
+    payload["padding"] = ""
+    payload["padding"] = "x" * (size - len(canonical_json(payload)))
+    return payload
+
+
+@pytest.mark.parametrize(
+    "size",
+    [
+        cache_module._READ_SIZE - 1,
+        cache_module._READ_SIZE,
+        cache_module._READ_SIZE + 1,
+        3 * cache_module._READ_SIZE + 17,
+    ],
+)
+def test_an_entry_past_one_read_buffer_reads_whole(tmp_path, size):
+    """An entry is one ``os.read`` where it fits the buffer; one that
+    fills it is read on to EOF, whatever its size."""
+    payload = _entry_of_size(size)
+    line = canonical_json(payload).encode()
+    assert len(line) == size
+    (tmp_path / f"{trial_cache_key(SPEC)}.json").write_bytes(line)
+    (record,) = TrialCache(tmp_path).read([SPEC])
+    assert record.raw == line and record.payload == payload
+    assert record.result == synthetic_result(SPEC, random.Random(1))
+
+
+def test_bytes_past_the_first_buffer_are_read_and_judged(tmp_path):
+    """A file whose first buffer holds a whole object is still read to
+    its end when the buffer came back full: trailing damage past it is
+    damage."""
+    payload = synthetic_result(SPEC, random.Random(1)).to_json()
+    line = canonical_json(payload).encode()
+    path = tmp_path / f"{trial_cache_key(SPEC)}.json"
+    padded = line + b" " * (cache_module._READ_SIZE - len(line))
+    path.write_bytes(padded + b"\n")
+    assert TrialCache(tmp_path).get(SPEC) is not None
+    path.write_bytes(padded + b"garbage")
+    with pytest.raises(CacheEntryError, match="not valid JSON"):
+        TrialCache(tmp_path).get(SPEC)
+
+
+def test_a_sidecar_past_one_read_buffer_reads_whole(tmp_path):
+    key = trial_cache_key(SPEC)
+    recording = {"schema": 1, "samples": list(range(40_000))}
+    TrialCache(tmp_path).put_sidecar(key, "flight", recording)
+    assert (
+        (tmp_path / f"{key}.flight.json").stat().st_size
+        > 2 * cache_module._READ_SIZE
+    )
+    assert TrialCache(tmp_path).get_sidecar(key, "flight") == recording
+
+
+class _ShortFirstRead:
+    """``os`` as :mod:`repro.core.cache` sees it, except that the first
+    ``read`` of each descriptor hands back at most ``first`` bytes - as
+    a read may - and every ``read`` is counted."""
+
+    def __init__(self, first):
+        self.first = first
+        self.reads = []
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def read(self, fd, size):
+        first = fd not in self.reads
+        self.reads.append(fd)
+        return os.read(fd, min(size, self.first) if first else size)
+
+
+def test_a_short_first_read_is_read_on_not_called_damage(
+    tmp_path, monkeypatch
+):
+    """Bytes that do not parse are read on to EOF and parsed once more
+    before they are called damaged: a short read is never a
+    ``CacheEntryError``, and a damaged entry still is one."""
+    result = synthetic_result(SPEC, random.Random(1))
+    TrialCache(tmp_path).put(SPEC, result)
+    path = tmp_path / f"{trial_cache_key(SPEC)}.json"
+    short = _ShortFirstRead(first=100)
+    monkeypatch.setattr(cache_module, "os", short)
+    (record,) = TrialCache(tmp_path).read([SPEC])
+    assert record.result == result and record.raw == path.read_bytes()
+    assert len(short.reads) == 3  # 100 bytes, the rest, EOF
+    # Whole-file reads: one per entry.
+    monkeypatch.setattr(cache_module, "os", _ShortFirstRead(first=1 << 20))
+    counting = cache_module.os
+    assert TrialCache(tmp_path).get(SPEC) == result
+    assert len(counting.reads) == 1
+    # Damage is still damage, however the bytes arrive.
+    path.write_bytes(path.read_bytes()[:100])
+    for first in (10, 1 << 20):
+        monkeypatch.setattr(cache_module, "os", _ShortFirstRead(first))
+        with pytest.raises(CacheEntryError, match="not valid JSON"):
+            TrialCache(tmp_path).get(SPEC)
 
 
 # ----------------------------------------------------------------------

@@ -773,15 +773,17 @@ class TestPoisonedEntries:
         shard and ingesting an empty partial cycle on every pass."""
         service = make_service(tmp_path)
         incoming = tmp_path / "spool" / "incoming"
-        real = cache_module.trial_cache_key
+        real = cache_module.trial_cache_keys
 
-        def skewed(spec, env=None):
-            key = real(spec, env).encode()
-            return hashlib.sha256(b"v0:" + key).hexdigest()
+        def skewed(specs, env=None):
+            return [
+                hashlib.sha256(b"v0:" + key.encode()).hexdigest()
+                for key in real(specs, env)
+            ]
 
         with monkeypatch.context() as patch:
-            patch.setattr(plan_module, "trial_cache_key", skewed)
-            patch.setattr(cache_module, "trial_cache_key", skewed)
+            patch.setattr(plan_module, "trial_cache_keys", skewed)
+            patch.setattr(cache_module, "trial_cache_keys", skewed)
             plan = plan_cycle(
                 IDS, [NET], FAST, trials_per_pair=1, num_shards=2,
                 base_seed=7,
