@@ -217,35 +217,27 @@ def add_policy_args(
     """``--min-trials --max-trials --batch-size --ci-mbps``: the Section
     3.4 stopping rule's knobs, all defaulting to the paper's."""
     for flag, kind, text in (
-        ("--min-trials", int, min_help),
-        ("--max-trials", int, max_help),
-        ("--batch-size", int, batch_help),
-        ("--ci-mbps", float, ci_help),
+        ("--min-trials", positive_int, min_help),
+        ("--max-trials", positive_int, max_help),
+        ("--batch-size", positive_int, batch_help),
+        ("--ci-mbps", positive_float, ci_help),
     ):
         parser.add_argument(flag, type=kind, default=None, help=text)
 
 
 def policy_from_args(args) -> Optional[TrialPolicyConfig]:
-    """An explicit trial policy from the knobs, or ``None`` - the paper's
-    per-bandwidth policy - when none was given."""
-    if all(
-        value is None
-        for value in (
-            args.min_trials, args.max_trials, args.batch_size, args.ci_mbps
-        )
-    ):
-        return None
-    base = TrialPolicyConfig()
-    return TrialPolicyConfig(
-        min_trials=args.min_trials or base.min_trials,
-        max_trials=args.max_trials or base.max_trials,
-        batch_size=args.batch_size or base.batch_size,
-        ci_halfwidth_bps=(
-            units.mbps(args.ci_mbps)
-            if args.ci_mbps is not None
-            else base.ci_halfwidth_bps
-        ),
-    )
+    """An explicit trial policy from the knobs given (the paper's
+    defaults for the rest), or ``None`` - the paper's per-bandwidth
+    policy - when none was given."""
+    given = {
+        "min_trials": args.min_trials,
+        "max_trials": args.max_trials,
+        "batch_size": args.batch_size,
+        "ci_halfwidth_bps": None if args.ci_mbps is None
+        else units.mbps(args.ci_mbps),
+    }
+    given = {name: value for name, value in given.items() if value is not None}
+    return TrialPolicyConfig(**given) if given else None
 
 
 def print_heatmap(report: FairnessReport) -> None:

@@ -140,6 +140,11 @@ class TrialPolicyConfig:
             raise ValueError("need 1 <= min_trials <= max_trials")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
+        # 0: no pair converges before its cap; inf: all do (``fixed``).
+        if not self.ci_halfwidth_bps >= 0:  # NaN included
+            raise ValueError(f"ci_halfwidth_bps {self.ci_halfwidth_bps!r} < 0")
+        if not 0 < self.confidence < 1:
+            raise ValueError(f"confidence {self.confidence!r} not in (0, 1)")
 
     @classmethod
     def fixed(cls, trials: int) -> "TrialPolicyConfig":

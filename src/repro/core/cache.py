@@ -13,13 +13,14 @@ trial inputs plus a schema version, so a cache survives process restarts
 and is automatically invalidated when the result schema changes.  Values
 are ``ExperimentResult.to_json()`` payloads.
 
-A trial record has one encoding, :func:`canonical_json` (sorted keys, no
-whitespace, one ASCII line), and it is produced once:
-:meth:`TrialCache.put` writes it as the entry file, and the rolling
-store's journal and segments (:mod:`repro.service.store`) carry those
-bytes on unchanged (:meth:`TrialCache.read` hands them over).  Reading
-is laxer than writing: any file holding one JSON object is an entry -
-the indented entries of caches written before this format, a foreign
+Every stored artifact has one encoder, :data:`encode_record` (sorted
+keys, no whitespace, one UTF-8 line), and a trial record is encoded
+once: :meth:`TrialCache.put` writes it as the entry file, and the
+rolling store's journal and segments (:mod:`repro.service.store`) carry
+those bytes on unchanged (:meth:`TrialCache.read` hands them over).
+``json`` (:func:`canonical_json`) spells only what a key hashes.
+Reading is laxer than writing: any file holding one JSON object is an
+entry - an older cache's indented or ``json``-spelled one, a foreign
 writer's - and only its layout differs, which ``fleet merge`` treats as
 a duplicate, not as divergence.
 
@@ -64,6 +65,7 @@ was.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -134,23 +136,25 @@ _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 #: What a share decodes as (``bool`` is an ``int`` subclass, not one).
 _NUMBER_TYPES = (int, float)
 
-#: The one decoder of trial-record bytes - cache entries and sidecars,
-#: store journal and segment lines, merge adjudication: ``orjson``'s C
-#: parser, bound by name so a parse adds no Python frame.  It reads
-#: :func:`canonical_json`'s output back type for type (``1``, ``1.0``,
-#: ``-0.0`` and ``true`` stay apart, floats round-trip exactly) and
-#: validates UTF-8 itself, so bytes go in undecoded.  It refuses
-#: ``NaN``/``Infinity``, which records therefore never hold, and reads
-#: integers beyond 64 bits as floats, which the entry shape check
-#: refuses where a record has integers.
+#: The one decoder of stored bytes - cache entries and sidecars, store
+#: journal and segment lines, merge adjudication: ``orjson``'s C parser,
+#: bound by name so a parse adds no Python frame.  It reads
+#: :data:`encode_record`'s output back type for type (``1``, ``1.0``,
+#: ``-0.0`` and ``true`` stay apart, floats round-trip exactly), and
+#: ``json``'s as ``json.loads`` would, and validates UTF-8 itself, so
+#: bytes go in undecoded.  It refuses ``NaN``/``Infinity``, which
+#: records therefore never hold, and reads integers beyond 64 bits as
+#: floats, which the entry shape check refuses where a record has
+#: integers.
 decode_record = orjson.loads
 
-#: The encoder of plans and shard manifests (:mod:`repro.fleet.plan`),
-#: bound here so this module stays orjson's one importer.  Their bytes
-#: feed no cache key, so the C encoder may write them where it spells
-#: a payload as ``json`` does; records keep ``json``'s encoder
-#: (:func:`canonical_json`), whose spelling every key hashes.
-encode_manifest = orjson.dumps
+#: The one encoder of stored bytes - entries, sidecars, journal lines,
+#: the store manifest, plans and shard manifests: orjson with sorted
+#: keys, a C partial, so a call adds no Python frame.  No key, plan id
+#: or published hash depends on its spelling.  It writes ``NaN`` as
+#: ``null`` and integers up to 2**64-1, so writers check what a reader
+#: gets back (:func:`_encode_checked`, ``fleet.plan.write_manifest``).
+encode_record = functools.partial(orjson.dumps, option=orjson.OPT_SORT_KEYS)
 
 
 #: One read holds an entry whole (they are a few KiB); a buffer that
@@ -170,13 +174,13 @@ def _read_on(fd: int, raw: bytes) -> bytes:
 
 
 def _read_entry(
-    path: str, trial: bool = True, raw: "Optional[bytes | str]" = None
-) -> "Optional[tuple[Dict, bytes | str]]":
+    path: str, trial: bool = True, raw: Optional[bytes] = None
+) -> "Optional[tuple[Dict, bytes]]":
     """The JSON object at ``path`` and the bytes it was parsed from, or
     ``None`` when no such file (read through a bare descriptor: no
     ``BufferedReader`` built per entry; the caller counts the parse).
-    A caller that holds the bytes already (or the text: ``put``'s
-    check of what it is about to write) passes them as ``raw``, and
+    A caller that holds the bytes already (:func:`_encode_checked`'s
+    check of what is about to be written) passes them as ``raw``, and
     ``path`` only names them.
 
     The file is one ``os.read`` where it fits :data:`_READ_SIZE`; a full
@@ -323,36 +327,55 @@ _CANONICAL_ENCODER = json.JSONEncoder(
 
 
 def canonical_json(payload) -> str:
-    """The one encoding of a trial record: sorted keys, no whitespace,
-    ASCII, one line, through the C encoder.
+    """``json``'s spelling of what a cache key hashes: sorted keys, no
+    whitespace, ASCII, one line, through the C encoder.
 
-    A cache entry, the ``result`` of its journal ``trial`` line and that
-    line again in a store segment are these same bytes
-    (:meth:`TrialCache.put`, :mod:`repro.service.store`); key derivation
-    hashes the same form.  Type-exact (``1``, ``1.0`` and ``true`` stay apart) and
-    deterministic, so equal payloads give equal bytes.  A non-finite
-    float raises ``ValueError``: :data:`decode_record` could not read it
-    back.
+    Only hashed bytes take it (the config memo, a key's service-id tail
+    and a seed that is no ``int``); stored bytes take
+    :data:`encode_record`.  Type-exact (``1``, ``1.0`` and ``true`` stay
+    apart) and deterministic, so equal inputs give equal keys.  A
+    non-finite float raises ``ValueError``.
     """
     return _CANONICAL_ENCODER.encode(payload)
 
 
-def _nonfinite_field(value, path: str = "") -> Optional[str]:
-    """Where in ``value`` the first non-finite float sits (``a.b``), or
-    ``None`` - names what :func:`canonical_json` refused."""
+def _unstorable_field(value, path: str = "") -> Optional[str]:
+    """What in ``value`` no reader would get back as it is - the first
+    non-finite float (:data:`encode_record` writes ``null``) or integer
+    beyond signed 64 bits - as ``"<path> is <value>, not ..."``, or
+    ``None``.  A key extends ``path`` as ``.key``, an index as ``[i]``."""
     if isinstance(value, float):
-        return None if math.isfinite(value) else path
+        return None if math.isfinite(value) else (
+            f"{path} is {value!r}, not a finite number"
+        )
+    if isinstance(value, int):
+        return None if _INT64_MIN <= value <= _INT64_MAX else (
+            f"{path} is {value}, not a signed 64-bit integer"
+        )
     if isinstance(value, dict):
-        items = value.items()
+        items = [(f"{path}.{k}" if path else k, v) for k, v in value.items()]
     elif isinstance(value, (list, tuple)):
-        items = enumerate(value)
+        items = [(f"{path}[{i}]", v) for i, v in enumerate(value)]
     else:
         return None
-    for name, item in items:
-        found = _nonfinite_field(item, f"{path}.{name}" if path else str(name))
-        if found is not None:
-            return found
-    return None
+    found = (_unstorable_field(v, at) for at, v in items)
+    return next(filter(None, found), None)
+
+
+def _encode_checked(payload: Dict, path: str, trial: bool) -> bytes:
+    """:data:`encode_record` of ``payload``, read back as ``path`` would
+    be (:func:`_read_entry`); what would not read back equal is a
+    :class:`CacheEntryError` naming the field, and nothing is written."""
+    refused = f"{path} (not written)"
+    try:
+        encoded = encode_record(payload)
+    except TypeError as exc:  # beyond 64 bits, a key that is no str, ...
+        reason = str(exc)
+    else:
+        if _read_entry(refused, trial, encoded)[0] == payload:
+            return encoded
+        reason = "it does not read back as written"
+    raise CacheEntryError(f"{refused}: {_unstorable_field(payload) or reason}")
 
 
 def _config_memo(config) -> "tuple[Dict, str]":
@@ -641,12 +664,12 @@ class TrialCache:
     ) -> None:
         """Record one simulated trial under its content address.
 
-        The entry is the result's :func:`canonical_json`: one line, the
-        bytes a service journal later adopts as they are.  A result
-        :data:`decode_record` would not read back as written - a
-        non-finite float, an integer field beyond signed 64 bits - is
-        refused with a :class:`CacheEntryError` naming the field, and
-        nothing is written.
+        The entry is the result's :data:`encode_record`: one line, the
+        bytes a service journal later adopts as they are.  A result that
+        would not read back as written - a non-finite float, an integer
+        field beyond signed 64 bits - is refused with a
+        :class:`CacheEntryError` naming the field, and nothing is
+        written (:func:`_encode_checked`).
 
         Full-length results always supersede truncated ones: a put never
         replaces an existing entry with a *less* complete result for the
@@ -657,16 +680,7 @@ class TrialCache:
         key = trial_cache_key(spec, env)
         payload = result.to_json()
         path = self._path(key)
-        refused = f"{path} (not written)"
-        try:
-            encoded = canonical_json(payload)
-        except ValueError as exc:
-            raise CacheEntryError(
-                f"{refused}: {_nonfinite_field(payload)} is not a finite "
-                "float"
-            ) from exc
-        # What a reader would refuse or change is never written.
-        _read_entry(refused, raw=encoded)
+        encoded = _encode_checked(payload, path, trial=True)
         existing = self._memory.get(key)
         if existing is None:
             existing = _read_json(path)
@@ -692,16 +706,15 @@ class TrialCache:
     # carry their own schema version.
 
     def put_sidecar(self, key: str, name: str, payload: Dict) -> None:
-        """Attach an auxiliary JSON artifact to a cache entry's key
-        (``ValueError`` on a non-finite float, which no reader parses)."""
+        """Attach an auxiliary JSON object to a cache entry's key, as
+        :data:`encode_record` bytes; what would not read back as written
+        is refused naming the field (:func:`_encode_checked`)."""
         if not is_cache_key(key):
             raise ValueError(f"not a cache key: {key!r}")
-        # Non-finite floats are refused: the reader could not parse them.
-        encoded = json.dumps(
-            payload, indent=1, sort_keys=True, allow_nan=False
-        )
+        path = self._sidecar_path(key, name)
+        encoded = _encode_checked(payload, path, trial=False)
         self._sidecar_memory[(key, name)] = payload
-        atomic_write(self._sidecar_path(key, name), encoded)
+        atomic_write(path, encoded)
         get_registry().counter("cache.sidecar_bytes_written").inc(len(encoded))
 
     def get_sidecar(self, key: str, name: str) -> Optional[Dict]:

@@ -45,6 +45,7 @@ from ..core.cache import (
     _completeness,
     _read_entry,
     canonical_json,
+    encode_record,
     scan_cache_dir,
 )
 from ..core.runner import RunnerStats
@@ -169,7 +170,8 @@ def _resolve_divergent(challenger: bytes, incumbent: bytes) -> Optional[str]:
         incumbent_payload = _read_entry("incumbent", raw=incumbent)[0]
     except CacheEntryError:
         return None
-    if canonical_json(challenger_payload) == canonical_json(incumbent_payload):
+    # Type for type: ``1``, ``1.0`` and ``true`` are spelled apart.
+    if encode_record(challenger_payload) == encode_record(incumbent_payload):
         return "same"
     challenger_rank = _completeness(challenger_payload)
     incumbent_rank = _completeness(incumbent_payload)

@@ -33,10 +33,8 @@ import dataclasses
 import functools
 import hashlib
 import json
-import math
 import operator
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import (
     Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
@@ -50,8 +48,9 @@ from ..core.cache import (
     CACHE_SCHEMA_VERSION,
     _INT64_MAX,
     _INT64_MIN,
+    _unstorable_field,
     config_fields,
-    encode_manifest,
+    encode_record,
     trial_cache_keys,
 )
 from ..core.convergence import ConvergenceTracker
@@ -413,96 +412,38 @@ class FleetPlan:
 
 
 def write_manifest(path: Union[str, Path], payload: Dict) -> None:
-    """Publish a plan or shard manifest: compact JSON, atomically.
+    """Publish a plan or shard manifest atomically, as
+    :data:`~repro.core.cache.encode_record` bytes: workers poll the
+    directories these land in (``out/next-plan/``, ``spool/retry/``,
+    adaptive round directories), so none may be read half-written.
 
-    Workers poll the directories these land in (``out/next-plan/``,
-    ``spool/retry/``, adaptive round directories), so a manifest must
-    never be readable half-written; and a plan is thousands of trial
-    rows nobody reads by eye, so it takes a C encoder's compact form
-    rather than the pure-Python indented one.
-
-    ``payload`` is a :meth:`FleetPlan.to_json` or
-    :meth:`FleetPlan.manifest_for` payload, its rows :func:`_tabulate`'s.
-    The bytes are ``json.dumps(payload, separators=(",", ":"))``'s.
-    orjson (:data:`~repro.core.cache.encode_manifest`) writes them where
-    it spells the payload as ``json`` does - no float in exponent
-    notation, nothing but ASCII below DEL, only ``str`` keys - and
-    ``json`` where it does not.  A value that has no such spelling to
-    keep is refused with a :class:`FleetError` naming the field, and
-    nothing is written: a non-finite float (``json`` writes ``NaN``,
-    which is not JSON; orjson ``null``) and an integer beyond signed 64
-    bits (orjson cannot write it; a trial seed past it is one no cache
-    entry may hold).
+    A value no reader would get back - a non-finite float (written as
+    ``null``), an integer beyond signed 64 bits (a trial seed no cache
+    entry may hold) - is a :class:`FleetError` naming the field, and
+    nothing is written.  The small parts are walked; of the rows only
+    the seeds can hold either, checked as one column in C.
     """
-    spelled = True
-    for name, value in payload.items():
-        if name != "trials":
-            spelled = _json_spelled(value, name) and spelled
-    rows = payload["trials"]
+    seeds = list(map(_SEED, payload["trials"]))
+    parts = [(k, v) for k, v in payload.items() if k != "trials"]
+    if seeds and not (
+        {int}.issuperset(map(type, seeds))
+        and _INT64_MIN <= min(seeds)
+        and max(seeds) <= _INT64_MAX
+    ):
+        parts += [(f"trials[{i}][3]", seed) for i, seed in enumerate(seeds)]
+    for name, value in parts:
+        found = _unstorable_field(value, name)
+        if found is not None:
+            raise FleetError(found)
     try:
-        plain = _plain_rows(rows)
-    except TypeError:
-        plain = False
-    if not plain:
-        spelled = _json_spelled(rows, "trials") and spelled
-    if spelled:
-        encoded = encode_manifest(payload)
-        if encoded.isascii() and b"\x7f" not in encoded:
-            atomic_write(path, encoded)
-            return
-    atomic_write(path, json.dumps(payload, separators=(",", ":")))
+        encoded = encode_record(payload)
+    except TypeError as exc:  # a key that is no str, a lone surrogate
+        raise FleetError(f"{path} not written: {exc}") from exc
+    atomic_write(path, encoded)
 
 
-_ID, _SEED, _KEY, _SHARD = (
-    operator.itemgetter(ROW_COLUMNS.index(name))
-    for name in ("service_ids", "seed", "cache_key", "shard")
-)
-
-
-def _plain_rows(rows: List[List]) -> bool:
-    """Whether :func:`_tabulate`'s rows (a list, a list of ids, two
-    ``int`` indexes) hold what a planner puts in the rest - ``str``
-    service ids and cache key, an ``int`` seed and shard, the seeds
-    within signed 64 bits even summed - checked a column at a time in
-    C; ``TypeError`` for a column of another type.  Rows that do not
-    are for :func:`_json_spelled` to walk."""
-    "".join(chain.from_iterable(map(_ID, rows)))
-    "".join(map(_KEY, rows))
-    seeds = sum(map(abs, map(_SEED, rows)))
-    if rows and len(rows[0]) == len(ROW_COLUMNS):
-        if type(sum(map(_SHARD, rows))) is not int:
-            return False
-    return type(seeds) is int and seeds <= _INT64_MAX
-
-
-def _json_spelled(value, path: str) -> bool:
-    """Whether :data:`~repro.core.cache.encode_manifest` spells ``value``
-    as ``json.dumps`` does, strings aside (``write_manifest`` checks the
-    bytes for those); :class:`FleetError` naming ``path`` for a value
-    :func:`write_manifest` refuses."""
-    kind = type(value)
-    if kind is int:
-        if not _INT64_MIN <= value <= _INT64_MAX:
-            raise FleetError(
-                f"{path} is {value}, not a signed 64-bit integer"
-            )
-        return True
-    if kind is float:
-        if not math.isfinite(value):
-            raise FleetError(f"{path} is {value!r}, not a finite number")
-        return "e" not in repr(value)
-    if kind is dict:
-        items = value.items()
-        spelled = all(type(name) is str for name in value)
-    elif kind is list or kind is tuple:
-        items = enumerate(value)
-        spelled = True
-    else:
-        return kind is str or kind is bool or value is None
-    for name, item in items:
-        inner = f"{path}.{name}" if kind is dict else f"{path}[{name}]"
-        spelled = _json_spelled(item, inner) and spelled
-    return spelled
+#: A row's seed (``ROW_COLUMNS[3]``).
+_SEED = operator.itemgetter(3)
 
 
 def load_plan(path: Union[str, Path]) -> FleetPlan:

@@ -13,23 +13,24 @@ the segments - all flat in the store directory:
   and a ``commit`` record sealing it.  The trial records are flushed and
   fsynced *before* the commit is written, so a commit on disk guarantees
   its trials are too.  Every record is one line of
-  :func:`~repro.core.cache.canonical_json`, parsed back by the cache's
+  :data:`~repro.core.cache.encode_record`, parsed back by
   :data:`~repro.core.cache.decode_record`; a ``trial`` line is built
   around its ``result`` without encoding it again when the record
   brings the cache entry's bytes (:meth:`CycleRecord.from_cache_reads`):
   ``{"cycle_id":...,"record":"trial","result":`` + the entry +
-  ``,"seq":N}``.  For an entry this library wrote that is the canonical
-  line; a foreign one-line entry is adopted as it is (the same JSON
-  value, perhaps not canonical); anything that is not one line is
-  encoded from its payload.  The store keeps none of those bytes once
-  the cycle is appended - only where in the journal the cycle lies.
+  ``,"seq":N}``.  An older or foreign one-line entry is adopted as it
+  is (the same JSON value, perhaps ``json``'s ``1e-05`` for
+  ``0.00001``); anything that is not one line is encoded from its
+  payload.  The store keeps none of those bytes once the cycle is
+  appended - only where in the journal the cycle lies.
 - :meth:`RollingResultStore.compact` moves each journalled cycle into
   its own ``segment-<sha256(cycle id) prefix>.jsonl`` - the cycle's
   journal segment verbatim, *copied* out of the journal file (whether
   this process appended it a moment ago or replayed it after a restart,
   so the two cannot differ even for lines that are not canonical),
   written through :func:`~repro.atomicio.atomic_write` and never opened
-  for writing again - then rewrites the manifest (schema 2: ``file``,
+  for writing again - then rewrites the manifest (schema 2, one
+  ``encode_record`` line: ``file``,
   ``cycle_id``, ``trials`` and ``sha256`` per segment, oldest first),
   fsyncs the new segments, the manifest and the store directory, then
   truncates the journal, then unlinks every segment file the manifest no
@@ -86,7 +87,9 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from ..atomicio import atomic_write
-from ..core.cache import CachedTrial, canonical_json, decode_record
+from ..core.cache import (
+    CachedTrial, _encode_checked, decode_record, encode_record,
+)
 from ..core.experiment import ExperimentResult
 from ..core.results import ResultStore
 from ..obs.metrics import get_registry
@@ -162,16 +165,6 @@ class CycleRecord:
         record._entry_bytes = [r.raw for r in reads]
         return record
 
-    def to_json(self) -> Dict:
-        """Return the record as a JSON-serialisable dict."""
-        return {
-            "cycle_id": self.cycle_id,
-            "source": self.source,
-            "kind": self.kind,
-            "partial": self.partial,
-            "results": list(self.results),
-        }
-
     @classmethod
     def from_json(cls, payload: Dict) -> "CycleRecord":
         return cls(
@@ -221,15 +214,15 @@ def _segment_filename(cycle_id: str) -> str:
 def _encode_segment(record: CycleRecord) -> "tuple[bytes, bytes]":
     """A cycle's journal segment as ``(begin + trial lines, commit line)``.
 
-    Every line is :func:`~repro.core.cache.canonical_json` of its record.
+    Every line is :data:`~repro.core.cache.encode_record` of its record.
     A trial line is assembled around its ``result``: the bytes the
     payload was parsed from when the record brought them and they are
-    one line (for an entry this library wrote, exactly the canonical
-    encoding; for a foreign one-line entry, whatever it holds - still
-    the same JSON value), the payload's canonical encoding otherwise.
+    one line (the same JSON value, in whatever spelling the entry has),
+    else the payload's encoding, checked to read back as it is (a
+    schema-1 snapshot was parsed by ``json``, which reads ``NaN``).
     """
     lines = [
-        canonical_json(
+        encode_record(
             {
                 "record": "begin",
                 "schema": JOURNAL_SCHEMA_VERSION,
@@ -238,27 +231,29 @@ def _encode_segment(record: CycleRecord) -> "tuple[bytes, bytes]":
                 "kind": record.kind,
                 "partial": record.partial,
             }
-        ).encode("ascii")
+        )
     ]
     # Sorted, a trial record reads cycle_id, record, result, seq.
-    head = (
-        '{"cycle_id":%s,"record":"trial","result":'
-        % canonical_json(record.cycle_id)
-    ).encode("ascii")
+    head = b'{"cycle_id":%b,"record":"trial","result":' % encode_record(
+        record.cycle_id
+    )
     entry_bytes = record._entry_bytes or [None] * len(record.results)
     for index, (result, raw) in enumerate(zip(record.results, entry_bytes)):
         encoded = raw.strip() if raw is not None else None
         # Bytes that are not one line would split the journal record.
         if encoded is None or b"\n" in encoded:
-            encoded = canonical_json(result).encode("ascii")
+            encoded = _encode_checked(
+                result, f"cycle {record.cycle_id[:12]} trial {index}",
+                trial=False,
+            )
         lines.append(b'%b%b,"seq":%d}' % (head, encoded, index))
-    commit = canonical_json(
+    commit = encode_record(
         {
             "record": "commit",
             "cycle_id": record.cycle_id,
             "trials": len(record.results),
         }
-    ).encode("ascii")
+    )
     return b"\n".join(lines) + b"\n", commit + b"\n"
 
 
@@ -581,13 +576,13 @@ class RollingResultStore:
                     "sha256": hashlib.sha256(data).hexdigest(),
                 }
             rows.append(row)
-        manifest = canonical_json(
+        manifest = encode_record(
             {
                 "schema": STORE_SCHEMA_VERSION,
                 "kind": "service-snapshot",
                 "segments": rows,
             }
-        ) + "\n"
+        ) + b"\n"
         atomic_write(self.snapshot_path, manifest)
         # The journal is fsynced; what replaces it must be on disk - file
         # bytes and directory entries - before it is emptied.

@@ -21,7 +21,7 @@ from repro.config import ExperimentConfig, highly_constrained
 from repro.core.cache import (
     CacheEntryError,
     TrialCache,
-    canonical_json,
+    encode_record,
     trial_cache_key,
 )
 from repro.core.experiment import ExperimentResult
@@ -242,7 +242,7 @@ class TestConcurrentWriters:
 
         spec = TrialSpec(("a", "b"), NET, FAST, seed=1)
         result = synthetic_result(spec)
-        expected = canonical_json(result.to_json())
+        expected = encode_record(result.to_json())
         errors = []
 
         def writer():
@@ -266,7 +266,7 @@ class TestConcurrentWriters:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         path = tmp_path / f"{trial_cache_key(spec)}.json"
-        assert path.read_text() == expected
+        assert path.read_bytes() == expected
         assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
 

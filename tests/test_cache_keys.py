@@ -30,6 +30,8 @@ from repro.core.cache import (
     CACHE_SCHEMA_VERSION,
     config_canonical_json,
     config_fields,
+    decode_record,
+    encode_record,
     is_cache_key,
     trial_cache_key,
     trial_cache_keys,
@@ -470,17 +472,40 @@ def test_is_cache_key_edge_cases(text, expected):
 
 
 # ----------------------------------------------------------------------
-# Plan and manifest bytes: orjson writes what ``json`` wrote
+# Plan and manifest bytes: one encoder, read back type for type
 # ----------------------------------------------------------------------
 
 
-def _json_bytes(payload):
-    return json.dumps(payload, separators=(",", ":")).encode()
+def same_value(a, b):
+    """Equal *and* of equal types all the way down (``1`` is not
+    ``1.0`` is not ``True``; ``-0.0`` is not ``0.0``)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_value(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_value, a, b))
+    if isinstance(a, float):
+        return repr(a) == repr(b)
+    return a == b
 
 
 def _written(plan, out):
     """``{path: bytes}`` of ``plan.write(out)``."""
     return {path: path.read_bytes() for path in plan.write(out)}
+
+
+def _assert_reads_back(plan, written):
+    """Every file is the one encoder's bytes of its payload, and both
+    readers (``json``, which loads plans, and the record decoder) get
+    the payload back type for type."""
+    payloads = [plan.to_json()] + [
+        plan.manifest_for(shard) for shard in range(plan.num_shards)
+    ]
+    assert list(written.values()) == [encode_record(p) for p in payloads]
+    for raw, payload in zip(written.values(), payloads):
+        assert same_value(json.loads(raw), payload)
+        assert same_value(decode_record(raw), payload)
 
 
 _params = st.dictionaries(
@@ -501,16 +526,14 @@ _params = st.dictionaries(
     num_shards=st.integers(min_value=1, max_value=3),
     params=_params,
 )
-def test_plan_and_manifest_bytes_are_json_dumps(specs, num_shards, params):
-    """Whatever the configs, ids, seeds and params (``5e-324`` and
-    ``1e+16`` spelled as ``json`` spells them, non-ASCII escaped), every
-    file ``FleetPlan.write`` lands is ``json.dumps(payload,
-    separators=(",", ":"))``; a seed beyond signed 64 bits is refused,
+def test_every_plan_and_manifest_file_reads_back_as_its_payload(
+    specs, num_shards, params
+):
+    """Whatever the configs, ids, seeds and params (``5e-324``, ``1e+16``,
+    non-ASCII), every file ``FleetPlan.write`` lands decodes to its
+    payload type for type; a seed beyond signed 64 bits is refused,
     naming its row, before any file is written."""
     plan = FleetPlan("cycle", num_shards, _planned(specs, num_shards), params)
-    payloads = [plan.to_json()] + [
-        plan.manifest_for(shard) for shard in range(num_shards)
-    ]
     with tempfile.TemporaryDirectory() as out:
         if any(
             type(spec.seed) is int and not -(2**63) <= spec.seed < 2**63
@@ -520,31 +543,29 @@ def test_plan_and_manifest_bytes_are_json_dumps(specs, num_shards, params):
                 plan.write(out)
             assert list(Path(out).iterdir()) == []
             return
-        written = _written(plan, out)
-    assert list(written.values()) == [_json_bytes(p) for p in payloads]
+        _assert_reads_back(plan, _written(plan, out))
 
 
-def test_a_warm_replan_plan_is_encoded_by_orjson_as_json_would(
-    tmp_path, monkeypatch
-):
+def test_a_warm_replan_plan_reads_back_as_its_payload(tmp_path, monkeypatch):
     """The benchmark's ``warm-replan`` plan (2 280 trials, four shards)
-    takes the C encoder, not the ``json`` fallback, and its bytes are
-    ``json``'s."""
+    is written by the one encoder alone (``json.dumps`` patched to fail
+    once ``plan_id``, which hashes ``json``'s spelling, is derived) and
+    reads back type for type."""
     plan = plan_cycle(
         default_catalog().ids(),
         [NetworkConfig(bandwidth_bps=8e6), NetworkConfig(bandwidth_bps=50e6)],
         ExperimentConfig().scaled(15),
         trials_per_pair=6, num_shards=4, base_seed=1,
     )
-    expected = [_json_bytes(plan.to_json())] + [
-        _json_bytes(plan.manifest_for(shard)) for shard in range(4)
-    ]
 
-    def no_fallback(*_args, **_kwargs):
-        raise AssertionError("write_manifest fell back to json.dumps")
+    def no_json(*_args, **_kwargs):
+        raise AssertionError("write_manifest encoded with json.dumps")
 
-    monkeypatch.setattr(plan_module.json, "dumps", no_fallback)
-    assert list(_written(plan, tmp_path).values()) == expected
+    assert plan.plan_id
+    monkeypatch.setattr(plan_module.json, "dumps", no_json)
+    written = _written(plan, tmp_path)
+    monkeypatch.undo()
+    _assert_reads_back(plan, written)
     assert len(plan.trials) == 2280
 
 
@@ -588,20 +609,28 @@ def _set(*path_and_value):
          r"trials\[0\]\[3\] is 9223372036854775808, not a signed 64-bit"),
         (_set("trials", 0, 3, -(2**63) - 1),
          r"trials\[0\]\[3\] is -9223372036854775809, not a signed 64"),
+        (_set("params", 7, "a non-str key"),
+         r"\.json not written: Dict key must be str"),
+        (_set("trials", 1, 3, math.nan),
+         r"trials\[1\]\[3\] is nan, not a finite number"),
+        (_set("trials", 0, 3, math.inf),
+         r"trials\[0\]\[3\] is inf, not a finite number"),
     ],
     ids=[
         "table-inf", "table-nan", "params-neg-inf", "params-beyond-64-bits",
         "row-beyond-64-bits", "row-beyond-signed-64-bits",
-        "row-below-signed-64-bits",
+        "row-below-signed-64-bits", "int-params-key", "row-nan-seed",
+        "row-inf-seed",
     ],
 )
 def test_a_plan_no_reader_would_get_back_is_refused_naming_the_field(
     tmp_path, edit, field
 ):
-    """orjson would write ``null`` for the float and raise a bare
-    ``TypeError`` for the wider integers (``json`` wrote ``Infinity``,
-    which is not JSON): each is a ``FleetError`` naming the field, and
-    nothing is written."""
+    """orjson would write ``null`` for the float, an integer up to
+    2**64-1 as it is, and raise a bare ``TypeError`` for a wider one or
+    a key that is no ``str`` (``json`` wrote ``Infinity``, which is not
+    JSON): each is a ``FleetError`` naming the field, and nothing is
+    written."""
     plan = FleetPlan("cycle", 1, [_trial(1), _trial(2)], {})
     for name, payload in (
         ("plan.json", plan.to_json()), ("shard-0.json", plan.manifest_for(0))
@@ -636,7 +665,6 @@ def _odd_id(*ids):
         ([_trial(network=NetworkConfig(5e-324))], {}),
         ([_trial()], {"ratio": 1e-7}),
         ([_trial()], {"rate": 1.5e300}),
-        ([_trial()], {7: "a non-str key"}),
         ([_odd_id("vidéo", "a")], {}),
         ([_odd_id("a\x7fb", "a")], {}),
         ([_odd_id(1e16, "a")], {}),
@@ -647,21 +675,18 @@ def _odd_id(*ids):
     ids=[
         "seeds-at-the-bounds", "bool-seed", "exponent-seed", "float-seed",
         "exponent-table-float", "subnormal-table-float",
-        "exponent-params-float", "huge-params-float", "int-params-key",
+        "exponent-params-float", "huge-params-float",
         "non-ascii-id", "del-in-id", "float-id", "non-ascii-params",
         "float-key",
         "float-shard",
     ],
 )
-def test_what_orjson_spells_otherwise_is_written_as_json_writes(
+def test_what_json_spelled_otherwise_reads_back_type_for_type(
     tmp_path, trials, params
 ):
     """One case each: seeds at the signed 64-bit bounds, a bool or float
-    seed, a float ``repr`` writes with an exponent (also where an edited
-    plan file put one in a row's id, key or shard), a non-``str`` key, a
-    non-ASCII or DEL character all land as ``json``'s bytes."""
+    seed, a float ``json`` writes with an exponent (also where an edited
+    plan file put one in a row's id, key or shard), a non-ASCII or DEL
+    character: the one encoder's bytes, read back type for type."""
     plan = FleetPlan("cycle", 1, trials, params)
-    written = _written(plan, tmp_path)
-    assert list(written.values()) == [
-        _json_bytes(plan.to_json()), _json_bytes(plan.manifest_for(0))
-    ]
+    _assert_reads_back(plan, _written(plan, tmp_path))

@@ -12,6 +12,11 @@ from repro.core.runner import TrialSpec
 
 #: ``fleet plan`` commands short of the flag a case adds.
 PLAN_CYCLE = ["fleet", "plan", "cycle", "--out-dir", "p", "--shards", "2"]
+#: A cycle that runs in seconds where a policy flag is taken.
+CYCLE = [
+    "cycle", "--services", "iperf_cubic", "iperf_reno", "--trials", "1",
+    "--duration", "10",
+]
 PLAN_SWEEP = [
     "fleet", "plan", "sweep", "bandwidth", "iperf_cubic", "iperf_reno",
     "--out-dir", "p", "--shards", "2",
@@ -125,6 +130,15 @@ class TestParser:
             (PLAN_SWEEP, "--values", "inf", "expected a finite number"),
             (["sweep", "bandwidth", "iperf_cubic", "iperf_reno"],
              "--values", "8,-inf", "expected a finite number"),
+            (CYCLE, "--min-trials", "-3", "expected an integer >= 1"),
+            (CYCLE, "--min-trials", "0", "expected an integer >= 1"),
+            (CYCLE, "--max-trials", "0", "expected an integer >= 1"),
+            (CYCLE, "--batch-size", "0", "expected an integer >= 1"),
+            (["fleet", "cycle", "--out-dir", "d"], "--batch-size", "0",
+             "expected an integer >= 1"),
+            (CYCLE, "--ci-mbps", "nan", "expected a number > 0"),
+            (CYCLE, "--ci-mbps", "0", "expected a number > 0"),
+            (CYCLE, "--ci-mbps", "-1", "expected a number > 0"),
         ],
         ids=[
             "pair-duration-0", "pair-duration-no-window", "pair-bandwidth-0",
@@ -135,6 +149,10 @@ class TestParser:
             "plan-buffer-bdp-nan", "plan-buffer-bdp-0", "plan-buffer-bdp-neg",
             "pair-buffer-bdp-inf", "plan-sweep-values-nan",
             "plan-sweep-values-inf", "sweep-values-neg-inf",
+            "cycle-min-trials-neg", "cycle-min-trials-0",
+            "cycle-max-trials-0", "cycle-batch-size-0",
+            "fleet-cycle-batch-size-0", "cycle-ci-mbps-nan",
+            "cycle-ci-mbps-0", "cycle-ci-mbps-neg",
         ],
     )
     def test_numbers_out_of_range_are_usage_errors(

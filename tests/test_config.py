@@ -1,6 +1,8 @@
 """Network/experiment configuration: the paper's settings must come out
 exactly (queue sizes, CI thresholds, measurement windows)."""
 
+import math
+
 import pytest
 
 from repro import units
@@ -105,3 +107,32 @@ class TestTrialPolicyConfig:
             TrialPolicyConfig(min_trials=0)
         with pytest.raises(ValueError):
             TrialPolicyConfig(batch_size=0)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"ci_halfwidth_bps": math.nan},
+            {"ci_halfwidth_bps": -1.0},
+            {"ci_halfwidth_bps": -math.inf},
+            {"confidence": 0.0},
+            {"confidence": 1.0},
+            {"confidence": 1.5},
+            {"confidence": math.nan},
+        ],
+        ids=[
+            "ci-nan", "ci-negative", "ci-neg-inf", "confidence-0",
+            "confidence-1", "confidence-above-1", "confidence-nan",
+        ],
+    )
+    def test_rejects_a_half_width_or_confidence_no_interval_has(
+        self, changes
+    ):
+        """A NaN half-width passes no comparison, so every pair would
+        run to its cap as if it never converged."""
+        with pytest.raises(ValueError, match=next(iter(changes))):
+            TrialPolicyConfig(**changes)
+
+    @pytest.mark.parametrize("ci", [0.0, math.inf])
+    def test_a_half_width_no_or_every_interval_meets_is_a_policy(self, ci):
+        """0: every pair runs to the cap; ``inf``: ``fixed``."""
+        assert TrialPolicyConfig(ci_halfwidth_bps=ci).ci_halfwidth_bps == ci

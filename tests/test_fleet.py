@@ -19,6 +19,8 @@ from repro.core.cache import (
     CACHE_SCHEMA_VERSION,
     CacheEntryError,
     TrialCache,
+    decode_record,
+    encode_record,
     scan_cache_dir,
 )
 from repro.core.experiment import ExperimentResult
@@ -159,6 +161,10 @@ class TestShardPlanning:
             base_seed=7,
         ).run_cycle(service_ids=IDS, backend=backend)
         assert backend.rounds == [[t.spec for t in plan.trials]]
+
+
+#: How ``json`` spelled a one-line entry before the one encoder.
+JSON_SPELLED_LINE = {"sort_keys": True, "separators": (",", ":")}
 
 
 class TestShardExecutionMergeAssembly:
@@ -314,25 +320,39 @@ class TestShardExecutionMergeAssembly:
         assert report.duplicates == len(plan.shard_trials(0))
         assert report.gaps == []
 
-    @pytest.mark.parametrize("layout", [{"indent": 1}, {}, {"indent": 4}])
+    @pytest.mark.parametrize(
+        "layout", [{"indent": 1}, {}, {"indent": 4}, JSON_SPELLED_LINE]
+    )
     def test_mixed_generation_duplicates_are_format_skew_not_divergence(
         self, pipeline, tmp_path, layout
     ):
-        """An older cache's indented entry (``indent=1``) and today's
-        one-line entry of one trial differ in bytes, not in what they
-        record - as does any other layout of the same JSON value."""
+        """An older cache's entry - indented (``indent=1``), or the one
+        line ``json`` spelled before the one encoder (``1e-05`` where it
+        writes ``0.00001``) - and today's entry of one trial differ in
+        bytes, not in what they record - as does any other layout of the
+        same JSON value."""
         plan, shard_dirs, _merged, _receipts, _report = pipeline
-        older = tmp_path / "older"
+        key = plan.shard_trials(0)[0].cache_key
+        today, older = tmp_path / "today", tmp_path / "older"
+        shutil.copytree(shard_dirs[0], today)
+        # One record holds a float ``json`` spells with an exponent.
+        payload = decode_record((today / f"{key}.json").read_bytes())
+        payload["utilization"] = 1e-05
+        (today / f"{key}.json").write_bytes(encode_record(payload))
         older.mkdir()
-        shutil.copy(shard_dirs[0] / RECEIPT_FILENAME, older)
-        for entry in shard_dirs[0].glob("*.json"):
+        shutil.copy(today / RECEIPT_FILENAME, older)
+        for entry in today.glob("*.json"):
             if entry.name != RECEIPT_FILENAME:
                 (older / entry.name).write_text(
                     json.dumps(json.loads(entry.read_text()), **layout)
                 )
-                assert (older / entry.name).read_bytes() != entry.read_bytes()
-        key = plan.shard_trials(0)[0].cache_key
-        for order in ([older, *shard_dirs], [*shard_dirs, older]):
+                if layout is not JSON_SPELLED_LINE or entry.stem == key:
+                    assert (
+                        (older / entry.name).read_bytes() != entry.read_bytes()
+                    )
+        assert b"1e-05" in (older / f"{key}.json").read_bytes()
+        rest = list(shard_dirs[1:])
+        for order in ([older, today, *rest], [today, *rest, older]):
             dest = tmp_path / f"m-{order[0].name}"
             report = merge_shards(plan, order, dest)
             assert report.duplicates == len(plan.shard_trials(0))
@@ -348,7 +368,7 @@ class TestShardExecutionMergeAssembly:
         payload["seed"] = float(payload["seed"])
         (older / f"{key}.json").write_text(json.dumps(payload, **layout))
         with pytest.raises(FleetError, match="divergent duplicate"):
-            merge_shards(plan, [older, *shard_dirs], tmp_path / "m-typed")
+            merge_shards(plan, [older, today, *rest], tmp_path / "m-typed")
 
     def test_assemble_refuses_incomplete_cache(self, pipeline):
         plan, shard_dirs, _merged, _receipts, _report = pipeline

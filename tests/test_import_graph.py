@@ -138,6 +138,59 @@ def test_record_paths_parse_with_decode_record_only(module, allowed):
     assert _functions_calling_json_loads(SRC / module) == allowed
 
 
+def _functions_calling(path: Path, names) -> "dict[str, set]":
+    """``{function: names it calls}`` for the calls in ``path`` to any
+    of ``names`` (a bare name, or ``module.attr`` spelled whole)."""
+    calls: "dict[str, set]" = {}
+
+    def spelled(func):
+        if isinstance(func, ast.Name):
+            return func.id
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            return f"{func.value.id}.{func.attr}"
+        return None
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and spelled(child.func) in names:
+                calls.setdefault(owner, set()).add(spelled(child.func))
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return calls
+
+
+@pytest.mark.parametrize(
+    "module, writers, hashers",
+    [
+        # What is hashed: a key's config memo, id tail and odd seed.
+        ("core/cache.py", ["put", "put_sidecar"],
+         ["_config_memo", "_ids_tail", "trial_cache_keys"]),
+        ("service/store.py", ["_encode_segment", "compact"], []),
+        # ``plan_id`` hashes ``_canonical``'s spelling.
+        ("fleet/plan.py", ["write_manifest"], ["_canonical", "plan_id"]),
+        # Receipts are ``json``-written state; their tie-break order too.
+        ("fleet/merge.py", ["_resolve_divergent"], ["_supersedes"]),
+    ],
+)
+def test_stored_artifacts_encode_with_one_encoder(module, writers, hashers):
+    """Entries, sidecars, journal lines, the store manifest, plans and
+    shard manifests are written by ``encode_record`` (through
+    ``_encode_checked`` where it is read back first); ``json``'s encoder
+    - ``json.dumps`` or ``canonical_json`` - spells only what is hashed
+    (and ``merge``'s receipt order)."""
+    path = SRC / module
+    spellers = _functions_calling(
+        path, {"json.dumps", "json.dump", "canonical_json", "_canonical"}
+    )
+    assert sorted(spellers) == sorted(hashers)
+    encoders = _functions_calling(path, {"encode_record", "_encode_checked"})
+    assert set(writers) <= encoders.keys()
+
+
 def test_one_function_turns_a_trial_index_into_a_spec():
     """``TrialSpec.pair(..., seed=<x>.seed_for(...))`` is the trial
     enumeration: where the Section 3.4 order meets the seed rule.  A

@@ -2,8 +2,9 @@
 
 A trial is persisted as a cache entry, as the ``result`` of a journal
 line and again in a store segment.  All three are the same bytes:
-``TrialCache.put`` writes ``canonical_json`` of the payload, the service
-adopts the entry's bytes as read, compaction copies the journal.  Checked
+``TrialCache.put`` writes ``encode_record`` of the payload (the one
+encoder of stored bytes), the service adopts the entry's bytes as read,
+compaction copies the journal.  Checked
 here on bytes: against the encoding the store used before (every record
 dumped whole), across entry layouts, and for entries this library did
 not write.  The key half: ``trial_cache_key`` resumes a memoised SHA-256
@@ -11,7 +12,9 @@ prefix state and must equal the whole-string oracle for every input.
 The decoder half: ``decode_record`` reads every record back as
 ``json.loads`` (the oracle, kept here) would, type for type, and what it
 would read differently - non-finite floats, integers beyond 64 bits - is
-refused when written and named when found.
+refused when written and named when found.  Bytes ``json`` spelled
+before (``1e-05`` where the encoder writes ``0.00001``) still read as
+the same records.
 """
 
 import dataclasses
@@ -31,17 +34,26 @@ from repro.core import cache as cache_module
 from repro.core.cache import (
     CacheEntryError,
     TrialCache,
-    canonical_json,
     decode_record,
+    encode_record,
     trial_cache_key,
 )
 from repro.core.runner import TrialSpec, replay
 from repro.fleet.plan import load_plan
 from repro.service import WatchdogService
-from repro.service.store import RollingResultStore
+from repro.service.store import (
+    JOURNAL_FILENAME,
+    CycleRecord,
+    RollingResultStore,
+)
 
 from tests.naive_cache_key import naive_trial_cache_key
-from tests.test_cache_keys import _envs, _specs, reference_trial_cache_key
+from tests.test_cache_keys import (
+    _envs,
+    _specs,
+    reference_trial_cache_key,
+    same_value,
+)
 from tests.test_ingest_linearity import (
     CONFIG,
     NETWORKS,
@@ -119,12 +131,10 @@ def test_an_entry_is_the_canonical_line_and_any_json_object_still_reads(
     cache = TrialCache(tmp_path)
     cache.put(SPEC, result)
     path = tmp_path / f"{trial_cache_key(SPEC)}.json"
-    text = path.read_text()
-    assert text == canonical_json(result.to_json())
-    assert text == json.dumps(
-        result.to_json(), sort_keys=True, separators=(",", ":")
-    )
-    assert "\n" not in text and text.isascii()
+    raw = path.read_bytes()
+    assert raw == encode_record(result.to_json())
+    assert b"\n" not in raw and "vidéo".encode() in raw
+    assert same_value(decode_record(raw), result.to_json())
     for layout in ({"indent": 1}, {"indent": 4, "sort_keys": True}, {}):
         path.write_text(json.dumps(result.to_json(), **layout) + "\n")
         assert TrialCache(tmp_path).get(SPEC) == result
@@ -153,16 +163,16 @@ def test_entry_bytes_come_with_a_disk_read_and_never_go_stale(tmp_path):
     assert fresh.raw is None and fresh.result == second
     # A new reader gets the bytes now on disk, not the first ones.
     (reread,) = TrialCache(tmp_path).read([SPEC])
-    assert reread.raw == canonical_json(second.to_json()).encode()
+    assert reread.raw == encode_record(second.to_json())
     assert reread.raw != stored
 
 
 def _entry_of_size(size):
-    """An entry payload whose canonical line is exactly ``size`` bytes
+    """An entry payload whose encoded line is exactly ``size`` bytes
     (an unknown field pads it; readers ignore it)."""
     payload = synthetic_result(SPEC, random.Random(1)).to_json()
     payload["padding"] = ""
-    payload["padding"] = "x" * (size - len(canonical_json(payload)))
+    payload["padding"] = "x" * (size - len(encode_record(payload)))
     return payload
 
 
@@ -179,7 +189,7 @@ def test_an_entry_past_one_read_buffer_reads_whole(tmp_path, size):
     """An entry is one ``os.read`` where it fits the buffer; one that
     fills it is read on to EOF, whatever its size."""
     payload = _entry_of_size(size)
-    line = canonical_json(payload).encode()
+    line = encode_record(payload)
     assert len(line) == size
     (tmp_path / f"{trial_cache_key(SPEC)}.json").write_bytes(line)
     (record,) = TrialCache(tmp_path).read([SPEC])
@@ -192,7 +202,7 @@ def test_bytes_past_the_first_buffer_are_read_and_judged(tmp_path):
     its end when the buffer came back full: trailing damage past it is
     damage."""
     payload = synthetic_result(SPEC, random.Random(1)).to_json()
-    line = canonical_json(payload).encode()
+    line = encode_record(payload)
     path = tmp_path / f"{trial_cache_key(SPEC)}.json"
     padded = line + b" " * (cache_module._READ_SIZE - len(line))
     path.write_bytes(padded + b"\n")
@@ -263,20 +273,6 @@ def test_a_short_first_read_is_read_on_not_called_damage(
 # ----------------------------------------------------------------------
 
 
-def same_value(a, b):
-    """Equal *and* of equal types all the way down (``1`` is not
-    ``1.0`` is not ``True``; ``-0.0`` is not ``0.0``)."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(same_value(a[k], b[k]) for k in a)
-    if isinstance(a, list):
-        return len(a) == len(b) and all(map(same_value, a, b))
-    if isinstance(a, float):
-        return repr(a) == repr(b)
-    return a == b
-
-
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 _ints = st.one_of(
     st.integers(min_value=INT64_MIN, max_value=INT64_MAX),
@@ -334,7 +330,7 @@ def test_decode_record_reads_canonical_bytes_as_json_loads_does(payload):
     """Subnormals, ``-0.0``, ``1e308``, integers at the signed 64-bit
     bounds, non-ASCII ids: the C decoder and the ``json`` oracle agree
     type for type, and the record reads back as what was encoded."""
-    raw = canonical_json(payload).encode("ascii")
+    raw = encode_record(payload)
     decoded = decode_record(raw)
     assert same_value(decoded, json.loads(raw))
     assert same_value(decoded, payload)
@@ -356,36 +352,65 @@ def _result_with(**changes):
 @pytest.mark.parametrize(
     "changes, named",
     [
-        ({"utilization": math.nan}, "utilization is not a finite float"),
+        ({"utilization": math.nan}, "utilization is nan, not a finite number"),
         (
             {"throughput_bps": {"vidéo": math.inf, "x": 1.0}},
-            "throughput_bps.vidéo is not a finite float",
+            "throughput_bps.vidéo is inf, not a finite number",
         ),
         (
             {"service_metrics": {"x": {"rtt": -math.inf}}},
-            "service_metrics.x.rtt is not a finite float",
+            "service_metrics.x.rtt is -inf, not a finite number",
         ),
-        ({"seed": 2**64}, "seed reads as .*not a signed 64-bit integer"),
-        ({"seed": -(2**63) - 1}, "seed reads as .*not a signed 64-bit"),
+        (
+            {"service_metrics": {"x": {"samples": [1.0, 2.0, math.nan]}}},
+            r"service_metrics\.x\.samples\[2\] is nan, not a finite number",
+        ),
+        ({"seed": 2**64}, "seed is 18446744073709551616, not a signed 64-bit"),
+        ({"seed": -(2**63) - 1}, "seed is -9223372036854775809, not a signed"),
         ({"duration_usec": 10**19}, "duration_usec reads as"),
         ({"buffer_packets": 64.0}, "buffer_packets reads as 64.0"),
     ],
     ids=[
-        "nan", "inf-nested", "-inf-deeper", "seed-2^64", "seed-below-int64",
-        "duration-20-digits", "float-buffer",
+        "nan", "inf-nested", "-inf-deeper", "nan-in-a-nested-list",
+        "seed-2^64", "seed-below-int64", "duration-20-digits", "float-buffer",
     ],
 )
 def test_put_refuses_what_the_decoder_would_read_differently(
     tmp_path, changes, named
 ):
-    """``json`` would have written these and read them back; the C
-    decoder refuses ``NaN``/``Infinity`` and reads integers beyond 64
-    bits as floats.  So ``put`` refuses them by name and writes nothing."""
+    """The encoder writes ``NaN``/``Infinity`` as ``null`` and refuses
+    integers beyond 64 bits; the decoder reads a wider integer as a
+    float.  So ``put`` refuses them by name and writes nothing."""
     cache = TrialCache(tmp_path)
     with pytest.raises(CacheEntryError, match=named):
         cache.put(SPEC, _result_with(**changes))
     assert list(tmp_path.iterdir()) == []
     assert cache.read([SPEC]) == [None] and cache.stores == 0
+
+
+@pytest.mark.parametrize(
+    "payload, named",
+    [
+        ({"schema": 1, "samples": [0.5, 1.0, math.nan]},
+         r"samples\[2\] is nan, not a finite number"),
+        ({"schema": 1, "conn": {"f0": {"srtt_usec": [math.inf]}}},
+         r"conn\.f0\.srtt_usec\[0\] is inf, not a finite number"),
+        ({"schema": 1, "aux": [2**64 + 1]},
+         r"aux\[0\] is 18446744073709551617, not a signed 64-bit"),
+    ],
+    ids=["nan", "inf-nested", "beyond-64-bits"],
+)
+def test_a_sidecar_no_reader_would_get_back_is_refused_naming_the_field(
+    tmp_path, payload, named
+):
+    """The encoder would write ``null`` for the float: the sidecar is
+    refused naming the field, and nothing is written."""
+    key = trial_cache_key(SPEC)
+    cache = TrialCache(tmp_path)
+    with pytest.raises(CacheEntryError, match=named):
+        cache.put_sidecar(key, "flight", payload)
+    assert list(tmp_path.iterdir()) == []
+    assert cache.get_sidecar(key, "flight") is None
 
 
 def test_put_accepts_the_signed_64_bit_bounds(tmp_path):
@@ -454,10 +479,10 @@ def ingest_two(root, relayout=None, compact=True):
 
 def whole_record_journal(root):
     """The journal as the store encoded it before it adopted entry
-    bytes: every record a dict, dumped whole."""
+    bytes: every record a dict, encoded whole."""
 
     def line(record):
-        return json.dumps(record, sort_keys=True, separators=(",", ":"))
+        return encode_record(record).decode()
 
     lines = []
     for index in range(2):
@@ -497,6 +522,53 @@ def test_journal_bytes_equal_the_whole_record_encoding(tmp_path):
         ]
     )
     assert segments == journal
+
+
+def test_a_journal_line_no_reader_would_get_back_is_refused(tmp_path):
+    """A payload encoded for the journal (no entry bytes came with it)
+    is read back first: the encoder would write the ``NaN`` as ``null``."""
+    payload = synthetic_result(SPEC, random.Random(1)).to_json()
+    payload["loss_rate"] = {"vidéo": math.nan}
+    store = RollingResultStore(tmp_path)
+    with pytest.raises(CacheEntryError, match=r"loss_rate\.vidéo is nan"):
+        store.append_cycle(CycleRecord("c", "spool", "fixed", results=[payload]))
+    assert not store.journal_path.exists() and store.cycles() == []
+
+
+def _json_line(record):
+    """A journal line as ``json`` spelled it before the one encoder."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
+
+
+def test_a_journal_in_either_spelling_replays_to_the_same_trials(tmp_path):
+    """``json`` wrote journal lines before (``1e-05``, ``1e+16``); the one
+    encoder writes ``0.00001``, ``1e16``.  A journal holding one cycle
+    in each spelling replays, and compacts, to the trials of one written
+    now, type for type."""
+    payloads = [
+        {**synthetic_result(SPEC, random.Random(seed)).to_json(),
+         "utilization": value}
+        for seed, value in ((1, 1e-05), (2, 1e16))
+    ]
+    ours = RollingResultStore(tmp_path / "ours")
+    for index, payload in enumerate(payloads):
+        ours.append_cycle(
+            CycleRecord(f"cycle-{index}", "spool", "fixed", results=[payload])
+        )
+    lines = ours.journal_path.read_bytes().split(b"\n")
+    assert b"0.00001" in lines[1] and b"1e16" in lines[4]
+    # Begin, trial and commit of the first cycle as ``json`` spelled them.
+    older = [_json_line(decode_record(line)) for line in lines[:3]]
+    assert b"1e-05" in older[1] and older[1] != lines[1]
+    mixed = tmp_path / "mixed"
+    mixed.mkdir()
+    (mixed / JOURNAL_FILENAME).write_bytes(b"\n".join(older + lines[3:]))
+    expected = [[payload] for payload in payloads]
+    for _compacted in range(2):
+        for root in (tmp_path / "ours", mixed):
+            store = RollingResultStore(root)
+            assert same_value([r.results for r in store.cycles()], expected)
+            store.compact()
 
 
 def files(root):
