@@ -70,6 +70,7 @@ import hashlib
 import json
 import math
 import os
+import re
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
 
@@ -105,11 +106,7 @@ def _completeness(payload: Dict) -> "tuple[int, int]":
 
 class CacheEntryError(RuntimeError):
     """An entry or sidecar file is not a UTF-8 JSON object, or an entry
-    is one without the fields of a trial record (or with a ``seed``,
-    ``duration_usec`` or ``buffer_packets`` that is not a signed 64-bit
-    integer, an ``earlystop`` block that is not an object, or an
-    ``mmf_share`` without a number for its ``contender_id`` and its
-    ``incumbent_id``).
+    is one that is not a trial record (:func:`trial_record_defect`).
 
     Writes are atomic, so a file in this state was damaged after it
     landed (truncated copy, flipped bits, foreign writer).  The message
@@ -173,6 +170,58 @@ def _read_on(fd: int, raw: bytes) -> bytes:
     return b"".join(chunks)
 
 
+def trial_record_defect(payload) -> Optional[str]:
+    """What keeps a decoded value from being a trial record, or ``None``.
+
+    A record is an object that holds every field an
+    :class:`ExperimentResult` is built from, its integer fields within
+    signed 64 bits, its ``earlystop`` block, if any, an object and its
+    ``mmf_share`` a number for both its ``contender_id`` and its
+    ``incumbent_id``.  The cache reader
+    (:func:`_read_entry`) and the service store's replay both check
+    records here, each naming the file the defect is in.
+    """
+    if type(payload) is not dict:
+        return f"found {type(payload).__name__}, not an object"
+    if not _TRIAL_FIELDS <= payload.keys():
+        return f"missing {', '.join(sorted(_TRIAL_FIELDS - payload.keys()))}"
+    seed = payload["seed"]
+    duration = payload["duration_usec"]
+    packets = payload["buffer_packets"]
+    if not (
+        type(seed) is type(duration) is type(packets) is int
+        and _INT64_MIN <= seed <= _INT64_MAX
+        and _INT64_MIN <= duration <= _INT64_MAX
+        and _INT64_MIN <= packets <= _INT64_MAX
+    ):
+        for name in _INT64_FIELDS:
+            value = payload[name]
+            if type(value) is not int or not _INT64_MIN <= value <= _INT64_MAX:
+                return (
+                    f"{name} reads as {value!r}, not a signed 64-bit integer"
+                )
+    earlystop = payload.get("earlystop")
+    if earlystop is not None and type(earlystop) is not dict:
+        return f"earlystop is {type(earlystop).__name__}, not an object"
+    # Both services' shares, as numbers: a grid cell reads them.
+    shares = payload.get("mmf_share")
+    try:
+        contender = shares[payload["contender_id"]]
+        incumbent = shares[payload["incumbent_id"]]
+    except (LookupError, TypeError):
+        contender = incumbent = None
+    if (
+        type(contender) not in _NUMBER_TYPES
+        or type(incumbent) not in _NUMBER_TYPES
+    ):
+        return (
+            f"mmf_share lacks a number for contender_id "
+            f"{payload['contender_id']!r} or incumbent_id "
+            f"{payload['incumbent_id']!r}"
+        )
+    return None
+
+
 def _read_entry(
     path: str, trial: bool = True, raw: Optional[bytes] = None
 ) -> "Optional[tuple[Dict, bytes]]":
@@ -188,11 +237,9 @@ def _read_entry(
     they are called damaged, so a short read is never mistaken for a
     damaged entry.
 
-    A ``trial`` file (an entry, not a sidecar) must also hold every
-    field a result is built from, its integer fields within signed 64
-    bits, its ``earlystop`` block, if any, an object and its
-    ``mmf_share`` a number for both its ``contender_id`` and its
-    ``incumbent_id``; the result itself is not built."""
+    A ``trial`` file (an entry, not a sidecar) must also be a trial
+    record (:func:`trial_record_defect`); the result itself is not
+    built."""
     payload = _UNPARSED
     if raw is None:
         try:
@@ -220,51 +267,9 @@ def _read_entry(
             f"{path}: expected a JSON object, found {type(payload).__name__}"
         )
     if trial:
-        if not _TRIAL_FIELDS <= payload.keys():
-            missing = ", ".join(sorted(_TRIAL_FIELDS - payload.keys()))
-            raise CacheEntryError(
-                f"{path}: not a trial record (missing {missing})"
-            )
-        seed = payload["seed"]
-        duration = payload["duration_usec"]
-        packets = payload["buffer_packets"]
-        if not (
-            type(seed) is type(duration) is type(packets) is int
-            and _INT64_MIN <= seed <= _INT64_MAX
-            and _INT64_MIN <= duration <= _INT64_MAX
-            and _INT64_MIN <= packets <= _INT64_MAX
-        ):
-            for name in _INT64_FIELDS:
-                value = payload[name]
-                if type(value) is not int or not (
-                    _INT64_MIN <= value <= _INT64_MAX
-                ):
-                    raise CacheEntryError(
-                        f"{path}: not a trial record ({name} reads as "
-                        f"{value!r}, not a signed 64-bit integer)"
-                    )
-        earlystop = payload.get("earlystop")
-        if earlystop is not None and type(earlystop) is not dict:
-            raise CacheEntryError(
-                f"{path}: not a trial record (earlystop is "
-                f"{type(earlystop).__name__}, not an object)"
-            )
-        # Both services' shares, as numbers: a grid cell reads them.
-        shares = payload.get("mmf_share")
-        try:
-            contender = shares[payload["contender_id"]]
-            incumbent = shares[payload["incumbent_id"]]
-        except (LookupError, TypeError):
-            contender = incumbent = None
-        if (
-            type(contender) not in _NUMBER_TYPES
-            or type(incumbent) not in _NUMBER_TYPES
-        ):
-            raise CacheEntryError(
-                f"{path}: not a trial record (mmf_share lacks a number "
-                f"for contender_id {payload['contender_id']!r} or "
-                f"incumbent_id {payload['incumbent_id']!r})"
-            )
+        defect = trial_record_defect(payload)
+        if defect is not None:
+            raise CacheEntryError(f"{path}: not a trial record ({defect})")
     return payload, raw
 
 
@@ -278,12 +283,14 @@ def _read_json(path: str, trial: bool = True) -> Optional[Dict]:
     return entry[0]
 
 
-_KEY_ALPHABET = frozenset("0123456789abcdef")
+#: The shape of a trial cache key; its C ``fullmatch`` is what a
+#: directory scan calls per file name, adding no Python frame.
+_KEY_SHAPE = re.compile(f"[0-9a-f]{{{_KEY_HEX_LENGTH}}}")
 
 
 def is_cache_key(text: str) -> bool:
     """True when ``text`` has the shape of a trial cache key."""
-    return len(text) == _KEY_HEX_LENGTH and _KEY_ALPHABET.issuperset(text)
+    return _KEY_SHAPE.fullmatch(text) is not None
 
 
 def scan_cache_dir(
@@ -297,11 +304,12 @@ def scan_cache_dir(
     """
     keys: List[str] = []
     sidecars: Dict[str, List[str]] = {}
+    is_key = _KEY_SHAPE.fullmatch
     for name in sorted(os.listdir(directory)):
         if not name.endswith(".json"):
             continue
         stem = name[: -len(".json")]
-        if is_cache_key(stem):
+        if is_key(stem):
             keys.append(stem)
         elif (
             len(stem) > _KEY_HEX_LENGTH + 1

@@ -15,7 +15,7 @@ from typing import Dict, Optional
 
 from .. import units
 from ..config import NetworkConfig
-from .engine import _NO_ARG, CalendarEngine
+from .engine import _NO_ARG, CalendarEngine, day_shift
 from .link import BottleneckLink
 from .packet import Packet
 from .queue import DropTailQueue
@@ -147,7 +147,10 @@ class Dumbbell:
     ) -> None:
         self.network = network
         # Tests inject the heap oracle here (tests/naive_engine.py).
-        self.engine = engine if engine is not None else CalendarEngine()
+        self.engine = (
+            engine if engine is not None
+            else CalendarEngine(day_shift(network.bandwidth_bps))
+        )
         self.queue = DropTailQueue(network.queue_packets)
         self.link = BottleneckLink(
             self.engine,

@@ -68,8 +68,10 @@ CONFIG = ExperimentConfig().scaled(3)
 SHARDS = 4
 
 #: Ceiling on Python frames per planned trial (run_shard x4 + merge +
-#: assemble): 19.2 today, plus ~10% (30.1 when every key lookup was a
-#: ``trial_cache_key`` call and every derivation bumped its counter on
+#: assemble): 20.2 today, under the ~10% margin set at 19.2 (the
+#: trial-record check became one call per entry parse, +2, and the
+#: directory scan matches key names in C, -1; 30.1 when every key
+#: lookup was a ``trial_cache_key`` call and every derivation bumped its counter on
 #: its own, a table index went through a ``repr`` probe and the merge
 #: linked each entry through two helpers; 33.6 when the ceiling was
 #: last set, at 37; 39.6 when each of the two entry parses went through ``json.loads``'
