@@ -18,16 +18,13 @@ from dataclasses import replace
 from .harness import HIGHLY, LONG_CONFIG, MODERATELY, median_share, median_throughput_mbps, report, run_trials
 
 
-def test_ablation_mega_batching(benchmark):
-    def run():
-        return {
-            fresh: median_throughput_mbps(
-                run_trials(mega, "iperf_reno", MODERATELY), mega
-            )
-            for fresh, mega in ((True, "mega"), (False, "mega_persistent"))
-        }
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_ablation_mega_batching():
+    rows = {
+        fresh: median_throughput_mbps(
+            run_trials(mega, "iperf_reno", MODERATELY), mega
+        )
+        for fresh, mega in ((True, "mega"), (False, "mega_persistent"))
+    }
     report(
         "Ablation - Mega per-batch connection cycling vs persistent flows",
         f"fresh connections per batch: Mega median "
@@ -38,19 +35,15 @@ def test_ablation_mega_batching(benchmark):
     assert rows[True] > 0 and rows[False] > 0
 
 
-def test_ablation_power_of_two_queue(benchmark):
-    def run():
-        shares = {}
-        for quirk in (True, False):
-            network = replace(HIGHLY, power_of_two_queue=quirk)
-            results = run_trials("iperf_cubic", "iperf_reno", network)
-            shares[quirk] = (
-                network.queue_packets,
-                median_share(results, "iperf_reno"),
-            )
-        return shares
-
-    shares = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_ablation_power_of_two_queue():
+    shares = {}
+    for quirk in (True, False):
+        network = replace(HIGHLY, power_of_two_queue=quirk)
+        results = run_trials("iperf_cubic", "iperf_reno", network)
+        shares[quirk] = (
+            network.queue_packets,
+            median_share(results, "iperf_reno"),
+        )
     report(
         "Ablation - BESS power-of-two queue sizing (8 Mbps, Cubic vs Reno)",
         f"power-of-two (BESS quirk): {shares[True][0]} packets -> Reno "
@@ -64,22 +57,19 @@ def test_ablation_power_of_two_queue(benchmark):
     assert shares[True][1] < 1.0 and shares[False][1] < 1.0
 
 
-def test_ablation_abr_conservatism(benchmark):
+def test_ablation_abr_conservatism():
     # The two ABRs part ways only once the playback buffer has filled, so
     # this is a steady-state comparison (LONG_CONFIG, as for calibration).
-    def run():
-        return {
-            label: median_share(
-                run_trials(video, "iperf_cubic", HIGHLY, config=LONG_CONFIG),
-                "iperf_cubic",
-            )
-            for label, video in (
-                ("conservative (YouTube)", "youtube"),
-                ("aggressive (buffer-rate)", "youtube_buffer_rate"),
-            )
-        }
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = {
+        label: median_share(
+            run_trials(video, "iperf_cubic", HIGHLY, config=LONG_CONFIG),
+            "iperf_cubic",
+        )
+        for label, video in (
+            ("conservative (YouTube)", "youtube"),
+            ("aggressive (buffer-rate)", "youtube_buffer_rate"),
+        )
+    }
     lines = [
         f"{label}: competitor gets {share * 100:.0f}% of its MmF share"
         for label, share in rows.items()

@@ -11,8 +11,8 @@ from repro.core.results import loss_rate, queueing_delay_ms, utilization
 from .harness import SETTINGS, full_sweep_store, heatmap_service_ids, report
 
 
-def test_fig11_link_utilization(benchmark):
-    store = benchmark.pedantic(full_sweep_store, rounds=1, iterations=1)
+def test_fig11_link_utilization():
+    store = full_sweep_store()
     ids = heatmap_service_ids()
     for name, network in SETTINGS.items():
         rep = FairnessReport(store, ids, network.bandwidth_bps)
@@ -31,8 +31,8 @@ def test_fig11_link_utilization(benchmark):
         assert stats["median"] > 0.9
 
 
-def test_fig12_loss_rates(benchmark):
-    store = benchmark.pedantic(full_sweep_store, rounds=1, iterations=1)
+def test_fig12_loss_rates():
+    store = full_sweep_store()
     ids = heatmap_service_ids()
     hc = SETTINGS["highly-constrained (8 Mbps)"]
     for name, network in SETTINGS.items():
@@ -60,8 +60,8 @@ def test_fig12_loss_rates(benchmark):
     assert "mega" in ranked[:3]
 
 
-def test_fig13_queueing_delay(benchmark):
-    store = benchmark.pedantic(full_sweep_store, rounds=1, iterations=1)
+def test_fig13_queueing_delay():
+    store = full_sweep_store()
     ids = heatmap_service_ids()
     for name, network in SETTINGS.items():
         rep = FairnessReport(store, ids, network.bandwidth_bps)

@@ -15,8 +15,8 @@ from .harness import (
 )
 
 
-def test_fig02_mmf_share_heatmaps(benchmark):
-    store = benchmark.pedantic(full_sweep_store, rounds=1, iterations=1)
+def test_fig02_mmf_share_heatmaps():
+    store = full_sweep_store()
     ids = heatmap_service_ids()
     for name, network in SETTINGS.items():
         rep = FairnessReport(store, ids, network.bandwidth_bps)

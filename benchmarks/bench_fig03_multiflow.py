@@ -33,8 +33,8 @@ def _collect():
     return rows
 
 
-def test_fig03_multiflow_services(benchmark):
-    rows = benchmark.pedantic(_collect, rounds=1, iterations=1)
+def test_fig03_multiflow_services():
+    rows = _collect()
     lines = []
     for name, by_contender in rows.items():
         lines.append(f"{name}: incumbent's % of MmF share")

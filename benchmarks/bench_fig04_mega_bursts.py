@@ -31,8 +31,8 @@ def _comparison_table():
     return rows
 
 
-def test_fig04_dropbox_vs_mega_timeseries(benchmark):
-    result, trace = benchmark.pedantic(_timeseries_run, rounds=1, iterations=1)
+def test_fig04_dropbox_vs_mega_timeseries():
+    result, trace = _timeseries_run()
     lines = []
     for sid in ("mega", "dropbox"):
         _t, rates = trace.throughput_series(
@@ -54,8 +54,8 @@ def test_fig04_dropbox_vs_mega_timeseries(benchmark):
     report("Fig 4 - Mega burst pattern vs Dropbox (time series)", "\n".join(lines))
 
 
-def test_obs4_mega_vs_five_bbr_flows(benchmark):
-    rows = benchmark.pedantic(_comparison_table, rounds=1, iterations=1)
+def test_obs4_mega_vs_five_bbr_flows():
+    rows = _comparison_table()
     lines = [
         f"{'incumbent':<12} {'% MmF vs Mega':>14} {'% MmF vs 5xBBR':>15}"
         f"   (paper: Dropbox 90/33, Reno 22/80-90, Cubic 27/80-90)"

@@ -51,8 +51,8 @@ def _render(rtc_id, table):
     return "\n".join(lines)
 
 
-def test_fig05_meet_quality(benchmark):
-    table = benchmark.pedantic(lambda: _measure("meet"), rounds=1, iterations=1)
+def test_fig05_meet_quality():
+    table = _measure("meet")
     report("Fig 5 - Google Meet QoE under contention", _render("meet", table))
     hc = table["highly-constrained (8 Mbps)"]
     # Observation 6: loss-based CCAs blow the ITU delay budget...
@@ -69,8 +69,8 @@ def test_fig05_meet_quality(benchmark):
     assert hc["iperf_cubic"]["avg_fps"] > 20
 
 
-def test_fig05_teams_quality(benchmark):
-    table = benchmark.pedantic(lambda: _measure("teams"), rounds=1, iterations=1)
+def test_fig05_teams_quality():
+    table = _measure("teams")
     report("Fig 5 - Microsoft Teams QoE under contention", _render("teams", table))
     hc = table["highly-constrained (8 Mbps)"]
     # Observation 5: Teams holds resolution but sacrifices frame rate.

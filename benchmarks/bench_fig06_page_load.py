@@ -42,8 +42,8 @@ def _measure_all():
     }
 
 
-def test_fig06_page_load_times(benchmark):
-    table = benchmark.pedantic(_measure_all, rounds=1, iterations=1)
+def test_fig06_page_load_times():
+    table = _measure_all()
     lines = []
     for setting, rows in table.items():
         lines.append(f"{setting}: median PLT seconds (95% above-the-fold)")

@@ -30,8 +30,8 @@ def _measure():
     return {4.0: _traced_queue_run(4.0), 8.0: _traced_queue_run(8.0)}
 
 
-def test_fig08_buffer_doubling(benchmark):
-    runs = benchmark.pedantic(_measure, rounds=1, iterations=1)
+def test_fig08_buffer_doubling():
+    runs = _measure()
     lines = []
     for multiple, data in runs.items():
         occ = data["occupancy"]
@@ -57,15 +57,12 @@ def test_fig08_buffer_doubling(benchmark):
     assert runs[8.0]["utilization"] >= runs[4.0]["utilization"] - 0.02
 
 
-def test_obs11_reno_vs_cubic_worse_with_big_buffer(benchmark):
-    def measure():
-        points = run_sweep(
-            "buffer", "iperf_cubic", "iperf_reno", [4.0, 8.0], CONFIG,
-            base_network=HIGHLY, trials=TRIALS, base_seed=17, backend=BACKEND,
-        )
-        return {p.parameter: p.share_b for p in points}
-
-    shares = benchmark.pedantic(measure, rounds=1, iterations=1)
+def test_obs11_reno_vs_cubic_worse_with_big_buffer():
+    points = run_sweep(
+        "buffer", "iperf_cubic", "iperf_reno", [4.0, 8.0], CONFIG,
+        base_network=HIGHLY, trials=TRIALS, base_seed=17, backend=BACKEND,
+    )
+    shares = {p.parameter: p.share_b for p in points}
     report(
         "Observation 11 - NewReno's share vs Cubic at 8 Mbps by buffer size",
         f"4xBDP: {shares[4.0] * 100:.0f}% of MmF   "

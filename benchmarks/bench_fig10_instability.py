@@ -11,7 +11,7 @@ from repro.config import trial_policy_for
 from repro.core.policy import TrialPolicy
 from repro.core.stats import iqr, median
 
-from .harness import MODERATELY, report, run_trials
+from .harness import MODERATELY, per_trial, report, run_trials
 
 N_TRIALS = 8
 
@@ -20,13 +20,7 @@ def _scatter(contender, incumbent):
     results = run_trials(
         contender, incumbent, MODERATELY, trials=N_TRIALS, base_seed=29
     )
-    samples = []
-    for result in results:
-        for sid, thr in result.throughput_bps.items():
-            if sid.split("#")[0] == incumbent:
-                samples.append(thr / 1e6)
-                break
-    return samples
+    return [bps / 1e6 for bps in per_trial(results, "throughput_bps", incumbent)]
 
 
 def _measure():
@@ -38,8 +32,8 @@ def _measure():
     }
 
 
-def test_fig10_trial_instability(benchmark):
-    scatter = benchmark.pedantic(_measure, rounds=1, iterations=1)
+def test_fig10_trial_instability():
+    scatter = _measure()
     lines = []
     spreads = {}
     for (incumbent, contender), samples in scatter.items():

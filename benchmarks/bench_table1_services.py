@@ -24,8 +24,8 @@ def _run_table1():
     return calibrations
 
 
-def test_table1_service_inventory(benchmark):
-    calibrations = benchmark.pedantic(_run_table1, rounds=1, iterations=1)
+def test_table1_service_inventory():
+    calibrations = _run_table1()
     report(
         "Table 1 - Services supported in the Prudentia testbed "
         "(solo calibration at 50 Mbps)",

@@ -11,7 +11,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Print every regenerated table/figure after the run summary.
 
     This survives pytest's output capture, so ``pytest benchmarks/
-    --benchmark-only | tee bench_output.txt`` records the figures.
+    --ignore=benchmarks/pipeline | tee bench_output.txt`` records the
+    figures (add ``--durations=0`` for each figure's wall-clock time).
     """
     if not harness.REPORTS:
         return

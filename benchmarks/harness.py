@@ -172,29 +172,36 @@ def run_artifacts(
     return result
 
 
+def per_trial(
+    results: Sequence[ExperimentResult], field: str, service_id: str
+) -> List[float]:
+    """``service_id``'s value in each trial's per-service mapping
+    ``field`` (``"mmf_share"``, ``"throughput_bps"``), from every trial
+    that measured it; the first key whose id before any ``#`` suffix
+    matches counts, so a self-pair gives its first instance."""
+    values = []
+    for result in results:
+        for sid, value in getattr(result, field).items():
+            if sid.split("#")[0] == service_id:
+                values.append(value)
+                break
+    return values
+
+
 def median_share(
     results: Sequence[ExperimentResult], service_id: str
 ) -> float:
-    """Median MmF share of a service over trials (handles #2 suffixes)."""
-    values = []
-    for result in results:
-        for sid, share in result.mmf_share.items():
-            if sid.split("#")[0] == service_id:
-                values.append(share)
-                break
-    return median(values)
+    """Median MmF share of a service over trials."""
+    return median(per_trial(results, "mmf_share", service_id))
 
 
 def median_throughput_mbps(
     results: Sequence[ExperimentResult], service_id: str
 ) -> float:
-    values = []
-    for result in results:
-        for sid, thr in result.throughput_bps.items():
-            if sid.split("#")[0] == service_id:
-                values.append(thr / 1e6)
-                break
-    return median(values)
+    """Median throughput of a service over trials, in Mbps."""
+    return median(
+        [bps / 1e6 for bps in per_trial(results, "throughput_bps", service_id)]
+    )
 
 
 # ---------------------------------------------------------------------------

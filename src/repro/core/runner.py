@@ -48,7 +48,7 @@ from ..browser.environment import ClientEnvironment
 from ..config import ExperimentConfig, NetworkConfig
 from ..obs import tracing
 from ..obs.flight import FlightRecorder
-from ..obs.metrics import get_registry
+from ..obs.metrics import get_registry, reset_registry
 from ..services.catalog import ServiceCatalog, ServiceSpec, default_catalog
 from .cache import CachedTrial, TrialCache, trial_cache_key
 from .earlystop import EarlyStopConfig, EarlyStopMonitor, audit_decision
@@ -468,7 +468,6 @@ class ExecutionBackend:
                         cache.put(spec, result, env=env)
                     stats.trials_run += 1
                     stats.record_earlystop(result.earlystop)
-                    registry.counter("runner.trials_run").inc()
                     if recording is not None:
                         self.recordings[key] = recording
                     simulated[index] = result
@@ -495,20 +494,22 @@ class InlineBackend(ExecutionBackend):
             yield _simulate(spec, services, self.env, self.earlystop, record)
 
 
-def _run_trial_json(args: Tuple) -> Tuple[Dict, Optional[Dict]]:
+def _run_trial_json(args: Tuple) -> Tuple[Dict, Optional[Dict], Dict]:
     """Pool-worker entry point: run one trial from its shipped
     ``(spec, service specs, env, earlystop JSON, record_flight)``;
-    returns its result JSON and flight recording (or ``None``)."""
+    returns its result JSON, flight recording (or ``None``) and the
+    snapshot of the metrics this trial alone bumped."""
     spec, services, env, earlystop_json, record_flight = args
     earlystop = (
         EarlyStopConfig.from_json(earlystop_json)
         if earlystop_json is not None
         else None
     )
+    registry = reset_registry()
     result, recording = _simulate(
         spec, services, env, earlystop, record_flight
     )
-    return result.to_json(), recording
+    return result.to_json(), recording, registry.snapshot()
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -518,7 +519,8 @@ class ProcessPoolBackend(ExecutionBackend):
     trial is an isolated, seeded simulation); only the wall-clock
     changes.  Each trial travels to its worker with its resolved
     :class:`~repro.services.catalog.ServiceSpec` recipes and the
-    backend's client environment, so workers build nothing from names.
+    backend's client environment, so workers build nothing from names;
+    the metrics it bumps there are folded into this process's registry.
     When a trial raises, the trials not yet started are cancelled.
     """
 
@@ -552,9 +554,13 @@ class ProcessPoolBackend(ExecutionBackend):
             )
             for spec in trials
         ]
+        registry = get_registry()
         pool = ProcessPoolExecutor(max_workers=self.max_workers)
         try:
-            for result_json, recording in pool.map(_run_trial_json, payload):
+            for result_json, recording, metrics in pool.map(
+                _run_trial_json, payload
+            ):
+                registry.fold(metrics)
                 yield ExperimentResult.from_json(result_json), recording
         finally:
             pool.shutdown(cancel_futures=True)

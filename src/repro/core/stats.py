@@ -25,7 +25,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..obs.metrics import get_registry
+from ..obs.metrics import get_registry, quantile_of_sorted
 
 
 def median(samples: Sequence[float]) -> float:
@@ -45,18 +45,7 @@ def quantile(samples: Sequence[float], q: float) -> float:
         raise ValueError("quantile of empty sample set")
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must be within [0, 1]")
-    return _quantile_of_sorted(sorted(samples), q)
-
-
-def _quantile_of_sorted(ordered: Sequence[float], q: float) -> float:
-    """:func:`quantile` of an already-sorted, non-empty sample set."""
-    if len(ordered) == 1:
-        return ordered[0]
-    position = q * (len(ordered) - 1)
-    low = int(position)
-    high = min(low + 1, len(ordered) - 1)
-    weight = position - low
-    return ordered[low] * (1 - weight) + ordered[high] * weight
+    return quantile_of_sorted(sorted(samples), q)
 
 
 def iqr(samples: Sequence[float]) -> Tuple[float, float]:
@@ -165,8 +154,8 @@ def bootstrap_median_ci(
     medians = sorted(median(resample) for resample in zip(*[resampled] * n))
     alpha = (1.0 - confidence) / 2.0
     return (
-        _quantile_of_sorted(medians, alpha),
-        _quantile_of_sorted(medians, 1.0 - alpha),
+        quantile_of_sorted(medians, alpha),
+        quantile_of_sorted(medians, 1.0 - alpha),
     )
 
 

@@ -175,6 +175,18 @@ class Histogram:
 Instrument = Union[Counter, Gauge, Histogram]
 
 
+def quantile_of_sorted(ordered: Sequence[float], q: float) -> float:
+    """Exact linear-interpolated ``q``-quantile (0 <= q <= 1) of an
+    already-sorted, non-empty sequence (stats and span summaries)."""
+    if len(ordered) == 1:
+        return ordered[0]
+    position = q * (len(ordered) - 1)
+    low = int(position)
+    high = min(low + 1, len(ordered) - 1)
+    weight = position - low
+    return ordered[low] * (1 - weight) + ordered[high] * weight
+
+
 class MetricsRegistry:
     """Named instruments, created on first use, snapshotted to JSON.
 
@@ -255,21 +267,26 @@ class MetricsRegistry:
     def from_snapshot(cls, payload: Dict) -> "MetricsRegistry":
         """Rebuild a registry from :meth:`snapshot` output."""
         registry = cls()
+        registry.fold(payload)
+        return registry
+
+    def fold(self, payload: Dict) -> None:
+        """Add :meth:`snapshot` output into this registry's instruments
+        (a pool worker's per-trial metrics into its parent's): counters
+        and gauges add, histograms add bucket-wise (edges must match)."""
         for name, entry in payload.get("metrics", {}).items():
             kind = entry.get("type")
             if kind == "counter":
-                registry.counter(name).value = entry["value"]
+                self.counter(name).inc(entry["value"])
             elif kind == "gauge":
-                registry.gauge(name).value = entry["value"]
+                self.gauge(name).add(entry["value"])
             elif kind == "histogram":
-                hist = registry.histogram(name, entry["edges"])
-                hist.counts = list(entry["counts"])
-                hist.sum = entry["sum"]
-                hist.count = entry["count"]
-                hist.min = entry.get("min")
-                hist.max = entry.get("max")
+                hist = self.histogram(name, entry["edges"])
+                with hist._lock:
+                    merged = _merge_histogram(hist.to_json(), entry)
+                    for field in ("counts", "sum", "count", "min", "max"):
+                        setattr(hist, field, merged[field])
             # unknown instrument types are skipped (forward compatibility)
-        return registry
 
 
 def _merge_histogram(base: Dict, extra: Dict) -> Dict:

@@ -28,7 +28,9 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Union
+
+from .metrics import quantile_of_sorted
 
 #: Span-record schema; bump on incompatible layout changes.
 TRACE_SCHEMA_VERSION = 1
@@ -252,22 +254,6 @@ def to_chrome_trace(spans: Iterable[Dict]) -> Dict:
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def percentile(sorted_values: Sequence[float], q: float) -> float:
-    """Linear-interpolated ``q``-percentile of pre-sorted values."""
-    if not sorted_values:
-        raise ValueError("no values")
-    if len(sorted_values) == 1:
-        return sorted_values[0]
-    position = q * (len(sorted_values) - 1)
-    lower = int(position)
-    upper = min(lower + 1, len(sorted_values) - 1)
-    fraction = position - lower
-    return (
-        sorted_values[lower] * (1 - fraction)
-        + sorted_values[upper] * fraction
-    )
-
-
 def summarize(spans: Iterable[Dict]) -> Dict[str, Dict]:
     """Per-span-kind duration statistics (exact, from raw durations).
 
@@ -288,7 +274,7 @@ def summarize(spans: Iterable[Dict]) -> Dict[str, Dict]:
             "max_sec": durations[-1],
         }
         for q in SUMMARY_PERCENTILES:
-            row[f"p{int(q * 100)}_sec"] = percentile(durations, q)
+            row[f"p{int(q * 100)}_sec"] = quantile_of_sorted(durations, q)
         out[kind] = row
     return dict(
         sorted(out.items(), key=lambda kv: -kv[1]["total_sec"])

@@ -81,11 +81,15 @@ SHARDS = 4
 FRAMES_PER_TRIAL_BUDGET = 21
 
 #: Ceiling on Python frames per delivered trial over ``ingest_entry`` +
-#: ``compact``, measured as the slope between two delivery sizes (20.0
-#: today, plus ~10%; 23.0 when the entry parse was ``json.loads``; 33.0
-#: when the ingest joined payloads and kept entry bytes by key, 45.0
-#: before the journal adopted entry bytes).
-FRAMES_PER_INGESTED_TRIAL_BUDGET = 22
+#: ``compact``, measured as the slope between two delivery sizes: 12.0
+#: today (1 860 -> 3 180 frames for 110 -> 220 trials), plus half a
+#: frame, so one more Python call per journalled trial fails it (13.0).
+#: 9.0 before the store checked each trial record on write (the check
+#: and its ``_trial`` wrapper, +3); the ceiling was 22 until then, over
+#: twice the cost.  Earlier: 23.0 when the entry parse was
+#: ``json.loads``; 33.0 when the ingest joined payloads and kept entry
+#: bytes by key, 45.0 before the journal adopted entry bytes.
+FRAMES_PER_INGESTED_TRIAL_BUDGET = 12.5
 
 #: Ceiling on bytes per planned trial, in ``plan.json`` and across the
 #: shard manifests (110 and 111 today; 440 and 431 when every row

@@ -789,19 +789,33 @@ class TestInterruptedShard:
 class TestReceiptTelemetry:
     """Satellite: per-shard RunnerStats + obs metrics survive the merge."""
 
-    def test_receipt_carries_metrics_snapshot(self, tmp_path):
+    @pytest.mark.parametrize("backend_kind", ["inline", "process"])
+    def test_receipt_carries_metrics_snapshot(self, tmp_path, backend_kind):
+        """Simulator metrics reach the receipt from either substrate: a
+        pool worker's registry is not the parent's, so each trial's
+        metrics come back with its outcome."""
         plan = small_plan(num_shards=1, trials=2)
         plan.write(tmp_path / "plan")
         receipt = run_shard(
-            tmp_path / "plan" / "shard-0.json", tmp_path / "s0"
+            tmp_path / "plan" / "shard-0.json", tmp_path / "s0",
+            backend_kind=backend_kind, workers=2,
         )
         metrics = receipt.metrics["metrics"]
         assert metrics["sim.trials"]["value"] == len(plan.trials)
         assert metrics["sim.packets"]["value"] > 0
         assert metrics["sim.wall_sec"]["count"] == len(plan.trials)
+        assert metrics["sim.pkts_per_sec"]["count"] == len(plan.trials)
         # The receipt on disk round-trips the snapshot.
         reloaded = ShardReceipt.load(tmp_path / "s0")
         assert reloaded.metrics == receipt.metrics
+        if backend_kind == "process":
+            inline = run_shard(
+                tmp_path / "plan" / "shard-0.json", tmp_path / "inline",
+                backend_kind="inline",
+            ).metrics["metrics"]
+            for name in ("sim.trials", "sim.packets", "sim.events",
+                         "sim.queue_drops"):
+                assert metrics[name] == inline[name], name
 
     def test_merge_aggregates_per_shard_stats_and_metrics(self, tmp_path):
         plan = small_plan(
