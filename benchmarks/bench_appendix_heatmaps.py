@@ -8,19 +8,20 @@ from repro.analysis.observations import observation9_utilization, observation10_
 from repro.core.report import FairnessReport, render_grid
 from repro.core.results import loss_rate, queueing_delay_ms, utilization
 
-from .harness import SETTINGS, full_sweep_store, heatmap_service_ids, report
+from .harness import SETTINGS, heatmap_service_ids, report
 
 
-def test_fig11_link_utilization():
-    store = full_sweep_store()
+def test_fig11_link_utilization(sweep_store):
     ids = heatmap_service_ids()
     for name, network in SETTINGS.items():
-        rep = FairnessReport(store, ids, network.bandwidth_bps)
+        rep = FairnessReport(sweep_store, ids, network.bandwidth_bps)
         grid = rep.grid(utilization)
         body = render_grid(
             grid, ids, "median total link utilization (%)", scale=100
         )
-        stats = observation9_utilization(store, ids, network.bandwidth_bps)
+        stats = observation9_utilization(
+            sweep_store, ids, network.bandwidth_bps
+        )
         body += (
             f"\nObservation 9: min {stats['min'] * 100:.0f}%, "
             f"median {stats['median'] * 100:.0f}%, "
@@ -31,18 +32,17 @@ def test_fig11_link_utilization():
         assert stats["median"] > 0.9
 
 
-def test_fig12_loss_rates():
-    store = full_sweep_store()
+def test_fig12_loss_rates(sweep_store):
     ids = heatmap_service_ids()
     hc = SETTINGS["highly-constrained (8 Mbps)"]
     for name, network in SETTINGS.items():
-        rep = FairnessReport(store, ids, network.bandwidth_bps)
+        rep = FairnessReport(sweep_store, ids, network.bandwidth_bps)
         grid = rep.grid(loss_rate)
         body = render_grid(
             grid, ids, "median loss rate of the incumbent (%)",
             scale=100, fmt="{:.1f}",
         )
-        worst = observation10_loss(store, ids, network.bandwidth_bps)
+        worst = observation10_loss(sweep_store, ids, network.bandwidth_bps)
         ranked = sorted(worst, key=worst.get, reverse=True)
         body += (
             "\nObservation 10 - median loss induced per contender: "
@@ -52,19 +52,18 @@ def test_fig12_loss_rates():
         )
         report(f"Fig 12 - loss rate heatmap, {name}", body)
     # Single-flow BBR vs single-flow BBR: essentially no loss (Obs 10).
-    grid = FairnessReport(store, ids, hc.bandwidth_bps).grid(loss_rate)
+    grid = FairnessReport(sweep_store, ids, hc.bandwidth_bps).grid(loss_rate)
     assert grid[("dropbox", "gdrive")] < 0.005
     # Mega is among the worst loss inducers at 8 Mbps.
-    worst = observation10_loss(store, ids, hc.bandwidth_bps)
+    worst = observation10_loss(sweep_store, ids, hc.bandwidth_bps)
     ranked = sorted(worst, key=worst.get, reverse=True)
     assert "mega" in ranked[:3]
 
 
-def test_fig13_queueing_delay():
-    store = full_sweep_store()
+def test_fig13_queueing_delay(sweep_store):
     ids = heatmap_service_ids()
     for name, network in SETTINGS.items():
-        rep = FairnessReport(store, ids, network.bandwidth_bps)
+        rep = FairnessReport(sweep_store, ids, network.bandwidth_bps)
         grid = rep.grid(queueing_delay_ms)
         body = render_grid(
             grid, ids, "median mean queueing delay of incumbent (ms)",
@@ -73,5 +72,7 @@ def test_fig13_queueing_delay():
         report(f"Fig 13 - queueing delay heatmap, {name}", body)
     # Loss-based contenders stand far deeper queues than BBR ones.
     hc = SETTINGS["highly-constrained (8 Mbps)"]
-    grid = FairnessReport(store, ids, hc.bandwidth_bps).grid(queueing_delay_ms)
+    grid = FairnessReport(sweep_store, ids, hc.bandwidth_bps).grid(
+        queueing_delay_ms
+    )
     assert grid[("iperf_cubic", "iperf_reno")] > grid[("dropbox", "gdrive")]

@@ -9,17 +9,15 @@ from repro.core.report import FairnessReport, render_grid
 
 from .harness import (
     SETTINGS,
-    full_sweep_store,
     heatmap_service_ids,
     report,
 )
 
 
-def test_fig02_mmf_share_heatmaps():
-    store = full_sweep_store()
+def test_fig02_mmf_share_heatmaps(sweep_store):
     ids = heatmap_service_ids()
     for name, network in SETTINGS.items():
-        rep = FairnessReport(store, ids, network.bandwidth_bps)
+        rep = FairnessReport(sweep_store, ids, network.bandwidth_bps)
         body = render_grid(
             rep.heatmap(),
             ids,
@@ -50,7 +48,7 @@ def test_fig02_mmf_share_heatmaps():
 
     # Shape assertions against the paper's headline claims.
     hc = SETTINGS["highly-constrained (8 Mbps)"].bandwidth_bps
-    rep = FairnessReport(store, ids, hc)
+    rep = FairnessReport(sweep_store, ids, hc)
     stats = rep.losing_service_stats()
     # Unfairness is the common case.
     assert stats["median_losing_share"] < 0.95

@@ -9,15 +9,14 @@ Netflix and Vimeo are application-limited and harmless.
 from repro import units
 from repro.core.report import FairnessReport
 
-from .harness import SETTINGS, full_sweep_store, report
+from .harness import SETTINGS, report
 
 
 MULTIFLOW = ["mega", "netflix", "vimeo"]
 INCUMBENTS = ["iperf_reno", "iperf_cubic", "iperf_bbr", "dropbox"]
 
 
-def _collect():
-    store = full_sweep_store()
+def _collect(store):
     rows = {}
     for name, network in SETTINGS.items():
         rep = FairnessReport(
@@ -33,8 +32,8 @@ def _collect():
     return rows
 
 
-def test_fig03_multiflow_services():
-    rows = _collect()
+def test_fig03_multiflow_services(sweep_store):
+    rows = _collect(sweep_store)
     lines = []
     for name, by_contender in rows.items():
         lines.append(f"{name}: incumbent's % of MmF share")

@@ -8,11 +8,10 @@ can predict general fairness.
 
 from repro.core.report import FairnessReport
 
-from .harness import SETTINGS, full_sweep_store, heatmap_service_ids, report
+from .harness import SETTINGS, heatmap_service_ids, report
 
 
-def _find_triples():
-    store = full_sweep_store()
+def _find_triples(store):
     ids = heatmap_service_ids()
     found = {}
     for name, network in SETTINGS.items():
@@ -23,8 +22,8 @@ def _find_triples():
     return found
 
 
-def test_table3_non_transitivity():
-    found = _find_triples()
+def test_table3_non_transitivity(sweep_store):
+    found = _find_triples(sweep_store)
     lines = [
         f"{'alpha':<12} {'beta':<12} {'gamma':<12} {'BW':>6} "
         f"{'b vs a':>8} {'g vs b':>8} {'g vs a':>8}"

@@ -1,10 +1,19 @@
-"""Benchmark-suite plumbing: emit collected figure reports at the end."""
+"""Benchmark-suite plumbing: the shared all-pairs sweep, and the
+collected figure reports emitted at the end."""
 
 from __future__ import annotations
 
 import pytest
 
 from . import harness
+
+
+@pytest.fixture(scope="session")
+def sweep_store():
+    """The all-pairs sweep Figs 2, 3, 11, 12, 13 and Table 3 read, built
+    once per session; ``--durations=0`` shows it as this fixture's
+    setup row, not inside whichever of those benches runs first."""
+    return harness.full_sweep_store()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -208,9 +208,6 @@ def median_throughput_mbps(
 # The all-pairs sweep shared by Fig 2 / 11 / 12 / 13 / Table 3
 # ---------------------------------------------------------------------------
 
-_SWEEP_STORE: Optional[ResultStore] = None
-
-
 def heatmap_service_ids() -> List[str]:
     ids = CATALOG.heatmap_ids()
     preferred = [
@@ -222,10 +219,9 @@ def heatmap_service_ids() -> List[str]:
 
 
 def full_sweep_store() -> ResultStore:
-    """All-pairs x both settings x TRIALS; computed once per session."""
-    global _SWEEP_STORE
-    if _SWEEP_STORE is not None:
-        return _SWEEP_STORE
+    """All-pairs x both settings x TRIALS.  The benches read it through
+    the session fixture ``sweep_store`` (``benchmarks/conftest.py``), so
+    it is built once and ``--durations`` reports it as its own setup."""
     store = ResultStore()
     ids = heatmap_service_ids()
     pairs = []
@@ -237,7 +233,6 @@ def full_sweep_store() -> ResultStore:
             for result in run_trials(a, b, network):
                 if result.valid:
                     store.add(result)
-    _SWEEP_STORE = store
     return store
 
 

@@ -1,20 +1,22 @@
 """Atomic file replacement: the one way this library rewrites a file.
 
 Every durable artifact a concurrent reader may be looking at - cache
-entries and sidecars, shard receipts, the service's snapshot, site
-sections, the heartbeat - is published by writing a temporary sibling
+sidecars, shard receipts, the service's snapshot, site sections, the
+heartbeat - is published by writing a temporary sibling
 and renaming it over the destination.  Readers therefore see the old
 bytes or the new bytes, never a torn mix, and a crash mid-write leaves
 the destination untouched.
 
 The rename also gives the destination a *fresh inode*.  Fleet merges
-hard-link cache entries between directories (:mod:`repro.fleet.merge`),
-which is only sound because nothing rewrites an entry in place: a
-replace in one directory can never alias into another that links the
-old bytes.
+hard-link sidecars between directories (:mod:`repro.fleet.merge`),
+which is only sound because nothing rewrites one in place: a replace in
+one directory can never alias into another that links the old bytes.
+(Cache records are not files of their own: they are lines appended to
+record logs, :mod:`repro.core.cache`.)
 
-Temporary names end in ``.tmp`` (so no ``*.json`` entry, sidecar or
-receipt scan ever matches one), carry the writer's pid plus a random
+Temporary names end in ``.tmp`` (so no ``*.json`` sidecar or receipt
+scan, nor a ``*.log`` record-log scan, ever matches one), carry the
+writer's pid plus a random
 token (so concurrent writers of one destination never share a temp
 file), and are created exclusively.  A writer killed mid-write leaves
 its ``*.tmp`` behind; those are inert and ``TrialCache.clear`` sweeps

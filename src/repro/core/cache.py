@@ -15,51 +15,58 @@ are ``ExperimentResult.to_json()`` payloads.
 
 Every stored artifact has one encoder, :data:`encode_record` (sorted
 keys, no whitespace, one UTF-8 line), and a trial record is encoded
-once: :meth:`TrialCache.put` writes it as the entry file, and the
+once: :meth:`TrialCache.put` appends it to a record log, and the
 rolling store's journal and segments (:mod:`repro.service.store`) carry
 those bytes on unchanged (:meth:`TrialCache.read` hands them over).
 ``json`` (:func:`canonical_json`) spells only what a key hashes.
-Reading is laxer than writing: any file holding one JSON object is an
-entry - an older cache's indented or ``json``-spelled one, a foreign
-writer's - and only its layout differs, which ``fleet merge`` treats as
-a duplicate, not as divergence.
+Reading is laxer than writing: any line holding one JSON object is a
+record - an older writer's ``json``-spelled one, a foreign writer's -
+and only its spelling differs, which ``fleet merge`` treats as a
+duplicate, not as divergence.
 
 A cache is one directory, and directories are also the unit of
 *transport* for fleet operation (:mod:`repro.fleet`): shard workers write
-disjoint cache directories that the merger unions back together, so only
-``<64-hex-digest>.json`` files are treated as entries - anything else in
-the directory (receipts, notes) is ignored.
+disjoint cache directories that the merger unions back together.  Its
+records live in *record logs*, ``records-<pid>-<token>.log``: each
+:class:`TrialCache` that writes creates one at its first :meth:`put`
+and appends every record to it as one line, ``<key> <record>\\n``, in
+one ``os.write``.  A log has one writer, which only ever appends, so a
+log's complete lines never change: ``fleet merge`` hard-links whole
+logs between directories, and a reader may index a log once and later
+read only what grew at its tail.  A final line without its newline is
+a write in progress or a torn one (a writer killed mid-write, a short
+write - after which that writer opens a new log and never appends to
+the torn one again); readers leave it unindexed, so it is a miss, never
+damage.  Sidecars (``<key>.<name>.json``) stay one file each.  Anything
+else in the directory (receipts, notes) is ignored, except a
+``<64-hex>.json`` file: that is an entry of the per-file layout this
+cache replaced, and a directory holding one is refused by name (a cache
+can be re-derived; it is never half read).
 
-Every lookup is one batch :meth:`TrialCache.read` (``get`` reads one),
-and a hit costs what it must: the key is derived once per spec object
-(:func:`trial_cache_keys`, which hashes only the seed and service ids on
-top of a memoised SHA-256 state), the entry's path is one string
-concatenation, and the file is one ``os.read`` parsed once by
-:data:`decode_record`, the C parser (``cache.keys_derived`` /
-``cache.entries_parsed`` count both, once per batch).  A
-file that is not a UTF-8 JSON object, or an entry without a trial
-record's fields, raises :class:`CacheEntryError`: it is never a miss
-and never a result.  The
-:class:`~repro.core.experiment.ExperimentResult` is built from the
-payload only when a caller asks for :attr:`CachedTrial.result` - a
-shard worker, which only needs its trials recorded, never does.  On
-the ``warm-replan`` entries (1 006 B, one x86-64 core, best of seven
-reads of 2 280 entries) a disk hit is ~10.5-10.7 us (~20.5-21.2 when
-``json.loads`` parsed it): ~2.7 us open + read + close, ~3.3 us
-parse (UTF-8 + ``json.loads`` was ~13), ~4 us the loop around them
-(key memo, path, shape check, record, counters); building the result
-adds ~3.2 us where it is asked for.
+Every lookup is one batch :meth:`TrialCache.read` (``get`` reads one).
+A reader indexes the directory's logs - key to line, no bytes kept -
+the first time a batch misses its index, and again only on a later miss
+(new logs, grown tails).  A hit costs what it must: the key is derived
+once per spec object (:func:`trial_cache_keys`, which hashes only the
+seed and service ids on top of a memoised SHA-256 state), the line's
+bytes come from the read that indexed it (or one ``pread``), and are
+parsed once by :data:`decode_record`, the C parser
+(``cache.keys_derived`` / ``cache.entries_parsed`` count both, once per
+batch).  A key with several lines (a truncated result and the
+full-length run that superseded it, or the same record in two merged
+logs) reads as its most complete one (:func:`_completeness`; among
+equals the smallest bytes).  A record that is not a UTF-8 JSON object,
+or one without a trial record's fields, raises :class:`CacheEntryError`
+naming the log, the line and the key: it is never a miss and never a
+result.  The :class:`~repro.core.experiment.ExperimentResult` is built
+from the payload only when a caller asks for
+:attr:`CachedTrial.result` - a shard worker, which only needs its
+trials recorded, never does.
 
-Entry and sidecar files are *immutable*: every write lands as a
-temporary sibling renamed over the destination
-(:func:`repro.atomicio.atomic_write`), so a file's bytes never change
-under its inode.  Concurrent writers of one key converge on one intact
-payload, a crash leaves no torn entry, and ``fleet merge`` may hard-link
-entries between directories instead of copying them.  Nothing writes
-to an entry once it has landed, a read included: a hit touches neither
-the file nor its metadata, so it needs only read permission and a hit
-in a merged cache leaves the shard directory it was linked from as it
-was.
+Nothing writes to a line once it has landed, a read included: a read
+opens logs read-only and touches neither their bytes nor their
+metadata, so it needs only read permission, and a hit in a merged cache
+leaves the shard directory it was linked from as it was.
 """
 
 from __future__ import annotations
@@ -71,6 +78,8 @@ import json
 import math
 import os
 import re
+import secrets
+import weakref
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
 
@@ -105,15 +114,18 @@ def _completeness(payload: Dict) -> "tuple[int, int]":
 
 
 class CacheEntryError(RuntimeError):
-    """An entry or sidecar file is not a UTF-8 JSON object, or an entry
-    is one that is not a trial record (:func:`trial_record_defect`).
+    """A record or sidecar is not a UTF-8 JSON object, a record is one
+    that is not a trial record (:func:`trial_record_defect`), a log line
+    is not ``<key> <record>``, or a directory holds the per-file entries
+    of an older cache layout.
 
-    Writes are atomic, so a file in this state was damaged after it
-    landed (truncated copy, flipped bits, foreign writer).  The message
-    names the file and the defect; nothing is ever folded from it.
-    :meth:`TrialCache.put` raises it too, naming the field, for a
-    result it refuses to write because no reader could read it back
-    as it was.
+    Records are appended whole and never rewritten, so a line in this
+    state was damaged after it landed (truncated copy, flipped bits,
+    foreign writer).  The message names the log, the line and the key
+    (a sidecar's message, its file) and the defect; nothing is ever
+    folded from it.  :meth:`TrialCache.put` raises it too, naming the
+    field, for a result it refuses to write because no reader could
+    read it back as it was.
     """
 
 
@@ -154,17 +166,31 @@ decode_record = orjson.loads
 encode_record = functools.partial(orjson.dumps, option=orjson.OPT_SORT_KEYS)
 
 
-#: One read holds an entry whole (they are a few KiB); a buffer that
-#: comes back full may have more behind it.
+#: A read that came back short is read on in pieces of this size.
 _READ_SIZE = 1 << 16
 
-#: What ``payload`` is before the bytes were parsed.
-_UNPARSED = object()
+#: A record log's name is ``records-<pid>-<token>.log``.
+LOG_PREFIX = "records-"
+LOG_SUFFIX = ".log"
+
+#: Where a log line's record starts: after the key and one space.
+_RECORD_START = _KEY_HEX_LENGTH + 1
 
 
-def _read_on(fd: int, raw: bytes) -> bytes:
-    """``raw`` and whatever follows it in ``fd``, read to EOF."""
-    chunks = [raw]
+def _read_to_end(fd: int, offset: int = 0) -> bytes:
+    """What ``fd`` holds from ``offset`` on: one read of the size
+    ``fstat`` reports; a read that comes back short is read on until
+    one comes back empty.  (Bytes appended after the ``fstat`` are left
+    for the next read: a log's reader finds them on its next miss.)"""
+    size = os.fstat(fd).st_size - offset
+    if size <= 0:
+        return b""
+    if offset:
+        os.lseek(fd, offset, os.SEEK_SET)
+    data = os.read(fd, size)
+    if len(data) == size:
+        return data
+    chunks = [data]
     while chunk := os.read(fd, _READ_SIZE):
         chunks.append(chunk)
     return b"".join(chunks)
@@ -222,65 +248,25 @@ def trial_record_defect(payload) -> Optional[str]:
     return None
 
 
-def _read_entry(
-    path: str, trial: bool = True, raw: Optional[bytes] = None
-) -> "Optional[tuple[Dict, bytes]]":
-    """The JSON object at ``path`` and the bytes it was parsed from, or
-    ``None`` when no such file (read through a bare descriptor: no
-    ``BufferedReader`` built per entry; the caller counts the parse).
-    A caller that holds the bytes already (:func:`_encode_checked`'s
-    check of what is about to be written) passes them as ``raw``, and
-    ``path`` only names them.
-
-    The file is one ``os.read`` where it fits :data:`_READ_SIZE`; a full
-    buffer is read on to EOF, and so are bytes that do not parse before
-    they are called damaged, so a short read is never mistaken for a
-    damaged entry.
-
-    A ``trial`` file (an entry, not a sidecar) must also be a trial
-    record (:func:`trial_record_defect`); the result itself is not
-    built."""
-    payload = _UNPARSED
-    if raw is None:
-        try:
-            fd = os.open(path, os.O_RDONLY)
-        except FileNotFoundError:
-            return None
-        try:
-            raw = os.read(fd, _READ_SIZE)
-            if len(raw) == _READ_SIZE:
-                raw = _read_on(fd, raw)
-            try:
-                payload = decode_record(raw)
-            except ValueError:
-                raw = _read_on(fd, raw)
-        finally:
-            os.close(fd)
-    if payload is _UNPARSED:
-        try:
-            # orjson.JSONDecodeError is a ValueError; bad UTF-8 is one too.
-            payload = decode_record(raw)
-        except ValueError as exc:
-            raise CacheEntryError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
+def _decode(raw: bytes, trial: bool = True) -> Dict:
+    """The JSON object ``raw`` holds, or a :class:`CacheEntryError`
+    saying what it is instead; the caller names where ``raw`` came from
+    (the caller counts the parse, too).  A ``trial`` record (not a
+    sidecar) must also be a trial record (:func:`trial_record_defect`);
+    the result itself is not built."""
+    try:
+        payload = decode_record(raw)
+    except ValueError as exc:  # orjson.JSONDecodeError; bad UTF-8 too
+        raise CacheEntryError(f"not valid JSON ({exc})") from exc
+    if type(payload) is not dict:
         raise CacheEntryError(
-            f"{path}: expected a JSON object, found {type(payload).__name__}"
+            f"expected a JSON object, found {type(payload).__name__}"
         )
     if trial:
         defect = trial_record_defect(payload)
         if defect is not None:
-            raise CacheEntryError(f"{path}: not a trial record ({defect})")
-    return payload, raw
-
-
-def _read_json(path: str, trial: bool = True) -> Optional[Dict]:
-    """The JSON object at ``path`` (see :func:`_read_entry`), or ``None``
-    when no such file."""
-    entry = _read_entry(path, trial)
-    if entry is None:
-        return None
-    get_registry().counter("cache.entries_parsed").inc()
-    return entry[0]
+            raise CacheEntryError(f"not a trial record ({defect})")
+    return payload
 
 
 #: The shape of a trial cache key; its C ``fullmatch`` is what a
@@ -293,31 +279,163 @@ def is_cache_key(text: str) -> bool:
     return _KEY_SHAPE.fullmatch(text) is not None
 
 
-def scan_cache_dir(
-    directory: "str | os.PathLike[str]",
+def _list_cache_dir(
+    directory: str,
 ) -> "tuple[List[str], Dict[str, List[str]]]":
-    """One listing of a cache directory: entry keys and their sidecars.
-
-    Returns the sorted entry keys (``<64-hex>.json``) and, per key, the
-    sorted sidecar file names (``<key>.<name>.json``).  Everything else
-    - receipts, notes, ``*.tmp`` leftovers - is not part of the cache.
-    """
-    keys: List[str] = []
+    """One listing of a cache directory: its record logs, sorted, and
+    per key the sorted sidecar file names (``<key>.<name>.json``).
+    Everything else - receipts, notes, ``*.tmp`` leftovers - is not part
+    of the cache, except a per-file entry (``<64-hex>.json``), which is
+    refused: this cache reads record logs only."""
+    logs: List[str] = []
     sidecars: Dict[str, List[str]] = {}
     is_key = _KEY_SHAPE.fullmatch
     for name in sorted(os.listdir(directory)):
+        if name.endswith(LOG_SUFFIX):
+            if name.startswith(LOG_PREFIX):
+                logs.append(name)
+            continue
         if not name.endswith(".json"):
             continue
         stem = name[: -len(".json")]
         if is_key(stem):
-            keys.append(stem)
-        elif (
+            raise CacheEntryError(
+                f"{os.path.join(directory, name)}: a per-file cache entry "
+                f"- this cache reads record logs ({LOG_PREFIX}*{LOG_SUFFIX}) "
+                "only; re-derive the cache into a fresh directory"
+            )
+        if (
             len(stem) > _KEY_HEX_LENGTH + 1
             and stem[_KEY_HEX_LENGTH] == "."
-            and is_cache_key(stem[:_KEY_HEX_LENGTH])
+            and is_key(stem[:_KEY_HEX_LENGTH])
         ):
             sidecars.setdefault(stem[:_KEY_HEX_LENGTH], []).append(name)
-    return keys, sidecars
+    return logs, sidecars
+
+
+class _LogIndex:
+    """Where each key's lines are in one cache directory's record logs.
+
+    ``spans`` maps a key to ``(log name, start, end)`` of the first line
+    found for it (its record is ``log[start:end]``), ``extra`` a key
+    with more lines to the rest, and ``sizes`` each log seen to the
+    bytes indexed so far: through its last newline, so a torn or
+    in-flight tail is left for a later :meth:`scan`.  Offsets only: the
+    bytes a scan read are handed to its caller and not kept.
+    """
+
+    __slots__ = ("directory", "prefix", "listed", "sizes", "spans", "extra")
+
+    def __init__(self, directory: str) -> None:
+        self.directory = directory
+        self.prefix = os.path.join(directory, "")
+        self.listed = False
+        self.sizes: Dict[str, int] = {}
+        self.spans: Dict[str, "tuple[str, int, int]"] = {}
+        self.extra: Dict[str, List["tuple[str, int, int]"]] = {}
+
+    def scan(self) -> "tuple[Dict[str, bytes], Dict[str, List[str]]]":
+        """Index what landed since the last scan - new logs, grown
+        tails - and return the records it read, by key (the last line
+        read for a key), and the directory's sidecars by key."""
+        logs, sidecars = _list_cache_dir(self.directory)
+        self.listed = True
+        sizes, spans, extra = self.sizes, self.spans, self.extra
+        fresh: Dict[str, bytes] = {}
+        is_key = _KEY_SHAPE.fullmatch
+        for name in logs:
+            base = sizes.get(name, 0)
+            fd = os.open(self.prefix + name, os.O_RDONLY)
+            try:
+                data = _read_to_end(fd, base)
+            finally:
+                os.close(fd)
+            end = data.rfind(b"\n") + 1
+            sizes[name] = base + end
+            pos = 0
+            while pos < end:
+                stop = data.index(b"\n", pos)
+                key = data[pos : pos + _KEY_HEX_LENGTH].decode("latin-1")
+                if (
+                    data[pos + _KEY_HEX_LENGTH : pos + _RECORD_START] != b" "
+                    or not is_key(key)
+                ):
+                    raise CacheEntryError(
+                        f"{self.at((name, base + pos, base + stop))}: not "
+                        "'<key> <record>' (no cache key at its start)"
+                    )
+                span = (name, base + pos + _RECORD_START, base + stop)
+                if key in spans:
+                    extra.setdefault(key, []).append(span)
+                else:
+                    spans[key] = span
+                fresh[key] = data[pos + _RECORD_START : stop]
+                pos = stop + 1
+        return fresh, sidecars
+
+    def line(self, span: "tuple[str, int, int]") -> bytes:
+        """The record at ``span``, read from its log."""
+        name, start, end = span
+        fd = os.open(self.prefix + name, os.O_RDONLY)
+        try:
+            return os.pread(fd, end - start, start)
+        finally:
+            os.close(fd)
+
+    def at(self, span: "tuple[str, int, int]") -> str:
+        """``<log path>: line <n>``: where ``span`` is, for an error."""
+        path = self.prefix + span[0]
+        return f"{path}: line {_line_number(path, span[1])}"
+
+    def damaged(
+        self, key: str, span: "tuple[str, int, int]", exc: CacheEntryError
+    ) -> CacheEntryError:
+        """``exc`` as raised by :func:`_decode`, naming where it is."""
+        return CacheEntryError(f"{self.at(span)}, key {key}: {exc}")
+
+    def record(self, key: str) -> "tuple[Dict, bytes, int]":
+        """``(payload, bytes, lines parsed)`` of ``key``'s most complete
+        line (:func:`_completeness`; among equals the smallest bytes;
+        equal lines are parsed once)."""
+        seen: Dict[bytes, Dict] = {}
+        for span in (self.spans[key], *self.extra.get(key, ())):
+            raw = self.line(span)
+            if raw not in seen:
+                try:
+                    seen[raw] = _decode(raw)
+                except CacheEntryError as exc:
+                    raise self.damaged(key, span, exc) from exc
+        raw, payload = max(
+            sorted(seen.items()), key=lambda item: _completeness(item[1])
+        )
+        return payload, raw, len(seen)
+
+    def bytes_of(
+        self, key: str, fresh: Optional[Dict[str, bytes]] = None
+    ) -> bytes:
+        """The bytes of the line :meth:`record` reads for ``key``; a key
+        with one line is not parsed."""
+        if key in self.extra:
+            return self.record(key)[1]
+        raw = fresh.get(key) if fresh else None
+        return self.line(self.spans[key]) if raw is None else raw
+
+
+def _line_number(path: str, offset: int) -> int:
+    """The 1-based number of the line of ``path`` holding ``offset``
+    (for naming a damaged line; never on a hit's path)."""
+    with open(path, "rb") as handle:
+        return handle.read(offset).count(b"\n") + 1
+
+
+def scan_cache_dir(
+    directory: "str | os.PathLike[str]",
+) -> "tuple[List[str], Dict[str, List[str]]]":
+    """One reading of a cache directory: the keys its record logs hold,
+    sorted, and per key its sorted sidecar file names."""
+    index = _LogIndex(os.fspath(directory))
+    sidecars = index.scan()[1]
+    return sorted(index.spans), sidecars
 
 
 #: Memo behind :func:`config_fields` / :func:`config_canonical_json`, by
@@ -371,17 +489,21 @@ def _unstorable_field(value, path: str = "") -> Optional[str]:
 
 
 def _encode_checked(payload: Dict, path: str, trial: bool) -> bytes:
-    """:data:`encode_record` of ``payload``, read back as ``path`` would
-    be (:func:`_read_entry`); what would not read back equal is a
-    :class:`CacheEntryError` naming the field, and nothing is written."""
+    """:data:`encode_record` of ``payload``, read back as a reader would
+    (:func:`_decode`); what would not read back equal is a
+    :class:`CacheEntryError` naming ``path`` and the field, and nothing
+    is written."""
     refused = f"{path} (not written)"
     try:
         encoded = encode_record(payload)
     except TypeError as exc:  # beyond 64 bits, a key that is no str, ...
         reason = str(exc)
     else:
-        if _read_entry(refused, trial, encoded)[0] == payload:
-            return encoded
+        try:
+            if _decode(encoded, trial) == payload:
+                return encoded
+        except CacheEntryError as exc:
+            raise CacheEntryError(f"{refused}: {exc}") from exc
         reason = "it does not read back as written"
     raise CacheEntryError(f"{refused}: {_unstorable_field(payload) or reason}")
 
@@ -575,16 +697,17 @@ class CachedTrial:
 
 class TrialCache:
     """Content-addressed store of simulated trial results: one directory
-    of immutable entries.
+    of append-only record logs.
 
-    Every entry is one ``<digest>.json`` file in ``cache_dir``, so
-    caches are shareable between processes and survive restarts.  An
-    in-memory index of the payloads this instance read or wrote sits in
-    front of the directory, so repeated hits never re-read files
-    (``test_repeated_hits_never_reread_files`` in
+    Every record is one line of a ``records-<pid>-<token>.log`` in
+    ``cache_dir``, so caches are shareable between processes and survive
+    restarts; this instance appends to a log of its own, created at its
+    first :meth:`put`.  An in-memory table of the payloads this instance
+    read or wrote sits in front of the logs, so repeated hits never
+    re-read them (``test_repeated_hits_never_reread_files`` in
     ``tests/test_control_plane_budget.py``); it holds payloads, never
     the bytes :meth:`read` hands over with them.  Reading never writes:
-    a hit needs only read permission on the entry and leaves its
+    a hit needs only read permission on the logs and leaves their
     metadata as it was (``test_a_read_never_writes`` in
     ``tests/test_runner_and_cache.py``).
     """
@@ -592,8 +715,11 @@ class TrialCache:
     def __init__(self, cache_dir: "str | os.PathLike[str]") -> None:
         self.cache_dir = Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
-        #: ``<cache_dir>/``: an entry's path is one concatenation.
+        #: ``<cache_dir>/``: a sidecar's path is one concatenation.
         self._prefix = os.path.join(self.cache_dir, "")
+        self._index = _LogIndex(os.fspath(self.cache_dir))
+        #: ``(fd, pid, closer)`` of this instance's log, once it has one.
+        self._log: Optional[tuple] = None
         self._memory: Dict[str, Dict] = {}
         self._sidecar_memory: Dict["tuple[str, str]", Dict] = {}
         self.hits = 0
@@ -611,32 +737,49 @@ class TrialCache:
         allow_truncated: bool = False,
     ) -> List[Optional[CachedTrial]]:
         """The recorded trial for each spec, in order, or ``None`` where
-        the cache has nothing admissible: the one loop that reads entries.
+        the cache has nothing admissible: the one loop that reads records.
 
-        Early-terminated entries (``earlystop.truncated``; see
+        Early-terminated records (``earlystop.truncated``; see
         :mod:`repro.core.earlystop`) only count as hits when the caller
         opts in with ``allow_truncated`` - a run without the feature
         treats them as misses, re-simulates full-length, and the
-        resulting :meth:`put` supersedes the truncated entry.  Every
-        entry read is parsed and checked to be a trial record here; a
-        hit's :attr:`CachedTrial.result` is built only when asked for.
-        Hits, misses and parses are counted once per batch, exactly: a
+        resulting :meth:`put` supersedes the truncated record.  The
+        first key of a batch the index lacks re-indexes the logs (new
+        ones, grown tails), once.  Every record read is parsed and
+        checked to be a trial record here; a hit's
+        :attr:`CachedTrial.result` is built only when asked for.  Hits,
+        misses and parses are counted once per batch, exactly: a
         :class:`CacheEntryError` leaves them counting the specs before it.
         """
         memory = self._memory
-        prefix = self._prefix
+        index = self._index
+        spans, extra = index.spans, index.extra
         records: List[Optional[CachedTrial]] = []
         parsed = 0
+        fresh: Optional[Dict[str, bytes]] = None
         keys = trial_cache_keys(specs, env)
         try:
             for key in keys:
                 payload, raw = memory.get(key), None
                 if payload is None:
-                    entry = _read_entry(prefix + key + ".json")
-                    if entry is not None:
-                        payload, raw = entry
+                    if fresh is None and key not in spans:
+                        fresh = index.scan()[0]
+                    span = spans.get(key)
+                    if span is not None:
+                        if key in extra:
+                            payload, raw, count = index.record(key)
+                            parsed += count
+                        else:
+                            # index.record, inline: this runs per hit.
+                            raw = fresh.get(key) if fresh else None
+                            if raw is None:
+                                raw = index.line(span)
+                            try:
+                                payload = _decode(raw)
+                            except CacheEntryError as exc:
+                                raise index.damaged(key, span, exc) from exc
+                            parsed += 1
                         memory[key] = payload
-                        parsed += 1
                 if payload is None or (
                     not allow_truncated
                     and (payload.get("earlystop") or {}).get("truncated")
@@ -672,44 +815,84 @@ class TrialCache:
     ) -> None:
         """Record one simulated trial under its content address.
 
-        The entry is the result's :data:`encode_record`: one line, the
-        bytes a service journal later adopts as they are.  A result that
-        would not read back as written - a non-finite float, an integer
-        field beyond signed 64 bits - is refused with a
+        The record is the result's :data:`encode_record`: one line, the
+        bytes a service journal later adopts as they are, appended to
+        this instance's log in one ``os.write``.  A result that would
+        not read back as written - a non-finite float, an integer field
+        beyond signed 64 bits - is refused with a
         :class:`CacheEntryError` naming the field, and nothing is
         written (:func:`_encode_checked`).
 
-        Full-length results always supersede truncated ones: a put never
-        replaces an existing entry with a *less* complete result for the
-        same key (truncated over full, or a shorter truncation horizon
-        over a longer one).  Deterministic re-runs of equal completeness
-        rewrite the identical bytes, so last-writer-wins is safe there.
+        Only what is more complete than the record the cache holds for
+        the key is appended (full-length over truncated, a longer
+        truncation horizon over a shorter one): a deterministic re-run
+        writes nothing.  What the cache holds is this instance's memory,
+        else the logs as its index saw them (indexed at the first put if
+        no read did it first, and not re-indexed per put: a line another
+        writer appended since is not seen, and readers read the more
+        complete of the two lines either way).  A write that lands short
+        leaves a torn final line, which readers treat as absent; the log
+        takes no more lines and the ``OSError`` propagates.
         """
         key = trial_cache_key(spec, env)
         payload = result.to_json()
-        path = self._path(key)
-        encoded = _encode_checked(payload, path, trial=True)
+        encoded = _encode_checked(payload, f"{self._prefix}{key}", trial=True)
         existing = self._memory.get(key)
         if existing is None:
-            existing = _read_json(path)
-        if existing is not None and _completeness(payload) < _completeness(
+            index = self._index
+            if not index.listed:
+                index.scan()
+            if key in index.spans:
+                existing = self._load(key)
+        if existing is not None and _completeness(payload) <= _completeness(
             existing
         ):
             return
+        line = b"%b %b\n" % (key.encode("ascii"), encoded)
+        log = self._log
+        if log is None or log[1] != os.getpid():
+            log = self._open_log()
+        written = os.write(log[0], line)
+        if written != len(line):
+            log[2]()  # close: a torn line ends this log
+            self._log = None
+            raise OSError(
+                f"{self._prefix}{key}: short write to a record log "
+                f"({written} of {len(line)} bytes); the record is not stored"
+            )
         self._memory[key] = payload
         self.stores += 1
-        atomic_write(path, encoded)
         registry = get_registry()
         registry.counter("cache.stores").inc()
-        registry.counter("cache.bytes_written").inc(len(encoded))
+        registry.counter("cache.bytes_written").inc(len(line))
+
+    def _open_log(self) -> tuple:
+        """Create this instance's record log (a new one after a fork)."""
+        pid = os.getpid()
+        path = (
+            f"{self._prefix}{LOG_PREFIX}{pid}-{secrets.token_hex(4)}"
+            f"{LOG_SUFFIX}"
+        )
+        fd = os.open(
+            path, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_APPEND, 0o644
+        )
+        self._log = (fd, pid, weakref.finalize(self, os.close, fd))
+        return self._log
+
+    def _load(self, key: str) -> Dict:
+        """The indexed record of ``key``, parsed, counted and held."""
+        payload, _raw, parsed = self._index.record(key)
+        get_registry().counter("cache.entries_parsed").inc(parsed)
+        self._memory[key] = payload
+        return payload
 
     # ------------------------------------------------------------------
     # Sidecars: auxiliary artifacts content-addressed to an entry
     # ------------------------------------------------------------------
     #
-    # A sidecar lives at ``<key>.<name>.json``; its stem is longer than
-    # 64 hex chars, so ``is_cache_key`` rejects it and every entry scan
-    # (``scan_cache_dir``'s key list) ignores it by construction.  Flight
+    # A sidecar lives at ``<key>.<name>.json``, one file each, written
+    # atomically (``repro.atomicio``); its stem is longer than 64 hex
+    # chars, so the per-file-entry refusal never matches it.  Flight
     # recordings (repro.obs.flight) are the first sidecar kind; payloads
     # carry their own schema version.
 
@@ -729,9 +912,21 @@ class TrialCache:
         """The sidecar payload for ``key``, or ``None`` if absent."""
         payload = self._sidecar_memory.get((key, name))
         if payload is None:
-            payload = _read_json(self._sidecar_path(key, name), trial=False)
-            if payload is not None:
-                self._sidecar_memory[(key, name)] = payload
+            path = self._sidecar_path(key, name)
+            try:
+                fd = os.open(path, os.O_RDONLY)
+            except FileNotFoundError:
+                return None
+            try:
+                raw = _read_to_end(fd)
+            finally:
+                os.close(fd)
+            try:
+                payload = _decode(raw, trial=False)
+            except CacheEntryError as exc:
+                raise CacheEntryError(f"{path}: {exc}") from exc
+            get_registry().counter("cache.entries_parsed").inc()
+            self._sidecar_memory[(key, name)] = payload
         return payload
 
     def sidecar_keys(self, name: str) -> List[str]:
@@ -747,44 +942,50 @@ class TrialCache:
         return f"{self._prefix}{key}.{name}.json"
 
     # ------------------------------------------------------------------
-    # Introspection
+    # Introspection: through the same index, re-read on a miss
     # ------------------------------------------------------------------
 
     def contains_key(self, key: str) -> bool:
-        """True when an entry for this precomputed key is present."""
-        return key in self._memory or os.path.exists(self._path(key))
+        """True when a record for this precomputed key is present."""
+        if key in self._memory or key in self._index.spans:
+            return True
+        self._index.scan()
+        return key in self._index.spans
 
     def payload_for(self, key: str) -> Optional[Dict]:
-        """The raw cached payload for ``key``, or ``None`` if absent.
+        """The cached payload for ``key``, or ``None`` if absent.
 
         Offline consumers (e.g. ``repro earlystop fit``) read payloads
-        by key to pair entries with their sidecars without re-deriving
+        by key to pair records with their sidecars without re-deriving
         trial specs.
         """
         payload = self._memory.get(key)
-        return _read_json(self._path(key)) if payload is None else payload
+        if payload is None and self.contains_key(key):
+            payload = self._load(key)
+        return payload
 
     def keys(self) -> Iterator[str]:
-        """Iterate every entry key in the directory, sorted."""
-        return iter(scan_cache_dir(self.cache_dir)[0])
+        """Iterate every record key in the directory, sorted."""
+        self._index.scan()
+        return iter(sorted(self._index.spans))
 
     def __len__(self) -> int:
-        return len(scan_cache_dir(self.cache_dir)[0])
+        self._index.scan()
+        return len(self._index.spans)
 
     def clear(self) -> None:
-        """Drop every entry and sidecar (memory and disk) and reset
+        """Drop every record and sidecar (memory and disk) and reset
         counters."""
-        keys, sidecars = scan_cache_dir(self.cache_dir)
-        for name in [f"{key}.json" for key in keys] + [
-            name for names in sidecars.values() for name in names
-        ]:
+        if self._log is not None:
+            self._log[2]()
+            self._log = None
+        logs, sidecars = _list_cache_dir(os.fspath(self.cache_dir))
+        for name in logs + [n for names in sidecars.values() for n in names]:
             os.unlink(self._prefix + name)
-        # Temporaries a killed writer left behind (repro.atomicio).
+        # Temporaries a killed sidecar writer left behind (repro.atomicio).
         for path in self.cache_dir.glob(f"*{TMP_SUFFIX}"):
             path.unlink()
+        self._index = _LogIndex(os.fspath(self.cache_dir))
         self._memory.clear()
         self._sidecar_memory.clear()
         self.hits = self.misses = self.stores = 0
-
-    def _path(self, key: str) -> str:
-        return self._prefix + key + ".json"

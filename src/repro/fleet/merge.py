@@ -19,13 +19,15 @@ single-host run or silently is not - so it verifies everything it can:
   and extras (unplanned entries, e.g. from a pre-warmed shared cache)
   are counted but tolerated.
 
-New entries - and the ``<key>.<name>.json`` sidecars that belong to
-them - are hard-linked into the destination (copied where the OS will
-not link), never re-written: cache files are immutable, so sharing an
-inode with the shard directory is safe, and bytes are read only to
-adjudicate a key that is already present.  The link loop runs once per
-planned trial, so its paths are strings (``<dir>/`` + file name): no
-``Path`` is built per entry.
+A shard's record logs - and the ``<key>.<name>.json`` sidecars of its
+new keys - are hard-linked into the destination (copied where the OS
+will not link), never re-written: a log has one writer that only
+appends, so sharing its inode with the shard directory is safe, and a
+merge makes one link per shard log, not one per trial.  Every key is
+judged before any of its shard's logs is linked, and bytes are read
+again only to adjudicate a key that is already present.  Both lines of
+a superseded pair stay in the destination; its readers read the more
+complete one, as the cache's own reader does.
 
 Shard receipts' :class:`~repro.core.runner.RunnerStats` are summed, so
 the merged cache knows how much total simulation the fleet performed.
@@ -43,10 +45,10 @@ from ..core.cache import (
     CACHE_SCHEMA_VERSION,
     CacheEntryError,
     _completeness,
-    _read_entry,
+    _decode,
+    _LogIndex,
     canonical_json,
     encode_record,
-    scan_cache_dir,
 )
 from ..core.runner import RunnerStats
 from ..obs.metrics import merge_snapshots
@@ -113,13 +115,11 @@ def _copy_new(source: str, target: str) -> bool:
 def _link_new(source: str, target: str) -> bool:
     """Materialise ``source`` at ``target``; ``False`` if taken.
 
-    Cache files are immutable (:mod:`repro.atomicio`), so on one
-    filesystem the merged cache shares the shard's inode instead of
-    re-writing its bytes.  Wherever the OS refuses the link (``EXDEV``
-    across filesystems, ``EPERM``, no hard-link support) the bytes are
-    copied into an exclusively-created file instead.  (:func:`merge_shards`
-    spells this out in its entry loop, which runs once per planned
-    trial.)
+    Logs and sidecars are never rewritten in place, so on one filesystem
+    the merged cache shares the shard's inode instead of re-writing its
+    bytes.  Wherever the OS refuses the link (``EXDEV`` across
+    filesystems, ``EPERM``, no hard-link support) the bytes are copied
+    into an exclusively-created file instead.
     """
     try:
         os.link(source, target)
@@ -128,6 +128,17 @@ def _link_new(source: str, target: str) -> bool:
     except OSError:
         return _copy_new(source, target)
     return True
+
+
+def _link_log(source: str, target: str) -> None:
+    """Bring a shard's record log into the merged cache.  A log of that
+    name already there is this one (one writer per name): linked, or a
+    copy an earlier merge made, which its writer may since have appended
+    to - the copy is then replaced by the log as it is now."""
+    if not _link_new(source, target) and not os.path.samefile(
+        source, target
+    ):
+        atomic_write(target, Path(source).read_bytes())
 
 
 def _carry_sidecars(
@@ -154,8 +165,8 @@ def _resolve_divergent(challenger: bytes, incumbent: bytes) -> Optional[str]:
     legitimately produce different bytes under one cache key: a shard
     that ran with the monitor armed wrote a truncated result, another
     (or an audit trial) wrote the full-length one.  Both sides must be
-    trial records - read as every cache read reads an entry
-    (:data:`~repro.core.cache.decode_record` and the entry shape check)
+    trial records - read as every cache read reads a record
+    (:data:`~repro.core.cache.decode_record` and the record shape check)
     - and differ *in completeness* (full beats truncated, longer
     truncated horizon beats shorter -
     :func:`repro.core.cache._completeness`); anything else is real
@@ -166,8 +177,8 @@ def _resolve_divergent(challenger: bytes, incumbent: bytes) -> Optional[str]:
     earlystop supersede.
     """
     try:
-        challenger_payload = _read_entry("challenger", raw=challenger)[0]
-        incumbent_payload = _read_entry("incumbent", raw=incumbent)[0]
+        challenger_payload = _decode(challenger)
+        incumbent_payload = _decode(incumbent)
     except CacheEntryError:
         return None
     # Type for type: ``1``, ``1.0`` and ``true`` are spelled apart.
@@ -229,7 +240,11 @@ def merge_shards(
     dest.mkdir(parents=True, exist_ok=True)
     dest_prefix = os.path.join(dest, "")
     expected = set(plan.expected_keys())
-    merged_keys = set(scan_cache_dir(dest)[0])  # pre-populated dest
+    held = _LogIndex(os.fspath(dest))
+    held.scan()  # a pre-populated dest
+    merged_keys = set(held.spans)
+    # Logs linked since ``held`` last looked: re-index before judging.
+    stale = False
     report = MergeReport(shards=len(shard_dirs))
     shard_metrics: List[Dict] = []
     winners: Dict[int, ShardReceipt] = {}
@@ -265,54 +280,52 @@ def merge_shards(
                 winners[receipt.shard_index] = receipt
         if receipt.metrics is not None:
             shard_metrics.append(receipt.metrics)
-        keys, sidecars = scan_cache_dir(shard)
-        shard_prefix = os.path.join(shard, "")
-        for key in keys:
+        index = _LogIndex(os.fspath(shard))
+        fresh, sidecars = index.scan()
+        shard_prefix = index.prefix
+        new_keys: List[str] = []
+        carry: List["tuple[List[str], bool]"] = []
+        for key in index.spans:
             carried = sidecars.get(key)
-            entry = shard_prefix + key + ".json"
-            target = dest_prefix + key + ".json"
-            # _link_new, inline: this loop runs once per planned trial.
-            try:
-                os.link(entry, target)
-                linked = True
-            except FileExistsError:
-                linked = False
-            except OSError:
-                linked = _copy_new(entry, target)
-            if not linked:
-                data = Path(entry).read_bytes()
-                existing = Path(target).read_bytes()
-                if existing != data:
-                    verdict = _resolve_divergent(data, existing)
-                    if verdict is None:
-                        raise FleetError(
-                            f"divergent duplicate for key "
-                            f"{key[:12]}... ({entry} vs {target}) - "
-                            "deterministic trials cannot legitimately "
-                            "differ; suspect version skew or corruption"
-                        )
-                    if verdict == "replace":
-                        # Replace, never rewrite: target may share its
-                        # inode with the shard directory it came from.
-                        atomic_write(target, data)
-                        if carried:
-                            _carry_sidecars(
-                                carried, shard_prefix, dest_prefix,
-                                replace=True,
-                            )
-                    if verdict != "same":
-                        report.superseded_entries += 1
-                        continue
-                report.duplicates += 1
+            if key not in merged_keys:
+                new_keys.append(key)
                 if carried:
-                    _carry_sidecars(carried, shard_prefix, dest_prefix)
+                    carry.append((carried, False))
                 continue
+            if stale:
+                held.scan()
+                stale = False
+            data = index.bytes_of(key, fresh)
+            existing = held.bytes_of(key)
+            if existing != data:
+                verdict = _resolve_divergent(data, existing)
+                if verdict is None:
+                    raise FleetError(
+                        f"divergent duplicate for key {key[:12]}... "
+                        f"({index.at(index.spans[key])} vs "
+                        f"{held.at(held.spans[key])}) - "
+                        "deterministic trials cannot legitimately "
+                        "differ; suspect version skew or corruption"
+                    )
+                if verdict != "same":
+                    report.superseded_entries += 1
+                    if verdict == "replace" and carried:
+                        carry.append((carried, True))
+                    continue
+            report.duplicates += 1
+            if carried:
+                carry.append((carried, False))
+        # Every key judged: now the shard's logs join the destination.
+        for name in index.sizes:
+            _link_log(shard_prefix + name, dest_prefix + name)
+        stale = True
+        for key in new_keys:
             merged_keys.add(key)
-            report.entries_merged += 1
             if key not in expected:
                 report.extras += 1
-            if carried:
-                _carry_sidecars(carried, shard_prefix, dest_prefix)
+        report.entries_merged += len(new_keys)
+        for names, replace in carry:
+            _carry_sidecars(names, shard_prefix, dest_prefix, replace)
     report.per_shard_stats = {
         index: receipt.stats for index, receipt in winners.items()
     }

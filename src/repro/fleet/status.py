@@ -4,23 +4,25 @@
 operator of a sharded run actually has - *how far along is the fleet,
 and is anything stuck?* - without touching the workers.  It reads only
 what the fleet stages already write to disk (shard receipts and cache
-entries), so it is safe to run concurrently with ``fleet run-shard``:
+records), so it is safe to run concurrently with ``fleet run-shard``:
 
 - a shard whose directory carries a matching :class:`ShardReceipt` is
   **done**;
-- a shard whose directory has cache entries but no receipt yet is
-  **running** - unless its newest entry is older than ``--stall-sec``,
+- a shard whose directory has cache records but no receipt yet is
+  **running** - unless its newest write (a record appended to a log
+  counts) is older than ``--stall-sec``,
   in which case it is flagged **stalled** (worker died mid-shard);
 - a shard with no directory at all is **missing** (not started, or
   its cache has not been shipped back yet).
 
 Directories are matched to shards by receipt when present, else by
-overlap between the entries on disk and each shard's planned key set
+overlap between the records on disk and each shard's planned key set
 (shard caches carry no other identity before completion).
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -242,13 +244,16 @@ def _expand_dirs(dirs: Sequence[Union[str, Path]]) -> List[Path]:
 
 
 def _newest_mtime(directory: Path) -> float:
-    """Newest write in the directory - receipt, entries, or the dir itself."""
+    """Newest write in the directory - the receipt, a sidecar, a record
+    appended to a log (which moves the log's mtime, not the
+    directory's), or the directory itself."""
     newest = directory.stat().st_mtime
-    for path in directory.glob("*.json"):
-        try:
-            newest = max(newest, path.stat().st_mtime)
-        except OSError:  # deleted since the listing
-            continue
+    with os.scandir(directory) as listing:
+        for entry in listing:
+            try:
+                newest = max(newest, entry.stat().st_mtime)
+            except OSError:  # deleted since the listing
+                continue
     return newest
 
 

@@ -34,9 +34,9 @@ from .plan import (
     supported_schema,
 )
 
-#: Receipt filename inside a shard's cache directory.  The cache treats
-#: only ``<64-hex>.json`` files as entries, so the receipt can live
-#: alongside them and travel with the directory.
+#: Receipt filename inside a shard's cache directory.  The cache reads
+#: only its record logs and ``<key>.<name>.json`` sidecars, so the
+#: receipt can live alongside them and travel with the directory.
 RECEIPT_FILENAME = "shard-receipt.json"
 
 #: The receipt layout, unchanged since manifest schema 2 (manifest

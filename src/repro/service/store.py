@@ -16,12 +16,12 @@ the segments - all flat in the store directory:
   :data:`~repro.core.cache.encode_record`, parsed back by
   :data:`~repro.core.cache.decode_record`; a ``trial`` line is built
   around its ``result`` without encoding it again when the record
-  brings the cache entry's bytes (:meth:`CycleRecord.from_cache_reads`):
-  ``{"cycle_id":...,"record":"trial","result":`` + the entry +
-  ``,"seq":N}``.  An older or foreign one-line entry is adopted as it
+  brings the cache record's bytes (:meth:`CycleRecord.from_cache_reads`):
+  ``{"cycle_id":...,"record":"trial","result":`` + the record +
+  ``,"seq":N}``.  An older or foreign record line is adopted as it
   is (the same JSON value, perhaps ``json``'s ``1e-05`` for
-  ``0.00001``); anything that is not one line is encoded from its
-  payload.  The store keeps none of those bytes once the cycle is
+  ``0.00001``); a payload without bytes is encoded.  The store keeps
+  none of those bytes once the cycle is
   appended - only where in the journal the cycle lies.
 - :meth:`RollingResultStore.compact` moves each journalled cycle into
   its own ``segment-<sha256(cycle id) prefix>.jsonl`` - the cycle's
@@ -156,10 +156,9 @@ class CycleRecord:
         """A cycle whose trials one :meth:`TrialCache.read` just produced.
 
         Each :class:`~repro.core.cache.CachedTrial` brings the payload
-        as parsed, the result object built from it, and the entry bytes
-        it was parsed from (``None`` when it came from memory).  An
-        entry that is one line becomes the ``result`` of its journal
-        line byte for byte.
+        as parsed, the result object built from it, and the record
+        bytes it was parsed from (``None`` when it came from memory),
+        which become the ``result`` of its journal line byte for byte.
         """
         record = cls(
             cycle_id, source, kind, partial, [r.payload for r in reads]
@@ -209,10 +208,10 @@ def _encode_segment(record: CycleRecord) -> "tuple[bytes, bytes]":
 
     Every line is :data:`~repro.core.cache.encode_record` of its record.
     A trial line is assembled around its ``result``: the bytes the
-    payload was parsed from when the record brought them and they are
-    one line (the same JSON value, in whatever spelling the entry has),
-    else the payload's encoding, checked to read back as it is (a
-    schema-1 snapshot was parsed by ``json``, which reads ``NaN``).
+    payload was parsed from when the record brought them (a record-log
+    line, so one line: the same JSON value, in whatever spelling the
+    record has), else the payload's encoding, checked to read back as it
+    is (a schema-1 snapshot was parsed by ``json``, which reads ``NaN``).
     A result replay would refuse is refused here, before any write.
     """
     lines = [
@@ -234,9 +233,9 @@ def _encode_segment(record: CycleRecord) -> "tuple[bytes, bytes]":
     entry_bytes = record._entry_bytes or [None] * len(record.results)
     for index, (result, raw) in enumerate(zip(record.results, entry_bytes)):
         _trial(result, f"cycle {record.cycle_id[:12]} trial {index}")
-        encoded = raw.strip() if raw is not None else None
-        # Bytes that are not one line would split the journal record.
-        if encoded is None or b"\n" in encoded:
+        if raw is not None:
+            encoded = raw.strip()
+        else:
             encoded = _encode_checked(
                 result, f"cycle {record.cycle_id[:12]} trial {index}",
                 trial=False,

@@ -1,11 +1,13 @@
-"""Cache entries are immutable files: link merges, replace-only writes.
+"""Cache records live in append-only logs: link merges, one writer per log.
 
-``fleet merge`` hard-links shard entries into the merged cache (copying
-only where the OS refuses the link), which is sound because every writer
-into a cache directory replaces files atomically and never rewrites
-them.  These tests pin the link/copy equivalence, the isolation between
-linked directories, the sidecars travelling with their entries, and the
-invisibility of leftover ``*.tmp`` files.
+``fleet merge`` hard-links shard record logs into the merged cache
+(copying only where the OS refuses the link), which is sound because a
+log has one writer that only appends, and sidecars are replaced
+atomically, never rewritten.  These tests pin the link/copy
+equivalence, the isolation between linked directories, the sidecars
+travelling with their records, the invisibility of leftover ``*.tmp``
+files, and the log's own hostile cases: a damaged middle line, a torn
+tail, a short write, racing writers, a directory of the per-file layout.
 """
 
 import errno
@@ -35,6 +37,8 @@ from repro.fleet import (
 )
 from repro.fleet.worker import ShardReceipt
 from repro.obs.metrics import get_registry
+
+from tests import cache_logs
 
 NET = highly_constrained()
 FAST = ExperimentConfig().scaled(10)
@@ -103,14 +107,16 @@ class TestLinkMerge:
         plan, dirs = plan_and_shards(tmp_path)
         report = merge_shards(plan, dirs, tmp_path / "merged")
         assert report.entries_merged == len(plan.trials)
+        merged = tmp_path / "merged"
         for shard, directory in enumerate(dirs):
             owned = plan.shard_trials(shard)
             assert owned, "partition left a shard empty; widen the plan"
-            for trial in owned:
-                name = f"{trial.cache_key}.json"
-                assert os.path.samefile(
-                    directory / name, tmp_path / "merged" / name
-                )
+            (log,) = cache_logs.logs(directory)
+            assert os.path.samefile(log, merged / log.name)
+        assert len(cache_logs.logs(merged)) == len(dirs)
+        assert sorted(TrialCache(merged).keys()) == sorted(
+            plan.expected_keys()
+        )
 
     def test_copy_fallback_is_byte_and_report_identical(
         self, tmp_path, monkeypatch
@@ -124,24 +130,34 @@ class TestLinkMerge:
         assert tree_bytes(tmp_path / "copied") == tree_bytes(
             tmp_path / "linked"
         )
-        name = f"{plan.trials[0].cache_key}.json"
-        assert not os.path.samefile(
-            dirs[0] / name, tmp_path / "copied" / name
-        )
+        (log,) = cache_logs.logs(dirs[0])
+        assert os.path.samefile(log, tmp_path / "linked" / log.name)
+        assert not os.path.samefile(log, tmp_path / "copied" / log.name)
 
     @pytest.mark.parametrize("links", [True, False])
     def test_divergent_duplicates_still_fatal(
         self, tmp_path, monkeypatch, links
     ):
         plan, dirs = plan_and_shards(tmp_path, overlap=True)
-        victim = dirs[1] / f"{plan.trials[0].cache_key}.json"
-        payload = json.loads(victim.read_text())
-        payload["utilization"] = -1.0
-        atomic_write(victim, json.dumps(payload, indent=1))
+
+        def diverge(record):
+            payload = json.loads(record)
+            payload["utilization"] = -1.0
+            return json.dumps(payload).encode()
+
+        victim, line = cache_logs.rewrite(
+            dirs[1], plan.trials[0].cache_key, diverge
+        )
         if not links:
             refuse_links(monkeypatch)
-        with pytest.raises(FleetError, match="divergent duplicate"):
+        with pytest.raises(FleetError, match="divergent duplicate") as caught:
             merge_shards(plan, dirs, tmp_path / "merged")
+        assert f"{victim}: line {line}" in str(caught.value)
+        # Every key is judged before a shard's logs are linked: nothing
+        # of the divergent shard reached the destination.
+        assert [log.name for log in cache_logs.logs(tmp_path / "merged")] == [
+            log.name for log in cache_logs.logs(dirs[0])
+        ]
 
     @pytest.mark.parametrize("links", [True, False])
     @pytest.mark.parametrize("truncated_first", [True, False])
@@ -150,23 +166,26 @@ class TestLinkMerge:
     ):
         plan, dirs = plan_and_shards(tmp_path, overlap=True)
         trial = plan.trials[0]
-        name = f"{trial.cache_key}.json"
+        key = trial.cache_key
         loser_dir = dirs[0] if truncated_first else dirs[1]
         winner_dir = dirs[1] if truncated_first else dirs[0]
-        (loser_dir / name).unlink()
+        cache_logs.drop(loser_dir, key)
         TrialCache(loser_dir).put(
             trial.spec, synthetic_result(trial.spec, truncated_at=4_000_000)
         )
-        loser_bytes = (loser_dir / name).read_bytes()
-        full_bytes = (winner_dir / name).read_bytes()
+        loser_bytes = cache_logs.record(loser_dir, key)
+        full_bytes = cache_logs.record(winner_dir, key)
+        assert loser_bytes != full_bytes
         if not links:
             refuse_links(monkeypatch)
         report = merge_shards(plan, dirs, tmp_path / "merged")
         assert report.superseded_entries == 1
         assert report.duplicates == len(plan.trials) - 1
-        assert (tmp_path / "merged" / name).read_bytes() == full_bytes
-        assert (loser_dir / name).read_bytes() == loser_bytes
-        assert (winner_dir / name).read_bytes() == full_bytes
+        # Both lines are in the merged cache; it reads the full one.
+        (merged,) = TrialCache(tmp_path / "merged").read([trial.spec])
+        assert merged.raw == full_bytes
+        assert cache_logs.record(loser_dir, key) == loser_bytes
+        assert cache_logs.record(winner_dir, key) == full_bytes
 
     def test_prepopulated_dest_counts_duplicates_and_closes_gaps(
         self, tmp_path
@@ -199,27 +218,34 @@ class TestLinkIsolation:
         ShardReceipt(plan.plan_id, 0, 1, plan.cache_schema).write(shard)
         merged = tmp_path / "merged"
         merge_shards(plan, [shard], merged)
-        name = f"{trial.cache_key}.json"
-        assert os.path.samefile(shard / name, merged / name)
-        return trial, shard / name, merged / name
+        (log,) = cache_logs.logs(shard)
+        assert os.path.samefile(log, merged / log.name)
+        return trial, log, merged / log.name
 
     @pytest.mark.parametrize("write_into", ["merged", "shard"])
     def test_supersede_on_one_side_never_reaches_the_other(
         self, tmp_path, write_into
     ):
-        trial, shard_file, merged_file = self.merged_pair(tmp_path)
-        truncated_bytes = shard_file.read_bytes()
+        """The superseding record is appended to the writer's own log,
+        which only its directory has; the linked log is never written."""
+        trial, shard_log, merged_log = self.merged_pair(tmp_path)
+        truncated_bytes = shard_log.read_bytes()
         written, other = (
-            (merged_file, shard_file)
+            (merged_log, shard_log)
             if write_into == "merged"
-            else (shard_file, merged_file)
+            else (shard_log, merged_log)
         )
         cache = TrialCache(written.parent)
         cache.put(trial.spec, synthetic_result(trial.spec))
         assert not cache.get(trial.spec).truncated
-        assert other.read_bytes() == truncated_bytes
-        assert written.read_bytes() != truncated_bytes
-        assert not os.path.samefile(shard_file, merged_file)
+        assert not TrialCache(written.parent).get(trial.spec).truncated
+        assert TrialCache(other.parent).get(
+            trial.spec, allow_truncated=True
+        ).truncated
+        assert cache_logs.logs(other.parent) == [other]
+        assert len(cache_logs.logs(written.parent)) == 2
+        assert shard_log.read_bytes() == truncated_bytes
+        assert os.path.samefile(shard_log, merged_log)
 
     def test_sidecar_rewrite_is_a_replace_too(self, tmp_path):
         cache = TrialCache(tmp_path / "a")
@@ -237,8 +263,9 @@ class TestConcurrentWriters:
     def test_racing_writers_of_one_key_converge_on_an_intact_entry(
         self, tmp_path
     ):
-        """More writers than cores, preempted mid-write: the entry is
-        always one whole payload and no temporary outlives its writer."""
+        """More writers than cores, preempted mid-write: every line is
+        one whole record, each writer appends to its own log, and the
+        cache reads exactly the one record."""
 
         spec = TrialSpec(("a", "b"), NET, FAST, seed=1)
         result = synthetic_result(spec)
@@ -265,9 +292,163 @@ class TestConcurrentWriters:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        path = tmp_path / f"{trial_cache_key(spec)}.json"
-        assert path.read_bytes() == expected
-        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+        (record,) = TrialCache(tmp_path).read([spec])
+        assert record.raw == expected
+        line = trial_cache_key(spec).encode() + b" " + expected + b"\n"
+        logs = cache_logs.logs(tmp_path)
+        assert sorted(tmp_path.iterdir()) == logs
+        # One writer per log, and a writer that already holds the record
+        # appends nothing: at most one line per writer.
+        assert 1 <= len(logs) <= len(threads)
+        for log in logs:
+            assert log.read_bytes() == line
+
+
+class TestRecordLogs:
+    """What only an append-only log can have wrong, and the layout it
+    replaced."""
+
+    SPECS = [
+        TrialSpec.pair("iperf_cubic", "iperf_reno", NET, FAST, seed=seed)
+        for seed in range(3)
+    ]
+
+    def written(self, directory):
+        writer = TrialCache(directory)
+        for spec in self.SPECS:
+            writer.put(spec, synthetic_result(spec))
+        (log,) = cache_logs.logs(directory)
+        return log
+
+    def test_a_flipped_byte_in_a_middle_line_is_named_by_log_and_line(
+        self, tmp_path
+    ):
+        log = self.written(tmp_path)
+        first, middle, last = self.SPECS
+        key = trial_cache_key(middle)
+        data = bytearray(log.read_bytes())
+        data[data.index(b"\n") + 1 + 65 + 9] |= 0x80
+        log.write_bytes(bytes(data))
+        cache = TrialCache(tmp_path)
+        assert cache.get(first) is not None and cache.get(last) is not None
+        with pytest.raises(
+            CacheEntryError,
+            match=f"{log}: line 2, key {key}: not valid JSON",
+        ):
+            cache.get(middle)
+        # A flip in the key itself leaves no key to name: the line is.
+        data[data.index(b"\n") + 1] = ord("X")
+        log.write_bytes(bytes(data))
+        with pytest.raises(
+            CacheEntryError, match=f"{log}: line 2: not '<key> <record>'"
+        ):
+            TrialCache(tmp_path).get(first)
+
+    def test_a_torn_final_line_is_a_miss_not_an_error(self, tmp_path):
+        log = self.written(tmp_path)
+        whole = log.read_bytes()
+        log.write_bytes(whole[:-50])
+        cache = TrialCache(tmp_path)
+        first, middle, last = self.SPECS
+        assert cache.get(last) is None
+        assert cache.get(first) is not None and cache.get(middle) is not None
+        assert len(cache) == 2
+        # A tail still being written: once it is whole, the same reader
+        # finds it (a miss re-reads the grown tail).
+        with open(log, "ab") as handle:
+            handle.write(whole[-50:])
+        assert cache.get(last) == synthetic_result(last)
+        assert (cache.hits, cache.misses) == (3, 1)
+
+    def test_after_a_short_write_the_writer_never_appends_to_that_log_again(
+        self, tmp_path, monkeypatch
+    ):
+        first, middle, last = self.SPECS
+        write = os.write
+        short = []
+
+        def write_half_once(fd, data):
+            if short:
+                return write(fd, data)
+            short.append(fd)
+            return write(fd, data[: len(data) // 2])
+
+        monkeypatch.setattr(os, "write", write_half_once)
+        writer = TrialCache(tmp_path)
+        with pytest.raises(OSError, match="short write"):
+            writer.put(first, synthetic_result(first))
+        (torn,) = cache_logs.logs(tmp_path)
+        torn_bytes = torn.read_bytes()
+        assert b"\n" not in torn_bytes
+        for spec in (middle, last, first):
+            writer.put(spec, synthetic_result(spec))
+        assert torn.read_bytes() == torn_bytes
+        (fresh,) = [log for log in cache_logs.logs(tmp_path) if log != torn]
+        assert fresh.read_bytes().count(b"\n") == 3
+        assert writer.stores == 3
+        reader = TrialCache(tmp_path)
+        assert [r.result for r in reader.read(self.SPECS)] == [
+            synthetic_result(spec) for spec in self.SPECS
+        ]
+
+    def test_equal_lines_read_as_the_smallest_whatever_the_log_order(
+        self, tmp_path
+    ):
+        """Two lines of one key at equal completeness (never from a
+        deterministic simulator): the smaller bytes win, whichever log
+        sorts first; the more complete line beats both."""
+        spec = self.SPECS[0]
+        key = trial_cache_key(spec)
+        low = synthetic_result(spec)
+        high = synthetic_result(spec)
+        high.utilization = 0.99
+        lines = sorted(
+            [encode_record(low.to_json()), encode_record(high.to_json())]
+        )
+        for names in (("a", "b"), ("b", "a")):
+            directory = tmp_path / "".join(names)
+            directory.mkdir()
+            cache_logs.append(directory, {key: lines[0]}, names[0])
+            cache_logs.append(directory, {key: lines[1]}, names[1])
+            (record,) = TrialCache(directory).read([spec])
+            assert record.raw == lines[0]
+            TrialCache(directory).put(
+                spec, synthetic_result(spec, truncated_at=4_000_000)
+            )
+            assert len(cache_logs.logs(directory)) == 2  # not appended
+        truncated = synthetic_result(spec, truncated_at=4_000_000)
+        cache_logs.append(
+            tmp_path / "ab", {key: encode_record(truncated.to_json())}, "0"
+        )
+        (record,) = TrialCache(tmp_path / "ab").read([spec])
+        assert record.raw == lines[0]
+
+    def test_a_per_file_directory_is_refused_by_name(self, tmp_path):
+        spec = self.SPECS[0]
+        key = trial_cache_key(spec)
+        old = tmp_path / "old"
+        old.mkdir()
+        (old / f"{key}.json").write_bytes(
+            encode_record(synthetic_result(spec).to_json())
+        )
+        refusal = f"{old / key}.json: a per-file cache entry"
+        cache = TrialCache(old)
+        for read in (
+            lambda: cache.get(spec),
+            lambda: list(cache.keys()),
+            lambda: cache.contains_key("f" * 64),
+            lambda: cache.put(spec, synthetic_result(spec)),
+        ):
+            with pytest.raises(CacheEntryError, match=refusal):
+                read()
+        plan = plan_cycle(IDS, [NET], FAST, 1, num_shards=1, base_seed=3)
+        ShardReceipt(plan.plan_id, 0, 1, plan.cache_schema).write(old)
+        with pytest.raises(CacheEntryError, match=refusal):
+            merge_shards(plan, [old], tmp_path / "merged")
+        # Sidecars are files of this layout too: alone, they are no
+        # per-file entry.
+        TrialCache(tmp_path / "new").put_sidecar(key, "flight", {"v": 1})
+        assert len(TrialCache(tmp_path / "new")) == 0
 
 
 class TestStaleTemporaries:
@@ -370,7 +551,7 @@ class TestSidecarsTravelWithEntries:
         plan, dirs = plan_and_shards(tmp_path, overlap=True)
         trial = plan.trials[0]
         key = trial.cache_key
-        (dirs[0] / f"{key}.json").unlink()
+        cache_logs.drop(dirs[0], key)
         truncated = TrialCache(dirs[0])
         truncated.put(
             trial.spec, synthetic_result(trial.spec, truncated_at=4_000_000)
@@ -390,8 +571,9 @@ class TestSidecarsTravelWithEntries:
         }
 
 
-#: Ways a cache file arrives damaged: name -> (bytes -> bytes, the defect
-#: its reader names).  Shared with the assembly and spool-ingest tests.
+#: Ways a record (a log line's bytes after its key) or a sidecar file
+#: arrives damaged: name -> (bytes -> bytes, the defect its reader
+#: names).  Shared with the assembly and spool-ingest tests.
 ENTRY_DAMAGE = {
     "truncated": (lambda data: data[:100], "not valid JSON"),
     "bit-flipped": (
@@ -403,9 +585,9 @@ ENTRY_DAMAGE = {
     "utf-16": (lambda data: data.decode().encode("utf-16"), "not valid JSON"),
 }
 
-#: ``ENTRY_DAMAGE`` plus what only a cache entry can get wrong: a JSON
+#: ``ENTRY_DAMAGE`` plus what only a cache record can get wrong: a JSON
 #: object that is not a trial record (any object is a sidecar or a
-#: state file, so this kind is an entry's alone).  Shared with the
+#: state file, so this kind is a record's alone).  Shared with the
 #: worker, assembly and spool-ingest tests.
 def _reshared(shares):
     """Damage that replaces a trial record's ``mmf_share`` with
@@ -444,28 +626,30 @@ TRIAL_DAMAGE = {
 
 
 class TestDamagedFiles:
-    """An entry or sidecar that is not a UTF-8 JSON object, or an entry
+    """A record or sidecar that is not a UTF-8 JSON object, or a record
     that is not a trial record, is a named ``CacheEntryError`` from
     every reader - never a raw decode or type error, never a silent
-    miss, never a folded result."""
+    miss, never a folded result.  A record's error names its log, the
+    line and the key."""
 
     @pytest.fixture(params=sorted(TRIAL_DAMAGE))
     def damaged(self, request, tmp_path):
-        """(spec, key, entry path, sidecar path, defect named) with the
-        entry damaged, and the sidecar too where the damage is one a
+        """(spec, key, log path, sidecar path, defect named) with the
+        record damaged, and the sidecar too where the damage is one a
         sidecar can have (``None`` otherwise)."""
         spec = TrialSpec.pair("iperf_cubic", "iperf_reno", NET, FAST, seed=1)
         writer = TrialCache(tmp_path)
         writer.put(spec, synthetic_result(spec))
         key = trial_cache_key(spec)
         writer.put_sidecar(key, "flight", {"schema": 1, "rows": list(range(40))})
-        entry = tmp_path / f"{key}.json"
         sidecar = tmp_path / f"{key}.flight.json"
         damage, complaint = TRIAL_DAMAGE[request.param]
         if request.param not in ENTRY_DAMAGE:
             sidecar = None
-        for path in filter(None, (entry, sidecar)):
-            path.write_bytes(damage(path.read_bytes()))
+        entry, line = cache_logs.rewrite(tmp_path, key, damage)
+        assert line == 1
+        if sidecar is not None:
+            sidecar.write_bytes(damage(sidecar.read_bytes()))
         return spec, key, entry, sidecar, complaint
 
     def test_every_reader_names_the_file(self, damaged, tmp_path):
@@ -499,7 +683,7 @@ class TestDamagedFiles:
             parsed_before = parsed.value
             with pytest.raises(CacheEntryError) as caught:
                 read(cache)
-            assert str(entry) in str(caught.value), name
+            assert f"{entry}: line 1, key {key}: " in str(caught.value), name
             assert complaint in str(caught.value), name
             assert (cache.hits, cache.misses, cache.stores) == (hits, 0, 0), name
             assert parsed.value - parsed_before == hits, name

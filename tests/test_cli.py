@@ -9,6 +9,8 @@ from repro.cliargs import config_from_args, network_from_args
 from repro.core.cache import trial_cache_key
 from repro.core.runner import TrialSpec
 
+from tests import cache_logs
+
 
 #: ``fleet plan`` commands short of the flag a case adds.
 PLAN_CYCLE = ["fleet", "plan", "cycle", "--out-dir", "p", "--shards", "2"]
@@ -270,25 +272,27 @@ class TestDamagedArtifacts:
             args.service_a, args.service_b, network_from_args(args),
             config_from_args(args), seed=args.seed,
         )
-        entry = tmp_path / f"{trial_cache_key(spec)}.json"
-        entry.write_bytes(b'{"contender_id": "iperf_cu')
+        key = trial_cache_key(spec)
+        log = cache_logs.append(tmp_path, {key: b'{"contender_id": "iperf_cu'})
         assert main([*self.PAIR, "--cache-dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"repro error: {entry}: not valid JSON")
+        assert err.startswith(
+            f"repro error: {log}: line 1, key {key}: not valid JSON"
+        )
         assert "Traceback" not in err
 
     def test_earlystop_fit_over_a_damaged_entry(self, tmp_path, capsys):
         key = "ab" * 32
         (tmp_path / f"{key}.flight.json").write_text("{}")
-        (tmp_path / f"{key}.json").write_bytes(b"[]")
+        log = cache_logs.append(tmp_path, {key: b"[]"})
         code = main([
             "earlystop", "fit", "--cache-dir", str(tmp_path),
             "--out", str(tmp_path / "model.json"),
         ])
         assert code == 1
         assert capsys.readouterr().err == (
-            f"repro error: {tmp_path / key}.json: expected a JSON object, "
-            "found list\n"
+            f"repro error: {log}: line 1, key {key}: expected a JSON "
+            "object, found list\n"
         )
 
     def test_pair_with_a_future_schema_model(self, tmp_path, capsys):
@@ -326,7 +330,7 @@ class TestSweep:
         assert main(["fleet", "plan", "sweep", *self.SWEEP, "--shards", "1",
                      "--out-dir", str(tmp_path / "plan")]) == 0
         plan = load_plan(tmp_path / "plan" / "plan.json")
-        assert sorted(p.stem for p in cache.glob("*.json")) == sorted(
+        assert sorted(cache_logs.records(cache)) == sorted(
             plan.expected_keys()
         )
 

@@ -12,7 +12,7 @@ this file pins:
   worker's lookup and the assembler's lookup read the memo on the spec
   (four derivations per trial before the memo).  The counter moves
   once per batch, by the derivations in it;
-* ``cache.entries_parsed`` - entry files decoded - at two per trial:
+* ``cache.entries_parsed`` - records decoded - at two per trial:
   once in the shard's cache, once in the merged one;
 * ``ExperimentResult`` objects built - at one per planned trial, in
   assembly: ``run_shard`` reads and checks its hits but never builds
@@ -33,6 +33,9 @@ this file pins:
 * ``pathlib`` parses over the same body: the same number whether the
   plan holds 380 trials or 760 - none is per planned trial;
 * bytes per planned trial in ``plan.json`` and in the shard manifests;
+* files per cycle: one record log per shard written, none on a warm
+  re-run, one link per shard log in the merge (one file, one link per
+  planned trial before records were appended to logs);
 * the same two counters over one ``WatchdogService.ingest_once``;
 * what folding one delivered trial into the store costs (``ingest_entry``
   + ``compact``): one entry parse, no JSON encoder call - the journal
@@ -209,7 +212,7 @@ def test_repeated_hits_never_reread_files(tmp_path):
     cache = TrialCache(tmp_path)
     for planned in trials:
         assert cache.get(planned.spec) is not None  # disk hits
-    entry = tmp_path / f"{trials[0].cache_key}.json"
+    (entry,) = tmp_path.glob("records-*.log")
     before = counters()
     for _ in range(3):
         os.utime(entry, (1, 1))
@@ -276,6 +279,55 @@ def test_no_pathlib_parse_per_planned_trial(tmp_path):
             count_frames(warm_cycle(root, root / "rep1", trials_per_pair))[1]
         )
     assert 0 < parses[0] == parses[1]
+
+
+def test_a_cycle_creates_one_record_log_per_shard(tmp_path, monkeypatch):
+    """Files per cycle, exactly: a cold cycle over S shards creates S
+    record logs (beside S receipts), not one file per trial; a warm
+    re-run creates none; the merge makes one link per shard log."""
+    cold = plan_cycle(
+        ["iperf_cubic", "iperf_reno"], NETWORKS[:1],
+        ExperimentConfig().scaled(2), trials_per_pair=2, num_shards=2,
+        base_seed=7,
+    )
+    paths = cold.write(tmp_path / "plan")
+    shard_dirs = [tmp_path / f"shard-{s}" for s in range(2)]
+
+    def listing():
+        return {d.name: sorted(os.listdir(d)) for d in shard_dirs}
+
+    for run in ("cold", "warm"):
+        for shard, manifest in enumerate(paths[1:]):
+            shard_dir = shard_dirs[shard]
+            receipt = run_shard(manifest, shard_dir, backend_kind="inline")
+            assert receipt.stats.trials_run == (
+                len(cold.shard_trials(shard)) if run == "cold" else 0
+            )
+        if run == "cold":
+            after_cold = listing()
+    assert len(cold.trials) == 6
+    assert listing() == after_cold
+    logs = []
+    for names in after_cold.values():
+        assert len(names) == 2 and "shard-receipt.json" in names
+        (log,) = [n for n in names if n != "shard-receipt.json"]
+        assert log.startswith("records-") and log.endswith(".log")
+        logs.append(log)
+
+    links = []
+    link = os.link
+
+    def counting_link(source, target, **kwargs):
+        links.append(os.path.basename(target))
+        return link(source, target, **kwargs)
+
+    monkeypatch.setattr(os, "link", counting_link)
+    report = merge_shards(cold, shard_dirs, tmp_path / "merged")
+    assert report.entries_merged == len(cold.trials)
+    assert sorted(links) == sorted(logs)
+    assert sorted(os.listdir(tmp_path / "merged")) == sorted(logs)
+    for shard_dir, log in zip(shard_dirs, logs):
+        assert os.path.samefile(shard_dir / log, tmp_path / "merged" / log)
 
 
 def test_plan_and_manifest_bytes_per_planned_trial(tmp_path):
@@ -345,13 +397,17 @@ def test_folding_a_delivered_trial_parses_once_and_encodes_nothing(tmp_path):
                 counters()[1] - parsed_before,
             )
         )
-        # Every journal line is the entry file's bytes in its frame.
+        # Every journal line is the record's log bytes in its frame.
         (segment,) = (root / "out" / "store").glob("segment-*.jsonl")
         lines = segment.read_bytes().split(b"\n")[1:-2]
+        done = root / "spool" / "done" / "cycle-00" / "cache"
+        (log,) = done.glob("records-*.log")
+        stored = dict(
+            line.split(b" ", 1) for line in log.read_bytes().splitlines()
+        )
         for seq, (line, planned) in enumerate(zip(lines, delivered.trials)):
-            done = root / "spool" / "done" / "cycle-00" / "cache"
-            stored = (done / f"{planned.cache_key}.json").read_bytes()
-            assert line.endswith(b'"result":%b,"seq":%d}' % (stored, seq))
+            record = stored[planned.cache_key.encode()]
+            assert line.endswith(b'"result":%b,"seq":%d}' % (record, seq))
     # Rows of (trials, frames, encoder calls, entries parsed).
     _warm_up, small, large = measured
     assert large[0] == 2 * small[0]

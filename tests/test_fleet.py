@@ -3,7 +3,9 @@
 import dataclasses
 import hashlib
 import json
+import os
 import shutil
+import time
 from pathlib import Path
 
 import pytest
@@ -48,6 +50,7 @@ from repro.fleet.plan import MANIFEST_SCHEMA_VERSION, ROW_COLUMNS
 from repro.fleet.worker import RECEIPT_FILENAME
 from repro.services.catalog import default_catalog
 
+from tests import cache_logs
 from tests.test_cache_immutability import TRIAL_DAMAGE, synthetic_result
 
 CATALOG = default_catalog()
@@ -306,8 +309,8 @@ class TestShardExecutionMergeAssembly:
         key = plan.shard_trials(0)[0].cache_key
         evil = tmp_path / "evil"
         evil.mkdir()
-        payload = json.loads((shard_dirs[0] / f"{key}.json").read_text())
-        (evil / f"{key}.json").write_text(forge(payload))
+        payload = json.loads(cache_logs.record(shard_dirs[0], key))
+        cache_logs.append(evil, {key: forge(payload).encode()})
         ShardReceipt(plan.plan_id, 0, 2, CACHE_SCHEMA_VERSION).write(evil)
         with pytest.raises(FleetError, match="divergent duplicate"):
             merge_shards(plan, list(shard_dirs) + [evil], tmp_path / "m")
@@ -321,52 +324,67 @@ class TestShardExecutionMergeAssembly:
         assert report.gaps == []
 
     @pytest.mark.parametrize(
-        "layout", [{"indent": 1}, {}, {"indent": 4}, JSON_SPELLED_LINE]
+        "layout",
+        [
+            {"separators": (", ", ":")},
+            {},
+            {"ensure_ascii": False, "separators": (",", ": ")},
+            JSON_SPELLED_LINE,
+        ],
     )
     def test_mixed_generation_duplicates_are_format_skew_not_divergence(
         self, pipeline, tmp_path, layout
     ):
-        """An older cache's entry - indented (``indent=1``), or the one
-        line ``json`` spelled before the one encoder (``1e-05`` where it
-        writes ``0.00001``) - and today's entry of one trial differ in
-        bytes, not in what they record - as does any other layout of the
+        """An older writer's record - spaced, or the one line ``json``
+        spelled before the one encoder (``1e-05`` where it writes
+        ``0.00001``) - and today's record of one trial differ in bytes,
+        not in what they record - as does any other spelling of the
         same JSON value."""
         plan, shard_dirs, _merged, _receipts, _report = pipeline
         key = plan.shard_trials(0)[0].cache_key
         today, older = tmp_path / "today", tmp_path / "older"
         shutil.copytree(shard_dirs[0], today)
         # One record holds a float ``json`` spells with an exponent.
-        payload = decode_record((today / f"{key}.json").read_bytes())
-        payload["utilization"] = 1e-05
-        (today / f"{key}.json").write_bytes(encode_record(payload))
+        cache_logs.rewrite(
+            today, key,
+            lambda record: encode_record(
+                {**decode_record(record), "utilization": 1e-05}
+            ),
+        )
         older.mkdir()
         shutil.copy(today / RECEIPT_FILENAME, older)
-        for entry in today.glob("*.json"):
-            if entry.name != RECEIPT_FILENAME:
-                (older / entry.name).write_text(
-                    json.dumps(json.loads(entry.read_text()), **layout)
-                )
-                if layout is not JSON_SPELLED_LINE or entry.stem == key:
-                    assert (
-                        (older / entry.name).read_bytes() != entry.read_bytes()
-                    )
-        assert b"1e-05" in (older / f"{key}.json").read_bytes()
+        ours = cache_logs.records(today)
+        theirs = {
+            k: json.dumps(json.loads(line), **layout).encode()
+            for k, line in ours.items()
+        }
+        cache_logs.append(older, theirs)
+        for k in ours:
+            if layout is not JSON_SPELLED_LINE or k == key:
+                assert theirs[k] != ours[k]
+        assert b"1e-05" in theirs[key]
         rest = list(shard_dirs[1:])
+        read = []
         for order in ([older, today, *rest], [today, *rest, older]):
             dest = tmp_path / f"m-{order[0].name}"
             report = merge_shards(plan, order, dest)
             assert report.duplicates == len(plan.shard_trials(0))
             assert report.superseded_entries == 0 and report.gaps == []
-            # First come stays: nothing is rewritten for a duplicate.
-            assert (dest / f"{key}.json").read_bytes() == (
-                order[0] / f"{key}.json"
-            ).read_bytes()
+            # Both lines are linked, neither rewritten; the cache reads
+            # one of them, whatever the merge order.
+            assert cache_logs.records(older) == theirs
+            read.append(
+                TrialCache(dest).read([plan.shard_trials(0)[0].spec])[0].raw
+            )
             reports = assemble_reports(plan, TrialCache(dest))
             assert reports[0].runner_stats.trials_run == 0
+        assert read[0] == read[1] and read[0] in (ours[key], theirs[key])
         # The same layout with one value of another *type*: divergent.
-        payload = json.loads((older / f"{key}.json").read_text())
-        payload["seed"] = float(payload["seed"])
-        (older / f"{key}.json").write_text(json.dumps(payload, **layout))
+        typed = json.loads(theirs[key])
+        typed["seed"] = float(typed["seed"])
+        cache_logs.rewrite(
+            older, key, lambda _record: json.dumps(typed, **layout).encode()
+        )
         with pytest.raises(FleetError, match="divergent duplicate"):
             merge_shards(plan, [older, today, *rest], tmp_path / "m-typed")
 
@@ -675,6 +693,26 @@ class TestFleetStatus:
         assert stalled.shards[0].state == "stalled"
         assert stalled.shards[0].age_sec > 60
 
+    def test_a_record_appended_within_stall_sec_is_activity(self, tmp_path):
+        """A live worker appends to the log it already has: the log's
+        mtime moves, the directory's does not.  That append alone keeps
+        the shard running."""
+        plan = self._plan()
+        shard = tmp_path / "s0"
+        first, second = plan.shard_trials(0)[:2]
+        writer = TrialCache(shard)
+        writer.put(first.spec, synthetic_result(first.spec))
+        hour_ago = time.time() - 3600
+        for path in [*shard.iterdir(), shard]:
+            os.utime(path, (hour_ago, hour_ago))
+        before = fleet_status(plan, [shard], stall_sec=60).shards[0]
+        assert (before.state, before.completed) == ("stalled", 1)
+        writer.put(second.spec, synthetic_result(second.spec))
+        assert shard.stat().st_mtime == hour_ago
+        after = fleet_status(plan, [shard], stall_sec=60).shards[0]
+        assert (after.state, after.completed) == ("running", 2)
+        assert after.age_sec < 60
+
     def test_foreign_receipt_is_ignored_not_fatal(self, tmp_path):
         plan = self._plan()
         other = small_plan(num_shards=2, trials=1)
@@ -933,8 +971,8 @@ class TestHostileManifestsAndReceipts:
 
 
 class TestDamagedEntryAtAssembly:
-    """A damaged entry in a merged cache aborts assembly with the file's
-    name; no report is built from the entries around it."""
+    """A damaged record in a merged cache aborts assembly naming its
+    log, line and key; no report is built from the records around it."""
 
     @pytest.mark.parametrize("kind", sorted(TRIAL_DAMAGE))
     def test_assembly_names_the_damaged_file(self, tmp_path, kind):
@@ -942,14 +980,14 @@ class TestDamagedEntryAtAssembly:
         plan = small_plan(num_shards=1, trials=1)
         run_shard(plan.manifest_for(0), tmp_path / "s0")
         merge_shards(plan, [tmp_path / "s0"], tmp_path / "merged")
-        victim = tmp_path / "merged" / f"{plan.trials[-1].cache_key}.json"
-        data = victim.read_bytes()
-        victim.unlink()  # the merge hard-linked it: damage only this copy
-        victim.write_bytes(damage(data))
+        key = plan.trials[-1].cache_key
+        # A new inode: the merge hard-linked the log, damage only this copy.
+        victim, line = cache_logs.rewrite(tmp_path / "merged", key, damage)
         with pytest.raises(FleetError) as caught:
             assemble_reports(plan, TrialCache(tmp_path / "merged"))
-        assert str(victim) in str(caught.value)
+        assert f"{victim}: line {line}, key {key}: " in str(caught.value)
         assert complaint in str(caught.value)
+        assert TrialCache(tmp_path / "s0").get(plan.trials[-1].spec)
 
 
 class TestRunShardKeepsItsChecks:
@@ -970,22 +1008,24 @@ class TestRunShardKeepsItsChecks:
 
     def test_an_unarmed_shard_resimulates_a_truncated_entry(self, tmp_path):
         plan = self.filled(tmp_path, truncated=(0,))
-        victim = tmp_path / f"{plan.trials[0].cache_key}.json"
         receipt = run_shard(plan.manifest_for(0), tmp_path)
         assert receipt.stats.trials_run == 1
         assert receipt.stats.cache_hits == len(plan.trials) - 1
-        rewritten = ExperimentResult.from_json(json.loads(victim.read_text()))
+        # The full-length run is appended to a log of its own; a reader
+        # reads it over the truncated line.
+        assert len(cache_logs.logs(tmp_path)) == 2
+        rewritten = TrialCache(tmp_path).get(plan.trials[0].spec)
         assert not rewritten.truncated and rewritten.earlystop is None
 
     @pytest.mark.parametrize("kind", sorted(TRIAL_DAMAGE))
     def test_a_damaged_entry_stops_the_shard_by_name(self, tmp_path, kind):
         damage, complaint = TRIAL_DAMAGE[kind]
         plan = self.filled(tmp_path)
-        victim = tmp_path / f"{plan.trials[-1].cache_key}.json"
-        victim.write_bytes(damage(victim.read_bytes()))
+        key = plan.trials[-1].cache_key
+        victim, line = cache_logs.rewrite(tmp_path, key, damage)
         with pytest.raises(CacheEntryError) as caught:
             run_shard(plan.manifest_for(0), tmp_path)
-        assert str(victim) in str(caught.value)
+        assert f"{victim}: line {line}, key {key}: " in str(caught.value)
         assert complaint in str(caught.value)
         assert not (tmp_path / RECEIPT_FILENAME).exists()
 
@@ -1025,7 +1065,7 @@ class TestAssemblyMisses:
     def test_an_absent_entry_asks_to_merge_all_shards(self, tmp_path):
         plan = self.filled(tmp_path, truncated=(0,))
         gone = plan.trials[-1].cache_key
-        (tmp_path / f"{gone}.json").unlink()
+        cache_logs.drop(tmp_path, gone)
         with pytest.raises(FleetError) as caught:
             assemble_reports(plan, TrialCache(tmp_path))
         assert str(caught.value) == (

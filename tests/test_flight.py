@@ -37,6 +37,7 @@ from repro.obs.flight import (
 )
 from repro.services.catalog import default_catalog
 
+from tests import cache_logs
 from tests import test_golden_identity as golden
 
 CATALOG = default_catalog()
@@ -505,8 +506,8 @@ class TestFleetFlight:
 
     def test_pool_records_like_inline(self, tmp_path):
         """``record_flight`` under a two-worker pool: the workers record
-        and one drain writes what inline writes - entries and sidecars,
-        byte for byte."""
+        and the parent writes what inline writes - records and sidecars,
+        byte for byte, into one log."""
         from repro.fleet.worker import RECEIPT_FILENAME, run_shard
 
         plan = small_plan(tmp_path / "plan", trials=2)
@@ -520,16 +521,19 @@ class TestFleetFlight:
                 workers=workers,
                 record_flight=True,
             )
+            assert len(cache_logs.logs(cache_dir)) == 1
             written.append({
-                path.name: path.read_bytes()
-                for path in cache_dir.glob("*.json")
-                if path.name != RECEIPT_FILENAME
+                **cache_logs.records(cache_dir),
+                **{
+                    path.name: path.read_bytes()
+                    for path in cache_dir.glob("*.json")
+                    if path.name != RECEIPT_FILENAME
+                },
             })
         inline_files, pool_files = written
         keys = sorted(t.cache_key for t in plan.trials)
         assert sorted(inline_files) == sorted(
-            [f"{key}.json" for key in keys]
-            + [f"{key}.flight.json" for key in keys]
+            keys + [f"{key}.flight.json" for key in keys]
         )
         assert pool_files == inline_files
 

@@ -17,6 +17,8 @@ from repro.core.submission import DEFAULT_ACCESS_CODES, SubmissionPortal
 from repro.fleet import plan_cycle
 from repro.services.catalog import default_catalog
 
+from tests import cache_logs
+
 FAST = ExperimentConfig().scaled(15)
 NET = highly_constrained()
 
@@ -106,7 +108,8 @@ class TestPoolRunsTheCallersInputs:
                 kind, workers=2, cache=TrialCache(cache_dir), **kwargs
             )
             results.append(backend.run([spec])[0].to_json())
-            entries.append(sorted(p.name for p in cache_dir.iterdir()))
+            assert len(list(cache_dir.iterdir())) == 1  # one record log
+            entries.append(sorted(cache_logs.records(cache_dir)))
         return results, entries
 
     def test_headless_client_matches_inline(self, tmp_path):
@@ -121,9 +124,7 @@ class TestPoolRunsTheCallersInputs:
         assert pooled == inline
         # The headless render cap binds (0.768 when workers dropped env).
         assert inline["mmf_share"]["youtube"] == pytest.approx(0.284, abs=1e-3)
-        assert pooled_keys == inline_keys == [
-            trial_cache_key(spec, env) + ".json"
-        ]
+        assert pooled_keys == inline_keys == [trial_cache_key(spec, env)]
 
     def test_submitted_download_matches_inline(self, tmp_path):
         catalog = default_catalog()
@@ -141,7 +142,7 @@ class TestPoolRunsTheCallersInputs:
     def test_benchmark_figure_variants_match_inline(self, tmp_path):
         """The figure conditions ``benchmarks/harness.py`` registers as
         catalog rows (persistent-pool Mega, buffer-rate YouTube, the Fig 6
-        pages) run on a two-worker pool with inline's results and entry
+        pages) run on a two-worker pool with inline's results and record
         bytes."""
         from benchmarks import harness
 
@@ -158,9 +159,8 @@ class TestPoolRunsTheCallersInputs:
                 catalog=harness.CATALOG,
             )
             results.append([r.to_json() for r in backend.run(specs)])
-            entries.append(
-                {p.name: p.read_bytes() for p in sorted(cache_dir.iterdir())}
-            )
+            assert len(list(cache_dir.iterdir())) == 1  # one record log
+            entries.append(cache_logs.records(cache_dir))
         assert results[1] == results[0]
         assert entries[1] == entries[0]
         assert len(entries[0]) == len(specs) == 5

@@ -1,14 +1,15 @@
 """One encoding per trial record, one derivation per cache key.
 
-A trial is persisted as a cache entry, as the ``result`` of a journal
-line and again in a store segment.  All three are the same bytes:
-``TrialCache.put`` writes ``encode_record`` of the payload (the one
-encoder of stored bytes), the service adopts the entry's bytes as read,
-compaction copies the journal.  Checked
+A trial is persisted as a cache record (a record-log line), as the
+``result`` of a journal line and again in a store segment.  All three
+are the same bytes: ``TrialCache.put`` appends ``encode_record`` of the
+payload (the one encoder of stored bytes), the service adopts the
+record's bytes as read, compaction copies the journal.  Checked
 here on bytes: against the encoding the store used before (every record
-dumped whole), across entry layouts, and for entries this library did
-not write.  The key half: ``trial_cache_key`` resumes a memoised SHA-256
-prefix state and must equal the whole-string oracle for every input.
+dumped whole), across the ways records spread over logs, and for
+records this library did not write.  The key half: ``trial_cache_key``
+resumes a memoised SHA-256 prefix state and must equal the
+whole-string oracle for every input.
 The decoder half: ``decode_record`` reads every record back as
 ``json.loads`` (the oracle, kept here) would, type for type, and what it
 would read differently - non-finite floats, integers beyond 64 bits - is
@@ -47,6 +48,7 @@ from repro.service.store import (
     RollingResultStore,
 )
 
+from tests import cache_logs
 from tests.naive_cache_key import naive_trial_cache_key
 from tests.test_cache_keys import (
     _envs,
@@ -130,29 +132,41 @@ def test_an_entry_is_the_canonical_line_and_any_json_object_still_reads(
     result = synthetic_result(SPEC, random.Random(1))
     cache = TrialCache(tmp_path)
     cache.put(SPEC, result)
-    path = tmp_path / f"{trial_cache_key(SPEC)}.json"
-    raw = path.read_bytes()
-    assert raw == encode_record(result.to_json())
-    assert b"\n" not in raw and "vidéo".encode() in raw
-    assert same_value(decode_record(raw), result.to_json())
-    for layout in ({"indent": 1}, {"indent": 4, "sort_keys": True}, {}):
-        path.write_text(json.dumps(result.to_json(), **layout) + "\n")
-        assert TrialCache(tmp_path).get(SPEC) == result
+    key = trial_cache_key(SPEC)
+    (log,) = cache_logs.logs(tmp_path)
+    raw = log.read_bytes()
+    assert raw == key.encode() + b" " + encode_record(result.to_json()) + b"\n"
+    assert "vidéo".encode() in raw
+    assert same_value(
+        decode_record(cache_logs.record(tmp_path, key)), result.to_json()
+    )
+    for spelling in (
+        {},
+        {"ensure_ascii": False},
+        {"sort_keys": True, "separators": (",", ":")},
+    ):
+        line = json.dumps(result.to_json(), **spelling).encode()
+        cache_logs.rewrite(tmp_path, key, lambda _record: line)
+        (record,) = TrialCache(tmp_path).read([SPEC])
+        assert record.result == result and record.raw == line
 
 
 def test_entry_bytes_come_with_a_disk_read_and_never_go_stale(tmp_path):
-    first = synthetic_result(SPEC, random.Random(1))
+    first = dataclasses.replace(
+        synthetic_result(SPEC, random.Random(1)),
+        earlystop={"truncated": True, "model_id": "m"},
+    )
     TrialCache(tmp_path).put(SPEC, first)
     key = trial_cache_key(SPEC)
-    stored = (tmp_path / f"{key}.json").read_bytes()
+    stored = cache_logs.record(tmp_path, key)
 
     cache = TrialCache(tmp_path)
-    (record,) = cache.read([SPEC])
+    (record,) = cache.read([SPEC], allow_truncated=True)
     assert record.key == key and record.result == first
     assert record.raw == stored
     assert json.loads(record.raw) == record.payload == cache.payload_for(key)
     # The cache keeps the payload, never the bytes: a memory hit has none.
-    (again,) = cache.read([SPEC])
+    (again,) = cache.read([SPEC], allow_truncated=True)
     assert again.raw is None and again.payload is record.payload
     # Written by this process, served from memory: no bytes to adopt,
     # so the bytes the first read brought cannot be served for it.
@@ -161,7 +175,8 @@ def test_entry_bytes_come_with_a_disk_read_and_never_go_stale(tmp_path):
     cache.put(SPEC, second)
     (fresh,) = cache.read([SPEC])
     assert fresh.raw is None and fresh.result == second
-    # A new reader gets the bytes now on disk, not the first ones.
+    # A new reader gets the more complete line now on disk, not the
+    # first one.
     (reread,) = TrialCache(tmp_path).read([SPEC])
     assert reread.raw == encode_record(second.to_json())
     assert reread.raw != stored
@@ -186,30 +201,44 @@ def _entry_of_size(size):
     ],
 )
 def test_an_entry_past_one_read_buffer_reads_whole(tmp_path, size):
-    """An entry is one ``os.read`` where it fits the buffer; one that
-    fills it is read on to EOF, whatever its size."""
+    """A record of any size, between two others, reads whole; so do its
+    neighbours."""
     payload = _entry_of_size(size)
     line = encode_record(payload)
     assert len(line) == size
-    (tmp_path / f"{trial_cache_key(SPEC)}.json").write_bytes(line)
-    (record,) = TrialCache(tmp_path).read([SPEC])
+    before, after = (
+        TrialSpec(SPEC.service_ids, SPEC.network, SPEC.config, seed)
+        for seed in (1, 2)
+    )
+    cache_logs.append(tmp_path, {
+        trial_cache_key(before): encode_record(
+            synthetic_result(before, random.Random(1)).to_json()
+        ),
+        trial_cache_key(SPEC): line,
+        trial_cache_key(after): encode_record(
+            synthetic_result(after, random.Random(1)).to_json()
+        ),
+    })
+    first, record, last = TrialCache(tmp_path).read([before, SPEC, after])
     assert record.raw == line and record.payload == payload
     assert record.result == synthetic_result(SPEC, random.Random(1))
+    assert first.result == synthetic_result(before, random.Random(1))
+    assert last.result == synthetic_result(after, random.Random(1))
 
 
 def test_bytes_past_the_first_buffer_are_read_and_judged(tmp_path):
-    """A file whose first buffer holds a whole object is still read to
-    its end when the buffer came back full: trailing damage past it is
-    damage."""
+    """A line's bytes past its first object are part of the record:
+    whitespace is JSON, anything else is damage."""
     payload = synthetic_result(SPEC, random.Random(1)).to_json()
     line = encode_record(payload)
-    path = tmp_path / f"{trial_cache_key(SPEC)}.json"
     padded = line + b" " * (cache_module._READ_SIZE - len(line))
-    path.write_bytes(padded + b"\n")
+    key = trial_cache_key(SPEC)
+    log = cache_logs.append(tmp_path, {key: padded})
     assert TrialCache(tmp_path).get(SPEC) is not None
-    path.write_bytes(padded + b"garbage")
-    with pytest.raises(CacheEntryError, match="not valid JSON"):
+    cache_logs.rewrite(tmp_path, key, lambda _record: padded + b"garbage")
+    with pytest.raises(CacheEntryError, match="not valid JSON") as raised:
         TrialCache(tmp_path).get(SPEC)
+    assert f"{log}: line 1, key {key}" in str(raised.value)
 
 
 def test_a_sidecar_past_one_read_buffer_reads_whole(tmp_path):
@@ -244,24 +273,25 @@ class _ShortFirstRead:
 def test_a_short_first_read_is_read_on_not_called_damage(
     tmp_path, monkeypatch
 ):
-    """Bytes that do not parse are read on to EOF and parsed once more
-    before they are called damaged: a short read is never a
-    ``CacheEntryError``, and a damaged entry still is one."""
+    """A log read that comes back short is read on to EOF before its
+    lines are indexed: a short read is never a torn line or a
+    ``CacheEntryError``, and a damaged record still is one."""
     result = synthetic_result(SPEC, random.Random(1))
     TrialCache(tmp_path).put(SPEC, result)
-    path = tmp_path / f"{trial_cache_key(SPEC)}.json"
+    key = trial_cache_key(SPEC)
     short = _ShortFirstRead(first=100)
     monkeypatch.setattr(cache_module, "os", short)
     (record,) = TrialCache(tmp_path).read([SPEC])
-    assert record.result == result and record.raw == path.read_bytes()
+    assert record.result == result
+    assert record.raw == cache_logs.record(tmp_path, key)
     assert len(short.reads) == 3  # 100 bytes, the rest, EOF
-    # Whole-file reads: one per entry.
+    # A read that brings what ``fstat`` promised: one per log.
     monkeypatch.setattr(cache_module, "os", _ShortFirstRead(first=1 << 20))
     counting = cache_module.os
     assert TrialCache(tmp_path).get(SPEC) == result
     assert len(counting.reads) == 1
     # Damage is still damage, however the bytes arrive.
-    path.write_bytes(path.read_bytes()[:100])
+    cache_logs.rewrite(tmp_path, key, lambda data: data[:100])
     for first in (10, 1 << 20):
         monkeypatch.setattr(cache_module, "os", _ShortFirstRead(first))
         with pytest.raises(CacheEntryError, match="not valid JSON"):
@@ -416,8 +446,8 @@ def test_a_sidecar_no_reader_would_get_back_is_refused_naming_the_field(
 def test_put_accepts_the_signed_64_bit_bounds(tmp_path):
     for seed in (INT64_MIN, INT64_MAX):
         result = _result_with(seed=seed, duration_usec=INT64_MAX)
-        TrialCache(tmp_path).put(SPEC, result)
-        assert TrialCache(tmp_path).get(SPEC) == result
+        TrialCache(tmp_path / str(seed)).put(SPEC, result)
+        assert TrialCache(tmp_path / str(seed)).get(SPEC) == result
 
 
 @pytest.mark.parametrize(
@@ -439,16 +469,16 @@ def test_put_accepts_the_signed_64_bit_bounds(tmp_path):
 def test_a_foreign_entry_the_decoder_reads_differently_is_named(
     tmp_path, field, value, complaint
 ):
-    """An entry another writer made with ``json.dumps`` - ``NaN``, a
-    20-digit seed - is a ``CacheEntryError`` naming the file, never a
-    result with a silently changed value."""
+    """A record another writer made with ``json.dumps`` - ``NaN``, a
+    20-digit seed - is a ``CacheEntryError`` naming the log and the
+    line, never a result with a silently changed value."""
     payload = synthetic_result(SPEC, random.Random(1)).to_json()
     payload[field] = value
-    path = tmp_path / f"{trial_cache_key(SPEC)}.json"
-    path.write_text(json.dumps(payload))
+    key = trial_cache_key(SPEC)
+    path = cache_logs.append(tmp_path, {key: json.dumps(payload).encode()})
     with pytest.raises(CacheEntryError, match=complaint) as raised:
         TrialCache(tmp_path).get(SPEC)
-    assert str(path) in str(raised.value)
+    assert f"{path}: line 1, key {key}" in str(raised.value)
 
 
 # ----------------------------------------------------------------------
@@ -458,7 +488,7 @@ def test_a_foreign_entry_the_decoder_reads_differently_is_named(
 
 def ingest_two(root, relayout=None, compact=True):
     """Two merged fixed cycles through the service; ``relayout``
-    rewrites every delivered entry file first."""
+    rewrites every delivered cache's logs first."""
     service = WatchdogService(
         root / "spool", root / "out",
         networks=NETWORKS, plan_config=CONFIG, plan_trials=1,
@@ -466,8 +496,8 @@ def ingest_two(root, relayout=None, compact=True):
     for index in range(2):
         deliver_cycle(root / "spool", index)
         cache = root / "spool" / "incoming" / f"cycle-{index:02d}" / "cache"
-        for path in cache.glob("*.json") if relayout else ():
-            path.write_text(relayout(json.loads(path.read_text())))
+        if relayout:
+            relayout(cache)
     if compact:
         for _index in range(2):
             service.ingest_once()
@@ -579,23 +609,55 @@ def files(root):
     }
 
 
+def _relog(cache, lines, logs):
+    """Replace ``cache``'s logs by ``lines`` (key -> record) spread over
+    ``logs`` logs, in reverse key order."""
+    for log in cache_logs.logs(cache):
+        log.unlink()
+    keys = sorted(lines, reverse=True)
+    for index in range(logs):
+        cache_logs.append(
+            cache, {key: lines[key] for key in keys[index::logs]}, str(index)
+        )
+
+
+def _one_log_per_record(cache):
+    lines = cache_logs.records(cache)
+    _relog(cache, lines, len(lines))
+
+
+def _reversed_in_one_log(cache):
+    _relog(cache, cache_logs.records(cache), 1)
+
+
+def _spaced(cache):
+    lines = cache_logs.records(cache)
+    _relog(
+        cache,
+        {
+            key: json.dumps(decode_record(line)).encode()
+            for key, line in lines.items()
+        },
+        1,
+    )
+
+
 @pytest.mark.parametrize(
     "relayout, same_store",
     [
-        (lambda payload: json.dumps(payload, indent=1), True),  # older cache
-        (lambda payload: json.dumps(payload, indent=4) + "\n", True),
+        (_one_log_per_record, True),
+        (_reversed_in_one_log, True),
         # One line, spaced, keys unsorted: adopted as it is.
-        (lambda payload: json.dumps(payload), False),
+        (_spaced, False),
     ],
-    ids=["indent-1", "indent-4", "spaced-one-line"],
+    ids=["log-per-rec", "reversed", "spaced-one-line"],
 )
 def test_store_and_site_bytes_do_not_depend_on_the_entry_layout(
     tmp_path, relayout, same_store
 ):
-    """Indented entries are re-encoded, one-line entries adopted: for
-    records this library wrote that is the same store.  A foreign
-    one-line entry is adopted spaces and all - a store that differs in
-    bytes, never in content."""
+    """How records spread over logs, and in what order, moves no byte
+    of the store.  A foreign record line is adopted spaces and all - a
+    store that differs in bytes, never in content."""
     ingest_two(tmp_path / "one-line")
     ingest_two(tmp_path / "other", relayout)
     ours, theirs = (tmp_path / name / "out" for name in ("one-line", "other"))

@@ -231,7 +231,7 @@ class TestTrialCache:
     def test_directory_cache_survives_processes(self, tmp_path):
         cold = InlineBackend(catalog=CATALOG, cache=TrialCache(tmp_path))
         result = cold.run([pair_spec(seed=8)])[0]
-        assert len(list(tmp_path.glob("*.json"))) == 1
+        assert [p.name[:8] for p in tmp_path.iterdir()] == ["records-"]
         warm = InlineBackend(catalog=CATALOG, cache=TrialCache(tmp_path))
         hit = warm.run([pair_spec(seed=8)])[0]
         assert warm.stats.trials_run == 0
@@ -254,20 +254,23 @@ class TestTrialCache:
         assert len(cache) == 1
         cache.clear()
         assert len(cache) == 0
-        assert not list(tmp_path.glob("*.json"))
+        assert not list(tmp_path.iterdir())
+        backend.run([pair_spec(seed=2)])  # a cleared cache writes anew
+        assert len(TrialCache(tmp_path)) == 1
 
     def test_a_read_never_writes(self, tmp_path):
-        """Every way of reading a warm cache succeeds when entries cannot
-        be written (``os.utime`` refused, as for a reader with read-only
-        access to another user's spool) and leaves each entry's mtime
-        as it was."""
+        """Every way of reading a warm cache succeeds when its logs
+        cannot be written (``os.utime`` refused, as for a reader with
+        read-only access to another user's spool), leaves each log's
+        mtime as it was and creates no log."""
         from tests.test_cache_immutability import synthetic_result
 
         specs = [pair_spec(seed=seed) for seed in (1, 2)]
         writer = TrialCache(tmp_path)
         for spec in specs:
             writer.put(spec, synthetic_result(spec))
-        entries = [tmp_path / f"{trial_cache_key(s)}.json" for s in specs]
+        entries = sorted(tmp_path.iterdir())
+        assert len(entries) == 1
         for entry in entries:
             os.utime(entry, ns=(10**9, 10**9))
         cache = TrialCache(tmp_path)
@@ -282,7 +285,8 @@ class TestTrialCache:
         assert len(records) == stats.cache_hits == len(specs)
         assert backend.stats.cache_hits == len(specs)
         assert backend.stats.trials_run == 0
-        assert [e.stat().st_mtime_ns for e in entries] == [10**9] * 2
+        assert [e.stat().st_mtime_ns for e in entries] == [10**9]
+        assert sorted(tmp_path.iterdir()) == entries
 
 
 class TestWatchdogCaching:

@@ -38,6 +38,7 @@ from repro.service import (
 from repro.service.coordinator import FAULT_ENV
 from repro.core.submission import DEFAULT_ACCESS_CODES
 
+from tests import cache_logs
 from tests.test_cache_immutability import ENTRY_DAMAGE, TRIAL_DAMAGE
 from tests.test_fleet import HOSTILE_V3, damage_v3
 from tests.test_ingest_linearity import synthetic_result
@@ -315,11 +316,8 @@ class TestServiceIngest:
         shutil.copytree(entry, tmp_path / "copy")
         service.ingest_once()
         shutil.copytree(tmp_path / "copy", again)
-        lost = next(
-            path for path in (again / "cache").glob("*.json")
-            if len(path.stem) == 64
-        )
-        lost.unlink()
+        cache = again / "cache"
+        cache_logs.drop(cache, min(cache_logs.records(cache)))
         summary = service.ingest_once()
         assert summary["ingested"][0]["skipped"]
         assert summary["cycles_total"] == 1
@@ -735,8 +733,9 @@ class TestPoisonedEntries:
     def test_damaged_cache_entry_retires_the_spool_entry_by_name(
         self, tmp_path, kind
     ):
-        """A cache entry damaged in transit: nothing of its cycle is
-        folded, the error names the file, the entry behind it ingests in
+        """A cache record damaged in transit: nothing of its cycle is
+        folded, the error names the log and the line, the entry behind
+        it ingests in
         the same pass, and the next pass has nothing left to trip on.
         (Unchecked, an object that is no trial record raised a bare
         ``TypeError`` on every pass and never left ``incoming/``.)"""
@@ -745,15 +744,15 @@ class TestPoisonedEntries:
         incoming = tmp_path / "spool" / "incoming"
         plan = make_fixed_entry(incoming / "cycle-0-bad")
         make_fixed_entry(incoming / "cycle-1-good")
-        victim = (
-            incoming / "cycle-0-bad" / "cache"
-            / f"{plan.trials[1].cache_key}.json"
+        key = plan.trials[1].cache_key
+        victim, line = cache_logs.rewrite(
+            incoming / "cycle-0-bad" / "cache", key, damage
         )
-        victim.write_bytes(damage(victim.read_bytes()))
         with pytest.raises(ServiceError) as raised:
             service.ingest_once()
         message = str(raised.value)
-        assert "cycle-0-bad" in message and victim.name in message
+        assert "cycle-0-bad" in message
+        assert f"{victim.name}: line {line}, key {key}: " in message
         assert cause in message and "moved to failed/" in message
         assert (tmp_path / "spool" / "failed" / "cycle-0-bad").exists()
         assert (tmp_path / "spool" / "done" / "cycle-1-good").exists()
@@ -766,7 +765,7 @@ class TestPoisonedEntries:
     def test_a_plan_keyed_by_another_derivation_is_retired_as_skew(
         self, tmp_path, monkeypatch
     ):
-        """Planner/coordinator version skew: plan rows and cache files
+        """Planner/coordinator version skew: plan rows and cache records
         agree with each other, but not with the key this library
         derives.  The ingest names the mismatch and retires the entry -
         rather than reading every trial as missing, requeueing every
@@ -794,9 +793,9 @@ class TestPoisonedEntries:
             rng = random.Random(7)
             for planned in plan.trials:
                 cache.put(planned.spec, synthetic_result(planned.spec, rng))
-        assert {f"{t.cache_key}.json" for t in plan.trials} == {
-            path.name for path in (entry / "cache").glob("*.json")
-        }
+        assert {t.cache_key for t in plan.trials} == set(
+            cache_logs.records(entry / "cache")
+        )
         make_fixed_entry(incoming / "cycle-1-good")
         with pytest.raises(ServiceError) as raised:
             service.ingest_once()
