@@ -1,26 +1,22 @@
 """Atomic file replacement: the one way this library rewrites a file.
 
-Every durable artifact a concurrent reader may be looking at - cache
-sidecars, shard receipts, the service's snapshot, site sections, the
+Every durable artifact a concurrent reader may be looking at - shard
+receipts, the service's snapshot, site sections, diagnoses, the
 heartbeat - is published by writing a temporary sibling
 and renaming it over the destination.  Readers therefore see the old
 bytes or the new bytes, never a torn mix, and a crash mid-write leaves
 the destination untouched.
 
-The rename also gives the destination a *fresh inode*.  Fleet merges
-hard-link sidecars between directories (:mod:`repro.fleet.merge`),
-which is only sound because nothing rewrites one in place: a replace in
-one directory can never alias into another that links the old bytes.
-(Cache records are not files of their own: they are lines appended to
-record logs, :mod:`repro.core.cache`.)
+The rename also gives the destination a *fresh inode*, so a replace
+never aliases into another directory that hard-links the old bytes.
+(Cache records and their sidecars are lines of append-only record logs,
+:mod:`repro.core.cache`, never files of their own.)
 
-Temporary names end in ``.tmp`` (so no ``*.json`` sidecar or receipt
-scan, nor a ``*.log`` record-log scan, ever matches one), carry the
-writer's pid plus a random
-token (so concurrent writers of one destination never share a temp
-file), and are created exclusively.  A writer killed mid-write leaves
-its ``*.tmp`` behind; those are inert and ``TrialCache.clear`` sweeps
-them.
+Temporary names end in ``.tmp`` (so no ``*.json`` or ``*.log`` scan
+ever matches one), carry the writer's pid plus a random token (so
+concurrent writers of one destination never share a temp file), and
+are created exclusively.  A writer killed mid-write leaves its
+``*.tmp`` behind, inert.
 
 The read side of the same contract is :func:`load_json_artifact`: a
 file that did not come out of such a write intact is an error naming
@@ -37,14 +33,11 @@ from typing import Callable, Dict, Type, TypeVar, Union
 
 T = TypeVar("T")
 
-#: Suffix of in-flight temporaries (see module docstring).
-TMP_SUFFIX = ".tmp"
-
 
 def atomic_write(path: Union[str, Path], data: Union[str, bytes]) -> None:
     """Replace ``path`` with ``data`` (text or bytes) atomically."""
     target = os.fspath(path)
-    tmp = f"{target}.{os.getpid()}.{secrets.token_hex(4)}{TMP_SUFFIX}"
+    tmp = f"{target}.{os.getpid()}.{secrets.token_hex(4)}.tmp"
     try:
         with open(tmp, "xb" if isinstance(data, bytes) else "x") as handle:
             handle.write(data)

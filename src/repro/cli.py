@@ -264,9 +264,9 @@ def cmd_cycle(args) -> int:
 def cmd_earlystop_fit(args) -> int:
     """Train the early-termination stop rule from a cached corpus.
 
-    Reads full-length flight-recorded trials (``<key>.flight.json``
-    sidecars next to their cache entries - warm one with
-    ``fleet run-shard --record-flight`` or any flight-recorded run),
+    Reads full-length flight-recorded trials (records written with a
+    ``flight`` sidecar - warm a cache with ``fleet run-shard
+    --record-flight`` or any flight-recorded run),
     calibrates the threshold rule offline against their final
     throughput shares, and writes the versioned model artifact that
     ``--earlystop`` flags consume.
@@ -280,14 +280,10 @@ def cmd_earlystop_fit(args) -> int:
     skipped_no_window = 0
     for key in cache.sidecar_keys("flight"):
         payload = cache.payload_for(key)
-        if payload is None:
-            continue
         if (payload.get("earlystop") or {}).get("truncated"):
             skipped_truncated += 1  # only full trials are ground truth
             continue
         flight = cache.get_sidecar(key, "flight")
-        if flight is None:
-            continue
         if (flight.get("queue") or {}).get("window_row") is None:
             skipped_no_window += 1  # recorded before the window-open field
             continue

@@ -37,11 +37,12 @@ read only what grew at its tail.  A final line without its newline is
 a write in progress or a torn one (a writer killed mid-write, a short
 write - after which that writer opens a new log and never appends to
 the torn one again); readers leave it unindexed, so it is a miss, never
-damage.  Sidecars (``<key>.<name>.json``) stay one file each.  Anything
-else in the directory (receipts, notes) is ignored, except a
-``<64-hex>.json`` file: that is an entry of the per-file layout this
-cache replaced, and a directory holding one is refused by name (a cache
-can be re-derived; it is never half read).
+damage.  A record's sidecars (a trial's flight recording) are
+``<key>.<name> <sidecar>\\n`` lines of the same write, just before it
+(:meth:`TrialCache.put`).  Anything else in the directory (receipts,
+notes) is ignored, except a ``<64-hex>[.<name>].json`` file of the
+per-file layout this cache replaced: a directory holding one is refused
+by name (a cache can be re-derived; it is never half read).
 
 Every lookup is one batch :meth:`TrialCache.read` (``get`` reads one).
 A reader indexes the directory's logs - key to line, no bytes kept -
@@ -55,7 +56,8 @@ parsed once by :data:`decode_record`, the C parser
 batch).  A key with several lines (a truncated result and the
 full-length run that superseded it, or the same record in two merged
 logs) reads as its most complete one (:func:`_completeness`; among
-equals the smallest bytes).  A record that is not a UTF-8 JSON object,
+equals the smallest bytes), served with the sidecars of a line as
+complete as it.  A record that is not a UTF-8 JSON object,
 or one without a trial record's fields, raises :class:`CacheEntryError`
 naming the log, the line and the key: it is never a miss and never a
 result.  The :class:`~repro.core.experiment.ExperimentResult` is built
@@ -85,7 +87,6 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
 
 import orjson
 
-from ..atomicio import TMP_SUFFIX, atomic_write
 from ..browser.environment import ClientEnvironment
 from ..obs.metrics import get_registry
 from .experiment import ExperimentResult
@@ -116,14 +117,14 @@ def _completeness(payload: Dict) -> "tuple[int, int]":
 class CacheEntryError(RuntimeError):
     """A record or sidecar is not a UTF-8 JSON object, a record is one
     that is not a trial record (:func:`trial_record_defect`), a log line
-    is not ``<key> <record>``, or a directory holds the per-file entries
-    of an older cache layout.
+    is neither ``<key> <record>`` nor ``<key>.<name> <sidecar>``, or a
+    directory holds the files of an older, per-file cache layout.
 
-    Records are appended whole and never rewritten, so a line in this
+    Lines are appended whole and never rewritten, so a line in this
     state was damaged after it landed (truncated copy, flipped bits,
     foreign writer).  The message names the log, the line and the key
-    (a sidecar's message, its file) and the defect; nothing is ever
-    folded from it.  :meth:`TrialCache.put` raises it too, naming the
+    (a sidecar's, its name too) and the defect; nothing is ever folded
+    from it.  :meth:`TrialCache.put` raises it too, naming the
     field, for a result it refuses to write because no reader could
     read it back as it was.
     """
@@ -145,7 +146,7 @@ _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 #: What a share decodes as (``bool`` is an ``int`` subclass, not one).
 _NUMBER_TYPES = (int, float)
 
-#: The one decoder of stored bytes - cache entries and sidecars, store
+#: The one decoder of stored bytes - cache records and sidecars, store
 #: journal and segment lines, merge adjudication: ``orjson``'s C parser,
 #: bound by name so a parse adds no Python frame.  It reads
 #: :data:`encode_record`'s output back type for type (``1``, ``1.0``,
@@ -176,6 +177,13 @@ LOG_SUFFIX = ".log"
 #: Where a log line's record starts: after the key and one space.
 _RECORD_START = _KEY_HEX_LENGTH + 1
 
+#: A sidecar's name, and a sidecar line's head, ``<key>.<name> ``.
+_SIDECAR_NAME = re.compile("[a-z][a-z0-9_]*")
+_SIDECAR_HEAD = re.compile(rb"([0-9a-f]{64})\.([a-z][a-z0-9_]*) ")
+
+#: An entry or sidecar file of the per-file layout, which is refused.
+_PER_FILE = re.compile(r"[0-9a-f]{64}(\..+)?\.json")
+
 
 def _read_to_end(fd: int, offset: int = 0) -> bytes:
     """What ``fd`` holds from ``offset`` on: one read of the size
@@ -203,8 +211,8 @@ def trial_record_defect(payload) -> Optional[str]:
     :class:`ExperimentResult` is built from, its integer fields within
     signed 64 bits, its ``earlystop`` block, if any, an object and its
     ``mmf_share`` a number for both its ``contender_id`` and its
-    ``incumbent_id``.  The cache reader
-    (:func:`_read_entry`) and the service store's replay both check
+    ``incumbent_id``.  The cache reader (:meth:`TrialCache.read`,
+    through :func:`_decode`) and the service store's replay both check
     records here, each naming the file the defect is in.
     """
     if type(payload) is not dict:
@@ -279,52 +287,42 @@ def is_cache_key(text: str) -> bool:
     return _KEY_SHAPE.fullmatch(text) is not None
 
 
-def _list_cache_dir(
-    directory: str,
-) -> "tuple[List[str], Dict[str, List[str]]]":
-    """One listing of a cache directory: its record logs, sorted, and
-    per key the sorted sidecar file names (``<key>.<name>.json``).
-    Everything else - receipts, notes, ``*.tmp`` leftovers - is not part
-    of the cache, except a per-file entry (``<64-hex>.json``), which is
-    refused: this cache reads record logs only."""
+def _list_cache_dir(directory: str) -> List[str]:
+    """The record logs of a cache directory, sorted.  Everything else -
+    receipts, notes - is not part of the cache, except a file of the
+    per-file layout (``<64-hex>.json``, ``<64-hex>.<name>.json``), which
+    is refused: this cache reads record logs only."""
     logs: List[str] = []
-    sidecars: Dict[str, List[str]] = {}
-    is_key = _KEY_SHAPE.fullmatch
     for name in sorted(os.listdir(directory)):
         if name.endswith(LOG_SUFFIX):
             if name.startswith(LOG_PREFIX):
                 logs.append(name)
-            continue
-        if not name.endswith(".json"):
-            continue
-        stem = name[: -len(".json")]
-        if is_key(stem):
+        elif old := _PER_FILE.fullmatch(name):
             raise CacheEntryError(
-                f"{os.path.join(directory, name)}: a per-file cache entry "
-                f"- this cache reads record logs ({LOG_PREFIX}*{LOG_SUFFIX}) "
-                "only; re-derive the cache into a fresh directory"
+                f"{os.path.join(directory, name)}: a per-file cache "
+                f"{'sidecar' if old[1] else 'entry'} - this cache reads "
+                f"record logs ({LOG_PREFIX}*{LOG_SUFFIX}) only; re-derive "
+                "the cache into a fresh directory"
             )
-        if (
-            len(stem) > _KEY_HEX_LENGTH + 1
-            and stem[_KEY_HEX_LENGTH] == "."
-            and is_key(stem[:_KEY_HEX_LENGTH])
-        ):
-            sidecars.setdefault(stem[:_KEY_HEX_LENGTH], []).append(name)
-    return logs, sidecars
+    return logs
 
 
 class _LogIndex:
     """Where each key's lines are in one cache directory's record logs.
 
-    ``spans`` maps a key to ``(log name, start, end)`` of the first line
-    found for it (its record is ``log[start:end]``), ``extra`` a key
-    with more lines to the rest, and ``sizes`` each log seen to the
-    bytes indexed so far: through its last newline, so a torn or
-    in-flight tail is left for a later :meth:`scan`.  Offsets only: the
-    bytes a scan read are handed to its caller and not kept.
+    ``spans`` maps a key to ``(log name, start, end)`` of the first
+    record line found for it (its record is ``log[start:end]``),
+    ``extra`` a key with more record lines to the rest, ``sidecars`` a
+    key with sidecars to ``(record span, name, sidecar span)`` of each
+    sidecar line its record line follows, and ``sizes`` each log seen
+    to the bytes indexed so far: through its last record line, so a
+    torn or in-flight tail is left for a later :meth:`scan`.  Offsets
+    only: the bytes a scan read are handed to its caller and not kept.
     """
 
-    __slots__ = ("directory", "prefix", "listed", "sizes", "spans", "extra")
+    __slots__ = (
+        "directory", "prefix", "listed", "sizes", "spans", "extra", "sidecars"
+    )
 
     def __init__(self, directory: str) -> None:
         self.directory = directory
@@ -333,16 +331,19 @@ class _LogIndex:
         self.sizes: Dict[str, int] = {}
         self.spans: Dict[str, "tuple[str, int, int]"] = {}
         self.extra: Dict[str, List["tuple[str, int, int]"]] = {}
+        self.sidecars: Dict[str, List[tuple]] = {}
 
-    def scan(self) -> "tuple[Dict[str, bytes], Dict[str, List[str]]]":
+    def scan(self) -> Dict[str, bytes]:
         """Index what landed since the last scan - new logs, grown
         tails - and return the records it read, by key (the last line
-        read for a key), and the directory's sidecars by key."""
-        logs, sidecars = _list_cache_dir(self.directory)
+        read for a key).  Sidecar lines no record line of their key
+        follows (a torn group, a foreign log) are never served."""
+        logs = _list_cache_dir(self.directory)
         self.listed = True
         sizes, spans, extra = self.sizes, self.spans, self.extra
         fresh: Dict[str, bytes] = {}
         is_key = _KEY_SHAPE.fullmatch
+        sidecar_head = _SIDECAR_HEAD.match
         for name in logs:
             base = sizes.get(name, 0)
             fd = os.open(self.prefix + name, os.O_RDONLY)
@@ -351,7 +352,8 @@ class _LogIndex:
             finally:
                 os.close(fd)
             end = data.rfind(b"\n") + 1
-            sizes[name] = base + end
+            indexed = 0
+            pending: List[tuple] = []
             pos = 0
             while pos < end:
                 stop = data.index(b"\n", pos)
@@ -360,21 +362,35 @@ class _LogIndex:
                     data[pos + _KEY_HEX_LENGTH : pos + _RECORD_START] != b" "
                     or not is_key(key)
                 ):
-                    raise CacheEntryError(
-                        f"{self.at((name, base + pos, base + stop))}: not "
-                        "'<key> <record>' (no cache key at its start)"
-                    )
+                    head = sidecar_head(data, pos, stop)
+                    if head is None:
+                        raise CacheEntryError(
+                            f"{self.at((name, base + pos, base + stop))}: "
+                            "not '<key> <record>' or '<key>.<name> "
+                            "<sidecar>' (no cache key at its start)"
+                        )
+                    at = (name, base + head.end(), base + stop)
+                    pending.append((key, head[2].decode("ascii"), at))
+                    pos = stop + 1
+                    continue
                 span = (name, base + pos + _RECORD_START, base + stop)
                 if key in spans:
                     extra.setdefault(key, []).append(span)
                 else:
                     spans[key] = span
+                if pending:
+                    self.sidecars.setdefault(key, []).extend(
+                        (span, side, at) for owner, side, at in pending
+                        if owner == key
+                    )
+                    pending = []
                 fresh[key] = data[pos + _RECORD_START : stop]
-                pos = stop + 1
-        return fresh, sidecars
+                pos = indexed = stop + 1
+            sizes[name] = base + indexed
+        return fresh
 
     def line(self, span: "tuple[str, int, int]") -> bytes:
-        """The record at ``span``, read from its log."""
+        """The record or sidecar at ``span``, read from its log."""
         name, start, end = span
         fd = os.open(self.prefix + name, os.O_RDONLY)
         try:
@@ -410,6 +426,27 @@ class _LogIndex:
         )
         return payload, raw, len(seen)
 
+    def sidecar_spans(self, key: str) -> Dict[str, tuple]:
+        """``{name: span}`` of the sidecars served with ``key``'s
+        :meth:`record`: those of lines as complete as it (a truncated
+        run never lends its recording), the first in log order per name."""
+        attached = self.sidecars.get(key, ())
+        if attached and key in self.extra:
+            payload, _raw, parsed = self.record(key)
+            ranked = [
+                (_completeness(_decode(self.line(item[0]))), item)
+                for item in attached
+            ]
+            get_registry().counter("cache.entries_parsed").inc(
+                parsed + len(ranked)
+            )
+            best = _completeness(payload)
+            attached = [item for rank, item in ranked if rank == best]
+        found: Dict[str, tuple] = {}
+        for _span, name, at in sorted(attached):
+            found.setdefault(name, at)
+        return found
+
     def bytes_of(
         self, key: str, fresh: Optional[Dict[str, bytes]] = None
     ) -> bytes:
@@ -432,10 +469,12 @@ def scan_cache_dir(
     directory: "str | os.PathLike[str]",
 ) -> "tuple[List[str], Dict[str, List[str]]]":
     """One reading of a cache directory: the keys its record logs hold,
-    sorted, and per key its sorted sidecar file names."""
+    sorted, and per key the sorted names of its served sidecars."""
     index = _LogIndex(os.fspath(directory))
-    sidecars = index.scan()[1]
-    return sorted(index.spans), sidecars
+    index.scan()
+    return sorted(index.spans), {
+        key: sorted(index.sidecar_spans(key)) for key in index.sidecars
+    }
 
 
 #: Memo behind :func:`config_fields` / :func:`config_canonical_json`, by
@@ -702,8 +741,9 @@ class TrialCache:
     Every record is one line of a ``records-<pid>-<token>.log`` in
     ``cache_dir``, so caches are shareable between processes and survive
     restarts; this instance appends to a log of its own, created at its
-    first :meth:`put`.  An in-memory table of the payloads this instance
-    read or wrote sits in front of the logs, so repeated hits never
+    first :meth:`put`, which also writes a record's sidecars.  An
+    in-memory table of the payloads this instance read or wrote sits in
+    front of the logs, so repeated hits never
     re-read them (``test_repeated_hits_never_reread_files`` in
     ``tests/test_control_plane_budget.py``); it holds payloads, never
     the bytes :meth:`read` hands over with them.  Reading never writes:
@@ -715,13 +755,12 @@ class TrialCache:
     def __init__(self, cache_dir: "str | os.PathLike[str]") -> None:
         self.cache_dir = Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
-        #: ``<cache_dir>/``: a sidecar's path is one concatenation.
+        #: ``<cache_dir>/``: a path in a message is one concatenation.
         self._prefix = os.path.join(self.cache_dir, "")
         self._index = _LogIndex(os.fspath(self.cache_dir))
         #: ``(fd, pid, closer)`` of this instance's log, once it has one.
         self._log: Optional[tuple] = None
         self._memory: Dict[str, Dict] = {}
-        self._sidecar_memory: Dict["tuple[str, str]", Dict] = {}
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -763,7 +802,7 @@ class TrialCache:
                 payload, raw = memory.get(key), None
                 if payload is None:
                     if fresh is None and key not in spans:
-                        fresh = index.scan()[0]
+                        fresh = index.scan()
                     span = spans.get(key)
                     if span is not None:
                         if key in extra:
@@ -812,31 +851,50 @@ class TrialCache:
         spec: "TrialSpec",
         result: ExperimentResult,
         env: Optional[ClientEnvironment] = None,
+        sidecars: Optional[Dict[str, Dict]] = None,
     ) -> None:
-        """Record one simulated trial under its content address.
+        """Record one simulated trial under its content address, with
+        its ``sidecars`` (name -> JSON object, e.g. a flight recording).
 
         The record is the result's :data:`encode_record`: one line, the
         bytes a service journal later adopts as they are, appended to
-        this instance's log in one ``os.write``.  A result that would
-        not read back as written - a non-finite float, an integer field
-        beyond signed 64 bits - is refused with a
-        :class:`CacheEntryError` naming the field, and nothing is
-        written (:func:`_encode_checked`).
+        this instance's log in one ``os.write`` after a ``<key>.<name>
+        <sidecar>`` line per sidecar.  A sidecar name that is not
+        ``[a-z][a-z0-9_]*`` is a ``ValueError``; a result or sidecar that
+        would not read back as written - a non-finite float, an integer
+        field beyond signed 64 bits - a :class:`CacheEntryError` naming
+        the field (:func:`_encode_checked`).  Either way nothing is
+        written.
 
         Only what is more complete than the record the cache holds for
         the key is appended (full-length over truncated, a longer
         truncation horizon over a shorter one): a deterministic re-run
-        writes nothing.  What the cache holds is this instance's memory,
-        else the logs as its index saw them (indexed at the first put if
-        no read did it first, and not re-indexed per put: a line another
-        writer appended since is not seen, and readers read the more
-        complete of the two lines either way).  A write that lands short
-        leaves a torn final line, which readers treat as absent; the log
-        takes no more lines and the ``OSError`` propagates.
+        writes nothing, its sidecars included, so a cache hit keeps the
+        recording it was written with.  What the cache holds is this
+        instance's memory, else the logs as its index saw them (indexed
+        at the first put if no read did it first, and not re-indexed per
+        put: a line another writer appended since is not seen, and
+        readers read the more complete of the two lines either way).  A
+        write that lands short leaves a torn final line, which readers
+        treat as absent; the log takes no more lines and the ``OSError``
+        propagates.
         """
         key = trial_cache_key(spec, env)
+        where = f"{self._prefix}{key}"
         payload = result.to_json()
-        encoded = _encode_checked(payload, f"{self._prefix}{key}", trial=True)
+        encoded = _encode_checked(payload, where, trial=True)
+        head = key.encode("ascii")
+        lines = []
+        for name, sidecar in (sidecars or {}).items():
+            if type(name) is not str or not _SIDECAR_NAME.fullmatch(name):
+                raise ValueError(
+                    f"{where}: sidecar name {name!r} is not [a-z][a-z0-9_]*"
+                )
+            lines.append(b"%b.%b %b\n" % (
+                head,
+                name.encode("ascii"),
+                _encode_checked(sidecar, f"{where}.{name}", trial=False),
+            ))
         existing = self._memory.get(key)
         if existing is None:
             index = self._index
@@ -848,23 +906,24 @@ class TrialCache:
             existing
         ):
             return
-        line = b"%b %b\n" % (key.encode("ascii"), encoded)
+        lines.append(b"%b %b\n" % (head, encoded))
+        data = b"".join(lines)
         log = self._log
         if log is None or log[1] != os.getpid():
             log = self._open_log()
-        written = os.write(log[0], line)
-        if written != len(line):
+        written = os.write(log[0], data)
+        if written != len(data):
             log[2]()  # close: a torn line ends this log
             self._log = None
             raise OSError(
-                f"{self._prefix}{key}: short write to a record log "
-                f"({written} of {len(line)} bytes); the record is not stored"
+                f"{where}: short write to a record log ({written} of "
+                f"{len(data)} bytes); the record is not stored"
             )
         self._memory[key] = payload
         self.stores += 1
         registry = get_registry()
         registry.counter("cache.stores").inc()
-        registry.counter("cache.bytes_written").inc(len(line))
+        registry.counter("cache.bytes_written").inc(len(data))
 
     def _open_log(self) -> tuple:
         """Create this instance's record log (a new one after a fork)."""
@@ -887,59 +946,32 @@ class TrialCache:
         return payload
 
     # ------------------------------------------------------------------
-    # Sidecars: auxiliary artifacts content-addressed to an entry
+    # Sidecars: auxiliary objects written with a record (``put``)
     # ------------------------------------------------------------------
-    #
-    # A sidecar lives at ``<key>.<name>.json``, one file each, written
-    # atomically (``repro.atomicio``); its stem is longer than 64 hex
-    # chars, so the per-file-entry refusal never matches it.  Flight
-    # recordings (repro.obs.flight) are the first sidecar kind; payloads
-    # carry their own schema version.
-
-    def put_sidecar(self, key: str, name: str, payload: Dict) -> None:
-        """Attach an auxiliary JSON object to a cache entry's key, as
-        :data:`encode_record` bytes; what would not read back as written
-        is refused naming the field (:func:`_encode_checked`)."""
-        if not is_cache_key(key):
-            raise ValueError(f"not a cache key: {key!r}")
-        path = self._sidecar_path(key, name)
-        encoded = _encode_checked(payload, path, trial=False)
-        self._sidecar_memory[(key, name)] = payload
-        atomic_write(path, encoded)
-        get_registry().counter("cache.sidecar_bytes_written").inc(len(encoded))
 
     def get_sidecar(self, key: str, name: str) -> Optional[Dict]:
-        """The sidecar payload for ``key``, or ``None`` if absent."""
-        payload = self._sidecar_memory.get((key, name))
-        if payload is None:
-            path = self._sidecar_path(key, name)
-            try:
-                fd = os.open(path, os.O_RDONLY)
-            except FileNotFoundError:
-                return None
-            try:
-                raw = _read_to_end(fd)
-            finally:
-                os.close(fd)
-            try:
-                payload = _decode(raw, trial=False)
-            except CacheEntryError as exc:
-                raise CacheEntryError(f"{path}: {exc}") from exc
-            get_registry().counter("cache.entries_parsed").inc()
-            self._sidecar_memory[(key, name)] = payload
+        """The ``name`` sidecar served with ``key``'s record as the logs
+        hold it now, or ``None``; a damaged one is a
+        :class:`CacheEntryError` naming its log, line, key and name."""
+        index = self._index
+        index.scan()
+        span = index.sidecar_spans(key).get(name)
+        if span is None:
+            return None
+        try:
+            payload = _decode(index.line(span), trial=False)
+        except CacheEntryError as exc:
+            raise index.damaged(f"{key}, sidecar {name}", span, exc) from exc
+        get_registry().counter("cache.entries_parsed").inc()
         return payload
 
     def sidecar_keys(self, name: str) -> List[str]:
-        """Entry keys that carry a sidecar of this kind, sorted."""
-        suffix = f".{name}.json"
-        stems = (
-            path.name[: -len(suffix)]
-            for path in self.cache_dir.glob(f"*{suffix}")
+        """Keys whose record is served with a ``name`` sidecar, sorted."""
+        index = self._index
+        index.scan()
+        return sorted(
+            key for key in index.sidecars if name in index.sidecar_spans(key)
         )
-        return sorted(stem for stem in stems if is_cache_key(stem))
-
-    def _sidecar_path(self, key: str, name: str) -> str:
-        return f"{self._prefix}{key}.{name}.json"
 
     # ------------------------------------------------------------------
     # Introspection: through the same index, re-read on a miss
@@ -979,13 +1011,8 @@ class TrialCache:
         if self._log is not None:
             self._log[2]()
             self._log = None
-        logs, sidecars = _list_cache_dir(os.fspath(self.cache_dir))
-        for name in logs + [n for names in sidecars.values() for n in names]:
+        for name in _list_cache_dir(os.fspath(self.cache_dir)):
             os.unlink(self._prefix + name)
-        # Temporaries a killed sidecar writer left behind (repro.atomicio).
-        for path in self.cache_dir.glob(f"*{TMP_SUFFIX}"):
-            path.unlink()
         self._index = _LogIndex(os.fspath(self.cache_dir))
         self._memory.clear()
-        self._sidecar_memory.clear()
         self.hits = self.misses = self.stores = 0

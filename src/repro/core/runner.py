@@ -388,7 +388,7 @@ class ExecutionBackend:
     ``record_flight`` runs each cache miss, on either substrate, under a
     fresh :class:`~repro.obs.flight.FlightRecorder`, whose payload is
     kept in :attr:`recordings` (by trial cache key; ``None`` when not
-    recording) and persisted as the entry's ``<key>.flight.json``
+    recording) and written with the trial's record as its ``flight``
     sidecar.  Cache hits skip simulation AND recording: the original
     sidecar stays the recording of record, so merges are loss-free.
     Recording changes no result (the recorder only reads; see
@@ -434,10 +434,9 @@ class ExecutionBackend:
         simulated results by index in ``trials``.
 
         The one place a simulated trial is completed, on any substrate:
-        as each comes back, its sidecar lands, then its entry (the
-        commit point: a kill between the two leaves an orphan sidecar
-        the re-run overwrites), then it is counted.  A trial that raises
-        ends the run with every earlier trial on disk."""
+        as each comes back, its record and its recording land in one
+        write (the commit point), then it is counted.  A trial that
+        raises ends the run with every earlier trial on disk."""
         env, cache, stats = self.env, self.cache, self.stats
         armed = self.earlystop is not None
         records = _lookup(cache, trials, env, armed, stats)
@@ -460,15 +459,14 @@ class ExecutionBackend:
                     start = time.perf_counter()
                     result, recording = next(outcomes)
                     simulating += time.perf_counter() - start
-                    if recording is not None:
-                        key = trial_cache_key(spec, env)
-                        if cache is not None:
-                            cache.put_sidecar(key, "flight", recording)
                     if cache is not None:
-                        cache.put(spec, result, env=env)
+                        cache.put(spec, result, env=env, sidecars=(
+                            recording and {"flight": recording}
+                        ))
                     stats.trials_run += 1
                     stats.record_earlystop(result.earlystop)
                     if recording is not None:
+                        key = trial_cache_key(spec, env)
                         self.recordings[key] = recording
                     simulated[index] = result
         finally:

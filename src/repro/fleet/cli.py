@@ -149,7 +149,7 @@ def cmd_fleet_run_shard(args) -> int:
         print(
             f"  flight recordings: "
             f"{len(recorded & planned)} trial(s) "
-            "(<key>.flight.json sidecars in the cache dir)"
+            "(flight sidecars in the cache dir's record logs)"
         )
     if stats.trials_truncated or stats.trials_audited:
         print(

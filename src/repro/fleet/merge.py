@@ -19,15 +19,15 @@ single-host run or silently is not - so it verifies everything it can:
   and extras (unplanned entries, e.g. from a pre-warmed shared cache)
   are counted but tolerated.
 
-A shard's record logs - and the ``<key>.<name>.json`` sidecars of its
-new keys - are hard-linked into the destination (copied where the OS
-will not link), never re-written: a log has one writer that only
-appends, so sharing its inode with the shard directory is safe, and a
-merge makes one link per shard log, not one per trial.  Every key is
-judged before any of its shard's logs is linked, and bytes are read
-again only to adjudicate a key that is already present.  Both lines of
-a superseded pair stay in the destination; its readers read the more
-complete one, as the cache's own reader does.
+A shard's record logs are hard-linked into the destination (copied
+where the OS will not link), never re-written: a log has one writer
+that only appends, so sharing its inode with the shard directory is
+safe, and a merge makes one link per shard log, not one per trial; a
+record's sidecars are lines of its log.  Every key is judged before any
+of its shard's logs is linked, and bytes are read again only to
+adjudicate a key that is already present.  Both lines of a superseded
+pair stay in the destination; its readers read the more complete one
+and its sidecars, as the cache's own reader does.
 
 Shard receipts' :class:`~repro.core.runner.RunnerStats` are summed, so
 the merged cache knows how much total simulation the fleet performed.
@@ -102,60 +102,26 @@ class MergeReport:
         }
 
 
-def _copy_new(source: str, target: str) -> bool:
-    """Copy ``source`` into a new file ``target``; ``False`` if taken."""
-    try:
-        with open(target, "xb") as handle:
-            handle.write(Path(source).read_bytes())
-    except FileExistsError:
-        return False
-    return True
+def _link_log(source: str, target: str) -> None:
+    """Bring a shard's record log into the merged cache.
 
-
-def _link_new(source: str, target: str) -> bool:
-    """Materialise ``source`` at ``target``; ``False`` if taken.
-
-    Logs and sidecars are never rewritten in place, so on one filesystem
-    the merged cache shares the shard's inode instead of re-writing its
-    bytes.  Wherever the OS refuses the link (``EXDEV`` across
-    filesystems, ``EPERM``, no hard-link support) the bytes are copied
-    into an exclusively-created file instead.
+    Logs are never rewritten in place, so on one filesystem the merged
+    cache shares the shard's inode instead of re-writing its bytes.  A
+    log of that name already there is this one (one writer per name):
+    linked, or a copy an earlier merge made, which its writer may since
+    have appended to.  Wherever the OS refuses the link (``EXDEV``
+    across filesystems, ``EPERM``, no hard-link support), or the name
+    holds such a copy, the log's bytes as they are now are written there.
     """
     try:
         os.link(source, target)
+        return
     except FileExistsError:
-        return False
+        if os.path.samefile(source, target):
+            return
     except OSError:
-        return _copy_new(source, target)
-    return True
-
-
-def _link_log(source: str, target: str) -> None:
-    """Bring a shard's record log into the merged cache.  A log of that
-    name already there is this one (one writer per name): linked, or a
-    copy an earlier merge made, which its writer may since have appended
-    to - the copy is then replaced by the log as it is now."""
-    if not _link_new(source, target) and not os.path.samefile(
-        source, target
-    ):
-        atomic_write(target, Path(source).read_bytes())
-
-
-def _carry_sidecars(
-    names: Sequence[str], shard: str, dest: str, replace: bool = False
-) -> None:
-    """Bring an entry's sidecars along with it (``shard`` and ``dest``
-    are directory prefixes, as in :func:`merge_shards`).
-
-    Sidecars already in ``dest`` stay unless ``replace`` (their entry
-    was just superseded by this shard's): recordings are as
-    deterministic as the entries they describe.
-    """
-    for name in names:
-        if replace:
-            atomic_write(dest + name, Path(shard + name).read_bytes())
-        else:
-            _link_new(shard + name, dest + name)
+        pass
+    atomic_write(target, Path(source).read_bytes())
 
 
 def _resolve_divergent(challenger: bytes, incumbent: bytes) -> Optional[str]:
@@ -281,16 +247,11 @@ def merge_shards(
         if receipt.metrics is not None:
             shard_metrics.append(receipt.metrics)
         index = _LogIndex(os.fspath(shard))
-        fresh, sidecars = index.scan()
-        shard_prefix = index.prefix
+        fresh = index.scan()
         new_keys: List[str] = []
-        carry: List["tuple[List[str], bool]"] = []
         for key in index.spans:
-            carried = sidecars.get(key)
             if key not in merged_keys:
                 new_keys.append(key)
-                if carried:
-                    carry.append((carried, False))
                 continue
             if stale:
                 held.scan()
@@ -309,23 +270,17 @@ def merge_shards(
                     )
                 if verdict != "same":
                     report.superseded_entries += 1
-                    if verdict == "replace" and carried:
-                        carry.append((carried, True))
                     continue
             report.duplicates += 1
-            if carried:
-                carry.append((carried, False))
         # Every key judged: now the shard's logs join the destination.
         for name in index.sizes:
-            _link_log(shard_prefix + name, dest_prefix + name)
+            _link_log(index.prefix + name, dest_prefix + name)
         stale = True
         for key in new_keys:
             merged_keys.add(key)
             if key not in expected:
                 report.extras += 1
         report.entries_merged += len(new_keys)
-        for names, replace in carry:
-            _carry_sidecars(names, shard_prefix, dest_prefix, replace)
     report.per_shard_stats = {
         index: receipt.stats for index, receipt in winners.items()
     }

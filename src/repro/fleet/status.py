@@ -54,8 +54,8 @@ class ShardStatus:
     #: The parsed receipt backing a "done" row (not serialised per-shard;
     #: FleetStatus folds every receipt into its telemetry rollup).
     receipt: Optional[ShardReceipt] = None
-    #: Planned trials with a ``<key>.flight.json`` sidecar in the
-    #: directory (telemetry only, like ``receipt``).
+    #: Planned trials whose record in the directory is served with a
+    #: ``flight`` sidecar (telemetry only, like ``receipt``).
     flight_recorded: int = 0
 
     def to_json(self) -> Dict:
@@ -107,7 +107,7 @@ class FleetStatus:
         ``None`` until at least one receipt exists.  Sums the receipts'
         :class:`RunnerStats` counters, unions their metrics snapshots
         (:func:`~repro.obs.metrics.merge_snapshots`), counts the
-        flight-recorded trials (``<key>.flight.json`` sidecars on disk
+        flight-recorded trials (records served with a ``flight`` sidecar
         in those shards' directories), rolls up the earlystop counters
         (trials truncated, sim-seconds saved, audited mispredict rate -
         ``None`` until an audit trial has run), and reports the youngest
@@ -244,7 +244,7 @@ def _expand_dirs(dirs: Sequence[Union[str, Path]]) -> List[Path]:
 
 
 def _newest_mtime(directory: Path) -> float:
-    """Newest write in the directory - the receipt, a sidecar, a record
+    """Newest write in the directory - the receipt, a record
     appended to a log (which moves the log's mtime, not the
     directory's), or the directory itself."""
     newest = directory.stat().st_mtime
@@ -325,8 +325,7 @@ def fleet_status(
             attempt=receipt.attempt if receipt is not None else None,
             receipt=receipt,
             flight_recorded=sum(
-                f"{key}.flight.json" in sidecars.get(key, ())
-                for key in done_keys
+                "flight" in sidecars.get(key, ()) for key in done_keys
             ),
         )
         # Two dirs claiming one shard: keep the more advanced one -

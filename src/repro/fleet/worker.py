@@ -35,8 +35,8 @@ from .plan import (
 )
 
 #: Receipt filename inside a shard's cache directory.  The cache reads
-#: only its record logs and ``<key>.<name>.json`` sidecars, so the
-#: receipt can live alongside them and travel with the directory.
+#: only its record logs, so the receipt can live alongside them and
+#: travel with the directory.
 RECEIPT_FILENAME = "shard-receipt.json"
 
 #: The receipt layout, unchanged since manifest schema 2 (manifest
@@ -174,9 +174,9 @@ def run_shard(
     host) is a :class:`FleetError`, with nothing simulated.
 
     ``record_flight`` runs every cache-missing trial under a flight
-    recorder (:mod:`repro.obs.flight`): the recordings land as
-    ``<key>.flight.json`` sidecars in ``cache_dir``, which the merge
-    carries.  Both substrates record, with the same bytes.
+    recorder (:mod:`repro.obs.flight`): each recording is written with
+    its record, as its ``flight`` sidecar.  Both substrates record,
+    with the same bytes.
 
     A manifest carrying an ``earlystop`` block (the model artifact plus
     audit fraction; see :mod:`repro.core.earlystop`) arms every simulated

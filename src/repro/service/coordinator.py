@@ -370,37 +370,47 @@ class WatchdogService:
             written.append(str(path))
         return written
 
-    def _ingest_flight_sidecars(self, entry: Path) -> int:
+    def _ingest_flight_sidecars(
+        self, cache: TrialCache, specs: Sequence[TrialSpec]
+    ) -> int:
         """Diagnose the entry's flight recordings into ``out/diagnoses/``.
 
-        Fleet workers running with ``--record-flight`` leave
-        ``<key>.flight.json`` sidecars next to the cache entries; each
-        is reduced to its :func:`repro.obs.flight.diagnose` summary and
-        published under ``out/diagnoses/<bandwidth-tag>/<a>__<b>.json``
-        (later-sorted sidecars win for a pair, deterministically).
-        Diagnosis is best-effort decoration - a bad sidecar is logged
-        and skipped, never fatal to the ingest - and the atomic
-        per-pair writes make re-runs after a crash idempotent.
+        Each ``flight`` sidecar the entry's ``cache`` serves (fleet
+        workers write them with ``--record-flight``) is reduced to its
+        :func:`repro.obs.flight.diagnose` summary and published under
+        ``out/diagnoses/<bandwidth-tag>/<a>__<b>.json`` (later-sorted
+        keys win for a pair, deterministically) - only when its service
+        ids and bandwidth, which name the file, are one of ``specs``'.
+        Diagnosis is best-effort decoration - a bad or foreign recording
+        is logged and skipped, never fatal to the ingest - and the
+        atomic per-pair writes make re-runs after a crash idempotent.
         """
-        cache_dir = self._entry_cache_dir(entry)
+        trials = {
+            (tuple(s.service_ids), s.network.bandwidth_bps) for s in specs
+        }
         written = 0
-        for path in sorted(cache_dir.glob("*.flight.json")):
+        try:
+            keys = cache.sidecar_keys("flight")
+        except CacheEntryError as exc:
+            _log.warning("service.flight_diagnose_failed", error=str(exc))
+            return 0
+        for key in keys:
             try:
-                payload = json.loads(path.read_text())
+                payload = cache.get_sidecar(key, "flight")
                 if payload.get("schema") != FLIGHT_SCHEMA_VERSION:
                     continue
                 diagnosis = diagnose(payload)
+                meta = diagnosis.get("meta") or {}
+                ids = tuple(meta.get("service_ids") or ())
+                bandwidth = meta.get("bandwidth_bps")
+                if (ids, bandwidth) not in trials:
+                    raise ValueError(f"{ids!r} at {bandwidth!r} bps: no trial")
             except Exception as exc:
                 _log.warning(
                     "service.flight_diagnose_failed",
-                    sidecar=path.name,
+                    sidecar=f"{key}.flight",
                     error=str(exc),
                 )
-                continue
-            meta = diagnosis.get("meta") or {}
-            ids = meta.get("service_ids") or []
-            bandwidth = meta.get("bandwidth_bps")
-            if not ids or bandwidth is None:
                 continue
             dest_dir = self.out / "diagnoses" / bandwidth_tag(float(bandwidth))
             dest_dir.mkdir(parents=True, exist_ok=True)
@@ -490,12 +500,13 @@ class WatchdogService:
         self._save_state()
 
     def _skip_ingested(
-        self, entry: Path, cycle_id: str, kind: str, partial: bool
+        self, entry: Path, cache: TrialCache, specs: Sequence[TrialSpec],
+        cycle_id: str, kind: str, partial: bool,
     ) -> IngestReport:
         """Retire a re-delivered entry whose cycle is already ingested."""
         # Re-diagnose before retiring: heals a crash that landed between
         # the journal commit and the diagnosis writes.
-        diagnosed = self._ingest_flight_sidecars(entry)
+        diagnosed = self._ingest_flight_sidecars(cache, specs)
         self._stamp_ingest()
         self._move_entry(entry, "done")
         return IngestReport(
@@ -541,7 +552,9 @@ class WatchdogService:
                 cycle_id = f"{state.cycle_id}+{len(specs)}"
                 requeued = self._requeue_open_rounds(state)
             if cycle_id in self.store.ingested_ids():
-                return self._skip_ingested(entry, cycle_id, kind, partial)
+                return self._skip_ingested(
+                    entry, cache, specs, cycle_id, kind, partial
+                )
             records = self._read_trials(entry, cache, specs)
             missing = records.count(None)
             if missing:
@@ -584,7 +597,9 @@ class WatchdogService:
                     plan, sorted(missing_shards)
                 )
             if cycle_id in self.store.ingested_ids():
-                return self._skip_ingested(entry, cycle_id, kind, partial)
+                return self._skip_ingested(
+                    entry, cache, specs, cycle_id, kind, partial
+                )
         with tracing.span(
             "service.ingest", source=entry.name, trials=len(records)
         ):
@@ -602,7 +617,7 @@ class WatchdogService:
                 record, pre_commit=lambda: _fault("pre-commit")
             )
         _fault("post-commit")
-        diagnosed = self._ingest_flight_sidecars(entry)
+        diagnosed = self._ingest_flight_sidecars(cache, specs)
         self._stamp_ingest(diagnosed)
         self._move_entry(entry, "done")
         registry = get_registry()

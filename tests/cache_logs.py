@@ -1,9 +1,10 @@
 """Record logs as a test (or a hostile copy) sees them: read, rewrite,
 append, bypassing :class:`repro.core.cache.TrialCache`.
 
-A log line is ``<key> <record>\\n``.  Rewrites land in a new inode
-(``os.replace``), as a damaged copy would, so a log hard-linked into
-another directory keeps its bytes there.
+A log line is ``<key> <record>\\n``, or ``<key>.<name> <sidecar>\\n`` for
+a sidecar written with the record line after it.  Rewrites land in a
+new inode (``os.replace``), as a damaged copy would, so a log
+hard-linked into another directory keeps its bytes there.
 """
 
 import os
@@ -16,14 +17,27 @@ def logs(directory) -> "list[Path]":
     return sorted(Path(directory).glob("records-*.log"))
 
 
-def records(directory) -> Dict[str, bytes]:
-    """Every complete line's record, by key (a key on several lines:
-    the last one read)."""
-    found = {}
+def _lines(directory) -> "list[tuple[str, bytes]]":
+    """Every complete line as ``(head, bytes after it)``: the head is
+    ``<key>`` for a record, ``<key>.<name>`` for a sidecar."""
+    found = []
     for log in logs(directory):
         for line in log.read_bytes().split(b"\n")[:-1]:
-            found[line[:64].decode()] = line[65:]
+            head, _space, data = line.partition(b" ")
+            found.append((head.decode(), data))
     return found
+
+
+def records(directory) -> Dict[str, bytes]:
+    """Every complete record line's record, by key (a key on several
+    lines: the last one read)."""
+    return {head: data for head, data in _lines(directory) if "." not in head}
+
+
+def sidecars(directory) -> Dict[str, bytes]:
+    """Every complete sidecar line's bytes, by ``<key>.<name>`` (the
+    last one read)."""
+    return {head: data for head, data in _lines(directory) if "." in head}
 
 
 def record(directory, key: str) -> bytes:
@@ -32,7 +46,8 @@ def record(directory, key: str) -> bytes:
 
 
 def log_of(directory, key: str) -> Tuple[Path, int]:
-    """``(log, 1-based line number)`` of ``key``'s first line."""
+    """``(log, 1-based line number)`` of ``key``'s first line (a
+    ``<key>.<name>`` key: of that sidecar's)."""
     prefix = key.encode() + b" "
     for log in logs(directory):
         for number, line in enumerate(log.read_bytes().split(b"\n"), 1):
@@ -44,11 +59,12 @@ def log_of(directory, key: str) -> Tuple[Path, int]:
 def rewrite(
     directory, key: str, change: Callable[[bytes], Optional[bytes]]
 ) -> Tuple[Path, int]:
-    """Replace ``key``'s record by ``change(record)`` (``None`` drops
-    the line) in a new inode; returns ``(log, line number)``."""
+    """Replace ``key``'s record (a ``<key>.<name>`` key: that sidecar)
+    by ``change(bytes)`` (``None`` drops the line) in a new inode;
+    returns ``(log, line number)``."""
     log, number = log_of(directory, key)
     lines = log.read_bytes().split(b"\n")
-    changed = change(lines[number - 1][65:])
+    changed = change(lines[number - 1][len(key) + 1 :])
     if changed is None:
         del lines[number - 1]
     else:
@@ -65,8 +81,8 @@ def drop(directory, key: str) -> None:
 
 
 def append(directory, lines: Dict[str, bytes], name: str = "foreign") -> Path:
-    """A new log of ``lines`` (key -> record), as another writer would
-    leave it."""
+    """A new log of ``lines`` (key -> record, ``<key>.<name>`` ->
+    sidecar), in order, as another writer would leave it."""
     log = Path(directory) / f"records-0-{name}.log"
     log.write_bytes(
         b"".join(

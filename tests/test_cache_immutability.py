@@ -2,12 +2,12 @@
 
 ``fleet merge`` hard-links shard record logs into the merged cache
 (copying only where the OS refuses the link), which is sound because a
-log has one writer that only appends, and sidecars are replaced
-atomically, never rewritten.  These tests pin the link/copy
-equivalence, the isolation between linked directories, the sidecars
-travelling with their records, the invisibility of leftover ``*.tmp``
-files, and the log's own hostile cases: a damaged middle line, a torn
-tail, a short write, racing writers, a directory of the per-file layout.
+log has one writer that only appends, and a record's sidecars are lines
+of the same write.  These tests pin the link/copy equivalence, the
+isolation between linked directories, the sidecars travelling with
+their records, the invisibility of leftover ``*.tmp`` files, and the
+log's own hostile cases: a damaged middle line, a torn tail or group, a
+short write, racing writers, a directory of the per-file layout.
 """
 
 import errno
@@ -247,16 +247,29 @@ class TestLinkIsolation:
         assert shard_log.read_bytes() == truncated_bytes
         assert os.path.samefile(shard_log, merged_log)
 
-    def test_sidecar_rewrite_is_a_replace_too(self, tmp_path):
-        cache = TrialCache(tmp_path / "a")
-        key = "ab" * 32
-        cache.put_sidecar(key, "flight", {"v": 1})
-        source = tmp_path / "a" / f"{key}.flight.json"
-        alias = tmp_path / "alias.json"
+    def test_a_superseding_recording_is_a_new_line(self, tmp_path):
+        """A recording is never rewritten either: the full-length run's
+        lands with its record in the writer's own log, and a link to the
+        truncated run's log keeps its bytes."""
+        spec = TrialSpec.pair("iperf_cubic", "iperf_reno", NET, FAST, seed=1)
+        key = trial_cache_key(spec)
+        TrialCache(tmp_path / "a").put(
+            spec,
+            synthetic_result(spec, truncated_at=4_000_000),
+            sidecars={"flight": {"v": 1}},
+        )
+        (source,) = cache_logs.logs(tmp_path / "a")
+        alias = tmp_path / "alias.log"
         os.link(source, alias)
-        cache.put_sidecar(key, "flight", {"v": 2})
-        assert json.loads(alias.read_text()) == {"v": 1}
-        assert json.loads(source.read_text()) == {"v": 2}
+        before = alias.read_bytes()
+        TrialCache(tmp_path / "a").put(
+            spec, synthetic_result(spec), sidecars={"flight": {"v": 2}}
+        )
+        assert alias.read_bytes() == source.read_bytes() == before
+        assert len(cache_logs.logs(tmp_path / "a")) == 2
+        assert TrialCache(tmp_path / "a").get_sidecar(key, "flight") == {
+            "v": 2
+        }
 
 
 class TestConcurrentWriters:
@@ -360,6 +373,44 @@ class TestRecordLogs:
         assert cache.get(last) == synthetic_result(last)
         assert (cache.hits, cache.misses) == (3, 1)
 
+    def test_a_group_without_its_record_line_serves_no_sidecar(
+        self, tmp_path
+    ):
+        """Sidecar lines belong to the record line of their key that
+        follows them: a log whose final group lost its record line (a
+        write that landed short) or a foreign log whose sidecar line
+        another key's record follows serves no sidecar."""
+        first, middle, last = self.SPECS
+        key = trial_cache_key(last)
+        writer = TrialCache(tmp_path)
+        writer.put(first, synthetic_result(first))
+        writer.put(last, synthetic_result(last), sidecars={"flight": {"v": 1}})
+        (log,) = cache_logs.logs(tmp_path)
+        whole = log.read_bytes()
+        record_line = whole[whole.rindex(b"\n", 0, len(whole) - 1) + 1 :]
+        log.write_bytes(whole[: -len(record_line)])
+        assert cache_logs.sidecars(tmp_path) == {f"{key}.flight": b'{"v":1}'}
+        cache = TrialCache(tmp_path)
+        assert cache.get(last) is None
+        assert cache.get_sidecar(key, "flight") is None
+        assert cache.sidecar_keys("flight") == []
+        # The record line lands: the same reader serves the whole group.
+        with open(log, "ab") as handle:
+            handle.write(record_line)
+        assert cache.get(last) == synthetic_result(last)
+        assert cache.get_sidecar(key, "flight") == {"v": 1}
+        first_key = trial_cache_key(first)
+        cache_logs.append(tmp_path, {
+            f"{first_key}.flight": b'{"v": 2}',
+            trial_cache_key(middle): encode_record(
+                synthetic_result(middle).to_json()
+            ),
+        })
+        reader = TrialCache(tmp_path)
+        assert reader.get(middle) == synthetic_result(middle)
+        assert reader.get_sidecar(first_key, "flight") is None
+        assert reader.sidecar_keys("flight") == [key]
+
     def test_after_a_short_write_the_writer_never_appends_to_that_log_again(
         self, tmp_path, monkeypatch
     ):
@@ -445,14 +496,27 @@ class TestRecordLogs:
         ShardReceipt(plan.plan_id, 0, 1, plan.cache_schema).write(old)
         with pytest.raises(CacheEntryError, match=refusal):
             merge_shards(plan, [old], tmp_path / "merged")
-        # Sidecars are files of this layout too: alone, they are no
-        # per-file entry.
-        TrialCache(tmp_path / "new").put_sidecar(key, "flight", {"v": 1})
-        assert len(TrialCache(tmp_path / "new")) == 0
+        # Sidecars were files of this layout too: one alone is refused.
+        new = tmp_path / "new"
+        TrialCache(new).put(spec, synthetic_result(spec))
+        (new / f"{key}.flight.json").write_bytes(b'{"v": 1}')
+        refusal = f"{new / key}.flight.json: a per-file cache sidecar"
+        cache = TrialCache(new)
+        for read in (
+            lambda: len(cache),
+            lambda: cache.get_sidecar(key, "flight"),
+            lambda: cache.sidecar_keys("flight"),
+            lambda: cache.clear(),
+        ):
+            with pytest.raises(CacheEntryError, match=refusal):
+                read()
 
 
 class TestStaleTemporaries:
-    def test_stale_tmp_is_invisible_and_cleared(self, tmp_path):
+    def test_stale_tmp_is_invisible_and_inert(self, tmp_path):
+        """A killed ``atomic_write`` leaves a ``*.tmp``: no reader sees
+        it and ``clear``, which drops records and recordings, leaves it
+        be."""
         plan, dirs = plan_and_shards(tmp_path, shards=1)
         shard = dirs[0]
         key = plan.trials[0].cache_key
@@ -460,6 +524,7 @@ class TestStaleTemporaries:
             shard / f"{key}.json.4242.deadbeef.tmp",
             shard / f"{key}.flight.json.4242.deadbeef.tmp",
             shard / f"{'f' * 64}.json.4242.deadbeef.tmp",
+            shard / "records-1-cafe.log.4242.deadbeef.tmp",
         ]
         for stray in strays:
             stray.write_text('{"torn": ')
@@ -481,8 +546,9 @@ class TestStaleTemporaries:
         assert not list((tmp_path / "merged").glob("*.tmp"))
 
         TrialCache(shard).clear()
-        assert not stray.exists()
-        assert [p.name for p in shard.iterdir()] == ["shard-receipt.json"]
+        assert sorted(p.name for p in shard.iterdir()) == sorted(
+            ["shard-receipt.json", stray.name]
+        )
 
     def test_failed_write_leaves_no_temporary(self, tmp_path):
         target = tmp_path / "entry.json"
@@ -497,8 +563,9 @@ class TestSidecarsTravelWithEntries:
     def test_two_shard_record_flight_cycle_publishes_diagnoses(
         self, tmp_path
     ):
-        """fleet merge used to drop ``<key>.flight.json``, so a merged
-        multi-shard ``--record-flight`` cycle published no diagnosis."""
+        """fleet merge once dropped the recordings, so a merged
+        multi-shard ``--record-flight`` cycle published no diagnosis;
+        they are lines of the linked logs now."""
         from repro.service.coordinator import WatchdogService
 
         config = ExperimentConfig().scaled(3)
@@ -529,12 +596,9 @@ class TestSidecarsTravelWithEntries:
         merge_shards(plan, shard_dirs, entry / "cache")
         merged = TrialCache(entry / "cache")
         assert merged.sidecar_keys("flight") == sorted(plan.expected_keys())
-        for shard, shard_dir in enumerate(shard_dirs):
-            for trial in plan.shard_trials(shard):
-                name = f"{trial.cache_key}.flight.json"
-                assert os.path.samefile(
-                    shard_dir / name, entry / "cache" / name
-                )
+        for shard_dir in shard_dirs:
+            (log,) = cache_logs.logs(shard_dir)
+            assert os.path.samefile(log, entry / "cache" / log.name)
 
         service = WatchdogService(
             tmp_path / "spool",
@@ -548,25 +612,37 @@ class TestSidecarsTravelWithEntries:
         assert "### Why is this unfair?" in service.site.index_path.read_text()
 
     def test_superseding_entry_brings_its_own_sidecars(self, tmp_path):
+        """Each shard writes a recording with its record, as the runner
+        does; the merged cache serves the full-length run's recording,
+        never the truncated run's."""
         plan, dirs = plan_and_shards(tmp_path, overlap=True)
-        trial = plan.trials[0]
-        key = trial.cache_key
-        cache_logs.drop(dirs[0], key)
-        truncated = TrialCache(dirs[0])
-        truncated.put(
-            trial.spec, synthetic_result(trial.spec, truncated_at=4_000_000)
-        )
-        truncated.put_sidecar(key, "flight", {"run": "truncated"})
-        TrialCache(dirs[1]).put_sidecar(key, "flight", {"run": "full"})
-        other = plan.trials[1].cache_key
-        TrialCache(dirs[1]).put_sidecar(other, "flight", {"run": "late"})
+
+        def rewrite(directory, trial, recording, truncated_at=None):
+            cache_logs.drop(directory, trial.cache_key)
+            TrialCache(directory).put(
+                trial.spec,
+                synthetic_result(trial.spec, truncated_at=truncated_at),
+                sidecars=None if recording is None else {"flight": recording},
+            )
+
+        trial, other, bare = plan.trials[:3]
+        rewrite(dirs[0], trial, {"run": "truncated"}, 4_000_000)
+        rewrite(dirs[1], trial, {"run": "full"})
+        rewrite(dirs[1], other, {"run": "late"})
+        rewrite(dirs[0], bare, {"run": "truncated"}, 4_000_000)
+        rewrite(dirs[1], bare, None)
 
         merge_shards(plan, dirs, tmp_path / "merged")
         merged = TrialCache(tmp_path / "merged")
-        assert merged.get_sidecar(key, "flight") == {"run": "full"}
+        assert merged.get_sidecar(trial.cache_key, "flight") == {"run": "full"}
         # An identical duplicate still contributes sidecars dest lacks.
-        assert merged.get_sidecar(other, "flight") == {"run": "late"}
-        assert TrialCache(dirs[0]).get_sidecar(key, "flight") == {
+        assert merged.get_sidecar(other.cache_key, "flight") == {"run": "late"}
+        # A truncated run never lends its recording to the full one.
+        assert merged.get_sidecar(bare.cache_key, "flight") is None
+        assert merged.sidecar_keys("flight") == sorted(
+            [trial.cache_key, other.cache_key]
+        )
+        assert TrialCache(dirs[0]).get_sidecar(trial.cache_key, "flight") == {
             "run": "truncated"
         }
 
@@ -630,26 +706,30 @@ class TestDamagedFiles:
     that is not a trial record, is a named ``CacheEntryError`` from
     every reader - never a raw decode or type error, never a silent
     miss, never a folded result.  A record's error names its log, the
-    line and the key."""
+    line and the key; a sidecar's, its name too."""
 
     @pytest.fixture(params=sorted(TRIAL_DAMAGE))
     def damaged(self, request, tmp_path):
-        """(spec, key, log path, sidecar path, defect named) with the
-        record damaged, and the sidecar too where the damage is one a
-        sidecar can have (``None`` otherwise)."""
+        """(spec, key, log path, log path of a damaged sidecar, defect
+        named) with the record (line 2) damaged, and its sidecar (line
+        1) too where the damage is one a sidecar can have (``None``
+        otherwise)."""
         spec = TrialSpec.pair("iperf_cubic", "iperf_reno", NET, FAST, seed=1)
-        writer = TrialCache(tmp_path)
-        writer.put(spec, synthetic_result(spec))
+        TrialCache(tmp_path).put(
+            spec,
+            synthetic_result(spec),
+            sidecars={"flight": {"schema": 1, "rows": list(range(40))}},
+        )
         key = trial_cache_key(spec)
-        writer.put_sidecar(key, "flight", {"schema": 1, "rows": list(range(40))})
-        sidecar = tmp_path / f"{key}.flight.json"
         damage, complaint = TRIAL_DAMAGE[request.param]
-        if request.param not in ENTRY_DAMAGE:
-            sidecar = None
         entry, line = cache_logs.rewrite(tmp_path, key, damage)
-        assert line == 1
-        if sidecar is not None:
-            sidecar.write_bytes(damage(sidecar.read_bytes()))
+        assert line == 2
+        sidecar = None
+        if request.param in ENTRY_DAMAGE:
+            sidecar, line = cache_logs.rewrite(
+                tmp_path, f"{key}.flight", damage
+            )
+            assert line == 1
         return spec, key, entry, sidecar, complaint
 
     def test_every_reader_names_the_file(self, damaged, tmp_path):
@@ -683,14 +763,17 @@ class TestDamagedFiles:
             parsed_before = parsed.value
             with pytest.raises(CacheEntryError) as caught:
                 read(cache)
-            assert f"{entry}: line 1, key {key}: " in str(caught.value), name
+            assert f"{entry}: line 2, key {key}: " in str(caught.value), name
             assert complaint in str(caught.value), name
             assert (cache.hits, cache.misses, cache.stores) == (hits, 0, 0), name
             assert parsed.value - parsed_before == hits, name
         if sidecar is not None:
             with pytest.raises(CacheEntryError) as caught:
                 TrialCache(tmp_path).get_sidecar(key, "flight")
-            assert str(sidecar) in str(caught.value)
+            assert (
+                f"{sidecar}: line 1, key {key}, sidecar flight: {complaint}"
+                in str(caught.value)
+            )
             # The damaged bytes are still there for an operator.
             assert sidecar.exists()
         assert entry.exists()

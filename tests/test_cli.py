@@ -283,15 +283,14 @@ class TestDamagedArtifacts:
 
     def test_earlystop_fit_over_a_damaged_entry(self, tmp_path, capsys):
         key = "ab" * 32
-        (tmp_path / f"{key}.flight.json").write_text("{}")
-        log = cache_logs.append(tmp_path, {key: b"[]"})
+        log = cache_logs.append(tmp_path, {f"{key}.flight": b"{}", key: b"[]"})
         code = main([
             "earlystop", "fit", "--cache-dir", str(tmp_path),
             "--out", str(tmp_path / "model.json"),
         ])
         assert code == 1
         assert capsys.readouterr().err == (
-            f"repro error: {log}: line 1, key {key}: expected a JSON "
+            f"repro error: {log}: line 2, key {key}: expected a JSON "
             "object, found list\n"
         )
 

@@ -2,6 +2,8 @@
 library carries a docstring (deliverable (e): doc comments on every
 public item)."""
 
+import ast
+import functools
 import importlib
 import inspect
 import pkgutil
@@ -164,3 +166,59 @@ def test_implementing_module_imports(name):
             target = getattr(target, attr)
         return
     raise AssertionError(f"nothing of {name!r} imports")
+
+
+SRC = ROOT / "src" / "repro"
+
+#: A Sphinx cross-reference to a Python object: ``:func:`name```, with
+#: ``~``/``.`` prefixes, dotted paths and ``title <target>`` forms.
+_XREF = re.compile(r":(?:func|meth|class|data|attr):`([^`]+)`")
+
+
+@functools.lru_cache(maxsize=None)
+def _defined_names():
+    """Every function, class and assigned name (``x = ...``,
+    ``self.x = ...``, annotated or augmented) defined in ``src/``."""
+    names = set()
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                names.add(node.name)
+                continue
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for part in ast.walk(target):
+                    if isinstance(part, ast.Name):
+                        names.add(part.id)
+                    elif isinstance(part, ast.Attribute):
+                        names.add(part.attr)
+    return names
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(SRC.rglob("*.py")),
+    ids=lambda path: str(path.relative_to(SRC)),
+)
+def test_cross_references_name_what_src_defines(path):
+    """A docstring's ``:func:`` / ``:meth:`` / ``:class:`` / ``:data:``
+    / ``:attr:`` names something ``src/`` defines (its last dotted
+    part): a reference to a deleted helper sends the reader nowhere."""
+    text = path.read_text()
+    dangling = []
+    for match in _XREF.finditer(text):
+        target = match.group(1)
+        if "<" in target:
+            target = target[target.index("<") + 1 : target.rindex(">")]
+        name = target.lstrip("~.").rstrip("()").split(".")[-1]
+        if name not in _defined_names():
+            line = text.count("\n", 0, match.start()) + 1
+            dangling.append(f"line {line}: {match.group(0)}")
+    assert dangling == []

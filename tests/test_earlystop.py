@@ -48,6 +48,7 @@ from repro.core.watchdog import Prudentia
 from repro.obs.flight import FlightRecorder, QueueChannel
 from repro.services.catalog import default_catalog
 
+from tests import cache_logs
 from tests import test_golden_identity as golden
 from tests.test_cache_immutability import ENTRY_DAMAGE
 
@@ -538,7 +539,10 @@ class TestFitOffline:
         old_key = trial_cache_key(specs[1])
         old = cache.get_sidecar(old_key, "flight")
         del old["queue"]["window_open_usec"], old["queue"]["window_row"]
-        cache.put_sidecar(old_key, "flight", old)
+        cache_logs.rewrite(
+            tmp_path / "cache", f"{old_key}.flight",
+            lambda _sidecar: json.dumps(old).encode(),
+        )
         out = tmp_path / "model.json"
         argv = ["earlystop", "fit", "--cache-dir", str(tmp_path / "cache"),
                 "--out", str(out), "--json"]
@@ -554,8 +558,10 @@ class TestFitOffline:
             [default_catalog().get(sid) for sid in other.service_ids],
             other.network, other.config, seed=other.seed, recorders=[recorder],
         )
-        cache.put(other, result)
-        cache.put_sidecar(trial_cache_key(other), "flight", recorder.to_json())
+        # A fresh writer: the rewrite above moved ``cache``'s log aside.
+        TrialCache(tmp_path / "cache").put(
+            other, result, sidecars={"flight": recorder.to_json()}
+        )
         out.unlink()
         assert main(argv) == 1
         assert "mixes sampling grids" in capsys.readouterr().err

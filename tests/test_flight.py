@@ -39,6 +39,7 @@ from repro.services.catalog import default_catalog
 
 from tests import cache_logs
 from tests import test_golden_identity as golden
+from tests.test_cache_immutability import synthetic_result
 
 CATALOG = default_catalog()
 FAST = ExperimentConfig().scaled(3)
@@ -400,29 +401,39 @@ class TestSidecars:
         return TrialSpec.pair("iperf_cubic", "iperf_bbr", NET, FAST,
                               seed=seed)
 
+    def put(self, cache, seed=1, **sidecars):
+        spec = self.spec(seed)
+        cache.put(spec, synthetic_result(spec), sidecars=sidecars)
+        return trial_cache_key(spec)
+
     def test_round_trip_and_key_validation(self, tmp_path):
         cache = TrialCache(tmp_path)
-        key = trial_cache_key(self.spec())
-        cache.put_sidecar(key, "flight", {"x": 1})
+        key = self.put(cache, flight={"x": 1})
         assert cache.get_sidecar(key, "flight") == {"x": 1}
+        assert TrialCache(tmp_path).get_sidecar(key, "flight") == {"x": 1}
+        assert cache.get_sidecar(key, "other") is None
         assert cache.sidecar_keys("flight") == [key]
         with pytest.raises(ValueError):
-            cache.put_sidecar("not-a-key", "flight", {})
+            cache.put(
+                self.spec(2), synthetic_result(self.spec(2)),
+                sidecars={"not a name": {}},
+            )
 
     def test_sidecars_invisible_to_entry_scan(self, tmp_path):
+        """A sidecar line is no record: one put is one key."""
         cache = TrialCache(tmp_path)
-        key = trial_cache_key(self.spec())
-        cache.put_sidecar(key, "flight", {"x": 1})
-        assert len(cache) == 0
-        assert list(cache.keys()) == []
+        key = self.put(cache, flight={"x": 1})
+        assert len(TrialCache(tmp_path)) == 1
+        assert list(TrialCache(tmp_path).keys()) == [key]
+        assert list(cache_logs.records(tmp_path)) == [key]
 
     def test_clear_drops_sidecars(self, tmp_path):
         cache = TrialCache(tmp_path)
-        key = trial_cache_key(self.spec())
-        cache.put_sidecar(key, "flight", {"x": 1})
+        key = self.put(cache, flight={"x": 1})
         cache.clear()
         assert cache.get_sidecar(key, "flight") is None
-        assert list(tmp_path.glob("*.flight.json")) == []
+        assert TrialCache(tmp_path).sidecar_keys("flight") == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_recording_backend_writes_sidecars(self, tmp_path):
         cache = TrialCache(tmp_path)
@@ -498,8 +509,11 @@ class TestFleetFlight:
         )
         keys = sorted(t.cache_key for t in plan.trials)
         assert receipt.stats.trials_total == len(keys)
-        for key in keys:
-            assert (cache_dir / f"{key}.flight.json").exists()
+        assert TrialCache(cache_dir).sidecar_keys("flight") == keys
+        assert sorted(cache_logs.sidecars(cache_dir)) == [
+            f"{key}.flight" for key in keys
+        ]
+        assert [p.name for p in cache_dir.glob("*.json")] == [RECEIPT_FILENAME]
         # The recordings travel as sidecars only, not in the receipt.
         on_disk = json.loads((cache_dir / RECEIPT_FILENAME).read_text())
         assert "flight_prefix" not in on_disk
@@ -522,18 +536,17 @@ class TestFleetFlight:
                 record_flight=True,
             )
             assert len(cache_logs.logs(cache_dir)) == 1
+            assert [p.name for p in cache_dir.glob("*.json")] == [
+                RECEIPT_FILENAME
+            ]
             written.append({
                 **cache_logs.records(cache_dir),
-                **{
-                    path.name: path.read_bytes()
-                    for path in cache_dir.glob("*.json")
-                    if path.name != RECEIPT_FILENAME
-                },
+                **cache_logs.sidecars(cache_dir),
             })
         inline_files, pool_files = written
         keys = sorted(t.cache_key for t in plan.trials)
         assert sorted(inline_files) == sorted(
-            keys + [f"{key}.flight.json" for key in keys]
+            keys + [f"{key}.flight" for key in keys]
         )
         assert pool_files == inline_files
 
@@ -726,6 +739,30 @@ class TestServiceFlightPublication:
         finally:
             logger.removeHandler(handler)
 
+    def test_a_recording_naming_no_trial_of_the_entry_is_skipped(
+        self, tmp_path
+    ):
+        """The diagnosis file is named from the recording's service ids:
+        ids that are no trial of the entry (``../../../escaped``) are
+        logged and skipped, and nothing lands outside ``out/``.  (They
+        were written to ``<tmp>/escaped__x.json`` and counted.)"""
+        service = self.run_service(tmp_path)
+        entry = tmp_path / "spool" / "incoming" / "cycle-a"
+        keys = TrialCache(entry).sidecar_keys("flight")
+        assert keys
+
+        def escape(sidecar):
+            payload = json.loads(sidecar)
+            payload["meta"]["service_ids"] = ["../../../escaped", "x"]
+            return json.dumps(payload).encode()
+
+        for key in keys:
+            cache_logs.rewrite(entry, f"{key}.flight", escape)
+        report = service.ingest_once()["ingested"][0]
+        assert report["diagnosed"] == 0
+        assert not list(tmp_path.rglob("escaped__x.json"))
+        assert service.load_diagnoses() == {}
+
     def test_status_reports_observability(self, tmp_path):
         service = self.run_service(tmp_path)
         before = service.status()["observability"]
@@ -812,6 +849,6 @@ class TestFlightCli:
             "--cache-dir", str(tmp_path / "cache0"), "--record-flight",
         ]) == 0
         out = capsys.readouterr().out
-        recorded = list((tmp_path / "cache0").glob("*.flight.json"))
+        recorded = TrialCache(tmp_path / "cache0").sidecar_keys("flight")
         assert recorded
         assert f"flight recordings: {len(recorded)} trial(s)" in out

@@ -128,6 +128,9 @@ def _functions_calling_json_loads(path: Path):
         ("fleet/merge.py", []),
         # The manifest is no trial record: it stays on ``json``.
         ("service/store.py", ["_replay_snapshot"]),
+        # Submission lines and published diagnoses are the service's own
+        # files; flight recordings come through the entry's TrialCache.
+        ("service/coordinator.py", ["load_diagnoses", "process_submissions"]),
     ],
 )
 def test_record_paths_parse_with_decode_record_only(module, allowed):
@@ -167,7 +170,7 @@ def _functions_calling(path: Path, names) -> "dict[str, set]":
     "module, writers, hashers",
     [
         # What is hashed: a key's config memo, id tail and odd seed.
-        ("core/cache.py", ["put", "put_sidecar"],
+        ("core/cache.py", ["put"],
          ["_config_memo", "_ids_tail", "trial_cache_keys"]),
         ("service/store.py", ["_encode_segment", "compact"], []),
         # ``plan_id`` hashes ``_canonical``'s spelling.

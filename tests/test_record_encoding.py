@@ -244,9 +244,12 @@ def test_bytes_past_the_first_buffer_are_read_and_judged(tmp_path):
 def test_a_sidecar_past_one_read_buffer_reads_whole(tmp_path):
     key = trial_cache_key(SPEC)
     recording = {"schema": 1, "samples": list(range(40_000))}
-    TrialCache(tmp_path).put_sidecar(key, "flight", recording)
+    TrialCache(tmp_path).put(
+        SPEC, synthetic_result(SPEC, random.Random(1)),
+        sidecars={"flight": recording},
+    )
     assert (
-        (tmp_path / f"{key}.flight.json").stat().st_size
+        len(cache_logs.sidecars(tmp_path)[f"{key}.flight"])
         > 2 * cache_module._READ_SIZE
     )
     assert TrialCache(tmp_path).get_sidecar(key, "flight") == recording
@@ -434,13 +437,34 @@ def test_a_sidecar_no_reader_would_get_back_is_refused_naming_the_field(
     tmp_path, payload, named
 ):
     """The encoder would write ``null`` for the float: the sidecar is
-    refused naming the field, and nothing is written."""
+    refused naming the field, and nothing - its record neither - is
+    written."""
     key = trial_cache_key(SPEC)
     cache = TrialCache(tmp_path)
-    with pytest.raises(CacheEntryError, match=named):
-        cache.put_sidecar(key, "flight", payload)
+    with pytest.raises(CacheEntryError, match=f"{key}.flight .*{named}"):
+        cache.put(
+            SPEC, synthetic_result(SPEC, random.Random(1)),
+            sidecars={"flight": payload},
+        )
     assert list(tmp_path.iterdir()) == []
     assert cache.get_sidecar(key, "flight") is None
+    assert cache.read([SPEC]) == [None] and cache.stores == 0
+
+
+@pytest.mark.parametrize(
+    "name", ["", "a b", "a\nb", "a/b", "a.b", 1, "Flight", "_x"]
+)
+def test_a_sidecar_name_that_would_break_the_line_is_refused(tmp_path, name):
+    """A sidecar line is ``<key>.<name> <sidecar>``: a name that is not
+    ``[a-z][a-z0-9_]*`` is a ``ValueError``, and nothing is written."""
+    cache = TrialCache(tmp_path)
+    with pytest.raises(ValueError, match="sidecar name"):
+        cache.put(
+            SPEC, synthetic_result(SPEC, random.Random(1)),
+            sidecars={name: {"schema": 1}},
+        )
+    assert list(tmp_path.iterdir()) == []
+    assert cache.read([SPEC]) == [None] and cache.stores == 0
 
 
 def test_put_accepts_the_signed_64_bit_bounds(tmp_path):
