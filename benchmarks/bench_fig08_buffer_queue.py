@@ -8,19 +8,18 @@ vs Cubic at 8 Mbps gets *worse* with the bigger buffer.
 
 from repro.analysis.timeseries import render_sparkline
 from repro.core.sweep import run_sweep
-from repro.netsim.trace import QueueLog
+from repro.obs.flight import FlightRecorder
 
 from .harness import BACKEND, CONFIG, HIGHLY, MODERATELY, TRIALS, report, run_artifacts
 
 
 def _traced_queue_run(buffer_multiple):
     network = MODERATELY.with_buffer_multiple(buffer_multiple)
-    log = QueueLog()
-    result = run_artifacts(("mega", "iperf_reno"), network, 13, [log])
-    _times, occ = log.occupancy_series()
+    flight = FlightRecorder(grid_usec=10_000)
+    result = run_artifacts(("mega", "iperf_reno"), network, 13, [flight])
     return {
         "capacity": network.queue_packets,
-        "occupancy": occ,
+        "occupancy": flight.queue.occupancy,
         "utilization": result.utilization,
         "throughput": result.throughput_bps,
     }

@@ -15,8 +15,9 @@ Every trial is a :class:`~repro.core.runner.TrialSpec` run by
 :data:`BACKEND` (from ``build_backend``); point
 ``PRUDENTIA_BENCH_CACHE_DIR`` at a directory to make repeated harness
 runs skip every already-simulated trial (content-addressed caching).
-Figures that plot raw artifacts (packet trace, queue log) attach those
-recorders to :func:`run_artifacts`, the trial core the backend runs.
+Figures that plot raw artifacts (packet trace, flight-recorded queue)
+attach those recorders to :func:`run_artifacts`, the trial core the
+backend runs.
 
 The conditions a figure varies are catalog rows too.  :data:`CATALOG` is
 the default catalog plus these variants, each a copy of a default row
@@ -159,8 +160,8 @@ def run_artifacts(
     seed: int,
     recorders: Sequence,
 ) -> ExperimentResult:
-    """One trial's result, recorded by ``recorders`` (a queue log, a
-    packet trace): the trial core the backend runs, for figures that
+    """One trial's result, recorded by ``recorders`` (a flight recorder,
+    a packet trace): the trial core the backend runs, for figures that
     plot what a result does not keep."""
     result, _testbed = run_trial_artifacts(
         [CATALOG.get(sid) for sid in service_ids],

@@ -14,7 +14,8 @@ import repro
 from repro import units
 from repro.analysis.timeseries import render_sparkline
 from repro.core.experiment import run_trial_artifacts
-from repro.netsim.trace import PacketTrace, QueueLog
+from repro.netsim.trace import PacketTrace
+from repro.obs.flight import FlightRecorder
 
 
 def main() -> None:
@@ -28,13 +29,13 @@ def main() -> None:
     )
 
     print("simulating 60 seconds of Mega vs iPerf (NewReno) at 50 Mbps...")
-    queue_log, trace = QueueLog(), PacketTrace()
+    flight, trace = FlightRecorder(grid_usec=10_000), PacketTrace()
     result, testbed = run_trial_artifacts(
         [catalog.get("mega"), catalog.get("iperf_reno")],
         network,
         config,
         seed=7,
-        recorders=[queue_log, trace],
+        recorders=[flight, trace],
     )
 
     for sid in ("mega", "iperf_reno"):
@@ -43,7 +44,7 @@ def main() -> None:
         print(f"\n{sid} throughput (0..{peak:.0f} Mbps, 250 ms bins):")
         print(" " + render_sparkline(rates, width=100))
 
-    _t, occupancy = queue_log.occupancy_series()
+    occupancy = flight.queue.occupancy
     print(f"\nqueue occupancy (0..{max(occupancy)} of "
           f"{network.queue_packets} packets):")
     print(" " + render_sparkline(occupancy, width=100))

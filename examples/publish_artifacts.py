@@ -5,7 +5,10 @@ Section 7 of the paper: the website exposes bottleneck queue logs and
 client PCAPs for every experiment so service owners can root-cause
 unfairness.  This example runs one traced experiment (Mega vs OneDrive -
 the paper's worst cell at 16% of MmF share) and writes the full artifact
-bundle to ./artifacts/.
+bundle to ./artifacts/: the result, the flight recording (queue log and
+per-flow CCA state; ``python -m repro obs flight summarize
+<dir>/flight.json`` explains it), the packet trace with its drops, and
+a summary.
 
 Usage::
 
@@ -34,7 +37,7 @@ def main() -> None:
     print(f"\npublished to {published.directory}/")
     for path in (
         published.result_path,
-        published.queue_log_path,
+        published.flight_path,
         published.trace_path,
         published.summary_path,
     ):

@@ -2,7 +2,8 @@
 
 The series themselves come straight from the recorders a trial attached:
 ``PacketTrace.throughput_series`` for Fig 4's per-service throughput,
-``QueueLog.occupancy_series`` for Fig 8's bottleneck-queue occupancy.
+a ``FlightRecorder``'s ``queue.occupancy`` for Fig 8's bottleneck-queue
+occupancy.
 """
 
 from __future__ import annotations

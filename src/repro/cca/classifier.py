@@ -17,7 +17,7 @@ from typing import Callable, List, Tuple
 from .. import units
 from ..config import NetworkConfig
 from ..netsim.topology import Dumbbell
-from ..netsim.trace import QueueLog
+from ..obs.flight import QueueChannel
 from ..transport.connection import Connection
 from .base import CongestionControl
 
@@ -72,8 +72,8 @@ class CCAClassifier:
     def run(self, cca_factory: Callable[[], CongestionControl]) -> ClassifierReport:
         """Probe the controller and return features plus a label."""
         bell = Dumbbell(self.network, seed=self.seed)
-        log = QueueLog(sample_period_usec=5_000)
-        log.attach(bell.link)
+        queue = QueueChannel(self.network.queue_packets)
+        bell.link.subscribe(5_000, queue.sample)
         path = bell.path_for_service("probe")
         conn = Connection(
             bell.engine, path, cca_factory(), service_id="probe", flow_id="probe-0"
@@ -81,7 +81,7 @@ class CCAClassifier:
         conn.request(10**12)  # effectively unbounded bulk transfer
         bell.run(self.duration_usec)
 
-        times, occupancy = log.occupancy_series()
+        times, occupancy = queue.times_usec, queue.occupancy
         capacity = self.network.queue_packets
         # Skip the startup transient (first 20% of the run).
         cut = self.duration_usec // 5

@@ -4,8 +4,11 @@ Section 7: "the Prudentia website makes potentially useful data like
 bottleneck queue logs and client PCAPs for every experiment publicly
 accessible".  This module is that publication pipeline: it runs a traced
 experiment and writes a self-describing directory per experiment
-containing the result record, the queue log, the per-packet trace, and a
-human-readable summary.
+containing the result record, the flight recording (the queue log: the
+bottleneck queue sampled every 10 ms, plus per-flow CCA state), the
+per-packet trace with its tail drops, and a human-readable summary.  The
+flight recording is the same payload a cache's flight sidecar holds, so
+``repro obs flight summarize|render`` read a published one as is.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from typing import Optional
 
 from ..browser.environment import ClientEnvironment
 from ..config import ExperimentConfig, NetworkConfig
-from ..netsim.trace import PacketTrace, QueueLog
+from ..netsim.trace import PacketTrace
+from ..obs.flight import FlightRecorder
 from ..services.catalog import ServiceSpec
 from .experiment import ExperimentResult, run_trial_artifacts
 
@@ -28,7 +32,7 @@ class PublishedExperiment:
 
     directory: Path
     result_path: Path
-    queue_log_path: Path
+    flight_path: Path
     trace_path: Path
     summary_path: Path
 
@@ -58,19 +62,22 @@ class ArtifactPublisher:
     ) -> PublishedExperiment:
         """Run one traced trial through the trial core and publish its
         artifacts."""
-        queue_log, trace = QueueLog(), PacketTrace()
+        flight, trace = FlightRecorder(grid_usec=10_000), PacketTrace()
         result, _testbed = run_trial_artifacts(
             [spec_a, spec_b],
             network,
             config,
             seed=seed,
             env=env,
-            recorders=[queue_log, trace],
+            recorders=[flight, trace],
         )
-        return self._write(result, queue_log, trace)
+        return self._write(result, flight, trace)
 
     def _write(
-        self, result: ExperimentResult, queue_log: QueueLog, trace: PacketTrace
+        self,
+        result: ExperimentResult,
+        flight: FlightRecorder,
+        trace: PacketTrace,
     ) -> PublishedExperiment:
         directory = self._experiment_dir(result)
         directory.mkdir(parents=True, exist_ok=True)
@@ -78,8 +85,8 @@ class ArtifactPublisher:
         result_path = directory / "result.json"
         result_path.write_text(json.dumps(result.to_json(), indent=1))
 
-        queue_log_path = directory / "queue_log.json"
-        queue_log_path.write_text(json.dumps(queue_log.to_json()))
+        flight_path = directory / "flight.json"
+        flight_path.write_text(json.dumps(flight.to_json()))
 
         trace_path = directory / "packet_trace.json"
         trace_path.write_text(json.dumps(trace.to_json()))
@@ -105,7 +112,7 @@ class ArtifactPublisher:
         return PublishedExperiment(
             directory=directory,
             result_path=result_path,
-            queue_log_path=queue_log_path,
+            flight_path=flight_path,
             trace_path=trace_path,
             summary_path=summary_path,
         )

@@ -19,11 +19,11 @@ from .earlystop import EarlyStopped
 class Testbed:
     """One experiment's worth of emulated network plus services.
 
-    ``recorders`` are what the trial records - any of
-    :class:`~repro.netsim.trace.QueueLog`,
+    ``recorders`` are what the trial records - either or both of
     :class:`~repro.netsim.trace.PacketTrace` and
-    :class:`~repro.obs.flight.FlightRecorder`, each with an
-    ``attach(link)``; with none, nothing is recorded.
+    :class:`~repro.obs.flight.FlightRecorder` (whose queue channel is
+    the queue log), each with an ``attach(link)``; with none, nothing is
+    recorded.
     """
 
     #: Not a pytest test class, despite the name.

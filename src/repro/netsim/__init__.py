@@ -11,7 +11,7 @@ from .packet import Packet
 from .queue import DropTailQueue
 from .link import BottleneckLink
 from .topology import Dumbbell, Path
-from .trace import PacketTrace, QueueLog
+from .trace import PacketTrace
 
 __all__ = [
     "CalendarEngine",
@@ -23,5 +23,4 @@ __all__ = [
     "Dumbbell",
     "Path",
     "PacketTrace",
-    "QueueLog",
 ]

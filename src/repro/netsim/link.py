@@ -34,7 +34,8 @@ class BottleneckLink:
         post_delay_usec: propagation delay from the switch to the client.
         queue: the attached :class:`DropTailQueue`.
         trace: the :class:`~repro.netsim.trace.PacketTrace` recording
-            every delivered packet, ``None`` unless one is attached.
+            every delivered and tail-dropped packet, ``None`` unless one
+            is attached.
         delivered_bytes: per-service delivered-byte counters (wire bytes,
             including retransmissions) since the last ``reset_stats``.
         probe: the :class:`~repro.netsim.trace.Probe` every sim-clock
@@ -107,7 +108,11 @@ class BottleneckLink:
         if now >= self._probe_next:
             self._probe_next = self.probe.fire(now, self)
         if not accepted:
-            packet.flow.on_packet_dropped(packet)
+            flow = packet.flow
+            trace = self.trace
+            if trace is not None:
+                trace.record_drop(now, flow.service_id)
+            flow.on_packet_dropped(packet)
             return
         if not self._busy:
             self._busy = True

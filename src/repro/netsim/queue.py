@@ -17,7 +17,6 @@ from collections import defaultdict, deque
 from typing import Deque, Dict, Optional
 
 from .packet import Packet
-from .trace import QueueLog
 
 
 class DropTailQueue:
@@ -27,8 +26,6 @@ class DropTailQueue:
         capacity_packets: maximum number of queued packets; arrivals beyond
             this are dropped (tail drop).
         arrivals / drops: per-service counters keyed by ``service_id``.
-        log: the :class:`~repro.netsim.trace.QueueLog` each tail drop is
-            logged to, ``None`` unless one is attached.
     """
 
     __slots__ = (
@@ -38,7 +35,6 @@ class DropTailQueue:
         "drops",
         "queue_delay_sum_usec",
         "queue_delay_samples",
-        "log",
     )
 
     def __init__(self, capacity_packets: int) -> None:
@@ -50,7 +46,6 @@ class DropTailQueue:
         self.drops: Dict[str, int] = defaultdict(int)
         self.queue_delay_sum_usec: Dict[str, int] = defaultdict(int)
         self.queue_delay_samples: Dict[str, int] = defaultdict(int)
-        self.log: Optional[QueueLog] = None
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -67,9 +62,6 @@ class DropTailQueue:
         queue = self._queue
         if len(queue) >= self.capacity_packets:
             self.drops[service_id] += 1
-            log = self.log
-            if log is not None:
-                log.record_drop(now, service_id)
             return False
         packet.arrival_time = now
         queue.append(packet)

@@ -1,20 +1,22 @@
-"""Experiment artifacts and the sim-clock probe that samples them.
+"""The packet trace and the sim-clock probe that samples the link.
 
 The Prudentia website publishes "bottleneck queue logs and client PCAPs for
-every experiment"; :class:`QueueLog` and :class:`PacketTrace` are the
-in-simulator equivalents.  Both store their records **columnar** - parallel
-``array('q')`` buffers plus an interned service-id table - so the per-packet
-hot path appends machine integers instead of allocating a Python tuple per
-record.  Rows are only materialised when something asks for them
-(``to_json()``, the ``records`` property, ``occupancy_series``), which is
-once per trial rather than once per packet.
+every experiment".  :class:`PacketTrace` is the client PCAP, with the
+bottleneck's tail drops beside its deliveries; the queue log is the
+flight recorder's queue channel (:mod:`repro.obs.flight`), a subscriber of
+:class:`Probe`.  The trace stores its rows **columnar** - parallel
+``array('q')`` buffers plus an interned service-id table - so the
+per-packet hot path appends machine integers instead of allocating a
+Python tuple per record.  Rows are only materialised when something asks
+for them (``to_json()``, ``records``, ``drop_events``), which is once per
+trial rather than once per packet.
 
-Both are *recorders*: like the flight recorder, each has an
+The trace is a *recorder*: like the flight recorder, it has an
 ``attach(link)`` and records only once a trial attaches it (the trial
 core's ``recorders=``); a trial with none records nothing.
 
 :class:`Probe` is the single answer to "when is the simulator observed":
-the queue log, the flight recorder and the early-stop rule are all
+the flight recorder's queue channel and the early-stop rule are
 subscribers of the bottleneck link's probe, and nothing else samples on
 the sim clock.
 """
@@ -84,71 +86,17 @@ class Probe:
         return deadline
 
 
-class QueueLog:
-    """Sampled bottleneck-queue occupancy plus drop events.
-
-    Occupancy is sampled on a fixed period (default 10 ms) as a
-    :class:`Probe` subscriber; this keeps the log size bounded regardless
-    of packet rate while still resolving the burst/drain dynamics shown in
-    Fig 8.
-    """
-
-    __slots__ = (
-        "sample_period_usec",
-        "drop_events",
-        "_sample_times",
-        "_sample_occs",
-    )
-
-    def __init__(self, sample_period_usec: int = 10_000) -> None:
-        if sample_period_usec < 1:
-            raise ValueError("sample period must be positive")
-        self.sample_period_usec = sample_period_usec
-        self._sample_times = array("q")
-        self._sample_occs = array("q")
-        self.drop_events: List[Tuple[int, str]] = []
-
-    def attach(self, link: Any) -> None:
-        """Sample ``link``'s queue on this log's period (a probe
-        subscriber) and log its tail drops."""
-        link.queue.log = self
-        link.subscribe(self.sample_period_usec, self.sample)
-
-    @property
-    def samples(self) -> List[Tuple[int, int]]:
-        """Materialised ``(time_usec, occupancy)`` rows, oldest first."""
-        return list(zip(self._sample_times, self._sample_occs))
-
-    def sample(self, now: int, link: Any) -> None:
-        """Probe subscriber: record the queue's current occupancy."""
-        self._sample_times.append(now)
-        self._sample_occs.append(len(link.queue))
-
-    def record_drop(self, now: int, service_id: str) -> None:
-        """Log one tail-drop event."""
-        self.drop_events.append((now, service_id))
-
-    def occupancy_series(self) -> Tuple[List[int], List[int]]:
-        """(times_usec, occupancy) columns for plotting."""
-        return list(self._sample_times), list(self._sample_occs)
-
-    def to_json(self) -> Dict:
-        """Serialise the log for artifact publication."""
-        return {
-            "sample_period_usec": self.sample_period_usec,
-            "samples": self.samples,
-            "drop_events": self.drop_events,
-        }
-
-
 class PacketTrace:
-    """Per-packet delivery records for one experiment ("client PCAP").
+    """Per-packet delivery records and tail drops for one experiment
+    ("client PCAP").
 
     Recording every packet is expensive, so a trace records only on a link
     it is attached to (the time-series figures and artifact publication
     attach one; bulk heatmap sweeps do not).  Each logical record is
     ``(deliver_time_usec, service_id, size_bytes)``, stored as three
-    parallel columns with service ids interned to small integers.
+    parallel columns with service ids interned to small integers; each
+    tail drop at the bottleneck is ``(drop_time_usec, service_id)``, two
+    more columns sharing the same service-id table.
 
     ``throughput_series``/``bytes_delivered`` consult a lazily built
     per-service index (row positions per service id) instead of rescanning
@@ -156,12 +104,23 @@ class PacketTrace:
     rebuilt in one pass.
     """
 
-    __slots__ = ("_times", "_sizes", "_codes", "_sids", "_code_of", "_index")
+    __slots__ = (
+        "_times",
+        "_sizes",
+        "_codes",
+        "_drop_times",
+        "_drop_codes",
+        "_sids",
+        "_code_of",
+        "_index",
+    )
 
     def __init__(self) -> None:
         self._times = array("q")
         self._sizes = array("q")
         self._codes = array("q")
+        self._drop_times = array("q")
+        self._drop_codes = array("q")
         self._sids: List[str] = []  # code -> service_id
         self._code_of: Dict[str, int] = {}
         # service_id -> (times array, sizes array); None when stale.
@@ -171,7 +130,7 @@ class PacketTrace:
         return len(self._times)
 
     def attach(self, link: Any) -> None:
-        """Record every packet ``link`` delivers."""
+        """Record every packet ``link`` delivers or tail-drops."""
         link.trace = self
 
     @property
@@ -183,16 +142,38 @@ class PacketTrace:
             for when, code, size in zip(self._times, self._codes, self._sizes)
         ]
 
+    @property
+    def drop_events(self) -> List[Tuple[int, str]]:
+        """Materialised ``(time, service_id)`` tail drops, oldest first."""
+        sids = self._sids
+        return [
+            (when, sids[code])
+            for when, code in zip(self._drop_times, self._drop_codes)
+        ]
+
+    def _intern(self, service_id: str) -> int:
+        """The integer code of a service id not seen before."""
+        code = self._code_of[service_id] = len(self._sids)
+        self._sids.append(service_id)
+        return code
+
     def record(self, now: int, service_id: str, size_bytes: int) -> None:
         """Record one delivered packet."""
         code = self._code_of.get(service_id)
         if code is None:
-            code = self._code_of[service_id] = len(self._sids)
-            self._sids.append(service_id)
+            code = self._intern(service_id)
         self._times.append(now)
         self._codes.append(code)
         self._sizes.append(size_bytes)
         self._index = None
+
+    def record_drop(self, now: int, service_id: str) -> None:
+        """Record one packet tail-dropped at the bottleneck."""
+        code = self._code_of.get(service_id)
+        if code is None:
+            code = self._intern(service_id)
+        self._drop_times.append(now)
+        self._drop_codes.append(code)
 
     def _service_columns(self, service_id: str) -> Tuple[array, array]:
         """(times, sizes) columns for one service, via the lazy index."""
@@ -259,4 +240,4 @@ class PacketTrace:
 
     def to_json(self) -> Dict:
         """Serialise the trace for artifact publication."""
-        return {"records": self.records}
+        return {"records": self.records, "drop_events": self.drop_events}

@@ -7,6 +7,7 @@ import pytest
 from repro.config import ExperimentConfig, highly_constrained
 from repro.core.artifacts import ArtifactPublisher
 from repro.core.experiment import ExperimentResult
+from repro.obs.flight import FlightRecorder
 from repro.services.catalog import default_catalog
 
 CATALOG = default_catalog()
@@ -29,7 +30,7 @@ class TestPublication:
     def test_all_files_written(self, published):
         for path in (
             published.result_path,
-            published.queue_log_path,
+            published.flight_path,
             published.trace_path,
             published.summary_path,
         ):
@@ -42,10 +43,24 @@ class TestPublication:
         assert set(result.throughput_bps) == {"iperf_cubic", "iperf_reno"}
 
     def test_queue_log_has_samples_and_drops(self, published):
-        payload = json.loads(published.queue_log_path.read_text())
-        assert len(payload["samples"]) > 10
+        """The queue log is a flight recording, in the cache sidecar's
+        format (it loads through ``FlightRecorder.from_json``); its drop
+        instants ride in the packet trace."""
+        recording = FlightRecorder.from_json(
+            json.loads(published.flight_path.read_text())
+        )
+        assert recording.grid_usec == 10_000
+        assert len(recording.queue) > 10
+        assert len(recording.queue.occupancy) == len(recording.queue)
+        assert set(recording.queue.queued_packets) == {
+            "iperf_cubic", "iperf_reno",
+        }
+        trace = json.loads(published.trace_path.read_text())
         # Cubic vs Reno at 8 Mbps definitely overflows the queue.
-        assert len(payload["drop_events"]) > 0
+        assert len(trace["drop_events"]) > 0
+        assert {sid for _when, sid in trace["drop_events"]} <= {
+            "iperf_cubic", "iperf_reno",
+        }
 
     def test_packet_trace_covers_both_services(self, published):
         payload = json.loads(published.trace_path.read_text())

@@ -5,7 +5,7 @@ import pytest
 from repro import units
 from repro.config import NetworkConfig
 from repro.netsim.topology import Dumbbell
-from repro.netsim.trace import QueueLog
+from repro.obs.flight import FlightRecorder
 from repro.transport.connection import Connection
 from repro.cca.bbr import (
     BBRv1,
@@ -19,12 +19,13 @@ from repro.cca.bbrv3 import BBRv3
 from repro.cca.cubic import Cubic
 
 
-def solo_run(cca, bw_mbps=10, seconds=30, seed=1, queue=None):
+def solo_run(cca, bw_mbps=10, seconds=30, seed=1, queue=None, recorders=()):
     net = NetworkConfig(
         bandwidth_bps=units.mbps(bw_mbps), queue_packets_override=queue
     )
     bell = Dumbbell(net, seed=seed)
-    QueueLog().attach(bell.link)  # read back as bell.queue.log
+    for recorder in recorders:
+        recorder.attach(bell.link)
     conn = Connection(bell.engine, bell.path_for_service("s"), cca, "s", "s0")
     conn.request(10**12)
     bell.run(units.seconds(seconds))
@@ -88,8 +89,9 @@ class TestSoloBehaviour:
 
     def test_keeps_queue_small(self):
         """BBR is not a buffer-filler: occupancy stays far below capacity."""
-        bell, _conn = solo_run(BBRv1(seed=2), seconds=20)
-        _t, occ = bell.queue.log.occupancy_series()
+        flight = FlightRecorder(grid_usec=10_000)
+        bell, _conn = solo_run(BBRv1(seed=2), seconds=20, recorders=[flight])
+        occ = flight.queue.occupancy
         tail = occ[len(occ) // 3:]
         assert sum(tail) / len(tail) < 0.3 * bell.queue.capacity_packets
 

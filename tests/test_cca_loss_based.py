@@ -5,7 +5,7 @@ import pytest
 from repro import units
 from repro.config import NetworkConfig
 from repro.netsim.topology import Dumbbell
-from repro.netsim.trace import QueueLog
+from repro.obs.flight import FlightRecorder
 from repro.transport.connection import Connection, INITIAL_WINDOW
 from repro.cca.reno import NewReno
 from repro.cca.cubic import Cubic
@@ -139,14 +139,14 @@ class TestSoloBehaviour:
         """Loss-based CCAs are buffer-fillers: mean occupancy is high."""
         net = NetworkConfig(bandwidth_bps=units.mbps(10))
         bell = Dumbbell(net, seed=1)
-        log = QueueLog()
-        log.attach(bell.link)
+        flight = FlightRecorder(grid_usec=10_000)
+        flight.attach(bell.link)
         conn = Connection(
             bell.engine, bell.path_for_service("s"), cca_factory(), "s", "s0"
         )
         conn.request(10**11)
         bell.run(units.seconds(30))
-        _times, occ = log.occupancy_series()
+        occ = flight.queue.occupancy
         tail = occ[len(occ) // 3:]
         mean_occ = sum(tail) / len(tail)
         assert mean_occ > 0.5 * bell.queue.capacity_packets

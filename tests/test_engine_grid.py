@@ -3,8 +3,11 @@
 Each scenario is a complete short trial through the real
 ``run_trial_artifacts`` code path, run twice in this process - once on
 the calendar queue, once on the heap oracle (``tests/naive_engine.py``)
-injected through ``engine=`` - and every published artifact (experiment report, packet
-trace, queue log, final clock, event count) is serialized and hashed.
+injected through ``engine=`` - and every published artifact (experiment
+report, packet trace, queue log, final clock, event count) is serialized
+and hashed.  Every scenario hashes the queue log - a 10 ms flight
+recorder's occupancy rows plus the packet trace's drop instants; the
+traced ones also hash the trace's delivery records.
 The two hashes must match exactly: the calendar queue's promise is not
 "statistically equivalent", it is the *same simulation*.
 
@@ -28,14 +31,16 @@ from repro.config import (
 )
 from repro.core.experiment import run_trial_artifacts
 from repro.netsim.engine import CalendarEngine
-from repro.netsim.trace import PacketTrace, QueueLog
+from repro.netsim.trace import PacketTrace
+from repro.obs.flight import FlightRecorder
 from repro.services.catalog import default_catalog
 
 from tests.naive_engine import HeapEngine
+from tests.test_golden_identity import queue_log_json
 
 DURATION_SEC = 2.0
 
-#: name -> (network factory, service ids, seed, packet trace attached)
+#: name -> (network factory, service ids, seed, delivery records hashed)
 GRID = {
     "8mbps-cubic-bbr-trace": (highly_constrained, ("iperf_cubic", "iperf_bbr"), 1, True),
     "8mbps-cubic-reno": (highly_constrained, ("iperf_cubic", "iperf_reno"), 2, False),
@@ -51,24 +56,28 @@ GRID = {
 }
 
 
-def _artifact_hash(make_engine, name: str) -> str:
-    network_factory, service_ids, seed, traced = GRID[name]
+def _run(make_engine, name: str, recorders):
+    """(result, testbed) of one grid scenario, recorded by ``recorders``."""
+    network_factory, service_ids, seed, _traced = GRID[name]
     catalog = default_catalog()
-    specs = [catalog.get(sid) for sid in service_ids]
-    config = ExperimentConfig().scaled(DURATION_SEC)
-    queue_log, trace = QueueLog(), PacketTrace()
-    result, testbed = run_trial_artifacts(
-        specs,
+    return run_trial_artifacts(
+        [catalog.get(sid) for sid in service_ids],
         network_factory(),
-        config,
+        ExperimentConfig().scaled(DURATION_SEC),
         seed=seed,
-        recorders=[queue_log, trace] if traced else [queue_log],
+        recorders=recorders,
         engine=make_engine(),
     )
+
+
+def _artifact_hash(make_engine, name: str) -> str:
+    traced = GRID[name][3]
+    flight, trace = FlightRecorder(grid_usec=10_000), PacketTrace()
+    result, testbed = _run(make_engine, name, [flight, trace])
     payload = {
         "report": result.to_json(),
-        "trace": trace.to_json(),  # no records when it was not attached
-        "queue_log": queue_log.to_json(),
+        "trace": {"records": trace.records if traced else []},
+        "queue_log": queue_log_json(flight, trace),
         "clock": testbed.bell.engine.now,
         "events_scheduled": testbed.bell.engine.events_scheduled,
     }
@@ -85,3 +94,17 @@ class TestEngineGrid:
         assert _artifact_hash(HeapEngine, name) == _artifact_hash(
             CalendarEngine, name
         )
+
+    @pytest.mark.parametrize("name", sorted(GRID))
+    def test_trace_drops_conserve_the_queue_drop_counters(self, name):
+        """Every tail drop the queue counts in the measurement window is
+        one drop instant in the packet trace, per service."""
+        trace = PacketTrace()
+        _result, testbed = _run(CalendarEngine, name, [trace])
+        link = testbed.bell.link
+        opened = link.probe.window_open_usec
+        logged = {}
+        for when, service_id in trace.drop_events:
+            if when >= opened:
+                logged[service_id] = logged.get(service_id, 0) + 1
+        assert logged == dict(link.queue.drops)

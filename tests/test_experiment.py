@@ -12,7 +12,7 @@ from repro.core.experiment import (
     run_trial_artifacts,
 )
 from repro.core.results import ResultStore, mmf_share
-from repro.netsim.trace import PacketTrace, Probe, QueueLog
+from repro.netsim.trace import PacketTrace, Probe
 from repro.obs.flight import FlightRecorder
 from repro.services.catalog import default_catalog
 
@@ -33,7 +33,7 @@ def cubic_vs_reno():
 
 class TestRecorders:
     def test_a_trial_without_recorders_records_nothing(self):
-        """No queue log, packet trace or flight recorder unless asked:
+        """No packet trace or flight recorder unless asked:
         the link's probe has no subscriber, so its gate stays idle."""
         _result, testbed = run_trial_artifacts(
             [CATALOG.get("iperf_cubic"), CATALOG.get("iperf_reno")],
@@ -44,26 +44,26 @@ class TestRecorders:
         link = testbed.bell.link
         assert link.probe._subscribers == []
         assert link._probe_next == Probe.IDLE
-        assert link.queue.log is None
         assert link.trace is None
 
     def test_recorders_attach_in_order_and_flight_meta_is_labelled(self):
-        log, trace = QueueLog(), PacketTrace()
+        trace = PacketTrace()
         flight = FlightRecorder(meta={"seed": "kept"})
+        fine = FlightRecorder(grid_usec=10_000)
         _result, testbed = run_trial_artifacts(
             [CATALOG.get("iperf_cubic"), CATALOG.get("iperf_cubic")],
             highly_constrained(),
             ExperimentConfig().scaled(3),
             seed=4,
-            recorders=[flight, log, trace],
+            recorders=[flight, trace, fine],
         )
         link = testbed.bell.link
         assert [sub[2] for sub in link.probe._subscribers] == [
-            flight.sample, log.sample,
+            flight.sample, fine.sample,
         ]
-        assert (link.queue.log, link.trace) == (log, trace)
-        assert len(trace) > 0 and log.samples
-        assert link.probe.labels == [flight.meta]
+        assert link.trace is trace
+        assert len(trace) > 0 and len(fine.queue) > len(flight.queue)
+        assert link.probe.labels == [flight.meta, fine.meta]
         assert flight.meta == {
             "seed": "kept",
             "service_ids": ["iperf_cubic", "iperf_cubic"],

@@ -18,7 +18,7 @@ from repro.core.cache import TrialCache, trial_cache_key
 from repro.core.experiment import run_trial_artifacts
 from repro.core.runner import TrialSpec, build_backend
 from repro.core.testbed import Testbed
-from repro.netsim.trace import Probe, QueueLog
+from repro.netsim.trace import Probe
 from repro.obs.flight import (
     DIAGNOSIS_SCHEMA_VERSION,
     FLIGHT_SCHEMA_VERSION,
@@ -108,11 +108,11 @@ class TestZeroNewEvents:
         from repro.cca.reno import NewReno
         from repro.services.iperf import IperfService
 
-        log, recorder = QueueLog(), FlightRecorder()
-        bed = Testbed(NET, recorders=[log, recorder])
+        fine, recorder = FlightRecorder(grid_usec=10_000), FlightRecorder()
+        bed = Testbed(NET, recorders=[fine, recorder])
         link = bed.bell.link
         assert [sub[1:] for sub in link.probe._subscribers] == [
-            [log.sample_period_usec, log.sample],
+            [fine.grid_usec, fine.sample],
             [recorder.grid_usec, recorder.sample],
         ]
         assert link._probe_next == 0
@@ -152,7 +152,7 @@ class TestZeroNewEvents:
 
     def test_armed_monitor_and_recorder_together_change_nothing(self):
         """Golden artifacts with the recorder AND an armed, never-firing
-        stop monitor subscribed (queue log -> flight -> stop rule)."""
+        stop monitor subscribed (10 ms flight -> flight -> stop rule)."""
         from repro.core.earlystop import EarlyStopModel, EarlyStopMonitor
 
         recorder = FlightRecorder()

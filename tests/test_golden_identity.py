@@ -2,7 +2,8 @@
 
 The hot-path optimisations promise *bit-identical* results, so this test
 pins the complete artifact set of one fixed-seed pair trial - the
-experiment report, the packet trace, and the queue log - against a
+experiment report, the packet trace, and the queue log (a 10 ms flight
+recorder's queue occupancy plus the trace's drop instants) - against a
 committed fixture, byte for byte.
 
 If this test fails, some change altered simulation behaviour (event
@@ -20,7 +21,8 @@ import pathlib
 
 from repro.config import ExperimentConfig, highly_constrained
 from repro.core.experiment import run_trial_artifacts
-from repro.netsim.trace import PacketTrace, QueueLog
+from repro.netsim.trace import PacketTrace
+from repro.obs.flight import FlightRecorder
 from repro.services.catalog import default_catalog
 
 FIXTURE = pathlib.Path(__file__).parent / "data" / "golden_pair_8mbps_seed1.json"
@@ -35,32 +37,44 @@ SCENARIO = {
 }
 
 
+def queue_log_json(flight: FlightRecorder, trace: PacketTrace) -> dict:
+    """The fixture's ``queue_log`` section: ``flight``'s queue occupancy
+    rows and ``trace``'s drop instants, in the layout the fixture was
+    written in."""
+    queue = flight.queue
+    return {
+        "sample_period_usec": flight.grid_usec,
+        "samples": list(zip(queue.times_usec, queue.occupancy)),
+        "drop_events": trace.drop_events,
+    }
+
+
 def compute_payload(engine=None, recorders=(), earlystop=None) -> dict:
     """Run the pinned scenario and collect every published artifact.
 
     ``engine`` substitutes the scheduler core (the heap oracle); the
     default is the simulator's own.  ``recorders`` attach after the
-    queue log and packet trace, and ``earlystop`` after them all; none
-    may change a byte.
+    10 ms flight recorder and packet trace, and ``earlystop`` after them
+    all; none may change a byte.
     """
     catalog = default_catalog()
     specs = [catalog.get(sid) for sid in SCENARIO["services"]]
     config = ExperimentConfig().scaled(SCENARIO["duration_sec"])
-    queue_log, trace = QueueLog(), PacketTrace()
+    flight, trace = FlightRecorder(grid_usec=10_000), PacketTrace()
     result, _testbed = run_trial_artifacts(
         specs,
         highly_constrained(),
         config,
         seed=SCENARIO["seed"],
-        recorders=[queue_log, trace, *recorders],
+        recorders=[flight, trace, *recorders],
         engine=engine,
         earlystop=earlystop,
     )
     return {
         "scenario": SCENARIO,
         "report": result.to_json(),
-        "trace": trace.to_json(),
-        "queue_log": queue_log.to_json(),
+        "trace": {"records": trace.records},
+        "queue_log": queue_log_json(flight, trace),
     }
 
 

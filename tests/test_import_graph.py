@@ -390,7 +390,7 @@ def test_topology_and_testbed_build_no_recorder():
                 continue
             func = node.func
             called = getattr(func, "id", None) or getattr(func, "attr", None)
-            if called in ("QueueLog", "PacketTrace"):
+            if called in ("FlightRecorder", "QueueChannel", "PacketTrace"):
                 calls.append(f"{name}:{node.lineno}:{called}")
     assert calls == []
 
@@ -398,14 +398,18 @@ def test_topology_and_testbed_build_no_recorder():
 @pytest.mark.parametrize(
     "pattern",
     [r"\btrace_packets\b", r"\bqueue_log_period_usec\b", r"\.enabled\b",
-     r"\bflight="],
-    ids=["trace_packets", "queue_log_period_usec", "enabled", "flight"],
+     r"\bflight=", r"\bQueueLog\b", r"queue\.log\b"],
+    ids=["trace_packets", "queue_log_period_usec", "enabled", "flight",
+         "QueueLog", "queue.log"],
 )
 def test_deleted_recorder_switch_stays_deleted(pattern):
     """One way to record a trial: attach recorders.  The per-recorder
     switches (``Dumbbell(trace_packets=, queue_log_period_usec=)``,
     ``PacketTrace(enabled=)``, ``Testbed/run_trial_artifacts(flight=)``)
-    do not come back."""
+    do not come back, and neither does a second queue sampler (the
+    ``QueueLog`` the queue reported its drops to through ``queue.log``:
+    the flight recorder's queue channel samples the link, and the packet
+    trace logs drops)."""
     offenders = [
         str(path.relative_to(SRC))
         for path in sorted(SRC.rglob("*.py"))

@@ -14,7 +14,8 @@ from repro.cca.cubic import Cubic
 from repro.config import ExperimentConfig, NetworkConfig, highly_constrained
 from repro.core.experiment import run_trial_artifacts
 from repro.netsim.topology import Dumbbell
-from repro.netsim.trace import PacketTrace, QueueLog
+from repro.netsim.trace import PacketTrace
+from repro.obs.flight import FlightRecorder
 from repro.services.catalog import default_catalog
 from repro.transport.connection import Connection
 
@@ -35,17 +36,18 @@ def _run_lossy_bulk(seed=3):
         external_loss_rate=0.01,
     )
     bell = Dumbbell(net, seed=seed)
-    QueueLog().attach(bell.link)
+    flight = FlightRecorder(grid_usec=10_000)
+    flight.attach(bell.link)
     PacketTrace().attach(bell.link)
     conn = Connection(
         bell.engine, bell.path_for_service("svc"), Cubic(), "svc", "svc-0"
     )
     conn.request(2000 * 1500)
     bell.run(units.seconds(6))
-    return conn, bell
+    return conn, bell, flight
 
 
-def _signature(conn, bell):
+def _signature(conn, bell, flight):
     return {
         "sent": conn.packets_sent,
         "acked": conn.packets_acked,
@@ -54,7 +56,7 @@ def _signature(conn, bell):
         "received": conn.packets_received_unique,
         "bytes_acked": conn.bytes_acked,
         "trace": bell.link.trace.to_json(),
-        "queue_log": bell.queue.log.to_json(),
+        "queue_log": flight.queue.to_json(),
     }
 
 
@@ -91,7 +93,7 @@ class TestPoolEquivalence:
 
 class TestPoolMechanics:
     def test_pool_recycles_under_steady_load(self):
-        conn, _bell = _run_lossy_bulk()
+        conn = _run_lossy_bulk()[0]
         # Thousands of packets moved; without recycling the pool would be
         # empty and every send would have allocated.
         assert conn.packets_sent > 1500
@@ -99,16 +101,16 @@ class TestPoolMechanics:
 
     def test_pool_respects_cap(self, pool_size):
         pool_size(4)
-        conn, _bell = _run_lossy_bulk()
+        conn = _run_lossy_bulk()[0]
         assert len(conn._pool) <= 4
 
     def test_disabled_pool_stays_empty(self, pool_size):
         pool_size(0)
-        conn, _bell = _run_lossy_bulk()
+        conn = _run_lossy_bulk()[0]
         assert conn._pool == []
 
     def test_recycled_packets_reset_bottleneck_fields(self):
-        conn, _bell = _run_lossy_bulk()
+        conn = _run_lossy_bulk()[0]
         for pkt in conn._pool:
             # A pooled packet's chain finished; the flags must reflect it.
             assert pkt._chain_done

@@ -8,7 +8,7 @@ from repro.netsim.engine import CalendarEngine
 from repro.netsim.link import BottleneckLink
 from repro.netsim.packet import Packet
 from repro.netsim.queue import DropTailQueue
-from repro.netsim.trace import QueueLog
+from repro.netsim.trace import PacketTrace
 
 
 class FakeFlow:
@@ -86,13 +86,18 @@ class TestTailDrop:
         assert q.loss_rate("nope") == 0.0
 
     def test_drop_recorded_in_log(self):
-        log = QueueLog()
-        q = DropTailQueue(1)
-        log.attach(BottleneckLink(CalendarEngine(), units.mbps(8), q))
+        # The link, not the queue, logs a tail drop: into its trace.
+        engine = CalendarEngine()
+        link = BottleneckLink(engine, units.mbps(8), DropTailQueue(1))
+        trace = PacketTrace()
+        trace.attach(link)
         flow = FakeFlow("x")
-        q.offer(make_packet(flow), 5)
-        q.offer(make_packet(flow), 7)
-        assert log.drop_events == [(7, "x")]
+        for now in (0, 5, 7):
+            engine.run(now)
+            link.send(make_packet(flow, seq=now, now=now))
+        # 0 is on the wire, 5 waits in the one slot, 7 is dropped.
+        assert trace.drop_events == [(7, "x")]
+        assert [p.seq for p in flow.dropped] == [7]
 
 
 class TestQueueingDelay:

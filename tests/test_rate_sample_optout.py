@@ -24,7 +24,8 @@ from repro.cca import BBRv1, BBRv3, CongestionControl, Cubic, NewReno, Vegas
 from repro.cca.bbr import BBR_LINUX_5_15
 from repro.config import ExperimentConfig, highly_constrained
 from repro.core.experiment import run_trial_artifacts
-from repro.netsim.trace import PacketTrace, QueueLog
+from repro.netsim.trace import PacketTrace
+from repro.obs.flight import FlightRecorder
 from repro.services.iperf import IperfService
 
 #: What only the rate sampler writes: the per-packet snapshot fields and
@@ -114,19 +115,19 @@ class BulkSpec:
 
 def run_pair(cca_a, cca_b):
     """(artifacts as one JSON string, finished testbed) of a bulk pair."""
-    queue_log, trace = QueueLog(), PacketTrace()
+    flight, trace = FlightRecorder(grid_usec=10_000), PacketTrace()
     result, testbed = run_trial_artifacts(
         [BulkSpec("bulk_a", cca_a), BulkSpec("bulk_b", cca_b)],
         highly_constrained(),
         ExperimentConfig().scaled(3.0),
         seed=5,
-        recorders=[queue_log, trace],
+        recorders=[flight, trace],
     )
     artifacts = json.dumps(
         {
             "result": result.to_json(),
             "trace": trace.to_json(),
-            "queue_log": queue_log.to_json(),
+            "queue_log": flight.queue.to_json(),
         },
         sort_keys=True,
     )

@@ -6,7 +6,7 @@ import pytest
 from repro import units
 from repro.config import moderately_constrained
 from repro.core.testbed import Testbed
-from repro.netsim.trace import QueueLog
+from repro.obs.flight import FlightRecorder
 from repro.cca.bbr import BBRv1, BBR_LINUX_4_15
 from repro.cca.cubic import Cubic
 from repro.services.filetransfer import (
@@ -110,9 +110,9 @@ class TestMega:
     def test_bursty_traffic_pattern(self):
         """The batch gap shows up as on/off structure in the queue."""
         mega = self.make_mega(batch_gap_usec=units.msec(500))
-        log = QueueLog()
-        run_service(mega, seconds=20, recorders=[log])
-        _t, occ = log.occupancy_series()
+        flight = FlightRecorder(grid_usec=10_000)
+        run_service(mega, seconds=20, recorders=[flight])
+        occ = flight.queue.occupancy
         tail = occ[len(occ) // 4:]
         assert max(tail) > 50
         # The inter-batch gaps show up as deep dips in occupancy.

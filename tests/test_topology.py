@@ -65,7 +65,8 @@ class TestDelivery:
         bell.run(units.seconds(1))
         assert len(flow.arrivals) == 1
         # Nothing records unless a recorder is attached.
-        assert bell.link.trace is None and bell.queue.log is None
+        assert bell.link.trace is None
+        assert bell.link.probe._subscribers == []
         # An uncontended packet starts serialising the instant it arrives.
         assert pkt.arrival_time == path.pre_delay_usec
         assert pkt.queueing_delay_usec == 0

@@ -1,4 +1,5 @@
-"""Queue logs, packet traces and the sim-clock probe that samples them."""
+"""Packet traces, the queue channel and the sim-clock probe that
+samples the link."""
 
 from types import SimpleNamespace
 
@@ -8,7 +9,11 @@ from repro import units
 from repro.netsim.engine import CalendarEngine
 from repro.netsim.link import BottleneckLink
 from repro.netsim.queue import DropTailQueue
-from repro.netsim.trace import PacketTrace, Probe, QueueLog
+from repro.netsim.trace import PacketTrace, Probe
+from repro.obs.flight import QueueChannel
+
+#: What a queued packet shows a sampler: the service that sent it.
+QUEUED = SimpleNamespace(flow=SimpleNamespace(service_id="svc"))
 
 
 def drive(probe, arrivals, deadline=0):
@@ -16,65 +21,59 @@ def drive(probe, arrivals, deadline=0):
     ``BottleneckLink.send`` gates it: one compare, ``fire`` when due."""
     for now, occupancy in arrivals:
         if now >= deadline:
-            deadline = probe.fire(now, SimpleNamespace(queue=[None] * occupancy))
+            link = SimpleNamespace(
+                probe=probe,
+                queue=SimpleNamespace(_queue=[QUEUED] * occupancy, drops={}),
+                delivered_bytes={},
+            )
+            deadline = probe.fire(now, link)
     return deadline
 
 
-def logged(period, arrivals):
-    """A queue log subscribed at ``period`` and driven over ``arrivals``."""
+def sampled(period, arrivals):
+    """A queue channel subscribed at ``period`` and driven over
+    ``arrivals``, as ``(times_usec, occupancy)`` lists."""
     probe = Probe()
-    log = QueueLog(sample_period_usec=period)
-    drive(probe, arrivals, probe.subscribe(period, log.sample))
-    return log
+    channel = QueueChannel(capacity_packets=64)
+    drive(probe, arrivals, probe.subscribe(period, channel.sample))
+    return list(channel.times_usec), list(channel.occupancy)
 
 
-class TestQueueLog:
-    def test_rejects_bad_period(self):
-        with pytest.raises(ValueError):
-            QueueLog(sample_period_usec=0)
+class TestQueueSampling:
+    """The queue channel on the probe's grid: the bottleneck queue log."""
 
     def test_samples_on_period(self):
-        log = logged(100, [
+        times, occs = sampled(100, [
             (0, 5),
             (50, 6),   # skipped: within period
             (100, 7),  # taken
             (150, 8),  # skipped
             (250, 9),  # taken
         ])
-        times, occs = log.occupancy_series()
         assert times == [0, 100, 250]
         assert occs == [5, 7, 9]
 
     def test_empty_series(self):
-        assert QueueLog().occupancy_series() == ([], [])
+        assert sampled(100, []) == ([], [])
 
     def test_sampling_grid_does_not_drift(self):
         # Regression: the next sample time is aligned to the fixed period
         # grid (0, P, 2P, ...).  Anchoring on the arrival time instead let
         # the grid slide forward by one inter-arrival gap per sample, so a
         # nominal 10 ms log drifted under bursty arrivals.
-        log = logged(100, [
+        times, _occs = sampled(100, [
             (105, 1),   # taken; next grid point is 200, not 205
             (201, 2),   # taken; next grid point is 300, not 301
             (299, 3),   # skipped: before the 300 grid point
             (300, 4),   # taken, exactly on grid
         ])
-        times, _occs = log.occupancy_series()
         assert times == [105, 201, 300]
 
     def test_grid_alignment_over_many_offset_arrivals(self):
         # Arrivals always 1us past each grid point: with drift this took
         # progressively later samples; aligned, it samples every period.
-        log = logged(100, [(i * 100 + 1, i) for i in range(50)])
-        times, _occs = log.occupancy_series()
+        times, _occs = sampled(100, [(i * 100 + 1, i) for i in range(50)])
         assert times == [i * 100 + 1 for i in range(50)]
-
-    def test_json_roundtrippable(self):
-        log = logged(10, [(0, 1)])
-        log.record_drop(5, "svc")
-        payload = log.to_json()
-        assert payload["samples"] == [(0, 1)]
-        assert payload["drop_events"] == [(5, "svc")]
 
 
 class TestProbe:
@@ -108,14 +107,14 @@ class TestProbe:
     def test_due_subscribers_run_in_subscription_order(self):
         probe = Probe()
         order = []
-        for name in ("queue-log", "flight", "stop-rule"):
+        for name in ("queue", "flight", "stop-rule"):
             probe.subscribe(
                 100, lambda now, link, name=name: order.append((now, name))
             )
         drive(probe, [(0, 0), (100, 0)])
         assert order == [
-            (0, "queue-log"), (0, "flight"), (0, "stop-rule"),
-            (100, "queue-log"), (100, "flight"), (100, "stop-rule"),
+            (0, "queue"), (0, "flight"), (0, "stop-rule"),
+            (100, "queue"), (100, "flight"), (100, "stop-rule"),
         ]
 
     def test_deadline_is_the_earliest_boundary(self):
@@ -152,18 +151,38 @@ class TestProbe:
 
 
 class TestAttach:
-    """A queue log or packet trace records only on a link it is attached
-    to, the way a flight recorder does."""
+    """A packet trace records only on a link it is attached to, the way a
+    flight recorder does."""
 
     def test_queue_log_samples_on_its_own_period_and_logs_drops(self):
+        # The queue log is a flight recorder's queue channel on its own
+        # probe period; tail drops are rows of the packet trace.
+        from repro.netsim.packet import Packet
+        from repro.obs.flight import FlightRecorder
+
         engine = CalendarEngine()
-        queue = DropTailQueue(1)
-        link = BottleneckLink(engine, units.mbps(8), queue)
-        log = QueueLog(sample_period_usec=5_000)
-        log.attach(link)
-        assert queue.log is log
-        assert link.probe._subscribers == [[0, 5_000, log.sample]]
+        link = BottleneckLink(engine, units.mbps(8), DropTailQueue(1))
+        flight, trace = FlightRecorder(grid_usec=5_000), PacketTrace()
+        flight.attach(link)
+        assert link.probe._subscribers == [[0, 5_000, flight.sample]]
         assert link.trace is None
+        trace.attach(link)
+        dropped = []
+        flow = SimpleNamespace(
+            service_id="svc",
+            on_packet_arrived=lambda p: None,
+            on_packet_dropped=dropped.append,
+        )
+        link.send(Packet(flow, 0, 1500, 0))   # sampled, then serialising
+        link.send(Packet(flow, 1, 1500, 0))   # queued
+        engine.run(7)
+        link.send(Packet(flow, 2, 1500, 7))   # tail-dropped at t=7
+        assert [p.seq for p in dropped] == [2]
+        assert trace.drop_events == [(7, "svc")]
+        assert link.queue.drops == {"svc": 1}
+        # The probe fires once the arrival is queued, before it is served.
+        assert list(flight.queue.times_usec) == [0]
+        assert list(flight.queue.occupancy) == [1]
 
     def test_packet_trace_records_what_the_link_delivers(self):
         from repro.config import highly_constrained
@@ -174,7 +193,7 @@ class TestAttach:
         trace = PacketTrace()
         trace.attach(bell.link)
         assert bell.link.trace is trace
-        assert bell.link.probe._subscribers == [] and bell.queue.log is None
+        assert bell.link.probe._subscribers == []
         path = bell.path_for_service("svc")
         flow = SimpleNamespace(service_id="svc", on_packet_arrived=lambda p: None)
         path.transmit(Packet(flow, 0, 1500, 0))
@@ -187,6 +206,7 @@ class TestAttach:
             + bell.link.post_delay_usec
         )
         assert trace.records == [(arrival, "svc", 1500)]
+        assert trace.drop_events == []
 
 
 class TestPacketTrace:
@@ -236,7 +256,21 @@ class TestPacketTrace:
         trace.record(3, "b", 300)
         assert trace.records == [(1, "b", 100), (2, "a", 200), (3, "b", 300)]
         assert trace.to_json() == {
-            "records": [(1, "b", 100), (2, "a", 200), (3, "b", 300)]
+            "records": [(1, "b", 100), (2, "a", 200), (3, "b", 300)],
+            "drop_events": [],
+        }
+
+    def test_drops_ride_beside_records_in_json(self):
+        # Drop rows share the delivery rows' service-id table.
+        trace = PacketTrace()
+        trace.record_drop(5, "a")
+        trace.record(7, "b", 1500)
+        trace.record_drop(9, "b")
+        assert len(trace) == 1
+        assert trace.drop_events == [(5, "a"), (9, "b")]
+        assert trace.to_json() == {
+            "records": [(7, "b", 1500)],
+            "drop_events": [(5, "a"), (9, "b")],
         }
 
     def test_index_invalidated_by_new_records(self):

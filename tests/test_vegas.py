@@ -5,17 +5,18 @@ import pytest
 from repro import units
 from repro.config import NetworkConfig
 from repro.netsim.topology import Dumbbell
-from repro.netsim.trace import QueueLog
+from repro.obs.flight import FlightRecorder
 from repro.transport.connection import Connection
 from repro.cca.vegas import Vegas
 from repro.cca.cubic import Cubic
 from repro.cca.classifier import classify_cca
 
 
-def solo(cca, bw=10, seconds=25, seed=1):
+def solo(cca, bw=10, seconds=25, seed=1, recorders=()):
     net = NetworkConfig(bandwidth_bps=units.mbps(bw))
     bell = Dumbbell(net, seed=seed)
-    QueueLog().attach(bell.link)  # read back as bell.queue.log
+    for recorder in recorders:
+        recorder.attach(bell.link)
     conn = Connection(bell.engine, bell.path_for_service("s"), cca, "s", "s0")
     conn.request(10**12)
     bell.run(units.seconds(seconds))
@@ -37,8 +38,9 @@ class TestSoloBehaviour:
 
     def test_tiny_standing_queue(self):
         """Vegas targets 2-4 queued packets - no buffer filling."""
-        bell, _conn = solo(Vegas())
-        _t, occ = bell.queue.log.occupancy_series()
+        flight = FlightRecorder(grid_usec=10_000)
+        solo(Vegas(), recorders=[flight])
+        occ = flight.queue.occupancy
         tail = occ[len(occ) // 3:]
         assert sum(tail) / len(tail) < 8
 
