@@ -10,7 +10,9 @@ the destination untouched.
 The rename also gives the destination a *fresh inode*, so a replace
 never aliases into another directory that hard-links the old bytes.
 (Cache records and their sidecars are lines of append-only record logs,
-:mod:`repro.core.cache`, never files of their own.)
+:mod:`repro.core.cache`, never files of their own.)  Such a log is
+shared, not rewritten: :func:`link_or_copy` puts it in another
+directory - ``fleet merge``'s, the service store's - as a hard link.
 
 Temporary names end in ``.tmp`` (so no ``*.json`` or ``*.log`` scan
 ever matches one), carry the writer's pid plus a random token (so
@@ -48,6 +50,30 @@ def atomic_write(path: Union[str, Path], data: Union[str, bytes]) -> None:
         except FileNotFoundError:
             pass
         raise
+
+
+def link_or_copy(source: Union[str, Path], target: Union[str, Path]) -> int:
+    """Give ``target`` the bytes of ``source``, a file never rewritten in
+    place; return the bytes written (0 for a link).
+
+    On one filesystem ``target`` becomes a hard link, sharing the inode
+    instead of re-writing its bytes.  A ``target`` that already is
+    ``source`` is left as it is.  Wherever the OS refuses the link
+    (``EXDEV`` across filesystems, ``EPERM``, no hard-link support), or
+    the name holds another file, the bytes of ``source`` as they are now
+    are written there through :func:`atomic_write`.
+    """
+    try:
+        os.link(source, target)
+        return 0
+    except FileExistsError:
+        if os.path.samefile(source, target):
+            return 0
+    except OSError:
+        pass
+    data = Path(source).read_bytes()
+    atomic_write(target, data)
+    return len(data)
 
 
 def load_json_artifact(

@@ -16,8 +16,9 @@ are ``ExperimentResult.to_json()`` payloads.
 Every stored artifact has one encoder, :data:`encode_record` (sorted
 keys, no whitespace, one UTF-8 line), and a trial record is encoded
 once: :meth:`TrialCache.put` appends it to a record log, and the
-rolling store's journal and segments (:mod:`repro.service.store`) carry
-those bytes on unchanged (:meth:`TrialCache.read` hands them over).
+rolling store (:mod:`repro.service.store`) keeps that log itself, a hard
+link to it, and reads the record back by key
+(:meth:`TrialCache.read_keys`).
 ``json`` (:func:`canonical_json`) spells only what a key hashes.
 Reading is laxer than writing: any line holding one JSON object is a
 record - an older writer's ``json``-spelled one, a foreign writer's -
@@ -147,7 +148,7 @@ _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 _NUMBER_TYPES = (int, float)
 
 #: The one decoder of stored bytes - cache records and sidecars, store
-#: journal and segment lines, merge adjudication: ``orjson``'s C parser,
+#: commit lines, merge adjudication: ``orjson``'s C parser,
 #: bound by name so a parse adds no Python frame.  It reads
 #: :data:`encode_record`'s output back type for type (``1``, ``1.0``,
 #: ``-0.0`` and ``true`` stay apart, floats round-trip exactly), and
@@ -158,8 +159,8 @@ _NUMBER_TYPES = (int, float)
 #: integers.
 decode_record = orjson.loads
 
-#: The one encoder of stored bytes - entries, sidecars, journal lines,
-#: the store manifest, plans and shard manifests: orjson with sorted
+#: The one encoder of stored bytes - entries, sidecars, the store's
+#: commit lines, plans and shard manifests: orjson with sorted
 #: keys, a C partial, so a call adds no Python frame.  No key, plan id
 #: or published hash depends on its spelling.  It writes ``NaN`` as
 #: ``null`` and integers up to 2**64-1, so writers check what a reader
@@ -776,6 +777,15 @@ class TrialCache:
         allow_truncated: bool = False,
     ) -> List[Optional[CachedTrial]]:
         """The recorded trial for each spec, in order, or ``None`` where
+        the cache has nothing admissible: :meth:`read_keys` of the specs'
+        keys (:func:`trial_cache_keys`).
+        """
+        return self.read_keys(trial_cache_keys(specs, env), allow_truncated)
+
+    def read_keys(
+        self, keys: Sequence[str], allow_truncated: bool = False
+    ) -> List[Optional[CachedTrial]]:
+        """The recorded trial for each key, in order, or ``None`` where
         the cache has nothing admissible: the one loop that reads records.
 
         Early-terminated records (``earlystop.truncated``; see
@@ -788,7 +798,7 @@ class TrialCache:
         checked to be a trial record here; a hit's
         :attr:`CachedTrial.result` is built only when asked for.  Hits,
         misses and parses are counted once per batch, exactly: a
-        :class:`CacheEntryError` leaves them counting the specs before it.
+        :class:`CacheEntryError` leaves them counting the keys before it.
         """
         memory = self._memory
         index = self._index
@@ -796,7 +806,6 @@ class TrialCache:
         records: List[Optional[CachedTrial]] = []
         parsed = 0
         fresh: Optional[Dict[str, bytes]] = None
-        keys = trial_cache_keys(specs, env)
         try:
             for key in keys:
                 payload, raw = memory.get(key), None
@@ -856,8 +865,8 @@ class TrialCache:
         """Record one simulated trial under its content address, with
         its ``sidecars`` (name -> JSON object, e.g. a flight recording).
 
-        The record is the result's :data:`encode_record`: one line, the
-        bytes a service journal later adopts as they are, appended to
+        The record is the result's :data:`encode_record`: one line, in
+        the log a service store later adopts as it is, appended to
         this instance's log in one ``os.write`` after a ``<key>.<name>
         <sidecar>`` line per sidecar.  A sidecar name that is not
         ``[a-z][a-z0-9_]*`` is a ``ValueError``; a result or sidecar that

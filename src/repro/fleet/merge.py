@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..atomicio import atomic_write
+from ..atomicio import link_or_copy
 from ..core.cache import (
     CACHE_SCHEMA_VERSION,
     CacheEntryError,
@@ -100,28 +100,6 @@ class MergeReport:
             },
             "metrics": self.metrics,
         }
-
-
-def _link_log(source: str, target: str) -> None:
-    """Bring a shard's record log into the merged cache.
-
-    Logs are never rewritten in place, so on one filesystem the merged
-    cache shares the shard's inode instead of re-writing its bytes.  A
-    log of that name already there is this one (one writer per name):
-    linked, or a copy an earlier merge made, which its writer may since
-    have appended to.  Wherever the OS refuses the link (``EXDEV``
-    across filesystems, ``EPERM``, no hard-link support), or the name
-    holds such a copy, the log's bytes as they are now are written there.
-    """
-    try:
-        os.link(source, target)
-        return
-    except FileExistsError:
-        if os.path.samefile(source, target):
-            return
-    except OSError:
-        pass
-    atomic_write(target, Path(source).read_bytes())
 
 
 def _resolve_divergent(challenger: bytes, incumbent: bytes) -> Optional[str]:
@@ -274,7 +252,10 @@ def merge_shards(
             report.duplicates += 1
         # Every key judged: now the shard's logs join the destination.
         for name in index.sizes:
-            _link_log(index.prefix + name, dest_prefix + name)
+            # A log of that name already there is this one (one writer
+            # per name): linked, or a copy an earlier merge made, which
+            # its writer may since have appended to - copied again.
+            link_or_copy(index.prefix + name, dest_prefix + name)
         stale = True
         for key in new_keys:
             merged_keys.add(key)

@@ -7,10 +7,9 @@ trial.  This package turns those one-shot artifacts into the paper's
 
 - watches a spool directory and ingests each merged cycle as it lands
   (:mod:`repro.service.coordinator`),
-- maintains a durable rolling result store - an append-only JSONL
-  journal compacted into one immutable segment file per cycle plus a
-  manifest, with crash recovery by replay
-  (:mod:`repro.service.store`),
+- maintains a durable rolling result store - each cycle's record logs,
+  adopted as hard links, and a journal of one commit line per cycle,
+  with crash recovery by replay (:mod:`repro.service.store`),
 - incrementally regenerates the findings site per ingested cycle
   (:mod:`repro.service.site`), and
 - exposes the ops surface: spool-file submissions folded into the next

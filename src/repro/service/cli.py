@@ -25,6 +25,7 @@ from ..cliargs import (
 from ..config import ExperimentConfig, NetworkConfig
 from ..obs.log import get_logger
 from .coordinator import ServiceError, WatchdogService
+from .store import StoreError
 
 _log = get_logger("service.cli")
 
@@ -87,8 +88,9 @@ def cmd_service_submit(args) -> int:
 
 
 #: A service error raised outside a pass (an unreadable
-#: ``service-state.json`` at start-up) is exit 1 and one clean line.
-_wrap = reporting_errors("service", ServiceError)
+#: ``service-state.json`` at start-up) or a store that cannot be trusted
+#: is exit 1 and one clean line.
+_wrap = reporting_errors("service", ServiceError, StoreError)
 
 
 def _add_service_args(parser: argparse.ArgumentParser) -> None:

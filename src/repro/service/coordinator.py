@@ -26,7 +26,8 @@ Spool layout (created on startup)::
 Output layout::
 
     out/
-      store/                  - journal + per-cycle segments + manifest
+      store/                  - commit journal + one directory of
+                                adopted record logs per cycle
                                 (repro.service.store)
       site/                   - findings site (repro.service.site)
       next-plan/              - next cycle's plan + shard manifests
@@ -36,9 +37,10 @@ Output layout::
       stop                    - create this file for graceful shutdown
 
 Crash model: the journal commit is the ingest's linearisation point.
-Everything before it (trial appends) is invisible to replay until the
-commit lands; everything after it (moving the entry to ``done/``, site
-regeneration, state/plan rewrites) is repeated idempotently on restart
+Everything before it (adopting the entry's record logs) is invisible to
+replay until the commit lands; everything after it (moving the entry to
+``done/``, site regeneration, state/plan rewrites) is repeated
+idempotently on restart
 - re-scanning finds the committed entry still in ``incoming/``, skips
 re-folding (dedup by cycle id), moves it, and a full site refresh on
 startup heals any missing section.  ``REPRO_SERVICE_FAULT`` names a
@@ -522,9 +524,9 @@ class WatchdogService:
         """Ingest one spool entry: fold, journal, commit, requeue, move.
 
         Folding is one cache read per delivered trial
-        (:func:`~repro.core.runner.lookup`, which cannot simulate), and
-        its records - payload, result and entry bytes - are what the
-        journal appends; the journal commit is the linearisation point;
+        (:func:`~repro.core.runner.lookup`, which cannot simulate); the
+        store adopts the entry's record logs and commits the cycle's
+        keys; the journal commit is the linearisation point;
         the entry moves to ``done/`` only after its commit, so a crash
         anywhere re-runs idempotently.  A fixed plan's trials the read
         misses mark their shards missing; a plan row whose cache key is
@@ -603,16 +605,17 @@ class WatchdogService:
         with tracing.span(
             "service.ingest", source=entry.name, trials=len(records)
         ):
-            # One read per trial serves all three forms the store wants:
-            # the payload, the result object and the journal line.  A
-            # spool name that is not UTF-8 (``os.listdir`` hands it over
-            # with lone surrogates, which the record decoder refuses) is
-            # journalled spelled out.
+            # One read per trial serves what the store keeps in memory:
+            # the key, the payload and the result object; the record
+            # stays in the entry's log, which the store adopts.  A spool
+            # name that is not UTF-8 (``os.listdir`` hands it over with
+            # lone surrogates, which the record decoder refuses) is
+            # committed spelled out.
             source = entry.name.encode("utf-8", "backslashreplace").decode()
             record = CycleRecord.from_cache_reads(
-                cycle_id, source, kind, partial, records
+                cycle_id, source, kind, partial, records, cache.cache_dir
             )
-            del records  # the entry bytes live in ``record`` until appended
+            del records  # the read bytes are not kept
             self.store.append_cycle(
                 record, pre_commit=lambda: _fault("pre-commit")
             )
@@ -680,8 +683,10 @@ class WatchdogService:
         """Publish the next cycle's plan, submissions folded in.
 
         The plan covers the heatmap catalog plus every accepted
-        third-party submission, seeded per ingested-cycle count the way
-        ``Prudentia.run_cycle`` advances seeds per cycle.
+        third-party submission, seeded per committed cycle the way
+        ``Prudentia.run_cycle`` advances seeds per cycle: by the store's
+        ``next_seq``, which keeps counting when a rolling window retires
+        cycles, so a full window does not publish one plan forever.
         """
         from ..fleet.plan import plan_cycle
 
@@ -695,7 +700,7 @@ class WatchdogService:
             self.plan_config,
             trials_per_pair=self.plan_trials,
             num_shards=self.plan_shards,
-            base_seed=self.base_seed + len(self.store.cycles()),
+            base_seed=self.base_seed + self.store.next_seq,
         )
         plan_dir = self.out / "next-plan"
         plan.write(plan_dir)

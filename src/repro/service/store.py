@@ -1,74 +1,52 @@
-"""The rolling result store: a crash-safe journal of ingested cycles.
+"""The rolling result store: ingested cycles kept as their own record logs.
 
 The live deployment accumulates three years of trial results; ours
 accumulates cycles at software speed.  Either way the store must survive
 the process dying at any instruction, and folding one more cycle into it
-must cost what that cycle costs, not what the history costs.  So it is an
-append-only JSONL **journal**, one immutable **segment** file per
-compacted cycle, and a small **manifest** (``snapshot.json``) ordering
-the segments - all flat in the store directory:
+must cost what that cycle costs, not what the history costs.  A trial
+record is written once, by the cache that recorded it
+(:meth:`~repro.core.cache.TrialCache.put`), and the store keeps it
+there.  Its directory holds:
 
-- Every ingested cycle is first one journal *segment*: a ``begin``
-  record (cycle identity + provenance), one ``trial`` record per result,
-  and a ``commit`` record sealing it.  The trial records are flushed and
-  fsynced *before* the commit is written, so a commit on disk guarantees
-  its trials are too.  Every record is one line of
-  :data:`~repro.core.cache.encode_record`, parsed back by
-  :data:`~repro.core.cache.decode_record`; a ``trial`` line is built
-  around its ``result`` without encoding it again when the record
-  brings the cache record's bytes (:meth:`CycleRecord.from_cache_reads`):
-  ``{"cycle_id":...,"record":"trial","result":`` + the record +
-  ``,"seq":N}``.  An older or foreign record line is adopted as it
-  is (the same JSON value, perhaps ``json``'s ``1e-05`` for
-  ``0.00001``); a payload without bytes is encoded.  The store keeps
-  none of those bytes once the cycle is
-  appended - only where in the journal the cycle lies.
-- :meth:`RollingResultStore.compact` moves each journalled cycle into
-  its own ``segment-<sha256(cycle id) prefix>.jsonl`` - the cycle's
-  journal segment verbatim, *copied* out of the journal file (whether
-  this process appended it a moment ago or replayed it after a restart,
-  so the two cannot differ even for lines that are not canonical),
-  written through :func:`~repro.atomicio.atomic_write` and never opened
-  for writing again - then rewrites the manifest (schema 2, one
-  ``encode_record`` line: ``file``,
-  ``cycle_id``, ``trials`` and ``sha256`` per segment, oldest first),
-  fsyncs the new segments, the manifest and the store directory, then
-  truncates the journal, then unlinks every segment file the manifest no
-  longer names (cycles retired from the rolling window, orphans of an
-  earlier crash).  Compaction therefore writes the new cycle's bytes plus one
-  manifest row per stored cycle, however long the history.
-- A crash between any two of those steps is harmless: a segment without
-  a manifest row is ignored by replay (its cycle is still in the
-  journal) and overwritten or swept by the next compaction; a manifest
-  ahead of the journal truncation lists cycles the journal also holds,
-  and replay deduplicates by cycle id.
-- Replay (:meth:`RollingResultStore.replay`) tolerates everything a
-  kill can leave behind in the *journal*: a torn final line is dropped,
-  and any segment without its commit record is discarded - an
-  interrupted ingest simply never happened, and re-ingesting the same
-  spool entry reproduces the exact same committed bytes (results are
-  deterministic simulations).  A line counts once its newline is on
-  disk: what follows the last newline is a torn append even when it
-  happens to parse, and the next append first cuts it away.  An
-  unparsable line anywhere *but* last is damage and raises
-  :class:`StoreError`, as does a line that parses but is no journal
-  record (``3``, ``[1]``, a ``trial`` whose ``result`` is missing or
-  fails the cache reader's :func:`~repro.core.cache.trial_record_defect`)
-  wherever it sits - both name the file and the line.  Manifest and
-  segment files are only ever renamed into place, so damage there is
-  not a crash artefact: a missing, truncated, bit-flipped or
-  miscounted segment, or a manifest of an unknown or newer schema,
-  raises :class:`StoreError` naming the file rather than yielding a
-  silently shorter store.
-- A schema-1 ``snapshot.json`` (one indented file embedding every
-  cycle) still loads, each cycle and trial checked the same way; the
-  next compaction converts it.
+- ``cycle-<sha256(cycle id) prefix>/`` per cycle: the record logs of the
+  cache the cycle was read from, hard-linked
+  (:func:`~repro.atomicio.link_or_copy`; copied where the OS refuses the
+  link).  The store never opens an adopted log for writing: its inode
+  may be shared with the spool entry, and with other stores.
+- ``journal.jsonl``: one **commit line** per stored cycle, oldest first,
+  each one :data:`~repro.core.cache.encode_record` line of ``seq`` (one
+  more than the last cycle committed, retired ones included), ``cycle_id``,
+  ``source``, ``kind``, ``partial``, ``logs`` (``[name, size, sha256]``
+  of each adopted log) and ``keys`` (the trials' cache keys in plan
+  order).
 
-Nothing in the journal, manifest or segments carries wall-clock time:
-the store's bytes are a pure function of the ingested data and order,
-which is what makes the kill-and-restart acceptance test ("replay yields
-a store byte-identical to an uninterrupted run") checkable at all.
-Operational timestamps live in the coordinator's state file instead.
+:meth:`RollingResultStore.append_cycle` links the logs into a temporary
+directory, fsyncs them and it, renames it into place and fsyncs the
+store directory; then it appends the commit line and fsyncs the journal.
+That line is the commit point.  A cycle directory no line names - a
+crash came before its line - is an orphan: the same cycle's next ingest
+replaces it, and :meth:`~RollingResultStore.compact` sweeps it.
+
+Replay (:meth:`RollingResultStore.replay`) reads the journal.  A line
+counts once its newline is on disk: what follows the last newline is a
+torn append, dropped even when it parses, and the next append cuts it
+away.  Any other line that is not a commit line raises
+:class:`StoreError` naming the file and the line.  Each adopted log must
+have its line's size and sha256, and the cycle's trials are read by key
+in one :meth:`~repro.core.cache.TrialCache.read_keys` batch: the cache's
+own reader, so a key with several lines reads as its most complete one,
+and a damaged record is named by log, line and key.  A missing
+directory or log, a log of another size or digest, a log no line names
+and a key no log holds each raise :class:`StoreError` naming the file,
+never a silently shorter store.  A store of the older layout -
+``segment-*.jsonl`` files, a ``snapshot.json`` manifest, a journal of
+``begin``/``trial``/``commit`` records - is refused by name.
+
+Nothing in the journal carries wall-clock time: the store's bytes are a
+pure function of the ingested data and order, which is what makes the
+kill-and-restart acceptance test ("replay yields a store byte-identical
+to an uninterrupted run") checkable at all.  Operational timestamps
+live in the coordinator's state file instead.
 
 Windowed views (:meth:`RollingResultStore.store_view`) are a plain
 :class:`~repro.core.results.ResultStore` over the last N cycles - the
@@ -81,38 +59,54 @@ only when the window is not the old one plus new cycles.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
+import re
+import secrets
+import shutil
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Set, Union
 
-from ..atomicio import atomic_write
+from ..atomicio import atomic_write, link_or_copy
 from ..core.cache import (
-    CachedTrial, _encode_checked, decode_record, encode_record,
-    trial_record_defect,
+    LOG_PREFIX,
+    LOG_SUFFIX,
+    CachedTrial,
+    CacheEntryError,
+    TrialCache,
+    _list_cache_dir,
+    decode_record,
+    encode_record,
+    is_cache_key,
 )
 from ..core.experiment import ExperimentResult
 from ..core.results import ResultStore
 from ..obs.metrics import get_registry
 
-#: Journal filename inside the store directory.
+#: The commit log's filename inside the store directory.
 JOURNAL_FILENAME = "journal.jsonl"
 
-#: Manifest filename inside the store directory.
-SNAPSHOT_FILENAME = "snapshot.json"
+#: A cycle's directory is ``cycle-<hex>`` beside the journal.
+CYCLE_DIR_PREFIX = "cycle-"
 
-#: Segment files are ``segment-<hex>.jsonl`` beside the journal.
-SEGMENT_PREFIX = "segment-"
-SEGMENT_SUFFIX = ".jsonl"
+#: A file of the journal-and-segment layout this store replaced.
+_OLD_LAYOUT = re.compile(r"snapshot\.json|segment-.*\.jsonl")
+_REINGEST = (
+    "the older journal-and-segment store layout, which this store no "
+    "longer reads - re-ingest the spool's done/ entries into a fresh --out"
+)
 
-#: Journal record layout version (stamped on ``begin`` records).
-JOURNAL_SCHEMA_VERSION = 1
+#: A commit line's fields and their types.
+_COMMIT_FIELDS = {
+    "seq": int, "cycle_id": str, "source": str, "kind": str,
+    "partial": bool, "logs": list, "keys": list,
+}
 
-#: Manifest layout version.  Schema 1 was a single indented file
-#: embedding every cycle; it is still read, never written.
-STORE_SCHEMA_VERSION = 2
+#: An adopted log's name: a record log's, and nothing that leaves the
+#: cycle's directory.
+_LOG_NAME = re.compile(
+    re.escape(LOG_PREFIX) + r"[^/\\\0]*" + re.escape(LOG_SUFFIX)
+)
 
 
 class StoreError(ValueError):
@@ -124,10 +118,9 @@ class CycleRecord:
     """One ingested cycle: identity, provenance, and its trial payloads.
 
     ``results`` holds raw ``ExperimentResult.to_json()`` payloads (the
-    serialisation the cache uses), kept as dicts so journal round-trips
-    are byte-exact.  A cycle built from cache reads
-    (:meth:`from_cache_reads`) also brings what those reads already
-    produced, so nothing is decoded or encoded a second time.
+    serialisation the cache uses), ``keys`` their cache keys, and
+    ``origin`` the cache directory whose record logs hold them - the
+    logs :meth:`RollingResultStore.append_cycle` adopts.
     """
 
     cycle_id: str
@@ -135,12 +128,9 @@ class CycleRecord:
     kind: str  # "adaptive" | "fixed"
     partial: bool = False
     results: List[Dict] = field(default_factory=list)
+    keys: List[str] = field(default_factory=list)
+    origin: Optional[Path] = None
     _parsed: Optional[List[ExperimentResult]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    #: Per trial, the bytes ``results[i]`` was parsed from (or ``None``);
-    #: :meth:`RollingResultStore.append_cycle` takes the list.
-    _entry_bytes: Optional[List[Optional[bytes]]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -152,19 +142,16 @@ class CycleRecord:
         kind: str,
         partial: bool,
         reads: List[CachedTrial],
+        origin: Union[str, Path],
     ) -> "CycleRecord":
-        """A cycle whose trials one :meth:`TrialCache.read` just produced.
-
-        Each :class:`~repro.core.cache.CachedTrial` brings the payload
-        as parsed, the result object built from it, and the record
-        bytes it was parsed from (``None`` when it came from memory),
-        which become the ``result`` of its journal line byte for byte.
-        """
+        """A cycle whose trials one :meth:`TrialCache.read` of the cache
+        at ``origin`` just produced: per trial the key, the payload as
+        parsed and the result object built from it."""
         record = cls(
-            cycle_id, source, kind, partial, [r.payload for r in reads]
+            cycle_id, source, kind, partial,
+            [r.payload for r in reads], [r.key for r in reads], Path(origin),
         )
         record._parsed = [r.result for r in reads]
-        record._entry_bytes = [r.raw for r in reads]
         return record
 
     def experiment_results(self) -> List[ExperimentResult]:
@@ -197,277 +184,148 @@ def check_window(cycles: int) -> int:
     return cycles
 
 
-def _segment_filename(cycle_id: str) -> str:
-    """A cycle's segment file: a pure, filesystem-safe function of its id."""
+def _cycle_dirname(cycle_id: str) -> str:
+    """A cycle's directory: a pure, filesystem-safe function of its id."""
     digest = hashlib.sha256(cycle_id.encode("utf-8")).hexdigest()
-    return f"{SEGMENT_PREFIX}{digest[:24]}{SEGMENT_SUFFIX}"
+    return f"{CYCLE_DIR_PREFIX}{digest[:24]}"
 
 
-def _encode_segment(record: CycleRecord) -> "tuple[bytes, bytes]":
-    """A cycle's journal segment as ``(begin + trial lines, commit line)``.
-
-    Every line is :data:`~repro.core.cache.encode_record` of its record.
-    A trial line is assembled around its ``result``: the bytes the
-    payload was parsed from when the record brought them (a record-log
-    line, so one line: the same JSON value, in whatever spelling the
-    record has), else the payload's encoding, checked to read back as it
-    is (a schema-1 snapshot was parsed by ``json``, which reads ``NaN``).
-    A result replay would refuse is refused here, before any write.
-    """
-    lines = [
-        encode_record(
-            {
-                "record": "begin",
-                "schema": JOURNAL_SCHEMA_VERSION,
-                "cycle_id": record.cycle_id,
-                "source": record.source,
-                "kind": record.kind,
-                "partial": record.partial,
-            }
-        )
-    ]
-    # Sorted, a trial record reads cycle_id, record, result, seq.
-    head = b'{"cycle_id":%b,"record":"trial","result":' % encode_record(
-        record.cycle_id
-    )
-    entry_bytes = record._entry_bytes or [None] * len(record.results)
-    for index, (result, raw) in enumerate(zip(record.results, entry_bytes)):
-        _trial(result, f"cycle {record.cycle_id[:12]} trial {index}")
-        if raw is not None:
-            encoded = raw.strip()
-        else:
-            encoded = _encode_checked(
-                result, f"cycle {record.cycle_id[:12]} trial {index}",
-                trial=False,
-            )
-        lines.append(b'%b%b,"seq":%d}' % (head, encoded, index))
-    commit = encode_record(
-        {
-            "record": "commit",
-            "cycle_id": record.cycle_id,
-            "trials": len(record.results),
-        }
-    )
-    return b"\n".join(lines) + b"\n", commit + b"\n"
-
-
-def _trial(result, where: str):
-    """``result`` if it is a trial record, else a StoreError naming ``where``."""
-    defect = trial_record_defect(result)
-    if defect is not None:
-        raise StoreError(f"{where} is not a trial record ({defect})")
-    return result
-
-
-def _schema1_cycle(entry: Dict, where: str) -> CycleRecord:
-    """One cycle embedded in a schema-1 manifest, its trials checked as
-    a journal's are; a defect is a StoreError naming ``where``."""
+def _commit_line(line: bytes, where: str) -> Dict:
+    """The commit record ``line`` holds; anything else is a StoreError
+    naming ``where``."""
     try:
-        record = CycleRecord(
-            entry["cycle_id"], entry["source"], entry["kind"],
-            entry.get("partial", False), list(entry.get("results", [])),
+        commit = decode_record(line)
+    except ValueError as exc:
+        raise StoreError(f"{where} is not valid JSON ({exc})") from exc
+    if type(commit) is not dict:
+        raise StoreError(
+            f"{where} is JSON but not a commit line (found "
+            f"{type(commit).__name__})"
         )
-    except (KeyError, TypeError) as exc:
-        raise StoreError(f"{where}: not a stored cycle ({exc!r})") from exc
-    for index, result in enumerate(record.results):
-        _trial(result, f"{where}: trial {index}")
-    return record
-
-
-def _committed_segments(
-    raw: bytes, source: Path
-) -> Iterable[Tuple[CycleRecord, int, int]]:
-    """Committed cycles in journal-format bytes, each with the byte span
-    ``[start, end)`` of its segment, tolerating a torn tail.
-
-    A line counts once its newline is on disk: what follows the last
-    newline is the fragment of a killed append - even when it happens to
-    parse - and :meth:`RollingResultStore.append_cycle` cuts it away.
-    """
-    pending: Optional[CycleRecord] = None
-    begin_at = offset = 0
-    lines = raw.split(b"\n")
-    torn_tail = lines.pop()
-    for number, line in enumerate(lines, 1):
-        start, offset = offset, offset + len(line) + 1
-        if not line:
-            continue
-        try:
-            payload = decode_record(line)
-        except ValueError as exc:
-            # A kill mid-append tears at most the final line, and any
-            # segment it belonged to is uncommitted either way.  Anywhere
-            # else it is damage, with committed cycles possibly behind it.
-            if torn_tail or any(lines[number:]):
-                raise StoreError(
-                    f"{source}: line {number} is not valid JSON ({exc}) "
-                    "and is not the last, so not a torn append"
-                ) from exc
-            break
-        if not isinstance(payload, dict):
+    if "record" in commit:
+        raise StoreError(
+            f"{where} is a {commit['record']!r} record of {_REINGEST}"
+        )
+    for name, kind in _COMMIT_FIELDS.items():
+        if type(commit.get(name)) is not kind:
+            raise StoreError(f"{where}: {name} is no {kind.__name__}")
+    for log in commit["logs"]:
+        if not (
+            type(log) is list and len(log) == 3
+            and type(log[0]) is str and _LOG_NAME.fullmatch(log[0])
+            and type(log[1]) is int and type(log[2]) is str
+        ):
             raise StoreError(
-                f"{source}: line {number} is JSON but not a journal "
-                f"record (found {type(payload).__name__})"
+                f"{where}: {log!r} is not a record log's [name, size, sha256]"
             )
-        kind = payload.get("record")
-        try:
-            if kind == "begin":
-                # A new begin while a segment is open means the previous
-                # ingest died before committing: discard it.
-                pending = CycleRecord(
-                    cycle_id=payload["cycle_id"],
-                    source=payload.get("source", ""),
-                    kind=payload.get("kind", "fixed"),
-                    partial=payload.get("partial", False),
-                )
-                begin_at = start
-            elif kind == "trial":
-                if (
-                    pending is not None
-                    and payload.get("cycle_id") == pending.cycle_id
-                ):
-                    pending.results.append(_trial(
-                        payload["result"], f"{source}: line {number}: result"
-                    ))
-            elif kind == "commit":
-                if (
-                    pending is not None
-                    and payload.get("cycle_id") == pending.cycle_id
-                    and payload.get("trials") == len(pending.results)
-                ):
-                    yield pending, begin_at, offset
-                pending = None
-        except KeyError as exc:
-            raise StoreError(
-                f"{source}: line {number}: {kind} record without {exc}"
-            ) from exc
+    keys = commit["keys"]
+    if not all(type(key) is str and is_cache_key(key) for key in keys):
+        raise StoreError(f"{where}: a key that is no cache key")
+    return commit
 
 
 class RollingResultStore:
     """Durable, windowed store of per-cycle trial results.
 
     ``root`` is the store directory (created if missing) holding the
-    journal, the manifest and the segment files.  Construction replays
-    them, so a freshly opened store always reflects every *committed*
-    ingest - and nothing an interrupted one left behind.
+    journal and the cycle directories.  Construction replays them, so a
+    freshly opened store always reflects every *committed* ingest - and
+    nothing an interrupted one left behind.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._cycles: List[CycleRecord] = []
-        #: cycle id -> manifest row of every cycle that has a segment.
-        self._segments: Dict[str, Dict] = {}
-        #: cycle id -> byte span of its segment in the journal file, for
-        #: every journalled cycle (appended by this process or replayed):
-        #: compaction copies those bytes, it never encodes them again.
-        self._journal_spans: Dict[str, Tuple[int, int]] = {}
+        #: cycle id -> its commit line, newline included.
+        self._lines: Dict[str, bytes] = {}
+        #: The ``seq`` the next committed cycle gets.
+        self.next_seq = 0
         #: The live view (see :meth:`store_view`) and the cycles it holds.
-        self._live: Optional[Tuple[ResultStore, List[CycleRecord]]] = None
+        self._live: Optional[tuple] = None
         self.replay()
 
     @property
     def journal_path(self) -> Path:
         return self.root / JOURNAL_FILENAME
 
-    @property
-    def snapshot_path(self) -> Path:
-        return self.root / SNAPSHOT_FILENAME
-
     # ------------------------------------------------------------------
     # Recovery
     # ------------------------------------------------------------------
 
     def replay(self) -> List[CycleRecord]:
-        """Rebuild the committed-cycle list from manifest + journal.
-
-        Order is manifest segments first (they were committed earlier),
-        then journal segments in append order; a cycle id present in
-        both (crash between manifest rename and journal truncation)
-        keeps its first occurrence.
-        """
+        """Rebuild the committed-cycle list from the journal, in commit
+        order, each cycle's trials read from its adopted logs."""
+        for name in sorted(os.listdir(self.root)):
+            if _OLD_LAYOUT.fullmatch(name):
+                raise StoreError(f"{self.root / name}: a file of {_REINGEST}")
+        path = self.journal_path
+        raw = path.read_bytes() if path.exists() else b""
         cycles: List[CycleRecord] = []
-        seen: Set[str] = set()
-        self._segments = {}
-        self._journal_spans = {}
-        for record in chain(self._replay_snapshot(), self._replay_journal()):
-            if record.cycle_id not in seen:
-                seen.add(record.cycle_id)
-                cycles.append(record)
-        self._cycles = cycles
+        lines: Dict[str, bytes] = {}
+        seq = 0
+        # What follows the last newline is a torn append.
+        for number, line in enumerate(raw.split(b"\n")[:-1], 1):
+            where = f"{path}: line {number}"
+            commit = _commit_line(line, where)
+            if commit["cycle_id"] in lines or commit["seq"] < seq:
+                raise StoreError(
+                    f"{where}: commits cycle {commit['cycle_id'][:12]} "
+                    f"(seq {commit['seq']}) out of order or twice"
+                )
+            cycles.append(self._load_cycle(commit, where))
+            lines[commit["cycle_id"]] = line + b"\n"
+            seq = commit["seq"] + 1
+        self._cycles, self._lines, self.next_seq = cycles, lines, seq
         return list(cycles)
 
-    def _replay_snapshot(self) -> Iterable[CycleRecord]:
-        """Compacted cycles, oldest first, each verified against its row."""
-        path = self.snapshot_path
-        if not path.exists():
-            return
+    def _load_cycle(self, commit: Dict, where: str) -> CycleRecord:
+        """The cycle ``commit`` names, read from its verified logs."""
+        cycle_id, keys = commit["cycle_id"], commit["keys"]
+        directory = self.root / _cycle_dirname(cycle_id)
+        if not directory.is_dir():
+            raise StoreError(
+                f"{directory}: cycle {cycle_id[:12]}'s directory, which "
+                f"{where} commits, is missing"
+            )
+        for name, size, digest in commit["logs"]:
+            log = directory / name
+            try:
+                data = log.read_bytes()
+            except FileNotFoundError:
+                raise StoreError(
+                    f"{log}: adopted log committed by {where} is missing"
+                ) from None
+            if len(data) != size:
+                raise StoreError(
+                    f"{log}: {len(data)} bytes where {where} committed "
+                    f"{size} ({'truncated' if len(data) < size else 'grown'})"
+                )
+            if hashlib.sha256(data).hexdigest() != digest:
+                raise StoreError(
+                    f"{log}: sha256 differs from the one {where} "
+                    "committed (corrupted)"
+                )
         try:
-            manifest = json.loads(path.read_bytes())
-            schema = manifest["schema"]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise StoreError(f"{path}: not a store manifest ({exc})") from exc
-        if schema == 1:
-            for index, entry in enumerate(manifest.get("cycles", [])):
-                yield _schema1_cycle(entry, f"{path}: cycle {index}")
-            return
-        if isinstance(schema, int) and schema > STORE_SCHEMA_VERSION:
+            named = {name for name, _size, _digest in commit["logs"]}
+            foreign = sorted(set(_list_cache_dir(directory)) - named)
+            if foreign:
+                raise StoreError(
+                    f"{directory / foreign[0]}: a log {where} does not commit"
+                )
+            reads = TrialCache(directory).read_keys(keys, allow_truncated=True)
+        except CacheEntryError as exc:
+            raise StoreError(f"{where}: {exc}") from exc
+        if None in reads:
+            index = reads.index(None)
             raise StoreError(
-                f"{path}: manifest schema {schema} is newer than the "
-                f"{STORE_SCHEMA_VERSION} this library writes - upgrade "
-                "before opening this store"
+                f"{directory}: no log holds key {keys[index]}, trial "
+                f"{index} of {where}"
             )
-        if schema != STORE_SCHEMA_VERSION:
-            raise StoreError(f"{path}: unknown manifest schema {schema!r}")
-        for row in manifest.get("segments", []):
-            record = self._load_segment(row)
-            self._segments[record.cycle_id] = row
-            yield record
-
-    def _load_segment(self, row: Dict) -> CycleRecord:
-        """One manifest row's cycle; any disagreement is a StoreError."""
-        try:
-            name, cycle_id = row["file"], row["cycle_id"]
-            trials, digest = row["trials"], row["sha256"]
-        except (KeyError, TypeError) as exc:
-            raise StoreError(
-                f"{self.snapshot_path}: malformed segment row {row!r}"
-            ) from exc
-        if name != _segment_filename(cycle_id):
-            raise StoreError(
-                f"{self.snapshot_path}: row for cycle {cycle_id[:12]} "
-                f"names {name!r}, not that cycle's segment file"
-            )
-        path = self.root / name
-        try:
-            raw = path.read_bytes()
-        except FileNotFoundError:
-            raise StoreError(
-                f"{path}: segment named by the manifest is missing"
-            ) from None
-        if hashlib.sha256(raw).hexdigest() != digest:
-            raise StoreError(
-                f"{path}: sha256 differs from the manifest's "
-                "(truncated or corrupted segment)"
-            )
-        records = [r for r, _s, _e in _committed_segments(raw, path)]
-        held = [(r.cycle_id, len(r.results)) for r in records]
-        if held != [(cycle_id, trials)]:
-            raise StoreError(
-                f"{path}: holds {held or 'no committed cycle'}; the "
-                f"manifest says {cycle_id[:12]} with {trials} trial(s)"
-            )
-        return records[0]
-
-    def _replay_journal(self) -> Iterable[CycleRecord]:
-        """Committed cycles still in the journal, in append order."""
-        path = self.journal_path
-        if path.exists():
-            for record, start, end in _committed_segments(
-                path.read_bytes(), path
-            ):
-                self._journal_spans.setdefault(record.cycle_id, (start, end))
-                yield record
+        return CycleRecord(
+            cycle_id, commit["source"], commit["kind"], commit["partial"],
+            [read.payload for read in reads], keys, directory,
+        )
 
     # ------------------------------------------------------------------
     # Ingest
@@ -475,142 +333,104 @@ class RollingResultStore:
 
     def ingested_ids(self) -> Set[str]:
         """Cycle ids already committed (spool dedup / idempotent ingest)."""
-        return {record.cycle_id for record in self._cycles}
+        return set(self._lines)
 
     def append_cycle(
         self,
         record: CycleRecord,
         pre_commit: Optional[Callable[[], None]] = None,
     ) -> None:
-        """Durably append one cycle: begin + trials, fsync, commit.
+        """Durably adopt one cycle's record logs, then commit it.
 
-        ``pre_commit`` runs after the trial records are durable but
-        before the commit record is written - the fault-injection seam
-        the kill-and-restart test uses to die at the worst moment.
+        ``pre_commit`` runs once the cycle's directory is durable but
+        before its commit line is written - the fault-injection seam the
+        kill-and-restart test uses to die at the worst moment.
         """
-        if record.cycle_id in self.ingested_ids():
+        if record.cycle_id in self._lines:
             raise ValueError(
                 f"cycle {record.cycle_id[:12]}... already ingested"
             )
-        body, commit = _encode_segment(record)
-        record._entry_bytes = None  # in the journal now; not kept twice
+        if record.origin is None:
+            raise ValueError(
+                f"cycle {record.cycle_id[:12]}...: no record logs to adopt"
+            )
+        final = self.root / _cycle_dirname(record.cycle_id)
+        staging = Path(f"{final}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+        staging.mkdir()
+        logs, written = [], 0
+        for name in _list_cache_dir(record.origin):
+            target = staging / name
+            written += link_or_copy(Path(record.origin, name), target)
+            data = target.read_bytes()
+            logs.append([name, len(data), hashlib.sha256(data).hexdigest()])
+            _fsync(target)
+        _fsync(staging)
+        if final.exists():  # an orphan: a crash came before its commit
+            shutil.rmtree(final)
+        os.rename(staging, final)
+        _fsync(self.root)
+        if pre_commit is not None:
+            pre_commit()
+        line = encode_record({
+            "seq": self.next_seq,
+            "cycle_id": record.cycle_id,
+            "source": record.source,
+            "kind": record.kind,
+            "partial": record.partial,
+            "logs": logs,
+            "keys": record.keys,
+        }) + b"\n"
+        created = not self.journal_path.exists()
         with open(self.journal_path, "a+b") as fh:
             # A journal not ending in a newline ends in the fragment of
-            # a killed append: uncommitted, ignored by replay - and the
-            # ``begin`` record glued onto it would take this whole cycle
-            # with it.  Cut it back to the last newline first.
-            start = fh.tell()  # append mode opens at the end
-            if start:
+            # a killed append: uncommitted, ignored by replay - and this
+            # line glued onto it would take the cycle with it.  Cut it
+            # back to the last newline first.
+            if fh.tell():  # append mode opens at the end
                 fh.seek(-1, os.SEEK_END)
                 if fh.read(1) != b"\n":
                     fh.seek(0)
-                    start = fh.read().rfind(b"\n") + 1
-                    fh.truncate(start)
-            fh.write(body)
+                    fh.truncate(fh.read().rfind(b"\n") + 1)
+            fh.write(line)
             fh.flush()
             os.fsync(fh.fileno())
-            if pre_commit is not None:
-                pre_commit()
-            fh.write(commit)
-            fh.flush()
-            os.fsync(fh.fileno())
-        self._journal_spans[record.cycle_id] = (
-            start,
-            start + len(body) + len(commit),
-        )
+        if created:
+            _fsync(self.root)
+        record.origin = final
         self._cycles.append(record)
-
-    def _journal_segment(self, journal: bytes, record: CycleRecord) -> bytes:
-        """``record``'s segment as the journal holds it, checked to begin
-        and commit that cycle (the span was taken from this process's
-        own append or replay; a journal another writer changed since
-        must not become a segment)."""
-        start, end = self._journal_spans[record.cycle_id]
-        data = journal[start:end]
-        try:
-            begin = decode_record(data[: data.index(b"\n")])
-            commit = decode_record(data[data.rindex(b"\n", 0, -1) + 1 :])
-            intact = (
-                begin["record"] == "begin"
-                and commit["record"] == "commit"
-                and begin["cycle_id"] == commit["cycle_id"] == record.cycle_id
-                and commit["trials"] == len(record.results)
-            )
-        except (ValueError, LookupError, TypeError):
-            intact = False
-        if not intact:
-            raise StoreError(
-                f"{self.journal_path}: bytes {start}-{end} are no longer "
-                f"cycle {record.cycle_id[:12]}'s segment; the journal "
-                "changed under this process"
-            )
-        return data
+        self._lines[record.cycle_id] = line
+        self.next_seq += 1
+        get_registry().counter("service.store.bytes_written").inc(
+            written + len(line)
+        )
 
     def compact(self, max_cycles: Optional[int] = None) -> None:
-        """Move journalled cycles into segments; truncate the journal.
+        """Retire the cycles beyond a window of ``max_cycles`` (>= 1),
+        then remove every cycle directory no commit line names.
 
-        Only cycles without a segment are written, so the cost is the
-        new cycle's plus one manifest row per stored cycle - and what is
-        written is the cycle's journal bytes, copied: a cycle appended a
-        moment ago and one replayed after a restart take the same path,
-        and no line is encoded twice.  (Only a cycle that was never
-        journalled - a schema-1 snapshot's - is encoded here.)
-        ``max_cycles`` (>= 1) bounds retention: cycles beyond the window
-        lose their manifest row and then their file (the rolling half of
-        "rolling result store").  Every write is an atomic rename, in
-        the order segment -> manifest -> journal -> unlink, so a crash
-        at any point leaves a store that replays to the same cycles; new
-        segments, the manifest and the directory are fsynced before the
-        journal is emptied, so a power loss does not trade the journal
-        for files that never reached the disk.
+        Retiring rewrites the journal with the kept lines (an atomic
+        rename, then an fsync of the file and the store directory), so
+        a crash before the removal leaves orphans, swept by the next
+        call.  With no window, or nothing beyond it, nothing is written.
         """
         if max_cycles is not None:
-            self._cycles = self._cycles[-check_window(max_cycles):]
-        rows: List[Dict] = []
-        written = 0
-        journal: Optional[bytes] = None
-        for record in self._cycles:
-            row = self._segments.get(record.cycle_id)
-            if row is None:
-                if record.cycle_id in self._journal_spans:
-                    if journal is None:
-                        journal = self.journal_path.read_bytes()
-                    data = self._journal_segment(journal, record)
-                else:
-                    data = b"".join(_encode_segment(record))
-                name = _segment_filename(record.cycle_id)
-                atomic_write(self.root / name, data)
-                _fsync(self.root / name)
-                written += len(data)
-                row = {
-                    "file": name,
-                    "cycle_id": record.cycle_id,
-                    "trials": len(record.results),
-                    "sha256": hashlib.sha256(data).hexdigest(),
+            kept = self._cycles[-check_window(max_cycles):]
+            if len(kept) < len(self._cycles):
+                data = b"".join(self._lines[r.cycle_id] for r in kept)
+                atomic_write(self.journal_path, data)
+                _fsync(self.journal_path)
+                _fsync(self.root)
+                self._cycles = kept
+                self._lines = {
+                    r.cycle_id: self._lines[r.cycle_id] for r in kept
                 }
-            rows.append(row)
-        manifest = encode_record(
-            {
-                "schema": STORE_SCHEMA_VERSION,
-                "kind": "service-snapshot",
-                "segments": rows,
-            }
-        ) + b"\n"
-        atomic_write(self.snapshot_path, manifest)
-        # The journal is fsynced; what replaces it must be on disk - file
-        # bytes and directory entries - before it is emptied.
-        _fsync(self.snapshot_path)
-        _fsync(self.root)
-        self._segments = {row["cycle_id"]: row for row in rows}
-        self._journal_spans = {}
-        atomic_write(self.journal_path, "")
-        live = {row["file"] for row in rows}
-        for path in self.root.glob(f"{SEGMENT_PREFIX}*{SEGMENT_SUFFIX}"):
-            if path.name not in live:
-                path.unlink()
-        get_registry().counter("service.store.compact_bytes").inc(
-            written + len(manifest)
-        )
+                get_registry().counter("service.store.bytes_written").inc(
+                    len(data)
+                )
+        live = {_cycle_dirname(cycle_id) for cycle_id in self._lines}
+        for name in os.listdir(self.root):
+            if name.startswith(CYCLE_DIR_PREFIX) and name not in live:
+                shutil.rmtree(self.root / name)
 
     # ------------------------------------------------------------------
     # Views

@@ -38,10 +38,10 @@ this file pins:
   planned trial before records were appended to logs);
 * the same two counters over one ``WatchdogService.ingest_once``;
 * what folding one delivered trial into the store costs (``ingest_entry``
-  + ``compact``): one entry parse, no JSON encoder call - the journal
-  line is the entry's own bytes, the segment the journal's - and a
-  ceiling on Python frames (45.0 when every trial was re-encoded, 23.0
-  when the entry was parsed by ``json.loads``).
+  + ``compact``): one entry parse, no JSON encoder call - the store
+  keeps the entry's record log and commits its key - and a ceiling on
+  Python frames (45.0 when every trial was re-encoded, 23.0 when the
+  entry was parsed by ``json.loads``).
 """
 
 import gc
@@ -84,15 +84,15 @@ SHARDS = 4
 FRAMES_PER_TRIAL_BUDGET = 21
 
 #: Ceiling on Python frames per delivered trial over ``ingest_entry`` +
-#: ``compact``, measured as the slope between two delivery sizes: 12.0
-#: today (1 860 -> 3 180 frames for 110 -> 220 trials), plus half a
-#: frame, so one more Python call per journalled trial fails it (13.0).
-#: 9.0 before the store checked each trial record on write (the check
-#: and its ``_trial`` wrapper, +3); the ceiling was 22 until then, over
-#: twice the cost.  Earlier: 23.0 when the entry parse was
+#: ``compact``, measured as the slope between two delivery sizes: 10.0
+#: today (1 627 -> 2 727 frames for 110 -> 220 trials), plus half a
+#: frame, so one more Python call per folded trial fails it (11.0).
+#: 12.0 (ceiling 12.5) while the store journalled each trial and checked
+#: its record on write, 9.0 before that check (the ceiling was 22 until
+#: then, over twice the cost).  Earlier: 23.0 when the entry parse was
 #: ``json.loads``; 33.0 when the ingest joined payloads and kept entry
 #: bytes by key, 45.0 before the journal adopted entry bytes.
-FRAMES_PER_INGESTED_TRIAL_BUDGET = 12.5
+FRAMES_PER_INGESTED_TRIAL_BUDGET = 10.5
 
 #: Ceiling on bytes per planned trial, in ``plan.json`` and across the
 #: shard manifests (110 and 111 today; 440 and 431 when every row
@@ -366,8 +366,8 @@ def test_ingest_derives_at_most_one_key_per_folded_and_planned_trial(
 
 
 def test_folding_a_delivered_trial_parses_once_and_encodes_nothing(tmp_path):
-    """Twice the delivered trials: the same encoder calls (begin, commit,
-    manifest - per cycle, never per trial), one more parse and a bounded
+    """Twice the delivered trials: the same encoder calls (the commit
+    line - per cycle, never per trial), one more parse and a bounded
     number of frames per added trial."""
     measured = []
     for trials_per_pair in (1, 1, 2):  # the first run pays the imports
@@ -397,17 +397,15 @@ def test_folding_a_delivered_trial_parses_once_and_encodes_nothing(tmp_path):
                 counters()[1] - parsed_before,
             )
         )
-        # Every journal line is the record's log bytes in its frame.
-        (segment,) = (root / "out" / "store").glob("segment-*.jsonl")
-        lines = segment.read_bytes().split(b"\n")[1:-2]
+        # The store keeps the entry's log itself, and commits the keys.
+        (adopted,) = (root / "out" / "store").glob("cycle-*/records-*.log")
         done = root / "spool" / "done" / "cycle-00" / "cache"
         (log,) = done.glob("records-*.log")
-        stored = dict(
-            line.split(b" ", 1) for line in log.read_bytes().splitlines()
-        )
-        for seq, (line, planned) in enumerate(zip(lines, delivered.trials)):
-            record = stored[planned.cache_key.encode()]
-            assert line.endswith(b'"result":%b,"seq":%d}' % (record, seq))
+        assert adopted.stat().st_ino == log.stat().st_ino
+        (commit,) = service.store.journal_path.read_bytes().splitlines()
+        assert json.loads(commit)["keys"] == [
+            planned.cache_key for planned in delivered.trials
+        ]
     # Rows of (trials, frames, encoder calls, entries parsed).
     _warm_up, small, large = measured
     assert large[0] == 2 * small[0]

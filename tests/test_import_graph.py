@@ -126,15 +126,14 @@ def _functions_calling_json_loads(path: Path):
     [
         ("core/cache.py", []),
         ("fleet/merge.py", []),
-        # The manifest is no trial record: it stays on ``json``.
-        ("service/store.py", ["_replay_snapshot"]),
+        ("service/store.py", []),
         # Submission lines and published diagnoses are the service's own
         # files; flight recordings come through the entry's TrialCache.
         ("service/coordinator.py", ["load_diagnoses", "process_submissions"]),
     ],
 )
 def test_record_paths_parse_with_decode_record_only(module, allowed):
-    """Entries, sidecars, journal and segment lines and merge
+    """Entries, sidecars, the store's commit lines and merge
     adjudication parse with ``decode_record``; a ``json.loads`` left on
     one of these paths would read a record the writer's contract (no
     non-finite floats, integers within 64 bits) does not cover."""
@@ -172,7 +171,8 @@ def _functions_calling(path: Path, names) -> "dict[str, set]":
         # What is hashed: a key's config memo, id tail and odd seed.
         ("core/cache.py", ["put"],
          ["_config_memo", "_ids_tail", "trial_cache_keys"]),
-        ("service/store.py", ["_encode_segment", "compact"], []),
+        # The commit line; the store encodes no trial record.
+        ("service/store.py", ["append_cycle"], []),
         # ``plan_id`` hashes ``_canonical``'s spelling.
         ("fleet/plan.py", ["write_manifest"], ["_canonical", "plan_id"]),
         # Receipts are ``json``-written state; their tie-break order too.
@@ -180,8 +180,8 @@ def _functions_calling(path: Path, names) -> "dict[str, set]":
     ],
 )
 def test_stored_artifacts_encode_with_one_encoder(module, writers, hashers):
-    """Entries, sidecars, journal lines, the store manifest, plans and
-    shard manifests are written by ``encode_record`` (through
+    """Entries, sidecars, the store's commit lines, plans and shard
+    manifests are written by ``encode_record`` (through
     ``_encode_checked`` where it is read back first); ``json``'s encoder
     - ``json.dumps`` or ``canonical_json`` - spells only what is hashed
     (and ``merge``'s receipt order)."""

@@ -9,8 +9,9 @@ many cycles the store already holds:
   the service's view is live and only extended by each pass;
 - ``core.report.cells_derived`` - median-share cells derived from raw
   trials: n^2 per rendered section (each cell once, whatever reads it);
-- ``service.store.compact_bytes`` - bytes written by compaction: the new
-  cycle's segment plus the manifest, never the history again.
+- ``service.store.bytes_written`` - every byte the store writes: the
+  new cycle's commit line, never the history again, and never a trial
+  record (the store keeps the entry's record logs, hard-linked).
 """
 
 import dataclasses
@@ -68,20 +69,20 @@ def test_six_equal_ingests_cost_the_same_by_count(tmp_path):
     registry = get_registry()
     resolved = registry.counter("core.results.trials_resolved")
     cells = registry.counter("core.report.cells_derived")
-    compacted = registry.counter("service.store.compact_bytes")
+    written = registry.counter("service.store.bytes_written")
     trials_per_ingest, resolved_per_ingest = [], []
     cells_per_ingest, bytes_per_ingest = [], []
     for index in range(CYCLES):
         trials = deliver_cycle(tmp_path / "spool", index)
         resolved_before = resolved.value
-        cells_before, bytes_before = cells.value, compacted.value
+        cells_before, bytes_before = cells.value, written.value
         summary = service.ingest_once()
         assert summary["ingested"][0]["trials"] == trials
         assert len(summary["site_sections_changed"]) == len(NETWORKS)
         trials_per_ingest.append(trials)
         resolved_per_ingest.append(resolved.value - resolved_before)
         cells_per_ingest.append(cells.value - cells_before)
-        bytes_per_ingest.append(compacted.value - bytes_before)
+        bytes_per_ingest.append(written.value - bytes_before)
     assert summary["cycles_total"] == CYCLES
 
     # Each trial's keys are resolved once, when the live view takes it
@@ -94,9 +95,16 @@ def test_six_equal_ingests_cost_the_same_by_count(tmp_path):
     # the sixth (it was ~37 n^2 when every consumer re-derived its cells).
     assert cells_per_ingest == [len(NETWORKS) * len(IDS) ** 2] * CYCLES
 
-    # Compaction writes the arriving cycle, not the history: the sixth
-    # ingest's bytes are the second's plus four short manifest rows.
+    # The store writes the arriving cycle's commit line, not the history:
+    # the sixth ingest's bytes are within 5% of the second's.
     assert bytes_per_ingest[5] >= bytes_per_ingest[1]
     assert bytes_per_ingest[5] - bytes_per_ingest[1] < (
         0.05 * bytes_per_ingest[1]
     )
+    # And no trial record: a key per trial plus the line's frame (a
+    # record is ~1 KB; ~2 200 bytes per trial when the store journalled
+    # and then copied each one).
+    assert max(
+        spent / trials
+        for spent, trials in zip(bytes_per_ingest, trials_per_ingest)
+    ) < 100

@@ -1,13 +1,10 @@
 """One encoding per trial record, one derivation per cache key.
 
-A trial is persisted as a cache record (a record-log line), as the
-``result`` of a journal line and again in a store segment.  All three
-are the same bytes: ``TrialCache.put`` appends ``encode_record`` of the
-payload (the one encoder of stored bytes), the service adopts the
-record's bytes as read, compaction copies the journal.  Checked
-here on bytes: against the encoding the store used before (every record
-dumped whole), across the ways records spread over logs, and for
-records this library did not write.  The key half: ``trial_cache_key``
+A trial is persisted once, as a cache record (a record-log line):
+``TrialCache.put`` appends ``encode_record`` of the payload (the one
+encoder of stored bytes), and the service store keeps that log itself.
+Checked here on bytes: across the ways records spread over logs, and
+for records this library did not write.  The key half: ``trial_cache_key``
 resumes a memoised SHA-256 prefix state and must equal the
 whole-string oracle for every input.
 The decoder half: ``decode_record`` reads every record back as
@@ -39,14 +36,9 @@ from repro.core.cache import (
     encode_record,
     trial_cache_key,
 )
-from repro.core.runner import TrialSpec, replay
-from repro.fleet.plan import load_plan
+from repro.core.runner import TrialSpec
 from repro.service import WatchdogService
-from repro.service.store import (
-    JOURNAL_FILENAME,
-    CycleRecord,
-    RollingResultStore,
-)
+from repro.service.store import CycleRecord, RollingResultStore
 
 from tests import cache_logs
 from tests.naive_cache_key import naive_trial_cache_key
@@ -510,7 +502,7 @@ def test_a_foreign_entry_the_decoder_reads_differently_is_named(
 # ----------------------------------------------------------------------
 
 
-def ingest_two(root, relayout=None, compact=True):
+def ingest_two(root, relayout=None):
     """Two merged fixed cycles through the service; ``relayout``
     rewrites every delivered cache's logs first."""
     service = WatchdogService(
@@ -522,104 +514,42 @@ def ingest_two(root, relayout=None, compact=True):
         cache = root / "spool" / "incoming" / f"cycle-{index:02d}" / "cache"
         if relayout:
             relayout(cache)
-    if compact:
-        for _index in range(2):
-            service.ingest_once()
-    else:
-        for entry in service.scan_spool():
-            service.ingest_entry(entry)
+    for _index in range(2):
+        service.ingest_once()
     return service
 
 
-def whole_record_journal(root):
-    """The journal as the store encoded it before it adopted entry
-    bytes: every record a dict, encoded whole."""
-
-    def line(record):
-        return encode_record(record).decode()
-
-    lines = []
-    for index in range(2):
-        done = root / "spool" / "done" / f"cycle-{index:02d}"
-        plan = load_plan(done / "plan.json")
-        records, _stats = replay(
-            TrialCache(done / "cache"), [t.spec for t in plan.trials], True
-        )
-        results = [record.result for record in records]
-        lines.append(line({
-            "record": "begin", "schema": 1, "cycle_id": plan.plan_id,
-            "source": done.name, "kind": "fixed", "partial": False,
-        }))
-        lines += [
-            line({
-                "record": "trial", "cycle_id": plan.plan_id, "seq": seq,
-                "result": result.to_json(),
-            })
-            for seq, result in enumerate(results)
-        ]
-        lines.append(line({
-            "record": "commit", "cycle_id": plan.plan_id,
-            "trials": len(results),
-        }))
-    return ("\n".join(lines) + "\n").encode()
-
-
-def test_journal_bytes_equal_the_whole_record_encoding(tmp_path):
-    service = ingest_two(tmp_path, compact=False)
-    journal = service.store.journal_path.read_bytes()
-    assert journal == whole_record_journal(tmp_path)
-    service.store.compact()
-    segments = b"".join(
-        (service.store.root / row["file"]).read_bytes()
-        for row in json.loads(service.store.snapshot_path.read_text())[
-            "segments"
-        ]
-    )
-    assert segments == journal
-
-
-def test_a_journal_line_no_reader_would_get_back_is_refused(tmp_path):
-    """A payload encoded for the journal (no entry bytes came with it)
-    is read back first: the encoder would write the ``NaN`` as ``null``."""
-    payload = synthetic_result(SPEC, random.Random(1)).to_json()
-    payload["loss_rate"] = {"vidéo": math.nan}
-    store = RollingResultStore(tmp_path)
-    with pytest.raises(CacheEntryError, match=r"loss_rate\.vidéo is nan"):
-        store.append_cycle(CycleRecord("c", "spool", "fixed", results=[payload]))
-    assert not store.journal_path.exists() and store.cycles() == []
-
-
-def _json_line(record):
-    """A journal line as ``json`` spelled it before the one encoder."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
-
-
-def test_a_journal_in_either_spelling_replays_to_the_same_trials(tmp_path):
-    """``json`` wrote journal lines before (``1e-05``, ``1e+16``); the one
-    encoder writes ``0.00001``, ``1e16``.  A journal holding one cycle
-    in each spelling replays, and compacts, to the trials of one written
-    now, type for type."""
+def test_logs_in_either_spelling_replay_to_the_same_trials(tmp_path):
+    """``json`` wrote records before (``1e-05``, ``1e+16``); the one
+    encoder writes ``0.00001``, ``1e16``.  A store that adopted a log
+    in each spelling replays, and compacts, to the same trials, type for
+    type."""
     payloads = [
         {**synthetic_result(SPEC, random.Random(seed)).to_json(),
          "utilization": value}
         for seed, value in ((1, 1e-05), (2, 1e16))
     ]
-    ours = RollingResultStore(tmp_path / "ours")
-    for index, payload in enumerate(payloads):
-        ours.append_cycle(
-            CycleRecord(f"cycle-{index}", "spool", "fixed", results=[payload])
-        )
-    lines = ours.journal_path.read_bytes().split(b"\n")
-    assert b"0.00001" in lines[1] and b"1e16" in lines[4]
-    # Begin, trial and commit of the first cycle as ``json`` spelled them.
-    older = [_json_line(decode_record(line)) for line in lines[:3]]
-    assert b"1e-05" in older[1] and older[1] != lines[1]
-    mixed = tmp_path / "mixed"
-    mixed.mkdir()
-    (mixed / JOURNAL_FILENAME).write_bytes(b"\n".join(older + lines[3:]))
+    key = trial_cache_key(SPEC)
+    stores = {}
+    for spelling, encode in (
+        ("ours", encode_record),
+        ("json", lambda p: json.dumps(p, sort_keys=True).encode()),
+    ):
+        store = RollingResultStore(tmp_path / spelling / "store")
+        for index, payload in enumerate(payloads):
+            cache = tmp_path / spelling / f"entry-{index}"
+            cache.mkdir(parents=True)
+            cache_logs.append(cache, {key: encode(payload)})
+            store.append_cycle(CycleRecord.from_cache_reads(
+                f"cycle-{index}", "spool", "fixed", False,
+                TrialCache(cache).read_keys([key]), cache,
+            ))
+        stores[spelling] = store.root
+    logs = sorted((tmp_path / "json" / "store").glob("cycle-*/*.log"))
+    assert any(b"1e-05" in log.read_bytes() for log in logs)
     expected = [[payload] for payload in payloads]
     for _compacted in range(2):
-        for root in (tmp_path / "ours", mixed):
+        for root in stores.values():
             store = RollingResultStore(root)
             assert same_value([r.results for r in store.cycles()], expected)
             store.compact()
@@ -667,32 +597,27 @@ def _spaced(cache):
 
 
 @pytest.mark.parametrize(
-    "relayout, same_store",
-    [
-        (_one_log_per_record, True),
-        (_reversed_in_one_log, True),
-        # One line, spaced, keys unsorted: adopted as it is.
-        (_spaced, False),
-    ],
+    "relayout",
+    [_one_log_per_record, _reversed_in_one_log, _spaced],
     ids=["log-per-rec", "reversed", "spaced-one-line"],
 )
 def test_store_and_site_bytes_do_not_depend_on_the_entry_layout(
-    tmp_path, relayout, same_store
+    tmp_path, relayout
 ):
-    """How records spread over logs, and in what order, moves no byte
-    of the store.  A foreign record line is adopted spaces and all - a
-    store that differs in bytes, never in content."""
+    """How records spread over logs, and in what order, moves no byte of
+    the site, nor of the trial payloads a reopened store reads back, in
+    order.  The store keeps the entry's logs as they are - a foreign
+    record line spaces and all - so its files follow the layout."""
     ingest_two(tmp_path / "one-line")
     ingest_two(tmp_path / "other", relayout)
     ours, theirs = (tmp_path / name / "out" for name in ("one-line", "other"))
-    assert (files(theirs / "store") == files(ours / "store")) is same_store
     assert files(theirs / "site") == files(ours / "site")
-    views = [
+    stored = [
         [
-            result.to_json()
-            for result in RollingResultStore(out / "store")
-            .store_view().all_results()
+            encode_record(payload)
+            for record in RollingResultStore(out / "store").cycles()
+            for payload in record.results
         ]
         for out in (ours, theirs)
     ]
-    assert views[0] == views[1] and len(views[0]) > 20
+    assert stored[0] == stored[1] and len(stored[0]) > 20

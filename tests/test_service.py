@@ -8,6 +8,7 @@ uninterrupted run over the same spool - with zero re-simulation, since
 ingestion only ever folds from the entry's cache.
 """
 
+import errno
 import hashlib
 import json
 import os
@@ -24,7 +25,7 @@ import pytest
 from repro import units
 from repro.config import ExperimentConfig, TrialPolicyConfig, highly_constrained
 from repro.core import cache as cache_module
-from repro.core.cache import TrialCache
+from repro.core.cache import TrialCache, encode_record
 from repro.fleet.adaptive import AdaptiveCycleState, run_adaptive_cycle
 from repro.fleet import plan as plan_module
 from repro.fleet.plan import load_plan, plan_cycle
@@ -37,6 +38,7 @@ from repro.service import (
 )
 from repro.service.coordinator import FAULT_ENV
 from repro.core.submission import DEFAULT_ACCESS_CODES
+from repro.obs.metrics import get_registry
 
 from tests import cache_logs
 from tests.test_cache_immutability import ENTRY_DAMAGE, TRIAL_DAMAGE
@@ -68,12 +70,25 @@ def fake_result(seed, bw=units.mbps(8)):
     }
 
 
-def make_record(cycle_id, trials=2):
-    return CycleRecord(
-        cycle_id=cycle_id,
-        source=f"entry-{cycle_id}",
-        kind="fixed",
-        results=[fake_result(seed) for seed in range(trials)],
+def make_record(root, cycle_id, trials=2, kind="fixed", partial=False):
+    """A cycle of ``trials`` fake results, read from a record log of its
+    own under ``root/entries`` - written once, so every store a test
+    builds adopts the same log."""
+    cache = Path(root) / "entries" / f"{cycle_id}-{trials}"
+    keys = [f"{seed:064x}" for seed in range(trials)]
+    if not cache.exists():
+        cache.mkdir(parents=True)
+        cache_logs.append(
+            cache,
+            {
+                key: encode_record(fake_result(seed))
+                for seed, key in enumerate(keys)
+            },
+            "entry",
+        )
+    reads = TrialCache(cache).read_keys(keys)
+    return CycleRecord.from_cache_reads(
+        cycle_id, f"entry-{cycle_id}", kind, partial, reads, cache
     )
 
 
@@ -100,35 +115,35 @@ def make_service(root, **kwargs):
 class TestRollingResultStore:
     def test_append_and_replay_round_trip(self, tmp_path):
         store = RollingResultStore(tmp_path)
-        store.append_cycle(make_record("c1"))
-        store.append_cycle(make_record("c2", trials=3))
+        store.append_cycle(make_record(tmp_path, "c1"))
+        store.append_cycle(make_record(tmp_path, "c2", trials=3))
         reopened = RollingResultStore(tmp_path)
         assert [r.cycle_id for r in reopened.cycles()] == ["c1", "c2"]
         assert len(reopened) == 5
 
     def test_duplicate_cycle_id_rejected(self, tmp_path):
         store = RollingResultStore(tmp_path)
-        store.append_cycle(make_record("c1"))
+        store.append_cycle(make_record(tmp_path, "c1"))
         with pytest.raises(ValueError, match="already ingested"):
-            store.append_cycle(make_record("c1"))
+            store.append_cycle(make_record(tmp_path, "c1"))
 
     def test_torn_tail_dropped_on_replay(self, tmp_path):
         store = RollingResultStore(tmp_path)
-        store.append_cycle(make_record("c1"))
+        store.append_cycle(make_record(tmp_path, "c1"))
         with open(store.journal_path, "a") as fh:
             fh.write('{"record": "begin", "cycle_id": "c2", "ki')
         reopened = RollingResultStore(tmp_path)
         assert [r.cycle_id for r in reopened.cycles()] == ["c1"]
 
     def test_uncommitted_segment_discarded(self, tmp_path):
-        """Trials without their commit record never happened."""
+        """A cycle directory without its commit line never happened."""
         store = RollingResultStore(tmp_path)
-        store.append_cycle(make_record("c1"))
+        store.append_cycle(make_record(tmp_path, "c1"))
 
         died = RollingResultStore(tmp_path)
         with pytest.raises(RuntimeError):
             died.append_cycle(
-                make_record("c2"),
+                make_record(tmp_path, "c2"),
                 pre_commit=lambda: (_ for _ in ()).throw(
                     RuntimeError("crash")
                 ),
@@ -136,17 +151,21 @@ class TestRollingResultStore:
         reopened = RollingResultStore(tmp_path)
         assert [r.cycle_id for r in reopened.cycles()] == ["c1"]
         # The same cycle can then be re-ingested cleanly.
-        reopened.append_cycle(make_record("c2"))
+        reopened.append_cycle(make_record(tmp_path, "c2"))
         assert [r.cycle_id for r in RollingResultStore(tmp_path).cycles()] \
             == ["c1", "c2"]
 
-    def test_compact_folds_journal_into_snapshot(self, tmp_path):
+    def test_compact_without_a_window_writes_nothing(self, tmp_path):
         store = RollingResultStore(tmp_path)
-        store.append_cycle(make_record("c1"))
-        store.append_cycle(make_record("c2"))
+        store.append_cycle(make_record(tmp_path, "c1"))
+        store.append_cycle(make_record(tmp_path, "c2"))
+        journal = store.journal_path
+        before = (journal.stat().st_ino, journal.read_bytes())
+        written = get_registry().counter("service.store.bytes_written")
+        start = written.value
         store.compact()
-        assert store.journal_path.read_text() == ""
-        assert store.snapshot_path.exists()
+        assert (journal.stat().st_ino, journal.read_bytes()) == before
+        assert written.value == start
         reopened = RollingResultStore(tmp_path)
         assert [r.cycle_id for r in reopened.cycles()] == ["c1", "c2"]
         assert len(reopened) == 4
@@ -154,7 +173,7 @@ class TestRollingResultStore:
     def test_compact_window_drops_old_cycles(self, tmp_path):
         store = RollingResultStore(tmp_path)
         for index in range(4):
-            store.append_cycle(make_record(f"c{index}"))
+            store.append_cycle(make_record(tmp_path, f"c{index}"))
         store.compact(max_cycles=2)
         assert [r.cycle_id for r in store.cycles()] == ["c2", "c3"]
         reopened = RollingResultStore(tmp_path)
@@ -163,7 +182,7 @@ class TestRollingResultStore:
     def test_store_view_windows(self, tmp_path):
         store = RollingResultStore(tmp_path)
         for index in range(3):
-            store.append_cycle(make_record(f"c{index}"))
+            store.append_cycle(make_record(tmp_path, f"c{index}"))
         assert len(list(store.store_view().all_results())) == 6
         assert len(list(store.store_view(last_cycles=1).all_results())) == 2
         assert len(list(store.store_view(last_cycles=2).all_results())) == 4
@@ -174,7 +193,7 @@ class TestRollingResultStore:
     def test_a_window_below_one_cycle_is_refused(self, tmp_path, window):
         """``compact(max_cycles=0)`` used to drop every stored cycle."""
         store = RollingResultStore(tmp_path / "store")
-        store.append_cycle(make_record("c1"))
+        store.append_cycle(make_record(tmp_path, "c1"))
         with pytest.raises(ValueError, match="at least 1 cycle"):
             store.compact(max_cycles=window)
         assert [r.cycle_id for r in store.cycles()] == ["c1"]
@@ -186,17 +205,41 @@ class TestRollingResultStore:
         """A fuller re-delivery of the same base cycle replaces the
         earlier partial ingest in windowed views (no double counting)."""
         store = RollingResultStore(tmp_path)
-        partial = CycleRecord(
-            cycle_id="base+2", source="e", kind="adaptive", partial=True,
-            results=[fake_result(seed) for seed in range(2)],
+        store.append_cycle(
+            make_record(tmp_path, "base+2", 2, kind="adaptive", partial=True)
         )
-        store.append_cycle(partial)
-        full = CycleRecord(
-            cycle_id="base", source="e", kind="adaptive",
-            results=[fake_result(seed) for seed in range(5)],
-        )
-        store.append_cycle(full)
+        store.append_cycle(make_record(tmp_path, "base", 5, kind="adaptive"))
         assert len(list(store.store_view().all_results())) == 5
+
+
+    def test_a_refused_link_is_a_copy_with_the_same_payloads(
+        self, tmp_path, monkeypatch
+    ):
+        """Across filesystems ``os.link`` raises ``EXDEV``: the store
+        copies the log instead, and reads the same trials back."""
+        linked = RollingResultStore(tmp_path / "linked")
+        linked.append_cycle(make_record(tmp_path, "c1", trials=3))
+
+        def exdev(source, target):
+            raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+        monkeypatch.setattr(os, "link", exdev)
+        copied = RollingResultStore(tmp_path / "copied")
+        copied.append_cycle(make_record(tmp_path, "c1", trials=3))
+        monkeypatch.undo()
+        (entry_log,) = cache_logs.logs(tmp_path / "entries" / "c1-3")
+        (linked_log,) = (tmp_path / "linked").glob("cycle-*/records-*.log")
+        (copied_log,) = (tmp_path / "copied").glob("cycle-*/records-*.log")
+        assert linked_log.stat().st_ino == entry_log.stat().st_ino
+        assert copied_log.stat().st_ino != entry_log.stat().st_ino
+        assert copied_log.read_bytes() == entry_log.read_bytes()
+        payloads = [
+            [r.results for r in RollingResultStore(root).cycles()]
+            for root in (tmp_path / "linked", tmp_path / "copied")
+        ]
+        assert payloads[0] == payloads[1] == [
+            [fake_result(seed) for seed in range(3)]
+        ]
 
 
 class TestServiceIngest:
@@ -227,11 +270,48 @@ class TestServiceIngest:
         assert kept.source == "cycle-b"
         assert len(list(service.windowed_store().all_results())) == 3
 
+    def test_a_full_window_still_publishes_a_new_plan_per_cycle(
+        self, tmp_path
+    ):
+        """The next plan is seeded by the store's commit ``seq``: a
+        window that stopped growing used to publish one plan forever,
+        and its next delivery was skipped as already ingested."""
+        service = make_service(tmp_path, window_cycles=1)
+        plan_ids = []
+        for seed in (7, 8, 9):
+            make_fixed_entry(
+                tmp_path / "spool" / "incoming" / f"cycle-{seed}",
+                base_seed=seed,
+            )
+            service.ingest_once()
+            plan_ids.append(
+                load_plan(tmp_path / "out" / "next-plan" / "plan.json").plan_id
+            )
+        assert len(service.store.cycles()) == 1
+        assert len(set(plan_ids)) == 3
+
+    def test_an_older_store_is_refused_in_one_line(self, tmp_path):
+        """A store of the journal-and-segment layout is not read: the
+        CLI names the file and says how to rebuild the store."""
+        store = tmp_path / "out" / "store"
+        store.mkdir(parents=True)
+        (store / "snapshot.json").write_text('{"schema": 2, "segments": []}')
+        shown = _run_cli([
+            "service", "status",
+            "--spool", str(tmp_path / "spool"), "--out", str(tmp_path / "out"),
+        ])
+        assert shown.returncode == 1
+        assert shown.stderr.startswith(
+            f"service error: {store / 'snapshot.json'}: "
+        )
+        assert "re-ingest the spool's done/ entries" in shown.stderr
+        assert "Traceback" not in shown.stderr
+
     def test_a_spool_name_that_is_not_utf8_is_journalled_readably(
         self, tmp_path
     ):
         """``os.listdir`` returns such a name with a lone surrogate; the
-        journal's ``begin`` line spells it out, so the store the ingest
+        cycle's commit line spells it out, so the store the ingest
         committed still opens (the record decoder, unlike ``json``,
         refuses lone surrogates)."""
         service = make_service(tmp_path)
